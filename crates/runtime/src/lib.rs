@@ -8,8 +8,9 @@
 //! * [`shard`] — [`shard::ShardedEngine`], a deterministic parallel
 //!   discrete-event engine. Nodes are partitioned across worker shards by
 //!   `NodeId` hash, each shard runs on its own thread, and shards
-//!   synchronize with a conservative time-window barrier sized by the
-//!   minimum link-latency floor. Executions are bit-identical to the
+//!   advance in conservative time windows sized by the minimum
+//!   link-latency floor, meeting at a spin-then-park rendezvous between
+//!   phases. Executions are bit-identical to the
 //!   sequential `cyclosa_net::sim::Simulation` for the same seed, for any
 //!   shard count — so every experiment can scale out without changing its
 //!   results. The whole fault surface of the `Engine` trait rides along:
@@ -27,8 +28,8 @@
 //! [`shard::ShardedEngine::set_trace_sink`] and the engine folds buffered
 //! trace events into the merged timeline at each window barrier;
 //! [`shard::ShardedEngine::enable_profiling`] registers per-shard
-//! self-profiling instruments (event-class throughput, mailbox depth,
-//! barrier-stall wall time) in a metrics [`Registry`].
+//! self-profiling instruments (event-class throughput, windows, mailbox
+//! depth, barrier-stall wall time) in a metrics [`Registry`].
 //!
 //! Both engines implement [`cyclosa_net::engine::Engine`]; behaviours
 //! written against `cyclosa_net::sim::NodeBehavior` run unchanged on
@@ -37,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod barrier;
 pub mod metrics;
 pub mod shard;
 

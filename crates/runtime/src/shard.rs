@@ -2,20 +2,65 @@
 //!
 //! [`ShardedEngine`] partitions nodes across worker shards by `NodeId`
 //! hash ([`shard_of`]) and runs each shard's event loop on its own thread.
-//! Shards synchronize through a **conservative time-window barrier**: the
-//! window width is the minimum latency floor across all configured link
-//! models (the *lookahead*), so a message sent during a window can never be
-//! due for delivery inside the same window — every shard can therefore
-//! process its window in parallel without ever seeing an event out of
-//! order.
+//! Shards advance in **conservative time windows**: the window width is
+//! the minimum latency floor across all configured link models (the
+//! *lookahead*), so a message sent during a window can never be due for
+//! delivery inside the same window — every shard can therefore process
+//! its window in parallel without ever seeing an event out of order.
 //!
-//! Within a window each shard pops events in [`EventKey`] order; messages
-//! to nodes on other shards are collected into per-shard-pair FIFO
-//! mailboxes and merged into the destination heaps at the barrier.
-//! Because event keys and all link randomness are deterministic (see
-//! `cyclosa_net::engine`), an execution is **bit-identical to the
-//! sequential [`Simulation`](cyclosa_net::sim::Simulation) for the same
-//! seed, for any shard count**.
+//! # The window protocol
+//!
+//! Every window is three phases, each closed by a rendezvous of all shard
+//! threads:
+//!
+//! 1. **Publish.** Each shard stores the time of its earliest pending
+//!    event in its own slot.
+//! 2. **Decide.** Shard 0 takes the minimum over the slots. No event
+//!    left, or the earliest one past the `run_until` deadline: the run is
+//!    over. Otherwise the window is `[min, min + lookahead)`, clipped to
+//!    just past the deadline (`run_until` is inclusive).
+//! 3. **Process and post.** Each shard pops its events before the window
+//!    end in [`EventKey`] order; deliveries for nodes of other shards go
+//!    into per-shard-pair FIFO mailboxes.
+//!
+//! After the third rendezvous each shard drains its mailboxes into its
+//! heap while shard 0 folds the window's trace events into the merged
+//! timeline; the next window's first rendezvous orders those drains
+//! before anyone publishes again. Because event keys and all link
+//! randomness are deterministic (see `cyclosa_net::engine`), an execution
+//! is **bit-identical to the sequential
+//! [`Simulation`](cyclosa_net::sim::Simulation) for the same seed, for
+//! any shard count**. An engine with one shard has nobody to meet: it
+//! walks the same windows on the calling thread, with no worker thread,
+//! rendezvous or mailbox.
+//!
+//! # Spin, then park
+//!
+//! A sparse simulation — the 60-relay soak runs 15 events per window —
+//! reaches a rendezvous three times per window with its neighbours a
+//! microsecond behind, so how a thread waits there decides what sharding
+//! costs. The rendezvous (`barrier.rs`) polls a generation word for a
+//! bounded number of iterations (4 096, about 50 µs; an iteration count,
+//! never a clock reading) and only then sleeps on a condvar; whoever
+//! releases a generation pays the wake-up syscall only if some thread is
+//! registered as asleep. (The standard library's barrier sleeps and wakes
+//! through the futex on every wait.)
+//!
+//! **Oversubscription rule:** with more shards than
+//! [`std::thread::available_parallelism`] the budget is zero and every
+//! wait parks at once, because a spinner would burn the time slice of the
+//! very thread it is waiting for. The budget is a private constant, not a
+//! setting, and it moves host time only: window boundaries, mailbox
+//! order, trace merge points and every simulated outcome are the same
+//! whichever way a thread waited.
+//!
+//! Measured on the 2-core reference host (`benchmarks/`, 2 shards, ten
+//! interleaved pairs, futex barrier → spin-then-park): the sparse soak
+//! went from 8.2 k to 90 k queries/s and a one-event window turn from
+//! 70 µs to 1.4 µs; the dense 10⁵-node ping moved from 2.0 M to 2.2 M
+//! events/s. The sequential engine runs the same soak at 100 k queries/s,
+//! so two shards on that shape now cost little but still buy nothing;
+//! dense windows are where shards pay.
 //!
 //! ```
 //! use cyclosa_net::engine::Engine;
@@ -41,6 +86,7 @@
 //! assert_eq!(engine.stats().delivered, 2);
 //! ```
 
+use crate::barrier::{spin_budget_for, CachePadded, WindowBarrier};
 use crate::metrics::{Counter, Gauge, Histogram, Registry};
 use cyclosa_net::engine::{
     Engine, EventClass, EventKey, EventKind, LinkGroupSchedule, LinkTable, LossSchedule,
@@ -56,7 +102,7 @@ use cyclosa_util::rng::{Rng, SplitMix64};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// The shard that owns `node` in an engine with `shards` shards.
@@ -116,7 +162,9 @@ struct ShardProfile {
     deliver: Counter,
     timer: Counter,
     membership: Counter,
+    windows: Counter,
     mailbox_depth: Gauge,
+    mailbox_depth_events: Histogram,
     barrier_stall_ns: Histogram,
 }
 
@@ -127,13 +175,15 @@ impl ShardProfile {
             deliver: registry.counter(&name("deliver")),
             timer: registry.counter(&name("timer")),
             membership: registry.counter(&name("membership")),
+            windows: registry.counter(&name("windows")),
             mailbox_depth: registry.gauge(&name("mailbox_depth")),
+            mailbox_depth_events: registry.histogram(&name("mailbox_depth_events")),
             barrier_stall_ns: registry.histogram(&name("barrier_stall_ns")),
         }
     }
 
     /// Waits at `barrier`, recording the wall time spent stalled.
-    fn wait_timed(&self, barrier: &Barrier) {
+    fn wait_timed(&self, barrier: &WindowBarrier) {
         #[allow(clippy::disallowed_methods)]
         // cyclosa-lint: allow(wall_clock, reason = "profiling-only barrier-stall stopwatch; the reading feeds a metrics histogram and never touches simulated state")
         let start = Instant::now();
@@ -143,13 +193,24 @@ impl ShardProfile {
     }
 }
 
-fn wait(barrier: &Barrier, profile: Option<&ShardProfile>) {
+fn wait(barrier: &WindowBarrier, profile: Option<&ShardProfile>) {
     match profile {
         Some(profile) => profile.wait_timed(barrier),
-        None => {
-            barrier.wait();
-        }
+        None => barrier.wait(),
     }
+}
+
+/// The end of the window that opens at `start`, the earliest pending event
+/// of any shard (`u64::MAX`: none), or `None` when the run is over: no
+/// events are left, or the earliest lies beyond `deadline`.
+fn window_end(start: u64, lookahead: SimTime, deadline: Option<SimTime>) -> Option<u64> {
+    if start == u64::MAX || deadline.is_some_and(|d| start > d.as_nanos()) {
+        return None;
+    }
+    let end = start.saturating_add(lookahead.as_nanos()).max(start + 1);
+    // Events at exactly the deadline must still run (run_until is
+    // inclusive).
+    Some(deadline.map_or(end, |d| end.min(d.as_nanos() + 1)))
 }
 
 /// One shard: a slice of the node population plus everything needed to run
@@ -172,6 +233,9 @@ struct Shard {
     processed: u64,
     stats: SimulationStats,
     profile: Option<ShardProfile>,
+    /// Scratch for the actions of the event being processed; kept so a
+    /// window does not allocate it afresh.
+    actions: Vec<Action>,
 }
 
 impl Shard {
@@ -193,6 +257,7 @@ impl Shard {
             processed: 0,
             stats: SimulationStats::default(),
             profile: None,
+            actions: Vec::new(),
         }
     }
 
@@ -266,7 +331,7 @@ impl Shard {
     /// Processes every local event strictly before `end`, appending
     /// cross-shard deliveries to `outgoing[dst_shard]`.
     fn process_window(&mut self, end: SimTime, outgoing: &mut [Vec<ScheduledEvent>]) {
-        let mut actions = Vec::new();
+        let mut actions = std::mem::take(&mut self.actions);
         while let Some(Reverse(event)) = self.queue.peek() {
             if event.key.at >= end {
                 break;
@@ -348,6 +413,10 @@ impl Shard {
                 }
             }
         }
+        self.actions = actions;
+        if let Some(profile) = &self.profile {
+            profile.windows.inc();
+        }
     }
 }
 
@@ -357,6 +426,9 @@ pub struct ShardedEngine {
     shards: Vec<Shard>,
     clock: SimTime,
     trace: TraceSink,
+    /// Spin iterations a shard thread spends at a window rendezvous before
+    /// it parks; zero when the shards outnumber the host's cores.
+    spin_budget: u32,
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -401,6 +473,7 @@ impl ShardedEngine {
             shards: (0..shards).map(|i| Shard::new(i, shards, seed)).collect(),
             clock: SimTime::ZERO,
             trace: TraceSink::disabled(),
+            spin_budget: spin_budget_for(shards),
         })
     }
 
@@ -420,12 +493,16 @@ impl ShardedEngine {
 
     /// Registers per-shard self-profiling instruments in `registry`:
     /// `engine.shard<i>.deliver` / `.timer` / `.membership` event-class
-    /// throughput counters, an `engine.shard<i>.mailbox_depth` gauge
-    /// (cross-shard events merged per window), and an
-    /// `engine.shard<i>.barrier_stall_ns` wall-clock histogram of time
-    /// spent waiting at window barriers — the shard-imbalance signal.
-    /// Wall time flows only into metrics, never into the deterministic
-    /// trace.
+    /// throughput counters, an `engine.shard<i>.windows` counter (one per
+    /// window the shard walked through, with or without events of its
+    /// own), an `engine.shard<i>.mailbox_depth` gauge (cross-shard events
+    /// merged in the last window) with its distribution over the run in
+    /// the `engine.shard<i>.mailbox_depth_events` histogram, and an
+    /// `engine.shard<i>.barrier_stall_ns` wall-clock histogram of the time
+    /// spent at each window rendezvous — the shard-imbalance signal. A
+    /// one-shard engine runs inline and records neither stalls nor
+    /// mailbox depths. Wall time flows only into metrics, never into the
+    /// deterministic trace.
     pub fn enable_profiling(&mut self, registry: &Registry) {
         for shard in &mut self.shards {
             shard.profile = Some(ShardProfile::new(registry, shard.index));
@@ -520,100 +597,22 @@ impl ShardedEngine {
             lookahead > SimTime::ZERO,
             "callers must validate() before running windows"
         );
-        let num_shards = self.shards.len();
         let processed_before: u64 = self.shards.iter().map(|s| s.processed).sum();
 
-        let barrier = Barrier::new(num_shards);
-        let next_times: Vec<AtomicU64> =
-            (0..num_shards).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let window_end = AtomicU64::new(0);
-        let done = AtomicBool::new(false);
-        let mailboxes: Vec<Vec<Mutex<Vec<ScheduledEvent>>>> = (0..num_shards)
-            .map(|_| (0..num_shards).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-
-        {
-            let barrier = &barrier;
-            let next_times = &next_times;
-            let window_end = &window_end;
-            let done = &done;
-            let mailboxes = &mailboxes;
-            let trace = &self.trace;
-            std::thread::scope(|scope| {
-                for shard in self.shards.iter_mut() {
-                    scope.spawn(move || {
-                        let index = shard.index;
-                        let profile = shard.profile.clone();
-                        let mut outgoing: Vec<Vec<ScheduledEvent>> =
-                            (0..num_shards).map(|_| Vec::new()).collect();
-                        loop {
-                            let next = shard.next_event_time().map_or(u64::MAX, |t| t.as_nanos());
-                            next_times[index].store(next, Ordering::SeqCst);
-                            wait(barrier, profile.as_ref());
-                            if index == 0 {
-                                let start = next_times
-                                    .iter()
-                                    .map(|t| t.load(Ordering::SeqCst))
-                                    .min()
-                                    .expect("at least one shard");
-                                let past_deadline = deadline
-                                    .is_some_and(|d| start != u64::MAX && start > d.as_nanos());
-                                if start == u64::MAX || past_deadline {
-                                    done.store(true, Ordering::SeqCst);
-                                } else {
-                                    let mut end =
-                                        start.saturating_add(lookahead.as_nanos()).max(start + 1);
-                                    if let Some(d) = deadline {
-                                        // Events at exactly the deadline must
-                                        // still run (run_until is inclusive).
-                                        end = end.min(d.as_nanos() + 1);
-                                    }
-                                    window_end.store(end, Ordering::SeqCst);
-                                }
-                            }
-                            wait(barrier, profile.as_ref());
-                            if done.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            let end = SimTime::from_nanos(window_end.load(Ordering::SeqCst));
-                            shard.process_window(end, &mut outgoing);
-                            for (dst, events) in outgoing.iter_mut().enumerate() {
-                                if !events.is_empty() {
-                                    mailboxes[index][dst]
-                                        .lock()
-                                        .expect("mailbox poisoned")
-                                        .append(events);
-                                }
-                            }
-                            wait(barrier, profile.as_ref());
-                            if index == 0 {
-                                // Every shard finished the window at the
-                                // barrier above, so all trace events with
-                                // `at < end` are buffered; later windows
-                                // only emit events at `end` or beyond
-                                // (lookahead bound), so this merged prefix
-                                // is final. The other shards drain their
-                                // mailboxes concurrently, which emits
-                                // nothing.
-                                trace.merge_up_to(end);
-                            }
-                            let mut merged_in = 0usize;
-                            for row in mailboxes.iter() {
-                                let mut inbox = row[index].lock().expect("mailbox poisoned");
-                                merged_in += inbox.len();
-                                for event in inbox.drain(..) {
-                                    shard.queue.push(Reverse(event));
-                                }
-                            }
-                            if let Some(profile) = &profile {
-                                profile.mailbox_depth.set(merged_in as i64);
-                            }
-                            // The next round's first barrier orders these
-                            // drains before anyone reads next_times again.
-                        }
-                    });
-                }
-            });
+        if let [shard] = self.shards.as_mut_slice() {
+            // One shard has nobody to meet: same windows, same trace merge
+            // points, on the calling thread.
+            while let Some(end) = window_end(
+                shard.next_event_time().map_or(u64::MAX, |t| t.as_nanos()),
+                lookahead,
+                deadline,
+            ) {
+                let end = SimTime::from_nanos(end);
+                shard.process_window(end, &mut []);
+                self.trace.merge_up_to(end);
+            }
+        } else {
+            self.run_windows_parallel(lookahead, deadline);
         }
 
         self.clock = self
@@ -624,6 +623,102 @@ impl ShardedEngine {
             .unwrap_or(self.clock)
             .max(self.clock);
         self.shards.iter().map(|s| s.processed).sum::<u64>() - processed_before
+    }
+
+    /// One thread per shard, three rendezvous per window (see the module
+    /// documentation). The `Release` stores and `Acquire` loads on the
+    /// shared words below name the direction data flows; what actually
+    /// orders a phase's stores before the next phase's loads is the
+    /// [`WindowBarrier`] between them.
+    fn run_windows_parallel(&mut self, lookahead: SimTime, deadline: Option<SimTime>) {
+        let num_shards = self.shards.len();
+        let barrier = &WindowBarrier::new(num_shards, self.spin_budget);
+        // One line per slot: every shard stores its own slot once a window
+        // while the others are still finishing theirs.
+        let next_times = &(0..num_shards)
+            .map(|_| CachePadded(AtomicU64::new(u64::MAX)))
+            .collect::<Vec<_>>();
+        let window = &AtomicU64::new(0);
+        let done = &AtomicBool::new(false);
+        let mailboxes = &(0..num_shards)
+            .map(|_| (0..num_shards).map(|_| Mutex::new(Vec::new())).collect())
+            .collect::<Vec<Vec<Mutex<Vec<ScheduledEvent>>>>>();
+        let trace = &self.trace;
+
+        std::thread::scope(|scope| {
+            for shard in self.shards.iter_mut() {
+                scope.spawn(move || {
+                    let index = shard.index;
+                    let profile = shard.profile.clone();
+                    let mut outgoing: Vec<Vec<ScheduledEvent>> =
+                        (0..num_shards).map(|_| Vec::new()).collect();
+                    loop {
+                        // Phase 1: publish this shard's earliest event.
+                        let next = shard.next_event_time().map_or(u64::MAX, |t| t.as_nanos());
+                        next_times[index].0.store(next, Ordering::Release);
+                        wait(barrier, profile.as_ref());
+                        // Phase 2: shard 0 alone turns the minimum into the
+                        // window (or the end of the run).
+                        if index == 0 {
+                            let start = next_times
+                                .iter()
+                                .map(|t| t.0.load(Ordering::Acquire))
+                                .min()
+                                .expect("at least one shard");
+                            match window_end(start, lookahead, deadline) {
+                                Some(end) => window.store(end, Ordering::Release),
+                                None => done.store(true, Ordering::Release),
+                            }
+                        }
+                        wait(barrier, profile.as_ref());
+                        if done.load(Ordering::Acquire) {
+                            return;
+                        }
+                        // Phase 3: run the window, post cross-shard events.
+                        let end = SimTime::from_nanos(window.load(Ordering::Acquire));
+                        shard.process_window(end, &mut outgoing);
+                        for (dst, events) in outgoing.iter_mut().enumerate() {
+                            if !events.is_empty() {
+                                // A mailbox is a plain Vec that is only
+                                // appended to or drained, so one left by a
+                                // panicking neighbour is still valid.
+                                mailboxes[index][dst]
+                                    .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
+                                    .append(events);
+                            }
+                        }
+                        wait(barrier, profile.as_ref());
+                        if index == 0 {
+                            // Every shard finished the window at the
+                            // barrier above, so all trace events with
+                            // `at < end` are buffered; later windows
+                            // only emit events at `end` or beyond
+                            // (lookahead bound), so this merged prefix
+                            // is final. The other shards drain their
+                            // mailboxes concurrently, which emits
+                            // nothing.
+                            trace.merge_up_to(end);
+                        }
+                        let mut merged_in = 0usize;
+                        for row in mailboxes.iter() {
+                            let mut inbox =
+                                row[index].lock().unwrap_or_else(PoisonError::into_inner);
+                            merged_in += inbox.len();
+                            for event in inbox.drain(..) {
+                                shard.queue.push(Reverse(event));
+                            }
+                        }
+                        if let Some(profile) = &profile {
+                            profile.mailbox_depth.set(merged_in as i64);
+                            profile.mailbox_depth_events.record(merged_in as u64);
+                        }
+                        // The next round's first barrier orders these
+                        // drains before anyone reads next_times again.
+                    }
+                });
+            }
+        });
     }
 }
 
@@ -1173,6 +1268,184 @@ mod tests {
                 observed.1, expected.1,
                 "span rollup diverged with {shards} shards"
             );
+        }
+    }
+
+    /// Two nodes bounce one message over a constant-latency link, so every
+    /// lookahead window holds exactly one event — the sparsest shape the
+    /// rendezvous can meet, and the one where a window cut in the wrong
+    /// place shows first. Each hop is recorded, emitted as a span and the
+    /// thread it ran on noted.
+    struct PingPong {
+        left: u64,
+        recorder: Recorder,
+        sink: cyclosa_telemetry::TraceSink,
+        threads: Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl NodeBehavior for PingPong {
+        fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
+            self.recorder.on_message(ctx, envelope.clone());
+            self.sink.emit(
+                cyclosa_telemetry::TraceEvent::new(ctx.now(), ctx.self_id().0, "hop")
+                    .span(SimTime::from_micros(envelope.tag as u64 % 7 + 1)),
+            );
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            if self.left > 0 {
+                self.left -= 1;
+                ctx.send(envelope.src, envelope.tag + 1, envelope.payload);
+            }
+        }
+    }
+
+    /// What a ping-pong run looked like from outside: the clock, the
+    /// statistics and every delivery so far after each `run_until` cut
+    /// and after the final `run`, then the merged timeline as JSONL and
+    /// the threads the handlers ran on.
+    struct PingPongRun {
+        checkpoints: Vec<(SimTime, SimulationStats, usize)>,
+        log: std::collections::BTreeMap<NodeId, Vec<(u64, u32)>>,
+        jsonl: String,
+        threads: Vec<std::thread::ThreadId>,
+    }
+
+    fn ping_pong(engine: &mut dyn Engine, sink: &TraceSink, cuts: &[SimTime]) -> PingPongRun {
+        let recorder = Recorder::new();
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        // Two nodes that 2 shards keep apart, so every hop crosses.
+        let a = NodeId(0);
+        let b = (1..)
+            .map(NodeId)
+            .find(|b| shard_of(*b, 2) != shard_of(a, 2))
+            .expect("some node maps to the other shard");
+        engine.set_default_latency(LatencyModel::Constant(SimTime::from_millis(10)));
+        for id in [a, b] {
+            engine.add_node(
+                id,
+                Box::new(PingPong {
+                    left: 60,
+                    recorder: recorder.clone(),
+                    sink: sink.clone(),
+                    threads: threads.clone(),
+                }),
+            );
+        }
+        engine.post(SimTime::ZERO, a, b, 1, vec![0u8; 32]);
+        let mut checkpoints = Vec::new();
+        let delivered_so_far =
+            |recorder: &Recorder| recorder.log.lock().unwrap().values().map(Vec::len).sum();
+        for &cut in cuts {
+            engine.run_until(cut);
+            checkpoints.push((engine.now(), engine.stats(), delivered_so_far(&recorder)));
+        }
+        engine.run();
+        checkpoints.push((engine.now(), engine.stats(), delivered_so_far(&recorder)));
+        let threads = threads.lock().unwrap().clone();
+        PingPongRun {
+            checkpoints,
+            log: recorder.take(),
+            jsonl: cyclosa_telemetry::export::to_jsonl(&sink.events()),
+            threads,
+        }
+    }
+
+    #[test]
+    fn one_event_per_window_matches_sequential_through_run_until_cuts() {
+        // Windows open at 10, 20, 30 ms, ...: cut inside one, one tick
+        // before a boundary (the clipped window then ends exactly on it),
+        // exactly on a boundary (which is also an event time — run_until
+        // is inclusive), on the same instant again, and far past the end.
+        let ms = SimTime::from_millis;
+        let cuts = [
+            ms(25),
+            SimTime::from_nanos(ms(40).as_nanos() - 1),
+            ms(70),
+            ms(70),
+            ms(135),
+            SimTime::from_secs(5),
+        ];
+        let sequential_sink = TraceSink::enabled();
+        let expected = ping_pong(&mut Simulation::new(3), &sequential_sink, &cuts);
+        assert_eq!(expected.checkpoints[0].2, 2, "deliveries at 10 and 20 ms");
+        assert_eq!(expected.checkpoints[1].2, 3, "30 ms joins, 40 ms does not");
+        assert_eq!(expected.checkpoints[2].2, 7, "the event at the cut runs");
+        assert_eq!(expected.checkpoints[3], expected.checkpoints[2]);
+        assert_eq!(expected.checkpoints.last().unwrap().2, 121);
+        for shards in [1, 2, 4, 8, 16] {
+            let sink = TraceSink::enabled();
+            let mut engine = ShardedEngine::new(3, shards);
+            let observed = ping_pong(&mut engine, &sink, &cuts);
+            assert_eq!(
+                observed.checkpoints, expected.checkpoints,
+                "cut points diverged with {shards} shards"
+            );
+            assert_eq!(
+                observed.log, expected.log,
+                "deliveries diverged with {shards} shards"
+            );
+            assert_eq!(
+                observed.jsonl, expected.jsonl,
+                "timeline diverged with {shards} shards"
+            );
+        }
+    }
+
+    #[test]
+    fn one_shard_runs_inline_and_profiles_windows_without_a_rendezvous() {
+        let sequential_sink = TraceSink::enabled();
+        let expected = ping_pong(&mut Simulation::new(3), &sequential_sink, &[]);
+        let this_thread = std::thread::current().id();
+        assert!(expected.threads.iter().all(|t| *t == this_thread));
+
+        for shards in [1usize, 2] {
+            let registry = Registry::new();
+            let sink = TraceSink::enabled();
+            let mut engine = ShardedEngine::new(3, shards);
+            engine.enable_profiling(&registry);
+            engine.set_trace_sink(sink.clone());
+            let observed = ping_pong(&mut engine, &sink, &[]);
+            assert_eq!(observed.jsonl, expected.jsonl, "{shards} shard(s)");
+            assert_eq!(observed.log, expected.log, "{shards} shard(s)");
+            assert_eq!(observed.checkpoints, expected.checkpoints);
+            // One shard runs on the calling thread, two on their own.
+            let inline = shards == 1;
+            assert!(observed
+                .threads
+                .iter()
+                .all(|t| (*t == this_thread) == inline));
+
+            // 121 deliveries 10 ms apart: 121 one-event windows, which
+            // every shard walks through whether or not it owns the event.
+            let windows = 121;
+            for shard in 0..shards {
+                let name = |metric: &str| format!("engine.shard{shard}.{metric}");
+                assert_eq!(registry.counter(&name("windows")).get(), windows);
+                let stalls = registry.histogram(&name("barrier_stall_ns")).count();
+                let depths = registry.histogram(&name("mailbox_depth_events")).count();
+                if inline {
+                    assert_eq!(stalls, 0, "nobody to wait for");
+                    assert_eq!(depths, 0, "no mailbox to drain");
+                } else {
+                    // Three waits a window; the round that finds no
+                    // events left stops after two.
+                    assert_eq!(stalls, 3 * windows + 2);
+                    assert_eq!(depths, windows);
+                }
+            }
+            if !inline {
+                // Every hop crosses shards, so each window's single event
+                // arrives through one of the two mailboxes.
+                let merged: u64 = (0..shards)
+                    .map(|shard| {
+                        let name = format!("engine.shard{shard}.mailbox_depth_events");
+                        registry.histogram(&name).snapshot().sum
+                    })
+                    .sum();
+                assert_eq!(merged, windows - 1);
+            }
         }
     }
 

@@ -81,6 +81,38 @@ fn stressed_soak_gates_clean_and_is_bit_identical_across_shards() {
     }
 }
 
+/// The sparse shape of the acceptance soak (60 relays, a few hundred
+/// queries in flight, a handful of events per engine window): the window
+/// rendezvous is nearly all the sharded engine does here, so this is where
+/// a rendezvous that lets a shard through early would show. 16 shards is
+/// past any host this runs on, so the park-at-once path is covered too.
+#[test]
+fn sparse_sixty_relay_soak_is_bit_identical_for_1_to_16_shards() {
+    let config = SoakConfig {
+        relays: 60,
+        queries: horizon(1_500),
+        churn: Some(ChurnModel::ExponentialSessions {
+            mean_uptime: SimTime::from_secs(120),
+            mean_downtime: SimTime::from_secs(20),
+        }),
+        adversary: Some(AdversaryConfig {
+            fraction: 0.2,
+            policy: ByzantinePolicy::Collude,
+            activate_at: SimTime::from_secs(5),
+        }),
+        ..SoakConfig::default()
+    };
+    let outcome = run_soak(&config);
+    assert!(outcome.retries > 0, "churn must exercise repair");
+    for shards in [1, 2, 4, 8, 16] {
+        assert_eq!(
+            run_soak_sharded(&config, shards),
+            outcome,
+            "sparse soak diverged at {shards} shards"
+        );
+    }
+}
+
 #[test]
 fn traced_soak_stays_inside_the_closed_schema_and_never_perturbs_the_run() {
     let config = stressed_config(horizon(2_000));
