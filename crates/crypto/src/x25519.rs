@@ -243,22 +243,38 @@ pub fn base_point() -> [u8; 32] {
     b
 }
 
-/// A long-term or ephemeral X25519 secret key.
-#[derive(Debug, Clone)]
+/// A long-term or ephemeral X25519 secret key, together with its public
+/// key: the base-point multiplication is done once, when the secret is
+/// built, and every later [`StaticSecret::public_key`] returns the copy (a
+/// handshake asks for it several times per side).
+#[derive(Clone)]
 pub struct StaticSecret {
     scalar: [u8; 32],
+    public: PublicKey,
+}
+
+/// Prints the public half only.
+impl std::fmt::Debug for StaticSecret {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StaticSecret")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 impl StaticSecret {
     /// Builds a secret key from 32 bytes of keying material (clamped
     /// internally, so any byte string is acceptable).
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        Self { scalar: bytes }
+        Self {
+            scalar: bytes,
+            public: PublicKey(x25519(bytes, base_point())),
+        }
     }
 
-    /// Derives the corresponding public key.
+    /// The corresponding public key.
     pub fn public_key(&self) -> PublicKey {
-        PublicKey(x25519(self.scalar, base_point()))
+        self.public
     }
 
     /// Performs Diffie–Hellman with a peer public key.
@@ -370,6 +386,15 @@ mod tests {
             assert_eq!(s1, s2);
             assert!(!s1.is_zero());
         }
+    }
+
+    #[test]
+    fn debug_output_shows_the_public_key_and_not_the_scalar() {
+        let secret = StaticSecret::from_bytes([0xA7u8; 32]);
+        let printed = format!("{secret:?}");
+        assert!(printed.contains(&format!("{:?}", secret.public_key())));
+        // 0xA7 = 167: the scalar's bytes would print as a run of `167`s.
+        assert!(!printed.contains("167, 167"), "{printed}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The search-engine front end: query execution, rate limiting and the
 //! request log the honest-but-curious adversary gets to analyse.
 
-use crate::index::{Index, SearchResult};
+use crate::index::{Index, Scratch, SearchResult};
 use crate::ratelimit::{RateLimitDecision, RateLimiter, RateLimiterConfig};
 
 /// The network identity a request appears to come from (user, proxy or
@@ -72,9 +72,11 @@ pub struct LoggedRequest {
 }
 
 /// The simulated search engine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SearchEngine {
     index: Index,
+    /// Scoring state reused by every `submit` (see [`Index`]'s kernel).
+    scratch: Scratch,
     limiter: RateLimiter,
     config: EngineConfig,
     log: Vec<LoggedRequest>,
@@ -85,6 +87,7 @@ impl SearchEngine {
     pub fn new(index: Index, config: EngineConfig) -> Self {
         Self {
             index,
+            scratch: Scratch::default(),
             limiter: RateLimiter::new(config.rate_limit),
             config,
             log: Vec::new(),
@@ -122,12 +125,15 @@ impl SearchEngine {
         if !admitted {
             return Err(EngineError::RateLimited);
         }
-        if !cyclosa_nlp::text::has_content_terms(query) {
-            return Err(EngineError::EmptyQuery);
-        }
+        // The kernel tokenizes the query once and reports one without
+        // content terms itself.
+        let results = self
+            .index
+            .search_or_in(&mut self.scratch, query, self.config.results_per_page)
+            .ok_or(EngineError::EmptyQuery)?;
         Ok(ResultPage {
             query: query.to_owned(),
-            results: self.index.search_or(query, self.config.results_per_page),
+            results,
         })
     }
 

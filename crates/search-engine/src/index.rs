@@ -2,15 +2,19 @@
 //!
 //! The index speaks the workspace-wide interned-term idiom: terms are
 //! interned into a shared [`TermInterner`] and the postings are a plain
-//! vector indexed by [`TermId`] instead of a string-keyed map. Query
-//! execution tokenizes the query once, looks every term up without
-//! interning, and walks the matching postings lists — scores are
-//! bit-identical to the historical string-keyed implementation (same
-//! accumulation order, same smoothed IDF).
+//! vector indexed by [`TermId`] instead of a string-keyed map. Documents
+//! get a dense **ordinal** when they are added, so scoring is
+//! term-at-a-time into a dense accumulator array (the crate-private
+//! `Scratch`) and the page is cut by top-`limit` selection.
+//! Scores are bit-identical to the historical map-based implementation:
+//! each document's contributions are still added in query-term order with
+//! the same smoothed IDF, and the ranking order (score descending, then
+//! document id) is a strict total order, so selection and full sort agree.
 
 use crate::corpus::{DocId, Document};
 use cyclosa_nlp::text::{for_each_term, tokenize, TermId, TermInterner};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// One ranked search result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,20 +25,75 @@ pub struct SearchResult {
     pub score: f64,
 }
 
+/// A result in ranking order — score descending, then document id — so the
+/// best result is the *smallest*. Scores are finite and positive (`tf >= 1`,
+/// `idf >= 1`) and document ids unique, which makes the order strict and
+/// total: the page is the same whichever way it is selected.
+#[derive(PartialEq)]
+struct Ranked(SearchResult);
+
+impl Eq for Ranked {}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .0
+            .score
+            .total_cmp(&self.0.score)
+            .then_with(|| self.0.doc.cmp(&other.0.doc))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// One entry of a term's postings list.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    /// Ordinal of the document.
+    ordinal: u32,
+    /// Term frequency over document length — the per-document factor of the
+    /// score, fixed when the document is added.
+    weight: f64,
+}
+
+/// Reusable scoring state for one search at a time.
+///
+/// Owned by whoever has exclusive access to a searcher (`SearchEngine`
+/// keeps one next to its index); the `&self` entry points of [`Index`]
+/// build a throw-away one and run the same code. Between searches every
+/// accumulator is zero and `touched` is empty.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    /// `scores[ordinal]`: the score accumulated so far. Every contribution
+    /// is strictly positive, so zero means "not a candidate".
+    scores: Vec<f64>,
+    /// Ordinals of the current search's candidates, in first-touch order;
+    /// the accumulators are reset through this list, never by clearing the
+    /// whole array.
+    touched: Vec<u32>,
+}
+
 /// An inverted index over a document corpus.
 #[derive(Debug, Clone, Default)]
 pub struct Index {
     /// Shared term interner (clone of whatever interner the index was built
     /// with — possibly shared with profiles and attack indexes).
     interner: TermInterner,
-    /// `postings[term.index()]` → list of (document, term frequency), in
-    /// document-insertion order.
-    postings: Vec<Vec<(DocId, u32)>>,
+    /// `postings[term.index()]` → the documents containing the term, in
+    /// document-insertion order, i.e. sorted by ordinal.
+    postings: Vec<Vec<Posting>>,
     /// Number of distinct terms with at least one posting.
     distinct_terms: usize,
-    /// document → length in terms (for normalization).
-    doc_lengths: BTreeMap<DocId, u32>,
-    documents: usize,
+    /// `doc_ids[ordinal]` → the document's id; ordinals are issued densely
+    /// in insertion order to documents with at least one content term.
+    doc_ids: Vec<DocId>,
+    /// document id → ordinal (duplicate detection and the per-document
+    /// term predicates; not used while scoring).
+    ordinals: BTreeMap<DocId, u32>,
 }
 
 impl Index {
@@ -62,13 +121,19 @@ impl Index {
         &self.interner
     }
 
-    /// Adds a single document to the index.
+    /// Adds a single document to the index. A document without content
+    /// terms is not indexed, and neither is one whose id already is: the
+    /// first version of a document stays.
     pub fn add_document(&mut self, document: &Document) {
+        if self.ordinals.contains_key(&document.id) {
+            return;
+        }
         let mut ids = self.interner.tokenize_ids(&document.text);
         if ids.is_empty() {
             return;
         }
-        let length = ids.len() as u32;
+        let length = ids.len() as f64;
+        let ordinal = u32::try_from(self.doc_ids.len()).expect("fewer than 2^32 documents");
         // Sorted run-length counting replaces the per-document hash map.
         ids.sort_unstable();
         let max_id = ids.last().expect("non-empty").index();
@@ -87,20 +152,23 @@ impl Index {
             if list.is_empty() {
                 self.distinct_terms += 1;
             }
-            list.push((document.id, count));
+            list.push(Posting {
+                ordinal,
+                weight: f64::from(count) / length,
+            });
         }
-        self.doc_lengths.insert(document.id, length);
-        self.documents += 1;
+        self.doc_ids.push(document.id);
+        self.ordinals.insert(document.id, ordinal);
     }
 
     /// Number of indexed documents.
     pub fn len(&self) -> usize {
-        self.documents
+        self.doc_ids.len()
     }
 
     /// Returns `true` when no document has been indexed.
     pub fn is_empty(&self) -> bool {
-        self.documents == 0
+        self.doc_ids.is_empty()
     }
 
     /// Number of distinct indexed terms.
@@ -108,70 +176,100 @@ impl Index {
         self.distinct_terms
     }
 
-    /// Inverse document frequency of a term (smoothed).
-    fn idf(&self, id: Option<TermId>) -> f64 {
-        let df = id
-            .and_then(|id| self.postings.get(id.index()))
-            .map(|p| p.len())
-            .unwrap_or(0);
-        ((self.documents as f64 + 1.0) / (df as f64 + 1.0)).ln() + 1.0
+    /// Inverse document frequency (smoothed) of a term found in
+    /// `document_frequency` documents.
+    fn idf(&self, document_frequency: usize) -> f64 {
+        ((self.doc_ids.len() as f64 + 1.0) / (document_frequency as f64 + 1.0)).ln() + 1.0
     }
 
-    /// Ranks documents for a conjunctive (single) query: documents matching
-    /// more query terms with higher TF-IDF weight come first. The query is
-    /// tokenized once; terms are looked up without interning.
-    pub fn search(&self, query: &str, limit: usize) -> Vec<SearchResult> {
-        if self.documents == 0 {
-            return Vec::new();
+    /// The one scoring kernel. Ranks documents for a conjunctive (single)
+    /// query and returns the best `limit`; `None` when `query` has no
+    /// content term. The query is tokenized once; terms are looked up
+    /// without interning.
+    fn rank(&self, scratch: &mut Scratch, query: &str, limit: usize) -> Option<Vec<SearchResult>> {
+        let Scratch { scores, touched } = scratch;
+        // A new scratch is empty, and documents may have been added since
+        // this one was last used.
+        if scores.len() < self.doc_ids.len() {
+            scores.resize(self.doc_ids.len(), 0.0);
         }
-        let mut scores: BTreeMap<DocId, f64> = BTreeMap::new();
         let mut any_term = false;
+        let mut candidates = 0usize;
         for_each_term(query, |term| {
             any_term = true;
-            let id = self.interner.id_of(term);
-            let idf = self.idf(id);
-            if let Some(postings) = id.and_then(|id| self.postings.get(id.index())) {
-                for &(doc, tf) in postings {
-                    let length = self.doc_lengths[&doc].max(1) as f64;
-                    *scores.entry(doc).or_insert(0.0) += (tf as f64 / length) * idf;
-                }
+            let Some(postings) = self
+                .interner
+                .id_of(term)
+                .and_then(|id| self.postings.get(id.index()))
+            else {
+                return;
+            };
+            let idf = self.idf(postings.len());
+            // Every posting's ordinal is written at the end of the candidate
+            // list and the end only moves on a first touch: whether a
+            // document was already a candidate is a coin flip from the
+            // second term on, and a branch on it is mispredicted as often.
+            if touched.len() < candidates + postings.len() {
+                touched.resize(candidates + postings.len(), 0);
+            }
+            for posting in postings {
+                let score = &mut scores[posting.ordinal as usize];
+                touched[candidates] = posting.ordinal;
+                candidates += usize::from(*score == 0.0);
+                *score += posting.weight * idf;
             }
         });
+        touched.truncate(candidates);
         if !any_term {
-            return Vec::new();
+            return None;
         }
-        let mut results: Vec<SearchResult> = scores
-            .into_iter()
-            .map(|(doc, score)| SearchResult { doc, score })
-            .collect();
-        // Deterministic ordering: score desc, then doc id.
-        results.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("finite scores")
-                .then_with(|| a.doc.cmp(&b.doc))
-        });
-        results.truncate(limit);
-        results
+        // One pass over the candidates keeps the best `limit` in a bounded
+        // max-heap (its top is the worst result kept) and zeroes their
+        // accumulators. `limit == 0` keeps nothing; with `limit` at or above
+        // the candidate count the heap takes them all and sorts them.
+        let mut page = BinaryHeap::with_capacity(limit.min(touched.len()));
+        for ordinal in touched.drain(..) {
+            let candidate = Ranked(SearchResult {
+                doc: self.doc_ids[ordinal as usize],
+                score: std::mem::take(&mut scores[ordinal as usize]),
+            });
+            if page.len() < limit {
+                page.push(candidate);
+            } else if let Some(mut worst) = page.peek_mut() {
+                if candidate < *worst {
+                    *worst = candidate;
+                }
+            }
+        }
+        Some(page.into_sorted_vec().into_iter().map(|r| r.0).collect())
     }
 
-    /// Executes an OR-aggregated query of the form `q1 OR q2 OR ... OR qn`
-    /// (as produced by GooPIR, PEAS and X-SEARCH): each disjunct is ranked
-    /// separately and the result page interleaves the per-disjunct rankings,
-    /// which is what pollutes the page with results of the fake queries.
-    pub fn search_or(&self, aggregated_query: &str, limit: usize) -> Vec<SearchResult> {
-        let disjuncts: Vec<&str> = aggregated_query
+    /// [`Index::search_or`] on a caller-owned scratch; `None` when the
+    /// query has no content term in any disjunct.
+    pub(crate) fn search_or_in(
+        &self,
+        scratch: &mut Scratch,
+        aggregated_query: &str,
+        limit: usize,
+    ) -> Option<Vec<SearchResult>> {
+        let mut disjuncts = aggregated_query
             .split(" OR ")
             .map(str::trim)
-            .filter(|s| !s.is_empty())
+            .filter(|s| !s.is_empty());
+        let (Some(first), Some(second)) = (disjuncts.next(), disjuncts.next()) else {
+            return self.rank(scratch, aggregated_query, limit);
+        };
+        // A disjunct without content terms has no ranking to interleave.
+        let per_disjunct: Vec<Vec<SearchResult>> = [first, second]
+            .into_iter()
+            .chain(disjuncts)
+            .filter_map(|q| self.rank(scratch, q, limit))
             .collect();
-        if disjuncts.len() <= 1 {
-            return self.search(aggregated_query, limit);
+        if per_disjunct.is_empty() {
+            return None;
         }
-        let per_disjunct: Vec<Vec<SearchResult>> =
-            disjuncts.iter().map(|q| self.search(q, limit)).collect();
         let mut merged = Vec::with_capacity(limit);
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = BTreeSet::new();
         let mut rank = 0usize;
         while merged.len() < limit {
             let mut any = false;
@@ -188,27 +286,47 @@ impl Index {
             }
             rank += 1;
         }
-        merged
+        Some(merged)
     }
 
-    /// Returns `true` when `doc` contains `id`.
-    fn doc_has_term(&self, doc: DocId, id: TermId) -> bool {
-        self.postings
-            .get(id.index())
-            .map(|p| p.iter().any(|(d, _)| *d == doc))
-            .unwrap_or(false)
+    /// Ranks documents for a conjunctive (single) query: documents matching
+    /// more query terms with higher TF-IDF weight come first.
+    pub fn search(&self, query: &str, limit: usize) -> Vec<SearchResult> {
+        self.rank(&mut Scratch::default(), query, limit)
+            .unwrap_or_default()
+    }
+
+    /// Executes an OR-aggregated query of the form `q1 OR q2 OR ... OR qn`
+    /// (as produced by GooPIR, PEAS and X-SEARCH): each disjunct is ranked
+    /// separately and the result page interleaves the per-disjunct rankings,
+    /// which is what pollutes the page with results of the fake queries.
+    pub fn search_or(&self, aggregated_query: &str, limit: usize) -> Vec<SearchResult> {
+        self.search_or_in(&mut Scratch::default(), aggregated_query, limit)
+            .unwrap_or_default()
+    }
+
+    /// Returns `true` when the document with `ordinal` contains `id`
+    /// (postings are sorted by ordinal).
+    fn doc_has_term(&self, ordinal: u32, id: TermId) -> bool {
+        self.postings.get(id.index()).is_some_and(|postings| {
+            postings
+                .binary_search_by_key(&ordinal, |posting| posting.ordinal)
+                .is_ok()
+        })
     }
 
     /// Returns the set of terms of `query` that occur in document `doc` —
     /// used by the client-side filtering of OR-based mechanisms.
     pub fn matching_terms(&self, doc: DocId, query: &str) -> Vec<String> {
+        let Some(&ordinal) = self.ordinals.get(&doc) else {
+            return Vec::new();
+        };
         tokenize(query)
             .into_iter()
             .filter(|t| {
                 self.interner
                     .id_of(t)
-                    .map(|id| self.doc_has_term(doc, id))
-                    .unwrap_or(false)
+                    .is_some_and(|id| self.doc_has_term(ordinal, id))
             })
             .collect()
     }
@@ -218,11 +336,14 @@ impl Index {
     /// filtering (`!matching_terms(..).is_empty()` without building the
     /// term list).
     pub fn matches_any_term(&self, doc: DocId, query: &str) -> bool {
+        let Some(&ordinal) = self.ordinals.get(&doc) else {
+            return false;
+        };
         let mut hit = false;
         for_each_term(query, |t| {
             if !hit {
                 if let Some(id) = self.interner.id_of(t) {
-                    hit = self.doc_has_term(doc, id);
+                    hit = self.doc_has_term(ordinal, id);
                 }
             }
         });
@@ -351,6 +472,59 @@ mod tests {
                 "doc {doc:?}, query {query:?}"
             );
         }
+    }
+
+    #[test]
+    fn repeated_document_id_is_ignored() {
+        let mut index = sample_index();
+        let before = index.search("flu fever booking", 10);
+        index.add_document(&doc(4, "flu flu flu booking"));
+        assert_eq!(index.len(), 6);
+        assert_eq!(index.search("flu fever booking", 10), before);
+        assert!(!index.matches_any_term(DocId(4), "booking"));
+        // A document that was skipped for having no content terms was never
+        // indexed, so its id is still free.
+        index.add_document(&doc(6, "the of"));
+        assert_eq!(index.len(), 6);
+        index.add_document(&doc(6, "flu"));
+        assert_eq!(index.len(), 7);
+        assert!(index.matches_any_term(DocId(6), "flu"));
+    }
+
+    #[test]
+    fn limit_zero_and_limit_beyond_the_candidates() {
+        let index = sample_index();
+        assert!(index.search("booking", 0).is_empty());
+        assert!(index.search_or("booking OR flu", 0).is_empty());
+        let all = index.search("booking", usize::MAX);
+        let ids: Vec<u64> = all.iter().map(|r| r.doc.0).collect();
+        // Documents 3 and 5 hold `booking` once in four terms and tie (the
+        // lower id first); document 2 holds it once in five.
+        assert_eq!(ids, vec![3, 5, 2]);
+        assert_eq!(all[..2], index.search("booking", 2)[..]);
+    }
+
+    #[test]
+    fn shared_scratch_follows_a_growing_index_and_resets_between_searches() {
+        let mut index = sample_index();
+        let mut scratch = Scratch::default();
+        let broad = index.rank(&mut scratch, "flu fever booking treatment", 10);
+        assert_eq!(broad, Some(index.search("flu fever booking treatment", 10)));
+        assert_eq!(index.rank(&mut scratch, "the of", 10), None);
+        assert_eq!(
+            index.rank(&mut scratch, "unknownterm", 10),
+            Some(Vec::new())
+        );
+        index.add_document(&doc(9, "insulin pump booking"));
+        for query in ["insulin", "booking", "flu"] {
+            assert_eq!(
+                index.rank(&mut scratch, query, 10),
+                Some(index.search(query, 10)),
+                "{query}"
+            );
+        }
+        assert!(scratch.touched.is_empty());
+        assert!(scratch.scores.iter().all(|s| *s == 0.0));
     }
 
     #[test]
