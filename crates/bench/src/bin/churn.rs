@@ -81,12 +81,12 @@ use cyclosa_attack::evaluation::evaluate_reidentification_with;
 use cyclosa_attack::simattack::SimAttack;
 use cyclosa_bench::observe::{parse_observe_flag, ObserveFlags};
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
+use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
 use cyclosa_chaos::experiment::{
-    run_churn_experiment, run_churn_experiment_sharded, run_churn_experiment_sharded_observed,
-    ChurnConfig, ChurnTelemetry, MembershipProbeConfig,
+    run_churn_experiment_on, ChurnConfig, ChurnOutcome, MembershipProbeConfig,
 };
 use cyclosa_chaos::partition::{
-    run_partition_experiment, run_partition_experiment_sharded, PartitionConfig, PhaseSummary,
+    run_partition_experiment_on, PartitionConfig, PartitionOutcome, PhaseSummary,
 };
 use cyclosa_chaos::slo::evaluate_churn_slos;
 use cyclosa_chaos::ChaosPlan;
@@ -655,6 +655,20 @@ impl ToJson for AdversaryPoint {
     }
 }
 
+/// One untraced churn run on the chosen engine.
+fn churn_run(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
+    let quiet = ChurnTelemetry::default();
+    let mut engine = choice.build(config.seed, &quiet);
+    run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), &quiet)
+}
+
+/// One untraced partition run on the chosen engine.
+fn partition_run(choice: EngineChoice, config: &PartitionConfig) -> PartitionOutcome {
+    let quiet = ChurnTelemetry::default();
+    let mut engine = choice.build(config.base.seed, &quiet);
+    run_partition_experiment_on(&mut *engine, config, &quiet)
+}
+
 fn main() {
     let options = match parse_args() {
         Ok(options) => options,
@@ -682,8 +696,8 @@ fn main() {
             recover: options.recover,
             ..ChurnConfig::default()
         };
-        let sequential = run_churn_experiment(&config);
-        let sharded = run_churn_experiment_sharded(&config, options.shards);
+        let sequential = churn_run(EngineChoice::Sequential, &config);
+        let sharded = churn_run(EngineChoice::Sharded(options.shards), &config);
         assert_eq!(
             sequential, sharded,
             "sharded churn run diverged from the sequential simulation"
@@ -713,7 +727,7 @@ fn main() {
             adaptive: true,
             ..ChurnConfig::default()
         };
-        let outcome = run_churn_experiment(&config);
+        let outcome = churn_run(EngineChoice::Sequential, &config);
         let summary = Summary::from_samples(&outcome.latencies);
         assert_eq!(
             outcome.clamped_samples, 0,
@@ -792,15 +806,12 @@ fn main() {
             "# observed churn run at failure rate {rate} ({} shards)...",
             options.shards
         );
-        let observed = run_churn_experiment_sharded_observed(
-            &config,
-            &ChaosPlan::new(),
-            options.shards,
-            &telemetry,
-        );
+        let mut engine = EngineChoice::Sharded(options.shards).build(config.seed, &telemetry);
+        let observed =
+            run_churn_experiment_on(&mut *engine, &config, &ChaosPlan::new(), &telemetry);
         assert_eq!(
             observed,
-            run_churn_experiment(&config),
+            churn_run(EngineChoice::Sequential, &config),
             "observation perturbed the churn run"
         );
         // SLO pass over the merged timeline: targets derived from the
@@ -858,7 +869,7 @@ fn main() {
     // Failure-free ledger: what achieved_k looks like when nothing splits.
     // Only needed (and only computed) when the sweep actually runs.
     let baseline_mean_achieved_k = if latest_merge > split_at {
-        let calm = run_churn_experiment(&partition_base);
+        let calm = churn_run(EngineChoice::Sequential, &partition_base);
         Some(
             calm.answered_queries
                 .iter()
@@ -918,9 +929,9 @@ fn main() {
             // Determinism first, as for the rate sweep: the partition
             // boundary crossing shard boundaries must not break
             // bit-identity.
-            let outcome = run_partition_experiment(&config);
+            let outcome = partition_run(EngineChoice::Sequential, &config);
             assert_eq!(
-                run_partition_experiment_sharded(&config, options.shards),
+                partition_run(EngineChoice::Sharded(options.shards), &config),
                 outcome,
                 "sharded partition run diverged from the sequential simulation"
             );
@@ -1102,9 +1113,9 @@ fn main() {
             }),
             ..ChurnConfig::default()
         };
-        let churn_outcome = run_churn_experiment(&churn_config);
+        let churn_outcome = churn_run(EngineChoice::Sequential, &churn_config);
         assert_eq!(
-            run_churn_experiment_sharded(&churn_config, options.shards),
+            churn_run(EngineChoice::Sharded(options.shards), &churn_config),
             churn_outcome,
             "sharded membership-mode churn run diverged from the sequential simulation"
         );
@@ -1122,7 +1133,7 @@ fn main() {
                 },
                 ..swept
             };
-            let outcome = run_partition_experiment(&config);
+            let outcome = partition_run(EngineChoice::Sequential, &config);
             (ttl_post_k, outcome.post_merge.mean_achieved_k)
         });
 

@@ -13,11 +13,12 @@
 //! timeline (JSONL + Chrome trace), and the deployment metrics plus the
 //! engine's per-shard self-profiling land in the snapshot JSON.
 
-use cyclosa::deployment::{run_end_to_end_latency_observed_on, DeploymentMetrics, EndToEndConfig};
 use cyclosa_bench::experiments::{self, PRIVACY_K, SYSTEM_K};
 use cyclosa_bench::observe::{parse_observe_flag, ObserveFlags};
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
-use cyclosa_runtime::ShardedEngine;
+use cyclosa_chaos::deployment::{
+    run_end_to_end_latency_on, ChurnTelemetry, DeploymentMetrics, EndToEndConfig, EngineChoice,
+};
 use cyclosa_util::json::ToJson;
 
 #[derive(Debug)]
@@ -173,23 +174,21 @@ fn main() {
             seed: options.seed,
             ..EndToEndConfig::default()
         };
-        let sink = options.observe.sink();
-        let registry = options.observe.registry();
-        let metrics = match &registry {
-            Some(registry) => DeploymentMetrics::register(registry),
-            None => DeploymentMetrics::detached(),
+        let telemetry = ChurnTelemetry {
+            trace: options.observe.sink(),
+            metrics: options.observe.registry(),
         };
+        let metrics = telemetry.metrics.as_ref().map(DeploymentMetrics::register);
         eprintln!(
             "# observed end-to-end latency run ({} relays, k = {}, {} queries)...",
             config.relays, config.k, config.queries
         );
-        let mut engine = ShardedEngine::new(config.seed, 4);
-        engine.set_trace_sink(sink.clone());
-        if let Some(registry) = &registry {
-            engine.enable_profiling(registry);
-        }
-        let latencies = run_end_to_end_latency_observed_on(&mut engine, &config, &metrics, &sink);
+        let mut engine = EngineChoice::Sharded(4).build(config.seed, &telemetry);
+        let latencies =
+            run_end_to_end_latency_on(&mut *engine, &config, metrics.as_ref(), &telemetry.trace);
         eprintln!("# {} queries answered", latencies.len());
-        options.observe.write(&sink, registry.as_ref());
+        options
+            .observe
+            .write(&telemetry.trace, telemetry.metrics.as_ref());
     }
 }

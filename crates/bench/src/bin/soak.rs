@@ -28,7 +28,8 @@
 
 use cyclosa_chaos::adversary::{AdversaryConfig, ByzantinePolicy};
 use cyclosa_chaos::churn::ChurnModel;
-use cyclosa_chaos::soak::{run_soak, run_soak_sharded, SoakConfig, SoakOutcome};
+use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
+use cyclosa_chaos::soak::{run_soak, run_soak_on, SoakConfig, SoakOutcome};
 use cyclosa_net::time::SimTime;
 use cyclosa_util::json::Json;
 
@@ -270,7 +271,9 @@ fn main() {
         #[allow(clippy::disallowed_methods)]
         // cyclosa-lint: allow(wall_clock, reason = "per-shard-count wall stopwatch for the report; the sharded run's event order is decided by simulated time alone")
         let start = std::time::Instant::now();
-        let sharded = run_soak_sharded(&config, shards);
+        let quiet = ChurnTelemetry::default();
+        let mut engine = EngineChoice::Sharded(shards).build(config.seed, &quiet);
+        let sharded = run_soak_on(&mut *engine, &config, &quiet.trace);
         let wall = start.elapsed().as_secs_f64();
         shard_walls.push((shards, wall));
         if sharded == outcome {

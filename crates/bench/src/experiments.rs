@@ -3,19 +3,22 @@
 use crate::setup::ExperimentSetup;
 use cyclosa::config::ProtectionConfig;
 use cyclosa::deployment::{
-    relay_service_time_ns, run_end_to_end_latency, run_load_experiment, throughput_latency_curve,
-    xsearch_service_time_ns, EndToEndConfig, LoadExperimentConfig,
+    relay_service_time_ns, run_load_experiment, throughput_latency_curve, xsearch_service_time_ns,
+    LoadExperimentConfig,
 };
 use cyclosa::sensitivity::build_categorizer;
 use cyclosa_attack::accuracy::evaluate_accuracy;
 use cyclosa_attack::evaluation::{evaluate_reidentification, evaluate_reidentification_with};
 use cyclosa_attack::simattack::SimAttack;
 use cyclosa_baselines::latency::LatencyProfile;
+use cyclosa_chaos::deployment::{run_end_to_end_latency_on, EndToEndConfig};
 use cyclosa_mechanism::{Mechanism, MechanismProperties};
+use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_nlp::categorizer::{CategorizerMethod, DetectionQuality, QueryCategorizer};
 use cyclosa_runtime::metrics::Histogram;
 use cyclosa_sgx::enclave::CostModel;
+use cyclosa_telemetry::TraceSink;
 use cyclosa_util::impl_to_json;
 use cyclosa_util::stats::Cdf;
 use cyclosa_workload::annotation::{AnnotationCampaign, AnnotationConfig};
@@ -502,6 +505,13 @@ fn latency_row(label: &str, samples: &[f64]) -> LatencyRow {
     }
 }
 
+/// The Fig. 8a/8b latencies of one configuration, on the sequential
+/// simulator.
+fn end_to_end_latencies(config: EndToEndConfig) -> Vec<f64> {
+    let mut simulation = Simulation::new(config.seed);
+    run_end_to_end_latency_on(&mut simulation, &config, None, &TraceSink::disabled())
+}
+
 /// Regenerates Fig. 8a: end-to-end latency of Direct, X-Search, CYCLOSA and
 /// TOR for `queries` user queries with k = 3.
 pub fn fig8a(setup: &ExperimentSetup, queries: usize) -> LatencyReport {
@@ -518,7 +528,7 @@ pub fn fig8a(setup: &ExperimentSetup, queries: usize) -> LatencyReport {
     let tor: Vec<f64> = (0..queries)
         .map(|_| profile.tor(&mut rng).as_secs_f64())
         .collect();
-    let cyclosa = run_end_to_end_latency(EndToEndConfig {
+    let cyclosa = end_to_end_latencies(EndToEndConfig {
         relays: 50,
         k: SYSTEM_K,
         queries,
@@ -543,7 +553,7 @@ pub fn fig8b(setup: &ExperimentSetup, queries: usize) -> LatencyReport {
     let rows = [0usize, 1, 3, 5, 7]
         .iter()
         .map(|&k| {
-            let samples = run_end_to_end_latency(EndToEndConfig {
+            let samples = end_to_end_latencies(EndToEndConfig {
                 relays: 50,
                 k,
                 queries,

@@ -24,6 +24,7 @@
 //! on every engine and shard count.
 
 use crate::churn::churn_stream;
+use crate::deployment::{lock, relay_id, Request};
 use crate::plan::{ChaosPlan, PolicyEvent};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
@@ -96,38 +97,32 @@ impl ByzantinePolicy {
         }
     }
 
-    /// The forward-path tampering shared by every relay harness (churn
-    /// experiment and soak driver): applies this policy to one forwarded
-    /// request at `now`, recording into the coalition `ledger` and
-    /// emitting `adv.*` annotations when tracing is on. Returns the extra
-    /// enclave delay to impose, or `None` when the request is swallowed.
+    /// The forward-path tampering of a hostile relay: applies this policy
+    /// to one forwarded `request` at `now`, recording into the coalition
+    /// `ledger` and emitting `adv.*` annotations when tracing is on.
+    /// Returns the extra enclave delay to impose, or `None` when the
+    /// request is swallowed.
     ///
-    /// Only real-looking traffic (`real_seq` is `Some`) is tampered with —
-    /// the worst case where the adversary's classifier is perfect (fakes
-    /// are carried honestly so the relay keeps looking alive and diluted).
-    /// Drop draws come from `rng`, the relay's dedicated behaviour stream,
-    /// so an honest run never draws from it.
-    #[allow(clippy::too_many_arguments)] // one flat call per forwarded request on the hot path
+    /// Only real queries are tampered with — the worst case where the
+    /// adversary's classifier is perfect (fakes are carried honestly so
+    /// the relay keeps looking alive and diluted). Drop draws come from
+    /// `rng`, the relay's dedicated behaviour stream, so an honest run
+    /// never draws from it.
     pub fn apply_to_forward(
         self,
         now: SimTime,
         actor: u64,
-        client: u64,
-        real_seq: Option<u64>,
+        request: Request,
         ledger: Option<&SharedCollusionLedger>,
         rng: &mut Xoshiro256StarStar,
         trace: &TraceSink,
     ) -> Option<SimTime> {
+        let real_seq = request.real_seq();
         if let ByzantinePolicy::Collude = self {
             if let Some(ledger) = ledger {
-                ledger
-                    .lock()
-                    .expect("ledger poisoned")
-                    .record_observation(client, real_seq);
-                if real_seq.is_some() && trace.is_enabled() {
-                    trace.emit(
-                        TraceEvent::new(now, actor, "adv.collude").query(real_seq.unwrap_or(0)),
-                    );
+                lock(ledger).record_observation(request.client, real_seq);
+                if let (Some(seq), true) = (real_seq, trace.is_enabled()) {
+                    trace.emit(TraceEvent::new(now, actor, "adv.collude").query(seq));
                 }
             }
         }
@@ -137,7 +132,7 @@ impl ByzantinePolicy {
         match self {
             ByzantinePolicy::DropRealQueries { probability } if rng.gen_bool(probability) => {
                 if let Some(ledger) = ledger {
-                    ledger.lock().expect("ledger poisoned").record_drop();
+                    lock(ledger).record_drop();
                 }
                 if trace.is_enabled() {
                     trace.emit(TraceEvent::new(now, actor, "adv.drop").query(seq));
@@ -146,7 +141,7 @@ impl ByzantinePolicy {
             }
             ByzantinePolicy::DelayRealQueries { extra } => {
                 if let Some(ledger) = ledger {
-                    ledger.lock().expect("ledger poisoned").record_delay();
+                    lock(ledger).record_delay();
                 }
                 if trace.is_enabled() {
                     trace.emit(TraceEvent::new(now, actor, "adv.delay").query(seq));
@@ -308,11 +303,7 @@ impl AdversaryConfig {
         let mut picker = churn_stream(seed, TAG_ADVERSARY, u64::MAX);
         let mut indices: Vec<usize> = (0..relays).collect();
         picker.shuffle(&mut indices);
-        let mut picked: Vec<NodeId> = indices
-            .into_iter()
-            .take(count)
-            .map(|index| NodeId(index as u64 + 1))
-            .collect();
+        let mut picked: Vec<NodeId> = indices.into_iter().take(count).map(relay_id).collect();
         picked.sort_unstable_by_key(|n| n.0);
         picked
     }

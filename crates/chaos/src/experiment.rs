@@ -1,7 +1,9 @@
-//! The robustness-under-failure experiment: the end-to-end latency
-//! deployment of `cyclosa::deployment` re-run **under churn**, with the
-//! client-side healing path the paper describes (clients blacklist
-//! unresponsive proxies and resubmit through a fresh relay).
+//! The robustness-under-failure experiment: the deployment of
+//! [`crate::deployment`] run **under churn**, with the client-side
+//! healing path the paper describes (clients blacklist unresponsive
+//! proxies and resubmit through a fresh relay). The failure-free,
+//! retry-less configuration of the same client is the Fig. 8a/8b latency
+//! experiment ([`crate::deployment::run_end_to_end_latency_on`]).
 //!
 //! The experiment is generic over the execution engine and, like every
 //! other experiment in the reproduction, bit-identical across engines and
@@ -9,39 +11,28 @@
 //! because faults are deterministic membership events and all client
 //! randomness comes from seed-derived streams.
 
-use crate::adversary::{
-    adversary_stream, AdversaryConfig, ByzantinePolicy, CollusionLedger, PolicySchedule,
-    SharedCollusionLedger,
-};
+use crate::adversary::AdversaryConfig;
 use crate::churn::churn_stream;
+use crate::deployment::{
+    decode_ack, deploy, encode_ping, lock, relay_id, Blacklist, ChurnTelemetry, DeploymentMetrics,
+    Fleet, Plan, Request, OUTBOX_BASE, PROBE_ROUND, PROBE_TIMEOUT_BASE, RETRY_BASE, SUSPECT_BASE,
+    TAG_ACK, TAG_FORWARD, TAG_PING, TAG_RESPONSE,
+};
 use crate::plan::{ChaosPlan, FaultKind};
-use cyclosa::deployment::relay_service_time_ns;
 use cyclosa_net::engine::Engine;
-use cyclosa_net::latency::LatencyModel;
-use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
+use cyclosa_net::sim::{Context, Envelope, NodeBehavior, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_peer_sampling::{FailureDetector, MemberState, PeerId};
-use cyclosa_runtime::metrics::{Counter, Registry};
-use cyclosa_runtime::ShardedEngine;
+use cyclosa_runtime::metrics::{Counter, Histogram};
 use cyclosa_sgx::enclave::CostModel;
 use cyclosa_telemetry::{TraceEvent, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-const TAG_FORWARD: u32 = 1;
-const TAG_ENGINE_QUERY: u32 = 2;
-const TAG_ENGINE_RESPONSE: u32 = 3;
-const TAG_RESPONSE: u32 = 4;
-/// Client → relay liveness probe: `[seq u64][believed state u8][believed
-/// incarnation u64]`, little-endian. The believed half is the refutation
-/// channel: a relay pinged with a non-alive belief about itself at an
-/// incarnation at least its own bumps its incarnation and acks the new
-/// one, which the client's detector applies as a refutation.
-const TAG_PING: u32 = 5;
-/// Relay → client probe answer: `[seq u64][relay incarnation u64]`.
-const TAG_ACK: u32 = 6;
+/// RNG salt of the churn and partition runs.
+const CHURN_SALT: u64 = 0xC4A0;
 
 /// Model tag of the relay-failure sampling stream (see
 /// [`crate::churn::churn_stream`]).
@@ -197,7 +188,7 @@ impl ChurnConfig {
         let horizon = self.horizon().as_nanos();
         let (t0, t1) = (horizon / 10, horizon * 9 / 10);
         for &index in indices.iter().take(victims) {
-            let node = NodeId(index as u64 + 1);
+            let node = relay_id(index);
             let mut rng = churn_stream(self.seed, TAG_RELAY_FAILURES, node.0);
             let at = SimTime::from_nanos(rng.gen_range(t0, t1));
             if self.recover {
@@ -209,30 +200,6 @@ impl ChurnConfig {
         }
         plan
     }
-}
-
-/// Observability hooks of a churn run.
-///
-/// The default is fully disabled: no trace, no metrics — and, by the
-/// zero-perturbation contract, an outcome bit-identical to a hooked run
-/// with the same seed. The hooks draw no randomness and feed nothing
-/// back into scheduling; they only record what happens.
-#[derive(Debug, Clone, Default)]
-pub struct ChurnTelemetry {
-    /// Receives the fault annotations (`fault.*`, from the applied
-    /// [`ChaosPlan`]s), the client's per-query causal events
-    /// (`query.launch`, `query.repair`, `query.top_up`,
-    /// `query.answered`, `latency.clamped`) and the forwarding-path
-    /// spans (`relay.forward`, `engine.service`, real queries only) on
-    /// one merged timeline — enough for `cyclosa_telemetry::analyze` to
-    /// decompose every answered query's latency into an exact critical
-    /// path. In membership mode the prober's transitions
-    /// (`mship.suspect`, `mship.refute`, `mship.dead`) join it.
-    pub trace: TraceSink,
-    /// When set, the client's clamped-sample counter
-    /// (`client.clamped_samples`) is recorded here, and sharded runs add
-    /// the engine's per-shard self-profiling metrics.
-    pub metrics: Option<Registry>,
 }
 
 /// One answered query in the run's privacy ledger.
@@ -250,7 +217,7 @@ pub struct AnsweredQuery {
 }
 
 /// What one churn run produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnOutcome {
     /// Per-query end-to-end latencies (seconds) of the real-query path,
     /// in completion order. Queries whose real query had to be resubmitted
@@ -298,227 +265,33 @@ pub struct ChurnOutcome {
     pub stats: SimulationStats,
 }
 
-#[derive(Default)]
-struct ClientSink {
-    latencies: Vec<f64>,
-    answered_queries: Vec<AnsweredQuery>,
-    answered: usize,
-    retries: u64,
-    fakes_topped_up: u64,
-    fakes_topped_up_proactive: u64,
-    clamped_samples: u64,
-}
-
-/// Whether `relay` is currently barred by the client's blacklist: entries
-/// are permanent without a TTL, and expire `ttl` after they were added
-/// with one (the probation that lets post-partition queries spread over
-/// the healed population again).
-pub(crate) fn on_probation(
-    blacklist: &std::collections::BTreeMap<NodeId, SimTime>,
-    ttl: Option<SimTime>,
-    relay: NodeId,
-    now: SimTime,
-) -> bool {
-    blacklist.get(&relay).is_some_and(|since| match ttl {
-        None => true,
-        Some(ttl) => now.saturating_sub(*since) < ttl,
-    })
-}
-
-struct RelayBehavior {
-    engine: NodeId,
-    processing: SimTime,
-    pending: Vec<Envelope>,
-    /// SWIM incarnation number: bumped when a ping carries a non-alive
-    /// belief about this relay at an incarnation at least its own, so
-    /// the ack refutes the stale suspicion. Survives crash/recover
-    /// (behaviour state is retained), exactly what refutation-after-
-    /// downtime needs.
-    incarnation: u64,
-    /// Causal-trace sink: real-query forwards become `relay.forward`
-    /// spans (disabled by default — emissions are no-ops).
-    trace: TraceSink,
-    /// The relay's byzantine policy timeline (empty = honest forever),
-    /// consulted at message receipt — so a same-instant crash still wins,
-    /// because membership events sort before deliveries in a slot.
-    policies: PolicySchedule,
-    /// Dedicated behaviour stream for drop draws. Never consulted on the
-    /// honest path, so honest runs stay bit-identical.
-    adv_rng: Xoshiro256StarStar,
-    /// The coalition's shared ledger (None for fully honest runs).
-    adversary: Option<SharedCollusionLedger>,
-}
-
-impl RelayBehavior {
-    /// The tampering path of a hostile forward policy. Returns the extra
-    /// enclave delay to impose, or `None` when the request is swallowed.
-    fn tamper(
-        &mut self,
-        ctx: &Context<'_>,
-        policy: ByzantinePolicy,
-        payload: &[u8],
-    ) -> Option<SimTime> {
-        policy.apply_to_forward(
-            ctx.now(),
-            ctx.self_id().0,
-            parse_client(payload).map(|n| n.0).unwrap_or(0),
-            parse_real_seq(payload),
-            self.adversary.as_ref(),
-            &mut self.adv_rng,
-            &self.trace,
-        )
-    }
-}
-
-impl NodeBehavior for RelayBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        match envelope.tag {
-            TAG_FORWARD => {
-                let policy = self.policies.at(ctx.now());
-                let extra = if policy.is_hostile() {
-                    match self.tamper(ctx, policy, &envelope.payload) {
-                        Some(extra) => extra,
-                        None => return, // swallowed by a drop policy
-                    }
-                } else {
-                    SimTime::ZERO
-                };
-                self.pending.push(envelope);
-                ctx.set_timer(self.processing + extra, (self.pending.len() - 1) as u64);
-            }
-            TAG_PING => {
-                if let Some((seq, state, incarnation)) = decode_ping(&envelope.payload) {
-                    if state != MemberState::Alive.to_wire() && incarnation >= self.incarnation {
-                        self.incarnation = incarnation + 1;
-                    }
-                    // Gossip lying: a forging relay jumps its advertised
-                    // incarnation on every ack instead of the protocol's
-                    // `+1` refutation bump, burning incarnation space.
-                    if let ByzantinePolicy::ForgeIncarnation { bump } = self.policies.at(ctx.now())
-                    {
-                        self.incarnation = self.incarnation.saturating_add(bump);
-                        if let Some(ledger) = &self.adversary {
-                            ledger.lock().expect("ledger poisoned").record_forged_ack();
-                        }
-                        if self.trace.is_enabled() {
-                            self.trace.emit(
-                                TraceEvent::new(ctx.now(), ctx.self_id().0, "adv.lie")
-                                    .attr("incarnation", self.incarnation),
-                            );
-                        }
-                    }
-                    // Answered inline, not through the processing queue:
-                    // the probe measures reachability, and the timeout is
-                    // sized against the network round trip.
-                    ctx.send(envelope.src, TAG_ACK, encode_ack(seq, self.incarnation));
-                }
-            }
-            TAG_ENGINE_RESPONSE => {
-                if let Some(client) = parse_client(&envelope.payload) {
-                    ctx.send(client, TAG_RESPONSE, envelope.payload);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some(envelope) = self.pending.get(token as usize) {
-            if self.trace.is_enabled() {
-                // The forward completes now after `processing` in the
-                // enclave, so the span covers [receipt, forward]. Only the
-                // real-query path is traced — fakes never close a causal
-                // chain, and tracing them would double the trace volume.
-                if let Some(seq) = parse_real_seq(&envelope.payload) {
-                    self.trace.emit(
-                        TraceEvent::new(ctx.now(), ctx.self_id().0, "relay.forward")
-                            .query(seq)
-                            .span(self.processing),
-                    );
-                }
-            }
-            ctx.send(self.engine, TAG_ENGINE_QUERY, envelope.payload.clone());
-        }
-    }
-}
-
-struct EngineBehavior {
-    processing: LatencyModel,
-    rng: Xoshiro256StarStar,
-    /// `(relay, payload, service_time)` per in-flight request; the
-    /// sampled service time rides along so the completion-side span can
-    /// report it without re-deriving anything.
-    pending: Vec<(NodeId, Vec<u8>, SimTime)>,
-    /// Causal-trace sink: real-query completions become `engine.service`
-    /// spans (disabled by default — emissions are no-ops).
-    trace: TraceSink,
-}
-
-impl NodeBehavior for EngineBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag != TAG_ENGINE_QUERY {
-            return;
-        }
-        // Sampled unconditionally — tracing must never advance or skip a
-        // draw, or observed runs would diverge from unobserved ones.
-        let delay = self.processing.sample(&mut self.rng);
-        self.pending.push((envelope.src, envelope.payload, delay));
-        ctx.set_timer(delay, (self.pending.len() - 1) as u64);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some((relay, payload, delay)) = self.pending.get(token as usize).cloned() {
-            if self.trace.is_enabled() {
-                if let Some(seq) = parse_real_seq(&payload) {
-                    self.trace.emit(
-                        TraceEvent::new(ctx.now(), ctx.self_id().0, "engine.service")
-                            .query(seq)
-                            .span(delay),
-                    );
-                }
-            }
-            ctx.send(relay, TAG_ENGINE_RESPONSE, payload);
-        }
-    }
-}
-
-struct ClientBehavior {
+/// The churn client: keeps every query's plan for the whole run (the
+/// per-query ledger), launches from up-front timers and, in membership
+/// mode, probes the relays.
+struct ChurnClient {
+    config: ChurnConfig,
     relays: Vec<NodeId>,
-    k: usize,
-    queries: usize,
     rng: Xoshiro256StarStar,
-    retry_timeout: SimTime,
-    max_retries: u32,
-    adaptive: bool,
-    uplink_per_request: SimTime,
-    sent_at: Vec<Option<SimTime>>,
-    answered: Vec<bool>,
-    attempts: Vec<u32>,
-    /// The relay currently entrusted with each query's *real* request —
-    /// the one blacklisted and replaced if no answer arrives in time.
-    real_relay: Vec<Option<NodeId>>,
-    /// The relays each query's fakes were entrusted to — the adaptive
-    /// repair re-assesses this set against the blacklist on every retry
-    /// and resubmits the shortfall.
-    fake_relays: Vec<Vec<NodeId>>,
-    /// Relays the client has given up on (paper §IV: unresponsive proxies
-    /// are blacklisted client-side), with the time each entry was added —
-    /// entries expire after `blacklist_ttl` when one is configured.
-    blacklist: std::collections::BTreeMap<NodeId, SimTime>,
-    blacklist_ttl: Option<SimTime>,
+    /// Every launched query's plan and whether its answer has arrived,
+    /// kept for the whole run: late duplicates must be recognised, and the
+    /// prober still tops up the plans of recently answered queries.
+    plans: BTreeMap<usize, (Plan, bool)>,
+    /// Relays the client has given up on.
+    blacklist: Blacklist,
     outbox: Vec<(NodeId, Vec<u8>)>,
-    sink: Arc<Mutex<ClientSink>>,
+    /// The outcome under construction: the client fills in its ledger
+    /// (latencies, answers, retries, top-ups, clamps), the runner the rest.
+    sink: Arc<Mutex<ChurnOutcome>>,
     /// Causal-trace sink (disabled by default — emissions are no-ops).
     trace: TraceSink,
     /// Relays the applied fault plans take down (crash or leave) — used
     /// only to annotate `query.repair` events with whether the repaired
     /// failure was an injected fault, never to influence behaviour.
     victims: BTreeSet<NodeId>,
-    /// Registry twin of [`ClientSink::clamped_samples`].
+    /// Registry twin of [`ChurnOutcome::clamped_samples`].
     clamped_metric: Option<Counter>,
-    /// SWIM probing of the relay population (None outside membership
-    /// mode; every probing hook below is then a no-op).
-    membership: Option<MembershipProbeConfig>,
+    /// The Fig. 8a/8b end-to-end latency histogram, when metrics are on.
+    end_to_end: Option<Histogram>,
     /// The client-side failure detector over the relays. Its randomized
     /// probe cycle draws from `probe_rng`, a stream separate from the
     /// query-plan RNG, so probing never perturbs plan selection.
@@ -527,123 +300,84 @@ struct ClientBehavior {
     probe_seq: u64,
     /// In-flight probes: relay → probe sequence number. An ack clears
     /// the entry; a timeout that still finds it suspects the relay.
-    pending_probes: std::collections::BTreeMap<NodeId, u64>,
+    pending_probes: BTreeMap<NodeId, u64>,
     /// Round-robin cursor over dead members for the per-round knock —
     /// the re-probe that lets a recovered (or merely partitioned-away)
     /// relay refute its death and win early forgiveness.
     dead_cursor: usize,
-    /// When to stop arming probe rounds (the query horizon).
-    probe_deadline: SimTime,
 }
 
-const OUTBOX_BASE: u64 = 1 << 40;
-const RETRY_BASE: u64 = 1 << 41;
-const PROBE_TIMEOUT_BASE: u64 = 1 << 42;
-const SUSPECT_BASE: u64 = 1 << 43;
-const PROBE_ROUND: u64 = 1 << 44;
-
-impl ClientBehavior {
-    fn ensure(&mut self, seq: usize) {
-        if self.sent_at.len() <= seq {
-            self.sent_at.resize(seq + 1, None);
-            self.answered.resize(seq + 1, false);
-            self.attempts.resize(seq + 1, 0);
-            self.real_relay.resize(seq + 1, None);
-            self.fake_relays.resize(seq + 1, Vec::new());
-        }
-    }
-
-    /// Relays the client is still willing to use at `now` (blacklist
-    /// entries past their probation are forgiven).
-    fn usable(&self, now: SimTime) -> Vec<NodeId> {
-        self.relays
-            .iter()
-            .copied()
-            .filter(|r| !on_probation(&self.blacklist, self.blacklist_ttl, *r, now))
-            .collect()
-    }
-
-    fn defer_send(&mut self, ctx: &mut Context<'_>, relay: NodeId, payload: Vec<u8>, slot: u64) {
-        self.outbox.push((relay, payload));
-        let delay = SimTime::from_nanos(self.uplink_per_request.as_nanos() * (slot + 1));
+impl ChurnClient {
+    /// Queues one request of query `seq` for `relay` behind the uplink.
+    fn defer_send(
+        &mut self,
+        ctx: &mut Context<'_>,
+        relay: NodeId,
+        seq: usize,
+        real: bool,
+        slot: u64,
+    ) {
+        let request = Request {
+            client: ctx.self_id().0,
+            seq: seq as u64,
+            real,
+        };
+        self.outbox.push((relay, request.encode()));
+        let delay =
+            SimTime::from_nanos(self.config.client_uplink_per_request.as_nanos() * (slot + 1));
         ctx.set_timer(delay, OUTBOX_BASE + (self.outbox.len() - 1) as u64);
     }
 
     fn launch(&mut self, ctx: &mut Context<'_>, seq: usize) {
-        self.ensure(seq);
-        let usable = self.usable(ctx.now());
+        let now = ctx.now();
+        let usable = self.blacklist.usable(&self.relays, now);
         if usable.is_empty() {
             return;
         }
-        let picks = self.rng.sample_indices(usable.len(), self.k + 1);
-        let real_slot = self.rng.gen_index(picks.len());
-        self.sent_at[seq] = Some(ctx.now());
-        for (slot, relay_index) in picks.into_iter().enumerate() {
-            let flag = if slot == real_slot { "R" } else { "F" };
-            let payload = format!(
-                "{}|{}|{}|query number {} terms",
-                ctx.self_id().0,
-                seq,
-                flag,
-                seq
-            );
-            if slot == real_slot {
-                self.real_relay[seq] = Some(usable[relay_index]);
-            } else {
-                self.fake_relays[seq].push(usable[relay_index]);
-            }
-            self.defer_send(ctx, usable[relay_index], payload.into_bytes(), slot as u64);
+        let (plan, requests) = Plan::draw(&usable, self.config.k, now, &mut self.rng);
+        for (slot, (relay, real)) in requests.into_iter().enumerate() {
+            self.defer_send(ctx, relay, seq, real, slot as u64);
         }
         if self.trace.is_enabled() {
-            if let Some(real) = self.real_relay[seq] {
+            if let Some(real) = plan.real_relay {
                 self.trace.emit(
-                    TraceEvent::new(ctx.now(), ctx.self_id().0, "query.launch")
+                    TraceEvent::new(now, ctx.self_id().0, "query.launch")
                         .query(seq as u64)
                         .attr("relay", real.0)
-                        .attr("fakes", self.fake_relays[seq].len()),
+                        .attr("fakes", plan.fake_relays.len()),
                 );
             }
         }
-        ctx.set_timer(self.retry_timeout, RETRY_BASE + seq as u64);
+        self.plans.insert(seq, (plan, false));
+        // A client that never retries (Fig. 8a/8b) arms no retry timers.
+        if self.config.max_retries > 0 {
+            ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq as u64);
+        }
     }
 
     fn retry(&mut self, ctx: &mut Context<'_>, seq: usize) {
-        if self.answered[seq] || self.attempts[seq] >= self.max_retries {
+        let Some((plan, false)) = self.plans.get_mut(&seq) else {
             return;
-        }
-        // The entrusted relay never answered: blacklist it and resubmit the
-        // real query through a fresh relay.
-        let failed = self.real_relay[seq].take();
-        if let Some(dead) = failed {
-            self.blacklist.insert(dead, ctx.now());
-        }
-        let usable = self.usable(ctx.now());
-        if usable.is_empty() {
-            return;
-        }
-        self.attempts[seq] += 1;
-        self.sink.lock().expect("sink poisoned").retries += 1;
-        // Keep the plan's relays distinct (the core repair's
-        // `draw_distinct_relay` rule): prefer a replacement not already
-        // carrying one of this query's fakes, falling back to any usable
-        // relay only when the population is too depleted to avoid it.
-        let fakes = &self.fake_relays[seq];
-        let distinct: Vec<NodeId> = usable
-            .iter()
-            .copied()
-            .filter(|r| !fakes.contains(r))
-            .collect();
-        let pool = if distinct.is_empty() {
-            &usable
-        } else {
-            &distinct
         };
-        let replacement = pool[self.rng.gen_index(pool.len())];
-        self.real_relay[seq] = Some(replacement);
+        if plan.attempts >= self.config.max_retries {
+            return;
+        }
+        let now = ctx.now();
+        let (failed, replacement) =
+            plan.repair(&mut self.blacklist, &self.relays, now, &mut self.rng);
+        let attempts = plan.attempts;
+        let Some(replacement) = replacement else {
+            // Nobody to resubmit through right now: the attempt is spent,
+            // but a probation expiry or a refutation may bring relays
+            // back before the next one.
+            ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq as u64);
+            return;
+        };
+        lock(&self.sink).retries += 1;
         if self.trace.is_enabled() {
-            let mut event = TraceEvent::new(ctx.now(), ctx.self_id().0, "query.repair")
+            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.repair")
                 .query(seq as u64)
-                .attr("attempt", self.attempts[seq]);
+                .attr("attempt", attempts);
             if let Some(dead) = failed {
                 event = event.attr("failed", dead.0);
             }
@@ -653,50 +387,30 @@ impl ClientBehavior {
                     failed.is_some_and(|dead| self.victims.contains(&dead)),
                 ));
         }
-        let payload = format!("{}|{}|R|query number {} terms", ctx.self_id().0, seq, seq);
-        self.defer_send(ctx, replacement, payload.into_bytes(), 0);
-        if self.adaptive {
-            self.top_up_fakes(ctx, seq, replacement);
+        self.defer_send(ctx, replacement, seq, true, 0);
+        if self.config.adaptive {
+            self.top_up_fakes(ctx, seq);
         }
-        ctx.set_timer(self.retry_timeout, RETRY_BASE + seq as u64);
+        ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq as u64);
     }
 
-    /// The adaptive-k repair: fakes entrusted to meanwhile-blacklisted
-    /// relays are presumed lost with them, so the resubmission carries the
-    /// shortfall too — fresh fake requests through distinct relays not
-    /// already serving this query.
-    fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: usize, real_replacement: NodeId) {
-        let now = ctx.now();
-        let blacklist = &self.blacklist;
-        let ttl = self.blacklist_ttl;
-        self.fake_relays[seq].retain(|r| !on_probation(blacklist, ttl, *r, now));
-        let shortfall = self.k.saturating_sub(self.fake_relays[seq].len());
-        if shortfall == 0 {
+    /// The adaptive-k repair on a retry (see [`Plan::top_up`]): the
+    /// resubmission carries the fake shortfall too.
+    fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: usize) {
+        let Some((plan, _)) = self.plans.get_mut(&seq) else {
             return;
+        };
+        let (k, now) = (self.config.k, ctx.now());
+        let fresh = plan.top_up(&self.blacklist, &self.relays, k, now, &mut self.rng);
+        for (slot, relay) in fresh.iter().enumerate() {
+            self.defer_send(ctx, *relay, seq, false, slot as u64 + 1);
         }
-        let in_use = &self.fake_relays[seq];
-        let candidates: Vec<NodeId> = self
-            .usable(now)
-            .into_iter()
-            .filter(|r| *r != real_replacement && !in_use.contains(r))
-            .collect();
-        let picks = self
-            .rng
-            .sample_indices(candidates.len(), shortfall.min(candidates.len()));
-        let mut topped_up = 0;
-        for (slot, index) in picks.into_iter().enumerate() {
-            let relay = candidates[index];
-            let payload = format!("{}|{}|F|query number {} terms", ctx.self_id().0, seq, seq);
-            self.defer_send(ctx, relay, payload.into_bytes(), slot as u64 + 1);
-            self.fake_relays[seq].push(relay);
-            topped_up += 1;
-        }
-        self.sink.lock().expect("sink poisoned").fakes_topped_up += topped_up;
-        if topped_up > 0 && self.trace.is_enabled() {
+        lock(&self.sink).fakes_topped_up += fresh.len() as u64;
+        if !fresh.is_empty() && self.trace.is_enabled() {
             self.trace.emit(
                 TraceEvent::new(now, ctx.self_id().0, "query.top_up")
                     .query(seq as u64)
-                    .attr("count", topped_up),
+                    .attr("count", fresh.len() as u64),
             );
         }
     }
@@ -706,7 +420,7 @@ impl ClientBehavior {
     /// on one currently-dead relay (the refutation channel for recovered
     /// or re-merged relays), and re-arm while queries are still issuing.
     fn probe_round(&mut self, ctx: &mut Context<'_>) {
-        let Some(probe) = self.membership else {
+        let Some(probe) = self.config.membership else {
             return;
         };
         for _ in 0..probe.probes_per_round {
@@ -732,7 +446,7 @@ impl ClientBehavior {
                 self.send_ping(ctx, relay);
             }
         }
-        if ctx.now() + probe.probe_period < self.probe_deadline {
+        if ctx.now() + probe.probe_period < self.config.horizon() {
             ctx.set_timer(probe.probe_period, PROBE_ROUND);
         }
     }
@@ -759,7 +473,7 @@ impl ClientBehavior {
     /// probation immediately (suspicion-driven blacklisting), with the
     /// suspicion timeout armed toward a dead declaration.
     fn probe_timed_out(&mut self, ctx: &mut Context<'_>, relay: NodeId) {
-        let Some(probe) = self.membership else {
+        let Some(probe) = self.config.membership else {
             return;
         };
         if self.pending_probes.remove(&relay).is_none() {
@@ -767,7 +481,7 @@ impl ClientBehavior {
         }
         let now = ctx.now();
         if self.detector.suspect(PeerId(relay.0), now) {
-            self.blacklist.insert(relay, now);
+            self.blacklist.bar(relay, now);
             ctx.set_timer(probe.suspicion_timeout, SUSPECT_BASE + relay.0);
             if self.trace.is_enabled() {
                 self.trace.emit(
@@ -781,7 +495,7 @@ impl ClientBehavior {
     /// refutation reset the clock), declare the relay dead and top up
     /// the fakes its plans entrusted to it.
     fn suspicion_expired(&mut self, ctx: &mut Context<'_>, relay: NodeId) {
-        let Some(probe) = self.membership else {
+        let Some(probe) = self.config.membership else {
             return;
         };
         let now = ctx.now();
@@ -804,7 +518,7 @@ impl ClientBehavior {
     /// suspicion or death, the relay is forgiven early — its blacklist
     /// entry removed outright, ahead of any fixed probation TTL.
     fn handle_ack(&mut self, ctx: &mut Context<'_>, relay: NodeId, payload: &[u8]) {
-        if self.membership.is_none() {
+        if self.config.membership.is_none() {
             return;
         }
         let Some((seq, incarnation)) = decode_ack(payload) else {
@@ -825,7 +539,7 @@ impl ClientBehavior {
             Some((MemberState::Alive, _, _))
         );
         if was_barred && alive_again {
-            self.blacklist.remove(&relay);
+            self.blacklist.forgive(relay);
             if self.trace.is_enabled() {
                 self.trace.emit(
                     TraceEvent::new(now, ctx.self_id().0, "mship.refute")
@@ -843,37 +557,29 @@ impl ClientBehavior {
     /// it gets that fake resubmitted through a fresh relay now, instead
     /// of waiting for a retry to notice the loss.
     fn proactive_top_up(&mut self, ctx: &mut Context<'_>, dead: NodeId) {
-        if !self.adaptive {
+        if !self.config.adaptive {
             return;
         }
         let now = ctx.now();
-        for seq in 0..self.sent_at.len() {
-            let Some(sent) = self.sent_at[seq] else {
-                continue;
-            };
-            let live_plan = !self.answered[seq] || now.saturating_sub(sent) <= self.retry_timeout;
-            if !live_plan || !self.fake_relays[seq].contains(&dead) {
+        let usable = self.blacklist.usable(&self.relays, now);
+        let mut fresh: Vec<(usize, NodeId)> = Vec::new();
+        for (seq, (plan, answered)) in &mut self.plans {
+            let live = !*answered || now.saturating_sub(plan.sent_at) <= self.config.retry_timeout;
+            if !live || !plan.fake_relays.contains(&dead) {
                 continue;
             }
-            self.fake_relays[seq].retain(|r| *r != dead);
-            let real = self.real_relay[seq];
-            let in_use = &self.fake_relays[seq];
-            let candidates: Vec<NodeId> = self
-                .usable(now)
-                .into_iter()
-                .filter(|r| Some(*r) != real && !in_use.contains(r))
-                .collect();
+            plan.fake_relays.retain(|r| *r != dead);
+            let candidates = plan.top_up_candidates(usable.clone());
             if candidates.is_empty() {
                 continue;
             }
             let relay = candidates[self.probe_rng.gen_index(candidates.len())];
-            let payload = format!("{}|{}|F|query number {} terms", ctx.self_id().0, seq, seq);
-            self.defer_send(ctx, relay, payload.into_bytes(), 0);
-            self.fake_relays[seq].push(relay);
-            self.sink
-                .lock()
-                .expect("sink poisoned")
-                .fakes_topped_up_proactive += 1;
+            plan.fake_relays.push(relay);
+            fresh.push((*seq, relay));
+        }
+        for (seq, relay) in fresh {
+            self.defer_send(ctx, relay, seq, false, 0);
+            lock(&self.sink).fakes_topped_up_proactive += 1;
             if self.trace.is_enabled() {
                 self.trace.emit(
                     TraceEvent::new(now, ctx.self_id().0, "query.top_up")
@@ -887,7 +593,7 @@ impl ClientBehavior {
     }
 }
 
-impl NodeBehavior for ClientBehavior {
+impl NodeBehavior for ChurnClient {
     fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
         if envelope.tag == TAG_ACK {
             self.handle_ack(ctx, envelope.src, &envelope.payload);
@@ -896,39 +602,27 @@ impl NodeBehavior for ClientBehavior {
         if envelope.tag != TAG_RESPONSE {
             return;
         }
-        let text = String::from_utf8_lossy(&envelope.payload).to_string();
-        let mut parts = text.splitn(4, '|');
-        let _client = parts.next();
-        let seq: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(usize::MAX);
-        let flag = parts.next().unwrap_or("");
-        if flag != "R" || seq >= self.queries {
+        // Responses to fake queries are silently dropped (paper §IV step 8).
+        let Some(seq) = Request::parse(&envelope.payload).and_then(|r| r.real_seq()) else {
             return;
-        }
-        self.ensure(seq);
-        if self.answered[seq] {
-            return;
-        }
-        if let Some(sent) = self.sent_at[seq] {
-            self.answered[seq] = true;
-            // The dilution this plan actually delivered: fakes still
-            // entrusted to relays the client has not (currently) given up
-            // on. Fakes on blacklisted relays are presumed swallowed.
-            let now = ctx.now();
-            let achieved_k = self.fake_relays[seq]
-                .iter()
-                .filter(|r| !on_probation(&self.blacklist, self.blacklist_ttl, **r, now))
-                .count();
-            let mut sink = self.sink.lock().expect("sink poisoned");
+        };
+        if let Some((plan, answered @ false)) = self.plans.get_mut(&(seq as usize)) {
+            *answered = true;
+            let (seq, sent, now) = (seq as usize, plan.sent_at, ctx.now());
+            let achieved_k = plan.achieved_k(&self.blacklist, now);
+            let mut sink = lock(&self.sink);
             sink.answered += 1;
             // A response can never precede its send; a negative round trip
             // means the event order broke. Surface it instead of silently
             // recording zero.
             let round_trip = now.checked_sub(sent);
             let latency_s = match round_trip {
-                Some(round_trip) => round_trip.as_secs_f64(),
+                Some(round_trip) => {
+                    if let Some(histogram) = &self.end_to_end {
+                        histogram.record_time(round_trip);
+                    }
+                    round_trip.as_secs_f64()
+                }
                 None => {
                     debug_assert!(
                         false,
@@ -961,8 +655,8 @@ impl NodeBehavior for ClientBehavior {
                 let mut event = TraceEvent::new(now, ctx.self_id().0, "query.answered")
                     .query(seq as u64)
                     .attr("achieved_k", achieved_k)
-                    .attr("assessed_k", self.k)
-                    .attr("attempts", self.attempts[seq]);
+                    .attr("assessed_k", self.config.k)
+                    .attr("attempts", plan.attempts);
                 if let Some(round_trip) = round_trip {
                     event = event.span(round_trip);
                 }
@@ -991,138 +685,50 @@ impl NodeBehavior for ClientBehavior {
     }
 }
 
-fn encode_ping(seq: u64, state: u8, incarnation: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(17);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.push(state);
-    payload.extend_from_slice(&incarnation.to_le_bytes());
-    payload
-}
-
-fn decode_ping(payload: &[u8]) -> Option<(u64, u8, u64)> {
-    if payload.len() != 17 {
-        return None;
-    }
-    let seq = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-    let incarnation = u64::from_le_bytes(payload[9..17].try_into().ok()?);
-    Some((seq, payload[8], incarnation))
-}
-
-fn encode_ack(seq: u64, incarnation: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&incarnation.to_le_bytes());
-    payload
-}
-
-fn decode_ack(payload: &[u8]) -> Option<(u64, u64)> {
-    if payload.len() != 16 {
-        return None;
-    }
-    let seq = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-    let incarnation = u64::from_le_bytes(payload[8..16].try_into().ok()?);
-    Some((seq, incarnation))
-}
-
-pub(crate) fn parse_client(payload: &[u8]) -> Option<NodeId> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let id: u64 = text.split('|').next()?.parse().ok()?;
-    Some(NodeId(id))
-}
-
-/// The query sequence number of a real-query payload
-/// (`"client|seq|R|…"`), or `None` for fakes and non-query traffic.
-pub(crate) fn parse_real_seq(payload: &[u8]) -> Option<u64> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let mut parts = text.splitn(4, '|');
-    let _client = parts.next()?;
-    let seq: u64 = parts.next()?.parse().ok()?;
-    (parts.next()? == "R").then_some(seq)
-}
-
-/// Runs the churn latency experiment on any engine, applying the
-/// configuration's deterministic failure plan and returning the healed
-/// latency distribution.
-pub fn run_churn_experiment_on<E: Engine>(
-    engine_impl: &mut E,
-    config: &ChurnConfig,
-) -> ChurnOutcome {
-    run_churn_experiment_on_with(engine_impl, config, &ChaosPlan::new())
-}
-
-/// [`run_churn_experiment_on`] with an extra [`ChaosPlan`] applied on top
-/// of the configuration's own failure plan — the hook the partition
-/// experiment uses to cut link groups around the same client/relay/engine
-/// deployment.
-pub fn run_churn_experiment_on_with<E: Engine>(
-    engine_impl: &mut E,
-    config: &ChurnConfig,
-    extra: &ChaosPlan,
-) -> ChurnOutcome {
-    run_churn_experiment_on_observed(engine_impl, config, extra, &ChurnTelemetry::default())
-}
-
-/// [`run_churn_experiment_on_with`] plus observability: fault
-/// annotations and the client's per-query causal events flow into
-/// `telemetry.trace`, and the clamped-sample counter into
-/// `telemetry.metrics`. With the default (disabled) telemetry this *is*
-/// `run_churn_experiment_on_with` — the hooks never perturb the run, so
-/// the outcome is bit-identical either way.
-pub fn run_churn_experiment_on_observed<E: Engine>(
-    engine_impl: &mut E,
+/// Runs the churn latency experiment on `engine` — any [`Engine`], see
+/// [`crate::deployment::EngineChoice`] — applying the configuration's
+/// deterministic failure plan with `extra` on top (the hook the partition
+/// experiment uses to cut link groups around the same deployment), and
+/// returns the healed latency distribution.
+///
+/// Fault annotations, the client's per-query causal events and the
+/// forwarding-path spans flow into `telemetry.trace`, the clamped-sample
+/// counter into `telemetry.metrics`. The hooks never perturb the run:
+/// the outcome is bit-identical with the default (disabled) telemetry.
+pub fn run_churn_experiment_on<E: Engine + ?Sized>(
+    engine: &mut E,
     config: &ChurnConfig,
     extra: &ChaosPlan,
     telemetry: &ChurnTelemetry,
 ) -> ChurnOutcome {
-    assert!(config.relays > config.k, "need at least k + 1 relays");
-    engine_impl.set_default_latency(LatencyModel::wan());
-    let engine = NodeId(0);
-    let relays: Vec<NodeId> = (1..=config.relays as u64).map(NodeId).collect();
-    let client = NodeId(config.relays as u64 + 1);
+    run_deployment(engine, config, CHURN_SALT, extra, telemetry, None)
+}
 
-    let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ 0xC4A0);
-    engine_impl.add_node(
+/// The churn run behind [`run_churn_experiment_on`] and the Fig. 8a/8b
+/// runner, which differ in the RNG `salt` and in whether the deployment
+/// records [`DeploymentMetrics`].
+pub(crate) fn run_deployment<E: Engine + ?Sized>(
+    engine: &mut E,
+    config: &ChurnConfig,
+    salt: u64,
+    extra: &ChaosPlan,
+    telemetry: &ChurnTelemetry,
+    metrics: Option<&DeploymentMetrics>,
+) -> ChurnOutcome {
+    assert!(config.relays > config.k, "need at least k + 1 relays");
+    let mut deployed = deploy(
         engine,
-        Box::new(EngineBehavior {
-            processing: LatencyModel::search_engine_processing(),
-            rng: rng.fork(1),
-            pending: Vec::new(),
-            trace: telemetry.trace.clone(),
-        }),
+        Fleet {
+            relays: config.relays,
+            seed: config.seed,
+            salt,
+            cost: &config.cost,
+            adversary: config.adversary,
+            extra,
+            trace: &telemetry.trace,
+            metrics,
+        },
     );
-    // The byzantine coalition: the adversary config compiles into policy
-    // events, merged with whatever policy events the extra plan carries.
-    // Policies are data handed to each relay at build time; the shared
-    // ledger exists only when some relay is ever hostile, and honest
-    // relays never touch it (or their behaviour stream), so honest runs
-    // stay bit-identical to the pre-adversary experiment.
-    let adversary_plan = config
-        .adversary
-        .map(|a| a.plan(config.relays, config.seed))
-        .unwrap_or_default();
-    let any_hostile =
-        !adversary_plan.byzantine_relays().is_empty() || !extra.byzantine_relays().is_empty();
-    let ledger: Option<SharedCollusionLedger> =
-        any_hostile.then(|| Arc::new(Mutex::new(CollusionLedger::default())));
-    let processing = SimTime::from_nanos(relay_service_time_ns(&config.cost, 512));
-    for &relay in &relays {
-        let mut policies = adversary_plan.policy_schedule_for(relay);
-        policies.merge(&extra.policy_schedule_for(relay));
-        let hostile = policies.is_hostile();
-        engine_impl.add_node(
-            relay,
-            Box::new(RelayBehavior {
-                engine,
-                processing,
-                pending: Vec::new(),
-                incarnation: 0,
-                trace: telemetry.trace.clone(),
-                policies,
-                adv_rng: adversary_stream(config.seed, relay),
-                adversary: if hostile { ledger.clone() } else { None },
-            }),
-        );
-    }
     // The failure plan is sampled up front so the client's trace
     // annotations can tell injected-fault repairs from organic ones; the
     // set is computed (deterministically) whether or not tracing is on.
@@ -1136,25 +742,16 @@ pub fn run_churn_experiment_on_observed<E: Engine>(
             _ => None,
         })
         .collect();
-    let sink = Arc::new(Mutex::new(ClientSink::default()));
-    engine_impl.add_node(
+    let sink = Arc::new(Mutex::new(ChurnOutcome::default()));
+    let client = deployed.client;
+    engine.add_node(
         client,
-        Box::new(ClientBehavior {
-            relays: relays.clone(),
-            k: config.k,
-            queries: config.queries,
-            rng: rng.fork(2),
-            retry_timeout: config.retry_timeout,
-            max_retries: config.max_retries,
-            adaptive: config.adaptive,
-            uplink_per_request: config.client_uplink_per_request,
-            sent_at: Vec::new(),
-            answered: Vec::new(),
-            attempts: Vec::new(),
-            real_relay: Vec::new(),
-            fake_relays: Vec::new(),
-            blacklist: std::collections::BTreeMap::new(),
-            blacklist_ttl: config.blacklist_ttl,
+        Box::new(ChurnClient {
+            config: *config,
+            relays: deployed.relays.clone(),
+            rng: deployed.rng.fork(2),
+            plans: BTreeMap::new(),
+            blacklist: Blacklist::new(config.blacklist_ttl),
             outbox: Vec::new(),
             sink: sink.clone(),
             trace: telemetry.trace.clone(),
@@ -1163,20 +760,23 @@ pub fn run_churn_experiment_on_observed<E: Engine>(
                 .metrics
                 .as_ref()
                 .map(|registry| registry.counter("client.clamped_samples")),
-            membership: config.membership,
-            detector: FailureDetector::new(PeerId(client.0), relays.iter().map(|r| PeerId(r.0)), 0),
-            probe_rng: rng.fork(3),
+            end_to_end: metrics.map(|m| m.end_to_end_ns.clone()),
+            detector: FailureDetector::new(
+                PeerId(client.0),
+                deployed.relays.iter().map(|r| PeerId(r.0)),
+                0,
+            ),
+            probe_rng: deployed.rng.fork(3),
             probe_seq: 0,
-            pending_probes: std::collections::BTreeMap::new(),
+            pending_probes: BTreeMap::new(),
             dead_cursor: 0,
-            probe_deadline: config.horizon(),
         }),
     );
     for i in 0..config.queries {
-        engine_impl.schedule_timer(ChurnConfig::issued_at(i), client, i as u64);
+        engine.schedule_timer(ChurnConfig::issued_at(i), client, i as u64);
     }
     if let Some(probe) = config.membership {
-        engine_impl.schedule_timer(probe.probe_period, client, PROBE_ROUND);
+        engine.schedule_timer(probe.probe_period, client, PROBE_ROUND);
     }
 
     // Inject the faults: a recovering plan re-registers nothing (state is
@@ -1188,101 +788,49 @@ pub fn run_churn_experiment_on_observed<E: Engine>(
         .iter()
         .filter(|e| matches!(e.kind, FaultKind::Crash(_) | FaultKind::Leave(_)))
         .count();
-    plan.apply_traced(engine_impl, &telemetry.trace);
-    extra.apply_traced(engine_impl, &telemetry.trace);
-    // Policy events schedule nothing on the engine (they were applied at
-    // behaviour build time); the traced apply only stamps the `adv.policy`
-    // activation annotations onto the merged timeline.
-    adversary_plan.apply_traced(engine_impl, &telemetry.trace);
+    plan.apply_traced(engine, &telemetry.trace);
+    extra.apply_traced(engine, &telemetry.trace);
+    deployed
+        .adversary_plan
+        .apply_traced(engine, &telemetry.trace);
 
-    engine_impl.run();
-    let mut byzantine: Vec<NodeId> = adversary_plan.byzantine_relays();
-    byzantine.extend(extra.byzantine_relays());
-    byzantine.sort_unstable_by_key(|n| n.0);
-    byzantine.dedup();
-    let (dropped, delayed, forged, observed_real, observed_total) = ledger
-        .map(|ledger| {
-            let ledger = ledger.lock().expect("ledger poisoned");
-            let (dropped, delayed, forged) = ledger.tampered();
-            (
-                dropped,
-                delayed,
-                forged,
-                ledger.observed_real(),
-                ledger.observed_total(),
-            )
-        })
-        .unwrap_or_default();
-    let sink = sink.lock().expect("sink poisoned");
+    engine.run();
+    let ((dropped, delayed, forged), observed_real, observed_total) =
+        deployed.coalition(|l| (l.tampered(), l.observed_real(), l.observed_total()));
+    let ledger = lock(&sink).clone();
     ChurnOutcome {
-        latencies: sink.latencies.clone(),
-        answered_queries: sink.answered_queries.clone(),
-        answered: sink.answered,
-        unanswered: config.queries - sink.answered,
-        retries: sink.retries,
-        fakes_topped_up: sink.fakes_topped_up,
-        fakes_topped_up_proactive: sink.fakes_topped_up_proactive,
-        clamped_samples: sink.clamped_samples,
+        unanswered: config.queries - ledger.answered,
         failed_relays,
-        byzantine_relays: byzantine.len(),
+        byzantine_relays: deployed.byzantine_relays,
         byzantine_dropped: dropped,
         byzantine_delayed: delayed,
         byzantine_forged_acks: forged,
         colluded_real_observed: observed_real,
         colluded_total_observed: observed_total,
-        stats: engine_impl.stats(),
+        stats: engine.stats(),
+        ..ledger
     }
-}
-
-/// [`run_churn_experiment_on`] on the sequential simulator.
-pub fn run_churn_experiment(config: &ChurnConfig) -> ChurnOutcome {
-    let mut simulation = Simulation::new(config.seed);
-    run_churn_experiment_on(&mut simulation, config)
-}
-
-/// [`run_churn_experiment_on`] on the sharded parallel engine. Same seed ⇒
-/// same outcome as the sequential run, bit for bit, for any shard count.
-pub fn run_churn_experiment_sharded(config: &ChurnConfig, shards: usize) -> ChurnOutcome {
-    let mut engine = ShardedEngine::new(config.seed, shards);
-    run_churn_experiment_on(&mut engine, config)
-}
-
-/// [`run_churn_experiment`] (sequential) with observability hooks and an
-/// extra [`ChaosPlan`]. The buffered timeline folds at export time.
-pub fn run_churn_experiment_observed(
-    config: &ChurnConfig,
-    extra: &ChaosPlan,
-    telemetry: &ChurnTelemetry,
-) -> ChurnOutcome {
-    let mut simulation = Simulation::new(config.seed);
-    run_churn_experiment_on_observed(&mut simulation, config, extra, telemetry)
-}
-
-/// [`run_churn_experiment_sharded`] with observability hooks and an
-/// extra [`ChaosPlan`]. The trace sink is also installed on the engine,
-/// which folds the timeline at every window barrier, and — when a
-/// registry is present — the engine's per-shard self-profiling is
-/// enabled. Same seed ⇒ same outcome *and* byte-identical trace export
-/// as the sequential observed run, for any shard count.
-pub fn run_churn_experiment_sharded_observed(
-    config: &ChurnConfig,
-    extra: &ChaosPlan,
-    shards: usize,
-    telemetry: &ChurnTelemetry,
-) -> ChurnOutcome {
-    let mut engine = ShardedEngine::new(config.seed, shards);
-    engine.set_trace_sink(telemetry.trace.clone());
-    if let Some(registry) = &telemetry.metrics {
-        engine.enable_profiling(registry);
-    }
-    run_churn_experiment_on_observed(&mut engine, config, extra, telemetry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::ByzantinePolicy;
+    use crate::deployment::EngineChoice;
+    use cyclosa_net::sim::Simulation;
+    use cyclosa_runtime::metrics::Registry;
     use cyclosa_telemetry::AttrValue;
     use cyclosa_util::stats::Summary;
+
+    fn run_on(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
+        let quiet = ChurnTelemetry::default();
+        let mut engine = choice.build(config.seed, &quiet);
+        run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), &quiet)
+    }
+
+    fn run_churn_experiment(config: &ChurnConfig) -> ChurnOutcome {
+        run_on(EngineChoice::Sequential, config)
+    }
 
     fn small(failure_rate: f64, recover: bool) -> ChurnConfig {
         ChurnConfig {
@@ -1386,7 +934,7 @@ mod tests {
         assert!(sequential.byzantine_dropped > 0);
         for shards in [1, 2, 4, 8] {
             assert_eq!(
-                run_churn_experiment_sharded(&config, shards),
+                run_on(EngineChoice::Sharded(shards), &config),
                 sequential,
                 "adversarial outcome diverged with {shards} shards"
             );
@@ -1447,7 +995,7 @@ mod tests {
         assert!(sequential.retries > 0 || sequential.answered == 40);
         for shards in [2, 4] {
             assert_eq!(
-                run_churn_experiment_sharded(&config, shards),
+                run_on(EngineChoice::Sharded(shards), &config),
                 sequential,
                 "outcome diverged with {shards} shards"
             );
@@ -1492,7 +1040,12 @@ mod tests {
             trace: TraceSink::enabled(),
             metrics: Some(Registry::new()),
         };
-        let traced = run_churn_experiment_observed(&config, &ChaosPlan::new(), &telemetry);
+        let traced = run_churn_experiment_on(
+            &mut Simulation::new(config.seed),
+            &config,
+            &ChaosPlan::new(),
+            &telemetry,
+        );
         assert_eq!(traced, plain, "tracing must not perturb the run");
 
         let events = telemetry.trace.events();
@@ -1563,12 +1116,8 @@ mod tests {
         let mut simulation = Simulation::new(config.seed);
         simulation.schedule_loss_probability(SimTime::from_secs(3), 0.5);
         simulation.schedule_loss_probability(SimTime::from_secs(6), 0.0);
-        let outcome = run_churn_experiment_on_observed(
-            &mut simulation,
-            &config,
-            &ChaosPlan::new(),
-            &telemetry,
-        );
+        let outcome =
+            run_churn_experiment_on(&mut simulation, &config, &ChaosPlan::new(), &telemetry);
 
         let events = telemetry.trace.events();
         let suspected: BTreeSet<u64> = events
@@ -1650,11 +1199,42 @@ mod tests {
         let sequential = run_churn_experiment(&config);
         for shards in [2, 4] {
             assert_eq!(
-                run_churn_experiment_sharded(&config, shards),
+                run_on(EngineChoice::Sharded(shards), &config),
                 sequential,
                 "membership-mode outcome diverged with {shards} shards"
             );
         }
+    }
+
+    #[test]
+    fn a_retry_that_finds_no_usable_relay_is_rearmed_not_orphaned() {
+        // Every relay is down from 0.2 s to 5 s, so each query's first
+        // retry (from 3 s on, one every 500 ms) blacklists another relay
+        // until all four are barred at once. A retry firing then has
+        // nobody to resubmit through; it must keep its timer so that the
+        // 4 s probation expiry and the recovery bring the query home.
+        let config = ChurnConfig {
+            relays: 4,
+            k: 3,
+            queries: 8,
+            failure_rate: 0.0,
+            blacklist_ttl: Some(SimTime::from_secs(4)),
+            ..ChurnConfig::default()
+        };
+        let mut outage = ChaosPlan::new();
+        for relay in (0..config.relays).map(relay_id) {
+            outage = outage
+                .crash_at(SimTime::from_millis(200), relay)
+                .recover_at(SimTime::from_secs(5), relay);
+        }
+        let mut simulation = Simulation::new(config.seed);
+        let quiet = ChurnTelemetry::default();
+        let outcome = run_churn_experiment_on(&mut simulation, &config, &outage, &quiet);
+        assert_eq!(
+            (outcome.answered, outcome.unanswered),
+            (8, 0),
+            "a query whose retry found no usable relay was never retried again"
+        );
     }
 
     #[test]

@@ -16,10 +16,15 @@
 //! * [`plan`] — [`plan::ChaosPlan`], the scripted fault schedule a model
 //!   samples into (or that tests write by hand), applicable to any
 //!   [`cyclosa_net::engine::Engine`].
+//! * [`deployment`] — the one message-level deployment (client, relays,
+//!   search engine) every experiment here runs: node numbering, tags, the
+//!   wire codec, the shared relay and engine-node behaviours, the
+//!   blacklist and plan-repair rules, [`EngineChoice`], and the Fig. 8a/8b
+//!   latency run ([`run_end_to_end_latency_on`]).
 //! * [`experiment`] — the robustness-under-failure latency experiment:
-//!   the end-to-end deployment re-run under relay failures, with the
-//!   client-side healing path (blacklist the unresponsive relay, resubmit
-//!   through a fresh one) the paper describes.
+//!   that deployment under relay failures, with the client-side healing
+//!   path (blacklist the unresponsive relay, resubmit through a fresh
+//!   one) the paper describes.
 //! * [`partition`] — the network-partition experiment: the same
 //!   deployment cut into disconnected components by link-group loss
 //!   windows ([`plan::ChaosPlan::partition`]) that later re-merge, with
@@ -102,6 +107,7 @@
 pub mod adversary;
 pub mod attack;
 pub mod churn;
+pub mod deployment;
 pub mod experiment;
 pub mod partition;
 pub mod plan;
@@ -116,21 +122,16 @@ pub use attack::{
     AdaptiveChurnedMechanism, ChurnedMechanism, ColludingMechanism, PartitionedMechanism,
 };
 pub use churn::{churn_stream, ChurnModel};
+pub use deployment::{
+    run_end_to_end_latency_on, ChurnTelemetry, DeploymentMetrics, EndToEndConfig, EngineChoice,
+    Request,
+};
 pub use experiment::{
-    run_churn_experiment, run_churn_experiment_observed, run_churn_experiment_on,
-    run_churn_experiment_on_observed, run_churn_experiment_on_with, run_churn_experiment_sharded,
-    run_churn_experiment_sharded_observed, AnsweredQuery, ChurnConfig, ChurnOutcome,
-    ChurnTelemetry, MembershipProbeConfig,
+    run_churn_experiment_on, AnsweredQuery, ChurnConfig, ChurnOutcome, MembershipProbeConfig,
 };
-pub use partition::{
-    run_partition_experiment, run_partition_experiment_observed, run_partition_experiment_on,
-    run_partition_experiment_on_observed, run_partition_experiment_sharded,
-    run_partition_experiment_sharded_observed, PartitionConfig, PartitionOutcome, PhaseSummary,
-};
+pub use partition::{run_partition_experiment_on, PartitionConfig, PartitionOutcome, PhaseSummary};
 pub use plan::{
     ChaosPlan, FaultEvent, FaultKind, LinkFault, PlanEntry, PlanEventClass, PolicyEvent,
 };
 pub use slo::{churn_slo_config, evaluate_churn_slos, evaluate_timeline_slos, SloOutcome};
-pub use soak::{
-    run_soak, run_soak_on, run_soak_sharded, ArrivalModel, SoakConfig, SoakOutcome, SoakWindow,
-};
+pub use soak::{run_soak, run_soak_on, ArrivalModel, SoakConfig, SoakOutcome, SoakWindow};

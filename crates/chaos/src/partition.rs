@@ -26,15 +26,12 @@
 //! phases by query issue time so the dip and the recovery are directly
 //! comparable to a failure-free baseline.
 
-use crate::experiment::{
-    run_churn_experiment_on_observed, AnsweredQuery, ChurnConfig, ChurnOutcome, ChurnTelemetry,
-};
+use crate::deployment::{client_id, relay_id, ChurnTelemetry, ENGINE};
+use crate::experiment::{run_churn_experiment_on, AnsweredQuery, ChurnConfig, ChurnOutcome};
 use crate::plan::ChaosPlan;
 use cyclosa_net::engine::Engine;
-use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_runtime::ShardedEngine;
 use cyclosa_util::stats::Summary;
 
 /// Configuration of the partition experiment: the churn deployment of
@@ -95,26 +92,22 @@ impl PartitionConfig {
     pub fn minority_relays(&self) -> Vec<NodeId> {
         let count = ((self.base.relays as f64 * self.minority_fraction).round() as usize)
             .clamp(1, self.base.relays - 1);
-        (1..=count as u64).map(NodeId).collect()
+        (0..count).map(relay_id).collect()
     }
 
     /// The two node groups of the split, client and (optionally) engine
-    /// included, matching the node ids laid out by the churn experiment.
+    /// included.
     pub fn groups(&self) -> (Vec<NodeId>, Vec<NodeId>) {
-        let client = NodeId(self.base.relays as u64 + 1);
-        let engine = NodeId(0);
+        let client = client_id(self.base.relays);
         let mut minority = self.minority_relays();
-        let boundary = minority.len() as u64;
-        let mut majority: Vec<NodeId> = (boundary + 1..=self.base.relays as u64)
-            .map(NodeId)
-            .collect();
+        let mut majority: Vec<NodeId> = (minority.len()..self.base.relays).map(relay_id).collect();
         if self.client_in_minority {
             minority.push(client);
         } else {
             majority.push(client);
         }
         if self.engine_partitioned {
-            majority.push(engine);
+            majority.push(ENGINE);
         }
         (minority, majority)
     }
@@ -185,29 +178,22 @@ fn issued_at(seq: usize) -> SimTime {
     ChurnConfig::issued_at(seq)
 }
 
-/// Runs the partition experiment on any engine: the churn deployment with
-/// the scripted split/re-merge applied on top, sliced into phases.
+/// Runs the partition experiment on `engine` — any [`Engine`], see
+/// [`crate::deployment::EngineChoice`]: the churn deployment with the
+/// scripted split/re-merge applied on top, sliced into phases.
+///
+/// The underlying churn run's causal events, forwarding-path spans and
+/// fault annotations flow into `telemetry.trace` — ready for the SLO
+/// monitor (see [`crate::slo`]) to turn the split window's `achieved_k`
+/// dips into privacy burn alerts. Telemetry never perturbs the outcome.
 ///
 /// # Panics
 ///
 /// Panics if `merge_at <= split_at` or the window lies outside the span
 /// over which queries are issued (there would be no during/post phase to
 /// measure).
-pub fn run_partition_experiment_on<E: Engine>(
-    engine_impl: &mut E,
-    config: &PartitionConfig,
-) -> PartitionOutcome {
-    run_partition_experiment_on_observed(engine_impl, config, &ChurnTelemetry::default())
-}
-
-/// [`run_partition_experiment_on`] plus observability: the underlying
-/// churn run's causal events, forwarding-path spans and fault
-/// annotations flow into `telemetry.trace` — ready for the SLO monitor
-/// (see [`crate::slo`]) to turn the split window's `achieved_k` dips
-/// into privacy burn alerts. With the default (disabled) telemetry this
-/// *is* `run_partition_experiment_on`.
-pub fn run_partition_experiment_on_observed<E: Engine>(
-    engine_impl: &mut E,
+pub fn run_partition_experiment_on<E: Engine + ?Sized>(
+    engine: &mut E,
     config: &PartitionConfig,
     telemetry: &ChurnTelemetry,
 ) -> PartitionOutcome {
@@ -216,8 +202,7 @@ pub fn run_partition_experiment_on_observed<E: Engine>(
         settled_at < config.base.horizon(),
         "queries must still be issued after the post-merge settle window"
     );
-    let outcome =
-        run_churn_experiment_on_observed(engine_impl, &config.base, &config.plan(), telemetry);
+    let outcome = run_churn_experiment_on(engine, &config.base, &config.plan(), telemetry);
     let phase_queries = |from: SimTime, to: SimTime| -> Vec<&AnsweredQuery> {
         outcome
             .answered_queries
@@ -257,53 +242,20 @@ pub fn run_partition_experiment_on_observed<E: Engine>(
     }
 }
 
-/// [`run_partition_experiment_on`] on the sequential simulator.
-pub fn run_partition_experiment(config: &PartitionConfig) -> PartitionOutcome {
-    let mut simulation = Simulation::new(config.base.seed);
-    run_partition_experiment_on(&mut simulation, config)
-}
-
-/// [`run_partition_experiment_on`] on the sharded parallel engine. Same
-/// seed ⇒ same outcome as the sequential run, bit for bit, for any shard
-/// count — the partition boundary crossing shard boundaries included.
-pub fn run_partition_experiment_sharded(
-    config: &PartitionConfig,
-    shards: usize,
-) -> PartitionOutcome {
-    let mut engine = ShardedEngine::new(config.base.seed, shards);
-    run_partition_experiment_on(&mut engine, config)
-}
-
-/// [`run_partition_experiment`] (sequential) with observability hooks.
-pub fn run_partition_experiment_observed(
-    config: &PartitionConfig,
-    telemetry: &ChurnTelemetry,
-) -> PartitionOutcome {
-    let mut simulation = Simulation::new(config.base.seed);
-    run_partition_experiment_on_observed(&mut simulation, config, telemetry)
-}
-
-/// [`run_partition_experiment_sharded`] with observability hooks: the
-/// trace sink is installed on the engine (barrier-merged timeline) and,
-/// when a registry is present, per-shard self-profiling is enabled. Same
-/// seed ⇒ byte-identical trace export as the sequential observed run.
-pub fn run_partition_experiment_sharded_observed(
-    config: &PartitionConfig,
-    shards: usize,
-    telemetry: &ChurnTelemetry,
-) -> PartitionOutcome {
-    let mut engine = ShardedEngine::new(config.base.seed, shards);
-    engine.set_trace_sink(telemetry.trace.clone());
-    if let Some(registry) = &telemetry.metrics {
-        engine.enable_profiling(registry);
-    }
-    run_partition_experiment_on_observed(&mut engine, config, telemetry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_churn_experiment_on_with;
+    use crate::deployment::EngineChoice;
+
+    fn run_on(choice: EngineChoice, config: &PartitionConfig) -> PartitionOutcome {
+        let quiet = ChurnTelemetry::default();
+        let mut engine = choice.build(config.base.seed, &quiet);
+        run_partition_experiment_on(&mut *engine, config, &quiet)
+    }
+
+    fn run_partition_experiment(config: &PartitionConfig) -> PartitionOutcome {
+        run_on(EngineChoice::Sequential, config)
+    }
 
     fn small() -> PartitionConfig {
         PartitionConfig {
@@ -386,10 +338,12 @@ mod tests {
         // that never split.
         let config = small();
         let partitioned = run_partition_experiment(&config);
-        let calm = run_churn_experiment_on_with(
-            &mut Simulation::new(config.base.seed),
+        let quiet = ChurnTelemetry::default();
+        let calm = run_churn_experiment_on(
+            &mut *EngineChoice::Sequential.build(config.base.seed, &quiet),
             &config.base,
             &ChaosPlan::new(),
+            &quiet,
         );
         let calm_mean = calm
             .answered_queries
@@ -423,7 +377,7 @@ mod tests {
         let sequential = run_partition_experiment(&config);
         for shards in [2, 4] {
             assert_eq!(
-                run_partition_experiment_sharded(&config, shards),
+                run_on(EngineChoice::Sharded(shards), &config),
                 sequential,
                 "partition outcome diverged with {shards} shards"
             );

@@ -15,7 +15,8 @@
 //! privacy alert on a baseline run is therefore a regression, which is
 //! exactly the property the CI gate leans on.
 
-use crate::experiment::{ChurnConfig, ChurnTelemetry};
+use crate::deployment::ChurnTelemetry;
+use crate::experiment::ChurnConfig;
 use cyclosa_telemetry::{SloConfig, SloMonitor, SloReport, TraceEvent};
 
 /// SLO targets for a churn-family experiment, derived from its
@@ -68,7 +69,7 @@ pub fn evaluate_timeline_slos(config: SloConfig, events: &[TraceEvent]) -> SloOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_churn_experiment_on_observed;
+    use crate::experiment::run_churn_experiment_on;
     use crate::plan::ChaosPlan;
     use cyclosa_net::sim::Simulation;
     use cyclosa_net::time::SimTime;
@@ -91,7 +92,7 @@ mod tests {
             metrics: None,
         };
         let mut simulation = Simulation::new(config.seed);
-        run_churn_experiment_on_observed(&mut simulation, config, plan, &telemetry);
+        run_churn_experiment_on(&mut simulation, config, plan, &telemetry);
         let outcome = evaluate_churn_slos(config, &telemetry);
         (telemetry, outcome)
     }

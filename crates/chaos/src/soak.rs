@@ -1,8 +1,9 @@
-//! Long-horizon soak/stress driver: the churn deployment replayed over
-//! **millions** of queries with realistic load shape — a diurnal
-//! sinusoid, flash crowds, model-driven churn and (optionally) an active
-//! byzantine coalition — while continuously asserting the run's
-//! invariants instead of just summarising it.
+//! Long-horizon soak/stress driver: the deployment of
+//! [`crate::deployment`] replayed over **millions** of queries with
+//! realistic load shape — a diurnal sinusoid, flash crowds, model-driven
+//! churn and (optionally) an active byzantine coalition — while
+//! continuously asserting the run's invariants instead of just
+//! summarising it.
 //!
 //! The short churn experiment ([`crate::experiment`]) keeps per-query
 //! state for the whole run, which is the right trade for 200 queries and
@@ -12,8 +13,8 @@
 //!   million timers up front, and prunes each query's state the moment it
 //!   is answered (or exhausts its retries), so resident state tracks the
 //!   in-flight window, not the horizon;
-//! * relays and the engine keep their in-service requests in maps that
-//!   shrink on completion, never append-only vectors;
+//! * the shared relays and engine node prune their in-service maps on
+//!   completion (in every run, but here it is what keeps 10⁶ queries flat);
 //! * results aggregate into fixed-size per-window ledgers
 //!   ([`SoakWindow`]) rather than per-query vectors.
 //!
@@ -30,32 +31,25 @@
 //! function of its seed: bit-identical across engines and shard counts,
 //! adversary included.
 
-use crate::adversary::{
-    adversary_stream, AdversaryConfig, CollusionLedger, PolicySchedule, SharedCollusionLedger,
-};
+use crate::adversary::AdversaryConfig;
 use crate::churn::ChurnModel;
-use crate::experiment::{on_probation, parse_client, parse_real_seq};
-use cyclosa::deployment::relay_service_time_ns;
+use crate::deployment::{
+    deploy, lock, Blacklist, Fleet, Plan, Request, OUTBOX_BASE, RETRY_BASE, TAG_FORWARD,
+    TAG_RESPONSE, TOKEN_LAUNCH,
+};
+use crate::plan::ChaosPlan;
 use cyclosa_net::engine::Engine;
-use cyclosa_net::latency::LatencyModel;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_runtime::ShardedEngine;
 use cyclosa_sgx::enclave::CostModel;
 use cyclosa_telemetry::{TraceEvent, TraceSink};
-use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
+use cyclosa_util::rng::Xoshiro256StarStar;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-const TAG_FORWARD: u32 = 1;
-const TAG_ENGINE_QUERY: u32 = 2;
-const TAG_ENGINE_RESPONSE: u32 = 3;
-const TAG_RESPONSE: u32 = 4;
-
-const TOKEN_LAUNCH: u64 = 1 << 44;
-const OUTBOX_BASE: u64 = 1 << 40;
-const RETRY_BASE: u64 = 1 << 41;
+/// RNG salt of the soak runs.
+const SOAK_SALT: u64 = 0x50AC;
 
 /// How many invariant violations are recorded verbatim before the rest
 /// only counts — a broken soak must fail loudly, not OOM the reporter.
@@ -281,7 +275,7 @@ impl SoakWindow {
 }
 
 /// What one soak run produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SoakOutcome {
     /// The per-window ledgers, in launch order.
     pub windows: Vec<SoakWindow>,
@@ -323,6 +317,13 @@ pub struct SoakOutcome {
 }
 
 impl SoakOutcome {
+    fn violation(&mut self, message: String) {
+        self.violation_count += 1;
+        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
+            self.violations.push(message);
+        }
+    }
+
     /// The CI gate: zero invariant violations, zero clamped samples,
     /// conservation of queries, the resident budget held, and the
     /// answered floor met. `Err` carries every failure, newline-joined.
@@ -368,162 +369,9 @@ impl SoakOutcome {
     }
 }
 
-#[derive(Default)]
-struct SoakSink {
-    windows: Vec<SoakWindow>,
-    answered: u64,
-    retries: u64,
-    fakes_topped_up: u64,
-    clamped_samples: u64,
-    peak_inflight: u64,
-    peak_resident_bytes: usize,
-    peak_relay_pending: u64,
-    peak_engine_pending: u64,
-    violations: Vec<String>,
-    violation_count: u64,
-}
-
-impl SoakSink {
-    fn violation(&mut self, message: String) {
-        self.violation_count += 1;
-        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
-            self.violations.push(message);
-        }
-    }
-}
-
-type SharedSink = Arc<Mutex<SoakSink>>;
-
-/// A relay of the soak deployment: same forwarding semantics as the
-/// churn experiment's relay (byzantine policies included), but the
-/// in-service queue is a map pruned on completion so a 10⁶-query run
-/// stays flat in memory.
-struct SoakRelayBehavior {
-    engine: NodeId,
-    processing: SimTime,
-    pending: BTreeMap<u64, Envelope>,
-    next_token: u64,
-    trace: TraceSink,
-    policies: PolicySchedule,
-    adv_rng: Xoshiro256StarStar,
-    adversary: Option<SharedCollusionLedger>,
-    sink: SharedSink,
-    local_peak: u64,
-}
-
-impl NodeBehavior for SoakRelayBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        match envelope.tag {
-            TAG_FORWARD => {
-                let policy = self.policies.at(ctx.now());
-                let extra = if policy.is_hostile() {
-                    let verdict = policy.apply_to_forward(
-                        ctx.now(),
-                        ctx.self_id().0,
-                        parse_client(&envelope.payload).map(|n| n.0).unwrap_or(0),
-                        parse_real_seq(&envelope.payload),
-                        self.adversary.as_ref(),
-                        &mut self.adv_rng,
-                        &self.trace,
-                    );
-                    match verdict {
-                        Some(extra) => extra,
-                        None => return, // swallowed by a drop policy
-                    }
-                } else {
-                    SimTime::ZERO
-                };
-                let token = self.next_token;
-                self.next_token += 1;
-                self.pending.insert(token, envelope);
-                if self.pending.len() as u64 > self.local_peak {
-                    self.local_peak = self.pending.len() as u64;
-                    let mut sink = self.sink.lock().expect("sink poisoned");
-                    sink.peak_relay_pending = sink.peak_relay_pending.max(self.local_peak);
-                }
-                ctx.set_timer(self.processing + extra, token);
-            }
-            TAG_ENGINE_RESPONSE => {
-                if let Some(client) = parse_client(&envelope.payload) {
-                    ctx.send(client, TAG_RESPONSE, envelope.payload);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some(envelope) = self.pending.remove(&token) {
-            if self.trace.is_enabled() {
-                if let Some(seq) = parse_real_seq(&envelope.payload) {
-                    self.trace.emit(
-                        TraceEvent::new(ctx.now(), ctx.self_id().0, "relay.forward")
-                            .query(seq)
-                            .span(self.processing),
-                    );
-                }
-            }
-            ctx.send(self.engine, TAG_ENGINE_QUERY, envelope.payload);
-        }
-    }
-}
-
-/// The search-engine node, pruned like the relay.
-struct SoakEngineBehavior {
-    processing: LatencyModel,
-    rng: Xoshiro256StarStar,
-    pending: BTreeMap<u64, (NodeId, Vec<u8>, SimTime)>,
-    next_token: u64,
-    trace: TraceSink,
-    sink: SharedSink,
-    local_peak: u64,
-}
-
-impl NodeBehavior for SoakEngineBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag != TAG_ENGINE_QUERY {
-            return;
-        }
-        // Sampled unconditionally — tracing must never advance or skip a
-        // draw, or observed runs would diverge from unobserved ones.
-        let delay = self.processing.sample(&mut self.rng);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.pending
-            .insert(token, (envelope.src, envelope.payload, delay));
-        if self.pending.len() as u64 > self.local_peak {
-            self.local_peak = self.pending.len() as u64;
-            let mut sink = self.sink.lock().expect("sink poisoned");
-            sink.peak_engine_pending = sink.peak_engine_pending.max(self.local_peak);
-        }
-        ctx.set_timer(delay, token);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some((relay, payload, delay)) = self.pending.remove(&token) {
-            if self.trace.is_enabled() {
-                if let Some(seq) = parse_real_seq(&payload) {
-                    self.trace.emit(
-                        TraceEvent::new(ctx.now(), ctx.self_id().0, "engine.service")
-                            .query(seq)
-                            .span(delay),
-                    );
-                }
-            }
-            ctx.send(relay, TAG_ENGINE_RESPONSE, payload);
-        }
-    }
-}
-
-/// One in-flight query plan; pruned from the client's map the moment the
-/// answer arrives or the retry budget is exhausted (late answers after
-/// exhaustion are discarded — bounded memory requires closing plans).
-struct Inflight {
-    sent_at: SimTime,
-    attempts: u32,
-    real_relay: Option<NodeId>,
-    fake_relays: Vec<NodeId>,
-}
+/// The outcome under construction, shared with the client: it fills in
+/// the windows, counters, peaks and violations, the runner the rest.
+type SharedSink = Arc<Mutex<SoakOutcome>>;
 
 /// Modelled resident cost of one in-flight map entry (key + struct); the
 /// fake list adds [`PEER_COST`] per entry on top.
@@ -535,21 +383,19 @@ const OUTBOX_COST: usize = 64;
 /// Modelled resident cost of one blacklist entry.
 const BLACKLIST_COST: usize = 48;
 
-struct SoakClientBehavior {
+/// The soak client: chains its launches and keeps only the in-flight
+/// window, checking the run's invariants as it goes.
+struct SoakClient {
+    config: SoakConfig,
     relays: Vec<NodeId>,
-    k: usize,
-    queries: u64,
-    window_queries: u64,
     arrival: ArrivalModel,
     rng: Xoshiro256StarStar,
-    retry_timeout: SimTime,
-    max_retries: u32,
-    adaptive: bool,
-    uplink_per_request: SimTime,
     next_seq: u64,
-    inflight: BTreeMap<u64, Inflight>,
-    blacklist: BTreeMap<NodeId, SimTime>,
-    blacklist_ttl: Option<SimTime>,
+    /// The in-flight plans; each is pruned the moment its answer arrives
+    /// or its retry budget is exhausted (late answers after exhaustion
+    /// are discarded — bounded memory requires closing plans).
+    inflight: BTreeMap<u64, Plan>,
+    blacklist: Blacklist,
     outbox: BTreeMap<u64, (NodeId, Vec<u8>)>,
     next_outbox: u64,
     /// High-water marks reported to the sink only when they move — the
@@ -560,17 +406,9 @@ struct SoakClientBehavior {
     trace: TraceSink,
 }
 
-impl SoakClientBehavior {
+impl SoakClient {
     fn window_index(&self, seq: u64) -> usize {
-        (seq / self.window_queries.max(1)) as usize
-    }
-
-    fn usable(&self, now: SimTime) -> Vec<NodeId> {
-        self.relays
-            .iter()
-            .copied()
-            .filter(|r| !on_probation(&self.blacklist, self.blacklist_ttl, *r, now))
-            .collect()
+        (seq / self.config.window_queries.max(1)) as usize
     }
 
     /// Recomputes the modelled resident footprint after a state change
@@ -593,18 +431,25 @@ impl SoakClientBehavior {
         if total > self.peak_resident || count > self.peak_inflight {
             self.peak_resident = self.peak_resident.max(total);
             self.peak_inflight = self.peak_inflight.max(count);
-            let mut sink = self.sink.lock().expect("sink poisoned");
+            let mut sink = lock(&self.sink);
             sink.peak_resident_bytes = sink.peak_resident_bytes.max(self.peak_resident);
             sink.peak_inflight = sink.peak_inflight.max(self.peak_inflight);
         }
     }
 
-    /// Hands one request to a relay, asserting the probation invariant:
-    /// a blacklisted relay must never be selected while its probation is
-    /// in force.
-    fn defer_send(&mut self, ctx: &mut Context<'_>, relay: NodeId, payload: Vec<u8>, slot: u64) {
-        if on_probation(&self.blacklist, self.blacklist_ttl, relay, ctx.now()) {
-            self.sink.lock().expect("sink poisoned").violation(format!(
+    /// Hands one request of query `seq` to a relay, asserting the
+    /// probation invariant: a blacklisted relay must never be selected
+    /// while its probation is in force.
+    fn defer_send(
+        &mut self,
+        ctx: &mut Context<'_>,
+        relay: NodeId,
+        seq: u64,
+        real: bool,
+        slot: u64,
+    ) {
+        if self.blacklist.bars(relay, ctx.now()) {
+            lock(&self.sink).violation(format!(
                 "probation breach: relay {} selected at {} while blacklisted",
                 relay.0,
                 ctx.now()
@@ -612,58 +457,39 @@ impl SoakClientBehavior {
         }
         let token = OUTBOX_BASE + self.next_outbox;
         self.next_outbox += 1;
-        self.outbox.insert(token, (relay, payload));
-        let delay = SimTime::from_nanos(self.uplink_per_request.as_nanos() * (slot + 1));
+        let request = Request {
+            client: ctx.self_id().0,
+            seq,
+            real,
+        };
+        self.outbox.insert(token, (relay, request.encode()));
+        let delay =
+            SimTime::from_nanos(self.config.client_uplink_per_request.as_nanos() * (slot + 1));
         ctx.set_timer(delay, token);
     }
 
     fn launch(&mut self, ctx: &mut Context<'_>) {
         let seq = self.next_seq;
-        if seq >= self.queries {
+        if seq >= self.config.queries {
             return;
         }
         self.next_seq += 1;
         // Chain the next launch before doing anything else, so a
         // pathological window can never stall the arrival process.
-        if self.next_seq < self.queries {
+        if self.next_seq < self.config.queries {
             ctx.set_timer(self.arrival.interval(seq), TOKEN_LAUNCH);
         }
         let window = self.window_index(seq);
-        let usable = self.usable(ctx.now());
+        let usable = self.blacklist.usable(&self.relays, ctx.now());
         if usable.len() < 2 {
             // Not enough population for even a degenerate plan: count the
             // launch as skipped (it stays unanswered) and move on.
-            let mut sink = self.sink.lock().expect("sink poisoned");
+            let mut sink = lock(&self.sink);
             sink.windows[window].launched += 1;
             sink.windows[window].skipped += 1;
             return;
         }
-        let picks = self.rng.sample_indices(usable.len(), self.k + 1);
-        let real_slot = self.rng.gen_index(picks.len());
-        let mut entry = Inflight {
-            sent_at: ctx.now(),
-            attempts: 0,
-            real_relay: None,
-            fake_relays: Vec::with_capacity(self.k),
-        };
-        let mut sends: Vec<(NodeId, Vec<u8>, u64)> = Vec::with_capacity(picks.len());
-        for (slot, relay_index) in picks.into_iter().enumerate() {
-            let relay = usable[relay_index];
-            let flag = if slot == real_slot { "R" } else { "F" };
-            let payload = format!(
-                "{}|{}|{}|query number {} terms",
-                ctx.self_id().0,
-                seq,
-                flag,
-                seq
-            );
-            if slot == real_slot {
-                entry.real_relay = Some(relay);
-            } else {
-                entry.fake_relays.push(relay);
-            }
-            sends.push((relay, payload.into_bytes(), slot as u64));
-        }
+        let (entry, requests) = Plan::draw(&usable, self.config.k, ctx.now(), &mut self.rng);
         // Plan-distinctness invariant: `sample_indices` draws without
         // replacement, so a duplicate relay means the sampler broke.
         let mut relays_used: Vec<NodeId> = entry.fake_relays.clone();
@@ -672,10 +498,7 @@ impl SoakClientBehavior {
         let before = relays_used.len();
         relays_used.dedup();
         if relays_used.len() != before {
-            self.sink
-                .lock()
-                .expect("sink poisoned")
-                .violation(format!("plan for query {seq} doubled up a relay"));
+            lock(&self.sink).violation(format!("plan for query {seq} doubled up a relay"));
         }
         if self.trace.is_enabled() {
             if let Some(real) = entry.real_relay {
@@ -688,12 +511,12 @@ impl SoakClientBehavior {
             }
         }
         self.inflight.insert(seq, entry);
-        self.sink.lock().expect("sink poisoned").windows[window].launched += 1;
-        for (relay, payload, slot) in sends {
-            self.defer_send(ctx, relay, payload, slot);
+        lock(&self.sink).windows[window].launched += 1;
+        for (slot, (relay, real)) in requests.into_iter().enumerate() {
+            self.defer_send(ctx, relay, seq, real, slot as u64);
         }
         self.account();
-        ctx.set_timer(self.retry_timeout, RETRY_BASE + seq);
+        ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq);
     }
 
     fn retry(&mut self, ctx: &mut Context<'_>, seq: u64) {
@@ -702,47 +525,24 @@ impl SoakClientBehavior {
         let Some(entry) = self.inflight.get_mut(&seq) else {
             return; // answered and pruned — the timer outlived the query
         };
-        if entry.attempts >= self.max_retries {
+        if entry.attempts >= self.config.max_retries {
             // Retry budget exhausted: the query stays unanswered; prune
             // its state so the resident footprint tracks the live window.
             self.inflight.remove(&seq);
             self.account();
             return;
         }
-        let failed = entry.real_relay.take();
-        entry.attempts += 1;
+        let (failed, replacement) =
+            entry.repair(&mut self.blacklist, &self.relays, now, &mut self.rng);
         let attempts = entry.attempts;
-        let fakes = entry.fake_relays.clone();
-        if let Some(dead) = failed {
-            self.blacklist.insert(dead, now);
-        }
-        let usable = self.usable(now);
-        if usable.is_empty() {
-            ctx.set_timer(self.retry_timeout, RETRY_BASE + seq);
+        let Some(replacement) = replacement else {
+            ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq);
             return;
-        }
+        };
         {
-            let mut sink = self.sink.lock().expect("sink poisoned");
+            let mut sink = lock(&self.sink);
             sink.retries += 1;
             sink.windows[window].retries += 1;
-        }
-        // Keep the plan's relays distinct (the core repair's rule):
-        // prefer a replacement not already carrying one of this query's
-        // fakes, falling back to any usable relay only when the
-        // population is too depleted to avoid it.
-        let distinct: Vec<NodeId> = usable
-            .iter()
-            .copied()
-            .filter(|r| !fakes.contains(r))
-            .collect();
-        let pool = if distinct.is_empty() {
-            &usable
-        } else {
-            &distinct
-        };
-        let replacement = pool[self.rng.gen_index(pool.len())];
-        if let Some(entry) = self.inflight.get_mut(&seq) {
-            entry.real_relay = Some(replacement);
         }
         if self.trace.is_enabled() {
             let mut event = TraceEvent::new(now, ctx.self_id().0, "query.repair")
@@ -753,59 +553,30 @@ impl SoakClientBehavior {
             }
             self.trace.emit(event.attr("replacement", replacement.0));
         }
-        let payload = format!("{}|{}|R|query number {} terms", ctx.self_id().0, seq, seq);
-        self.defer_send(ctx, replacement, payload.into_bytes(), 0);
-        if self.adaptive {
-            self.top_up_fakes(ctx, seq, replacement);
+        self.defer_send(ctx, replacement, seq, true, 0);
+        if self.config.adaptive {
+            self.top_up_fakes(ctx, seq);
         }
         self.account();
-        ctx.set_timer(self.retry_timeout, RETRY_BASE + seq);
+        ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq);
     }
 
-    /// The adaptive-k repair: fakes entrusted to meanwhile-blacklisted
-    /// relays are presumed lost with them, so the resubmission carries
-    /// the shortfall too.
-    fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: u64, real_replacement: NodeId) {
-        let now = ctx.now();
+    /// The adaptive-k repair on a retry (see [`Plan::top_up`]): the
+    /// resubmission carries the fake shortfall too.
+    fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: u64) {
+        let (k, now) = (self.config.k, ctx.now());
         let window = self.window_index(seq);
-        let blacklist = &self.blacklist;
-        let ttl = self.blacklist_ttl;
         let Some(entry) = self.inflight.get_mut(&seq) else {
             return;
         };
-        entry
-            .fake_relays
-            .retain(|r| !on_probation(blacklist, ttl, *r, now));
-        let shortfall = self.k.saturating_sub(entry.fake_relays.len());
-        if shortfall == 0 {
-            return;
-        }
-        let in_use = entry.fake_relays.clone();
-        let candidates: Vec<NodeId> = self
-            .usable(now)
-            .into_iter()
-            .filter(|r| *r != real_replacement && !in_use.contains(r))
-            .collect();
-        let picks = self
-            .rng
-            .sample_indices(candidates.len(), shortfall.min(candidates.len()));
-        let mut sends: Vec<(NodeId, Vec<u8>, u64)> = Vec::new();
-        let mut topped_up = 0u64;
-        if let Some(entry) = self.inflight.get_mut(&seq) {
-            for (slot, index) in picks.into_iter().enumerate() {
-                let relay = candidates[index];
-                let payload = format!("{}|{}|F|query number {} terms", ctx.self_id().0, seq, seq);
-                sends.push((relay, payload.into_bytes(), slot as u64 + 1));
-                entry.fake_relays.push(relay);
-                topped_up += 1;
-            }
-        }
-        for (relay, payload, slot) in sends {
-            self.defer_send(ctx, relay, payload, slot);
+        let fresh = entry.top_up(&self.blacklist, &self.relays, k, now, &mut self.rng);
+        let topped_up = fresh.len() as u64;
+        for (slot, relay) in fresh.into_iter().enumerate() {
+            self.defer_send(ctx, relay, seq, false, slot as u64 + 1);
         }
         if topped_up > 0 {
             {
-                let mut sink = self.sink.lock().expect("sink poisoned");
+                let mut sink = lock(&self.sink);
                 sink.fakes_topped_up += topped_up;
                 sink.windows[window].topped_up += topped_up;
             }
@@ -825,19 +596,15 @@ impl SoakClientBehavior {
         let Some(entry) = self.inflight.remove(&seq) else {
             return; // duplicate response, or a late answer after pruning
         };
-        let achieved_k = entry
-            .fake_relays
-            .iter()
-            .filter(|r| !on_probation(&self.blacklist, self.blacklist_ttl, **r, now))
-            .count();
+        let achieved_k = entry.achieved_k(&self.blacklist, now);
         let round_trip = now.checked_sub(entry.sent_at);
-        let mut sink = self.sink.lock().expect("sink poisoned");
+        let mut sink = lock(&self.sink);
         // The achieved-k ledger invariant: dilution can degrade under
         // churn but can never exceed the configured target.
-        if achieved_k > self.k {
+        if achieved_k > self.config.k {
             sink.violation(format!(
                 "query {seq} recorded achieved_k {achieved_k} above target {}",
-                self.k
+                self.config.k
             ));
         }
         let latency_s = match round_trip {
@@ -857,7 +624,7 @@ impl SoakClientBehavior {
         w.latency_sum_s += latency_s;
         w.latency_max_s = w.latency_max_s.max(latency_s);
         w.min_achieved_k = w.min_achieved_k.min(achieved_k);
-        if achieved_k < self.k {
+        if achieved_k < self.config.k {
             w.under_target += 1;
         }
         drop(sink);
@@ -865,7 +632,7 @@ impl SoakClientBehavior {
             let mut event = TraceEvent::new(now, ctx.self_id().0, "query.answered")
                 .query(seq)
                 .attr("achieved_k", achieved_k)
-                .attr("assessed_k", self.k)
+                .attr("assessed_k", self.config.k)
                 .attr("attempts", entry.attempts);
             if let Some(rt) = round_trip {
                 event = event.span(rt);
@@ -876,23 +643,16 @@ impl SoakClientBehavior {
     }
 }
 
-impl NodeBehavior for SoakClientBehavior {
+impl NodeBehavior for SoakClient {
     fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
         if envelope.tag != TAG_RESPONSE {
             return;
         }
-        let text = String::from_utf8_lossy(&envelope.payload).to_string();
-        let mut parts = text.splitn(4, '|');
-        let _client = parts.next();
-        let seq: u64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(u64::MAX);
-        let flag = parts.next().unwrap_or("");
-        if flag != "R" || seq >= self.queries {
-            return;
+        // Answers to fakes are dropped; `answered` ignores sequence
+        // numbers that are not in flight.
+        if let Some(seq) = Request::parse(&envelope.payload).and_then(|r| r.real_seq()) {
+            self.answered(ctx, seq);
         }
-        self.answered(ctx, seq);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
@@ -912,85 +672,42 @@ impl NodeBehavior for SoakClientBehavior {
 /// Runs the soak on any engine with observability hooks. The returned
 /// outcome is a pure function of the configuration — bit-identical
 /// across engines and shard counts for a given seed, traced or not.
-pub fn run_soak_on<E: Engine>(
-    engine_impl: &mut E,
+pub fn run_soak_on<E: Engine + ?Sized>(
+    engine: &mut E,
     config: &SoakConfig,
     trace: &TraceSink,
 ) -> SoakOutcome {
     assert!(config.relays > config.k, "need at least k + 1 relays");
     assert!(config.queries > 0, "an empty soak proves nothing");
-    engine_impl.set_default_latency(LatencyModel::wan());
-    let engine = NodeId(0);
-    let relays: Vec<NodeId> = (1..=config.relays as u64).map(NodeId).collect();
-    let client = NodeId(config.relays as u64 + 1);
-    let horizon = config.horizon();
-
-    let sink: SharedSink = Arc::new(Mutex::new(SoakSink {
+    let mut deployed = deploy(
+        engine,
+        Fleet {
+            relays: config.relays,
+            seed: config.seed,
+            salt: SOAK_SALT,
+            cost: &config.cost,
+            adversary: config.adversary,
+            extra: &ChaosPlan::new(),
+            trace,
+            metrics: None,
+        },
+    );
+    let sink: SharedSink = Arc::new(Mutex::new(SoakOutcome {
         windows: (0..config.windows())
             .map(|w| SoakWindow::new(w as u64 * config.window_queries.max(1)))
             .collect(),
-        ..SoakSink::default()
+        ..SoakOutcome::default()
     }));
-
-    let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ 0x50AC);
-    engine_impl.add_node(
-        engine,
-        Box::new(SoakEngineBehavior {
-            processing: LatencyModel::search_engine_processing(),
-            rng: rng.fork(1),
-            pending: BTreeMap::new(),
-            next_token: 0,
-            trace: trace.clone(),
-            sink: sink.clone(),
-            local_peak: 0,
-        }),
-    );
-
-    let adversary_plan = config
-        .adversary
-        .map(|a| a.plan(config.relays, config.seed))
-        .unwrap_or_default();
-    let any_hostile = !adversary_plan.byzantine_relays().is_empty();
-    let ledger: Option<SharedCollusionLedger> =
-        any_hostile.then(|| Arc::new(Mutex::new(CollusionLedger::default())));
-    let processing = SimTime::from_nanos(relay_service_time_ns(&config.cost, 512));
-    for &relay in &relays {
-        let policies = adversary_plan.policy_schedule_for(relay);
-        let hostile = policies.is_hostile();
-        engine_impl.add_node(
-            relay,
-            Box::new(SoakRelayBehavior {
-                engine,
-                processing,
-                pending: BTreeMap::new(),
-                next_token: 0,
-                trace: trace.clone(),
-                policies,
-                adv_rng: adversary_stream(config.seed, relay),
-                adversary: if hostile { ledger.clone() } else { None },
-                sink: sink.clone(),
-                local_peak: 0,
-            }),
-        );
-    }
-
-    engine_impl.add_node(
-        client,
-        Box::new(SoakClientBehavior {
-            relays: relays.clone(),
-            k: config.k,
-            queries: config.queries,
-            window_queries: config.window_queries,
+    engine.add_node(
+        deployed.client,
+        Box::new(SoakClient {
+            config: config.clone(),
+            relays: deployed.relays.clone(),
             arrival: config.arrival(),
-            rng: rng.fork(2),
-            retry_timeout: config.retry_timeout,
-            max_retries: config.max_retries,
-            adaptive: config.adaptive,
-            uplink_per_request: config.client_uplink_per_request,
+            rng: deployed.rng.fork(2),
             next_seq: 0,
             inflight: BTreeMap::new(),
-            blacklist: BTreeMap::new(),
-            blacklist_ttl: config.blacklist_ttl,
+            blacklist: Blacklist::new(config.blacklist_ttl),
             outbox: BTreeMap::new(),
             next_outbox: 0,
             peak_resident: 0,
@@ -1001,54 +718,40 @@ pub fn run_soak_on<E: Engine>(
     );
     // One chained launch timer, not `queries` up-front timers: the first
     // query launches after `interval(0)` and each launch arms the next.
-    engine_impl.schedule_timer(config.arrival().interval(0), client, TOKEN_LAUNCH);
+    engine.schedule_timer(config.arrival().interval(0), deployed.client, TOKEN_LAUNCH);
 
     // Model-driven churn over the relay population, plus the adversary's
     // activation annotations (policies were applied at build time).
     let churn_plan = config
         .churn
         .as_ref()
-        .map(|model| model.sample(&relays, horizon, config.seed))
+        .map(|model| model.sample(&deployed.relays, config.horizon(), config.seed))
         .unwrap_or_default();
-    churn_plan.apply_traced(engine_impl, trace);
-    adversary_plan.apply_traced(engine_impl, trace);
+    churn_plan.apply_traced(engine, trace);
+    deployed.adversary_plan.apply_traced(engine, trace);
 
-    engine_impl.run();
+    engine.run();
 
-    let (dropped, delayed, observed_real) = ledger
-        .map(|ledger| {
-            let ledger = ledger.lock().expect("ledger poisoned");
-            let (dropped, delayed, _) = ledger.tampered();
-            (dropped, delayed, ledger.observed_real())
-        })
-        .unwrap_or_default();
+    let ((dropped, delayed, _), observed_real) =
+        deployed.coalition(|l| (l.tampered(), l.observed_real()));
     // The engine still owns the behaviours (and their sink handles), so
     // read the sink through the lock rather than unwrapping the Arc.
-    let sink = sink.lock().expect("sink poisoned");
-    let mut windows = sink.windows.clone();
-    for window in &mut windows {
+    let mut outcome = lock(&sink).clone();
+    for window in &mut outcome.windows {
         if window.min_achieved_k == usize::MAX {
             window.min_achieved_k = 0;
         }
     }
     SoakOutcome {
-        windows,
-        answered: sink.answered,
-        unanswered: config.queries - sink.answered,
-        retries: sink.retries,
-        fakes_topped_up: sink.fakes_topped_up,
-        clamped_samples: sink.clamped_samples,
-        peak_inflight: sink.peak_inflight,
-        peak_resident_bytes: sink.peak_resident_bytes,
-        peak_relay_pending: sink.peak_relay_pending,
-        peak_engine_pending: sink.peak_engine_pending,
-        byzantine_relays: adversary_plan.byzantine_relays().len(),
+        unanswered: config.queries - outcome.answered,
+        peak_relay_pending: deployed.relay_peak.get(),
+        peak_engine_pending: deployed.engine_peak.get(),
+        byzantine_relays: deployed.byzantine_relays,
         byzantine_dropped: dropped,
         byzantine_delayed: delayed,
         colluded_real_observed: observed_real,
-        violations: sink.violations.clone(),
-        violation_count: sink.violation_count,
-        stats: engine_impl.stats(),
+        stats: engine.stats(),
+        ..outcome
     }
 }
 
@@ -1058,17 +761,11 @@ pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
     run_soak_on(&mut simulation, config, &TraceSink::disabled())
 }
 
-/// [`run_soak_on`] on the sharded parallel engine. Same seed ⇒ same
-/// outcome as the sequential run, bit for bit, for any shard count.
-pub fn run_soak_sharded(config: &SoakConfig, shards: usize) -> SoakOutcome {
-    let mut engine = ShardedEngine::new(config.seed, shards);
-    run_soak_on(&mut engine, config, &TraceSink::disabled())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::ByzantinePolicy;
+    use crate::deployment::{ChurnTelemetry, EngineChoice};
 
     fn tiny(queries: u64) -> SoakConfig {
         SoakConfig {
@@ -1172,7 +869,9 @@ mod tests {
         };
         let baseline = run_soak(&config);
         for shards in [1, 2, 4, 8] {
-            let sharded = run_soak_sharded(&config, shards);
+            let mut engine =
+                EngineChoice::Sharded(shards).build(config.seed, &ChurnTelemetry::default());
+            let sharded = run_soak_on(&mut *engine, &config, &TraceSink::disabled());
             assert_eq!(sharded, baseline, "soak diverged with {shards} shards");
         }
     }

@@ -1,15 +1,10 @@
-//! Simulated CYCLOSA deployments: the system experiments of Fig. 8.
+//! The analytical side of the Fig. 8 system experiments (the
+//! message-level deployment — client, relays, search engine on an event
+//! engine — lives in `cyclosa_chaos::deployment`, which builds on the
+//! service-time model here).
 //!
-//! * [`run_end_to_end_latency`] — a discrete-event simulation of a client,
-//!   a population of relays and the search engine, producing the per-query
-//!   end-to-end latency distribution (Fig. 8a, Fig. 8b). The latency of a
-//!   protected query is the latency of its *real* query path: fake queries
-//!   travel in parallel and their responses are dropped. The experiment is
-//!   generic over the execution engine ([`run_end_to_end_latency_on`]):
-//!   it produces bit-identical output on the sequential simulator and on
-//!   the sharded parallel engine ([`run_end_to_end_latency_sharded`]),
-//!   and threads [`DeploymentMetrics`] through relay forwarding, engine
-//!   queries and the client's latency accounting.
+//! * [`relay_service_time_ns`] / [`xsearch_service_time_ns`] — the
+//!   in-enclave cost of one relayed request, from the SGX cost model.
 //! * [`throughput_latency_curve`] — the closed-loop relay saturation curve
 //!   of Fig. 8c, driven by the SGX cost model and an M/D/1 queueing
 //!   approximation of the relay's request pipeline.
@@ -17,107 +12,15 @@
 //!   Fig. 8d: 100 active users at the AOL rate (31.23 queries/hour) either
 //!   spread their `k + 1` requests over all CYCLOSA nodes or funnel them
 //!   through a single X-SEARCH proxy that the engine promptly blocks.
+//! * [`converge_peer_views`] — gossip warm-up for a population of
+//!   [`CyclosaNode`]s.
 
 use crate::node::CyclosaNode;
-use cyclosa_net::engine::Engine;
-use cyclosa_net::latency::LatencyModel;
-use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
-use cyclosa_net::time::SimTime;
-use cyclosa_net::NodeId;
-use cyclosa_runtime::metrics::{Counter, Histogram, Registry};
-use cyclosa_runtime::ShardedEngine;
 use cyclosa_search_engine::ratelimit::{RateLimiter, RateLimiterConfig};
 use cyclosa_sgx::enclave::CostModel;
-use cyclosa_telemetry::{TraceEvent, TraceSink};
 use cyclosa_util::dist::Exponential;
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use cyclosa_util::stats::jain_fairness;
-use std::sync::{Arc, Mutex};
-
-const TAG_FORWARD: u32 = 1;
-const TAG_ENGINE_QUERY: u32 = 2;
-const TAG_ENGINE_RESPONSE: u32 = 3;
-const TAG_RESPONSE: u32 = 4;
-
-/// Metric handles threaded through the simulated deployment: relay
-/// forwarding, search-engine queries and the client's end-to-end latency.
-///
-/// Handles are cheap `Arc` clones, so one set can be shared by every relay
-/// across every shard of the parallel engine. Recording never feeds back
-/// into scheduling — instrumented runs remain bit-identical.
-#[derive(Debug, Clone)]
-pub struct DeploymentMetrics {
-    /// Requests forwarded by relays towards the engine.
-    pub relay_forwarded: Counter,
-    /// Distribution of in-enclave relay service times (ns).
-    pub relay_service_ns: Histogram,
-    /// Queries received by the search engine.
-    pub engine_queries: Counter,
-    /// Distribution of engine processing delays (ns).
-    pub engine_processing_ns: Histogram,
-    /// Distribution of real-query end-to-end latencies (ns).
-    pub end_to_end_ns: Histogram,
-}
-
-impl DeploymentMetrics {
-    /// Registers the deployment metrics under their canonical names
-    /// (`relay.forwarded`, `relay.service_ns`, `engine.queries`,
-    /// `engine.processing_ns`, `client.end_to_end_ns`).
-    pub fn register(registry: &Registry) -> Self {
-        Self {
-            relay_forwarded: registry.counter("relay.forwarded"),
-            relay_service_ns: registry.histogram("relay.service_ns"),
-            engine_queries: registry.counter("engine.queries"),
-            engine_processing_ns: registry.histogram("engine.processing_ns"),
-            end_to_end_ns: registry.histogram("client.end_to_end_ns"),
-        }
-    }
-
-    /// Free-standing handles not attached to any registry (used when the
-    /// caller does not care about metrics).
-    pub fn detached() -> Self {
-        Self {
-            relay_forwarded: Counter::new(),
-            relay_service_ns: Histogram::new(),
-            engine_queries: Counter::new(),
-            engine_processing_ns: Histogram::new(),
-            end_to_end_ns: Histogram::new(),
-        }
-    }
-}
-
-/// Configuration of the end-to-end latency experiment (Fig. 8a / 8b).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EndToEndConfig {
-    /// Number of relay nodes in the deployment.
-    pub relays: usize,
-    /// Number of fake queries per user query.
-    pub k: usize,
-    /// Number of user queries to issue.
-    pub queries: usize,
-    /// Experiment seed.
-    pub seed: u64,
-    /// SGX transition cost model used by the relays.
-    pub cost: CostModel,
-    /// Client-side serialization delay per outgoing request: the browser
-    /// extension encrypts and uploads the `k + 1` requests one after the
-    /// other over a residential uplink, so larger `k` slightly delays the
-    /// real query (this is what makes the Fig. 8b medians grow with `k`).
-    pub client_uplink_per_request: SimTime,
-}
-
-impl Default for EndToEndConfig {
-    fn default() -> Self {
-        Self {
-            relays: 50,
-            k: 3,
-            queries: 200,
-            seed: 2018,
-            cost: CostModel::default(),
-            client_uplink_per_request: SimTime::from_millis(45),
-        }
-    }
-}
 
 /// Simulated service time of one relayed request inside the enclave:
 /// one ecall (decrypt + table update), one ocall (hand the request to the
@@ -135,265 +38,6 @@ pub fn xsearch_service_time_ns(cost: &CostModel, payload_bytes: usize, k: usize)
     relay_service_time_ns(cost, aggregated)
         + cost.ecall_cost(aggregated, 2 * 1024 * 1024)
         + cost.ecall_cost(aggregated * 4, 2 * 1024 * 1024)
-}
-
-struct RelayBehavior {
-    engine: NodeId,
-    processing: SimTime,
-    pending: Vec<Envelope>,
-    metrics: DeploymentMetrics,
-}
-
-impl NodeBehavior for RelayBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        match envelope.tag {
-            TAG_FORWARD => {
-                // Model the in-enclave processing time before contacting the
-                // engine.
-                self.pending.push(envelope);
-                ctx.set_timer(self.processing, (self.pending.len() - 1) as u64);
-            }
-            TAG_ENGINE_RESPONSE => {
-                // payload = "client_id|seq|flag|text": route back to the client.
-                if let Some(client) = parse_client(&envelope.payload) {
-                    ctx.send(client, TAG_RESPONSE, envelope.payload);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some(envelope) = self.pending.get(token as usize) {
-            self.metrics.relay_forwarded.inc();
-            self.metrics.relay_service_ns.record_time(self.processing);
-            ctx.send(self.engine, TAG_ENGINE_QUERY, envelope.payload.clone());
-        }
-    }
-}
-
-struct EngineBehavior {
-    processing: LatencyModel,
-    rng: Xoshiro256StarStar,
-    pending: Vec<(NodeId, Vec<u8>)>,
-    metrics: DeploymentMetrics,
-}
-
-impl NodeBehavior for EngineBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag != TAG_ENGINE_QUERY {
-            return;
-        }
-        let delay = self.processing.sample(&mut self.rng);
-        self.metrics.engine_queries.inc();
-        self.metrics.engine_processing_ns.record_time(delay);
-        self.pending.push((envelope.src, envelope.payload));
-        ctx.set_timer(delay, (self.pending.len() - 1) as u64);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if let Some((relay, payload)) = self.pending.get(token as usize).cloned() {
-            ctx.send(relay, TAG_ENGINE_RESPONSE, payload);
-        }
-    }
-}
-
-struct ClientBehavior {
-    relays: Vec<NodeId>,
-    k: usize,
-    queries: Vec<String>,
-    rng: Xoshiro256StarStar,
-    sent_at: Vec<Option<SimTime>>,
-    latencies: Arc<Mutex<Vec<f64>>>,
-    metrics: DeploymentMetrics,
-    uplink_per_request: SimTime,
-    /// Deferred sends: (destination, payload) scheduled behind the uplink.
-    outbox: Vec<(NodeId, Vec<u8>)>,
-    /// Per-query causal trace (disabled by default — emission is a no-op
-    /// and, like the metrics, never feeds back into scheduling).
-    trace: TraceSink,
-}
-
-impl NodeBehavior for ClientBehavior {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag != TAG_RESPONSE {
-            return;
-        }
-        let text = String::from_utf8_lossy(&envelope.payload).to_string();
-        let mut parts = text.splitn(4, '|');
-        let _client = parts.next();
-        let seq: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(usize::MAX);
-        let flag = parts.next().unwrap_or("");
-        if flag == "R" {
-            if let Some(Some(sent)) = self.sent_at.get(seq) {
-                let elapsed = ctx.now().saturating_sub(*sent);
-                self.metrics.end_to_end_ns.record_time(elapsed);
-                self.latencies
-                    .lock()
-                    .expect("latency sink poisoned")
-                    .push(elapsed.as_secs_f64());
-                if self.trace.is_enabled() {
-                    // The failure-free deployment delivers every fake, so
-                    // the achieved anonymity set equals the assessed one.
-                    self.trace.emit(
-                        TraceEvent::new(ctx.now(), ctx.self_id().0, "query.answered")
-                            .query(seq as u64)
-                            .span(elapsed)
-                            .attr("achieved_k", self.k)
-                            .attr("assessed_k", self.k),
-                    );
-                }
-            }
-        }
-        // Responses to fake queries are silently dropped (paper §IV step 8).
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        // Tokens below the deferred-send base identify user queries; tokens
-        // above it identify entries of the outbox whose uplink slot arrived.
-        const OUTBOX_BASE: u64 = 1 << 40;
-        if token >= OUTBOX_BASE {
-            if let Some((relay, payload)) = self.outbox.get((token - OUTBOX_BASE) as usize).cloned()
-            {
-                ctx.send(relay, TAG_FORWARD, payload);
-            }
-            return;
-        }
-        let seq = token as usize;
-        let Some(query) = self.queries.get(seq).cloned() else {
-            return;
-        };
-        // Pick k + 1 distinct relays from the view.
-        let picks = self.rng.sample_indices(self.relays.len(), self.k + 1);
-        let real_slot = self.rng.gen_index(picks.len());
-        if self.trace.is_enabled() {
-            self.trace.emit(
-                TraceEvent::new(ctx.now(), ctx.self_id().0, "query.launch")
-                    .query(seq as u64)
-                    .attr("relay", self.relays[picks[real_slot]].0)
-                    .attr("fakes", picks.len() - 1),
-            );
-        }
-        if self.sent_at.len() <= seq {
-            self.sent_at.resize(seq + 1, None);
-        }
-        self.sent_at[seq] = Some(ctx.now());
-        for (slot, relay_index) in picks.into_iter().enumerate() {
-            let flag = if slot == real_slot { "R" } else { "F" };
-            let payload = format!("{}|{}|{}|{}", ctx.self_id().0, seq, flag, query);
-            // Requests leave the client one uplink slot apart, in random
-            // relay order (slot order is already a random permutation).
-            self.outbox
-                .push((self.relays[relay_index], payload.into_bytes()));
-            let delay = SimTime::from_nanos(self.uplink_per_request.as_nanos() * (slot as u64 + 1));
-            ctx.set_timer(delay, OUTBOX_BASE + (self.outbox.len() - 1) as u64);
-        }
-    }
-}
-
-fn parse_client(payload: &[u8]) -> Option<NodeId> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let id: u64 = text.split('|').next()?.parse().ok()?;
-    Some(NodeId(id))
-}
-
-/// Runs the end-to-end latency experiment on `engine_impl` — any
-/// [`Engine`], sequential or sharded — recording into `metrics` and
-/// returning the per-query latencies (seconds) of the real-query path.
-///
-/// For a given `config.seed` the result is bit-identical across engines
-/// and shard counts (see `cyclosa_net::engine` for why).
-pub fn run_end_to_end_latency_on<E: Engine>(
-    engine_impl: &mut E,
-    config: &EndToEndConfig,
-    metrics: &DeploymentMetrics,
-) -> Vec<f64> {
-    run_end_to_end_latency_observed_on(engine_impl, config, metrics, &TraceSink::disabled())
-}
-
-/// [`run_end_to_end_latency_on`] plus a causal trace: the client stamps
-/// `query.launch` and `query.answered` events onto `trace`. With a
-/// disabled sink this *is* `run_end_to_end_latency_on` — emission draws
-/// no randomness and feeds nothing back, so the latencies are
-/// bit-identical either way.
-pub fn run_end_to_end_latency_observed_on<E: Engine>(
-    engine_impl: &mut E,
-    config: &EndToEndConfig,
-    metrics: &DeploymentMetrics,
-    trace: &TraceSink,
-) -> Vec<f64> {
-    assert!(config.relays > config.k, "need at least k + 1 relays");
-    engine_impl.set_default_latency(LatencyModel::wan());
-    let engine = NodeId(0);
-    let relays: Vec<NodeId> = (1..=config.relays as u64).map(NodeId).collect();
-    let client = NodeId(config.relays as u64 + 1);
-
-    let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed ^ 0xC11E);
-    engine_impl.add_node(
-        engine,
-        Box::new(EngineBehavior {
-            processing: LatencyModel::search_engine_processing(),
-            rng: rng.fork(1),
-            pending: Vec::new(),
-            metrics: metrics.clone(),
-        }),
-    );
-    let processing = SimTime::from_nanos(relay_service_time_ns(&config.cost, 512));
-    for &relay in &relays {
-        engine_impl.add_node(
-            relay,
-            Box::new(RelayBehavior {
-                engine,
-                processing,
-                pending: Vec::new(),
-                metrics: metrics.clone(),
-            }),
-        );
-    }
-    let latencies = Arc::new(Mutex::new(Vec::new()));
-    let queries: Vec<String> = (0..config.queries)
-        .map(|i| format!("query number {i} terms"))
-        .collect();
-    engine_impl.add_node(
-        client,
-        Box::new(ClientBehavior {
-            relays: relays.clone(),
-            k: config.k,
-            queries,
-            rng: rng.fork(2),
-            sent_at: Vec::new(),
-            latencies: latencies.clone(),
-            metrics: metrics.clone(),
-            uplink_per_request: config.client_uplink_per_request,
-            outbox: Vec::new(),
-            trace: trace.clone(),
-        }),
-    );
-    // One query every 500 ms of simulated time.
-    for i in 0..config.queries {
-        engine_impl.schedule_timer(SimTime::from_millis(500 * i as u64), client, i as u64);
-    }
-    engine_impl.run();
-    let collected = latencies.lock().expect("latency sink poisoned").clone();
-    collected
-}
-
-/// Runs the end-to-end latency experiment on the sequential simulator and
-/// returns the per-query latencies (seconds) of the real-query path.
-pub fn run_end_to_end_latency(config: EndToEndConfig) -> Vec<f64> {
-    let mut simulation = Simulation::new(config.seed);
-    run_end_to_end_latency_on(&mut simulation, &config, &DeploymentMetrics::detached())
-}
-
-/// Runs the end-to-end latency experiment on the sharded parallel engine
-/// with `shards` worker threads. Same seed ⇒ same output as
-/// [`run_end_to_end_latency`], bit for bit.
-pub fn run_end_to_end_latency_sharded(config: EndToEndConfig, shards: usize) -> Vec<f64> {
-    let mut engine = ShardedEngine::new(config.seed, shards);
-    run_end_to_end_latency_on(&mut engine, &config, &DeploymentMetrics::detached())
 }
 
 /// One point of the Fig. 8c throughput/latency curve.
@@ -526,7 +170,7 @@ pub fn run_load_experiment(config: LoadExperimentConfig) -> LoadReport {
             t += inter_arrival.sample(&mut rng);
         }
     }
-    arrivals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     for (at, _user) in arrivals {
         let bucket = ((at / 60.0) as u64 / config.bucket_minutes) as usize;
@@ -622,103 +266,6 @@ pub fn converge_peer_views(nodes: &mut [CyclosaNode], rounds: usize, seed: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cyclosa_util::stats::Summary;
-
-    #[test]
-    fn end_to_end_latency_is_sub_second_at_the_median() {
-        let config = EndToEndConfig {
-            relays: 20,
-            k: 3,
-            queries: 60,
-            ..EndToEndConfig::default()
-        };
-        let latencies = run_end_to_end_latency(config);
-        assert!(latencies.len() >= 55, "only {} samples", latencies.len());
-        let summary = Summary::from_samples(&latencies);
-        assert!(
-            summary.median > 0.3 && summary.median < 2.0,
-            "median {}",
-            summary.median
-        );
-    }
-
-    #[test]
-    fn sharded_engines_reproduce_the_sequential_latencies_exactly() {
-        let config = EndToEndConfig {
-            relays: 15,
-            k: 2,
-            queries: 30,
-            ..EndToEndConfig::default()
-        };
-        let sequential = run_end_to_end_latency(config);
-        assert!(!sequential.is_empty());
-        for shards in [1, 2, 4] {
-            assert_eq!(
-                run_end_to_end_latency_sharded(config, shards),
-                sequential,
-                "latencies diverged with {shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn deployment_metrics_observe_the_experiment() {
-        let registry = cyclosa_runtime::Registry::new();
-        let metrics = DeploymentMetrics::register(&registry);
-        let config = EndToEndConfig {
-            relays: 10,
-            k: 3,
-            queries: 20,
-            ..EndToEndConfig::default()
-        };
-        let mut simulation = Simulation::new(config.seed);
-        let latencies = run_end_to_end_latency_on(&mut simulation, &config, &metrics);
-        assert_eq!(metrics.end_to_end_ns.count() as usize, latencies.len());
-        // Every uploaded request is forwarded by exactly one relay and
-        // reaches the engine exactly once (no loss configured).
-        let expected = (config.queries * (config.k + 1)) as u64;
-        assert_eq!(metrics.relay_forwarded.get(), expected);
-        assert_eq!(metrics.engine_queries.get(), expected);
-        let snapshot = registry.snapshot();
-        let e2e = &snapshot
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "client.end_to_end_ns")
-            .unwrap()
-            .1;
-        assert!(
-            e2e.p50 > 300_000_000,
-            "median end-to-end below 0.3s: {}",
-            e2e.p50
-        );
-        assert!(e2e.p95 >= e2e.p50 && e2e.p99 >= e2e.p95);
-    }
-
-    #[test]
-    fn latency_grows_slowly_with_k() {
-        let base = EndToEndConfig {
-            relays: 30,
-            queries: 60,
-            ..EndToEndConfig::default()
-        };
-        let k0 =
-            Summary::from_samples(&run_end_to_end_latency(EndToEndConfig { k: 0, ..base })).median;
-        let k7 =
-            Summary::from_samples(&run_end_to_end_latency(EndToEndConfig { k: 7, ..base })).median;
-        // Fake queries travel in parallel: the median latency must not blow
-        // up with k (the paper's Fig. 8b shows < 1.5 s even at k = 7).
-        assert!(k7 < k0 * 2.5, "k=7 median {k7} vs k=0 median {k0}");
-    }
-
-    #[test]
-    #[should_panic(expected = "k + 1 relays")]
-    fn latency_experiment_needs_enough_relays() {
-        let _ = run_end_to_end_latency(EndToEndConfig {
-            relays: 2,
-            k: 5,
-            ..EndToEndConfig::default()
-        });
-    }
 
     #[test]
     fn throughput_curve_saturates_at_service_rate() {

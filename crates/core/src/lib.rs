@@ -18,9 +18,10 @@
 //!   channels, peer discovery, and the relay role.
 //! * [`mechanism`] — the [`cyclosa_mechanism::Mechanism`] implementation
 //!   used by the Fig. 5 / Fig. 6 evaluation harness.
-//! * [`deployment`] — simulated deployments: end-to-end latency (Fig. 8a,
-//!   8b), relay throughput (Fig. 8c) and the 90-minute load/rate-limit
-//!   experiment (Fig. 8d).
+//! * [`deployment`] — the analytical system models: relay and X-SEARCH
+//!   service times, relay throughput (Fig. 8c) and the 90-minute
+//!   load/rate-limit experiment (Fig. 8d). The message-level deployment
+//!   (Fig. 8a/8b, churn, soak) is `cyclosa_chaos::deployment`.
 //!
 //! # Quick start
 //!

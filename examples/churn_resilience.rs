@@ -5,12 +5,20 @@
 //!
 //! Run with `cargo run --example churn_resilience`.
 
-use cyclosa_chaos::experiment::{run_churn_experiment, run_churn_experiment_sharded, ChurnConfig};
-use cyclosa_chaos::{ChurnModel, FaultKind};
+use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
+use cyclosa_chaos::experiment::{run_churn_experiment_on, ChurnConfig, ChurnOutcome};
+use cyclosa_chaos::{ChaosPlan, ChurnModel, FaultKind};
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_util::stats::Summary;
+
+/// One untraced churn run on the chosen engine.
+fn run(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
+    let quiet = ChurnTelemetry::default();
+    let mut engine = choice.build(config.seed, &quiet);
+    run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), &quiet)
+}
 
 fn main() {
     // 1. Sweep the relay failure rate through the churn latency experiment:
@@ -29,7 +37,7 @@ fn main() {
             failure_rate: rate,
             ..ChurnConfig::default()
         };
-        let outcome = run_churn_experiment(&config);
+        let outcome = run(EngineChoice::Sequential, &config);
         let summary = Summary::from_samples(&outcome.latencies);
         println!(
             "{:>8.2}  {:>10.3}  {:>10.3}  {:>6}/{:<2}  {:>7}",
@@ -52,8 +60,8 @@ fn main() {
         recover: true,
         ..ChurnConfig::default()
     };
-    let sequential = run_churn_experiment(&config);
-    let sharded = run_churn_experiment_sharded(&config, 4);
+    let sequential = run(EngineChoice::Sequential, &config);
+    let sharded = run(EngineChoice::Sharded(4), &config);
     assert_eq!(sequential, sharded);
     println!(
         "\nsharded run (4 shards) is bit-identical to the sequential run: \

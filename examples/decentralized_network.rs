@@ -5,11 +5,14 @@
 //!
 //! Run with `cargo run --example decentralized_network`.
 
-use cyclosa::deployment::{converge_peer_views, run_end_to_end_latency, EndToEndConfig};
+use cyclosa::deployment::converge_peer_views;
 use cyclosa::node::{attested_channel_pair, CyclosaNode};
+use cyclosa_chaos::deployment::{run_end_to_end_latency_on, EndToEndConfig};
+use cyclosa_net::sim::Simulation;
 use cyclosa_sgx::attestation::AttestationService;
 use cyclosa_sgx::enclave::CostModel;
 use cyclosa_sgx::measurement::Measurement;
+use cyclosa_telemetry::TraceSink;
 use cyclosa_util::stats::Summary;
 
 fn main() {
@@ -50,14 +53,20 @@ fn main() {
 
     // 3. Measure end-to-end latency on the simulated WAN for k = 3 and k = 7.
     for k in [3usize, 7] {
-        let latencies = run_end_to_end_latency(EndToEndConfig {
+        let config = EndToEndConfig {
             relays: 30,
             k,
             queries: 100,
             seed: 2018 + k as u64,
             cost: CostModel::default(),
             ..EndToEndConfig::default()
-        });
+        };
+        let latencies = run_end_to_end_latency_on(
+            &mut Simulation::new(config.seed),
+            &config,
+            None,
+            &TraceSink::disabled(),
+        );
         let summary = Summary::from_samples(&latencies);
         println!(
             "k = {k}: median end-to-end latency {:.3} s (p95 {:.3} s) over {} queries",

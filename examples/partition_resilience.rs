@@ -6,11 +6,17 @@
 //!
 //! Run with `cargo run --example partition_resilience`.
 
+use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
 use cyclosa_chaos::experiment::ChurnConfig;
-use cyclosa_chaos::partition::{
-    run_partition_experiment, run_partition_experiment_sharded, PartitionConfig,
-};
+use cyclosa_chaos::partition::{run_partition_experiment_on, PartitionConfig, PartitionOutcome};
 use cyclosa_net::time::SimTime;
+
+/// One untraced partition run on the chosen engine.
+fn run(choice: EngineChoice, config: &PartitionConfig) -> PartitionOutcome {
+    let quiet = ChurnTelemetry::default();
+    let mut engine = choice.build(config.base.seed, &quiet);
+    run_partition_experiment_on(&mut *engine, config, &quiet)
+}
 
 fn main() {
     // A 30/70 split: the client is caught on the minority side with 30 %
@@ -42,7 +48,7 @@ fn main() {
         config.merge_at.as_secs_f64(),
     );
 
-    let outcome = run_partition_experiment(&config);
+    let outcome = run(EngineChoice::Sequential, &config);
     println!(
         "{:>12}  {:>8}  {:>8}  {:>12}  {:>10}",
         "phase", "issued", "answered", "achieved_k", "median(s)"
@@ -77,7 +83,7 @@ fn main() {
     // The same scenario scales out unchanged: a 4-shard run reproduces the
     // sequential outcome bit for bit even though the partition boundary
     // crosses shard boundaries.
-    let sharded = run_partition_experiment_sharded(&config, 4);
+    let sharded = run(EngineChoice::Sharded(4), &config);
     assert_eq!(sharded, outcome);
     println!("\nsharded run (4 shards) is bit-identical to the sequential run");
 }

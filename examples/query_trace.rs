@@ -10,8 +10,10 @@
 //!
 //! Run with `cargo run --example query_trace`.
 
-use cyclosa_chaos::experiment::{run_churn_experiment_observed, ChurnConfig, ChurnTelemetry};
+use cyclosa_chaos::deployment::ChurnTelemetry;
+use cyclosa_chaos::experiment::{run_churn_experiment_on, ChurnConfig, ChurnOutcome};
 use cyclosa_chaos::ChaosPlan;
+use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_telemetry::export::to_jsonl;
@@ -38,6 +40,13 @@ fn config() -> ChurnConfig {
     }
 }
 
+/// One traced run on the sequential simulator with `script` applied.
+fn run(script: &ChaosPlan, telemetry: &ChurnTelemetry) -> ChurnOutcome {
+    let config = config();
+    let mut simulation = Simulation::new(config.seed);
+    run_churn_experiment_on(&mut simulation, &config, script, telemetry)
+}
+
 fn attr<'a>(event: &'a TraceEvent, key: &str) -> Option<&'a AttrValue> {
     event
         .attrs
@@ -51,7 +60,7 @@ fn main() {
     // when. Tracing is a pure read-out, so this run is bit-identical to
     // an untraced one — we are just reading the engine's diary.
     let scout = telemetry();
-    run_churn_experiment_observed(&config(), &ChaosPlan::new(), &scout);
+    run(&ChaosPlan::new(), &scout);
     let launch = scout
         .trace
         .events()
@@ -80,7 +89,7 @@ fn main() {
         crash_at.as_secs_f64()
     );
     let observed = telemetry();
-    let outcome = run_churn_experiment_observed(&config(), &script, &observed);
+    let outcome = run(&script, &observed);
     assert!(outcome.retries > 0, "the crash must force a repair");
 
     // Walk the victim query's causal timeline: its own events plus the

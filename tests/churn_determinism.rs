@@ -5,22 +5,35 @@
 //! sampled `ChaosPlan`, or the full robustness experiment of
 //! `cyclosa-chaos`.
 
-use cyclosa::deployment::{run_end_to_end_latency_on, DeploymentMetrics, EndToEndConfig};
-use cyclosa_chaos::experiment::{run_churn_experiment, run_churn_experiment_sharded, ChurnConfig};
-use cyclosa_chaos::partition::{
-    run_partition_experiment, run_partition_experiment_sharded, PartitionConfig,
+use cyclosa_chaos::deployment::{
+    run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig, EngineChoice,
 };
+use cyclosa_chaos::experiment::{run_churn_experiment_on, ChurnConfig, ChurnOutcome};
+use cyclosa_chaos::partition::{run_partition_experiment_on, PartitionConfig, PartitionOutcome};
 use cyclosa_chaos::{ChaosPlan, ChurnModel};
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_runtime::ShardedEngine;
+use cyclosa_telemetry::TraceSink;
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 type Trace = BTreeMap<NodeId, Vec<(u64, u32, usize)>>;
+
+fn churn_run(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
+    let quiet = ChurnTelemetry::default();
+    let mut engine = choice.build(config.seed, &quiet);
+    run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), &quiet)
+}
+
+fn partition_run(choice: EngineChoice, config: &PartitionConfig) -> PartitionOutcome {
+    let quiet = ChurnTelemetry::default();
+    let mut engine = choice.build(config.base.seed, &quiet);
+    run_partition_experiment_on(&mut *engine, config, &quiet)
+}
 
 /// Forwards every message to a pseudo-random peer until the hop budget in
 /// the tag runs out, recording everything it sees (same shape as the
@@ -183,7 +196,7 @@ fn churn_experiment_outcome_is_bit_identical_for_1_2_4_8_shards() {
     .into_iter()
     .enumerate()
     {
-        let sequential = run_churn_experiment(&config);
+        let sequential = churn_run(EngineChoice::Sequential, &config);
         assert!(
             sequential.answered > 0,
             "case {case}: experiment produced no samples"
@@ -194,7 +207,7 @@ fn churn_experiment_outcome_is_bit_identical_for_1_2_4_8_shards() {
         );
         for shards in [1, 2, 4, 8] {
             assert_eq!(
-                run_churn_experiment_sharded(&config, shards),
+                churn_run(EngineChoice::Sharded(shards), &config),
                 sequential,
                 "case {case}: churn outcome diverged with {shards} shards"
             );
@@ -319,7 +332,7 @@ fn partition_experiment_outcome_is_bit_identical_for_1_2_4_8_shards() {
     .into_iter()
     .enumerate()
     {
-        let sequential = run_partition_experiment(&config);
+        let sequential = partition_run(EngineChoice::Sequential, &config);
         assert!(
             sequential.during.issued > 0 && sequential.post_merge.issued > 0,
             "case {case}: the window must leave all three phases populated"
@@ -330,7 +343,7 @@ fn partition_experiment_outcome_is_bit_identical_for_1_2_4_8_shards() {
         );
         for shards in [1, 2, 4, 8] {
             assert_eq!(
-                run_partition_experiment_sharded(&config, shards),
+                partition_run(EngineChoice::Sharded(shards), &config),
                 sequential,
                 "case {case}: partition outcome diverged with {shards} shards"
             );
@@ -374,7 +387,7 @@ fn chaos_plan_over_latency_experiment_is_bit_identical() {
         config: &EndToEndConfig,
     ) -> (Vec<f64>, SimulationStats) {
         plan.apply(engine);
-        let latencies = run_end_to_end_latency_on(engine, config, &DeploymentMetrics::detached());
+        let latencies = run_end_to_end_latency_on(engine, config, None, &TraceSink::disabled());
         (latencies, engine.stats())
     }
     let mut sequential = Simulation::new(config.seed);

@@ -16,10 +16,8 @@
 //!    relays die under fixed-k planning.
 
 use cyclosa_bench::report::{build_report, ReportOptions};
-use cyclosa_chaos::experiment::{
-    run_churn_experiment_observed, run_churn_experiment_sharded_observed, ChurnConfig,
-    ChurnTelemetry,
-};
+use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
+use cyclosa_chaos::experiment::{run_churn_experiment_on, ChurnConfig};
 use cyclosa_chaos::slo::{churn_slo_config, evaluate_churn_slos};
 use cyclosa_chaos::{ChaosPlan, FaultKind};
 use cyclosa_telemetry::analyze::{reconstruct, TraceRecord};
@@ -46,6 +44,13 @@ fn telemetry() -> ChurnTelemetry {
     }
 }
 
+/// One observed churn run on the chosen engine (the outcome is pinned
+/// elsewhere; these tests read the timeline).
+fn observe(choice: EngineChoice, config: &ChurnConfig, telemetry: &ChurnTelemetry) {
+    let mut engine = choice.build(config.seed, telemetry);
+    run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), telemetry);
+}
+
 fn records_of(telemetry: &ChurnTelemetry) -> Vec<TraceRecord> {
     telemetry
         .trace
@@ -59,7 +64,7 @@ fn records_of(telemetry: &ChurnTelemetry) -> Vec<TraceRecord> {
 fn critical_paths_sum_exactly_and_blame_only_real_victims() {
     let config = stormy();
     let observed = telemetry();
-    run_churn_experiment_observed(&config, &ChaosPlan::new(), &observed);
+    observe(EngineChoice::Sequential, &config, &observed);
     let records = records_of(&observed);
     let timelines = reconstruct(&records);
 
@@ -124,13 +129,13 @@ fn observe_report_and_slo_alerts_are_byte_identical_across_shards() {
     };
 
     let reference = telemetry();
-    run_churn_experiment_observed(&config, &ChaosPlan::new(), &reference);
+    observe(EngineChoice::Sequential, &config, &reference);
     let expected_report = build_report(&records_of(&reference), Json::Null, &options).pretty();
     let expected_slos = evaluate_churn_slos(&config, &reference);
 
     for shards in [1, 2, 4, 8] {
         let observed = telemetry();
-        run_churn_experiment_sharded_observed(&config, &ChaosPlan::new(), shards, &observed);
+        observe(EngineChoice::Sharded(shards), &config, &observed);
         let report = build_report(&records_of(&observed), Json::Null, &options).pretty();
         assert_eq!(
             report, expected_report,
@@ -157,7 +162,7 @@ fn privacy_slo_is_clean_on_baseline_and_fires_under_fixed_k_failures() {
         ..stormy()
     };
     let observed = telemetry();
-    run_churn_experiment_observed(&baseline, &ChaosPlan::new(), &observed);
+    observe(EngineChoice::Sequential, &baseline, &observed);
     let outcome = evaluate_churn_slos(&baseline, &observed);
     assert!(outcome.report.answered > 0);
     assert_eq!(
@@ -175,7 +180,7 @@ fn privacy_slo_is_clean_on_baseline_and_fires_under_fixed_k_failures() {
         ..stormy()
     };
     let first_run = telemetry();
-    run_churn_experiment_observed(&stressed, &ChaosPlan::new(), &first_run);
+    observe(EngineChoice::Sequential, &stressed, &first_run);
     let first = evaluate_churn_slos(&stressed, &first_run);
     assert!(
         first.report.privacy_violations > 0,
@@ -187,7 +192,7 @@ fn privacy_slo_is_clean_on_baseline_and_fires_under_fixed_k_failures() {
     );
 
     let second_run = telemetry();
-    run_churn_experiment_observed(&stressed, &ChaosPlan::new(), &second_run);
+    observe(EngineChoice::Sequential, &stressed, &second_run);
     let second = evaluate_churn_slos(&stressed, &second_run);
     assert_eq!(
         first.report, second.report,

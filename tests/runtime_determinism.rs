@@ -6,7 +6,9 @@
 //! (b) the sharded engine's output on the end-to-end latency experiment is
 //!     exactly the sequential `Simulation`'s output, for any shard count.
 
-use cyclosa::deployment::{run_end_to_end_latency, run_end_to_end_latency_sharded, EndToEndConfig};
+use cyclosa_chaos::deployment::{
+    run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig, EngineChoice,
+};
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
@@ -235,10 +237,15 @@ fn sharded_end_to_end_latency_equals_sequential_simulation_output() {
     .into_iter()
     .enumerate()
     {
-        let sequential = run_end_to_end_latency(config);
+        let quiet = ChurnTelemetry::default();
+        let run = |choice: EngineChoice| {
+            let mut engine = choice.build(config.seed, &quiet);
+            run_end_to_end_latency_on(&mut *engine, &config, None, &quiet.trace)
+        };
+        let sequential = run(EngineChoice::Sequential);
         assert!(!sequential.is_empty(), "case {case} produced no samples");
         for shards in [1, 2, 4, 8] {
-            let sharded = run_end_to_end_latency_sharded(config, shards);
+            let sharded = run(EngineChoice::Sharded(shards));
             assert_eq!(
                 sharded, sequential,
                 "case {case}: latency distribution diverged with {shards} shards"

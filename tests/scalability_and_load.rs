@@ -6,12 +6,15 @@
 //! sequential results.
 
 use cyclosa::deployment::{
-    relay_service_time_ns, run_end_to_end_latency, run_load_experiment, throughput_latency_curve,
-    xsearch_service_time_ns, EndToEndConfig, LoadExperimentConfig,
+    relay_service_time_ns, run_load_experiment, throughput_latency_curve, xsearch_service_time_ns,
+    LoadExperimentConfig,
 };
 use cyclosa_baselines::latency::LatencyProfile;
 use cyclosa_bench::scalability::{run_scale_point, scalability_sweep, ScaleConfig};
+use cyclosa_chaos::deployment::{run_end_to_end_latency_on, EndToEndConfig};
+use cyclosa_net::sim::Simulation;
 use cyclosa_sgx::enclave::CostModel;
+use cyclosa_telemetry::TraceSink;
 use cyclosa_util::rng::Xoshiro256StarStar;
 use cyclosa_util::stats::Summary;
 
@@ -55,12 +58,18 @@ fn relay_sustains_higher_request_rates_than_the_xsearch_proxy() {
 
 #[test]
 fn cyclosa_latency_is_sub_second_and_an_order_of_magnitude_below_tor() {
-    let cyclosa = run_end_to_end_latency(EndToEndConfig {
+    let config = EndToEndConfig {
         relays: 30,
         k: 3,
         queries: 80,
         ..EndToEndConfig::default()
-    });
+    };
+    let cyclosa = run_end_to_end_latency_on(
+        &mut Simulation::new(config.seed),
+        &config,
+        None,
+        &TraceSink::disabled(),
+    );
     let cyclosa_median = Summary::from_samples(&cyclosa).median;
     assert!(cyclosa_median < 1.5, "median {cyclosa_median}");
 

@@ -15,7 +15,8 @@ use cyclosa::config::ProtectionConfig;
 use cyclosa::node::{CyclosaNode, NodeError, QueryPlan};
 use cyclosa_chaos::adversary::{AdversaryConfig, ByzantinePolicy};
 use cyclosa_chaos::churn::ChurnModel;
-use cyclosa_chaos::soak::{run_soak, run_soak_on, run_soak_sharded, ArrivalModel, SoakConfig};
+use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
+use cyclosa_chaos::soak::{run_soak, run_soak_on, ArrivalModel, SoakConfig, SoakOutcome};
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::PeerId;
@@ -32,6 +33,12 @@ fn horizon(default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+fn run_soak_sharded(config: &SoakConfig, shards: usize) -> SoakOutcome {
+    let quiet = ChurnTelemetry::default();
+    let mut engine = EngineChoice::Sharded(shards).build(config.seed, &quiet);
+    run_soak_on(&mut *engine, config, &quiet.trace)
 }
 
 fn stressed_config(queries: u64) -> SoakConfig {

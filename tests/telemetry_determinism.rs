@@ -16,13 +16,11 @@
 //! `fault_injected: true` — the client healing a relay the fault plan
 //! killed — and the schema checks accept both export formats.
 
-use cyclosa::deployment::{run_end_to_end_latency_observed_on, DeploymentMetrics, EndToEndConfig};
-use cyclosa_chaos::experiment::{
-    run_churn_experiment, run_churn_experiment_observed, run_churn_experiment_sharded,
-    run_churn_experiment_sharded_observed, ChurnConfig, ChurnTelemetry,
+use cyclosa_chaos::deployment::{
+    run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig, EngineChoice,
 };
+use cyclosa_chaos::experiment::{run_churn_experiment_on, ChurnConfig, ChurnOutcome};
 use cyclosa_chaos::ChaosPlan;
-use cyclosa_net::sim::Simulation;
 use cyclosa_runtime::metrics::Registry;
 use cyclosa_telemetry::check::{validate_chrome_trace, validate_trace_jsonl};
 use cyclosa_telemetry::export::{to_chrome_trace, to_jsonl};
@@ -47,27 +45,33 @@ fn telemetry() -> ChurnTelemetry {
     }
 }
 
+fn run_on(choice: EngineChoice, config: &ChurnConfig, telemetry: &ChurnTelemetry) -> ChurnOutcome {
+    let mut engine = choice.build(config.seed, telemetry);
+    run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), telemetry)
+}
+
 #[test]
 fn traced_churn_outcome_is_bit_identical_across_engines_and_shards() {
     let config = stormy();
-    let untraced = run_churn_experiment(&config);
+    let quiet = ChurnTelemetry::default();
+    let untraced = run_on(EngineChoice::Sequential, &config, &quiet);
     assert!(untraced.retries > 0, "storm must exercise the retry path");
 
     let sequential = telemetry();
     assert_eq!(
-        run_churn_experiment_observed(&config, &ChaosPlan::new(), &sequential),
+        run_on(EngineChoice::Sequential, &config, &sequential),
         untraced,
         "sequential tracing perturbed the run"
     );
     for shards in [1, 2, 4, 8] {
         assert_eq!(
-            run_churn_experiment_sharded(&config, shards),
+            run_on(EngineChoice::Sharded(shards), &config, &quiet),
             untraced,
             "untraced sharded run diverged at {shards} shards"
         );
         let observed = telemetry();
         assert_eq!(
-            run_churn_experiment_sharded_observed(&config, &ChaosPlan::new(), shards, &observed),
+            run_on(EngineChoice::Sharded(shards), &config, &observed),
             untraced,
             "traced sharded run diverged at {shards} shards"
         );
@@ -78,13 +82,13 @@ fn traced_churn_outcome_is_bit_identical_across_engines_and_shards() {
 fn merged_jsonl_trace_is_byte_identical_across_shard_counts() {
     let config = stormy();
     let reference = telemetry();
-    run_churn_experiment_observed(&config, &ChaosPlan::new(), &reference);
+    run_on(EngineChoice::Sequential, &config, &reference);
     let expected = to_jsonl(&reference.trace.events());
     assert!(!expected.is_empty(), "the storm must produce a timeline");
 
     for shards in [1, 2, 4, 8] {
         let observed = telemetry();
-        run_churn_experiment_sharded_observed(&config, &ChaosPlan::new(), shards, &observed);
+        run_on(EngineChoice::Sharded(shards), &config, &observed);
         let jsonl = to_jsonl(&observed.trace.events());
         assert_eq!(
             jsonl, expected,
@@ -97,7 +101,7 @@ fn merged_jsonl_trace_is_byte_identical_across_shard_counts() {
 fn storm_timeline_contains_a_fault_annotated_repair_and_validates() {
     let config = stormy();
     let observed = telemetry();
-    run_churn_experiment_sharded_observed(&config, &ChaosPlan::new(), 4, &observed);
+    run_on(EngineChoice::Sharded(4), &config, &observed);
     let events = observed.trace.events();
 
     let repair = events
@@ -152,26 +156,21 @@ fn traced_deployment_latencies_match_untraced_and_trace_is_stable() {
         queries: 30,
         ..EndToEndConfig::default()
     };
-    let mut plain_engine = Simulation::new(config.seed);
-    let plain = cyclosa::deployment::run_end_to_end_latency_on(
-        &mut plain_engine,
-        &config,
-        &DeploymentMetrics::detached(),
-    );
+    let run = |choice: EngineChoice, telemetry: &ChurnTelemetry| {
+        let mut engine = choice.build(config.seed, telemetry);
+        run_end_to_end_latency_on(&mut *engine, &config, None, &telemetry.trace)
+    };
+    let plain = run(EngineChoice::Sequential, &ChurnTelemetry::default());
 
     let mut reference: Option<String> = None;
     for shards in [1, 2, 4] {
-        let mut engine = cyclosa_runtime::ShardedEngine::new(config.seed, shards);
-        let sink = TraceSink::enabled();
-        engine.set_trace_sink(sink.clone());
-        let traced = run_end_to_end_latency_observed_on(
-            &mut engine,
-            &config,
-            &DeploymentMetrics::detached(),
-            &sink,
-        );
+        let observed = ChurnTelemetry {
+            trace: TraceSink::enabled(),
+            metrics: None,
+        };
+        let traced = run(EngineChoice::Sharded(shards), &observed);
         assert_eq!(traced, plain, "tracing perturbed the deployment");
-        let jsonl = to_jsonl(&sink.events());
+        let jsonl = to_jsonl(&observed.trace.events());
         assert!(jsonl.contains("query.launch"));
         match &reference {
             None => reference = Some(jsonl),
