@@ -93,6 +93,7 @@ use cyclosa_chaos::ChaosPlan;
 use cyclosa_chaos::{
     AdaptiveChurnedMechanism, ChurnedMechanism, ColludingMechanism, PartitionedMechanism,
 };
+use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{

@@ -492,7 +492,9 @@ mod tests {
 
         // Pin the end-to-end last-write-wins semantics on a live engine:
         // a message sent at the duplicated instant sees loss 0.9, not 0.1.
+        use cyclosa_net::engine::Engine;
         use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
+        use cyclosa_telemetry::TraceSink;
         struct Quiet;
         impl NodeBehavior for Quiet {
             fn on_message(&mut self, _: &mut Context<'_>, _: Envelope) {}
@@ -500,7 +502,7 @@ mod tests {
         let mut simulation = Simulation::new(7);
         simulation.add_node(NodeId(1), Box::new(Quiet));
         simulation.add_node(NodeId(3), Box::new(Quiet));
-        plan.apply(&mut simulation);
+        plan.apply(&mut simulation, &TraceSink::disabled());
         for i in 0..200 {
             simulation.post(
                 at + SimTime::from_millis(i),

@@ -788,11 +788,9 @@ pub(crate) fn run_deployment<E: Engine + ?Sized>(
         .iter()
         .filter(|e| matches!(e.kind, FaultKind::Crash(_) | FaultKind::Leave(_)))
         .count();
-    plan.apply_traced(engine, &telemetry.trace);
-    extra.apply_traced(engine, &telemetry.trace);
-    deployed
-        .adversary_plan
-        .apply_traced(engine, &telemetry.trace);
+    plan.apply(engine, &telemetry.trace);
+    extra.apply(engine, &telemetry.trace);
+    deployed.adversary_plan.apply(engine, &telemetry.trace);
 
     engine.run();
     let ((dropped, delayed, forged), observed_real, observed_total) =

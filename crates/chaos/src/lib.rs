@@ -70,6 +70,7 @@
 //! use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
 //! use cyclosa_net::time::SimTime;
 //! use cyclosa_net::NodeId;
+//! use cyclosa_telemetry::TraceSink;
 //!
 //! struct Quiet;
 //! impl NodeBehavior for Quiet {
@@ -90,7 +91,7 @@
 //!         SimTime::from_secs(8),
 //!         SimTime::from_secs(20),
 //!     );
-//! plan.apply(&mut engine);
+//! plan.apply(&mut engine, &TraceSink::disabled());
 //! // Cross-partition traffic inside the window is lost; the rest flows.
 //! engine.post(SimTime::from_secs(10), NodeId(0), NodeId(2), 0, vec![]);
 //! engine.post(SimTime::from_secs(10), NodeId(0), NodeId(1), 0, vec![]);

@@ -462,27 +462,36 @@ impl ChaosPlan {
         failed.len() as f64 / population as f64
     }
 
-    /// Applies every fault to `engine` as deterministic scheduled events.
+    /// Applies every fault to `engine` as deterministic scheduled events,
+    /// and annotates the trace: every scheduled fault also becomes a
+    /// `fault.*` [`TraceEvent`] stamped at its fire time, so injections
+    /// line up with the per-query events on the merged timeline. A
+    /// disabled sink ([`TraceSink::disabled`]) records nothing.
     ///
     /// # Panics
     ///
     /// Panics if the plan contains [`FaultKind::Join`] events — those need
     /// a behaviour, so use [`ChaosPlan::apply_with_spawner`] instead.
-    pub fn apply<E: Engine + ?Sized>(&self, engine: &mut E) {
+    pub fn apply<E: Engine + ?Sized>(&self, engine: &mut E, trace: &TraceSink) {
         assert!(
             !self.has_joins(),
             "plan contains join events; use apply_with_spawner"
         );
-        self.apply_with_spawner(engine, |node| {
+        self.apply_with_spawner(engine, trace, |node| {
             unreachable!("no join events, so no behaviour is ever spawned for {node:?}")
         });
     }
 
-    /// Applies every fault to `engine`, creating the behaviour of each
-    /// joining node with `spawn`.
+    /// [`ChaosPlan::apply`] for plans with joins: the behaviour of each
+    /// joining node is created with `spawn`. On the trace, node faults are
+    /// attributed to the node they hit; the global loss steps and
+    /// link-group faults to the engine pseudo-actor. Events are stamped at
+    /// their scheduled (usually future) times; the sink keeps them
+    /// buffered until the timeline reaches them.
     pub fn apply_with_spawner<E: Engine + ?Sized>(
         &self,
         engine: &mut E,
+        trace: &TraceSink,
         mut spawn: impl FnMut(NodeId) -> Box<dyn NodeBehavior + Send>,
     ) {
         for event in &self.events {
@@ -497,40 +506,6 @@ impl ChaosPlan {
         for fault in &self.link_faults {
             engine.schedule_link_loss(fault.at, &fault.src_set, &fault.dst_set, fault.p);
         }
-    }
-
-    /// [`ChaosPlan::apply`] plus fault annotations on the trace: every
-    /// scheduled fault also becomes a `fault.*` [`TraceEvent`] stamped at
-    /// its fire time, so injections line up with the per-query events on
-    /// the merged timeline. With a disabled sink this is exactly `apply`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan contains [`FaultKind::Join`] events — use
-    /// [`ChaosPlan::apply_with_spawner_traced`] instead.
-    pub fn apply_traced<E: Engine + ?Sized>(&self, engine: &mut E, trace: &TraceSink) {
-        assert!(
-            !self.has_joins(),
-            "plan contains join events; use apply_with_spawner_traced"
-        );
-        self.apply_with_spawner_traced(engine, trace, |node| {
-            unreachable!("no join events, so no behaviour is ever spawned for {node:?}")
-        });
-    }
-
-    /// [`ChaosPlan::apply_with_spawner`] plus fault annotations on the
-    /// trace (see [`ChaosPlan::apply_traced`]). Node faults are attributed
-    /// to the node they hit; the global loss steps and link-group faults
-    /// to the engine pseudo-actor. Events are stamped at their scheduled
-    /// (usually future) times; the sink keeps them buffered until the
-    /// timeline reaches them.
-    pub fn apply_with_spawner_traced<E: Engine + ?Sized>(
-        &self,
-        engine: &mut E,
-        trace: &TraceSink,
-        spawn: impl FnMut(NodeId) -> Box<dyn NodeBehavior + Send>,
-    ) {
-        self.apply_with_spawner(engine, spawn);
         if !trace.is_enabled() {
             return;
         }
@@ -744,7 +719,7 @@ mod tests {
                 SimTime::from_secs(10),
                 SimTime::from_secs(20),
             )
-            .apply(&mut simulation);
+            .apply(&mut simulation, &TraceSink::disabled());
         // One send per second each way: 1–9 s and 20 s+ deliver, 10–19 s drop.
         for s in [5u64, 15, 25] {
             simulation.post(SimTime::from_secs(s), NodeId(1), NodeId(2), 0, vec![]);
@@ -779,7 +754,7 @@ mod tests {
         let mut simulation = Simulation::new(1);
         ChaosPlan::new()
             .join_at(SimTime::from_secs(1), NodeId(7))
-            .apply(&mut simulation);
+            .apply(&mut simulation, &TraceSink::disabled());
     }
 
     #[test]
@@ -798,7 +773,7 @@ mod tests {
             .leave_at(SimTime::from_secs(3), NodeId(2))
             .join_at(SimTime::from_secs(4), NodeId(3))
             .set_loss_at(SimTime::from_secs(5), 0.5)
-            .apply_with_spawner(&mut simulation, |_| Box::new(Quiet));
+            .apply_with_spawner(&mut simulation, &TraceSink::disabled(), |_| Box::new(Quiet));
         simulation.run();
         let stats = simulation.stats();
         assert_eq!(

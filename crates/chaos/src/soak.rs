@@ -727,8 +727,8 @@ pub fn run_soak_on<E: Engine + ?Sized>(
         .as_ref()
         .map(|model| model.sample(&deployed.relays, config.horizon(), config.seed))
         .unwrap_or_default();
-    churn_plan.apply_traced(engine, trace);
-    deployed.adversary_plan.apply_traced(engine, trace);
+    churn_plan.apply(engine, trace);
+    deployed.adversary_plan.apply(engine, trace);
 
     engine.run();
 

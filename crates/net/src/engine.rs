@@ -1,11 +1,13 @@
 //! The engine abstraction shared by the sequential simulator and the
 //! sharded parallel runtime.
 //!
-//! [`Engine`] extracts the scheduling surface of [`crate::sim::Simulation`]
-//! — register nodes, inject messages and timers, advance simulated time —
-//! so that [`crate::sim::NodeBehavior`] implementations and whole
-//! experiments run unchanged on either the sequential engine or the
-//! sharded engine of `cyclosa-runtime`.
+//! [`Engine`] is the scheduling surface — register nodes, inject messages
+//! and timers, advance simulated time — so that
+//! [`crate::sim::NodeBehavior`] implementations and whole experiments run
+//! unchanged on either the sequential engine or the sharded engine of
+//! `cyclosa-runtime`. Both are built on one event core,
+//! [`crate::sim::Simulation`]; this module holds the trait and the pieces
+//! the core is made of: event keys, per-link state and the schedules.
 //!
 //! # Determinism contract
 //!
@@ -24,8 +26,7 @@
 //!   `(engine seed, src, dst)`. Because only `src`'s handler sends on the
 //!   link `src → dst`, the draw sequence on each stream depends only on
 //!   that node's (deterministic) behaviour, never on global event
-//!   interleaving. [`LinkTable`] encapsulates this discipline and is shared
-//!   by both engines so they cannot drift apart.
+//!   interleaving. [`LinkTable`] encapsulates this discipline.
 //! * **Deterministic dynamic membership** — joins, leaves, crashes and
 //!   recoveries scheduled against a simulated time are ordinary events of
 //!   class [`EventClass::Membership`], keyed by a per-node membership
@@ -64,34 +65,23 @@ pub enum EventClass {
 
 /// The kinds of deterministic membership change an engine can execute at a
 /// scheduled simulated time (the fault-injection surface of
-/// `cyclosa-chaos`).
+/// `cyclosa-chaos`). The discriminants are stable: they fill the `b` slot of
+/// the event key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MembershipChange {
     /// A new node (or a departed node with a fresh behaviour) enters the
     /// population. The behaviour is stashed at schedule time and installed
     /// when the event fires.
-    Join,
+    Join = 0,
     /// The node departs permanently: its behaviour (and therefore all of
     /// its state) is dropped. A later `Join` brings it back from scratch.
-    Leave,
+    Leave = 1,
     /// The node fail-stops but keeps its state, exactly like
     /// [`Engine::crash`] — messages to it are dropped and its timers stop
     /// firing until a `Recover`.
-    Crash,
+    Crash = 2,
     /// The node resumes from a crash with its state intact.
-    Recover,
-}
-
-impl MembershipChange {
-    /// Stable discriminant used in the `b` slot of the event key.
-    fn discriminant(self) -> u64 {
-        match self {
-            MembershipChange::Join => 0,
-            MembershipChange::Leave => 1,
-            MembershipChange::Crash => 2,
-            MembershipChange::Recover => 3,
-        }
-    }
+    Recover = 3,
 }
 
 /// The deterministic total-order key of an event.
@@ -150,6 +140,25 @@ impl Ord for ScheduledEvent {
     }
 }
 
+/// How many events of each kind one bounded run of the event core popped,
+/// whether or not a live node was there to handle them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Message deliveries, including those dropped at a dead node.
+    pub deliver: u64,
+    /// Timer firings, including those skipped on a dead node.
+    pub timer: u64,
+    /// Membership changes.
+    pub membership: u64,
+}
+
+impl EventCounts {
+    /// All events popped.
+    pub fn total(&self) -> u64 {
+        self.deliver + self.timer + self.membership
+    }
+}
+
 fn mix(seed: u64, a: u64, b: u64) -> u64 {
     let mut sm = SplitMix64::new(seed);
     let x = sm.next_u64();
@@ -175,9 +184,9 @@ struct LinkState {
 /// Per-directed-link delivery state: RNG stream, FIFO watermark and message
 /// sequence counter.
 ///
-/// Both engines funnel every send through [`LinkTable::prepare`], which is
-/// what makes their latency/loss draws — and therefore their entire
-/// executions — bit-identical.
+/// The event core funnels every send through [`LinkTable::prepare`] on the
+/// sender's side, which is what makes latency/loss draws — and therefore
+/// entire executions — bit-identical however the nodes are sharded.
 #[derive(Debug)]
 pub struct LinkTable {
     seed: u64,
@@ -227,9 +236,7 @@ impl LinkTable {
     }
 }
 
-/// Per-node membership sequencing plus the behaviours of scheduled joins,
-/// shared by both engines so their membership event keys cannot drift
-/// apart.
+/// Per-node membership sequencing plus the behaviours of scheduled joins.
 ///
 /// Every membership change of a node gets the node's next membership
 /// sequence number (in schedule-call order, which is deterministic program
@@ -266,7 +273,7 @@ impl<B> MembershipLedger<B> {
             node,
             class: EventClass::Membership,
             a: *sequence,
-            b: change.discriminant(),
+            b: change as u64,
         };
         *sequence += 1;
         key
@@ -425,8 +432,7 @@ impl LinkGroupSchedule {
     }
 
     /// The effective loss probability of one send, composing the global
-    /// schedule's `base` with every matching group independently. Both
-    /// engines funnel their sends through this, so they cannot drift.
+    /// schedule's `base` with every matching group independently.
     pub fn combined(&self, base: f64, at: SimTime, src: NodeId, dst: NodeId) -> f64 {
         if self.groups.is_empty() {
             return base;

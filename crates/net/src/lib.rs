@@ -21,6 +21,7 @@
 //! # Example
 //!
 //! ```
+//! use cyclosa_net::engine::Engine;
 //! use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
 //! use cyclosa_net::time::SimTime;
 //! use cyclosa_net::NodeId;

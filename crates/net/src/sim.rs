@@ -1,26 +1,32 @@
-//! The sequential discrete-event simulation loop.
+//! Node behaviours, and the event core that runs them.
 //!
 //! Nodes are state machines implementing [`NodeBehavior`]. They react to
 //! incoming [`Envelope`]s and to timers, and emit sends / timer requests
-//! through a [`Context`]. The [`Simulation`] owns the global clock, samples
-//! link latencies, injects losses, models crashed nodes and guarantees
-//! per-link FIFO delivery (so the sequence-number-based secure channels of
+//! through a [`Context`]. [`Simulation`] owns the clock and the event
+//! queue, samples link latencies, injects losses, models crashed nodes,
+//! executes scheduled membership changes and guarantees per-link FIFO
+//! delivery (so the sequence-number-based secure channels of
 //! `cyclosa-crypto` work unchanged on top of it).
 //!
 //! Events are ordered by the deterministic [`EventKey`] of
-//! [`crate::engine`] and all link randomness flows through the shared
-//! [`LinkTable`], which makes an execution a pure function of the seed —
-//! the sharded engine of `cyclosa-runtime` reproduces it bit for bit.
+//! [`crate::engine`] and all link randomness flows through the
+//! [`LinkTable`], which makes an execution a pure function of the seed.
+//! There is one copy of this machinery: driven through
+//! [`Engine::run`] / [`Engine::run_until`] a `Simulation` is the sequential
+//! engine, and the sharded engine of `cyclosa-runtime` is several of them
+//! (one per shard, each over its slice of the nodes) advanced window by
+//! window through [`Simulation::run_before`] — which is why the two
+//! cannot drift apart and the sharded run is the sequential one bit for
+//! bit.
 
 use crate::engine::{
-    Engine, EventClass, EventKey, EventKind, LinkGroupSchedule, LinkTable, LossSchedule,
-    MembershipChange, MembershipLedger, ScheduledEvent,
+    Engine, EventClass, EventCounts, EventKey, EventKind, LinkGroupSchedule, LinkTable,
+    LossSchedule, MembershipChange, MembershipLedger, ScheduledEvent,
 };
 use crate::latency::LatencyModel;
 use crate::time::SimTime;
 use crate::NodeId;
 use cyclosa_util::det::{DetHashMap, DetHashSet};
-use cyclosa_util::rng::Xoshiro256StarStar;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -153,11 +159,24 @@ impl SimulationStats {
     }
 }
 
-/// The sequential discrete-event simulator.
+/// A node behaviour as both engines store it.
+type Behavior = Box<dyn NodeBehavior + Send>;
+
+/// The event core, and — run to exhaustion on one thread — the sequential
+/// discrete-event simulator.
+///
+/// Everything that happens to one event is decided here and only here:
+/// its [`EventKey`], the fate of a send, what a dead node drops, what the
+/// statistics count, what a membership change does. The sequential engine
+/// is this core with every prepared delivery kept in its own queue; a
+/// shard of `cyclosa-runtime`'s sharded engine is the same core over its
+/// slice of the nodes, run window by window through
+/// [`Simulation::run_before`] with a router that hands deliveries for
+/// other shards' nodes to their owners.
 pub struct Simulation {
     clock: SimTime,
     queue: BinaryHeap<Reverse<ScheduledEvent>>,
-    nodes: DetHashMap<NodeId, Box<dyn NodeBehavior>>,
+    nodes: DetHashMap<NodeId, Behavior>,
     crashed: DetHashSet<NodeId>,
     default_latency: LatencyModel,
     link_latency: DetHashMap<(NodeId, NodeId), LatencyModel>,
@@ -165,9 +184,11 @@ pub struct Simulation {
     link_loss: LinkGroupSchedule,
     links: LinkTable,
     timer_sequences: DetHashMap<NodeId, u64>,
-    membership: MembershipLedger<Box<dyn NodeBehavior>>,
-    rng: Xoshiro256StarStar,
+    membership: MembershipLedger<Behavior>,
     stats: SimulationStats,
+    /// Scratch for the actions of the event being processed; kept so an
+    /// event does not allocate it afresh.
+    actions: Vec<Action>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -197,152 +218,148 @@ impl Simulation {
             links: LinkTable::new(seed),
             timer_sequences: DetHashMap::default(),
             membership: MembershipLedger::new(),
-            rng: Xoshiro256StarStar::seed_from_u64(seed),
             stats: SimulationStats::default(),
+            actions: Vec::new(),
         }
     }
 
-    /// Registers a node.
-    pub fn add_node(&mut self, id: NodeId, behavior: Box<dyn NodeBehavior>) {
-        self.nodes.insert(id, behavior);
+    /// Number of registered nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
     }
 
-    /// Sets the default latency model for all links.
-    pub fn set_default_latency(&mut self, model: LatencyModel) {
-        self.default_latency = model;
+    /// Every configured latency model: the default, then the per-link
+    /// overrides.
+    pub fn latency_models(&self) -> impl Iterator<Item = LatencyModel> + '_ {
+        std::iter::once(self.default_latency).chain(self.link_latency.values().copied())
     }
 
-    /// Overrides the latency model of the directed link `src → dst`.
-    pub fn set_link_latency(&mut self, src: NodeId, dst: NodeId, model: LatencyModel) {
-        self.link_latency.insert((src, dst), model);
+    /// The time of the earliest pending event.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.queue.peek().map(|Reverse(event)| event.key.at)
     }
 
-    /// Sets the probability that any message is silently lost in transit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn set_loss_probability(&mut self, p: f64) {
-        self.loss.set_base(p);
+    /// Adds an already keyed event to the queue: a delivery that
+    /// [`Simulation::prepare_send`] prepared here or on the core that owns
+    /// its sender.
+    pub fn enqueue(&mut self, event: ScheduledEvent) {
+        self.queue.push(Reverse(event));
     }
 
-    /// Schedules the loss probability to become `p` at simulated time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn schedule_loss_probability(&mut self, at: SimTime, p: f64) {
-        self.loss.schedule(at, p);
+    /// Turns one send at `at` into a scheduled delivery, or counts it lost.
+    /// Must run on the core that owns `envelope.src`, so the per-link state
+    /// is touched in the sender's deterministic order. The loss schedules
+    /// are pure functions of `(send time, src, dst)` that every core holds
+    /// a replica of, so which core evaluates them cannot matter.
+    pub fn prepare_send(&mut self, at: SimTime, envelope: Envelope) -> Option<ScheduledEvent> {
+        let (src, dst) = (envelope.src, envelope.dst);
+        let model = self.link_model(src, dst);
+        let loss = self.link_loss.combined(self.loss.at(at), at, src, dst);
+        match self.links.prepare(at, src, dst, model, loss) {
+            None => {
+                self.stats.lost += 1;
+                None
+            }
+            Some((deliver_at, sequence)) => Some(ScheduledEvent {
+                key: EventKey {
+                    at: deliver_at,
+                    node: dst,
+                    class: EventClass::Deliver,
+                    a: src.0,
+                    b: sequence,
+                },
+                kind: EventKind::Deliver(envelope),
+            }),
+        }
     }
 
-    /// Schedules the loss probability of every directed link in
-    /// `src_set × dst_set` to become `p` at simulated time `at` (the
-    /// partition primitive; see [`LinkGroupSchedule`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]` or either set is empty.
-    pub fn schedule_link_loss(
+    /// Processes, in [`EventKey`] order, every pending event strictly
+    /// before `end`. Each delivery a handler's send turns into goes through
+    /// `route`: `Some(event)` keeps it in this queue, `None` means the
+    /// router took it for the core that owns `event.key.node` (which must
+    /// not need it before `end` — the sharded engine's lookahead bound).
+    pub fn run_before(
         &mut self,
-        at: SimTime,
-        src_set: &[NodeId],
-        dst_set: &[NodeId],
-        p: f64,
-    ) {
-        self.link_loss.schedule(at, src_set, dst_set, p);
+        end: SimTime,
+        route: impl FnMut(ScheduledEvent) -> Option<ScheduledEvent>,
+    ) -> EventCounts {
+        self.run_while(|at| at < end, route)
     }
 
-    /// Marks a node as crashed: messages to it are dropped, its timers stop
-    /// firing.
-    pub fn crash(&mut self, node: NodeId) {
-        self.crashed.insert(node);
-    }
-
-    /// Clears a node's crashed mark; its state is intact and it resumes
-    /// receiving messages.
-    pub fn recover(&mut self, node: NodeId) {
-        self.crashed.remove(&node);
-    }
-
-    /// Schedules `behavior` to join the population as `node` at simulated
-    /// time `at` (see [`Engine::schedule_join`]).
-    pub fn schedule_join(&mut self, at: SimTime, node: NodeId, behavior: Box<dyn NodeBehavior>) {
-        let key = self.membership.next_key(at, node, MembershipChange::Join);
-        self.membership.stash_join(node, key.a, behavior);
-        self.queue.push(Reverse(ScheduledEvent {
-            key,
-            kind: EventKind::Membership(MembershipChange::Join),
-        }));
-    }
-
-    /// Schedules `node` to leave the population at simulated time `at`.
-    pub fn schedule_leave(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_membership(at, node, MembershipChange::Leave);
-    }
-
-    /// Schedules `node` to crash (state retained) at simulated time `at`.
-    pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_membership(at, node, MembershipChange::Crash);
-    }
-
-    /// Schedules `node` to recover from a crash at simulated time `at`.
-    pub fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_membership(at, node, MembershipChange::Recover);
-    }
-
-    fn schedule_membership(&mut self, at: SimTime, node: NodeId, change: MembershipChange) {
-        let key = self.membership.next_key(at, node, change);
-        self.queue.push(Reverse(ScheduledEvent {
-            key,
-            kind: EventKind::Membership(change),
-        }));
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Run statistics so far.
-    pub fn stats(&self) -> SimulationStats {
-        self.stats
-    }
-
-    /// Mutable access to the simulation RNG (for callers that need to draw
-    /// from the same deterministic stream). Link latency and loss draws do
-    /// *not* come from this generator — they use per-link streams so that
-    /// executions stay independent of event interleaving.
-    pub fn rng_mut(&mut self) -> &mut Xoshiro256StarStar {
-        &mut self.rng
-    }
-
-    /// Injects a message from outside the simulation (e.g. a user typing a
-    /// query) to be delivered at `at` + link latency.
-    pub fn post(&mut self, at: SimTime, src: NodeId, dst: NodeId, tag: u32, payload: Vec<u8>) {
-        let envelope = Envelope {
-            src,
-            dst,
-            tag,
-            payload,
-        };
-        self.enqueue_send(at, envelope);
-    }
-
-    /// Schedules a timer on `node` at absolute time `at`.
-    pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
-        let sequence = self.timer_sequences.entry(node).or_insert(0);
-        let key = EventKey {
-            at,
-            node,
-            class: EventClass::Timer,
-            a: *sequence,
-            b: token,
-        };
-        *sequence += 1;
-        self.queue.push(Reverse(ScheduledEvent {
-            key,
-            kind: EventKind::Timer { token },
-        }));
+    fn run_while(
+        &mut self,
+        due: impl Fn(SimTime) -> bool,
+        mut route: impl FnMut(ScheduledEvent) -> Option<ScheduledEvent>,
+    ) -> EventCounts {
+        let mut counts = EventCounts::default();
+        let mut actions = std::mem::take(&mut self.actions);
+        while self.next_event_time().is_some_and(&due) {
+            let Reverse(event) = self.queue.pop().expect("peeked above");
+            let at = event.key.at;
+            let node = event.key.node;
+            self.clock = at;
+            match event.kind {
+                EventKind::Deliver(envelope) => {
+                    counts.deliver += 1;
+                    match live(&mut self.nodes, &self.crashed, node) {
+                        None => self.stats.dropped_dead += 1,
+                        Some(behavior) => {
+                            self.stats.delivered += 1;
+                            self.stats.bytes_delivered += envelope.payload.len() as u64;
+                            let mut ctx = Context::new(at, node, &mut actions);
+                            behavior.on_message(&mut ctx, envelope);
+                        }
+                    }
+                }
+                EventKind::Timer { token } => {
+                    counts.timer += 1;
+                    if let Some(behavior) = live(&mut self.nodes, &self.crashed, node) {
+                        self.stats.timers_fired += 1;
+                        let mut ctx = Context::new(at, node, &mut actions);
+                        behavior.on_timer(&mut ctx, token);
+                    }
+                }
+                EventKind::Membership(change) => {
+                    counts.membership += 1;
+                    match change {
+                        MembershipChange::Join => {
+                            if let Some(behavior) = self.membership.take_join(node, event.key.a) {
+                                self.nodes.insert(node, behavior);
+                                self.crashed.remove(&node);
+                                self.stats.joined += 1;
+                            }
+                        }
+                        MembershipChange::Leave => {
+                            self.nodes.remove(&node);
+                            self.crashed.remove(&node);
+                            self.stats.left += 1;
+                        }
+                        MembershipChange::Crash => {
+                            self.crashed.insert(node);
+                            self.stats.crashed += 1;
+                        }
+                        MembershipChange::Recover => {
+                            self.crashed.remove(&node);
+                            self.stats.recovered += 1;
+                        }
+                    }
+                }
+            }
+            for action in actions.drain(..) {
+                match action {
+                    Action::Send(envelope) => {
+                        if let Some(event) = self.prepare_send(at, envelope).and_then(&mut route) {
+                            self.enqueue(event);
+                        }
+                    }
+                    Action::Timer { node, delay, token } => {
+                        self.schedule_timer(at + delay, node, token);
+                    }
+                }
+            }
+        }
+        self.actions = actions;
+        counts
     }
 
     fn link_model(&self, src: NodeId, dst: NodeId) -> LatencyModel {
@@ -352,209 +369,133 @@ impl Simulation {
             .unwrap_or(self.default_latency)
     }
 
-    fn enqueue_send(&mut self, at: SimTime, envelope: Envelope) {
-        let model = self.link_model(envelope.src, envelope.dst);
-        let loss = self
-            .link_loss
-            .combined(self.loss.at(at), at, envelope.src, envelope.dst);
-        match self
-            .links
-            .prepare(at, envelope.src, envelope.dst, model, loss)
-        {
-            None => self.stats.lost += 1,
-            Some((deliver_at, sequence)) => {
-                let key = EventKey {
-                    at: deliver_at,
-                    node: envelope.dst,
-                    class: EventClass::Deliver,
-                    a: envelope.src.0,
-                    b: sequence,
-                };
-                self.queue.push(Reverse(ScheduledEvent {
-                    key,
-                    kind: EventKind::Deliver(envelope),
-                }));
-            }
-        }
-    }
-
-    /// Processes the next event, if any, and returns its timestamp.
-    pub fn step(&mut self) -> Option<SimTime> {
-        let Reverse(event) = self.queue.pop()?;
-        let at = event.key.at;
-        let node = event.key.node;
-        self.clock = at;
-        let mut actions = Vec::new();
-        match event.kind {
-            EventKind::Deliver(envelope) => {
-                if self.crashed.contains(&node) || !self.nodes.contains_key(&node) {
-                    self.stats.dropped_dead += 1;
-                } else {
-                    self.stats.delivered += 1;
-                    self.stats.bytes_delivered += envelope.payload.len() as u64;
-                    let mut ctx = Context::new(at, node, &mut actions);
-                    self.nodes
-                        .get_mut(&node)
-                        .expect("checked above")
-                        .on_message(&mut ctx, envelope);
-                }
-            }
-            EventKind::Timer { token } => {
-                if !self.crashed.contains(&node) && self.nodes.contains_key(&node) {
-                    self.stats.timers_fired += 1;
-                    let mut ctx = Context::new(at, node, &mut actions);
-                    self.nodes
-                        .get_mut(&node)
-                        .expect("checked above")
-                        .on_timer(&mut ctx, token);
-                }
-            }
-            EventKind::Membership(change) => match change {
-                MembershipChange::Join => {
-                    if let Some(behavior) = self.membership.take_join(node, event.key.a) {
-                        self.nodes.insert(node, behavior);
-                        self.crashed.remove(&node);
-                        self.stats.joined += 1;
-                    }
-                }
-                MembershipChange::Leave => {
-                    self.nodes.remove(&node);
-                    self.crashed.remove(&node);
-                    self.stats.left += 1;
-                }
-                MembershipChange::Crash => {
-                    self.crashed.insert(node);
-                    self.stats.crashed += 1;
-                }
-                MembershipChange::Recover => {
-                    self.crashed.remove(&node);
-                    self.stats.recovered += 1;
-                }
-            },
-        }
-        for action in actions {
-            match action {
-                Action::Send(envelope) => self.enqueue_send(at, envelope),
-                Action::Timer { node, delay, token } => {
-                    self.schedule_timer(at + delay, node, token)
-                }
-            }
-        }
-        Some(at)
-    }
-
-    /// Runs until the event queue is empty or `max_events` have been
-    /// processed, returning the number of processed events.
-    pub fn run_with_limit(&mut self, max_events: u64) -> u64 {
-        let mut processed = 0;
-        while processed < max_events && self.step().is_some() {
-            processed += 1;
-        }
-        processed
-    }
-
-    /// Runs until the event queue is empty (with a large safety limit).
-    pub fn run(&mut self) -> u64 {
-        self.run_with_limit(50_000_000)
-    }
-
-    /// Runs until the clock reaches `deadline` or no events remain.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse(event)) = self.queue.peek() {
-            if event.key.at > deadline {
-                break;
-            }
-            self.step();
-        }
-        self.clock = self.clock.max(deadline);
+    /// Queues `change` for `node` at `at` and returns its per-node
+    /// membership sequence (what a join stashes its behaviour under).
+    fn schedule_membership(&mut self, at: SimTime, node: NodeId, change: MembershipChange) -> u64 {
+        let key = self.membership.next_key(at, node, change);
+        self.enqueue(ScheduledEvent {
+            key,
+            kind: EventKind::Membership(change),
+        });
+        key.a
     }
 }
 
+/// The behaviour that handles `node`'s events — none while the node is
+/// crashed or not (or no longer) in the population.
+fn live<'a>(
+    nodes: &'a mut DetHashMap<NodeId, Behavior>,
+    crashed: &DetHashSet<NodeId>,
+    node: NodeId,
+) -> Option<&'a mut Behavior> {
+    if crashed.contains(&node) {
+        return None;
+    }
+    nodes.get_mut(&node)
+}
+
 impl Engine for Simulation {
-    fn add_node(&mut self, id: NodeId, behavior: Box<dyn NodeBehavior + Send>) {
-        Simulation::add_node(self, id, behavior);
+    fn add_node(&mut self, id: NodeId, behavior: Behavior) {
+        self.nodes.insert(id, behavior);
     }
 
     fn set_default_latency(&mut self, model: LatencyModel) {
-        Simulation::set_default_latency(self, model);
+        self.default_latency = model;
     }
 
     fn set_link_latency(&mut self, src: NodeId, dst: NodeId, model: LatencyModel) {
-        Simulation::set_link_latency(self, src, dst, model);
+        self.link_latency.insert((src, dst), model);
     }
 
     fn set_loss_probability(&mut self, p: f64) {
-        Simulation::set_loss_probability(self, p);
+        self.loss.set_base(p);
     }
 
     fn crash(&mut self, node: NodeId) {
-        Simulation::crash(self, node);
+        self.crashed.insert(node);
     }
 
     fn recover(&mut self, node: NodeId) {
-        Simulation::recover(self, node);
+        self.crashed.remove(&node);
     }
 
-    fn schedule_join(&mut self, at: SimTime, node: NodeId, behavior: Box<dyn NodeBehavior + Send>) {
-        Simulation::schedule_join(self, at, node, behavior);
+    fn schedule_join(&mut self, at: SimTime, node: NodeId, behavior: Behavior) {
+        let sequence = self.schedule_membership(at, node, MembershipChange::Join);
+        self.membership.stash_join(node, sequence, behavior);
     }
 
     fn schedule_leave(&mut self, at: SimTime, node: NodeId) {
-        Simulation::schedule_leave(self, at, node);
+        self.schedule_membership(at, node, MembershipChange::Leave);
     }
 
     fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
-        Simulation::schedule_crash(self, at, node);
+        self.schedule_membership(at, node, MembershipChange::Crash);
     }
 
     fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
-        Simulation::schedule_recover(self, at, node);
+        self.schedule_membership(at, node, MembershipChange::Recover);
     }
 
     fn schedule_loss_probability(&mut self, at: SimTime, p: f64) {
-        Simulation::schedule_loss_probability(self, at, p);
+        self.loss.schedule(at, p);
     }
 
     fn schedule_link_loss(&mut self, at: SimTime, src_set: &[NodeId], dst_set: &[NodeId], p: f64) {
-        Simulation::schedule_link_loss(self, at, src_set, dst_set, p);
+        self.link_loss.schedule(at, src_set, dst_set, p);
     }
 
     fn post(&mut self, at: SimTime, src: NodeId, dst: NodeId, tag: u32, payload: Vec<u8>) {
-        Simulation::post(self, at, src, dst, tag, payload);
+        let envelope = Envelope {
+            src,
+            dst,
+            tag,
+            payload,
+        };
+        if let Some(event) = self.prepare_send(at, envelope) {
+            self.enqueue(event);
+        }
     }
 
     fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
-        Simulation::schedule_timer(self, at, node, token);
+        let sequence = self.timer_sequences.entry(node).or_insert(0);
+        let key = EventKey {
+            at,
+            node,
+            class: EventClass::Timer,
+            a: *sequence,
+            b: token,
+        };
+        *sequence += 1;
+        self.enqueue(ScheduledEvent {
+            key,
+            kind: EventKind::Timer { token },
+        });
     }
 
     fn now(&self) -> SimTime {
-        Simulation::now(self)
+        self.clock
     }
 
     fn run(&mut self) -> u64 {
-        // The Engine contract is "run until no events remain"; the inherent
-        // `run` keeps its legacy 50M-event safety cap for direct callers,
-        // but here it would silently truncate executions that the sharded
-        // engine completes, breaking cross-engine equivalence.
-        Simulation::run_with_limit(self, u64::MAX)
+        self.run_while(|_| true, Some).total()
     }
 
     fn run_until(&mut self, deadline: SimTime) {
-        Simulation::run_until(self, deadline);
+        self.run_while(|at| at <= deadline, Some);
+        self.clock = self.clock.max(deadline);
     }
 
     fn stats(&self) -> SimulationStats {
-        Simulation::stats(self)
+        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::sync::{Arc, Mutex};
 
-    type DeliveryLog = Rc<RefCell<Vec<(SimTime, u32, Vec<u8>)>>>;
+    type DeliveryLog = Arc<Mutex<Vec<(SimTime, u32, Vec<u8>)>>>;
 
     /// Records delivery times of received messages.
     struct Recorder {
@@ -564,12 +505,14 @@ mod tests {
     impl NodeBehavior for Recorder {
         fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
             self.log
-                .borrow_mut()
+                .lock()
+                .unwrap()
                 .push((ctx.now(), envelope.tag, envelope.payload));
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
             self.log
-                .borrow_mut()
+                .lock()
+                .unwrap()
                 .push((ctx.now(), token as u32, b"timer".to_vec()));
         }
     }
@@ -583,7 +526,7 @@ mod tests {
     }
 
     fn recorder() -> (DeliveryLog, Recorder) {
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         (log.clone(), Recorder { log })
     }
 
@@ -595,7 +538,7 @@ mod tests {
         sim.add_node(NodeId(1), Box::new(rec));
         sim.post(SimTime::ZERO, NodeId(0), NodeId(1), 7, b"hello".to_vec());
         sim.run();
-        let entries = log.borrow();
+        let entries = log.lock().unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].0, SimTime::from_millis(50));
         assert_eq!(entries[0].1, 7);
@@ -612,7 +555,7 @@ mod tests {
         sim.add_node(NodeId(1), Box::new(Echo));
         sim.post(SimTime::ZERO, NodeId(0), NodeId(1), 1, b"ping".to_vec());
         sim.run();
-        let entries = log.borrow();
+        let entries = log.lock().unwrap();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].0, SimTime::from_millis(20));
         assert_eq!(entries[0].1, 2);
@@ -637,7 +580,7 @@ mod tests {
             );
         }
         sim.run();
-        let tags: Vec<u32> = log.borrow().iter().map(|(_, tag, _)| *tag).collect();
+        let tags: Vec<u32> = log.lock().unwrap().iter().map(|(_, tag, _)| *tag).collect();
         assert_eq!(
             tags,
             (0..50).collect::<Vec<_>>(),
@@ -654,7 +597,7 @@ mod tests {
         sim.schedule_timer(SimTime::from_millis(10), NodeId(5), 1);
         sim.schedule_timer(SimTime::from_millis(20), NodeId(5), 2);
         sim.run();
-        let tokens: Vec<u32> = log.borrow().iter().map(|(_, t, _)| *t).collect();
+        let tokens: Vec<u32> = log.lock().unwrap().iter().map(|(_, t, _)| *t).collect();
         assert_eq!(tokens, vec![1, 2, 3]);
         assert_eq!(sim.stats().timers_fired, 3);
     }
@@ -668,7 +611,7 @@ mod tests {
         sim.post(SimTime::ZERO, NodeId(0), NodeId(1), 1, b"x".to_vec());
         sim.schedule_timer(SimTime::from_millis(1), NodeId(1), 9);
         sim.run();
-        assert!(log.borrow().is_empty());
+        assert!(log.lock().unwrap().is_empty());
         assert_eq!(sim.stats().dropped_dead, 1);
         assert_eq!(sim.stats().timers_fired, 0);
     }
@@ -686,7 +629,7 @@ mod tests {
             sim.post(SimTime::from_millis(ms), NodeId(0), NodeId(1), tag, vec![]);
         }
         sim.run();
-        let tags: Vec<u32> = log.borrow().iter().map(|(_, tag, _)| *tag).collect();
+        let tags: Vec<u32> = log.lock().unwrap().iter().map(|(_, tag, _)| *tag).collect();
         assert_eq!(tags, vec![1, 3]);
         assert_eq!(sim.stats().dropped_dead, 1);
         assert_eq!(sim.stats().crashed, 1);
@@ -706,9 +649,10 @@ mod tests {
             sim.post(SimTime::from_millis(ms), NodeId(0), NodeId(1), tag, vec![]);
         }
         sim.run();
-        let old: Vec<u32> = log.borrow().iter().map(|(_, tag, _)| *tag).collect();
+        let old: Vec<u32> = log.lock().unwrap().iter().map(|(_, tag, _)| *tag).collect();
         let new: Vec<u32> = rejoined_log
-            .borrow()
+            .lock()
+            .unwrap()
             .iter()
             .map(|(_, tag, _)| *tag)
             .collect();
@@ -735,7 +679,7 @@ mod tests {
         sim.post(SimTime::ZERO, NodeId(0), NodeId(42), 1, vec![]);
         sim.post(SimTime::from_secs(2), NodeId(0), NodeId(42), 2, vec![]);
         sim.run();
-        let tags: Vec<u32> = log.borrow().iter().map(|(_, tag, _)| *tag).collect();
+        let tags: Vec<u32> = log.lock().unwrap().iter().map(|(_, tag, _)| *tag).collect();
         assert_eq!(tags, vec![2], "pre-join traffic is dropped dead");
         assert_eq!(sim.stats().dropped_dead, 1);
     }
@@ -758,7 +702,7 @@ mod tests {
         }
         sim.run();
         assert_eq!(
-            log.borrow().len(),
+            log.lock().unwrap().len(),
             20,
             "only sends before the storm survive"
         );
@@ -781,8 +725,18 @@ mod tests {
             sim.post(SimTime::from_millis(ms), NodeId(0), NodeId(2), tag, vec![]);
         }
         sim.run();
-        let to_1: Vec<u32> = log_b.borrow().iter().map(|(_, tag, _)| *tag).collect();
-        let to_2: Vec<u32> = log_c.borrow().iter().map(|(_, tag, _)| *tag).collect();
+        let to_1: Vec<u32> = log_b
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(_, tag, _)| *tag)
+            .collect();
+        let to_2: Vec<u32> = log_c
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(_, tag, _)| *tag)
+            .collect();
         assert_eq!(to_1, vec![1, 3], "the in-window send to the group is lost");
         assert_eq!(to_2, vec![1, 2, 3], "out-of-group traffic is untouched");
         assert_eq!(sim.stats().lost, 1);
@@ -806,7 +760,7 @@ mod tests {
             sim.post(SimTime::from_millis(i), NodeId(0), NodeId(1), 0, vec![]);
         }
         sim.run();
-        let delivered = log.borrow().len() as f64;
+        let delivered = log.lock().unwrap().len() as f64;
         assert!(
             (delivered / 2000.0 - 0.7).abs() < 0.05,
             "delivered fraction {}",
@@ -824,10 +778,10 @@ mod tests {
         sim.post(SimTime::from_millis(0), NodeId(0), NodeId(1), 1, vec![]);
         sim.post(SimTime::from_secs(100), NodeId(0), NodeId(1), 2, vec![]);
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(log.borrow().len(), 1);
+        assert_eq!(log.lock().unwrap().len(), 1);
         assert_eq!(sim.now(), SimTime::from_secs(1));
         sim.run();
-        assert_eq!(log.borrow().len(), 2);
+        assert_eq!(log.lock().unwrap().len(), 2);
     }
 
     #[test]
@@ -848,7 +802,8 @@ mod tests {
             }
             sim.run();
             let observed: Vec<(u64, u32)> = log
-                .borrow()
+                .lock()
+                .unwrap()
                 .iter()
                 .map(|(t, tag, _)| (t.as_nanos(), *tag))
                 .collect();
@@ -881,7 +836,8 @@ mod tests {
             }
             sim.run();
             let observed: Vec<(u64, u32)> = log
-                .borrow()
+                .lock()
+                .unwrap()
                 .iter()
                 .map(|(t, tag, _)| (t.as_nanos(), *tag))
                 .collect();

@@ -13,18 +13,12 @@
 //! remain bit-identical to uninstrumented ones.
 
 use cyclosa_net::time::SimTime;
-use cyclosa_telemetry::QuantileSketch;
+use cyclosa_telemetry::sketch::{bucket_index, bucket_low, QuantileSketch, BUCKETS};
 use cyclosa_util::json::{Json, ToJson};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Number of linear sub-buckets per power of two (and the precision bits).
-const SUB_BUCKET_BITS: u32 = 5;
-const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
-/// Bucket count covering the full `u64` range at this precision.
-const BUCKETS: usize = ((64 - SUB_BUCKET_BITS) as usize + 1) * SUB_BUCKETS as usize;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
@@ -97,26 +91,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Self::new()
     }
-}
-
-fn bucket_index(value: u64) -> usize {
-    if value < SUB_BUCKETS {
-        return value as usize;
-    }
-    let msb = 63 - value.leading_zeros();
-    let shift = msb - SUB_BUCKET_BITS;
-    let slot = (value >> shift) & (SUB_BUCKETS - 1);
-    ((shift as usize + 1) * SUB_BUCKETS as usize) + slot as usize
-}
-
-fn bucket_low(index: usize) -> u64 {
-    let sub = SUB_BUCKETS as usize;
-    if index < sub {
-        return index as u64;
-    }
-    let shift = (index / sub - 1) as u32;
-    let slot = (index % sub) as u64;
-    (SUB_BUCKETS + slot) << shift
 }
 
 impl Histogram {

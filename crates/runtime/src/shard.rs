@@ -1,7 +1,14 @@
 //! The sharded parallel discrete-event engine.
 //!
 //! [`ShardedEngine`] partitions nodes across worker shards by `NodeId`
-//! hash ([`shard_of`]) and runs each shard's event loop on its own thread.
+//! hash ([`shard_of`]). A shard is the event core of `cyclosa-net` — a
+//! [`Simulation`] — over its slice of the nodes, run on its own thread;
+//! everything that happens to one event (its key, the fate of a send,
+//! what a dead node drops, what the statistics count, what a membership
+//! change does) is that core's business and is written nowhere else. This
+//! module holds only what is about sharding: window arithmetic, the
+//! rendezvous, mailboxes, the trace merge and profiling.
+//!
 //! Shards advance in **conservative time windows**: the window width is
 //! the minimum latency floor across all configured link models (the
 //! *lookahead*), so a message sent during a window can never be due for
@@ -19,20 +26,23 @@
 //!    left, or the earliest one past the `run_until` deadline: the run is
 //!    over. Otherwise the window is `[min, min + lookahead)`, clipped to
 //!    just past the deadline (`run_until` is inclusive).
-//! 3. **Process and post.** Each shard pops its events before the window
-//!    end in [`EventKey`] order; deliveries for nodes of other shards go
-//!    into per-shard-pair FIFO mailboxes.
+//! 3. **Process and post.** Each shard runs its core strictly before the
+//!    window end ([`Simulation::run_before`]), in
+//!    [`EventKey`](cyclosa_net::engine::EventKey) order; the router it
+//!    passes keeps deliveries for its own nodes and sets the others aside
+//!    for per-shard-pair FIFO mailboxes.
 //!
 //! After the third rendezvous each shard drains its mailboxes into its
-//! heap while shard 0 folds the window's trace events into the merged
-//! timeline; the next window's first rendezvous orders those drains
-//! before anyone publishes again. Because event keys and all link
-//! randomness are deterministic (see `cyclosa_net::engine`), an execution
-//! is **bit-identical to the sequential
-//! [`Simulation`](cyclosa_net::sim::Simulation) for the same seed, for
-//! any shard count**. An engine with one shard has nobody to meet: it
-//! walks the same windows on the calling thread, with no worker thread,
-//! rendezvous or mailbox.
+//! core's queue while shard 0 folds the window's trace events into the
+//! merged timeline; the next window's first rendezvous orders those
+//! drains before anyone publishes again. Each shard running its own
+//! events in key order is the global key order restricted to its nodes,
+//! and all link randomness is per link and touched only by the sender's
+//! core (see `cyclosa_net::engine`), so an execution is **bit-identical
+//! to the sequential [`Simulation`] for the same seed, for any shard
+//! count**. An engine with one shard has nobody to meet: it walks the
+//! same windows on the calling thread, with no worker thread, rendezvous
+//! or mailbox.
 //!
 //! # Spin, then park
 //!
@@ -88,19 +98,13 @@
 
 use crate::barrier::{spin_budget_for, CachePadded, WindowBarrier};
 use crate::metrics::{Counter, Gauge, Histogram, Registry};
-use cyclosa_net::engine::{
-    Engine, EventClass, EventKey, EventKind, LinkGroupSchedule, LinkTable, LossSchedule,
-    MembershipChange, MembershipLedger, ScheduledEvent,
-};
+use cyclosa_net::engine::{Engine, ScheduledEvent};
 use cyclosa_net::latency::LatencyModel;
-use cyclosa_net::sim::{Action, Context, Envelope, NodeBehavior, SimulationStats};
+use cyclosa_net::sim::{Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_telemetry::TraceSink;
-use cyclosa_util::det::{DetHashMap, DetHashSet};
 use cyclosa_util::rng::{Rng, SplitMix64};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -213,29 +217,16 @@ fn window_end(start: u64, lookahead: SimTime, deadline: Option<SimTime>) -> Opti
     Some(deadline.map_or(end, |d| end.min(d.as_nanos() + 1)))
 }
 
-/// One shard: a slice of the node population plus everything needed to run
-/// their events locally (heap, per-link state for links originating here,
-/// timer sequences, statistics).
+/// One shard: the event core ([`Simulation`]) over this shard's slice of
+/// the node population — their behaviours, the events addressed to them,
+/// the per-link state of links originating here — plus what only a shard
+/// has: its place among the others and its profiling instruments.
 struct Shard {
     index: usize,
     num_shards: usize,
-    nodes: DetHashMap<NodeId, Box<dyn NodeBehavior + Send>>,
-    crashed: DetHashSet<NodeId>,
-    queue: BinaryHeap<Reverse<ScheduledEvent>>,
-    links: LinkTable,
-    default_latency: LatencyModel,
-    link_latency: DetHashMap<(NodeId, NodeId), LatencyModel>,
-    loss: LossSchedule,
-    link_loss: LinkGroupSchedule,
-    timer_sequences: DetHashMap<NodeId, u64>,
-    membership: MembershipLedger<Box<dyn NodeBehavior + Send>>,
-    clock: SimTime,
+    sim: Simulation,
     processed: u64,
-    stats: SimulationStats,
     profile: Option<ShardProfile>,
-    /// Scratch for the actions of the event being processed; kept so a
-    /// window does not allocate it afresh.
-    actions: Vec<Action>,
 }
 
 impl Shard {
@@ -243,178 +234,35 @@ impl Shard {
         Self {
             index,
             num_shards,
-            nodes: DetHashMap::default(),
-            crashed: DetHashSet::default(),
-            queue: BinaryHeap::new(),
-            links: LinkTable::new(seed),
-            default_latency: LatencyModel::wan(),
-            link_latency: DetHashMap::default(),
-            loss: LossSchedule::new(),
-            link_loss: LinkGroupSchedule::new(),
-            timer_sequences: DetHashMap::default(),
-            membership: MembershipLedger::new(),
-            clock: SimTime::ZERO,
+            sim: Simulation::new(seed),
             processed: 0,
-            stats: SimulationStats::default(),
             profile: None,
-            actions: Vec::new(),
         }
     }
 
-    fn link_model(&self, src: NodeId, dst: NodeId) -> LatencyModel {
-        self.link_latency
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(self.default_latency)
-    }
-
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(event)| event.key.at)
-    }
-
-    /// Turns one send into a scheduled delivery (or a loss). Must run on
-    /// the shard owning `envelope.src` so the per-link state is touched in
-    /// the sender's deterministic order.
-    fn prepare_send(&mut self, at: SimTime, envelope: Envelope) -> Option<ScheduledEvent> {
-        let model = self.link_model(envelope.src, envelope.dst);
-        // Every shard evaluates the same replicated schedules at the same
-        // deterministic send times, so the partition boundary crossing
-        // shard boundaries cannot break bit-identity.
-        let loss = self
-            .link_loss
-            .combined(self.loss.at(at), at, envelope.src, envelope.dst);
-        match self
-            .links
-            .prepare(at, envelope.src, envelope.dst, model, loss)
-        {
-            None => {
-                self.stats.lost += 1;
-                None
-            }
-            Some((deliver_at, sequence)) => Some(ScheduledEvent {
-                key: EventKey {
-                    at: deliver_at,
-                    node: envelope.dst,
-                    class: EventClass::Deliver,
-                    a: envelope.src.0,
-                    b: sequence,
-                },
-                kind: EventKind::Deliver(envelope),
-            }),
-        }
-    }
-
-    fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
-        let sequence = self.timer_sequences.entry(node).or_insert(0);
-        let key = EventKey {
-            at,
-            node,
-            class: EventClass::Timer,
-            a: *sequence,
-            b: token,
-        };
-        *sequence += 1;
-        self.queue.push(Reverse(ScheduledEvent {
-            key,
-            kind: EventKind::Timer { token },
-        }));
-    }
-
-    fn schedule_membership(&mut self, at: SimTime, node: NodeId, change: MembershipChange) {
-        let key = self.membership.next_key(at, node, change);
-        self.queue.push(Reverse(ScheduledEvent {
-            key,
-            kind: EventKind::Membership(change),
-        }));
+    fn next_event_nanos(&self) -> u64 {
+        self.sim
+            .next_event_time()
+            .map_or(u64::MAX, |t| t.as_nanos())
     }
 
     /// Processes every local event strictly before `end`, appending
     /// cross-shard deliveries to `outgoing[dst_shard]`.
     fn process_window(&mut self, end: SimTime, outgoing: &mut [Vec<ScheduledEvent>]) {
-        let mut actions = std::mem::take(&mut self.actions);
-        while let Some(Reverse(event)) = self.queue.peek() {
-            if event.key.at >= end {
-                break;
+        let (index, num_shards) = (self.index, self.num_shards);
+        let counts = self.sim.run_before(end, |event| {
+            let dst_shard = shard_of(event.key.node, num_shards);
+            if dst_shard == index {
+                return Some(event);
             }
-            let Reverse(event) = self.queue.pop().expect("peeked above");
-            let at = event.key.at;
-            let node = event.key.node;
-            self.clock = at;
-            self.processed += 1;
-            if let Some(profile) = &self.profile {
-                match &event.kind {
-                    EventKind::Deliver(_) => profile.deliver.inc(),
-                    EventKind::Timer { .. } => profile.timer.inc(),
-                    EventKind::Membership(_) => profile.membership.inc(),
-                }
-            }
-            match event.kind {
-                EventKind::Deliver(envelope) => {
-                    if self.crashed.contains(&node) || !self.nodes.contains_key(&node) {
-                        self.stats.dropped_dead += 1;
-                    } else {
-                        self.stats.delivered += 1;
-                        self.stats.bytes_delivered += envelope.payload.len() as u64;
-                        let mut ctx = Context::new(at, node, &mut actions);
-                        self.nodes
-                            .get_mut(&node)
-                            .expect("checked above")
-                            .on_message(&mut ctx, envelope);
-                    }
-                }
-                EventKind::Timer { token } => {
-                    if !self.crashed.contains(&node) && self.nodes.contains_key(&node) {
-                        self.stats.timers_fired += 1;
-                        let mut ctx = Context::new(at, node, &mut actions);
-                        self.nodes
-                            .get_mut(&node)
-                            .expect("checked above")
-                            .on_timer(&mut ctx, token);
-                    }
-                }
-                EventKind::Membership(change) => match change {
-                    MembershipChange::Join => {
-                        if let Some(behavior) = self.membership.take_join(node, event.key.a) {
-                            self.nodes.insert(node, behavior);
-                            self.crashed.remove(&node);
-                            self.stats.joined += 1;
-                        }
-                    }
-                    MembershipChange::Leave => {
-                        self.nodes.remove(&node);
-                        self.crashed.remove(&node);
-                        self.stats.left += 1;
-                    }
-                    MembershipChange::Crash => {
-                        self.crashed.insert(node);
-                        self.stats.crashed += 1;
-                    }
-                    MembershipChange::Recover => {
-                        self.crashed.remove(&node);
-                        self.stats.recovered += 1;
-                    }
-                },
-            }
-            for action in actions.drain(..) {
-                match action {
-                    Action::Send(envelope) => {
-                        if let Some(event) = self.prepare_send(at, envelope) {
-                            let dst_shard = shard_of(event.key.node, self.num_shards);
-                            if dst_shard == self.index {
-                                self.queue.push(Reverse(event));
-                            } else {
-                                outgoing[dst_shard].push(event);
-                            }
-                        }
-                    }
-                    Action::Timer { node, delay, token } => {
-                        self.schedule_timer(at + delay, node, token);
-                    }
-                }
-            }
-        }
-        self.actions = actions;
+            outgoing[dst_shard].push(event);
+            None
+        });
+        self.processed += counts.total();
         if let Some(profile) = &self.profile {
+            profile.deliver.add(counts.deliver);
+            profile.timer.add(counts.timer);
+            profile.membership.add(counts.membership);
             profile.windows.inc();
         }
     }
@@ -436,10 +284,7 @@ impl std::fmt::Debug for ShardedEngine {
         f.debug_struct("ShardedEngine")
             .field("shards", &self.shards.len())
             .field("clock", &self.clock)
-            .field(
-                "nodes",
-                &self.shards.iter().map(|s| s.nodes.len()).sum::<usize>(),
-            )
+            .field("nodes", &self.node_count())
             .finish()
     }
 }
@@ -517,18 +362,10 @@ impl ShardedEngine {
     /// Returns [`EngineConfigError::ZeroLatencyFloor`] naming the first
     /// configured model whose floor is zero.
     pub fn validate(&self) -> Result<(), EngineConfigError> {
-        let shard = &self.shards[0];
-        if shard.default_latency.floor() == SimTime::ZERO {
-            return Err(EngineConfigError::ZeroLatencyFloor {
-                model: shard.default_latency,
-            });
+        match self.latency_models().find(|m| m.floor() == SimTime::ZERO) {
+            Some(model) => Err(EngineConfigError::ZeroLatencyFloor { model }),
+            None => Ok(()),
         }
-        for model in shard.link_latency.values() {
-            if model.floor() == SimTime::ZERO {
-                return Err(EngineConfigError::ZeroLatencyFloor { model: *model });
-            }
-        }
-        Ok(())
     }
 
     /// Runs until no events remain, like [`Engine::run`], but returns the
@@ -563,7 +400,7 @@ impl ShardedEngine {
 
     /// Total number of registered nodes.
     pub fn node_count(&self) -> usize {
-        self.shards.iter().map(|s| s.nodes.len()).sum()
+        self.shards.iter().map(|s| s.sim.node_count()).sum()
     }
 
     /// The conservative lookahead: the smallest latency floor of any
@@ -578,17 +415,21 @@ impl ShardedEngine {
     /// diverge from the sequential simulator. Every built-in model family
     /// used by the experiments has a positive floor.
     pub fn lookahead(&self) -> SimTime {
-        let shard = &self.shards[0];
-        let mut lookahead = shard.default_latency.floor();
-        for model in shard.link_latency.values() {
-            lookahead = lookahead.min(model.floor());
-        }
-        lookahead
+        self.latency_models()
+            .map(|m| m.floor())
+            .min()
+            .expect("the default model is always there")
     }
 
-    fn shard_mut(&mut self, node: NodeId) -> &mut Shard {
+    /// The configured latency models; every shard holds the same ones.
+    fn latency_models(&self) -> impl Iterator<Item = LatencyModel> + '_ {
+        self.shards[0].sim.latency_models()
+    }
+
+    /// The event core of the shard that owns `node`.
+    fn owner(&mut self, node: NodeId) -> &mut Simulation {
         let index = shard_of(node, self.shards.len());
-        &mut self.shards[index]
+        &mut self.shards[index].sim
     }
 
     fn run_windows(&mut self, deadline: Option<SimTime>) -> u64 {
@@ -602,11 +443,7 @@ impl ShardedEngine {
         if let [shard] = self.shards.as_mut_slice() {
             // One shard has nobody to meet: same windows, same trace merge
             // points, on the calling thread.
-            while let Some(end) = window_end(
-                shard.next_event_time().map_or(u64::MAX, |t| t.as_nanos()),
-                lookahead,
-                deadline,
-            ) {
+            while let Some(end) = window_end(shard.next_event_nanos(), lookahead, deadline) {
                 let end = SimTime::from_nanos(end);
                 shard.process_window(end, &mut []);
                 self.trace.merge_up_to(end);
@@ -618,7 +455,7 @@ impl ShardedEngine {
         self.clock = self
             .shards
             .iter()
-            .map(|s| s.clock)
+            .map(|s| s.sim.now())
             .max()
             .unwrap_or(self.clock)
             .max(self.clock);
@@ -654,8 +491,9 @@ impl ShardedEngine {
                         (0..num_shards).map(|_| Vec::new()).collect();
                     loop {
                         // Phase 1: publish this shard's earliest event.
-                        let next = shard.next_event_time().map_or(u64::MAX, |t| t.as_nanos());
-                        next_times[index].0.store(next, Ordering::Release);
+                        next_times[index]
+                            .0
+                            .store(shard.next_event_nanos(), Ordering::Release);
                         wait(barrier, profile.as_ref());
                         // Phase 2: shard 0 alone turns the minimum into the
                         // window (or the end of the run).
@@ -706,7 +544,7 @@ impl ShardedEngine {
                                 row[index].lock().unwrap_or_else(PoisonError::into_inner);
                             merged_in += inbox.len();
                             for event in inbox.drain(..) {
-                                shard.queue.push(Reverse(event));
+                                shard.sim.enqueue(event);
                             }
                         }
                         if let Some(profile) = &profile {
@@ -722,77 +560,68 @@ impl ShardedEngine {
     }
 }
 
+/// Configuration that is a pure function of send time (latency models,
+/// loss schedules) is replicated to every shard, because sends are
+/// prepared on the sender's shard; everything about one node goes to the
+/// shard that owns it. Joined nodes hash to shards exactly like seed
+/// nodes, so a membership event is local to its owner and rides that
+/// shard's windows in total event order.
 impl Engine for ShardedEngine {
     fn add_node(&mut self, id: NodeId, behavior: Box<dyn NodeBehavior + Send>) {
-        self.shard_mut(id).nodes.insert(id, behavior);
+        self.owner(id).add_node(id, behavior);
     }
 
     fn set_default_latency(&mut self, model: LatencyModel) {
         for shard in &mut self.shards {
-            shard.default_latency = model;
+            shard.sim.set_default_latency(model);
         }
     }
 
     fn set_link_latency(&mut self, src: NodeId, dst: NodeId, model: LatencyModel) {
         for shard in &mut self.shards {
-            shard.link_latency.insert((src, dst), model);
+            shard.sim.set_link_latency(src, dst, model);
         }
     }
 
     fn set_loss_probability(&mut self, p: f64) {
         for shard in &mut self.shards {
-            shard.loss.set_base(p);
+            shard.sim.set_loss_probability(p);
         }
     }
 
     fn crash(&mut self, node: NodeId) {
-        self.shard_mut(node).crashed.insert(node);
+        self.owner(node).crash(node);
     }
 
     fn recover(&mut self, node: NodeId) {
-        self.shard_mut(node).crashed.remove(&node);
+        self.owner(node).recover(node);
     }
 
     fn schedule_join(&mut self, at: SimTime, node: NodeId, behavior: Box<dyn NodeBehavior + Send>) {
-        // Joined nodes hash to shards exactly like seed nodes; the whole
-        // membership event is local to the owning shard and rides that
-        // shard's windows in total event order.
-        let shard = self.shard_mut(node);
-        let key = shard.membership.next_key(at, node, MembershipChange::Join);
-        shard.membership.stash_join(node, key.a, behavior);
-        shard.queue.push(Reverse(ScheduledEvent {
-            key,
-            kind: EventKind::Membership(MembershipChange::Join),
-        }));
+        self.owner(node).schedule_join(at, node, behavior);
     }
 
     fn schedule_leave(&mut self, at: SimTime, node: NodeId) {
-        self.shard_mut(node)
-            .schedule_membership(at, node, MembershipChange::Leave);
+        self.owner(node).schedule_leave(at, node);
     }
 
     fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
-        self.shard_mut(node)
-            .schedule_membership(at, node, MembershipChange::Crash);
+        self.owner(node).schedule_crash(at, node);
     }
 
     fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
-        self.shard_mut(node)
-            .schedule_membership(at, node, MembershipChange::Recover);
+        self.owner(node).schedule_recover(at, node);
     }
 
     fn schedule_loss_probability(&mut self, at: SimTime, p: f64) {
         for shard in &mut self.shards {
-            shard.loss.schedule(at, p);
+            shard.sim.schedule_loss_probability(at, p);
         }
     }
 
     fn schedule_link_loss(&mut self, at: SimTime, src_set: &[NodeId], dst_set: &[NodeId], p: f64) {
-        // Replicated like the global loss schedule: link-group loss is a
-        // pure function of send time, and sends are prepared on the
-        // sender's shard against the shared schedule.
         for shard in &mut self.shards {
-            shard.link_loss.schedule(at, src_set, dst_set, p);
+            shard.sim.schedule_link_loss(at, src_set, dst_set, p);
         }
     }
 
@@ -805,14 +634,13 @@ impl Engine for ShardedEngine {
         };
         // Link state lives with the sender's shard; the event itself goes
         // to the destination's shard.
-        if let Some(event) = self.shard_mut(src).prepare_send(at, envelope) {
-            let dst_shard = shard_of(dst, self.shards.len());
-            self.shards[dst_shard].queue.push(Reverse(event));
+        if let Some(event) = self.owner(src).prepare_send(at, envelope) {
+            self.owner(dst).enqueue(event);
         }
     }
 
     fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
-        self.shard_mut(node).schedule_timer(at, node, token);
+        self.owner(node).schedule_timer(at, node, token);
     }
 
     fn now(&self) -> SimTime {
@@ -831,7 +659,7 @@ impl Engine for ShardedEngine {
     fn stats(&self) -> SimulationStats {
         let mut total = SimulationStats::default();
         for shard in &self.shards {
-            total.merge(&shard.stats);
+            total.merge(&shard.sim.stats());
         }
         total
     }
@@ -840,7 +668,7 @@ impl Engine for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cyclosa_net::sim::Simulation;
+    use cyclosa_net::sim::Context;
     use std::sync::Arc;
 
     type SharedTrace = Arc<Mutex<std::collections::BTreeMap<NodeId, Vec<(u64, u32)>>>>;

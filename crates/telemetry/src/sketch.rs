@@ -1,12 +1,15 @@
 //! Deterministic, mergeable log-bucketed quantile sketch.
 //!
-//! The sketch mirrors the HDR-style log-linear bucket layout used by
-//! `cyclosa_runtime::metrics::Histogram`: values are mapped to buckets whose
-//! width grows geometrically, with 32 linear sub-buckets per power of two,
-//! bounding the relative quantile error at `1/32 = 3.125%` — the same
-//! guarantee a DDSketch gives with a relative accuracy parameter, but with a
-//! fixed, integer-only bucket function so two sketches built from the same
-//! multiset of samples are *identical*, not merely equivalent.
+//! The sketch owns the HDR-style log-linear bucket layout
+//! ([`bucket_index`], [`bucket_low`], [`BUCKETS`]) that
+//! `cyclosa_runtime::metrics::Histogram` counts into as well — one layout,
+//! so converting a histogram to a sketch is lossless. Values are mapped to
+//! buckets whose width grows geometrically, with 32 linear sub-buckets per
+//! power of two, bounding the relative quantile error at `1/32 = 3.125%` —
+//! the same guarantee a DDSketch gives with a relative accuracy parameter,
+//! but with a fixed, integer-only bucket function so two sketches built
+//! from the same multiset of samples are *identical*, not merely
+//! equivalent.
 //!
 //! # Merge determinism
 //!
@@ -20,14 +23,16 @@
 use cyclosa_util::json::Json;
 use std::collections::BTreeMap;
 
-/// Number of linear sub-bucket bits per power of two. Must match the layout
-/// used by the runtime metrics histogram so conversions are lossless.
+/// Number of linear sub-bucket bits per power of two.
 const SUB_BUCKET_BITS: u32 = 5;
 /// Number of linear sub-buckets per power of two (32).
 const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
+/// Number of buckets covering the full `u64` range: every
+/// [`bucket_index`] is below it.
+pub const BUCKETS: usize = ((64 - SUB_BUCKET_BITS) as usize + 1) * SUB_BUCKETS as usize;
 
 /// Map a value to its bucket index (log-linear HDR layout).
-fn bucket_index(value: u64) -> usize {
+pub fn bucket_index(value: u64) -> usize {
     if value < SUB_BUCKETS {
         return value as usize;
     }
@@ -39,7 +44,7 @@ fn bucket_index(value: u64) -> usize {
 
 /// Lowest value that maps to the given bucket index (the reported quantile
 /// value for any sample in that bucket).
-fn bucket_low(index: usize) -> u64 {
+pub fn bucket_low(index: usize) -> u64 {
     let sub = SUB_BUCKETS as usize;
     if index < sub {
         return index as u64;

@@ -8,9 +8,11 @@
 use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
 use cyclosa_chaos::experiment::{run_churn_experiment_on, ChurnConfig, ChurnOutcome};
 use cyclosa_chaos::{ChaosPlan, ChurnModel, FaultKind};
+use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
+use cyclosa_telemetry::TraceSink;
 use cyclosa_util::stats::Summary;
 
 /// One untraced churn run on the chosen engine.
@@ -91,7 +93,7 @@ fn main() {
     // Apply it to a bare engine just to show the plumbing: faults become
     // scheduled membership events and run to completion.
     let mut simulation = Simulation::new(7);
-    plan.apply(&mut simulation);
+    plan.apply(&mut simulation, &TraceSink::disabled());
     simulation.run();
     let stats = simulation.stats();
     println!(

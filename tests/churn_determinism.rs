@@ -253,7 +253,7 @@ fn scripted_partition_split_and_remerge_is_bit_identical_across_shards() {
                 SimTime::from_millis(600),
                 NodeId(rng.gen_range(0, population)),
             )
-            .apply(engine);
+            .apply(engine, &TraceSink::disabled());
         let injections = 40 + rng.gen_index(20);
         for i in 0..injections {
             let hops = rng.gen_range(1, 6) as u32;
@@ -386,7 +386,7 @@ fn chaos_plan_over_latency_experiment_is_bit_identical() {
         plan: &ChaosPlan,
         config: &EndToEndConfig,
     ) -> (Vec<f64>, SimulationStats) {
-        plan.apply(engine);
+        plan.apply(engine, &TraceSink::disabled());
         let latencies = run_end_to_end_latency_on(engine, config, None, &TraceSink::disabled());
         (latencies, engine.stats())
     }

@@ -16,6 +16,7 @@ use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_runtime::ShardedEngine;
+use cyclosa_telemetry::TraceSink;
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -84,7 +85,7 @@ fn run_case(engine: &mut dyn Engine, case: &Case, partitioned: bool) -> Trace {
         let majority: Vec<NodeId> = (case.boundary..case.population).map(NodeId).collect();
         ChaosPlan::new()
             .partition(&[&minority, &majority], case.split, case.merge)
-            .apply(engine);
+            .apply(engine, &TraceSink::disabled());
     }
     for &(at, src, dst, tag) in &case.sends {
         engine.post(at, src, dst, tag, vec![tag as u8]);
