@@ -7,7 +7,18 @@
 //! conversion changed the container, not the timeline — every gossip
 //! exchange, partner draw and resulting view is unchanged for these seeds.
 
-use cyclosa_peer_sampling::{GossipSimulator, PeerId, PeerSamplingConfig};
+use cyclosa::deployment::converge_peer_views;
+use cyclosa::node::CyclosaNode;
+use cyclosa_net::engine::Engine;
+use cyclosa_net::sim::Simulation;
+use cyclosa_net::time::SimTime;
+use cyclosa_peer_sampling::{
+    BrahmsConfig, BrahmsSimulator, EngineBrahmsOverlay, EngineGossipConfig, EngineGossipOverlay,
+    GossipSimulator, MembershipConfig, OverlayMetrics, PeerId, PeerSamplingConfig,
+    SwimGossipOverlay, SybilAttackConfig, SybilSimulator,
+};
+use cyclosa_runtime::metrics::Registry;
+use cyclosa_runtime::ShardedEngine;
 
 fn fnv(digest: &mut u64, value: u64) {
     *digest ^= value;
@@ -59,3 +70,221 @@ fn digest_is_seed_deterministic_and_discriminating() {
     assert_eq!(run_digest(60, 25, 42), run_digest(60, 25, 42));
     assert_ne!(run_digest(60, 25, 42), run_digest(60, 25, 43));
 }
+
+// ---------------------------------------------------------------------
+// Pins of the paths `BENCH_churn.json` never reaches. Captured on the
+// seven-driver code (`SybilSimulator`, `BrahmsSimulator`, the three
+// engine overlays with their own deploy/liveness/partition copies, and
+// the hand-rolled exchange of `converge_peer_views`); the population
+// refactor ported the constructor calls below and nothing else.
+// ---------------------------------------------------------------------
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+fn fnv_views(digest: &mut u64, views: &[(PeerId, Vec<PeerId>)]) {
+    for (id, peers) in views {
+        fnv(digest, id.0);
+        fnv(digest, peers.len() as u64);
+        for peer in peers {
+            fnv(digest, peer.0);
+        }
+    }
+}
+
+fn fnv_metrics(digest: &mut u64, metrics: OverlayMetrics) {
+    fnv(digest, metrics.nodes as u64);
+    fnv(digest, metrics.max_in_degree as u64);
+    fnv(digest, metrics.mean_in_degree.to_bits());
+    fnv(digest, metrics.dead_references.to_bits());
+    fnv(digest, metrics.connected as u64);
+}
+
+/// The Sybil scenario of the sync and engine pins: a seed other than the
+/// 2018 every `BENCH_churn.json` section runs at.
+fn pinned_attack() -> SybilAttackConfig {
+    SybilAttackConfig {
+        honest: 60,
+        fraction: 0.25,
+        pushes_per_sybil: 3,
+        seed: 77,
+    }
+}
+
+#[test]
+fn naive_sampler_under_sybil_attack_matches_the_pinned_views() {
+    let mut sim = SybilSimulator::ring(pinned_attack(), PeerSamplingConfig::default());
+    sim.run_rounds(30);
+    let mut digest = FNV_OFFSET;
+    fnv_views(&mut digest, &sim.views());
+    fnv(&mut digest, sim.attacker_fraction().to_bits());
+    println!("sybil digest = {digest:#018X}");
+    assert_eq!(digest, PIN_SYBIL_77);
+}
+
+#[test]
+fn brahms_sampler_under_sybil_attack_matches_the_pinned_views_and_voided_rounds() {
+    let mut sim = BrahmsSimulator::ring(pinned_attack(), BrahmsConfig::default());
+    sim.run_rounds(30);
+    let mut digest = FNV_OFFSET;
+    fnv_views(&mut digest, &sim.views());
+    fnv(&mut digest, sim.voided_rounds());
+    fnv(&mut digest, sim.attacker_fraction().to_bits());
+    println!("brahms digest = {digest:#018X}");
+    assert_eq!(digest, PIN_BRAHMS_77);
+}
+
+fn engine_brahms_digest(engine: &mut dyn Engine) -> u64 {
+    let overlay = EngineBrahmsOverlay::ring(
+        engine,
+        pinned_attack(),
+        BrahmsConfig::default(),
+        25,
+        SimTime::from_secs(1),
+    );
+    engine.run();
+    let mut digest = FNV_OFFSET;
+    fnv_views(&mut digest, &overlay.views());
+    fnv(&mut digest, overlay.attacker_fraction().to_bits());
+    digest
+}
+
+#[test]
+fn engine_brahms_overlay_matches_the_pin_on_both_engines() {
+    let sequential = engine_brahms_digest(&mut Simulation::new(77));
+    println!("engine brahms digest = {sequential:#018X}");
+    assert_eq!(sequential, PIN_ENGINE_BRAHMS_77);
+    for shards in [2, 4] {
+        assert_eq!(
+            engine_brahms_digest(&mut ShardedEngine::new(77, shards)),
+            PIN_ENGINE_BRAHMS_77,
+            "{shards} shards"
+        );
+    }
+}
+
+/// Every fault the shuffle overlay schedules, in one run: a mid-run
+/// crash that recovers, a crash that stays, a leave-and-rejoin, a bridged
+/// partition, the eager (stale-view) cadence and the live histograms.
+fn faulted_shuffle_digest(engine: &mut dyn Engine) -> u64 {
+    let registry = Registry::new();
+    let config = EngineGossipConfig {
+        rounds: 70,
+        staleness_threshold: Some(2),
+        ..EngineGossipConfig::default()
+    };
+    let mut overlay = EngineGossipOverlay::ring_with_metrics(engine, 40, config, 59, &registry);
+    for i in 0..4 {
+        overlay.schedule_kill(engine, PeerId(i), SimTime::from_secs(9));
+        overlay.revive(engine, PeerId(i), SimTime::from_secs(24));
+    }
+    overlay.schedule_kill(engine, PeerId(33), SimTime::from_secs(11));
+    overlay.schedule_rejoin(
+        engine,
+        PeerId(20),
+        SimTime::from_secs(12),
+        SimTime::from_secs(28),
+    );
+    let minority: Vec<PeerId> = (5..15).map(PeerId).collect();
+    overlay.schedule_partition(
+        engine,
+        &minority,
+        SimTime::from_secs(14),
+        SimTime::from_secs(40),
+        2,
+    );
+    engine.run_until(SimTime::from_secs(30));
+    overlay.kill(engine, PeerId(39));
+    engine.run();
+    let mut digest = FNV_OFFSET;
+    fnv_views(&mut digest, &overlay.views());
+    fnv_metrics(&mut digest, overlay.metrics());
+    fnv(&mut digest, overlay.len() as u64);
+    fnv(&mut digest, engine.now().as_nanos());
+    fnv(&mut digest, engine.stats().delivered);
+    let staleness = registry
+        .histogram("overlay.view_staleness_rounds")
+        .snapshot();
+    fnv(&mut digest, staleness.count);
+    fnv(&mut digest, staleness.max);
+    let dead = registry
+        .histogram("overlay.dead_view_references_permille")
+        .snapshot();
+    fnv(&mut digest, dead.count);
+    fnv(&mut digest, dead.max);
+    fnv(&mut digest, registry.counter("overlay.eager_rounds").get());
+    digest
+}
+
+#[test]
+fn faulted_shuffle_overlay_matches_the_pin_on_both_engines() {
+    let sequential = faulted_shuffle_digest(&mut Simulation::new(59));
+    println!("faulted shuffle digest = {sequential:#018X}");
+    assert_eq!(sequential, PIN_FAULTED_SHUFFLE_59);
+    assert_eq!(
+        faulted_shuffle_digest(&mut ShardedEngine::new(59, 4)),
+        PIN_FAULTED_SHUFFLE_59,
+        "4 shards"
+    );
+}
+
+#[test]
+fn swim_timelines_with_a_crash_and_a_forgery_match_the_pin() {
+    let mut sim = Simulation::new(83);
+    let config = MembershipConfig {
+        rounds: 40,
+        ..MembershipConfig::default()
+    };
+    let mut overlay = SwimGossipOverlay::ring(&mut sim, 14, config, 83);
+    overlay.schedule_kill(&mut sim, PeerId(6), SimTime::from_secs(9));
+    overlay.schedule_incarnation_forgery(
+        &mut sim,
+        PeerId(2),
+        PeerId(11),
+        50,
+        SimTime::from_secs(15),
+    );
+    overlay.schedule_partition(
+        &mut sim,
+        &[PeerId(0), PeerId(1), PeerId(2)],
+        SimTime::from_secs(30),
+        SimTime::from_secs(50),
+    );
+    sim.run();
+    let mut digest = FNV_OFFSET;
+    for byte in overlay.render_timelines().bytes() {
+        fnv(&mut digest, u64::from(byte));
+    }
+    fnv_views(&mut digest, &overlay.views());
+    fnv_metrics(&mut digest, overlay.metrics());
+    fnv(&mut digest, overlay.len() as u64);
+    fnv(&mut digest, overlay.mean_staleness(sim.now()).to_bits());
+    println!("swim digest = {digest:#018X}");
+    assert_eq!(digest, PIN_SWIM_83);
+}
+
+#[test]
+fn converge_peer_views_over_twenty_nodes_matches_the_pin() {
+    let mut nodes: Vec<CyclosaNode> = (0..20).map(|i| CyclosaNode::builder(i).build()).collect();
+    converge_peer_views(&mut nodes, 12, 31);
+    // A second call re-bootstraps from the full directory and gossips on:
+    // what `node_fullstack` does once per query.
+    converge_peer_views(&mut nodes, 1, 31 ^ 5);
+    let mut digest = FNV_OFFSET;
+    for node in &nodes {
+        fnv(&mut digest, node.id().0);
+        for descriptor in node.peer_sampling().view().descriptors() {
+            fnv(&mut digest, descriptor.peer.0);
+            fnv(&mut digest, u64::from(descriptor.age));
+        }
+        fnv(&mut digest, node.peer_sampling().rounds());
+    }
+    println!("converge digest = {digest:#018X}");
+    assert_eq!(digest, PIN_CONVERGE_20);
+}
+
+const PIN_SYBIL_77: u64 = 0xF969_C0D5_4DB9_94C8;
+const PIN_BRAHMS_77: u64 = 0x53EB_7356_05F9_D6B1;
+const PIN_ENGINE_BRAHMS_77: u64 = 0xEC3D_4D27_CE31_28BA;
+const PIN_FAULTED_SHUFFLE_59: u64 = 0x1B88_17B5_6A4D_0325;
+const PIN_SWIM_83: u64 = 0xAF8C_5321_0713_D8AD;
+const PIN_CONVERGE_20: u64 = 0x7F25_EEB5_6E04_BD29;
