@@ -43,9 +43,9 @@
 //! mid-run as deterministic membership events, the client blacklisting
 //! unresponsive relays and resubmitting the real query *plus* the topped-up
 //! fake shortfall) and (2) attacks the observable footprint of **both**
-//! mechanism wrappers with the Fig. 5 harness: fixed-k (`ChurnedMechanism`,
-//! fakes thin at the failure rate) against adaptive-k
-//! (`AdaptiveChurnedMechanism`, every swallowed fake is redrawn and
+//! settings of the `LossyMechanism::churned` wrapper with the Fig. 5
+//! harness: fixed-k (no repair, fakes thin at the failure rate) against
+//! adaptive-k (repair on, every swallowed fake is redrawn and
 //! resubmitted). Before timing anything it re-checks that a sharded run
 //! reproduces the sequential outcome bit for bit.
 //!
@@ -54,8 +54,8 @@
 //! it runs the partition latency experiment of `cyclosa-chaos` (a minority
 //! client split away from most relays, re-merged mid-run, blacklist
 //! probation letting `achieved_k` recover) and attacks the
-//! partition-windowed footprint with `PartitionedMechanism` (fixed vs
-//! adaptive). With `--json` everything lands in `BENCH_churn.json`; with
+//! partition-windowed footprint with `LossyMechanism::partitioned` (fixed
+//! vs adaptive). With `--json` everything lands in `BENCH_churn.json`; with
 //! `--gate P` the bin exits non-zero when (a) adaptive attack accuracy at
 //! the highest failure rate exceeds the failure-free baseline by more than
 //! `P` points, or (b) any partition point's post-merge mean `achieved_k`
@@ -90,18 +90,18 @@ use cyclosa_chaos::partition::{
 };
 use cyclosa_chaos::slo::evaluate_churn_slos;
 use cyclosa_chaos::ChaosPlan;
-use cyclosa_chaos::{
-    AdaptiveChurnedMechanism, ChurnedMechanism, ColludingMechanism, PartitionedMechanism,
-};
+use cyclosa_chaos::{ColludingMechanism, LossyMechanism};
+use cyclosa_mechanism::Mechanism;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{
-    overlay_metrics_from_views, BrahmsConfig, BrahmsSimulator, EngineGossipConfig,
-    EngineGossipOverlay, MembershipConfig, PeerId, PeerSamplingConfig, SwimGossipOverlay,
-    SybilAttackConfig, SybilSimulator,
+    cross_side_edges, overlay_metrics_from_views, BrahmsConfig, BrahmsSimulator,
+    EngineGossipConfig, EngineGossipOverlay, GossipSimulator, MembershipConfig, Overlay, PeerId,
+    PeerSamplingConfig, SamplingProtocol, SwimGossipOverlay, SybilAttackConfig,
 };
 use cyclosa_runtime::metrics::Registry;
+use cyclosa_telemetry::trace::TraceSink;
 use cyclosa_util::json::{Json, ToJson};
 use cyclosa_util::stats::Summary;
 
@@ -497,48 +497,45 @@ impl ToJson for MembershipReport {
     }
 }
 
-/// Active-view edges crossing the partition boundary (`id < boundary` vs
-/// the rest) in an overlay's views.
-fn cross_side_edges(views: &[(PeerId, Vec<PeerId>)], boundary: u64) -> usize {
-    views
-        .iter()
-        .flat_map(|(observer, active)| {
-            let side = observer.0 < boundary;
-            active
-                .iter()
-                .filter(move |peer| (peer.0 < boundary) != side)
-        })
-        .count()
-}
-
-/// Steps `sim` forward from just before `merge_at` in one-second
-/// increments until the overlay is weakly connected again with at least
-/// one cross-boundary active edge. Returns whether every cross-boundary
-/// edge was gone just before the merge (the split was actually detected)
-/// and the healing delay in seconds (`None` if the overlay's horizon
-/// passes first).
-fn measure_healing(
+/// Runs `sim` through `overlay`'s scripted partition: steps forward from
+/// just before `merge_at` in one-second increments until the overlay is
+/// weakly connected again with at least one cross-boundary active edge (or
+/// its `horizon` passes), then to the end. `staleness` names and reads the
+/// overlay's native staleness metric once the run is over.
+fn measure_healing<P: SamplingProtocol>(
     sim: &mut Simulation,
+    overlay: &Overlay<P>,
     merge_at: SimTime,
     horizon: SimTime,
     boundary: u64,
-    views: &mut dyn FnMut() -> Vec<(PeerId, Vec<PeerId>)>,
-) -> (bool, Option<f64>) {
+    bridges: usize,
+    staleness: impl FnOnce(&Overlay<P>, SimTime) -> (&'static str, f64),
+) -> OverlayHealing {
     sim.run_until(merge_at.saturating_sub(SimTime::from_secs(1)));
-    let severed = cross_side_edges(&views(), boundary) == 0;
+    let severed = cross_side_edges(&overlay.views(), boundary) == 0;
     sim.run_until(merge_at);
     let mut t = merge_at;
-    while t < horizon {
+    let mut healing_s = None;
+    while t < horizon && healing_s.is_none() {
         t += SimTime::from_secs(1);
         sim.run_until(t);
-        let snapshot = views();
-        if overlay_metrics_from_views(&snapshot).connected
-            && cross_side_edges(&snapshot, boundary) > 0
-        {
-            return (severed, Some(t.saturating_sub(merge_at).as_secs_f64()));
+        let views = overlay.views();
+        if overlay_metrics_from_views(&views).connected && cross_side_edges(&views, boundary) > 0 {
+            healing_s = Some(t.saturating_sub(merge_at).as_secs_f64());
         }
     }
-    (severed, None)
+    sim.run();
+    let (staleness_metric, staleness) = staleness(overlay, sim.now());
+    OverlayHealing {
+        bridges,
+        severed,
+        healed: healing_s.is_some(),
+        healing_s,
+        staleness,
+        staleness_metric,
+        messages: sim.stats().delivered,
+        bytes: sim.stats().bytes_delivered,
+    }
 }
 
 /// One point of the robustness curves (fixed-k and adaptive-k).
@@ -684,6 +681,12 @@ fn main() {
     let setup = ExperimentSetup::new(options.scale, options.seed);
     let adversary = SimAttack::from_training(&setup.train);
     const PRIVACY_K: usize = 7;
+    // Attacks one wrapped mechanism's footprint over the shared test
+    // queries, on the experiment stream `label`.
+    let reidentify = |mechanism: &mut dyn Mechanism, label: u64| {
+        let mut rng = setup.rng(label);
+        evaluate_reidentification_with(&adversary, mechanism, &setup.test_queries, &mut rng)
+    };
 
     // Determinism smoke: before reporting anything, the sharded engine
     // must reproduce the sequential run bit for bit under churn.
@@ -737,21 +740,13 @@ fn main() {
 
         // Fixed-k: fakes on dead relays simply vanish.
         let mut fixed =
-            ChurnedMechanism::new(setup.cyclosa(PRIVACY_K), rate, options.seed ^ 0xC4A0);
-        let mut rng = setup.rng(0xC4A0 ^ (rate * 1000.0) as u64);
-        let fixed_report =
-            evaluate_reidentification_with(&adversary, &mut fixed, &setup.test_queries, &mut rng);
+            LossyMechanism::churned(setup.cyclosa(PRIVACY_K), rate, false, options.seed ^ 0xC4A0);
+        let fixed_report = reidentify(&mut fixed, 0xC4A0 ^ (rate * 1000.0) as u64);
 
         // Adaptive-k: every swallowed fake is redrawn and resubmitted.
         let mut adaptive =
-            AdaptiveChurnedMechanism::new(setup.cyclosa(PRIVACY_K), rate, options.seed ^ 0xADA7);
-        let mut rng = setup.rng(0xADA7 ^ (rate * 1000.0) as u64);
-        let adaptive_report = evaluate_reidentification_with(
-            &adversary,
-            &mut adaptive,
-            &setup.test_queries,
-            &mut rng,
-        );
+            LossyMechanism::churned(setup.cyclosa(PRIVACY_K), rate, true, options.seed ^ 0xADA7);
+        let adaptive_report = reidentify(&mut adaptive, 0xADA7 ^ (rate * 1000.0) as u64);
 
         println!(
             "{:>8.2}  {:>10.3}  {:>10.3}  {:>6}/{:<3}  {:>7}  {:>9}  {:>12.2}  {:>12.2}",
@@ -952,34 +947,22 @@ fn main() {
             let window = (as_index(split_at), as_index(merge_at));
             let cross_fraction = 1.0 - fraction;
             let tag = (fraction * 1000.0) as u64 ^ (duration_s << 10);
-            let mut fixed = PartitionedMechanism::new(
+            let mut fixed = LossyMechanism::partitioned(
                 setup.cyclosa(PRIVACY_K),
                 cross_fraction,
                 window,
                 false,
                 options.seed ^ 0x5917,
             );
-            let mut rng = setup.rng(0x5917 ^ tag);
-            let fixed_report = evaluate_reidentification_with(
-                &adversary,
-                &mut fixed,
-                &setup.test_queries,
-                &mut rng,
-            );
-            let mut adaptive = PartitionedMechanism::new(
+            let fixed_report = reidentify(&mut fixed, 0x5917 ^ tag);
+            let mut adaptive = LossyMechanism::partitioned(
                 setup.cyclosa(PRIVACY_K),
                 cross_fraction,
                 window,
                 true,
                 options.seed ^ 0xADA7_5917,
             );
-            let mut rng = setup.rng(0xADA7_5917 ^ tag);
-            let adaptive_report = evaluate_reidentification_with(
-                &adversary,
-                &mut adaptive,
-                &setup.test_queries,
-                &mut rng,
-            );
+            let adaptive_report = reidentify(&mut adaptive, 0xADA7_5917 ^ tag);
 
             let actual_duration_s = merge_at.saturating_sub(split_at).as_secs_f64();
             println!(
@@ -1031,65 +1014,49 @@ fn main() {
         );
         let registry = Registry::new();
         let mut sim = Simulation::new(options.seed);
-        let mut shuffle = EngineGossipOverlay::ring_with_metrics(
+        let mut shuffle = EngineGossipOverlay::ring(
             &mut sim,
             overlay_nodes,
             shuffle_config,
             options.seed,
-            &registry,
+            Some(&registry),
         );
-        shuffle.schedule_partition(
+        shuffle.schedule_partition(&mut sim, &minority, overlay_split, overlay_merge);
+        shuffle.schedule_bridges(&mut sim, &minority, overlay_merge, SHUFFLE_BRIDGES);
+        let shuffle_side = measure_healing(
             &mut sim,
-            &minority,
-            overlay_split,
-            overlay_merge,
-            SHUFFLE_BRIDGES,
-        );
-        let (shuffle_severed, shuffle_healing) = measure_healing(
-            &mut sim,
+            &shuffle,
             overlay_merge,
             shuffle_horizon,
             boundary,
-            &mut || shuffle.views(),
+            SHUFFLE_BRIDGES,
+            |_, _| {
+                let staleness = registry.histogram("overlay.view_staleness_rounds");
+                ("mean descriptor age (rounds)", staleness.snapshot().mean())
+            },
         );
-        sim.run();
-        let shuffle_stats = sim.stats();
-        let shuffle_side = OverlayHealing {
-            bridges: SHUFFLE_BRIDGES,
-            severed: shuffle_severed,
-            healed: shuffle_healing.is_some(),
-            healing_s: shuffle_healing,
-            staleness: registry
-                .histogram("overlay.view_staleness_rounds")
-                .snapshot()
-                .mean(),
-            staleness_metric: "mean descriptor age (rounds)",
-            messages: shuffle_stats.delivered,
-            bytes: shuffle_stats.bytes_delivered,
-        };
 
         let swim_config = MembershipConfig::default();
         let swim_horizon =
             SimTime::from_nanos(swim_config.round_period.as_nanos() * swim_config.rounds as u64);
         let mut sim = Simulation::new(options.seed);
-        let mut swim = SwimGossipOverlay::ring(&mut sim, overlay_nodes, swim_config, options.seed);
+        let mut swim = SwimGossipOverlay::ring(
+            &mut sim,
+            overlay_nodes,
+            swim_config,
+            options.seed,
+            &TraceSink::disabled(),
+        );
         swim.schedule_partition(&mut sim, &minority, overlay_split, overlay_merge);
-        let (swim_severed, swim_healing) =
-            measure_healing(&mut sim, overlay_merge, swim_horizon, boundary, &mut || {
-                swim.views()
-            });
-        sim.run();
-        let swim_stats = sim.stats();
-        let swim_side = OverlayHealing {
-            bridges: 0,
-            severed: swim_severed,
-            healed: swim_healing.is_some(),
-            healing_s: swim_healing,
-            staleness: swim.mean_staleness(sim.now()),
-            staleness_metric: "mean seconds since heard",
-            messages: swim_stats.delivered,
-            bytes: swim_stats.bytes_delivered,
-        };
+        let swim_side = measure_healing(
+            &mut sim,
+            &swim,
+            overlay_merge,
+            swim_horizon,
+            boundary,
+            0,
+            |swim, now| ("mean seconds since heard", swim.mean_staleness(now)),
+        );
 
         // The heaviest churn point re-run with the client-side SWIM
         // prober: death detection now triggers the *proactive* fake
@@ -1222,7 +1189,8 @@ fn main() {
                     pushes_per_sybil: 2,
                     seed: options.seed,
                 };
-                let mut naive = SybilSimulator::ring(attack, PeerSamplingConfig::default());
+                let mut naive =
+                    GossipSimulator::under_attack(attack, PeerSamplingConfig::default());
                 naive.run_rounds(SYBIL_ROUNDS);
                 let naive_view = naive.attacker_fraction();
                 let mut brahms = BrahmsSimulator::ring(attack, BrahmsConfig::default());
@@ -1234,25 +1202,14 @@ fn main() {
                     naive_view,
                     options.seed ^ 0xBAD0,
                 );
-                let mut rng = setup.rng(0xBAD0 ^ (fraction * 1000.0) as u64);
-                let naive_report = evaluate_reidentification_with(
-                    &adversary,
-                    &mut naive_mech,
-                    &setup.test_queries,
-                    &mut rng,
-                );
+                let naive_report = reidentify(&mut naive_mech, 0xBAD0 ^ (fraction * 1000.0) as u64);
                 let mut brahms_mech = ColludingMechanism::new(
                     setup.cyclosa(PRIVACY_K),
                     brahms_view,
                     options.seed ^ 0xB4A5,
                 );
-                let mut rng = setup.rng(0xB4A5 ^ (fraction * 1000.0) as u64);
-                let brahms_report = evaluate_reidentification_with(
-                    &adversary,
-                    &mut brahms_mech,
-                    &setup.test_queries,
-                    &mut rng,
-                );
+                let brahms_report =
+                    reidentify(&mut brahms_mech, 0xB4A5 ^ (fraction * 1000.0) as u64);
                 println!(
                     "{:>8.2}  {:>11.3}  {:>12.3}  {:>7}  {:>10.2}  {:>11.2}",
                     fraction,

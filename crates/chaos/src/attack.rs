@@ -5,24 +5,17 @@
 //! relays vanish (thinning the dilution that drives the unlinkability
 //! denominator down), while the *real* query is eventually resubmitted
 //! through a live relay by the client-side healing path — so it always
-//! arrives. [`ChurnedMechanism`] applies exactly that filter on top of any
+//! arrives. [`LossyMechanism`] applies exactly that filter on top of any
 //! [`Mechanism`], which lets the existing Fig. 5 evaluation harness
 //! produce the paper's attack-accuracy-vs-failure-rate robustness curve.
-//!
-//! [`AdaptiveChurnedMechanism`] models the *repaired* protocol
-//! (`CyclosaNode::reselect_relay` plan repair): every fake the churn
-//! swallows is redrawn from the mechanism's own fake pool
-//! ([`FakeReplenisher`]) and resubmitted through a fresh relay — which can
-//! itself fail, so top-ups are retried a bounded number of rounds. Sweeping
-//! both wrappers through the Fig. 5 harness plots fixed-k against
-//! adaptive-k attack accuracy across failure rates; the adaptive curve
-//! stays near the failure-free baseline.
-//!
-//! [`PartitionedMechanism`] is the partition-shaped sibling: instead of a
-//! uniform failure rate it applies a **query-index window** during which
-//! fakes are lost with the probability that their relay sat across the
-//! partition boundary — so the Fig. 5 harness plots the accuracy dip
-//! inside the window and the recovery after the merge.
+//! It is one wrapper with three knobs — loss probability, the query-index
+//! window the loss applies in, and repair on or off — behind two named
+//! constructors: [`LossyMechanism::churned`] (a uniform failure rate over
+//! the whole run; sweeping it with repair off and on plots fixed-k against
+//! adaptive-k attack accuracy across failure rates, and the adaptive curve
+//! stays near the failure-free baseline) and
+//! [`LossyMechanism::partitioned`] (a partition window, for the accuracy
+//! dip inside the window and the recovery after the merge).
 //!
 //! [`ColludingMechanism`] is the *active-adversary* bridge: a coalition of
 //! colluding relays pools every query it carries
@@ -43,289 +36,93 @@ use cyclosa_mechanism::{
 };
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 
-/// The shared drop half of every churn-shaped wrapper: each non-real
-/// request dies with probability `rate` (its relay failed or sat across a
-/// partition boundary), drawn from the wrapper's dedicated stream; the
-/// real query always survives (the client-side healing path resubmits it
-/// until it lands). Returns `(target, live)` fake counts before and after
-/// the thinning. Callers must gate on `rate > 0` so a zero-rate wrapper
-/// draws nothing.
-fn thin_fakes(
-    outcome: &mut ProtectionOutcome,
-    rate: f64,
-    churn_rng: &mut Xoshiro256StarStar,
-) -> (usize, usize) {
-    let count_fakes = |outcome: &ProtectionOutcome| {
-        outcome
-            .observed
-            .iter()
-            .filter(|r| !r.carries_real_query)
-            .count()
-    };
-    let target = count_fakes(outcome);
+/// Bound on top-up rounds per query, mirroring the healing path's
+/// `max_retries` in the latency experiment.
+pub const TOPUP_ROUNDS: u32 = 5;
+
+fn count_fakes(outcome: &ProtectionOutcome) -> usize {
     outcome
         .observed
-        .retain(|r| r.carries_real_query || !churn_rng.gen_bool(rate));
-    let live = count_fakes(outcome);
-    (target, live)
+        .iter()
+        .filter(|r| !r.carries_real_query)
+        .count()
 }
 
-/// The shared repair half (the adaptive-k plan-repair model): redraws the
-/// shortfall against `target` from the mechanism's fake pool and
-/// resubmits each replacement through a fresh relay — which dies with the
-/// same `rate` — for up to `max_rounds` bounded rounds. Returns
-/// `(fakes topped up, live fakes after the last round)`; the query is
-/// degraded when the latter is still below `target`.
-#[allow(clippy::too_many_arguments)]
-fn top_up_fakes<M: FakeReplenisher>(
-    outcome: &mut ProtectionOutcome,
-    inner: &mut M,
-    query_text: &str,
-    target: usize,
-    mut live: usize,
-    rate: f64,
-    churn_rng: &mut Xoshiro256StarStar,
-    topup_rng: &mut Xoshiro256StarStar,
-    max_rounds: u32,
-) -> (u64, usize) {
-    let mut topped_up = 0;
-    let mut rounds = 0;
-    while live < target && rounds < max_rounds {
-        rounds += 1;
-        let replacements = inner.replenish_fakes(target - live, query_text, topup_rng);
-        if replacements.is_empty() {
-            break;
-        }
-        for text in replacements {
-            topped_up += 1;
-            // Two client→relay messages per resubmission attempt (request
-            // out, response back), like the original paths.
-            outcome.relay_messages = outcome.relay_messages.saturating_add(2);
-            if !churn_rng.gen_bool(rate) {
-                outcome.observed.push(ObservedRequest {
-                    source: SourceIdentity::Anonymous,
-                    text,
-                    carries_real_query: false,
-                });
-                live += 1;
-            }
-        }
-    }
-    (topped_up, live)
-}
-
-/// A mechanism whose observable footprint is thinned by relay failures.
+/// A mechanism whose observable footprint is thinned by relay loss.
 ///
-/// Each request that does not carry the real query is dropped with
-/// probability `failure_rate` (its relay died before forwarding). The
-/// drops are sampled from a dedicated RNG stream owned by the wrapper, so
-/// wrapping a mechanism never perturbs the inner mechanism's own draws —
-/// the surviving requests are textually identical to the failure-free run.
-#[derive(Debug)]
-pub struct ChurnedMechanism<M> {
-    inner: M,
-    failure_rate: f64,
-    churn_rng: Xoshiro256StarStar,
-}
-
-impl<M: Mechanism> ChurnedMechanism<M> {
-    /// Wraps `inner`, dropping non-real requests with probability
-    /// `failure_rate`, sampling from a stream derived from `churn_seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failure_rate` is not in `[0, 1]`.
-    pub fn new(inner: M, failure_rate: f64, churn_seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&failure_rate),
-            "failure rate must be in [0, 1]"
-        );
-        Self {
-            inner,
-            failure_rate,
-            churn_rng: Xoshiro256StarStar::seed_from_u64(churn_seed ^ 0xC4A0_5EED),
-        }
-    }
-
-    /// The wrapped mechanism.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-}
-
-impl<M: Mechanism> Mechanism for ChurnedMechanism<M> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn properties(&self) -> MechanismProperties {
-        self.inner.properties()
-    }
-
-    fn protect(&mut self, query: &Query, rng: &mut Xoshiro256StarStar) -> ProtectionOutcome {
-        let mut outcome = self.inner.protect(query, rng);
-        if self.failure_rate > 0.0 {
-            // Fakes are fire-and-forget; no repair in the fixed-k model.
-            thin_fakes(&mut outcome, self.failure_rate, &mut self.churn_rng);
-        }
-        outcome
-    }
-}
-
-/// A mechanism whose footprint is thinned by relay failures **and repaired
-/// by adaptive-k top-ups**: each fake the churn drops is redrawn from the
-/// inner mechanism's fake pool and resubmitted through a fresh relay, for
-/// up to `max_topup_rounds` rounds (each resubmission can die too). This
-/// is the attack-model twin of the `CyclosaNode::reselect_relay` plan
-/// repair: the engine keeps observing (close to) the assessed `k` fakes
-/// per real query no matter how many relays failed.
+/// Queries whose protection index falls in `window` (half-open; the attack
+/// harness submits one query per step, so the index is the time axis) lose
+/// each request that does not carry the real query with probability `loss`
+/// — its relay died before forwarding, or sat across a partition
+/// boundary. The real query always survives: the client-side healing path
+/// resubmits it until it lands. Outside the window, and at zero loss, the
+/// wrapper is a pure passthrough that draws nothing, so an attack-accuracy
+/// curve shows the dip and the recovery directly.
+///
+/// With `repair` set, the adaptive-k plan-repair model runs on top — the
+/// attack-model twin of `CyclosaNode::reselect_relay`: every swallowed
+/// fake is redrawn from the inner mechanism's fake pool
+/// ([`FakeReplenisher`]) and resubmitted through a fresh relay (which is
+/// lost with the same probability), for up to [`TOPUP_ROUNDS`] rounds, so
+/// the engine keeps observing (close to) the assessed `k` fakes per real
+/// query no matter how many relays failed.
 ///
 /// Both the drop sampling and the top-up draws run on dedicated RNG
-/// streams owned by the wrapper, so the inner mechanism's own draws — and
-/// therefore the surviving original requests — are textually identical to
-/// the failure-free run.
+/// streams owned by the wrapper, so wrapping a mechanism never perturbs
+/// the inner mechanism's own draws — the surviving original requests are
+/// textually identical to the loss-free run.
 #[derive(Debug)]
-pub struct AdaptiveChurnedMechanism<M> {
+pub struct LossyMechanism<M> {
     inner: M,
-    failure_rate: f64,
-    churn_rng: Xoshiro256StarStar,
-    topup_rng: Xoshiro256StarStar,
-    max_topup_rounds: u32,
-    fakes_topped_up: u64,
-    degraded_queries: u64,
-}
-
-impl<M: Mechanism + FakeReplenisher> AdaptiveChurnedMechanism<M> {
-    /// Default bound on top-up rounds per query, mirroring the healing
-    /// path's `max_retries` in the latency experiment.
-    pub const DEFAULT_TOPUP_ROUNDS: u32 = 5;
-
-    /// Wraps `inner` with drop probability `failure_rate` and adaptive
-    /// top-ups, sampling both from streams derived from `churn_seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failure_rate` is not in `[0, 1]`.
-    pub fn new(inner: M, failure_rate: f64, churn_seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&failure_rate),
-            "failure rate must be in [0, 1]"
-        );
-        Self {
-            inner,
-            failure_rate,
-            churn_rng: Xoshiro256StarStar::seed_from_u64(churn_seed ^ 0xC4A0_5EED),
-            topup_rng: Xoshiro256StarStar::seed_from_u64(churn_seed ^ 0x70FF_5EED),
-            max_topup_rounds: Self::DEFAULT_TOPUP_ROUNDS,
-            fakes_topped_up: 0,
-            degraded_queries: 0,
-        }
-    }
-
-    /// Overrides the bound on top-up rounds per query.
-    pub fn with_max_topup_rounds(mut self, rounds: u32) -> Self {
-        self.max_topup_rounds = rounds;
-        self
-    }
-
-    /// The wrapped mechanism.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// Replacement fakes drawn so far (resubmissions included).
-    pub fn fakes_topped_up(&self) -> u64 {
-        self.fakes_topped_up
-    }
-
-    /// Queries that still went out below their fake target after the last
-    /// top-up round (bounded retries exhausted or fake pool empty).
-    pub fn degraded_queries(&self) -> u64 {
-        self.degraded_queries
-    }
-}
-
-impl<M: Mechanism + FakeReplenisher> Mechanism for AdaptiveChurnedMechanism<M> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn properties(&self) -> MechanismProperties {
-        self.inner.properties()
-    }
-
-    fn protect(&mut self, query: &Query, rng: &mut Xoshiro256StarStar) -> ProtectionOutcome {
-        let mut outcome = self.inner.protect(query, rng);
-        if self.failure_rate <= 0.0 {
-            return outcome;
-        }
-        let (target, live) = thin_fakes(&mut outcome, self.failure_rate, &mut self.churn_rng);
-        let (topped_up, live) = top_up_fakes(
-            &mut outcome,
-            &mut self.inner,
-            &query.text,
-            target,
-            live,
-            self.failure_rate,
-            &mut self.churn_rng,
-            &mut self.topup_rng,
-            self.max_topup_rounds,
-        );
-        self.fakes_topped_up += topped_up;
-        if live < target {
-            self.degraded_queries += 1;
-        }
-        outcome
-    }
-}
-
-/// A mechanism whose footprint is thinned by a **network partition
-/// window** instead of a uniform failure rate: queries `window.0 ..
-/// window.1` (by protection order — the attack harness submits one query
-/// per step, so the index is the time axis) lose each fake with
-/// probability `cross_fraction`, the chance its relay sits across the
-/// partition boundary. Outside the window the mechanism is a pure
-/// passthrough, so the attack-accuracy curve shows the dip and the
-/// post-merge recovery directly.
-///
-/// With `adaptive` set, the plan-repair model of
-/// [`AdaptiveChurnedMechanism`] runs inside the window too: every
-/// swallowed fake is redrawn ([`FakeReplenisher`]) and resubmitted through
-/// a fresh relay (which may itself be across the boundary), for a bounded
-/// number of rounds.
-///
-/// Both the drop sampling and the top-up draws run on dedicated RNG
-/// streams owned by the wrapper, so the inner mechanism's own draws — and
-/// the entire pre-split and post-merge footprint — are textually identical
-/// to the partition-free run.
-#[derive(Debug)]
-pub struct PartitionedMechanism<M> {
-    inner: M,
-    cross_fraction: f64,
+    loss: f64,
     window: (usize, usize),
-    adaptive: bool,
+    repair: bool,
     churn_rng: Xoshiro256StarStar,
     topup_rng: Xoshiro256StarStar,
-    max_topup_rounds: u32,
     next_query: usize,
     fakes_topped_up: u64,
     degraded_queries: u64,
 }
 
-impl<M: Mechanism + FakeReplenisher> PartitionedMechanism<M> {
-    /// Wraps `inner`: queries with protection index in `window` (half-open)
-    /// lose fakes with probability `cross_fraction`; `adaptive` turns the
-    /// bounded top-up repair on. Sampling streams derive from `churn_seed`.
+impl<M: Mechanism + FakeReplenisher> LossyMechanism<M> {
+    /// Relay churn: non-real requests are dropped with probability
+    /// `failure_rate` throughout the run; `repair` turns the bounded
+    /// adaptive-k top-ups on. Sampling streams derive from `churn_seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `failure_rate` is not in `[0, 1]`.
+    pub fn churned(inner: M, failure_rate: f64, repair: bool, churn_seed: u64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&failure_rate),
+            "failure rate must be in [0, 1]"
+        );
+        let salts = (0xC4A0_5EED, 0x70FF_5EED);
+        Self::new(
+            inner,
+            failure_rate,
+            (0, usize::MAX),
+            repair,
+            churn_seed,
+            salts,
+        )
+    }
+
+    /// A network partition window: queries with protection index in
+    /// `window` (half-open) lose fakes with probability `cross_fraction`,
+    /// the chance their relay sits across the partition boundary; `repair`
+    /// turns the bounded top-up repair on inside the window. Sampling
+    /// streams derive from `churn_seed`.
     ///
     /// # Panics
     ///
     /// Panics if `cross_fraction` is not in `[0, 1]` or the window is
     /// inverted.
-    pub fn new(
+    pub fn partitioned(
         inner: M,
         cross_fraction: f64,
         window: (usize, usize),
-        adaptive: bool,
+        repair: bool,
         churn_seed: u64,
     ) -> Self {
         assert!(
@@ -336,38 +133,88 @@ impl<M: Mechanism + FakeReplenisher> PartitionedMechanism<M> {
             window.0 <= window.1,
             "partition window must not be inverted"
         );
+        let salts = (0x5911_7EED, 0x3E4C_7EED);
+        Self::new(inner, cross_fraction, window, repair, churn_seed, salts)
+    }
+
+    /// `salts` separate the (drop, top-up) streams of the two shapes, so a
+    /// churn sweep and a partition sweep from one seed never share draws.
+    fn new(
+        inner: M,
+        loss: f64,
+        window: (usize, usize),
+        repair: bool,
+        churn_seed: u64,
+        salts: (u64, u64),
+    ) -> Self {
         Self {
             inner,
-            cross_fraction,
+            loss,
             window,
-            adaptive,
-            churn_rng: Xoshiro256StarStar::seed_from_u64(churn_seed ^ 0x5911_7EED),
-            topup_rng: Xoshiro256StarStar::seed_from_u64(churn_seed ^ 0x3E4C_7EED),
-            max_topup_rounds: AdaptiveChurnedMechanism::<M>::DEFAULT_TOPUP_ROUNDS,
+            repair,
+            churn_rng: Xoshiro256StarStar::seed_from_u64(churn_seed ^ salts.0),
+            topup_rng: Xoshiro256StarStar::seed_from_u64(churn_seed ^ salts.1),
             next_query: 0,
             fakes_topped_up: 0,
             degraded_queries: 0,
         }
     }
 
-    /// The wrapped mechanism.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// Replacement fakes drawn inside the window so far.
+    /// Replacement fakes drawn so far (resubmissions included).
     pub fn fakes_topped_up(&self) -> u64 {
         self.fakes_topped_up
     }
 
-    /// In-window queries that went out below their fake target (always the
-    /// in-window count for the non-adaptive wrapper when fakes were lost).
+    /// Queries that went out below their fake target: without repair,
+    /// every in-window query that lost a fake; with it, those still short
+    /// after the last top-up round (bounded retries exhausted or fake pool
+    /// empty).
     pub fn degraded_queries(&self) -> u64 {
         self.degraded_queries
     }
+
+    /// The repair half (the adaptive-k plan-repair model): redraws the
+    /// shortfall against `target` from the mechanism's fake pool and
+    /// resubmits each replacement through a fresh relay — which is lost
+    /// with the same probability — for up to [`TOPUP_ROUNDS`] rounds.
+    /// Returns the live fakes after the last round.
+    fn top_up(
+        &mut self,
+        outcome: &mut ProtectionOutcome,
+        query_text: &str,
+        target: usize,
+        mut live: usize,
+    ) -> usize {
+        for _ in 0..TOPUP_ROUNDS {
+            if live >= target {
+                break;
+            }
+            let replacements =
+                self.inner
+                    .replenish_fakes(target - live, query_text, &mut self.topup_rng);
+            if replacements.is_empty() {
+                break;
+            }
+            for text in replacements {
+                self.fakes_topped_up += 1;
+                // Two client→relay messages per resubmission attempt (request
+                // out, response back), like the original paths.
+                outcome.relay_messages = outcome.relay_messages.saturating_add(2);
+                if !self.churn_rng.gen_bool(self.loss) {
+                    outcome.observed.push(ObservedRequest {
+                        source: SourceIdentity::Anonymous,
+                        text,
+                        carries_real_query: false,
+                    });
+                    live += 1;
+                }
+            }
+        }
+        live
+    }
 }
 
-impl<M: Mechanism + FakeReplenisher> Mechanism for PartitionedMechanism<M> {
+impl<M: Mechanism + FakeReplenisher> Mechanism for LossyMechanism<M> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -380,28 +227,18 @@ impl<M: Mechanism + FakeReplenisher> Mechanism for PartitionedMechanism<M> {
         let index = self.next_query;
         self.next_query += 1;
         let mut outcome = self.inner.protect(query, rng);
-        let in_window = index >= self.window.0 && index < self.window.1;
-        if !in_window || self.cross_fraction <= 0.0 {
+        // A zero-loss wrapper draws nothing from its streams.
+        if !(self.window.0..self.window.1).contains(&index) || self.loss <= 0.0 {
             return outcome;
         }
-        let (target, thinned) = thin_fakes(&mut outcome, self.cross_fraction, &mut self.churn_rng);
-        let live = if self.adaptive {
-            let (topped_up, live) = top_up_fakes(
-                &mut outcome,
-                &mut self.inner,
-                &query.text,
-                target,
-                thinned,
-                self.cross_fraction,
-                &mut self.churn_rng,
-                &mut self.topup_rng,
-                self.max_topup_rounds,
-            );
-            self.fakes_topped_up += topped_up;
-            live
-        } else {
-            thinned
-        };
+        let target = count_fakes(&outcome);
+        outcome
+            .observed
+            .retain(|r| r.carries_real_query || !self.churn_rng.gen_bool(self.loss));
+        let mut live = count_fakes(&outcome);
+        if self.repair {
+            live = self.top_up(&mut outcome, &query.text, target, live);
+        }
         if live < target {
             self.degraded_queries += 1;
         }
@@ -446,11 +283,6 @@ impl<M: Mechanism> ColludingMechanism<M> {
             pooled_real: 0,
             pooled_fakes: 0,
         }
-    }
-
-    /// The wrapped mechanism.
-    pub fn inner(&self) -> &M {
-        &self.inner
     }
 
     /// Real queries the coalition has pooled so far.
@@ -551,7 +383,7 @@ mod tests {
 
     #[test]
     fn real_query_always_survives() {
-        let mut churned = ChurnedMechanism::new(TenRequests, 1.0, 9);
+        let mut churned = LossyMechanism::churned(TenRequests, 1.0, false, 9);
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let outcome = churned.protect(&query(), &mut rng);
         assert_eq!(outcome.observed.len(), 1);
@@ -560,7 +392,7 @@ mod tests {
 
     #[test]
     fn fakes_are_thinned_at_roughly_the_failure_rate() {
-        let mut churned = ChurnedMechanism::new(TenRequests, 0.3, 2);
+        let mut churned = LossyMechanism::churned(TenRequests, 0.3, false, 2);
         let mut rng = Xoshiro256StarStar::seed_from_u64(2);
         let mut fakes = 0usize;
         for _ in 0..400 {
@@ -577,7 +409,7 @@ mod tests {
         let mut rng_a = Xoshiro256StarStar::seed_from_u64(3);
         let mut rng_b = Xoshiro256StarStar::seed_from_u64(3);
         let full = TenRequests.protect(&query(), &mut rng_a);
-        let mut churned = ChurnedMechanism::new(TenRequests, 0.5, 4);
+        let mut churned = LossyMechanism::churned(TenRequests, 0.5, false, 4);
         let thinned = churned.protect(&query(), &mut rng_b);
         let full_texts: Vec<&str> = full.observed.iter().map(|r| r.text.as_str()).collect();
         let mut cursor = 0;
@@ -594,12 +426,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "failure rate")]
     fn invalid_failure_rate_rejected() {
-        let _ = ChurnedMechanism::new(TenRequests, 1.2, 0);
+        let _ = LossyMechanism::churned(TenRequests, 1.2, false, 0);
     }
 
     #[test]
     fn adaptive_top_ups_restore_the_fake_complement() {
-        let mut adaptive = AdaptiveChurnedMechanism::new(TenRequests, 0.5, 7);
+        let mut adaptive = LossyMechanism::churned(TenRequests, 0.5, true, 7);
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
         let mut fakes = 0usize;
         for _ in 0..200 {
@@ -614,7 +446,7 @@ mod tests {
 
     #[test]
     fn adaptive_gives_up_after_bounded_rounds_at_total_failure() {
-        let mut adaptive = AdaptiveChurnedMechanism::new(TenRequests, 1.0, 8);
+        let mut adaptive = LossyMechanism::churned(TenRequests, 1.0, true, 8);
         let mut rng = Xoshiro256StarStar::seed_from_u64(8);
         let outcome = adaptive.protect(&query(), &mut rng);
         assert_eq!(outcome.observed.len(), 1, "only the real query survives");
@@ -622,7 +454,7 @@ mod tests {
         assert_eq!(adaptive.degraded_queries(), 1);
         assert_eq!(
             adaptive.fakes_topped_up(),
-            u64::from(AdaptiveChurnedMechanism::<TenRequests>::DEFAULT_TOPUP_ROUNDS) * 9,
+            u64::from(TOPUP_ROUNDS) * 9,
             "every round redraws the full shortfall"
         );
     }
@@ -632,7 +464,7 @@ mod tests {
         let mut rng_a = Xoshiro256StarStar::seed_from_u64(9);
         let mut rng_b = Xoshiro256StarStar::seed_from_u64(9);
         let plain = TenRequests.protect(&query(), &mut rng_a);
-        let mut adaptive = AdaptiveChurnedMechanism::new(TenRequests, 0.0, 9);
+        let mut adaptive = LossyMechanism::churned(TenRequests, 0.0, true, 9);
         let repaired = adaptive.protect(&query(), &mut rng_b);
         assert_eq!(plain, repaired);
         assert_eq!(adaptive.fakes_topped_up(), 0);
@@ -644,7 +476,7 @@ mod tests {
         let mut rng_a = Xoshiro256StarStar::seed_from_u64(20);
         let mut rng_b = Xoshiro256StarStar::seed_from_u64(20);
         let mut plain = TenRequests;
-        let mut partitioned = PartitionedMechanism::new(TenRequests, 0.9, (2, 4), false, 21);
+        let mut partitioned = LossyMechanism::partitioned(TenRequests, 0.9, (2, 4), false, 21);
         for index in 0..6 {
             let full = plain.protect(&query(), &mut rng_a);
             let seen = partitioned.protect(&query(), &mut rng_b);
@@ -667,7 +499,7 @@ mod tests {
     #[test]
     fn adaptive_partitioned_mechanism_tops_up_inside_the_window() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(22);
-        let mut partitioned = PartitionedMechanism::new(TenRequests, 0.5, (0, 50), true, 23);
+        let mut partitioned = LossyMechanism::partitioned(TenRequests, 0.5, (0, 50), true, 23);
         let mut fakes = 0usize;
         for _ in 0..50 {
             fakes += partitioned.protect(&query(), &mut rng).observed.len() - 1;
@@ -680,7 +512,7 @@ mod tests {
     #[test]
     fn partitioned_mechanism_keeps_the_real_query_at_total_severance() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(24);
-        let mut partitioned = PartitionedMechanism::new(TenRequests, 1.0, (0, 1), false, 25);
+        let mut partitioned = LossyMechanism::partitioned(TenRequests, 1.0, (0, 1), false, 25);
         let outcome = partitioned.protect(&query(), &mut rng);
         assert_eq!(outcome.observed.len(), 1);
         assert!(outcome.observed[0].carries_real_query);
@@ -689,7 +521,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cross fraction")]
     fn partitioned_mechanism_rejects_invalid_fraction() {
-        let _ = PartitionedMechanism::new(TenRequests, 1.5, (0, 1), false, 0);
+        let _ = LossyMechanism::partitioned(TenRequests, 1.5, (0, 1), false, 0);
     }
 
     #[test]
@@ -745,7 +577,7 @@ mod tests {
         let mut rng_a = Xoshiro256StarStar::seed_from_u64(10);
         let mut rng_b = Xoshiro256StarStar::seed_from_u64(10);
         let full = TenRequests.protect(&query(), &mut rng_a);
-        let mut adaptive = AdaptiveChurnedMechanism::new(TenRequests, 0.5, 11);
+        let mut adaptive = LossyMechanism::churned(TenRequests, 0.5, true, 11);
         let repaired = adaptive.protect(&query(), &mut rng_b);
         let full_texts: Vec<&str> = full.observed.iter().map(|r| r.text.as_str()).collect();
         let mut cursor = 0;

@@ -45,14 +45,15 @@
 //!   flash crowds replayed over millions of queries while the
 //!   `achieved_k` ledger, plan-repair, probation, resident-bytes and
 //!   trace-schema invariants are asserted continuously, window by window.
-//! * [`attack`] — [`attack::ChurnedMechanism`], which thins a mechanism's
-//!   observable footprint the way relay failures do, so the Fig. 5
-//!   harness produces attack accuracy as a function of the failure rate,
-//!   and [`attack::AdaptiveChurnedMechanism`], its adaptive-k twin that
-//!   redraws and resubmits every fake the churn swallows (the plan-repair
-//!   model) — sweep both for the fixed-vs-adaptive robustness curves.
-//!   [`attack::PartitionedMechanism`] does the same for a partition
-//!   window instead of a uniform failure rate.
+//! * [`attack`] — [`attack::LossyMechanism`], which thins a mechanism's
+//!   observable footprint the way relay loss does, so the Fig. 5 harness
+//!   produces attack accuracy as a function of the failure rate:
+//!   `churned` for a uniform failure rate, `partitioned` for a partition
+//!   window, each with the adaptive-k repair (redraw and resubmit every
+//!   fake the loss swallows — the plan-repair model) on or off — sweep
+//!   both settings for the fixed-vs-adaptive robustness curves. And
+//!   [`attack::ColludingMechanism`], which exposes requests to a relay
+//!   coalition instead of dropping them.
 //!
 //! The `churn` binary of `cyclosa-bench` sweeps failure rates and
 //! partition windows through both halves and writes the robustness curves
@@ -119,9 +120,7 @@ pub use adversary::{
     adversary_stream, AdversaryConfig, ByzantinePolicy, CollusionLedger, PolicySchedule,
     SharedCollusionLedger,
 };
-pub use attack::{
-    AdaptiveChurnedMechanism, ChurnedMechanism, ColludingMechanism, PartitionedMechanism,
-};
+pub use attack::{ColludingMechanism, LossyMechanism};
 pub use churn::{churn_stream, ChurnModel};
 pub use deployment::{
     run_end_to_end_latency_on, ChurnTelemetry, DeploymentMetrics, EndToEndConfig, EngineChoice,

@@ -234,7 +234,7 @@ pub fn converge_peer_views(nodes: &mut [CyclosaNode], rounds: usize, seed: u64) 
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let ids: Vec<cyclosa_peer_sampling::PeerId> = nodes.iter().map(|n| n.id()).collect();
     // Bootstrap every node with the full directory, then run push-pull
-    // exchanges on the extracted protocol instances.
+    // exchanges on the nodes' protocol instances.
     for node in nodes.iter_mut() {
         let own = node.id();
         node.bootstrap_peers(ids.iter().copied().filter(|p| *p != own));
@@ -248,17 +248,11 @@ pub fn converge_peer_views(nodes: &mut [CyclosaNode], rounds: usize, seed: u64) 
             let Some(j) = nodes.iter().position(|n| n.id() == partner) else {
                 continue;
             };
-            if i == j {
+            let Ok([node, partner]) = nodes.get_disjoint_mut([i, j]) else {
                 continue;
-            }
-            let buffer_i = nodes[i].peer_sampling().prepare_buffer(&mut rng);
-            let buffer_j = nodes[j].peer_sampling().prepare_buffer(&mut rng);
-            nodes[j]
-                .peer_sampling_mut()
-                .merge(&buffer_i, &buffer_j, &mut rng);
-            nodes[i]
-                .peer_sampling_mut()
-                .merge(&buffer_j, &buffer_i, &mut rng);
+            };
+            node.peer_sampling_mut()
+                .exchange(partner.peer_sampling_mut(), &mut rng);
         }
     }
 }

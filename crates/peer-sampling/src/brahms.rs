@@ -25,7 +25,10 @@
 //! network messages on any [`Engine`] — bit-identical across 1/2/4/8
 //! shards like every other overlay in this crate.
 
-use crate::sybil::{is_sybil, sybil_view_fraction, SybilAttackConfig};
+use crate::population::{
+    decode_ids, encode_ids, lock, node_rng, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND,
+};
+use crate::sybil::{is_sybil, sybil_view_fraction, SybilAttackConfig, SybilAttacker};
 use crate::view::PeerId;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
@@ -260,14 +263,13 @@ impl BrahmsNode {
 }
 
 /// A synchronous Brahms population under the same Sybil attack as
-/// [`crate::sybil::SybilSimulator`]: sybils flood pushes and answer every
-/// pull with an all-sybil view. The defense metrics come out of
+/// [`crate::GossipSimulator::under_attack`]: sybils flood pushes and answer
+/// every pull with an all-sybil view. The defense metrics come out of
 /// [`BrahmsSimulator::attacker_fraction`].
 #[derive(Debug)]
 pub struct BrahmsSimulator {
     nodes: BTreeMap<PeerId, BrahmsNode>,
-    sybils: Vec<PeerId>,
-    attack: SybilAttackConfig,
+    attacker: SybilAttacker,
     config: BrahmsConfig,
     rng: Xoshiro256StarStar,
 }
@@ -277,11 +279,7 @@ impl BrahmsSimulator {
     /// knows its successors plus one seeded sybil, mirroring the naive
     /// experiment's toehold).
     pub fn ring(attack: SybilAttackConfig, config: BrahmsConfig) -> Self {
-        assert!(
-            attack.honest >= 2,
-            "a gossip overlay needs at least two nodes"
-        );
-        let sybils = attack.sybils();
+        let attacker = SybilAttacker::new(&attack);
         let mut rng = Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0xB4A5);
         let mut nodes = BTreeMap::new();
         for i in 0..attack.honest {
@@ -290,24 +288,15 @@ impl BrahmsSimulator {
             let mut node = BrahmsNode::new(id, config, &mut node_rng);
             let fanout = config.view_size().min(attack.honest - 1).max(1);
             node.bootstrap((1..=fanout).map(|j| PeerId(((i + j) % attack.honest) as u64)));
-            if !sybils.is_empty() {
-                node.bootstrap([sybils[rng.gen_index(sybils.len())]]);
-            }
+            node.bootstrap(attacker.toehold(&mut rng));
             nodes.insert(id, node);
         }
         Self {
             nodes,
-            sybils,
-            attack,
+            attacker,
             config,
             rng,
         }
-    }
-
-    fn poisoned_view(&mut self) -> Vec<PeerId> {
-        let count = self.config.view_size().min(self.sybils.len());
-        let picks = self.rng.sample_indices(self.sybils.len(), count);
-        picks.into_iter().map(|i| self.sybils[i]).collect()
     }
 
     /// Runs one synchronous round: honest pushes/pulls plus the
@@ -328,7 +317,8 @@ impl BrahmsSimulator {
             }
             for target in node.targets(self.config.beta, &mut self.rng) {
                 let reply = if is_sybil(target) {
-                    self.poisoned_view()
+                    self.attacker
+                        .poisoned_picks(self.config.view_size(), &mut self.rng)
                 } else {
                     self.nodes[&target].view().to_vec()
                 };
@@ -338,10 +328,10 @@ impl BrahmsSimulator {
         // Attacker flood: every sybil pushes its id to random honest
         // nodes. Against the naive sampler this is what captures views;
         // here it mostly voids rounds.
-        for s in 0..self.sybils.len() {
-            for _ in 0..self.attack.pushes_per_sybil {
-                let target = PeerId(self.rng.gen_index(self.attack.honest) as u64);
-                push_inbox.entry(target).or_default().push(self.sybils[s]);
+        for &sybil in &self.attacker.sybils {
+            for _ in 0..self.attacker.pushes_per_sybil {
+                let target = self.attacker.flood_target(&mut self.rng);
+                push_inbox.entry(target).or_default().push(sybil);
             }
         }
         // Quota-checked updates.
@@ -387,27 +377,6 @@ impl BrahmsSimulator {
 const TAG_PUSH: u32 = 0xB8A1;
 const TAG_PULL_REQ: u32 = 0xB8A2;
 const TAG_PULL_REP: u32 = 0xB8A3;
-const TOKEN_ROUND: u64 = 1;
-
-fn node_rng(seed: u64, id: u64) -> Xoshiro256StarStar {
-    let mut sm = SplitMix64::new(seed ^ 0xB4A1_1753);
-    Xoshiro256StarStar::seed_from_u64(sm.next_u64() ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-fn encode_ids(ids: &[PeerId]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(ids.len() * 8);
-    for id in ids {
-        bytes.extend_from_slice(&id.0.to_le_bytes());
-    }
-    bytes
-}
-
-fn decode_ids(bytes: &[u8]) -> Vec<PeerId> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| PeerId(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-        .collect()
-}
 
 struct HonestBrahmsBehavior {
     node: BrahmsNode,
@@ -439,7 +408,11 @@ impl NodeBehavior for HonestBrahmsBehavior {
                 let view = encode_ids(self.node.view());
                 ctx.send(envelope.src, TAG_PULL_REP, view);
             }
-            TAG_PULL_REP => self.pulls.extend(decode_ids(&envelope.payload)),
+            // A ragged reply is dropped whole, never truncated to its
+            // well-formed prefix.
+            TAG_PULL_REP => self
+                .pulls
+                .extend(decode_ids(&envelope.payload).unwrap_or_default()),
             _ => {}
         }
     }
@@ -451,7 +424,7 @@ impl NodeBehavior for HonestBrahmsBehavior {
         let pushes = std::mem::take(&mut self.pushes);
         let pulls = std::mem::take(&mut self.pulls);
         self.node.round_update(&pushes, &pulls, &mut self.rng);
-        *self.shared.lock().expect("view poisoned") = self.node.view().to_vec();
+        *lock(&self.shared) = self.node.view().to_vec();
         self.gossip(ctx);
         if self.rounds_left > 0 {
             self.rounds_left -= 1;
@@ -461,27 +434,17 @@ impl NodeBehavior for HonestBrahmsBehavior {
 }
 
 struct SybilBrahmsBehavior {
-    sybils: Vec<PeerId>,
-    honest: usize,
+    attacker: SybilAttacker,
     view_size: usize,
-    pushes_per_round: usize,
     rng: Xoshiro256StarStar,
     rounds_left: usize,
     round_period: SimTime,
 }
 
-impl SybilBrahmsBehavior {
-    fn poisoned_view(&mut self) -> Vec<PeerId> {
-        let count = self.view_size.min(self.sybils.len());
-        let picks = self.rng.sample_indices(self.sybils.len(), count);
-        picks.into_iter().map(|i| self.sybils[i]).collect()
-    }
-}
-
 impl NodeBehavior for SybilBrahmsBehavior {
     fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
         if envelope.tag == TAG_PULL_REQ {
-            let poisoned = self.poisoned_view();
+            let poisoned = self.attacker.poisoned_picks(self.view_size, &mut self.rng);
             ctx.send(envelope.src, TAG_PULL_REP, encode_ids(&poisoned));
         }
         // Pushes to a sybil are silently absorbed.
@@ -491,9 +454,9 @@ impl NodeBehavior for SybilBrahmsBehavior {
         if token != TOKEN_ROUND {
             return;
         }
-        for _ in 0..self.pushes_per_round {
-            let target = NodeId(self.rng.gen_index(self.honest) as u64);
-            ctx.send(target, TAG_PUSH, Vec::new());
+        for _ in 0..self.attacker.pushes_per_sybil {
+            let target = self.attacker.flood_target(&mut self.rng);
+            ctx.send(NodeId(target.0), TAG_PUSH, Vec::new());
         }
         if self.rounds_left > 0 {
             self.rounds_left -= 1;
@@ -502,16 +465,70 @@ impl NodeBehavior for SybilBrahmsBehavior {
     }
 }
 
+/// The Brahms protocol as deployed by [`EngineBrahmsOverlay::ring`]: the
+/// parameters of every honest node, and the attacker whose toehold each
+/// one is bootstrapped with.
+pub struct Brahms {
+    config: BrahmsConfig,
+    attacker: SybilAttacker,
+    /// The deployment stream the toehold draws come from, like the
+    /// synchronous simulators.
+    seeder: Xoshiro256StarStar,
+    rounds: usize,
+    round_period: SimTime,
+}
+
+impl SamplingProtocol for Brahms {
+    /// The node's view as of its last round.
+    type State = Vec<PeerId>;
+    const STREAM_SALT: u64 = 0xB4A1_1753;
+
+    fn round_period(&self) -> SimTime {
+        self.round_period
+    }
+
+    fn ring_fanout(&self) -> usize {
+        self.config.view_size().max(1)
+    }
+
+    fn spawn(
+        &mut self,
+        id: PeerId,
+        bootstrap: &[PeerId],
+        mut rng: Xoshiro256StarStar,
+        _liveness: &Liveness,
+    ) -> (Arc<Mutex<Vec<PeerId>>>, Box<dyn NodeBehavior + Send>) {
+        let mut node = BrahmsNode::new(id, self.config, &mut rng);
+        node.bootstrap(bootstrap.iter().copied());
+        node.bootstrap(self.attacker.toehold(&mut self.seeder));
+        let shared = Arc::new(Mutex::new(node.view().to_vec()));
+        let behavior = HonestBrahmsBehavior {
+            node,
+            config: self.config,
+            rng,
+            rounds_left: self.rounds,
+            round_period: self.round_period,
+            pushes: Vec::new(),
+            pulls: Vec::new(),
+            shared: shared.clone(),
+        };
+        (shared, Box::new(behavior))
+    }
+
+    fn view(state: &Vec<PeerId>) -> Vec<PeerId> {
+        state.clone()
+    }
+}
+
 /// The Brahms protocol deployed on a deterministic [`Engine`] — honest
 /// nodes *and* the Sybil attacker as real message-passing participants.
 /// Each node draws from its own seed-derived stream, so a run is
 /// bit-identical on the sequential simulator and the sharded engine for
-/// any shard count.
-pub struct EngineBrahmsOverlay {
-    handles: Vec<(PeerId, Arc<Mutex<Vec<PeerId>>>)>,
-}
+/// any shard count. The [`Overlay`] accessors report the honest
+/// population; the sybils are on the engine but not in the handle.
+pub type EngineBrahmsOverlay = Overlay<Brahms>;
 
-impl EngineBrahmsOverlay {
+impl Overlay<Brahms> {
     /// Registers the honest ring plus the attacker's sybil identities on
     /// `engine`, each running `rounds` protocol rounds of `round_period`.
     /// Call `engine.run()` afterwards. A zero-budget attack
@@ -523,70 +540,29 @@ impl EngineBrahmsOverlay {
         rounds: usize,
         round_period: SimTime,
     ) -> Self {
-        assert!(
-            attack.honest >= 2,
-            "a gossip overlay needs at least two nodes"
-        );
-        let sybils = attack.sybils();
-        let mut seeder = Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0xB4A5);
-        let mut handles = Vec::with_capacity(attack.honest);
-        for i in 0..attack.honest {
-            let id = PeerId(i as u64);
-            let mut rng = node_rng(attack.seed, id.0);
-            let mut node = BrahmsNode::new(id, config, &mut rng);
-            let fanout = config.view_size().min(attack.honest - 1).max(1);
-            node.bootstrap((1..=fanout).map(|j| PeerId(((i + j) % attack.honest) as u64)));
-            if !sybils.is_empty() {
-                // The toehold draw comes from the deployment stream, like
-                // the synchronous simulators.
-                node.bootstrap([sybils[seeder.gen_index(sybils.len())]]);
-            }
-            let shared = Arc::new(Mutex::new(node.view().to_vec()));
-            handles.push((id, shared.clone()));
-            engine.add_node(
-                NodeId(id.0),
-                Box::new(HonestBrahmsBehavior {
-                    node,
-                    config,
-                    rng,
-                    rounds_left: rounds,
-                    round_period,
-                    pushes: Vec::new(),
-                    pulls: Vec::new(),
-                    shared,
-                }),
-            );
-            engine.schedule_timer(round_period, NodeId(id.0), TOKEN_ROUND);
-        }
-        for sybil in &sybils {
+        let attacker = SybilAttacker::new(&attack);
+        let protocol = Brahms {
+            config,
+            attacker: attacker.clone(),
+            seeder: Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0xB4A5),
+            rounds,
+            round_period,
+        };
+        let overlay = Self::deploy(engine, attack.honest, protocol, attack.seed);
+        for sybil in &attacker.sybils {
             engine.add_node(
                 NodeId(sybil.0),
                 Box::new(SybilBrahmsBehavior {
-                    sybils: sybils.clone(),
-                    honest: attack.honest,
+                    attacker: attacker.clone(),
                     view_size: config.view_size(),
-                    pushes_per_round: attack.pushes_per_sybil,
-                    rng: node_rng(attack.seed, sybil.0),
+                    rng: node_rng(attack.seed, Brahms::STREAM_SALT, sybil.0),
                     rounds_left: rounds,
                     round_period,
                 }),
             );
             engine.schedule_timer(round_period, NodeId(sybil.0), TOKEN_ROUND);
         }
-        Self { handles }
-    }
-
-    /// The `(node, view)` pairs of the honest population, sorted by id.
-    pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
-        self.handles
-            .iter()
-            .map(|(id, shared)| (*id, shared.lock().expect("view poisoned").clone()))
-            .collect()
-    }
-
-    /// The mean fraction of sybil entries across honest views.
-    pub fn attacker_fraction(&self) -> f64 {
-        sybil_view_fraction(&self.views())
+        overlay
     }
 }
 
@@ -594,7 +570,7 @@ impl EngineBrahmsOverlay {
 mod tests {
     use super::*;
     use crate::node::PeerSamplingConfig;
-    use crate::sybil::SybilSimulator;
+    use crate::simulator::GossipSimulator;
     use cyclosa_net::sim::Simulation;
     use cyclosa_runtime::ShardedEngine;
 
@@ -664,7 +640,7 @@ mod tests {
     #[test]
     fn brahms_bounds_the_same_attack_that_captures_the_naive_sampler() {
         let attack = SybilAttackConfig::default(); // f = 0.2, flood 2/sybil
-        let mut naive = SybilSimulator::ring(attack, PeerSamplingConfig::default());
+        let mut naive = GossipSimulator::under_attack(attack, PeerSamplingConfig::default());
         naive.run_rounds(50);
         let mut brahms = BrahmsSimulator::ring(attack, BrahmsConfig::default());
         brahms.run_rounds(50);
@@ -725,6 +701,37 @@ mod tests {
                 "views diverged with {shards} shards"
             );
         }
+    }
+
+    #[test]
+    fn ragged_pull_reply_is_dropped_whole_not_truncated() {
+        // A stray `TAG_PULL_REP` carrying three ids nobody has observed,
+        // followed by `stray` bytes (a reply truncated mid-id, or extended
+        // past its last one).
+        let run = |stray: Option<usize>| {
+            let mut engine = Simulation::new(9);
+            let overlay = EngineBrahmsOverlay::ring(
+                &mut engine,
+                SybilAttackConfig::calm(20, 9),
+                BrahmsConfig::default(),
+                10,
+                SimTime::from_secs(1),
+            );
+            if let Some(stray) = stray {
+                let mut payload = encode_ids(&[PeerId(500), PeerId(501), PeerId(502)]);
+                payload.extend(std::iter::repeat_n(0xEE, stray));
+                let at = SimTime::from_millis(1500);
+                engine.post(at, NodeId(9_999), NodeId(0), TAG_PULL_REP, payload);
+            }
+            engine.run();
+            overlay.views()
+        };
+        let undisturbed = run(None);
+        for stray in 1..8 {
+            assert_eq!(run(Some(stray)), undisturbed, "{stray} stray bytes");
+        }
+        // The test bites: the same reply, well-formed, does move the views.
+        assert_ne!(run(Some(0)), undisturbed);
     }
 
     #[test]

@@ -38,7 +38,9 @@
 //! the zero-perturbation contract of `cyclosa-telemetry`.
 
 use crate::hyparview::{HyParViewConfig, PartialViews};
-use crate::simulator::{overlay_metrics_from_views, OverlayMetrics};
+use crate::population::{
+    decode_ids, encode_ids, lock, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND,
+};
 use crate::swim::{FailureDetector, MemberState, MembershipEvent, MembershipEventKind, SwimRumor};
 use crate::view::PeerId;
 use cyclosa_net::engine::Engine;
@@ -46,8 +48,8 @@ use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_telemetry::trace::{NodeTracer, TraceSink};
-use cyclosa_util::rng::{Rng, SplitMix64, Xoshiro256StarStar};
-use std::collections::{BTreeMap, BTreeSet};
+use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Message tag: direct or relayed liveness probe.
@@ -61,8 +63,6 @@ const TAG_SHUFFLE: u32 = 0xA004;
 /// Message tag: view shuffle answer.
 const TAG_SHUFFLE_REPLY: u32 = 0xA005;
 
-/// Timer token: start the next protocol round.
-const TOKEN_ROUND: u64 = 0;
 /// Timer-token base: a direct probe of `token - DIRECT_TIMEOUT_BASE`
 /// timed out (escalate to indirect probing).
 const DIRECT_TIMEOUT_BASE: u64 = 1 << 32;
@@ -127,26 +127,6 @@ impl Default for MembershipConfig {
     }
 }
 
-/// Closed set of membership trace-event names this overlay (and the
-/// chaos client's relay prober) may emit. `trace_check` rejects any
-/// other `mship.*` name, keeping the telemetry schema contract closed.
-// cyclosa-lint: schema-registry
-pub const MEMBERSHIP_EVENT_NAMES: [&str; 8] = [
-    "mship.probe",
-    "mship.alive",
-    "mship.suspect",
-    "mship.refute",
-    "mship.dead",
-    "mship.promote",
-    "mship.quarantine",
-    "mship.readmit",
-];
-
-fn node_rng(seed: u64, id: u64) -> Xoshiro256StarStar {
-    let mut sm = SplitMix64::new(seed);
-    Xoshiro256StarStar::seed_from_u64(sm.next_u64() ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 // ---------------------------------------------------------------------
 // Wire codec. All integers little-endian; rumors are 17-byte records
 // (peer u64, state u8, incarnation u64) appended after a one-byte count.
@@ -172,9 +152,14 @@ impl<'a> Reader<'a> {
         Self { bytes, at: 0 }
     }
 
+    fn take(&mut self, len: usize) -> Option<&'a [u8]> {
+        let chunk = self.bytes.get(self.at..self.at + len)?;
+        self.at += len;
+        Some(chunk)
+    }
+
     fn u64(&mut self) -> Option<u64> {
-        let chunk = self.bytes.get(self.at..self.at + 8)?;
-        self.at += 8;
+        let chunk = self.take(8)?;
         Some(u64::from_le_bytes(chunk.try_into().expect("8 bytes")))
     }
 
@@ -312,9 +297,7 @@ struct Shuffle {
 fn encode_shuffle(shuffle: &Shuffle) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(2 + shuffle.peers.len() * 8 + shuffle.rumors.len() * 17);
     bytes.push(u8::try_from(shuffle.peers.len()).expect("shuffle sample fits a byte"));
-    for peer in &shuffle.peers {
-        bytes.extend_from_slice(&peer.0.to_le_bytes());
-    }
+    bytes.extend_from_slice(&encode_ids(&shuffle.peers));
     put_rumors(&mut bytes, &shuffle.rumors);
     bytes
 }
@@ -322,10 +305,7 @@ fn encode_shuffle(shuffle: &Shuffle) -> Vec<u8> {
 fn decode_shuffle(bytes: &[u8]) -> Option<Shuffle> {
     let mut r = Reader::new(bytes);
     let count = r.u8()?;
-    let mut peers = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        peers.push(PeerId(r.u64()?));
-    }
+    let peers = decode_ids(r.take(usize::from(count) * 8)?)?;
     let rumors = r.rumors()?;
     r.done().then_some(Shuffle { peers, rumors })
 }
@@ -336,7 +316,7 @@ fn decode_shuffle(bytes: &[u8]) -> Option<Shuffle> {
 
 /// The shareable part of one node's membership state: inspected by the
 /// overlay handle after (or between) runs.
-struct MembershipState {
+pub struct MembershipState {
     detector: FailureDetector,
     views: PartialViews,
     /// Last time firsthand traffic arrived from each peer (staleness
@@ -493,7 +473,7 @@ impl MembershipBehavior {
         self.rounds_left -= 1;
         self.round += 1;
         let state = self.state.clone();
-        let mut state = state.lock().expect("membership state poisoned");
+        let mut state = lock(&state);
         let start = state.detector.timeline().len();
 
         // 1. Direct probe of the next cycle member.
@@ -562,7 +542,7 @@ impl NodeBehavior for MembershipBehavior {
         self.tracer.set_now(now);
         let self_peer = Self::self_peer(ctx);
         let state = self.state.clone();
-        let mut state = state.lock().expect("membership state poisoned");
+        let mut state = lock(&state);
         let start = state.detector.timeline().len();
         let src = PeerId(envelope.src.0);
 
@@ -701,7 +681,7 @@ impl NodeBehavior for MembershipBehavior {
             return;
         }
         let state = self.state.clone();
-        let mut state = state.lock().expect("membership state poisoned");
+        let mut state = lock(&state);
         let start = state.detector.timeline().len();
         if token == TOKEN_FORGE {
             // Gossip lying: fabricate firsthand evidence that the victim
@@ -807,19 +787,85 @@ impl NodeBehavior for MembershipBehavior {
 // The overlay handle.
 // ---------------------------------------------------------------------
 
+/// The SWIM/HyParView protocol as deployed by [`SwimGossipOverlay::ring`].
+pub struct Swim {
+    config: MembershipConfig,
+    sink: TraceSink,
+}
+
+impl SamplingProtocol for Swim {
+    type State = MembershipState;
+    const STREAM_SALT: u64 = 0;
+
+    fn round_period(&self) -> SimTime {
+        self.config.round_period
+    }
+
+    fn ring_fanout(&self) -> usize {
+        self.config.views.active_capacity
+    }
+
+    fn spawn(
+        &mut self,
+        id: PeerId,
+        bootstrap: &[PeerId],
+        mut rng: Xoshiro256StarStar,
+        _liveness: &Liveness,
+    ) -> (Arc<Mutex<MembershipState>>, Box<dyn NodeBehavior + Send>) {
+        let config = self.config;
+        let mut views = PartialViews::new(id, config.views);
+        for &peer in bootstrap {
+            views.add_active(peer, &mut rng);
+        }
+        let detector = FailureDetector::new(id, bootstrap.to_vec(), config.rumor_transmissions);
+        let state = Arc::new(Mutex::new(MembershipState {
+            detector,
+            views,
+            last_heard: BTreeMap::new(),
+            forged: Vec::new(),
+        }));
+        let behavior = MembershipBehavior {
+            state: state.clone(),
+            rng,
+            config,
+            rounds_left: config.rounds,
+            round: 0,
+            seq: 0,
+            pending_probe: None,
+            promote_pending: None,
+            quarantine_cursor: 0,
+            suspect_cursor: 0,
+            tracer: NodeTracer::new(self.sink.clone(), id.0),
+        };
+        (state, Box::new(behavior))
+    }
+
+    fn view(state: &MembershipState) -> Vec<PeerId> {
+        state.views.active().to_vec()
+    }
+}
+
 /// A SWIM/HyParView membership overlay deployed on a deterministic
 /// engine — the protocol-native alternative to the shuffle-based
 /// [`crate::EngineGossipOverlay`]. See the module docs for the protocol.
-pub struct SwimGossipOverlay {
-    handles: Vec<(PeerId, Arc<Mutex<MembershipState>>)>,
-    dead: BTreeSet<PeerId>,
-    config: MembershipConfig,
-}
+/// Its [`Overlay::views`] are the nodes' *active* views.
+///
+/// A partition ([`Overlay::schedule_partition`]) needs **no** bridge
+/// peers here. Unlike the shuffle overlay (which provably cannot re-join
+/// without directory-assisted bridges, because views only spread what
+/// views contain), this overlay heals natively: each side declares the
+/// other dead and *quarantines* it, quarantined peers keep being probed,
+/// and the first post-merge probe triggers an incarnation-bump refutation
+/// that readmits the target — from where promotion and shuffling re-knit
+/// the overlay.
+pub type SwimGossipOverlay = Overlay<Swim>;
 
-impl SwimGossipOverlay {
+impl Overlay<Swim> {
     /// Registers `count` nodes bootstrapped in a ring (node `i`'s active
     /// view holds its successors) on `engine`, each running
-    /// `config.rounds` protocol rounds. Call `engine.run()` (or step
+    /// `config.rounds` protocol rounds, with per-node suspicion timelines
+    /// exported as `mship.*` trace events through `sink`
+    /// ([`TraceSink::disabled`] for none). Call `engine.run()` (or step
     /// with `run_until`) afterwards.
     ///
     /// # Panics
@@ -831,139 +877,14 @@ impl SwimGossipOverlay {
         count: usize,
         config: MembershipConfig,
         seed: u64,
-    ) -> Self {
-        Self::deploy(engine, count, config, seed, TraceSink::disabled())
-    }
-
-    /// [`SwimGossipOverlay::ring`] with per-node suspicion timelines
-    /// exported as `mship.*` trace events through `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`SwimGossipOverlay::ring`].
-    pub fn ring_with_trace<E: Engine + ?Sized>(
-        engine: &mut E,
-        count: usize,
-        config: MembershipConfig,
-        seed: u64,
         sink: &TraceSink,
     ) -> Self {
-        Self::deploy(engine, count, config, seed, sink.clone())
-    }
-
-    fn deploy<E: Engine + ?Sized>(
-        engine: &mut E,
-        count: usize,
-        config: MembershipConfig,
-        seed: u64,
-        sink: TraceSink,
-    ) -> Self {
-        assert!(count >= 2, "a membership overlay needs at least two nodes");
         assert!(
             2 * config.probe_timeout.as_nanos() < config.round_period.as_nanos(),
             "probe escalation (2 × probe_timeout) must fit within one round period"
         );
-        let mut handles = Vec::with_capacity(count);
-        for i in 0..count {
-            let id = PeerId(i as u64);
-            let mut rng = node_rng(seed, id.0);
-            let mut views = PartialViews::new(id, config.views);
-            let fanout = config.views.active_capacity.min(count - 1);
-            let mut initial = Vec::with_capacity(fanout);
-            for j in 1..=fanout {
-                let peer = PeerId(((i + j) % count) as u64);
-                views.add_active(peer, &mut rng);
-                initial.push(peer);
-            }
-            let detector = FailureDetector::new(id, initial, config.rumor_transmissions);
-            let state = Arc::new(Mutex::new(MembershipState {
-                detector,
-                views,
-                last_heard: BTreeMap::new(),
-                forged: Vec::new(),
-            }));
-            handles.push((id, state.clone()));
-            engine.add_node(
-                NodeId(id.0),
-                Box::new(MembershipBehavior {
-                    state,
-                    rng,
-                    config,
-                    rounds_left: config.rounds,
-                    round: 0,
-                    seq: 0,
-                    pending_probe: None,
-                    promote_pending: None,
-                    quarantine_cursor: 0,
-                    suspect_cursor: 0,
-                    tracer: NodeTracer::new(sink.clone(), id.0),
-                }),
-            );
-            engine.schedule_timer(config.round_period, NodeId(id.0), TOKEN_ROUND);
-        }
-        Self {
-            handles,
-            dead: BTreeSet::new(),
-            config,
-        }
-    }
-
-    /// Crashes `peer` on the engine and excludes it from the overlay
-    /// accessors. Call between engine runs.
-    pub fn kill<E: Engine + ?Sized>(&mut self, engine: &mut E, peer: PeerId) {
-        engine.crash(NodeId(peer.0));
-        self.dead.insert(peer);
-    }
-
-    /// Schedules `peer` to crash at simulated time `at` — the rest of
-    /// the overlay detects it through probing and repairs by promotion.
-    pub fn schedule_kill<E: Engine + ?Sized>(&mut self, engine: &mut E, peer: PeerId, at: SimTime) {
-        engine.schedule_crash(at, NodeId(peer.0));
-        self.dead.insert(peer);
-    }
-
-    /// Schedules a network partition severing `minority` from the rest
-    /// between `split_at` and `merge_at` — with **no** bridge peers.
-    ///
-    /// Unlike the shuffle overlay (which provably cannot re-join without
-    /// directory-assisted bridges, because views only spread what views
-    /// contain), this overlay heals natively: each side declares the
-    /// other dead and *quarantines* it, quarantined peers keep being
-    /// probed, and the first post-merge probe triggers an
-    /// incarnation-bump refutation that readmits the target — from where
-    /// promotion and shuffling re-knit the overlay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `merge_at <= split_at`, or `minority` is empty or
-    /// covers the whole overlay.
-    pub fn schedule_partition<E: Engine + ?Sized>(
-        &mut self,
-        engine: &mut E,
-        minority: &[PeerId],
-        split_at: SimTime,
-        merge_at: SimTime,
-    ) {
-        assert!(
-            merge_at > split_at,
-            "a partition must merge after it splits"
-        );
-        let minority_nodes: Vec<NodeId> = minority.iter().map(|p| NodeId(p.0)).collect();
-        let majority: Vec<NodeId> = self
-            .handles
-            .iter()
-            .map(|(id, _)| *id)
-            .filter(|id| !minority.contains(id))
-            .map(|p| NodeId(p.0))
-            .collect();
-        assert!(
-            !minority.is_empty() && !majority.is_empty(),
-            "a partition needs non-empty sides"
-        );
-        engine.schedule_link_loss(split_at, &minority_nodes, &majority, 1.0);
-        engine.schedule_link_loss(split_at, &majority, &minority_nodes, 1.0);
-        engine.schedule_link_loss(merge_at, &minority_nodes, &majority, 0.0);
-        engine.schedule_link_loss(merge_at, &majority, &minority_nodes, 0.0);
+        let sink = sink.clone();
+        Self::deploy(engine, count, Swim { config, sink }, seed)
     }
 
     /// Schedules `forger` to inject a forged `dead` rumor about `victim`
@@ -993,52 +914,13 @@ impl SwimGossipOverlay {
             .iter()
             .find(|(id, _)| *id == forger)
             .expect("forger must be a deployed node");
-        state
-            .lock()
-            .expect("membership state poisoned")
-            .forged
-            .push((victim, jump));
+        lock(state).forged.push((victim, jump));
         engine.schedule_timer(at, NodeId(forger.0), TOKEN_FORGE);
-    }
-
-    /// Number of alive nodes.
-    pub fn len(&self) -> usize {
-        self.handles.len() - self.dead.len()
-    }
-
-    /// Returns `true` when no node is alive.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The configured parameters.
     pub fn config(&self) -> &MembershipConfig {
-        &self.config
-    }
-
-    /// The `(node, active view)` pairs of the alive population, sorted
-    /// by node id.
-    pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
-        self.handles
-            .iter()
-            .filter(|(id, _)| !self.dead.contains(id))
-            .map(|(id, state)| {
-                (
-                    *id,
-                    state
-                        .lock()
-                        .expect("membership state poisoned")
-                        .views
-                        .active()
-                        .to_vec(),
-                )
-            })
-            .collect()
-    }
-
-    /// Overlay quality metrics over the alive population's active views.
-    pub fn metrics(&self) -> OverlayMetrics {
-        overlay_metrics_from_views(&self.views())
+        &self.protocol.config
     }
 
     /// Every node's membership timeline (alive and crashed nodes alike —
@@ -1048,17 +930,7 @@ impl SwimGossipOverlay {
     pub fn timelines(&self) -> Vec<(PeerId, Vec<MembershipEvent>)> {
         self.handles
             .iter()
-            .map(|(id, state)| {
-                (
-                    *id,
-                    state
-                        .lock()
-                        .expect("membership state poisoned")
-                        .detector
-                        .timeline()
-                        .to_vec(),
-                )
-            })
+            .map(|(id, state)| (*id, lock(state).detector.timeline().to_vec()))
             .collect()
     }
 
@@ -1095,11 +967,8 @@ impl SwimGossipOverlay {
     pub fn mean_staleness(&self, now: SimTime) -> f64 {
         let mut total = 0.0;
         let mut entries = 0usize;
-        for (id, state) in &self.handles {
-            if self.dead.contains(id) {
-                continue;
-            }
-            let state = state.lock().expect("membership state poisoned");
+        for (_, state) in self.alive() {
+            let state = lock(state);
             for peer in state.views.active() {
                 let heard = state.last_heard.get(peer).copied().unwrap_or(SimTime::ZERO);
                 total += now.saturating_sub(heard).as_secs_f64();
@@ -1117,23 +986,20 @@ impl SwimGossipOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::cross_side_edges;
     use cyclosa_net::sim::Simulation;
     use cyclosa_runtime::ShardedEngine;
-
-    fn cross_side_views(views: &[(PeerId, Vec<PeerId>)], boundary: u64) -> usize {
-        views
-            .iter()
-            .flat_map(|(id, peers)| {
-                let side = id.0 < boundary;
-                peers.iter().filter(move |p| (p.0 < boundary) != side)
-            })
-            .count()
-    }
 
     #[test]
     fn ring_bootstrap_converges_without_false_deaths() {
         let mut sim = Simulation::new(11);
-        let overlay = SwimGossipOverlay::ring(&mut sim, 20, MembershipConfig::default(), 11);
+        let overlay = SwimGossipOverlay::ring(
+            &mut sim,
+            20,
+            MembershipConfig::default(),
+            11,
+            &TraceSink::disabled(),
+        );
         sim.run();
         let metrics = overlay.metrics();
         assert!(metrics.connected, "overlay must be connected");
@@ -1149,7 +1015,13 @@ mod tests {
     #[test]
     fn crashed_node_is_declared_dead_and_quarantined_everywhere() {
         let mut sim = Simulation::new(23);
-        let mut overlay = SwimGossipOverlay::ring(&mut sim, 16, MembershipConfig::default(), 23);
+        let mut overlay = SwimGossipOverlay::ring(
+            &mut sim,
+            16,
+            MembershipConfig::default(),
+            23,
+            &TraceSink::disabled(),
+        );
         let victim = PeerId(5);
         overlay.schedule_kill(&mut sim, victim, SimTime::from_secs(10));
         sim.run();
@@ -1180,7 +1052,7 @@ mod tests {
             ..MembershipConfig::default()
         };
         let mut sim = Simulation::new(67);
-        let mut overlay = SwimGossipOverlay::ring(&mut sim, 14, config, 67);
+        let mut overlay = SwimGossipOverlay::ring(&mut sim, 14, config, 67, &TraceSink::disabled());
         let minority: Vec<PeerId> = (0..4).map(PeerId).collect();
         overlay.schedule_partition(
             &mut sim,
@@ -1191,7 +1063,7 @@ mod tests {
         // Mid-partition: the sides must have written each other off.
         sim.run_until(SimTime::from_secs(39));
         assert_eq!(
-            cross_side_views(&overlay.views(), 4),
+            cross_side_edges(&overlay.views(), 4),
             0,
             "sides still hold cross references at the end of the split"
         );
@@ -1202,7 +1074,7 @@ mod tests {
             "merge must heal with zero bridge peers: {metrics:?}"
         );
         assert!(
-            cross_side_views(&overlay.views(), 4) > 4,
+            cross_side_edges(&overlay.views(), 4) > 4,
             "healing must spread beyond a single readmitted link"
         );
     }
@@ -1218,6 +1090,7 @@ mod tests {
                     ..MembershipConfig::default()
                 },
                 91,
+                &TraceSink::disabled(),
             );
             overlay.schedule_kill(engine, PeerId(3), SimTime::from_secs(8));
             overlay.schedule_partition(
@@ -1244,7 +1117,13 @@ mod tests {
     #[test]
     fn quarantined_peers_do_not_reenter_via_shuffle_hearsay() {
         let mut sim = Simulation::new(5);
-        let mut overlay = SwimGossipOverlay::ring(&mut sim, 10, MembershipConfig::default(), 5);
+        let mut overlay = SwimGossipOverlay::ring(
+            &mut sim,
+            10,
+            MembershipConfig::default(),
+            5,
+            &TraceSink::disabled(),
+        );
         let victim = PeerId(7);
         overlay.schedule_kill(&mut sim, victim, SimTime::from_secs(5));
         sim.run();
@@ -1252,7 +1131,7 @@ mod tests {
             if *id == victim {
                 continue;
             }
-            let state = state.lock().expect("membership state poisoned");
+            let state = lock(state);
             if state.views.is_quarantined(victim) {
                 assert!(
                     !state.views.passive().contains(&victim),
@@ -1322,5 +1201,26 @@ mod tests {
         let decoded = decode_shuffle(&encode_shuffle(&shuffle)).expect("valid shuffle");
         assert_eq!(decoded.peers, vec![PeerId(1), PeerId(4)]);
         assert!(decode_ping(&[1, 2, 3], PeerId(0)).is_none(), "truncated");
+    }
+
+    #[test]
+    fn ragged_shuffle_payloads_do_not_parse() {
+        // `TAG_SHUFFLE` and `TAG_SHUFFLE_REPLY` share this payload; its
+        // peer list goes through the shared `PeerId`-list codec.
+        let shuffle = Shuffle {
+            peers: vec![PeerId(1), PeerId(4), PeerId(9)],
+            rumors: Vec::new(),
+        };
+        let bytes = encode_shuffle(&shuffle);
+        assert!(decode_shuffle(&bytes).is_some());
+        for cut in 1..8 {
+            assert!(
+                decode_shuffle(&bytes[..bytes.len() - cut]).is_none(),
+                "-{cut}"
+            );
+            let mut extended = bytes.clone();
+            extended.extend(std::iter::repeat_n(0, cut));
+            assert!(decode_shuffle(&extended).is_none(), "+{cut}");
+        }
     }
 }

@@ -159,6 +159,17 @@ impl PeerSamplingNode {
         self.view.truncate_random(rng);
     }
 
+    /// One push–pull exchange initiated by `self`: both sides prepare their
+    /// buffers (initiator first), then the partner merges, then the
+    /// initiator. Every synchronous round driver goes through here, so the
+    /// draw order on `rng` is the same wherever a shuffle round runs.
+    pub fn exchange<R: Rng + ?Sized>(&mut self, partner: &mut Self, rng: &mut R) {
+        let sent = self.prepare_buffer(rng);
+        let reply = partner.prepare_buffer(rng);
+        partner.merge(&sent, &reply, rng);
+        self.merge(&reply, &sent, rng);
+    }
+
     /// Advances the node's local clock: ages every descriptor by one round.
     pub fn increase_ages(&mut self) {
         self.view.increase_ages();

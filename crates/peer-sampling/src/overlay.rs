@@ -8,21 +8,21 @@
 //! (crashed partners) are blacklisted at the next round, mirroring how
 //! CYCLOSA clients drop unresponsive proxies.
 //!
-//! Every node draws from its own seed-derived RNG stream, so an execution
-//! is a pure function of `(seed, population, config)` — identical on the
-//! sequential simulator and on the sharded parallel engine, for any shard
-//! count.
+//! Deployment, per-node streams, liveness, crashes and the end-of-run
+//! accessors are the shared [`Overlay`]'s ([`crate::population`]); this
+//! module is the shuffle protocol itself plus the faults only it has:
+//! revivals, rejoins and merge bridges.
 //!
-//! Partitions are first-class faults:
-//! [`EngineGossipOverlay::schedule_partition`] severs the links between a
-//! minority component and the rest for a window (nothing crashes), and at
-//! the merge re-introduces a few bridge peers on each side so gossip can
+//! Partitions are first-class faults: [`Overlay::schedule_partition`]
+//! severs the links between a minority component and the rest for a window
+//! (nothing crashes), and [`EngineGossipOverlay::schedule_bridges`]
+//! re-introduces a few bridge peers on each side at the merge so gossip can
 //! re-join components that have blacklisted every reference to each other.
 //!
 //! The overlay is churn-observable *during* a run, not only at the end:
-//! [`EngineGossipOverlay::ring_with_metrics`] threads a
-//! [`cyclosa_runtime::metrics::Registry`] through every node, recording a
-//! view-staleness histogram (mean descriptor age per round) and a
+//! passing a [`cyclosa_runtime::metrics::Registry`] to
+//! [`EngineGossipOverlay::ring`] threads it through every node, recording
+//! a view-staleness histogram (mean descriptor age per round) and a
 //! dead-reference-fraction histogram as the run unfolds. When
 //! [`EngineGossipConfig::staleness_threshold`] is set, a node whose view
 //! goes stale *re-assesses eagerly*: it halves its next round delay until
@@ -32,15 +32,15 @@
 //! engines and shard counts.
 
 use crate::node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode};
-use crate::simulator::{overlay_metrics_from_views, OverlayMetrics};
+use crate::population::{lock, node_rng, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND};
 use crate::view::{Descriptor, PeerId, View};
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_runtime::metrics::{Counter, Histogram, Registry};
-use cyclosa_util::rng::{SplitMix64, Xoshiro256StarStar};
-use std::sync::{Arc, Mutex, RwLock};
+use cyclosa_util::rng::Xoshiro256StarStar;
+use std::sync::{Arc, Mutex};
 
 /// Message tag: push half of a gossip exchange.
 const TAG_PUSH: u32 = 0x9001;
@@ -103,60 +103,6 @@ fn decode(bytes: &[u8]) -> Option<ExchangeBuffer> {
     Some(ExchangeBuffer { descriptors })
 }
 
-fn node_rng(seed: u64, id: u64) -> Xoshiro256StarStar {
-    let mut sm = SplitMix64::new(seed);
-    let base = cyclosa_util::rng::Rng::next_u64(&mut sm);
-    Xoshiro256StarStar::seed_from_u64(base ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// The scenario driver's knowledge of who is dead *when*: a
-/// piecewise-constant liveness timeline per peer, built from the kill /
-/// revive / rejoin schedule. Behaviours evaluate it at their own simulated
-/// round time, so the live dead-reference histogram reflects the state at
-/// the moment of each sample rather than at scheduling time (a kill
-/// scheduled for `t = 100 s` must not count as dead at `t = 5 s`).
-/// Same-instant marks apply in call order (last write wins), mirroring
-/// `LossSchedule`.
-#[derive(Debug, Default)]
-struct DeadTimeline {
-    steps: std::collections::BTreeMap<PeerId, Vec<(SimTime, bool)>>,
-}
-
-impl DeadTimeline {
-    fn mark(&mut self, at: SimTime, peer: PeerId, dead: bool) {
-        let steps = self.steps.entry(peer).or_default();
-        let index = steps.partition_point(|(t, _)| *t <= at);
-        steps.insert(index, (at, dead));
-    }
-
-    /// Whether `peer` is dead at simulated time `at`.
-    fn is_dead_at(&self, peer: PeerId, at: SimTime) -> bool {
-        self.steps
-            .get(&peer)
-            .is_some_and(|steps| match steps.partition_point(|(t, _)| *t <= at) {
-                0 => false,
-                n => steps[n - 1].1,
-            })
-    }
-
-    /// Whether `peer` ends the schedule dead (the end-of-run state the
-    /// overlay's `views`/`metrics`/`len` accessors report against).
-    fn is_dead_finally(&self, peer: PeerId) -> bool {
-        self.steps
-            .get(&peer)
-            .and_then(|steps| steps.last())
-            .is_some_and(|(_, dead)| *dead)
-    }
-
-    /// Number of peers that end the schedule dead.
-    fn finally_dead(&self) -> usize {
-        self.steps
-            .values()
-            .filter(|steps| steps.last().is_some_and(|(_, dead)| *dead))
-            .count()
-    }
-}
-
 /// The live-observability handles every gossip participant records into.
 /// Cheap Arc-backed clones of the same registry-owned metrics; recording
 /// never draws randomness and never feeds back into scheduling, so
@@ -200,13 +146,13 @@ struct GossipBehavior {
     rounds_left: usize,
     round_period: SimTime,
     staleness_threshold: Option<u32>,
-    /// Live-metrics handles — `None` for plain [`EngineGossipOverlay::ring`]
-    /// deployments, which then skip the per-round recording (and the shared
+    /// Live-metrics handles — `None` for deployments without a registry,
+    /// which then skip the per-round recording (and the shared
     /// dead-timeline lock) entirely.
     probes: Option<OverlayProbes>,
     /// The scenario driver's kill/revive schedule, evaluated at round time
     /// — observability only, never consulted by protocol logic.
-    dead: Arc<RwLock<DeadTimeline>>,
+    dead: Liveness,
     /// The exchange in flight, if any: partner, sent buffer and the round
     /// time the push went out (blacklisting waits a full `round_period`
     /// from here, however short the eager cadence gets).
@@ -228,10 +174,7 @@ impl GossipBehavior {
         };
         if let Some(probes) = &self.probes {
             probes.staleness_rounds.record(mean_age);
-            // Shared read lock only: the timeline is mutated exclusively by
-            // the scenario driver between runs, so concurrent shards never
-            // serialize on it mid-run.
-            let dead = self.dead.read().expect("dead timeline poisoned");
+            let dead = self.dead.read();
             let view_len = node.view().len();
             let dead_refs = node
                 .view()
@@ -253,7 +196,7 @@ impl NodeBehavior for GossipBehavior {
         let Some(received) = decode(&envelope.payload) else {
             return;
         };
-        let mut node = self.node.lock().expect("gossip node poisoned");
+        let mut node = lock(&self.node);
         match envelope.tag {
             TAG_PUSH => {
                 // Passive side: answer with our own buffer, then merge.
@@ -278,7 +221,7 @@ impl NodeBehavior for GossipBehavior {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        let mut node = self.node.lock().expect("gossip node poisoned");
+        let mut node = lock(&self.node);
         if token >= BRIDGE_BASE {
             // A merge-bridge reseed: learn the cross-partition peer afresh
             // so the next rounds gossip the two healed sides back into one
@@ -300,7 +243,7 @@ impl NodeBehavior for GossipBehavior {
                 // ageing, no rounds_left spend, no spurious blacklist —
                 // just re-arm for the remainder of the partner's budget.
                 self.awaiting = Some((partner, sent, since));
-                ctx.set_timer(self.round_period - elapsed, 0);
+                ctx.set_timer(self.round_period - elapsed, TOKEN_ROUND);
                 return;
             }
         }
@@ -323,29 +266,77 @@ impl NodeBehavior for GossipBehavior {
             } else {
                 self.round_period
             };
-            ctx.set_timer(delay, 0);
+            ctx.set_timer(delay, TOKEN_ROUND);
         }
     }
 }
 
-/// A gossip overlay deployed on an [`Engine`]; inspect views and quality
-/// metrics after `engine.run()`, or pass a [`Registry`] to
-/// [`EngineGossipOverlay::ring_with_metrics`] for live per-round staleness
-/// and dead-reference histograms.
+/// The shuffle protocol as deployed by [`EngineGossipOverlay::ring`]: the
+/// configuration every node (and every rejoined node) is spawned with.
 #[derive(Debug)]
-pub struct EngineGossipOverlay {
-    handles: Vec<(PeerId, Arc<Mutex<PeerSamplingNode>>)>,
-    dead: Arc<RwLock<DeadTimeline>>,
-    probes: Option<OverlayProbes>,
+pub struct Shuffle {
     config: EngineGossipConfig,
-    seed: u64,
+    probes: Option<OverlayProbes>,
 }
 
-impl EngineGossipOverlay {
+impl SamplingProtocol for Shuffle {
+    type State = PeerSamplingNode;
+    const STREAM_SALT: u64 = 0;
+
+    fn round_period(&self) -> SimTime {
+        self.config.round_period
+    }
+
+    fn ring_fanout(&self) -> usize {
+        1
+    }
+
+    fn spawn(
+        &mut self,
+        id: PeerId,
+        bootstrap: &[PeerId],
+        rng: Xoshiro256StarStar,
+        liveness: &Liveness,
+    ) -> (Arc<Mutex<PeerSamplingNode>>, Box<dyn NodeBehavior + Send>) {
+        let mut node = PeerSamplingNode::new(id, self.config.protocol);
+        node.bootstrap(bootstrap.iter().copied());
+        let node = Arc::new(Mutex::new(node));
+        let behavior = GossipBehavior {
+            node: node.clone(),
+            rng,
+            rounds_left: self.config.rounds,
+            round_period: self.config.round_period,
+            staleness_threshold: self.config.staleness_threshold,
+            probes: self.probes.clone(),
+            dead: liveness.clone(),
+            awaiting: None,
+        };
+        (node, Box::new(behavior))
+    }
+
+    fn view(state: &PeerSamplingNode) -> Vec<PeerId> {
+        state.view().peers()
+    }
+}
+
+/// The shuffle overlay deployed on an [`Engine`]: the shared [`Overlay`]
+/// accessors and faults, plus revivals, rejoins and merge bridges.
+pub type EngineGossipOverlay = Overlay<Shuffle>;
+
+impl Overlay<Shuffle> {
     /// Registers `count` nodes bootstrapped in a ring (node `i` initially
     /// knows only its successor) on `engine`, each initiating
     /// `config.rounds` gossip rounds. Call `engine.run()` afterwards to
     /// execute the protocol.
+    ///
+    /// With a `registry`, every node records its per-round view staleness
+    /// and dead-reference fraction into it (histograms
+    /// `overlay.view_staleness_rounds` and
+    /// `overlay.dead_view_references_permille`, counter
+    /// `overlay.eager_rounds`) *while the run executes* — the
+    /// [`Overlay::metrics`] end-of-run summary stays available on top.
+    /// Without one, nodes skip the per-round recording (and the shared
+    /// dead-timeline lock) entirely.
     ///
     /// # Panics
     ///
@@ -355,100 +346,10 @@ impl EngineGossipOverlay {
         count: usize,
         config: EngineGossipConfig,
         seed: u64,
+        registry: Option<&Registry>,
     ) -> Self {
-        // No registry: nodes skip per-round recording (and the shared
-        // dead-timeline lock) entirely.
-        Self::deploy(engine, count, config, seed, None)
-    }
-
-    /// [`EngineGossipOverlay::ring`] with live observability: every node
-    /// records its per-round view staleness and dead-reference fraction
-    /// into `registry` (histograms `overlay.view_staleness_rounds` and
-    /// `overlay.dead_view_references_permille`, counter
-    /// `overlay.eager_rounds`) *while the run executes* — today's
-    /// [`EngineGossipOverlay::metrics`] end-of-run summary stays available
-    /// on top.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count < 2`.
-    pub fn ring_with_metrics<E: Engine + ?Sized>(
-        engine: &mut E,
-        count: usize,
-        config: EngineGossipConfig,
-        seed: u64,
-        registry: &Registry,
-    ) -> Self {
-        Self::deploy(
-            engine,
-            count,
-            config,
-            seed,
-            Some(OverlayProbes::from_registry(registry)),
-        )
-    }
-
-    fn deploy<E: Engine + ?Sized>(
-        engine: &mut E,
-        count: usize,
-        config: EngineGossipConfig,
-        seed: u64,
-        probes: Option<OverlayProbes>,
-    ) -> Self {
-        assert!(count >= 2, "a gossip overlay needs at least two nodes");
-        let dead = Arc::new(RwLock::new(DeadTimeline::default()));
-        let mut handles = Vec::with_capacity(count);
-        for i in 0..count {
-            let id = PeerId(i as u64);
-            let mut node = PeerSamplingNode::new(id, config.protocol);
-            node.bootstrap([PeerId(((i + 1) % count) as u64)]);
-            let handle = Arc::new(Mutex::new(node));
-            handles.push((id, handle.clone()));
-            engine.add_node(
-                NodeId(id.0),
-                Box::new(GossipBehavior {
-                    node: handle,
-                    rng: node_rng(seed, id.0),
-                    rounds_left: config.rounds,
-                    round_period: config.round_period,
-                    staleness_threshold: config.staleness_threshold,
-                    probes: probes.clone(),
-                    dead: dead.clone(),
-                    awaiting: None,
-                }),
-            );
-            engine.schedule_timer(config.round_period, NodeId(id.0), 0);
-        }
-        Self {
-            handles,
-            dead,
-            probes,
-            config,
-            seed,
-        }
-    }
-
-    /// Crashes `peer` on the engine: it stops gossiping and answering, and
-    /// is excluded from [`EngineGossipOverlay::metrics`]. Call between
-    /// engine runs, not while one is in progress.
-    pub fn kill<E: Engine + ?Sized>(&mut self, engine: &mut E, peer: PeerId) {
-        let now = engine.now();
-        engine.crash(NodeId(peer.0));
-        self.dead
-            .write()
-            .expect("dead timeline poisoned")
-            .mark(now, peer, true);
-    }
-
-    /// Schedules `peer` to crash at simulated time `at` — a deterministic
-    /// mid-run failure (the rest of the overlay repairs itself through the
-    /// blacklist-on-silence rule).
-    pub fn schedule_kill<E: Engine + ?Sized>(&mut self, engine: &mut E, peer: PeerId, at: SimTime) {
-        engine.schedule_crash(at, NodeId(peer.0));
-        self.dead
-            .write()
-            .expect("dead timeline poisoned")
-            .mark(at, peer, true);
+        let probes = registry.map(OverlayProbes::from_registry);
+        Self::deploy(engine, count, Shuffle { config, probes }, seed)
     }
 
     /// Schedules `peer` to recover at simulated time `at`, state intact,
@@ -456,16 +357,16 @@ impl EngineGossipOverlay {
     /// as fresh descriptors flow in, and the rest of the population
     /// re-learns it from the descriptors it pushes.
     pub fn revive<E: Engine + ?Sized>(&mut self, engine: &mut E, peer: PeerId, at: SimTime) {
+        if !self.mark(at, peer, false) {
+            return;
+        }
         engine.schedule_recover(at, NodeId(peer.0));
         // Timers of crashed nodes are dropped at fire time, so the round
         // chain broke at the crash — restart it one period after recovery
         // (membership sorts before timers in the same slot, so even an
         // `at`-aligned timer would find the node alive).
-        engine.schedule_timer(at + self.config.round_period, NodeId(peer.0), 0);
-        self.dead
-            .write()
-            .expect("dead timeline poisoned")
-            .mark(at, peer, false);
+        let period = self.protocol.config.round_period;
+        engine.schedule_timer(at + period, NodeId(peer.0), TOKEN_ROUND);
     }
 
     /// Schedules `peer` to leave at `at` and rejoin at `rejoin_at` with a
@@ -495,92 +396,51 @@ impl EngineGossipOverlay {
         // — a peer merely scheduled to recover *later* would leave the
         // fresh view pointing at a dead node for its whole first rounds.
         let successor = {
-            let dead = self.dead.read().expect("dead timeline poisoned");
+            let dead = self.liveness.read();
             (1..self.handles.len())
                 .map(|offset| self.handles[(position + offset) % self.handles.len()].0)
                 .find(|candidate| !dead.is_dead_at(*candidate, rejoin_at) && *candidate != peer)
                 .expect("need an alive peer to bootstrap the rejoin from")
         };
         engine.schedule_leave(at, NodeId(peer.0));
-        let mut node = PeerSamplingNode::new(peer, self.config.protocol);
-        node.bootstrap([successor]);
-        let handle = Arc::new(Mutex::new(node));
-        self.handles[position].1 = handle.clone();
-        engine.schedule_join(
-            rejoin_at,
-            NodeId(peer.0),
-            Box::new(GossipBehavior {
-                node: handle,
-                rng: node_rng(self.seed, peer.0),
-                rounds_left: self.config.rounds,
-                round_period: self.config.round_period,
-                staleness_threshold: self.config.staleness_threshold,
-                probes: self.probes.clone(),
-                dead: self.dead.clone(),
-                awaiting: None,
-            }),
-        );
-        engine.schedule_timer(rejoin_at + self.config.round_period, NodeId(peer.0), 0);
+        let rng = node_rng(self.seed, Shuffle::STREAM_SALT, peer.0);
+        let (node, behavior) = self.protocol.spawn(peer, &[successor], rng, &self.liveness);
+        self.handles[position].1 = node;
+        engine.schedule_join(rejoin_at, NodeId(peer.0), behavior);
+        let period = self.protocol.config.round_period;
+        engine.schedule_timer(rejoin_at + period, NodeId(peer.0), TOKEN_ROUND);
         // Dead exactly for the `[at, rejoin_at)` window: the live
         // histograms see it dead in between, the end-of-run accessors see
         // it back.
-        let mut dead = self.dead.write().expect("dead timeline poisoned");
-        dead.mark(at, peer, true);
-        dead.mark(rejoin_at, peer, false);
+        self.mark(at, peer, true);
+        self.mark(rejoin_at, peer, false);
     }
 
-    /// Schedules a network partition: every link between `minority` and
-    /// the rest of the overlay is severed from `split_at` until `merge_at`
-    /// (both directions), via the engine's link-group loss windows. No
-    /// node crashes — each component keeps gossiping internally, cross
-    /// references go stale and are blacklisted on silence, so views end
-    /// the window side-local.
-    ///
-    /// **Merge healing:** gossip alone cannot re-join the components —
-    /// once every cross reference has been blacklisted, neither side holds
-    /// a descriptor of the other, and views only ever spread what views
-    /// contain. So at `merge_at` the first `bridges` nodes of each side
-    /// are re-introduced to a peer on the other side (a fresh descriptor
-    /// inserted through a bridge timer — the directory-assisted re-entry
-    /// of the paper's bootstrap, §V-D, applied to partition repair), and
-    /// ordinary gossip spreads the re-discovered side from there. Pass
-    /// `bridges: 0` to measure the unhealed case. Repair progress shows in
-    /// the live staleness histogram of
-    /// [`EngineGossipOverlay::ring_with_metrics`]: mean view age climbs
-    /// while cross references starve and relaxes back after the merge.
+    /// Merge healing for [`Overlay::schedule_partition`]: gossip alone
+    /// cannot re-join the components — once every cross reference has been
+    /// blacklisted, neither side holds a descriptor of the other, and views
+    /// only ever spread what views contain. So at `merge_at` the first
+    /// `bridges` nodes of each side are re-introduced to a peer on the
+    /// other side (a fresh descriptor inserted through a bridge timer — the
+    /// directory-assisted re-entry of the paper's bootstrap, §V-D, applied
+    /// to partition repair), and ordinary gossip spreads the re-discovered
+    /// side from there. Leave it out to measure the unhealed case. Repair
+    /// progress shows in the live staleness histogram: mean view age
+    /// climbs while cross references starve and relaxes back after the
+    /// merge.
     ///
     /// # Panics
     ///
-    /// Panics if `merge_at <= split_at`, or `minority` is empty or covers
-    /// the whole overlay.
-    pub fn schedule_partition<E: Engine + ?Sized>(
+    /// Panics if `bridges > 0` and `minority` is empty or covers the whole
+    /// overlay.
+    pub fn schedule_bridges<E: Engine + ?Sized>(
         &mut self,
         engine: &mut E,
         minority: &[PeerId],
-        split_at: SimTime,
         merge_at: SimTime,
         bridges: usize,
     ) {
-        assert!(
-            merge_at > split_at,
-            "a partition must merge after it splits"
-        );
-        let minority_nodes: Vec<NodeId> = minority.iter().map(|p| NodeId(p.0)).collect();
-        let majority: Vec<PeerId> = self
-            .handles
-            .iter()
-            .map(|(id, _)| *id)
-            .filter(|id| !minority.contains(id))
-            .collect();
-        assert!(
-            !minority.is_empty() && !majority.is_empty(),
-            "a partition needs non-empty sides"
-        );
-        let majority_nodes: Vec<NodeId> = majority.iter().map(|p| NodeId(p.0)).collect();
-        engine.schedule_link_loss(split_at, &minority_nodes, &majority_nodes, 1.0);
-        engine.schedule_link_loss(split_at, &majority_nodes, &minority_nodes, 1.0);
-        engine.schedule_link_loss(merge_at, &minority_nodes, &majority_nodes, 0.0);
-        engine.schedule_link_loss(merge_at, &majority_nodes, &minority_nodes, 0.0);
+        let majority = self.majority(minority);
         for i in 0..bridges {
             let minority_bridge = minority[i % minority.len()];
             let majority_bridge = majority[i % majority.len()];
@@ -596,47 +456,12 @@ impl EngineGossipOverlay {
             );
         }
     }
-
-    /// Number of alive nodes.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-            - self
-                .dead
-                .read()
-                .expect("dead timeline poisoned")
-                .finally_dead()
-    }
-
-    /// Returns `true` when no node is alive.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The current `(node, view peers)` pairs of the alive population,
-    /// sorted by node id.
-    pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
-        let dead = self.dead.read().expect("dead timeline poisoned");
-        self.handles
-            .iter()
-            .filter(|(id, _)| !dead.is_dead_finally(*id))
-            .map(|(id, node)| {
-                (
-                    *id,
-                    node.lock().expect("gossip node poisoned").view().peers(),
-                )
-            })
-            .collect()
-    }
-
-    /// Overlay quality metrics over the alive population.
-    pub fn metrics(&self) -> OverlayMetrics {
-        overlay_metrics_from_views(&self.views())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::cross_side_edges;
     use cyclosa_net::sim::Simulation;
     use cyclosa_runtime::ShardedEngine;
 
@@ -645,7 +470,8 @@ mod tests {
         count: usize,
         seed: u64,
     ) -> Vec<(PeerId, Vec<PeerId>)> {
-        let overlay = EngineGossipOverlay::ring(engine, count, EngineGossipConfig::default(), seed);
+        let overlay =
+            EngineGossipOverlay::ring(engine, count, EngineGossipConfig::default(), seed, None);
         engine.run();
         let mut views = overlay.views();
         for (_, peers) in &mut views {
@@ -658,7 +484,7 @@ mod tests {
     fn ring_bootstrap_converges_on_the_event_engine() {
         let mut simulation = Simulation::new(8);
         let overlay =
-            EngineGossipOverlay::ring(&mut simulation, 100, EngineGossipConfig::default(), 8);
+            EngineGossipOverlay::ring(&mut simulation, 100, EngineGossipConfig::default(), 8, None);
         simulation.run();
         let metrics = overlay.metrics();
         assert!(metrics.connected, "overlay must stay connected");
@@ -695,7 +521,7 @@ mod tests {
             rounds: 60,
             ..EngineGossipConfig::default()
         };
-        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 60, config, 5);
+        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 60, config, 5, None);
         simulation.run_until(SimTime::from_secs(20));
         for i in 0..10 {
             overlay.kill(&mut simulation, PeerId(i));
@@ -718,7 +544,7 @@ mod tests {
             rounds: 120,
             ..EngineGossipConfig::default()
         };
-        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 50, config, 17);
+        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 50, config, 17, None);
         // Ten nodes crash mid-run and recover 30 s later.
         for i in 0..10 {
             overlay.schedule_kill(&mut simulation, PeerId(i), SimTime::from_secs(20));
@@ -752,7 +578,7 @@ mod tests {
             rounds: 120,
             ..EngineGossipConfig::default()
         };
-        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 40, config, 23);
+        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 40, config, 23, None);
         for i in 0..5 {
             overlay.schedule_rejoin(
                 &mut simulation,
@@ -783,7 +609,7 @@ mod tests {
                 rounds: 60,
                 ..EngineGossipConfig::default()
             };
-            let mut overlay = EngineGossipOverlay::ring(engine, 40, config, 31);
+            let mut overlay = EngineGossipOverlay::ring(engine, 40, config, 31, None);
             for i in 0..4 {
                 overlay.schedule_kill(engine, PeerId(i), SimTime::from_secs(10));
                 overlay.revive(engine, PeerId(i), SimTime::from_secs(25));
@@ -822,7 +648,7 @@ mod tests {
             ..EngineGossipConfig::default()
         };
         let mut overlay =
-            EngineGossipOverlay::ring_with_metrics(&mut simulation, 50, config, 41, &registry);
+            EngineGossipOverlay::ring(&mut simulation, 50, config, 41, Some(&registry));
         simulation.run_until(SimTime::from_secs(15));
         for i in 0..15 {
             overlay.schedule_kill(&mut simulation, PeerId(i), SimTime::from_secs(16));
@@ -868,7 +694,7 @@ mod tests {
                 ..EngineGossipConfig::default()
             };
             let mut overlay =
-                EngineGossipOverlay::ring_with_metrics(&mut simulation, 50, config, 43, &registry);
+                EngineGossipOverlay::ring(&mut simulation, 50, config, 43, Some(&registry));
             // A third of the population dies at once: survivors' views go
             // stale until gossip washes the dead references out.
             for i in 0..16 {
@@ -906,7 +732,7 @@ mod tests {
                 staleness_threshold: Some(2),
                 ..EngineGossipConfig::default()
             };
-            let mut overlay = EngineGossipOverlay::ring(engine, 40, config, 47);
+            let mut overlay = EngineGossipOverlay::ring(engine, 40, config, 47, None);
             for i in 0..10 {
                 overlay.schedule_kill(engine, PeerId(i), SimTime::from_secs(8));
             }
@@ -929,16 +755,10 @@ mod tests {
         }
     }
 
-    /// Views holding at least one reference across the `boundary` (ids
-    /// below it on one side, at or above on the other).
-    fn cross_side_views(views: &[(PeerId, Vec<PeerId>)], boundary: u64) -> usize {
-        views
-            .iter()
-            .filter(|(id, peers)| {
-                let minority = id.0 < boundary;
-                peers.iter().any(|p| (p.0 < boundary) != minority)
-            })
-            .count()
+    /// Views holding at least one reference across the `boundary`.
+    fn views_crossing(views: &[(PeerId, Vec<PeerId>)], boundary: u64) -> usize {
+        let crossing = |view| cross_side_edges(std::slice::from_ref(view), boundary) > 0;
+        views.iter().filter(|view| crossing(view)).count()
     }
 
     #[test]
@@ -949,15 +769,15 @@ mod tests {
                 rounds: 90,
                 ..EngineGossipConfig::default()
             };
-            let mut overlay = EngineGossipOverlay::ring(&mut simulation, 40, config, 67);
+            let mut overlay = EngineGossipOverlay::ring(&mut simulation, 40, config, 67, None);
             let minority: Vec<PeerId> = (0..12).map(PeerId).collect();
             overlay.schedule_partition(
                 &mut simulation,
                 &minority,
                 SimTime::from_secs(10),
                 SimTime::from_secs(45),
-                bridges,
             );
+            overlay.schedule_bridges(&mut simulation, &minority, SimTime::from_secs(45), bridges);
             simulation.run();
             (overlay.metrics(), overlay.views())
         };
@@ -969,13 +789,13 @@ mod tests {
             !unhealed_metrics.connected,
             "an unbridged merge must stay split at the overlay level"
         );
-        assert_eq!(cross_side_views(&unhealed_views, 12), 0);
+        assert_eq!(views_crossing(&unhealed_views, 12), 0);
         // Three bridge pairs re-introduce the sides; gossip does the rest.
         assert!(healed_metrics.connected, "bridged merge must reconnect");
         assert!(
-            cross_side_views(&healed_views, 12) > 20,
+            views_crossing(&healed_views, 12) > 20,
             "healing must spread cross-side references well beyond the bridges ({} views)",
-            cross_side_views(&healed_views, 12)
+            views_crossing(&healed_views, 12)
         );
         assert!(healed_metrics.dead_references < 0.05);
     }
@@ -990,7 +810,7 @@ mod tests {
                 ..EngineGossipConfig::default()
             };
             let mut overlay =
-                EngineGossipOverlay::ring_with_metrics(&mut simulation, 40, config, 73, &registry);
+                EngineGossipOverlay::ring(&mut simulation, 40, config, 73, Some(&registry));
             if partitioned {
                 let minority: Vec<PeerId> = (0..12).map(PeerId).collect();
                 overlay.schedule_partition(
@@ -998,8 +818,8 @@ mod tests {
                     &minority,
                     SimTime::from_secs(10),
                     SimTime::from_secs(40),
-                    3,
                 );
+                overlay.schedule_bridges(&mut simulation, &minority, SimTime::from_secs(40), 3);
             }
             simulation.run();
             let snapshot = registry.snapshot();
@@ -1029,15 +849,15 @@ mod tests {
                 rounds: 50,
                 ..EngineGossipConfig::default()
             };
-            let mut overlay = EngineGossipOverlay::ring(engine, 30, config, 79);
+            let mut overlay = EngineGossipOverlay::ring(engine, 30, config, 79, None);
             let minority: Vec<PeerId> = (0..9).map(PeerId).collect();
             overlay.schedule_partition(
                 engine,
                 &minority,
                 SimTime::from_secs(8),
                 SimTime::from_secs(30),
-                2,
             );
+            overlay.schedule_bridges(engine, &minority, SimTime::from_secs(30), 2);
             engine.run();
             let mut views = overlay.views();
             for (_, peers) in &mut views {
@@ -1062,14 +882,13 @@ mod tests {
     fn partition_covering_everyone_is_rejected() {
         let mut simulation = Simulation::new(1);
         let mut overlay =
-            EngineGossipOverlay::ring(&mut simulation, 4, EngineGossipConfig::default(), 1);
+            EngineGossipOverlay::ring(&mut simulation, 4, EngineGossipConfig::default(), 1, None);
         let everyone: Vec<PeerId> = (0..4).map(PeerId).collect();
         overlay.schedule_partition(
             &mut simulation,
             &everyone,
             SimTime::from_secs(1),
             SimTime::from_secs(2),
-            1,
         );
     }
 
@@ -1083,7 +902,7 @@ mod tests {
             rounds: 60,
             ..EngineGossipConfig::default()
         };
-        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 20, config, 61);
+        let mut overlay = EngineGossipOverlay::ring(&mut simulation, 20, config, 61, None);
         overlay.schedule_kill(&mut simulation, PeerId(1), SimTime::from_secs(5));
         overlay.revive(&mut simulation, PeerId(1), SimTime::from_secs(40));
         overlay.schedule_rejoin(
@@ -1095,34 +914,12 @@ mod tests {
         // Before the run, the freshly bootstrapped view must point at the
         // first successor alive at t = 15 s — node 2, not the down node 1.
         let (_, node0) = &overlay.handles[0];
-        let boot_view = node0.lock().expect("node poisoned").view().peers();
+        let boot_view = lock(node0).view().peers();
         assert_eq!(boot_view, vec![PeerId(2)]);
         simulation.run();
         let metrics = overlay.metrics();
         assert_eq!(metrics.nodes, 20);
         assert!(metrics.connected);
-    }
-
-    #[test]
-    fn dead_timeline_is_evaluated_at_event_time_not_scheduling_time() {
-        let mut timeline = DeadTimeline::default();
-        // Scheduled long before the run reaches it: alive until `at`.
-        timeline.mark(SimTime::from_secs(100), PeerId(1), true);
-        assert!(!timeline.is_dead_at(PeerId(1), SimTime::from_secs(5)));
-        assert!(timeline.is_dead_at(PeerId(1), SimTime::from_secs(100)));
-        assert!(timeline.is_dead_finally(PeerId(1)));
-        // A rejoin window [20 s, 50 s): dead inside, alive either side.
-        timeline.mark(SimTime::from_secs(20), PeerId(2), true);
-        timeline.mark(SimTime::from_secs(50), PeerId(2), false);
-        assert!(!timeline.is_dead_at(PeerId(2), SimTime::from_secs(19)));
-        assert!(timeline.is_dead_at(PeerId(2), SimTime::from_secs(35)));
-        assert!(!timeline.is_dead_at(PeerId(2), SimTime::from_secs(50)));
-        assert!(!timeline.is_dead_finally(PeerId(2)));
-        assert_eq!(timeline.finally_dead(), 1);
-        // Same-instant marks apply in call order (last write wins).
-        timeline.mark(SimTime::from_secs(10), PeerId(3), true);
-        timeline.mark(SimTime::from_secs(10), PeerId(3), false);
-        assert!(!timeline.is_dead_at(PeerId(3), SimTime::from_secs(10)));
     }
 
     #[test]
@@ -1137,7 +934,7 @@ mod tests {
             ..EngineGossipConfig::default()
         };
         let mut overlay =
-            EngineGossipOverlay::ring_with_metrics(&mut simulation, 30, config, 53, &registry);
+            EngineGossipOverlay::ring(&mut simulation, 30, config, 53, Some(&registry));
         for i in 0..10 {
             overlay.schedule_kill(&mut simulation, PeerId(i), SimTime::from_secs(3600));
         }
@@ -1178,6 +975,7 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn tiny_overlay_is_rejected() {
         let mut simulation = Simulation::new(1);
-        let _ = EngineGossipOverlay::ring(&mut simulation, 1, EngineGossipConfig::default(), 1);
+        let _ =
+            EngineGossipOverlay::ring(&mut simulation, 1, EngineGossipConfig::default(), 1, None);
     }
 }

@@ -1,8 +1,9 @@
 //! A synchronous round driver for the peer-sampling protocol with overlay
-//! quality metrics and failure injection.
+//! quality metrics, failure injection and an optional Sybil attacker.
 
-use crate::node::{PeerSamplingConfig, PeerSamplingNode};
-use crate::view::PeerId;
+use crate::node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode};
+use crate::sybil::{is_sybil, sybil_view_fraction, SybilAttackConfig, SybilAttacker};
+use crate::view::{Descriptor, PeerId};
 use cyclosa_util::rng::Xoshiro256StarStar;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -78,12 +79,32 @@ pub fn overlay_metrics_from_views(views: &[(PeerId, Vec<PeerId>)]) -> OverlayMet
     }
 }
 
+/// Directed view edges crossing the partition boundary (`id < boundary`
+/// on one side, the rest on the other): zero while a partition holds and
+/// every cross reference has been written off, positive again once the
+/// merged sides re-knit.
+pub fn cross_side_edges(views: &[(PeerId, Vec<PeerId>)], boundary: u64) -> usize {
+    views
+        .iter()
+        .flat_map(|(observer, peers)| {
+            let side = observer.0 < boundary;
+            peers.iter().filter(move |peer| (peer.0 < boundary) != side)
+        })
+        .count()
+}
+
 /// Drives a population of [`PeerSamplingNode`]s through synchronous gossip
-/// rounds (each round, every alive node initiates one push–pull exchange).
+/// rounds (each round, every alive node initiates one push–pull exchange)
+/// — optionally against a Sybil attacker whose identities answer every
+/// exchange with poisoned buffers and push-flood each round
+/// ([`GossipSimulator::under_attack`]). The calm overlay is the same
+/// population under a zero-budget attacker, which draws nothing.
 #[derive(Debug)]
 pub struct GossipSimulator {
-    nodes: BTreeMap<PeerId, PeerSamplingNode>,
+    /// Indexed by peer id: honest ids are `0..count`.
+    nodes: Vec<PeerSamplingNode>,
     dead: BTreeSet<PeerId>,
+    attacker: SybilAttacker,
     rng: Xoshiro256StarStar,
     rounds_run: usize,
 }
@@ -93,41 +114,49 @@ impl GossipSimulator {
     /// knows only its successor), which is the hardest realistic starting
     /// topology for the protocol to randomize.
     pub fn ring(count: usize, config: PeerSamplingConfig, seed: u64) -> Self {
-        assert!(count >= 2, "a gossip overlay needs at least two nodes");
-        let mut nodes = BTreeMap::new();
-        for i in 0..count {
-            let id = PeerId(i as u64);
-            let mut node = PeerSamplingNode::new(id, config);
-            node.bootstrap([PeerId(((i + 1) % count) as u64)]);
-            nodes.insert(id, node);
-        }
-        Self {
-            nodes,
-            dead: BTreeSet::new(),
-            rng: Xoshiro256StarStar::seed_from_u64(seed),
-            rounds_run: 0,
-        }
+        let rng = Xoshiro256StarStar::seed_from_u64(seed);
+        Self::deploy(SybilAttackConfig::calm(count, seed), config, rng, |i| {
+            (i + 1) % count
+        })
     }
 
     /// Creates `count` nodes that all know a single bootstrap node (a
     /// star), modelling CYCLOSA's public-directory bootstrap.
     pub fn star(count: usize, config: PeerSamplingConfig, seed: u64) -> Self {
-        assert!(count >= 2, "a gossip overlay needs at least two nodes");
-        let mut nodes = BTreeMap::new();
-        for i in 0..count {
-            let id = PeerId(i as u64);
-            let mut node = PeerSamplingNode::new(id, config);
-            if i != 0 {
-                node.bootstrap([PeerId(0)]);
-            } else {
-                node.bootstrap([PeerId(1)]);
-            }
-            nodes.insert(id, node);
-        }
+        let rng = Xoshiro256StarStar::seed_from_u64(seed);
+        Self::deploy(SybilAttackConfig::calm(count, seed), config, rng, |i| {
+            usize::from(i == 0)
+        })
+    }
+
+    /// The naive shuffle population under Sybil attack: the honest ring of
+    /// [`GossipSimulator::ring`] plus the attacker's identity set, with one
+    /// sybil seeded into every honest bootstrap view.
+    pub fn under_attack(attack: SybilAttackConfig, config: PeerSamplingConfig) -> Self {
+        let rng = Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0x5B11);
+        Self::deploy(attack, config, rng, |i| (i + 1) % attack.honest)
+    }
+
+    fn deploy(
+        attack: SybilAttackConfig,
+        config: PeerSamplingConfig,
+        mut rng: Xoshiro256StarStar,
+        bootstrap: impl Fn(usize) -> usize,
+    ) -> Self {
+        let attacker = SybilAttacker::new(&attack);
+        let nodes = (0..attack.honest)
+            .map(|i| {
+                let mut node = PeerSamplingNode::new(PeerId(i as u64), config);
+                node.bootstrap([PeerId(bootstrap(i) as u64)]);
+                node.bootstrap(attacker.toehold(&mut rng));
+                node
+            })
+            .collect();
         Self {
             nodes,
             dead: BTreeSet::new(),
-            rng: Xoshiro256StarStar::seed_from_u64(seed),
+            attacker,
+            rng,
             rounds_run: 0,
         }
     }
@@ -147,66 +176,80 @@ impl GossipSimulator {
         self.rounds_run
     }
 
-    /// Marks a node as crashed: it stops gossiping and answering.
+    /// Marks a node as crashed: it stops gossiping and answering. A peer
+    /// that was never deployed is ignored.
     pub fn kill(&mut self, peer: PeerId) {
-        self.dead.insert(peer);
+        if self.node(peer).is_some() {
+            self.dead.insert(peer);
+        }
     }
 
     /// Access to a node (alive or dead).
     pub fn node(&self, peer: PeerId) -> Option<&PeerSamplingNode> {
-        self.nodes.get(&peer)
+        self.nodes.get(peer.0 as usize)
     }
 
-    /// All alive node identifiers, in ascending id order (`BTreeMap` keys
-    /// iterate sorted, so no explicit sort is needed).
+    /// All alive node identifiers, in ascending id order.
     pub fn alive_peers(&self) -> Vec<PeerId> {
         self.nodes
-            .keys()
+            .iter()
+            .map(PeerSamplingNode::id)
             .filter(|p| !self.dead.contains(p))
-            .copied()
             .collect()
     }
 
-    /// Runs one synchronous gossip round.
+    /// A poisoned exchange buffer: exclusively fresh sybil descriptors, so
+    /// the healer policy (drop oldest) never prefers honest entries over
+    /// them.
+    fn poisoned_buffer(&mut self) -> ExchangeBuffer {
+        let slots = self.nodes[0].config().exchange_size;
+        let picks = self.attacker.poisoned_picks(slots, &mut self.rng);
+        ExchangeBuffer {
+            descriptors: picks.into_iter().map(Descriptor::fresh).collect(),
+        }
+    }
+
+    /// Runs one synchronous round: the attacker (if any) flood-pushes, then
+    /// every alive node runs its shuffle exchange — against a poisoned
+    /// responder whenever its partner draw lands on a sybil.
     pub fn run_round(&mut self) {
         self.rounds_run += 1;
-        let alive = self.alive_peers();
-        for id in alive {
-            // Age first, as in the reference protocol.
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.increase_ages();
+        // Push flood: each sybil ships a poisoned buffer to
+        // `pushes_per_sybil` random honest nodes (push-only merge: the
+        // receiver sent nothing, so the swapper removes nothing).
+        let empty = ExchangeBuffer {
+            descriptors: Vec::new(),
+        };
+        for _ in 0..self.attacker.sybils.len() * self.attacker.pushes_per_sybil {
+            let target = self.attacker.flood_target(&mut self.rng);
+            let buffer = self.poisoned_buffer();
+            if !self.dead.contains(&target) {
+                self.nodes[target.0 as usize].merge(&buffer, &empty, &mut self.rng);
             }
-            let Some(partner) = self
-                .nodes
-                .get(&id)
-                .and_then(|n| n.select_partner(&mut self.rng))
-            else {
+        }
+        for id in self.alive_peers() {
+            let index = id.0 as usize;
+            // Age first, as in the reference protocol.
+            self.nodes[index].increase_ages();
+            let Some(partner) = self.nodes[index].select_partner(&mut self.rng) else {
                 continue;
             };
             if self.dead.contains(&partner) {
                 // Unresponsive peer: blacklist it, exactly as CYCLOSA clients
                 // blacklist proxies that do not answer in time.
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    node.blacklist(partner);
-                }
-                continue;
-            }
-            // Active side prepares its buffer.
-            let initiator_buffer = self
-                .nodes
-                .get(&id)
-                .expect("alive node")
-                .prepare_buffer(&mut self.rng);
-            // Passive side answers with its own buffer and merges.
-            let partner_buffer = {
-                let partner_node = self.nodes.get(&partner).expect("partner exists");
-                partner_node.prepare_buffer(&mut self.rng)
-            };
-            if let Some(partner_node) = self.nodes.get_mut(&partner) {
-                partner_node.merge(&initiator_buffer, &partner_buffer, &mut self.rng);
-            }
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.merge(&partner_buffer, &initiator_buffer, &mut self.rng);
+                self.nodes[index].blacklist(partner);
+            } else if is_sybil(partner) {
+                // The sybil answers with a poisoned buffer and never
+                // appears dead, so it is never blacklisted.
+                let sent = self.nodes[index].prepare_buffer(&mut self.rng);
+                let reply = self.poisoned_buffer();
+                self.nodes[index].merge(&reply, &sent, &mut self.rng);
+            } else {
+                let [node, partner] = self
+                    .nodes
+                    .get_disjoint_mut([index, partner.0 as usize])
+                    .expect("a view never holds its owner or an undeployed peer");
+                node.exchange(partner, &mut self.rng);
             }
         }
     }
@@ -218,14 +261,22 @@ impl GossipSimulator {
         }
     }
 
+    /// The `(node, view peers)` pairs of the alive population.
+    pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
+        self.alive_peers()
+            .into_iter()
+            .map(|id| (id, self.nodes[id.0 as usize].view().peers()))
+            .collect()
+    }
+
     /// Computes the current overlay quality metrics over alive nodes.
     pub fn metrics(&self) -> OverlayMetrics {
-        let views: Vec<(PeerId, Vec<PeerId>)> = self
-            .alive_peers()
-            .into_iter()
-            .map(|id| (id, self.nodes[&id].view().peers()))
-            .collect();
-        overlay_metrics_from_views(&views)
+        overlay_metrics_from_views(&self.views())
+    }
+
+    /// The mean fraction of sybil entries across alive views.
+    pub fn attacker_fraction(&self) -> f64 {
+        sybil_view_fraction(&self.views())
     }
 
     /// Borrow of the internal RNG, to draw relay choices consistent with the
@@ -300,6 +351,19 @@ mod tests {
             "dead references still at {:.2}",
             metrics.dead_references
         );
+    }
+
+    #[test]
+    fn killing_a_peer_that_was_never_deployed_changes_nothing() {
+        let mut sim = GossipSimulator::ring(4, config(), 3);
+        for stranger in 100..110 {
+            sim.kill(PeerId(stranger));
+        }
+        assert_eq!(sim.len(), 4, "strangers must not count against the alive");
+        assert_eq!(sim.alive_peers().len(), 4);
+        sim.kill(PeerId(1));
+        sim.kill(PeerId(1));
+        assert_eq!(sim.len(), 3);
     }
 
     #[test]

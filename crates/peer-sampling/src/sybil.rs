@@ -8,14 +8,15 @@
 //! are age-based healing and random truncation, both of which the
 //! attacker satisfies trivially by minting fresh descriptors — honest
 //! views drift towards the attacker until relay selection is effectively
-//! attacker-chosen. [`SybilSimulator`] measures exactly that drift; the
-//! evaluated defense is the Brahms sampler in [`crate::brahms`], driven
-//! by the same [`SybilAttackConfig`] for comparable curves.
+//! attacker-chosen. [`GossipSimulator::under_attack`] measures exactly
+//! that drift; the evaluated defense is the Brahms sampler in
+//! [`crate::brahms`], driven by the same [`SybilAttackConfig`] for
+//! comparable curves.
+//!
+//! [`GossipSimulator::under_attack`]: crate::simulator::GossipSimulator::under_attack
 
-use crate::node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode};
-use crate::view::{Descriptor, PeerId};
-use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
-use std::collections::BTreeMap;
+use crate::view::PeerId;
+use cyclosa_util::rng::Rng;
 
 /// Identifier floor of attacker-minted identities: any peer id at or
 /// above this is a sybil. Honest populations stay far below it.
@@ -70,6 +71,17 @@ impl Default for SybilAttackConfig {
 }
 
 impl SybilAttackConfig {
+    /// The zero-budget attack on `honest` nodes: no identity is minted, so
+    /// no driver draws anything for it — a calm overlay.
+    pub(crate) fn calm(honest: usize, seed: u64) -> Self {
+        Self {
+            honest,
+            fraction: 0.0,
+            pushes_per_sybil: 0,
+            seed,
+        }
+    }
+
     /// The minted sybil identities, id-sorted.
     pub fn sybils(&self) -> Vec<PeerId> {
         assert!(
@@ -81,147 +93,59 @@ impl SybilAttackConfig {
     }
 }
 
-/// The naive shuffle population under Sybil attack: honest
-/// [`PeerSamplingNode`]s gossiping normally, sybils answering every
-/// exchange with poisoned buffers and push-flooding each round.
-#[derive(Debug)]
-pub struct SybilSimulator {
-    nodes: BTreeMap<PeerId, PeerSamplingNode>,
-    sybils: Vec<PeerId>,
-    attack: SybilAttackConfig,
-    protocol: PeerSamplingConfig,
-    rng: Xoshiro256StarStar,
+/// The attacker's side of a scenario: the minted identities and the three
+/// draws every driver takes from them — the bootstrap toehold, the
+/// poisoned answer to an exchange or pull, and the flood target. Each
+/// draw comes out of the *caller's* stream, so the synchronous shuffle,
+/// the synchronous Brahms round and the per-sybil engine behaviours keep
+/// their own stream layouts. A zero-budget attacker draws nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct SybilAttacker {
+    /// The minted identities, id-sorted.
+    pub(crate) sybils: Vec<PeerId>,
+    honest: usize,
+    pub(crate) pushes_per_sybil: usize,
 }
 
-impl SybilSimulator {
-    /// Creates the honest population bootstrapped in a ring, plus the
-    /// attacker's identity set. One sybil is seeded into every honest
-    /// bootstrap view — the attacker only needs a toehold (a directory
-    /// entry, one gossip exchange) and the poisoning does the rest.
-    pub fn ring(attack: SybilAttackConfig, protocol: PeerSamplingConfig) -> Self {
+impl SybilAttacker {
+    pub(crate) fn new(attack: &SybilAttackConfig) -> Self {
         assert!(
             attack.honest >= 2,
             "a gossip overlay needs at least two nodes"
         );
-        let sybils = attack.sybils();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0x5B11);
-        let mut nodes = BTreeMap::new();
-        for i in 0..attack.honest {
-            let id = PeerId(i as u64);
-            let mut node = PeerSamplingNode::new(id, protocol);
-            node.bootstrap([PeerId(((i + 1) % attack.honest) as u64)]);
-            if !sybils.is_empty() {
-                node.bootstrap([sybils[rng.gen_index(sybils.len())]]);
-            }
-            nodes.insert(id, node);
-        }
         Self {
-            nodes,
-            sybils,
-            attack,
-            protocol,
-            rng,
+            sybils: attack.sybils(),
+            honest: attack.honest,
+            pushes_per_sybil: attack.pushes_per_sybil,
         }
     }
 
-    /// A poisoned exchange buffer: exclusively fresh sybil descriptors, so
-    /// the healer policy (drop oldest) never prefers honest entries over
-    /// them.
-    fn poisoned_buffer(&mut self) -> ExchangeBuffer {
-        let count = self.protocol.exchange_size.min(self.sybils.len());
-        let picks = self.rng.sample_indices(self.sybils.len(), count);
-        ExchangeBuffer {
-            descriptors: picks
-                .into_iter()
-                .map(|i| Descriptor::fresh(self.sybils[i]))
-                .collect(),
-        }
+    /// The one sybil seeded into an honest bootstrap view — the attacker
+    /// only needs a toehold (a directory entry, one gossip exchange) and
+    /// the poisoning does the rest.
+    pub(crate) fn toehold(&self, rng: &mut impl Rng) -> Option<PeerId> {
+        rng.choose(&self.sybils).copied()
     }
 
-    /// Runs one synchronous round: the attacker flood-pushes, then every
-    /// honest node runs its normal shuffle exchange — against a poisoned
-    /// responder whenever its partner draw lands on a sybil.
-    pub fn run_round(&mut self) {
-        // Push flood: each sybil ships a poisoned buffer to
-        // `pushes_per_sybil` random honest nodes (push-only merge: the
-        // receiver sent nothing, so the swapper removes nothing).
-        let empty = ExchangeBuffer {
-            descriptors: Vec::new(),
-        };
-        for _ in 0..self.sybils.len() {
-            for _ in 0..self.attack.pushes_per_sybil {
-                let target = PeerId(self.rng.gen_index(self.attack.honest) as u64);
-                let buffer = self.poisoned_buffer();
-                if let Some(node) = self.nodes.get_mut(&target) {
-                    node.merge(&buffer, &empty, &mut self.rng);
-                }
-            }
-        }
-        // Honest shuffle round.
-        let honest: Vec<PeerId> = self.nodes.keys().copied().collect();
-        for id in honest {
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.increase_ages();
-            }
-            let Some(partner) = self
-                .nodes
-                .get(&id)
-                .and_then(|n| n.select_partner(&mut self.rng))
-            else {
-                continue;
-            };
-            let initiator_buffer = self
-                .nodes
-                .get(&id)
-                .expect("honest node")
-                .prepare_buffer(&mut self.rng);
-            if is_sybil(partner) {
-                // The sybil answers with a poisoned buffer and never
-                // appears dead, so it is never blacklisted.
-                let reply = self.poisoned_buffer();
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    node.merge(&reply, &initiator_buffer, &mut self.rng);
-                }
-                continue;
-            }
-            let partner_buffer = self
-                .nodes
-                .get(&partner)
-                .expect("partner exists")
-                .prepare_buffer(&mut self.rng);
-            if let Some(partner_node) = self.nodes.get_mut(&partner) {
-                partner_node.merge(&initiator_buffer, &partner_buffer, &mut self.rng);
-            }
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.merge(&partner_buffer, &initiator_buffer, &mut self.rng);
-            }
-        }
+    /// A poisoned answer of up to `slots` entries: exclusively sybil
+    /// identities, distinct.
+    pub(crate) fn poisoned_picks(&self, slots: usize, rng: &mut impl Rng) -> Vec<PeerId> {
+        let count = slots.min(self.sybils.len());
+        let picks = rng.sample_indices(self.sybils.len(), count);
+        picks.into_iter().map(|i| self.sybils[i]).collect()
     }
 
-    /// Runs `rounds` synchronous rounds.
-    pub fn run_rounds(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            self.run_round();
-        }
-    }
-
-    /// The `(node, view peers)` pairs of the honest population.
-    pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
-        self.nodes
-            .iter()
-            .map(|(id, node)| (*id, node.view().peers()))
-            .collect()
-    }
-
-    /// The mean fraction of sybil entries across honest views.
-    pub fn attacker_fraction(&self) -> f64 {
-        sybil_view_fraction(&self.views())
+    /// The honest node one flood push lands on.
+    pub(crate) fn flood_target(&self, rng: &mut impl Rng) -> PeerId {
+        PeerId(rng.gen_index(self.honest) as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::PeerSamplingConfig;
+    use crate::simulator::GossipSimulator;
 
     #[test]
     fn sybil_identities_are_recognizable_and_proportional() {
@@ -239,7 +163,7 @@ mod tests {
     #[test]
     fn naive_shuffle_views_drift_towards_the_attacker() {
         let attack = SybilAttackConfig::default(); // f = 0.2
-        let mut sim = SybilSimulator::ring(attack, PeerSamplingConfig::default());
+        let mut sim = GossipSimulator::under_attack(attack, PeerSamplingConfig::default());
         // Bootstrap views hold one honest successor plus the one-sybil
         // toehold; the shuffle is what amplifies the toehold from there.
         let bootstrap = sim.attacker_fraction();
@@ -256,7 +180,7 @@ mod tests {
     fn poisoning_is_deterministic_per_seed() {
         let attack = SybilAttackConfig::default();
         let run = |seed| {
-            let mut sim = SybilSimulator::ring(
+            let mut sim = GossipSimulator::under_attack(
                 SybilAttackConfig { seed, ..attack },
                 PeerSamplingConfig::default(),
             );
@@ -273,7 +197,7 @@ mod tests {
             fraction: 0.0,
             ..SybilAttackConfig::default()
         };
-        let mut sim = SybilSimulator::ring(attack, PeerSamplingConfig::default());
+        let mut sim = GossipSimulator::under_attack(attack, PeerSamplingConfig::default());
         sim.run_rounds(30);
         assert_eq!(sim.attacker_fraction(), 0.0);
         let metrics = crate::simulator::overlay_metrics_from_views(&sim.views());

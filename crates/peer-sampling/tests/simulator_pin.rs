@@ -15,10 +15,11 @@ use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{
     BrahmsConfig, BrahmsSimulator, EngineBrahmsOverlay, EngineGossipConfig, EngineGossipOverlay,
     GossipSimulator, MembershipConfig, OverlayMetrics, PeerId, PeerSamplingConfig,
-    SwimGossipOverlay, SybilAttackConfig, SybilSimulator,
+    SwimGossipOverlay, SybilAttackConfig,
 };
 use cyclosa_runtime::metrics::Registry;
 use cyclosa_runtime::ShardedEngine;
+use cyclosa_telemetry::trace::TraceSink;
 
 fn fnv(digest: &mut u64, value: u64) {
     *digest ^= value;
@@ -76,7 +77,9 @@ fn digest_is_seed_deterministic_and_discriminating() {
 // seven-driver code (`SybilSimulator`, `BrahmsSimulator`, the three
 // engine overlays with their own deploy/liveness/partition copies, and
 // the hand-rolled exchange of `converge_peer_views`); the population
-// refactor ported the constructor calls below and nothing else.
+// refactor ported the constructor calls below (the attacked ring is
+// `GossipSimulator::under_attack`, each engine `ring` takes its observer,
+// the bridge count goes to `schedule_bridges`) and nothing else.
 // ---------------------------------------------------------------------
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -112,7 +115,7 @@ fn pinned_attack() -> SybilAttackConfig {
 
 #[test]
 fn naive_sampler_under_sybil_attack_matches_the_pinned_views() {
-    let mut sim = SybilSimulator::ring(pinned_attack(), PeerSamplingConfig::default());
+    let mut sim = GossipSimulator::under_attack(pinned_attack(), PeerSamplingConfig::default());
     sim.run_rounds(30);
     let mut digest = FNV_OFFSET;
     fnv_views(&mut digest, &sim.views());
@@ -172,7 +175,7 @@ fn faulted_shuffle_digest(engine: &mut dyn Engine) -> u64 {
         staleness_threshold: Some(2),
         ..EngineGossipConfig::default()
     };
-    let mut overlay = EngineGossipOverlay::ring_with_metrics(engine, 40, config, 59, &registry);
+    let mut overlay = EngineGossipOverlay::ring(engine, 40, config, 59, Some(&registry));
     for i in 0..4 {
         overlay.schedule_kill(engine, PeerId(i), SimTime::from_secs(9));
         overlay.revive(engine, PeerId(i), SimTime::from_secs(24));
@@ -190,8 +193,8 @@ fn faulted_shuffle_digest(engine: &mut dyn Engine) -> u64 {
         &minority,
         SimTime::from_secs(14),
         SimTime::from_secs(40),
-        2,
     );
+    overlay.schedule_bridges(engine, &minority, SimTime::from_secs(40), 2);
     engine.run_until(SimTime::from_secs(30));
     overlay.kill(engine, PeerId(39));
     engine.run();
@@ -234,7 +237,7 @@ fn swim_timelines_with_a_crash_and_a_forgery_match_the_pin() {
         rounds: 40,
         ..MembershipConfig::default()
     };
-    let mut overlay = SwimGossipOverlay::ring(&mut sim, 14, config, 83);
+    let mut overlay = SwimGossipOverlay::ring(&mut sim, 14, config, 83, &TraceSink::disabled());
     overlay.schedule_kill(&mut sim, PeerId(6), SimTime::from_secs(9));
     overlay.schedule_incarnation_forgery(
         &mut sim,

@@ -268,13 +268,12 @@ pub const TRACE_EVENT_NAMES: [&str; 37] = [
 ];
 
 /// The closed set of membership (`mship.*`) event names the SWIM/
-/// HyParView overlay and the chaos client's relay prober may emit.
-/// Mirrors `cyclosa_peer_sampling::MEMBERSHIP_EVENT_NAMES` (duplicated
-/// here because the telemetry crate sits below peer-sampling in the
-/// dependency graph); `schema_closure` in this module's tests pins the
-/// two lists against each other indirectly via the emitters.
+/// HyParView overlay and the chaos client's relay prober may emit; any
+/// other `mship.*` name is rejected, keeping the telemetry schema
+/// contract closed. The one list: `cyclosa-peer-sampling`, which emits
+/// them, re-exports it.
 // cyclosa-lint: schema-registry
-const MEMBERSHIP_EVENT_NAMES: [&str; 8] = [
+pub const MEMBERSHIP_EVENT_NAMES: [&str; 8] = [
     "mship.probe",
     "mship.alive",
     "mship.suspect",

@@ -20,23 +20,11 @@
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
-use cyclosa_peer_sampling::{MembershipConfig, MembershipEventKind, PeerId, SwimGossipOverlay};
+use cyclosa_peer_sampling::{
+    cross_side_edges, MembershipConfig, MembershipEventKind, PeerId, SwimGossipOverlay,
+};
 use cyclosa_runtime::ShardedEngine;
-
-/// Active-view edges crossing the partition boundary (`id < boundary`
-/// vs the rest), over the alive nodes' views.
-fn cross_side_views(overlay: &SwimGossipOverlay, boundary: u64) -> usize {
-    overlay
-        .views()
-        .iter()
-        .flat_map(|(observer, active)| {
-            let side = observer.0 < boundary;
-            active
-                .iter()
-                .filter(move |peer| (peer.0 < boundary) != side)
-        })
-        .count()
-}
+use cyclosa_telemetry::trace::TraceSink;
 
 #[test]
 fn crashed_node_is_declared_dead_within_the_probe_budget_by_every_observer() {
@@ -46,7 +34,7 @@ fn crashed_node_is_declared_dead_within_the_probe_budget_by_every_observer() {
     let victim = PeerId(4);
 
     let mut sim = Simulation::new(41);
-    let mut overlay = SwimGossipOverlay::ring(&mut sim, count, config, 41);
+    let mut overlay = SwimGossipOverlay::ring(&mut sim, count, config, 41, &TraceSink::disabled());
     overlay.schedule_kill(&mut sim, victim, crash_at);
     sim.run();
 
@@ -101,7 +89,7 @@ fn uniform_loss_never_matures_into_a_false_dead_declaration() {
     };
     let mut sim = Simulation::new(43);
     sim.schedule_loss_probability(SimTime::from_secs(2), 0.15);
-    let overlay = SwimGossipOverlay::ring(&mut sim, 16, config, 43);
+    let overlay = SwimGossipOverlay::ring(&mut sim, 16, config, 43, &TraceSink::disabled());
     sim.run();
 
     for (observer, timeline) in overlay.timelines() {
@@ -124,7 +112,8 @@ fn membership_timelines_are_bit_identical_across_shard_counts() {
     let minority: Vec<PeerId> = (0..10).map(PeerId).collect();
 
     let run = |engine: &mut dyn Engine| {
-        let mut overlay = SwimGossipOverlay::ring(engine, count, config, seed);
+        let mut overlay =
+            SwimGossipOverlay::ring(engine, count, config, seed, &TraceSink::disabled());
         overlay.schedule_kill(engine, PeerId(17), SimTime::from_secs(8));
         overlay.schedule_partition(
             engine,
@@ -173,8 +162,13 @@ fn incarnation_forgery_never_kills_a_live_node_that_answers_its_knock() {
         (73, PeerId(8), PeerId(9), u64::MAX / 2),
     ] {
         let mut sim = Simulation::new(seed);
-        let mut overlay =
-            SwimGossipOverlay::ring(&mut sim, count, MembershipConfig::default(), seed);
+        let mut overlay = SwimGossipOverlay::ring(
+            &mut sim,
+            count,
+            MembershipConfig::default(),
+            seed,
+            &TraceSink::disabled(),
+        );
         overlay.schedule_incarnation_forgery(
             &mut sim,
             forger,
@@ -245,7 +239,7 @@ fn unbridged_partition_merge_reconnects_forty_nodes() {
     let merge_at = SimTime::from_secs(60);
 
     let mut sim = Simulation::new(53);
-    let mut overlay = SwimGossipOverlay::ring(&mut sim, count, config, 53);
+    let mut overlay = SwimGossipOverlay::ring(&mut sim, count, config, 53, &TraceSink::disabled());
     // Zero bridge peers: the only healing mechanisms are quarantine
     // knocks and incarnation-bump refutations.
     overlay.schedule_partition(&mut sim, &minority, split_at, merge_at);
@@ -254,7 +248,7 @@ fn unbridged_partition_merge_reconnects_forty_nodes() {
     // every cross-boundary active edge is gone (dead + quarantined).
     sim.run_until(merge_at.saturating_sub(SimTime::from_secs(1)));
     assert_eq!(
-        cross_side_views(&overlay, boundary),
+        cross_side_edges(&overlay.views(), boundary),
         0,
         "the sides must fully quarantine each other during the split"
     );
@@ -264,7 +258,7 @@ fn unbridged_partition_merge_reconnects_forty_nodes() {
         overlay.metrics().connected,
         "the merged overlay must re-knit into one component without bridges"
     );
-    let rejoined = cross_side_views(&overlay, boundary);
+    let rejoined = cross_side_edges(&overlay.views(), boundary);
     assert!(
         rejoined > 8,
         "post-merge views must re-span the boundary (only {rejoined} cross edges)"
