@@ -79,7 +79,8 @@
 
 use cyclosa_attack::evaluation::evaluate_reidentification_with;
 use cyclosa_attack::simattack::SimAttack;
-use cyclosa_bench::observe::{parse_observe_flag, ObserveFlags};
+use cyclosa_bench::cli::{self, Stop};
+use cyclosa_bench::observe::ObserveFlags;
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
 use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
 use cyclosa_chaos::experiment::{
@@ -102,7 +103,8 @@ use cyclosa_peer_sampling::{
 };
 use cyclosa_runtime::metrics::Registry;
 use cyclosa_telemetry::trace::TraceSink;
-use cyclosa_util::json::{Json, ToJson};
+use cyclosa_util::impl_to_json;
+use cyclosa_util::json::ToJson;
 use cyclosa_util::stats::Summary;
 
 #[derive(Debug)]
@@ -150,152 +152,45 @@ impl Default for Options {
     }
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--relays" => {
-                let value = args.next().ok_or("--relays needs a value")?;
-                options.relays = value.parse().map_err(|_| "bad --relays".to_owned())?;
-            }
-            "--k" => {
-                let value = args.next().ok_or("--k needs a value")?;
-                options.k = value.parse().map_err(|_| "bad --k".to_owned())?;
-            }
-            "--queries" => {
-                let value = args.next().ok_or("--queries needs a value")?;
-                options.queries = value.parse().map_err(|_| "bad --queries".to_owned())?;
-            }
-            "--rates" => {
-                let value = args.next().ok_or("--rates needs a comma-separated list")?;
-                options.rates = value
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad rate {s:?}"))
-                            .and_then(|r| {
-                                if (0.0..=1.0).contains(&r) {
-                                    Ok(r)
-                                } else {
-                                    Err(format!("rate {r} outside [0, 1]"))
-                                }
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.rates.is_empty() {
-                    return Err("--rates needs at least one rate".into());
-                }
-            }
-            "--seed" => {
-                let value = args.next().ok_or("--seed needs a value")?;
-                options.seed = value.parse().map_err(|_| "bad --seed".to_owned())?;
-            }
+const USAGE: &str = "usage: churn [--relays N] [--k N] [--queries N] [--rates R,R,...] \
+     [--seed N] [--recover] [--shards N] [--scale small|default|paper] \
+     [--partition-fractions F,F,...] [--partition-durations S,S,...] \
+     [--membership] [--adversary] [--sybil-fractions F,F,...] \
+     [--gate POINTS] [--json] [--out PATH] \
+     [--trace PATH.jsonl] [--metrics PATH.json]";
+
+fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
+    let unit = |f: &f64| (0.0..=1.0).contains(f);
+    let options = cli::read(argv, Options::default(), |options, flag, args| {
+        match flag {
+            "--relays" => options.relays = args.value()?,
+            "--k" => options.k = args.value()?,
+            "--queries" => options.queries = args.value()?,
+            "--rates" => options.rates = args.list("in [0, 1]", unit)?,
+            "--seed" => options.seed = args.value()?,
             "--recover" => options.recover = true,
-            "--shards" => {
-                let value = args.next().ok_or("--shards needs a value")?;
-                options.shards = value.parse().map_err(|_| "bad --shards".to_owned())?;
-                if options.shards == 0 {
-                    return Err("--shards must be positive".into());
-                }
-            }
-            "--scale" => {
-                let value = args.next().ok_or("--scale needs a value")?;
-                options.scale = value.parse()?;
-            }
+            "--shards" => options.shards = args.value_where("positive", |&n| n > 0)?,
+            "--scale" => options.scale = args.value()?,
             "--partition-fractions" => {
-                let value = args
-                    .next()
-                    .ok_or("--partition-fractions needs a comma-separated list")?;
-                options.partition_fractions = value
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad fraction {s:?}"))
-                            .and_then(|f| {
-                                if f > 0.0 && f < 1.0 {
-                                    Ok(f)
-                                } else {
-                                    Err(format!("fraction {f} outside (0, 1)"))
-                                }
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
+                options.partition_fractions =
+                    args.list("in (0, 1)", |&f: &f64| f > 0.0 && f < 1.0)?;
             }
             "--partition-durations" => {
-                let value = args
-                    .next()
-                    .ok_or("--partition-durations needs a comma-separated list of seconds")?;
-                options.partition_durations_s = value
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<u64>()
-                            .map_err(|_| format!("bad duration {s:?}"))
-                            .and_then(|d| {
-                                if d > 0 {
-                                    Ok(d)
-                                } else {
-                                    Err("partition durations must be positive".to_owned())
-                                }
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
+                options.partition_durations_s = args.list("positive", |&d| d > 0)?;
             }
             "--membership" => options.membership = true,
             "--adversary" => options.adversary = true,
-            "--sybil-fractions" => {
-                let value = args
-                    .next()
-                    .ok_or("--sybil-fractions needs a comma-separated list")?;
-                options.sybil_fractions = value
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad sybil fraction {s:?}"))
-                            .and_then(|f| {
-                                if (0.0..=1.0).contains(&f) {
-                                    Ok(f)
-                                } else {
-                                    Err(format!("sybil fraction {f} outside [0, 1]"))
-                                }
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.sybil_fractions.is_empty() {
-                    return Err("--sybil-fractions needs at least one fraction".into());
-                }
-            }
+            "--sybil-fractions" => options.sybil_fractions = args.list("in [0, 1]", unit)?,
             "--gate" => {
-                let value = args.next().ok_or("--gate needs a value in points")?;
-                let points: f64 = value.parse().map_err(|_| "bad --gate".to_owned())?;
-                if !points.is_finite() || points < 0.0 {
-                    return Err("--gate must be a non-negative number of points".into());
-                }
-                options.gate = Some(points);
+                let points = |p: &f64| p.is_finite() && *p >= 0.0;
+                options.gate = Some(args.value_where("a non-negative number of points", points)?);
             }
             "--json" => options.json = true,
-            "--out" => {
-                options.out = args.next().ok_or("--out needs a path")?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: churn [--relays N] [--k N] [--queries N] [--rates R,R,...] \
-                     [--seed N] [--recover] [--shards N] [--scale small|default|paper] \
-                     [--partition-fractions F,F,...] [--partition-durations S,S,...] \
-                     [--membership] [--adversary] [--sybil-fractions F,F,...] \
-                     [--gate POINTS] [--json] [--out PATH] \
-                     [--trace PATH.jsonl] [--metrics PATH.json]"
-                );
-                std::process::exit(0);
-            }
-            other if parse_observe_flag(&mut options.observe, other, &mut args)? => {}
-            other => return Err(format!("unknown argument {other:?}")),
+            "--out" => options.out = args.value()?,
+            _ => return args.observe(&mut options.observe),
         }
-    }
+        Ok(true)
+    })?;
     if options.relays <= options.k {
         return Err("--relays must exceed --k".into());
     }
@@ -310,62 +205,28 @@ struct PartitionPoint {
     /// The duration actually simulated (may be clamped to the horizon).
     duration_s: f64,
     split_s: f64,
-    pre: PhaseSummary,
+    pre_split: PhaseSummary,
     during: PhaseSummary,
-    post: PhaseSummary,
+    post_merge: PhaseSummary,
     retries: u64,
     fakes_topped_up: u64,
     attack_rate_partitioned_percent: f64,
     attack_rate_partition_adaptive_percent: f64,
 }
 
-fn phase_json(phase: &PhaseSummary) -> Json {
-    Json::Obj(vec![
-        ("issued".to_owned(), Json::U64(phase.issued as u64)),
-        ("answered".to_owned(), Json::U64(phase.answered as u64)),
-        (
-            "mean_achieved_k".to_owned(),
-            Json::F64(phase.mean_achieved_k),
-        ),
-        (
-            "median_latency_s".to_owned(),
-            Json::F64(phase.median_latency_s),
-        ),
-    ])
-}
-
-impl ToJson for PartitionPoint {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "minority_fraction".to_owned(),
-                Json::F64(self.minority_fraction),
-            ),
-            (
-                "requested_duration_s".to_owned(),
-                Json::U64(self.requested_duration_s),
-            ),
-            ("duration_s".to_owned(), Json::F64(self.duration_s)),
-            ("split_s".to_owned(), Json::F64(self.split_s)),
-            ("pre_split".to_owned(), phase_json(&self.pre)),
-            ("during".to_owned(), phase_json(&self.during)),
-            ("post_merge".to_owned(), phase_json(&self.post)),
-            ("retries".to_owned(), Json::U64(self.retries)),
-            (
-                "fakes_topped_up".to_owned(),
-                Json::U64(self.fakes_topped_up),
-            ),
-            (
-                "attack_rate_partitioned_percent".to_owned(),
-                Json::F64(self.attack_rate_partitioned_percent),
-            ),
-            (
-                "attack_rate_partition_adaptive_percent".to_owned(),
-                Json::F64(self.attack_rate_partition_adaptive_percent),
-            ),
-        ])
-    }
-}
+impl_to_json!(PartitionPoint {
+    minority_fraction,
+    requested_duration_s,
+    duration_s,
+    split_s,
+    pre_split,
+    during,
+    post_merge,
+    retries,
+    fakes_topped_up,
+    attack_rate_partitioned_percent,
+    attack_rate_partition_adaptive_percent,
+});
 
 /// How long the SWIM/HyParView overlay may take to re-knit a merged
 /// partition with zero bridge peers before `--gate` fails the run. The
@@ -399,26 +260,57 @@ struct OverlayHealing {
     bytes: u64,
 }
 
-impl ToJson for OverlayHealing {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("bridges".to_owned(), Json::U64(self.bridges as u64)),
-            ("severed".to_owned(), Json::Bool(self.severed)),
-            ("healed".to_owned(), Json::Bool(self.healed)),
-            (
-                "healing_s".to_owned(),
-                self.healing_s.map_or(Json::Null, Json::F64),
-            ),
-            ("staleness".to_owned(), Json::F64(self.staleness)),
-            (
-                "staleness_metric".to_owned(),
-                Json::Str(self.staleness_metric.to_owned()),
-            ),
-            ("messages".to_owned(), Json::U64(self.messages)),
-            ("bytes".to_owned(), Json::U64(self.bytes)),
-        ])
+impl OverlayHealing {
+    /// The healing delay as the tables and gate lines print it.
+    fn healed_in(&self) -> String {
+        self.healing_s
+            .map_or("never".to_owned(), |s| format!("{s:.1}s"))
     }
 }
+
+impl_to_json!(OverlayHealing {
+    bridges,
+    severed,
+    healed,
+    healing_s,
+    staleness,
+    staleness_metric,
+    messages,
+    bytes,
+});
+
+/// The heaviest churn point re-run with the client-side SWIM prober.
+struct ProbedChurnPoint {
+    failure_rate: f64,
+    latency_median_s: f64,
+    answered: usize,
+    unanswered: usize,
+    retries: u64,
+    fakes_topped_up: u64,
+    fakes_topped_up_proactive: u64,
+}
+
+impl_to_json!(ProbedChurnPoint {
+    failure_rate,
+    latency_median_s,
+    answered,
+    unanswered,
+    retries,
+    fakes_topped_up,
+    fakes_topped_up_proactive,
+});
+
+/// Post-merge mean `achieved_k` of the first partition window under TTL
+/// probation vs suspicion-driven (membership) probation.
+struct ProbationAchievedK {
+    blacklist_ttl: f64,
+    membership: f64,
+}
+
+impl_to_json!(ProbationAchievedK {
+    blacklist_ttl,
+    membership
+});
 
 /// Everything the `--membership` comparison measured.
 struct MembershipReport {
@@ -428,74 +320,21 @@ struct MembershipReport {
     merge_s: f64,
     shuffle: OverlayHealing,
     swim: OverlayHealing,
-    churn_failure_rate: f64,
-    churn_median_s: f64,
-    churn_answered: usize,
-    churn_unanswered: usize,
-    churn_retries: u64,
-    churn_fakes_topped_up: u64,
-    churn_fakes_topped_up_proactive: u64,
-    /// Post-merge mean `achieved_k` of the first partition window under
-    /// TTL probation vs suspicion-driven (membership) probation, when the
-    /// partition sweep ran.
-    partition_post_k: Option<(f64, f64)>,
+    churn_point: ProbedChurnPoint,
+    /// `None` when the partition sweep did not run.
+    partition_post_merge_achieved_k: Option<ProbationAchievedK>,
 }
 
-impl ToJson for MembershipReport {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "overlay_nodes".to_owned(),
-                Json::U64(self.overlay_nodes as u64),
-            ),
-            (
-                "minority_nodes".to_owned(),
-                Json::U64(self.minority_nodes as u64),
-            ),
-            ("split_s".to_owned(), Json::F64(self.split_s)),
-            ("merge_s".to_owned(), Json::F64(self.merge_s)),
-            ("shuffle".to_owned(), self.shuffle.to_json()),
-            ("swim".to_owned(), self.swim.to_json()),
-            (
-                "churn_point".to_owned(),
-                Json::Obj(vec![
-                    (
-                        "failure_rate".to_owned(),
-                        Json::F64(self.churn_failure_rate),
-                    ),
-                    (
-                        "latency_median_s".to_owned(),
-                        Json::F64(self.churn_median_s),
-                    ),
-                    ("answered".to_owned(), Json::U64(self.churn_answered as u64)),
-                    (
-                        "unanswered".to_owned(),
-                        Json::U64(self.churn_unanswered as u64),
-                    ),
-                    ("retries".to_owned(), Json::U64(self.churn_retries)),
-                    (
-                        "fakes_topped_up".to_owned(),
-                        Json::U64(self.churn_fakes_topped_up),
-                    ),
-                    (
-                        "fakes_topped_up_proactive".to_owned(),
-                        Json::U64(self.churn_fakes_topped_up_proactive),
-                    ),
-                ]),
-            ),
-            (
-                "partition_post_merge_achieved_k".to_owned(),
-                match self.partition_post_k {
-                    Some((ttl, membership)) => Json::Obj(vec![
-                        ("blacklist_ttl".to_owned(), Json::F64(ttl)),
-                        ("membership".to_owned(), Json::F64(membership)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-}
+impl_to_json!(MembershipReport {
+    overlay_nodes,
+    minority_nodes,
+    split_s,
+    merge_s,
+    shuffle,
+    swim,
+    churn_point,
+    partition_post_merge_achieved_k,
+});
 
 /// Runs `sim` through `overlay`'s scripted partition: steps forward from
 /// just before `merge_at` in one-second increments until the overlay is
@@ -541,8 +380,8 @@ fn measure_healing<P: SamplingProtocol>(
 /// One point of the robustness curves (fixed-k and adaptive-k).
 struct CurvePoint {
     failure_rate: f64,
-    median_s: f64,
-    p95_s: f64,
+    latency_median_s: f64,
+    latency_p95_s: f64,
     answered: usize,
     unanswered: usize,
     retries: u64,
@@ -556,50 +395,22 @@ struct CurvePoint {
     adaptive_degraded_queries: u64,
 }
 
-impl ToJson for CurvePoint {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("failure_rate".to_owned(), Json::F64(self.failure_rate)),
-            ("latency_median_s".to_owned(), Json::F64(self.median_s)),
-            ("latency_p95_s".to_owned(), Json::F64(self.p95_s)),
-            ("answered".to_owned(), Json::U64(self.answered as u64)),
-            ("unanswered".to_owned(), Json::U64(self.unanswered as u64)),
-            ("retries".to_owned(), Json::U64(self.retries)),
-            (
-                "experiment_fakes_topped_up".to_owned(),
-                Json::U64(self.experiment_fakes_topped_up),
-            ),
-            (
-                "failed_relays".to_owned(),
-                Json::U64(self.failed_relays as u64),
-            ),
-            (
-                "attack_rate_percent".to_owned(),
-                Json::F64(self.attack_rate_percent),
-            ),
-            (
-                "attack_engine_requests".to_owned(),
-                Json::U64(self.attack_engine_requests as u64),
-            ),
-            (
-                "attack_rate_adaptive_percent".to_owned(),
-                Json::F64(self.attack_rate_adaptive_percent),
-            ),
-            (
-                "attack_adaptive_engine_requests".to_owned(),
-                Json::U64(self.attack_adaptive_engine_requests as u64),
-            ),
-            (
-                "adaptive_fakes_topped_up".to_owned(),
-                Json::U64(self.adaptive_fakes_topped_up),
-            ),
-            (
-                "adaptive_degraded_queries".to_owned(),
-                Json::U64(self.adaptive_degraded_queries),
-            ),
-        ])
-    }
-}
+impl_to_json!(CurvePoint {
+    failure_rate,
+    latency_median_s,
+    latency_p95_s,
+    answered,
+    unanswered,
+    retries,
+    experiment_fakes_topped_up,
+    failed_relays,
+    attack_rate_percent,
+    attack_engine_requests,
+    attack_rate_adaptive_percent,
+    attack_adaptive_engine_requests,
+    adaptive_fakes_topped_up,
+    adaptive_degraded_queries,
+});
 
 /// One point of the active-adversary curves: a Sybil identity budget
 /// `fraction · N`, the view poisoning it achieves against the naive
@@ -617,41 +428,64 @@ struct AdversaryPoint {
     brahms_pooled_real: u64,
 }
 
-impl ToJson for AdversaryPoint {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("sybil_fraction".to_owned(), Json::F64(self.sybil_fraction)),
-            (
-                "naive_view_fraction".to_owned(),
-                Json::F64(self.naive_view_fraction),
-            ),
-            (
-                "brahms_view_fraction".to_owned(),
-                Json::F64(self.brahms_view_fraction),
-            ),
-            (
-                "brahms_voided_rounds".to_owned(),
-                Json::U64(self.brahms_voided_rounds),
-            ),
-            (
-                "naive_attack_rate_percent".to_owned(),
-                Json::F64(self.naive_attack_rate_percent),
-            ),
-            (
-                "brahms_attack_rate_percent".to_owned(),
-                Json::F64(self.brahms_attack_rate_percent),
-            ),
-            (
-                "naive_pooled_real".to_owned(),
-                Json::U64(self.naive_pooled_real),
-            ),
-            (
-                "brahms_pooled_real".to_owned(),
-                Json::U64(self.brahms_pooled_real),
-            ),
-        ])
-    }
+impl_to_json!(AdversaryPoint {
+    sybil_fraction,
+    naive_view_fraction,
+    brahms_view_fraction,
+    brahms_voided_rounds,
+    naive_attack_rate_percent,
+    brahms_attack_rate_percent,
+    naive_pooled_real,
+    brahms_pooled_real,
+});
+
+/// The `adversary` section of the record: the sweep and its fixed sizes.
+struct AdversarySweep<'a> {
+    sybil_honest: usize,
+    sybil_rounds: usize,
+    points: &'a Vec<AdversaryPoint>,
 }
+
+impl_to_json!(AdversarySweep<'_> {
+    sybil_honest,
+    sybil_rounds,
+    points
+});
+
+/// `BENCH_churn.json`, top level.
+struct Record<'a> {
+    bench: &'static str,
+    seed: u64,
+    relays: usize,
+    k: usize,
+    queries: usize,
+    recover: bool,
+    shards_checked: usize,
+    points: &'a Vec<CurvePoint>,
+    partition_baseline_mean_achieved_k: Option<f64>,
+    partition_points: &'a Vec<PartitionPoint>,
+    membership: &'a Option<MembershipReport>,
+    adversary: Option<AdversarySweep<'a>>,
+}
+
+impl_to_json!(Record<'_> {
+    bench,
+    seed,
+    relays,
+    k,
+    queries,
+    recover,
+    shards_checked,
+    points,
+    partition_baseline_mean_achieved_k,
+    partition_points,
+    membership,
+    adversary,
+});
+
+/// Honest population and round count of every `--adversary` sweep point.
+const SYBIL_HONEST: usize = 100;
+const SYBIL_ROUNDS: usize = 50;
 
 /// One untraced churn run on the chosen engine.
 fn churn_run(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
@@ -668,13 +502,7 @@ fn partition_run(choice: EngineChoice, config: &PartitionConfig) -> PartitionOut
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
+    let options = cli::from_env(USAGE, read_options);
 
     // Shared attack fixtures: one workload, one trained adversary, reused
     // across every failure rate (only the churn filter varies).
@@ -719,18 +547,22 @@ fn main() {
         "fixed(%)",
         "adaptive(%)"
     );
+    // The swept deployment at one failure rate, healing on: every sweep
+    // point, and the observed and membership-mode re-runs of the heaviest.
+    let churn_at = |failure_rate: f64| ChurnConfig {
+        relays: options.relays,
+        k: options.k,
+        queries: options.queries,
+        seed: options.seed,
+        failure_rate,
+        recover: options.recover,
+        adaptive: true,
+        ..ChurnConfig::default()
+    };
+    let heaviest_rate = options.rates.iter().cloned().fold(0.0, f64::max);
     let mut points = Vec::new();
     for &rate in &options.rates {
-        let config = ChurnConfig {
-            relays: options.relays,
-            k: options.k,
-            queries: options.queries,
-            seed: options.seed,
-            failure_rate: rate,
-            recover: options.recover,
-            adaptive: true,
-            ..ChurnConfig::default()
-        };
+        let config = churn_at(rate);
         let outcome = churn_run(EngineChoice::Sequential, &config);
         let summary = Summary::from_samples(&outcome.latencies);
         assert_eq!(
@@ -762,8 +594,8 @@ fn main() {
         );
         points.push(CurvePoint {
             failure_rate: rate,
-            median_s: summary.median,
-            p95_s: summary.p95,
+            latency_median_s: summary.median,
+            latency_p95_s: summary.p95,
             answered: outcome.answered,
             unanswered: outcome.unanswered,
             retries: outcome.retries,
@@ -783,23 +615,13 @@ fn main() {
     // the zero-perturbation contract against the sequential untraced run,
     // and export the timeline + snapshot.
     if options.observe.enabled() {
-        let rate = options.rates.iter().cloned().fold(0.0, f64::max);
-        let config = ChurnConfig {
-            relays: options.relays,
-            k: options.k,
-            queries: options.queries,
-            seed: options.seed,
-            failure_rate: rate,
-            recover: options.recover,
-            adaptive: true,
-            ..ChurnConfig::default()
-        };
+        let config = churn_at(heaviest_rate);
         let telemetry = ChurnTelemetry {
             trace: options.observe.sink(),
             metrics: options.observe.registry(),
         };
         eprintln!(
-            "# observed churn run at failure rate {rate} ({} shards)...",
+            "# observed churn run at failure rate {heaviest_rate} ({} shards)...",
             options.shards
         );
         let mut engine = EngineChoice::Sharded(options.shards).build(config.seed, &telemetry);
@@ -946,23 +768,19 @@ fn main() {
             };
             let window = (as_index(split_at), as_index(merge_at));
             let cross_fraction = 1.0 - fraction;
-            let tag = (fraction * 1000.0) as u64 ^ (duration_s << 10);
-            let mut fixed = LossyMechanism::partitioned(
-                setup.cyclosa(PRIVACY_K),
-                cross_fraction,
-                window,
-                false,
-                options.seed ^ 0x5917,
-            );
-            let fixed_report = reidentify(&mut fixed, 0x5917 ^ tag);
-            let mut adaptive = LossyMechanism::partitioned(
-                setup.cyclosa(PRIVACY_K),
-                cross_fraction,
-                window,
-                true,
-                options.seed ^ 0xADA7_5917,
-            );
-            let adaptive_report = reidentify(&mut adaptive, 0xADA7_5917 ^ tag);
+            let point_tag = (fraction * 1000.0) as u64 ^ (duration_s << 10);
+            // One salt per arm, on both the wrapper's loss stream and the
+            // evaluation stream.
+            let attack_rate_percent = |repair: bool, salt: u64| {
+                let mut mechanism = LossyMechanism::partitioned(
+                    setup.cyclosa(PRIVACY_K),
+                    cross_fraction,
+                    window,
+                    repair,
+                    options.seed ^ salt,
+                );
+                reidentify(&mut mechanism, salt ^ point_tag).rate_percent()
+            };
 
             let actual_duration_s = merge_at.saturating_sub(split_at).as_secs_f64();
             println!(
@@ -981,13 +799,13 @@ fn main() {
                 requested_duration_s: duration_s,
                 duration_s: actual_duration_s,
                 split_s: split_at.as_secs_f64(),
-                pre: outcome.pre_split,
+                pre_split: outcome.pre_split,
                 during: outcome.during,
-                post: outcome.post_merge,
+                post_merge: outcome.post_merge,
                 retries: outcome.churn.retries,
                 fakes_topped_up: outcome.churn.fakes_topped_up,
-                attack_rate_partitioned_percent: fixed_report.rate_percent(),
-                attack_rate_partition_adaptive_percent: adaptive_report.rate_percent(),
+                attack_rate_partitioned_percent: attack_rate_percent(false, 0x5917),
+                attack_rate_partition_adaptive_percent: attack_rate_percent(true, 0xADA7_5917),
             });
         }
     }
@@ -1064,22 +882,14 @@ fn main() {
         // cadence is tightened below the default — queries settle in
         // about a second here, so detection must land within roughly one
         // retry timeout of the death to beat the reactive path.
-        let rate = options.rates.iter().cloned().fold(0.0, f64::max);
         let churn_config = ChurnConfig {
-            relays: options.relays,
-            k: options.k,
-            queries: options.queries,
-            seed: options.seed,
-            failure_rate: rate,
-            recover: options.recover,
-            adaptive: true,
             membership: Some(MembershipProbeConfig {
                 probe_period: SimTime::from_millis(500),
                 suspicion_timeout: SimTime::from_millis(1500),
                 probes_per_round: 6,
                 ..MembershipProbeConfig::default()
             }),
-            ..ChurnConfig::default()
+            ..churn_at(heaviest_rate)
         };
         let churn_outcome = churn_run(EngineChoice::Sequential, &churn_config);
         assert_eq!(
@@ -1093,7 +903,7 @@ fn main() {
         // layered on the same blacklist: refutation forgives early, death
         // declarations keep corpses barred. Post-merge achieved_k must
         // not fall behind the TTL-only run.
-        let partition_post_k = first_partition.map(|(swept, ttl_post_k)| {
+        let probation = first_partition.map(|(swept, ttl_post_k)| {
             let config = PartitionConfig {
                 base: ChurnConfig {
                     membership: Some(MembershipProbeConfig::default()),
@@ -1102,35 +912,30 @@ fn main() {
                 ..swept
             };
             let outcome = partition_run(EngineChoice::Sequential, &config);
-            (ttl_post_k, outcome.post_merge.mean_achieved_k)
+            ProbationAchievedK {
+                blacklist_ttl: ttl_post_k,
+                membership: outcome.post_merge.mean_achieved_k,
+            }
         });
 
-        let fmt_healing = |h: Option<f64>| match h {
-            Some(s) => format!("{s:.1}s"),
-            None => "never".to_owned(),
-        };
         println!("\nmembership: partition healing, shuffle bridges vs SWIM knocks");
-        println!(
-            "  shuffle  bridges={}  severed={:<5}  healed in {:>6}  staleness {:>6.2} rounds  {:>6} msgs  {:>8} bytes",
-            shuffle_side.bridges,
-            shuffle_side.severed,
-            fmt_healing(shuffle_side.healing_s),
-            shuffle_side.staleness,
-            shuffle_side.messages,
-            shuffle_side.bytes
-        );
-        println!(
-            "  swim     bridges={}  severed={:<5}  healed in {:>6}  staleness {:>6.2} s       {:>6} msgs  {:>8} bytes",
-            swim_side.bridges,
-            swim_side.severed,
-            fmt_healing(swim_side.healing_s),
-            swim_side.staleness,
-            swim_side.messages,
-            swim_side.bytes
-        );
+        for (name, side, unit) in [
+            ("shuffle", &shuffle_side, "rounds"),
+            ("swim", &swim_side, "s"),
+        ] {
+            println!(
+                "  {name:<7}  bridges={}  severed={:<5}  healed in {:>6}  staleness {:>6.2} {unit:<6}  {:>6} msgs  {:>8} bytes",
+                side.bridges,
+                side.severed,
+                side.healed_in(),
+                side.staleness,
+                side.messages,
+                side.bytes
+            );
+        }
         println!(
             "  churn @ {:.2}: answered {}/{}, retries {}, topped {} (+{} proactive), median {:.3}s",
-            rate,
+            heaviest_rate,
             churn_outcome.answered,
             churn_outcome.answered + churn_outcome.unanswered,
             churn_outcome.retries,
@@ -1138,7 +943,8 @@ fn main() {
             churn_outcome.fakes_topped_up_proactive,
             churn_summary.median
         );
-        if let Some((ttl_k, membership_k)) = partition_post_k {
+        if let Some(k) = &probation {
+            let (ttl_k, membership_k) = (k.blacklist_ttl, k.membership);
             println!(
                 "  partition post-merge achieved_k: ttl {ttl_k:.3} vs membership {membership_k:.3}"
             );
@@ -1151,14 +957,16 @@ fn main() {
             merge_s: overlay_merge.as_secs_f64(),
             shuffle: shuffle_side,
             swim: swim_side,
-            churn_failure_rate: rate,
-            churn_median_s: churn_summary.median,
-            churn_answered: churn_outcome.answered,
-            churn_unanswered: churn_outcome.unanswered,
-            churn_retries: churn_outcome.retries,
-            churn_fakes_topped_up: churn_outcome.fakes_topped_up,
-            churn_fakes_topped_up_proactive: churn_outcome.fakes_topped_up_proactive,
-            partition_post_k,
+            churn_point: ProbedChurnPoint {
+                failure_rate: heaviest_rate,
+                latency_median_s: churn_summary.median,
+                answered: churn_outcome.answered,
+                unanswered: churn_outcome.unanswered,
+                retries: churn_outcome.retries,
+                fakes_topped_up: churn_outcome.fakes_topped_up,
+                fakes_topped_up_proactive: churn_outcome.fakes_topped_up_proactive,
+            },
+            partition_post_merge_achieved_k: probation,
         })
     } else {
         None
@@ -1173,8 +981,6 @@ fn main() {
     // controlled relay pools the queries it carries with the client's
     // network identity attached).
     let adversary_points: Vec<AdversaryPoint> = if options.adversary {
-        const SYBIL_HONEST: usize = 100;
-        const SYBIL_ROUNDS: usize = 50;
         println!(
             "{:>8}  {:>11}  {:>12}  {:>7}  {:>10}  {:>11}",
             "sybil f", "naive view", "brahms view", "voided", "naive(%)", "brahms(%)"
@@ -1197,37 +1003,38 @@ fn main() {
                 brahms.run_rounds(SYBIL_ROUNDS);
                 let brahms_view = brahms.attacker_fraction();
 
-                let mut naive_mech = ColludingMechanism::new(
-                    setup.cyclosa(PRIVACY_K),
-                    naive_view,
-                    options.seed ^ 0xBAD0,
-                );
-                let naive_report = reidentify(&mut naive_mech, 0xBAD0 ^ (fraction * 1000.0) as u64);
-                let mut brahms_mech = ColludingMechanism::new(
-                    setup.cyclosa(PRIVACY_K),
-                    brahms_view,
-                    options.seed ^ 0xB4A5,
-                );
-                let brahms_report =
-                    reidentify(&mut brahms_mech, 0xB4A5 ^ (fraction * 1000.0) as u64);
+                // A coalition holding `view` of the relays: its attack
+                // accuracy and the real queries it pooled. One salt per
+                // sampler, on both the coalition draw and the evaluation.
+                let collude = |view: f64, salt: u64| {
+                    let mut mechanism = ColludingMechanism::new(
+                        setup.cyclosa(PRIVACY_K),
+                        view,
+                        options.seed ^ salt,
+                    );
+                    let report = reidentify(&mut mechanism, salt ^ (fraction * 1000.0) as u64);
+                    (report.rate_percent(), mechanism.pooled_real())
+                };
+                let (naive_rate, naive_pooled_real) = collude(naive_view, 0xBAD0);
+                let (brahms_rate, brahms_pooled_real) = collude(brahms_view, 0xB4A5);
                 println!(
                     "{:>8.2}  {:>11.3}  {:>12.3}  {:>7}  {:>10.2}  {:>11.2}",
                     fraction,
                     naive_view,
                     brahms_view,
                     brahms.voided_rounds(),
-                    naive_report.rate_percent(),
-                    brahms_report.rate_percent()
+                    naive_rate,
+                    brahms_rate
                 );
                 AdversaryPoint {
                     sybil_fraction: fraction,
                     naive_view_fraction: naive_view,
                     brahms_view_fraction: brahms_view,
                     brahms_voided_rounds: brahms.voided_rounds(),
-                    naive_attack_rate_percent: naive_report.rate_percent(),
-                    brahms_attack_rate_percent: brahms_report.rate_percent(),
-                    naive_pooled_real: naive_mech.pooled_real(),
-                    brahms_pooled_real: brahms_mech.pooled_real(),
+                    naive_attack_rate_percent: naive_rate,
+                    brahms_attack_rate_percent: brahms_rate,
+                    naive_pooled_real,
+                    brahms_pooled_real,
                 }
             })
             .collect()
@@ -1236,58 +1043,26 @@ fn main() {
     };
 
     if options.json {
-        let report = Json::Obj(vec![
-            ("bench".to_owned(), Json::Str("churn".to_owned())),
-            ("seed".to_owned(), Json::U64(options.seed)),
-            ("relays".to_owned(), Json::U64(options.relays as u64)),
-            ("k".to_owned(), Json::U64(options.k as u64)),
-            ("queries".to_owned(), Json::U64(options.queries as u64)),
-            ("recover".to_owned(), Json::Bool(options.recover)),
-            (
-                "shards_checked".to_owned(),
-                Json::U64(options.shards as u64),
-            ),
-            (
-                "points".to_owned(),
-                Json::Arr(points.iter().map(|p| p.to_json()).collect()),
-            ),
-            (
-                "partition_baseline_mean_achieved_k".to_owned(),
-                baseline_mean_achieved_k.map_or(Json::Null, Json::F64),
-            ),
-            (
-                "partition_points".to_owned(),
-                Json::Arr(partition_points.iter().map(|p| p.to_json()).collect()),
-            ),
-            (
-                "membership".to_owned(),
-                membership_report
-                    .as_ref()
-                    .map_or(Json::Null, |report| report.to_json()),
-            ),
-            (
-                "adversary".to_owned(),
-                if adversary_points.is_empty() {
-                    Json::Null
-                } else {
-                    Json::Obj(vec![
-                        ("sybil_honest".to_owned(), Json::U64(100)),
-                        ("sybil_rounds".to_owned(), Json::U64(50)),
-                        (
-                            "points".to_owned(),
-                            Json::Arr(adversary_points.iter().map(|p| p.to_json()).collect()),
-                        ),
-                    ])
-                },
-            ),
-        ]);
-        match std::fs::write(&options.out, report.pretty() + "\n") {
-            Ok(()) => eprintln!("# wrote {}", options.out),
-            Err(err) => {
-                eprintln!("error: cannot write {}: {err}", options.out);
-                std::process::exit(1);
-            }
-        }
+        let report = Record {
+            bench: "churn",
+            seed: options.seed,
+            relays: options.relays,
+            k: options.k,
+            queries: options.queries,
+            recover: options.recover,
+            shards_checked: options.shards,
+            points: &points,
+            partition_baseline_mean_achieved_k: baseline_mean_achieved_k,
+            partition_points: &partition_points,
+            membership: &membership_report,
+            adversary: (!adversary_points.is_empty()).then_some(AdversarySweep {
+                sybil_honest: SYBIL_HONEST,
+                sybil_rounds: SYBIL_ROUNDS,
+                points: &adversary_points,
+            }),
+        };
+        cli::write_file(&options.out, &(report.to_json().pretty() + "\n"));
+        eprintln!("# wrote {}", options.out);
     }
 
     // Privacy regression gate: the whole point of adaptive-k repair is
@@ -1334,15 +1109,15 @@ fn main() {
                      failure-free {:.3}",
                     point.minority_fraction,
                     point.duration_s,
-                    point.post.mean_achieved_k,
+                    point.post_merge.mean_achieved_k,
                     ledger_baseline
                 );
-                if point.post.mean_achieved_k < ledger_baseline - 0.01 {
+                if point.post_merge.mean_achieved_k < ledger_baseline - 0.01 {
                     eprintln!(
                         "error: post-merge achieved_k ({:.3}) did not recover to the \
                          failure-free ledger ({:.3}) for minority fraction {:.2}, \
                          duration {:.1}s",
-                        point.post.mean_achieved_k,
+                        point.post_merge.mean_achieved_k,
                         ledger_baseline,
                         point.minority_fraction,
                         point.duration_s
@@ -1360,15 +1135,9 @@ fn main() {
             eprintln!(
                 "# gate: swim healed bridge-free in {} (budget {SWIM_HEALING_BUDGET_S:.0}s); \
                  shuffle with {} bridges in {}",
-                report
-                    .swim
-                    .healing_s
-                    .map_or("never".to_owned(), |s| format!("{s:.1}s")),
+                report.swim.healed_in(),
                 report.shuffle.bridges,
-                report
-                    .shuffle
-                    .healing_s
-                    .map_or("never".to_owned(), |s| format!("{s:.1}s")),
+                report.shuffle.healed_in(),
             );
             if !report.swim.severed {
                 eprintln!(
@@ -1398,7 +1167,8 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-            if let Some((ttl_k, membership_k)) = report.partition_post_k {
+            if let Some(k) = &report.partition_post_merge_achieved_k {
+                let (ttl_k, membership_k) = (k.blacklist_ttl, k.membership);
                 eprintln!(
                     "# gate: post-merge achieved_k {membership_k:.3} under membership \
                      probation vs {ttl_k:.3} under TTL probation"
@@ -1499,5 +1269,63 @@ fn main() {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read(line: &str) -> Result<Options, Stop> {
+        read_options(line.split_whitespace().map(str::to_owned).collect())
+    }
+
+    #[test]
+    fn relays_must_exceed_k_whatever_the_flag_order() {
+        // The default k is 3, the default population 50.
+        for line in [
+            "--relays 3",
+            "--k 50",
+            "--k 9 --relays 9",
+            "--relays 9 --k 9",
+        ] {
+            let refused = Stop::Bad("--relays must exceed --k".to_owned());
+            assert_eq!(read(line).unwrap_err(), refused, "{line}");
+        }
+        let options = read("--relays 10 --k 9").unwrap();
+        assert_eq!((options.relays, options.k), (10, 9));
+    }
+
+    #[test]
+    fn the_chaos_smoke_command_line_reads_back() {
+        let options = read(
+            "--relays 30 --queries 120 --rates 0,0.1,0.3,0.5 --partition-fractions 0.3 \
+             --partition-durations 15,30 --shards 4 --membership --adversary --gate 1.5 \
+             --json --out BENCH_churn.json --trace t.jsonl",
+        )
+        .unwrap();
+        assert_eq!((options.relays, options.k, options.queries), (30, 3, 120));
+        assert_eq!(options.rates, [0.0, 0.1, 0.3, 0.5]);
+        assert_eq!(options.partition_fractions, [0.3]);
+        assert_eq!(options.partition_durations_s, [15, 30]);
+        assert_eq!((options.shards, options.gate), (4, Some(1.5)));
+        assert!(options.membership && options.adversary && options.json && !options.recover);
+        assert_eq!(options.sybil_fractions, Options::default().sybil_fractions);
+        assert_eq!(options.observe.trace.as_deref(), Some("t.jsonl"));
+        assert_eq!(options.observe.metrics, None);
+    }
+
+    #[test]
+    fn gate_shards_and_scale_keep_their_ranges() {
+        for line in [
+            "--gate -1",
+            "--gate NaN",
+            "--gate inf",
+            "--shards 0",
+            "--scale huge",
+        ] {
+            assert!(read(line).is_err(), "{line}");
+        }
+        assert_eq!(read("--gate 0 --scale paper").unwrap().gate, Some(0.0));
     }
 }

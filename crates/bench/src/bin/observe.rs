@@ -19,133 +19,85 @@
 //! can diff reports across shard counts and gate on their contents.
 //! `--gate-privacy` exits non-zero when the privacy SLO recorded any
 //! violation (an answered query with `achieved_k < assessed_k`): the
-//! failure-free baseline gate.
+//! failure-free baseline gate. Exit 1 is that gate (or a file that cannot
+//! be read or written); exit 2 means the command line or the contents of
+//! an input file could not be understood, so nothing was judged.
 
+use cyclosa_bench::cli::{self, Stop};
+use cyclosa_bench::observe::ObserveFlags;
 use cyclosa_bench::report::{build_report, ReportOptions};
+use cyclosa_net::time::SimTime;
 use cyclosa_telemetry::analyze::parse_trace;
 use cyclosa_telemetry::check::parse_json;
 use cyclosa_util::json::Json;
 
 struct Options {
-    trace: String,
-    metrics: Option<String>,
+    /// `--trace` (required) and `--metrics`: the two files to read.
+    input: ObserveFlags,
     out: String,
     report: ReportOptions,
     gate_privacy: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut trace = None;
-    let mut metrics = None;
-    let mut out = "OBSERVE_report.json".to_string();
-    let mut report = ReportOptions::default();
-    let mut gate_privacy = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--trace" => trace = Some(value("--trace")?),
-            "--metrics" => metrics = Some(value("--metrics")?),
-            "--out" => out = value("--out")?,
-            "--top" => {
-                report.top = value("--top")?.parse().map_err(|_| "--top needs a count")?;
-            }
-            "--window-s" => {
-                let seconds: u64 = value("--window-s")?
-                    .parse()
-                    .map_err(|_| "--window-s needs seconds")?;
-                report.slo.window = cyclosa_net::time::SimTime::from_secs(seconds);
-            }
-            "--privacy-budget" => {
-                report.slo.privacy_budget = value("--privacy-budget")?
-                    .parse()
-                    .map_err(|_| "--privacy-budget needs a fraction")?;
-            }
-            "--latency-budget-ms" => {
-                let ms: u64 = value("--latency-budget-ms")?
-                    .parse()
-                    .map_err(|_| "--latency-budget-ms needs milliseconds")?;
-                report.slo.latency_p99_budget = cyclosa_net::time::SimTime::from_millis(ms);
-            }
-            "--suspicion-budget" => {
-                report.slo.suspicion_budget = value("--suspicion-budget")?
-                    .parse()
-                    .map_err(|_| "--suspicion-budget needs a fraction")?;
-            }
-            "--gate-privacy" => gate_privacy = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: observe --trace PATH [--metrics PATH] [--out PATH] [--top N] \
-                     [--window-s S] [--privacy-budget F] [--latency-budget-ms N] \
-                     [--suspicion-budget F] [--gate-privacy]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    let trace = trace.ok_or("--trace is required")?;
-    Ok(Options {
-        trace,
-        metrics,
-        out,
-        report,
-        gate_privacy,
-    })
-}
+const USAGE: &str = "usage: observe --trace PATH [--metrics PATH] [--out PATH] [--top N] \
+     [--window-s S] [--privacy-budget F] [--latency-budget-ms N] \
+     [--suspicion-budget F] [--gate-privacy]";
 
-fn read_or_die(path: &str) -> String {
-    match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("error: cannot read {path}: {err}");
-            std::process::exit(1);
+fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
+    let defaults = Options {
+        input: ObserveFlags::default(),
+        out: "OBSERVE_report.json".to_owned(),
+        report: ReportOptions::default(),
+        gate_privacy: false,
+    };
+    let options = cli::read(argv, defaults, |options, flag, args| {
+        let slo = &mut options.report.slo;
+        match flag {
+            "--out" => options.out = args.value()?,
+            "--top" => options.report.top = args.value()?,
+            "--window-s" => slo.window = SimTime::from_secs(args.value()?),
+            "--privacy-budget" => slo.privacy_budget = args.value()?,
+            "--latency-budget-ms" => slo.latency_p99_budget = SimTime::from_millis(args.value()?),
+            "--suspicion-budget" => slo.suspicion_budget = args.value()?,
+            "--gate-privacy" => options.gate_privacy = true,
+            _ => return args.observe(&mut options.input),
         }
+        Ok(true)
+    })?;
+    if options.input.trace.is_none() {
+        return Err("--trace is required".into());
     }
+    Ok(options)
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
-    let records = match parse_trace(&read_or_die(&options.trace)) {
-        Ok(records) => records,
-        Err(message) => {
-            eprintln!("error: {}: {message}", options.trace);
-            std::process::exit(1);
-        }
-    };
-    let metrics = match &options.metrics {
-        Some(path) => match parse_json(&read_or_die(path)) {
-            Ok(json) => json,
-            Err(message) => {
-                eprintln!("error: {path}: {message}");
-                std::process::exit(1);
-            }
-        },
+    let options = cli::from_env(USAGE, read_options);
+    let trace = options.input.trace.as_deref().expect("checked on read");
+    // Unreadable contents exit 2: nothing was judged (see the module doc).
+    let records = parse_trace(&cli::read_file(trace))
+        .unwrap_or_else(|message| cli::fail(2, format!("{trace}: {message}")));
+    let metrics = match &options.input.metrics {
+        Some(path) => parse_json(&cli::read_file(path))
+            .unwrap_or_else(|message| cli::fail(2, format!("{path}: {message}"))),
         None => Json::Null,
     };
     let report = build_report(&records, metrics, &options.report);
-    if let Err(err) = std::fs::write(&options.out, report.pretty() + "\n") {
-        eprintln!("error: cannot write {}: {err}", options.out);
-        std::process::exit(1);
-    }
+    cli::write_file(&options.out, &(report.pretty() + "\n"));
     let (violations, alerts) = privacy_summary(&report);
     println!(
-        "{}: {} events, {} privacy violation(s), {} slo alert(s); report at {}",
-        options.trace,
+        "{trace}: {} events, {} privacy violation(s), {} slo alert(s); report at {}",
         records.len(),
         violations,
         alerts,
         options.out
     );
     if options.gate_privacy && violations > 0 {
-        eprintln!("error: privacy SLO gate: {violations} answered query(ies) with achieved_k < assessed_k");
-        std::process::exit(1);
+        cli::fail(
+            1,
+            format!(
+                "privacy SLO gate: {violations} answered query(ies) with achieved_k < assessed_k"
+            ),
+        );
     }
 }
 

@@ -13,8 +13,9 @@
 //! timeline (JSONL + Chrome trace), and the deployment metrics plus the
 //! engine's per-shard self-profiling land in the snapshot JSON.
 
+use cyclosa_bench::cli::{self, Stop};
 use cyclosa_bench::experiments::{self, PRIVACY_K, SYSTEM_K};
-use cyclosa_bench::observe::{parse_observe_flag, ObserveFlags};
+use cyclosa_bench::observe::ObserveFlags;
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
 use cyclosa_chaos::deployment::{
     run_end_to_end_latency_on, ChurnTelemetry, DeploymentMetrics, EndToEndConfig, EngineChoice,
@@ -30,49 +31,39 @@ struct Options {
     observe: ObserveFlags,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut scale = ExperimentScale::Default;
-    let mut seed = 2018u64;
-    let mut json = false;
-    let mut experiments = Vec::new();
-    let mut observe = ObserveFlags::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let value = args.next().ok_or("--scale needs a value")?;
-                scale = value.parse()?;
-            }
-            "--seed" => {
-                let value = args.next().ok_or("--seed needs a value")?;
-                seed = value.parse().map_err(|_| "invalid seed".to_owned())?;
-            }
-            "--json" => json = true,
-            "--help" | "-h" => {
-                experiments.clear();
-                experiments.push("help".to_owned());
-                return Ok(Options {
-                    scale,
-                    seed,
-                    json,
-                    experiments,
-                    observe,
-                });
-            }
-            other if parse_observe_flag(&mut observe, other, &mut args)? => {}
-            other => experiments.push(other.trim_start_matches("--").to_owned()),
+fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
+    let defaults = Options {
+        scale: ExperimentScale::Default,
+        seed: 2018,
+        json: false,
+        experiments: Vec::new(),
+        observe: ObserveFlags::default(),
+    };
+    let mut options = cli::read(argv, defaults, |options, flag, args| {
+        match flag {
+            "--scale" => options.scale = args.value()?,
+            "--seed" => options.seed = args.value()?,
+            "--json" => options.json = true,
+            _ if args.observe(&mut options.observe)? => {}
+            // Everything else names an experiment, with or without dashes.
+            name => options
+                .experiments
+                .push(name.trim_start_matches("--").to_owned()),
         }
+        Ok(true)
+    })?;
+    // Checked here, before the (slow) experiment setup is built.
+    if let Some(unknown) = options
+        .experiments
+        .iter()
+        .find(|name| *name != "all" && !ALL.contains(&name.as_str()))
+    {
+        return Err(format!("unknown experiment: {unknown} (see --help)").into());
     }
-    if experiments.is_empty() {
-        experiments.push("all".to_owned());
+    if options.experiments.is_empty() || options.experiments.iter().any(|e| e == "all") {
+        options.experiments = ALL.iter().map(|s| s.to_string()).collect();
     }
-    Ok(Options {
-        scale,
-        seed,
-        json,
-        experiments,
-        observe,
-    })
+    Ok(options)
 }
 
 fn emit<T: ToJson + std::fmt::Display>(json: bool, report: &T) {
@@ -100,27 +91,13 @@ const ALL: &[&str] = &[
 ];
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
-    if options.experiments.iter().any(|e| e == "help") {
-        println!(
-            "usage: repro [--scale small|default|paper] [--seed N] [--json] \
-             [--trace PATH.jsonl] [--metrics PATH.json] <experiment>...\n\
-             experiments: {} all",
-            ALL.join(" ")
-        );
-        return;
-    }
-    let requested: Vec<String> = if options.experiments.iter().any(|e| e == "all") {
-        ALL.iter().map(|s| s.to_string()).collect()
-    } else {
-        options.experiments.clone()
-    };
+    let usage = format!(
+        "usage: repro [--scale small|default|paper] [--seed N] [--json] \
+         [--trace PATH.jsonl] [--metrics PATH.json] <experiment>...\n\
+         experiments: {} all",
+        ALL.join(" ")
+    );
+    let options = cli::from_env(&usage, read_options);
 
     eprintln!(
         "# building experiment setup (scale = {:?}, seed = {})...",
@@ -135,7 +112,7 @@ fn main() {
         setup.test_queries.len()
     );
 
-    for experiment in requested {
+    for experiment in &options.experiments {
         eprintln!("# running {experiment}...");
         match experiment.as_str() {
             "table1" => emit(options.json, &experiments::table1(&setup)),
@@ -157,10 +134,7 @@ fn main() {
                 &experiments::ablation_fakes(&setup, PRIVACY_K),
             ),
             "ablation-paths" => emit(options.json, &experiments::ablation_paths(&setup, SYSTEM_K)),
-            other => {
-                eprintln!("unknown experiment: {other} (see --help)");
-                std::process::exit(2);
-            }
+            other => unreachable!("read_options admits only names in ALL, got {other}"),
         }
         println!();
     }
@@ -190,5 +164,28 @@ fn main() {
         options
             .observe
             .write(&telemetry.trace, telemetry.metrics.as_ref());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read(line: &str) -> Result<Options, Stop> {
+        read_options(line.split_whitespace().map(str::to_owned).collect())
+    }
+
+    #[test]
+    fn experiments_are_named_with_or_without_dashes_and_checked_on_read() {
+        assert_eq!(read("").unwrap().experiments, ALL);
+        assert_eq!(read("fig5 all").unwrap().experiments, ALL);
+        let options = read("fig5 --scale small --fig8a --json").unwrap();
+        assert_eq!(options.experiments, ["fig5", "fig8a"]);
+        assert!(options.json && matches!(options.scale, ExperimentScale::Small));
+        assert_eq!(
+            read("fig5 --no-such-flag").unwrap_err(),
+            Stop::Bad("unknown experiment: no-such-flag (see --help)".to_owned())
+        );
+        assert_eq!(read("fig5 --help").unwrap_err(), Stop::Help);
     }
 }

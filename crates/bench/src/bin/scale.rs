@@ -14,7 +14,8 @@
 //! written as JSON; `--trace` additionally exports the engine timeline
 //! (empty for the ping workload, which emits no node events).
 
-use cyclosa_bench::observe::{parse_observe_flag, ObserveFlags};
+use cyclosa_bench::cli::{self, Stop};
+use cyclosa_bench::observe::ObserveFlags;
 use cyclosa_bench::scalability::{run_scale_point_observed, scalability_sweep, ScaleConfig};
 use cyclosa_util::json::ToJson;
 
@@ -27,77 +28,32 @@ struct Options {
     observe: ObserveFlags,
 }
 
-fn parse_list(value: &str) -> Result<Vec<usize>, String> {
-    value
-        .split(',')
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| format!("invalid list entry: {part}"))
-        })
-        .collect()
-}
+const USAGE: &str = "usage: scale [--nodes N,N,...] [--shards N,N,...] [--rounds N] [--seed N] \
+     [--json] [--trace PATH.jsonl] [--metrics PATH.json]";
 
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
+fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
+    let defaults = Options {
         populations: vec![1_000, 10_000, 100_000],
         shard_counts: vec![1, 2, 4, 8],
         config: ScaleConfig::default(),
         json: false,
         observe: ObserveFlags::default(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--nodes" => {
-                options.populations = parse_list(&args.next().ok_or("--nodes needs a value")?)?;
-            }
-            "--shards" => {
-                options.shard_counts = parse_list(&args.next().ok_or("--shards needs a value")?)?;
-            }
-            "--rounds" => {
-                options.config.rounds = args
-                    .next()
-                    .ok_or("--rounds needs a value")?
-                    .parse()
-                    .map_err(|_| "invalid rounds".to_owned())?;
-            }
-            "--seed" => {
-                options.config.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "invalid seed".to_owned())?;
-            }
+    cli::read(argv, defaults, |options, flag, args| {
+        match flag {
+            "--nodes" => options.populations = args.list("any count", |_| true)?,
+            "--shards" => options.shard_counts = args.list("at least 1", |&n| n > 0)?,
+            "--rounds" => options.config.rounds = args.value()?,
+            "--seed" => options.config.seed = args.value()?,
             "--json" => options.json = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: scale [--nodes N,N,...] [--shards N,N,...] [--rounds N] [--seed N] \
-                     [--json] [--trace PATH.jsonl] [--metrics PATH.json]"
-                );
-                std::process::exit(0);
-            }
-            other if parse_observe_flag(&mut options.observe, other, &mut args)? => {}
-            other => return Err(format!("unknown argument: {other}")),
+            _ => return args.observe(&mut options.observe),
         }
-    }
-    if options.populations.is_empty() || options.shard_counts.is_empty() {
-        return Err("populations and shard counts must be non-empty".to_owned());
-    }
-    if options.shard_counts.contains(&0) {
-        return Err("--shards entries must be at least 1".to_owned());
-    }
-    Ok(options)
+        Ok(true)
+    })
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
+    let options = cli::from_env(USAGE, read_options);
     eprintln!(
         "# sweeping populations {:?} across shard counts {:?} ({} rounds, seed {})...",
         options.populations, options.shard_counts, options.config.rounds, options.config.seed

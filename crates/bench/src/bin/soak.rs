@@ -18,20 +18,23 @@
 //! * `--shards 1,2,4,8` re-runs the identical soak on the sharded engine
 //!   at each shard count and requires the outcome to be bit-identical to
 //!   the sequential run — the determinism half of the acceptance gate.
-//! * `--gate` applies [`SoakOutcome::gate`] (zero invariant violations,
-//!   query conservation, resident budget, answered floor) and exits
-//!   non-zero on any failure, including a shard divergence.
+//! * `--gate` applies [`cyclosa_chaos::soak::SoakOutcome::gate`] (zero
+//!   invariant violations, query conservation, resident budget, answered
+//!   floor) and exits non-zero on any failure, including a shard
+//!   divergence.
 //! * `--json` writes the windowed curves and peaks to `BENCH_soak.json`.
 //!
 //! The CI smoke job runs a short horizon (`--queries 20000 --gate`); the
 //! full acceptance run is `--queries 1000000 --shards 1,2,4,8 --gate`.
 
+use cyclosa_bench::cli::{self, Stop};
 use cyclosa_chaos::adversary::{AdversaryConfig, ByzantinePolicy};
 use cyclosa_chaos::churn::ChurnModel;
 use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
-use cyclosa_chaos::soak::{run_soak, run_soak_on, SoakConfig, SoakOutcome};
+use cyclosa_chaos::soak::{run_soak, run_soak_on, SoakConfig, SoakWindow};
 use cyclosa_net::time::SimTime;
-use cyclosa_util::json::Json;
+use cyclosa_util::impl_to_json;
+use cyclosa_util::json::ToJson;
 
 #[derive(Debug)]
 struct Options {
@@ -40,7 +43,8 @@ struct Options {
     queries: u64,
     seed: u64,
     window: u64,
-    churn: Option<(f64, f64)>,
+    /// Mean uptime and downtime, each at least a millisecond.
+    churn: Option<(SimTime, SimTime)>,
     adversary_fraction: f64,
     policy: ByzantinePolicy,
     shards: Vec<usize>,
@@ -68,64 +72,39 @@ impl Default for Options {
     }
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--relays" => {
-                let value = args.next().ok_or("--relays needs a value")?;
-                options.relays = value.parse().map_err(|_| "bad --relays".to_owned())?;
-            }
-            "--k" => {
-                let value = args.next().ok_or("--k needs a value")?;
-                options.k = value.parse().map_err(|_| "bad --k".to_owned())?;
-            }
-            "--queries" => {
-                let value = args.next().ok_or("--queries needs a value")?;
-                options.queries = value.parse().map_err(|_| "bad --queries".to_owned())?;
-                if options.queries == 0 {
-                    return Err("--queries must be positive".into());
-                }
-            }
-            "--seed" => {
-                let value = args.next().ok_or("--seed needs a value")?;
-                options.seed = value.parse().map_err(|_| "bad --seed".to_owned())?;
-            }
-            "--window" => {
-                let value = args.next().ok_or("--window needs a value")?;
-                options.window = value.parse().map_err(|_| "bad --window".to_owned())?;
-                if options.window == 0 {
-                    return Err("--window must be positive".into());
-                }
-            }
+const USAGE: &str = "usage: soak [--relays N] [--k N] [--queries N] [--seed N] [--window N] \
+     [--churn UP_S,DOWN_S] [--adversary FRACTION] \
+     [--policy drop|delay|collude] [--shards N,N,...] \
+     [--gate] [--json] [--out PATH]";
+
+fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
+    let options = cli::read(argv, Options::default(), |options, flag, args| {
+        match flag {
+            "--relays" => options.relays = args.value()?,
+            "--k" => options.k = args.value()?,
+            "--queries" => options.queries = args.value_where("positive", |&n| n > 0)?,
+            "--seed" => options.seed = args.value()?,
+            "--window" => options.window = args.value_where("positive", |&n| n > 0)?,
             "--churn" => {
-                let value = args.next().ok_or("--churn needs UP_S,DOWN_S")?;
-                let mut parts = value.split(',');
-                let up: f64 = parts
-                    .next()
-                    .and_then(|s| s.trim().parse().ok())
-                    .ok_or("bad --churn uptime")?;
-                let down: f64 = parts
-                    .next()
-                    .and_then(|s| s.trim().parse().ok())
-                    .ok_or("bad --churn downtime")?;
-                if parts.next().is_some() || up <= 0.0 || down <= 0.0 {
-                    return Err("--churn wants exactly two positive seconds".into());
-                }
-                options.churn = Some((up, down));
+                // A mean session of 0 ms (NaN, or anything under a
+                // millisecond) would have every relay flap without time
+                // advancing: the soak would never reach its horizon.
+                let millis = |seconds: f64| (seconds * 1000.0) as u64;
+                let means = args.list("finite seconds of at least 0.001", |&s: &f64| {
+                    s.is_finite() && millis(s) > 0
+                })?;
+                let [up, down] = means[..] else {
+                    return Err("--churn wants exactly two values: UP_S,DOWN_S".into());
+                };
+                let mean = |seconds| SimTime::from_millis(millis(seconds));
+                options.churn = Some((mean(up), mean(down)));
             }
             "--adversary" => {
-                let value = args.next().ok_or("--adversary needs a fraction")?;
-                let fraction: f64 = value.parse().map_err(|_| "bad --adversary".to_owned())?;
-                if !(0.0..=1.0).contains(&fraction) {
-                    return Err("--adversary fraction must be in [0, 1]".into());
-                }
-                options.adversary_fraction = fraction;
+                options.adversary_fraction =
+                    args.value_where("in [0, 1]", |f: &f64| (0.0..=1.0).contains(f))?;
             }
             "--policy" => {
-                let value = args.next().ok_or("--policy needs a name")?;
-                options.policy = match value.as_str() {
+                options.policy = match args.value::<String>()?.as_str() {
                     "drop" => ByzantinePolicy::DropRealQueries { probability: 0.5 },
                     "delay" => ByzantinePolicy::DelayRealQueries {
                         extra: SimTime::from_millis(500),
@@ -134,41 +113,14 @@ fn parse_args() -> Result<Options, String> {
                     other => return Err(format!("unknown --policy {other:?}")),
                 };
             }
-            "--shards" => {
-                let value = args.next().ok_or("--shards needs a comma-separated list")?;
-                options.shards = value
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|_| format!("bad shard count {s:?}"))
-                            .and_then(|n| {
-                                if n > 0 {
-                                    Ok(n)
-                                } else {
-                                    Err("shard counts must be positive".to_owned())
-                                }
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
+            "--shards" => options.shards = args.list("positive", |&n| n > 0)?,
             "--gate" => options.gate = true,
             "--json" => options.json = true,
-            "--out" => {
-                options.out = args.next().ok_or("--out needs a path")?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: soak [--relays N] [--k N] [--queries N] [--seed N] [--window N] \
-                     [--churn UP_S,DOWN_S] [--adversary FRACTION] \
-                     [--policy drop|delay|collude] [--shards N,N,...] \
-                     [--gate] [--json] [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+            "--out" => options.out = args.value()?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if options.relays <= options.k {
         return Err("--relays must exceed --k".into());
     }
@@ -184,10 +136,10 @@ fn config_from(options: &Options) -> SoakConfig {
         window_queries: options.window,
         ..SoakConfig::default()
     };
-    if let Some((up, down)) = options.churn {
+    if let Some((mean_uptime, mean_downtime)) = options.churn {
         config.churn = Some(ChurnModel::ExponentialSessions {
-            mean_uptime: SimTime::from_millis((up * 1000.0) as u64),
-            mean_downtime: SimTime::from_millis((down * 1000.0) as u64),
+            mean_uptime,
+            mean_downtime,
         });
         // Churned relays swallow in-flight plans; the gate floor for a
         // churned soak is delivery-with-healing, not perfection.
@@ -206,53 +158,120 @@ fn config_from(options: &Options) -> SoakConfig {
     config
 }
 
-fn window_json(outcome: &SoakOutcome) -> Json {
-    Json::Arr(
-        outcome
-            .windows
-            .iter()
-            .map(|w| {
-                Json::Obj(vec![
-                    ("first_seq".to_owned(), Json::U64(w.first_seq)),
-                    ("launched".to_owned(), Json::U64(w.launched)),
-                    ("skipped".to_owned(), Json::U64(w.skipped)),
-                    ("answered".to_owned(), Json::U64(w.answered)),
-                    ("retries".to_owned(), Json::U64(w.retries)),
-                    ("topped_up".to_owned(), Json::U64(w.topped_up)),
-                    ("under_target".to_owned(), Json::U64(w.under_target)),
-                    (
-                        "min_achieved_k".to_owned(),
-                        Json::U64(w.min_achieved_k as u64),
-                    ),
-                    ("mean_latency_s".to_owned(), Json::F64(w.mean_latency_s())),
-                    ("max_latency_s".to_owned(), Json::F64(w.latency_max_s)),
-                ])
-            })
-            .collect(),
-    )
+/// One ledger window of the record: the counters of a `SoakWindow` with
+/// its latency sum turned into the mean.
+struct WindowRecord {
+    first_seq: u64,
+    launched: u64,
+    skipped: u64,
+    answered: u64,
+    retries: u64,
+    topped_up: u64,
+    under_target: u64,
+    min_achieved_k: usize,
+    mean_latency_s: f64,
+    max_latency_s: f64,
 }
 
-fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
+impl_to_json!(WindowRecord {
+    first_seq,
+    launched,
+    skipped,
+    answered,
+    retries,
+    topped_up,
+    under_target,
+    min_achieved_k,
+    mean_latency_s,
+    max_latency_s,
+});
+
+impl From<&SoakWindow> for WindowRecord {
+    fn from(w: &SoakWindow) -> Self {
+        Self {
+            first_seq: w.first_seq,
+            launched: w.launched,
+            skipped: w.skipped,
+            answered: w.answered,
+            retries: w.retries,
+            topped_up: w.topped_up,
+            under_target: w.under_target,
+            min_achieved_k: w.min_achieved_k,
+            mean_latency_s: w.mean_latency_s(),
+            max_latency_s: w.latency_max_s,
         }
-    };
+    }
+}
+
+/// Wall-clock seconds of one bit-identity re-run on the sharded engine.
+struct ShardWall {
+    shards: usize,
+    wall_s: f64,
+}
+
+impl_to_json!(ShardWall { shards, wall_s });
+
+/// `BENCH_soak.json`, top level.
+struct Record {
+    bench: &'static str,
+    seed: u64,
+    relays: usize,
+    k: usize,
+    queries: u64,
+    churn: bool,
+    adversary_fraction: f64,
+    policy: &'static str,
+    answered: u64,
+    unanswered: u64,
+    retries: u64,
+    fakes_topped_up: u64,
+    violation_count: u64,
+    peak_inflight: u64,
+    peak_resident_bytes: usize,
+    byzantine_relays: usize,
+    byzantine_dropped: u64,
+    colluded_real_observed: u64,
+    sequential_wall_s: f64,
+    shards_verified: Vec<ShardWall>,
+    windows: Vec<WindowRecord>,
+}
+
+impl_to_json!(Record {
+    bench,
+    seed,
+    relays,
+    k,
+    queries,
+    churn,
+    adversary_fraction,
+    policy,
+    answered,
+    unanswered,
+    retries,
+    fakes_topped_up,
+    violation_count,
+    peak_inflight,
+    peak_resident_bytes,
+    byzantine_relays,
+    byzantine_dropped,
+    colluded_real_observed,
+    sequential_wall_s,
+    shards_verified,
+    windows,
+});
+
+fn main() {
+    let options = cli::from_env(USAGE, read_options);
     let config = config_from(&options);
 
+    let policy = config.adversary.map_or("honest", |a| a.policy.label());
     eprintln!(
-        "# soak: {} queries over {} relays (k = {}), churn {}, adversary {:.0}% {}",
+        "# soak: {} queries over {} relays (k = {}), churn {}, adversary {:.0}% {policy}",
         config.queries,
         config.relays,
         config.k,
         if config.churn.is_some() { "on" } else { "off" },
         options.adversary_fraction * 100.0,
-        config
-            .adversary
-            .map(|a| a.policy.label())
-            .unwrap_or("honest"),
     );
 
     #[allow(clippy::disallowed_methods)]
@@ -266,7 +285,7 @@ fn main() {
     );
 
     let mut failures: Vec<String> = Vec::new();
-    let mut shard_walls: Vec<(usize, f64)> = Vec::new();
+    let mut shard_walls: Vec<ShardWall> = Vec::new();
     for &shards in &options.shards {
         #[allow(clippy::disallowed_methods)]
         // cyclosa-lint: allow(wall_clock, reason = "per-shard-count wall stopwatch for the report; the sharded run's event order is decided by simulated time alone")
@@ -274,10 +293,10 @@ fn main() {
         let quiet = ChurnTelemetry::default();
         let mut engine = EngineChoice::Sharded(shards).build(config.seed, &quiet);
         let sharded = run_soak_on(&mut *engine, &config, &quiet.trace);
-        let wall = start.elapsed().as_secs_f64();
-        shard_walls.push((shards, wall));
+        let wall_s = start.elapsed().as_secs_f64();
+        shard_walls.push(ShardWall { shards, wall_s });
         if sharded == outcome {
-            eprintln!("# {shards} shard(s): bit-identical ({wall:.1}s wall)");
+            eprintln!("# {shards} shard(s): bit-identical ({wall_s:.1}s wall)");
         } else {
             failures.push(format!("{shards}-shard run diverged from sequential"));
             eprintln!("# {shards} shard(s): DIVERGED");
@@ -323,79 +342,31 @@ fn main() {
     }
 
     if options.json {
-        let report = Json::Obj(vec![
-            ("bench".to_owned(), Json::Str("soak".to_owned())),
-            ("seed".to_owned(), Json::U64(config.seed)),
-            ("relays".to_owned(), Json::U64(config.relays as u64)),
-            ("k".to_owned(), Json::U64(config.k as u64)),
-            ("queries".to_owned(), Json::U64(config.queries)),
-            ("churn".to_owned(), Json::Bool(config.churn.is_some())),
-            (
-                "adversary_fraction".to_owned(),
-                Json::F64(options.adversary_fraction),
-            ),
-            (
-                "policy".to_owned(),
-                Json::Str(
-                    config
-                        .adversary
-                        .map(|a| a.policy.label())
-                        .unwrap_or("honest")
-                        .to_owned(),
-                ),
-            ),
-            ("answered".to_owned(), Json::U64(outcome.answered)),
-            ("unanswered".to_owned(), Json::U64(outcome.unanswered)),
-            ("retries".to_owned(), Json::U64(outcome.retries)),
-            (
-                "fakes_topped_up".to_owned(),
-                Json::U64(outcome.fakes_topped_up),
-            ),
-            (
-                "violation_count".to_owned(),
-                Json::U64(outcome.violation_count),
-            ),
-            ("peak_inflight".to_owned(), Json::U64(outcome.peak_inflight)),
-            (
-                "peak_resident_bytes".to_owned(),
-                Json::U64(outcome.peak_resident_bytes as u64),
-            ),
-            (
-                "byzantine_relays".to_owned(),
-                Json::U64(outcome.byzantine_relays as u64),
-            ),
-            (
-                "byzantine_dropped".to_owned(),
-                Json::U64(outcome.byzantine_dropped),
-            ),
-            (
-                "colluded_real_observed".to_owned(),
-                Json::U64(outcome.colluded_real_observed),
-            ),
-            ("sequential_wall_s".to_owned(), Json::F64(sequential_s)),
-            (
-                "shards_verified".to_owned(),
-                Json::Arr(
-                    shard_walls
-                        .iter()
-                        .map(|(shards, wall)| {
-                            Json::Obj(vec![
-                                ("shards".to_owned(), Json::U64(*shards as u64)),
-                                ("wall_s".to_owned(), Json::F64(*wall)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("windows".to_owned(), window_json(&outcome)),
-        ]);
-        match std::fs::write(&options.out, report.pretty() + "\n") {
-            Ok(()) => eprintln!("# wrote {}", options.out),
-            Err(err) => {
-                eprintln!("error: cannot write {}: {err}", options.out);
-                std::process::exit(1);
-            }
-        }
+        let report = Record {
+            bench: "soak",
+            seed: config.seed,
+            relays: config.relays,
+            k: config.k,
+            queries: config.queries,
+            churn: config.churn.is_some(),
+            adversary_fraction: options.adversary_fraction,
+            policy,
+            answered: outcome.answered,
+            unanswered: outcome.unanswered,
+            retries: outcome.retries,
+            fakes_topped_up: outcome.fakes_topped_up,
+            violation_count: outcome.violation_count,
+            peak_inflight: outcome.peak_inflight,
+            peak_resident_bytes: outcome.peak_resident_bytes,
+            byzantine_relays: outcome.byzantine_relays,
+            byzantine_dropped: outcome.byzantine_dropped,
+            colluded_real_observed: outcome.colluded_real_observed,
+            sequential_wall_s: sequential_s,
+            shards_verified: shard_walls,
+            windows: outcome.windows.iter().map(WindowRecord::from).collect(),
+        };
+        cli::write_file(&options.out, &(report.to_json().pretty() + "\n"));
+        eprintln!("# wrote {}", options.out);
     }
 
     if options.gate {
@@ -406,6 +377,81 @@ fn main() {
                 eprintln!("gate FAILED: {failure}");
             }
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read(line: &str) -> Result<Options, Stop> {
+        read_options(line.split_whitespace().map(str::to_owned).collect())
+    }
+
+    #[test]
+    fn relays_must_exceed_k_whatever_the_flag_order() {
+        // The default k is 3, the default population 60.
+        for line in ["--relays 3", "--k 60", "--relays 9 --k 9"] {
+            let refused = Stop::Bad("--relays must exceed --k".to_owned());
+            assert_eq!(read(line).unwrap_err(), refused, "{line}");
+        }
+        let options = read("--k 9 --relays 10").unwrap();
+        assert_eq!((options.relays, options.k), (10, 9));
+    }
+
+    #[test]
+    fn churn_means_that_truncate_to_zero_milliseconds_are_refused() {
+        // The first six used to be accepted and became `SimTime(0)`, a
+        // session model that never lets the soak reach its horizon.
+        for means in [
+            "NaN,NaN",
+            "0.0001,0.0001",
+            "120,0.0009",
+            "0,20",
+            "inf,20",
+            "-1,20",
+            "120",
+            "120,20,5",
+        ] {
+            assert!(
+                read(&format!("--churn {means}")).is_err(),
+                "--churn {means}"
+            );
+        }
+        assert_eq!(
+            config_from(&read("--churn 120,0.001").unwrap()).churn,
+            Some(ChurnModel::ExponentialSessions {
+                mean_uptime: SimTime::from_secs(120),
+                mean_downtime: SimTime::from_millis(1),
+            })
+        );
+    }
+
+    #[test]
+    fn the_soak_smoke_command_line_reads_back() {
+        let options = read(
+            "--queries 50000 --churn 120,20 --adversary 0.2 --policy collude \
+             --shards 1,2,4,8 --gate --json --out BENCH_soak_smoke.json",
+        )
+        .unwrap();
+        assert_eq!((options.queries, options.window), (50_000, 10_000));
+        let seconds = SimTime::from_secs;
+        assert_eq!(options.churn, Some((seconds(120), seconds(20))));
+        assert_eq!(options.adversary_fraction, 0.2);
+        assert_eq!(options.policy, ByzantinePolicy::Collude);
+        assert_eq!(options.shards, [1, 2, 4, 8]);
+        assert!(options.gate && options.json);
+        assert_eq!(options.out, "BENCH_soak_smoke.json");
+        for line in [
+            "--queries 0",
+            "--window 0",
+            "--adversary 1.5",
+            "--adversary NaN",
+            "--policy bribe",
+            "--shards 1,0",
+        ] {
+            assert!(read(line).is_err(), "{line}");
         }
     }
 }

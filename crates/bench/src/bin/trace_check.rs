@@ -13,43 +13,30 @@
 //! fault-annotated repair. Exits non-zero on the first violation, so CI
 //! can gate on it directly.
 
+use cyclosa_bench::cli::{self, Stop};
 use cyclosa_telemetry::check::{parse_json, validate_chrome_trace, validate_trace_jsonl};
 use cyclosa_util::json::Json;
 
+#[derive(Default)]
 struct Options {
     jsonl: Vec<String>,
     chrome: Vec<String>,
     require_events: Vec<String>,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
-        jsonl: Vec::new(),
-        chrome: Vec::new(),
-        require_events: Vec::new(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jsonl" => options
-                .jsonl
-                .push(args.next().ok_or("--jsonl needs a path")?),
-            "--chrome" => options
-                .chrome
-                .push(args.next().ok_or("--chrome needs a path")?),
-            "--require-event" => options
-                .require_events
-                .push(args.next().ok_or("--require-event needs a name")?),
-            "--help" | "-h" => {
-                println!(
-                    "usage: trace_check [--jsonl PATH]... [--chrome PATH]... \
-                     [--require-event NAME]..."
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other:?}")),
+const USAGE: &str =
+    "usage: trace_check [--jsonl PATH]... [--chrome PATH]... [--require-event NAME]...";
+
+fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
+    let options = cli::read(argv, Options::default(), |options, flag, args| {
+        match flag {
+            "--jsonl" => options.jsonl.push(args.value()?),
+            "--chrome" => options.chrome.push(args.value()?),
+            "--require-event" => options.require_events.push(args.value()?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if options.jsonl.is_empty() && options.chrome.is_empty() {
         return Err("nothing to check; pass --jsonl and/or --chrome".into());
     }
@@ -57,16 +44,6 @@ fn parse_args() -> Result<Options, String> {
         return Err("--require-event needs at least one --jsonl file to search".into());
     }
     Ok(options)
-}
-
-fn read_or_die(path: &str) -> String {
-    match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("error: cannot read {path}: {err}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Whether a validated JSONL line is an event named `name`.
@@ -80,33 +57,21 @@ fn line_has_name(line: &str, name: &str) -> bool {
 }
 
 fn main() {
-    let options = match parse_args() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
+    let options = cli::from_env(USAGE, read_options);
     let mut jsonl_lines: Vec<String> = Vec::new();
     for path in &options.jsonl {
-        let text = read_or_die(path);
+        let text = cli::read_file(path);
         match validate_trace_jsonl(&text) {
             Ok(count) => println!("{path}: {count} valid trace events"),
-            Err(message) => {
-                eprintln!("error: {path}: {message}");
-                std::process::exit(1);
-            }
+            Err(message) => cli::fail(1, format!("{path}: {message}")),
         }
         jsonl_lines.extend(text.lines().map(str::to_owned));
     }
     for path in &options.chrome {
-        let text = read_or_die(path);
+        let text = cli::read_file(path);
         match validate_chrome_trace(&text) {
             Ok(count) => println!("{path}: {count} valid Chrome trace events"),
-            Err(message) => {
-                eprintln!("error: {path}: {message}");
-                std::process::exit(1);
-            }
+            Err(message) => cli::fail(1, format!("{path}: {message}")),
         }
     }
     for name in &options.require_events {
@@ -115,8 +80,7 @@ fn main() {
             .filter(|line| line_has_name(line, name))
             .count();
         if hits == 0 {
-            eprintln!("error: no {name:?} event in any --jsonl file");
-            std::process::exit(1);
+            cli::fail(1, format!("no {name:?} event in any --jsonl file"));
         }
         println!("required event {name:?}: {hits} occurrence(s)");
     }

@@ -1,14 +1,16 @@
 //! Shared `--trace` / `--metrics` plumbing of the bench bins.
 //!
-//! Every bin parses the two flags into an [`ObserveFlags`], builds sinks
-//! from it ([`ObserveFlags::sink`], [`ObserveFlags::registry`]), runs its
-//! workload observed, and hands the collected timeline and registry back
-//! to [`ObserveFlags::write`]. Trace output lands twice: as JSONL at the
+//! Every bin reads the two flags into an [`ObserveFlags`]
+//! ([`crate::cli::Args::observe`]), builds sinks from it
+//! ([`ObserveFlags::sink`], [`ObserveFlags::registry`]), runs its workload
+//! observed, and hands the collected timeline and registry back to
+//! [`ObserveFlags::write`]. Trace output lands twice: as JSONL at the
 //! `--trace` path (one compact object per line, byte-identical across
 //! engines and shard counts for a seed) and as a Chrome trace-event file
 //! next to it (open it in Perfetto or `chrome://tracing`). The metrics
 //! snapshot lands as pretty JSON at the `--metrics` path.
 
+use crate::cli::write_file;
 use cyclosa_runtime::metrics::Registry;
 use cyclosa_telemetry::export::{to_chrome_trace, to_jsonl};
 use cyclosa_telemetry::TraceSink;
@@ -57,8 +59,7 @@ impl ObserveFlags {
 
     /// Writes every requested output: the merged timeline from `sink`
     /// (JSONL + Chrome trace) and the snapshot of `registry`. Paths that
-    /// were not requested are skipped. Errors are fatal — a bench run
-    /// that silently drops its artifacts would look like success to CI.
+    /// were not requested are skipped. Errors are fatal.
     pub fn write(&self, sink: &TraceSink, registry: Option<&Registry>) {
         self.write_timeline(&sink.events(), registry)
     }
@@ -73,51 +74,23 @@ impl ObserveFlags {
         registry: Option<&Registry>,
     ) {
         if let Some(path) = &self.trace {
-            write_or_die(path, &to_jsonl(events));
+            write_file(path, &to_jsonl(events));
             let chrome = chrome_trace_path(path);
-            write_or_die(&chrome, &to_chrome_trace(events));
+            write_file(&chrome, &to_chrome_trace(events));
             eprintln!("# wrote {} events to {path} and {chrome}", events.len());
         }
         if let Some(path) = &self.metrics {
             let registry = registry.expect("--metrics implies a registry");
-            write_or_die(path, &(registry.snapshot().to_json().pretty() + "\n"));
+            write_file(path, &(registry.snapshot().to_json().pretty() + "\n"));
             eprintln!("# wrote metrics snapshot to {path}");
         }
-    }
-}
-
-fn write_or_die(path: &str, contents: &str) {
-    if let Err(err) = std::fs::write(path, contents) {
-        eprintln!("error: cannot write {path}: {err}");
-        std::process::exit(1);
-    }
-}
-
-/// Matches `--trace PATH` / `--metrics PATH` inside a bin's manual
-/// argument loop. Returns `Ok(true)` when `arg` was one of the two flags
-/// (consuming its value from `args`), `Ok(false)` when the bin should
-/// keep matching.
-pub fn parse_observe_flag(
-    flags: &mut ObserveFlags,
-    arg: &str,
-    args: &mut impl Iterator<Item = String>,
-) -> Result<bool, String> {
-    match arg {
-        "--trace" => {
-            flags.trace = Some(args.next().ok_or("--trace needs a path")?);
-            Ok(true)
-        }
-        "--metrics" => {
-            flags.metrics = Some(args.next().ok_or("--metrics needs a path")?);
-            Ok(true)
-        }
-        _ => Ok(false),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::Stop;
 
     #[test]
     fn chrome_path_swaps_the_jsonl_extension() {
@@ -142,13 +115,23 @@ mod tests {
 
     #[test]
     fn parse_consumes_only_the_observe_flags() {
-        let mut flags = ObserveFlags::default();
-        let mut args = vec!["x.jsonl".to_owned()].into_iter();
-        assert!(parse_observe_flag(&mut flags, "--trace", &mut args).unwrap());
-        assert!(!parse_observe_flag(&mut flags, "--seed", &mut args).unwrap());
-        assert!(parse_observe_flag(&mut flags, "--metrics", &mut args)
-            .unwrap_err()
-            .contains("needs a path"));
+        let argv = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let read = |args: &[&str]| {
+            crate::cli::read(argv(args), ObserveFlags::default(), |flags, _, args| {
+                args.observe(flags)
+            })
+        };
+        let flags = read(&["--trace", "x.jsonl"]).unwrap();
         assert_eq!(flags.trace.as_deref(), Some("x.jsonl"));
+        assert_eq!(flags.metrics, None);
+        // Anything else is left to the bin's own arms (here: none).
+        assert_eq!(
+            read(&["--trace", "x.jsonl", "--seed", "1"]).unwrap_err(),
+            Stop::Bad("unknown argument \"--seed\"".to_owned())
+        );
+        assert_eq!(
+            read(&["--trace", "x.jsonl", "--metrics"]).unwrap_err(),
+            Stop::Bad("--metrics needs a value".to_owned())
+        );
     }
 }

@@ -72,6 +72,15 @@ pub fn churn_stream(seed: u64, model_tag: u64, entity: u64) -> Xoshiro256StarSta
     Xoshiro256StarStar::seed_from_u64(mix(seed, model_tag, entity))
 }
 
+/// The exponential distribution of a model's `what` field. A zero mean is
+/// refused, not floored to some tiny positive one: a session model whose
+/// sessions last nanoseconds emits events without time advancing, and
+/// neither `sample` nor the run it feeds would ever reach the horizon.
+fn exponential_with_mean(mean: SimTime, what: &str) -> Exponential {
+    assert!(mean > SimTime::ZERO, "{what} must be positive");
+    Exponential::new(1.0 / mean.as_secs_f64())
+}
+
 const TAG_SESSIONS: u64 = 1;
 const TAG_BURSTS: u64 = 2;
 const TAG_STORMS: u64 = 3;
@@ -87,6 +96,12 @@ impl ChurnModel {
     /// probability frozen at storm level.
     ///
     /// The result is a pure function of `(model, targets, horizon, seed)`.
+    ///
+    /// # Panics
+    ///
+    /// On a model that describes no process: a zero `mean_uptime`,
+    /// `mean_downtime` or `mean_interval`, a burst fraction outside
+    /// `[0, 1]`, or a trace that goes back in time.
     pub fn sample(&self, targets: &[NodeId], horizon: SimTime, seed: u64) -> ChaosPlan {
         let mut events: Vec<FaultEvent> = Vec::new();
         match self {
@@ -94,8 +109,8 @@ impl ChurnModel {
                 mean_uptime,
                 mean_downtime,
             } => {
-                let up = Exponential::new(1.0 / mean_uptime.as_secs_f64().max(1e-9));
-                let down = Exponential::new(1.0 / mean_downtime.as_secs_f64().max(1e-9));
+                let up = exponential_with_mean(*mean_uptime, "mean_uptime");
+                let down = exponential_with_mean(*mean_downtime, "mean_downtime");
                 for &node in targets {
                     // One independent stream per node: re-ordering targets
                     // or adding nodes never shifts another node's sessions.
@@ -127,7 +142,7 @@ impl ChurnModel {
                 if targets.is_empty() {
                     return ChaosPlan::new();
                 }
-                let inter = Exponential::new(1.0 / mean_interval.as_secs_f64().max(1e-9));
+                let inter = exponential_with_mean(*mean_interval, "mean_interval");
                 let mut rng = churn_stream(seed, TAG_BURSTS, 0);
                 let victims_per_burst =
                     ((targets.len() as f64 * burst_fraction).round() as usize).max(1);
@@ -198,7 +213,7 @@ impl ChurnModel {
                 storm_loss,
                 base_loss,
             } => {
-                let inter = Exponential::new(1.0 / mean_interval.as_secs_f64().max(1e-9));
+                let inter = exponential_with_mean(*mean_interval, "mean_interval");
                 let mut rng = churn_stream(seed, TAG_STORMS, 0);
                 let mut t = inter.sample(&mut rng);
                 while SimTime::from_secs_f64(t) < horizon {
@@ -528,5 +543,35 @@ mod tests {
             (SimTime::from_secs(1), FaultKind::Recover(NodeId(1))),
         ];
         let _ = ChurnModel::Trace(trace).sample(&[], SimTime::from_secs(10), 0);
+    }
+
+    #[test]
+    fn zero_means_are_refused_not_floored() {
+        let (zero, one) = (SimTime::ZERO, SimTime::from_secs(1));
+        let sessions = |mean_uptime, mean_downtime| ChurnModel::ExponentialSessions {
+            mean_uptime,
+            mean_downtime,
+        };
+        for model in [
+            sessions(zero, one),
+            sessions(one, zero),
+            ChurnModel::FailureBursts {
+                mean_interval: zero,
+                burst_fraction: 0.5,
+                recover_after: None,
+            },
+            ChurnModel::LossStorms {
+                mean_interval: zero,
+                duration: one,
+                storm_loss: 0.5,
+                base_loss: 0.0,
+            },
+        ] {
+            // A horizon of nanoseconds: a floored mean would still return
+            // (with a plan full of events) instead of hanging the test.
+            let sampled =
+                std::panic::catch_unwind(|| model.sample(&nodes(2), SimTime::from_nanos(50), 1));
+            assert!(sampled.is_err(), "{model:?} sampled with a zero mean");
+        }
     }
 }

@@ -138,6 +138,13 @@ pub struct PhaseSummary {
     pub median_latency_s: f64,
 }
 
+cyclosa_util::impl_to_json!(PhaseSummary {
+    issued,
+    answered,
+    mean_achieved_k,
+    median_latency_s,
+});
+
 impl PhaseSummary {
     fn over(queries: &[&AnsweredQuery], issued: usize) -> Self {
         let latencies: Vec<f64> = queries.iter().map(|q| q.latency_s).collect();

@@ -132,9 +132,10 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Loads and scans the workspace rooted at `root`. `vendor/`,
-    /// `target/` and per-crate `tests/`/`benches/` directories are out of
-    /// scope: the rules only police production sources.
+    /// Loads and scans the workspace rooted at `root`: each member's
+    /// `src/` and the root package's. `target/`, `benchmarks/` and
+    /// per-crate `tests/` directories are out of scope: the rules only
+    /// police production sources.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut sources = Vec::new();
         let crates_dir = root.join("crates");

@@ -13,11 +13,13 @@ use cyclosa_util::json::Json;
 
 /// Parses one JSON document. Numbers parse as `U64` when they are
 /// non-negative integers, `I64` when negative integers, `F64` otherwise
-/// — mirroring what the serializer emits.
+/// — mirroring what the serializer emits. Arrays and objects may nest
+/// [`MAX_NESTING`] deep; a deeper document is an error, not a stack
+/// overflow.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -44,8 +46,22 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deep arrays and objects may nest in a document [`parse_json`]
+/// accepts. The parser recurses once per level and its input comes from
+/// files named on a command line, so the bound is what keeps a hostile
+/// file from exhausting the stack; the deepest record this repository
+/// writes nests under ten levels.
+pub const MAX_NESTING: usize = 128;
+
+/// `depth` counts the arrays and objects enclosing the value at `pos`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_NESTING && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_NESTING} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -61,7 +77,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -86,7 +102,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -208,9 +224,8 @@ fn check_unsigned(value: &Json, what: &str) -> Result<(), String> {
 /// every emitter in the instrumented crates uses a registered name and
 /// that every registered name still has an emitter.
 // cyclosa-lint: schema-registry
-pub const TRACE_EVENT_FAMILIES: [&str; 10] = [
-    "plan.", "query.", "relay.", "engine.", "latency.", "fault.", "mship.", "slo.", "bench.",
-    "adv.",
+pub const TRACE_EVENT_FAMILIES: [&str; 9] = [
+    "plan.", "query.", "relay.", "engine.", "latency.", "fault.", "mship.", "slo.", "adv.",
 ];
 
 /// Every trace event name the workspace emits, by family. Adding an
@@ -218,7 +233,7 @@ pub const TRACE_EVENT_FAMILIES: [&str; 10] = [
 /// an emitter fails the lint), so this list is the single authoritative
 /// catalogue of the trace vocabulary.
 // cyclosa-lint: schema-registry
-pub const TRACE_EVENT_NAMES: [&str; 37] = [
+pub const TRACE_EVENT_NAMES: [&str; 36] = [
     // Query-plan lifecycle (core::node).
     "plan.assess",
     "plan.fakes_drawn",
@@ -256,8 +271,6 @@ pub const TRACE_EVENT_NAMES: [&str; 37] = [
     "slo.privacy.burn",
     "slo.latency.burn",
     "slo.membership.burn",
-    // Benchmark markers (bench bins).
-    "bench.measure",
     // Active-adversary annotations (chaos::plan, chaos::experiment):
     // policy activations and the byzantine tampering they cause.
     "adv.policy",
@@ -463,7 +476,7 @@ mod tests {
     #[test]
     fn family_names_outside_the_schema_are_rejected() {
         assert!(check_event_name("plan.assess").is_ok());
-        assert!(check_event_name("bench.measure").is_ok());
+        assert!(check_event_name("adv.collude").is_ok());
         assert!(check_event_name("hop").is_ok(), "unfamilied names pass");
         let err = check_event_name("plan.bogus").unwrap_err();
         assert!(err.contains("closed"), "{err}");
@@ -493,6 +506,28 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "1 2", "\"unterminated"] {
             assert!(parse_json(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parser_caps_nesting_instead_of_overflowing_the_stack() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth);
+        assert!(parse_json(&arrays(MAX_NESTING)).is_ok());
+        assert!(parse_json(&objects(MAX_NESTING)).is_ok());
+        for too_deep in [
+            arrays(MAX_NESTING + 1),
+            objects(MAX_NESTING + 1),
+            // Mixed nesting counts both kinds against the one bound.
+            "[{\"a\":".repeat(MAX_NESTING / 2) + "[]",
+            // Hostile files: never closed, far past any stack.
+            "[".repeat(200_000),
+            "{\"a\":".repeat(200_000),
+        ] {
+            let err = parse_json(&too_deep).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // The bound is on depth, not on size: wide and shallow is fine.
+        assert!(parse_json(&format!("[{}[]]", "[],".repeat(10_000))).is_ok());
     }
 
     #[test]
