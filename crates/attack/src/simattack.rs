@@ -15,55 +15,78 @@
 //! index** over the adversary's knowledge base:
 //!
 //! * one shared [`TermInterner`] assigns a dense
-//!   [`TermId`](cyclosa_nlp::text::TermId) to every term ever seen in
-//!   training or attacked queries;
-//! * postings `TermId → [(user, past-query)]` list, for every term, the
-//!   training queries containing it;
-//! * per past-query norms come cached from the [`IdVector`]s the profiles
-//!   already store.
+//!   [`TermId`](cyclosa_nlp::text::TermId) to every term seen in
+//!   *training*;
+//! * every learned past query gets a dense global **ordinal** in learning
+//!   order, with its owner (the dense index of its user) and the norm of
+//!   its vector stored beside it. One user's ordinals need not be
+//!   contiguous — [`SimAttack::learn_user`] may extend a known user after
+//!   others were learned;
+//! * postings `TermId → [ordinal]` list, for every term, the training
+//!   queries containing it.
 //!
-//! `reidentify` then tokenizes the query **once**, walks only the postings
-//! of its terms, and scores only the *candidate* profiles that share at
-//! least one term with the query. Profiles sharing no term score exactly
-//! `0.0` — below any threshold in `[0, 1]` and unable to create a tie
-//! (ties require a positive score) — so skipping them cannot change the
-//! attribution decision: the index returns **bit-identical decisions** to
-//! the reference scan (retained as [`SimAttack::reidentify_scan`] and
-//! pinned by `tests/kernel_equivalence.rs`), at `O(matching postings)`
-//! cost per query.
+//! `reidentify` tokenizes the query **once** and gathers the postings of
+//! its terms — `u32` ordinals, one ascending run per term — into one list,
+//! which a stable sort merges. Both sides are binary vectors, so the number
+//! of times an ordinal occurs in the merged list *is* its dot product with
+//! the query, and only the ordinals that occur have a positive cosine. Those
+//! are grouped per owner (a second stable sort, over what is one ascending
+//! run unless users were learned interleaved), and
+//! each *candidate* profile — one sharing at least one term with the query
+//! — is scored from its positive cosines and the **count** of its remaining
+//! past queries by [`exponential_smoothing_zero_tail`]. The reference ranks
+//! every past query's cosine and folds from the smallest up; the unmatched
+//! ones are exact `0.0`s, and `alpha * 0.0 + (1 - alpha) * 0.0 == 0.0`, so
+//! however many there are they leave the fold at `+0.0` — the count only
+//! says whether the fold starts there or at the smallest positive cosine.
+//! The score therefore has the bits [`UserProfile::similarity_vector`]
+//! gives.
+//!
+//! Profiles sharing no term score exactly `0.0` — below any threshold in
+//! `[0, 1]` and unable to create a tie (ties require a positive score) — so
+//! skipping them cannot change the attribution decision: the index returns
+//! **bit-identical decisions** to the reference scan (retained as
+//! [`SimAttack::reidentify_scan`] and pinned by
+//! `tests/kernel_equivalence.rs`). A query costs
+//! `O(matching postings × log terms)`, whatever the number of learned
+//! queries and users: nothing sized by the index is allocated or cleared
+//! per call, which is why the overlaps are counted by sorting the hits and
+//! not in a dense array with one counter per ordinal.
+//!
+//! Attacking never teaches: an attacked query is vectorized by
+//! [`IdVector::binary_from_known_terms`], which interns nothing. A term the
+//! training set never contained has no posting to match, so it counts in
+//! the query's norm and nowhere else, and the adversary's memory is a
+//! function of what it *learned*, not of how many novel terms an engine log
+//! carries past it.
 
 use cyclosa_mechanism::UserId;
 use cyclosa_nlp::kernel::IdVector;
 use cyclosa_nlp::profile::UserProfile;
 use cyclosa_nlp::text::TermInterner;
-use cyclosa_util::smoothing::exponential_smoothing;
+use cyclosa_util::smoothing::exponential_smoothing_zero_tail;
 use cyclosa_workload::generator::UserTrace;
 use std::collections::BTreeMap;
 
 /// The confidence threshold used by the paper.
 pub const DEFAULT_THRESHOLD: f64 = 0.5;
 
-/// One entry of a term's postings list: a training query of one user.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Posting {
-    /// Dense index of the user (insertion order into the adversary).
-    user: u32,
-    /// Index of the past query within that user's profile.
-    query: u32,
-}
-
 /// The SimAttack adversary.
 #[derive(Debug, Default)]
 pub struct SimAttack {
     interner: TermInterner,
-    profiles: BTreeMap<UserId, UserProfile>,
-    /// Users in learning order; positions are the dense user indexes the
-    /// postings refer to.
-    users: Vec<UserId>,
+    /// Users and their profiles in learning order; positions are the dense
+    /// user indexes `owner` and `user_index` refer to.
+    profiles: Vec<(UserId, UserProfile)>,
     user_index: BTreeMap<UserId, u32>,
-    /// `postings[term.index()]` lists the training queries containing the
-    /// term. Indexed by `TermId`, grown lazily as training terms appear.
-    postings: Vec<Vec<Posting>>,
+    /// `owner[ordinal]`: dense index of the user the past query belongs to.
+    owner: Vec<u32>,
+    /// `norm[ordinal]`: Euclidean norm of the past query's vector.
+    norm: Vec<f64>,
+    /// `postings[term.index()]` lists the ordinals of the training queries
+    /// containing the term, ascending. Indexed by `TermId`, grown lazily as
+    /// training terms appear.
+    postings: Vec<Vec<u32>>,
     threshold: f64,
 }
 
@@ -85,12 +108,8 @@ impl SimAttack {
             "threshold must be in [0, 1]"
         );
         Self {
-            interner: TermInterner::new(),
-            profiles: BTreeMap::new(),
-            users: Vec::new(),
-            user_index: BTreeMap::new(),
-            postings: Vec::new(),
             threshold,
+            ..Self::default()
         }
     }
 
@@ -107,39 +126,27 @@ impl SimAttack {
     /// Adds (or extends) the profile of one user from a training trace,
     /// updating the inverted index incrementally.
     pub fn learn_user(&mut self, trace: &UserTrace) {
-        let user_idx = match self.user_index.get(&trace.user) {
-            Some(&idx) => idx,
-            None => {
-                let idx = self.users.len() as u32;
-                self.users.push(trace.user);
-                self.user_index.insert(trace.user, idx);
-                self.profiles.insert(
-                    trace.user,
-                    UserProfile::with_interner(self.interner.clone()),
-                );
-                idx
-            }
-        };
-        let profile = self
-            .profiles
-            .get_mut(&trace.user)
-            .expect("profile inserted above");
+        let next = self.profiles.len() as u32;
+        let user = *self.user_index.entry(trace.user).or_insert(next);
+        if user == next {
+            let profile = UserProfile::with_interner(self.interner.clone());
+            self.profiles.push((trace.user, profile));
+        }
+        let profile = &mut self.profiles[user as usize].1;
         for q in &trace.queries {
             let before = profile.len();
             profile.record_query(&q.query.text);
-            if profile.len() == before {
+            let Some(vector) = profile.past_vectors().get(before) else {
                 continue; // no content terms — not recorded
-            }
-            let vector = &profile.past_vectors()[before];
-            let query_idx = before as u32;
+            };
+            let ordinal = self.owner.len() as u32;
+            self.owner.push(user);
+            self.norm.push(vector.norm());
             for (id, _) in vector.iter() {
                 if id.index() >= self.postings.len() {
                     self.postings.resize_with(id.index() + 1, Vec::new);
                 }
-                self.postings[id.index()].push(Posting {
-                    user: user_idx,
-                    query: query_idx,
-                });
+                self.postings[id.index()].push(ordinal);
             }
         }
     }
@@ -160,17 +167,24 @@ impl SimAttack {
         &self.interner
     }
 
-    /// Tokenizes and vectorizes a query once against the adversary's
-    /// interner; the result can be passed to [`SimAttack::reidentify_vector`]
-    /// any number of times.
+    /// Tokenizes and vectorizes a query once over the adversary's
+    /// vocabulary, interning nothing (see the module documentation); the
+    /// result can be passed to [`SimAttack::reidentify_vector`] any number
+    /// of times.
     pub fn prepare(&self, query: &str) -> IdVector {
-        IdVector::binary_from_query(&self.interner, query)
+        IdVector::binary_from_known_terms(&self.interner, query)
+    }
+
+    /// The profile of a known user.
+    fn profile_of(&self, user: UserId) -> Option<&UserProfile> {
+        let index = *self.user_index.get(&user)?;
+        Some(&self.profiles[index as usize].1)
     }
 
     /// The profile similarity of `query` with a specific user, if known.
     /// The query is tokenized and vectorized once.
     pub fn similarity_to(&self, user: UserId, query: &str) -> Option<f64> {
-        let profile = self.profiles.get(&user)?;
+        let profile = self.profile_of(user)?;
         Some(profile.similarity_vector(&self.prepare(query)))
     }
 
@@ -178,50 +192,52 @@ impl SimAttack {
     /// least one term with `vector`, as `(dense user index, score)` pairs
     /// sorted by user index. Profiles not listed score exactly 0.
     fn candidate_scores(&self, vector: &IdVector) -> Vec<(u32, f64)> {
-        // Count shared terms per (user, past query). Both sides are binary
-        // vectors, so the dot product is the (exact, small-integer) overlap
-        // count.
-        let mut overlap: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        // Every posting of a query term is one shared term with one past
+        // query. Both sides are binary vectors, so the number of times an
+        // ordinal is hit is the (exact, small-integer) dot product.
+        let mut hits: Vec<u32> = Vec::new();
         for (id, _) in vector.iter() {
-            if let Some(posts) = self.postings.get(id.index()) {
-                for p in posts {
-                    *overlap.entry((p.user, p.query)).or_insert(0) += 1;
-                }
+            if let Some(postings) = self.postings.get(id.index()) {
+                hits.extend_from_slice(postings);
             }
         }
-        if overlap.is_empty() {
+        if hits.is_empty() {
             return Vec::new();
         }
-        // Group per user, deterministically.
-        let mut matched: Vec<((u32, u32), u32)> = overlap.into_iter().collect();
-        matched.sort_unstable_by_key(|&(key, _)| key);
-
-        let mut scores: Vec<(u32, f64)> = Vec::new();
-        let mut i = 0usize;
-        while i < matched.len() {
-            let user = matched[i].0 .0;
-            let profile = &self.profiles[&self.users[user as usize]];
-            // Norms are cached inside each past-query vector at recording
-            // time.
-            let past = profile.past_vectors();
-            // Reconstruct the full similarity list the reference scan feeds
-            // into the smoothing: matched past queries get their cosine,
-            // every other past query contributes an exact 0.0.
-            let mut sims: Vec<f64> = Vec::with_capacity(past.len());
-            while i < matched.len() && matched[i].0 .0 == user {
-                let (_, query_idx) = matched[i].0;
-                let count = matched[i].1;
-                let denom = vector.norm() * past[query_idx as usize].norm();
-                let sim = if denom == 0.0 {
-                    0.0
-                } else {
-                    (count as f64 / denom).clamp(-1.0, 1.0)
-                };
-                sims.push(sim);
-                i += 1;
+        // One ascending run per query term: the stable sort finds the runs
+        // and merges them, `O(hits × log terms)`.
+        hits.sort();
+        let mut matched: Vec<(u32, u32)> = Vec::new();
+        for &ordinal in &hits {
+            match matched.last_mut() {
+                Some((last, overlap)) if *last == ordinal => *overlap += 1,
+                _ => matched.push((ordinal, 1)),
             }
-            sims.resize(past.len(), 0.0);
-            scores.push((user, exponential_smoothing(&sims, profile.alpha())));
+        }
+        // Group per owner, deterministically. Ordinals ascend, and owners
+        // ascend with them except where `learn_user` returned to a known
+        // user, so this stable sort too merges a few long runs — one when
+        // every user was learned in a single call.
+        let owner = |&(ordinal, _): &(u32, u32)| self.owner[ordinal as usize];
+        matched.sort_by_key(owner);
+        let mut scores = Vec::new();
+        let mut cosines: Vec<f64> = Vec::new();
+        for group in matched.chunk_by(|a, b| owner(a) == owner(b)) {
+            let user = owner(&group[0]);
+            let profile = &self.profiles[user as usize].1;
+            cosines.clear();
+            cosines.extend(group.iter().map(|&(ordinal, overlap)| {
+                // The cosine of `cosine_similarity_ids`; norms are positive
+                // on both sides of a shared term.
+                let denom = vector.norm() * self.norm[ordinal as usize];
+                (overlap as f64 / denom).clamp(-1.0, 1.0)
+            }));
+            // Every past query of the candidate that was not matched
+            // contributes an exact 0.0 to the reference's ranked list: pass
+            // their number.
+            let zeros = profile.len() - group.len();
+            let score = exponential_smoothing_zero_tail(&mut cosines, zeros, profile.alpha());
+            scores.push((user, score));
         }
         scores
     }
@@ -258,7 +274,7 @@ impl SimAttack {
         }
         match best {
             Some((user, score)) if score > self.threshold && !tie => {
-                Some(self.users[user as usize])
+                Some(self.profiles[user as usize].0)
             }
             _ => None,
         }
@@ -272,8 +288,8 @@ impl SimAttack {
         let vector = self.prepare(query);
         let mut best: Option<(UserId, f64)> = None;
         let mut tie = false;
-        for user in &self.users {
-            let score = self.profiles[user].similarity_vector(&vector);
+        for (user, profile) in &self.profiles {
+            let score = profile.similarity_vector(&vector);
             match best {
                 None => best = Some((*user, score)),
                 Some((_, best_score)) => {
@@ -330,7 +346,7 @@ impl SimAttack {
         }
         match best {
             Some((user, i, score)) if score > self.threshold && !tie => {
-                Some((self.users[user as usize], i))
+                Some((self.profiles[user as usize].0, i))
             }
             _ => None,
         }
@@ -344,10 +360,10 @@ impl SimAttack {
     /// when the user is unknown, the candidate list is empty, or no
     /// candidate shows any similarity to the profile.
     pub fn pick_real_query(&self, user: UserId, candidates: &[&str]) -> Option<usize> {
-        let profile = self.profiles.get(&user)?;
+        let profile = self.profile_of(user)?;
         let mut best: Option<(usize, f64)> = None;
         for (i, candidate) in candidates.iter().enumerate() {
-            let score = profile.similarity_vector(&profile.prepare(candidate));
+            let score = profile.similarity_vector(&self.prepare(candidate));
             if best.map(|(_, s)| score > s).unwrap_or(true) {
                 best = Some((i, score));
             }
@@ -471,7 +487,7 @@ mod tests {
             let vector = attack.prepare(query);
             let scores = attack.candidate_scores(&vector);
             for (user_idx, score) in scores {
-                let user = attack.users[user_idx as usize];
+                let user = attack.profiles[user_idx as usize].0;
                 let expected = attack.similarity_to(user, query).unwrap();
                 assert_eq!(
                     score.to_bits(),
@@ -480,6 +496,134 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every candidate score equals the reference similarity bit for bit,
+    /// every profile the index leaves out scores exactly zero, and the
+    /// decision is the full scan's.
+    fn assert_index_matches_scan(attack: &SimAttack, query: &str) {
+        let scores = attack.candidate_scores(&attack.prepare(query));
+        assert!(scores.windows(2).all(|w| w[0].0 < w[1].0), "{query:?}");
+        for (index, (user, _)) in attack.profiles.iter().enumerate() {
+            let expected = attack.similarity_to(*user, query).unwrap();
+            match scores
+                .iter()
+                .find(|(candidate, _)| *candidate as usize == index)
+            {
+                Some((_, score)) => assert_eq!(
+                    score.to_bits(),
+                    expected.to_bits(),
+                    "user {user:?}, query {query:?}"
+                ),
+                None => assert_eq!(expected, 0.0, "user {user:?}, query {query:?}"),
+            }
+        }
+        assert_eq!(
+            attack.reidentify(query),
+            attack.reidentify_scan(query),
+            "query: {query:?}"
+        );
+    }
+
+    #[test]
+    fn interleaved_learning_keeps_scores_and_decisions() {
+        // User 0 is extended after user 1 was learned, so her ordinals are
+        // {0, 1, 4, 5}: not contiguous.
+        let mut attack = SimAttack::new();
+        attack.learn_user(&trace(0, &["diabetes insulin dosage", "glucose monitor"]));
+        attack.learn_user(&trace(
+            1,
+            &["insulin pump price", "hotel booking barcelona"],
+        ));
+        attack.learn_user(&trace(
+            0,
+            &["insulin pump battery", "the of and", "hotel spa"],
+        ));
+        assert_eq!(attack.known_users(), 2);
+        assert_eq!(attack.owner, [0, 0, 1, 1, 0, 0]);
+        for query in [
+            "insulin",
+            "insulin pump",
+            "insulin pump battery",
+            "hotel booking barcelona",
+            "hotel glucose",
+            "diabetes insulin dosage",
+            "monitor price spa",
+            "nothing shared",
+        ] {
+            assert_index_matches_scan(&attack, query);
+        }
+    }
+
+    #[test]
+    fn profiles_without_a_zero_tail_and_with_one_query_score_exactly() {
+        // Every past query of user 0 contains "insulin" (no zero is folded
+        // for her); user 1 has a single past query; user 2 has one match
+        // among many misses.
+        let attack = SimAttack::from_training(&[
+            trace(0, &["insulin dosage", "insulin pump price", "insulin"]),
+            trace(1, &["insulin pump"]),
+            trace(
+                2,
+                &[
+                    "insulin syringes",
+                    "marathon plan",
+                    "football",
+                    "train milan",
+                ],
+            ),
+        ]);
+        for query in ["insulin", "insulin pump", "insulin pump price", "pump"] {
+            assert_index_matches_scan(&attack, query);
+        }
+        // The no-zero branch was taken: user 0 is a candidate with as many
+        // positive cosines as past queries.
+        let vector = attack.prepare("insulin");
+        assert_eq!(attack.postings[vector.as_pairs()[0].0.index()].len(), 5);
+        assert_eq!(attack.candidate_scores(&vector).len(), 3);
+    }
+
+    #[test]
+    fn adversary_can_be_attacked_from_several_threads() {
+        fn shared_across_threads<T: Sync>(_: &T) {}
+        shared_across_threads(&adversary());
+    }
+
+    #[test]
+    fn attacking_never_grows_the_vocabulary() {
+        let attack = adversary();
+        let learned = attack.interner().len();
+        let unseen = "zyxwv quantum entanglement zyxwv";
+        assert_eq!(attack.reidentify(unseen), None);
+        assert_eq!(attack.reidentify_scan(unseen), None);
+        assert_eq!(
+            attack.reidentify_group(&[unseen, "lattice gauge theory"]),
+            None
+        );
+        assert_eq!(attack.similarity_to(UserId(0), unseen), Some(0.0));
+        assert_eq!(attack.pick_real_query(UserId(0), &[unseen, "muon"]), None);
+        // Seen and unseen terms mixed, one unseen term repeated: the unseen
+        // ones count once each in the norm and nowhere else, so the score is
+        // the one a profile that interns the whole query computes.
+        let reference = UserProfile::from_queries([
+            "diabetes insulin dosage",
+            "glucose monitor reviews",
+            "insulin pump price",
+        ]);
+        for query in [
+            "insulin zyxwv pump zyxwv entanglement",
+            "zyxwv insulin",
+            "glucose glucose muon",
+        ] {
+            assert_eq!(
+                attack.similarity_to(UserId(0), query).unwrap().to_bits(),
+                reference.similarity(query).to_bits(),
+                "query: {query:?}"
+            );
+            assert_index_matches_scan(&attack, query);
+            assert_eq!(attack.pick_real_query(UserId(0), &["muon", query]), Some(1));
+        }
+        assert_eq!(attack.interner().len(), learned);
     }
 
     #[test]

@@ -117,12 +117,11 @@ impl Cyclosa {
     }
 
     fn analyzer_for(&mut self, user: UserId) -> &mut SensitivityAnalyzer {
-        let protection = self.protection.clone();
-        let categorizer = self.categorizer.clone();
-        let method = self.method;
-        self.analyzers
-            .entry(user)
-            .or_insert_with(|| SensitivityAnalyzer::new(categorizer, method, &protection))
+        // Every user gets her own copy of the dictionaries, made once: the
+        // first time she is seen.
+        self.analyzers.entry(user).or_insert_with(|| {
+            SensitivityAnalyzer::new(self.categorizer.clone(), self.method, &self.protection)
+        })
     }
 
     fn draw_fakes(
@@ -180,10 +179,12 @@ impl Mechanism for Cyclosa {
     }
 
     fn protect(&mut self, query: &Query, rng: &mut Xoshiro256StarStar) -> ProtectionOutcome {
-        let k_max = self.protection.k_max;
-        let adaptive = self.adaptive;
-        let assessment = self.analyzer_for(query.user).assess(&query.text);
-        let k = if adaptive { assessment.k } else { k_max };
+        // The fixed-k ablation has no use for the assessment.
+        let k = if self.adaptive {
+            self.analyzer_for(query.user).assess(&query.text).k
+        } else {
+            self.protection.k_max
+        };
         self.k_history.push(k);
         let fakes = self.draw_fakes(k, &query.text, rng);
 

@@ -101,16 +101,17 @@ impl SensitivityAnalyzer {
     /// the history's interner, the linkability assessment.
     pub fn assess(&self, query: &str) -> SensitivityAssessment {
         let terms = cyclosa_nlp::text::tokenize(query);
-        let semantic = self.categorizer.is_sensitive_terms(&terms, self.method);
-        let matched_topics = if semantic {
-            self.categorizer
-                .matching_topics_terms(&terms, self.method)
-                .into_iter()
-                .map(|t| t.to_owned())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // One probe of every dictionary: a query is semantically sensitive
+        // exactly when a topic matches (`is_sensitive_terms` applies the
+        // same per-dictionary predicate; `tests/kernel_equivalence.rs` pins
+        // the agreement).
+        let matched_topics: Vec<String> = self
+            .categorizer
+            .matching_topics_terms(&terms, self.method)
+            .into_iter()
+            .map(|t| t.to_owned())
+            .collect();
+        let semantic = !matched_topics.is_empty();
         let linkability = self
             .local_history
             .similarity_vector(&self.local_history.prepare_terms(&terms));

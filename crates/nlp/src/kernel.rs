@@ -18,12 +18,14 @@
 //! The randomized equivalence suite in `tests/kernel_equivalence.rs` pins
 //! this.
 
-use crate::text::{TermId, TermInterner};
+use crate::text::{for_each_term, TermId, TermInterner};
 
 /// A sparse term-weight vector keyed by interned term id.
 ///
 /// Invariant: `terms` is sorted by id with no duplicates and no zero
-/// weights; `norm` caches the Euclidean norm of the weights.
+/// weights; `norm` caches the Euclidean norm of the vector — of the weights
+/// in `terms`, plus, for [`IdVector::binary_from_known_terms`], the
+/// coordinates the interner has no id for.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IdVector {
     terms: Vec<(TermId, f64)>,
@@ -41,6 +43,27 @@ impl IdVector {
     /// contribute to the norm, exactly as in the string-keyed reference).
     pub fn binary_from_query(interner: &TermInterner, query: &str) -> Self {
         Self::binary_from_ids(interner.tokenize_ids(query))
+    }
+
+    /// [`IdVector::binary_from_query`] for a query that must leave the
+    /// interner as it is (a query *scored against* stored vectors, never
+    /// stored itself): only terms the interner already knows get a
+    /// coordinate. A term it does not know can match nothing built from it,
+    /// so each distinct one counts in the norm alone, which stays
+    /// `sqrt(distinct content terms)` — every dot product and cosine keeps
+    /// the bits the interning constructor would give.
+    pub fn binary_from_known_terms(interner: &TermInterner, query: &str) -> Self {
+        let mut ids = Vec::new();
+        let mut unknown: Vec<String> = Vec::new();
+        for_each_term(query, |term| match interner.id_of(term) {
+            Some(id) => ids.push(id),
+            None => unknown.push(term.to_owned()),
+        });
+        unknown.sort_unstable();
+        unknown.dedup();
+        let mut vector = Self::binary_from_ids(ids);
+        vector.norm = ((vector.terms.len() + unknown.len()) as f64).sqrt();
+        vector
     }
 
     /// Builds a binary vector from term ids (duplicates collapsed).
@@ -177,6 +200,31 @@ mod tests {
         assert_eq!(v.len(), 3);
         assert_eq!(v.weight(it.id_of("cheap").unwrap()), 1.0);
         assert_eq!(v.weight(TermId(999)), 0.0);
+    }
+
+    #[test]
+    fn known_terms_vector_interns_nothing_and_keeps_the_full_norm() {
+        let it = interner();
+        let stored = IdVector::binary_from_query(&it, "cheap flights geneva");
+        let before = it.len();
+        let query = "Geneva geneva novel cheap novel unseen";
+        let known = IdVector::binary_from_known_terms(&it, query);
+        assert_eq!(it.len(), before);
+        assert_eq!(known.len(), 2);
+        // The reference interns "novel" and "unseen" into its own copy.
+        let other = interner();
+        let reference_stored = IdVector::binary_from_query(&other, "cheap flights geneva");
+        let reference = IdVector::binary_from_query(&other, query);
+        assert_eq!(known.norm().to_bits(), reference.norm().to_bits());
+        assert_eq!(
+            cosine_similarity_ids(&known, &stored).to_bits(),
+            cosine_similarity_ids(&reference, &reference_stored).to_bits()
+        );
+        // Nothing known: no coordinate, yet not a zero-norm vector.
+        let nothing = IdVector::binary_from_known_terms(&it, "novel unseen");
+        assert!(nothing.is_empty());
+        assert_eq!(nothing.norm(), 2.0_f64.sqrt());
+        assert_eq!(cosine_similarity_ids(&nothing, &stored), 0.0);
     }
 
     #[test]

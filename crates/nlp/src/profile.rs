@@ -35,7 +35,6 @@ pub const DEFAULT_SMOOTHING_ALPHA: f64 = 0.7;
 pub struct UserProfile {
     interner: TermInterner,
     queries: Vec<IdVector>,
-    raw_queries: Vec<String>,
     alpha: f64,
 }
 
@@ -59,7 +58,6 @@ impl UserProfile {
         Self {
             interner,
             queries: Vec::new(),
-            raw_queries: Vec::new(),
             alpha: DEFAULT_SMOOTHING_ALPHA,
         }
     }
@@ -103,7 +101,6 @@ impl UserProfile {
             return;
         }
         self.queries.push(vector);
-        self.raw_queries.push(query.to_owned());
     }
 
     /// Number of past queries in the profile.
@@ -114,12 +111,6 @@ impl UserProfile {
     /// Returns `true` when no query has been recorded.
     pub fn is_empty(&self) -> bool {
         self.queries.is_empty()
-    }
-
-    /// The raw past queries (useful for building fake-query tables and
-    /// co-occurrence statistics).
-    pub fn raw_queries(&self) -> &[String] {
-        &self.raw_queries
     }
 
     /// The past queries as id vectors, in recording order — the postings
@@ -258,8 +249,11 @@ mod tests {
         assert!(profile.is_empty());
         profile.record_query("real query terms");
         assert_eq!(profile.len(), 1);
-        assert_eq!(profile.raw_queries(), ["real query terms"]);
         assert_eq!(profile.past_vectors().len(), 1);
+        assert_eq!(
+            profile.past_vectors()[0],
+            profile.prepare("real query terms")
+        );
     }
 
     #[test]

@@ -215,9 +215,10 @@ impl Vocabulary {
 /// handed to every user profile, the SimAttack adversary and the
 /// search-engine index, and they all agree on term ids. Interning through a
 /// shared reference is possible (`&self` — the storage is behind an
-/// `RwLock`), which lets read-mostly hot paths such as
-/// `SimAttack::reidentify` intern previously unseen query terms without
-/// exclusive access to the adversary.
+/// `RwLock`), so a profile can record queries through `&self` clones of the
+/// interner it shares. Paths that only *score* a query (such as
+/// `SimAttack::reidentify`) look terms up and intern nothing — see
+/// `IdVector::binary_from_known_terms`.
 ///
 /// Id stability rules: ids are issued densely in first-intern order, never
 /// reused and never remapped. Vectors built against one interner must only

@@ -3,9 +3,11 @@
 //! reference implementations — bit-identically for binary vectors and for
 //! every attribution decision on the seeded synthetic AOL workload.
 
+use cyclosa::config::ProtectionConfig;
 use cyclosa_attack::simattack::SimAttack;
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
 use cyclosa_mechanism::UserId;
+use cyclosa_nlp::categorizer::CategorizerMethod;
 use cyclosa_nlp::kernel::{cosine_similarity_ids, IdVector};
 use cyclosa_nlp::profile::DEFAULT_SMOOTHING_ALPHA;
 use cyclosa_nlp::text::{is_stop_word, normalize, tokenize, TermInterner};
@@ -135,11 +137,9 @@ impl SeedScan {
     }
 }
 
-#[test]
-fn simattack_decisions_are_identical_on_the_seeded_workload() {
-    let setup = ExperimentSetup::new(ExperimentScale::Small, 2018);
-    let attack = SimAttack::from_training(&setup.train);
-    let seed = SeedScan {
+/// The seed scan over the training set of `setup`.
+fn seed_scan(setup: &ExperimentSetup) -> SeedScan {
+    SeedScan {
         profiles: setup
             .train
             .iter()
@@ -155,7 +155,23 @@ fn simattack_decisions_are_identical_on_the_seeded_workload() {
             })
             .collect(),
         threshold: 0.5,
-    };
+    }
+}
+
+#[test]
+fn simattack_decisions_are_identical_on_the_seeded_workload() {
+    decisions_are_identical_at(2018);
+}
+
+#[test]
+fn simattack_decisions_are_identical_on_a_second_seed() {
+    decisions_are_identical_at(31);
+}
+
+fn decisions_are_identical_at(workload_seed: u64) {
+    let setup = ExperimentSetup::new(ExperimentScale::Small, workload_seed);
+    let attack = SimAttack::from_training(&setup.train);
+    let seed = seed_scan(&setup);
 
     let mut index_successes = 0usize;
     let mut scan_successes = 0usize;
@@ -182,28 +198,20 @@ fn simattack_decisions_are_identical_on_the_seeded_workload() {
 
 #[test]
 fn simattack_scores_are_bit_identical_for_candidates() {
-    let setup = ExperimentSetup::new(ExperimentScale::Small, 7);
+    scores_are_bit_identical_at(7);
+}
+
+#[test]
+fn simattack_scores_are_bit_identical_on_a_second_seed() {
+    scores_are_bit_identical_at(31);
+}
+
+fn scores_are_bit_identical_at(workload_seed: u64) {
+    let setup = ExperimentSetup::new(ExperimentScale::Small, workload_seed);
     let attack = SimAttack::from_training(&setup.train);
-    let seed_profiles: Vec<(UserId, Vec<TermVector>)> = setup
-        .train
-        .iter()
-        .map(|t| {
-            (
-                t.user,
-                t.queries
-                    .iter()
-                    .map(|q| TermVector::binary_from_query(&q.query.text))
-                    .filter(|v| !v.is_empty())
-                    .collect(),
-            )
-        })
-        .collect();
-    let seed = SeedScan {
-        profiles: seed_profiles.clone(),
-        threshold: 0.5,
-    };
+    let seed = seed_scan(&setup);
     for q in setup.test_queries.iter().take(100) {
-        for (user, past) in &seed_profiles {
+        for (user, past) in &seed.profiles {
             let reference = seed.similarity(past, &q.query.text);
             let kernel = attack.similarity_to(*user, &q.query.text).unwrap();
             assert_eq!(
@@ -218,6 +226,16 @@ fn simattack_scores_are_bit_identical_for_candidates() {
 
 #[test]
 fn group_reidentification_matches_reference_rule() {
+    group_reidentification_matches_reference_rule_over(3);
+}
+
+/// The PEAS / X-SEARCH shape: the real query hidden among seven others.
+#[test]
+fn group_reidentification_matches_reference_rule_over_eight_disjuncts() {
+    group_reidentification_matches_reference_rule_over(8);
+}
+
+fn group_reidentification_matches_reference_rule_over(disjunct_count: usize) {
     let setup = ExperimentSetup::new(ExperimentScale::Small, 99);
     let attack = SimAttack::from_training(&setup.train);
     let users: Vec<UserId> = setup.train.iter().map(|t| t.user).collect();
@@ -226,7 +244,8 @@ fn group_reidentification_matches_reference_rule() {
         .iter()
         .map(|q| q.query.text.as_str())
         .collect();
-    for window in texts.windows(3).take(60) {
+    let mut attributed = 0usize;
+    for window in texts.windows(disjunct_count).take(60) {
         let disjuncts: Vec<&str> = window.to_vec();
         // Reference: score every (user, disjunct) pair through the public
         // similarity API and apply the unique-max/threshold rule.
@@ -256,6 +275,42 @@ fn group_reidentification_matches_reference_rule() {
             attack.reidentify_group(&disjuncts),
             reference,
             "disjuncts: {disjuncts:?}"
+        );
+        attributed += usize::from(reference.is_some());
+    }
+    // Otherwise the equality above compares `None` with `None` only.
+    assert!(attributed > 0, "no group was attributed");
+}
+
+/// `SensitivityAnalyzer::assess` derives its `semantic` flag from the
+/// matched topics; that is only right while the two categorizer entry
+/// points apply the same per-dictionary predicate.
+#[test]
+fn sensitive_means_some_topic_matched_under_every_method() {
+    let setup = ExperimentSetup::new(ExperimentScale::Small, 2018);
+    let categorizer = setup.categorizer(&ProtectionConfig::default());
+    for method in [
+        CategorizerMethod::WordNet,
+        CategorizerMethod::Lda,
+        CategorizerMethod::Combined,
+    ] {
+        let queries = || setup.log.traces.iter().flat_map(|t| &t.queries);
+        let mut sensitive = 0usize;
+        for q in queries() {
+            let terms = tokenize(&q.query.text);
+            let flagged = categorizer.is_sensitive_terms(&terms, method);
+            assert_eq!(
+                flagged,
+                !categorizer.matching_topics_terms(&terms, method).is_empty(),
+                "{method}: {:?}",
+                q.query.text
+            );
+            sensitive += usize::from(flagged);
+        }
+        assert!(
+            sensitive > 0 && sensitive < queries().count(),
+            "{method}: {sensitive} of {} flagged",
+            queries().count()
         );
     }
 }
