@@ -17,9 +17,10 @@
 //! between runs, three `run_until` cut points (one on the instant of a
 //! membership event) and a final `run`.
 
+use cyclosa_bench::scalability::{build_ping_population, ScaleConfig};
 use cyclosa_net::engine::Engine;
 use cyclosa_net::latency::LatencyModel;
-use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
+use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_runtime::metrics::Registry;
@@ -298,6 +299,251 @@ fn profiled_shards_count_the_pinned_event_classes_and_windows() {
             pin,
             "{shards} shard(s): {:#018X}\n{totals}",
             digest(&totals)
+        );
+    }
+}
+
+// --- The deep-queue pin -------------------------------------------------
+//
+// Every scenario above keeps tens of events pending. A queue that files
+// events by the digits of their instant only shows its hard cases — a slot
+// re-spread one level down, a level boundary crossed, a far-future event
+// parked high while everything else is dense — with 10⁴ events pending,
+// so this one runs the ping population of `cyclosa_bench::scalability`.
+
+/// `Simulation`: every handled event `(at, node, class, src or token)` in
+/// global processing order, then `now()`, the event count and `stats()`.
+const PIN_DEEP: u64 = 0x1C47_A848_E618_9C42;
+
+const DEEP_NODES: usize = 20_000;
+const DEEP_ROUNDS: u32 = 3;
+
+/// `(time ns, node, class, src or token)`; class 1 is a delivery, 2 a
+/// timer — the order of `EventClass`.
+type Handled = (u64, u64, u8, u64);
+type Tape = Arc<Mutex<Vec<Handled>>>;
+
+/// Logs every event on the shared tape, then hands it to the wrapped
+/// behaviour.
+struct Taped {
+    inner: Box<dyn NodeBehavior + Send>,
+    tape: Tape,
+}
+
+impl NodeBehavior for Taped {
+    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
+        let entry = (ctx.now().as_nanos(), ctx.self_id().0, 1, envelope.src.0);
+        self.tape.lock().unwrap().push(entry);
+        self.inner.on_message(ctx, envelope);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        let entry = (ctx.now().as_nanos(), ctx.self_id().0, 2, token);
+        self.tape.lock().unwrap().push(entry);
+        self.inner.on_timer(ctx, token);
+    }
+}
+
+/// An engine whose `add_node` puts every behaviour behind a [`Taped`]:
+/// `build_ping_population` deploys its private behaviour through this.
+struct Taping<'a> {
+    engine: &'a mut dyn Engine,
+    tape: Tape,
+}
+
+impl Engine for Taping<'_> {
+    fn add_node(&mut self, id: NodeId, inner: Box<dyn NodeBehavior + Send>) {
+        let tape = self.tape.clone();
+        self.engine.add_node(id, Box::new(Taped { inner, tape }));
+    }
+    fn set_default_latency(&mut self, model: LatencyModel) {
+        self.engine.set_default_latency(model);
+    }
+    fn set_link_latency(&mut self, src: NodeId, dst: NodeId, model: LatencyModel) {
+        self.engine.set_link_latency(src, dst, model);
+    }
+    fn set_loss_probability(&mut self, p: f64) {
+        self.engine.set_loss_probability(p);
+    }
+    fn crash(&mut self, node: NodeId) {
+        self.engine.crash(node);
+    }
+    fn recover(&mut self, node: NodeId) {
+        self.engine.recover(node);
+    }
+    fn schedule_join(&mut self, at: SimTime, node: NodeId, inner: Box<dyn NodeBehavior + Send>) {
+        let tape = self.tape.clone();
+        self.engine
+            .schedule_join(at, node, Box::new(Taped { inner, tape }));
+    }
+    fn schedule_leave(&mut self, at: SimTime, node: NodeId) {
+        self.engine.schedule_leave(at, node);
+    }
+    fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
+        self.engine.schedule_crash(at, node);
+    }
+    fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
+        self.engine.schedule_recover(at, node);
+    }
+    fn schedule_loss_probability(&mut self, at: SimTime, p: f64) {
+        self.engine.schedule_loss_probability(at, p);
+    }
+    fn schedule_link_loss(&mut self, at: SimTime, src_set: &[NodeId], dst_set: &[NodeId], p: f64) {
+        self.engine.schedule_link_loss(at, src_set, dst_set, p);
+    }
+    fn post(&mut self, at: SimTime, src: NodeId, dst: NodeId, tag: u32, payload: Vec<u8>) {
+        self.engine.post(at, src, dst, tag, payload);
+    }
+    fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
+        self.engine.schedule_timer(at, node, token);
+    }
+    fn now(&self) -> SimTime {
+        self.engine.now()
+    }
+    fn run(&mut self) -> u64 {
+        self.engine.run()
+    }
+    fn run_until(&mut self, deadline: SimTime) {
+        self.engine.run_until(deadline);
+    }
+    fn stats(&self) -> SimulationStats {
+        self.engine.stats()
+    }
+}
+
+/// What one engine made of the deep scenario.
+struct DeepRun {
+    /// Every handled event, in the order the engine's threads taped them:
+    /// the global processing order on `Simulation`, some interleaving of
+    /// the per-node orders on shards.
+    tape: Vec<Handled>,
+    /// `tape.len()` when the `run_until` cut returned.
+    cut: usize,
+    /// `now()` at the cut and at the end, events of the final `run`, and
+    /// the final `stats()`.
+    summary: String,
+}
+
+impl DeepRun {
+    /// The tape as per-node logs: what every engine must agree on.
+    fn per_node(&self) -> Vec<Handled> {
+        let mut sorted = self.tape.clone();
+        // Stable: one node's events are taped by one thread, in order.
+        sorted.sort_by_key(|entry| entry.1);
+        sorted
+    }
+}
+
+/// The ping population, 20 000 timers deep from the first instant, plus:
+/// two timers for one instant on one node, a timer 10⁴ s ahead of a dense
+/// run, a `run_until` cut in the middle and — after it — a `post` and a
+/// `schedule_timer` from outside whose instants lie *behind* the clock.
+fn deep_scenario(engine: &mut dyn Engine) -> DeepRun {
+    let tape: Tape = Arc::default();
+    let mut engine = Taping {
+        engine,
+        tape: tape.clone(),
+    };
+    let config = ScaleConfig {
+        rounds: DEEP_ROUNDS,
+        seed: SEED,
+        ..ScaleConfig::default()
+    };
+    build_ping_population(&mut engine, DEEP_NODES, &config);
+    let ms = SimTime::from_millis;
+    engine.schedule_timer(ms(1_500), NodeId(7), 1_000);
+    engine.schedule_timer(ms(1_500), NodeId(7), 999);
+    engine.schedule_timer(SimTime::from_secs(10_000), NodeId(11), 5_000);
+
+    engine.run_until(ms(1_700));
+    let cut = tape.lock().unwrap().len();
+    let mut summary = format!("cut: now={}", engine.now().as_nanos());
+    // Both land behind the clock: the ping is delivered near 1 040 ms (and
+    // its echo near 1 180 ms), the timer fires at 1 000 ms.
+    engine.post(ms(900), NodeId(5), NodeId(3), 1, vec![0u8; 32]);
+    engine.schedule_timer(ms(1_000), NodeId(9), 7_000);
+    let processed = engine.run();
+    write!(
+        summary,
+        " end: now={} processed={processed} {:?}",
+        engine.now().as_nanos(),
+        engine.stats()
+    )
+    .unwrap();
+
+    let tape = std::mem::take(&mut *tape.lock().unwrap());
+    DeepRun { tape, cut, summary }
+}
+
+/// FNV-1a over the tape's words, then over the summary's bytes.
+fn deep_digest(run: &DeepRun) -> u64 {
+    let mut text = String::with_capacity(run.tape.len() * 40 + run.summary.len());
+    for (at, node, class, who) in &run.tape {
+        writeln!(text, "{at} {node} {class} {who}").unwrap();
+    }
+    text.push_str(&run.summary);
+    digest(&text)
+}
+
+/// Popped keys never decrease: `(at, node, class)` is the key's prefix,
+/// and among the deliveries of one slot the next field is the sender.
+fn assert_key_order(segment: &[Handled]) {
+    for pair in segment.windows(2) {
+        let (before, after) = (pair[0], pair[1]);
+        let ordered = if before.2 == 1 {
+            before <= after
+        } else {
+            (before.0, before.1, before.2) <= (after.0, after.1, after.2)
+        };
+        assert!(ordered, "{before:?} was handled before {after:?}");
+    }
+}
+
+/// The deep scenario on `Simulation` reproduces the digest captured on the
+/// `BinaryHeap` queue, pops in key order on both sides of the cut, and 2
+/// and 4 shards produce the same per-node logs, `stats()`, clock readings
+/// and event count — the behind-the-clock `post` and `schedule_timer`
+/// included (the shards reproduced the sequential log for them when this
+/// was captured, so they are pinned on every engine).
+#[test]
+fn a_deep_queue_pops_the_pinned_order_on_every_engine() {
+    let sequential = deep_scenario(&mut Simulation::new(SEED));
+    let (before, after) = sequential.tape.split_at(sequential.cut);
+    assert_key_order(before);
+    assert_key_order(after);
+    // The scenario does what its description says.
+    assert!(before.len() > 2 * DEEP_NODES && after.len() > 2 * DEEP_NODES);
+    assert!(
+        after[0].0 < before[before.len() - 1].0,
+        "nothing ran behind the clock"
+    );
+    let pair_at_one_instant: Vec<u64> = before
+        .iter()
+        .filter(|e| (e.0, e.1, e.2) == (1_500_000_000, 7, 2))
+        .map(|e| e.3)
+        .collect();
+    assert_eq!(pair_at_one_instant, [1_000, 999], "arming order decides");
+    let far = (10_000_000_000_000, 11, 2, 5_000);
+    let far_at = after.iter().position(|e| *e == far);
+    assert!(
+        far_at.is_some_and(|i| i + 3 >= after.len() && after[i - 1].0 < far.0 / 1_000),
+        "the far timer (and the ping it sends) runs last, long after the rest"
+    );
+    assert_eq!(
+        deep_digest(&sequential),
+        PIN_DEEP,
+        "Simulation: {:#018X}",
+        deep_digest(&sequential)
+    );
+
+    let expected = sequential.per_node();
+    for shards in [2, 4] {
+        let sharded = deep_scenario(&mut ShardedEngine::new(SEED, shards));
+        assert_eq!(sharded.summary, sequential.summary, "{shards} shards");
+        assert_eq!(sharded.cut, sequential.cut, "{shards} shards");
+        assert!(
+            sharded.per_node() == expected,
+            "{shards} shards: logs differ"
         );
     }
 }
