@@ -8,6 +8,10 @@
 //!       [--trace PATH.jsonl] [--metrics PATH.json]
 //! ```
 //!
+//! Exits 1 when two shard counts of one population report different
+//! event counts, delivered counts or final instants: the engines are
+//! bit-identical, so that is a bug, not a measurement.
+//!
 //! With `--metrics` the largest population × shard-count point is re-run
 //! with the engine's per-shard self-profiling enabled (event-class
 //! throughput, mailbox depths, barrier-stall histograms) and the snapshot
@@ -63,6 +67,13 @@ fn main() {
         println!("{}", report.to_json().pretty());
     } else {
         println!("{report}");
+    }
+    if let Some((first, other)) = report.divergence() {
+        eprintln!(
+            "error: {} nodes simulated differently on {} and {} shard(s): {first:?} vs {other:?}",
+            first.nodes, first.shards, other.shards
+        );
+        std::process::exit(1);
     }
     if options.observe.enabled() {
         let nodes = *options.populations.iter().max().expect("non-empty");

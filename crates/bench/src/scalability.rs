@@ -189,6 +189,20 @@ pub fn scalability_sweep(
     ScaleReport { points }
 }
 
+impl ScaleReport {
+    /// The first two points of one population that simulated different
+    /// runs: their event count, delivered count or final simulated instant
+    /// differ. Every shard count must execute one population identically,
+    /// so any pair this returns is an engine bug.
+    pub fn divergence(&self) -> Option<(ScalePoint, ScalePoint)> {
+        let simulated = |p: &ScalePoint| (p.events, p.delivered, p.sim_seconds.to_bits());
+        self.points.iter().find_map(|point| {
+            let first = self.points.iter().find(|p| p.nodes == point.nodes)?;
+            (simulated(first) != simulated(point)).then_some((*first, *point))
+        })
+    }
+}
+
 impl fmt::Display for ScaleReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Sharded-runtime scalability sweep (ping workload)")?;
@@ -282,5 +296,33 @@ mod tests {
         assert_eq!(report.points[0].events, report.points[1].events);
         assert_eq!(report.points[2].events, report.points[3].events);
         assert!(report.to_string().contains("Events/s"));
+        assert_eq!(report.divergence(), None);
+    }
+
+    #[test]
+    fn divergence_names_the_shard_counts_that_simulated_different_runs() {
+        let config = ScaleConfig {
+            rounds: 2,
+            ..ScaleConfig::default()
+        };
+        let other_seed = ScaleConfig { seed: 7, ..config };
+        // Two seeds of this workload count the same events (peers are a
+        // function of the node id); their runs end at different instants.
+        let mut report = ScaleReport {
+            points: vec![
+                run_scale_point(100, 1, &config),
+                run_scale_point(200, 1, &config),
+                run_scale_point(100, 2, &config),
+                run_scale_point(200, 2, &other_seed),
+            ],
+        };
+        let (first, other) = report.divergence().expect("the 200-node points differ");
+        assert_eq!((first.nodes, first.shards), (200, 1));
+        assert_eq!((other.nodes, other.shards), (200, 2));
+        report.points[3] = run_scale_point(200, 2, &config);
+        assert_eq!(report.divergence(), None);
+        report.points[2].delivered += 1;
+        let (first, other) = report.divergence().expect("one delivery more");
+        assert_eq!((first.shards, other.shards), (1, 2));
     }
 }

@@ -51,6 +51,7 @@
 
 pub mod engine;
 pub mod latency;
+mod queue;
 pub mod sim;
 pub mod time;
 

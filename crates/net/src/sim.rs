@@ -24,11 +24,10 @@ use crate::engine::{
     LossSchedule, MembershipChange, MembershipLedger, ScheduledEvent,
 };
 use crate::latency::LatencyModel;
+use crate::queue::EventQueue;
 use crate::time::SimTime;
 use crate::NodeId;
-use cyclosa_util::det::{DetHashMap, DetHashSet};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use cyclosa_util::det::DetHashMap;
 
 /// A message in flight between two nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,6 +161,30 @@ impl SimulationStats {
 /// A node behaviour as both engines store it.
 type Behavior = Box<dyn NodeBehavior + Send>;
 
+/// Everything the core keeps per node id, under one hash probe per event.
+/// An entry outlives its behaviour: the crash mark of an id that is not
+/// (yet) in the population waits for it, and a node that leaves and
+/// rejoins continues its timer sequence, so its timer keys stay unique.
+#[derive(Default)]
+struct NodeState {
+    /// `None` while the id is not in the population.
+    behavior: Option<Behavior>,
+    crashed: bool,
+    /// The per-node timer sequence of the next timer armed on this id.
+    timer_sequence: u64,
+}
+
+impl NodeState {
+    /// The behaviour that handles this node's events — none while the node
+    /// is crashed or not (or no longer) in the population.
+    fn live(&mut self) -> Option<&mut Behavior> {
+        if self.crashed {
+            return None;
+        }
+        self.behavior.as_mut()
+    }
+}
+
 /// The event core, and — run to exhaustion on one thread — the sequential
 /// discrete-event simulator.
 ///
@@ -175,15 +198,15 @@ type Behavior = Box<dyn NodeBehavior + Send>;
 /// other shards' nodes to their owners.
 pub struct Simulation {
     clock: SimTime,
-    queue: BinaryHeap<Reverse<ScheduledEvent>>,
-    nodes: DetHashMap<NodeId, Behavior>,
-    crashed: DetHashSet<NodeId>,
+    queue: EventQueue,
+    nodes: DetHashMap<NodeId, NodeState>,
+    /// Entries of `nodes` that hold a behaviour.
+    population: usize,
     default_latency: LatencyModel,
     link_latency: DetHashMap<(NodeId, NodeId), LatencyModel>,
     loss: LossSchedule,
     link_loss: LinkGroupSchedule,
     links: LinkTable,
-    timer_sequences: DetHashMap<NodeId, u64>,
     membership: MembershipLedger<Behavior>,
     stats: SimulationStats,
     /// Scratch for the actions of the event being processed; kept so an
@@ -195,7 +218,7 @@ impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("clock", &self.clock)
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.population)
             .field("pending_events", &self.queue.len())
             .field("stats", &self.stats)
             .finish()
@@ -208,15 +231,14 @@ impl Simulation {
     pub fn new(seed: u64) -> Self {
         Self {
             clock: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             nodes: DetHashMap::default(),
-            crashed: DetHashSet::default(),
+            population: 0,
             default_latency: LatencyModel::wan(),
             link_latency: DetHashMap::default(),
             loss: LossSchedule::new(),
             link_loss: LinkGroupSchedule::new(),
             links: LinkTable::new(seed),
-            timer_sequences: DetHashMap::default(),
             membership: MembershipLedger::new(),
             stats: SimulationStats::default(),
             actions: Vec::new(),
@@ -225,7 +247,7 @@ impl Simulation {
 
     /// Number of registered nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.population
     }
 
     /// Every configured latency model: the default, then the per-link
@@ -236,14 +258,14 @@ impl Simulation {
 
     /// The time of the earliest pending event.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(event)| event.key.at)
+        self.queue.next_time()
     }
 
     /// Adds an already keyed event to the queue: a delivery that
     /// [`Simulation::prepare_send`] prepared here or on the core that owns
     /// its sender.
     pub fn enqueue(&mut self, event: ScheduledEvent) {
-        self.queue.push(Reverse(event));
+        self.queue.push(event);
     }
 
     /// Turns one send at `at` into a scheduled delivery, or counts it lost.
@@ -293,15 +315,14 @@ impl Simulation {
     ) -> EventCounts {
         let mut counts = EventCounts::default();
         let mut actions = std::mem::take(&mut self.actions);
-        while self.next_event_time().is_some_and(&due) {
-            let Reverse(event) = self.queue.pop().expect("peeked above");
+        while let Some(event) = self.queue.pop_if(&due) {
             let at = event.key.at;
             let node = event.key.node;
             self.clock = at;
             match event.kind {
                 EventKind::Deliver(envelope) => {
                     counts.deliver += 1;
-                    match live(&mut self.nodes, &self.crashed, node) {
+                    match self.nodes.get_mut(&node).and_then(NodeState::live) {
                         None => self.stats.dropped_dead += 1,
                         Some(behavior) => {
                             self.stats.delivered += 1;
@@ -313,7 +334,7 @@ impl Simulation {
                 }
                 EventKind::Timer { token } => {
                     counts.timer += 1;
-                    if let Some(behavior) = live(&mut self.nodes, &self.crashed, node) {
+                    if let Some(behavior) = self.nodes.get_mut(&node).and_then(NodeState::live) {
                         self.stats.timers_fired += 1;
                         let mut ctx = Context::new(at, node, &mut actions);
                         behavior.on_timer(&mut ctx, token);
@@ -324,22 +345,25 @@ impl Simulation {
                     match change {
                         MembershipChange::Join => {
                             if let Some(behavior) = self.membership.take_join(node, event.key.a) {
-                                self.nodes.insert(node, behavior);
-                                self.crashed.remove(&node);
+                                self.install(node, behavior).crashed = false;
                                 self.stats.joined += 1;
                             }
                         }
                         MembershipChange::Leave => {
-                            self.nodes.remove(&node);
-                            self.crashed.remove(&node);
+                            if let Some(state) = self.nodes.get_mut(&node) {
+                                if state.behavior.take().is_some() {
+                                    self.population -= 1;
+                                }
+                                state.crashed = false;
+                            }
                             self.stats.left += 1;
                         }
                         MembershipChange::Crash => {
-                            self.crashed.insert(node);
+                            self.crash(node);
                             self.stats.crashed += 1;
                         }
                         MembershipChange::Recover => {
-                            self.crashed.remove(&node);
+                            self.recover(node);
                             self.stats.recovered += 1;
                         }
                     }
@@ -353,13 +377,22 @@ impl Simulation {
                         }
                     }
                     Action::Timer { node, delay, token } => {
-                        self.schedule_timer(at + delay, node, token);
+                        self.schedule_timer(at.saturating_add(delay), node, token);
                     }
                 }
             }
         }
         self.actions = actions;
         counts
+    }
+
+    /// Puts `behavior` in charge of `node`, replacing the one there.
+    fn install(&mut self, node: NodeId, behavior: Behavior) -> &mut NodeState {
+        let state = self.nodes.entry(node).or_default();
+        if state.behavior.replace(behavior).is_none() {
+            self.population += 1;
+        }
+        state
     }
 
     fn link_model(&self, src: NodeId, dst: NodeId) -> LatencyModel {
@@ -372,7 +405,9 @@ impl Simulation {
     /// Queues `change` for `node` at `at` and returns its per-node
     /// membership sequence (what a join stashes its behaviour under).
     fn schedule_membership(&mut self, at: SimTime, node: NodeId, change: MembershipChange) -> u64 {
-        let key = self.membership.next_key(at, node, change);
+        let key = self
+            .membership
+            .next_key(at.min(SimTime::LAST), node, change);
         self.enqueue(ScheduledEvent {
             key,
             kind: EventKind::Membership(change),
@@ -381,22 +416,9 @@ impl Simulation {
     }
 }
 
-/// The behaviour that handles `node`'s events — none while the node is
-/// crashed or not (or no longer) in the population.
-fn live<'a>(
-    nodes: &'a mut DetHashMap<NodeId, Behavior>,
-    crashed: &DetHashSet<NodeId>,
-    node: NodeId,
-) -> Option<&'a mut Behavior> {
-    if crashed.contains(&node) {
-        return None;
-    }
-    nodes.get_mut(&node)
-}
-
 impl Engine for Simulation {
     fn add_node(&mut self, id: NodeId, behavior: Behavior) {
-        self.nodes.insert(id, behavior);
+        self.install(id, behavior);
     }
 
     fn set_default_latency(&mut self, model: LatencyModel) {
@@ -412,11 +434,13 @@ impl Engine for Simulation {
     }
 
     fn crash(&mut self, node: NodeId) {
-        self.crashed.insert(node);
+        self.nodes.entry(node).or_default().crashed = true;
     }
 
     fn recover(&mut self, node: NodeId) {
-        self.crashed.remove(&node);
+        if let Some(state) = self.nodes.get_mut(&node) {
+            state.crashed = false;
+        }
     }
 
     fn schedule_join(&mut self, at: SimTime, node: NodeId, behavior: Behavior) {
@@ -457,9 +481,9 @@ impl Engine for Simulation {
     }
 
     fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
-        let sequence = self.timer_sequences.entry(node).or_insert(0);
+        let sequence = &mut self.nodes.entry(node).or_default().timer_sequence;
         let key = EventKey {
-            at,
+            at: at.min(SimTime::LAST),
             node,
             class: EventClass::Timer,
             a: *sequence,

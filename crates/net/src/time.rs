@@ -68,6 +68,18 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
+    /// The last instant an event fires at. One short of `u64::MAX`, which
+    /// the sharded engine could never reach: its windows end exclusively,
+    /// and a shard with nothing pending publishes `u64::MAX`.
+    pub(crate) const LAST: SimTime = SimTime(u64::MAX - 1);
+
+    /// `self + delay`, stopping at [`SimTime::LAST`] — how the event
+    /// core computes the instant of an event. (`+` is for durations that
+    /// cannot get there; it traps on overflow in debug builds.)
+    pub(crate) fn saturating_add(self, delay: SimTime) -> SimTime {
+        SimTime(self.0.saturating_add(delay.0)).min(Self::LAST)
+    }
+
     /// Saturating difference between two instants.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
@@ -138,6 +150,15 @@ mod tests {
         let mut c = a;
         c += b;
         assert_eq!(c, SimTime::from_millis(13));
+    }
+
+    #[test]
+    fn event_instants_saturate_one_short_of_the_maximum() {
+        let late = SimTime(u64::MAX - 5);
+        assert_eq!(late.saturating_add(SimTime(3)), SimTime(u64::MAX - 2));
+        assert_eq!(late.saturating_add(SimTime(5)), SimTime::LAST);
+        assert_eq!(late.saturating_add(SimTime(u64::MAX)), SimTime::LAST);
+        assert_eq!(SimTime::LAST.saturating_add(SimTime(1)), SimTime::LAST);
     }
 
     #[test]

@@ -205,8 +205,10 @@ fn wait(barrier: &WindowBarrier, profile: Option<&ShardProfile>) {
 }
 
 /// The end of the window that opens at `start`, the earliest pending event
-/// of any shard (`u64::MAX`: none), or `None` when the run is over: no
-/// events are left, or the earliest lies beyond `deadline`.
+/// of any shard (`u64::MAX`: none — the event core schedules nothing
+/// later than `u64::MAX - 1`, so the value is free and an exclusive end
+/// covers every instant), or `None` when the run is over: no events are
+/// left, or the earliest lies beyond `deadline`.
 fn window_end(start: u64, lookahead: SimTime, deadline: Option<SimTime>) -> Option<u64> {
     if start == u64::MAX || deadline.is_some_and(|d| start > d.as_nanos()) {
         return None;
@@ -214,7 +216,7 @@ fn window_end(start: u64, lookahead: SimTime, deadline: Option<SimTime>) -> Opti
     let end = start.saturating_add(lookahead.as_nanos()).max(start + 1);
     // Events at exactly the deadline must still run (run_until is
     // inclusive).
-    Some(deadline.map_or(end, |d| end.min(d.as_nanos() + 1)))
+    Some(deadline.map_or(end, |d| end.min(d.as_nanos().saturating_add(1))))
 }
 
 /// One shard: the event core ([`Simulation`]) over this shard's slice of

@@ -253,3 +253,84 @@ fn sharded_end_to_end_latency_equals_sequential_simulation_output() {
         }
     }
 }
+
+/// Logs what it handles. A message tagged 0 arms a timer `u64::MAX` ns
+/// ahead; that timer's handler sends itself two messages from the last instant.
+struct FarSighted {
+    log: Arc<Mutex<Trace>>,
+}
+
+impl FarSighted {
+    fn record(&self, ctx: &Context<'_>, what: u32) {
+        self.log
+            .lock()
+            .unwrap()
+            .entry(ctx.self_id())
+            .or_default()
+            .push((ctx.now().as_nanos(), what, 0));
+    }
+}
+
+impl NodeBehavior for FarSighted {
+    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
+        self.record(ctx, envelope.tag);
+        if envelope.tag == 0 {
+            ctx.set_timer(SimTime(u64::MAX), 1);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        self.record(ctx, 100 + token as u32);
+        if token == 1 {
+            ctx.send(ctx.self_id(), 8, vec![]);
+            ctx.send(ctx.self_id(), 9, vec![]);
+        }
+    }
+}
+
+#[test]
+fn time_saturates_at_the_last_instant_on_every_engine() {
+    // The last instant an event can have: `u64::MAX` itself is what a
+    // shard with nothing pending publishes.
+    const LAST: u64 = u64::MAX - 1;
+    let run = |engine: &mut dyn Engine| {
+        let log = Arc::new(Mutex::new(Trace::new()));
+        for id in 0..4 {
+            engine.add_node(NodeId(id), Box::new(FarSighted { log: log.clone() }));
+        }
+        // Armed first for exactly the saturated instant, so it fires
+        // before the handler's timer; one named past it lands on it.
+        engine.schedule_timer(SimTime(LAST), NodeId(2), 5);
+        engine.schedule_timer(SimTime(u64::MAX), NodeId(3), 6);
+        engine.post(SimTime::from_millis(5), NodeId(0), NodeId(2), 0, vec![]);
+        engine.post(SimTime::from_secs(3_000), NodeId(1), NodeId(0), 7, vec![]);
+        engine.schedule_leave(SimTime(u64::MAX), NodeId(1));
+        engine.run_until(SimTime::from_secs(10_000));
+        let finite = log.lock().unwrap().values().map(Vec::len).sum::<usize>();
+        engine.run_until(SimTime(u64::MAX));
+        assert_eq!(engine.now(), SimTime(u64::MAX));
+        let trace = std::mem::take(&mut *log.lock().unwrap());
+        (trace, finite, engine.stats())
+    };
+    let (trace, finite, stats) = run(&mut Simulation::new(31));
+    assert_eq!(
+        finite, 2,
+        "the two posts, nothing from the last instant yet"
+    );
+    let at_the_last_instant: Vec<(u32, usize)> = trace[&NodeId(2)]
+        .iter()
+        .filter(|(at, ..)| *at == LAST)
+        .map(|(_, what, len)| (*what, *len))
+        .collect();
+    assert_eq!(
+        at_the_last_instant,
+        [(105, 0), (101, 0), (8, 0), (9, 0)],
+        "the earlier timer, the handler's, then its two sends in order"
+    );
+    assert_eq!(trace[&NodeId(3)], [(LAST, 106, 0)]);
+    assert_eq!((stats.timers_fired, stats.delivered, stats.left), (3, 4, 1));
+    for shards in [1, 2] {
+        let sharded = run(&mut ShardedEngine::new(31, shards));
+        assert_eq!(sharded, (trace.clone(), finite, stats), "{shards} shard(s)");
+    }
+}
