@@ -15,9 +15,7 @@
 use crate::config::ProtectionConfig;
 use crate::past_queries::PastQueryTable;
 use crate::sensitivity::{SensitivityAnalyzer, SensitivityAssessment};
-use cyclosa_crypto::channel::{
-    channel_pair, ChannelError, HandshakeInitiator, HandshakeResponder, SecureChannel,
-};
+use cyclosa_crypto::channel::{channel_pair, ChannelError, SecureChannel};
 use cyclosa_crypto::x25519::StaticSecret;
 use cyclosa_net::time::SimTime;
 use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
@@ -65,11 +63,13 @@ impl From<ChannelError> for NodeError {
     }
 }
 
-/// The state protected by the node's enclave.
+/// The state protected by the node's enclave: the table of other users'
+/// past queries and the key material of the attested channels.
 #[derive(Debug)]
 struct TrustedState {
     past_queries: PastQueryTable,
-    channel_identity: StaticSecret,
+    /// The channel identity and the handshake key derived from it.
+    keys: EnclaveKeys,
 }
 
 /// One relay assignment of a planned query.
@@ -244,7 +244,7 @@ impl NodeBuilder {
         );
         let state = TrustedState {
             past_queries: PastQueryTable::new(self.protection.past_query_capacity),
-            channel_identity: StaticSecret::from_bytes(identity_seed),
+            keys: EnclaveKeys::new(identity_seed),
         };
         let mut enclave = platform.create_enclave(b"cyclosa-enclave/0.1.0/reference-build", state);
         enclave.initialize().expect("fresh enclave initializes");
@@ -832,9 +832,28 @@ impl CyclosaNode {
     /// The node's channel public key (derived inside the enclave).
     pub fn channel_public_key(&mut self) -> cyclosa_crypto::x25519::PublicKey {
         self.enclave
-            .ecall(32, |state| state.channel_identity.public_key())
+            .ecall(32, |state| state.keys.identity.public_key())
             .expect("enclave initialized")
             .0
+    }
+}
+
+/// The key material inside a node's enclave.
+#[derive(Debug)]
+struct EnclaveKeys {
+    /// The long-term channel identity.
+    identity: StaticSecret,
+    /// The handshake key, derived from the identity on the enclave's first
+    /// handshake and used for every later one (see [`handshake_key`]).
+    handshake: Option<StaticSecret>,
+}
+
+impl EnclaveKeys {
+    fn new(identity_seed: [u8; 32]) -> Self {
+        Self {
+            identity: StaticSecret::from_bytes(identity_seed),
+            handshake: None,
+        }
     }
 }
 
@@ -850,10 +869,10 @@ pub fn attested_channel_pair(
     responder: &mut CyclosaNode,
     service: &AttestationService,
 ) -> Result<(SecureChannel, SecureChannel), NodeError> {
-    // Each side derives an ephemeral handshake key inside its enclave and
-    // binds its public part into a quote.
-    let initiator_secret = ephemeral_secret(initiator);
-    let responder_secret = ephemeral_secret(responder);
+    // Each side fetches its handshake key from its enclave and binds the
+    // public part into a quote.
+    let initiator_secret = handshake_key(initiator);
+    let responder_secret = handshake_key(responder);
     let initiator_quote = initiator.quote(initiator_secret.public_key().as_bytes());
     let responder_quote = responder.quote(responder_secret.public_key().as_bytes());
     // Each side verifies the peer's quote with the attestation service.
@@ -870,46 +889,30 @@ pub fn attested_channel_pair(
     Ok((init_channel, resp_channel))
 }
 
-/// Runs the two-message handshake explicitly (initiator side first), which
-/// the deployment simulation uses when the two nodes live on different
-/// simulated machines.
-///
-/// # Errors
-///
-/// Propagates attestation and handshake failures.
-pub fn attested_handshake_messages(
-    initiator: &mut CyclosaNode,
-    responder: &mut CyclosaNode,
-    service: &AttestationService,
-) -> Result<(SecureChannel, SecureChannel), NodeError> {
-    let initiator_secret = ephemeral_secret(initiator);
-    let responder_secret = ephemeral_secret(responder);
-    let initiator_quote = initiator.quote(initiator_secret.public_key().as_bytes());
-    let responder_quote = responder.quote(responder_secret.public_key().as_bytes());
-    service.verify_for_cyclosa(&initiator_quote)?;
-    service.verify_for_cyclosa(&responder_quote)?;
-    let (hs_initiator, init_msg) =
-        HandshakeInitiator::new(initiator_secret, initiator_quote.to_bytes());
-    let (response, responder_channel) =
-        HandshakeResponder::respond(responder_secret, responder_quote.to_bytes(), &init_msg)?;
-    let initiator_channel = hs_initiator.finish(&response)?;
-    Ok((initiator_channel, responder_channel))
-}
-
-/// Derives a per-node ephemeral handshake secret. The derivation runs as an
-/// ecall so the long-term identity never leaves the enclave; the simulation
-/// keeps it deterministic per node so experiments are reproducible.
-fn ephemeral_secret(node: &mut CyclosaNode) -> StaticSecret {
+/// The node's handshake key, the X25519 secret whose public half its quotes
+/// bind. It is one key per enclave, used with every peer: a pure function
+/// of the channel identity, the node id and the measurement, none of which
+/// changes after `build`. It is derived inside the enclave on the first
+/// call and kept there; every call is one ecall all the same, so transition
+/// counts and modelled time do not depend on which call derived it.
+fn handshake_key(node: &mut CyclosaNode) -> StaticSecret {
     let node_id = node.id().0;
     let measurement = *node.enclave.measurement().as_bytes();
     node.enclave
         .ecall(64, move |state| {
-            let binding = cyclosa_crypto::hkdf::derive_key(
-                b"cyclosa-ephemeral",
-                state.channel_identity.public_key().as_bytes(),
-                &[&node_id.to_le_bytes()[..], &measurement[..]].concat(),
-            );
-            StaticSecret::from_bytes(binding)
+            let EnclaveKeys {
+                identity,
+                handshake,
+            } = &mut state.keys;
+            handshake
+                .get_or_insert_with(|| {
+                    StaticSecret::from_bytes(cyclosa_crypto::hkdf::derive_key(
+                        b"cyclosa-ephemeral",
+                        identity.public_key().as_bytes(),
+                        &[&node_id.to_le_bytes()[..], &measurement[..]].concat(),
+                    ))
+                })
+                .clone()
         })
         .expect("enclave initialized")
         .0
@@ -1287,7 +1290,9 @@ mod tests {
         ));
         service.provision_platform(&alice.platform().clone());
         service.provision_platform(&bob.platform().clone());
-        let (mut a, mut b) = attested_handshake_messages(&mut alice, &mut bob, &service).unwrap();
+        // `attested_channel_pair` runs the explicit two-message handshake
+        // (`channel_pair`); here the responder's end speaks first.
+        let (mut a, mut b) = attested_channel_pair(&mut alice, &mut bob, &service).unwrap();
         let record = b.seal(b"response page", b"rsp");
         assert_eq!(a.open(&record, b"rsp").unwrap(), b"response page");
     }

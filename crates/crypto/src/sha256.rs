@@ -108,13 +108,20 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian length. The
+        // buffer always has room for the 0x80; when the length no longer
+        // fits behind it, the zeros fill this block and a second one.
+        let mut len = self.buffer_len;
+        self.buffer[len] = 0x80;
+        len += 1;
+        if len > BLOCK_LEN - 8 {
+            self.buffer[len..].fill(0);
+            let block = self.buffer;
+            self.compress(&block);
+            len = 0;
         }
-        // The length bytes must not be counted again, so write them directly.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[len..BLOCK_LEN - 8].fill(0);
+        self.buffer[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
 
@@ -226,6 +233,51 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    #[test]
+    fn fips_896_bit_vector() {
+        assert_eq!(
+            hex(&Sha256::digest(
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+                  ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+            )),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+        );
+    }
+
+    /// Pads the whole message into a `Vec` and compresses it block by block.
+    fn padded_reference(message: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut padded = message.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(message.len() as u64 * 8).to_be_bytes());
+        let mut h = Sha256::new();
+        for block in padded.chunks_exact(BLOCK_LEN) {
+            h.compress(block.try_into().unwrap());
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(h.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn padding_matches_a_block_by_block_reference_at_every_length() {
+        // 0..=200 crosses the 55/56 and 63/64 edges of three blocks.
+        let data: Vec<u8> = (0..=200u8).map(|i| i.wrapping_mul(151) ^ 0x5C).collect();
+        for len in 0..=data.len() {
+            let message = &data[..len];
+            assert_eq!(Sha256::digest(message), padded_reference(message), "{len}");
+            // The same message fed in two parts leaves a different buffer.
+            let mut split = Sha256::new();
+            split.update(&message[..len / 3]);
+            split.update(&message[len / 3..]);
+            assert_eq!(split.finalize(), padded_reference(message), "{len}");
+        }
     }
 
     #[test]
