@@ -112,29 +112,29 @@ impl Fe {
         Fe([l0, l1, l2, l3, l4])
     }
 
-    fn add(self, rhs: Fe) -> Fe {
-        let (a, b) = (self.0, rhs.0);
-        Fe([
-            a[0] + b[0],
-            a[1] + b[1],
-            a[2] + b[2],
-            a[3] + b[3],
-            a[4] + b[4],
-        ])
+    fn add(self, other: Fe) -> Fe {
+        let mut l = self.0;
+        for (limb, other_limb) in l.iter_mut().zip(other.0) {
+            *limb += other_limb;
+        }
+        Fe(l)
     }
 
-    fn sub(self, rhs: Fe) -> Fe {
-        // 4p limb by limb; every limb of it exceeds 2^52 > `rhs`'s limbs.
-        const FOUR_P0: u64 = 0x1F_FFFF_FFFF_FFB4;
-        const FOUR_P: u64 = 0x1F_FFFF_FFFF_FFFC;
-        let (a, b) = (self.0, rhs.0);
-        Fe::carry([
-            a[0] + FOUR_P0 - b[0],
-            a[1] + FOUR_P - b[1],
-            a[2] + FOUR_P - b[2],
-            a[3] + FOUR_P - b[3],
-            a[4] + FOUR_P - b[4],
-        ])
+    fn sub(self, other: Fe) -> Fe {
+        // Add 4p (limb-wise constants) before subtracting so the limbs never
+        // underflow: every limb of 4p exceeds 2^52 > `other`'s limbs.
+        const FOUR_P: [u64; 5] = [
+            0x1F_FFFF_FFFF_FFB4,
+            0x1F_FFFF_FFFF_FFFC,
+            0x1F_FFFF_FFFF_FFFC,
+            0x1F_FFFF_FFFF_FFFC,
+            0x1F_FFFF_FFFF_FFFC,
+        ];
+        let mut l = [0u64; 5];
+        for i in 0..5 {
+            l[i] = self.0[i] + FOUR_P[i] - other.0[i];
+        }
+        Fe::carry(l)
     }
 
     fn mul(self, rhs: Fe) -> Fe {
