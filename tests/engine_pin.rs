@@ -25,6 +25,7 @@ use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_runtime::metrics::Registry;
 use cyclosa_runtime::ShardedEngine;
+use cyclosa_util::rng::{Rng, SplitMix64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -544,6 +545,275 @@ fn a_deep_queue_pops_the_pinned_order_on_every_engine() {
         assert!(
             sharded.per_node() == expected,
             "{shards} shards: logs differ"
+        );
+    }
+}
+
+// --- The per-link state pin ---------------------------------------------
+//
+// The ping digests of `benchmarks/` cover event and delivery counts, not
+// when anything arrives. This scenario puts every piece of per-link state
+// under load — one sender with thousands of links, many with a handful,
+// senders that are not nodes, a sender that leaves and comes back — and
+// pins every delivery instant.
+
+/// Every delivery `(at, node, src, stamp)` per receiving node, then `now()`
+/// and `stats()` at the cut and at the end and the final run's event count.
+const PIN_LINKS: u64 = 0xFA0C_65A8_2767_E9FB;
+
+/// The hub's fan-out: nodes `1..=HUB_FANOUT`, plus [`GHOST_DESTINATIONS`]
+/// ids past them that never join.
+const HUB_FANOUT: u64 = 2_048;
+const GHOST_DESTINATIONS: u64 = 12;
+const HUB: NodeId = NodeId(0);
+const TAG_HUB: u32 = 1;
+const TAG_FAN: u32 = 2;
+const TAG_BURST: u32 = 3;
+const TAG_REPLY: u32 = 4;
+const TAG_POST: u32 = 5;
+/// Senders that are never nodes: `post` from outside under these ids.
+const OUTSIDER: u64 = 1_000_000;
+
+/// The sender's per-link send count: what the engine's per-link sequence
+/// follows on every message that is not lost. Each entry is touched only
+/// by its sender's handler (or by the driver for an outsider), so it
+/// continues across a leave and rejoin like the engine's link state must.
+type Stamps = Arc<Mutex<BTreeMap<(u64, u64), u64>>>;
+/// `(at ns, src, stamp, tag)` per receiving node.
+type Deliveries = Arc<Mutex<BTreeMap<NodeId, Vec<(u64, u64, u64, u32)>>>>;
+
+fn stamped(stamps: &Stamps, src: NodeId, dst: NodeId) -> Vec<u8> {
+    let mut stamps = stamps.lock().unwrap();
+    let next = stamps.entry((src.0, dst.0)).or_default();
+    let payload = next.to_le_bytes().to_vec();
+    *next += 1;
+    payload
+}
+
+/// Every node of the population: the hub when its id is [`HUB`], a peer
+/// otherwise.
+struct LinkNode {
+    stamps: Stamps,
+    deliveries: Deliveries,
+}
+
+impl LinkNode {
+    fn send(&self, ctx: &mut Context<'_>, dst: NodeId, tag: u32) {
+        let payload = stamped(&self.stamps, ctx.self_id(), dst);
+        ctx.send(dst, tag, payload);
+    }
+
+    /// The peers a fanning peer sends to on every hub message: its id
+    /// mod 37 of them, so some senders keep a few links and others more
+    /// than a few dozen.
+    fn fan(&self, ctx: &mut Context<'_>) {
+        let me = ctx.self_id().0;
+        for k in 1..=me % 37 {
+            let peer = (me * 7_919 + k * 104_729) % (HUB_FANOUT + 1);
+            if peer != me {
+                self.send(ctx, NodeId(peer), TAG_FAN);
+            }
+        }
+    }
+}
+
+impl NodeBehavior for LinkNode {
+    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
+        let stamp = u64::from_le_bytes(envelope.payload[..8].try_into().unwrap());
+        self.deliveries
+            .lock()
+            .unwrap()
+            .entry(ctx.self_id())
+            .or_default()
+            .push((ctx.now().as_nanos(), envelope.src.0, stamp, envelope.tag));
+        let me = ctx.self_id().0;
+        match envelope.tag {
+            TAG_HUB => {
+                if me.is_multiple_of(8) {
+                    self.fan(ctx);
+                }
+                if me.is_multiple_of(3) {
+                    self.send(ctx, HUB, TAG_REPLY);
+                }
+            }
+            // Three sends on one link at one instant: whenever a later one
+            // draws the shorter latency, FIFO bumps it past the earlier.
+            TAG_FAN if me.is_multiple_of(5) => {
+                for _ in 0..3 {
+                    self.send(ctx, envelope.src, TAG_BURST);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The hub's rounds: every destination once, in an order shuffled by
+    /// the round number.
+    fn on_timer(&mut self, ctx: &mut Context<'_>, round: u64) {
+        let mut order: Vec<u64> = (1..=HUB_FANOUT + GHOST_DESTINATIONS).collect();
+        SplitMix64::new(round).shuffle(&mut order);
+        for dst in order {
+            self.send(ctx, NodeId(dst), TAG_HUB);
+        }
+    }
+}
+
+/// What the outsiders post: outsider 0 to 40 destinations, the others to
+/// five each.
+fn post_outsiders(engine: &mut dyn Engine, stamps: &Stamps, from: SimTime) {
+    for outsider in 0..4u64 {
+        let src = NodeId(OUTSIDER + outsider);
+        let fan_out = if outsider == 0 { 40 } else { 5 };
+        for k in 0..fan_out {
+            let dst = NodeId(1 + (outsider * 613 + k * 53) % HUB_FANOUT);
+            let at = from + SimTime::from_micros(k * 250);
+            let payload = stamped(stamps, src, dst);
+            engine.post(at, src, dst, TAG_POST, payload);
+        }
+    }
+}
+
+/// Drives the per-link scenario and renders what the engine delivered.
+fn link_scenario(engine: &mut dyn Engine) -> (String, Deliveries) {
+    let stamps: Stamps = Arc::default();
+    let deliveries: Deliveries = Arc::default();
+    let node = || -> Box<dyn NodeBehavior + Send> {
+        Box::new(LinkNode {
+            stamps: stamps.clone(),
+            deliveries: deliveries.clone(),
+        })
+    };
+    let ms = SimTime::from_millis;
+
+    // Heavy-tailed: a tenth of the draws exceed four times the median.
+    engine.set_default_latency(LatencyModel::LogNormal {
+        median_ms: 40.0,
+        sigma: 1.1,
+    });
+    for d in 500..520 {
+        engine.set_link_latency(HUB, NodeId(d), LatencyModel::Constant(ms(5 + d % 11)));
+    }
+    engine.set_link_latency(
+        NodeId(8),
+        NodeId((8 * 7_919 + 104_729) % (HUB_FANOUT + 1)),
+        LatencyModel::Uniform {
+            low: ms(5),
+            high: ms(90),
+        },
+    );
+    engine.set_link_latency(NodeId(OUTSIDER), NodeId(1), LatencyModel::Constant(ms(7)));
+    for id in 0..=HUB_FANOUT {
+        engine.add_node(NodeId(id), node());
+    }
+
+    engine.set_loss_probability(0.1);
+    // Round 2 to the first 300 destinations is lost whole.
+    let severed: Vec<NodeId> = (1..=300).map(NodeId).collect();
+    engine.schedule_link_loss(ms(75), &[HUB], &severed, 1.0);
+    engine.schedule_link_loss(ms(85), &[HUB], &severed, 0.0);
+
+    // Three rounds; between the first two the hub leaves and a fresh
+    // behaviour rejoins under its id, whose sends continue the links.
+    engine.schedule_timer(ms(10), HUB, 1);
+    engine.schedule_leave(ms(60), HUB);
+    engine.schedule_join(ms(70), HUB, node());
+    engine.schedule_timer(ms(80), HUB, 2);
+    engine.schedule_timer(ms(95), HUB, 3);
+    post_outsiders(engine, &stamps, ms(1));
+
+    let mut out = String::new();
+    engine.run_until(ms(90));
+    writeln!(
+        out,
+        "cut: now={} {:?}",
+        engine.now().as_nanos(),
+        engine.stats()
+    )
+    .unwrap();
+    post_outsiders(engine, &stamps, ms(91));
+    // Two sends on one link at the last instant: the sequence alone
+    // orders them.
+    for _ in 0..2 {
+        let payload = stamped(&stamps, NodeId(OUTSIDER), NodeId(5));
+        engine.post(
+            SimTime(u64::MAX - 3),
+            NodeId(OUTSIDER),
+            NodeId(5),
+            0,
+            payload,
+        );
+    }
+    let processed = engine.run();
+    writeln!(
+        out,
+        "end: now={} processed={processed} {:?}",
+        engine.now().as_nanos(),
+        engine.stats()
+    )
+    .unwrap();
+    for (node, entries) in deliveries.lock().unwrap().iter() {
+        writeln!(out, "{node}: {entries:?}").unwrap();
+    }
+    (out, deliveries)
+}
+
+/// One sender with more than two thousand links (revisited three times,
+/// across a leave and rejoin), many with a few, outsiders that are not
+/// nodes, loss, a severed window, latency overrides, FIFO bumps and a
+/// `run_until` cut: every delivery instant and stamp, and the statistics,
+/// equal the digest captured on the engine-wide `(src, dst)` link table,
+/// on `Simulation` and on 1, 2, 4 and 8 shards.
+#[test]
+fn per_link_state_is_pinned_on_every_engine() {
+    let (sequential, deliveries) = link_scenario(&mut Simulation::new(SEED));
+
+    // The scenario does what its description says.
+    let deliveries = deliveries.lock().unwrap();
+    let mut links: BTreeMap<(u64, u64), Vec<(u64, u64)>> = BTreeMap::new();
+    for (node, entries) in deliveries.iter() {
+        for &(at, src, stamp, _) in entries {
+            links.entry((src, node.0)).or_default().push((at, stamp));
+        }
+    }
+    let hub_links = links.keys().filter(|(src, _)| *src == HUB.0).count();
+    assert!(hub_links > 2_000, "hub reached {hub_links} links");
+    let mut bumps = 0;
+    for arrivals in links.values() {
+        for pair in arrivals.windows(2) {
+            assert!(pair[0].1 < pair[1].1, "a link delivered out of send order");
+            bumps += usize::from(pair[1].0 == pair[0].0 + 1);
+        }
+    }
+    assert!(bumps > 20, "{bumps} FIFO bumps");
+    let rejoined = links
+        .iter()
+        .filter(|((src, _), arrivals)| *src == HUB.0 && arrivals.iter().any(|a| a.1 == 2))
+        .count();
+    assert!(
+        rejoined > 1_000,
+        "the rejoined hub continued {rejoined} links"
+    );
+    let at_last: Vec<u64> = deliveries[&NodeId(5)]
+        .iter()
+        .filter(|e| e.0 == u64::MAX - 1)
+        .map(|e| e.2)
+        .collect();
+    assert_eq!(at_last.len(), 2, "both sends at the last instant arrive");
+    drop(deliveries);
+
+    assert_eq!(
+        digest(&sequential),
+        PIN_LINKS,
+        "Simulation: {:#018X}",
+        digest(&sequential)
+    );
+    for shards in [1, 2, 4, 8] {
+        let (sharded, _) = link_scenario(&mut ShardedEngine::new(SEED, shards));
+        assert_eq!(
+            digest(&sharded),
+            PIN_LINKS,
+            "{shards} shard(s): {:#018X}",
+            digest(&sharded)
         );
     }
 }
