@@ -20,7 +20,6 @@ use cyclosa_runtime::metrics::Histogram;
 use cyclosa_sgx::enclave::CostModel;
 use cyclosa_telemetry::TraceSink;
 use cyclosa_util::impl_to_json;
-use cyclosa_util::stats::Cdf;
 use cyclosa_workload::annotation::{AnnotationCampaign, AnnotationConfig};
 use std::fmt;
 
@@ -867,23 +866,6 @@ impl fmt::Display for AblationReport {
         }
         Ok(())
     }
-}
-
-/// Convenience: the Fig. 7 CDF as a [`Cdf`] over the raw `k` values (used by
-/// the Criterion benches and tests).
-pub fn fig7_raw_cdf(setup: &ExperimentSetup, k_max: usize) -> Cdf {
-    let mut cyclosa = setup.cyclosa(k_max);
-    let mut rng = setup.rng(0xF17);
-    for q in &setup.test_queries {
-        cyclosa.protect(&q.query, &mut rng);
-    }
-    Cdf::from_samples(
-        &cyclosa
-            .k_history()
-            .iter()
-            .map(|&k| k as f64)
-            .collect::<Vec<_>>(),
-    )
 }
 
 // ---------------------------------------------------------------------------

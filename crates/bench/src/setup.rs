@@ -4,7 +4,6 @@ use cyclosa::config::ProtectionConfig;
 use cyclosa::mechanism::Cyclosa;
 use cyclosa::sensitivity::build_categorizer;
 use cyclosa_baselines::{DirectSearch, GooPir, Peas, Tor, TrackMeNot, XSearch};
-use cyclosa_mechanism::UserId;
 use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
 use cyclosa_nlp::lexicon::Lexicon;
 use cyclosa_search_engine::corpus::CorpusGenerator;
@@ -218,18 +217,5 @@ impl ExperimentSetup {
     /// The unprotected baseline.
     pub fn direct(&self) -> DirectSearch {
         DirectSearch::new()
-    }
-
-    /// Per-user training histories as `(user, queries)` pairs.
-    pub fn training_histories(&self) -> Vec<(UserId, Vec<&str>)> {
-        self.train
-            .iter()
-            .map(|t| {
-                (
-                    t.user,
-                    t.queries.iter().map(|q| q.query.text.as_str()).collect(),
-                )
-            })
-            .collect()
     }
 }

@@ -328,24 +328,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Schedules the loss probability of every directed link in
-    /// `src_set × dst_set` to become `p` at `at`.
-    pub fn link_loss_at(
-        mut self,
-        at: SimTime,
-        src_set: &[NodeId],
-        dst_set: &[NodeId],
-        p: f64,
-    ) -> Self {
-        self.push_link_fault(LinkFault {
-            at,
-            src_set: src_set.to_vec(),
-            dst_set: dst_set.to_vec(),
-            p,
-        });
-        self
-    }
-
     /// Splits the population into the given disjoint `groups` at `split_at`
     /// and re-merges them at `merge_at`: every directed link between two
     /// different groups is fully severed (loss `1.0`) for the window, both

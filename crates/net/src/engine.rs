@@ -26,7 +26,11 @@
 //!   `(engine seed, src, dst)`. Because only `src`'s handler sends on the
 //!   link `src → dst`, the draw sequence on each stream depends only on
 //!   that node's (deterministic) behaviour, never on global event
-//!   interleaving. [`LinkTable`] encapsulates this discipline.
+//!   interleaving. The state of a link — its stream, FIFO watermark and
+//!   sequence — lives with its sender, on the core that owns the sender:
+//!   each sender keeps a list of its links in first-send order, scanned
+//!   while it is short, and a sender with more than a handful of links
+//!   (the engine node every relay talks to) is reached through an index.
 //! * **Deterministic dynamic membership** — joins, leaves, crashes and
 //!   recoveries scheduled against a simulated time are ordinary events of
 //!   class [`EventClass::Membership`], keyed by a per-node membership
@@ -38,7 +42,7 @@
 //! # FIFO contract
 //!
 //! Messages on the same directed link are delivered in send order
-//! (enforced in [`LinkTable::prepare`] by bumping the delivery time past
+//! (enforced when a send is prepared, by bumping the delivery time past
 //! the previously scheduled delivery). The sequence-number-based secure
 //! channels of `cyclosa-crypto` rely on this.
 
@@ -174,34 +178,81 @@ pub fn link_stream(seed: u64, src: NodeId, dst: NodeId) -> Xoshiro256StarStar {
     Xoshiro256StarStar::seed_from_u64(mix(seed, src.0, dst.0))
 }
 
-#[derive(Debug)]
+/// The delivery state of one directed link: its RNG stream, FIFO watermark
+/// and message sequence counter.
 struct LinkState {
     rng: Xoshiro256StarStar,
     /// Messages delivered (not lost) on this link so far.
     sequence: u64,
     /// When the latest of them arrives; meaningful once `sequence > 0`.
-    /// (A bare instant, not an `Option`: 64 bytes a table entry, not 72.)
+    /// (A bare instant, not an `Option`: 56 bytes a list entry, not 64.)
     last_delivery: SimTime,
 }
 
-/// Per-directed-link delivery state: RNG stream, FIFO watermark and message
-/// sequence counter.
-///
-/// The event core funnels every send through [`LinkTable::prepare`] on the
-/// sender's side, which is what makes latency/loss draws — and therefore
-/// entire executions — bit-identical however the nodes are sharded.
-#[derive(Debug)]
-pub struct LinkTable {
-    seed: u64,
-    links: DetHashMap<(NodeId, NodeId), LinkState>,
+impl LinkState {
+    fn new(seed: u64, src: NodeId, dst: NodeId) -> Self {
+        Self {
+            rng: link_stream(seed, src, dst),
+            sequence: 0,
+            last_delivery: SimTime::ZERO,
+        }
+    }
+
+    /// Decides the fate of one message sent at `at`: `None` when it is
+    /// lost, otherwise its delivery time (bumped past the previous one to
+    /// keep the link FIFO) and its sequence number on the link.
+    fn prepare(
+        &mut self,
+        at: SimTime,
+        model: LatencyModel,
+        loss_probability: f64,
+    ) -> Option<(SimTime, u64)> {
+        if loss_probability > 0.0 && self.rng.gen_bool(loss_probability) {
+            return None;
+        }
+        let mut deliver_at = at.saturating_add(model.sample(&mut self.rng));
+        if self.sequence > 0 && deliver_at <= self.last_delivery {
+            // At the last instant the two share it and the sequence
+            // number alone keeps the link FIFO.
+            deliver_at = self.last_delivery.saturating_add(SimTime::from_nanos(1));
+        }
+        self.last_delivery = deliver_at;
+        let sequence = self.sequence;
+        self.sequence += 1;
+        Some((deliver_at, sequence))
+    }
 }
 
-impl LinkTable {
-    /// Creates an empty table for an engine seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
+/// Senders with at most this many links find one by scanning their list;
+/// longer lists are looked up through [`SenderLinks`]' index. Most nodes
+/// of a CYCLOSA population talk to a `k + 1`-peer view, far below this;
+/// the engine node talks to everyone.
+const SCAN_LINKS: usize = 16;
+
+/// The per-link state of every link a core sends on, kept with the sender:
+/// one list per sender, in first-send order.
+///
+/// The event core funnels every send through [`SenderLinks::prepare`] on
+/// the sender's core, which is what makes latency/loss draws — and
+/// therefore entire executions — bit-identical however the nodes are
+/// sharded. A sender keeps its links whatever happens to it as a node
+/// (crash, leave and rejoin, or never being one: `post` from outside).
+pub(crate) struct SenderLinks {
+    seed: u64,
+    lists: DetHashMap<NodeId, Vec<(NodeId, LinkState)>>,
+    /// `(src, dst)` → position in `src`'s list, for every sender whose list
+    /// is longer than [`SCAN_LINKS`]: filled whole when a list first grows
+    /// past it, one entry per new link after that.
+    index: DetHashMap<(NodeId, NodeId), usize>,
+}
+
+impl SenderLinks {
+    /// No links yet, for an engine seeded with `seed`.
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             seed,
-            links: DetHashMap::default(),
+            lists: DetHashMap::default(),
+            index: DetHashMap::default(),
         }
     }
 
@@ -210,7 +261,7 @@ impl LinkTable {
     /// Returns `None` when the message is lost, otherwise the delivery time
     /// (respecting per-link FIFO order) and the per-link message sequence
     /// number to use in the event key.
-    pub fn prepare(
+    pub(crate) fn prepare(
         &mut self,
         at: SimTime,
         src: NodeId,
@@ -218,24 +269,24 @@ impl LinkTable {
         model: LatencyModel,
         loss_probability: f64,
     ) -> Option<(SimTime, u64)> {
-        let state = self.links.entry((src, dst)).or_insert_with(|| LinkState {
-            rng: link_stream(self.seed, src, dst),
-            sequence: 0,
-            last_delivery: SimTime::ZERO,
+        let list = self.lists.entry(src).or_default();
+        let found = if list.len() <= SCAN_LINKS {
+            list.iter().position(|(to, _)| *to == dst)
+        } else {
+            self.index.get(&(src, dst)).copied()
+        };
+        let position = found.unwrap_or_else(|| {
+            list.push((dst, LinkState::new(self.seed, src, dst)));
+            let len = list.len();
+            if len > SCAN_LINKS {
+                let unindexed = if len == SCAN_LINKS + 1 { 0 } else { len - 1 };
+                for (position, (to, _)) in list.iter().enumerate().skip(unindexed) {
+                    self.index.insert((src, *to), position);
+                }
+            }
+            len - 1
         });
-        if loss_probability > 0.0 && state.rng.gen_bool(loss_probability) {
-            return None;
-        }
-        let mut deliver_at = at.saturating_add(model.sample(&mut state.rng));
-        if state.sequence > 0 && deliver_at <= state.last_delivery {
-            // At the last instant the two share it and the sequence
-            // number alone keeps the link FIFO.
-            deliver_at = state.last_delivery.saturating_add(SimTime::from_nanos(1));
-        }
-        state.last_delivery = deliver_at;
-        let sequence = state.sequence;
-        state.sequence += 1;
-        Some((deliver_at, sequence))
+        list[position].1.prepare(at, model, loss_probability)
     }
 }
 
@@ -714,15 +765,15 @@ mod tests {
     }
 
     #[test]
-    fn link_table_preserves_fifo_and_counts_sequences() {
-        let mut table = LinkTable::new(1);
+    fn sender_links_preserve_fifo_and_count_sequences() {
+        let mut links = SenderLinks::new(1);
         let model = LatencyModel::LogNormal {
             median_ms: 50.0,
             sigma: 1.0,
         };
         let mut last = SimTime::ZERO;
         for expected_seq in 0..50u64 {
-            let (at, seq) = table
+            let (at, seq) = links
                 .prepare(SimTime::ZERO, NodeId(0), NodeId(1), model, 0.0)
                 .expect("no loss configured");
             assert!(at > last, "delivery times must strictly increase per link");
@@ -732,11 +783,11 @@ mod tests {
     }
 
     #[test]
-    fn link_table_saturates_at_the_last_instant_and_stays_fifo() {
-        let mut table = LinkTable::new(1);
+    fn sender_links_saturate_at_the_last_instant_and_stay_fifo() {
+        let mut links = SenderLinks::new(1);
         let model = LatencyModel::Constant(SimTime::from_millis(10));
         let late = SimTime(u64::MAX - 5);
-        let mut prepare = |at| table.prepare(at, NodeId(0), NodeId(1), model, 0.0);
+        let mut prepare = |at| links.prepare(at, NodeId(0), NodeId(1), model, 0.0);
         assert_eq!(prepare(late), Some((SimTime::LAST, 0)));
         // Nothing is later than that: the bump past the previous
         // delivery saturates too, and the sequence number orders the pair.
@@ -745,21 +796,118 @@ mod tests {
     }
 
     #[test]
-    fn link_table_is_independent_of_other_links() {
-        // Interleaving draws on an unrelated link must not change this
-        // link's delivery schedule — the property sharding relies on.
+    fn a_link_is_independent_of_other_links() {
+        // Interleaving draws on unrelated links — another sender's, and
+        // the same sender's until its list outgrows the scan — must not
+        // change this link's delivery schedule: the property sharding
+        // relies on.
         let model = LatencyModel::wan();
-        let mut alone = LinkTable::new(9);
-        let solo: Vec<_> = (0..20)
-            .map(|i| alone.prepare(SimTime::from_millis(i), NodeId(0), NodeId(1), model, 0.0))
+        let ms = SimTime::from_millis;
+        let mut alone = SenderLinks::new(9);
+        let solo: Vec<_> = (0..40)
+            .map(|i| alone.prepare(ms(i), NodeId(0), NodeId(1), model, 0.0))
             .collect();
-        let mut mixed = LinkTable::new(9);
-        let interleaved: Vec<_> = (0..20)
+        let mut mixed = SenderLinks::new(9);
+        let interleaved: Vec<_> = (0..40)
             .map(|i| {
-                let _ = mixed.prepare(SimTime::from_millis(i), NodeId(5), NodeId(6), model, 0.0);
-                mixed.prepare(SimTime::from_millis(i), NodeId(0), NodeId(1), model, 0.0)
+                let _ = mixed.prepare(ms(i), NodeId(5), NodeId(6), model, 0.0);
+                let _ = mixed.prepare(ms(i), NodeId(0), NodeId(100 + i), model, 0.0);
+                mixed.prepare(ms(i), NodeId(0), NodeId(1), model, 0.0)
             })
             .collect();
         assert_eq!(solo, interleaved);
+    }
+
+    /// One link of the engine-wide `(src, dst)` table the per-sender lists
+    /// replaced, as it was: the reference they must match draw for draw.
+    struct ReferenceLink {
+        rng: Xoshiro256StarStar,
+        sequence: u64,
+        last_delivery: SimTime,
+    }
+
+    fn reference_prepare(
+        table: &mut BTreeMap<(NodeId, NodeId), ReferenceLink>,
+        seed: u64,
+        (at, src, dst, model, loss_probability): (SimTime, NodeId, NodeId, LatencyModel, f64),
+    ) -> Option<(SimTime, u64)> {
+        let state = table.entry((src, dst)).or_insert_with(|| ReferenceLink {
+            rng: link_stream(seed, src, dst),
+            sequence: 0,
+            last_delivery: SimTime::ZERO,
+        });
+        if loss_probability > 0.0 && state.rng.gen_bool(loss_probability) {
+            return None;
+        }
+        let mut deliver_at = at.saturating_add(model.sample(&mut state.rng));
+        if state.sequence > 0 && deliver_at <= state.last_delivery {
+            deliver_at = state.last_delivery.saturating_add(SimTime::from_nanos(1));
+        }
+        state.last_delivery = deliver_at;
+        let sequence = state.sequence;
+        state.sequence += 1;
+        Some((deliver_at, sequence))
+    }
+
+    #[test]
+    fn sender_links_match_the_engine_wide_table_on_every_send() {
+        // Fan-outs on both sides of the scan length, one right at it and
+        // one just past it, plus a hub.
+        let fan_outs = [1u64, 3, 15, 16, 17, 40, 300, 2_000];
+        let models = [
+            LatencyModel::wan(),
+            LatencyModel::LogNormal {
+                median_ms: 30.0,
+                sigma: 1.3,
+            },
+            LatencyModel::Constant(SimTime::from_millis(10)),
+            LatencyModel::Uniform {
+                low: SimTime::from_millis(1),
+                high: SimTime::from_millis(80),
+            },
+        ];
+        for (seed, loss) in [(3, 0.0), (4, 0.3), (5, 1.0)] {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            let mut links = SenderLinks::new(seed);
+            let mut reference = BTreeMap::new();
+            let mut clock = 0u64;
+            let (mut lost, mut bumped) = (0, 0);
+            let mut last = BTreeMap::new();
+            let sends = 30_000;
+            for step in 0..sends {
+                // The last tenth of the sends happen within a microsecond
+                // of the last instant, so their deliveries saturate.
+                clock += rng.gen_range(0, 3) * 400_000;
+                let at = if step < sends * 9 / 10 {
+                    SimTime(clock)
+                } else {
+                    SimTime(u64::MAX - rng.gen_range(0, 1_000))
+                };
+                let sender = rng.gen_index(fan_outs.len());
+                let src = NodeId(sender as u64);
+                let dst = NodeId(1_000 * (sender as u64 + 1) + rng.gen_range(0, fan_outs[sender]));
+                let send = (at, src, dst, models[rng.gen_index(models.len())], loss);
+                let expected = reference_prepare(&mut reference, seed, send);
+                let observed = links.prepare(send.0, send.1, send.2, send.3, send.4);
+                assert_eq!(observed, expected, "send {step} of seed {seed}: {send:?}");
+                match observed {
+                    None => lost += 1,
+                    Some((deliver_at, _)) => {
+                        if let Some(previous) = last.insert((src, dst), deliver_at) {
+                            bumped +=
+                                usize::from(deliver_at == previous.saturating_add(SimTime(1)));
+                        }
+                    }
+                }
+            }
+            match loss {
+                0.0 => assert_eq!(lost, 0),
+                1.0 => assert_eq!(lost, sends),
+                _ => assert!(lost > sends / 5 && lost < sends * 2 / 5, "{lost} lost"),
+            }
+            if loss < 1.0 {
+                assert!(bumped > 100, "{bumped} FIFO bumps at seed {seed}");
+            }
+        }
     }
 }

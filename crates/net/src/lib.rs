@@ -55,7 +55,7 @@ mod queue;
 pub mod sim;
 pub mod time;
 
-pub use engine::{Engine, EventClass, EventKey, EventKind, LinkTable, ScheduledEvent};
+pub use engine::{Engine, EventClass, EventKey, EventKind, ScheduledEvent};
 pub use latency::LatencyModel;
 pub use sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
 pub use time::SimTime;

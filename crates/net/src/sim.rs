@@ -9,9 +9,14 @@
 //! `cyclosa-crypto` work unchanged on top of it).
 //!
 //! Events are ordered by the deterministic [`EventKey`] of
-//! [`crate::engine`] and all link randomness flows through the
-//! [`LinkTable`], which makes an execution a pure function of the seed.
-//! There is one copy of this machinery: driven through
+//! [`crate::engine`] and all link randomness flows through per-link state
+//! kept with the sender: each sender's links sit in one list, in
+//! first-send order, that a send finds with one lookup of the sender and
+//! a scan — or, for a sender with more than a handful of links, through a
+//! per-core `(src, dst)` index. That makes an execution a pure function of
+//! the seed, and it needs no per-node field: a sender that crashes, leaves
+//! and rejoins, or was never a node (a `post` from outside) keeps its
+//! links. There is one copy of this machinery: driven through
 //! [`Engine::run`] / [`Engine::run_until`] a `Simulation` is the sequential
 //! engine, and the sharded engine of `cyclosa-runtime` is several of them
 //! (one per shard, each over its slice of the nodes) advanced window by
@@ -20,8 +25,8 @@
 //! bit.
 
 use crate::engine::{
-    Engine, EventClass, EventCounts, EventKey, EventKind, LinkGroupSchedule, LinkTable,
-    LossSchedule, MembershipChange, MembershipLedger, ScheduledEvent,
+    Engine, EventClass, EventCounts, EventKey, EventKind, LinkGroupSchedule, LossSchedule,
+    MembershipChange, MembershipLedger, ScheduledEvent, SenderLinks,
 };
 use crate::latency::LatencyModel;
 use crate::queue::EventQueue;
@@ -197,6 +202,12 @@ impl NodeState {
 /// [`Simulation::run_before`] with a router that hands deliveries for
 /// other shards' nodes to their owners.
 pub struct Simulation {
+    /// Every link this core sends on, in its sender's list. Declared first,
+    /// so a dropped core frees it first: it is the bulk of a finished
+    /// core's memory and was allocated last, during the run, so it goes
+    /// back to the system while what the set-up allocated (queue, nodes)
+    /// stays in the heap for the next core this process builds.
+    links: SenderLinks,
     clock: SimTime,
     queue: EventQueue,
     nodes: DetHashMap<NodeId, NodeState>,
@@ -206,7 +217,6 @@ pub struct Simulation {
     link_latency: DetHashMap<(NodeId, NodeId), LatencyModel>,
     loss: LossSchedule,
     link_loss: LinkGroupSchedule,
-    links: LinkTable,
     membership: MembershipLedger<Behavior>,
     stats: SimulationStats,
     /// Scratch for the actions of the event being processed; kept so an
@@ -230,6 +240,7 @@ impl Simulation {
     /// model is a WAN-class log-normal latency with no loss.
     pub fn new(seed: u64) -> Self {
         Self {
+            links: SenderLinks::new(seed),
             clock: SimTime::ZERO,
             queue: EventQueue::new(),
             nodes: DetHashMap::default(),
@@ -238,7 +249,6 @@ impl Simulation {
             link_latency: DetHashMap::default(),
             loss: LossSchedule::new(),
             link_loss: LinkGroupSchedule::new(),
-            links: LinkTable::new(seed),
             membership: MembershipLedger::new(),
             stats: SimulationStats::default(),
             actions: Vec::new(),

@@ -6,7 +6,7 @@
 //! (paper §V-A1, §V-F). This module provides an equivalent trainer and the
 //! topic-term extraction the categorizer needs.
 
-use crate::text::{TermInterner, Vocabulary};
+use crate::text::Vocabulary;
 use cyclosa_util::rng::Rng;
 use std::collections::BTreeSet;
 
@@ -33,31 +33,6 @@ impl Corpus {
             .collect();
         Self {
             vocab_size: vocab.len(),
-            documents,
-        }
-    }
-
-    /// Builds a corpus over a shared [`TermInterner`], so the trained model
-    /// speaks the same term ids as the profiles and indexes built on that
-    /// interner. `vocab_size` reflects the interner size after interning the
-    /// texts — term ids issued earlier by other subsystems stay valid.
-    pub fn from_texts_shared<'a>(
-        interner: &TermInterner,
-        texts: impl IntoIterator<Item = &'a str>,
-    ) -> Self {
-        let documents: Vec<Vec<usize>> = texts
-            .into_iter()
-            .map(|t| {
-                interner
-                    .tokenize_ids(t)
-                    .into_iter()
-                    .map(|id| id.index())
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|d: &Vec<usize>| !d.is_empty())
-            .collect();
-        Self {
-            vocab_size: interner.len(),
             documents,
         }
     }

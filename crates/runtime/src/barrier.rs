@@ -17,6 +17,13 @@
 //!
 //! Only host time depends on any of this. Which thread arrives last, and
 //! whether a waiter spun or slept, is invisible to the simulation.
+//!
+//! A party that panics never arrives again, so a barrier that only counted
+//! arrivals would strand the others for ever. Each party holds a
+//! [`BreakOnUnwind`] guard instead: unwinding past it marks the barrier
+//! broken and releases every waiter, present and future, with an error.
+//! The mark is the top bit of the generation word, which waiters already
+//! poll, so breaking costs the spin loop nothing.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -45,6 +52,15 @@ pub(crate) fn spin_budget_for(parties: usize) -> u32 {
         SPIN_BUDGET
     }
 }
+
+/// The bit of the generation word that marks the barrier broken. The
+/// count below it would need 2^63 rendezvous to reach it.
+const BROKEN: u64 = 1 << 63;
+
+/// What [`WindowBarrier::wait`] returns once some party has unwound: the
+/// rendezvous will never complete again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Broken;
 
 /// A reusable rendezvous for a fixed set of threads.
 ///
@@ -82,7 +98,12 @@ impl WindowBarrier {
     /// Blocks until every party has called `wait` for this generation.
     /// Everything a party wrote before its `wait` is visible to every
     /// party after theirs.
-    pub(crate) fn wait(&self) {
+    ///
+    /// # Errors
+    ///
+    /// [`Broken`] once some party's [`BreakOnUnwind`] guard has unwound:
+    /// the rendezvous would never complete, so nobody waits for it.
+    pub(crate) fn wait(&self) -> Result<(), Broken> {
         // AcqRel on the ticket counter: each arrival releases what its
         // thread wrote during the phase, and the read-modify-write chain
         // hands all of it to whoever draws the last ticket.
@@ -91,40 +112,63 @@ impl WindowBarrier {
         if ticket % self.parties == self.parties - 1 {
             // Release half: pairs with the waiters' Acquire loads below and
             // passes on what the ticket chain collected. SeqCst because this
-            // store and the `sleepers` load after it are one side of a
+            // write and the `sleepers` load after it are one side of a
             // store-then-load handshake with `park` (`sleepers` increment,
             // then generation load): in the single order of those four
             // operations either the parker sees the new generation and does
-            // not sleep, or this thread sees the sleeper and wakes it.
-            self.generation.0.store(generation + 1, Ordering::SeqCst);
+            // not sleep, or this thread sees the sleeper and wakes it. An
+            // increment, not a store, so a break mark already set stays.
+            let previous = self.generation.0.fetch_add(1, Ordering::SeqCst);
             if self.parking.0.sleepers.load(Ordering::SeqCst) > 0 {
-                // Taking the lock waits out a parker that has checked the
-                // generation but not yet reached `Condvar::wait`.
-                drop(self.lock_parking());
-                self.parking.0.wake.notify_all();
+                self.wake_sleepers();
             }
-            return;
+            return Self::check(previous);
         }
         for _ in 0..self.spin_budget {
-            if self.generation.0.load(Ordering::Acquire) != generation {
-                return;
+            let current = self.generation.0.load(Ordering::Acquire);
+            if current != generation {
+                return Self::check(current);
             }
             std::hint::spin_loop();
         }
-        self.park(generation);
+        self.park(generation)
     }
 
-    fn park(&self, generation: u64) {
+    /// A guard whose unwinding breaks the barrier: each party holds one
+    /// for as long as it takes part in the rendezvous.
+    pub(crate) fn break_on_unwind(&self) -> BreakOnUnwind<'_> {
+        BreakOnUnwind(self)
+    }
+
+    fn check(generation_word: u64) -> Result<(), Broken> {
+        if generation_word & BROKEN == 0 {
+            Ok(())
+        } else {
+            Err(Broken)
+        }
+    }
+
+    fn wake_sleepers(&self) {
+        // Taking the lock waits out a parker that has checked the
+        // generation but not yet reached `Condvar::wait`.
+        drop(self.lock_parking());
+        self.parking.0.wake.notify_all();
+    }
+
+    fn park(&self, generation: u64) -> Result<(), Broken> {
         let parking = &self.parking.0;
         let mut guard = self.lock_parking();
         parking.sleepers.fetch_add(1, Ordering::SeqCst);
-        while self.generation.0.load(Ordering::SeqCst) == generation {
+        let mut current = self.generation.0.load(Ordering::SeqCst);
+        while current == generation {
             guard = parking
                 .wake
                 .wait(guard)
                 .unwrap_or_else(PoisonError::into_inner);
+            current = self.generation.0.load(Ordering::SeqCst);
         }
         parking.sleepers.fetch_sub(1, Ordering::SeqCst);
+        Self::check(current)
     }
 
     fn lock_parking(&self) -> std::sync::MutexGuard<'_, ()> {
@@ -137,9 +181,28 @@ impl WindowBarrier {
     }
 }
 
+/// Breaks its barrier when dropped during a panic (see
+/// [`WindowBarrier::break_on_unwind`]): every waiter is released and every
+/// later `wait` returns [`Broken`] at once. Dropped normally, it does
+/// nothing.
+pub(crate) struct BreakOnUnwind<'a>(&'a WindowBarrier);
+
+impl Drop for BreakOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // SeqCst for the same handshake with `park` as a release.
+            self.0.generation.0.fetch_or(BROKEN, Ordering::SeqCst);
+            self.0.wake_sleepers();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     /// Runs `threads` parties through `generations` rendezvous. Every
     /// party bumps a shared counter before each wait and reads it after:
@@ -159,7 +222,7 @@ mod tests {
                 scope.spawn(|| {
                     for generation in 0..generations {
                         arrived.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait();
+                        barrier.wait().expect("no party unwinds");
                         let seen = arrived.load(Ordering::Relaxed);
                         let expected = (generation + 1) * parties..(generation + 2) * parties;
                         if !expected.contains(&seen) {
@@ -217,11 +280,45 @@ mod tests {
             while barrier.parking.0.sleepers.load(Ordering::SeqCst) == 0 {
                 std::thread::yield_now();
             }
-            barrier.wait();
-            waiter.join().expect("parked waiter released");
+            assert_eq!(barrier.wait(), Ok(()));
+            assert_eq!(waiter.join().expect("parked waiter released"), Ok(()));
         });
         assert_eq!(barrier.parking.0.sleepers.load(Ordering::SeqCst), 0);
         assert_eq!(barrier.generation.0.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_party_that_unwinds_releases_every_other_party() {
+        for spin_budget in [0, SPIN_BUDGET] {
+            let barrier = Arc::new(WindowBarrier::new(3, spin_budget));
+            let (outcomes, watchdog) = mpsc::channel();
+            for party in 0..3 {
+                let (barrier, outcomes) = (barrier.clone(), outcomes.clone());
+                std::thread::spawn(move || {
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        let _guard = barrier.break_on_unwind();
+                        barrier.wait()?;
+                        assert!(party != 2, "party 2 unwinds after one rendezvous");
+                        barrier.wait()
+                    }));
+                    let _ = outcomes.send((party, outcome.map_err(drop)));
+                });
+            }
+            let mut seen: Vec<_> = (0..3)
+                .map(|_| {
+                    watchdog
+                        .recv_timeout(Duration::from_secs(20))
+                        .unwrap_or_else(|_| panic!("budget {spin_budget}: a party is stranded"))
+                })
+                .collect();
+            seen.sort_by_key(|(party, _)| *party);
+            assert_eq!(
+                seen,
+                [(0, Ok(Err(Broken))), (1, Ok(Err(Broken))), (2, Err(()))],
+                "budget {spin_budget}"
+            );
+            assert_eq!(barrier.wait(), Err(Broken), "a broken barrier stays broken");
+        }
     }
 
     #[test]

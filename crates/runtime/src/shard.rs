@@ -44,6 +44,11 @@
 //! same windows on the calling thread, with no worker thread, rendezvous
 //! or mailbox.
 //!
+//! A behaviour that panics on a shard thread breaks the rendezvous on its
+//! way out: the other shards stop at their next wait instead of waiting
+//! for it for ever, and [`Engine::run`] re-raises the panic on the calling
+//! thread, as the one-shard engine does.
+//!
 //! # Spin, then park
 //!
 //! A sparse simulation — the 60-relay soak runs 15 events per window —
@@ -96,7 +101,7 @@
 //! assert_eq!(engine.stats().delivered, 2);
 //! ```
 
-use crate::barrier::{spin_budget_for, CachePadded, WindowBarrier};
+use crate::barrier::{spin_budget_for, Broken, CachePadded, WindowBarrier};
 use crate::metrics::{Counter, Gauge, Histogram, Registry};
 use cyclosa_net::engine::{Engine, ScheduledEvent};
 use cyclosa_net::latency::LatencyModel;
@@ -187,17 +192,18 @@ impl ShardProfile {
     }
 
     /// Waits at `barrier`, recording the wall time spent stalled.
-    fn wait_timed(&self, barrier: &WindowBarrier) {
+    fn wait_timed(&self, barrier: &WindowBarrier) -> Result<(), Broken> {
         #[allow(clippy::disallowed_methods)]
         // cyclosa-lint: allow(wall_clock, reason = "profiling-only barrier-stall stopwatch; the reading feeds a metrics histogram and never touches simulated state")
         let start = Instant::now();
-        barrier.wait();
+        let outcome = barrier.wait();
         self.barrier_stall_ns
             .record(start.elapsed().as_nanos() as u64);
+        outcome
     }
 }
 
-fn wait(barrier: &WindowBarrier, profile: Option<&ShardProfile>) {
+fn wait(barrier: &WindowBarrier, profile: Option<&ShardProfile>) -> Result<(), Broken> {
     match profile {
         Some(profile) => profile.wait_timed(barrier),
         None => barrier.wait(),
@@ -395,11 +401,6 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Number of worker shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total number of registered nodes.
     pub fn node_count(&self) -> usize {
         self.shards.iter().map(|s| s.sim.node_count()).sum()
@@ -485,8 +486,12 @@ impl ShardedEngine {
         let trace = &self.trace;
 
         std::thread::scope(|scope| {
+            let mut threads = Vec::with_capacity(num_shards);
             for shard in self.shards.iter_mut() {
-                scope.spawn(move || {
+                threads.push(scope.spawn(move || -> Result<(), Broken> {
+                    // A shard whose behaviour panics never meets the others
+                    // again: unwinding past this releases them.
+                    let _unwind = barrier.break_on_unwind();
                     let index = shard.index;
                     let profile = shard.profile.clone();
                     let mut outgoing: Vec<Vec<ScheduledEvent>> =
@@ -496,7 +501,7 @@ impl ShardedEngine {
                         next_times[index]
                             .0
                             .store(shard.next_event_nanos(), Ordering::Release);
-                        wait(barrier, profile.as_ref());
+                        wait(barrier, profile.as_ref())?;
                         // Phase 2: shard 0 alone turns the minimum into the
                         // window (or the end of the run).
                         if index == 0 {
@@ -510,9 +515,9 @@ impl ShardedEngine {
                                 None => done.store(true, Ordering::Release),
                             }
                         }
-                        wait(barrier, profile.as_ref());
+                        wait(barrier, profile.as_ref())?;
                         if done.load(Ordering::Acquire) {
-                            return;
+                            return Ok(());
                         }
                         // Phase 3: run the window, post cross-shard events.
                         let end = SimTime::from_nanos(window.load(Ordering::Acquire));
@@ -528,7 +533,7 @@ impl ShardedEngine {
                                     .append(events);
                             }
                         }
-                        wait(barrier, profile.as_ref());
+                        wait(barrier, profile.as_ref())?;
                         if index == 0 {
                             // Every shard finished the window at the
                             // barrier above, so all trace events with
@@ -556,7 +561,18 @@ impl ShardedEngine {
                         // The next round's first barrier orders these
                         // drains before anyone reads next_times again.
                     }
-                });
+                }));
+            }
+            // Join every shard, then re-raise the first panic (in shard
+            // order) on the calling thread, as the inline engine would.
+            let mut panicked = None;
+            for thread in threads {
+                if let Err(payload) = thread.join() {
+                    panicked.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
             }
         });
     }
@@ -670,8 +686,10 @@ impl Engine for ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::barrier::SPIN_BUDGET;
     use cyclosa_net::sim::Context;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     type SharedTrace = Arc<Mutex<std::collections::BTreeMap<NodeId, Vec<(u64, u32)>>>>;
 
@@ -1275,6 +1293,64 @@ mod tests {
                     })
                     .sum();
                 assert_eq!(merged, windows - 1);
+            }
+        }
+    }
+
+    /// Passes each message on until its TTL runs out; the node holding the
+    /// fuse panics on its first message instead.
+    struct Bomb {
+        population: u64,
+        fused: bool,
+    }
+
+    impl NodeBehavior for Bomb {
+        fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
+            assert!(!self.fused, "{} blows up", ctx.self_id());
+            let ttl = envelope.tag >> 16;
+            if ttl > 0 {
+                let next = ctx.self_id().0.wrapping_mul(6364136223846793005) % self.population;
+                ctx.send(NodeId(next), envelope.tag - (1 << 16), envelope.payload);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_behaviour_reaches_run_instead_of_stranding_the_other_shards() {
+        for shards in [2, 4] {
+            for spin_budget in [0, SPIN_BUDGET] {
+                let (outcome, watchdog) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let run = std::panic::catch_unwind(|| {
+                        let mut engine = ShardedEngine::new(11, shards);
+                        engine.spin_budget = spin_budget;
+                        let population = 40;
+                        for id in 0..population {
+                            let fused = id == 7;
+                            engine.add_node(NodeId(id), Box::new(Bomb { population, fused }));
+                        }
+                        for i in 0..population {
+                            let at = SimTime::from_millis(i);
+                            engine.post(at, NodeId(1000 + i), NodeId(i), 20 << 16, vec![]);
+                        }
+                        engine.run()
+                    });
+                    let message = run.map_err(|payload| match payload.downcast::<String>() {
+                        Ok(message) => *message,
+                        Err(_) => "a panic without a message".to_string(),
+                    });
+                    let _ = outcome.send(message);
+                });
+                let run = watchdog
+                    .recv_timeout(Duration::from_secs(20))
+                    .unwrap_or_else(|_| {
+                        panic!("{shards} shards, budget {spin_budget}: still running after 20 s")
+                    });
+                let message = run.expect_err("the behaviour panicked");
+                assert_eq!(
+                    message, "node-7 blows up",
+                    "{shards} shards, budget {spin_budget}"
+                );
             }
         }
     }

@@ -209,11 +209,6 @@ impl Platform {
         self.quoting_key
     }
 
-    /// The platform cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
     /// Creates a new enclave holding `initial_state` as protected data.
     ///
     /// The returned enclave is in the [`EnclaveStatus::Created`] state and
