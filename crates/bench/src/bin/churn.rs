@@ -14,7 +14,9 @@
 //! With `--adversary` the bin additionally sweeps **active adversaries**:
 //! for each Sybil identity budget it replays the identical attack against
 //! the naive shuffle sampler and the Brahms byzantine-resilient sampler
-//! (`cyclosa-peer-sampling`), then converts each sampler's measured
+//! (`cyclosa-peer-sampling` engine overlays whose sybils are
+//! message-passing nodes; the heaviest budget is re-checked bit for bit
+//! on the sharded engine), then converts each sampler's measured
 //! view-poisoning share into SimAttack accuracy through a colluding-relay
 //! coalition of that size (`ColludingMechanism`) — the
 //! attack-accuracy-versus-fraction-malicious curves, written to the
@@ -97,9 +99,9 @@ use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{
-    cross_side_edges, overlay_metrics_from_views, BrahmsConfig, BrahmsSimulator,
-    EngineGossipConfig, EngineGossipOverlay, GossipSimulator, MembershipConfig, Overlay, PeerId,
-    PeerSamplingConfig, SamplingProtocol, SwimGossipOverlay, SybilAttackConfig,
+    cross_side_edges, overlay_metrics_from_views, BrahmsConfig, EngineBrahmsOverlay,
+    EngineGossipConfig, EngineGossipOverlay, MembershipConfig, Overlay, PeerId, SamplingProtocol,
+    SwimGossipOverlay, SybilAttackConfig,
 };
 use cyclosa_runtime::metrics::Registry;
 use cyclosa_telemetry::trace::TraceSink;
@@ -492,6 +494,32 @@ fn churn_run(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
     let quiet = ChurnTelemetry::default();
     let mut engine = choice.build(config.seed, &quiet);
     run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), &quiet)
+}
+
+/// The naive shuffle and Brahms under the identical Sybil `attack`, each
+/// run for `SYBIL_ROUNDS` rounds on its own engine of the chosen kind.
+fn sybil_run(
+    choice: EngineChoice,
+    attack: SybilAttackConfig,
+) -> (EngineGossipOverlay, EngineBrahmsOverlay) {
+    let quiet = ChurnTelemetry::default();
+    let config = EngineGossipConfig {
+        rounds: SYBIL_ROUNDS,
+        ..EngineGossipConfig::default()
+    };
+    let mut engine = choice.build(attack.seed, &quiet);
+    let naive = EngineGossipOverlay::under_attack(&mut *engine, attack, config);
+    engine.run();
+    let mut engine = choice.build(attack.seed, &quiet);
+    let brahms = EngineBrahmsOverlay::ring(
+        &mut *engine,
+        attack,
+        BrahmsConfig::default(),
+        SYBIL_ROUNDS,
+        config.round_period,
+    );
+    engine.run();
+    (naive, brahms)
 }
 
 /// One untraced partition run on the chosen engine.
@@ -980,6 +1008,7 @@ fn main() {
     // poisoned view slot is a relay the attacker controls, and a
     // controlled relay pools the queries it carries with the client's
     // network identity attached).
+    let heaviest_sybil_fraction = options.sybil_fractions.iter().cloned().fold(0.0, f64::max);
     let adversary_points: Vec<AdversaryPoint> = if options.adversary {
         println!(
             "{:>8}  {:>11}  {:>12}  {:>7}  {:>10}  {:>11}",
@@ -995,12 +1024,19 @@ fn main() {
                     pushes_per_sybil: 2,
                     seed: options.seed,
                 };
-                let mut naive =
-                    GossipSimulator::under_attack(attack, PeerSamplingConfig::default());
-                naive.run_rounds(SYBIL_ROUNDS);
+                let (naive, brahms) = sybil_run(EngineChoice::Sequential, attack);
+                // Determinism, as for the other sweeps: the heaviest attack
+                // must poison the same views on the sharded engine.
+                if fraction == heaviest_sybil_fraction {
+                    let (sharded_naive, sharded_brahms) =
+                        sybil_run(EngineChoice::Sharded(options.shards), attack);
+                    assert!(
+                        sharded_naive.views() == naive.views()
+                            && sharded_brahms.views() == brahms.views(),
+                        "sharded Sybil run diverged from the sequential simulation"
+                    );
+                }
                 let naive_view = naive.attacker_fraction();
-                let mut brahms = BrahmsSimulator::ring(attack, BrahmsConfig::default());
-                brahms.run_rounds(SYBIL_ROUNDS);
                 let brahms_view = brahms.attacker_fraction();
 
                 // A coalition holding `view` of the relays: its attack

@@ -10,13 +10,14 @@
 //! the closed schema. This crate bans those fingerprints at the source
 //! level and runs in CI on every push.
 //!
-//! Four rules (see each module's docs):
+//! The rules (see each module's docs):
 //!
 //! | rule | module | defends |
 //! |---|---|---|
 //! | `wall_clock`, `hash_collections` | [`nondet`] | no process entropy in critical crates |
 //! | `rng_stream` | [`rng`] | collision-free stream tags + `RNG_STREAMS.md` registry |
 //! | `trace_schema` | [`schema`] | emitters ⊆ schema ∧ schema ⊆ emitters |
+//! | `dead_pub` | [`dead_pub`] | every `pub fn` has a caller, tests included |
 //! | `allow_hygiene` | here | every suppression is reasoned and still live |
 //!
 //! Sanctioned sites carry `// cyclosa-lint: allow(<rule>, reason = "...")`
@@ -24,6 +25,7 @@
 //! errors so the allowlist cannot rot.
 
 pub mod annot;
+pub mod dead_pub;
 pub mod nondet;
 pub mod rng;
 pub mod scan;
@@ -47,17 +49,20 @@ pub enum Rule {
     RngStream,
     /// Trace event names drifting from the closed telemetry schema.
     TraceSchema,
+    /// `pub fn`s that nothing in the workspace calls.
+    DeadPub,
     /// Malformed, reason-less or unused `allow` annotations.
     AllowHygiene,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 6] = [
         Rule::WallClock,
         Rule::HashCollections,
         Rule::RngStream,
         Rule::TraceSchema,
+        Rule::DeadPub,
         Rule::AllowHygiene,
     ];
 
@@ -68,6 +73,7 @@ impl Rule {
             Rule::HashCollections => "hash_collections",
             Rule::RngStream => "rng_stream",
             Rule::TraceSchema => "trace_schema",
+            Rule::DeadPub => "dead_pub",
             Rule::AllowHygiene => "allow_hygiene",
         }
     }
@@ -81,6 +87,7 @@ impl Rule {
             "nondet" => Some(vec![Rule::WallClock, Rule::HashCollections]),
             "rng_stream" => Some(vec![Rule::RngStream]),
             "trace_schema" => Some(vec![Rule::TraceSchema]),
+            "dead_pub" => Some(vec![Rule::DeadPub]),
             "allow_hygiene" => Some(vec![Rule::AllowHygiene]),
             _ => None,
         }
@@ -121,7 +128,8 @@ impl fmt::Display for Finding {
 pub const RNG_REGISTRY_FILE: &str = "RNG_STREAMS.md";
 
 /// A loaded workspace: every production `.rs` source under `crates/*/src`
-/// plus the root package's `src/`, scanned and annotation-parsed.
+/// plus the root package's `src/`, scanned and annotation-parsed, and the
+/// sources that only call into them.
 pub struct Workspace {
     /// Workspace root.
     pub root: PathBuf,
@@ -129,15 +137,19 @@ pub struct Workspace {
     pub files: Vec<ScannedFile>,
     /// Per-path parsed annotations.
     pub annots: BTreeMap<String, annot::Annotations>,
+    /// Scanned `tests/`, `examples/` and `benches/` of every package, and
+    /// `benchmarks/src`: searched for callers by [`dead_pub`], policed by
+    /// no rule.
+    callers: Vec<ScannedFile>,
 }
 
 impl Workspace {
     /// Loads and scans the workspace rooted at `root`: each member's
-    /// `src/` and the root package's. `target/`, `benchmarks/` and
-    /// per-crate `tests/` directories are out of scope: the rules only
-    /// police production sources.
+    /// `src/` and the root package's are policed; their `tests/`,
+    /// `examples/` and `benches/` and `benchmarks/src` are only read for
+    /// callers. `target/` is out of scope.
     pub fn load(root: &Path) -> io::Result<Workspace> {
-        let mut sources = Vec::new();
+        let mut packages = vec![root.to_owned()];
         let crates_dir = root.join("crates");
         if crates_dir.is_dir() {
             let mut members: Vec<PathBuf> = fs::read_dir(&crates_dir)?
@@ -145,33 +157,42 @@ impl Workspace {
                 .filter(|p| p.join("src").is_dir())
                 .collect();
             members.sort();
-            for member in members {
-                collect_rs(&member.join("src"), &mut sources)?;
+            packages.extend(members);
+        }
+        let (mut sources, mut callers) = (Vec::new(), Vec::new());
+        for package in &packages {
+            collect_rs(&package.join("src"), &mut sources)?;
+            for dir in ["tests", "examples", "benches"] {
+                collect_rs(&package.join(dir), &mut callers)?;
             }
         }
-        if root.join("src").is_dir() {
-            collect_rs(&root.join("src"), &mut sources)?;
-        }
+        collect_rs(&root.join("benchmarks/src"), &mut callers)?;
         sources.sort();
-        let mut files = Vec::with_capacity(sources.len());
-        let mut annots = BTreeMap::new();
-        for path in sources {
-            let source = fs::read_to_string(&path)?;
+        callers.sort();
+        let scan_file = |path: &PathBuf| -> io::Result<ScannedFile> {
+            let source = fs::read_to_string(path)?;
             let rel = path
                 .strip_prefix(root)
-                .unwrap_or(&path)
+                .unwrap_or(path)
                 .components()
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
                 .join("/");
-            let file = scan::scan_source(&rel, &source);
-            annots.insert(rel, annot::parse(&file));
-            files.push(file);
-        }
+            Ok(scan::scan_source(&rel, &source))
+        };
+        let files = sources
+            .iter()
+            .map(scan_file)
+            .collect::<io::Result<Vec<_>>>()?;
+        let annots = files
+            .iter()
+            .map(|file| (file.path.clone(), annot::parse(file)))
+            .collect();
         Ok(Workspace {
             root: root.to_owned(),
             files,
             annots,
+            callers: callers.iter().map(scan_file).collect::<io::Result<_>>()?,
         })
     }
 
@@ -193,6 +214,9 @@ impl Workspace {
         if rules.contains(&Rule::TraceSchema) {
             let schema = schema::collect_schema(&refs);
             schema::check(&refs, &schema, &self.annots, &mut findings);
+        }
+        if rules.contains(&Rule::DeadPub) {
+            dead_pub::check(&refs, &self.callers, &mut findings);
         }
         if rules.contains(&Rule::AllowHygiene) {
             let schema = schema::collect_schema(&refs);
@@ -236,8 +260,12 @@ impl Workspace {
     }
 }
 
-/// Recursively collects `.rs` files under `dir` (sorted traversal).
+/// Recursively collects `.rs` files under `dir` (sorted traversal); a
+/// missing `dir` holds none.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();

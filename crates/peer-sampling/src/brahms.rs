@@ -19,23 +19,23 @@
 //! 3. **Validation** — a sampler whose output stops responding is
 //!    reset ([`MinWiseSampler::invalidate`]) with a fresh salt.
 //!
-//! [`BrahmsSimulator`] replays the *same* [`SybilAttackConfig`] scenario
-//! as the naive-sampler experiment for directly comparable poisoning
-//! curves, and [`EngineBrahmsOverlay`] runs the protocol over simulated
-//! network messages on any [`Engine`] — bit-identical across 1/2/4/8
-//! shards like every other overlay in this crate.
+//! [`EngineBrahmsOverlay`] runs the protocol over simulated network
+//! messages on any [`Engine`] — bit-identical across 1/2/4/8 shards like
+//! every other overlay in this crate — under the *same*
+//! [`SybilAttackConfig`] scenario as the naive shuffle's
+//! [`crate::EngineGossipOverlay::under_attack`], for directly comparable
+//! poisoning curves.
 
 use crate::population::{
-    decode_ids, encode_ids, lock, node_rng, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND,
+    decode_ids, encode_ids, lock, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND,
 };
-use crate::sybil::{is_sybil, sybil_view_fraction, SybilAttackConfig, SybilAttacker};
+use crate::sybil::{SybilAttackConfig, SybilAttacker};
 use crate::view::PeerId;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_util::rng::{Rng, SplitMix64, Xoshiro256StarStar};
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// One min-wise independent sampler: remembers the peer minimizing a
@@ -262,114 +262,6 @@ impl BrahmsNode {
     }
 }
 
-/// A synchronous Brahms population under the same Sybil attack as
-/// [`crate::GossipSimulator::under_attack`]: sybils flood pushes and answer
-/// every pull with an all-sybil view. The defense metrics come out of
-/// [`BrahmsSimulator::attacker_fraction`].
-#[derive(Debug)]
-pub struct BrahmsSimulator {
-    nodes: BTreeMap<PeerId, BrahmsNode>,
-    attacker: SybilAttacker,
-    config: BrahmsConfig,
-    rng: Xoshiro256StarStar,
-}
-
-impl BrahmsSimulator {
-    /// Creates the honest population bootstrapped in a ring (each node
-    /// knows its successors plus one seeded sybil, mirroring the naive
-    /// experiment's toehold).
-    pub fn ring(attack: SybilAttackConfig, config: BrahmsConfig) -> Self {
-        let attacker = SybilAttacker::new(&attack);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0xB4A5);
-        let mut nodes = BTreeMap::new();
-        for i in 0..attack.honest {
-            let id = PeerId(i as u64);
-            let mut node_rng = rng.fork(1);
-            let mut node = BrahmsNode::new(id, config, &mut node_rng);
-            let fanout = config.view_size().min(attack.honest - 1).max(1);
-            node.bootstrap((1..=fanout).map(|j| PeerId(((i + j) % attack.honest) as u64)));
-            node.bootstrap(attacker.toehold(&mut rng));
-            nodes.insert(id, node);
-        }
-        Self {
-            nodes,
-            attacker,
-            config,
-            rng,
-        }
-    }
-
-    /// Runs one synchronous round: honest pushes/pulls plus the
-    /// attacker's push flood, then every node's quota-checked update.
-    pub fn run_round(&mut self) {
-        let honest: Vec<PeerId> = self.nodes.keys().copied().collect();
-        let mut push_inbox: BTreeMap<PeerId, Vec<PeerId>> = BTreeMap::new();
-        let mut pull_inbox: BTreeMap<PeerId, Vec<PeerId>> = BTreeMap::new();
-        // Honest traffic.
-        for &id in &honest {
-            let node = &self.nodes[&id];
-            for target in node.targets(self.config.alpha, &mut self.rng) {
-                if !is_sybil(target) {
-                    push_inbox.entry(target).or_default().push(id);
-                }
-                // Pushes to sybils only tell the attacker the pusher
-                // exists; nothing to model.
-            }
-            for target in node.targets(self.config.beta, &mut self.rng) {
-                let reply = if is_sybil(target) {
-                    self.attacker
-                        .poisoned_picks(self.config.view_size(), &mut self.rng)
-                } else {
-                    self.nodes[&target].view().to_vec()
-                };
-                pull_inbox.entry(id).or_default().extend(reply);
-            }
-        }
-        // Attacker flood: every sybil pushes its id to random honest
-        // nodes. Against the naive sampler this is what captures views;
-        // here it mostly voids rounds.
-        for &sybil in &self.attacker.sybils {
-            for _ in 0..self.attacker.pushes_per_sybil {
-                let target = self.attacker.flood_target(&mut self.rng);
-                push_inbox.entry(target).or_default().push(sybil);
-            }
-        }
-        // Quota-checked updates.
-        for &id in &honest {
-            let pushes = push_inbox.remove(&id).unwrap_or_default();
-            let pulls = pull_inbox.remove(&id).unwrap_or_default();
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.round_update(&pushes, &pulls, &mut self.rng);
-            }
-        }
-    }
-
-    /// Runs `rounds` synchronous rounds.
-    pub fn run_rounds(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            self.run_round();
-        }
-    }
-
-    /// The `(node, view)` pairs of the honest population.
-    pub fn views(&self) -> Vec<(PeerId, Vec<PeerId>)> {
-        self.nodes
-            .iter()
-            .map(|(id, node)| (*id, node.view().to_vec()))
-            .collect()
-    }
-
-    /// The mean fraction of sybil entries across honest views.
-    pub fn attacker_fraction(&self) -> f64 {
-        sybil_view_fraction(&self.views())
-    }
-
-    /// Total voided rounds across the population (the quota firing).
-    pub fn voided_rounds(&self) -> u64 {
-        self.nodes.values().map(|n| n.voided_rounds()).sum()
-    }
-}
-
 // ---------------------------------------------------------------------
 // The engine-driven overlay.
 // ---------------------------------------------------------------------
@@ -379,25 +271,13 @@ const TAG_PULL_REQ: u32 = 0xB8A2;
 const TAG_PULL_REP: u32 = 0xB8A3;
 
 struct HonestBrahmsBehavior {
-    node: BrahmsNode,
+    node: Arc<Mutex<BrahmsNode>>,
     config: BrahmsConfig,
     rng: Xoshiro256StarStar,
     rounds_left: usize,
     round_period: SimTime,
     pushes: Vec<PeerId>,
     pulls: Vec<PeerId>,
-    shared: Arc<Mutex<Vec<PeerId>>>,
-}
-
-impl HonestBrahmsBehavior {
-    fn gossip(&mut self, ctx: &mut Context<'_>) {
-        for target in self.node.targets(self.config.alpha, &mut self.rng) {
-            ctx.send(NodeId(target.0), TAG_PUSH, Vec::new());
-        }
-        for target in self.node.targets(self.config.beta, &mut self.rng) {
-            ctx.send(NodeId(target.0), TAG_PULL_REQ, Vec::new());
-        }
-    }
 }
 
 impl NodeBehavior for HonestBrahmsBehavior {
@@ -405,7 +285,7 @@ impl NodeBehavior for HonestBrahmsBehavior {
         match envelope.tag {
             TAG_PUSH => self.pushes.push(PeerId(envelope.src.0)),
             TAG_PULL_REQ => {
-                let view = encode_ids(self.node.view());
+                let view = encode_ids(lock(&self.node).view());
                 ctx.send(envelope.src, TAG_PULL_REP, view);
             }
             // A ragged reply is dropped whole, never truncated to its
@@ -423,9 +303,14 @@ impl NodeBehavior for HonestBrahmsBehavior {
         }
         let pushes = std::mem::take(&mut self.pushes);
         let pulls = std::mem::take(&mut self.pulls);
-        self.node.round_update(&pushes, &pulls, &mut self.rng);
-        *lock(&self.shared) = self.node.view().to_vec();
-        self.gossip(ctx);
+        let mut node = lock(&self.node);
+        node.round_update(&pushes, &pulls, &mut self.rng);
+        for target in node.targets(self.config.alpha, &mut self.rng) {
+            ctx.send(NodeId(target.0), TAG_PUSH, Vec::new());
+        }
+        for target in node.targets(self.config.beta, &mut self.rng) {
+            ctx.send(NodeId(target.0), TAG_PULL_REQ, Vec::new());
+        }
         if self.rounds_left > 0 {
             self.rounds_left -= 1;
             ctx.set_timer(self.round_period, TOKEN_ROUND);
@@ -433,6 +318,8 @@ impl NodeBehavior for HonestBrahmsBehavior {
     }
 }
 
+/// A sybil on the Brahms wire: it answers every pull with an all-sybil
+/// view and push-floods its id to random honest nodes every round.
 struct SybilBrahmsBehavior {
     attacker: SybilAttacker,
     view_size: usize,
@@ -471,16 +358,14 @@ impl NodeBehavior for SybilBrahmsBehavior {
 pub struct Brahms {
     config: BrahmsConfig,
     attacker: SybilAttacker,
-    /// The deployment stream the toehold draws come from, like the
-    /// synchronous simulators.
+    /// The deployment stream the toehold draws come from.
     seeder: Xoshiro256StarStar,
     rounds: usize,
     round_period: SimTime,
 }
 
 impl SamplingProtocol for Brahms {
-    /// The node's view as of its last round.
-    type State = Vec<PeerId>;
+    type State = BrahmsNode;
     const STREAM_SALT: u64 = 0xB4A1_1753;
 
     fn round_period(&self) -> SimTime {
@@ -497,26 +382,25 @@ impl SamplingProtocol for Brahms {
         bootstrap: &[PeerId],
         mut rng: Xoshiro256StarStar,
         _liveness: &Liveness,
-    ) -> (Arc<Mutex<Vec<PeerId>>>, Box<dyn NodeBehavior + Send>) {
+    ) -> (Arc<Mutex<BrahmsNode>>, Box<dyn NodeBehavior + Send>) {
         let mut node = BrahmsNode::new(id, self.config, &mut rng);
         node.bootstrap(bootstrap.iter().copied());
         node.bootstrap(self.attacker.toehold(&mut self.seeder));
-        let shared = Arc::new(Mutex::new(node.view().to_vec()));
+        let node = Arc::new(Mutex::new(node));
         let behavior = HonestBrahmsBehavior {
-            node,
+            node: node.clone(),
             config: self.config,
             rng,
             rounds_left: self.rounds,
             round_period: self.round_period,
             pushes: Vec::new(),
             pulls: Vec::new(),
-            shared: shared.clone(),
         };
-        (shared, Box::new(behavior))
+        (node, Box::new(behavior))
     }
 
-    fn view(state: &Vec<PeerId>) -> Vec<PeerId> {
-        state.clone()
+    fn view(state: &BrahmsNode) -> Vec<PeerId> {
+        state.view().to_vec()
     }
 }
 
@@ -540,37 +424,41 @@ impl Overlay<Brahms> {
         rounds: usize,
         round_period: SimTime,
     ) -> Self {
-        let attacker = SybilAttacker::new(&attack);
         let protocol = Brahms {
             config,
-            attacker: attacker.clone(),
+            attacker: SybilAttacker::new(&attack),
             seeder: Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0xB4A5),
             rounds,
             round_period,
         };
         let overlay = Self::deploy(engine, attack.honest, protocol, attack.seed);
-        for sybil in &attacker.sybils {
-            engine.add_node(
-                NodeId(sybil.0),
-                Box::new(SybilBrahmsBehavior {
-                    attacker: attacker.clone(),
-                    view_size: config.view_size(),
-                    rng: node_rng(attack.seed, Brahms::STREAM_SALT, sybil.0),
-                    rounds_left: rounds,
-                    round_period,
-                }),
-            );
-            engine.schedule_timer(round_period, NodeId(sybil.0), TOKEN_ROUND);
-        }
+        let attacker = &overlay.protocol.attacker;
+        overlay.deploy_sybils(engine, attacker, |rng| {
+            Box::new(SybilBrahmsBehavior {
+                attacker: attacker.clone(),
+                view_size: config.view_size(),
+                rng,
+                rounds_left: rounds,
+                round_period,
+            })
+        });
         overlay
+    }
+
+    /// Rounds whose view update the push quota voided, summed over the
+    /// alive population.
+    pub fn voided_rounds(&self) -> u64 {
+        self.alive()
+            .map(|(_, node)| lock(node).voided_rounds())
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::PeerSamplingConfig;
-    use crate::simulator::GossipSimulator;
+    use crate::sybil::{is_sybil, sybil_view_fraction};
+    use crate::{overlay_metrics_from_views, EngineGossipConfig, EngineGossipOverlay};
     use cyclosa_net::sim::Simulation;
     use cyclosa_runtime::ShardedEngine;
 
@@ -640,10 +528,22 @@ mod tests {
     #[test]
     fn brahms_bounds_the_same_attack_that_captures_the_naive_sampler() {
         let attack = SybilAttackConfig::default(); // f = 0.2, flood 2/sybil
-        let mut naive = GossipSimulator::under_attack(attack, PeerSamplingConfig::default());
-        naive.run_rounds(50);
-        let mut brahms = BrahmsSimulator::ring(attack, BrahmsConfig::default());
-        brahms.run_rounds(50);
+        let mut naive_engine = Simulation::new(attack.seed);
+        let mut brahms_engine = Simulation::new(attack.seed);
+        let config = EngineGossipConfig {
+            rounds: 50,
+            ..EngineGossipConfig::default()
+        };
+        let naive = EngineGossipOverlay::under_attack(&mut naive_engine, attack, config);
+        naive_engine.run();
+        let brahms = EngineBrahmsOverlay::ring(
+            &mut brahms_engine,
+            attack,
+            BrahmsConfig::default(),
+            50,
+            SimTime::from_secs(1),
+        );
+        brahms_engine.run();
         let (naive_frac, brahms_frac) = (naive.attacker_fraction(), brahms.attacker_fraction());
         assert!(
             naive_frac > 0.5,
@@ -654,20 +554,12 @@ mod tests {
             "brahms must bound poisoning near the identity share ({brahms_frac})"
         );
         assert!(brahms.voided_rounds() > 0, "the quota must have fired");
-        let metrics = crate::simulator::overlay_metrics_from_views(
-            &brahms
-                .views()
-                .into_iter()
-                .map(|(id, view)| {
-                    (
-                        id,
-                        view.into_iter()
-                            .filter(|p| !is_sybil(*p))
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect::<Vec<_>>(),
-        );
+        let honest_views: Vec<_> = brahms
+            .views()
+            .into_iter()
+            .map(|(id, view)| (id, view.into_iter().filter(|p| !is_sybil(*p)).collect()))
+            .collect();
+        let metrics = overlay_metrics_from_views(&honest_views);
         assert!(metrics.connected, "the honest core must stay connected");
     }
 
@@ -752,7 +644,7 @@ mod tests {
         );
         engine.run();
         assert_eq!(overlay.attacker_fraction(), 0.0);
-        let metrics = crate::simulator::overlay_metrics_from_views(&overlay.views());
+        let metrics = overlay_metrics_from_views(&overlay.views());
         assert!(metrics.connected);
         assert!(metrics.mean_in_degree > 8.0, "views must fill out");
     }

@@ -23,25 +23,24 @@
 //!   Brahms byzantine-resilient sampling (push quotas voiding flooded
 //!   rounds, min-wise independent samplers anchoring views to the full
 //!   observation history).
-//! * [`GossipSimulator`] / [`BrahmsSimulator`] — the two synchronous round
-//!   drivers (pairwise-immediate exchange and inbox-then-quota-update
-//!   share no logic), with failure injection and overlay-quality metrics
-//!   (connectivity, in-degree balance). Both replay the *same*
-//!   [`SybilAttackConfig`] — an attacker minting `f · N` identities that
-//!   push-flood and answer with poisoned buffers
-//!   ([`GossipSimulator::under_attack`]; the calm ring is the zero-budget
-//!   attack) — for directly comparable poisoning curves.
-//! * [`Overlay`] ([`population`]) — the one event-driven harness: ring
-//!   deployment on any `cyclosa_net::engine::Engine` (including the
-//!   sharded parallel engine of `cyclosa-runtime`), per-node RNG streams,
-//!   the liveness timeline, kills and partitions, view/metric accessors. A
+//! * [`Overlay`] ([`population`]) — the one harness every sampler runs
+//!   on: ring deployment on any `cyclosa_net::engine::Engine` (including
+//!   the sharded parallel engine of `cyclosa-runtime`), per-node RNG
+//!   streams, the liveness timeline, kills and partitions, view and
+//!   overlay-quality accessors (connectivity, in-degree balance). A
 //!   protocol plugs in through [`SamplingProtocol`] and keeps its own
 //!   operations inherent on its instantiation: [`EngineGossipOverlay`]
 //!   (revivals, rejoins, live staleness/dead-reference histograms, eager
 //!   re-assessment of stale views, directory-assisted merge bridges),
 //!   [`SwimGossipOverlay`] (per-observer membership timelines exported as
 //!   `mship.*` telemetry spans, incarnation forgeries) and
-//!   [`EngineBrahmsOverlay`] (the sybils as real message-passing nodes).
+//!   [`EngineBrahmsOverlay`].
+//! * [`SybilAttackConfig`] — one Sybil attack for both the naive shuffle
+//!   ([`EngineGossipOverlay::under_attack`]) and Brahms
+//!   ([`EngineBrahmsOverlay::ring`]): an attacker minting `f · N`
+//!   identities that run as real message-passing nodes, push-flood and
+//!   answer with poisoned buffers, for directly comparable poisoning
+//!   curves. The calm shuffle ring is the zero-budget attack.
 //!
 //! CYCLOSA uses the resulting random views for two purposes: selecting the
 //! `k + 1` relays of each query (load balancing falls out of view
@@ -56,20 +55,18 @@ pub mod membership;
 pub mod node;
 pub mod overlay;
 pub mod population;
-pub mod simulator;
 pub mod swim;
 pub mod sybil;
 pub mod view;
 
-pub use brahms::{BrahmsConfig, BrahmsNode, BrahmsSimulator, EngineBrahmsOverlay, MinWiseSampler};
+pub use brahms::{BrahmsConfig, BrahmsNode, EngineBrahmsOverlay, MinWiseSampler};
 pub use cyclosa_telemetry::check::MEMBERSHIP_EVENT_NAMES;
 pub use hyparview::{HyParViewConfig, PartialViews};
 pub use membership::{MembershipConfig, SwimGossipOverlay};
 pub use node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode, SelectionPolicy};
 pub use overlay::{EngineGossipConfig, EngineGossipOverlay};
-pub use population::{Overlay, SamplingProtocol};
-pub use simulator::{
-    cross_side_edges, overlay_metrics_from_views, GossipSimulator, OverlayMetrics,
+pub use population::{
+    cross_side_edges, overlay_metrics_from_views, Overlay, OverlayMetrics, SamplingProtocol,
 };
 pub use swim::{FailureDetector, MemberState, MembershipEvent, MembershipEventKind, SwimRumor};
 pub use sybil::{is_sybil, sybil_view_fraction, SybilAttackConfig, SYBIL_BASE};

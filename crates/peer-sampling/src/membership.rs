@@ -986,7 +986,7 @@ impl Overlay<Swim> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::cross_side_edges;
+    use crate::population::cross_side_edges;
     use cyclosa_net::sim::Simulation;
     use cyclosa_runtime::ShardedEngine;
 

@@ -89,11 +89,6 @@ impl PeerSamplingNode {
         &self.view
     }
 
-    /// The protocol configuration.
-    pub fn config(&self) -> PeerSamplingConfig {
-        self.config
-    }
-
     /// Seeds the view with bootstrap peers (e.g. from a public directory,
     /// as CYCLOSA does at start-up).
     pub fn bootstrap(&mut self, peers: impl IntoIterator<Item = PeerId>) {
@@ -161,8 +156,8 @@ impl PeerSamplingNode {
 
     /// One push–pull exchange initiated by `self`: both sides prepare their
     /// buffers (initiator first), then the partner merges, then the
-    /// initiator. Every synchronous round driver goes through here, so the
-    /// draw order on `rng` is the same wherever a shuffle round runs.
+    /// initiator, all on one `rng` — the synchronous exchange of
+    /// `converge_peer_views`, where both nodes are at hand.
     pub fn exchange<R: Rng + ?Sized>(&mut self, partner: &mut Self, rng: &mut R) {
         let sent = self.prepare_buffer(rng);
         let reply = partner.prepare_buffer(rng);

@@ -1,17 +1,17 @@
-//! The peer-sampling protocol running on a discrete-event [`Engine`] —
-//! the event-driven port of [`crate::simulator::GossipSimulator`].
+//! The Jelasity shuffle running on a discrete-event [`Engine`].
 //!
-//! Where the synchronous simulator exchanges buffers by direct method
-//! calls, this overlay runs the same protocol over simulated network
-//! messages: each node arms a periodic round timer, pushes its buffer to
-//! the selected partner, and merges the pulled reply. Unanswered exchanges
-//! (crashed partners) are blacklisted at the next round, mirroring how
-//! CYCLOSA clients drop unresponsive proxies.
+//! The protocol runs over simulated network messages: each node arms a
+//! periodic round timer, pushes its buffer to the selected partner, and
+//! merges the pulled reply. Unanswered exchanges (crashed partners) are
+//! blacklisted at the next round, mirroring how CYCLOSA clients drop
+//! unresponsive proxies.
 //!
 //! Deployment, per-node streams, liveness, crashes and the end-of-run
 //! accessors are the shared [`Overlay`]'s ([`crate::population`]); this
 //! module is the shuffle protocol itself plus the faults only it has:
-//! revivals, rejoins and merge bridges.
+//! revivals, rejoins, merge bridges and the Sybil attacker of
+//! [`EngineGossipOverlay::under_attack`], whose identities answer every
+//! push with fresh poisoned buffers and push-flood honest nodes each round.
 //!
 //! Partitions are first-class faults: [`Overlay::schedule_partition`]
 //! severs the links between a minority component and the rest for a window
@@ -33,6 +33,7 @@
 
 use crate::node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode};
 use crate::population::{lock, node_rng, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND};
+use crate::sybil::{SybilAttackConfig, SybilAttacker};
 use crate::view::{Descriptor, PeerId, View};
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
@@ -271,12 +272,75 @@ impl NodeBehavior for GossipBehavior {
     }
 }
 
-/// The shuffle protocol as deployed by [`EngineGossipOverlay::ring`]: the
-/// configuration every node (and every rejoined node) is spawned with.
+/// A sybil on the shuffle's wire: it answers every push with a buffer of
+/// exclusively fresh sybil descriptors, so the healer policy (drop
+/// oldest) never prefers honest entries over them, and push-floods such
+/// buffers to random honest nodes every round.
+struct SybilGossipBehavior {
+    attacker: SybilAttacker,
+    slots: usize,
+    rng: Xoshiro256StarStar,
+    rounds_left: usize,
+    round_period: SimTime,
+}
+
+impl SybilGossipBehavior {
+    fn poisoned_buffer(&mut self) -> Vec<u8> {
+        let picks = self.attacker.poisoned_picks(self.slots, &mut self.rng);
+        let descriptors = picks.into_iter().map(Descriptor::fresh).collect();
+        encode(&ExchangeBuffer { descriptors })
+    }
+}
+
+impl NodeBehavior for SybilGossipBehavior {
+    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
+        // Replies to the flood are absorbed.
+        if envelope.tag == TAG_PUSH {
+            let reply = self.poisoned_buffer();
+            ctx.send(envelope.src, TAG_REPLY, reply);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+        for _ in 0..self.attacker.pushes_per_sybil {
+            let target = self.attacker.flood_target(&mut self.rng);
+            let buffer = self.poisoned_buffer();
+            ctx.send(NodeId(target.0), TAG_PUSH, buffer);
+        }
+        self.rounds_left = self.rounds_left.saturating_sub(1);
+        if self.rounds_left > 0 {
+            ctx.set_timer(self.round_period, TOKEN_ROUND);
+        }
+    }
+}
+
+/// The shuffle protocol as deployed by [`EngineGossipOverlay::ring`] and
+/// [`EngineGossipOverlay::under_attack`]: the configuration every node
+/// (and every rejoined node) is spawned with, and the attacker whose
+/// toehold each one is bootstrapped with (the calm ring's has no
+/// identities and draws nothing).
 #[derive(Debug)]
 pub struct Shuffle {
     config: EngineGossipConfig,
     probes: Option<OverlayProbes>,
+    attacker: SybilAttacker,
+    /// The deployment stream the toehold draws come from.
+    seeder: Xoshiro256StarStar,
+}
+
+impl Shuffle {
+    fn new(
+        config: EngineGossipConfig,
+        probes: Option<OverlayProbes>,
+        attack: &SybilAttackConfig,
+    ) -> Self {
+        Self {
+            config,
+            probes,
+            attacker: SybilAttacker::new(attack),
+            seeder: Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0x5B11),
+        }
+    }
 }
 
 impl SamplingProtocol for Shuffle {
@@ -300,6 +364,7 @@ impl SamplingProtocol for Shuffle {
     ) -> (Arc<Mutex<PeerSamplingNode>>, Box<dyn NodeBehavior + Send>) {
         let mut node = PeerSamplingNode::new(id, self.config.protocol);
         node.bootstrap(bootstrap.iter().copied());
+        node.bootstrap(self.attacker.toehold(&mut self.seeder));
         let node = Arc::new(Mutex::new(node));
         let behavior = GossipBehavior {
             node: node.clone(),
@@ -349,7 +414,37 @@ impl Overlay<Shuffle> {
         registry: Option<&Registry>,
     ) -> Self {
         let probes = registry.map(OverlayProbes::from_registry);
-        Self::deploy(engine, count, Shuffle { config, probes }, seed)
+        let calm = SybilAttackConfig::calm(count, seed);
+        Self::deploy(engine, count, Shuffle::new(config, probes, &calm), seed)
+    }
+
+    /// The ring of [`EngineGossipOverlay::ring`] under Sybil attack: the
+    /// attacker's identities join `engine` as nodes, and every honest node
+    /// is bootstrapped with one of them next to its ring successor.
+    /// Everything is seeded from `attack.seed`; no registry is attached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `attack.honest < 2` or the attack fraction is outside
+    /// `[0, 1]`.
+    pub fn under_attack<E: Engine + ?Sized>(
+        engine: &mut E,
+        attack: SybilAttackConfig,
+        config: EngineGossipConfig,
+    ) -> Self {
+        let protocol = Shuffle::new(config, None, &attack);
+        let overlay = Self::deploy(engine, attack.honest, protocol, attack.seed);
+        let attacker = &overlay.protocol.attacker;
+        overlay.deploy_sybils(engine, attacker, |rng| {
+            Box::new(SybilGossipBehavior {
+                attacker: attacker.clone(),
+                slots: config.protocol.exchange_size,
+                rng,
+                rounds_left: config.rounds,
+                round_period: config.round_period,
+            })
+        });
+        overlay
     }
 
     /// Schedules `peer` to recover at simulated time `at`, state intact,
@@ -461,7 +556,7 @@ impl Overlay<Shuffle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::cross_side_edges;
+    use crate::population::cross_side_edges;
     use cyclosa_net::sim::Simulation;
     use cyclosa_runtime::ShardedEngine;
 
@@ -969,6 +1064,87 @@ mod tests {
         };
         assert_eq!(decode(&encode(&buffer)), Some(buffer));
         assert_eq!(decode(&[1, 2, 3]), None);
+    }
+
+    #[test]
+    fn random_peer_draws_spread_load() {
+        let mut simulation = Simulation::new(11);
+        let config = EngineGossipConfig {
+            rounds: 230,
+            ..EngineGossipConfig::default()
+        };
+        let overlay = EngineGossipOverlay::ring(&mut simulation, 50, config, 11, None);
+        simulation.run_until(SimTime::from_secs(30));
+        // Draw many relay sets from one node, one per round, and check they
+        // cover a large fraction of the population over time (the
+        // load-balancing property CYCLOSA relies on).
+        let mut rng = Xoshiro256StarStar::seed_from_u64(11);
+        let mut seen = std::collections::BTreeSet::new();
+        for round in 31..=230 {
+            simulation.run_until(SimTime::from_secs(round));
+            seen.extend(lock(&overlay.handles[0].1).random_peers(&mut rng, 4));
+        }
+        assert!(seen.len() > 35, "only {} distinct relays seen", seen.len());
+    }
+
+    #[test]
+    fn ragged_push_or_reply_is_dropped_whole_not_truncated() {
+        // Node 0 receives, as its first round's push leaves, a stray `tag`
+        // message carrying three descriptors nobody has heard of, followed
+        // by `stray` bytes (a buffer truncated mid-descriptor, or extended
+        // past its last one). A reply is merged only from the partner in
+        // flight, so the message goes out from every bootstrap peer of
+        // node 0. The baseline posts the same bytes under a tag the shuffle
+        // ignores, so every link draws alike.
+        const TAG_IGNORED: u32 = 0x9FFF;
+        let run = |attacked: bool, tag: u32, stray: usize| {
+            let mut engine = Simulation::new(9);
+            let config = EngineGossipConfig {
+                rounds: 10,
+                ..EngineGossipConfig::default()
+            };
+            let overlay = if attacked {
+                let attack = SybilAttackConfig {
+                    honest: 20,
+                    seed: 9,
+                    ..SybilAttackConfig::default()
+                };
+                EngineGossipOverlay::under_attack(&mut engine, attack, config)
+            } else {
+                EngineGossipOverlay::ring(&mut engine, 20, config, 9, None)
+            };
+            let descriptors = (500..503).map(|id| Descriptor::fresh(PeerId(id))).collect();
+            let mut payload = encode(&ExchangeBuffer { descriptors });
+            payload.extend(std::iter::repeat_n(0xEE, stray));
+            let sources = match tag {
+                TAG_REPLY => lock(&overlay.handles[0].1).view().peers(),
+                _ => vec![PeerId(9_999)],
+            };
+            for src in sources {
+                let (at, src) = (SimTime::from_secs(1), NodeId(src.0));
+                engine.post(at, src, NodeId(0), tag, payload.clone());
+            }
+            engine.run();
+            overlay.views()
+        };
+        for attacked in [false, true] {
+            for (tag, name) in [(TAG_PUSH, "push"), (TAG_REPLY, "reply")] {
+                for stray in 1..12 {
+                    assert_eq!(
+                        run(attacked, tag, stray),
+                        run(attacked, TAG_IGNORED, stray),
+                        "{name} with {stray} stray bytes (attacked: {attacked})"
+                    );
+                }
+                // The test bites: the same message, well-formed, does move
+                // the views.
+                assert_ne!(
+                    run(attacked, tag, 0),
+                    run(attacked, TAG_IGNORED, 0),
+                    "well-formed {name} (attacked: {attacked})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,17 +12,103 @@
 //! Every node draws from its own seed-derived stream, so an execution is
 //! a pure function of `(seed, population, config)` — identical on the
 //! sequential simulator and on the sharded engine, for any shard count.
+//! A Sybil attacker's identities are engine nodes too, deployed next to
+//! the honest ring by one loop here, whichever protocol they attack.
 
-use crate::simulator::{overlay_metrics_from_views, OverlayMetrics};
-use crate::sybil::sybil_view_fraction;
+use crate::sybil::{sybil_view_fraction, SybilAttacker};
 use crate::view::PeerId;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::NodeBehavior;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_util::rng::{Rng, SplitMix64, Xoshiro256StarStar};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Quality metrics of the gossip overlay at one point in time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OverlayMetrics {
+    /// Number of alive nodes.
+    pub nodes: usize,
+    /// Whether the directed union of views is weakly connected.
+    pub connected: bool,
+    /// Average in-degree (how many views a node appears in).
+    pub mean_in_degree: f64,
+    /// Maximum in-degree across nodes.
+    pub max_in_degree: usize,
+    /// Fraction of view slots pointing at dead nodes.
+    pub dead_references: f64,
+}
+
+/// Computes overlay quality metrics from `(node, view peers)` pairs of the
+/// *alive* population. References to peers absent from `views` count as
+/// dead.
+pub fn overlay_metrics_from_views(views: &[(PeerId, Vec<PeerId>)]) -> OverlayMetrics {
+    let alive_set: BTreeSet<PeerId> = views.iter().map(|(id, _)| *id).collect();
+    let mut in_degree: BTreeMap<PeerId, usize> = views.iter().map(|(id, _)| (*id, 0)).collect();
+    let mut dead_refs = 0usize;
+    let mut total_refs = 0usize;
+    let mut adjacency: BTreeMap<PeerId, Vec<PeerId>> = BTreeMap::new();
+    for (id, peers) in views {
+        for &peer in peers {
+            total_refs += 1;
+            if alive_set.contains(&peer) {
+                *in_degree.entry(peer).or_insert(0) += 1;
+                adjacency.entry(*id).or_default().push(peer);
+                // Treat the overlay as undirected for connectivity.
+                adjacency.entry(peer).or_default().push(*id);
+            } else {
+                dead_refs += 1;
+            }
+        }
+    }
+    let connected = if views.is_empty() {
+        true
+    } else {
+        let mut visited = BTreeSet::new();
+        let mut queue = VecDeque::new();
+        queue.push_back(views[0].0);
+        visited.insert(views[0].0);
+        while let Some(p) = queue.pop_front() {
+            for &next in adjacency.get(&p).map(|v| v.as_slice()).unwrap_or(&[]) {
+                if visited.insert(next) {
+                    queue.push_back(next);
+                }
+            }
+        }
+        visited.len() == views.len()
+    };
+    let mean_in_degree = if views.is_empty() {
+        0.0
+    } else {
+        in_degree.values().sum::<usize>() as f64 / views.len() as f64
+    };
+    OverlayMetrics {
+        nodes: views.len(),
+        connected,
+        mean_in_degree,
+        max_in_degree: in_degree.values().copied().max().unwrap_or(0),
+        dead_references: if total_refs == 0 {
+            0.0
+        } else {
+            dead_refs as f64 / total_refs as f64
+        },
+    }
+}
+
+/// Directed view edges crossing the partition boundary (`id < boundary`
+/// on one side, the rest on the other): zero while a partition holds and
+/// every cross reference has been written off, positive again once the
+/// merged sides re-knit.
+pub fn cross_side_edges(views: &[(PeerId, Vec<PeerId>)], boundary: u64) -> usize {
+    views
+        .iter()
+        .flat_map(|(observer, peers)| {
+            let side = observer.0 < boundary;
+            peers.iter().filter(move |peer| (peer.0 < boundary) != side)
+        })
+        .count()
+}
 
 /// Timer token of a protocol round, for every protocol.
 pub(crate) const TOKEN_ROUND: u64 = 0;
@@ -196,6 +282,23 @@ impl<P: SamplingProtocol> Overlay<P> {
         }
     }
 
+    /// Registers the attacker's identities on `engine` next to the honest
+    /// ring: sybil `s` runs `spawn` of its own stream (salted like the
+    /// honest nodes'), its first round armed one period in. A zero-budget
+    /// attacker deploys nothing.
+    pub(crate) fn deploy_sybils<E: Engine + ?Sized>(
+        &self,
+        engine: &mut E,
+        attacker: &SybilAttacker,
+        spawn: impl Fn(Xoshiro256StarStar) -> Box<dyn NodeBehavior + Send>,
+    ) {
+        for sybil in &attacker.sybils {
+            let rng = node_rng(self.seed, P::STREAM_SALT, sybil.0);
+            engine.add_node(NodeId(sybil.0), spawn(rng));
+            engine.schedule_timer(self.protocol.round_period(), NodeId(sybil.0), TOKEN_ROUND);
+        }
+    }
+
     /// Records that `peer` is dead (or alive again) from `at` on. The one
     /// place liveness is written: a peer that was never deployed is
     /// refused (`false`), so it can neither be crashed on the engine nor
@@ -362,6 +465,16 @@ mod tests {
         shuffle.kill(&mut engine, PeerId(2));
         swim.schedule_kill(&mut swim_engine, PeerId(2), SimTime::from_secs(1));
         assert_eq!((shuffle.len(), swim.len()), (3, 3));
+    }
+
+    #[test]
+    fn metrics_on_tiny_overlay() {
+        let mut engine = Simulation::new(1);
+        let overlay =
+            EngineGossipOverlay::ring(&mut engine, 2, EngineGossipConfig::default(), 1, None);
+        let metrics = overlay.metrics();
+        assert_eq!(metrics.nodes, 2);
+        assert!(metrics.connected);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! are age-based healing and random truncation, both of which the
 //! attacker satisfies trivially by minting fresh descriptors — honest
 //! views drift towards the attacker until relay selection is effectively
-//! attacker-chosen. [`GossipSimulator::under_attack`] measures exactly
-//! that drift; the evaluated defense is the Brahms sampler in
-//! [`crate::brahms`], driven by the same [`SybilAttackConfig`] for
+//! attacker-chosen. [`EngineGossipOverlay::under_attack`] measures exactly
+//! that drift on any engine; the evaluated defense is the Brahms sampler
+//! in [`crate::brahms`], driven by the same [`SybilAttackConfig`] for
 //! comparable curves.
 //!
-//! [`GossipSimulator::under_attack`]: crate::simulator::GossipSimulator::under_attack
+//! [`EngineGossipOverlay::under_attack`]: crate::EngineGossipOverlay::under_attack
 
 use crate::view::PeerId;
 use cyclosa_util::rng::Rng;
@@ -72,7 +72,7 @@ impl Default for SybilAttackConfig {
 
 impl SybilAttackConfig {
     /// The zero-budget attack on `honest` nodes: no identity is minted, so
-    /// no driver draws anything for it — a calm overlay.
+    /// nothing is drawn for it — a calm overlay.
     pub(crate) fn calm(honest: usize, seed: u64) -> Self {
         Self {
             honest,
@@ -94,11 +94,11 @@ impl SybilAttackConfig {
 }
 
 /// The attacker's side of a scenario: the minted identities and the three
-/// draws every driver takes from them — the bootstrap toehold, the
-/// poisoned answer to an exchange or pull, and the flood target. Each
-/// draw comes out of the *caller's* stream, so the synchronous shuffle,
-/// the synchronous Brahms round and the per-sybil engine behaviours keep
-/// their own stream layouts. A zero-budget attacker draws nothing.
+/// draws taken from them — the bootstrap toehold, the poisoned answer to
+/// an exchange or pull, and the flood target. Each draw comes out of the
+/// *caller's* stream: the deployment's seeder for toeholds, a sybil
+/// node's own stream for answers and floods. A zero-budget attacker draws
+/// nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct SybilAttacker {
     /// The minted identities, id-sorted.
@@ -144,8 +144,23 @@ impl SybilAttacker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::PeerSamplingConfig;
-    use crate::simulator::GossipSimulator;
+    use crate::population::overlay_metrics_from_views;
+    use crate::{EngineGossipConfig, EngineGossipOverlay};
+    use cyclosa_net::engine::Engine;
+    use cyclosa_net::sim::Simulation;
+
+    /// The naive shuffle under `attack`, after `rounds` rounds on the
+    /// sequential engine.
+    fn attacked(attack: SybilAttackConfig, rounds: usize) -> EngineGossipOverlay {
+        let mut engine = Simulation::new(attack.seed);
+        let config = EngineGossipConfig {
+            rounds,
+            ..EngineGossipConfig::default()
+        };
+        let overlay = EngineGossipOverlay::under_attack(&mut engine, attack, config);
+        engine.run();
+        overlay
+    }
 
     #[test]
     fn sybil_identities_are_recognizable_and_proportional() {
@@ -163,13 +178,16 @@ mod tests {
     #[test]
     fn naive_shuffle_views_drift_towards_the_attacker() {
         let attack = SybilAttackConfig::default(); // f = 0.2
-        let mut sim = GossipSimulator::under_attack(attack, PeerSamplingConfig::default());
-        // Bootstrap views hold one honest successor plus the one-sybil
-        // toehold; the shuffle is what amplifies the toehold from there.
-        let bootstrap = sim.attacker_fraction();
+                                                   // Bootstrap views hold one honest successor plus the one-sybil
+                                                   // toehold; the shuffle is what amplifies the toehold from there.
+        let bootstrap = EngineGossipOverlay::under_attack(
+            &mut Simulation::new(attack.seed),
+            attack,
+            EngineGossipConfig::default(),
+        )
+        .attacker_fraction();
         assert!(bootstrap <= 0.5, "bootstrap holds only the toehold");
-        sim.run_rounds(50);
-        let fraction = sim.attacker_fraction();
+        let fraction = attacked(attack, 50).attacker_fraction();
         assert!(
             fraction > bootstrap && fraction > 0.5,
             "a 20% identity budget must capture most naive view slots, got {fraction}"
@@ -179,14 +197,7 @@ mod tests {
     #[test]
     fn poisoning_is_deterministic_per_seed() {
         let attack = SybilAttackConfig::default();
-        let run = |seed| {
-            let mut sim = GossipSimulator::under_attack(
-                SybilAttackConfig { seed, ..attack },
-                PeerSamplingConfig::default(),
-            );
-            sim.run_rounds(30);
-            sim.views()
-        };
+        let run = |seed| attacked(SybilAttackConfig { seed, ..attack }, 30).views();
         assert_eq!(run(7), run(7), "same seed, same poisoned views");
         assert_ne!(run(7), run(8), "the seed must matter");
     }
@@ -197,10 +208,23 @@ mod tests {
             fraction: 0.0,
             ..SybilAttackConfig::default()
         };
-        let mut sim = GossipSimulator::under_attack(attack, PeerSamplingConfig::default());
-        sim.run_rounds(30);
-        assert_eq!(sim.attacker_fraction(), 0.0);
-        let metrics = crate::simulator::overlay_metrics_from_views(&sim.views());
+        let overlay = attacked(attack, 30);
+        assert_eq!(overlay.attacker_fraction(), 0.0);
+        let metrics = overlay_metrics_from_views(&overlay.views());
         assert!(metrics.connected, "the honest overlay must still converge");
+        // Nothing was drawn for the attacker: the calm ring, bit for bit.
+        let mut engine = Simulation::new(attack.seed);
+        let calm = EngineGossipOverlay::ring(
+            &mut engine,
+            attack.honest,
+            EngineGossipConfig {
+                rounds: 30,
+                ..EngineGossipConfig::default()
+            },
+            attack.seed,
+            None,
+        );
+        engine.run();
+        assert_eq!(overlay.views(), calm.views());
     }
 }

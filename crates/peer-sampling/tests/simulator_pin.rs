@@ -1,11 +1,16 @@
-//! Seeded behavioral pin of [`GossipSimulator`].
+//! Seeded behavioral pins of every `peer-sampling` path that
+//! `BENCH_churn.json` never reaches.
 //!
-//! The simulator's node table was converted from `HashMap` to `BTreeMap`
-//! (cyclosa-lint's nondeterminism rule bans iterated hash state in
-//! determinism-critical crates). The digests below were captured from the
-//! *pre-conversion* `HashMap` implementation: equality pins that the
-//! conversion changed the container, not the timeline — every gossip
-//! exchange, partner draw and resulting view is unchanged for these seeds.
+//! The engine Brahms overlay, the faulted shuffle, the SWIM timelines and
+//! `converge_peer_views` were captured on the seven-driver code
+//! (`SybilSimulator`, a synchronous Brahms round, the three engine
+//! overlays with their own deploy/liveness/partition copies, and the
+//! hand-rolled exchange of `converge_peer_views`); the population refactor
+//! ported the constructor calls below (each engine `ring` takes its
+//! observer, the bridge count goes to `schedule_bridges`) and nothing
+//! else. The attacked engine shuffle was captured when the Sybil sweep
+//! moved onto the engine overlays and the synchronous round drivers were
+//! deleted.
 
 use cyclosa::deployment::converge_peer_views;
 use cyclosa::node::CyclosaNode;
@@ -13,9 +18,8 @@ use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{
-    BrahmsConfig, BrahmsSimulator, EngineBrahmsOverlay, EngineGossipConfig, EngineGossipOverlay,
-    GossipSimulator, MembershipConfig, OverlayMetrics, PeerId, PeerSamplingConfig,
-    SwimGossipOverlay, SybilAttackConfig,
+    BrahmsConfig, EngineBrahmsOverlay, EngineGossipConfig, EngineGossipOverlay, MembershipConfig,
+    OverlayMetrics, PeerId, SwimGossipOverlay, SybilAttackConfig,
 };
 use cyclosa_runtime::metrics::Registry;
 use cyclosa_runtime::ShardedEngine;
@@ -25,62 +29,6 @@ fn fnv(digest: &mut u64, value: u64) {
     *digest ^= value;
     *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
 }
-
-fn run_digest(count: usize, rounds: usize, seed: u64) -> u64 {
-    let mut sim = GossipSimulator::ring(count, PeerSamplingConfig::default(), seed);
-    sim.run_rounds(rounds / 2);
-    for i in 0..5 {
-        sim.kill(PeerId(i));
-    }
-    sim.run_rounds(rounds - rounds / 2);
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
-    for id in sim.alive_peers() {
-        fnv(&mut digest, id.0);
-        for peer in sim.node(id).unwrap().view().peers() {
-            fnv(&mut digest, peer.0);
-        }
-    }
-    let metrics = sim.metrics();
-    fnv(&mut digest, metrics.nodes as u64);
-    fnv(&mut digest, metrics.max_in_degree as u64);
-    fnv(&mut digest, metrics.mean_in_degree.to_bits());
-    fnv(&mut digest, metrics.dead_references.to_bits());
-    fnv(&mut digest, metrics.connected as u64);
-    digest
-}
-
-#[test]
-fn timelines_match_the_hashmap_era_digests() {
-    let d1 = run_digest(60, 25, 42);
-    let d2 = run_digest(40, 40, 7);
-    println!("digest(60,25,42) = {d1:#018X}");
-    println!("digest(40,40,7) = {d2:#018X}");
-    assert_eq!(d1, PIN_60_25_42);
-    assert_eq!(d2, PIN_40_40_7);
-}
-
-/// Captured from the pre-conversion HashMap-backed simulator.
-const PIN_60_25_42: u64 = 0x51D4_89C1_D23C_8724;
-/// Captured from the pre-conversion HashMap-backed simulator.
-const PIN_40_40_7: u64 = 0x8D68_F5B7_C086_D9D6;
-
-/// Independently of the pinned digests: two runs with the same seed are
-/// identical, and different seeds diverge (the digest is discriminating).
-#[test]
-fn digest_is_seed_deterministic_and_discriminating() {
-    assert_eq!(run_digest(60, 25, 42), run_digest(60, 25, 42));
-    assert_ne!(run_digest(60, 25, 42), run_digest(60, 25, 43));
-}
-
-// ---------------------------------------------------------------------
-// Pins of the paths `BENCH_churn.json` never reaches. Captured on the
-// seven-driver code (`SybilSimulator`, `BrahmsSimulator`, the three
-// engine overlays with their own deploy/liveness/partition copies, and
-// the hand-rolled exchange of `converge_peer_views`); the population
-// refactor ported the constructor calls below (the attacked ring is
-// `GossipSimulator::under_attack`, each engine `ring` takes its observer,
-// the bridge count goes to `schedule_bridges`) and nothing else.
-// ---------------------------------------------------------------------
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
@@ -102,8 +50,8 @@ fn fnv_metrics(digest: &mut u64, metrics: OverlayMetrics) {
     fnv(digest, metrics.connected as u64);
 }
 
-/// The Sybil scenario of the sync and engine pins: a seed other than the
-/// 2018 every `BENCH_churn.json` section runs at.
+/// The Sybil scenario of the engine pins: a seed other than the 2018
+/// every `BENCH_churn.json` section runs at.
 fn pinned_attack() -> SybilAttackConfig {
     SybilAttackConfig {
         honest: 60,
@@ -113,27 +61,47 @@ fn pinned_attack() -> SybilAttackConfig {
     }
 }
 
-#[test]
-fn naive_sampler_under_sybil_attack_matches_the_pinned_views() {
-    let mut sim = GossipSimulator::under_attack(pinned_attack(), PeerSamplingConfig::default());
-    sim.run_rounds(30);
+fn engine_shuffle_digest(engine: &mut dyn Engine, attack: SybilAttackConfig) -> u64 {
+    let config = EngineGossipConfig {
+        rounds: 30,
+        ..EngineGossipConfig::default()
+    };
+    let overlay = EngineGossipOverlay::under_attack(engine, attack, config);
+    engine.run();
     let mut digest = FNV_OFFSET;
-    fnv_views(&mut digest, &sim.views());
-    fnv(&mut digest, sim.attacker_fraction().to_bits());
-    println!("sybil digest = {digest:#018X}");
-    assert_eq!(digest, PIN_SYBIL_77);
+    fnv_views(&mut digest, &overlay.views());
+    fnv(&mut digest, overlay.attacker_fraction().to_bits());
+    fnv(&mut digest, engine.stats().delivered);
+    digest
 }
 
 #[test]
-fn brahms_sampler_under_sybil_attack_matches_the_pinned_views_and_voided_rounds() {
-    let mut sim = BrahmsSimulator::ring(pinned_attack(), BrahmsConfig::default());
-    sim.run_rounds(30);
-    let mut digest = FNV_OFFSET;
-    fnv_views(&mut digest, &sim.views());
-    fnv(&mut digest, sim.voided_rounds());
-    fnv(&mut digest, sim.attacker_fraction().to_bits());
-    println!("brahms digest = {digest:#018X}");
-    assert_eq!(digest, PIN_BRAHMS_77);
+fn naive_sampler_under_sybil_attack_matches_the_pinned_views() {
+    let sequential = engine_shuffle_digest(&mut Simulation::new(77), pinned_attack());
+    println!("engine shuffle sybil digest = {sequential:#018X}");
+    assert_eq!(sequential, PIN_ENGINE_SYBIL_77);
+    for shards in [2, 4] {
+        assert_eq!(
+            engine_shuffle_digest(&mut ShardedEngine::new(77, shards), pinned_attack()),
+            PIN_ENGINE_SYBIL_77,
+            "{shards} shards"
+        );
+    }
+}
+
+/// Independently of the pinned digest: two runs with the same seed are
+/// identical, and different seeds diverge (the digest is discriminating).
+#[test]
+fn digest_is_seed_deterministic_and_discriminating() {
+    let run = |seed| {
+        let attack = SybilAttackConfig {
+            seed,
+            ..pinned_attack()
+        };
+        engine_shuffle_digest(&mut Simulation::new(seed), attack)
+    };
+    assert_eq!(run(77), run(77));
+    assert_ne!(run(77), run(78));
 }
 
 fn engine_brahms_digest(engine: &mut dyn Engine) -> u64 {
@@ -285,8 +253,7 @@ fn converge_peer_views_over_twenty_nodes_matches_the_pin() {
     assert_eq!(digest, PIN_CONVERGE_20);
 }
 
-const PIN_SYBIL_77: u64 = 0xF969_C0D5_4DB9_94C8;
-const PIN_BRAHMS_77: u64 = 0x53EB_7356_05F9_D6B1;
+const PIN_ENGINE_SYBIL_77: u64 = 0x613A_4193_8EB7_429B;
 const PIN_ENGINE_BRAHMS_77: u64 = 0xEC3D_4D27_CE31_28BA;
 const PIN_FAULTED_SHUFFLE_59: u64 = 0x1B88_17B5_6A4D_0325;
 const PIN_SWIM_83: u64 = 0xAF8C_5321_0713_D8AD;

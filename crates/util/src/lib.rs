@@ -10,8 +10,8 @@
 //! * [`dist`] — sampling helpers for the distributions used by the workload
 //!   generator and the network simulator (uniform, Zipf, exponential,
 //!   log-normal, normal).
-//! * [`stats`] — descriptive statistics, percentiles, CDFs and histograms used
-//!   by the benchmark harness to report the paper's figures.
+//! * [`stats`] — descriptive statistics, percentiles and the Jain fairness
+//!   index used by the benchmark harness to report the paper's figures.
 //! * [`smoothing`] — the exponential-smoothing aggregation used by both the
 //!   linkability assessment (paper §V-A2) and SimAttack (paper §VII-E).
 //! * [`json`] — a dependency-free JSON value model used by the benchmark
@@ -42,4 +42,4 @@ pub mod stats;
 pub use json::{Json, ToJson};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
 pub use smoothing::exponential_smoothing;
-pub use stats::{Cdf, Histogram, Summary};
+pub use stats::Summary;

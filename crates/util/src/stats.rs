@@ -1,9 +1,9 @@
-//! Descriptive statistics, CDFs and histograms for the experiment harness.
+//! Descriptive statistics for the experiment harness.
 //!
 //! The paper reports most system results either as medians (Fig. 8a/8b) or as
-//! cumulative distribution functions (Fig. 7, Fig. 8a, Fig. 8b). The types in
-//! this module compute those summaries and render them in the same shape the
-//! benchmark harness prints.
+//! cumulative distribution functions (Fig. 7, Fig. 8a, Fig. 8b): [`Summary`]
+//! and its percentiles compute both, and [`jain_fairness`] scores the
+//! load spread behind Fig. 8d.
 
 /// Summary statistics of a sample of `f64` values.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,155 +90,6 @@ fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
     }
 }
 
-/// An empirical cumulative distribution function.
-///
-/// The paper's CDF figures (Fig. 7, Fig. 8a, Fig. 8b) are reproduced by
-/// evaluating a `Cdf` at a grid of x-values and printing the resulting
-/// percentage series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cdf {
-    sorted: Vec<f64>,
-}
-
-impl Cdf {
-    /// Builds an empirical CDF from samples, discarding non-finite values.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-        Self { sorted }
-    }
-
-    /// Number of underlying samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Returns `true` if the CDF was built from no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Fraction of samples `<= x`, in `[0, 1]`. Returns 0 for an empty CDF.
-    pub fn fraction_at(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|v| *v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// Percentage of samples `<= x`, in `[0, 100]`.
-    pub fn percent_at(&self, x: f64) -> f64 {
-        self.fraction_at(x) * 100.0
-    }
-
-    /// The value below which `fraction` of the samples fall (inverse CDF).
-    ///
-    /// `fraction` is clamped to `[0, 1]`. Returns 0 for an empty CDF.
-    pub fn quantile(&self, fraction: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        percentile_sorted(&self.sorted, fraction.clamp(0.0, 1.0) * 100.0)
-    }
-
-    /// Evaluates the CDF on an evenly spaced grid of `points` x-values
-    /// spanning the sample range, returning `(x, percent)` pairs.
-    pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        if points == 1 || hi <= lo {
-            return vec![(hi, 100.0)];
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.percent_at(x))
-            })
-            .collect()
-    }
-
-    /// Median of the underlying samples.
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-}
-
-/// A fixed-width histogram over `[low, high)` used for load-balance reports
-/// (Fig. 8d prints per-node query counts over time buckets).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over `[low, high)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0` or `low >= high`.
-    pub fn new(low: f64, high: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(low < high, "histogram range must be non-empty");
-        Self {
-            low,
-            high,
-            counts: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        if !value.is_finite() || value < self.low {
-            self.underflow += 1;
-            return;
-        }
-        if value >= self.high {
-            self.overflow += 1;
-            return;
-        }
-        let width = (self.high - self.low) / self.counts.len() as f64;
-        let idx = ((value - self.low) / width) as usize;
-        let idx = idx.min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-    }
-
-    /// Per-bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of recorded observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Lower bound (inclusive) of bucket `i`.
-    pub fn bucket_low(&self, i: usize) -> f64 {
-        let width = (self.high - self.low) / self.counts.len() as f64;
-        self.low + width * i as f64
-    }
-}
-
 /// Computes the [Jain fairness index] of a set of per-node loads.
 ///
 /// Equals 1.0 for a perfectly balanced load and approaches `1/n` when a
@@ -294,57 +145,6 @@ mod tests {
         assert!((Summary::percentile_of(&values, 0.0) - 10.0).abs() < 1e-12);
         assert!((Summary::percentile_of(&values, 100.0) - 40.0).abs() < 1e-12);
         assert!((Summary::percentile_of(&values, 50.0) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_fraction_and_quantile_agree() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let cdf = Cdf::from_samples(&samples);
-        assert!((cdf.fraction_at(50.0) - 0.5).abs() < 0.01);
-        assert!((cdf.quantile(0.5) - 50.5).abs() < 1.0);
-        assert_eq!(cdf.percent_at(0.0), 0.0);
-        assert_eq!(cdf.percent_at(1000.0), 100.0);
-        assert_eq!(cdf.len(), 100);
-    }
-
-    #[test]
-    fn cdf_series_is_monotone() {
-        let samples: Vec<f64> = (0..1000).map(|i| (i % 37) as f64).collect();
-        let cdf = Cdf::from_samples(&samples);
-        let series = cdf.series(20);
-        assert_eq!(series.len(), 20);
-        for pair in series.windows(2) {
-            assert!(pair[1].1 >= pair[0].1, "CDF must be non-decreasing");
-        }
-        assert!((series.last().unwrap().1 - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cdf_empty_behaves() {
-        let cdf = Cdf::from_samples(&[]);
-        assert!(cdf.is_empty());
-        assert_eq!(cdf.fraction_at(1.0), 0.0);
-        assert_eq!(cdf.quantile(0.5), 0.0);
-        assert!(cdf.series(10).is_empty());
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for v in [0.0, 1.9, 2.0, 9.9, 10.0, -1.0, f64::NAN] {
-            h.record(v);
-        }
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 2);
-        assert_eq!(h.total(), 7);
-        assert!((h.bucket_low(1) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_rejects_zero_buckets() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 
     #[test]

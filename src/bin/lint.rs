@@ -5,7 +5,8 @@
 //! ```
 //!
 //! - `--only <rule>` restricts the run (`wall-clock`, `hash-collections`,
-//!   `nondet`, `rng-stream`, `trace-schema`, `allow-hygiene`); repeatable.
+//!   `nondet`, `rng-stream`, `trace-schema`, `dead-pub`, `allow-hygiene`);
+//!   repeatable.
 //! - `--write-registry` regenerates `RNG_STREAMS.md` instead of linting.
 //! - `--deny-all` is the CI spelling: every finding is an error. Findings
 //!   are always errors; the flag documents intent at the call site.
@@ -81,7 +82,8 @@ fn usage(problem: &str) -> ExitCode {
     }
     eprintln!(
         "usage: lint [--root <path>] [--only <rule>]... [--deny-all] [--write-registry]\n\
-         rules: wall-clock, hash-collections, nondet, rng-stream, trace-schema, allow-hygiene"
+         rules: wall-clock, hash-collections, nondet, rng-stream, trace-schema, dead-pub, \
+         allow-hygiene"
     );
     if problem.is_empty() {
         ExitCode::SUCCESS

@@ -143,3 +143,20 @@ fn reasonless_allow_mutation_is_caught() {
         .iter()
         .any(|f| f.rule == Rule::HashCollections && f.path == "crates/net/src/sim.rs"));
 }
+
+#[test]
+fn seeded_orphan_pub_fn_is_caught() {
+    let mut workspace = load();
+    mutate(
+        &mut workspace,
+        "crates/net/src/sim.rs",
+        "/// Documented, never called.\npub fn sneaky_orphan_probe() -> u64 { 7 }",
+    );
+    let findings = workspace.run(&[Rule::DeadPub]);
+    assert!(
+        findings.iter().any(|f| f.rule == Rule::DeadPub
+            && f.path == "crates/net/src/sim.rs"
+            && f.message.contains("sneaky_orphan_probe")),
+        "an uncalled pub fn must be flagged: {findings:?}"
+    );
+}
