@@ -648,4 +648,83 @@ mod tests {
         assert!(metrics.connected);
         assert!(metrics.mean_in_degree > 8.0, "views must fill out");
     }
+
+    fn calm_ring(
+        engine: &mut Simulation,
+        honest: usize,
+        seed: u64,
+        rounds: usize,
+    ) -> Overlay<Brahms> {
+        let attack = SybilAttackConfig::calm(honest, seed);
+        let period = SimTime::from_secs(1);
+        EngineBrahmsOverlay::ring(engine, attack, BrahmsConfig::default(), rounds, period)
+    }
+
+    #[test]
+    fn ring_bootstrap_converges_to_connected_random_overlay() {
+        let mut engine = Simulation::new(42);
+        let overlay = calm_ring(&mut engine, 100, 42, 30);
+        engine.run();
+        let metrics = overlay.metrics();
+        assert!(metrics.connected, "overlay must stay connected");
+        assert_eq!(metrics.nodes, 100);
+        let views = overlay.views();
+        let mean_view = views.iter().map(|(_, v)| v.len() as f64).sum::<f64>() / 100.0;
+        assert!(mean_view > 15.0, "mean view size was {mean_view}");
+        // The ring bootstrap is gone: views spread beyond the successors.
+        let successors_only = views.iter().all(|(id, view)| {
+            view.iter()
+                .all(|p| (p.0 + 100 - id.0) % 100 <= BrahmsConfig::default().view_size() as u64)
+        });
+        assert!(!successors_only, "views still hold only ring successors");
+        assert!(
+            metrics.max_in_degree < 60,
+            "max in-degree {}",
+            metrics.max_in_degree
+        );
+    }
+
+    #[test]
+    fn dead_nodes_are_forgotten() {
+        let mut engine = Simulation::new(3);
+        let mut overlay = calm_ring(&mut engine, 60, 3, 50);
+        engine.run_until(SimTime::from_secs(20));
+        for i in 0..10 {
+            overlay.kill(&mut engine, PeerId(i));
+        }
+        engine.run();
+        let metrics = overlay.metrics();
+        assert_eq!(metrics.nodes, 50);
+        assert!(metrics.connected);
+        assert!(
+            metrics.dead_references < 0.10,
+            "dead references still at {:.2}",
+            metrics.dead_references
+        );
+    }
+
+    #[test]
+    fn killing_a_peer_that_was_never_deployed_changes_nothing() {
+        let mut engine = Simulation::new(3);
+        let mut overlay = calm_ring(&mut engine, 4, 3, 5);
+        for stranger in 100..110 {
+            overlay.kill(&mut engine, PeerId(stranger));
+        }
+        assert_eq!(
+            overlay.len(),
+            4,
+            "strangers must not count against the alive"
+        );
+        assert_eq!(overlay.views().len(), 4);
+        overlay.kill(&mut engine, PeerId(1));
+        overlay.kill(&mut engine, PeerId(1));
+        assert_eq!(overlay.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two")]
+    fn single_node_overlay_is_rejected() {
+        let mut engine = Simulation::new(1);
+        let _ = calm_ring(&mut engine, 1, 1, 5);
+    }
 }
