@@ -3,12 +3,13 @@
 //!
 //! The standard library's barrier is a mutex plus a condvar, so every wait
 //! is a futex sleep and a futex wake-up. A sparse simulation (a handful of
-//! events per window) reaches the barrier three times per window with the
-//! other shards microseconds behind, and those sleeps become nearly all of
-//! its host time. [`WindowBarrier`] instead watches the generation word
-//! for [`SPIN_BUDGET`] iterations — long enough to cover a sparse window
-//! on another core — and only then sleeps on a condvar. The releaser pays
-//! the wake-up syscall only when the sleeper count says somebody parked.
+//! events per window) reaches the barrier once per window, every few
+//! microseconds, with the other shards a microsecond behind, and those
+//! sleeps become nearly all of its host time. [`WindowBarrier`] instead
+//! watches the generation word for [`SPIN_BUDGET`] iterations — long
+//! enough to cover a sparse window on another core — and only then sleeps
+//! on a condvar. The releaser pays the wake-up syscall only when the
+//! sleeper count says somebody parked.
 //!
 //! The budget is an iteration count, never a clock reading, and it is zero
 //! when there are more parties than cores (see [`spin_budget_for`]):

@@ -9,8 +9,8 @@
 //!   discrete-event engine. Nodes are partitioned across worker shards by
 //!   `NodeId` hash, each shard runs on its own thread, and shards
 //!   advance in conservative time windows sized by the minimum
-//!   link-latency floor, meeting at a spin-then-park rendezvous between
-//!   phases. Executions are bit-identical to the
+//!   link-latency floor, meeting once per window at a spin-then-park
+//!   rendezvous. Executions are bit-identical to the
 //!   sequential `cyclosa_net::sim::Simulation` for the same seed, for any
 //!   shard count — so every experiment can scale out without changing its
 //!   results. The whole fault surface of the `Engine` trait rides along:

@@ -18,7 +18,7 @@ use cyclosa_util::json::{Json, ToJson};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone, Default)]
@@ -283,29 +283,36 @@ impl Registry {
         Self::default()
     }
 
+    /// Locks the name maps, recovering a poisoned mutex: they hold only
+    /// handles, and an insert either happened or did not, so a thread
+    /// that panicked while holding the lock left them intact.
+    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the counter registered under `name`, creating it on first
     /// use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         inner.counters.entry(name.to_owned()).or_default().clone()
     }
 
     /// Returns the gauge registered under `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         inner.gauges.entry(name.to_owned()).or_default().clone()
     }
 
     /// Returns the histogram registered under `name`, creating it on first
     /// use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         inner.histograms.entry(name.to_owned()).or_default().clone()
     }
 
     /// A point-in-time snapshot of every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
+        let inner = self.lock();
         MetricsSnapshot {
             counters: inner
                 .counters
@@ -492,6 +499,26 @@ mod tests {
         });
         assert_eq!(histogram.count(), 40_000);
         assert_eq!(counter.get(), 40_000);
+    }
+
+    #[test]
+    fn a_registry_poisoned_by_a_panicking_thread_keeps_working() {
+        let registry = Registry::new();
+        registry.counter("before").add(4);
+        let poisoner = registry.clone();
+        let panicked = std::thread::spawn(move || {
+            let _held = poisoner.lock();
+            panic!("dies holding the registry lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(registry.inner.is_poisoned());
+        registry.counter("after").inc();
+        let snapshot = registry.snapshot();
+        assert_eq!(
+            snapshot.counters,
+            [("after".to_owned(), 1), ("before".to_owned(), 4)]
+        );
     }
 
     #[test]

@@ -17,32 +17,56 @@
 //!
 //! # The window protocol
 //!
-//! Every window is three phases, each closed by a rendezvous of all shard
-//! threads:
+//! Shards meet **once per window**: one rendezvous of all shard threads,
+//! around one global min-reduction (the bounded-lag scheme of
+//! conservative parallel simulation, Lubachevsky's YAWNS). What they
+//! exchange is kept twice, by window parity `p = w % 2`: one next-event
+//! slot per shard and one mailbox per ordered shard pair, each mailbox
+//! with a *posted* mark. Window `w` goes:
 //!
-//! 1. **Publish.** Each shard stores the time of its earliest pending
-//!    event in its own slot.
-//! 2. **Decide.** Shard 0 takes the minimum over the slots. No event
-//!    left, or the earliest one past the `run_until` deadline: the run is
-//!    over. Otherwise the window is `[min, min + lookahead)`, clipped to
-//!    just past the deadline (`run_until` is inclusive).
-//! 3. **Process and post.** Each shard runs its core strictly before the
-//!    window end ([`Simulation::run_before`]), in
+//! 1. **Process.** Each shard runs its core strictly before the window
+//!    end ([`Simulation::run_before`]), in
 //!    [`EventKey`](cyclosa_net::engine::EventKey) order; the router it
-//!    passes keeps deliveries for its own nodes and sets the others aside
-//!    for per-shard-pair FIFO mailboxes.
+//!    passes keeps deliveries for its own nodes and sets the others aside.
+//! 2. **Post and publish.** Each shard appends what it set aside to its
+//!    parity-`p` mailboxes, marks each mailbox it wrote to, and stores in
+//!    its parity-`p` slot the earlier of its own queue's next event and
+//!    the earliest event it just posted. Only the sender can count that
+//!    mail: its receiver has not drained it yet.
+//! 3. **Rendezvous.**
+//! 4. **Drain and decide.** Each shard drains the parity-`p` mailboxes
+//!    marked for it into its core's queue (an unmarked one is not even
+//!    locked), shard 0 folds the trace events before the window end into
+//!    the merged timeline, and every shard takes the minimum over the
+//!    parity-`p` slots and turns it into the next window on its own —
+//!    the same inputs, so the same answer on every shard. No event left,
+//!    or the earliest one past the `run_until` deadline: the run is over,
+//!    for every shard in this same round. Otherwise the window is
+//!    `[min, min + lookahead)`, clipped to just past the deadline
+//!    (`run_until` is inclusive). The drain comes before the decision, so
+//!    a run that stops at a deadline leaves nothing in a mailbox.
 //!
-//! After the third rendezvous each shard drains its mailboxes into its
-//! core's queue while shard 0 folds the window's trace events into the
-//! merged timeline; the next window's first rendezvous orders those
-//! drains before anyone publishes again. Each shard running its own
-//! events in key order is the global key order restricted to its nodes,
-//! and all link randomness is per link and touched only by the sender's
-//! core (see `cyclosa_net::engine`), so an execution is **bit-identical
-//! to the sequential [`Simulation`] for the same seed, for any shard
-//! count**. An engine with one shard has nobody to meet: it walks the
-//! same windows on the calling thread, with no worker thread, rendezvous
-//! or mailbox.
+//! A run opens with one extra rendezvous, at parity 1, where each shard
+//! publishes its queue's next event: `windows + 1` waits per shard in all.
+//!
+//! **Why the parity buffers are race-free.** A shard writes parity `p`
+//! after window `w` and again only after window `w + 2`, that is, after
+//! the rendezvous that closes window `w + 1`. Every shard reaches that
+//! rendezvous only after it has read slot `p` and drained mailbox `p`,
+//! which it does right after the rendezvous that closes window `w`. So no
+//! slot or mailbox is written while anyone reads it, and the rendezvous
+//! in between orders each write before its reads. The trace merge is
+//! safe the same way: shard 0 merges up to the end of window `w` while
+//! the others may already emit events of window `w + 1`, and those all
+//! have `at` at or past that end, so the merge leaves them buffered.
+//!
+//! Each shard running its own events in key order is the global key
+//! order restricted to its nodes, and all link randomness is per link and
+//! touched only by the sender's core (see `cyclosa_net::engine`), so an
+//! execution is **bit-identical to the sequential [`Simulation`] for the
+//! same seed, for any shard count**. An engine with one shard has nobody
+//! to meet: it walks the same windows on the calling thread, with no
+//! worker thread, rendezvous or mailbox.
 //!
 //! A behaviour that panics on a shard thread breaks the rendezvous on its
 //! way out: the other shards stop at their next wait instead of waiting
@@ -52,7 +76,7 @@
 //! # Spin, then park
 //!
 //! A sparse simulation — the 60-relay soak runs 15 events per window —
-//! reaches a rendezvous three times per window with its neighbours a
+//! reaches the rendezvous every few microseconds with its neighbours a
 //! microsecond behind, so how a thread waits there decides what sharding
 //! costs. The rendezvous (`barrier.rs`) polls a generation word for a
 //! bounded number of iterations (4 096, about 50 µs; an iteration count,
@@ -69,13 +93,16 @@
 //! order, trace merge points and every simulated outcome are the same
 //! whichever way a thread waited.
 //!
-//! Measured on the 2-core reference host (`benchmarks/`, 2 shards, ten
-//! interleaved pairs, futex barrier → spin-then-park): the sparse soak
-//! went from 8.2 k to 90 k queries/s and a one-event window turn from
-//! 70 µs to 1.4 µs; the dense 10⁵-node ping moved from 2.0 M to 2.2 M
-//! events/s. The sequential engine runs the same soak at 100 k queries/s,
-//! so two shards on that shape now cost little but still buy nothing;
-//! dense windows are where shards pay.
+//! Measured on a 2-core host (`benchmarks/`, 2 shards, ten interleaved
+//! pairs at seed 2018): replacing the futex barrier with spin-then-park
+//! took the sparse soak from 8.2 k to 90 k queries/s and a one-event
+//! window turn from 70 µs to 1.4 µs; meeting once per window instead of
+//! three times then took the soak from 111 k to 120 k queries/s (ahead
+//! in all ten pairs) and the turn from 1.25 µs to 0.86 µs. The dense
+//! 10⁵-node ping gained with the first change and did not move with the
+//! second. The sequential engine runs the same soak at about 130 k
+//! queries/s, so two shards on that shape still buy nothing; dense
+//! windows are where shards pay.
 //!
 //! ```
 //! use cyclosa_net::engine::Engine;
@@ -274,6 +301,62 @@ impl Shard {
             profile.windows.inc();
         }
     }
+
+    /// Moves the events of every mailbox in `mailboxes[src][self]` whose
+    /// sender marked it into the core's queue, clearing the marks, and
+    /// returns how many events that was.
+    fn drain(&mut self, mailboxes: &[Vec<Mailbox>]) -> usize {
+        let mut merged_in = 0;
+        for row in mailboxes {
+            let inbox = &row[self.index];
+            if !inbox.posted.load(Ordering::Acquire) {
+                continue;
+            }
+            // Publishes nothing: the next rendezvous orders this before
+            // the sender posts to this parity again.
+            inbox.posted.store(false, Ordering::Relaxed);
+            let mut events = inbox.events.lock().unwrap_or_else(PoisonError::into_inner);
+            merged_in += events.len();
+            for event in events.drain(..) {
+                self.sim.enqueue(event);
+            }
+        }
+        merged_in
+    }
+}
+
+/// The cross-shard events one shard hands another at one window parity.
+/// The sender marks it when it posts, so a receiver skips an empty one
+/// without taking its lock.
+#[derive(Default)]
+struct Mailbox {
+    posted: AtomicBool,
+    events: Mutex<Vec<ScheduledEvent>>,
+}
+
+/// Empties `outgoing[dst]` into `row[dst]` for every destination shard
+/// with mail, marks those mailboxes, and returns the earliest instant
+/// posted (`u64::MAX`: nothing).
+fn post(outgoing: &mut [Vec<ScheduledEvent>], row: &[Mailbox]) -> u64 {
+    let mut earliest = u64::MAX;
+    for (events, mailbox) in outgoing.iter_mut().zip(row) {
+        if events.is_empty() {
+            continue;
+        }
+        earliest = events
+            .iter()
+            .map(|event| event.key.at.as_nanos())
+            .fold(earliest, u64::min);
+        // A mailbox is a plain Vec that is only appended to or drained,
+        // so one left by a panicking neighbour is still valid.
+        mailbox
+            .events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .append(events);
+        mailbox.posted.store(true, Ordering::Release);
+    }
+    earliest
 }
 
 /// The sharded parallel engine. See the module documentation for the
@@ -418,10 +501,11 @@ impl ShardedEngine {
     /// diverge from the sequential simulator. Every built-in model family
     /// used by the experiments has a positive floor.
     pub fn lookahead(&self) -> SimTime {
+        // The default model is always among them, so the fold never
+        // returns its seed.
         self.latency_models()
             .map(|m| m.floor())
-            .min()
-            .expect("the default model is always there")
+            .fold(SimTime(u64::MAX), SimTime::min)
     }
 
     /// The configured latency models; every shard holds the same ones.
@@ -465,24 +549,29 @@ impl ShardedEngine {
         self.shards.iter().map(|s| s.processed).sum::<u64>() - processed_before
     }
 
-    /// One thread per shard, three rendezvous per window (see the module
-    /// documentation). The `Release` stores and `Acquire` loads on the
-    /// shared words below name the direction data flows; what actually
-    /// orders a phase's stores before the next phase's loads is the
-    /// [`WindowBarrier`] between them.
+    /// One thread per shard, one rendezvous per window, slots and
+    /// mailboxes double-buffered by window parity (see the module
+    /// documentation for why that is race-free). The `Release` stores and
+    /// `Acquire` loads on the shared words below name the direction data
+    /// flows; what actually orders a window's posts before the next
+    /// round's reads is the [`WindowBarrier`] between them.
     fn run_windows_parallel(&mut self, lookahead: SimTime, deadline: Option<SimTime>) {
         let num_shards = self.shards.len();
         let barrier = &WindowBarrier::new(num_shards, self.spin_budget);
-        // One line per slot: every shard stores its own slot once a window
-        // while the others are still finishing theirs.
-        let next_times = &(0..num_shards)
-            .map(|_| CachePadded(AtomicU64::new(u64::MAX)))
-            .collect::<Vec<_>>();
-        let window = &AtomicU64::new(0);
-        let done = &AtomicBool::new(false);
-        let mailboxes = &(0..num_shards)
-            .map(|_| (0..num_shards).map(|_| Mutex::new(Vec::new())).collect())
-            .collect::<Vec<Vec<Mutex<Vec<ScheduledEvent>>>>>();
+        // `next_times[parity][shard]`, one line per slot: every shard
+        // stores its own slot once a window while the others are still
+        // finishing theirs.
+        let next_times = &[(); 2].map(|_| {
+            (0..num_shards)
+                .map(|_| CachePadded(AtomicU64::new(u64::MAX)))
+                .collect::<Vec<_>>()
+        });
+        // `mailboxes[parity][src][dst]`.
+        let mailboxes = &[(); 2].map(|_| {
+            (0..num_shards)
+                .map(|_| (0..num_shards).map(|_| Mailbox::default()).collect())
+                .collect::<Vec<Vec<Mailbox>>>()
+        });
         let trace = &self.trace;
 
         std::thread::scope(|scope| {
@@ -496,70 +585,43 @@ impl ShardedEngine {
                     let profile = shard.profile.clone();
                     let mut outgoing: Vec<Vec<ScheduledEvent>> =
                         (0..num_shards).map(|_| Vec::new()).collect();
+                    // The opening rendezvous closes no window and uses
+                    // parity 1, so window `w` posts to parity `w % 2`.
+                    let mut parity = 1;
+                    let mut earliest_posted = u64::MAX;
+                    let mut closed: Option<SimTime> = None;
                     loop {
-                        // Phase 1: publish this shard's earliest event.
-                        next_times[index]
-                            .0
-                            .store(shard.next_event_nanos(), Ordering::Release);
+                        next_times[parity][index].0.store(
+                            shard.next_event_nanos().min(earliest_posted),
+                            Ordering::Release,
+                        );
                         wait(barrier, profile.as_ref())?;
-                        // Phase 2: shard 0 alone turns the minimum into the
-                        // window (or the end of the run).
-                        if index == 0 {
-                            let start = next_times
-                                .iter()
-                                .map(|t| t.0.load(Ordering::Acquire))
-                                .min()
-                                .expect("at least one shard");
-                            match window_end(start, lookahead, deadline) {
-                                Some(end) => window.store(end, Ordering::Release),
-                                None => done.store(true, Ordering::Release),
+                        let merged_in = shard.drain(&mailboxes[parity]);
+                        if let Some(end) = closed {
+                            if let Some(profile) = &profile {
+                                profile.mailbox_depth.set(merged_in as i64);
+                                profile.mailbox_depth_events.record(merged_in as u64);
+                            }
+                            if index == 0 {
+                                // Every shard has finished the window, so
+                                // every trace event before `end` is
+                                // buffered; what the others emit meanwhile
+                                // is at `end` or later, and stays.
+                                trace.merge_up_to(end);
                             }
                         }
-                        wait(barrier, profile.as_ref())?;
-                        if done.load(Ordering::Acquire) {
+                        let start = next_times[parity]
+                            .iter()
+                            .map(|slot| slot.0.load(Ordering::Acquire))
+                            .fold(u64::MAX, u64::min);
+                        let Some(end) = window_end(start, lookahead, deadline) else {
                             return Ok(());
-                        }
-                        // Phase 3: run the window, post cross-shard events.
-                        let end = SimTime::from_nanos(window.load(Ordering::Acquire));
+                        };
+                        let end = SimTime::from_nanos(end);
                         shard.process_window(end, &mut outgoing);
-                        for (dst, events) in outgoing.iter_mut().enumerate() {
-                            if !events.is_empty() {
-                                // A mailbox is a plain Vec that is only
-                                // appended to or drained, so one left by a
-                                // panicking neighbour is still valid.
-                                mailboxes[index][dst]
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .append(events);
-                            }
-                        }
-                        wait(barrier, profile.as_ref())?;
-                        if index == 0 {
-                            // Every shard finished the window at the
-                            // barrier above, so all trace events with
-                            // `at < end` are buffered; later windows
-                            // only emit events at `end` or beyond
-                            // (lookahead bound), so this merged prefix
-                            // is final. The other shards drain their
-                            // mailboxes concurrently, which emits
-                            // nothing.
-                            trace.merge_up_to(end);
-                        }
-                        let mut merged_in = 0usize;
-                        for row in mailboxes.iter() {
-                            let mut inbox =
-                                row[index].lock().unwrap_or_else(PoisonError::into_inner);
-                            merged_in += inbox.len();
-                            for event in inbox.drain(..) {
-                                shard.sim.enqueue(event);
-                            }
-                        }
-                        if let Some(profile) = &profile {
-                            profile.mailbox_depth.set(merged_in as i64);
-                            profile.mailbox_depth_events.record(merged_in as u64);
-                        }
-                        // The next round's first barrier orders these
-                        // drains before anyone reads next_times again.
+                        parity ^= 1;
+                        earliest_posted = post(&mut outgoing, &mailboxes[parity][index]);
+                        closed = Some(end);
                     }
                 }));
             }
@@ -1277,9 +1339,8 @@ mod tests {
                     assert_eq!(stalls, 0, "nobody to wait for");
                     assert_eq!(depths, 0, "no mailbox to drain");
                 } else {
-                    // Three waits a window; the round that finds no
-                    // events left stops after two.
-                    assert_eq!(stalls, 3 * windows + 2);
+                    // One wait a window, plus the opening one.
+                    assert_eq!(stalls, windows + 1);
                     assert_eq!(depths, windows);
                 }
             }

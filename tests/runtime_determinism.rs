@@ -4,12 +4,17 @@
 //! (a) the same seed produces an identical event trace, run after run and
 //!     engine after engine;
 //! (b) the sharded engine's output on the end-to-end latency experiment is
-//!     exactly the sequential `Simulation`'s output, for any shard count.
+//!     exactly the sequential `Simulation`'s output, for any shard count;
+//! (c) generated scenarios aimed at the window protocol (deliveries and
+//!     timers on window ends, receive-only nodes, membership scripts,
+//!     `run_until` cuts) handle the same events on 2/3/4/8 shards as on
+//!     `Simulation`, cut by cut.
 
 use cyclosa_chaos::deployment::{
     run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig, EngineChoice,
 };
 use cyclosa_net::engine::Engine;
+use cyclosa_net::latency::LatencyModel;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
@@ -333,4 +338,247 @@ fn time_saturates_at_the_last_instant_on_every_engine() {
         let sharded = run(&mut ShardedEngine::new(31, shards));
         assert_eq!(sharded, (trace.clone(), finite, stats), "{shards} shard(s)");
     }
+}
+
+/// Every event a node handled, in order: `(instant, 0, sender)` for a
+/// delivery, `(instant, 1, token)` for a timer.
+type Handled = BTreeMap<NodeId, Vec<(u64, u8, u64)>>;
+
+/// Message flags (the low byte of a tag; the hops left sit above it).
+/// Arm a timer exactly one lookahead ahead: for a handler at the first
+/// instant of a window, that is the window's end.
+const ARM_AT_LOOKAHEAD: u32 = 1;
+/// Arm two timers for one instant, two lookaheads ahead.
+const ARM_TWIN_TIMERS: u32 = 2;
+/// The first of those twins sends a message when it fires.
+const TWIN_SENDS: u32 = 4;
+
+/// Timer tokens of the twins; the lookahead timer's token is the tag.
+const TWIN: u64 = 1 << 32;
+const SENDING_TWIN: u64 = 1 << 33;
+
+/// A node of a generated scenario. It logs everything it handles; unless
+/// it is a sink (a node that only ever receives mail), it also forwards
+/// messages while hops are left and arms the timers their flags ask for.
+struct Wanderer {
+    peers: Arc<Vec<NodeId>>,
+    lookahead: SimTime,
+    sink: bool,
+    log: Arc<Mutex<Handled>>,
+}
+
+impl Wanderer {
+    fn record(&self, ctx: &Context<'_>, class: u8, what: u64) {
+        self.log
+            .lock()
+            .unwrap()
+            .entry(ctx.self_id())
+            .or_default()
+            .push((ctx.now().as_nanos(), class, what));
+    }
+
+    fn next_hop(&self, ctx: &Context<'_>, salt: u64) -> NodeId {
+        let mix = ctx.self_id().0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt ^ ctx.now().as_nanos();
+        self.peers[(mix % self.peers.len() as u64) as usize]
+    }
+}
+
+impl NodeBehavior for Wanderer {
+    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
+        self.record(ctx, 0, envelope.src.0);
+        if self.sink {
+            return;
+        }
+        let (hops, flags) = (envelope.tag >> 8, envelope.tag & 0xFF);
+        if flags & ARM_AT_LOOKAHEAD != 0 {
+            ctx.set_timer(self.lookahead, u64::from(envelope.tag));
+        }
+        if flags & ARM_TWIN_TIMERS != 0 {
+            let twins = SimTime::from_nanos(2 * self.lookahead.as_nanos());
+            let first = if flags & TWIN_SENDS != 0 {
+                SENDING_TWIN
+            } else {
+                TWIN
+            };
+            ctx.set_timer(twins, first);
+            ctx.set_timer(twins, TWIN + 1);
+        }
+        if hops > 0 {
+            let next = self.next_hop(ctx, u64::from(envelope.tag));
+            ctx.send(next, ((hops - 1) << 8) | flags, envelope.payload);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        self.record(ctx, 1, token);
+        if token == SENDING_TWIN {
+            let next = self.next_hop(ctx, token);
+            ctx.send(next, 1 << 8, vec![]);
+        }
+    }
+}
+
+/// What one engine looked like after a `run_until` cut or the final
+/// `run()` (which also reports how many events it processed).
+#[derive(Debug, PartialEq)]
+struct Checkpoint {
+    handled: Handled,
+    stats: SimulationStats,
+    now: SimTime,
+    ran: Option<u64>,
+}
+
+/// Draws scenario `case`, deploys it on `engine`, runs it through 0–3
+/// `run_until` cuts and then `run()`, and returns a checkpoint after each.
+///
+/// The lookahead `L` is the default model's floor; a few links get larger
+/// floors (2–4 `L`). Posts, pre-armed timers, membership changes and cuts
+/// mostly fall on multiples of `L`: with constant latencies every event
+/// then lies on that grid, windows are `[kL, (k + 1)L)`, and a message
+/// sent at a window's start is due exactly at its end. Cuts land on a
+/// grid instant or one tick before one.
+fn generated_run(engine: &mut dyn Engine, case: u64) -> Vec<Checkpoint> {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(case ^ 0xD1FF);
+    let l = [1_000, 7_000, 250_000, 1_000_000][rng.gen_index(4)];
+    let lookahead = SimTime::from_nanos(l);
+    let grid = |rng: &mut Xoshiro256StarStar, k: u64| {
+        let at = l * rng.gen_range(0, k);
+        SimTime::from_nanos(if rng.gen_bool(0.8) {
+            at
+        } else {
+            at + rng.gen_range(1, l)
+        })
+    };
+    engine.set_default_latency(if rng.gen_bool(0.5) {
+        LatencyModel::Constant(lookahead)
+    } else {
+        LatencyModel::Uniform {
+            low: lookahead,
+            high: SimTime::from_nanos(l * rng.gen_range(2, 5)),
+        }
+    });
+    let nodes = rng.gen_range(2, 41);
+    let joiners = rng.gen_range(0, 3);
+    let peers: Arc<Vec<NodeId>> = Arc::new((0..nodes + joiners).map(NodeId).collect());
+    let pick = |rng: &mut Xoshiro256StarStar| peers[rng.gen_index(peers.len())];
+    for _ in 0..rng.gen_range(0, 5) {
+        let (src, dst) = (pick(&mut rng), pick(&mut rng));
+        let floor = l * rng.gen_range(2, 5);
+        let model = if rng.gen_bool(0.5) {
+            LatencyModel::Constant(SimTime::from_nanos(floor))
+        } else {
+            LatencyModel::Uniform {
+                low: SimTime::from_nanos(floor),
+                high: SimTime::from_nanos(floor + l * rng.gen_range(1, 3)),
+            }
+        };
+        engine.set_link_latency(src, dst, model);
+    }
+    if rng.gen_bool(0.5) {
+        engine.set_loss_probability(0.3);
+    }
+    let log = Arc::new(Mutex::new(Handled::new()));
+    let wanderer = |rng: &mut Xoshiro256StarStar| -> Box<Wanderer> {
+        Box::new(Wanderer {
+            peers: peers.clone(),
+            lookahead,
+            sink: rng.gen_bool(0.3),
+            log: log.clone(),
+        })
+    };
+    for id in 0..nodes {
+        let node = wanderer(&mut rng);
+        engine.add_node(NodeId(id), node);
+    }
+    for id in nodes..nodes + joiners {
+        let (at, node) = (grid(&mut rng, 30), wanderer(&mut rng));
+        engine.schedule_join(at, NodeId(id), node);
+    }
+    if rng.gen_bool(0.6) {
+        let (victim, at) = (pick(&mut rng), grid(&mut rng, 20));
+        engine.schedule_crash(at, victim);
+        let back = SimTime::from_nanos(at.as_nanos() + l * rng.gen_range(1, 20));
+        engine.schedule_recover(back, victim);
+    }
+    if rng.gen_bool(0.5) {
+        let (leaver, at) = (pick(&mut rng), grid(&mut rng, 40));
+        engine.schedule_leave(at, leaver);
+    }
+    for i in 0..rng.gen_range(5, 40) {
+        let hops = rng.gen_range(0, 5) as u32;
+        let flags = rng.gen_range(0, 8) as u32;
+        let (at, dst) = (grid(&mut rng, 40), pick(&mut rng));
+        engine.post(
+            at,
+            NodeId(1_000 + i),
+            dst,
+            (hops << 8) | flags,
+            vec![0u8; 8],
+        );
+    }
+    for token in 0..rng.gen_range(0, 10) {
+        let (at, node) = (grid(&mut rng, 40), pick(&mut rng));
+        engine.schedule_timer(at, node, token);
+        if rng.gen_bool(0.5) {
+            // A second timer at the very same instant, here or elsewhere.
+            let other = if rng.gen_bool(0.5) {
+                node
+            } else {
+                pick(&mut rng)
+            };
+            engine.schedule_timer(at, other, 100 + token);
+        }
+    }
+    let mut cuts: Vec<SimTime> = (0..rng.gen_range(0, 4))
+        .map(|_| {
+            let at = l * rng.gen_range(1, 60);
+            SimTime::from_nanos(if rng.gen_bool(0.5) { at } else { at - 1 })
+        })
+        .collect();
+    cuts.sort();
+
+    let checkpoint = |engine: &dyn Engine, ran: Option<u64>| Checkpoint {
+        handled: log.lock().unwrap().clone(),
+        stats: engine.stats(),
+        now: engine.now(),
+        ran,
+    };
+    let mut checkpoints = Vec::with_capacity(cuts.len() + 1);
+    for cut in cuts {
+        engine.run_until(cut);
+        checkpoints.push(checkpoint(engine, None));
+    }
+    let ran = engine.run();
+    checkpoints.push(checkpoint(engine, Some(ran)));
+    checkpoints
+}
+
+/// Differential test of the window protocol: 160 generated scenarios, each
+/// on `Simulation` and on 2, 3, 4 and 8 shards, compared after every cut.
+/// A failure names its case; `generated_run(&mut engine, case)` replays it.
+#[test]
+fn generated_scenarios_match_sequential_at_every_cut() {
+    const CASES: u64 = 160;
+    let (mut cut_runs, mut totals) = (0, SimulationStats::default());
+    for case in 0..CASES {
+        let engine_seed = 9_000 + case;
+        let expected = generated_run(&mut Simulation::new(engine_seed), case);
+        cut_runs += expected.len() - 1;
+        totals.merge(&expected.last().unwrap().stats);
+        for shards in [2, 3, 4, 8] {
+            let observed = generated_run(&mut ShardedEngine::new(engine_seed, shards), case);
+            assert_eq!(observed.len(), expected.len());
+            for (cut, (observed, expected)) in observed.iter().zip(&expected).enumerate() {
+                assert_eq!(
+                    observed, expected,
+                    "case {case} on {shards} shards diverged at checkpoint {cut}"
+                );
+            }
+        }
+    }
+    // The generator reaches every branch it is meant to.
+    assert!(cut_runs > CASES as usize, "{cut_runs} cuts");
+    assert!(totals.delivered > 0 && totals.timers_fired > 0 && totals.lost > 0);
+    assert!(totals.joined > 0 && totals.left > 0);
+    assert!(totals.crashed > 0 && totals.recovered > 0);
 }
