@@ -11,77 +11,41 @@
 //!       [--trace PATH.jsonl] [--metrics PATH.json]
 //! ```
 //!
-//! With `--adversary` the bin additionally sweeps **active adversaries**:
-//! for each Sybil identity budget it replays the identical attack against
-//! the naive shuffle sampler and the Brahms byzantine-resilient sampler
-//! (`cyclosa-peer-sampling` engine overlays whose sybils are
-//! message-passing nodes; the heaviest budget is re-checked bit for bit
-//! on the sharded engine), then converts each sampler's measured
-//! view-poisoning share into SimAttack accuracy through a colluding-relay
-//! coalition of that size (`ColludingMechanism`) — the
-//! attack-accuracy-versus-fraction-malicious curves, written to the
-//! `adversary` key of `BENCH_churn.json`. Under `--gate`, at every Sybil
-//! fraction of at least 20 % the Brahms view's attacker share must stay
-//! within 0.15 of the *global* Sybil share (Brahms's containment
-//! guarantee) and the Brahms accuracy drift must sit at least five points
-//! below the naive sampler's drift under the identical attack, with the
-//! naive poisoned view share strictly above Brahms at the heaviest point.
+//! `main` runs one function per sweep — `rate_curve`, `observed_run` (with
+//! `--trace` / `--metrics`), `partition_sweep`, `membership_comparison`
+//! (with `--membership`) and `adversary_sweep` (with `--adversary`) — and
+//! builds one `Record` (`BENCH_churn.json`) from what they return. Each
+//! sweep asserts that the sharded engine (`--shards`) reproduces its runs
+//! bit for bit, on at least one point, before reporting.
 //!
-//! With `--trace` / `--metrics` the bin additionally runs the churn
-//! experiment at the highest swept failure rate **observed** on the
-//! sharded engine: every injected fault, every client-side launch /
-//! repair / top-up / answer and the forwarding-path spans land on one
-//! merged causal timeline. The SLO monitor then replays that timeline
-//! with targets derived from the experiment config and splices its
-//! `slo.*` burn alerts in before export — JSONL plus a Chrome trace
-//! (Perfetto-viewable), and the metrics snapshot (engine self-profiling,
-//! clamped-sample counter) as JSON. Feed the JSONL to the `observe` bin
-//! for critical paths and rollups. Observation never perturbs the run —
-//! the traced outcome is asserted bit-identical to the untraced sweep
-//! point.
+//! With `--json` the record is written to `--out`. With `--gate P` the bin
+//! then judges the record (`Record::gate`) and exits 1 naming every check
+//! that failed, with its numbers:
 //!
-//! For every failure rate the bin (1) runs the churn latency experiment of
-//! `cyclosa-chaos` with the adaptive-k healing path active (relays failing
-//! mid-run as deterministic membership events, the client blacklisting
-//! unresponsive relays and resubmitting the real query *plus* the topped-up
-//! fake shortfall) and (2) attacks the observable footprint of **both**
-//! settings of the `LossyMechanism::churned` wrapper with the Fig. 5
-//! harness: fixed-k (no repair, fakes thin at the failure rate) against
-//! adaptive-k (repair on, every swallowed fake is redrawn and
-//! resubmitted). Before timing anything it re-checks that a sharded run
-//! reproduces the sequential outcome bit for bit.
+//! * adaptive-k attack accuracy at the highest failure rate exceeds the
+//!   failure-free (fixed-k, rate 0) baseline by at most `P` points;
+//! * every partition point's post-merge mean `achieved_k` recovers to
+//!   within 0.01 of the failure-free ledger;
+//! * with `--membership`: the SWIM overlay severs every cross-boundary
+//!   edge during the split and re-knits the merge bridge-free within
+//!   `SWIM_HEALING_BUDGET_S`, the shuffle overlay heals with its bridges,
+//!   and membership-mode probation keeps post-merge `achieved_k` within
+//!   0.01 of TTL probation's;
+//! * with `--adversary`, at every Sybil fraction of at least 20 %: the
+//!   Brahms view's attacker share stays within 0.15 of the *global* Sybil
+//!   share (Brahms's containment guarantee), the Brahms accuracy drift
+//!   sits at least 5 points below the naive sampler's under the identical
+//!   attack, and at the heaviest such fraction the naive view is poisoned
+//!   strictly more than Brahms's.
 //!
-//! On top of the failure-rate curves, the bin sweeps **network
-//! partitions** (minority fraction × partition duration): for every point
-//! it runs the partition latency experiment of `cyclosa-chaos` (a minority
-//! client split away from most relays, re-merged mid-run, blacklist
-//! probation letting `achieved_k` recover) and attacks the
-//! partition-windowed footprint with `LossyMechanism::partitioned` (fixed
-//! vs adaptive). With `--json` everything lands in `BENCH_churn.json`; with
-//! `--gate P` the bin exits non-zero when (a) adaptive attack accuracy at
-//! the highest failure rate exceeds the failure-free baseline by more than
-//! `P` points, or (b) any partition point's post-merge mean `achieved_k`
-//! fails to recover to the failure-free ledger.
-//!
-//! With `--membership` the bin additionally compares the two overlay
-//! maintenance strategies head to head on the same scripted partition:
-//! the shuffle overlay of `cyclosa-peer-sampling` healing through
-//! directory-assisted **bridge peers**, against the protocol-native
-//! SWIM/HyParView overlay healing with **zero bridges** (quarantine
-//! knocks plus incarnation-bump refutation only). For each side it
-//! reports whether the split healed, the post-merge healing delay, the
-//! overlay's native staleness metric and the gossip message/byte cost.
-//! It then re-runs the heaviest churn point and the first partition
-//! window with the client-side SWIM prober active
-//! (`ChurnConfig::membership`), reporting the proactively topped-up fake
-//! count and the post-merge `achieved_k` against the TTL-probation
-//! baseline. Under `--gate` three more checks arm: the SWIM overlay must
-//! heal bridge-free, within a fixed healing budget, and membership-mode
-//! probation must not cost post-merge `achieved_k` versus TTL probation.
+//! A command line that cannot be gated — `--gate` without 0 in `--rates`,
+//! or `--gate --adversary` without 0 in `--sybil-fractions` — is refused
+//! with exit 2 before anything runs.
 
-use cyclosa_attack::evaluation::evaluate_reidentification_with;
+use cyclosa_attack::evaluation::{evaluate_reidentification_with, ReidentificationReport};
 use cyclosa_attack::simattack::SimAttack;
 use cyclosa_bench::cli::{self, Stop};
+use cyclosa_bench::experiments::PRIVACY_K;
 use cyclosa_bench::observe::ObserveFlags;
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
 use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
@@ -154,12 +118,35 @@ impl Default for Options {
     }
 }
 
+impl Options {
+    /// The swept deployment at one failure rate, healing on; every churn
+    /// and partition run of the bin starts from it.
+    fn churn_at(&self, failure_rate: f64) -> ChurnConfig {
+        ChurnConfig {
+            relays: self.relays,
+            k: self.k,
+            queries: self.queries,
+            seed: self.seed,
+            failure_rate,
+            recover: self.recover,
+            adaptive: true,
+            ..ChurnConfig::default()
+        }
+    }
+}
+
 const USAGE: &str = "usage: churn [--relays N] [--k N] [--queries N] [--rates R,R,...] \
      [--seed N] [--recover] [--shards N] [--scale small|default|paper] \
      [--partition-fractions F,F,...] [--partition-durations S,S,...] \
      [--membership] [--adversary] [--sybil-fractions F,F,...] \
      [--gate POINTS] [--json] [--out PATH] \
      [--trace PATH.jsonl] [--metrics PATH.json]";
+
+/// The gate's privacy baseline is the true failure-free point — a
+/// lowest-nonzero stand-in would silently loosen the budget.
+const NEEDS_FAILURE_FREE: &str = "--gate needs the failure-free baseline; include 0 in --rates";
+const NEEDS_ATTACK_FREE: &str = "--gate with --adversary needs the attack-free baseline; \
+     include 0 in --sybil-fractions";
 
 fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
     let unit = |f: &f64| (0.0..=1.0).contains(f);
@@ -195,6 +182,12 @@ fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
     })?;
     if options.relays <= options.k {
         return Err("--relays must exceed --k".into());
+    }
+    if options.gate.is_some() && !options.rates.contains(&0.0) {
+        return Err(NEEDS_FAILURE_FREE.into());
+    }
+    if options.gate.is_some() && options.adversary && !options.sybil_fractions.contains(&0.0) {
+        return Err(NEEDS_ATTACK_FREE.into());
     }
     Ok(options)
 }
@@ -237,6 +230,17 @@ impl_to_json!(PartitionPoint {
 /// broken knock path masquerade as "slow".
 const SWIM_HEALING_BUDGET_S: f64 = 30.0;
 
+/// Slack on the Brahms view-containment bound: the Brahms view's attacker
+/// share may exceed the global Sybil share by at most this much.
+const BRAHMS_VIEW_MARGIN: f64 = 0.15;
+
+/// Minimum separation, in accuracy points, between the naive sampler's
+/// attack-accuracy drift and Brahms's. Exposure itself legitimately raises
+/// accuracy (a coalition that observes 20 % of requests re-identifies more
+/// than one that observes none), so the budget is relative to the
+/// undefended sampler, not an absolute point count.
+const ADVERSARY_DRIFT_MARGIN: f64 = 5.0;
+
 /// Bridge peers handed to the shuffle overlay's directory-assisted merge
 /// path in the `--membership` comparison (the SWIM side always gets 0).
 const SHUFFLE_BRIDGES: usize = 3;
@@ -260,14 +264,6 @@ struct OverlayHealing {
     staleness_metric: &'static str,
     messages: u64,
     bytes: u64,
-}
-
-impl OverlayHealing {
-    /// The healing delay as the tables and gate lines print it.
-    fn healed_in(&self) -> String {
-        self.healing_s
-            .map_or("never".to_owned(), |s| format!("{s:.1}s"))
-    }
 }
 
 impl_to_json!(OverlayHealing {
@@ -442,20 +438,20 @@ impl_to_json!(AdversaryPoint {
 });
 
 /// The `adversary` section of the record: the sweep and its fixed sizes.
-struct AdversarySweep<'a> {
+struct AdversarySweep {
     sybil_honest: usize,
     sybil_rounds: usize,
-    points: &'a Vec<AdversaryPoint>,
+    points: Vec<AdversaryPoint>,
 }
 
-impl_to_json!(AdversarySweep<'_> {
+impl_to_json!(AdversarySweep {
     sybil_honest,
     sybil_rounds,
     points
 });
 
 /// `BENCH_churn.json`, top level.
-struct Record<'a> {
+struct Record {
     bench: &'static str,
     seed: u64,
     relays: usize,
@@ -463,14 +459,14 @@ struct Record<'a> {
     queries: usize,
     recover: bool,
     shards_checked: usize,
-    points: &'a Vec<CurvePoint>,
+    points: Vec<CurvePoint>,
     partition_baseline_mean_achieved_k: Option<f64>,
-    partition_points: &'a Vec<PartitionPoint>,
-    membership: &'a Option<MembershipReport>,
-    adversary: Option<AdversarySweep<'a>>,
+    partition_points: Vec<PartitionPoint>,
+    membership: Option<MembershipReport>,
+    adversary: Option<AdversarySweep>,
 }
 
-impl_to_json!(Record<'_> {
+impl_to_json!(Record {
     bench,
     seed,
     relays,
@@ -485,9 +481,173 @@ impl_to_json!(Record<'_> {
     adversary,
 });
 
+impl Record {
+    /// The `--gate budget` verdict: `Err` holds one message, with its
+    /// numbers, per failed check of the module doc's list.
+    fn gate(&self, budget: f64) -> Result<(), Vec<String>> {
+        let mut failures = Vec::new();
+        // The whole point of adaptive-k repair is that attack accuracy
+        // under the heaviest churn stays near the failure-free baseline.
+        match self.points.iter().find(|p| p.failure_rate == 0.0) {
+            None => failures.push(NEEDS_FAILURE_FREE.to_owned()),
+            Some(baseline) => {
+                let stressed = self
+                    .points
+                    .iter()
+                    .max_by(|a, b| a.failure_rate.total_cmp(&b.failure_rate))
+                    .unwrap_or(baseline);
+                let drift = stressed.attack_rate_adaptive_percent - baseline.attack_rate_percent;
+                if drift > budget {
+                    failures.push(format!(
+                        "adaptive-k attack accuracy drifted {drift:.2} points above the \
+                         failure-free baseline (budget {budget:.2})"
+                    ));
+                }
+            }
+        }
+
+        // A healing path that leaves the client stuck on its minority-side
+        // blacklist shows up as post-merge achieved_k below the ledger.
+        if let Some(ledger_baseline) = self.partition_baseline_mean_achieved_k {
+            for point in &self.partition_points {
+                if point.post_merge.mean_achieved_k < ledger_baseline - 0.01 {
+                    failures.push(format!(
+                        "post-merge achieved_k ({:.3}) did not recover to the failure-free \
+                         ledger ({:.3}) for minority fraction {:.2}, duration {:.1}s",
+                        point.post_merge.mean_achieved_k,
+                        ledger_baseline,
+                        point.minority_fraction,
+                        point.duration_s
+                    ));
+                }
+            }
+        }
+
+        if let Some(report) = &self.membership {
+            if !report.swim.severed {
+                failures.push(
+                    "the SWIM overlay failed to quarantine the far side during the split — \
+                     its healing time is meaningless"
+                        .to_owned(),
+                );
+            }
+            match report.swim.healing_s {
+                None => failures.push(
+                    "the SWIM overlay never re-knit the merged partition without bridge peers"
+                        .to_owned(),
+                ),
+                Some(healing) if healing > SWIM_HEALING_BUDGET_S => failures.push(format!(
+                    "bridge-free SWIM healing took {healing:.1}s \
+                     (budget {SWIM_HEALING_BUDGET_S:.0}s)"
+                )),
+                Some(_) => {}
+            }
+            if !report.shuffle.healed {
+                failures.push(format!(
+                    "the shuffle overlay failed to heal even with {} bridge peers",
+                    report.shuffle.bridges
+                ));
+            }
+            if let Some(k) = &report.partition_post_merge_achieved_k {
+                let (ttl_k, membership_k) = (k.blacklist_ttl, k.membership);
+                if membership_k < ttl_k - 0.01 {
+                    failures.push(format!(
+                        "suspicion-driven probation regressed post-merge achieved_k \
+                         ({membership_k:.3}) below the TTL-probation baseline ({ttl_k:.3})"
+                    ));
+                }
+            }
+        }
+
+        if let Some(sweep) = &self.adversary {
+            match sweep.points.iter().find(|p| p.sybil_fraction == 0.0) {
+                None => failures.push(NEEDS_ATTACK_FREE.to_owned()),
+                Some(clean) => {
+                    let gated = || sweep.points.iter().filter(|p| p.sybil_fraction >= 0.2);
+                    for point in gated() {
+                        let view_bound = point.sybil_fraction + BRAHMS_VIEW_MARGIN;
+                        if point.brahms_view_fraction > view_bound {
+                            failures.push(format!(
+                                "Brahms view poisoning {:.3} exceeds the containment bound \
+                                 {view_bound:.3} at sybil fraction {:.2} — the limited-pull \
+                                 validation is no longer holding the view near the global \
+                                 attacker share",
+                                point.brahms_view_fraction, point.sybil_fraction
+                            ));
+                        }
+                        let brahms_drift =
+                            point.brahms_attack_rate_percent - clean.brahms_attack_rate_percent;
+                        let naive_drift =
+                            point.naive_attack_rate_percent - clean.naive_attack_rate_percent;
+                        if brahms_drift + ADVERSARY_DRIFT_MARGIN > naive_drift {
+                            failures.push(format!(
+                                "at sybil fraction {:.2} the Brahms accuracy drift \
+                                 ({brahms_drift:+.2} points) is not at least \
+                                 {ADVERSARY_DRIFT_MARGIN:.1} points below the naive \
+                                 sampler's ({naive_drift:+.2} points) — the defense is not \
+                                 buying measurable privacy",
+                                point.sybil_fraction
+                            ));
+                        }
+                    }
+                    let heaviest =
+                        gated().max_by(|a, b| a.sybil_fraction.total_cmp(&b.sybil_fraction));
+                    if let Some(heaviest) = heaviest {
+                        if heaviest.naive_view_fraction <= heaviest.brahms_view_fraction {
+                            failures.push(format!(
+                                "at sybil fraction {:.2} the naive sampler's poisoned view \
+                                 share ({:.3}) no longer exceeds Brahms ({:.3}) — the attack \
+                                 stopped separating the defenses",
+                                heaviest.sybil_fraction,
+                                heaviest.naive_view_fraction,
+                                heaviest.brahms_view_fraction
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+
+        if failures.is_empty() {
+            Ok(())
+        } else {
+            Err(failures)
+        }
+    }
+}
+
 /// Honest population and round count of every `--adversary` sweep point.
 const SYBIL_HONEST: usize = 100;
 const SYBIL_ROUNDS: usize = 50;
+
+/// The attack fixtures every sweep shares: one workload and one trained
+/// adversary (only the wrapped mechanism varies from point to point).
+struct Attack {
+    setup: ExperimentSetup,
+    adversary: SimAttack,
+}
+
+impl Attack {
+    /// Attacks one wrapped mechanism's footprint over the shared test
+    /// queries, on the experiment stream `label`.
+    fn reidentify(&self, mechanism: &mut dyn Mechanism, label: u64) -> ReidentificationReport {
+        let mut rng = self.setup.rng(label);
+        let queries = &self.setup.test_queries;
+        evaluate_reidentification_with(&self.adversary, mechanism, queries, &mut rng)
+    }
+}
+
+/// `run` on the sequential engine, once asserted to give the same result
+/// on `shards` shards; a divergence panics at the caller's line.
+#[track_caller]
+fn same_on_shards<T: PartialEq>(shards: usize, run: impl Fn(EngineChoice) -> T) -> T {
+    let sequential = run(EngineChoice::Sequential);
+    assert!(
+        sequential == run(EngineChoice::Sharded(shards)),
+        "sharded run diverged from the sequential simulation"
+    );
+    sequential
+}
 
 /// One untraced churn run on the chosen engine.
 fn churn_run(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
@@ -529,40 +689,22 @@ fn partition_run(choice: EngineChoice, config: &PartitionConfig) -> PartitionOut
     run_partition_experiment_on(&mut *engine, config, &quiet)
 }
 
-fn main() {
-    let options = cli::from_env(USAGE, read_options);
-
-    // Shared attack fixtures: one workload, one trained adversary, reused
-    // across every failure rate (only the churn filter varies).
-    let setup = ExperimentSetup::new(options.scale, options.seed);
-    let adversary = SimAttack::from_training(&setup.train);
-    const PRIVACY_K: usize = 7;
-    // Attacks one wrapped mechanism's footprint over the shared test
-    // queries, on the experiment stream `label`.
-    let reidentify = |mechanism: &mut dyn Mechanism, label: u64| {
-        let mut rng = setup.rng(label);
-        evaluate_reidentification_with(&adversary, mechanism, &setup.test_queries, &mut rng)
+/// The failure-rate sweep, after a small sharded-vs-sequential smoke run
+/// under churn. For every `--rates` entry it (1) runs the churn latency
+/// experiment of `cyclosa-chaos` with the adaptive-k healing path active
+/// and (2) attacks the observable footprint of **both** settings of the
+/// `LossyMechanism::churned` wrapper with the Fig. 5 harness: fixed-k (no
+/// repair, fakes on dead relays simply vanish) against adaptive-k (every
+/// swallowed fake is redrawn and resubmitted).
+fn rate_curve(options: &Options, attack: &Attack) -> Vec<CurvePoint> {
+    let smoke = ChurnConfig {
+        relays: options.relays.min(25),
+        k: options.k.min(3),
+        queries: options.queries.min(30),
+        adaptive: false,
+        ..options.churn_at(0.3)
     };
-
-    // Determinism smoke: before reporting anything, the sharded engine
-    // must reproduce the sequential run bit for bit under churn.
-    {
-        let config = ChurnConfig {
-            relays: options.relays.min(25),
-            k: options.k.min(3),
-            queries: options.queries.min(30),
-            seed: options.seed,
-            failure_rate: 0.3,
-            recover: options.recover,
-            ..ChurnConfig::default()
-        };
-        let sequential = churn_run(EngineChoice::Sequential, &config);
-        let sharded = churn_run(EngineChoice::Sharded(options.shards), &config);
-        assert_eq!(
-            sequential, sharded,
-            "sharded churn run diverged from the sequential simulation"
-        );
-    }
+    same_on_shards(options.shards, |engine| churn_run(engine, &smoke));
 
     println!(
         "{:>8}  {:>10}  {:>10}  {:>9}  {:>7}  {:>9}  {:>12}  {:>12}",
@@ -575,38 +717,25 @@ fn main() {
         "fixed(%)",
         "adaptive(%)"
     );
-    // The swept deployment at one failure rate, healing on: every sweep
-    // point, and the observed and membership-mode re-runs of the heaviest.
-    let churn_at = |failure_rate: f64| ChurnConfig {
-        relays: options.relays,
-        k: options.k,
-        queries: options.queries,
-        seed: options.seed,
-        failure_rate,
-        recover: options.recover,
-        adaptive: true,
-        ..ChurnConfig::default()
-    };
-    let heaviest_rate = options.rates.iter().cloned().fold(0.0, f64::max);
     let mut points = Vec::new();
     for &rate in &options.rates {
-        let config = churn_at(rate);
-        let outcome = churn_run(EngineChoice::Sequential, &config);
+        let outcome = churn_run(EngineChoice::Sequential, &options.churn_at(rate));
         let summary = Summary::from_samples(&outcome.latencies);
         assert_eq!(
             outcome.clamped_samples, 0,
             "negative round trips must never be recorded"
         );
 
-        // Fixed-k: fakes on dead relays simply vanish.
-        let mut fixed =
-            LossyMechanism::churned(setup.cyclosa(PRIVACY_K), rate, false, options.seed ^ 0xC4A0);
-        let fixed_report = reidentify(&mut fixed, 0xC4A0 ^ (rate * 1000.0) as u64);
-
-        // Adaptive-k: every swallowed fake is redrawn and resubmitted.
-        let mut adaptive =
-            LossyMechanism::churned(setup.cyclosa(PRIVACY_K), rate, true, options.seed ^ 0xADA7);
-        let adaptive_report = reidentify(&mut adaptive, 0xADA7 ^ (rate * 1000.0) as u64);
+        // One salt per arm, on both the wrapper's loss stream and the
+        // evaluation stream.
+        let arm = |repair: bool, salt: u64| {
+            let cyclosa = attack.setup.cyclosa(PRIVACY_K);
+            let mut mechanism = LossyMechanism::churned(cyclosa, rate, repair, options.seed ^ salt);
+            let report = attack.reidentify(&mut mechanism, salt ^ (rate * 1000.0) as u64);
+            (report, mechanism)
+        };
+        let (fixed_report, _) = arm(false, 0xC4A0);
+        let (adaptive_report, adaptive) = arm(true, 0xADA7);
 
         println!(
             "{:>8.2}  {:>10.3}  {:>10.3}  {:>6}/{:<3}  {:>7}  {:>9}  {:>12.2}  {:>12.2}",
@@ -637,62 +766,71 @@ fn main() {
             adaptive_degraded_queries: adaptive.degraded_queries(),
         });
     }
+    points
+}
 
-    // Observed run: re-run the highest-rate sweep point on the sharded
-    // engine with the trace sink and metrics registry installed, assert
-    // the zero-perturbation contract against the sequential untraced run,
-    // and export the timeline + snapshot.
-    if options.observe.enabled() {
-        let config = churn_at(heaviest_rate);
-        let telemetry = ChurnTelemetry {
-            trace: options.observe.sink(),
-            metrics: options.observe.registry(),
-        };
-        eprintln!(
-            "# observed churn run at failure rate {heaviest_rate} ({} shards)...",
-            options.shards
-        );
-        let mut engine = EngineChoice::Sharded(options.shards).build(config.seed, &telemetry);
-        let observed =
-            run_churn_experiment_on(&mut *engine, &config, &ChaosPlan::new(), &telemetry);
-        assert_eq!(
-            observed,
-            churn_run(EngineChoice::Sequential, &config),
-            "observation perturbed the churn run"
-        );
-        // SLO pass over the merged timeline: targets derived from the
-        // experiment's own config, burn alerts spliced into the exported
-        // trace (still sorted, still schema-valid — `slo.*` is a closed
-        // family `trace_check` accepts).
-        let slos = evaluate_churn_slos(&config, &telemetry);
-        eprintln!(
-            "# slo: {} answered, {} privacy violation(s), {} suspicion(s) \
-             ({} refuted), {} burn alert(s)",
-            slos.report.answered,
-            slos.report.privacy_violations,
-            slos.report.suspicions,
-            slos.report.false_suspicions,
-            slos.report.alerts.len()
-        );
-        options
-            .observe
-            .write_timeline(&slos.timeline, telemetry.metrics.as_ref());
-    }
+/// Re-runs the highest-rate sweep point on the sharded engine with the
+/// trace sink and metrics registry installed, asserts that observation
+/// did not perturb it, and exports the merged causal timeline (JSONL plus
+/// a Chrome trace, for the `observe` bin) and the metrics snapshot.
+fn observed_run(options: &Options, heaviest_rate: f64) {
+    let config = options.churn_at(heaviest_rate);
+    let telemetry = ChurnTelemetry {
+        trace: options.observe.sink(),
+        metrics: options.observe.registry(),
+    };
+    eprintln!(
+        "# observed churn run at failure rate {heaviest_rate} ({} shards)...",
+        options.shards
+    );
+    let mut engine = EngineChoice::Sharded(options.shards).build(config.seed, &telemetry);
+    let observed = run_churn_experiment_on(&mut *engine, &config, &ChaosPlan::new(), &telemetry);
+    assert_eq!(
+        observed,
+        churn_run(EngineChoice::Sequential, &config),
+        "observation perturbed the churn run"
+    );
+    // SLO pass over the merged timeline: targets derived from the
+    // experiment's own config, `slo.*` burn alerts spliced into the
+    // exported trace (a closed family `trace_check` accepts).
+    let slos = evaluate_churn_slos(&config, &telemetry);
+    eprintln!(
+        "# slo: {} answered, {} privacy violation(s), {} suspicion(s) \
+         ({} refuted), {} burn alert(s)",
+        slos.report.answered,
+        slos.report.privacy_violations,
+        slos.report.suspicions,
+        slos.report.false_suspicions,
+        slos.report.alerts.len()
+    );
+    options
+        .observe
+        .write_timeline(&slos.timeline, telemetry.metrics.as_ref());
+}
 
-    // Partition sweep: minority fraction × partition duration. The client
-    // rides the minority, the split starts a quarter into the run, and the
-    // blacklist probation lets post-merge queries spread over the healed
-    // population again — the gated property is that the post-merge
-    // achieved_k ledger recovers to the failure-free level.
+/// The partition sweep, minority fraction × partition duration: per
+/// window the partition latency experiment of `cyclosa-chaos` (a minority
+/// client split away from most relays, re-merged mid-run, blacklist
+/// probation letting `achieved_k` recover) and the attack on the
+/// partition-windowed footprint of `LossyMechanism::partitioned` (fixed vs
+/// adaptive). Returns the failure-free mean `achieved_k` ledger (`None`
+/// when the horizon is too short for any window, which skips the sweep),
+/// one point per distinct window, and the first window with its
+/// post-merge `achieved_k` for the `--membership` probation comparison.
+fn partition_sweep(
+    options: &Options,
+    attack: &Attack,
+) -> (
+    Option<f64>,
+    Vec<PartitionPoint>,
+    Option<(PartitionConfig, f64)>,
+) {
+    // The client rides the minority, the split starts a quarter into the
+    // run, and the blacklist probation lets post-merge queries spread over
+    // the healed population again.
     let partition_base = ChurnConfig {
-        relays: options.relays,
-        k: options.k,
-        queries: options.queries,
-        seed: options.seed,
-        failure_rate: 0.0,
-        adaptive: true,
         blacklist_ttl: Some(SimTime::from_secs(10)),
-        ..ChurnConfig::default()
+        ..options.churn_at(0.0)
     };
     let horizon = partition_base.horizon();
     let split_at = SimTime::from_nanos(horizon.as_nanos() / 4);
@@ -703,6 +841,8 @@ fn main() {
     // past) the split.
     let settle = SimTime::from_secs(6);
     let latest_merge = SimTime::from_nanos(horizon.as_nanos() * 17 / 20).saturating_sub(settle);
+    let mut points = Vec::new();
+    let mut first_window = None;
     if latest_merge <= split_at {
         eprintln!(
             "# note: skipping the partition sweep — the {}-query horizon ({:.1}s) is too \
@@ -711,36 +851,22 @@ fn main() {
             horizon.as_secs_f64(),
             settle.as_secs_f64()
         );
+        return (None, points, first_window);
     }
     // Failure-free ledger: what achieved_k looks like when nothing splits.
-    // Only needed (and only computed) when the sweep actually runs.
-    let baseline_mean_achieved_k = if latest_merge > split_at {
-        let calm = churn_run(EngineChoice::Sequential, &partition_base);
-        Some(
-            calm.answered_queries
-                .iter()
-                .map(|q| q.achieved_k as f64)
-                .sum::<f64>()
-                / calm.answered_queries.len().max(1) as f64,
-        )
-    } else {
-        None
-    };
-    let mut partition_points = Vec::new();
-    if baseline_mean_achieved_k.is_some() {
-        println!(
-            "\n{:>9}  {:>9}  {:>22}  {:>22}  {:>22}",
-            "minority", "duration", "pre (ans/k)", "during (ans/k)", "post (ans/k)"
-        );
-    }
+    let calm = churn_run(EngineChoice::Sequential, &partition_base);
+    let baseline = calm
+        .answered_queries
+        .iter()
+        .map(|q| q.achieved_k as f64)
+        .sum::<f64>()
+        / calm.answered_queries.len().max(1) as f64;
+    println!(
+        "\n{:>9}  {:>9}  {:>22}  {:>22}  {:>22}",
+        "minority", "duration", "pre (ans/k)", "during (ans/k)", "post (ans/k)"
+    );
     let mut seen_windows = Vec::new();
-    // First swept window, kept for the `--membership` probation
-    // comparison (same split, suspicion-driven forgiveness on top).
-    let mut first_partition: Option<(PartitionConfig, f64)> = None;
     for &fraction in &options.partition_fractions {
-        if baseline_mean_achieved_k.is_none() {
-            break;
-        }
         for &duration_s in &options.partition_durations_s {
             let mut merge_at = split_at + SimTime::from_secs(duration_s);
             if merge_at > latest_merge {
@@ -772,24 +898,16 @@ fn main() {
                 merge_at,
                 settle,
             };
-            // Determinism first, as for the rate sweep: the partition
-            // boundary crossing shard boundaries must not break
-            // bit-identity.
-            let outcome = partition_run(EngineChoice::Sequential, &config);
-            assert_eq!(
-                partition_run(EngineChoice::Sharded(options.shards), &config),
-                outcome,
-                "sharded partition run diverged from the sequential simulation"
-            );
+            let outcome = same_on_shards(options.shards, |engine| partition_run(engine, &config));
             assert_eq!(outcome.churn.clamped_samples, 0);
-            if first_partition.is_none() {
-                first_partition = Some((config, outcome.post_merge.mean_achieved_k));
+            if first_window.is_none() {
+                first_window = Some((config, outcome.post_merge.mean_achieved_k));
             }
 
             // Attack accuracy across the same window: fakes sent during
             // the partition die with the probability that their relay sat
             // on the other side of the boundary.
-            let n = setup.test_queries.len();
+            let n = attack.setup.test_queries.len();
             let as_index = |at: SimTime| {
                 ((n as f64 * at.as_nanos() as f64 / horizon.as_nanos() as f64).round() as usize)
                     .min(n)
@@ -801,13 +919,15 @@ fn main() {
             // evaluation stream.
             let attack_rate_percent = |repair: bool, salt: u64| {
                 let mut mechanism = LossyMechanism::partitioned(
-                    setup.cyclosa(PRIVACY_K),
+                    attack.setup.cyclosa(PRIVACY_K),
                     cross_fraction,
                     window,
                     repair,
                     options.seed ^ salt,
                 );
-                reidentify(&mut mechanism, salt ^ point_tag).rate_percent()
+                attack
+                    .reidentify(&mut mechanism, salt ^ point_tag)
+                    .rate_percent()
             };
 
             let actual_duration_s = merge_at.saturating_sub(split_at).as_secs_f64();
@@ -822,7 +942,7 @@ fn main() {
                 outcome.post_merge.answered,
                 outcome.post_merge.mean_achieved_k,
             );
-            partition_points.push(PartitionPoint {
+            points.push(PartitionPoint {
                 minority_fraction: fraction,
                 requested_duration_s: duration_s,
                 duration_s: actual_duration_s,
@@ -837,473 +957,274 @@ fn main() {
             });
         }
     }
+    (Some(baseline), points, first_window)
+}
 
-    // Shuffle-vs-SWIM overlay comparison: the same 40-node ring split
-    // 12/28 for 50 s, once maintained by the shuffle overlay (healing via
-    // directory-assisted bridge peers) and once by the protocol-native
-    // SWIM/HyParView overlay (zero bridges — quarantine knocks and
-    // refutation only). Both horizons are 120 s of simulated time so the
-    // message-cost columns are comparable.
-    let membership_report = if options.membership {
-        let overlay_nodes = 40usize;
-        let boundary = 12u64;
-        let minority: Vec<PeerId> = (0..boundary).map(PeerId).collect();
-        let overlay_split = SimTime::from_secs(20);
-        let overlay_merge = SimTime::from_secs(70);
+/// Shuffle-vs-SWIM overlay comparison: the same 40-node ring split 12/28
+/// for 50 s, once maintained by the shuffle overlay (healing via
+/// directory-assisted bridge peers) and once by the protocol-native
+/// SWIM/HyParView overlay (zero bridges — quarantine knocks and refutation
+/// only). Both horizons are 120 s of simulated time so the message-cost
+/// columns are comparable. Then the heaviest churn point and
+/// `first_window` re-run with the client-side SWIM prober.
+fn membership_comparison(
+    options: &Options,
+    heaviest_rate: f64,
+    first_window: Option<(PartitionConfig, f64)>,
+) -> MembershipReport {
+    let overlay_nodes = 40usize;
+    let boundary = 12u64;
+    let minority: Vec<PeerId> = (0..boundary).map(PeerId).collect();
+    let overlay_split = SimTime::from_secs(20);
+    let overlay_merge = SimTime::from_secs(70);
 
-        let shuffle_config = EngineGossipConfig {
-            rounds: 120,
-            ..EngineGossipConfig::default()
-        };
-        let shuffle_horizon = SimTime::from_nanos(
-            shuffle_config.round_period.as_nanos() * shuffle_config.rounds as u64,
-        );
-        let registry = Registry::new();
-        let mut sim = Simulation::new(options.seed);
-        let mut shuffle = EngineGossipOverlay::ring(
-            &mut sim,
-            overlay_nodes,
-            shuffle_config,
-            options.seed,
-            Some(&registry),
-        );
-        shuffle.schedule_partition(&mut sim, &minority, overlay_split, overlay_merge);
-        shuffle.schedule_bridges(&mut sim, &minority, overlay_merge, SHUFFLE_BRIDGES);
-        let shuffle_side = measure_healing(
-            &mut sim,
-            &shuffle,
-            overlay_merge,
-            shuffle_horizon,
-            boundary,
-            SHUFFLE_BRIDGES,
-            |_, _| {
-                let staleness = registry.histogram("overlay.view_staleness_rounds");
-                ("mean descriptor age (rounds)", staleness.snapshot().mean())
-            },
-        );
-
-        let swim_config = MembershipConfig::default();
-        let swim_horizon =
-            SimTime::from_nanos(swim_config.round_period.as_nanos() * swim_config.rounds as u64);
-        let mut sim = Simulation::new(options.seed);
-        let mut swim = SwimGossipOverlay::ring(
-            &mut sim,
-            overlay_nodes,
-            swim_config,
-            options.seed,
-            &TraceSink::disabled(),
-        );
-        swim.schedule_partition(&mut sim, &minority, overlay_split, overlay_merge);
-        let swim_side = measure_healing(
-            &mut sim,
-            &swim,
-            overlay_merge,
-            swim_horizon,
-            boundary,
-            0,
-            |swim, now| ("mean seconds since heard", swim.mean_staleness(now)),
-        );
-
-        // The heaviest churn point re-run with the client-side SWIM
-        // prober: death detection now triggers the *proactive* fake
-        // top-up, ahead of any query retry noticing the corpse. The
-        // cadence is tightened below the default — queries settle in
-        // about a second here, so detection must land within roughly one
-        // retry timeout of the death to beat the reactive path.
-        let churn_config = ChurnConfig {
-            membership: Some(MembershipProbeConfig {
-                probe_period: SimTime::from_millis(500),
-                suspicion_timeout: SimTime::from_millis(1500),
-                probes_per_round: 6,
-                ..MembershipProbeConfig::default()
-            }),
-            ..churn_at(heaviest_rate)
-        };
-        let churn_outcome = churn_run(EngineChoice::Sequential, &churn_config);
-        assert_eq!(
-            churn_run(EngineChoice::Sharded(options.shards), &churn_config),
-            churn_outcome,
-            "sharded membership-mode churn run diverged from the sequential simulation"
-        );
-        let churn_summary = Summary::from_samples(&churn_outcome.latencies);
-
-        // First partition window again, with suspicion-driven probation
-        // layered on the same blacklist: refutation forgives early, death
-        // declarations keep corpses barred. Post-merge achieved_k must
-        // not fall behind the TTL-only run.
-        let probation = first_partition.map(|(swept, ttl_post_k)| {
-            let config = PartitionConfig {
-                base: ChurnConfig {
-                    membership: Some(MembershipProbeConfig::default()),
-                    ..swept.base
-                },
-                ..swept
-            };
-            let outcome = partition_run(EngineChoice::Sequential, &config);
-            ProbationAchievedK {
-                blacklist_ttl: ttl_post_k,
-                membership: outcome.post_merge.mean_achieved_k,
-            }
-        });
-
-        println!("\nmembership: partition healing, shuffle bridges vs SWIM knocks");
-        for (name, side, unit) in [
-            ("shuffle", &shuffle_side, "rounds"),
-            ("swim", &swim_side, "s"),
-        ] {
-            println!(
-                "  {name:<7}  bridges={}  severed={:<5}  healed in {:>6}  staleness {:>6.2} {unit:<6}  {:>6} msgs  {:>8} bytes",
-                side.bridges,
-                side.severed,
-                side.healed_in(),
-                side.staleness,
-                side.messages,
-                side.bytes
-            );
-        }
-        println!(
-            "  churn @ {:.2}: answered {}/{}, retries {}, topped {} (+{} proactive), median {:.3}s",
-            heaviest_rate,
-            churn_outcome.answered,
-            churn_outcome.answered + churn_outcome.unanswered,
-            churn_outcome.retries,
-            churn_outcome.fakes_topped_up,
-            churn_outcome.fakes_topped_up_proactive,
-            churn_summary.median
-        );
-        if let Some(k) = &probation {
-            let (ttl_k, membership_k) = (k.blacklist_ttl, k.membership);
-            println!(
-                "  partition post-merge achieved_k: ttl {ttl_k:.3} vs membership {membership_k:.3}"
-            );
-        }
-
-        Some(MembershipReport {
-            overlay_nodes,
-            minority_nodes: boundary as usize,
-            split_s: overlay_split.as_secs_f64(),
-            merge_s: overlay_merge.as_secs_f64(),
-            shuffle: shuffle_side,
-            swim: swim_side,
-            churn_point: ProbedChurnPoint {
-                failure_rate: heaviest_rate,
-                latency_median_s: churn_summary.median,
-                answered: churn_outcome.answered,
-                unanswered: churn_outcome.unanswered,
-                retries: churn_outcome.retries,
-                fakes_topped_up: churn_outcome.fakes_topped_up,
-                fakes_topped_up_proactive: churn_outcome.fakes_topped_up_proactive,
-            },
-            partition_post_merge_achieved_k: probation,
-        })
-    } else {
-        None
+    let shuffle_config = EngineGossipConfig {
+        rounds: 120,
+        ..EngineGossipConfig::default()
     };
+    let shuffle_horizon =
+        SimTime::from_nanos(shuffle_config.round_period.as_nanos() * shuffle_config.rounds as u64);
+    let registry = Registry::new();
+    let mut sim = Simulation::new(options.seed);
+    let mut shuffle = EngineGossipOverlay::ring(
+        &mut sim,
+        overlay_nodes,
+        shuffle_config,
+        options.seed,
+        Some(&registry),
+    );
+    shuffle.schedule_partition(&mut sim, &minority, overlay_split, overlay_merge);
+    shuffle.schedule_bridges(&mut sim, &minority, overlay_merge, SHUFFLE_BRIDGES);
+    let shuffle_side = measure_healing(
+        &mut sim,
+        &shuffle,
+        overlay_merge,
+        shuffle_horizon,
+        boundary,
+        SHUFFLE_BRIDGES,
+        |_, _| {
+            let staleness = registry.histogram("overlay.view_staleness_rounds");
+            ("mean descriptor age (rounds)", staleness.snapshot().mean())
+        },
+    );
 
-    // Active adversary: for each Sybil identity budget, measure the view
-    // poisoning the attacker achieves against the naive shuffle sampler
-    // and against the Brahms sampler under the *identical* attack, then
-    // turn each poisoned view share into SimAttack accuracy through a
-    // colluding-relay coalition of that size (`ColludingMechanism`: a
-    // poisoned view slot is a relay the attacker controls, and a
-    // controlled relay pools the queries it carries with the client's
-    // network identity attached).
-    let heaviest_sybil_fraction = options.sybil_fractions.iter().cloned().fold(0.0, f64::max);
-    let adversary_points: Vec<AdversaryPoint> = if options.adversary {
-        println!(
-            "{:>8}  {:>11}  {:>12}  {:>7}  {:>10}  {:>11}",
-            "sybil f", "naive view", "brahms view", "voided", "naive(%)", "brahms(%)"
-        );
-        options
-            .sybil_fractions
-            .iter()
-            .map(|&fraction| {
-                let attack = SybilAttackConfig {
-                    honest: SYBIL_HONEST,
-                    fraction,
-                    pushes_per_sybil: 2,
-                    seed: options.seed,
-                };
-                let (naive, brahms) = sybil_run(EngineChoice::Sequential, attack);
-                // Determinism, as for the other sweeps: the heaviest attack
-                // must poison the same views on the sharded engine.
-                if fraction == heaviest_sybil_fraction {
-                    let (sharded_naive, sharded_brahms) =
-                        sybil_run(EngineChoice::Sharded(options.shards), attack);
-                    assert!(
-                        sharded_naive.views() == naive.views()
-                            && sharded_brahms.views() == brahms.views(),
-                        "sharded Sybil run diverged from the sequential simulation"
-                    );
-                }
-                let naive_view = naive.attacker_fraction();
-                let brahms_view = brahms.attacker_fraction();
+    let swim_config = MembershipConfig::default();
+    let swim_horizon =
+        SimTime::from_nanos(swim_config.round_period.as_nanos() * swim_config.rounds as u64);
+    let mut sim = Simulation::new(options.seed);
+    let mut swim = SwimGossipOverlay::ring(
+        &mut sim,
+        overlay_nodes,
+        swim_config,
+        options.seed,
+        &TraceSink::disabled(),
+    );
+    swim.schedule_partition(&mut sim, &minority, overlay_split, overlay_merge);
+    let swim_side = measure_healing(
+        &mut sim,
+        &swim,
+        overlay_merge,
+        swim_horizon,
+        boundary,
+        0,
+        |swim, now| ("mean seconds since heard", swim.mean_staleness(now)),
+    );
 
-                // A coalition holding `view` of the relays: its attack
-                // accuracy and the real queries it pooled. One salt per
-                // sampler, on both the coalition draw and the evaluation.
-                let collude = |view: f64, salt: u64| {
-                    let mut mechanism = ColludingMechanism::new(
-                        setup.cyclosa(PRIVACY_K),
-                        view,
-                        options.seed ^ salt,
-                    );
-                    let report = reidentify(&mut mechanism, salt ^ (fraction * 1000.0) as u64);
-                    (report.rate_percent(), mechanism.pooled_real())
-                };
-                let (naive_rate, naive_pooled_real) = collude(naive_view, 0xBAD0);
-                let (brahms_rate, brahms_pooled_real) = collude(brahms_view, 0xB4A5);
-                println!(
-                    "{:>8.2}  {:>11.3}  {:>12.3}  {:>7}  {:>10.2}  {:>11.2}",
-                    fraction,
-                    naive_view,
-                    brahms_view,
-                    brahms.voided_rounds(),
-                    naive_rate,
-                    brahms_rate
-                );
-                AdversaryPoint {
-                    sybil_fraction: fraction,
-                    naive_view_fraction: naive_view,
-                    brahms_view_fraction: brahms_view,
-                    brahms_voided_rounds: brahms.voided_rounds(),
-                    naive_attack_rate_percent: naive_rate,
-                    brahms_attack_rate_percent: brahms_rate,
-                    naive_pooled_real,
-                    brahms_pooled_real,
-                }
-            })
-            .collect()
-    } else {
-        Vec::new()
+    // The heaviest churn point re-run with the client-side SWIM prober:
+    // death detection now triggers the *proactive* fake top-up, ahead of
+    // any query retry noticing the corpse. The cadence is tightened below
+    // the default — queries settle in about a second here, so detection
+    // must land within roughly one retry timeout of the death to beat the
+    // reactive path.
+    let churn_config = ChurnConfig {
+        membership: Some(MembershipProbeConfig {
+            probe_period: SimTime::from_millis(500),
+            suspicion_timeout: SimTime::from_millis(1500),
+            probes_per_round: 6,
+            ..MembershipProbeConfig::default()
+        }),
+        ..options.churn_at(heaviest_rate)
     };
+    let churn_outcome = same_on_shards(options.shards, |engine| churn_run(engine, &churn_config));
+    let churn_summary = Summary::from_samples(&churn_outcome.latencies);
 
-    if options.json {
-        let report = Record {
-            bench: "churn",
-            seed: options.seed,
-            relays: options.relays,
-            k: options.k,
-            queries: options.queries,
-            recover: options.recover,
-            shards_checked: options.shards,
-            points: &points,
-            partition_baseline_mean_achieved_k: baseline_mean_achieved_k,
-            partition_points: &partition_points,
-            membership: &membership_report,
-            adversary: (!adversary_points.is_empty()).then_some(AdversarySweep {
-                sybil_honest: SYBIL_HONEST,
-                sybil_rounds: SYBIL_ROUNDS,
-                points: &adversary_points,
-            }),
+    // First partition window again, with suspicion-driven probation
+    // layered on the same blacklist: refutation forgives early, death
+    // declarations keep corpses barred.
+    let probation = first_window.map(|(swept, ttl_post_k)| {
+        let config = PartitionConfig {
+            base: ChurnConfig {
+                membership: Some(MembershipProbeConfig::default()),
+                ..swept.base
+            },
+            ..swept
         };
-        cli::write_file(&options.out, &(report.to_json().pretty() + "\n"));
-        eprintln!("# wrote {}", options.out);
+        let outcome = partition_run(EngineChoice::Sequential, &config);
+        ProbationAchievedK {
+            blacklist_ttl: ttl_post_k,
+            membership: outcome.post_merge.mean_achieved_k,
+        }
+    });
+
+    println!("\nmembership: partition healing, shuffle bridges vs SWIM knocks");
+    for (name, side, unit) in [
+        ("shuffle", &shuffle_side, "rounds"),
+        ("swim", &swim_side, "s"),
+    ] {
+        let healed_in = side
+            .healing_s
+            .map_or("never".to_owned(), |s| format!("{s:.1}s"));
+        println!(
+            "  {name:<7}  bridges={}  severed={:<5}  healed in {:>6}  staleness {:>6.2} {unit:<6}  {:>6} msgs  {:>8} bytes",
+            side.bridges,
+            side.severed,
+            healed_in,
+            side.staleness,
+            side.messages,
+            side.bytes
+        );
+    }
+    println!(
+        "  churn @ {:.2}: answered {}/{}, retries {}, topped {} (+{} proactive), median {:.3}s",
+        heaviest_rate,
+        churn_outcome.answered,
+        churn_outcome.answered + churn_outcome.unanswered,
+        churn_outcome.retries,
+        churn_outcome.fakes_topped_up,
+        churn_outcome.fakes_topped_up_proactive,
+        churn_summary.median
+    );
+    if let Some(k) = &probation {
+        let (ttl, membership) = (k.blacklist_ttl, k.membership);
+        println!("  partition post-merge achieved_k: ttl {ttl:.3} vs membership {membership:.3}");
     }
 
-    // Privacy regression gate: the whole point of adaptive-k repair is
-    // that attack accuracy under heavy churn stays near the failure-free
-    // baseline. Compare the adaptive curve at the highest swept failure
-    // rate against the true failure-free point — a lowest-nonzero stand-in
-    // would silently loosen the budget.
-    if let Some(gate) = options.gate {
-        let Some(baseline) = points.iter().find(|p| p.failure_rate == 0.0) else {
-            eprintln!("error: --gate needs the failure-free baseline; include 0 in --rates");
-            std::process::exit(2);
+    MembershipReport {
+        overlay_nodes,
+        minority_nodes: boundary as usize,
+        split_s: overlay_split.as_secs_f64(),
+        merge_s: overlay_merge.as_secs_f64(),
+        shuffle: shuffle_side,
+        swim: swim_side,
+        churn_point: ProbedChurnPoint {
+            failure_rate: heaviest_rate,
+            latency_median_s: churn_summary.median,
+            answered: churn_outcome.answered,
+            unanswered: churn_outcome.unanswered,
+            retries: churn_outcome.retries,
+            fakes_topped_up: churn_outcome.fakes_topped_up,
+            fakes_topped_up_proactive: churn_outcome.fakes_topped_up_proactive,
+        },
+        partition_post_merge_achieved_k: probation,
+    }
+}
+
+/// The active-adversary sweep, one `AdversaryPoint` per Sybil fraction.
+/// Both samplers are engine overlays whose sybils are message-passing
+/// nodes. In `ColludingMechanism` a poisoned view slot is a relay the
+/// attacker controls, and a controlled relay pools the queries it carries
+/// with the client's network identity attached.
+fn adversary_sweep(options: &Options, attack: &Attack) -> Vec<AdversaryPoint> {
+    let sybils = |fraction| SybilAttackConfig {
+        honest: SYBIL_HONEST,
+        fraction,
+        pushes_per_sybil: 2,
+        seed: options.seed,
+    };
+    // The heaviest attack must poison the same views on the sharded engine.
+    let heaviest = options.sybil_fractions.iter().cloned().fold(0.0, f64::max);
+    same_on_shards(options.shards, |engine| {
+        let (naive, brahms) = sybil_run(engine, sybils(heaviest));
+        (naive.views(), brahms.views())
+    });
+    println!(
+        "{:>8}  {:>11}  {:>12}  {:>7}  {:>10}  {:>11}",
+        "sybil f", "naive view", "brahms view", "voided", "naive(%)", "brahms(%)"
+    );
+    let mut points = Vec::new();
+    for &fraction in &options.sybil_fractions {
+        let (naive, brahms) = sybil_run(EngineChoice::Sequential, sybils(fraction));
+        let naive_view = naive.attacker_fraction();
+        let brahms_view = brahms.attacker_fraction();
+
+        // A coalition holding `view` of the relays: its attack accuracy
+        // and the real queries it pooled. One salt per sampler, on both the
+        // coalition draw and the evaluation.
+        let collude = |view: f64, salt: u64| {
+            let cyclosa = attack.setup.cyclosa(PRIVACY_K);
+            let mut mechanism = ColludingMechanism::new(cyclosa, view, options.seed ^ salt);
+            let report = attack.reidentify(&mut mechanism, salt ^ (fraction * 1000.0) as u64);
+            (report.rate_percent(), mechanism.pooled_real())
         };
-        let stressed = points
-            .iter()
-            .max_by(|a, b| a.failure_rate.total_cmp(&b.failure_rate))
-            .expect("at least one rate");
-        let drift = stressed.attack_rate_adaptive_percent - baseline.attack_rate_percent;
-        eprintln!(
-            "# gate: adaptive {:.2}% at failure {:.2} vs baseline {:.2}% at failure {:.2} \
-             (drift {:+.2} points, budget {:.2})",
-            stressed.attack_rate_adaptive_percent,
-            stressed.failure_rate,
-            baseline.attack_rate_percent,
-            baseline.failure_rate,
-            drift,
-            gate
+        let (naive_rate, naive_pooled_real) = collude(naive_view, 0xBAD0);
+        let (brahms_rate, brahms_pooled_real) = collude(brahms_view, 0xB4A5);
+        println!(
+            "{:>8.2}  {:>11.3}  {:>12.3}  {:>7}  {:>10.2}  {:>11.2}",
+            fraction,
+            naive_view,
+            brahms_view,
+            brahms.voided_rounds(),
+            naive_rate,
+            brahms_rate
         );
-        if drift > gate {
-            eprintln!(
-                "error: adaptive-k attack accuracy drifted {drift:.2} points above the \
-                 failure-free baseline (budget {gate:.2})"
-            );
-            std::process::exit(1);
-        }
+        points.push(AdversaryPoint {
+            sybil_fraction: fraction,
+            naive_view_fraction: naive_view,
+            brahms_view_fraction: brahms_view,
+            brahms_voided_rounds: brahms.voided_rounds(),
+            naive_attack_rate_percent: naive_rate,
+            brahms_attack_rate_percent: brahms_rate,
+            naive_pooled_real,
+            brahms_pooled_real,
+        });
+    }
+    points
+}
 
-        // Partition recovery gate: after the merge, the achieved_k ledger
-        // must be back at the failure-free level — a healing path that
-        // leaves the client stuck on its minority-side blacklist would
-        // show up here.
-        if let Some(ledger_baseline) = baseline_mean_achieved_k {
-            for point in &partition_points {
-                eprintln!(
-                    "# gate: partition {:.2}×{:.1}s post-merge achieved_k {:.3} vs \
-                     failure-free {:.3}",
-                    point.minority_fraction,
-                    point.duration_s,
-                    point.post_merge.mean_achieved_k,
-                    ledger_baseline
-                );
-                if point.post_merge.mean_achieved_k < ledger_baseline - 0.01 {
-                    eprintln!(
-                        "error: post-merge achieved_k ({:.3}) did not recover to the \
-                         failure-free ledger ({:.3}) for minority fraction {:.2}, \
-                         duration {:.1}s",
-                        point.post_merge.mean_achieved_k,
-                        ledger_baseline,
-                        point.minority_fraction,
-                        point.duration_s
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
+fn main() {
+    let options = cli::from_env(USAGE, read_options);
+    let setup = ExperimentSetup::new(options.scale, options.seed);
+    let attack = Attack {
+        adversary: SimAttack::from_training(&setup.train),
+        setup,
+    };
 
-        // Membership gates: the protocol-native overlay must self-heal
-        // the split without any bridge peers and within the healing
-        // budget, and suspicion-driven probation must not cost post-merge
-        // privacy versus the TTL baseline.
-        if let Some(report) = &membership_report {
-            eprintln!(
-                "# gate: swim healed bridge-free in {} (budget {SWIM_HEALING_BUDGET_S:.0}s); \
-                 shuffle with {} bridges in {}",
-                report.swim.healed_in(),
-                report.shuffle.bridges,
-                report.shuffle.healed_in(),
-            );
-            if !report.swim.severed {
-                eprintln!(
-                    "error: the SWIM overlay failed to quarantine the far side during \
-                     the split — its healing time is meaningless"
-                );
-                std::process::exit(1);
-            }
-            let Some(healing) = report.swim.healing_s else {
-                eprintln!(
-                    "error: the SWIM overlay never re-knit the merged partition \
-                     without bridge peers"
-                );
-                std::process::exit(1);
-            };
-            if healing > SWIM_HEALING_BUDGET_S {
-                eprintln!(
-                    "error: bridge-free SWIM healing took {healing:.1}s \
-                     (budget {SWIM_HEALING_BUDGET_S:.0}s)"
-                );
-                std::process::exit(1);
-            }
-            if !report.shuffle.healed {
-                eprintln!(
-                    "error: the shuffle overlay failed to heal even with {} bridge peers",
-                    report.shuffle.bridges
-                );
-                std::process::exit(1);
-            }
-            if let Some(k) = &report.partition_post_merge_achieved_k {
-                let (ttl_k, membership_k) = (k.blacklist_ttl, k.membership);
-                eprintln!(
-                    "# gate: post-merge achieved_k {membership_k:.3} under membership \
-                     probation vs {ttl_k:.3} under TTL probation"
-                );
-                if membership_k < ttl_k - 0.01 {
-                    eprintln!(
-                        "error: suspicion-driven probation regressed post-merge achieved_k \
-                         ({membership_k:.3}) below the TTL-probation baseline ({ttl_k:.3})"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
+    let points = rate_curve(&options, &attack);
+    let heaviest_rate = options.rates.iter().cloned().fold(0.0, f64::max);
+    if options.observe.enabled() {
+        observed_run(&options, heaviest_rate);
+    }
+    let (partition_baseline, partition_points, first_window) = partition_sweep(&options, &attack);
+    let membership = options
+        .membership
+        .then(|| membership_comparison(&options, heaviest_rate, first_window));
+    let adversary = options.adversary.then(|| AdversarySweep {
+        sybil_honest: SYBIL_HONEST,
+        sybil_rounds: SYBIL_ROUNDS,
+        points: adversary_sweep(&options, &attack),
+    });
 
-        // Active-adversary gates: against every swept Sybil budget of at
-        // least 20 %, the Brahms sampler must (a) contain view poisoning
-        // near the attacker's *global* identity share — Brahms's
-        // convergence guarantee, and the property the naive shuffle
-        // sampler loses outright — and (b) keep the collusion-boosted
-        // attack-accuracy drift at least `ADVERSARY_DRIFT_MARGIN` points
-        // below the naive sampler's drift under the identical attack.
-        // Exposure itself legitimately raises accuracy (a coalition that
-        // observes 20 % of requests re-identifies more than one that
-        // observes none), so the budget is relative to the undefended
-        // sampler, not an absolute point count.
-        if !adversary_points.is_empty() {
-            /// Slack on the view-containment bound: the Brahms view's
-            /// attacker share may exceed the global Sybil share by at most
-            /// this much.
-            const BRAHMS_VIEW_MARGIN: f64 = 0.15;
-            /// Minimum separation, in accuracy points, between the naive
-            /// sampler's attack-accuracy drift and Brahms's.
-            const ADVERSARY_DRIFT_MARGIN: f64 = 5.0;
-            let Some(clean) = adversary_points.iter().find(|p| p.sybil_fraction == 0.0) else {
-                eprintln!(
-                    "error: --gate with --adversary needs the attack-free baseline; \
-                     include 0 in --sybil-fractions"
-                );
-                std::process::exit(2);
-            };
-            for point in &adversary_points {
-                if point.sybil_fraction < 0.2 {
-                    continue;
-                }
-                let brahms_drift =
-                    point.brahms_attack_rate_percent - clean.brahms_attack_rate_percent;
-                let naive_drift = point.naive_attack_rate_percent - clean.naive_attack_rate_percent;
-                let view_bound = point.sybil_fraction + BRAHMS_VIEW_MARGIN;
-                eprintln!(
-                    "# gate: sybil {:.2} → brahms view {:.3} (bound {:.3}), \
-                     accuracy drift {:+.2} points; naive view {:.3}, drift \
-                     {:+.2} points (margin {:.1})",
-                    point.sybil_fraction,
-                    point.brahms_view_fraction,
-                    view_bound,
-                    brahms_drift,
-                    point.naive_view_fraction,
-                    naive_drift,
-                    ADVERSARY_DRIFT_MARGIN,
-                );
-                if point.brahms_view_fraction > view_bound {
-                    eprintln!(
-                        "error: Brahms view poisoning {:.3} exceeds the containment \
-                         bound {:.3} at sybil fraction {:.2} — the limited-pull \
-                         validation is no longer holding the view near the global \
-                         attacker share",
-                        point.brahms_view_fraction, view_bound, point.sybil_fraction
-                    );
-                    std::process::exit(1);
-                }
-                if brahms_drift + ADVERSARY_DRIFT_MARGIN > naive_drift {
-                    eprintln!(
-                        "error: at sybil fraction {:.2} the Brahms accuracy drift \
-                         ({brahms_drift:+.2} points) is not at least \
-                         {ADVERSARY_DRIFT_MARGIN:.1} points below the naive \
-                         sampler's ({naive_drift:+.2} points) — the defense is \
-                         not buying measurable privacy",
-                        point.sybil_fraction
-                    );
-                    std::process::exit(1);
-                }
-            }
-            if let Some(heaviest) = adversary_points
-                .iter()
-                .filter(|p| p.sybil_fraction >= 0.2)
-                .max_by(|a, b| a.sybil_fraction.total_cmp(&b.sybil_fraction))
-            {
-                if heaviest.naive_view_fraction <= heaviest.brahms_view_fraction {
-                    eprintln!(
-                        "error: at sybil fraction {:.2} the naive sampler's poisoned \
-                         view share ({:.3}) no longer exceeds Brahms ({:.3}) — the \
-                         attack stopped separating the defenses",
-                        heaviest.sybil_fraction,
-                        heaviest.naive_view_fraction,
-                        heaviest.brahms_view_fraction
-                    );
-                    std::process::exit(1);
-                }
-            }
+    let record = Record {
+        bench: "churn",
+        seed: options.seed,
+        relays: options.relays,
+        k: options.k,
+        queries: options.queries,
+        recover: options.recover,
+        shards_checked: options.shards,
+        points,
+        partition_baseline_mean_achieved_k: partition_baseline,
+        partition_points,
+        membership,
+        adversary,
+    };
+    if options.json {
+        cli::write_file(&options.out, &(record.to_json().pretty() + "\n"));
+        eprintln!("# wrote {}", options.out);
+    }
+    if let Some(budget) = options.gate {
+        if let Err(failures) = record.gate(budget) {
+            cli::fail(1, failures.join("\nerror: "));
         }
     }
 }
@@ -1363,5 +1284,249 @@ mod tests {
             assert!(read(line).is_err(), "{line}");
         }
         assert_eq!(read("--gate 0 --scale paper").unwrap().gate, Some(0.0));
+    }
+
+    #[test]
+    fn a_command_line_without_the_gates_baselines_is_refused_before_running() {
+        let failure_free = Stop::Bad(NEEDS_FAILURE_FREE.to_owned());
+        let attack_free = Stop::Bad(NEEDS_ATTACK_FREE.to_owned());
+        assert_eq!(read("--rates 0.1 --gate 1").unwrap_err(), failure_free);
+        assert_eq!(read("--gate 1 --rates 0.1,0.5").unwrap_err(), failure_free);
+        let line = "--gate 1 --adversary --sybil-fractions 0.1,0.3";
+        assert_eq!(read(line).unwrap_err(), attack_free);
+        // Ungated, or gated with its baselines, the same sweeps run.
+        for line in [
+            "--rates 0.1",
+            "--adversary --sybil-fractions 0.1",
+            "--gate 1 --sybil-fractions 0.1",
+            "--gate 1 --rates 0.1,0 --adversary --sybil-fractions 0.3,0",
+        ] {
+            assert!(read(line).is_ok(), "{line}");
+        }
+    }
+
+    fn phase(mean_achieved_k: f64) -> PhaseSummary {
+        PhaseSummary {
+            issued: 40,
+            answered: 40,
+            mean_achieved_k,
+            median_latency_s: 0.9,
+        }
+    }
+
+    fn curve(failure_rate: f64, fixed: f64, adaptive: f64) -> CurvePoint {
+        CurvePoint {
+            failure_rate,
+            latency_median_s: 0.9,
+            latency_p95_s: 1.1,
+            answered: 120,
+            unanswered: 0,
+            retries: 0,
+            experiment_fakes_topped_up: 0,
+            failed_relays: 0,
+            attack_rate_percent: fixed,
+            attack_engine_requests: 0,
+            attack_rate_adaptive_percent: adaptive,
+            attack_adaptive_engine_requests: 0,
+            adaptive_fakes_topped_up: 0,
+            adaptive_degraded_queries: 0,
+        }
+    }
+
+    fn partition(duration_s: u64, post_merge_k: f64) -> PartitionPoint {
+        PartitionPoint {
+            minority_fraction: 0.3,
+            requested_duration_s: duration_s,
+            duration_s: duration_s as f64,
+            split_s: 10.0,
+            pre_split: phase(3.0),
+            during: phase(2.8),
+            post_merge: phase(post_merge_k),
+            retries: 0,
+            fakes_topped_up: 0,
+            attack_rate_partitioned_percent: 6.0,
+            attack_rate_partition_adaptive_percent: 6.0,
+        }
+    }
+
+    fn overlay(bridges: usize, severed: bool, healing_s: Option<f64>) -> OverlayHealing {
+        OverlayHealing {
+            bridges,
+            severed,
+            healed: healing_s.is_some(),
+            healing_s,
+            staleness: 1.0,
+            staleness_metric: "metric",
+            messages: 0,
+            bytes: 0,
+        }
+    }
+
+    fn sybil(fraction: f64, naive: (f64, f64), brahms: (f64, f64)) -> AdversaryPoint {
+        AdversaryPoint {
+            sybil_fraction: fraction,
+            naive_view_fraction: naive.0,
+            brahms_view_fraction: brahms.0,
+            brahms_voided_rounds: 0,
+            naive_attack_rate_percent: naive.1,
+            brahms_attack_rate_percent: brahms.1,
+            naive_pooled_real: 0,
+            brahms_pooled_real: 0,
+        }
+    }
+
+    /// Passes `gate(BUDGET)` with every check sitting exactly on its
+    /// boundary, so tightening any comparison or dropping any margin
+    /// fails it. The points below the gated range break every bound.
+    fn boundary_record() -> Record {
+        Record {
+            bench: "churn",
+            seed: 2018,
+            relays: 30,
+            k: 3,
+            queries: 120,
+            recover: false,
+            shards_checked: 4,
+            // Drift 11.5 - 10.0 = BUDGET at the heaviest rate; only the
+            // heaviest rate is judged, against the fixed-k baseline.
+            points: vec![
+                curve(0.0, 10.0, 9.0),
+                curve(0.3, 10.0, 20.0),
+                curve(0.5, 30.0, 11.5),
+            ],
+            partition_baseline_mean_achieved_k: Some(3.0),
+            partition_points: vec![partition(15, 3.0), partition(30, 3.0 - 0.01)],
+            membership: Some(MembershipReport {
+                overlay_nodes: 40,
+                minority_nodes: 12,
+                split_s: 20.0,
+                merge_s: 70.0,
+                shuffle: overlay(SHUFFLE_BRIDGES, false, Some(90.0)),
+                swim: overlay(0, true, Some(SWIM_HEALING_BUDGET_S)),
+                churn_point: ProbedChurnPoint {
+                    failure_rate: 0.5,
+                    latency_median_s: 0.9,
+                    answered: 120,
+                    unanswered: 0,
+                    retries: 0,
+                    fakes_topped_up: 0,
+                    fakes_topped_up_proactive: 0,
+                },
+                partition_post_merge_achieved_k: Some(ProbationAchievedK {
+                    blacklist_ttl: 2.9,
+                    membership: 2.9 - 0.01,
+                }),
+            }),
+            adversary: Some(AdversarySweep {
+                sybil_honest: SYBIL_HONEST,
+                sybil_rounds: SYBIL_ROUNDS,
+                // (view, accuracy %) per sampler. At 0.2 the Brahms view
+                // sits on its bound and its drift (+2) exactly the margin
+                // below the naive drift (+7).
+                points: vec![
+                    sybil(0.0, (0.0, 10.0), (0.0, 10.0)),
+                    sybil(0.1, (0.05, 10.0), (0.9, 30.0)),
+                    sybil(0.2, (0.95, 17.0), (0.2 + BRAHMS_VIEW_MARGIN, 12.0)),
+                ],
+            }),
+        }
+    }
+
+    const BUDGET: f64 = 1.5;
+
+    #[test]
+    fn a_record_on_every_boundary_passes_the_gate() {
+        assert_eq!(boundary_record().gate(BUDGET), Ok(()));
+        // Nothing swept beyond the failure rates: only the drift is judged.
+        let record = Record {
+            partition_baseline_mean_achieved_k: None,
+            membership: None,
+            adversary: None,
+            ..boundary_record()
+        };
+        assert_eq!(record.gate(BUDGET), Ok(()));
+    }
+
+    #[test]
+    fn each_gate_check_fails_just_past_its_boundary() {
+        type Break = fn(&mut Record);
+        let cases: [(Break, &str); 12] = [
+            (
+                |r| r.points[2].attack_rate_adaptive_percent = 11.75,
+                "drifted 1.75 points above the failure-free baseline (budget 1.50)",
+            ),
+            (|r| r.points[0].failure_rate = 0.1, NEEDS_FAILURE_FREE),
+            (
+                |r| r.partition_points[1].post_merge.mean_achieved_k = 2.98,
+                "post-merge achieved_k (2.980) did not recover to the failure-free ledger \
+                 (3.000) for minority fraction 0.30, duration 30.0s",
+            ),
+            (
+                |r| r.membership.as_mut().unwrap().swim.severed = false,
+                "the SWIM overlay failed to quarantine the far side",
+            ),
+            (
+                |r| r.membership.as_mut().unwrap().swim = overlay(0, true, None),
+                "the SWIM overlay never re-knit the merged partition",
+            ),
+            (
+                |r| r.membership.as_mut().unwrap().swim = overlay(0, true, Some(30.5)),
+                "bridge-free SWIM healing took 30.5s (budget 30s)",
+            ),
+            (
+                |r| r.membership.as_mut().unwrap().shuffle = overlay(3, false, None),
+                "the shuffle overlay failed to heal even with 3 bridge peers",
+            ),
+            (
+                |r| {
+                    let report = r.membership.as_mut().unwrap();
+                    report
+                        .partition_post_merge_achieved_k
+                        .as_mut()
+                        .unwrap()
+                        .membership = 2.88;
+                },
+                "probation regressed post-merge achieved_k (2.880) below the TTL-probation \
+                 baseline (2.900)",
+            ),
+            (
+                |r| r.adversary.as_mut().unwrap().points[2].brahms_view_fraction = 0.36,
+                "Brahms view poisoning 0.360 exceeds the containment bound 0.350 at sybil \
+                 fraction 0.20",
+            ),
+            (
+                |r| r.adversary.as_mut().unwrap().points[2].naive_attack_rate_percent = 16.5,
+                "the Brahms accuracy drift (+2.00 points) is not at least 5.0 points below \
+                 the naive sampler's (+6.50 points)",
+            ),
+            (
+                |r| {
+                    let point = &mut r.adversary.as_mut().unwrap().points[2];
+                    point.naive_view_fraction = point.brahms_view_fraction;
+                },
+                "the naive sampler's poisoned view share (0.350) no longer exceeds Brahms \
+                 (0.350)",
+            ),
+            (
+                |r| r.adversary.as_mut().unwrap().points[0].sybil_fraction = 0.05,
+                NEEDS_ATTACK_FREE,
+            ),
+        ];
+        for (index, (break_check, expected)) in cases.into_iter().enumerate() {
+            let mut record = boundary_record();
+            break_check(&mut record);
+            let failures = record.gate(BUDGET).unwrap_err();
+            assert_eq!(failures.len(), 1, "case {index}: {failures:?}");
+            assert!(failures[0].contains(expected), "case {index}: {failures:?}");
+        }
+    }
+
+    #[test]
+    fn the_gate_reports_every_failed_check() {
+        let mut record = boundary_record();
+        record.points[2].attack_rate_adaptive_percent = 12.0;
+        record.membership.as_mut().unwrap().swim = overlay(0, false, None);
+        let failures = record.gate(BUDGET).unwrap_err();
+        assert_eq!(failures.len(), 3, "{failures:?}");
     }
 }

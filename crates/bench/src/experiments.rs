@@ -16,9 +16,8 @@ use cyclosa_mechanism::{Mechanism, MechanismProperties};
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_nlp::categorizer::{CategorizerMethod, DetectionQuality, QueryCategorizer};
-use cyclosa_runtime::metrics::Histogram;
 use cyclosa_sgx::enclave::CostModel;
-use cyclosa_telemetry::TraceSink;
+use cyclosa_telemetry::{QuantileSketch, TraceSink};
 use cyclosa_util::impl_to_json;
 use cyclosa_workload::annotation::{AnnotationCampaign, AnnotationConfig};
 use std::fmt;
@@ -464,8 +463,8 @@ impl fmt::Display for Fig7Report {
 // Fig. 8a / 8b — end-to-end latency
 // ---------------------------------------------------------------------------
 
-/// One latency distribution of Fig. 8a, summarized through the shared
-/// log-linear histogram of `cyclosa_runtime::metrics`.
+/// One latency distribution of Fig. 8a, summarized through the
+/// log-linear `QuantileSketch` of `cyclosa_telemetry`.
 #[derive(Debug, Clone)]
 pub struct LatencyRow {
     /// System name (Direct, X-Search, CYCLOSA, TOR) or `k=<n>` for Fig. 8b.
@@ -490,17 +489,17 @@ pub struct LatencyReport {
 }
 
 fn latency_row(label: &str, samples: &[f64]) -> LatencyRow {
-    let histogram = Histogram::new();
-    for &sample in samples {
-        histogram.record_secs_f64(sample);
+    let mut sketch = QuantileSketch::new();
+    for &seconds in samples.iter().filter(|s| s.is_finite() && **s >= 0.0) {
+        sketch.record((seconds * 1e9).round() as u64);
     }
-    let snapshot = histogram.snapshot();
+    let seconds = |q| sketch.quantile(q) as f64 / 1e9;
     LatencyRow {
         label: label.to_owned(),
-        p50_s: snapshot.p50 as f64 / 1e9,
-        p95_s: snapshot.p95 as f64 / 1e9,
-        p99_s: snapshot.p99 as f64 / 1e9,
-        samples: snapshot.count as usize,
+        p50_s: seconds(0.50),
+        p95_s: seconds(0.95),
+        p99_s: seconds(0.99),
+        samples: sketch.count() as usize,
     }
 }
 

@@ -124,14 +124,6 @@ impl Histogram {
         self.record(t.as_nanos());
     }
 
-    /// Records a duration given in (non-negative, finite) seconds, stored
-    /// at nanosecond resolution.
-    pub fn record_secs_f64(&self, seconds: f64) {
-        if seconds.is_finite() && seconds >= 0.0 {
-            self.record((seconds * 1e9).round() as u64);
-        }
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.core.count.load(Ordering::Relaxed)
@@ -526,7 +518,9 @@ mod tests {
         let registry = Registry::new();
         registry.counter("zeta").inc();
         registry.counter("alpha").inc();
-        registry.histogram("latency").record_secs_f64(0.5);
+        registry
+            .histogram("latency")
+            .record_time(SimTime::from_millis(500));
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counters[0].0, "alpha");
         assert_eq!(snapshot.counters[1].0, "zeta");
@@ -606,10 +600,8 @@ mod tests {
     #[test]
     fn record_secs_rounds_to_nanoseconds() {
         let histogram = Histogram::new();
-        histogram.record_secs_f64(1.5);
         histogram.record_time(SimTime::from_millis(500));
-        assert_eq!(histogram.count(), 2);
-        let snapshot = histogram.snapshot();
-        assert!(snapshot.max >= 1_400_000_000, "max {}", snapshot.max);
+        assert_eq!(histogram.count(), 1);
+        assert_eq!(histogram.snapshot().max, 500_000_000);
     }
 }
