@@ -31,27 +31,59 @@
 //! of times an ordinal occurs in the merged list *is* its dot product with
 //! the query, and only the ordinals that occur have a positive cosine. Those
 //! are grouped per owner (a second stable sort, over what is one ascending
-//! run unless users were learned interleaved), and
-//! each *candidate* profile — one sharing at least one term with the query
-//! — is scored from its positive cosines and the **count** of its remaining
-//! past queries by [`exponential_smoothing_zero_tail`]. The reference ranks
-//! every past query's cosine and folds from the smallest up; the unmatched
-//! ones are exact `0.0`s, and `alpha * 0.0 + (1 - alpha) * 0.0 == 0.0`, so
-//! however many there are they leave the fold at `+0.0` — the count only
-//! says whether the fold starts there or at the smallest positive cosine.
-//! The score therefore has the bits [`UserProfile::similarity_vector`]
-//! gives.
+//! run unless users were learned interleaved) into *candidates* — profiles
+//! sharing at least one term with the query — each with its positive
+//! cosines and the largest of them.
+//!
+//! A candidate is scored from its positive cosines and the **count** of its
+//! remaining past queries by [`exponential_smoothing_zero_tail`]. The
+//! reference ranks every past query's cosine and folds from the smallest
+//! up; the unmatched ones are exact `0.0`s, and
+//! `alpha * 0.0 + (1 - alpha) * 0.0 == 0.0`, so however many there are they
+//! leave the fold at `+0.0` — the count only says whether the fold starts
+//! there or at the smallest positive cosine. The score therefore has the
+//! bits [`UserProfile::similarity_vector`] gives.
+//!
+//! # Max-score pruning
+//!
+//! Most candidates share one common term with the query and cannot win,
+//! so the kernel smooths only those that can change the decision (the
+//! MaxScore idea of Turtle & Flood, 1995, at the granularity of a profile):
+//!
+//! 1. the first candidate with the largest cosine is scored;
+//! 2. the **floor** is that score less a slack of `1e-9`;
+//! 3. only candidates whose largest cosine reaches the floor are kept;
+//! 4. they are scored in user-index order (for an OR group, `(user,
+//!    disjunct)` order, the floor being taken over every disjunct's
+//!    candidates) through the reference's best/tie rule.
+//!
+//! This is exact. A smoothed score is a chain of convex combinations of
+//! the cosines, so in real arithmetic it never exceeds the largest one. In
+//! floating point each fold step `alpha * s + (1 - alpha) * acc` rounds
+//! three times, and `1 - alpha` itself once, which lifts a bound `M` on
+//! both operands to at most `M (1 + ε)^4`, `ε = 2^-53`; over the `n`
+//! positive cosines of a profile the score stays below `M + 4nε`, under
+//! `5e-10` for any `n` up to a million. A pruned candidate therefore
+//! scores below `floor + 5e-10`, itself more than `1e-12` under the first
+//! score and so under the best: it can neither win (wins are strict) nor
+//! come within the `1e-12` that makes a tie. The kept candidates include
+//! every one that can, and they meet the best/tie rule in the reference's
+//! order, so the attributed user — or the abstention — is the reference's,
+//! at any threshold.
 //!
 //! Profiles sharing no term score exactly `0.0` — below any threshold in
 //! `[0, 1]` and unable to create a tie (ties require a positive score) — so
-//! skipping them cannot change the attribution decision: the index returns
-//! **bit-identical decisions** to the reference scan (retained as
+//! skipping them cannot change the attribution decision either: the index
+//! returns **bit-identical decisions** to the reference scan (retained as
 //! [`SimAttack::reidentify_scan`] and pinned by
-//! `tests/kernel_equivalence.rs`). A query costs
-//! `O(matching postings × log terms)`, whatever the number of learned
-//! queries and users: nothing sized by the index is allocated or cleared
-//! per call, which is why the overlaps are counted by sorting the hits and
-//! not in a dense array with one counter per ordinal.
+//! `tests/kernel_equivalence.rs` and `tests/attack_pin.rs`).
+//!
+//! What a query still costs: gathering and sorting its hits,
+//! `O(matching postings × log terms)`, one cosine per matched past query,
+//! and a smoothing sort and fold for a handful of candidates — whatever the
+//! number of learned queries and users. Nothing sized by the index is
+//! allocated or cleared per call, which is why the overlaps are counted by
+//! sorting the hits and not in a dense array with one counter per ordinal.
 //!
 //! Attacking never teaches: an attacked query is vectorized by
 //! [`IdVector::binary_from_known_terms`], which interns nothing. A term the
@@ -67,6 +99,7 @@ use cyclosa_nlp::text::TermInterner;
 use cyclosa_util::smoothing::exponential_smoothing_zero_tail;
 use cyclosa_workload::generator::UserTrace;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The confidence threshold used by the paper.
 pub const DEFAULT_THRESHOLD: f64 = 0.5;
@@ -188,10 +221,17 @@ impl SimAttack {
         Some(profile.similarity_vector(&self.prepare(query)))
     }
 
-    /// The smoothed similarity scores of every candidate profile sharing at
-    /// least one term with `vector`, as `(dense user index, score)` pairs
-    /// sorted by user index. Profiles not listed score exactly 0.
-    fn candidate_scores(&self, vector: &IdVector) -> Vec<(u32, f64)> {
+    /// Appends to `list` the candidates of `vector` as disjunct `disjunct`:
+    /// every profile sharing at least one term with it, in user-index
+    /// order. Their positive cosines are appended to `cosines`. Profiles not
+    /// listed score exactly 0.
+    fn gather(
+        &self,
+        vector: &IdVector,
+        disjunct: usize,
+        list: &mut Vec<Candidate>,
+        cosines: &mut Vec<f64>,
+    ) {
         // Every posting of a query term is one shared term with one past
         // query. Both sides are binary vectors, so the number of times an
         // ordinal is hit is the (exact, small-integer) dot product.
@@ -202,7 +242,7 @@ impl SimAttack {
             }
         }
         if hits.is_empty() {
-            return Vec::new();
+            return;
         }
         // One ascending run per query term: the stable sort finds the runs
         // and merges them, `O(hits × log terms)`.
@@ -220,26 +260,70 @@ impl SimAttack {
         // every user was learned in a single call.
         let owner = |&(ordinal, _): &(u32, u32)| self.owner[ordinal as usize];
         matched.sort_by_key(owner);
-        let mut scores = Vec::new();
-        let mut cosines: Vec<f64> = Vec::new();
         for group in matched.chunk_by(|a, b| owner(a) == owner(b)) {
-            let user = owner(&group[0]);
-            let profile = &self.profiles[user as usize].1;
-            cosines.clear();
+            let start = cosines.len();
             cosines.extend(group.iter().map(|&(ordinal, overlap)| {
                 // The cosine of `cosine_similarity_ids`; norms are positive
                 // on both sides of a shared term.
                 let denom = vector.norm() * self.norm[ordinal as usize];
                 (overlap as f64 / denom).clamp(-1.0, 1.0)
             }));
-            // Every past query of the candidate that was not matched
-            // contributes an exact 0.0 to the reference's ranked list: pass
-            // their number.
-            let zeros = profile.len() - group.len();
-            let score = exponential_smoothing_zero_tail(&mut cosines, zeros, profile.alpha());
-            scores.push((user, score));
+            list.push(Candidate {
+                user: owner(&group[0]),
+                disjunct,
+                cosines: start..cosines.len(),
+                max_cosine: cosines[start..].iter().fold(0.0, |m, &c| c.max(m)),
+            });
         }
-        scores
+    }
+
+    /// The smoothed similarity of a candidate, with the bits
+    /// [`UserProfile::similarity_vector`] gives. Sorts the candidate's
+    /// cosines in place.
+    fn score(&self, candidate: &Candidate, cosines: &mut [f64]) -> f64 {
+        let profile = &self.profiles[candidate.user as usize].1;
+        let cosines = &mut cosines[candidate.cosines.clone()];
+        // Every past query of the candidate that was not matched
+        // contributes an exact 0.0 to the reference's ranked list: pass
+        // their number.
+        let zeros = profile.len() - cosines.len();
+        exponential_smoothing_zero_tail(cosines, zeros, profile.alpha())
+    }
+
+    /// The decision behind [`SimAttack::reidentify`] and
+    /// [`SimAttack::reidentify_group`]: the `(dense user index, disjunct)`
+    /// the attack attributes the request to, smoothing only the candidates
+    /// whose largest cosine can reach the winning score (see the module
+    /// documentation).
+    fn decide(&self, disjuncts: &[IdVector]) -> Option<(u32, usize)> {
+        let (mut list, mut cosines) = (Vec::new(), Vec::new());
+        for (disjunct, vector) in disjuncts.iter().enumerate() {
+            self.gather(vector, disjunct, &mut list, &mut cosines);
+        }
+        // The first candidate with the largest cosine sets the floor.
+        let top = (0..list.len()).reduce(|top, i| {
+            if list[i].max_cosine > list[top].max_cosine {
+                i
+            } else {
+                top
+            }
+        })?;
+        let top_score = self.score(&list[top], &mut cosines);
+        let top_key = list[top].key();
+        let floor = top_score - PRUNING_SLACK;
+        list.retain(|candidate| candidate.max_cosine >= floor);
+        // The reference nesting: profiles outer, disjuncts inner.
+        list.sort_unstable_by_key(Candidate::key);
+        let scores = list.iter().map(|candidate| {
+            let key = candidate.key();
+            let score = if key == top_key {
+                top_score
+            } else {
+                self.score(candidate, &mut cosines)
+            };
+            (key, score)
+        });
+        attribute(scores, self.threshold)
     }
 
     /// Attempts to re-identify the user behind an anonymous query.
@@ -248,8 +332,9 @@ impl SimAttack {
     /// threshold with the maximum similarity, `None` otherwise (no
     /// confident, unique attribution — the attack abstains).
     ///
-    /// The query is tokenized once and only candidate profiles (sharing at
-    /// least one term) are scored — see the module documentation for why
+    /// The query is tokenized once, and of the candidate profiles (sharing
+    /// at least one term) only those whose largest cosine can reach the
+    /// winning score are smoothed — see the module documentation for why
     /// this cannot change the decision relative to the full scan.
     pub fn reidentify(&self, query: &str) -> Option<UserId> {
         self.reidentify_vector(&self.prepare(query))
@@ -257,27 +342,8 @@ impl SimAttack {
 
     /// [`SimAttack::reidentify`] for an already-prepared query vector.
     pub fn reidentify_vector(&self, vector: &IdVector) -> Option<UserId> {
-        let mut best: Option<(u32, f64)> = None;
-        let mut tie = false;
-        for (user, score) in self.candidate_scores(vector) {
-            match best {
-                None => best = Some((user, score)),
-                Some((_, best_score)) => {
-                    if score > best_score {
-                        best = Some((user, score));
-                        tie = false;
-                    } else if (score - best_score).abs() < 1e-12 && score > 0.0 {
-                        tie = true;
-                    }
-                }
-            }
-        }
-        match best {
-            Some((user, score)) if score > self.threshold && !tie => {
-                Some(self.profiles[user as usize].0)
-            }
-            _ => None,
-        }
+        let (user, _) = self.decide(std::slice::from_ref(vector))?;
+        Some(self.profiles[user as usize].0)
     }
 
     /// The reference full-scan implementation of [`SimAttack::reidentify`]:
@@ -286,26 +352,11 @@ impl SimAttack {
     /// inverted index is benchmarked and equivalence-tested against.
     pub fn reidentify_scan(&self, query: &str) -> Option<UserId> {
         let vector = self.prepare(query);
-        let mut best: Option<(UserId, f64)> = None;
-        let mut tie = false;
-        for (user, profile) in &self.profiles {
-            let score = profile.similarity_vector(&vector);
-            match best {
-                None => best = Some((*user, score)),
-                Some((_, best_score)) => {
-                    if score > best_score {
-                        best = Some((*user, score));
-                        tie = false;
-                    } else if (score - best_score).abs() < 1e-12 && score > 0.0 {
-                        tie = true;
-                    }
-                }
-            }
-        }
-        match best {
-            Some((user, score)) if score > self.threshold && !tie => Some(user),
-            _ => None,
-        }
+        let scores = self
+            .profiles
+            .iter()
+            .map(|(user, profile)| (*user, profile.similarity_vector(&vector)));
+        attribute(scores, self.threshold)
     }
 
     /// Attacks an OR-aggregated request (PEAS / X-SEARCH style): the
@@ -314,42 +365,13 @@ impl SimAttack {
     /// provided the best score clears the threshold and is unique.
     ///
     /// Returns `(user, index of the disjunct believed to be that user's
-    /// real query)`.
+    /// real query)`. The pairs are pruned and ranked as in
+    /// [`SimAttack::reidentify`], `(user, disjunct)` order standing for the
+    /// user order.
     pub fn reidentify_group(&self, disjuncts: &[&str]) -> Option<(UserId, usize)> {
-        // Candidate scores per disjunct via the inverted index; pairs that
-        // never appear score exactly 0 and can neither win (the threshold
-        // is ≥ 0 and wins are strict) nor tie (ties require score > 0).
-        let mut scored: Vec<(u32, usize, f64)> = Vec::new();
-        for (i, disjunct) in disjuncts.iter().enumerate() {
-            let vector = self.prepare(disjunct);
-            for (user, score) in self.candidate_scores(&vector) {
-                scored.push((user, i, score));
-            }
-        }
-        // Deterministic order: user-major, then disjunct (the reference
-        // nesting: profiles outer, disjuncts inner).
-        scored.sort_unstable_by_key(|&(user, i, _)| (user, i));
-        let mut best: Option<(u32, usize, f64)> = None;
-        let mut tie = false;
-        for (user, i, score) in scored {
-            match best {
-                None => best = Some((user, i, score)),
-                Some((_, _, best_score)) => {
-                    if score > best_score {
-                        best = Some((user, i, score));
-                        tie = false;
-                    } else if (score - best_score).abs() < 1e-12 && score > 0.0 {
-                        tie = true;
-                    }
-                }
-            }
-        }
-        match best {
-            Some((user, i, score)) if score > self.threshold && !tie => {
-                Some((self.profiles[user as usize].0, i))
-            }
-            _ => None,
-        }
+        let vectors: Vec<IdVector> = disjuncts.iter().map(|d| self.prepare(d)).collect();
+        let (user, disjunct) = self.decide(&vectors)?;
+        Some((self.profiles[user as usize].0, disjunct))
     }
 
     /// Given a set of candidate query texts all attributed to the *same
@@ -375,6 +397,58 @@ impl SimAttack {
     }
 }
 
+/// How far below the first candidate's score a candidate's largest cosine
+/// may fall and still have it smoothed: more than the fold's rounding can
+/// lift a score above its largest cosine plus the `1e-12` tie window (see
+/// the module documentation).
+const PRUNING_SLACK: f64 = 1e-9;
+
+/// A profile sharing at least one term with one disjunct of an attacked
+/// request.
+#[derive(Debug)]
+struct Candidate {
+    /// Dense index of the profile's user.
+    user: u32,
+    /// Index of the disjunct it shares a term with.
+    disjunct: usize,
+    /// Where its positive cosines lie in the list `gather` appended them to.
+    cosines: Range<usize>,
+    /// The largest of them, which bounds its smoothed score.
+    max_cosine: f64,
+}
+
+impl Candidate {
+    fn key(&self) -> (u32, usize) {
+        (self.user, self.disjunct)
+    }
+}
+
+/// SimAttack's attribution rule over `(key, score)` pairs in the reference
+/// order: the highest score wins if it clears `threshold` and no later pair
+/// comes within 1e-12 of it (a positive score only, so exact zeros never
+/// tie).
+fn attribute<K: Copy>(scores: impl IntoIterator<Item = (K, f64)>, threshold: f64) -> Option<K> {
+    let mut best: Option<(K, f64)> = None;
+    let mut tie = false;
+    for (key, score) in scores {
+        match best {
+            None => best = Some((key, score)),
+            Some((_, best_score)) => {
+                if score > best_score {
+                    best = Some((key, score));
+                    tie = false;
+                } else if (score - best_score).abs() < 1e-12 && score > 0.0 {
+                    tie = true;
+                }
+            }
+        }
+    }
+    match best {
+        Some((key, score)) if score > threshold && !tie => Some(key),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,6 +468,21 @@ mod tests {
                 })
                 .collect(),
         }
+    }
+
+    /// Every candidate of `query` with its unpruned score, in user-index
+    /// order.
+    fn candidate_scores(attack: &SimAttack, query: &str) -> Vec<(u32, f64)> {
+        let (mut list, mut cosines) = (Vec::new(), Vec::new());
+        attack.gather(&attack.prepare(query), 0, &mut list, &mut cosines);
+        list.iter()
+            .map(|candidate| {
+                let score = attack.score(candidate, &mut cosines);
+                // The premise of the pruning.
+                assert!(score - candidate.max_cosine < PRUNING_SLACK, "{query:?}");
+                (candidate.user, score)
+            })
+            .collect()
     }
 
     fn adversary() -> SimAttack {
@@ -484,9 +573,7 @@ mod tests {
     fn index_scores_match_profile_similarity() {
         let attack = adversary();
         for query in ["insulin glucose", "train milan", "football plan basket"] {
-            let vector = attack.prepare(query);
-            let scores = attack.candidate_scores(&vector);
-            for (user_idx, score) in scores {
+            for (user_idx, score) in candidate_scores(&attack, query) {
                 let user = attack.profiles[user_idx as usize].0;
                 let expected = attack.similarity_to(user, query).unwrap();
                 assert_eq!(
@@ -502,7 +589,7 @@ mod tests {
     /// every profile the index leaves out scores exactly zero, and the
     /// decision is the full scan's.
     fn assert_index_matches_scan(attack: &SimAttack, query: &str) {
-        let scores = attack.candidate_scores(&attack.prepare(query));
+        let scores = candidate_scores(attack, query);
         assert!(scores.windows(2).all(|w| w[0].0 < w[1].0), "{query:?}");
         for (index, (user, _)) in attack.profiles.iter().enumerate() {
             let expected = attack.similarity_to(*user, query).unwrap();
@@ -580,7 +667,7 @@ mod tests {
         // positive cosines as past queries.
         let vector = attack.prepare("insulin");
         assert_eq!(attack.postings[vector.as_pairs()[0].0.index()].len(), 5);
-        assert_eq!(attack.candidate_scores(&vector).len(), 3);
+        assert_eq!(candidate_scores(&attack, "insulin").len(), 3);
     }
 
     #[test]
@@ -635,6 +722,38 @@ mod tests {
         attack.learn_user(&trace(1, &["diabetes insulin"]));
         assert_eq!(attack.reidentify("diabetes insulin"), None);
         assert_eq!(attack.reidentify_scan("diabetes insulin"), None);
+    }
+
+    #[test]
+    fn exact_repeat_in_a_one_query_profile_outscores_a_longer_profile() {
+        // Both profiles hold the query itself, so both have 1.0 as their
+        // largest cosine; the longer one smooths it with two zeros to 0.7,
+        // the one-query profile scores 1.0. A one-query profile sharing two
+        // of three terms (cosine 2/√6 ≈ 0.816) outscores the longer one too,
+        // though its largest cosine is below the longer one's.
+        let query = "diabetes insulin";
+        let longer = trace(3, &[query, "marathon plan", "football"]);
+        for (past, score) in [
+            (query, 1.0),
+            ("diabetes insulin dosage", 2.0 / 6.0_f64.sqrt()),
+        ] {
+            let one_query = trace(7, &[past]);
+            for learned in [[&longer, &one_query], [&one_query, &longer]] {
+                let mut attack = SimAttack::with_threshold(0.5);
+                for trace in learned {
+                    attack.learn_user(trace);
+                }
+                let mut scores: Vec<f64> = candidate_scores(&attack, query)
+                    .into_iter()
+                    .map(|(_, score)| score)
+                    .collect();
+                scores.sort_by(f64::total_cmp);
+                assert!((scores[0] - 0.7).abs() < 1e-15, "{scores:?}");
+                assert!((scores[1] - score).abs() < 1e-15, "{scores:?}");
+                assert_eq!(attack.reidentify(query), Some(UserId(7)));
+                assert_index_matches_scan(&attack, query);
+            }
+        }
     }
 
     #[test]

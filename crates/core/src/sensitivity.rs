@@ -18,6 +18,7 @@
 use crate::config::ProtectionConfig;
 use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
 use cyclosa_nlp::dictionary::TopicDictionary;
+use cyclosa_nlp::kernel::IdVector;
 use cyclosa_nlp::lda::{Corpus, LdaModel, LdaTrainingConfig};
 use cyclosa_nlp::lexicon::Lexicon;
 use cyclosa_nlp::profile::UserProfile;
@@ -98,7 +99,9 @@ impl SensitivityAnalyzer {
     ///
     /// The query is tokenized **once**; the resulting terms feed both the
     /// semantic assessment (every dictionary probe) and, vectorized against
-    /// the history's interner, the linkability assessment.
+    /// the history's interner, the linkability assessment. The assessment
+    /// interns nothing: a term the history never contained counts in the
+    /// query's norm only, which keeps every score's bits.
     pub fn assess(&self, query: &str) -> SensitivityAssessment {
         let terms = cyclosa_nlp::text::tokenize(query);
         // One probe of every dictionary: a query is semantically sensitive
@@ -112,9 +115,10 @@ impl SensitivityAnalyzer {
             .map(|t| t.to_owned())
             .collect();
         let semantic = !matched_topics.is_empty();
-        let linkability = self
-            .local_history
-            .similarity_vector(&self.local_history.prepare_terms(&terms));
+        // Looked up, not interned: assessing a query never records it, so
+        // it must not grow the history's vocabulary.
+        let vector = IdVector::binary_from_known_tokens(self.local_history.interner(), &terms);
+        let linkability = self.local_history.similarity_vector(&vector);
         let k = if semantic {
             self.k_max
         } else {
@@ -229,6 +233,26 @@ mod tests {
         // A repeat of a past query is maximally linkable and gets more fakes.
         let repeat = analyzer.assess("zurich train timetable");
         assert!(repeat.k >= assessment.k);
+    }
+
+    #[test]
+    fn assessing_never_grows_the_history_vocabulary() {
+        let mut analyzer = analyzer(7);
+        analyzer.record_own_queries(["zurich train timetable", "zurich airport parking"]);
+        let learned = analyzer.local_history.interner().len();
+        let assessment = analyzer.assess("zurich quokka marmot quokka");
+        assert!(assessment.linkability > 0.0);
+        assert_eq!(analyzer.assess("quokka marmot").linkability, 0.0);
+        assert_eq!(analyzer.local_history.interner().len(), learned);
+        // The unseen terms still count in the norm, as if interned.
+        let reference =
+            UserProfile::from_queries(["zurich train timetable", "zurich airport parking"]);
+        assert_eq!(
+            assessment.linkability.to_bits(),
+            reference
+                .similarity("zurich quokka marmot quokka")
+                .to_bits()
+        );
     }
 
     #[test]

@@ -59,6 +59,26 @@ impl IdVector {
             Some(id) => ids.push(id),
             None => unknown.push(term.to_owned()),
         });
+        Self::binary_with_unknown(ids, unknown)
+    }
+
+    /// [`IdVector::binary_from_known_terms`] for a query already split into
+    /// its content terms (as [`crate::text::tokenize`] returns them).
+    pub fn binary_from_known_tokens<S: AsRef<str>>(interner: &TermInterner, terms: &[S]) -> Self {
+        let mut ids = Vec::new();
+        let mut unknown: Vec<&str> = Vec::new();
+        for term in terms {
+            match interner.id_of(term.as_ref()) {
+                Some(id) => ids.push(id),
+                None => unknown.push(term.as_ref()),
+            }
+        }
+        Self::binary_with_unknown(ids, unknown)
+    }
+
+    /// The binary vector of the known `ids`, whose norm also counts each
+    /// distinct `unknown` term once.
+    fn binary_with_unknown<T: Ord>(ids: Vec<TermId>, mut unknown: Vec<T>) -> Self {
         unknown.sort_unstable();
         unknown.dedup();
         let mut vector = Self::binary_from_ids(ids);
@@ -220,6 +240,10 @@ mod tests {
             cosine_similarity_ids(&known, &stored).to_bits(),
             cosine_similarity_ids(&reference, &reference_stored).to_bits()
         );
+        // The same query split by the tokenizer gives the same vector.
+        let tokens = crate::text::tokenize(query);
+        assert_eq!(IdVector::binary_from_known_tokens(&it, &tokens), known);
+        assert_eq!(it.len(), before);
         // Nothing known: no coordinate, yet not a zero-norm vector.
         let nothing = IdVector::binary_from_known_terms(&it, "novel unseen");
         assert!(nothing.is_empty());

@@ -21,7 +21,7 @@
 
 use crate::kernel::{cosine_similarity_ids, IdVector};
 use crate::text::{TermId, TermInterner};
-use cyclosa_util::smoothing::exponential_smoothing;
+use cyclosa_util::smoothing::exponential_smoothing_zero_tail;
 
 /// Default smoothing factor used by both the defence and the attack.
 ///
@@ -126,17 +126,6 @@ impl UserProfile {
         IdVector::binary_from_query(&self.interner, query)
     }
 
-    /// Vectorizes already-tokenized content terms (as produced by
-    /// [`crate::text::tokenize`]) against this profile's interner.
-    pub fn prepare_terms<S: AsRef<str>>(&self, terms: &[S]) -> IdVector {
-        IdVector::binary_from_ids(
-            terms
-                .iter()
-                .map(|t| self.interner.intern(t.as_ref()))
-                .collect(),
-        )
-    }
-
     /// The similarity in `[0, 1]` between `query` and this profile:
     /// exponential smoothing over the ranked cosine similarities with every
     /// past query. Returns 0 for an empty profile or an empty query.
@@ -146,16 +135,26 @@ impl UserProfile {
 
     /// [`UserProfile::similarity`] for an already-prepared query vector
     /// (see [`UserProfile::prepare`]).
+    ///
+    /// Only the positive cosines are ranked and folded; the past queries
+    /// sharing no term with the query are passed to
+    /// [`exponential_smoothing_zero_tail`] as a count. Cosines of binary
+    /// vectors are finite and non-negative, so the score has the bits
+    /// [`exponential_smoothing`](cyclosa_util::smoothing::exponential_smoothing)
+    /// gives over every cosine.
     pub fn similarity_vector(&self, vector: &IdVector) -> f64 {
         if vector.is_empty() || self.queries.is_empty() {
             return 0.0;
         }
-        let similarities: Vec<f64> = self
-            .queries
-            .iter()
-            .map(|past| cosine_similarity_ids(vector, past))
-            .collect();
-        exponential_smoothing(&similarities, self.alpha)
+        let mut positive: Vec<f64> = Vec::new();
+        for past in &self.queries {
+            let cosine = cosine_similarity_ids(vector, past);
+            if cosine > 0.0 {
+                positive.push(cosine);
+            }
+        }
+        let zeros = self.queries.len() - positive.len();
+        exponential_smoothing_zero_tail(&mut positive, zeros, self.alpha)
     }
 
     /// The maximum cosine similarity between `query` and any single past
@@ -289,7 +288,7 @@ mod tests {
         let prepared = profile.prepare(q);
         assert_eq!(profile.similarity(q), profile.similarity_vector(&prepared));
         let terms: Vec<String> = crate::text::tokenize(q);
-        let from_terms = profile.prepare_terms(&terms);
+        let from_terms = IdVector::binary_from_known_tokens(profile.interner(), &terms);
         assert_eq!(prepared, from_terms);
     }
 

@@ -14,6 +14,7 @@ use cyclosa_nlp::text::{is_stop_word, normalize, tokenize, TermInterner};
 use cyclosa_nlp::vector::{cosine_similarity, TermVector};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use cyclosa_util::smoothing::exponential_smoothing;
+use cyclosa_workload::generator::UserTrace;
 
 /// A deterministic random query over a small shared vocabulary (overlap
 /// between queries is what exercises the merge-join).
@@ -114,24 +115,31 @@ impl SeedScan {
     }
 
     fn reidentify(&self, query: &str) -> Option<UserId> {
-        let mut best: Option<(UserId, f64)> = None;
+        self.reidentify_group(&[query]).map(|(user, _)| user)
+    }
+
+    /// Every (profile, disjunct) pair scored, profiles outer.
+    fn reidentify_group(&self, disjuncts: &[&str]) -> Option<(UserId, usize)> {
+        let mut best: Option<(UserId, usize, f64)> = None;
         let mut tie = false;
         for (user, past) in &self.profiles {
-            let score = self.similarity(past, query);
-            match best {
-                None => best = Some((*user, score)),
-                Some((_, best_score)) => {
-                    if score > best_score {
-                        best = Some((*user, score));
-                        tie = false;
-                    } else if (score - best_score).abs() < 1e-12 && score > 0.0 {
-                        tie = true;
+            for (i, disjunct) in disjuncts.iter().enumerate() {
+                let score = self.similarity(past, disjunct);
+                match best {
+                    None => best = Some((*user, i, score)),
+                    Some((_, _, best_score)) => {
+                        if score > best_score {
+                            best = Some((*user, i, score));
+                            tie = false;
+                        } else if (score - best_score).abs() < 1e-12 && score > 0.0 {
+                            tie = true;
+                        }
                     }
                 }
             }
         }
         match best {
-            Some((user, score)) if score > self.threshold && !tie => Some(user),
+            Some((user, i, score)) if score > self.threshold && !tie => Some((user, i)),
             _ => None,
         }
     }
@@ -139,9 +147,13 @@ impl SeedScan {
 
 /// The seed scan over the training set of `setup`.
 fn seed_scan(setup: &ExperimentSetup) -> SeedScan {
+    seed_scan_over(&setup.train, 0.5)
+}
+
+/// The seed scan over `traces`, one profile per trace in order.
+fn seed_scan_over(traces: &[UserTrace], threshold: f64) -> SeedScan {
     SeedScan {
-        profiles: setup
-            .train
+        profiles: traces
             .iter()
             .map(|t| {
                 (
@@ -154,8 +166,169 @@ fn seed_scan(setup: &ExperimentSetup) -> SeedScan {
                 )
             })
             .collect(),
-        threshold: 0.5,
+        threshold,
     }
+}
+
+/// Below, at and above the paper's threshold, and both ends of its range.
+const THRESHOLDS: [f64; 5] = [0.0, 0.3, 0.5, 0.7, 1.0];
+
+/// An adversary that learned `traces` one user after another.
+fn learned(traces: &[UserTrace], threshold: f64) -> SimAttack {
+    let mut attack = SimAttack::with_threshold(threshold);
+    for trace in traces {
+        attack.learn_user(trace);
+    }
+    attack
+}
+
+/// An adversary that learned the first half of every trace, then the
+/// second halves: its ordinals ascend while their owners do not.
+fn learned_interleaved(traces: &[UserTrace], threshold: f64) -> SimAttack {
+    let mut attack = SimAttack::with_threshold(threshold);
+    for second_half in [false, true] {
+        for trace in traces {
+            let (first, second) = trace.queries.split_at(trace.queries.len() / 2);
+            attack.learn_user(&UserTrace {
+                user: trace.user,
+                queries: if second_half { second } else { first }.to_vec(),
+            });
+        }
+    }
+    attack
+}
+
+/// `reidentify` ≡ `reidentify_scan` ≡ the seed scan on every query, at
+/// every threshold, for adversaries built by `build`; returns how many
+/// queries were attributed.
+fn plain_decisions_agree(
+    traces: &[UserTrace],
+    queries: &[&str],
+    build: fn(&[UserTrace], f64) -> SimAttack,
+) -> usize {
+    let mut attributed = 0;
+    for threshold in THRESHOLDS {
+        let attack = build(traces, threshold);
+        let seed = seed_scan_over(traces, threshold);
+        for query in queries {
+            let decision = attack.reidentify(query);
+            assert_eq!(
+                decision,
+                attack.reidentify_scan(query),
+                "index vs kernel scan at {threshold}: {query:?}"
+            );
+            assert_eq!(
+                decision,
+                seed.reidentify(query),
+                "index vs seed scan at {threshold}: {query:?}"
+            );
+            attributed += usize::from(decision.is_some());
+        }
+    }
+    attributed
+}
+
+fn test_texts(setup: &ExperimentSetup) -> Vec<&str> {
+    setup
+        .test_queries
+        .iter()
+        .map(|q| q.query.text.as_str())
+        .collect()
+}
+
+#[test]
+fn simattack_decisions_are_identical_at_every_threshold() {
+    for workload_seed in [2018, 31] {
+        let setup = ExperimentSetup::new(ExperimentScale::Small, workload_seed);
+        let attributed = plain_decisions_agree(&setup.train, &test_texts(&setup), learned);
+        assert!(attributed > 0, "seed {workload_seed}: nothing attributed");
+    }
+}
+
+#[test]
+fn simattack_decisions_are_identical_when_users_were_learned_interleaved() {
+    let setup = ExperimentSetup::new(ExperimentScale::Small, 2018);
+    let attributed = plain_decisions_agree(&setup.train, &test_texts(&setup), learned_interleaved);
+    assert!(attributed > 0, "nothing attributed");
+}
+
+/// Users with identical traces tie exactly, so the attack must abstain on
+/// every query it would otherwise attribute to one of them. The last user
+/// learned is the first training user's twin; the two learned before
+/// everyone hold only that user's first query, so on it each scores its
+/// largest cosine, 1.0, and the first of them is the top candidate.
+#[test]
+fn identical_traces_tie_exactly_and_the_attack_abstains() {
+    let setup = ExperimentSetup::new(ExperimentScale::Small, 2018);
+    let original = &setup.train[0];
+    let next = setup.train.iter().map(|t| t.user.0).max().unwrap() + 1;
+    let twins = [UserId(next), UserId(next + 1), UserId(next + 2)];
+    let one_query = |user| UserTrace {
+        user,
+        queries: original.queries[..1].to_vec(),
+    };
+    let mut traces = vec![one_query(twins[1]), one_query(twins[2])];
+    traces.extend(setup.train.iter().cloned());
+    traces.push(UserTrace {
+        user: twins[0],
+        queries: original.queries.clone(),
+    });
+    // The original user's past queries, attacked: each is an exact repeat.
+    let mut queries: Vec<&str> = original
+        .queries
+        .iter()
+        .map(|q| q.query.text.as_str())
+        .collect();
+    queries.extend(test_texts(&setup));
+    plain_decisions_agree(&traces, &queries, learned);
+    plain_decisions_agree(&traces, &queries, learned_interleaved);
+    // Without its twin, the first one-query user wins its query outright.
+    let lone = [&traces[..1], &traces[2..]].concat();
+    plain_decisions_agree(&lone, &queries[..1], learned);
+    assert_eq!(learned(&lone, 0.5).reidentify(queries[0]), Some(twins[1]));
+
+    let without_twins = learned(&setup.train, 0.5);
+    let with_twins = learned(&traces, 0.5);
+    let mut ties = 0;
+    for query in &queries {
+        let decision = with_twins.reidentify(query);
+        assert!(
+            !twins.iter().any(|&twin| decision == Some(twin)),
+            "{query:?}"
+        );
+        if without_twins.reidentify(query) == Some(original.user) {
+            assert_eq!(decision, None, "{query:?}");
+            ties += 1;
+        }
+    }
+    assert!(ties > 0, "no query of the original user was attributed");
+}
+
+/// `reidentify_group` ≡ the seed scan's group rule over windows of four
+/// test queries, at every threshold, however the adversary learned.
+#[test]
+fn group_decisions_are_identical_at_every_threshold() {
+    let setup = ExperimentSetup::new(ExperimentScale::Small, 2018);
+    let texts = test_texts(&setup);
+    let mut attributed = 0usize;
+    for threshold in THRESHOLDS {
+        let seed = seed_scan_over(&setup.train, threshold);
+        for attack in [
+            learned(&setup.train, threshold),
+            learned_interleaved(&setup.train, threshold),
+        ] {
+            for window in texts.windows(4).step_by(3) {
+                let decision = attack.reidentify_group(window);
+                assert_eq!(
+                    decision,
+                    seed.reidentify_group(window),
+                    "at {threshold}: {window:?}"
+                );
+                attributed += usize::from(decision.is_some());
+            }
+        }
+    }
+    assert!(attributed > 0, "no group was attributed");
 }
 
 #[test]
