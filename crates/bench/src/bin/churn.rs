@@ -652,7 +652,7 @@ fn same_on_shards<T: PartialEq>(shards: usize, run: impl Fn(EngineChoice) -> T) 
 /// One untraced churn run on the chosen engine.
 fn churn_run(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
     let quiet = ChurnTelemetry::default();
-    let mut engine = choice.build(config.seed, &quiet);
+    let mut engine = choice.build(config.seed, None);
     run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), &quiet)
 }
 
@@ -662,15 +662,14 @@ fn sybil_run(
     choice: EngineChoice,
     attack: SybilAttackConfig,
 ) -> (EngineGossipOverlay, EngineBrahmsOverlay) {
-    let quiet = ChurnTelemetry::default();
     let config = EngineGossipConfig {
         rounds: SYBIL_ROUNDS,
         ..EngineGossipConfig::default()
     };
-    let mut engine = choice.build(attack.seed, &quiet);
+    let mut engine = choice.build(attack.seed, None);
     let naive = EngineGossipOverlay::under_attack(&mut *engine, attack, config);
     engine.run();
-    let mut engine = choice.build(attack.seed, &quiet);
+    let mut engine = choice.build(attack.seed, None);
     let brahms = EngineBrahmsOverlay::ring(
         &mut *engine,
         attack,
@@ -685,7 +684,7 @@ fn sybil_run(
 /// One untraced partition run on the chosen engine.
 fn partition_run(choice: EngineChoice, config: &PartitionConfig) -> PartitionOutcome {
     let quiet = ChurnTelemetry::default();
-    let mut engine = choice.build(config.base.seed, &quiet);
+    let mut engine = choice.build(config.base.seed, None);
     run_partition_experiment_on(&mut *engine, config, &quiet)
 }
 
@@ -770,8 +769,9 @@ fn rate_curve(options: &Options, attack: &Attack) -> Vec<CurvePoint> {
 }
 
 /// Re-runs the highest-rate sweep point on the sharded engine with the
-/// trace sink and metrics registry installed, asserts that observation
-/// did not perturb it, and exports the merged causal timeline (JSONL plus
+/// trace sink and the metrics registry (and the engine's self-profiling)
+/// on, asserts that observation did not perturb it, and exports the
+/// causal timeline (JSONL plus
 /// a Chrome trace, for the `observe` bin) and the metrics snapshot.
 fn observed_run(options: &Options, heaviest_rate: f64) {
     let config = options.churn_at(heaviest_rate);
@@ -783,7 +783,8 @@ fn observed_run(options: &Options, heaviest_rate: f64) {
         "# observed churn run at failure rate {heaviest_rate} ({} shards)...",
         options.shards
     );
-    let mut engine = EngineChoice::Sharded(options.shards).build(config.seed, &telemetry);
+    let mut engine =
+        EngineChoice::Sharded(options.shards).build(config.seed, telemetry.metrics.as_ref());
     let observed = run_churn_experiment_on(&mut *engine, &config, &ChaosPlan::new(), &telemetry);
     assert_eq!(
         observed,

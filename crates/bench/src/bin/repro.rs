@@ -157,7 +157,7 @@ fn main() {
             "# observed end-to-end latency run ({} relays, k = {}, {} queries)...",
             config.relays, config.k, config.queries
         );
-        let mut engine = EngineChoice::Sharded(4).build(config.seed, &telemetry);
+        let mut engine = EngineChoice::Sharded(4).build(config.seed, telemetry.metrics.as_ref());
         let latencies =
             run_end_to_end_latency_on(&mut *engine, &config, metrics.as_ref(), &telemetry.trace);
         eprintln!("# {} queries answered", latencies.len());

@@ -15,12 +15,12 @@
 //! With `--metrics` the largest population × shard-count point is re-run
 //! with the engine's per-shard self-profiling enabled (event-class
 //! throughput, mailbox depths, barrier-stall histograms) and the snapshot
-//! written as JSON; `--trace` additionally exports the engine timeline
-//! (empty for the ping workload, which emits no node events).
+//! written as JSON; `--trace` also writes a timeline, which is empty: the
+//! ping workload emits no trace events.
 
 use cyclosa_bench::cli::{self, Stop};
 use cyclosa_bench::observe::ObserveFlags;
-use cyclosa_bench::scalability::{run_scale_point_observed, scalability_sweep, ScaleConfig};
+use cyclosa_bench::scalability::{run_scale_point, scalability_sweep, ScaleConfig};
 use cyclosa_util::json::ToJson;
 
 #[derive(Debug)]
@@ -81,7 +81,7 @@ fn main() {
         eprintln!("# profiling the {nodes}-node / {shards}-shard point...");
         let sink = options.observe.sink();
         let registry = options.observe.registry();
-        run_scale_point_observed(nodes, shards, &options.config, &sink, registry.as_ref());
+        run_scale_point(nodes, shards, &options.config, registry.as_ref());
         options.observe.write(&sink, registry.as_ref());
     }
 }

@@ -291,7 +291,7 @@ fn main() {
         // cyclosa-lint: allow(wall_clock, reason = "per-shard-count wall stopwatch for the report; the sharded run's event order is decided by simulated time alone")
         let start = std::time::Instant::now();
         let quiet = ChurnTelemetry::default();
-        let mut engine = EngineChoice::Sharded(shards).build(config.seed, &quiet);
+        let mut engine = EngineChoice::Sharded(shards).build(config.seed, None);
         let sharded = run_soak_on(&mut *engine, &config, &quiet.trace);
         let wall_s = start.elapsed().as_secs_f64();
         shard_walls.push(ShardWall { shards, wall_s });

@@ -13,7 +13,6 @@ use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_runtime::metrics::Registry;
 use cyclosa_runtime::ShardedEngine;
-use cyclosa_telemetry::TraceSink;
 use cyclosa_util::impl_to_json;
 use cyclosa_util::rng::{Rng, SplitMix64};
 use std::fmt;
@@ -122,27 +121,18 @@ impl_to_json!(ScalePoint {
     events_per_second
 });
 
-/// Runs one `(population, shards)` point of the sweep.
-pub fn run_scale_point(nodes: usize, shards: usize, config: &ScaleConfig) -> ScalePoint {
-    run_scale_point_observed(nodes, shards, config, &TraceSink::disabled(), None)
-}
-
-/// [`run_scale_point`] with the engine's trace sink installed (the ping
-/// workload emits no node events, so the timeline carries whatever the
-/// engine itself annotates — empty today) and, when a registry is given,
-/// the per-shard self-profiling enabled: event-class throughput counters,
-/// mailbox-depth gauges and barrier-stall histograms under
-/// `engine.shard<i>.*`. Observation never changes the simulated
-/// execution.
-pub fn run_scale_point_observed(
+/// Runs one `(population, shards)` point of the sweep. With a registry,
+/// the engine's per-shard self-profiling is enabled there: event-class
+/// throughput counters, mailbox-depth gauges and barrier-stall
+/// histograms under `engine.shard<i>.*`. Profiling never changes the
+/// simulated execution.
+pub fn run_scale_point(
     nodes: usize,
     shards: usize,
     config: &ScaleConfig,
-    trace: &TraceSink,
     registry: Option<&Registry>,
 ) -> ScalePoint {
     let mut engine = ShardedEngine::new(config.seed, shards);
-    engine.set_trace_sink(trace.clone());
     if let Some(registry) = registry {
         engine.enable_profiling(registry);
     }
@@ -183,7 +173,7 @@ pub fn scalability_sweep(
     let mut points = Vec::new();
     for &nodes in populations {
         for &shards in shard_counts {
-            points.push(run_scale_point(nodes, shards, config));
+            points.push(run_scale_point(nodes, shards, config, None));
         }
     }
     ScaleReport { points }
@@ -245,7 +235,7 @@ mod tests {
         let expected = Engine::stats(&sequential);
         assert!(expected.delivered > 0);
         for shards in [2, 4, 8] {
-            let point = run_scale_point(300, shards, &config);
+            let point = run_scale_point(300, shards, &config, None);
             let mut engine = ShardedEngine::new(config.seed, shards);
             build_ping_population(&mut engine, 300, &config);
             engine.run();
@@ -264,10 +254,9 @@ mod tests {
             rounds: 2,
             ..ScaleConfig::default()
         };
-        let plain = run_scale_point(200, 2, &config);
+        let plain = run_scale_point(200, 2, &config, None);
         let registry = Registry::new();
-        let sink = TraceSink::enabled();
-        let observed = run_scale_point_observed(200, 2, &config, &sink, Some(&registry));
+        let observed = run_scale_point(200, 2, &config, Some(&registry));
         assert_eq!(observed.events, plain.events);
         assert_eq!(observed.delivered, plain.delivered);
         let snapshot = registry.snapshot();
@@ -310,16 +299,16 @@ mod tests {
         // function of the node id); their runs end at different instants.
         let mut report = ScaleReport {
             points: vec![
-                run_scale_point(100, 1, &config),
-                run_scale_point(200, 1, &config),
-                run_scale_point(100, 2, &config),
-                run_scale_point(200, 2, &other_seed),
+                run_scale_point(100, 1, &config, None),
+                run_scale_point(200, 1, &config, None),
+                run_scale_point(100, 2, &config, None),
+                run_scale_point(200, 2, &other_seed, None),
             ],
         };
         let (first, other) = report.divergence().expect("the 200-node points differ");
         assert_eq!((first.nodes, first.shards), (200, 1));
         assert_eq!((other.nodes, other.shards), (200, 2));
-        report.points[3] = run_scale_point(200, 2, &config);
+        report.points[3] = run_scale_point(200, 2, &config, None);
         assert_eq!(report.divergence(), None);
         report.points[2].delivered += 1;
         let (first, other) = report.divergence().expect("one delivery more");

@@ -252,32 +252,33 @@ pub struct ChurnTelemetry {
     /// (`mship.suspect`, `mship.refute`, `mship.dead`) join it.
     pub trace: TraceSink,
     /// When set, the churn client's clamped-sample counter
-    /// (`client.clamped_samples`) is recorded here, and sharded engines
-    /// built by [`EngineChoice`] add their per-shard self-profiling.
+    /// (`client.clamped_samples`) is recorded here; hand it to
+    /// [`EngineChoice::build`] as well and a sharded engine adds its
+    /// per-shard self-profiling.
     pub metrics: Option<Registry>,
 }
 
 /// Which engine a run executes on. Same seed ⇒ same outcome and
-/// byte-identical trace export on either, for any shard count.
+/// byte-identical trace export on either, for any shard count: the
+/// engine never sees the trace sink, which orders its timeline when it
+/// is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
-    /// The sequential simulator (the buffered timeline folds at export).
+    /// The sequential simulator.
     Sequential,
     /// The sharded parallel engine with this many shards.
     Sharded(usize),
 }
 
 impl EngineChoice {
-    /// Builds the engine. A sharded engine gets the trace sink installed
-    /// (it folds the timeline at every window barrier) and, when a
-    /// registry is present, its per-shard self-profiling enabled.
-    pub fn build(self, seed: u64, telemetry: &ChurnTelemetry) -> Box<dyn Engine> {
+    /// Builds the engine. A sharded engine given a registry records its
+    /// per-shard self-profiling there.
+    pub fn build(self, seed: u64, profiling: Option<&Registry>) -> Box<dyn Engine> {
         match self {
             EngineChoice::Sequential => Box::new(Simulation::new(seed)),
             EngineChoice::Sharded(shards) => {
                 let mut engine = ShardedEngine::new(seed, shards);
-                engine.set_trace_sink(telemetry.trace.clone());
-                if let Some(registry) = &telemetry.metrics {
+                if let Some(registry) = profiling {
                     engine.enable_profiling(registry);
                 }
                 Box::new(engine)
@@ -846,7 +847,7 @@ mod tests {
     use cyclosa_util::stats::Summary;
 
     fn run_end_to_end_latency(choice: EngineChoice, config: EndToEndConfig) -> Vec<f64> {
-        let mut engine = choice.build(config.seed, &ChurnTelemetry::default());
+        let mut engine = choice.build(config.seed, None);
         run_end_to_end_latency_on(&mut *engine, &config, None, &TraceSink::disabled())
     }
 

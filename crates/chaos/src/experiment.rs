@@ -278,6 +278,8 @@ struct ChurnClient {
     plans: BTreeMap<usize, (Plan, bool)>,
     /// Relays the client has given up on.
     blacklist: Blacklist,
+    /// Requests waiting behind the uplink, indexed by timer token; a
+    /// payload is moved out when its token fires.
     outbox: Vec<(NodeId, Vec<u8>)>,
     /// The outcome under construction: the client fills in its ledger
     /// (latencies, answers, retries, top-ups, clamps), the runner the rest.
@@ -675,9 +677,10 @@ impl NodeBehavior for ChurnClient {
         } else if token >= RETRY_BASE {
             self.retry(ctx, (token - RETRY_BASE) as usize);
         } else if token >= OUTBOX_BASE {
-            if let Some((relay, payload)) = self.outbox.get((token - OUTBOX_BASE) as usize).cloned()
-            {
-                ctx.send(relay, TAG_FORWARD, payload);
+            // Each token fires once: the payload leaves with it, and the
+            // emptied slot keeps the later tokens' indices.
+            if let Some((relay, payload)) = self.outbox.get_mut((token - OUTBOX_BASE) as usize) {
+                ctx.send(*relay, TAG_FORWARD, std::mem::take(payload));
             }
         } else {
             self.launch(ctx, token as usize);
@@ -822,7 +825,7 @@ mod tests {
 
     fn run_on(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
         let quiet = ChurnTelemetry::default();
-        let mut engine = choice.build(config.seed, &quiet);
+        let mut engine = choice.build(config.seed, None);
         run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), &quiet)
     }
 

@@ -256,7 +256,7 @@ mod tests {
 
     fn run_on(choice: EngineChoice, config: &PartitionConfig) -> PartitionOutcome {
         let quiet = ChurnTelemetry::default();
-        let mut engine = choice.build(config.base.seed, &quiet);
+        let mut engine = choice.build(config.base.seed, None);
         run_partition_experiment_on(&mut *engine, config, &quiet)
     }
 
@@ -347,7 +347,7 @@ mod tests {
         let partitioned = run_partition_experiment(&config);
         let quiet = ChurnTelemetry::default();
         let calm = run_churn_experiment_on(
-            &mut *EngineChoice::Sequential.build(config.base.seed, &quiet),
+            &mut *EngineChoice::Sequential.build(config.base.seed, None),
             &config.base,
             &ChaosPlan::new(),
             &quiet,

@@ -765,7 +765,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
 mod tests {
     use super::*;
     use crate::adversary::ByzantinePolicy;
-    use crate::deployment::{ChurnTelemetry, EngineChoice};
+    use crate::deployment::EngineChoice;
 
     fn tiny(queries: u64) -> SoakConfig {
         SoakConfig {
@@ -869,8 +869,7 @@ mod tests {
         };
         let baseline = run_soak(&config);
         for shards in [1, 2, 4, 8] {
-            let mut engine =
-                EngineChoice::Sharded(shards).build(config.seed, &ChurnTelemetry::default());
+            let mut engine = EngineChoice::Sharded(shards).build(config.seed, None);
             let sharded = run_soak_on(&mut *engine, &config, &TraceSink::disabled());
             assert_eq!(sharded, baseline, "soak diverged with {shards} shards");
         }

@@ -23,13 +23,12 @@
 //!   p50/p95/p99 export, cheap enough to thread through relay forwarding,
 //!   enclave transitions and search-engine queries on the hot path.
 //!
-//! The deterministic tracing layer (`cyclosa-telemetry`) is re-exported
-//! as [`telemetry`]: install a [`telemetry::TraceSink`] with
-//! [`shard::ShardedEngine::set_trace_sink`] and the engine folds buffered
-//! trace events into the merged timeline at each window barrier;
 //! [`shard::ShardedEngine::enable_profiling`] registers per-shard
 //! self-profiling instruments (event-class throughput, windows, mailbox
-//! depth, barrier-stall wall time) in a metrics [`Registry`].
+//! depth, barrier-stall wall time) in a metrics [`Registry`]. The engine
+//! knows nothing of the deterministic trace (`cyclosa-telemetry`):
+//! behaviours emit into a trace sink of their own, and the sink orders
+//! its timeline when it is read.
 //!
 //! Both engines implement [`cyclosa_net::engine::Engine`]; behaviours
 //! written against `cyclosa_net::sim::NodeBehavior` run unchanged on
@@ -43,6 +42,5 @@ pub mod metrics;
 pub mod shard;
 
 pub use cyclosa_net::engine::Engine;
-pub use cyclosa_telemetry as telemetry;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use shard::{shard_of, EngineConfigError, ShardedEngine};

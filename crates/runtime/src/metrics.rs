@@ -147,17 +147,6 @@ impl Histogram {
         sketch
     }
 
-    /// The estimated value at quantile `q` (clamped to `[0, 1]`), to
-    /// bucket resolution. Returns 0 on an empty histogram. Backed by the
-    /// mergeable sketch; falls back to the true recorded max when the
-    /// rank walk runs past the last bucket.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count() == 0 {
-            return 0;
-        }
-        self.sketch().quantile(q.clamp(0.0, 1.0))
-    }
-
     /// A consistent point-in-time summary of the histogram. Percentiles
     /// are computed from one sketch conversion.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -592,7 +581,7 @@ mod tests {
                 "{shards} shards: serialized bytes diverged"
             );
             for q in [0.5, 0.95, 0.99] {
-                assert_eq!(forward.quantile(q), global.quantile(q));
+                assert_eq!(forward.quantile(q), global.sketch().quantile(q));
             }
         }
     }

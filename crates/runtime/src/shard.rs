@@ -7,7 +7,7 @@
 //! what a dead node drops, what the statistics count, what a membership
 //! change does) is that core's business and is written nowhere else. This
 //! module holds only what is about sharding: window arithmetic, the
-//! rendezvous, mailboxes, the trace merge and profiling.
+//! rendezvous, mailboxes and profiling.
 //!
 //! Shards advance in **conservative time windows**: the window width is
 //! the minimum latency floor across all configured link models (the
@@ -36,10 +36,9 @@
 //! 3. **Rendezvous.**
 //! 4. **Drain and decide.** Each shard drains the parity-`p` mailboxes
 //!    marked for it into its core's queue (an unmarked one is not even
-//!    locked), shard 0 folds the trace events before the window end into
-//!    the merged timeline, and every shard takes the minimum over the
-//!    parity-`p` slots and turns it into the next window on its own —
-//!    the same inputs, so the same answer on every shard. No event left,
+//!    locked), and every shard takes the minimum over the parity-`p`
+//!    slots and turns it into the next window on its own — the same
+//!    inputs, so the same answer on every shard. No event left,
 //!    or the earliest one past the `run_until` deadline: the run is over,
 //!    for every shard in this same round. Otherwise the window is
 //!    `[min, min + lookahead)`, clipped to just past the deadline
@@ -55,10 +54,7 @@
 //! rendezvous only after it has read slot `p` and drained mailbox `p`,
 //! which it does right after the rendezvous that closes window `w`. So no
 //! slot or mailbox is written while anyone reads it, and the rendezvous
-//! in between orders each write before its reads. The trace merge is
-//! safe the same way: shard 0 merges up to the end of window `w` while
-//! the others may already emit events of window `w + 1`, and those all
-//! have `at` at or past that end, so the merge leaves them buffered.
+//! in between orders each write before its reads.
 //!
 //! Each shard running its own events in key order is the global key
 //! order restricted to its nodes, and all link randomness is per link and
@@ -90,8 +86,8 @@
 //! wait parks at once, because a spinner would burn the time slice of the
 //! very thread it is waiting for. The budget is a private constant, not a
 //! setting, and it moves host time only: window boundaries, mailbox
-//! order, trace merge points and every simulated outcome are the same
-//! whichever way a thread waited.
+//! order and every simulated outcome are the same whichever way a thread
+//! waited.
 //!
 //! Measured on a 2-core host (`benchmarks/`, 2 shards, ten interleaved
 //! pairs at seed 2018): replacing the futex barrier with spin-then-park
@@ -135,7 +131,6 @@ use cyclosa_net::latency::LatencyModel;
 use cyclosa_net::sim::{Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_telemetry::TraceSink;
 use cyclosa_util::rng::{Rng, SplitMix64};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -364,7 +359,6 @@ fn post(outgoing: &mut [Vec<ScheduledEvent>], row: &[Mailbox]) -> u64 {
 pub struct ShardedEngine {
     shards: Vec<Shard>,
     clock: SimTime,
-    trace: TraceSink,
     /// Spin iterations a shard thread spends at a window rendezvous before
     /// it parks; zero when the shards outnumber the host's cores.
     spin_budget: u32,
@@ -408,23 +402,8 @@ impl ShardedEngine {
         Ok(Self {
             shards: (0..shards).map(|i| Shard::new(i, shards, seed)).collect(),
             clock: SimTime::ZERO,
-            trace: TraceSink::disabled(),
             spin_budget: spin_budget_for(shards),
         })
-    }
-
-    /// Installs a trace sink. Behaviours emit into (clones of) the same
-    /// sink; the engine's contribution is to fold buffered events into
-    /// the merged timeline at each window barrier, once every shard has
-    /// finished the window — so the merged prefix is always complete and
-    /// export needs no end-of-run sort. When the sink has a windowed span
-    /// rollup enabled (`TraceSink::enable_span_rollup`), each barrier
-    /// fold also merges that window's span durations into per-window
-    /// quantile sketches; sketch merges are associative, so the rollup is
-    /// bit-identical to the sequential engine's one-shot fold. Purely
-    /// observational: installing a sink never changes the execution.
-    pub fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.trace = sink;
     }
 
     /// Registers per-shard self-profiling instruments in `registry`:
@@ -528,12 +507,10 @@ impl ShardedEngine {
         let processed_before: u64 = self.shards.iter().map(|s| s.processed).sum();
 
         if let [shard] = self.shards.as_mut_slice() {
-            // One shard has nobody to meet: same windows, same trace merge
-            // points, on the calling thread.
+            // One shard has nobody to meet: same windows, on the calling
+            // thread.
             while let Some(end) = window_end(shard.next_event_nanos(), lookahead, deadline) {
-                let end = SimTime::from_nanos(end);
-                shard.process_window(end, &mut []);
-                self.trace.merge_up_to(end);
+                shard.process_window(SimTime::from_nanos(end), &mut []);
             }
         } else {
             self.run_windows_parallel(lookahead, deadline);
@@ -572,7 +549,6 @@ impl ShardedEngine {
                 .map(|_| (0..num_shards).map(|_| Mailbox::default()).collect())
                 .collect::<Vec<Vec<Mailbox>>>()
         });
-        let trace = &self.trace;
 
         std::thread::scope(|scope| {
             let mut threads = Vec::with_capacity(num_shards);
@@ -589,7 +565,7 @@ impl ShardedEngine {
                     // parity 1, so window `w` posts to parity `w % 2`.
                     let mut parity = 1;
                     let mut earliest_posted = u64::MAX;
-                    let mut closed: Option<SimTime> = None;
+                    let mut closed = false;
                     loop {
                         next_times[parity][index].0.store(
                             shard.next_event_nanos().min(earliest_posted),
@@ -597,18 +573,9 @@ impl ShardedEngine {
                         );
                         wait(barrier, profile.as_ref())?;
                         let merged_in = shard.drain(&mailboxes[parity]);
-                        if let Some(end) = closed {
-                            if let Some(profile) = &profile {
-                                profile.mailbox_depth.set(merged_in as i64);
-                                profile.mailbox_depth_events.record(merged_in as u64);
-                            }
-                            if index == 0 {
-                                // Every shard has finished the window, so
-                                // every trace event before `end` is
-                                // buffered; what the others emit meanwhile
-                                // is at `end` or later, and stays.
-                                trace.merge_up_to(end);
-                            }
+                        if let Some(profile) = profile.as_ref().filter(|_| closed) {
+                            profile.mailbox_depth.set(merged_in as i64);
+                            profile.mailbox_depth_events.record(merged_in as u64);
                         }
                         let start = next_times[parity]
                             .iter()
@@ -621,7 +588,7 @@ impl ShardedEngine {
                         shard.process_window(end, &mut outgoing);
                         parity ^= 1;
                         earliest_posted = post(&mut outgoing, &mailboxes[parity][index]);
-                        closed = Some(end);
+                        closed = true;
                     }
                 }));
             }
@@ -750,6 +717,7 @@ mod tests {
     use super::*;
     use crate::barrier::SPIN_BUDGET;
     use cyclosa_net::sim::Context;
+    use cyclosa_telemetry::{TraceEvent, TraceSink};
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
@@ -1059,7 +1027,6 @@ mod tests {
     #[test]
     fn profiling_and_tracing_do_not_perturb_execution() {
         use crate::metrics::Registry;
-        use cyclosa_telemetry::TraceSink;
 
         let mut plain = ShardedEngine::new(42, 4);
         let expected = mesh_trace(&mut plain, 25);
@@ -1068,7 +1035,6 @@ mod tests {
         let sink = TraceSink::enabled();
         let mut observed_engine = ShardedEngine::new(42, 4);
         observed_engine.enable_profiling(&registry);
-        observed_engine.set_trace_sink(sink.clone());
         let observed = mesh_trace(&mut observed_engine, 25);
 
         assert_eq!(observed, expected, "instrumentation changed the run");
@@ -1097,90 +1063,6 @@ mod tests {
         assert!(sink.events().is_empty());
     }
 
-    /// Sharded runs fold the windowed span rollup barrier by barrier;
-    /// the sequential engine folds everything at export. Both must yield
-    /// bit-identical sketches, for any shard count.
-    #[test]
-    fn barrier_merged_span_rollup_matches_sequential() {
-        use cyclosa_telemetry::{TraceEvent, TraceSink};
-
-        /// Emits a span per delivered message, then forwards like the
-        /// mesh workload so traffic crosses shards.
-        struct SpanEmitter {
-            population: u64,
-            sink: TraceSink,
-        }
-        impl NodeBehavior for SpanEmitter {
-            fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-                self.sink.emit(
-                    TraceEvent::new(ctx.now(), ctx.self_id().0, "hop")
-                        .span(SimTime::from_micros(envelope.tag as u64 % 900 + 100)),
-                );
-                let ttl = envelope.tag >> 16;
-                if ttl == 0 {
-                    return;
-                }
-                let me = ctx.self_id().0;
-                let next = NodeId(
-                    (me.wrapping_mul(6364136223846793005)
-                        .wrapping_add(envelope.tag as u64))
-                        % self.population,
-                );
-                ctx.send(
-                    next,
-                    ((ttl - 1) << 16) | (envelope.tag & 0xFFFF),
-                    envelope.payload,
-                );
-            }
-        }
-
-        let window = SimTime::from_millis(20);
-        let run = |engine: &mut dyn Engine, sink: &TraceSink| {
-            sink.enable_span_rollup(window);
-            let population = 16u64;
-            for id in 0..population {
-                engine.add_node(
-                    NodeId(id),
-                    Box::new(SpanEmitter {
-                        population,
-                        sink: sink.clone(),
-                    }),
-                );
-            }
-            for i in 0..60u32 {
-                engine.post(
-                    SimTime::from_millis(i as u64 * 2),
-                    NodeId(1000),
-                    NodeId(i as u64 % population),
-                    (6 << 16) | i,
-                    vec![0u8; 8],
-                );
-            }
-            engine.run();
-            (sink.events(), sink.span_rollup())
-        };
-
-        let sequential_sink = TraceSink::enabled();
-        let mut sequential = Simulation::new(9);
-        let expected = run(&mut sequential, &sequential_sink);
-        assert!(!expected.1.is_empty(), "workload produced no spans");
-        assert!(expected.1.len() > 1, "spans must cover several windows");
-        for shards in [1, 2, 4, 8] {
-            let sink = TraceSink::enabled();
-            let mut engine = ShardedEngine::new(9, shards);
-            engine.set_trace_sink(sink.clone());
-            let observed = run(&mut engine, &sink);
-            assert_eq!(
-                observed.0, expected.0,
-                "timeline diverged with {shards} shards"
-            );
-            assert_eq!(
-                observed.1, expected.1,
-                "span rollup diverged with {shards} shards"
-            );
-        }
-    }
-
     /// Two nodes bounce one message over a constant-latency link, so every
     /// lookahead window holds exactly one event — the sparsest shape the
     /// rendezvous can meet, and the one where a window cut in the wrong
@@ -1189,7 +1071,7 @@ mod tests {
     struct PingPong {
         left: u64,
         recorder: Recorder,
-        sink: cyclosa_telemetry::TraceSink,
+        sink: TraceSink,
         threads: Arc<Mutex<Vec<std::thread::ThreadId>>>,
     }
 
@@ -1197,7 +1079,7 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
             self.recorder.on_message(ctx, envelope.clone());
             self.sink.emit(
-                cyclosa_telemetry::TraceEvent::new(ctx.now(), ctx.self_id().0, "hop")
+                TraceEvent::new(ctx.now(), ctx.self_id().0, "hop")
                     .span(SimTime::from_micros(envelope.tag as u64 % 7 + 1)),
             );
             self.threads
@@ -1212,11 +1094,12 @@ mod tests {
     }
 
     /// What a ping-pong run looked like from outside: the clock, the
-    /// statistics and every delivery so far after each `run_until` cut
-    /// and after the final `run`, then the merged timeline as JSONL and
-    /// the threads the handlers ran on.
+    /// statistics, the number of deliveries and the timeline as JSONL so
+    /// far after each `run_until` cut and after the final `run`, then
+    /// every delivery, the final timeline and the threads the handlers
+    /// ran on.
     struct PingPongRun {
-        checkpoints: Vec<(SimTime, SimulationStats, usize)>,
+        checkpoints: Vec<(SimTime, SimulationStats, usize, String)>,
         log: std::collections::BTreeMap<NodeId, Vec<(u64, u32)>>,
         jsonl: String,
         threads: Vec<std::thread::ThreadId>,
@@ -1245,14 +1128,17 @@ mod tests {
         }
         engine.post(SimTime::ZERO, a, b, 1, vec![0u8; 32]);
         let mut checkpoints = Vec::new();
-        let delivered_so_far =
-            |recorder: &Recorder| recorder.log.lock().unwrap().values().map(Vec::len).sum();
+        let checkpoint = |engine: &mut dyn Engine| {
+            let delivered = recorder.log.lock().unwrap().values().map(Vec::len).sum();
+            let timeline = cyclosa_telemetry::export::to_jsonl(&sink.events());
+            (engine.now(), engine.stats(), delivered, timeline)
+        };
         for &cut in cuts {
             engine.run_until(cut);
-            checkpoints.push((engine.now(), engine.stats(), delivered_so_far(&recorder)));
+            checkpoints.push(checkpoint(engine));
         }
         engine.run();
-        checkpoints.push((engine.now(), engine.stats(), delivered_so_far(&recorder)));
+        checkpoints.push(checkpoint(engine));
         let threads = threads.lock().unwrap().clone();
         PingPongRun {
             checkpoints,
@@ -1284,6 +1170,12 @@ mod tests {
         assert_eq!(expected.checkpoints[2].2, 7, "the event at the cut runs");
         assert_eq!(expected.checkpoints[3], expected.checkpoints[2]);
         assert_eq!(expected.checkpoints.last().unwrap().2, 121);
+        // Read mid-run, the timeline is what the run has emitted so far
+        // (one hop per delivery), a prefix of the final one.
+        for (_, _, delivered, timeline) in &expected.checkpoints {
+            assert_eq!(timeline.lines().count(), *delivered);
+            assert!(expected.jsonl.starts_with(timeline.as_str()));
+        }
         for shards in [1, 2, 4, 8, 16] {
             let sink = TraceSink::enabled();
             let mut engine = ShardedEngine::new(3, shards);
@@ -1315,7 +1207,6 @@ mod tests {
             let sink = TraceSink::enabled();
             let mut engine = ShardedEngine::new(3, shards);
             engine.enable_profiling(&registry);
-            engine.set_trace_sink(sink.clone());
             let observed = ping_pong(&mut engine, &sink, &[]);
             assert_eq!(observed.jsonl, expected.jsonl, "{shards} shard(s)");
             assert_eq!(observed.log, expected.log, "{shards} shard(s)");

@@ -22,8 +22,8 @@
 //! non-negative even under retry races (an answer arriving from an attempt
 //! older than the newest retry).
 //!
-//! Because the analyzer is a pure function of the merged timeline — which the
-//! runtime guarantees is byte-identical across sequential and sharded
+//! Because the analyzer is a pure function of the timeline — which the
+//! trace sink guarantees is byte-identical across sequential and sharded
 //! executions — every derived artifact (timelines, paths, rollups) is
 //! byte-identical across shard counts too.
 
@@ -436,27 +436,6 @@ pub fn critical_path_rollup(timelines: &[QueryTimeline]) -> Vec<(&'static str, Q
     rollup
 }
 
-/// Fold span durations into per-(window, name) sketches: the one-shot
-/// reference for the barrier-merged rollup maintained by
-/// [`crate::trace::TraceSink`]. `window` is the rollup window length.
-pub fn windowed_span_rollup(
-    records: &[TraceRecord],
-    window: SimTime,
-) -> BTreeMap<(u64, String), QuantileSketch> {
-    assert!(window.as_nanos() > 0, "rollup window must be non-zero");
-    let mut rollup: BTreeMap<(u64, String), QuantileSketch> = BTreeMap::new();
-    for record in records {
-        if let Some(dur) = record.dur {
-            let slot = record.at.as_nanos() / window.as_nanos();
-            rollup
-                .entry((slot, record.name.clone()))
-                .or_default()
-                .record(dur.as_nanos());
-        }
-    }
-    rollup
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,19 +544,5 @@ mod tests {
         let records = vec![record(0, "query.launch", 3), repair, benign];
         let timeline = &reconstruct(&records)[0];
         assert_eq!(timeline.blamed_relays, vec![9]);
-    }
-
-    #[test]
-    fn windowed_rollup_groups_by_window_and_name() {
-        let records = vec![
-            span(500, "a", 0, 10),
-            span(1_500, "a", 1, 20),
-            span(1_600, "b", 2, 30),
-        ];
-        let rollup = windowed_span_rollup(&records, SimTime::from_nanos(1_000));
-        assert_eq!(rollup.len(), 3);
-        assert_eq!(rollup[&(0, "a".to_string())].count(), 1);
-        assert_eq!(rollup[&(1, "a".to_string())].count(), 1);
-        assert_eq!(rollup[&(1, "b".to_string())].count(), 1);
     }
 }

@@ -335,7 +335,7 @@ fn offending(line: &str) -> String {
 
 /// Validates JSONL trace output: every line parses as an object carrying
 /// `at_ns` (unsigned), `node` (unsigned or null), and a non-empty string
-/// `name`; optional keys (`query`, `dur_ns`, `wall_ns`, `attrs`) must
+/// `name`; optional keys (`query`, `dur_ns`, `attrs`) must
 /// have the right type; timestamps must be non-decreasing (the merged
 /// timeline is sorted). Violations report the 1-based line number *and*
 /// the offending JSON line (truncated), so a CI failure pinpoints the
@@ -374,7 +374,7 @@ pub fn validate_trace_jsonl(text: &str) -> Result<usize, String> {
             }
             _ => return Err(context("missing non-empty string 'name'".to_owned())),
         }
-        for key in ["query", "dur_ns", "wall_ns"] {
+        for key in ["query", "dur_ns"] {
             if let Some(value) = get(&fields, key) {
                 check_unsigned(value, key).map_err(&context)?;
             }

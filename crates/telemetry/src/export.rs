@@ -36,8 +36,8 @@ fn attrs_json(event: &TraceEvent) -> Json {
 /// One event as a single-line JSON object.
 ///
 /// Keys in order: `at_ns`, `node` (`null` for engine-attributed events),
-/// `name`, then optionally `query`, `dur_ns`, `attrs` (when non-empty)
-/// and `wall_ns` (when wall stamping was enabled).
+/// `name`, then optionally `query`, `dur_ns` and `attrs` (when
+/// non-empty).
 pub fn event_to_jsonl(event: &TraceEvent) -> String {
     let mut fields = vec![
         ("at_ns".to_owned(), Json::U64(event.at.as_nanos())),
@@ -59,9 +59,6 @@ pub fn event_to_jsonl(event: &TraceEvent) -> String {
     }
     if !event.attrs.is_empty() {
         fields.push(("attrs".to_owned(), attrs_json(event)));
-    }
-    if let Some(wall) = event.wall_ns {
-        fields.push(("wall_ns".to_owned(), Json::U64(wall)));
     }
     Json::Obj(fields).compact()
 }
@@ -85,8 +82,8 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
 /// events share `pid` 1; the `tid` is the actor id (0 for
 /// engine-attributed events, which Perfetto renders as its own track).
 /// Timestamps are microseconds, per the format. Spans are stamped at
-/// completion in the trace model (the merge never sees a timestamp
-/// behind the already-folded timeline), so the exporter back-dates each
+/// completion in the trace model (so a timeline read mid-run is a prefix
+/// of the final one), so the exporter back-dates each
 /// slice's `ts` by its duration: the rendered slice covers the operation
 /// it measures.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {

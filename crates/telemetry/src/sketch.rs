@@ -14,11 +14,12 @@
 //! # Merge determinism
 //!
 //! [`QuantileSketch::merge`] adds per-bucket counts, which makes it
-//! associative and commutative: folding a stream of samples into per-window
-//! sketches and merging those at shard barriers yields byte-for-byte the same
-//! sketch (same counts, same serialization) as a one-shot fold over the whole
-//! stream. This is the property that lets sharded runs publish rollups
-//! incrementally without ever diverging from the sequential reference.
+//! associative and commutative: folding a stream of samples into per-shard
+//! or per-window sketches and merging those in any grouping or order yields
+//! byte-for-byte the same sketch (same counts, same serialization) as a
+//! one-shot fold over the whole stream. This is the property that lets the
+//! per-shard metrics histograms roll up into one without ever diverging
+//! from the sequential reference.
 
 use cyclosa_util::json::Json;
 use std::collections::BTreeMap;
@@ -58,8 +59,8 @@ pub fn bucket_low(index: usize) -> u64 {
 ///
 /// Buckets are stored sparsely so an empty or narrow distribution costs a few
 /// map entries rather than a full dense array. Equality compares the exact
-/// bucket contents, which is how tests pin bit-identity of barrier-merged
-/// rollups against one-shot folds.
+/// bucket contents, which is how tests pin bit-identity of merged
+/// per-shard rollups against one-shot folds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuantileSketch {
     buckets: BTreeMap<u32, u64>,

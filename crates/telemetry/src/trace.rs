@@ -1,25 +1,22 @@
-//! The trace model: events, the shared sink, and the deterministic merge.
+//! The trace model: events and the shared sink.
 //!
 //! An event is a point (or span, when it carries a duration) on the
 //! simulated timeline: `(at, actor, name)` plus an optional query
 //! sequence number, an optional duration and a small list of typed
 //! attributes. Events are emitted through a [`TraceSink`] — a cheap
 //! `Arc`-backed clone, the same handle idiom as the metrics registry —
-//! and buffered in per-actor stripes. [`TraceSink::merge_up_to`] folds
-//! every buffered event older than a window boundary into the merged
-//! timeline; the sharded engine calls it at each window barrier, the
-//! sequential simulator lets everything fold at export time. Both paths
-//! produce the identical timeline, because the merge key `(at, actor)`
-//! is total across actors and each actor's events sit in one stripe in
-//! the actor's own deterministic emission order.
+//! and buffered in per-actor stripes. They fold into one timeline only
+//! when someone reads it: [`TraceSink::events`] concatenates the stripes
+//! and sorts them, stably, by `(at, actor)`. That key is total across
+//! actors and each actor's events sit in one stripe in the actor's own
+//! deterministic emission order, so the timeline is a pure function of
+//! what was emitted — the same on the sequential simulator and on any
+//! shard count of the parallel engine, which never see the sink.
 
-use crate::sketch::QuantileSketch;
 use cyclosa_net::time::SimTime;
 use cyclosa_util::rng::SplitMix64;
 use cyclosa_util::Rng as _;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Actor id used for events not attributed to any node (fault-plan
 /// application, engine-level annotations).
@@ -92,13 +89,6 @@ pub struct TraceEvent {
     pub dur: Option<SimTime>,
     /// Additional typed attributes, in emission order.
     pub attrs: Vec<(&'static str, AttrValue)>,
-    /// Optional wall-clock nanoseconds since sink creation. Only filled
-    /// when the sink was built with
-    /// [`TraceSink::enabled_with_wall_time`]; wall stamps are
-    /// nondeterministic, so enabling them forfeits byte-identical
-    /// exports (never bit-identical *runs* — emission still feeds
-    /// nothing back).
-    pub wall_ns: Option<u64>,
 }
 
 impl TraceEvent {
@@ -111,7 +101,6 @@ impl TraceEvent {
             query: None,
             dur: None,
             attrs: Vec::new(),
-            wall_ns: None,
         }
     }
 
@@ -137,38 +126,19 @@ impl TraceEvent {
     }
 }
 
-/// Per-(window, name) quantile sketches over span durations, folded at
-/// merge time. Because sketch merges are per-bucket additions, the rollup
-/// is the same whether events fold window-by-window at shard barriers or
-/// all at once at export — the "barrier-merge of sketches" invariant.
-#[derive(Debug)]
-struct RollupState {
-    window_ns: u64,
-    sketches: BTreeMap<(u64, &'static str), QuantileSketch>,
-}
-
-/// One entry of a sink's windowed span rollup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRollup {
-    /// Window index (`at / window`).
-    pub window: u64,
-    /// Span event name.
-    pub name: &'static str,
-    /// Duration sketch over all spans of that name completing in the
-    /// window.
-    pub sketch: QuantileSketch,
-}
-
 #[derive(Debug)]
 struct SinkInner {
     stripes: Vec<Mutex<Vec<TraceEvent>>>,
-    merged: Mutex<Vec<TraceEvent>>,
-    rollup: Mutex<Option<RollupState>>,
-    wall_origin: Option<Instant>,
 }
 
 fn stripe_of(actor: u64) -> usize {
     (SplitMix64::new(actor).next_u64() % STRIPES as u64) as usize
+}
+
+/// Locks one stripe. A stripe is a plain `Vec` that is only pushed to
+/// and read, so one left by a panicking thread is still valid.
+fn lock(stripe: &Mutex<Vec<TraceEvent>>) -> MutexGuard<'_, Vec<TraceEvent>> {
+    stripe.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The shared trace sink: a cheap-clone handle, disabled by default.
@@ -185,26 +155,10 @@ impl TraceSink {
         Self(None)
     }
 
-    /// A collecting sink with deterministic (sim-time only) stamps.
+    /// A collecting sink (events carry simulated time only).
     pub fn enabled() -> Self {
-        Self::build(false)
-    }
-
-    /// A collecting sink that additionally stamps each event with
-    /// wall-clock nanoseconds since sink creation. Useful for real-time
-    /// profiling; forfeits byte-identical exports.
-    pub fn enabled_with_wall_time() -> Self {
-        Self::build(true)
-    }
-
-    fn build(wall: bool) -> Self {
         Self(Some(Arc::new(SinkInner {
             stripes: (0..STRIPES).map(|_| Mutex::new(Vec::new())).collect(),
-            merged: Mutex::new(Vec::new()),
-            rollup: Mutex::new(None),
-            #[allow(clippy::disallowed_methods)]
-            // cyclosa-lint: allow(wall_clock, reason = "opt-in wall-time origin for Chrome-trace export timestamps; simulated time is never derived from it")
-            wall_origin: wall.then(Instant::now),
         })))
     }
 
@@ -214,113 +168,29 @@ impl TraceSink {
     }
 
     /// Records one event (no-op when disabled).
-    pub fn emit(&self, mut event: TraceEvent) {
+    pub fn emit(&self, event: TraceEvent) {
         let Some(inner) = &self.0 else { return };
-        if let Some(origin) = inner.wall_origin {
-            event.wall_ns = Some(origin.elapsed().as_nanos() as u64);
-        }
-        inner.stripes[stripe_of(event.actor)]
-            .lock()
-            .expect("trace stripe poisoned")
-            .push(event);
+        lock(&inner.stripes[stripe_of(event.actor)]).push(event);
     }
 
-    /// Folds every buffered event with `at < end` into the merged
-    /// timeline. The sharded engine calls this at each window barrier
-    /// (all events before the window end have been emitted by then, and
-    /// none can appear later); calling it is never required for
-    /// correctness — [`TraceSink::events`] folds whatever is left.
-    pub fn merge_up_to(&self, end: SimTime) {
-        self.merge_filter(|event| event.at < end);
-    }
-
-    fn merge_filter(&self, keep: impl Fn(&TraceEvent) -> bool) {
-        let Some(inner) = &self.0 else { return };
-        let mut batch = Vec::new();
-        for stripe in &inner.stripes {
-            let mut stripe = stripe.lock().expect("trace stripe poisoned");
-            let mut kept = Vec::new();
-            for event in stripe.drain(..) {
-                if keep(&event) {
-                    batch.push(event);
-                } else {
-                    kept.push(event);
-                }
-            }
-            *stripe = kept;
-        }
-        // Stable: per-actor emission order survives, and every event of
-        // one actor lives in one stripe — so the merged order is a pure
-        // function of the emitted events, not of thread interleaving.
-        batch.sort_by_key(|event| (event.at, event.actor));
-        // Each event folds into the windowed rollup exactly once — at the
-        // merge that drains it from its stripe. Sketch merges commute, so
-        // barrier-by-barrier folding equals a one-shot fold.
-        if let Some(rollup) = inner.rollup.lock().expect("trace rollup poisoned").as_mut() {
-            for event in &batch {
-                if let Some(dur) = event.dur {
-                    rollup
-                        .sketches
-                        .entry((event.at.as_nanos() / rollup.window_ns, event.name))
-                        .or_default()
-                        .record(dur.as_nanos());
-                }
-            }
-        }
-        inner
-            .merged
-            .lock()
-            .expect("trace merge poisoned")
-            .extend(batch);
-    }
-
-    /// The merged timeline: folds every remaining buffered event first.
-    /// Returns an empty vector on a disabled sink.
+    /// The timeline of every event emitted so far, stably sorted by
+    /// `(at, actor)`. Every read sorts afresh, so it can be read at any
+    /// time, mid-run included, and an event stamped ahead (a fault
+    /// annotation written before the run) always sits at its own
+    /// instant. Returns an empty vector on a disabled sink.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.merge_filter(|_| true);
-        match &self.0 {
-            Some(inner) => inner.merged.lock().expect("trace merge poisoned").clone(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Enables the windowed span rollup: from now on, every span folded
-    /// into the merged timeline also folds its duration into a
-    /// per-(window, name) [`QuantileSketch`]. Call right after creating
-    /// the sink, before any merge, so no span is missed. No-op on a
-    /// disabled sink; panics on a zero window.
-    pub fn enable_span_rollup(&self, window: SimTime) {
-        assert!(window.as_nanos() > 0, "rollup window must be non-zero");
-        let Some(inner) = &self.0 else { return };
-        let mut rollup = inner.rollup.lock().expect("trace rollup poisoned");
-        *rollup = Some(RollupState {
-            window_ns: window.as_nanos(),
-            sketches: BTreeMap::new(),
-        });
-    }
-
-    /// The windowed span rollup, sorted by (window, name). Folds every
-    /// remaining buffered event first, so a sequential run that never hit
-    /// a barrier sees the same rollup a sharded run accumulated barrier
-    /// by barrier. Empty when the rollup was never enabled.
-    pub fn span_rollup(&self) -> Vec<SpanRollup> {
-        self.merge_filter(|_| true);
         let Some(inner) = &self.0 else {
             return Vec::new();
         };
-        let rollup = inner.rollup.lock().expect("trace rollup poisoned");
-        match rollup.as_ref() {
-            Some(state) => state
-                .sketches
-                .iter()
-                .map(|(&(window, name), sketch)| SpanRollup {
-                    window,
-                    name,
-                    sketch: sketch.clone(),
-                })
-                .collect(),
-            None => Vec::new(),
+        let mut events = Vec::new();
+        for stripe in &inner.stripes {
+            events.extend_from_slice(&lock(stripe));
         }
+        // Stable: an actor's events all sit in one stripe in emission
+        // order, so ties on `(at, actor)` keep it, and the timeline does
+        // not depend on which thread emitted when.
+        events.sort_by_key(|event| (event.at, event.actor));
+        events
     }
 }
 
@@ -398,10 +268,10 @@ mod tests {
     }
 
     /// Emission order per actor plus `(at, actor)` sorting fully
-    /// determines the timeline, however the merges are batched.
+    /// determines the timeline, however often it is read on the way.
     #[test]
     fn window_merges_match_one_shot_merge() {
-        let emit_all = |sink: &TraceSink| {
+        let emit_all = |sink: &TraceSink, read_between: bool| {
             // Interleaved emission from several actors, including a
             // pre-run event stamped in the future (fault annotation).
             sink.emit(TraceEvent::new(SimTime::from_millis(30), 2, "fault.crash"));
@@ -411,15 +281,15 @@ mod tests {
                         TraceEvent::new(SimTime::from_millis(ms), actor, "step").attr("ms", ms),
                     );
                 }
+                if read_between {
+                    sink.events();
+                }
             }
         };
         let windowed = TraceSink::enabled();
-        emit_all(&windowed);
-        for end_ms in [10u64, 20, 30, 40, 50] {
-            windowed.merge_up_to(SimTime::from_millis(end_ms));
-        }
+        emit_all(&windowed, true);
         let one_shot = TraceSink::enabled();
-        emit_all(&one_shot);
+        emit_all(&one_shot, false);
         assert_eq!(windowed.events(), one_shot.events());
 
         // Per (at, actor): ordered by actor; the pre-run fault
@@ -436,11 +306,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_up_to_leaves_future_events_buffered() {
+    fn an_event_stamped_ahead_keeps_its_place_across_reads() {
         let sink = TraceSink::enabled();
         sink.emit(TraceEvent::new(SimTime::from_secs(5), 1, "late"));
+        assert_eq!(sink.events().len(), 1);
         sink.emit(TraceEvent::new(SimTime::from_secs(1), 1, "early"));
-        sink.merge_up_to(SimTime::from_secs(2));
         let events = sink.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "early");
@@ -469,49 +339,23 @@ mod tests {
         }
     }
 
-    /// The windowed span rollup is identical whether events fold barrier
-    /// by barrier (sharded) or all at once at export (sequential).
     #[test]
-    fn span_rollup_barrier_merge_matches_one_shot() {
-        let emit_all = |sink: &TraceSink| {
-            for ms in [5u64, 15, 25, 35, 45] {
-                for actor in [1u64, 2, 3] {
-                    sink.emit(
-                        TraceEvent::new(SimTime::from_millis(ms), actor, "work")
-                            .span(SimTime::from_millis(ms + actor)),
-                    );
-                }
-                sink.emit(TraceEvent::new(SimTime::from_millis(ms), 4, "instant"));
-            }
-        };
-        let window = SimTime::from_millis(20);
-        let barrier = TraceSink::enabled();
-        barrier.enable_span_rollup(window);
-        emit_all(&barrier);
-        for end_ms in [10u64, 20, 30, 40, 50] {
-            barrier.merge_up_to(SimTime::from_millis(end_ms));
-        }
-        let one_shot = TraceSink::enabled();
-        one_shot.enable_span_rollup(window);
-        emit_all(&one_shot);
-        let lhs = barrier.span_rollup();
-        let rhs = one_shot.span_rollup();
-        assert!(!lhs.is_empty());
-        assert_eq!(lhs, rhs);
-        // Instants contribute nothing; three windows of "work" spans.
-        assert!(lhs.iter().all(|entry| entry.name == "work"));
-        assert_eq!(lhs.len(), 3);
-        assert!(TraceSink::disabled().span_rollup().is_empty());
-    }
-
-    #[test]
-    fn wall_time_is_stamped_only_when_asked() {
-        let plain = TraceSink::enabled();
-        plain.emit(TraceEvent::new(SimTime::ZERO, 1, "x"));
-        assert_eq!(plain.events()[0].wall_ns, None);
-        let wall = TraceSink::enabled_with_wall_time();
-        wall.emit(TraceEvent::new(SimTime::ZERO, 1, "x"));
-        assert!(wall.events()[0].wall_ns.is_some());
+    fn a_sink_poisoned_by_a_panicking_thread_keeps_working() {
+        let sink = TraceSink::enabled();
+        sink.emit(TraceEvent::new(SimTime::from_millis(2), 1, "before"));
+        let poisoner = sink.clone();
+        let panicked = std::thread::spawn(move || {
+            let inner = poisoner.0.as_ref().expect("enabled");
+            let _held = lock(&inner.stripes[stripe_of(1)]);
+            panic!("dies holding actor 1's stripe");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let inner = sink.0.as_ref().expect("enabled");
+        assert!(inner.stripes[stripe_of(1)].is_poisoned());
+        sink.emit(TraceEvent::new(SimTime::from_millis(1), 1, "after"));
+        let names: Vec<&str> = sink.events().iter().map(|e| e.name).collect();
+        assert_eq!(names, ["after", "before"]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use cyclosa_util::stats::Summary;
 /// One untraced churn run on the chosen engine.
 fn run(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
     let quiet = ChurnTelemetry::default();
-    let mut engine = choice.build(config.seed, &quiet);
+    let mut engine = choice.build(config.seed, None);
     run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), &quiet)
 }
 

@@ -14,7 +14,7 @@ use cyclosa_net::time::SimTime;
 /// One untraced partition run on the chosen engine.
 fn run(choice: EngineChoice, config: &PartitionConfig) -> PartitionOutcome {
     let quiet = ChurnTelemetry::default();
-    let mut engine = choice.build(config.base.seed, &quiet);
+    let mut engine = choice.build(config.base.seed, None);
     run_partition_experiment_on(&mut *engine, config, &quiet)
 }
 

@@ -25,13 +25,13 @@ type Trace = BTreeMap<NodeId, Vec<(u64, u32, usize)>>;
 
 fn churn_run(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
     let quiet = ChurnTelemetry::default();
-    let mut engine = choice.build(config.seed, &quiet);
+    let mut engine = choice.build(config.seed, None);
     run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), &quiet)
 }
 
 fn partition_run(choice: EngineChoice, config: &PartitionConfig) -> PartitionOutcome {
     let quiet = ChurnTelemetry::default();
-    let mut engine = choice.build(config.base.seed, &quiet);
+    let mut engine = choice.build(config.base.seed, None);
     run_partition_experiment_on(&mut *engine, config, &quiet)
 }
 

@@ -159,7 +159,7 @@ fn end_to_end_latencies_match_the_three_copy_era_digest() {
         let printed: String = end_to_end_configs()
             .iter()
             .map(|config| {
-                let mut engine = choice.build(config.seed, &quiet);
+                let mut engine = choice.build(config.seed, None);
                 let latencies = run_end_to_end_latency_on(&mut *engine, config, None, &quiet.trace);
                 format!("{latencies:?}\n")
             })
@@ -185,7 +185,7 @@ fn churn_outcomes_match_the_three_copy_era_digests() {
         ),
     ] {
         for choice in ENGINES {
-            let mut engine = choice.build(config.seed, &quiet);
+            let mut engine = choice.build(config.seed, None);
             let outcome = run_churn_experiment_on(&mut *engine, &config, &ChaosPlan::new(), &quiet);
             assert_eq!(digest(&format!("{outcome:?}")), pin, "{name} on {choice:?}");
         }
@@ -196,7 +196,7 @@ fn churn_outcomes_match_the_three_copy_era_digests() {
 fn partition_outcome_matches_the_three_copy_era_digest() {
     let (config, quiet) = (partition_config(), ChurnTelemetry::default());
     for choice in ENGINES {
-        let mut engine = choice.build(config.base.seed, &quiet);
+        let mut engine = choice.build(config.base.seed, None);
         let outcome = run_partition_experiment_on(&mut *engine, &config, &quiet);
         assert_eq!(digest(&format!("{outcome:?}")), PIN_PARTITION, "{choice:?}");
     }
@@ -206,7 +206,7 @@ fn partition_outcome_matches_the_three_copy_era_digest() {
 fn soak_outcome_matches_the_three_copy_era_digest() {
     let (config, quiet) = (soak_config(), ChurnTelemetry::default());
     for choice in ENGINES {
-        let mut engine = choice.build(config.seed, &quiet);
+        let mut engine = choice.build(config.seed, None);
         let outcome = run_soak_on(&mut *engine, &config, &quiet.trace);
         assert_eq!(digest(&format!("{outcome:?}")), PIN_SOAK, "{choice:?}");
     }
@@ -221,7 +221,7 @@ fn traced_timelines_match_the_three_copy_era_bytes() {
     let config = stormy_adaptive();
     for choice in [EngineChoice::Sequential, EngineChoice::Sharded(4)] {
         let telemetry = observed();
-        let mut engine = choice.build(config.seed, &telemetry);
+        let mut engine = choice.build(config.seed, telemetry.metrics.as_ref());
         run_churn_experiment_on(&mut *engine, &config, &ChaosPlan::new(), &telemetry);
         let jsonl = to_jsonl(&telemetry.trace.events());
         assert_eq!(
@@ -236,7 +236,7 @@ fn traced_timelines_match_the_three_copy_era_bytes() {
             metrics: None,
             ..observed()
         };
-        let mut engine = choice.build(config.seed, &telemetry);
+        let mut engine = choice.build(config.seed, telemetry.metrics.as_ref());
         run_soak_on(&mut *engine, &config, &telemetry.trace);
         let jsonl = to_jsonl(&telemetry.trace.events());
         assert_eq!(

@@ -47,7 +47,7 @@ fn telemetry() -> ChurnTelemetry {
 /// One observed churn run on the chosen engine (the outcome is pinned
 /// elsewhere; these tests read the timeline).
 fn observe(choice: EngineChoice, config: &ChurnConfig, telemetry: &ChurnTelemetry) {
-    let mut engine = choice.build(config.seed, telemetry);
+    let mut engine = choice.build(config.seed, telemetry.metrics.as_ref());
     run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), telemetry);
 }
 

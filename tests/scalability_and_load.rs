@@ -115,7 +115,7 @@ fn large_population_runs_on_at_least_four_shards() {
         rounds: 2,
         ..ScaleConfig::default()
     };
-    let point = run_scale_point(10_000, 4, &config);
+    let point = run_scale_point(10_000, 4, &config, None);
     assert_eq!(point.shards, 4);
     assert_eq!(point.nodes, 10_000);
     assert!(point.events > 50_000, "only {} events", point.events);

@@ -37,7 +37,7 @@ fn horizon(default: u64) -> u64 {
 
 fn run_soak_sharded(config: &SoakConfig, shards: usize) -> SoakOutcome {
     let quiet = ChurnTelemetry::default();
-    let mut engine = EngineChoice::Sharded(shards).build(config.seed, &quiet);
+    let mut engine = EngineChoice::Sharded(shards).build(config.seed, None);
     run_soak_on(&mut *engine, config, &quiet.trace)
 }
 

@@ -46,7 +46,7 @@ fn telemetry() -> ChurnTelemetry {
 }
 
 fn run_on(choice: EngineChoice, config: &ChurnConfig, telemetry: &ChurnTelemetry) -> ChurnOutcome {
-    let mut engine = choice.build(config.seed, telemetry);
+    let mut engine = choice.build(config.seed, telemetry.metrics.as_ref());
     run_churn_experiment_on(&mut *engine, config, &ChaosPlan::new(), telemetry)
 }
 
@@ -157,7 +157,7 @@ fn traced_deployment_latencies_match_untraced_and_trace_is_stable() {
         ..EndToEndConfig::default()
     };
     let run = |choice: EngineChoice, telemetry: &ChurnTelemetry| {
-        let mut engine = choice.build(config.seed, telemetry);
+        let mut engine = choice.build(config.seed, telemetry.metrics.as_ref());
         run_end_to_end_latency_on(&mut *engine, &config, None, &telemetry.trace)
     };
     let plain = run(EngineChoice::Sequential, &ChurnTelemetry::default());
