@@ -586,6 +586,37 @@ mod tests {
         }
     }
 
+    /// Pins what a histogram fed from 4 threads reports for a seeded
+    /// sample set: exact count, sum, min, max and mean, and the bucket-low
+    /// p50 / p99 under the `ceil(q · count)` rank rule.
+    #[test]
+    fn four_thread_recording_reports_pinned_values() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let samples: Vec<u64> = (0..4_000).map(|_| next() % 5_000_000_000).collect();
+        let histogram = Histogram::new();
+        std::thread::scope(|scope| {
+            for part in samples.chunks(1_000) {
+                let histogram = histogram.clone();
+                scope.spawn(move || part.iter().for_each(|&s| histogram.record(s)));
+            }
+        });
+        let snapshot = histogram.snapshot();
+        assert_eq!(snapshot.count, 4_000);
+        assert_eq!(snapshot.sum, 10_099_462_230_736);
+        assert_eq!(snapshot.min, 903_606);
+        assert_eq!(snapshot.max, 4_999_203_071);
+        assert_eq!(snapshot.mean(), 2_524_865_557.684);
+        assert_eq!(snapshot.p50, 2_550_136_832);
+        assert_eq!(snapshot.p99, 4_831_838_208);
+    }
+
     #[test]
     fn record_secs_rounds_to_nanoseconds() {
         let histogram = Histogram::new();
