@@ -1005,7 +1005,7 @@ fn membership_comparison(
         SHUFFLE_BRIDGES,
         |_, _| {
             let staleness = registry.histogram("overlay.view_staleness_rounds");
-            ("mean descriptor age (rounds)", staleness.snapshot().mean())
+            ("mean descriptor age (rounds)", staleness.sketch().mean())
         },
     );
 

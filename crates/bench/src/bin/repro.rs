@@ -18,7 +18,7 @@ use cyclosa_bench::experiments::{self, PRIVACY_K, SYSTEM_K};
 use cyclosa_bench::observe::ObserveFlags;
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
 use cyclosa_chaos::deployment::{
-    run_end_to_end_latency_on, ChurnTelemetry, DeploymentMetrics, EndToEndConfig, EngineChoice,
+    run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig, EngineChoice,
 };
 use cyclosa_util::json::ToJson;
 
@@ -152,14 +152,12 @@ fn main() {
             trace: options.observe.sink(),
             metrics: options.observe.registry(),
         };
-        let metrics = telemetry.metrics.as_ref().map(DeploymentMetrics::register);
         eprintln!(
             "# observed end-to-end latency run ({} relays, k = {}, {} queries)...",
             config.relays, config.k, config.queries
         );
         let mut engine = EngineChoice::Sharded(4).build(config.seed, telemetry.metrics.as_ref());
-        let latencies =
-            run_end_to_end_latency_on(&mut *engine, &config, metrics.as_ref(), &telemetry.trace);
+        let latencies = run_end_to_end_latency_on(&mut *engine, &config, &telemetry);
         eprintln!("# {} queries answered", latencies.len());
         options
             .observe

@@ -11,13 +11,13 @@ use cyclosa_attack::accuracy::evaluate_accuracy;
 use cyclosa_attack::evaluation::{evaluate_reidentification, evaluate_reidentification_with};
 use cyclosa_attack::simattack::SimAttack;
 use cyclosa_baselines::latency::LatencyProfile;
-use cyclosa_chaos::deployment::{run_end_to_end_latency_on, EndToEndConfig};
+use cyclosa_chaos::deployment::{run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig};
 use cyclosa_mechanism::{Mechanism, MechanismProperties};
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_nlp::categorizer::{CategorizerMethod, DetectionQuality, QueryCategorizer};
 use cyclosa_sgx::enclave::CostModel;
-use cyclosa_telemetry::{QuantileSketch, TraceSink};
+use cyclosa_telemetry::QuantileSketch;
 use cyclosa_util::impl_to_json;
 use cyclosa_workload::annotation::{AnnotationCampaign, AnnotationConfig};
 use std::fmt;
@@ -507,7 +507,7 @@ fn latency_row(label: &str, samples: &[f64]) -> LatencyRow {
 /// simulator.
 fn end_to_end_latencies(config: EndToEndConfig) -> Vec<f64> {
     let mut simulation = Simulation::new(config.seed);
-    run_end_to_end_latency_on(&mut simulation, &config, None, &TraceSink::disabled())
+    run_end_to_end_latency_on(&mut simulation, &config, &ChurnTelemetry::default())
 }
 
 /// Regenerates Fig. 8a: end-to-end latency of Direct, X-Search, CYCLOSA and

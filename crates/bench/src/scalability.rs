@@ -123,8 +123,8 @@ impl_to_json!(ScalePoint {
 
 /// Runs one `(population, shards)` point of the sweep. With a registry,
 /// the engine's per-shard self-profiling is enabled there: event-class
-/// throughput counters, mailbox-depth gauges and barrier-stall
-/// histograms under `engine.shard<i>.*`. Profiling never changes the
+/// throughput counters and mailbox-depth and barrier-stall histograms
+/// under `engine.shard<i>.*`. Profiling never changes the
 /// simulated execution.
 pub fn run_scale_point(
     nodes: usize,

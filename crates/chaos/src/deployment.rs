@@ -12,7 +12,7 @@
 //!
 //! and it owns what every run shares: the `Relay` and `EngineNode`
 //! behaviours (in-service maps pruned on completion, byzantine policies,
-//! probe responder, forwarding-path spans, optional [`DeploymentMetrics`]),
+//! probe responder, forwarding-path spans, optional deployment metrics),
 //! the client-side `Blacklist` with the relay-selection rules, the
 //! [`ChurnTelemetry`] hooks and the [`EngineChoice`] engine builder.
 //! Fig. 8a/8b ([`run_end_to_end_latency_on`]) is the failure-free,
@@ -198,14 +198,15 @@ pub(crate) fn decode_ack(payload: &[u8]) -> Option<(u64, u64)> {
     Some((seq, incarnation))
 }
 
-/// Metric handles threaded through the Fig. 8a/8b deployment: relay
-/// forwarding, search-engine queries and the client's end-to-end latency.
+/// Metric handles threaded through a deployment whose
+/// [`ChurnTelemetry::metrics`] is set: relay forwarding, search-engine
+/// queries and the client's clamped samples and end-to-end latency.
 ///
 /// Handles are cheap `Arc` clones, so one set can be shared by every relay
 /// across every shard of the parallel engine. Recording never feeds back
 /// into scheduling — instrumented runs remain bit-identical.
 #[derive(Debug, Clone)]
-pub struct DeploymentMetrics {
+pub(crate) struct DeploymentMetrics {
     /// Requests forwarded by relays towards the engine.
     pub relay_forwarded: Counter,
     /// Distribution of in-enclave relay service times (ns).
@@ -214,6 +215,8 @@ pub struct DeploymentMetrics {
     pub engine_queries: Counter,
     /// Distribution of engine processing delays (ns).
     pub engine_processing_ns: Histogram,
+    /// Registry twin of `ChurnOutcome::clamped_samples`.
+    pub clamped_samples: Counter,
     /// Distribution of real-query end-to-end latencies (ns).
     pub end_to_end_ns: Histogram,
 }
@@ -221,13 +224,15 @@ pub struct DeploymentMetrics {
 impl DeploymentMetrics {
     /// Registers the deployment metrics under their canonical names
     /// (`relay.forwarded`, `relay.service_ns`, `engine.queries`,
-    /// `engine.processing_ns`, `client.end_to_end_ns`).
+    /// `engine.processing_ns`, `client.clamped_samples`,
+    /// `client.end_to_end_ns`).
     pub fn register(registry: &Registry) -> Self {
         Self {
             relay_forwarded: registry.counter("relay.forwarded"),
             relay_service_ns: registry.histogram("relay.service_ns"),
             engine_queries: registry.counter("engine.queries"),
             engine_processing_ns: registry.histogram("engine.processing_ns"),
+            clamped_samples: registry.counter("client.clamped_samples"),
             end_to_end_ns: registry.histogram("client.end_to_end_ns"),
         }
     }
@@ -251,10 +256,11 @@ pub struct ChurnTelemetry {
     /// path. In membership mode the prober's transitions
     /// (`mship.suspect`, `mship.refute`, `mship.dead`) join it.
     pub trace: TraceSink,
-    /// When set, the churn client's clamped-sample counter
-    /// (`client.clamped_samples`) is recorded here; hand it to
-    /// [`EngineChoice::build`] as well and a sharded engine adds its
-    /// per-shard self-profiling.
+    /// When set, the deployment records its counters and histograms here
+    /// (`relay.forwarded`, `relay.service_ns`, `engine.queries`,
+    /// `engine.processing_ns`, `client.clamped_samples`,
+    /// `client.end_to_end_ns`); hand it to [`EngineChoice::build`] as well
+    /// and a sharded engine adds its per-shard self-profiling.
     pub metrics: Option<Registry>,
 }
 
@@ -804,14 +810,13 @@ impl Default for EndToEndConfig {
 /// the latency of its *real* query path; fakes travel in parallel and
 /// their answers are dropped.
 ///
-/// `metrics` (when given) and `trace` only record — for a given
-/// `config.seed` the result is bit-identical across engines, shard
-/// counts and observation (see `cyclosa_net::engine` for why).
+/// `telemetry` only records — for a given `config.seed` the result is
+/// bit-identical across engines, shard counts and observation (see
+/// `cyclosa_net::engine` for why).
 pub fn run_end_to_end_latency_on<E: Engine + ?Sized>(
     engine: &mut E,
     config: &EndToEndConfig,
-    metrics: Option<&DeploymentMetrics>,
-    trace: &TraceSink,
+    telemetry: &ChurnTelemetry,
 ) -> Vec<f64> {
     let churn = ChurnConfig {
         relays: config.relays,
@@ -824,19 +829,7 @@ pub fn run_end_to_end_latency_on<E: Engine + ?Sized>(
         max_retries: 0,
         ..ChurnConfig::default()
     };
-    let telemetry = ChurnTelemetry {
-        trace: trace.clone(),
-        metrics: None,
-    };
-    run_deployment(
-        engine,
-        &churn,
-        E2E_SALT,
-        &ChaosPlan::new(),
-        &telemetry,
-        metrics,
-    )
-    .latencies
+    run_deployment(engine, &churn, E2E_SALT, &ChaosPlan::new(), telemetry).latencies
 }
 
 #[cfg(test)]
@@ -848,7 +841,7 @@ mod tests {
 
     fn run_end_to_end_latency(choice: EngineChoice, config: EndToEndConfig) -> Vec<f64> {
         let mut engine = choice.build(config.seed, None);
-        run_end_to_end_latency_on(&mut *engine, &config, None, &TraceSink::disabled())
+        run_end_to_end_latency_on(&mut *engine, &config, &ChurnTelemetry::default())
     }
 
     #[test]
@@ -890,8 +883,11 @@ mod tests {
 
     #[test]
     fn deployment_metrics_observe_the_experiment() {
-        let registry = cyclosa_runtime::Registry::new();
-        let metrics = DeploymentMetrics::register(&registry);
+        let registry = Registry::new();
+        let telemetry = ChurnTelemetry {
+            metrics: Some(registry.clone()),
+            ..ChurnTelemetry::default()
+        };
         let config = EndToEndConfig {
             relays: 10,
             k: 3,
@@ -899,31 +895,18 @@ mod tests {
             ..EndToEndConfig::default()
         };
         let mut simulation = Simulation::new(config.seed);
-        let latencies = run_end_to_end_latency_on(
-            &mut simulation,
-            &config,
-            Some(&metrics),
-            &TraceSink::disabled(),
-        );
-        assert_eq!(metrics.end_to_end_ns.count() as usize, latencies.len());
+        let latencies = run_end_to_end_latency_on(&mut simulation, &config, &telemetry);
+        let e2e = registry.histogram("client.end_to_end_ns").sketch();
+        assert_eq!(e2e.count() as usize, latencies.len());
         // Every uploaded request is forwarded by exactly one relay and
         // reaches the engine exactly once (no loss configured).
         let expected = (config.queries * (config.k + 1)) as u64;
-        assert_eq!(metrics.relay_forwarded.get(), expected);
-        assert_eq!(metrics.engine_queries.get(), expected);
-        let snapshot = registry.snapshot();
-        let e2e = &snapshot
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "client.end_to_end_ns")
-            .unwrap()
-            .1;
-        assert!(
-            e2e.p50 > 300_000_000,
-            "median end-to-end below 0.3s: {}",
-            e2e.p50
-        );
-        assert!(e2e.p95 >= e2e.p50 && e2e.p99 >= e2e.p95);
+        assert_eq!(registry.counter("relay.forwarded").get(), expected);
+        assert_eq!(registry.counter("engine.queries").get(), expected);
+        assert_eq!(registry.counter("client.clamped_samples").get(), 0);
+        let p50 = e2e.quantile(0.50);
+        assert!(p50 > 300_000_000, "median end-to-end below 0.3s: {p50}");
+        assert!(e2e.quantile(0.90) >= p50 && e2e.quantile(0.99) >= e2e.quantile(0.90));
     }
 
     #[test]

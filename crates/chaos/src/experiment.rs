@@ -24,7 +24,6 @@ use cyclosa_net::sim::{Context, Envelope, NodeBehavior, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_peer_sampling::{FailureDetector, MemberState, PeerId};
-use cyclosa_runtime::metrics::{Counter, Histogram};
 use cyclosa_sgx::enclave::CostModel;
 use cyclosa_telemetry::{TraceEvent, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
@@ -290,10 +289,9 @@ struct ChurnClient {
     /// only to annotate `query.repair` events with whether the repaired
     /// failure was an injected fault, never to influence behaviour.
     victims: BTreeSet<NodeId>,
-    /// Registry twin of [`ChurnOutcome::clamped_samples`].
-    clamped_metric: Option<Counter>,
-    /// The Fig. 8a/8b end-to-end latency histogram, when metrics are on.
-    end_to_end: Option<Histogram>,
+    /// The clamped-sample counter and end-to-end latency histogram, when
+    /// metrics are on.
+    metrics: Option<DeploymentMetrics>,
     /// The client-side failure detector over the relays. Its randomized
     /// probe cycle draws from `probe_rng`, a stream separate from the
     /// query-plan RNG, so probing never perturbs plan selection.
@@ -620,8 +618,8 @@ impl NodeBehavior for ChurnClient {
             let round_trip = now.checked_sub(sent);
             let latency_s = match round_trip {
                 Some(round_trip) => {
-                    if let Some(histogram) = &self.end_to_end {
-                        histogram.record_time(round_trip);
+                    if let Some(metrics) = &self.metrics {
+                        metrics.end_to_end_ns.record_time(round_trip);
                     }
                     round_trip.as_secs_f64()
                 }
@@ -631,8 +629,8 @@ impl NodeBehavior for ChurnClient {
                         "response at {now} precedes send at {sent} for query {seq}"
                     );
                     sink.clamped_samples += 1;
-                    if let Some(counter) = &self.clamped_metric {
-                        counter.inc();
+                    if let Some(metrics) = &self.metrics {
+                        metrics.clamped_samples.inc();
                     }
                     if self.trace.is_enabled() {
                         self.trace.emit(
@@ -650,9 +648,8 @@ impl NodeBehavior for ChurnClient {
                 achieved_k,
             });
             if self.trace.is_enabled() {
-                // Spans are stamped at completion (events are never
-                // emitted with a timestamp behind the already-merged
-                // timeline); the Chrome exporter back-dates the slice by
+                // Spans are stamped at completion, when the answer
+                // arrives; the Chrome exporter back-dates the slice by
                 // its duration so it covers [sent, answered].
                 let mut event = TraceEvent::new(now, ctx.self_id().0, "query.answered")
                     .query(seq as u64)
@@ -695,8 +692,8 @@ impl NodeBehavior for ChurnClient {
 /// returns the healed latency distribution.
 ///
 /// Fault annotations, the client's per-query causal events and the
-/// forwarding-path spans flow into `telemetry.trace`, the clamped-sample
-/// counter into `telemetry.metrics`. The hooks never perturb the run:
+/// forwarding-path spans flow into `telemetry.trace`, the deployment's
+/// counters and histograms into `telemetry.metrics`. The hooks never perturb the run:
 /// the outcome is bit-identical with the default (disabled) telemetry.
 pub fn run_churn_experiment_on<E: Engine + ?Sized>(
     engine: &mut E,
@@ -704,21 +701,20 @@ pub fn run_churn_experiment_on<E: Engine + ?Sized>(
     extra: &ChaosPlan,
     telemetry: &ChurnTelemetry,
 ) -> ChurnOutcome {
-    run_deployment(engine, config, CHURN_SALT, extra, telemetry, None)
+    run_deployment(engine, config, CHURN_SALT, extra, telemetry)
 }
 
 /// The churn run behind [`run_churn_experiment_on`] and the Fig. 8a/8b
-/// runner, which differ in the RNG `salt` and in whether the deployment
-/// records [`DeploymentMetrics`].
+/// runner, which differ in the RNG `salt`.
 pub(crate) fn run_deployment<E: Engine + ?Sized>(
     engine: &mut E,
     config: &ChurnConfig,
     salt: u64,
     extra: &ChaosPlan,
     telemetry: &ChurnTelemetry,
-    metrics: Option<&DeploymentMetrics>,
 ) -> ChurnOutcome {
     assert!(config.relays > config.k, "need at least k + 1 relays");
+    let metrics = telemetry.metrics.as_ref().map(DeploymentMetrics::register);
     let mut deployed = deploy(
         engine,
         Fleet {
@@ -729,7 +725,7 @@ pub(crate) fn run_deployment<E: Engine + ?Sized>(
             adversary: config.adversary,
             extra,
             trace: &telemetry.trace,
-            metrics,
+            metrics: metrics.as_ref(),
         },
     );
     // The failure plan is sampled up front so the client's trace
@@ -759,11 +755,7 @@ pub(crate) fn run_deployment<E: Engine + ?Sized>(
             sink: sink.clone(),
             trace: telemetry.trace.clone(),
             victims,
-            clamped_metric: telemetry
-                .metrics
-                .as_ref()
-                .map(|registry| registry.counter("client.clamped_samples")),
-            end_to_end: metrics.map(|m| m.end_to_end_ns.clone()),
+            metrics,
             detector: FailureDetector::new(
                 PeerId(client.0),
                 deployed.relays.iter().map(|r| PeerId(r.0)),

@@ -123,15 +123,12 @@ pub use adversary::{
 pub use attack::{ColludingMechanism, LossyMechanism};
 pub use churn::{churn_stream, ChurnModel};
 pub use deployment::{
-    run_end_to_end_latency_on, ChurnTelemetry, DeploymentMetrics, EndToEndConfig, EngineChoice,
-    Request,
+    run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig, EngineChoice, Request,
 };
 pub use experiment::{
     run_churn_experiment_on, AnsweredQuery, ChurnConfig, ChurnOutcome, MembershipProbeConfig,
 };
 pub use partition::{run_partition_experiment_on, PartitionConfig, PartitionOutcome, PhaseSummary};
-pub use plan::{
-    ChaosPlan, FaultEvent, FaultKind, LinkFault, PlanEntry, PlanEventClass, PolicyEvent,
-};
+pub use plan::{ChaosPlan, FaultEvent, FaultKind, LinkFault, PolicyEvent};
 pub use slo::{churn_slo_config, evaluate_churn_slos, evaluate_timeline_slos, SloOutcome};
 pub use soak::{run_soak, run_soak_on, ArrivalModel, SoakConfig, SoakOutcome, SoakWindow};

@@ -77,47 +77,6 @@ pub struct PolicyEvent {
     pub policy: ByzantinePolicy,
 }
 
-/// The class of a plan entry, ordered the way same-instant entries apply:
-/// membership faults strictly before byzantine policy switches. This pins
-/// `(time, EventClass)` as the plan's total order so that e.g. a relay
-/// crashed and compromised at the same instant is deterministically
-/// crashed first (and its policy switch is moot), matching the engines'
-/// `EventClass::Membership`-first slot ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PlanEventClass {
-    /// Node faults and global loss steps ([`FaultEvent`]).
-    Membership,
-    /// Byzantine policy switches ([`PolicyEvent`]).
-    Byzantine,
-}
-
-/// One entry of the classed plan timeline ([`ChaosPlan::classed_events`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PlanEntry<'a> {
-    /// A membership fault.
-    Membership(&'a FaultEvent),
-    /// A byzantine policy switch.
-    Byzantine(&'a PolicyEvent),
-}
-
-impl PlanEntry<'_> {
-    /// When the entry fires.
-    pub fn at(&self) -> SimTime {
-        match self {
-            PlanEntry::Membership(e) => e.at,
-            PlanEntry::Byzantine(e) => e.at,
-        }
-    }
-
-    /// The entry's ordering class.
-    pub fn class(&self) -> PlanEventClass {
-        match self {
-            PlanEntry::Membership(_) => PlanEventClass::Membership,
-            PlanEntry::Byzantine(_) => PlanEventClass::Byzantine,
-        }
-    }
-}
-
 /// A scheduled link-group loss step: at `at`, every directed link in
 /// `src_set × dst_set` steps to loss probability `p`. Two opposed events at
 /// `1.0` make a partition; a closing pair at `0.0` is the re-merge.
@@ -220,32 +179,6 @@ impl ChaosPlan {
         relays.sort_unstable_by_key(|n| n.0);
         relays.dedup();
         relays
-    }
-
-    /// The full plan timeline in its pinned apply order: sorted by
-    /// `(time, PlanEventClass)`, membership faults strictly before
-    /// byzantine policy switches at equal timestamps, insertion order
-    /// within a `(time, class)` slot. This order is invariant under
-    /// [`ChaosPlan::merge`] direction — merging A into B or B into A
-    /// yields the same classed timeline.
-    pub fn classed_events(&self) -> Vec<PlanEntry<'_>> {
-        let mut out = Vec::with_capacity(self.events.len() + self.policy_events.len());
-        let (mut m, mut p) = (0, 0);
-        while m < self.events.len() || p < self.policy_events.len() {
-            let take_membership = match (self.events.get(m), self.policy_events.get(p)) {
-                (Some(me), Some(pe)) => me.at <= pe.at,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_membership {
-                out.push(PlanEntry::Membership(&self.events[m]));
-                m += 1;
-            } else {
-                out.push(PlanEntry::Byzantine(&self.policy_events[p]));
-                p += 1;
-            }
-        }
-        out
     }
 
     /// Whether the plan contains any [`FaultKind::Join`] events (which
@@ -409,9 +342,7 @@ impl ChaosPlan {
 
     /// Merges another plan's events (node faults, link faults, and
     /// byzantine policy switches) into this one. Each event list stays
-    /// independently time-sorted; the cross-class apply order is the
-    /// `(time, PlanEventClass)` pin of [`ChaosPlan::classed_events`],
-    /// which is the same whichever plan is merged into which.
+    /// independently time-sorted.
     pub fn merge(mut self, other: ChaosPlan) -> Self {
         for event in other.events {
             self.push(event.at, event.kind);
@@ -468,8 +399,8 @@ impl ChaosPlan {
     /// joining node is created with `spawn`. On the trace, node faults are
     /// attributed to the node they hit; the global loss steps and
     /// link-group faults to the engine pseudo-actor. Events are stamped at
-    /// their scheduled (usually future) times; the sink keeps them
-    /// buffered until the timeline reaches them.
+    /// their scheduled (usually future) times; the sink sorts them into
+    /// place when the timeline is read.
     pub fn apply_with_spawner<E: Engine + ?Sized>(
         &self,
         engine: &mut E,
@@ -541,42 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_membership_sorts_before_byzantine_in_either_merge_order() {
-        // The (time, EventClass) pin: a crash and a policy switch sharing
-        // a timestamp must apply crash-first no matter which plan is
-        // merged into which — mirroring EventClass::Membership sorting
-        // first within an engine slot.
-        let at = SimTime::from_secs(10);
-        let faults = ChaosPlan::new()
-            .crash_at(at, NodeId(3))
-            .set_loss_at(SimTime::from_secs(11), 0.1);
-        let policies = ChaosPlan::new()
-            .byzantine_at(at, NodeId(3), ByzantinePolicy::Collude)
-            .byzantine_at(SimTime::from_secs(9), NodeId(4), ByzantinePolicy::Collude);
-        let describe = |plan: &ChaosPlan| -> Vec<(u64, PlanEventClass)> {
-            plan.classed_events()
-                .iter()
-                .map(|e| (e.at().as_nanos(), e.class()))
-                .collect()
-        };
-        let ab = faults.clone().merge(policies.clone());
-        let ba = policies.merge(faults);
-        assert_eq!(describe(&ab), describe(&ba), "merge order must not matter");
-        assert_eq!(
-            describe(&ab),
-            vec![
-                (9_000_000_000, PlanEventClass::Byzantine),
-                (10_000_000_000, PlanEventClass::Membership),
-                (10_000_000_000, PlanEventClass::Byzantine),
-                (11_000_000_000, PlanEventClass::Membership),
-            ],
-            "same-instant entries sort membership before byzantine"
-        );
-        assert_eq!(ab.byzantine_relays(), vec![NodeId(3), NodeId(4)]);
-        assert!(!ab.is_empty());
-    }
-
-    #[test]
     fn policy_schedule_extraction_is_per_relay_and_lww() {
         let at = SimTime::from_secs(5);
         let plan = ChaosPlan::new()
@@ -597,6 +492,8 @@ mod tests {
             ByzantinePolicy::Collude
         );
         assert!(plan.policy_schedule_for(NodeId(3)).is_empty());
+        assert_eq!(plan.byzantine_relays(), vec![NodeId(1), NodeId(2)]);
+        assert!(!plan.is_empty());
     }
 
     #[test]

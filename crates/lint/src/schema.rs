@@ -15,7 +15,7 @@
 //! *family prefix*; all other entries declare event names.
 //!
 //! Family-shaped literals appearing as *metric* names (`counter(...)`,
-//! `histogram(...)`, `gauge(...)`) are not emitters; the classifier picks
+//! `histogram(...)`) are not emitters; the classifier picks
 //! the nearest preceding keyword in the flattened code to tell the two
 //! apart.
 
@@ -37,7 +37,7 @@ pub const INSTRUMENTED_CRATES: [&str; 6] = [
 /// Keywords marking an event-emission context.
 const EMITTER_KEYWORDS: [&str; 3] = ["event(", "TraceEvent::new(", "fn event_name"];
 /// Keywords marking a metric-registration context (excluded).
-const METRIC_KEYWORDS: [&str; 3] = ["counter(", "histogram(", "gauge("];
+const METRIC_KEYWORDS: [&str; 2] = ["counter(", "histogram("];
 /// How far back (bytes of flattened code) the classifier looks.
 const CONTEXT_WINDOW: usize = 400;
 

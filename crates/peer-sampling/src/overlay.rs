@@ -749,33 +749,21 @@ mod tests {
             overlay.schedule_kill(&mut simulation, PeerId(i), SimTime::from_secs(16));
         }
         simulation.run();
-        let snapshot = registry.snapshot();
-        let staleness = &snapshot
-            .histograms
-            .iter()
-            .find(|(name, _)| name == "overlay.view_staleness_rounds")
-            .expect("staleness histogram registered")
-            .1;
-        assert!(staleness.count > 0, "staleness must be sampled per round");
-        let dead_fraction = &snapshot
-            .histograms
-            .iter()
-            .find(|(name, _)| name == "overlay.dead_view_references_permille")
-            .expect("dead-reference histogram registered")
-            .1;
-        assert!(dead_fraction.count > 0);
+        let staleness = registry.histogram("overlay.view_staleness_rounds").sketch();
+        assert!(staleness.count() > 0, "staleness must be sampled per round");
+        let dead_fraction = registry
+            .histogram("overlay.dead_view_references_permille")
+            .sketch();
+        assert!(dead_fraction.count() > 0);
         assert!(
-            dead_fraction.max > 0,
+            dead_fraction.max() > 0,
             "after a mass kill some views must reference dead peers"
         );
         // Without a staleness threshold the cadence never shortens.
-        let eager = snapshot
+        let snapshot = registry.snapshot();
+        assert!(snapshot
             .counters
-            .iter()
-            .find(|(name, _)| name == "overlay.eager_rounds")
-            .expect("eager counter registered")
-            .1;
-        assert_eq!(eager, 0);
+            .contains(&("overlay.eager_rounds".to_owned(), 0)));
     }
 
     #[test]
@@ -917,23 +905,17 @@ mod tests {
                 overlay.schedule_bridges(&mut simulation, &minority, SimTime::from_secs(40), 3);
             }
             simulation.run();
-            let snapshot = registry.snapshot();
-            let staleness = snapshot
-                .histograms
-                .iter()
-                .find(|(name, _)| name == "overlay.view_staleness_rounds")
-                .expect("staleness histogram registered")
-                .1;
+            let staleness = registry.histogram("overlay.view_staleness_rounds").sketch();
             (staleness, overlay.metrics())
         };
         let (calm, calm_metrics) = run(false);
         let (split, split_metrics) = run(true);
         assert!(calm_metrics.connected && split_metrics.connected);
         assert!(
-            split.max > calm.max,
+            split.max() > calm.max(),
             "starved cross references must push view staleness up ({} vs {})",
-            split.max,
-            calm.max
+            split.max(),
+            calm.max()
         );
     }
 
@@ -1034,16 +1016,13 @@ mod tests {
             overlay.schedule_kill(&mut simulation, PeerId(i), SimTime::from_secs(3600));
         }
         simulation.run_until(SimTime::from_secs(15));
-        let snapshot = registry.snapshot();
-        let dead_fraction = &snapshot
-            .histograms
-            .iter()
-            .find(|(name, _)| name == "overlay.dead_view_references_permille")
-            .expect("dead-reference histogram registered")
-            .1;
-        assert!(dead_fraction.count > 0, "rounds must have been sampled");
+        let dead_fraction = registry
+            .histogram("overlay.dead_view_references_permille")
+            .sketch();
+        assert!(dead_fraction.count() > 0, "rounds must have been sampled");
         assert_eq!(
-            dead_fraction.max, 0,
+            dead_fraction.max(),
+            0,
             "a kill scheduled for t=3600s may not count as dead at t<15s"
         );
     }

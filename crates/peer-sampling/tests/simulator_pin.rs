@@ -172,16 +172,14 @@ fn faulted_shuffle_digest(engine: &mut dyn Engine) -> u64 {
     fnv(&mut digest, overlay.len() as u64);
     fnv(&mut digest, engine.now().as_nanos());
     fnv(&mut digest, engine.stats().delivered);
-    let staleness = registry
-        .histogram("overlay.view_staleness_rounds")
-        .snapshot();
-    fnv(&mut digest, staleness.count);
-    fnv(&mut digest, staleness.max);
+    let staleness = registry.histogram("overlay.view_staleness_rounds").sketch();
+    fnv(&mut digest, staleness.count());
+    fnv(&mut digest, staleness.max());
     let dead = registry
         .histogram("overlay.dead_view_references_permille")
-        .snapshot();
-    fnv(&mut digest, dead.count);
-    fnv(&mut digest, dead.max);
+        .sketch();
+    fnv(&mut digest, dead.count());
+    fnv(&mut digest, dead.max());
     fnv(&mut digest, registry.counter("overlay.eager_rounds").get());
     digest
 }

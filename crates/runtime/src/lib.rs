@@ -19,9 +19,9 @@
 //!   network partitions) are replicated to every shard and evaluated as
 //!   pure functions of send time — so even a partition boundary that cuts
 //!   across shard boundaries cannot break bit-identity.
-//! * [`metrics`] — counters, gauges and log-linear latency histograms with
-//!   p50/p95/p99 export, cheap enough to thread through relay forwarding,
-//!   enclave transitions and search-engine queries on the hot path.
+//! * [`metrics`] — counters and latency histograms (each a shared handle
+//!   to one `cyclosa_telemetry::QuantileSketch`), cheap enough to thread
+//!   through relay forwarding and search-engine queries on the hot path.
 //!
 //! [`shard::ShardedEngine::enable_profiling`] registers per-shard
 //! self-profiling instruments (event-class throughput, windows, mailbox
@@ -42,5 +42,5 @@ pub mod metrics;
 pub mod shard;
 
 pub use cyclosa_net::engine::Engine;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use metrics::{Counter, Histogram, MetricsSnapshot, Registry};
 pub use shard::{shard_of, EngineConfigError, ShardedEngine};

@@ -125,7 +125,7 @@
 //! ```
 
 use crate::barrier::{spin_budget_for, Broken, CachePadded, WindowBarrier};
-use crate::metrics::{Counter, Gauge, Histogram, Registry};
+use crate::metrics::{Counter, Histogram, Registry};
 use cyclosa_net::engine::{Engine, ScheduledEvent};
 use cyclosa_net::latency::LatencyModel;
 use cyclosa_net::sim::{Envelope, NodeBehavior, Simulation, SimulationStats};
@@ -194,7 +194,6 @@ struct ShardProfile {
     timer: Counter,
     membership: Counter,
     windows: Counter,
-    mailbox_depth: Gauge,
     mailbox_depth_events: Histogram,
     barrier_stall_ns: Histogram,
 }
@@ -207,7 +206,6 @@ impl ShardProfile {
             timer: registry.counter(&name("timer")),
             membership: registry.counter(&name("membership")),
             windows: registry.counter(&name("windows")),
-            mailbox_depth: registry.gauge(&name("mailbox_depth")),
             mailbox_depth_events: registry.histogram(&name("mailbox_depth_events")),
             barrier_stall_ns: registry.histogram(&name("barrier_stall_ns")),
         }
@@ -410,9 +408,8 @@ impl ShardedEngine {
     /// `engine.shard<i>.deliver` / `.timer` / `.membership` event-class
     /// throughput counters, an `engine.shard<i>.windows` counter (one per
     /// window the shard walked through, with or without events of its
-    /// own), an `engine.shard<i>.mailbox_depth` gauge (cross-shard events
-    /// merged in the last window) with its distribution over the run in
-    /// the `engine.shard<i>.mailbox_depth_events` histogram, and an
+    /// own), an `engine.shard<i>.mailbox_depth_events` histogram of the
+    /// cross-shard events merged per window, and an
     /// `engine.shard<i>.barrier_stall_ns` wall-clock histogram of the time
     /// spent at each window rendezvous — the shard-imbalance signal. A
     /// one-shard engine runs inline and records neither stalls nor
@@ -574,7 +571,6 @@ impl ShardedEngine {
                         wait(barrier, profile.as_ref())?;
                         let merged_in = shard.drain(&mailboxes[parity]);
                         if let Some(profile) = profile.as_ref().filter(|_| closed) {
-                            profile.mailbox_depth.set(merged_in as i64);
                             profile.mailbox_depth_events.record(merged_in as u64);
                         }
                         let start = next_times[parity]
@@ -1055,7 +1051,7 @@ mod tests {
             snapshot
                 .histograms
                 .iter()
-                .any(|(name, h)| name.ends_with(".barrier_stall_ns") && h.count > 0),
+                .any(|(name, h)| name.ends_with(".barrier_stall_ns") && h.count() > 0),
             "barrier stalls recorded"
         );
         // Nothing in this workload emits trace events, but the sink
@@ -1241,7 +1237,7 @@ mod tests {
                 let merged: u64 = (0..shards)
                     .map(|shard| {
                         let name = format!("engine.shard{shard}.mailbox_depth_events");
-                        registry.histogram(&name).snapshot().sum
+                        registry.histogram(&name).sketch().sum()
                     })
                     .sum();
                 assert_eq!(merged, windows - 1);

@@ -10,7 +10,6 @@
 
 use crate::measurement::Measurement;
 use cyclosa_crypto::hkdf;
-use cyclosa_runtime::metrics::{Counter, Histogram, Registry};
 
 /// Page size used for EPC accounting (SGX uses 4 KiB pages).
 pub const PAGE_SIZE: usize = 4096;
@@ -135,33 +134,6 @@ pub struct TransitionStats {
     pub peak_resident_bytes: usize,
 }
 
-/// Metric handles recording enclave transitions, attachable to any
-/// [`Enclave`] via [`Enclave::attach_metrics`].
-///
-/// Recording is purely observational: it never changes costs, statistics or
-/// control flow, so instrumented and uninstrumented runs are identical.
-#[derive(Debug, Clone)]
-pub struct TransitionMetrics {
-    /// Calls into the enclave.
-    pub ecalls: Counter,
-    /// Calls out of the enclave.
-    pub ocalls: Counter,
-    /// Distribution of per-transition simulated costs (ns).
-    pub transition_ns: Histogram,
-}
-
-impl TransitionMetrics {
-    /// Registers the transition metrics under `<prefix>.ecalls`,
-    /// `<prefix>.ocalls` and `<prefix>.transition_ns`.
-    pub fn register(registry: &Registry, prefix: &str) -> Self {
-        Self {
-            ecalls: registry.counter(&format!("{prefix}.ecalls")),
-            ocalls: registry.counter(&format!("{prefix}.ocalls")),
-            transition_ns: registry.histogram(&format!("{prefix}.transition_ns")),
-        }
-    }
-}
-
 /// A simulated SGX platform (one physical machine with SGX support).
 ///
 /// The platform owns the hardware root sealing key and the quoting key that
@@ -230,7 +202,6 @@ impl Platform {
             cost: self.cost,
             status: EnclaveStatus::Created,
             stats: TransitionStats::default(),
-            metrics: None,
             state: Some(initial_state),
         }
     }
@@ -246,7 +217,6 @@ pub struct Enclave<T> {
     cost: CostModel,
     status: EnclaveStatus,
     stats: TransitionStats,
-    metrics: Option<TransitionMetrics>,
     state: Option<T>,
 }
 
@@ -269,12 +239,6 @@ impl<T> Enclave<T> {
     /// Transition statistics accumulated so far.
     pub fn stats(&self) -> TransitionStats {
         self.stats
-    }
-
-    /// Attaches shared metric handles; every subsequent ecall/ocall is
-    /// counted and its simulated cost recorded in the histogram.
-    pub fn attach_metrics(&mut self, metrics: TransitionMetrics) {
-        self.metrics = Some(metrics);
     }
 
     /// The sealing key bound to this platform and measurement. Only the
@@ -329,10 +293,6 @@ impl<T> Enclave<T> {
             .ecall_cost(touched_bytes, self.stats.resident_bytes);
         self.stats.ecalls += 1;
         self.stats.simulated_ns += cost;
-        if let Some(metrics) = &self.metrics {
-            metrics.ecalls.inc();
-            metrics.transition_ns.record(cost);
-        }
         let state = self
             .state
             .as_mut()
@@ -353,10 +313,6 @@ impl<T> Enclave<T> {
         let cost = self.cost.ocall_cost(transferred_bytes);
         self.stats.ocalls += 1;
         self.stats.simulated_ns += cost;
-        if let Some(metrics) = &self.metrics {
-            metrics.ocalls.inc();
-            metrics.transition_ns.record(cost);
-        }
         Ok(cost)
     }
 
@@ -407,30 +363,6 @@ mod tests {
             .unwrap();
         assert_eq!(value, 1);
         assert!(cost >= CostModel::default().ecall_ns);
-    }
-
-    #[test]
-    fn attached_metrics_observe_transitions() {
-        let registry = Registry::new();
-        let mut enclave = make_enclave();
-        enclave.attach_metrics(TransitionMetrics::register(&registry, "enclave"));
-        enclave.initialize().unwrap();
-        for _ in 0..3 {
-            enclave.ecall(128, |c| c.value += 1).unwrap();
-        }
-        enclave.ocall(512).unwrap();
-        assert_eq!(registry.counter("enclave.ecalls").get(), 3);
-        assert_eq!(registry.counter("enclave.ocalls").get(), 1);
-        let histogram = registry.histogram("enclave.transition_ns").snapshot();
-        assert_eq!(histogram.count, 4);
-        // Every transition costs at least the base ecall/ocall price; the
-        // log-linear buckets may report up to 1/32 below the true value.
-        let floor = (CostModel::default().ocall_ns as f64 * (1.0 - 1.0 / 32.0)) as u64;
-        assert!(
-            histogram.p50 >= floor,
-            "p50 {} below {floor}",
-            histogram.p50
-        );
     }
 
     #[test]

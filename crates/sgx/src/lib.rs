@@ -40,6 +40,6 @@ pub mod measurement;
 pub mod sealing;
 
 pub use attestation::{AttestationError, AttestationService, Quote, QuoteVerdict};
-pub use enclave::{CostModel, Enclave, EnclaveError, EnclaveStatus, Platform, TransitionMetrics};
+pub use enclave::{CostModel, Enclave, EnclaveError, EnclaveStatus, Platform};
 pub use measurement::Measurement;
 pub use sealing::{SealError, SealedBlob};

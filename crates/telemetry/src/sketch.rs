@@ -1,15 +1,14 @@
 //! Deterministic, mergeable log-bucketed quantile sketch.
 //!
-//! The sketch owns the HDR-style log-linear bucket layout
-//! ([`bucket_index`], [`bucket_low`], [`BUCKETS`]) that
-//! `cyclosa_runtime::metrics::Histogram` counts into as well — one layout,
-//! so converting a histogram to a sketch is lossless. Values are mapped to
-//! buckets whose width grows geometrically, with 32 linear sub-buckets per
-//! power of two, bounding the relative quantile error at `1/32 = 3.125%` —
-//! the same guarantee a DDSketch gives with a relative accuracy parameter,
+//! The sketch is the one read path of every latency and profiling
+//! distribution: `cyclosa_runtime::metrics::Histogram` is a shared handle
+//! to one. Values are mapped to buckets whose width grows geometrically,
+//! with 32 linear sub-buckets per power of two (the HDR log-linear
+//! layout), bounding the relative quantile error at `1/32 = 3.125%` — the
+//! same guarantee a DDSketch gives with a relative accuracy parameter,
 //! but with a fixed, integer-only bucket function so two sketches built
 //! from the same multiset of samples are *identical*, not merely
-//! equivalent.
+//! equivalent. Count, sum, min and max are kept exactly.
 //!
 //! # Merge determinism
 //!
@@ -28,12 +27,9 @@ use std::collections::BTreeMap;
 const SUB_BUCKET_BITS: u32 = 5;
 /// Number of linear sub-buckets per power of two (32).
 const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
-/// Number of buckets covering the full `u64` range: every
-/// [`bucket_index`] is below it.
-pub const BUCKETS: usize = ((64 - SUB_BUCKET_BITS) as usize + 1) * SUB_BUCKETS as usize;
 
 /// Map a value to its bucket index (log-linear HDR layout).
-pub fn bucket_index(value: u64) -> usize {
+fn bucket_index(value: u64) -> usize {
     if value < SUB_BUCKETS {
         return value as usize;
     }
@@ -45,7 +41,7 @@ pub fn bucket_index(value: u64) -> usize {
 
 /// Lowest value that maps to the given bucket index (the reported quantile
 /// value for any sample in that bucket).
-pub fn bucket_low(index: usize) -> u64 {
+fn bucket_low(index: usize) -> u64 {
     let sub = SUB_BUCKETS as usize;
     if index < sub {
         return index as u64;
@@ -61,13 +57,19 @@ pub fn bucket_low(index: usize) -> u64 {
 /// map entries rather than a full dense array. Equality compares the exact
 /// bucket contents, which is how tests pin bit-identity of merged
 /// per-shard rollups against one-shot folds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantileSketch {
     buckets: BTreeMap<u32, u64>,
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
+}
+
+impl Default for QuantileSketch {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl QuantileSketch {
@@ -89,19 +91,9 @@ impl QuantileSketch {
 
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Record `n` identical samples. Used both by hot loops and by lossless
-    /// conversion from dense histogram buckets (recording each bucket's low
-    /// value `count` times lands in the same bucket index).
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.buckets.entry(bucket_index(value) as u32).or_insert(0) += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
+        *self.buckets.entry(bucket_index(value) as u32).or_insert(0) += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -154,8 +146,8 @@ impl QuantileSketch {
     }
 
     /// Approximate quantile: the lower bound of the bucket containing the
-    /// sample of rank `ceil(q * count)` (clamped to `[1, count]`), matching
-    /// the rank rule of the runtime metrics histogram. Returns 0 when empty.
+    /// sample of rank `ceil(q * count)` (clamped to `[1, count]`). Returns 0
+    /// when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -218,6 +210,7 @@ mod tests {
             1_000,
             1 << 20,
             u64::MAX / 2,
+            u64::MAX,
         ] {
             let index = bucket_index(value);
             assert!(bucket_low(index) <= value);
@@ -225,6 +218,14 @@ mod tests {
             prev = index;
             // The bucket's low value maps back to the same bucket.
             assert_eq!(bucket_index(bucket_low(index)), index);
+        }
+        // Relative error bound: the bucket low is within 1/32 of the value.
+        for value in [100u64, 12_345, 999_999_999, 7_777_777_777] {
+            let low = bucket_low(bucket_index(value));
+            assert!(
+                (value - low) as f64 / value as f64
+                    <= QuantileSketch::relative_error_bound() + 1e-12
+            );
         }
     }
 

@@ -323,7 +323,8 @@ impl SloMonitor {
     }
 }
 
-/// Run a full monitoring pass over an already-merged timeline.
+/// Run a full monitoring pass over a timeline in `(at, actor)` order, the
+/// order `TraceSink::events` returns and the exporters write.
 pub fn evaluate(records: &[TraceRecord], config: SloConfig) -> SloReport {
     let mut monitor = SloMonitor::new(config);
     for record in records {

@@ -7,12 +7,11 @@
 
 use cyclosa::deployment::converge_peer_views;
 use cyclosa::node::{attested_channel_pair, CyclosaNode};
-use cyclosa_chaos::deployment::{run_end_to_end_latency_on, EndToEndConfig};
+use cyclosa_chaos::deployment::{run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig};
 use cyclosa_net::sim::Simulation;
 use cyclosa_sgx::attestation::AttestationService;
 use cyclosa_sgx::enclave::CostModel;
 use cyclosa_sgx::measurement::Measurement;
-use cyclosa_telemetry::TraceSink;
 use cyclosa_util::stats::Summary;
 
 fn main() {
@@ -64,8 +63,7 @@ fn main() {
         let latencies = run_end_to_end_latency_on(
             &mut Simulation::new(config.seed),
             &config,
-            None,
-            &TraceSink::disabled(),
+            &ChurnTelemetry::default(),
         );
         let summary = Summary::from_samples(&latencies);
         println!(

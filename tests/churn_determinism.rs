@@ -387,7 +387,7 @@ fn chaos_plan_over_latency_experiment_is_bit_identical() {
         config: &EndToEndConfig,
     ) -> (Vec<f64>, SimulationStats) {
         plan.apply(engine, &TraceSink::disabled());
-        let latencies = run_end_to_end_latency_on(engine, config, None, &TraceSink::disabled());
+        let latencies = run_end_to_end_latency_on(engine, config, &ChurnTelemetry::default());
         (latencies, engine.stats())
     }
     let mut sequential = Simulation::new(config.seed);

@@ -160,7 +160,7 @@ fn end_to_end_latencies_match_the_three_copy_era_digest() {
             .iter()
             .map(|config| {
                 let mut engine = choice.build(config.seed, None);
-                let latencies = run_end_to_end_latency_on(&mut *engine, config, None, &quiet.trace);
+                let latencies = run_end_to_end_latency_on(&mut *engine, config, &quiet);
                 format!("{latencies:?}\n")
             })
             .collect();

@@ -245,7 +245,7 @@ fn sharded_end_to_end_latency_equals_sequential_simulation_output() {
         let quiet = ChurnTelemetry::default();
         let run = |choice: EngineChoice| {
             let mut engine = choice.build(config.seed, None);
-            run_end_to_end_latency_on(&mut *engine, &config, None, &quiet.trace)
+            run_end_to_end_latency_on(&mut *engine, &config, &quiet)
         };
         let sequential = run(EngineChoice::Sequential);
         assert!(!sequential.is_empty(), "case {case} produced no samples");

@@ -11,10 +11,9 @@ use cyclosa::deployment::{
 };
 use cyclosa_baselines::latency::LatencyProfile;
 use cyclosa_bench::scalability::{run_scale_point, scalability_sweep, ScaleConfig};
-use cyclosa_chaos::deployment::{run_end_to_end_latency_on, EndToEndConfig};
+use cyclosa_chaos::deployment::{run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig};
 use cyclosa_net::sim::Simulation;
 use cyclosa_sgx::enclave::CostModel;
-use cyclosa_telemetry::TraceSink;
 use cyclosa_util::rng::Xoshiro256StarStar;
 use cyclosa_util::stats::Summary;
 
@@ -67,8 +66,7 @@ fn cyclosa_latency_is_sub_second_and_an_order_of_magnitude_below_tor() {
     let cyclosa = run_end_to_end_latency_on(
         &mut Simulation::new(config.seed),
         &config,
-        None,
-        &TraceSink::disabled(),
+        &ChurnTelemetry::default(),
     );
     let cyclosa_median = Summary::from_samples(&cyclosa).median;
     assert!(cyclosa_median < 1.5, "median {cyclosa_median}");

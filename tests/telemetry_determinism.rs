@@ -158,7 +158,7 @@ fn traced_deployment_latencies_match_untraced_and_trace_is_stable() {
     };
     let run = |choice: EngineChoice, telemetry: &ChurnTelemetry| {
         let mut engine = choice.build(config.seed, telemetry.metrics.as_ref());
-        run_end_to_end_latency_on(&mut *engine, &config, None, &telemetry.trace)
+        run_end_to_end_latency_on(&mut *engine, &config, telemetry)
     };
     let plain = run(EngineChoice::Sequential, &ChurnTelemetry::default());
 
