@@ -67,7 +67,7 @@ use cyclosa_peer_sampling::{
     EngineGossipConfig, EngineGossipOverlay, MembershipConfig, Overlay, PeerId, SamplingProtocol,
     SwimGossipOverlay, SybilAttackConfig,
 };
-use cyclosa_runtime::metrics::Registry;
+use cyclosa_telemetry::metrics::Registry;
 use cyclosa_telemetry::trace::TraceSink;
 use cyclosa_util::impl_to_json;
 use cyclosa_util::json::ToJson;

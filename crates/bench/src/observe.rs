@@ -11,8 +11,8 @@
 //! snapshot lands as pretty JSON at the `--metrics` path.
 
 use crate::cli::write_file;
-use cyclosa_runtime::metrics::Registry;
 use cyclosa_telemetry::export::{to_chrome_trace, to_jsonl};
+use cyclosa_telemetry::metrics::Registry;
 use cyclosa_telemetry::TraceSink;
 use cyclosa_util::json::ToJson;
 

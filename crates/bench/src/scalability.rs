@@ -11,8 +11,8 @@ use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_runtime::metrics::Registry;
 use cyclosa_runtime::ShardedEngine;
+use cyclosa_telemetry::metrics::Registry;
 use cyclosa_util::impl_to_json;
 use cyclosa_util::rng::{Rng, SplitMix64};
 use std::fmt;

@@ -40,9 +40,9 @@ use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_peer_sampling::MemberState;
-use cyclosa_runtime::metrics::{Counter, Histogram, Registry};
 use cyclosa_runtime::ShardedEngine;
 use cyclosa_sgx::enclave::CostModel;
+use cyclosa_telemetry::metrics::{Counter, Histogram, Registry};
 use cyclosa_telemetry::{TraceEvent, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use std::collections::BTreeMap;

@@ -811,7 +811,7 @@ mod tests {
     use crate::adversary::ByzantinePolicy;
     use crate::deployment::EngineChoice;
     use cyclosa_net::sim::Simulation;
-    use cyclosa_runtime::metrics::Registry;
+    use cyclosa_telemetry::metrics::Registry;
     use cyclosa_telemetry::AttrValue;
     use cyclosa_util::stats::Summary;
 

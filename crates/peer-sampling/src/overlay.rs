@@ -20,7 +20,7 @@
 //! re-join components that have blacklisted every reference to each other.
 //!
 //! The overlay is churn-observable *during* a run, not only at the end:
-//! passing a [`cyclosa_runtime::metrics::Registry`] to
+//! passing a [`cyclosa_telemetry::metrics::Registry`] to
 //! [`EngineGossipOverlay::ring`] threads it through every node, recording
 //! a view-staleness histogram (mean descriptor age per round) and a
 //! dead-reference-fraction histogram as the run unfolds. When
@@ -39,7 +39,7 @@ use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_runtime::metrics::{Counter, Histogram, Registry};
+use cyclosa_telemetry::metrics::{Counter, Histogram, Registry};
 use cyclosa_util::rng::Xoshiro256StarStar;
 use std::sync::{Arc, Mutex};
 

@@ -21,8 +21,8 @@ use cyclosa_peer_sampling::{
     BrahmsConfig, EngineBrahmsOverlay, EngineGossipConfig, EngineGossipOverlay, MembershipConfig,
     OverlayMetrics, PeerId, SwimGossipOverlay, SybilAttackConfig,
 };
-use cyclosa_runtime::metrics::Registry;
 use cyclosa_runtime::ShardedEngine;
+use cyclosa_telemetry::metrics::Registry;
 use cyclosa_telemetry::trace::TraceSink;
 
 fn fnv(digest: &mut u64, value: u64) {

@@ -2,7 +2,7 @@
 //! CYCLOSA reproduction.
 //!
 //! The paper evaluates CYCLOSA with ~100 nodes; the roadmap targets
-//! millions. This crate provides the two pieces that make that jump
+//! millions. This crate provides the engine that makes that jump
 //! possible:
 //!
 //! * [`shard`] — [`shard::ShardedEngine`], a deterministic parallel
@@ -19,13 +19,11 @@
 //!   network partitions) are replicated to every shard and evaluated as
 //!   pure functions of send time — so even a partition boundary that cuts
 //!   across shard boundaries cannot break bit-identity.
-//! * [`metrics`] — counters and latency histograms (each a shared handle
-//!   to one `cyclosa_telemetry::QuantileSketch`), cheap enough to thread
-//!   through relay forwarding and search-engine queries on the hot path.
 //!
 //! [`shard::ShardedEngine::enable_profiling`] registers per-shard
 //! self-profiling instruments (event-class throughput, windows, mailbox
-//! depth, barrier-stall wall time) in a metrics [`Registry`]. The engine
+//! depth, barrier-stall wall time) in a metrics [`Registry`] of
+//! `cyclosa_telemetry::metrics`, re-exported here. The engine
 //! knows nothing of the deterministic trace (`cyclosa-telemetry`):
 //! behaviours emit into a trace sink of their own, and the sink orders
 //! its timeline when it is read.
@@ -38,9 +36,8 @@
 #![warn(missing_docs)]
 
 mod barrier;
-pub mod metrics;
 pub mod shard;
 
 pub use cyclosa_net::engine::Engine;
-pub use metrics::{Counter, Histogram, MetricsSnapshot, Registry};
+pub use cyclosa_telemetry::metrics::Registry;
 pub use shard::{shard_of, EngineConfigError, ShardedEngine};

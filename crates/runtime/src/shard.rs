@@ -125,12 +125,12 @@
 //! ```
 
 use crate::barrier::{spin_budget_for, Broken, CachePadded, WindowBarrier};
-use crate::metrics::{Counter, Histogram, Registry};
 use cyclosa_net::engine::{Engine, ScheduledEvent};
 use cyclosa_net::latency::LatencyModel;
 use cyclosa_net::sim::{Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
+use cyclosa_telemetry::metrics::{Counter, Histogram, Registry};
 use cyclosa_util::rng::{Rng, SplitMix64};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -1022,8 +1022,6 @@ mod tests {
 
     #[test]
     fn profiling_and_tracing_do_not_perturb_execution() {
-        use crate::metrics::Registry;
-
         let mut plain = ShardedEngine::new(42, 4);
         let expected = mesh_trace(&mut plain, 25);
 

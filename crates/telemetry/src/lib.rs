@@ -1,9 +1,9 @@
-//! `cyclosa-telemetry` — the deterministic tracing layer of the CYCLOSA
-//! reproduction.
+//! `cyclosa-telemetry` — the observability layer of the CYCLOSA
+//! reproduction: deterministic tracing and metrics.
 //!
-//! The metrics subsystem (`cyclosa-runtime::metrics`) answers *how much*:
-//! counters and percentile histograms. This crate answers *why* and
-//! *when*: structured [`trace::TraceEvent`]s stamped with simulated time,
+//! [`metrics`] answers *how much*: counters and histograms, each
+//! histogram a shared handle to one [`sketch::QuantileSketch`]. The
+//! trace answers *why* and *when*: structured [`trace::TraceEvent`]s stamped with simulated time,
 //! emitted from node behaviours, the core planning path and the chaos
 //! fault injector, buffered per actor stripe and sorted into one
 //! deterministic timeline when it is read.
@@ -45,6 +45,7 @@
 pub mod analyze;
 pub mod check;
 pub mod export;
+pub mod metrics;
 pub mod sketch;
 pub mod slo;
 pub mod trace;

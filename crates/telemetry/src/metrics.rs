@@ -13,8 +13,8 @@
 //! randomness and never feeds back into scheduling, so instrumented runs
 //! remain bit-identical to uninstrumented ones.
 
+use crate::sketch::QuantileSketch;
 use cyclosa_net::time::SimTime;
-use cyclosa_telemetry::sketch::QuantileSketch;
 use cyclosa_util::json::{Json, ToJson};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,8 +1,8 @@
 //! Deterministic, mergeable log-bucketed quantile sketch.
 //!
 //! The sketch is the one read path of every latency and profiling
-//! distribution: `cyclosa_runtime::metrics::Histogram` is a shared handle
-//! to one. Values are mapped to buckets whose width grows geometrically,
+//! distribution: a [`crate::metrics::Histogram`] is a shared handle to
+//! one. Values are mapped to buckets whose width grows geometrically,
 //! with 32 linear sub-buckets per power of two (the HDR log-linear
 //! layout), bounding the relative quantile error at `1/32 = 3.125%` — the
 //! same guarantee a DDSketch gives with a relative accuracy parameter,

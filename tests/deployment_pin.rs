@@ -17,8 +17,8 @@ use cyclosa_chaos::partition::{run_partition_experiment_on, PartitionConfig};
 use cyclosa_chaos::soak::{run_soak_on, SoakConfig};
 use cyclosa_chaos::ChaosPlan;
 use cyclosa_net::time::SimTime;
-use cyclosa_runtime::metrics::Registry;
 use cyclosa_telemetry::export::to_jsonl;
+use cyclosa_telemetry::metrics::Registry;
 use cyclosa_telemetry::TraceSink;
 
 const PIN_END_TO_END: u64 = 0x98CB_55F6_84E7_36EC;

@@ -23,8 +23,8 @@ use cyclosa_net::latency::LatencyModel;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_runtime::metrics::Registry;
 use cyclosa_runtime::ShardedEngine;
+use cyclosa_telemetry::metrics::Registry;
 use cyclosa_util::rng::{Rng, SplitMix64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

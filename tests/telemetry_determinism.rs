@@ -21,9 +21,9 @@ use cyclosa_chaos::deployment::{
 };
 use cyclosa_chaos::experiment::{run_churn_experiment_on, ChurnConfig, ChurnOutcome};
 use cyclosa_chaos::ChaosPlan;
-use cyclosa_runtime::metrics::Registry;
 use cyclosa_telemetry::check::{validate_chrome_trace, validate_trace_jsonl};
 use cyclosa_telemetry::export::{to_chrome_trace, to_jsonl};
+use cyclosa_telemetry::metrics::Registry;
 use cyclosa_telemetry::{AttrValue, TraceSink};
 
 /// A churn configuration heavy enough to force retries and top-ups.
