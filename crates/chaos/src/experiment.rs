@@ -693,8 +693,9 @@ impl NodeBehavior for ChurnClient {
 ///
 /// Fault annotations, the client's per-query causal events and the
 /// forwarding-path spans flow into `telemetry.trace`, the deployment's
-/// counters and histograms into `telemetry.metrics`. The hooks never perturb the run:
-/// the outcome is bit-identical with the default (disabled) telemetry.
+/// counters and histograms into `telemetry.metrics`. The hooks never
+/// perturb the run: the outcome is bit-identical with the default
+/// (disabled) telemetry.
 pub fn run_churn_experiment_on<E: Engine + ?Sized>(
     engine: &mut E,
     config: &ChurnConfig,

@@ -3,12 +3,12 @@
 //!
 //! [`metrics`] answers *how much*: counters and histograms, each
 //! histogram a shared handle to one [`sketch::QuantileSketch`]. The
-//! trace answers *why* and *when*: structured [`trace::TraceEvent`]s stamped with simulated time,
-//! emitted from node behaviours, the core planning path and the chaos
-//! fault injector, buffered per actor stripe and sorted into one
-//! deterministic timeline when it is read.
+//! trace answers *why* and *when*: structured [`trace::TraceEvent`]s
+//! stamped with simulated time, emitted from node behaviours, the core
+//! planning path and the chaos fault injector, buffered per actor stripe
+//! and sorted into one deterministic timeline when it is read.
 //!
-//! The design contract mirrors the metrics layer's zero-perturbation
+//! The trace's design contract mirrors the metrics' zero-perturbation
 //! rule and sharpens it:
 //!
 //! * **Zero perturbation** — emitting an event never draws randomness and
