@@ -32,7 +32,7 @@ pub struct AccuracyReport {
     /// Number of queries that contributed to the averages (queries with an
     /// empty reference result set are skipped, as in the original
     /// methodology).
-    pub evaluated: usize,
+    pub(crate) evaluated: usize,
 }
 
 /// Computes the result page the user receives for a given delivery mode and

@@ -28,7 +28,7 @@ use cyclosa_workload::generator::{LabeledQuery, UserTrace};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReidentificationReport {
     /// Mechanism name.
-    pub mechanism: String,
+    pub(crate) mechanism: String,
     /// Number of protected (real) test queries.
     pub real_queries: usize,
     /// Total requests that reached the search engine.

@@ -22,9 +22,3 @@
 pub mod accuracy;
 pub mod evaluation;
 pub mod simattack;
-
-pub use accuracy::{evaluate_accuracy, AccuracyReport};
-pub use evaluation::{
-    evaluate_reidentification, evaluate_reidentification_with, ReidentificationReport,
-};
-pub use simattack::SimAttack;

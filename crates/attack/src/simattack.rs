@@ -102,7 +102,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// The confidence threshold used by the paper.
-pub const DEFAULT_THRESHOLD: f64 = 0.5;
+pub(crate) const DEFAULT_THRESHOLD: f64 = 0.5;
 
 /// The SimAttack adversary.
 #[derive(Debug, Default)]
@@ -126,7 +126,7 @@ pub struct SimAttack {
 impl SimAttack {
     /// Creates an adversary with an empty knowledge base and the default
     /// confidence threshold.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_threshold(DEFAULT_THRESHOLD)
     }
 
@@ -184,27 +184,16 @@ impl SimAttack {
         }
     }
 
-    /// Number of user profiles known to the adversary.
-    pub fn known_users(&self) -> usize {
-        self.profiles.len()
-    }
-
     /// The confidence threshold in use.
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// The shared term interner (clone it to build query vectors or other
-    /// structures speaking the same term ids).
-    pub fn interner(&self) -> &TermInterner {
-        &self.interner
     }
 
     /// Tokenizes and vectorizes a query once over the adversary's
     /// vocabulary, interning nothing (see the module documentation); the
     /// result can be passed to [`SimAttack::reidentify_vector`] any number
     /// of times.
-    pub fn prepare(&self, query: &str) -> IdVector {
+    pub(crate) fn prepare(&self, query: &str) -> IdVector {
         IdVector::binary_from_known_terms(&self.interner, query)
     }
 
@@ -341,7 +330,7 @@ impl SimAttack {
     }
 
     /// [`SimAttack::reidentify`] for an already-prepared query vector.
-    pub fn reidentify_vector(&self, vector: &IdVector) -> Option<UserId> {
+    pub(crate) fn reidentify_vector(&self, vector: &IdVector) -> Option<UserId> {
         let (user, _) = self.decide(std::slice::from_ref(vector))?;
         Some(self.profiles[user as usize].0)
     }
@@ -381,7 +370,7 @@ impl SimAttack {
     /// query: the one most similar to the user's profile. Returns `None`
     /// when the user is unknown, the candidate list is empty, or no
     /// candidate shows any similarity to the profile.
-    pub fn pick_real_query(&self, user: UserId, candidates: &[&str]) -> Option<usize> {
+    pub(crate) fn pick_real_query(&self, user: UserId, candidates: &[&str]) -> Option<usize> {
         let profile = self.profile_of(user)?;
         let mut best: Option<(usize, f64)> = None;
         for (i, candidate) in candidates.iter().enumerate() {
@@ -517,7 +506,7 @@ mod tests {
     #[test]
     fn repeated_query_is_reidentified() {
         let attack = adversary();
-        assert_eq!(attack.known_users(), 3);
+        assert_eq!(attack.profiles.len(), 3);
         assert_eq!(
             attack.reidentify("diabetes insulin dosage"),
             Some(UserId(0))
@@ -626,7 +615,7 @@ mod tests {
             0,
             &["insulin pump battery", "the of and", "hotel spa"],
         ));
-        assert_eq!(attack.known_users(), 2);
+        assert_eq!(attack.profiles.len(), 2);
         assert_eq!(attack.owner, [0, 0, 1, 1, 0, 0]);
         for query in [
             "insulin",
@@ -679,7 +668,7 @@ mod tests {
     #[test]
     fn attacking_never_grows_the_vocabulary() {
         let attack = adversary();
-        let learned = attack.interner().len();
+        let learned = attack.interner.len();
         let unseen = "zyxwv quantum entanglement zyxwv";
         assert_eq!(attack.reidentify(unseen), None);
         assert_eq!(attack.reidentify_scan(unseen), None);
@@ -710,7 +699,7 @@ mod tests {
             assert_index_matches_scan(&attack, query);
             assert_eq!(attack.pick_real_query(UserId(0), &["muon", query]), Some(1));
         }
-        assert_eq!(attack.interner().len(), learned);
+        assert_eq!(attack.interner.len(), learned);
     }
 
     #[test]
@@ -797,7 +786,7 @@ mod tests {
         assert_eq!(attack.reidentify("glucose monitor reviews"), None);
         // Learning more queries for the same user extends the same profile.
         attack.learn_user(&trace(0, &["glucose monitor reviews"]));
-        assert_eq!(attack.known_users(), 1);
+        assert_eq!(attack.profiles.len(), 1);
         assert_eq!(
             attack.reidentify("glucose monitor reviews"),
             Some(UserId(0))

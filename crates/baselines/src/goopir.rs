@@ -31,11 +31,6 @@ impl GooPir {
         Self { k, dictionary }
     }
 
-    /// The configured number of fake queries.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Builds one fake query with roughly the same number of terms as the
     /// real one, drawn uniformly from the dictionary (this is what makes
     /// GooPIR's fakes linguistically implausible and easy to dismiss).
@@ -151,7 +146,7 @@ mod tests {
         let q = Query::new(QueryId(1), UserId(2), "plain query");
         let outcome = goopir.protect(&q, &mut rng);
         assert_eq!(outcome.observed[0].text, "plain query");
-        assert_eq!(goopir.k(), 0);
+        assert_eq!(goopir.k, 0);
     }
 
     #[test]

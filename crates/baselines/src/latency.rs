@@ -14,16 +14,16 @@ use cyclosa_util::rng::Rng;
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyProfile {
     /// Client ↔ relay and relay ↔ engine links (residential peers).
-    pub wan: LatencyModel,
+    pub(crate) wan: LatencyModel,
     /// Client ↔ proxy and proxy ↔ engine links for the centralized
     /// X-SEARCH proxy, which runs in a well-connected data centre and is
     /// therefore a bit faster per hop than a residential CYCLOSA relay
     /// (the paper measures 0.577 s vs 0.876 s medians).
-    pub proxy_wan: LatencyModel,
+    pub(crate) proxy_wan: LatencyModel,
     /// One TOR overlay hop.
-    pub tor_hop: LatencyModel,
+    pub(crate) tor_hop: LatencyModel,
     /// Engine processing time per request.
-    pub engine: LatencyModel,
+    pub(crate) engine: LatencyModel,
 }
 
 impl Default for LatencyProfile {

@@ -5,7 +5,6 @@
 //! Fig. 5 (re-identification), Fig. 6 (accuracy) and Fig. 8 (system)
 //! experiments can drive them interchangeably with CYCLOSA itself:
 //!
-//! * [`direct`] — unprotected search (the "Direct" curve of Fig. 8a).
 //! * [`tor`] — onion routing through three relays: unlinkability without
 //!   indistinguishability, with the full layered-encryption circuit
 //!   implemented over `cyclosa-crypto`.
@@ -25,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod direct;
 pub mod goopir;
 pub mod latency;
 pub mod peas;
@@ -33,7 +31,6 @@ pub mod tor;
 pub mod trackmenot;
 pub mod xsearch;
 
-pub use direct::DirectSearch;
 pub use goopir::GooPir;
 pub use peas::Peas;
 pub use tor::Tor;

@@ -23,24 +23,19 @@ use std::collections::BTreeMap;
 /// A co-occurrence matrix over query terms, built incrementally from the
 /// queries the issuer has seen.
 #[derive(Debug, Clone, Default)]
-pub struct CooccurrenceMatrix {
+pub(crate) struct CooccurrenceMatrix {
     /// term → (co-occurring term → count).
     counts: BTreeMap<String, BTreeMap<String, u32>>,
 }
 
 impl CooccurrenceMatrix {
     /// Creates an empty matrix.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Number of distinct terms seen so far.
-    pub fn term_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Records the co-occurrences of one query's terms.
-    pub fn observe(&mut self, query: &str) {
+    pub(crate) fn observe(&mut self, query: &str) {
         let terms = tokenize(query);
         for a in &terms {
             let entry = self.counts.entry(a.clone()).or_default();
@@ -56,7 +51,7 @@ impl CooccurrenceMatrix {
 
     /// Generates a fake query of `length` terms by a weighted walk over the
     /// co-occurrence graph. Returns `None` when the matrix is empty.
-    pub fn generate<R: Rng + ?Sized>(&self, length: usize, rng: &mut R) -> Option<String> {
+    pub(crate) fn generate<R: Rng + ?Sized>(&self, length: usize, rng: &mut R) -> Option<String> {
         if self.counts.is_empty() || length == 0 {
             return None;
         }
@@ -107,16 +102,6 @@ impl Peas {
         for q in queries {
             self.matrix.observe(q);
         }
-    }
-
-    /// The configured number of fake queries.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Read access to the issuer's matrix (for tests and diagnostics).
-    pub fn matrix(&self) -> &CooccurrenceMatrix {
-        &self.matrix
     }
 }
 
@@ -185,7 +170,7 @@ mod tests {
         let mut matrix = CooccurrenceMatrix::new();
         matrix.observe("cheap flights geneva");
         matrix.observe("cheap flights paris");
-        assert!(matrix.term_count() >= 4);
+        assert!(matrix.counts.len() >= 4);
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let fake = matrix.generate(2, &mut rng).unwrap();
         assert!(!fake.is_empty());
@@ -218,11 +203,11 @@ mod tests {
     #[test]
     fn issuer_learns_processed_queries() {
         let mut peas = seeded_peas(1);
-        let before = peas.matrix().term_count();
+        let before = peas.matrix.counts.len();
         let mut rng = Xoshiro256StarStar::seed_from_u64(4);
         let q = Query::new(QueryId(1), UserId(7), "quantum computing basics");
         peas.protect(&q, &mut rng);
-        assert!(peas.matrix().term_count() > before);
+        assert!(peas.matrix.counts.len() > before);
     }
 
     #[test]
@@ -233,7 +218,7 @@ mod tests {
         let outcome = peas.protect(&q, &mut rng);
         // No fakes can be generated yet, but the real query still goes out.
         assert_eq!(outcome.observed[0].text, "first ever query");
-        assert_eq!(peas.k(), 3);
+        assert_eq!(peas.k, 3);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use cyclosa_mechanism::{
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 
 /// Number of relays in a standard circuit.
-pub const CIRCUIT_LENGTH: usize = 3;
+pub(crate) const CIRCUIT_LENGTH: usize = 3;
 
 /// A TOR-like circuit: an ordered list of per-hop symmetric keys
 /// (established in the real protocol through telescoping Diffie–Hellman;
@@ -23,14 +23,14 @@ pub const CIRCUIT_LENGTH: usize = 3;
 /// the CYCLOSA core crate, so the circuit model here focuses on the onion
 /// layering itself).
 #[derive(Debug, Clone)]
-pub struct OnionCircuit {
+pub(crate) struct OnionCircuit {
     hop_keys: Vec<[u8; 32]>,
 }
 
 impl OnionCircuit {
     /// Builds a circuit of `hops` relays with keys derived from fresh
     /// randomness.
-    pub fn build<R: Rng + ?Sized>(hops: usize, rng: &mut R) -> Self {
+    pub(crate) fn build<R: Rng + ?Sized>(hops: usize, rng: &mut R) -> Self {
         assert!(hops >= 1, "a circuit needs at least one hop");
         let hop_keys = (0..hops)
             .map(|i| {
@@ -41,19 +41,9 @@ impl OnionCircuit {
         Self { hop_keys }
     }
 
-    /// Number of hops.
-    pub fn len(&self) -> usize {
-        self.hop_keys.len()
-    }
-
-    /// Returns `true` for an empty circuit (never constructed by `build`).
-    pub fn is_empty(&self) -> bool {
-        self.hop_keys.is_empty()
-    }
-
     /// Wraps a payload in one encryption layer per hop (innermost layer is
     /// the exit node's).
-    pub fn wrap(&self, payload: &[u8]) -> Vec<u8> {
+    pub(crate) fn wrap(&self, payload: &[u8]) -> Vec<u8> {
         let mut onion = payload.to_vec();
         for (i, key) in self.hop_keys.iter().enumerate().rev() {
             let aead = ChaCha20Poly1305::new(key);
@@ -69,13 +59,13 @@ impl OnionCircuit {
     ///
     /// Returns an error if the layer does not authenticate (tampering or
     /// wrong relay).
-    pub fn peel(&self, hop: usize, onion: &[u8]) -> Result<Vec<u8>, AeadError> {
+    pub(crate) fn peel(&self, hop: usize, onion: &[u8]) -> Result<Vec<u8>, AeadError> {
         let aead = ChaCha20Poly1305::new(&self.hop_keys[hop]);
         aead.open(&hop_nonce(hop), onion, b"onion-layer")
     }
 
     /// Convenience: peels all layers in order, as the relays would.
-    pub fn peel_all(&self, onion: &[u8]) -> Result<Vec<u8>, AeadError> {
+    pub(crate) fn peel_all(&self, onion: &[u8]) -> Result<Vec<u8>, AeadError> {
         let mut current = onion.to_vec();
         for hop in 0..self.hop_keys.len() {
             current = self.peel(hop, &current)?;
@@ -146,7 +136,7 @@ mod tests {
     fn onion_wrap_and_peel_roundtrip() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let circuit = OnionCircuit::build(3, &mut rng);
-        assert_eq!(circuit.len(), 3);
+        assert_eq!(circuit.hop_keys.len(), 3);
         let onion = circuit.wrap(b"what is the tallest mountain in switzerland");
         // Each layer strictly shrinks towards the payload.
         let after_entry = circuit.peel(0, &onion).unwrap();

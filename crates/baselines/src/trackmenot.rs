@@ -36,16 +36,6 @@ impl TrackMeNot {
             feed,
         }
     }
-
-    /// Creates the baseline with the default rate of 3 fakes per query.
-    pub fn with_feed(feed: Vec<String>) -> Self {
-        Self::new(3, feed)
-    }
-
-    /// The fake-query pool.
-    pub fn feed(&self) -> &[String] {
-        &self.feed
-    }
 }
 
 impl Mechanism for TrackMeNot {
@@ -102,7 +92,7 @@ mod tests {
 
     #[test]
     fn sends_real_query_plus_fakes_under_own_identity() {
-        let mut tmn = TrackMeNot::with_feed(feed());
+        let mut tmn = TrackMeNot::new(3, feed());
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let q = Query::new(QueryId(1), UserId(4), "bankruptcy filing procedure");
         let outcome = tmn.protect(&q, &mut rng);
@@ -119,7 +109,7 @@ mod tests {
         assert_eq!(outcome.delivery, ResultsDelivery::ExactQuery);
         // Fakes come from the feed.
         for fake in outcome.observed.iter().filter(|r| !r.carries_real_query) {
-            assert!(tmn.feed().contains(&fake.text));
+            assert!(tmn.feed.contains(&fake.text));
         }
     }
 
@@ -133,7 +123,7 @@ mod tests {
 
     #[test]
     fn properties_match_table_one() {
-        let tmn = TrackMeNot::with_feed(feed());
+        let tmn = TrackMeNot::new(3, feed());
         let p = tmn.properties();
         assert!(!p.unlinkability);
         assert!(p.indistinguishability);
@@ -144,6 +134,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_feed_rejected() {
-        let _ = TrackMeNot::with_feed(vec![]);
+        let _ = TrackMeNot::new(3, vec![]);
     }
 }

@@ -35,7 +35,7 @@ pub struct XSearch {
 impl XSearch {
     /// Creates the proxy with `k` fake queries per request, hosted on a
     /// simulated SGX platform.
-    pub fn new(k: usize, platform: &Platform) -> Self {
+    pub(crate) fn new(k: usize, platform: &Platform) -> Self {
         let mut enclave = platform.create_enclave(b"xsearch-proxy/1.0", ProxyState::default());
         enclave.initialize().expect("fresh enclave initializes");
         Self {
@@ -66,24 +66,6 @@ impl XSearch {
             })
             .expect("enclave is initialized");
         self.refresh_epc_accounting();
-    }
-
-    /// The configured number of fake queries.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of past queries currently stored in the enclave.
-    pub fn table_len(&mut self) -> usize {
-        self.enclave
-            .ecall(0, |state| state.past_queries.len())
-            .expect("enclave is initialized")
-            .0
-    }
-
-    /// Simulated nanoseconds spent inside the enclave so far.
-    pub fn enclave_time_ns(&self) -> u64 {
-        self.enclave.stats().simulated_ns
     }
 
     fn refresh_epc_accounting(&mut self) {
@@ -200,13 +182,19 @@ mod tests {
 
     #[test]
     fn processed_queries_enter_the_table() {
+        let table_len = |xs: &mut XSearch| {
+            xs.enclave
+                .ecall(0, |state| state.past_queries.len())
+                .expect("enclave is initialized")
+                .0
+        };
         let mut xs = seeded_xsearch(2);
-        let before = xs.table_len();
+        let before = table_len(&mut xs);
         let mut rng = Xoshiro256StarStar::seed_from_u64(2);
         let q = Query::new(QueryId(1), UserId(5), "new unique query");
         xs.protect(&q, &mut rng);
-        assert_eq!(xs.table_len(), before + 1);
-        assert!(xs.enclave_time_ns() > 0);
+        assert_eq!(table_len(&mut xs), before + 1);
+        assert!(xs.enclave.stats().simulated_ns > 0);
     }
 
     #[test]
@@ -216,7 +204,7 @@ mod tests {
         let q = Query::new(QueryId(1), UserId(5), "first query ever");
         let outcome = xs.protect(&q, &mut rng);
         assert_eq!(outcome.observed[0].text, "first query ever");
-        assert_eq!(xs.k(), 3);
+        assert_eq!(xs.k, 3);
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub struct Table2Report {
     /// Rows for the three detector variants.
     pub rows: Vec<Table2Row>,
     /// Number of evaluated queries.
-    pub evaluated_queries: usize,
+    pub(crate) evaluated_queries: usize,
 }
 
 /// Regenerates Table II: precision/recall of the semantic categorizer for
@@ -196,11 +196,11 @@ impl fmt::Display for Table2Report {
 #[derive(Debug, Clone)]
 pub struct AnnotationReport {
     /// Number of annotated queries.
-    pub annotated_queries: usize,
+    pub(crate) annotated_queries: usize,
     /// Fraction labelled sensitive (paper: 15.74 %).
-    pub sensitive_fraction: f64,
+    pub(crate) sensitive_fraction: f64,
     /// Agreement between campaign labels and generator ground truth.
-    pub agreement_with_ground_truth: f64,
+    pub(crate) agreement_with_ground_truth: f64,
 }
 
 /// Reproduces the crowd-sourcing campaign statistic.
@@ -247,10 +247,10 @@ pub struct Fig5Row {
     /// Re-identification rate in percent.
     pub rate_percent: f64,
     /// Correctly re-identified real queries.
-    pub successful: usize,
+    pub(crate) successful: usize,
     /// Denominator used for the rate (real queries or engine requests,
     /// depending on the mechanism class).
-    pub denominator: usize,
+    pub(crate) denominator: usize,
 }
 
 /// Fig. 5: robustness against the SimAttack re-identification attack.
@@ -259,7 +259,7 @@ pub struct Fig5Report {
     /// One row per mechanism.
     pub rows: Vec<Fig5Row>,
     /// The `k` used by the obfuscating mechanisms.
-    pub k: usize,
+    pub(crate) k: usize,
 }
 
 /// Regenerates Fig. 5 (re-identification rate per mechanism, k = 7).
@@ -342,7 +342,7 @@ pub struct Fig6Report {
     /// One row per mechanism.
     pub rows: Vec<Fig6Row>,
     /// The `k` used by the obfuscating mechanisms.
-    pub k: usize,
+    pub(crate) k: usize,
 }
 
 /// Regenerates Fig. 6 (correctness and completeness, k = 3).
@@ -399,13 +399,13 @@ pub struct Fig7Report {
     /// `(k, cumulative percent of queries with <= k fakes)` pairs.
     pub cdf: Vec<(usize, f64)>,
     /// Fraction of queries that needed no fake query at all.
-    pub fraction_zero: f64,
+    pub(crate) fraction_zero: f64,
     /// Fraction of queries that required the maximum protection.
     pub fraction_k_max: f64,
     /// Mean number of fake queries.
     pub mean_k: f64,
     /// The configured maximum.
-    pub k_max: usize,
+    pub(crate) k_max: usize,
 }
 
 /// Regenerates Fig. 7 (kmax = 7).
@@ -466,26 +466,26 @@ impl fmt::Display for Fig7Report {
 /// One latency distribution of Fig. 8a, summarized through the
 /// log-linear `QuantileSketch` of `cyclosa_telemetry`.
 #[derive(Debug, Clone)]
-pub struct LatencyRow {
+pub(crate) struct LatencyRow {
     /// System name (Direct, X-Search, CYCLOSA, TOR) or `k=<n>` for Fig. 8b.
-    pub label: String,
+    pub(crate) label: String,
     /// Median latency in seconds.
-    pub p50_s: f64,
+    pub(crate) p50_s: f64,
     /// 95th percentile latency in seconds.
-    pub p95_s: f64,
+    pub(crate) p95_s: f64,
     /// 99th percentile latency in seconds.
-    pub p99_s: f64,
+    pub(crate) p99_s: f64,
     /// Number of samples.
-    pub samples: usize,
+    pub(crate) samples: usize,
 }
 
 /// Fig. 8a / Fig. 8b report.
 #[derive(Debug, Clone)]
 pub struct LatencyReport {
     /// The figure this report reproduces ("8a" or "8b").
-    pub figure: String,
+    pub(crate) figure: String,
     /// One row per system / per k.
-    pub rows: Vec<LatencyRow>,
+    pub(crate) rows: Vec<LatencyRow>,
 }
 
 fn latency_row(label: &str, samples: &[f64]) -> LatencyRow {
@@ -593,22 +593,22 @@ impl fmt::Display for LatencyReport {
 
 /// One offered-load point of Fig. 8c.
 #[derive(Debug, Clone)]
-pub struct Fig8cRow {
+pub(crate) struct Fig8cRow {
     /// Offered load in requests per second.
-    pub offered_rps: f64,
+    pub(crate) offered_rps: f64,
     /// CYCLOSA relay response latency in seconds.
-    pub cyclosa_latency_s: f64,
+    pub(crate) cyclosa_latency_s: f64,
     /// X-SEARCH proxy response latency in seconds.
-    pub xsearch_latency_s: f64,
+    pub(crate) xsearch_latency_s: f64,
     /// Whether the X-SEARCH proxy is saturated at this load.
-    pub xsearch_saturated: bool,
+    pub(crate) xsearch_saturated: bool,
 }
 
 /// Fig. 8c report.
 #[derive(Debug, Clone)]
 pub struct Fig8cReport {
     /// One row per offered load.
-    pub rows: Vec<Fig8cRow>,
+    pub(crate) rows: Vec<Fig8cRow>,
 }
 
 /// Regenerates Fig. 8c (throughput vs latency of a CYCLOSA relay and the
@@ -672,21 +672,21 @@ impl fmt::Display for Fig8cReport {
 #[derive(Debug, Clone)]
 pub struct Fig8dReport {
     /// Bucket end times in minutes.
-    pub minutes: Vec<u64>,
+    pub(crate) minutes: Vec<u64>,
     /// CYCLOSA mean requests per node per bucket.
-    pub cyclosa_mean_per_node: Vec<f64>,
+    pub(crate) cyclosa_mean_per_node: Vec<f64>,
     /// CYCLOSA maximum requests on any node per bucket.
-    pub cyclosa_max_per_node: Vec<f64>,
+    pub(crate) cyclosa_max_per_node: Vec<f64>,
     /// X-SEARCH requests admitted per bucket.
-    pub xsearch_admitted: Vec<u64>,
+    pub(crate) xsearch_admitted: Vec<u64>,
     /// X-SEARCH requests rejected per bucket.
-    pub xsearch_rejected: Vec<u64>,
+    pub(crate) xsearch_rejected: Vec<u64>,
     /// The per-identity hourly budget of the engine.
-    pub engine_hourly_limit: u32,
+    pub(crate) engine_hourly_limit: u32,
     /// Jain fairness of the CYCLOSA per-node load.
-    pub cyclosa_fairness: f64,
+    pub(crate) cyclosa_fairness: f64,
     /// Total CYCLOSA requests rejected (expected 0).
-    pub cyclosa_rejected: u64,
+    pub(crate) cyclosa_rejected: u64,
 }
 
 /// Regenerates Fig. 8d (100 most-active users, 90 minutes, k = 3).
@@ -745,24 +745,24 @@ impl fmt::Display for Fig8dReport {
 
 /// One arm of an ablation experiment.
 #[derive(Debug, Clone)]
-pub struct AblationRow {
+pub(crate) struct AblationRow {
     /// Variant name.
-    pub variant: String,
+    pub(crate) variant: String,
     /// Re-identification rate in percent.
-    pub reidentification_percent: f64,
+    pub(crate) reidentification_percent: f64,
     /// Mean requests reaching the engine per user query (traffic cost).
-    pub engine_requests_per_query: f64,
+    pub(crate) engine_requests_per_query: f64,
     /// Completeness of the returned results in percent.
-    pub completeness_percent: f64,
+    pub(crate) completeness_percent: f64,
 }
 
 /// An ablation report (adaptive-k, fake source, or path separation).
 #[derive(Debug, Clone)]
 pub struct AblationReport {
     /// The ablation name.
-    pub name: String,
+    pub(crate) name: String,
     /// One row per variant.
-    pub rows: Vec<AblationRow>,
+    pub(crate) rows: Vec<AblationRow>,
 }
 
 fn ablation_row(

@@ -16,9 +16,3 @@ pub mod observe;
 pub mod report;
 pub mod scalability;
 pub mod setup;
-
-pub use experiments::*;
-pub use observe::ObserveFlags;
-pub use report::{build_report, ReportOptions};
-pub use scalability::{scalability_sweep, ScaleConfig, ScalePoint, ScaleReport};
-pub use setup::{ExperimentScale, ExperimentSetup};

@@ -20,7 +20,7 @@ use cyclosa_util::json::ToJson;
 #[derive(Debug, Clone, Default)]
 pub struct ObserveFlags {
     /// `--trace PATH`: write the merged timeline as JSONL to `PATH` and
-    /// as a Chrome trace to [`chrome_trace_path`]`(PATH)`.
+    /// as a Chrome trace to `chrome_trace_path(PATH)`.
     pub trace: Option<String>,
     /// `--metrics PATH`: write the metrics-registry snapshot as JSON.
     pub metrics: Option<String>,
@@ -29,7 +29,7 @@ pub struct ObserveFlags {
 /// Where the Chrome-format twin of a JSONL trace at `path` goes: the
 /// `.jsonl` extension is swapped for `.chrome.json`; any other name gets
 /// `.chrome.json` appended.
-pub fn chrome_trace_path(path: &str) -> String {
+pub(crate) fn chrome_trace_path(path: &str) -> String {
     match path.strip_suffix(".jsonl") {
         Some(stem) => format!("{stem}.chrome.json"),
         None => format!("{path}.chrome.json"),

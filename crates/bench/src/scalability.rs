@@ -106,7 +106,7 @@ pub struct ScalePoint {
     /// Simulated time covered, in seconds.
     pub sim_seconds: f64,
     /// Wall-clock run time, in milliseconds.
-    pub wall_ms: f64,
+    pub(crate) wall_ms: f64,
     /// Events processed per wall-clock second.
     pub events_per_second: f64,
 }

@@ -3,7 +3,7 @@
 use cyclosa::config::ProtectionConfig;
 use cyclosa::mechanism::Cyclosa;
 use cyclosa::sensitivity::build_categorizer;
-use cyclosa_baselines::{DirectSearch, GooPir, Peas, Tor, TrackMeNot, XSearch};
+use cyclosa_baselines::{GooPir, Peas, Tor, TrackMeNot, XSearch};
 use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
 use cyclosa_nlp::lexicon::Lexicon;
 use cyclosa_search_engine::corpus::CorpusGenerator;
@@ -27,7 +27,7 @@ pub enum ExperimentScale {
 
 impl ExperimentScale {
     /// The workload configuration for this scale.
-    pub fn workload_config(self) -> WorkloadConfig {
+    pub(crate) fn workload_config(self) -> WorkloadConfig {
         match self {
             ExperimentScale::Small => WorkloadConfig {
                 users: 24,
@@ -44,7 +44,7 @@ impl ExperimentScale {
     }
 
     /// Documents per topic in the search-engine corpus.
-    pub fn documents_per_topic(self) -> usize {
+    pub(crate) fn documents_per_topic(self) -> usize {
         match self {
             ExperimentScale::Small => 40,
             ExperimentScale::Default => 120,
@@ -53,7 +53,7 @@ impl ExperimentScale {
     }
 
     /// Size of the sensitive-subject LDA training corpus.
-    pub fn sensitive_corpus_size(self) -> usize {
+    pub(crate) fn sensitive_corpus_size(self) -> usize {
         match self {
             ExperimentScale::Small => 80,
             ExperimentScale::Default => 300,
@@ -79,27 +79,23 @@ impl std::str::FromStr for ExperimentScale {
 /// Everything the experiments need, built once from a seed.
 pub struct ExperimentSetup {
     /// The topic catalogue.
-    pub catalog: TopicCatalog,
+    pub(crate) catalog: TopicCatalog,
     /// The synthetic WordNet-like lexicon.
-    pub lexicon: Lexicon,
+    pub(crate) lexicon: Lexicon,
     /// The sensitive-subject LDA training corpus.
-    pub sensitive_corpus: Vec<String>,
+    pub(crate) sensitive_corpus: Vec<String>,
     /// Trend-style seed queries for bootstrap / TrackMeNot feeds.
     pub seed_queries: Vec<String>,
     /// The full query log.
     pub log: QueryLog,
     /// Training traces (adversary knowledge / user histories).
     pub train: Vec<UserTrace>,
-    /// Testing traces (queries to protect).
-    pub test: Vec<UserTrace>,
     /// Testing queries flattened in arrival order.
     pub test_queries: Vec<LabeledQuery>,
     /// The simulated search engine.
     pub engine: SearchEngine,
-    /// The scale the setup was built at.
-    pub scale: ExperimentScale,
     /// The base seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl ExperimentSetup {
@@ -127,10 +123,8 @@ impl ExperimentSetup {
             seed_queries: seeds,
             log,
             train,
-            test,
             test_queries,
             engine,
-            scale,
             seed,
         }
     }
@@ -174,12 +168,12 @@ impl ExperimentSetup {
     }
 
     /// Builds the TrackMeNot baseline (RSS feed = trending seed queries).
-    pub fn trackmenot(&self, fakes_per_query: usize) -> TrackMeNot {
+    pub(crate) fn trackmenot(&self, fakes_per_query: usize) -> TrackMeNot {
         TrackMeNot::new(fakes_per_query, self.seed_queries.clone())
     }
 
     /// Builds the GooPIR baseline (dictionary = the whole topic vocabulary).
-    pub fn goopir(&self, k: usize) -> GooPir {
+    pub(crate) fn goopir(&self, k: usize) -> GooPir {
         let dictionary: Vec<String> = self
             .catalog
             .topics()
@@ -191,7 +185,7 @@ impl ExperimentSetup {
 
     /// Builds the PEAS baseline, seeding its issuer with the training
     /// queries of all users (its co-occurrence knowledge).
-    pub fn peas(&self, k: usize) -> Peas {
+    pub(crate) fn peas(&self, k: usize) -> Peas {
         let mut peas = Peas::new(k);
         for trace in &self.train {
             peas.seed_with_queries(trace.queries.iter().map(|q| q.query.text.as_str()));
@@ -201,7 +195,7 @@ impl ExperimentSetup {
 
     /// Builds the X-SEARCH baseline, seeding its proxy with the training
     /// queries of all users.
-    pub fn xsearch(&self, k: usize) -> XSearch {
+    pub(crate) fn xsearch(&self, k: usize) -> XSearch {
         let mut xsearch = XSearch::with_default_platform(k);
         for trace in &self.train {
             xsearch.seed_with_queries(trace.queries.iter().map(|q| q.query.text.as_str()));
@@ -210,12 +204,7 @@ impl ExperimentSetup {
     }
 
     /// The TOR baseline.
-    pub fn tor(&self) -> Tor {
+    pub(crate) fn tor(&self) -> Tor {
         Tor::new()
-    }
-
-    /// The unprotected baseline.
-    pub fn direct(&self) -> DirectSearch {
-        DirectSearch::new()
     }
 }

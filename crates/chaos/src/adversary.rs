@@ -9,7 +9,7 @@
 //!   delay real-looking queries (a blackhole that keeps answering liveness
 //!   probes, so only the retry path catches it), forge SWIM incarnations
 //!   in its probe acks (gossip lying), or pool every real query it carries
-//!   into the coalition's [`CollusionLedger`] to boost SimAttack
+//!   into the coalition's `CollusionLedger` to boost SimAttack
 //!   re-identification.
 //! * [`AdversaryConfig`] — mints the malicious subset (`fraction` of the
 //!   relay population, drawn from a dedicated churn stream so the pick
@@ -18,7 +18,7 @@
 //!   activation times exactly like crash/leave faults.
 //!
 //! Policies are **data**, not code injection: the experiment harness hands
-//! every relay its [`PolicySchedule`] (a piecewise-constant function of
+//! every relay its `PolicySchedule` (a piecewise-constant function of
 //! simulated time) at build time, and the relay consults it at message
 //! receipt. Same plan, same seed ⇒ same byzantine behaviour, bit for bit,
 //! on every engine and shard count.
@@ -40,13 +40,13 @@ const TAG_ADVERSARY: u64 = 0xBAD0;
 /// The dedicated behaviour stream of one byzantine relay: drop/delay
 /// draws come from here, never from the engine's link streams, so an
 /// adversarial run perturbs nothing else and an honest run draws nothing.
-pub fn adversary_stream(seed: u64, relay: NodeId) -> Xoshiro256StarStar {
+pub(crate) fn adversary_stream(seed: u64, relay: NodeId) -> Xoshiro256StarStar {
     churn_stream(seed, TAG_ADVERSARY, relay.0)
 }
 
 /// What a byzantine relay does with the traffic it carries. `Honest` is
 /// the explicit deactivation policy (a compromised relay can be cleaned),
-/// so a [`PolicySchedule`] can step a relay hostile and back.
+/// so a `PolicySchedule` can step a relay hostile and back.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ByzantinePolicy {
     /// Protocol-conformant behaviour (the default before any policy event
@@ -74,7 +74,7 @@ pub enum ByzantinePolicy {
         bump: u64,
     },
     /// Pool every real query this relay carries into the coalition's
-    /// [`CollusionLedger`] — the observation side of the Sybil attack:
+    /// `CollusionLedger` — the observation side of the Sybil attack:
     /// the relay knows the sender's network identity, so pooled queries
     /// reach SimAttack with their source exposed.
     Collude,
@@ -82,7 +82,7 @@ pub enum ByzantinePolicy {
 
 impl ByzantinePolicy {
     /// Whether the policy misbehaves at all.
-    pub fn is_hostile(&self) -> bool {
+    pub(crate) fn is_hostile(&self) -> bool {
         !matches!(self, ByzantinePolicy::Honest)
     }
 
@@ -108,7 +108,7 @@ impl ByzantinePolicy {
     /// the relay keeps looking alive and diluted). Drop draws come from
     /// `rng`, the relay's dedicated behaviour stream, so an honest run
     /// never draws from it.
-    pub fn apply_to_forward(
+    pub(crate) fn apply_to_forward(
         self,
         now: SimTime,
         actor: u64,
@@ -156,38 +156,33 @@ impl ByzantinePolicy {
 /// The piecewise-constant policy timeline of one relay: [`ByzantinePolicy::Honest`]
 /// before the first step, then the most recent step at or before `now`.
 /// Same-instant steps apply in insertion order (last write wins), the
-/// same pin as [`cyclosa_net::engine::LossSchedule`].
+/// same pin as `cyclosa_net::engine::LossSchedule`.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct PolicySchedule {
+pub(crate) struct PolicySchedule {
     steps: Vec<(SimTime, ByzantinePolicy)>,
 }
 
 impl PolicySchedule {
     /// An empty schedule: the relay is honest forever.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds one policy step, keeping the timeline sorted (stable at equal
     /// times, so a same-instant re-step wins).
-    pub fn push(&mut self, at: SimTime, policy: ByzantinePolicy) {
+    pub(crate) fn push(&mut self, at: SimTime, policy: ByzantinePolicy) {
         let index = self.steps.partition_point(|(t, _)| *t <= at);
         self.steps.insert(index, (at, policy));
     }
 
-    /// Whether the schedule contains no steps at all.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// Whether any step of the schedule is hostile.
-    pub fn is_hostile(&self) -> bool {
+    pub(crate) fn is_hostile(&self) -> bool {
         self.steps.iter().any(|(_, p)| p.is_hostile())
     }
 
     /// Merges another schedule's steps into this one; the other's steps
     /// win at equal instants, consistent with `push`'s last-write-wins.
-    pub fn merge(&mut self, other: &PolicySchedule) {
+    pub(crate) fn merge(&mut self, other: &PolicySchedule) {
         for &(at, policy) in &other.steps {
             self.push(at, policy);
         }
@@ -195,7 +190,7 @@ impl PolicySchedule {
 
     /// The policy in force at `now` (steps are inclusive at their instant,
     /// like every loss schedule).
-    pub fn at(&self, now: SimTime) -> ByzantinePolicy {
+    pub(crate) fn at(&self, now: SimTime) -> ByzantinePolicy {
         match self.steps.partition_point(|(t, _)| *t <= now) {
             0 => ByzantinePolicy::Honest,
             n => self.steps[n - 1].1,
@@ -208,7 +203,7 @@ impl PolicySchedule {
 /// other hostile policies, so one shared ledger summarises the whole
 /// adversary's footprint for the outcome report.
 #[derive(Debug, Default)]
-pub struct CollusionLedger {
+pub(crate) struct CollusionLedger {
     /// Distinct real queries (`(client, seq)`) observed by colluders.
     observed_real: BTreeSet<(u64, u64)>,
     /// Every request (real or fake) carried by a colluding relay.
@@ -224,7 +219,7 @@ pub struct CollusionLedger {
 impl CollusionLedger {
     /// Records one request carried by a colluding relay; real requests are
     /// deduplicated by `(client, seq)` so retries do not inflate the pool.
-    pub fn record_observation(&mut self, client: u64, seq: Option<u64>) {
+    pub(crate) fn record_observation(&mut self, client: u64, seq: Option<u64>) {
         self.observed_total += 1;
         if let Some(seq) = seq {
             self.observed_real.insert((client, seq));
@@ -232,38 +227,38 @@ impl CollusionLedger {
     }
 
     /// Records one dropped real query.
-    pub fn record_drop(&mut self) {
+    pub(crate) fn record_drop(&mut self) {
         self.dropped += 1;
     }
 
     /// Records one delayed real query.
-    pub fn record_delay(&mut self) {
+    pub(crate) fn record_delay(&mut self) {
         self.delayed += 1;
     }
 
     /// Records one forged probe ack.
-    pub fn record_forged_ack(&mut self) {
+    pub(crate) fn record_forged_ack(&mut self) {
         self.forged_acks += 1;
     }
 
     /// Distinct real queries the coalition can attribute to their sender.
-    pub fn observed_real(&self) -> u64 {
+    pub(crate) fn observed_real(&self) -> u64 {
         self.observed_real.len() as u64
     }
 
     /// Total requests carried by colluding relays.
-    pub fn observed_total(&self) -> u64 {
+    pub(crate) fn observed_total(&self) -> u64 {
         self.observed_total
     }
 
     /// `(dropped, delayed, forged acks)` tamper counters.
-    pub fn tampered(&self) -> (u64, u64, u64) {
+    pub(crate) fn tampered(&self) -> (u64, u64, u64) {
         (self.dropped, self.delayed, self.forged_acks)
     }
 }
 
 /// The ledger handle shared by every byzantine relay of a run.
-pub type SharedCollusionLedger = Arc<Mutex<CollusionLedger>>;
+pub(crate) type SharedCollusionLedger = Arc<Mutex<CollusionLedger>>;
 
 /// One uniform adversary over a relay population: `fraction` of the
 /// relays start following `policy` at `activate_at`.
@@ -294,7 +289,7 @@ impl AdversaryConfig {
     /// churn stream and returned id-sorted. A pure function of
     /// `(fraction, relays, seed)` — re-sampling never perturbs the
     /// failure plan or any link stream.
-    pub fn malicious_relays(&self, relays: usize, seed: u64) -> Vec<NodeId> {
+    pub(crate) fn malicious_relays(&self, relays: usize, seed: u64) -> Vec<NodeId> {
         assert!(
             (0.0..=1.0).contains(&self.fraction),
             "malicious fraction must be in [0, 1]"
@@ -312,7 +307,7 @@ impl AdversaryConfig {
     /// activation per malicious relay at `activate_at`. Merge it with any
     /// fault plan — at equal timestamps membership faults apply before
     /// policy switches (the plan's `(time, EventClass)` pin).
-    pub fn plan(&self, relays: usize, seed: u64) -> ChaosPlan {
+    pub(crate) fn plan(&self, relays: usize, seed: u64) -> ChaosPlan {
         let mut plan = ChaosPlan::new();
         for relay in self.malicious_relays(relays, seed) {
             plan.push_policy(PolicyEvent {
@@ -382,16 +377,13 @@ mod tests {
             activate_at: SimTime::from_secs(30),
         };
         let plan = adversary.plan(20, 11);
-        assert_eq!(plan.policy_events().len(), 4);
-        assert!(plan
-            .policy_events()
-            .iter()
-            .all(|e| e.at == SimTime::from_secs(30) && e.policy.is_hostile()));
-        // The per-relay schedule extraction matches the event list.
-        let relay = plan.policy_events()[0].relay;
-        let schedule = plan.policy_schedule_for(relay);
-        assert_eq!(schedule.at(SimTime::from_secs(29)), ByzantinePolicy::Honest);
-        assert!(schedule.at(SimTime::from_secs(30)).is_hostile());
+        let relays = plan.byzantine_relays();
+        assert_eq!(relays.len(), 4);
+        for relay in relays {
+            let schedule = plan.policy_schedule_for(relay);
+            assert_eq!(schedule.at(SimTime::from_secs(29)), ByzantinePolicy::Honest);
+            assert!(schedule.at(SimTime::from_secs(30)).is_hostile());
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 
 /// Bound on top-up rounds per query, mirroring the healing path's
 /// `max_retries` in the latency experiment.
-pub const TOPUP_ROUNDS: u32 = 5;
+pub(crate) const TOPUP_ROUNDS: u32 = 5;
 
 fn count_fakes(outcome: &ProtectionOutcome) -> usize {
     outcome
@@ -63,7 +63,7 @@ fn count_fakes(outcome: &ProtectionOutcome) -> usize {
 /// attack-model twin of `CyclosaNode::reselect_relay`: every swallowed
 /// fake is redrawn from the inner mechanism's fake pool
 /// ([`FakeReplenisher`]) and resubmitted through a fresh relay (which is
-/// lost with the same probability), for up to [`TOPUP_ROUNDS`] rounds, so
+/// lost with the same probability), for up to `TOPUP_ROUNDS` rounds, so
 /// the engine keeps observing (close to) the assessed `k` fakes per real
 /// query no matter how many relays failed.
 ///
@@ -288,11 +288,6 @@ impl<M: Mechanism> ColludingMechanism<M> {
     /// Real queries the coalition has pooled so far.
     pub fn pooled_real(&self) -> u64 {
         self.pooled_real
-    }
-
-    /// Fake queries the coalition has pooled so far.
-    pub fn pooled_fakes(&self) -> u64 {
-        self.pooled_fakes
     }
 }
 
@@ -532,7 +527,7 @@ mod tests {
         let mut colluding = ColludingMechanism::new(TenRequests, 0.0, 31);
         let pooled = colluding.protect(&query(), &mut rng_b);
         assert_eq!(plain, pooled);
-        assert_eq!(colluding.pooled_real() + colluding.pooled_fakes(), 0);
+        assert_eq!(colluding.pooled_real() + colluding.pooled_fakes, 0);
     }
 
     #[test]
@@ -546,7 +541,7 @@ mod tests {
             .iter()
             .all(|r| r.source == SourceIdentity::Exposed(UserId(0))));
         assert_eq!(colluding.pooled_real(), 1);
-        assert_eq!(colluding.pooled_fakes(), 9);
+        assert_eq!(colluding.pooled_fakes, 9);
     }
 
     #[test]

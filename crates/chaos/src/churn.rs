@@ -68,7 +68,7 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
 /// The dedicated RNG stream of `(model tag, entity)` for a plan seeded
 /// with `seed` — the churn counterpart of
 /// `cyclosa_net::engine::link_stream`.
-pub fn churn_stream(seed: u64, model_tag: u64, entity: u64) -> Xoshiro256StarStar {
+pub(crate) fn churn_stream(seed: u64, model_tag: u64, entity: u64) -> Xoshiro256StarStar {
     Xoshiro256StarStar::seed_from_u64(mix(seed, model_tag, entity))
 }
 
@@ -259,6 +259,17 @@ impl ChurnModel {
 mod tests {
     use super::*;
 
+    /// The node a fault targets (`None` for a loss step).
+    fn target(kind: FaultKind) -> Option<NodeId> {
+        match kind {
+            FaultKind::Crash(n)
+            | FaultKind::Leave(n)
+            | FaultKind::Recover(n)
+            | FaultKind::Join(n) => Some(n),
+            FaultKind::SetLoss(_) => None,
+        }
+    }
+
     fn nodes(n: u64) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
     }
@@ -289,7 +300,7 @@ mod tests {
         let of_node = |plan: &ChaosPlan, node: NodeId| -> Vec<(u64, FaultKind)> {
             plan.events()
                 .iter()
-                .filter(|e| e.kind.node() == Some(node))
+                .filter(|e| target(e.kind) == Some(node))
                 .map(|e| (e.at.as_nanos(), e.kind))
                 .collect()
         };
@@ -313,7 +324,7 @@ mod tests {
             let kinds: Vec<FaultKind> = plan
                 .events()
                 .iter()
-                .filter(|e| e.kind.node() == Some(NodeId(id)))
+                .filter(|e| target(e.kind) == Some(NodeId(id)))
                 .map(|e| e.kind)
                 .collect();
             for (i, kind) in kinds.iter().enumerate() {
@@ -355,7 +366,7 @@ mod tests {
             let windows: Vec<(u64, FaultKind)> = plan
                 .events()
                 .iter()
-                .filter(|e| e.kind.node() == Some(node))
+                .filter(|e| target(e.kind) == Some(node))
                 .map(|e| (e.at.as_nanos(), e.kind))
                 .collect();
             for pair in windows.chunks(2) {

@@ -8,7 +8,7 @@
 //! * the **node numbering** — engine `0`, relays `1..=N`, client `N + 1`;
 //! * the **message tags** and the clients' **timer-token bases**;
 //! * the **wire format** — `"client|seq|R-or-F|query text"` behind
-//!   [`Request`], plus the fixed-width ping/ack liveness probes;
+//!   `Request`, plus the fixed-width ping/ack liveness probes;
 //!
 //! and it owns what every run shares: the `Relay` and `EngineNode`
 //! behaviours (in-service maps pruned on completion, byzantine policies,
@@ -106,20 +106,20 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The header of one request on the wire: `"client|seq|R|text"` for the
 /// real query of a plan, `"client|seq|F|text"` for a fake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Node id of the issuing client (where the answer is routed back).
-    pub client: u64,
+    pub(crate) client: u64,
     /// The query's sequence number.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Whether this is the plan's real query (fakes are answered too, and
     /// the client drops those answers).
-    pub real: bool,
+    pub(crate) real: bool,
 }
 
 impl Request {
     /// The request's wire bytes, carrying the deployment's synthetic
     /// query text for `seq`.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let flag = if self.real { 'R' } else { 'F' };
         let Self { client, seq, .. } = self;
         format!("{client}|{seq}|{flag}|query number {seq} terms").into_bytes()
@@ -129,7 +129,7 @@ impl Request {
     /// for anything that is not a well-formed request: oversized,
     /// non-UTF-8, a missing field, a non-numeric or out-of-range id, or
     /// a flag other than `R`/`F`.
-    pub fn parse(payload: &[u8]) -> Option<Request> {
+    pub(crate) fn parse(payload: &[u8]) -> Option<Request> {
         if payload.len() > MAX_REQUEST_BYTES {
             return None;
         }
@@ -146,7 +146,7 @@ impl Request {
 
     /// The sequence number if this is a real query — what the adversary
     /// tampers with and the forwarding-path spans are keyed by.
-    pub fn real_seq(&self) -> Option<u64> {
+    pub(crate) fn real_seq(&self) -> Option<u64> {
         self.real.then_some(self.seq)
     }
 }
@@ -208,17 +208,17 @@ pub(crate) fn decode_ack(payload: &[u8]) -> Option<(u64, u64)> {
 #[derive(Debug, Clone)]
 pub(crate) struct DeploymentMetrics {
     /// Requests forwarded by relays towards the engine.
-    pub relay_forwarded: Counter,
+    pub(crate) relay_forwarded: Counter,
     /// Distribution of in-enclave relay service times (ns).
-    pub relay_service_ns: Histogram,
+    pub(crate) relay_service_ns: Histogram,
     /// Queries received by the search engine.
-    pub engine_queries: Counter,
+    pub(crate) engine_queries: Counter,
     /// Distribution of engine processing delays (ns).
-    pub engine_processing_ns: Histogram,
+    pub(crate) engine_processing_ns: Histogram,
     /// Registry twin of `ChurnOutcome::clamped_samples`.
-    pub clamped_samples: Counter,
+    pub(crate) clamped_samples: Counter,
     /// Distribution of real-query end-to-end latencies (ns).
-    pub end_to_end_ns: Histogram,
+    pub(crate) end_to_end_ns: Histogram,
 }
 
 impl DeploymentMetrics {
@@ -226,7 +226,7 @@ impl DeploymentMetrics {
     /// (`relay.forwarded`, `relay.service_ns`, `engine.queries`,
     /// `engine.processing_ns`, `client.clamped_samples`,
     /// `client.end_to_end_ns`).
-    pub fn register(registry: &Registry) -> Self {
+    pub(crate) fn register(registry: &Registry) -> Self {
         Self {
             relay_forwarded: registry.counter("relay.forwarded"),
             relay_service_ns: registry.histogram("relay.service_ns"),
@@ -496,34 +496,34 @@ impl NodeBehavior for EngineNode {
 /// What a run hands [`deploy`]: the population, its seed streams, the
 /// byzantine coalition and the observability hooks.
 pub(crate) struct Fleet<'a> {
-    pub relays: usize,
-    pub seed: u64,
+    pub(crate) relays: usize,
+    pub(crate) seed: u64,
     /// XOR-ed into the seed of the run's root RNG (engine and client
     /// streams fork from it), so each experiment family draws its own.
-    pub salt: u64,
-    pub cost: &'a CostModel,
-    pub adversary: Option<AdversaryConfig>,
+    pub(crate) salt: u64,
+    pub(crate) cost: &'a CostModel,
+    pub(crate) adversary: Option<AdversaryConfig>,
     /// A scripted plan whose policy events join the adversary's.
-    pub extra: &'a ChaosPlan,
-    pub trace: &'a TraceSink,
-    pub metrics: Option<&'a DeploymentMetrics>,
+    pub(crate) extra: &'a ChaosPlan,
+    pub(crate) trace: &'a TraceSink,
+    pub(crate) metrics: Option<&'a DeploymentMetrics>,
 }
 
 /// The engine and relay side of a deployment, as [`deploy`] left it.
 pub(crate) struct Deployed {
-    pub relays: Vec<NodeId>,
-    pub client: NodeId,
+    pub(crate) relays: Vec<NodeId>,
+    pub(crate) client: NodeId,
     /// The run's root RNG after the engine's fork; the client forks its
     /// streams from it.
-    pub rng: Xoshiro256StarStar,
+    pub(crate) rng: Xoshiro256StarStar,
     /// The compiled adversary. Its policies were handed to the relays at
     /// build time; the runner applies it (traced) after its own fault
     /// plans only to stamp the `adv.policy` activation annotations.
-    pub adversary_plan: ChaosPlan,
+    pub(crate) adversary_plan: ChaosPlan,
     /// Distinct relays any plan ever steps to a hostile policy.
-    pub byzantine_relays: usize,
-    pub relay_peak: Peak,
-    pub engine_peak: Peak,
+    pub(crate) byzantine_relays: usize,
+    pub(crate) relay_peak: Peak,
+    pub(crate) engine_peak: Peak,
     ledger: Option<SharedCollusionLedger>,
 }
 
@@ -655,16 +655,16 @@ impl Blacklist {
 /// trace events around them.
 #[derive(Debug, Clone)]
 pub(crate) struct Plan {
-    pub sent_at: SimTime,
+    pub(crate) sent_at: SimTime,
     /// Resubmissions of the real request so far.
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// The relay currently entrusted with the *real* request — the one
     /// barred and replaced if no answer arrives in time.
-    pub real_relay: Option<NodeId>,
+    pub(crate) real_relay: Option<NodeId>,
     /// The relays the fakes were entrusted to — the adaptive repair
     /// re-assesses this set against the blacklist on every retry and
     /// resubmits the shortfall.
-    pub fake_relays: Vec<NodeId>,
+    pub(crate) fake_relays: Vec<NodeId>,
 }
 
 impl Plan {
@@ -1035,7 +1035,7 @@ mod tests {
         assert_eq!(hostile.stats.delivered, clean.stats.delivered + injected);
         assert_eq!(hostile.stats.timers_fired, clean.stats.timers_fired);
         let stats = clean.stats;
-        assert_eq!(crate::ChurnOutcome { stats, ..hostile }, clean);
+        assert_eq!(crate::experiment::ChurnOutcome { stats, ..hostile }, clean);
     }
 
     #[test]
@@ -1055,6 +1055,6 @@ mod tests {
         assert_eq!(hostile.stats.delivered, clean.stats.delivered + injected);
         assert_eq!(hostile.stats.timers_fired, clean.stats.timers_fired);
         let stats = clean.stats;
-        assert_eq!(crate::SoakOutcome { stats, ..hostile }, clean);
+        assert_eq!(crate::soak::SoakOutcome { stats, ..hostile }, clean);
     }
 }

@@ -158,7 +158,7 @@ impl ChurnConfig {
     /// When the query with sequence number `seq` is issued: one query
     /// every 500 ms. The single source of the cadence — [`Self::horizon`]
     /// and the partition experiment's phase attribution derive from it.
-    pub fn issued_at(seq: usize) -> SimTime {
+    pub(crate) fn issued_at(seq: usize) -> SimTime {
         SimTime::from_millis(500 * seq as u64)
     }
 
@@ -205,10 +205,10 @@ impl ChurnConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnsweredQuery {
     /// The query's sequence number (issued at `seq × 500 ms`).
-    pub seq: usize,
+    pub(crate) seq: usize,
     /// End-to-end latency of the real-query path, seconds (retries
     /// included).
-    pub latency_s: f64,
+    pub(crate) latency_s: f64,
     /// Fakes this query's plan still held on non-blacklisted relays when
     /// the answer arrived — the dilution the engine actually observed,
     /// versus the configured target `k`.
@@ -247,19 +247,19 @@ pub struct ChurnOutcome {
     pub failed_relays: usize,
     /// Distinct relays any applied plan stepped to a hostile policy
     /// (0 for honest runs).
-    pub byzantine_relays: usize,
+    pub(crate) byzantine_relays: usize,
     /// Real queries swallowed by `DropRealQueries` relays.
-    pub byzantine_dropped: u64,
+    pub(crate) byzantine_dropped: u64,
     /// Real queries stretched by `DelayRealQueries` relays.
-    pub byzantine_delayed: u64,
+    pub(crate) byzantine_delayed: u64,
     /// Probe acks carrying a forged incarnation jump (`ForgeIncarnation`).
-    pub byzantine_forged_acks: u64,
+    pub(crate) byzantine_forged_acks: u64,
     /// Distinct real queries the colluding coalition observed with their
     /// sender identity — the pool it hands to the re-identification
     /// attack.
-    pub colluded_real_observed: u64,
+    pub(crate) colluded_real_observed: u64,
     /// Total requests (real and fake) carried by colluding relays.
-    pub colluded_total_observed: u64,
+    pub(crate) colluded_total_observed: u64,
     /// Raw engine counters (losses, drops on dead relays, membership).
     pub stats: SimulationStats,
 }

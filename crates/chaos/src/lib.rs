@@ -19,8 +19,8 @@
 //! * [`deployment`] — the one message-level deployment (client, relays,
 //!   search engine) every experiment here runs: node numbering, tags, the
 //!   wire codec, the shared relay and engine-node behaviours, the
-//!   blacklist and plan-repair rules, [`EngineChoice`], and the Fig. 8a/8b
-//!   latency run ([`run_end_to_end_latency_on`]).
+//!   blacklist and plan-repair rules, [`EngineChoice`](deployment::EngineChoice), and the Fig. 8a/8b
+//!   latency run ([`run_end_to_end_latency_on`](deployment::run_end_to_end_latency_on)).
 //! * [`experiment`] — the robustness-under-failure latency experiment:
 //!   that deployment under relay failures, with the client-side healing
 //!   path (blacklist the unresponsive relay, resubmit through a fresh
@@ -116,19 +116,6 @@ pub mod plan;
 pub mod slo;
 pub mod soak;
 
-pub use adversary::{
-    adversary_stream, AdversaryConfig, ByzantinePolicy, CollusionLedger, PolicySchedule,
-    SharedCollusionLedger,
-};
 pub use attack::{ColludingMechanism, LossyMechanism};
-pub use churn::{churn_stream, ChurnModel};
-pub use deployment::{
-    run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig, EngineChoice, Request,
-};
-pub use experiment::{
-    run_churn_experiment_on, AnsweredQuery, ChurnConfig, ChurnOutcome, MembershipProbeConfig,
-};
-pub use partition::{run_partition_experiment_on, PartitionConfig, PartitionOutcome, PhaseSummary};
-pub use plan::{ChaosPlan, FaultEvent, FaultKind, LinkFault, PolicyEvent};
-pub use slo::{churn_slo_config, evaluate_churn_slos, evaluate_timeline_slos, SloOutcome};
-pub use soak::{run_soak, run_soak_on, ArrivalModel, SoakConfig, SoakOutcome, SoakWindow};
+pub use churn::ChurnModel;
+pub use plan::{ChaosPlan, FaultKind};

@@ -6,7 +6,7 @@
 //! comes back.
 //!
 //! The split is pure link-group loss ([`crate::plan::ChaosPlan::partition`]
-//! over [`cyclosa_net::engine::LinkGroupSchedule`]), so the run stays
+//! over `cyclosa_net::engine::LinkGroupSchedule`), so the run stays
 //! bit-identical across engines and shard counts even when the partition
 //! boundary crosses shard boundaries. The client-side story under test:
 //!
@@ -97,7 +97,7 @@ impl PartitionConfig {
 
     /// The two node groups of the split, client and (optionally) engine
     /// included.
-    pub fn groups(&self) -> (Vec<NodeId>, Vec<NodeId>) {
+    pub(crate) fn groups(&self) -> (Vec<NodeId>, Vec<NodeId>) {
         let client = client_id(self.base.relays);
         let mut minority = self.minority_relays();
         let mut majority: Vec<NodeId> = (minority.len()..self.base.relays).map(relay_id).collect();
@@ -117,7 +117,7 @@ impl PartitionConfig {
     /// # Panics
     ///
     /// Panics if `merge_at <= split_at`.
-    pub fn plan(&self) -> ChaosPlan {
+    pub(crate) fn plan(&self) -> ChaosPlan {
         let (minority, majority) = self.groups();
         ChaosPlan::new().partition(&[&minority, &majority], self.split_at, self.merge_at)
     }

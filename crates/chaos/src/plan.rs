@@ -2,7 +2,7 @@
 //!
 //! A plan is an ordered list of [`FaultEvent`]s — crashes, leaves,
 //! recoveries, joins and loss-probability steps pinned to simulated times —
-//! plus [`LinkFault`] windows (per-link-group loss steps, the partition
+//! plus `LinkFault` windows (per-link-group loss steps, the partition
 //! primitive) that can be applied to **any** [`Engine`] before (or between)
 //! runs. The faults then fire deterministically *during* the run through
 //! the engine's membership events and loss schedules, so the same plan
@@ -11,9 +11,9 @@
 //!
 //! Partitions are first-class: [`ChaosPlan::partition`] splits the
 //! population into disconnected components at `split_at` and re-merges
-//! them at `merge_at`; [`ChaosPlan::partial_partition`] degrades the
+//! them at `merge_at`; `ChaosPlan::partial_partition` degrades the
 //! boundary instead of severing it, and
-//! [`ChaosPlan::asymmetric_partition`] cuts only one direction.
+//! `ChaosPlan::asymmetric_partition` cuts only one direction.
 
 use crate::adversary::{ByzantinePolicy, PolicySchedule};
 use cyclosa_net::engine::Engine;
@@ -33,30 +33,17 @@ pub enum FaultKind {
     /// Clear the node's crashed mark.
     Recover(NodeId),
     /// (Re-)join the population under this id with a behaviour supplied by
-    /// the spawner passed to [`ChaosPlan::apply_with_spawner`].
+    /// the spawner passed to `ChaosPlan::apply_with_spawner`.
     Join(NodeId),
     /// Step the global loss probability to this value.
     SetLoss(f64),
-}
-
-impl FaultKind {
-    /// The node a fault targets, if any (`SetLoss` is global).
-    pub fn node(&self) -> Option<NodeId> {
-        match *self {
-            FaultKind::Crash(n)
-            | FaultKind::Leave(n)
-            | FaultKind::Recover(n)
-            | FaultKind::Join(n) => Some(n),
-            FaultKind::SetLoss(_) => None,
-        }
-    }
 }
 
 /// A fault pinned to a simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// What happens.
     pub kind: FaultKind,
 }
@@ -68,29 +55,29 @@ pub struct FaultEvent {
 /// policy switches — the plan-level mirror of the engines' event-class
 /// ordering (`Membership` sorts first within a slot).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyEvent {
+pub(crate) struct PolicyEvent {
     /// When the switch takes effect (inclusive).
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The relay whose behaviour changes.
-    pub relay: NodeId,
+    pub(crate) relay: NodeId,
     /// The policy in force from `at` on.
-    pub policy: ByzantinePolicy,
+    pub(crate) policy: ByzantinePolicy,
 }
 
 /// A scheduled link-group loss step: at `at`, every directed link in
 /// `src_set × dst_set` steps to loss probability `p`. Two opposed events at
 /// `1.0` make a partition; a closing pair at `0.0` is the re-merge.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinkFault {
+pub(crate) struct LinkFault {
     /// When the step takes effect (a function of send time, like every
     /// loss schedule).
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Source side of the affected directed links.
-    pub src_set: Vec<NodeId>,
+    pub(crate) src_set: Vec<NodeId>,
     /// Destination side of the affected directed links.
-    pub dst_set: Vec<NodeId>,
+    pub(crate) dst_set: Vec<NodeId>,
     /// The loss probability in force from `at` on.
-    pub p: f64,
+    pub(crate) p: f64,
 }
 
 /// A deterministic fault schedule against one experiment.
@@ -99,7 +86,7 @@ pub struct LinkFault {
 /// [`crate::churn::ChurnModel`]. Events are kept sorted by time (stable
 /// for equal times, so same-instant faults apply in insertion order —
 /// which the engines' per-node membership sequences then preserve).
-/// Link-group faults ([`LinkFault`]) ride alongside the node-fault events
+/// Link-group faults (`LinkFault`) ride alongside the node-fault events
 /// and are scheduled through [`Engine::schedule_link_loss`] on apply.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosPlan {
@@ -118,7 +105,7 @@ impl ChaosPlan {
     /// the O(n log n) bulk counterpart of repeated [`ChaosPlan::push`]
     /// calls (which insert in place and are quadratic over large samples).
     /// Same-instant events keep their relative order in `events`.
-    pub fn from_events(mut events: Vec<FaultEvent>) -> Self {
+    pub(crate) fn from_events(mut events: Vec<FaultEvent>) -> Self {
         events.sort_by_key(|e| e.at);
         Self {
             events,
@@ -143,21 +130,10 @@ impl ChaosPlan {
         self.events.is_empty() && self.link_faults.is_empty() && self.policy_events.is_empty()
     }
 
-    /// The scheduled link-group loss steps, sorted by time.
-    pub fn link_faults(&self) -> &[LinkFault] {
-        &self.link_faults
-    }
-
-    /// The scheduled byzantine policy switches, sorted by time (stable at
-    /// equal times).
-    pub fn policy_events(&self) -> &[PolicyEvent] {
-        &self.policy_events
-    }
-
     /// The piecewise-constant policy timeline of one relay, extracted from
     /// the plan's policy events. Empty (honest forever) for relays the
     /// plan never compromises.
-    pub fn policy_schedule_for(&self, relay: NodeId) -> PolicySchedule {
+    pub(crate) fn policy_schedule_for(&self, relay: NodeId) -> PolicySchedule {
         let mut schedule = PolicySchedule::new();
         for event in &self.policy_events {
             if event.relay == relay {
@@ -169,7 +145,7 @@ impl ChaosPlan {
 
     /// The distinct relays the plan ever steps to a hostile policy,
     /// id-sorted.
-    pub fn byzantine_relays(&self) -> Vec<NodeId> {
+    pub(crate) fn byzantine_relays(&self) -> Vec<NodeId> {
         let mut relays: Vec<NodeId> = self
             .policy_events
             .iter()
@@ -183,14 +159,14 @@ impl ChaosPlan {
 
     /// Whether the plan contains any [`FaultKind::Join`] events (which
     /// require a spawner to apply).
-    pub fn has_joins(&self) -> bool {
+    pub(crate) fn has_joins(&self) -> bool {
         self.events
             .iter()
             .any(|e| matches!(e.kind, FaultKind::Join(_)))
     }
 
     /// Adds one fault, keeping the schedule sorted (stable at equal times).
-    pub fn push(&mut self, at: SimTime, kind: FaultKind) -> &mut Self {
+    pub(crate) fn push(&mut self, at: SimTime, kind: FaultKind) -> &mut Self {
         let index = self.events.partition_point(|e| e.at <= at);
         self.events.insert(index, FaultEvent { at, kind });
         self
@@ -214,30 +190,12 @@ impl ChaosPlan {
         self
     }
 
-    /// Schedules a (re-)join under `node`.
-    pub fn join_at(mut self, at: SimTime, node: NodeId) -> Self {
-        self.push(at, FaultKind::Join(node));
-        self
-    }
-
-    /// Schedules a loss-probability step.
-    pub fn set_loss_at(mut self, at: SimTime, p: f64) -> Self {
-        self.push(at, FaultKind::SetLoss(p));
-        self
-    }
-
     /// Adds one byzantine policy switch, keeping the policy schedule
     /// sorted (stable at equal times, so a same-instant re-step wins when
     /// the per-relay schedule is consulted).
-    pub fn push_policy(&mut self, event: PolicyEvent) -> &mut Self {
+    pub(crate) fn push_policy(&mut self, event: PolicyEvent) -> &mut Self {
         let index = self.policy_events.partition_point(|e| e.at <= event.at);
         self.policy_events.insert(index, event);
-        self
-    }
-
-    /// Schedules `relay` to start following `policy` at `at`.
-    pub fn byzantine_at(mut self, at: SimTime, relay: NodeId, policy: ByzantinePolicy) -> Self {
-        self.push_policy(PolicyEvent { at, relay, policy });
         self
     }
 
@@ -247,7 +205,7 @@ impl ChaosPlan {
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]` or either set is empty.
-    pub fn push_link_fault(&mut self, fault: LinkFault) -> &mut Self {
+    pub(crate) fn push_link_fault(&mut self, fault: LinkFault) -> &mut Self {
         assert!(
             (0.0..=1.0).contains(&fault.p),
             "loss probability must be in [0, 1]"
@@ -283,7 +241,7 @@ impl ChaosPlan {
     ///
     /// Panics on the same inputs as [`ChaosPlan::partition`], or if `p` is
     /// not in `[0, 1]`.
-    pub fn partial_partition(
+    pub(crate) fn partial_partition(
         mut self,
         groups: &[&[NodeId]],
         split_at: SimTime,
@@ -313,7 +271,7 @@ impl ChaosPlan {
     ///
     /// Panics if either group is empty, `p` is not in `[0, 1]`, or
     /// `merge_at <= split_at`.
-    pub fn asymmetric_partition(
+    pub(crate) fn asymmetric_partition(
         mut self,
         src_group: &[NodeId],
         dst_group: &[NodeId],
@@ -384,7 +342,7 @@ impl ChaosPlan {
     /// # Panics
     ///
     /// Panics if the plan contains [`FaultKind::Join`] events — those need
-    /// a behaviour, so use [`ChaosPlan::apply_with_spawner`] instead.
+    /// a behaviour, so use `ChaosPlan::apply_with_spawner` instead.
     pub fn apply<E: Engine + ?Sized>(&self, engine: &mut E, trace: &TraceSink) {
         assert!(
             !self.has_joins(),
@@ -401,7 +359,7 @@ impl ChaosPlan {
     /// link-group faults to the engine pseudo-actor. Events are stamped at
     /// their scheduled (usually future) times; the sink sorts them into
     /// place when the timeline is read.
-    pub fn apply_with_spawner<E: Engine + ?Sized>(
+    pub(crate) fn apply_with_spawner<E: Engine + ?Sized>(
         &self,
         engine: &mut E,
         trace: &TraceSink,
@@ -474,14 +432,18 @@ mod tests {
     #[test]
     fn policy_schedule_extraction_is_per_relay_and_lww() {
         let at = SimTime::from_secs(5);
-        let plan = ChaosPlan::new()
-            .byzantine_at(at, NodeId(1), ByzantinePolicy::Collude)
-            .byzantine_at(
+        let mut plan = ChaosPlan::new();
+        for (relay, policy) in [
+            (1, ByzantinePolicy::Collude),
+            (1, ByzantinePolicy::DropRealQueries { probability: 1.0 }),
+            (2, ByzantinePolicy::Collude),
+        ] {
+            plan.push_policy(PolicyEvent {
                 at,
-                NodeId(1),
-                ByzantinePolicy::DropRealQueries { probability: 1.0 },
-            )
-            .byzantine_at(at, NodeId(2), ByzantinePolicy::Collude);
+                relay: NodeId(relay),
+                policy,
+            });
+        }
         // Same-instant re-steps of the same relay: last write wins.
         assert_eq!(
             plan.policy_schedule_for(NodeId(1)).at(at),
@@ -491,19 +453,22 @@ mod tests {
             plan.policy_schedule_for(NodeId(2)).at(at),
             ByzantinePolicy::Collude
         );
-        assert!(plan.policy_schedule_for(NodeId(3)).is_empty());
+        assert_eq!(
+            plan.policy_schedule_for(NodeId(3)).at(at),
+            ByzantinePolicy::Honest
+        );
         assert_eq!(plan.byzantine_relays(), vec![NodeId(1), NodeId(2)]);
         assert!(!plan.is_empty());
     }
 
     #[test]
     fn failure_fraction_counts_distinct_crashed_or_left_nodes() {
-        let plan = ChaosPlan::new()
+        let mut plan = ChaosPlan::new()
             .crash_at(SimTime::from_secs(1), NodeId(1))
             .crash_at(SimTime::from_secs(2), NodeId(1))
             .leave_at(SimTime::from_secs(3), NodeId(2))
-            .recover_at(SimTime::from_secs(4), NodeId(3))
-            .set_loss_at(SimTime::from_secs(5), 0.2);
+            .recover_at(SimTime::from_secs(4), NodeId(3));
+        plan.push(SimTime::from_secs(5), FaultKind::SetLoss(0.2));
         assert!((plan.failure_fraction(10) - 0.2).abs() < 1e-12);
         assert_eq!(ChaosPlan::new().failure_fraction(0), 0.0);
     }
@@ -519,22 +484,22 @@ mod tests {
             SimTime::from_secs(30),
         );
         // Three group pairs × two directions × (split + merge) = 12 steps.
-        assert_eq!(plan.link_faults().len(), 12);
+        assert_eq!(plan.link_faults.len(), 12);
         assert!(plan.events().is_empty(), "no node faults involved");
         assert!(!plan.is_empty(), "link faults count towards is_empty");
         let splits = plan
-            .link_faults()
+            .link_faults
             .iter()
             .filter(|f| f.at == SimTime::from_secs(10))
             .count();
         let merges = plan
-            .link_faults()
+            .link_faults
             .iter()
             .filter(|f| f.at == SimTime::from_secs(30) && f.p == 0.0)
             .count();
         assert_eq!((splits, merges), (6, 6));
         assert!(plan
-            .link_faults()
+            .link_faults
             .iter()
             .all(|f| f.p == 1.0 || f.at == SimTime::from_secs(30)));
     }
@@ -550,7 +515,7 @@ mod tests {
             0.3,
         );
         assert!(partial
-            .link_faults()
+            .link_faults
             .iter()
             .filter(|f| f.at == SimTime::from_secs(1))
             .all(|f| f.p == 0.3));
@@ -561,9 +526,9 @@ mod tests {
             SimTime::from_secs(2),
             1.0,
         );
-        assert_eq!(one_way.link_faults().len(), 2);
+        assert_eq!(one_way.link_faults.len(), 2);
         assert!(one_way
-            .link_faults()
+            .link_faults
             .iter()
             .all(|f| f.src_set == vec![NodeId(1)] && f.dst_set == vec![NodeId(2)]));
     }
@@ -579,7 +544,7 @@ mod tests {
             .crash_at(SimTime::from_secs(1), NodeId(3))
             .merge(partition);
         assert_eq!(merged.events().len(), 1);
-        assert_eq!(merged.link_faults().len(), 4);
+        assert_eq!(merged.link_faults.len(), 4);
     }
 
     #[test]
@@ -631,9 +596,9 @@ mod tests {
     fn apply_refuses_plans_with_joins() {
         use cyclosa_net::sim::Simulation;
         let mut simulation = Simulation::new(1);
-        ChaosPlan::new()
-            .join_at(SimTime::from_secs(1), NodeId(7))
-            .apply(&mut simulation, &TraceSink::disabled());
+        let mut plan = ChaosPlan::new();
+        plan.push(SimTime::from_secs(1), FaultKind::Join(NodeId(7)));
+        plan.apply(&mut simulation, &TraceSink::disabled());
     }
 
     #[test]
@@ -646,13 +611,13 @@ mod tests {
         let mut simulation = Simulation::new(2);
         simulation.add_node(NodeId(1), Box::new(Quiet));
         simulation.add_node(NodeId(2), Box::new(Quiet));
-        ChaosPlan::new()
+        let mut plan = ChaosPlan::new()
             .crash_at(SimTime::from_secs(1), NodeId(1))
             .recover_at(SimTime::from_secs(2), NodeId(1))
-            .leave_at(SimTime::from_secs(3), NodeId(2))
-            .join_at(SimTime::from_secs(4), NodeId(3))
-            .set_loss_at(SimTime::from_secs(5), 0.5)
-            .apply_with_spawner(&mut simulation, &TraceSink::disabled(), |_| Box::new(Quiet));
+            .leave_at(SimTime::from_secs(3), NodeId(2));
+        plan.push(SimTime::from_secs(4), FaultKind::Join(NodeId(3)))
+            .push(SimTime::from_secs(5), FaultKind::SetLoss(0.5));
+        plan.apply_with_spawner(&mut simulation, &TraceSink::disabled(), |_| Box::new(Quiet));
         simulation.run();
         let stats = simulation.stats();
         assert_eq!(

@@ -56,7 +56,7 @@ pub fn evaluate_churn_slos(config: &ChurnConfig, telemetry: &ChurnTelemetry) -> 
 }
 
 /// [`evaluate_churn_slos`] for an already-extracted timeline.
-pub fn evaluate_timeline_slos(config: SloConfig, events: &[TraceEvent]) -> SloOutcome {
+pub(crate) fn evaluate_timeline_slos(config: SloConfig, events: &[TraceEvent]) -> SloOutcome {
     let mut monitor = SloMonitor::new(config);
     for event in events {
         monitor.observe_event(event);

@@ -99,7 +99,7 @@ impl ArrivalModel {
     /// running sum of intervals. `O(seq)` — meant for horizon
     /// computation, not per-event use (the client accumulates
     /// incrementally by chaining timers).
-    pub fn launch_at(&self, seq: u64) -> SimTime {
+    pub(crate) fn launch_at(&self, seq: u64) -> SimTime {
         let mut at = SimTime::ZERO;
         for s in 0..seq {
             at += self.interval(s);
@@ -195,7 +195,7 @@ impl Default for SoakConfig {
 
 impl SoakConfig {
     /// The run's load shape.
-    pub fn arrival(&self) -> ArrivalModel {
+    pub(crate) fn arrival(&self) -> ArrivalModel {
         ArrivalModel {
             base_interval: self.base_interval,
             diurnal_amplitude: self.diurnal_amplitude,
@@ -209,14 +209,14 @@ impl SoakConfig {
 
     /// The simulated span over which queries launch, plus the retry tail
     /// — the horizon churn is sampled against.
-    pub fn horizon(&self) -> SimTime {
+    pub(crate) fn horizon(&self) -> SimTime {
         let drain =
             SimTime::from_nanos(self.retry_timeout.as_nanos() * (self.max_retries as u64 + 1));
         self.arrival().launch_at(self.queries) + drain + SimTime::from_secs(60)
     }
 
     /// Number of ledger windows of the run.
-    pub fn windows(&self) -> usize {
+    pub(crate) fn windows(&self) -> usize {
         self.queries.div_ceil(self.window_queries.max(1)) as usize
     }
 }
@@ -243,7 +243,7 @@ pub struct SoakWindow {
     /// (equals `k` when every plan held; 0 when nothing was answered).
     pub min_achieved_k: usize,
     /// Sum of answered latencies, seconds (mean = sum / answered).
-    pub latency_sum_s: f64,
+    pub(crate) latency_sum_s: f64,
     /// Maximum answered latency, seconds.
     pub latency_max_s: f64,
 }
@@ -290,7 +290,7 @@ pub struct SoakOutcome {
     pub fakes_topped_up: u64,
     /// Latency samples clamped to zero — any nonzero value is an
     /// event-ordering bug and fails the gate.
-    pub clamped_samples: u64,
+    pub(crate) clamped_samples: u64,
     /// Peak number of in-flight query plans held by the client.
     pub peak_inflight: u64,
     /// Peak modelled client resident footprint, bytes.

@@ -35,24 +35,6 @@ impl ProtectionConfig {
             ..Self::default()
         }
     }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.past_query_capacity == 0 {
-            return Err("past_query_capacity must be positive".to_owned());
-        }
-        if !(self.linkability_alpha > 0.0 && self.linkability_alpha <= 1.0) {
-            return Err("linkability_alpha must be in (0, 1]".to_owned());
-        }
-        if self.lda_terms_per_topic == 0 {
-            return Err("lda_terms_per_topic must be positive".to_owned());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -63,7 +45,6 @@ mod tests {
     fn default_matches_paper_settings() {
         let config = ProtectionConfig::default();
         assert_eq!(config.k_max, 7);
-        assert!(config.validate().is_ok());
     }
 
     #[test]
@@ -74,24 +55,5 @@ mod tests {
             config.past_query_capacity,
             ProtectionConfig::default().past_query_capacity
         );
-    }
-
-    #[test]
-    fn validation_rejects_bad_fields() {
-        let config = ProtectionConfig {
-            past_query_capacity: 0,
-            ..ProtectionConfig::default()
-        };
-        assert!(config.validate().is_err());
-        let config = ProtectionConfig {
-            linkability_alpha: 0.0,
-            ..ProtectionConfig::default()
-        };
-        assert!(config.validate().is_err());
-        let config = ProtectionConfig {
-            lda_terms_per_topic: 0,
-            ..ProtectionConfig::default()
-        };
-        assert!(config.validate().is_err());
     }
 }

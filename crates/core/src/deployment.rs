@@ -44,7 +44,7 @@ pub fn xsearch_service_time_ns(cost: &CostModel, payload_bytes: usize, k: usize)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputPoint {
     /// Offered load in requests per second.
-    pub offered_rps: f64,
+    pub(crate) offered_rps: f64,
     /// Resulting median response latency in seconds.
     pub latency_s: f64,
     /// Whether the relay is saturated at this load.
@@ -242,7 +242,7 @@ pub fn converge_peer_views(nodes: &mut [CyclosaNode], rounds: usize, seed: u64) 
     for _ in 0..rounds {
         for i in 0..nodes.len() {
             nodes[i].peer_sampling_mut().increase_ages();
-            let Some(partner) = nodes[i].peer_sampling().select_partner(&mut rng) else {
+            let Some(partner) = nodes[i].peer_sampling().select_partner() else {
                 continue;
             };
             let Some(j) = nodes.iter().position(|n| n.id() == partner) else {

@@ -32,15 +32,14 @@
 //!
 //! let mut rng = Xoshiro256StarStar::seed_from_u64(7);
 //! let mut node = CyclosaNode::builder(1)
-//!     .sensitive_topic("health")
 //!     .protection(ProtectionConfig::default())
 //!     .build();
 //! node.bootstrap_with_seed_queries(["trending sneakers deal", "football fixtures"]);
 //! node.bootstrap_peers((2..30).map(cyclosa_peer_sampling::PeerId));
 //!
 //! let plan = node.plan_query("diabetes insulin dosage", &mut rng).unwrap();
-//! assert!(plan.fake_queries().count() <= node.protection().k_max);
-//! assert_eq!(plan.assignments().len(), plan.fake_queries().count() + 1);
+//! assert!(plan.achieved_k() <= ProtectionConfig::default().k_max);
+//! assert_eq!(plan.assignments().len(), plan.achieved_k() + 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,9 +51,3 @@ pub mod mechanism;
 pub mod node;
 pub mod past_queries;
 pub mod sensitivity;
-
-pub use config::ProtectionConfig;
-pub use mechanism::Cyclosa;
-pub use node::{CyclosaNode, QueryPlan};
-pub use past_queries::PastQueryTable;
-pub use sensitivity::{SensitivityAnalyzer, SensitivityAssessment};

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 /// Where fake queries come from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FakeSource {
+pub(crate) enum FakeSource {
     /// Real past queries relayed by the network (the CYCLOSA design).
     PastQueries,
     /// Dictionary-generated fakes (GooPIR-style), used by the
@@ -109,11 +109,6 @@ impl Cyclosa {
     /// The `k` values chosen so far (the data behind Fig. 7).
     pub fn k_history(&self) -> &[usize] {
         &self.k_history
-    }
-
-    /// Number of queries currently in the shared fake pool.
-    pub fn fake_pool_len(&self) -> usize {
-        self.fake_pool.len()
     }
 
     fn analyzer_for(&mut self, user: UserId) -> &mut SensitivityAnalyzer {
@@ -358,10 +353,10 @@ mod tests {
     #[test]
     fn processed_queries_enter_the_fake_pool() {
         let mut cyclosa = cyclosa(3);
-        let before = cyclosa.fake_pool_len();
+        let before = cyclosa.fake_pool.len();
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
         cyclosa.protect(&query(1, 0, "a brand new query"), &mut rng);
-        assert_eq!(cyclosa.fake_pool_len(), before + 1);
+        assert_eq!(cyclosa.fake_pool.len(), before + 1);
     }
 
     #[test]

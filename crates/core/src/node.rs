@@ -105,31 +105,9 @@ impl QueryPlan {
         &self.assignments
     }
 
-    /// The assignment carrying the real query.
-    pub fn real_assignment(&self) -> &Assignment {
-        self.assignments
-            .iter()
-            .find(|a| a.is_real)
-            .expect("plans always contain the real query")
-    }
-
-    /// Iterator over the fake-query texts of the plan.
-    pub fn fake_queries(&self) -> impl Iterator<Item = &str> {
-        self.assignments
-            .iter()
-            .filter(|a| !a.is_real)
-            .map(|a| a.query.as_str())
-    }
-
     /// Index of this plan in the node's planning order.
     pub fn sequence(&self) -> u64 {
         self.sequence
-    }
-
-    /// The peer-sampling round count when the plan's relays were last
-    /// chosen or refreshed.
-    pub fn planned_at_round(&self) -> u64 {
-        self.planned_at_round
     }
 
     /// Number of fake assignments currently alive in the plan — the `k`
@@ -143,28 +121,28 @@ impl QueryPlan {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Queries planned on behalf of the local user.
-    pub queries_planned: u64,
+    pub(crate) queries_planned: u64,
     /// Fake queries generated.
-    pub fakes_generated: u64,
+    pub(crate) fakes_generated: u64,
     /// Queries relayed on behalf of other users.
     pub queries_relayed: u64,
     /// Relays replaced after failing to answer (the churn healing path).
-    pub relays_reselected: u64,
+    pub(crate) relays_reselected: u64,
     /// Fresh fakes drawn by plan repair to top a plan back up to its
     /// sensitivity target after a relay died carrying fakes.
-    pub fakes_topped_up: u64,
+    pub(crate) fakes_topped_up: u64,
     /// The subset of top-ups triggered *proactively* by membership
     /// liveness signals (a relay declared dead before any retry timeout
     /// noticed — see [`CyclosaNode::top_up_dead_relay_fakes`]), rather
     /// than by a failed real-query delivery.
-    pub fakes_topped_up_proactive: u64,
+    pub(crate) fakes_topped_up_proactive: u64,
     /// Repairs that could not restore the full target (view exhausted):
     /// the query went out with weaker dilution than assessed.
-    pub plans_degraded: u64,
+    pub(crate) plans_degraded: u64,
     /// Plans eagerly refreshed because the peer view aged past the
     /// staleness threshold before any relay visibly failed
     /// (see [`CyclosaNode::refresh_stale_plan`]).
-    pub plans_refreshed: u64,
+    pub(crate) plans_refreshed: u64,
     /// Per planned query (in planning order): the number of fake
     /// assignments alive after the latest repair — the privacy level each
     /// query actually travelled with.
@@ -179,8 +157,6 @@ pub struct NodeBuilder {
     protection: ProtectionConfig,
     categorizer: QueryCategorizer,
     method: CategorizerMethod,
-    sensitive_topics: Vec<String>,
-    peer_sampling: PeerSamplingConfig,
 }
 
 impl NodeBuilder {
@@ -191,16 +167,7 @@ impl NodeBuilder {
             protection: ProtectionConfig::default(),
             categorizer: QueryCategorizer::new(),
             method: CategorizerMethod::Combined,
-            sensitive_topics: Vec::new(),
-            peer_sampling: PeerSamplingConfig::default(),
         }
-    }
-
-    /// Declares a topic the user considers sensitive (informational; the
-    /// actual dictionaries are supplied through [`NodeBuilder::categorizer`]).
-    pub fn sensitive_topic(mut self, topic: &str) -> Self {
-        self.sensitive_topics.push(topic.to_lowercase());
-        self
     }
 
     /// Sets the protection configuration.
@@ -228,12 +195,6 @@ impl NodeBuilder {
         self
     }
 
-    /// Overrides the peer-sampling configuration.
-    pub fn peer_sampling(mut self, config: PeerSamplingConfig) -> Self {
-        self.peer_sampling = config;
-        self
-    }
-
     /// Builds the node (creates and initializes its enclave).
     pub fn build(self) -> CyclosaNode {
         let platform = Platform::new(self.platform_seed);
@@ -253,10 +214,11 @@ impl NodeBuilder {
             id: PeerId(self.node_id),
             platform,
             enclave,
-            peer_sampling: PeerSamplingNode::new(PeerId(self.node_id), self.peer_sampling),
+            peer_sampling: PeerSamplingNode::new(
+                PeerId(self.node_id),
+                PeerSamplingConfig::default(),
+            ),
             analyzer,
-            protection: self.protection,
-            sensitive_topics: self.sensitive_topics,
             stats: NodeStats::default(),
             tracer: NodeTracer::default(),
         }
@@ -271,8 +233,6 @@ pub struct CyclosaNode {
     enclave: Enclave<TrustedState>,
     peer_sampling: PeerSamplingNode,
     analyzer: SensitivityAnalyzer,
-    protection: ProtectionConfig,
-    sensitive_topics: Vec<String>,
     stats: NodeStats,
     tracer: NodeTracer,
 }
@@ -288,16 +248,6 @@ impl CyclosaNode {
         self.id
     }
 
-    /// The protection configuration.
-    pub fn protection(&self) -> &ProtectionConfig {
-        &self.protection
-    }
-
-    /// The topics the user declared sensitive.
-    pub fn sensitive_topics(&self) -> &[String] {
-        &self.sensitive_topics
-    }
-
     /// Node activity counters.
     pub fn stats(&self) -> &NodeStats {
         &self.stats
@@ -309,14 +259,28 @@ impl CyclosaNode {
     /// purely observational — it draws no randomness and never changes
     /// what the node does; the default tracer is disabled and emission is
     /// a no-op.
-    pub fn install_tracer(&mut self, tracer: NodeTracer) {
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "ROADMAP item 3(a) (the traced full-stack population) calls it"
+        )
+    )]
+    pub(crate) fn install_tracer(&mut self, tracer: NodeTracer) {
         self.tracer = tracer;
     }
 
     /// Updates the tracer's notion of the current simulated time. Called
     /// by the behaviour driving this node before planning or repairing,
     /// so events land at the right point on the timeline.
-    pub fn set_trace_now(&mut self, now: SimTime) {
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "ROADMAP item 3(a) (the traced full-stack population) calls it"
+        )
+    )]
+    pub(crate) fn set_trace_now(&mut self, now: SimTime) {
         self.tracer.set_now(now);
     }
 
@@ -324,11 +288,6 @@ impl CyclosaNode {
     /// service during bootstrap).
     pub fn platform(&self) -> &Platform {
         &self.platform
-    }
-
-    /// Simulated nanoseconds spent inside the enclave so far.
-    pub fn enclave_time_ns(&self) -> u64 {
-        self.enclave.stats().simulated_ns
     }
 
     /// The enclave's transition counters, including the resident
@@ -348,7 +307,7 @@ impl CyclosaNode {
 
     /// Mutable access to the peer-sampling protocol instance (driven by the
     /// deployment's gossip rounds).
-    pub fn peer_sampling_mut(&mut self) -> &mut PeerSamplingNode {
+    pub(crate) fn peer_sampling_mut(&mut self) -> &mut PeerSamplingNode {
         &mut self.peer_sampling
     }
 
@@ -382,11 +341,6 @@ impl CyclosaNode {
     /// linkability assessment, outside the enclave).
     pub fn record_own_history<'a>(&mut self, queries: impl IntoIterator<Item = &'a str>) {
         self.analyzer.record_own_queries(queries);
-    }
-
-    /// Assesses a query without planning it (exposed for Fig. 7).
-    pub fn assess(&self, query: &str) -> SensitivityAssessment {
-        self.analyzer.assess(query)
     }
 
     /// Plans the protection of one user query: assesses its sensitivity,
@@ -522,7 +476,7 @@ impl CyclosaNode {
     ///   plan.
     ///
     /// [`NodeStats::achieved_k`] records, per planned query, the fake count
-    /// the plan holds after the latest repair; [`NodeStats::plans_degraded`]
+    /// the plan holds after the latest repair; `NodeStats::plans_degraded`
     /// counts repairs that could not restore the full target.
     ///
     /// Returns the relay now carrying the real query when `failed` carried
@@ -623,7 +577,11 @@ impl CyclosaNode {
     /// Top-ups count into both [`NodeStats::fakes_topped_up`] and
     /// [`NodeStats::fakes_topped_up_proactive`], and emit a
     /// `plan.top_up` trace event with `proactive: true`.
-    pub fn top_up_dead_relay_fakes(
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "ROADMAP item 2 (the sans-I/O node) calls it")
+    )]
+    pub(crate) fn top_up_dead_relay_fakes(
         &mut self,
         plan: &mut QueryPlan,
         dead: PeerId,
@@ -678,7 +636,11 @@ impl CyclosaNode {
     /// against the current view either way. A refresh that moves at
     /// least one assignment counts into [`NodeStats::plans_refreshed`]
     /// and emits a `plan.refresh` trace event.
-    pub fn refresh_stale_plan(
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "ROADMAP item 2 (the sans-I/O node) calls it")
+    )]
+    pub(crate) fn refresh_stale_plan(
         &mut self,
         plan: &mut QueryPlan,
         max_view_age: u64,
@@ -825,7 +787,7 @@ impl CyclosaNode {
 
     /// Produces an attestation quote binding `report_data` (typically the
     /// node's handshake public key) to this enclave.
-    pub fn quote(&self, report_data: &[u8]) -> Quote {
+    pub(crate) fn quote(&self, report_data: &[u8]) -> Quote {
         generate_quote(&self.enclave, report_data)
     }
 
@@ -923,10 +885,25 @@ mod tests {
     use super::*;
     use cyclosa_sgx::measurement::Measurement;
 
+    /// The assignment carrying the real query.
+    fn real_assignment(plan: &QueryPlan) -> &Assignment {
+        plan.assignments()
+            .iter()
+            .find(|a| a.is_real)
+            .expect("plans always contain the real query")
+    }
+
+    /// The fake-query texts of the plan.
+    fn fake_queries(plan: &QueryPlan) -> impl Iterator<Item = &str> {
+        plan.assignments()
+            .iter()
+            .filter(|a| !a.is_real)
+            .map(|a| a.query.as_str())
+    }
+
     fn node(id: u64, k_max: usize) -> CyclosaNode {
         let mut node = CyclosaNode::builder(id)
             .protection(ProtectionConfig::with_k_max(k_max))
-            .sensitive_topic("health")
             .build();
         node.bootstrap_with_seed_queries([
             "trending sneakers deal",
@@ -957,8 +934,8 @@ mod tests {
             "relays must be distinct"
         );
         assert_eq!(plan.assignments().iter().filter(|a| a.is_real).count(), 1);
-        assert_eq!(plan.real_assignment().query, "zurich train strike");
-        assert_eq!(plan.fake_queries().count(), plan.assignments().len() - 1);
+        assert_eq!(real_assignment(&plan).query, "zurich train strike");
+        assert_eq!(fake_queries(&plan).count(), plan.assignments().len() - 1);
         assert_eq!(node.stats().queries_planned, 1);
     }
 
@@ -998,7 +975,7 @@ mod tests {
         assert_eq!(forwarded, "hiv test anonymous clinic");
         assert_eq!(node.past_query_count(), before + 1);
         assert_eq!(node.stats().queries_relayed, 1);
-        assert!(node.enclave_time_ns() > 0);
+        assert!(node.enclave_stats().simulated_ns > 0);
     }
 
     #[test]
@@ -1017,7 +994,7 @@ mod tests {
             "sourdough starter recipe",
             "marathon training plan",
         ];
-        for fake in plan.fake_queries() {
+        for fake in fake_queries(&plan) {
             assert!(seeds.contains(&fake), "fake {fake} not from the table");
         }
     }
@@ -1029,7 +1006,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(20);
         let mut plan = node.plan_query("zurich train strike", &mut rng).unwrap();
         assert!(plan.assignments().len() >= 2);
-        let failed = plan.real_assignment().relay;
+        let failed = real_assignment(&plan).relay;
         let replacement = node
             .reselect_relay(&mut plan, failed, &mut rng)
             .unwrap()
@@ -1079,7 +1056,7 @@ mod tests {
             "no real query moved: this is not a reselection"
         );
         // A relay carrying only the real query triggers nothing here.
-        let real_relay = plan.real_assignment().relay;
+        let real_relay = real_assignment(&plan).relay;
         let before = node.stats().clone();
         assert!(node
             .top_up_dead_relay_fakes(&mut plan, real_relay, &mut rng)
@@ -1130,7 +1107,7 @@ mod tests {
             "sourdough starter recipe",
             "marathon training plan",
         ];
-        for fake in plan.fake_queries() {
+        for fake in fake_queries(&plan) {
             assert!(
                 seeds.contains(&fake),
                 "topped-up fake {fake} not from table"
@@ -1178,7 +1155,7 @@ mod tests {
             before - 1
         );
         // The real query is still alive on a live relay.
-        assert!(plan.real_assignment().relay != failed);
+        assert!(real_assignment(&plan).relay != failed);
     }
 
     #[test]
@@ -1309,7 +1286,7 @@ mod tests {
         node.record_own_history(["zurich train timetable", "zurich airport parking"]);
         let mut rng = Xoshiro256StarStar::seed_from_u64(40);
         let mut plan = node.plan_query("zurich train strike", &mut rng).unwrap();
-        assert_eq!(plan.planned_at_round(), 0);
+        assert_eq!(plan.planned_at_round, 0);
         let before = plan.clone();
 
         // Fresh plan, aged view: threshold not reached → untouched.
@@ -1333,7 +1310,7 @@ mod tests {
         let relays: std::collections::BTreeSet<_> =
             plan.assignments().iter().map(|a| a.relay).collect();
         assert_eq!(relays.len(), plan.assignments().len(), "still distinct");
-        assert_eq!(plan.planned_at_round(), 3, "staleness clock reset");
+        assert_eq!(plan.planned_at_round, 3, "staleness clock reset");
         assert_eq!(node.stats().plans_refreshed, 1);
 
         // Immediately after the refresh the plan is fresh again.
@@ -1348,7 +1325,7 @@ mod tests {
             node.record_own_history(["zurich train timetable", "zurich airport parking"]);
             let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
             let mut plan = node.plan_query("zurich train strike", &mut rng).unwrap();
-            let failed = plan.real_assignment().relay;
+            let failed = real_assignment(&plan).relay;
             node.reselect_relay(&mut plan, failed, &mut rng).unwrap();
             plan
         };

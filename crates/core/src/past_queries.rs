@@ -34,11 +34,6 @@ impl PastQueryTable {
         }
     }
 
-    /// Maximum number of stored queries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of stored queries.
     pub fn len(&self) -> usize {
         self.queries.len()
@@ -51,13 +46,13 @@ impl PastQueryTable {
 
     /// Approximate memory footprint in bytes (for EPC accounting). O(1):
     /// the footprint is maintained incrementally on record/evict.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.resident
     }
 
     /// Records a query, evicting the oldest entry when full. Empty queries
     /// are ignored.
-    pub fn record(&mut self, query: &str) {
+    pub(crate) fn record(&mut self, query: &str) {
         if query.trim().is_empty() {
             return;
         }

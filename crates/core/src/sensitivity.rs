@@ -31,7 +31,7 @@ pub struct SensitivityAssessment {
     /// Whether the query is semantically sensitive for this user.
     pub semantic: bool,
     /// The sensitive topics that matched (empty when `semantic` is false).
-    pub matched_topics: Vec<String>,
+    pub(crate) matched_topics: Vec<String>,
     /// The linkability score in `[0, 1]`.
     pub linkability: f64,
     /// The number of fake queries chosen by the adaptive protection.
@@ -67,24 +67,9 @@ impl SensitivityAnalyzer {
         Self::new(QueryCategorizer::new(), CategorizerMethod::Combined, config)
     }
 
-    /// The configured maximum number of fake queries.
-    pub fn k_max(&self) -> usize {
-        self.k_max
-    }
-
-    /// The categorizer method in use.
-    pub fn method(&self) -> CategorizerMethod {
-        self.method
-    }
-
-    /// Number of own past queries recorded for the linkability assessment.
-    pub fn history_len(&self) -> usize {
-        self.local_history.len()
-    }
-
     /// Records one of the user's own past queries (the linkability
     /// assessment compares new queries against this history).
-    pub fn record_own_query(&mut self, query: &str) {
+    pub(crate) fn record_own_query(&mut self, query: &str) {
         self.local_history.record_query(query);
     }
 
@@ -224,7 +209,7 @@ mod tests {
     fn linkable_queries_get_proportional_protection() {
         let mut analyzer = analyzer(7);
         analyzer.record_own_queries(["zurich train timetable", "zurich airport parking"]);
-        assert_eq!(analyzer.history_len(), 2);
+        assert_eq!(analyzer.local_history.len(), 2);
         let assessment = analyzer.assess("zurich train strike today");
         assert!(!assessment.semantic);
         assert!(assessment.linkability > 0.0);
@@ -262,7 +247,7 @@ mod tests {
         for q in ["exact same query", "diabetes insulin", "erotic stories"] {
             assert!(analyzer.assess(q).k <= 3);
         }
-        assert_eq!(analyzer.k_max(), 3);
+        assert_eq!(analyzer.k_max, 3);
     }
 
     #[test]
@@ -300,6 +285,6 @@ mod tests {
         // the LDA dictionary must pick at least one of them up.
         let assessment = analyzer.assess("lingerie webcam");
         assert!(assessment.semantic);
-        assert_eq!(analyzer.method(), CategorizerMethod::Lda);
+        assert_eq!(analyzer.method, CategorizerMethod::Lda);
     }
 }

@@ -104,7 +104,7 @@ fn zero_pad(len: usize) -> Vec<u8> {
 /// Builds a 12-byte nonce from a 32-bit channel id and a 64-bit sequence
 /// number. Each (key, direction) pair uses its own sequence counter so that
 /// nonces never repeat under the same key.
-pub fn nonce_from_sequence(channel_id: u32, sequence: u64) -> [u8; NONCE_LEN] {
+pub(crate) fn nonce_from_sequence(channel_id: u32, sequence: u64) -> [u8; NONCE_LEN] {
     let mut nonce = [0u8; NONCE_LEN];
     nonce[..4].copy_from_slice(&channel_id.to_le_bytes());
     nonce[4..].copy_from_slice(&sequence.to_le_bytes());

@@ -4,23 +4,23 @@
 //! used directly by `cyclosa-baselines::tor` for the per-hop onion layers.
 
 /// Key size in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 
 /// Nonce size in bytes (IETF variant).
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 
 /// ChaCha20 block size in bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 /// The ChaCha20 cipher keyed with a 256-bit key.
 #[derive(Debug, Clone)]
-pub struct ChaCha20 {
+pub(crate) struct ChaCha20 {
     key: [u32; 8],
 }
 
 impl ChaCha20 {
     /// Creates a cipher instance from a 32-byte key.
-    pub fn new(key: &[u8; KEY_LEN]) -> Self {
+    pub(crate) fn new(key: &[u8; KEY_LEN]) -> Self {
         let mut words = [0u32; 8];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
             words[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -29,7 +29,7 @@ impl ChaCha20 {
     }
 
     /// Produces one 64-byte keystream block for the given nonce and counter.
-    pub fn block(&self, nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; BLOCK_LEN] {
+    pub(crate) fn block(&self, nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; BLOCK_LEN] {
         let mut state = [0u32; 16];
         state[0] = 0x6170_7865;
         state[1] = 0x3320_646e;
@@ -65,7 +65,12 @@ impl ChaCha20 {
 
     /// Encrypts or decrypts `data` in place (XOR with the keystream),
     /// starting at block `initial_counter`.
-    pub fn apply_keystream(&self, nonce: &[u8; NONCE_LEN], initial_counter: u32, data: &mut [u8]) {
+    pub(crate) fn apply_keystream(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        initial_counter: u32,
+        data: &mut [u8],
+    ) {
         for (block_idx, chunk) in data.chunks_mut(BLOCK_LEN).enumerate() {
             let counter = initial_counter.wrapping_add(block_idx as u32);
             let keystream = self.block(nonce, counter);
@@ -73,13 +78,6 @@ impl ChaCha20 {
                 *b ^= k;
             }
         }
-    }
-
-    /// Convenience: returns the encryption of `data` (allocating).
-    pub fn encrypt(&self, nonce: &[u8; NONCE_LEN], initial_counter: u32, data: &[u8]) -> Vec<u8> {
-        let mut out = data.to_vec();
-        self.apply_keystream(nonce, initial_counter, &mut out);
-        out
     }
 }
 
@@ -98,6 +96,13 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 mod tests {
     use super::*;
     use crate::sha256::{from_hex, hex};
+
+    /// `data` XORed with the keystream from block `initial_counter` on.
+    fn encrypt(cipher: &ChaCha20, nonce: &[u8; 12], initial_counter: u32, data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        cipher.apply_keystream(nonce, initial_counter, &mut out);
+        out
+    }
 
     fn rfc_key() -> [u8; 32] {
         let mut key = [0u8; 32];
@@ -128,7 +133,7 @@ mod tests {
         let nonce: [u8; 12] = [0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0];
         let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.";
         let cipher = ChaCha20::new(&key);
-        let ciphertext = cipher.encrypt(&nonce, 1, plaintext);
+        let ciphertext = encrypt(&cipher, &nonce, 1, plaintext);
         let expected = from_hex(
             "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b\
              f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8\
@@ -145,9 +150,9 @@ mod tests {
         let nonce = [7u8; 12];
         let cipher = ChaCha20::new(&key);
         let msg = b"private web search query".to_vec();
-        let ct = cipher.encrypt(&nonce, 0, &msg);
+        let ct = encrypt(&cipher, &nonce, 0, &msg);
         assert_ne!(ct, msg);
-        let pt = cipher.encrypt(&nonce, 0, &ct);
+        let pt = encrypt(&cipher, &nonce, 0, &ct);
         assert_eq!(pt, msg);
     }
 
@@ -172,9 +177,9 @@ mod tests {
         let msg = vec![0xAB; 300];
         // Encrypting all at once or in two pieces (with correct counters)
         // must give the same result.
-        let whole = cipher.encrypt(&nonce, 5, &msg);
-        let mut pieces = cipher.encrypt(&nonce, 5, &msg[..128]);
-        pieces.extend(cipher.encrypt(&nonce, 7, &msg[128..]));
+        let whole = encrypt(&cipher, &nonce, 5, &msg);
+        let mut pieces = encrypt(&cipher, &nonce, 5, &msg[..128]);
+        pieces.extend(encrypt(&cipher, &nonce, 7, &msg[128..]));
         assert_eq!(whole, pieces);
     }
 }

@@ -57,27 +57,27 @@ impl From<AeadError> for ChannelError {
 
 /// First handshake message (initiator → responder).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HandshakeInit {
+pub(crate) struct HandshakeInit {
     /// The initiator's ephemeral public key.
-    pub public_key: PublicKey,
+    pub(crate) public_key: PublicKey,
     /// Opaque attestation evidence (e.g. an SGX quote).
-    pub evidence: Vec<u8>,
+    pub(crate) evidence: Vec<u8>,
 }
 
 /// Second handshake message (responder → initiator).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HandshakeResponse {
+pub(crate) struct HandshakeResponse {
     /// The responder's ephemeral public key.
-    pub public_key: PublicKey,
+    pub(crate) public_key: PublicKey,
     /// Opaque attestation evidence of the responder.
-    pub evidence: Vec<u8>,
+    pub(crate) evidence: Vec<u8>,
     /// HMAC over the transcript proving the responder derived the same keys.
-    pub confirmation: [u8; 32],
+    pub(crate) confirmation: [u8; 32],
 }
 
 /// Initiator side of the handshake.
 #[derive(Debug)]
-pub struct HandshakeInitiator {
+pub(crate) struct HandshakeInitiator {
     secret: StaticSecret,
     evidence: Vec<u8>,
 }
@@ -85,7 +85,7 @@ pub struct HandshakeInitiator {
 impl HandshakeInitiator {
     /// Creates an initiator from an ephemeral secret and its attestation
     /// evidence, returning the first message to send.
-    pub fn new(secret: StaticSecret, evidence: Vec<u8>) -> (Self, HandshakeInit) {
+    pub(crate) fn new(secret: StaticSecret, evidence: Vec<u8>) -> (Self, HandshakeInit) {
         let msg = HandshakeInit {
             public_key: secret.public_key(),
             evidence: evidence.clone(),
@@ -100,7 +100,10 @@ impl HandshakeInitiator {
     ///
     /// Fails when the shared secret is degenerate or the confirmation tag
     /// does not verify.
-    pub fn finish(self, response: &HandshakeResponse) -> Result<SecureChannel, ChannelError> {
+    pub(crate) fn finish(
+        self,
+        response: &HandshakeResponse,
+    ) -> Result<SecureChannel, ChannelError> {
         let shared = self.secret.diffie_hellman(&response.public_key);
         if shared.is_zero() {
             return Err(ChannelError::DegenerateSharedSecret);
@@ -121,7 +124,7 @@ impl HandshakeInitiator {
 
 /// Responder side of the handshake.
 #[derive(Debug)]
-pub struct HandshakeResponder;
+pub(crate) struct HandshakeResponder;
 
 impl HandshakeResponder {
     /// Processes the initiator's message and produces both the response and
@@ -130,7 +133,7 @@ impl HandshakeResponder {
     /// # Errors
     ///
     /// Fails when the shared secret is degenerate.
-    pub fn respond(
+    pub(crate) fn respond(
         secret: StaticSecret,
         evidence: Vec<u8>,
         init: &HandshakeInit,
@@ -237,11 +240,6 @@ impl SecureChannel {
         self.channel_id
     }
 
-    /// Number of records sent so far.
-    pub fn records_sent(&self) -> u64 {
-        self.send_seq
-    }
-
     /// Encrypts and authenticates `plaintext` with the given associated data.
     pub fn seal(&mut self, plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
         let nonce = nonce_from_sequence(self.channel_id, self.send_seq);
@@ -314,7 +312,7 @@ mod tests {
         assert_ne!(r1, r2, "nonce reuse would leak equality of payloads");
         assert_eq!(bob.open(&r1, b"").unwrap(), b"same payload");
         assert_eq!(bob.open(&r2, b"").unwrap(), b"same payload");
-        assert_eq!(alice.records_sent(), 2);
+        assert_eq!(alice.send_seq, 2);
     }
 
     #[test]

@@ -11,10 +11,10 @@ use crate::hmac::HmacSha256;
 use crate::sha256::DIGEST_LEN;
 
 /// Maximum output length allowed by RFC 5869 (255 blocks).
-pub const MAX_OUTPUT_LEN: usize = 255 * DIGEST_LEN;
+pub(crate) const MAX_OUTPUT_LEN: usize = 255 * DIGEST_LEN;
 
 /// HKDF-Extract: derives a pseudo-random key from input keying material.
-pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
+pub(crate) fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     HmacSha256::mac(salt, ikm)
 }
 
@@ -24,7 +24,7 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 /// # Panics
 ///
 /// Panics if `len > MAX_OUTPUT_LEN`.
-pub fn expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
+pub(crate) fn expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= MAX_OUTPUT_LEN, "HKDF output too long ({len} bytes)");
     let mut okm = Vec::with_capacity(len);
     let mut previous: Vec<u8> = Vec::new();

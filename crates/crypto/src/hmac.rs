@@ -15,7 +15,7 @@ pub struct HmacSha256 {
 
 impl HmacSha256 {
     /// Creates an HMAC instance keyed with `key` (any length).
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         // Keys longer than one block are hashed first, shorter keys are
         // zero-padded, per RFC 2104.
         let mut block_key = [0u8; BLOCK_LEN];
@@ -41,12 +41,12 @@ impl HmacSha256 {
     }
 
     /// Absorbs message data.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
     }
 
     /// Finishes the computation and returns the 32-byte tag.
-    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
         let mut outer = Sha256::new();
         outer.update(&self.outer_key_pad);

@@ -50,17 +50,12 @@ pub mod poly1305;
 pub mod sha256;
 pub mod x25519;
 
-pub use aead::{AeadError, ChaCha20Poly1305};
-pub use channel::{ChannelError, SecureChannel};
-pub use sha256::Sha256;
-pub use x25519::{PublicKey, SharedSecret, StaticSecret};
-
 /// Constant-time byte-slice equality.
 ///
 /// Returns `false` when the lengths differ. Used for MAC and key-confirmation
 /// comparisons so that the comparison time does not leak the first differing
 /// byte position.
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }

@@ -6,14 +6,14 @@
 //! above position 130 (multiplied by 5, since `2^130 ≡ 5 (mod p)`).
 
 /// Key size in bytes (the `r || s` pair).
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 
 /// Tag size in bytes.
-pub const TAG_LEN: usize = 16;
+pub(crate) const TAG_LEN: usize = 16;
 
 /// A Poly1305 authenticator instance.
 #[derive(Debug, Clone)]
-pub struct Poly1305 {
+pub(crate) struct Poly1305 {
     /// Clamped multiplier `r` (two limbs, < 2^124).
     r: [u64; 2],
     /// Final addend `s` (two limbs).
@@ -27,7 +27,7 @@ pub struct Poly1305 {
 
 impl Poly1305 {
     /// Creates an authenticator from a 32-byte one-time key.
-    pub fn new(key: &[u8; KEY_LEN]) -> Self {
+    pub(crate) fn new(key: &[u8; KEY_LEN]) -> Self {
         let mut r0 = u64::from_le_bytes(key[0..8].try_into().expect("slice of 8"));
         let mut r1 = u64::from_le_bytes(key[8..16].try_into().expect("slice of 8"));
         // Clamping per RFC 8439 §2.5: clear the top four bits of bytes
@@ -46,7 +46,7 @@ impl Poly1305 {
     }
 
     /// Absorbs message bytes.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         let mut input = data;
         if self.buffer_len > 0 {
             let take = (16 - self.buffer_len).min(input.len());
@@ -71,7 +71,7 @@ impl Poly1305 {
     }
 
     /// Finishes the computation and returns the 16-byte tag.
-    pub fn finalize(mut self) -> [u8; TAG_LEN] {
+    pub(crate) fn finalize(mut self) -> [u8; TAG_LEN] {
         if self.buffer_len > 0 {
             // Final partial block: append a single 0x01 byte then zeros.
             let mut block = [0u8; 16];
@@ -101,18 +101,6 @@ impl Poly1305 {
         tag[..8].copy_from_slice(&t0.to_le_bytes());
         tag[8..].copy_from_slice(&t1.to_le_bytes());
         tag
-    }
-
-    /// One-shot MAC of `data` under `key`.
-    pub fn mac(key: &[u8; KEY_LEN], data: &[u8]) -> [u8; TAG_LEN] {
-        let mut p = Self::new(key);
-        p.update(data);
-        p.finalize()
-    }
-
-    /// Verifies a tag in constant time.
-    pub fn verify(key: &[u8; KEY_LEN], data: &[u8], tag: &[u8]) -> bool {
-        crate::ct_eq(&Self::mac(key, data), tag)
     }
 
     fn process_block(&mut self, block: &[u8; 16], _partial: bool) {
@@ -200,6 +188,13 @@ mod tests {
     use super::*;
     use crate::sha256::{from_hex, hex};
 
+    /// One-shot tag of `data` under `key`.
+    fn mac(key: &[u8; KEY_LEN], data: &[u8]) -> [u8; TAG_LEN] {
+        let mut p = Poly1305::new(key);
+        p.update(data);
+        p.finalize()
+    }
+
     #[test]
     fn rfc8439_vector() {
         // RFC 8439 §2.5.2.
@@ -209,7 +204,7 @@ mod tests {
                 .try_into()
                 .unwrap();
         let msg = b"Cryptographic Forum Research Group";
-        let tag = Poly1305::mac(&key, msg);
+        let tag = mac(&key, msg);
         assert_eq!(hex(&tag), "a8061dc1305136c6c22b8baf0c0127a9");
     }
 
@@ -221,7 +216,7 @@ mod tests {
         let mut key = [0u8; 32];
         key[16..32].copy_from_slice(&from_hex("36e5f6b5c5e06070f0efca96227a863e").unwrap());
         let msg = b"Any submission to the IETF intended by the Contributor for publication";
-        let tag = Poly1305::mac(&key, msg);
+        let tag = mac(&key, msg);
         assert_eq!(hex(&tag), "36e5f6b5c5e06070f0efca96227a863e");
     }
 
@@ -231,7 +226,7 @@ mod tests {
         for (i, b) in key.iter_mut().enumerate() {
             *b = i as u8;
         }
-        let tag = Poly1305::mac(&key, b"");
+        let tag = mac(&key, b"");
         // h stays 0, so the tag is exactly s (bytes 16..32 of the key).
         assert_eq!(&tag[..], &key[16..32]);
     }
@@ -240,7 +235,7 @@ mod tests {
     fn incremental_matches_oneshot() {
         let key = [0x5Au8; 32];
         let data: Vec<u8> = (0..200u8).collect();
-        let oneshot = Poly1305::mac(&key, &data);
+        let oneshot = mac(&key, &data);
         let mut p = Poly1305::new(&key);
         // Irregular chunking exercises the buffering logic.
         for chunk in data.chunks(7) {
@@ -252,28 +247,25 @@ mod tests {
     #[test]
     fn different_messages_different_tags() {
         let key = [0x33u8; 32];
-        assert_ne!(
-            Poly1305::mac(&key, b"query A"),
-            Poly1305::mac(&key, b"query B")
-        );
+        assert_ne!(mac(&key, b"query A"), mac(&key, b"query B"));
     }
 
     #[test]
     fn verify_detects_tampering() {
         let key = [0x11u8; 32];
-        let tag = Poly1305::mac(&key, b"message");
-        assert!(Poly1305::verify(&key, b"message", &tag));
-        assert!(!Poly1305::verify(&key, b"Message", &tag));
+        let tag = mac(&key, b"message");
+        assert!(crate::ct_eq(&mac(&key, b"message"), &tag));
+        assert!(!crate::ct_eq(&mac(&key, b"Message"), &tag));
         let mut bad_tag = tag;
         bad_tag[0] ^= 1;
-        assert!(!Poly1305::verify(&key, b"message", &bad_tag));
+        assert!(!crate::ct_eq(&mac(&key, b"message"), &bad_tag));
     }
 
     #[test]
     fn exact_multiple_of_block_size() {
         let key = [0x77u8; 32];
         let data = vec![0xEE; 64];
-        let a = Poly1305::mac(&key, &data);
+        let a = mac(&key, &data);
         let mut p = Poly1305::new(&key);
         p.update(&data[..16]);
         p.update(&data[16..64]);

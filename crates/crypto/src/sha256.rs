@@ -5,10 +5,10 @@
 //! content digests in the search-engine simulator.
 
 /// Output size of SHA-256 in bytes.
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 
 /// Block size of SHA-256 in bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -31,7 +31,7 @@ const H0: [u32; 8] = [
 ///
 /// ```
 /// use cyclosa_crypto::sha256::Sha256;
-/// let digest = Sha256::digest(b"abc");
+/// let digest = Sha256::digest_parts(&[b"ab", b"c"]);
 /// assert_eq!(digest[0], 0xba);
 /// ```
 #[derive(Debug, Clone)]
@@ -50,7 +50,7 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Creates a fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             state: H0,
             buffer: [0u8; BLOCK_LEN],
@@ -60,7 +60,7 @@ impl Sha256 {
     }
 
     /// Convenience one-shot digest of `data`.
-    pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
+    pub(crate) fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
         let mut h = Self::new();
         h.update(data);
         h.finalize()
@@ -76,7 +76,7 @@ impl Sha256 {
     }
 
     /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         // Fill a partially filled buffer first.
@@ -106,7 +106,7 @@ impl Sha256 {
     }
 
     /// Finishes the hash and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, then the 64-bit big-endian length. The
         // buffer always has room for the 0x80; when the length no longer
@@ -188,9 +188,11 @@ pub fn hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Decodes a lowercase/uppercase hex string. Returns `None` on malformed
-/// input (odd length or non-hex characters).
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
+/// Decodes a lowercase/uppercase hex string, the form test vectors are
+/// written in. Returns `None` on malformed input (odd length or non-hex
+/// characters).
+#[cfg(test)]
+pub(crate) fn from_hex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }

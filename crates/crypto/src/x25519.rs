@@ -33,9 +33,6 @@
 //! 40, 50, 100, 200 and 250. The Montgomery ladder swaps its two points
 //! with a mask rather than a branch, so it does not branch on key bits.
 
-/// Length of public keys, secret keys and shared secrets in bytes.
-pub const KEY_LEN: usize = 32;
-
 const MASK51: u64 = (1u64 << 51) - 1;
 
 /// An element of the field GF(2^255 − 19), as five radix-2^51 limbs (see
@@ -283,7 +280,7 @@ pub fn x25519(scalar: [u8; 32], u: [u8; 32]) -> [u8; 32] {
 }
 
 /// The standard base point (u = 9).
-pub fn base_point() -> [u8; 32] {
+pub(crate) fn base_point() -> [u8; 32] {
     let mut b = [0u8; 32];
     b[0] = 9;
     b
@@ -346,13 +343,13 @@ pub struct SharedSecret(pub [u8; 32]);
 
 impl SharedSecret {
     /// Raw secret bytes (feed these through HKDF before use as keys).
-    pub fn as_bytes(&self) -> &[u8; 32] {
+    pub(crate) fn as_bytes(&self) -> &[u8; 32] {
         &self.0
     }
 
     /// Returns `true` if the secret is all zeroes, which signals a
     /// contributory-behaviour failure (low-order peer point).
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.0.iter().all(|&b| b == 0)
     }
 }

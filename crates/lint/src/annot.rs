@@ -17,7 +17,7 @@
 use crate::scan::ScannedFile;
 
 /// The rule identifiers an `allow(...)` may name.
-pub const KNOWN_RULES: [&str; 4] = [
+pub(crate) const KNOWN_RULES: [&str; 4] = [
     "wall_clock",
     "hash_collections",
     "rng_stream",
@@ -26,24 +26,24 @@ pub const KNOWN_RULES: [&str; 4] = [
 
 /// One parsed `allow` annotation.
 #[derive(Debug, Clone)]
-pub struct Allow {
+pub(crate) struct Allow {
     /// 0-based line of the comment.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 0-based line the allow applies to.
-    pub target: usize,
+    pub(crate) target: usize,
     /// Rule name as written.
-    pub rule: String,
+    pub(crate) rule: String,
     /// The reason text, if present.
-    pub reason: Option<String>,
+    pub(crate) reason: Option<String>,
 }
 
 /// Parse problems reported by the hygiene rule.
 #[derive(Debug, Clone)]
-pub struct Malformed {
+pub(crate) struct Malformed {
     /// 0-based line of the comment.
-    pub line: usize,
+    pub(crate) line: usize,
     /// What is wrong with it.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 /// All annotations of one file.
@@ -51,14 +51,14 @@ pub struct Malformed {
 pub struct Annotations {
     /// Well-formed allows (possibly with hygiene problems like an empty
     /// reason, which the hygiene rule reports separately).
-    pub allows: Vec<Allow>,
+    pub(crate) allows: Vec<Allow>,
     /// Unparsable `cyclosa-lint:` directives.
-    pub malformed: Vec<Malformed>,
+    pub(crate) malformed: Vec<Malformed>,
 }
 
 impl Annotations {
     /// Whether `rule` is allowed on 0-based `line`.
-    pub fn allows_rule(&self, rule: &str, line: usize) -> bool {
+    pub(crate) fn allows_rule(&self, rule: &str, line: usize) -> bool {
         self.allows
             .iter()
             .any(|a| a.target == line && a.rule == rule && a.is_well_formed())
@@ -69,7 +69,7 @@ impl Allow {
     /// An allow only suppresses when it names a known rule and carries a
     /// non-empty reason; otherwise it is itself a finding and must not
     /// silence anything.
-    pub fn is_well_formed(&self) -> bool {
+    pub(crate) fn is_well_formed(&self) -> bool {
         KNOWN_RULES.contains(&self.rule.as_str())
             && self.reason.as_deref().is_some_and(|r| !r.trim().is_empty())
     }

@@ -17,7 +17,7 @@
 //! | `wall_clock`, `hash_collections` | [`nondet`] | no process entropy in critical crates |
 //! | `rng_stream` | [`rng`] | collision-free stream tags + `RNG_STREAMS.md` registry |
 //! | `trace_schema` | [`schema`] | emitters ⊆ schema ∧ schema ⊆ emitters |
-//! | `dead_pub` | [`dead_pub`] | every `pub fn` has a caller, tests included |
+//! | `dead_pub` | [`dead_pub`] | every `pub fn` has a caller outside its crate |
 //! | `allow_hygiene` | here | every suppression is reasoned and still live |
 //!
 //! Sanctioned sites carry `// cyclosa-lint: allow(<rule>, reason = "...")`
@@ -49,7 +49,7 @@ pub enum Rule {
     RngStream,
     /// Trace event names drifting from the closed telemetry schema.
     TraceSchema,
-    /// `pub fn`s that nothing in the workspace calls.
+    /// `pub fn`s that nothing outside their crate calls.
     DeadPub,
     /// Malformed, reason-less or unused `allow` annotations.
     AllowHygiene,
@@ -67,7 +67,7 @@ impl Rule {
     ];
 
     /// Stable identifier (matches the annotation grammar).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Rule::WallClock => "wall_clock",
             Rule::HashCollections => "hash_collections",
@@ -109,7 +109,7 @@ pub struct Finding {
     /// Repo-relative path.
     pub path: String,
     /// 1-based line.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Human-readable explanation with remediation.
     pub message: String,
 }
@@ -132,14 +132,15 @@ pub const RNG_REGISTRY_FILE: &str = "RNG_STREAMS.md";
 /// sources that only call into them.
 pub struct Workspace {
     /// Workspace root.
-    pub root: PathBuf,
+    pub(crate) root: PathBuf,
     /// Scanned sources, sorted by path.
     pub files: Vec<ScannedFile>,
     /// Per-path parsed annotations.
     pub annots: BTreeMap<String, annot::Annotations>,
     /// Scanned `tests/`, `examples/` and `benches/` of every package, and
-    /// `benchmarks/src`: searched for callers by [`dead_pub`], policed by
-    /// no rule.
+    /// `benchmarks/src`: searched for callers by [`dead_pub`] (which skips
+    /// a crate's own `tests/` when judging that crate), policed by no
+    /// rule.
     callers: Vec<ScannedFile>,
 }
 

@@ -18,7 +18,7 @@ use crate::{Finding, Rule};
 
 /// Crates whose event timelines must be bit-identical across shard
 /// counts: randomized hash state is banned here.
-pub const HASH_CRITICAL_CRATES: [&str; 6] = [
+pub(crate) const HASH_CRITICAL_CRATES: [&str; 6] = [
     "net",
     "runtime",
     "core",
@@ -29,7 +29,7 @@ pub const HASH_CRITICAL_CRATES: [&str; 6] = [
 
 /// Crates where wall clocks are banned (the hash-critical set plus
 /// `bench`, whose scalability driver has the one sanctioned stopwatch).
-pub const WALL_CRITICAL_CRATES: [&str; 7] = [
+pub(crate) const WALL_CRITICAL_CRATES: [&str; 7] = [
     "net",
     "runtime",
     "core",
@@ -40,9 +40,9 @@ pub const WALL_CRITICAL_CRATES: [&str; 7] = [
 ];
 
 /// Banned tokens of the `hash_collections` rule.
-pub const HASH_TOKENS: [&str; 2] = ["HashMap", "HashSet"];
+pub(crate) const HASH_TOKENS: [&str; 2] = ["HashMap", "HashSet"];
 /// Banned tokens of the `wall_clock` rule.
-pub const WALL_TOKENS: [&str; 2] = ["Instant::now", "SystemTime"];
+pub(crate) const WALL_TOKENS: [&str; 2] = ["Instant::now", "SystemTime"];
 
 /// Whether `code[idx..]` starts a word-boundary occurrence of `token`.
 fn word_at(code: &str, idx: usize, token: &str) -> bool {
@@ -61,7 +61,7 @@ fn word_at(code: &str, idx: usize, token: &str) -> bool {
 }
 
 /// All word-boundary occurrences of `token` in `code`.
-pub fn word_occurrences(code: &str, token: &str) -> impl Iterator<Item = usize> {
+pub(crate) fn word_occurrences(code: &str, token: &str) -> impl Iterator<Item = usize> {
     code.match_indices(token)
         .map(|(idx, _)| idx)
         .filter(move |&idx| word_at(code, idx, token))
@@ -70,7 +70,7 @@ pub fn word_occurrences(code: &str, token: &str) -> impl Iterator<Item = usize> 
 }
 
 /// Runs the nondeterminism rule over one scanned file.
-pub fn check_file(file: &ScannedFile, annots: &Annotations, findings: &mut Vec<Finding>) {
+pub(crate) fn check_file(file: &ScannedFile, annots: &Annotations, findings: &mut Vec<Finding>) {
     let Some(crate_name) = file.crate_name() else {
         return;
     };

@@ -26,27 +26,27 @@ use std::collections::BTreeMap;
 
 /// One harvested stream constant.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamTag {
+pub(crate) struct StreamTag {
     /// Tag value.
-    pub value: u64,
+    pub(crate) value: u64,
     /// The const name it came through, or `<literal>` for a bare literal.
-    pub label: String,
+    pub(crate) label: String,
     /// Repo-relative file.
-    pub path: String,
+    pub(crate) path: String,
     /// 1-based line of the call site.
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// The full harvest of one workspace.
 #[derive(Debug, Default)]
-pub struct Harvest {
+pub(crate) struct Harvest {
     /// `fork(<int>)` call sites.
-    pub forks: Vec<StreamTag>,
+    pub(crate) forks: Vec<StreamTag>,
     /// `churn_stream(seed, TAG, ...)` call sites.
-    pub churn: Vec<StreamTag>,
+    pub(crate) churn: Vec<StreamTag>,
     /// Call sites whose tag is not a compile-time literal (listed in the
     /// registry for completeness; exempt from collision checks).
-    pub dynamic: Vec<(String, usize, String)>,
+    pub(crate) dynamic: Vec<(String, usize, String)>,
 }
 
 /// Parses an integer literal (decimal or `0x` hex, `_` separators).
@@ -125,7 +125,7 @@ fn collect_consts(files: &[&ScannedFile]) -> BTreeMap<(String, String), u64> {
 }
 
 /// Harvests every stream-tag site in `files` (test regions excluded).
-pub fn harvest(files: &[&ScannedFile]) -> Harvest {
+pub(crate) fn harvest(files: &[&ScannedFile]) -> Harvest {
     let consts = collect_consts(files);
     let mut out = Harvest::default();
     for file in files {
@@ -210,7 +210,7 @@ pub fn harvest(files: &[&ScannedFile]) -> Harvest {
 }
 
 /// Runs the collision checks over a harvest.
-pub fn check(
+pub(crate) fn check(
     harvest: &Harvest,
     annots: &BTreeMap<String, Annotations>,
     findings: &mut Vec<Finding>,
@@ -281,7 +281,7 @@ pub fn check(
 }
 
 /// Renders the registry document committed as `RNG_STREAMS.md`.
-pub fn registry_doc(harvest: &Harvest) -> String {
+pub(crate) fn registry_doc(harvest: &Harvest) -> String {
     let mut doc = String::new();
     doc.push_str("# RNG stream registry\n\n");
     doc.push_str(

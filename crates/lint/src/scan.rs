@@ -20,14 +20,14 @@
 
 /// One string literal in a scanned file.
 #[derive(Debug, Clone)]
-pub struct StringLit {
+pub(crate) struct StringLit {
     /// 0-based line the literal starts on.
-    pub line: usize,
+    pub(crate) line: usize,
     /// The literal's value (escapes left as written — rules only match
     /// plain identifiers and event names, which never contain escapes).
-    pub value: String,
+    pub(crate) value: String,
     /// Byte offset of the literal's placeholder in [`ScannedFile::flat_code`].
-    pub flat_pos: usize,
+    pub(crate) flat_pos: usize,
 }
 
 /// A tokenized source file. See the module docs for the view semantics.
@@ -36,28 +36,28 @@ pub struct ScannedFile {
     /// Repo-relative path with `/` separators.
     pub path: String,
     /// Comment-stripped, literal-blanked code, one entry per source line.
-    pub code_lines: Vec<String>,
+    pub(crate) code_lines: Vec<String>,
     /// Comment text per source line (line and block comments).
-    pub comments: Vec<String>,
+    pub(crate) comments: Vec<String>,
     /// String literals in order of appearance.
-    pub strings: Vec<StringLit>,
+    pub(crate) strings: Vec<StringLit>,
     /// The code lines joined with `\n` (placeholders included).
-    pub flat_code: String,
+    pub(crate) flat_code: String,
     /// Whether each line sits inside a `#[cfg(test)]` item.
-    pub in_test: Vec<bool>,
+    pub(crate) in_test: Vec<bool>,
     /// Whether each line sits inside a `schema-registry` marked block.
-    pub in_registry: Vec<bool>,
+    pub(crate) in_registry: Vec<bool>,
 }
 
 impl ScannedFile {
     /// The crate a `crates/<name>/...` path belongs to (`None` for the
     /// root package's own sources).
-    pub fn crate_name(&self) -> Option<&str> {
+    pub(crate) fn crate_name(&self) -> Option<&str> {
         self.path.strip_prefix("crates/")?.split('/').next()
     }
 
     /// 1-based line numbers for reporting.
-    pub fn display_line(line: usize) -> usize {
+    pub(crate) fn display_line(line: usize) -> usize {
         line + 1
     }
 }
@@ -70,7 +70,7 @@ fn is_ident_char(c: char) -> bool {
 /// (after the comment markers), or `None`. Anchoring to the comment start
 /// keeps prose and doc examples that merely *mention* the marker — like
 /// this crate's own documentation — from parsing as directives.
-pub fn directive(comment: &str) -> Option<&str> {
+pub(crate) fn directive(comment: &str) -> Option<&str> {
     let text = comment.trim_start();
     let text = match text.strip_prefix("//") {
         Some(rest) => rest

@@ -25,7 +25,7 @@ use crate::{Finding, Rule};
 use std::collections::BTreeMap;
 
 /// Crates whose sources emit trace events and are scanned for emitters.
-pub const INSTRUMENTED_CRATES: [&str; 6] = [
+pub(crate) const INSTRUMENTED_CRATES: [&str; 6] = [
     "core",
     "chaos",
     "peer-sampling",
@@ -44,15 +44,15 @@ const CONTEXT_WINDOW: usize = 400;
 /// The harvested schema: family prefixes plus the closed name set (each
 /// name mapped to its declaration site for error reporting).
 #[derive(Debug, Default)]
-pub struct Schema {
+pub(crate) struct Schema {
     /// Family prefixes, each ending in `.`.
-    pub families: Vec<String>,
+    pub(crate) families: Vec<String>,
     /// Event name → (registry file, 1-based line).
-    pub names: BTreeMap<String, (String, usize)>,
+    pub(crate) names: BTreeMap<String, (String, usize)>,
 }
 
 /// Whether `value` is a well-formed event name of one of `families`.
-pub fn family_shaped<'a>(value: &str, families: &'a [String]) -> Option<&'a str> {
+pub(crate) fn family_shaped<'a>(value: &str, families: &'a [String]) -> Option<&'a str> {
     let family = families.iter().find(|f| value.starts_with(f.as_str()))?;
     let shaped = value.len() > family.len()
         && !value.ends_with('.')
@@ -63,7 +63,7 @@ pub fn family_shaped<'a>(value: &str, families: &'a [String]) -> Option<&'a str>
 }
 
 /// Harvests the schema from every `schema-registry` region in `files`.
-pub fn collect_schema(files: &[&ScannedFile]) -> Schema {
+pub(crate) fn collect_schema(files: &[&ScannedFile]) -> Schema {
     let mut schema = Schema::default();
     for file in files {
         for lit in &file.strings {
@@ -113,7 +113,7 @@ fn is_metric_context(flat: &str, pos: usize) -> bool {
 }
 
 /// Runs both directions of the cross-check.
-pub fn check(
+pub(crate) fn check(
     files: &[&ScannedFile],
     schema: &Schema,
     annots: &BTreeMap<String, Annotations>,

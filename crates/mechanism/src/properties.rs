@@ -14,23 +14,6 @@ pub struct MechanismProperties {
     pub scalability: bool,
 }
 
-impl MechanismProperties {
-    /// Renders the property set as the ✓/✗ row used in Table I.
-    pub fn as_row(&self) -> [bool; 4] {
-        [
-            self.unlinkability,
-            self.indistinguishability,
-            self.accuracy,
-            self.scalability,
-        ]
-    }
-
-    /// Number of satisfied properties.
-    pub fn satisfied(&self) -> usize {
-        self.as_row().iter().filter(|&&b| b).count()
-    }
-}
-
 impl std::fmt::Display for MechanismProperties {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mark = |b: bool| if b { "yes" } else { "no" };
@@ -57,8 +40,9 @@ mod tests {
             accuracy: true,
             scalability: true,
         };
-        assert_eq!(p.as_row(), [true, false, true, true]);
-        assert_eq!(p.satisfied(), 3);
-        assert!(p.to_string().contains("indistinguishability=no"));
+        assert_eq!(
+            p.to_string(),
+            "unlinkability=yes indistinguishability=no accuracy=yes scalability=yes"
+        );
     }
 }

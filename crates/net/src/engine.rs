@@ -22,7 +22,7 @@
 //!   sender's per-link message sequence, the target's per-node timer
 //!   sequence).
 //! * **Per-link randomness** — link latency and loss draws come from a
-//!   dedicated RNG stream per directed link ([`link_stream`]), seeded from
+//!   dedicated RNG stream per directed link (`link_stream`), seeded from
 //!   `(engine seed, src, dst)`. Because only `src`'s handler sends on the
 //!   link `src → dst`, the draw sequence on each stream depends only on
 //!   that node's (deterministic) behaviour, never on global event
@@ -33,10 +33,10 @@
 //!   (the engine node every relay talks to) is reached through an index.
 //! * **Deterministic dynamic membership** — joins, leaves, crashes and
 //!   recoveries scheduled against a simulated time are ordinary events of
-//!   class [`EventClass::Membership`], keyed by a per-node membership
-//!   sequence ([`MembershipLedger`]), so churn participates in the same
+//!   class `EventClass::Membership`, keyed by a per-node membership
+//!   sequence (`MembershipLedger`), so churn participates in the same
 //!   total order as deliveries and timers. Loss-probability changes are a
-//!   piecewise-constant function of send time ([`LossSchedule`]), never of
+//!   piecewise-constant function of send time (`LossSchedule`), never of
 //!   event interleaving.
 //!
 //! # FIFO contract
@@ -56,7 +56,7 @@ use std::collections::BTreeMap;
 
 /// Classes of events, ordered within the same `(time, node)` slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EventClass {
+pub(crate) enum EventClass {
     /// A membership change (join/leave/crash/recover). Membership sorts
     /// first in its `(time, node)` slot: a node joining at `t` receives
     /// deliveries at `t`, a node leaving or crashing at `t` no longer does.
@@ -72,7 +72,7 @@ pub enum EventClass {
 /// `cyclosa-chaos`). The discriminants are stable: they fill the `b` slot of
 /// the event key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MembershipChange {
+pub(crate) enum MembershipChange {
     /// A new node (or a departed node with a fresh behaviour) enters the
     /// population. The behaviour is stashed at schedule time and installed
     /// when the event fires.
@@ -100,16 +100,16 @@ pub struct EventKey {
     /// The node whose handler runs.
     pub node: NodeId,
     /// Deliveries sort before timers in the same `(time, node)` slot.
-    pub class: EventClass,
+    pub(crate) class: EventClass,
     /// Deliver: the sender's id. Timer: the per-node timer sequence.
-    pub a: u64,
+    pub(crate) a: u64,
     /// Deliver: the per-link message sequence. Timer: the token.
-    pub b: u64,
+    pub(crate) b: u64,
 }
 
 /// The payload of a scheduled event.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// Deliver a message to `key.node`.
     Deliver(Envelope),
     /// Fire `on_timer(token)` on `key.node`.
@@ -129,7 +129,7 @@ pub struct ScheduledEvent {
     /// The total-order key.
     pub key: EventKey,
     /// What happens when the event fires.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
 }
 
 impl PartialOrd for ScheduledEvent {
@@ -174,7 +174,7 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
 
 /// Derives the dedicated RNG stream of the directed link `src → dst` for an
 /// engine seeded with `seed`.
-pub fn link_stream(seed: u64, src: NodeId, dst: NodeId) -> Xoshiro256StarStar {
+pub(crate) fn link_stream(seed: u64, src: NodeId, dst: NodeId) -> Xoshiro256StarStar {
     Xoshiro256StarStar::seed_from_u64(mix(seed, src.0, dst.0))
 }
 
@@ -298,7 +298,7 @@ impl SenderLinks {
 /// stashed under `(node, sequence)` and taken out when the event fires —
 /// a node may leave and rejoin any number of times, each join with its own
 /// fresh behaviour.
-pub struct MembershipLedger<B> {
+pub(crate) struct MembershipLedger<B> {
     sequences: BTreeMap<NodeId, u64>,
     pending_joins: BTreeMap<(NodeId, u64), B>,
 }
@@ -311,7 +311,7 @@ impl<B> Default for MembershipLedger<B> {
 
 impl<B> MembershipLedger<B> {
     /// Creates an empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             sequences: BTreeMap::new(),
             pending_joins: BTreeMap::new(),
@@ -320,7 +320,12 @@ impl<B> MembershipLedger<B> {
 
     /// Assigns the deterministic event key of the next membership change of
     /// `node` firing at `at`.
-    pub fn next_key(&mut self, at: SimTime, node: NodeId, change: MembershipChange) -> EventKey {
+    pub(crate) fn next_key(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        change: MembershipChange,
+    ) -> EventKey {
         let sequence = self.sequences.entry(node).or_insert(0);
         let key = EventKey {
             at,
@@ -335,12 +340,12 @@ impl<B> MembershipLedger<B> {
 
     /// Stashes the behaviour of a scheduled join under its membership
     /// sequence (taken from `key.a` of the join's event key).
-    pub fn stash_join(&mut self, node: NodeId, sequence: u64, behavior: B) {
+    pub(crate) fn stash_join(&mut self, node: NodeId, sequence: u64, behavior: B) {
         self.pending_joins.insert((node, sequence), behavior);
     }
 
     /// Takes the behaviour of the join event with the given sequence.
-    pub fn take_join(&mut self, node: NodeId, sequence: u64) -> Option<B> {
+    pub(crate) fn take_join(&mut self, node: NodeId, sequence: u64) -> Option<B> {
         self.pending_joins.remove(&(node, sequence))
     }
 }
@@ -353,7 +358,7 @@ impl<B> MembershipLedger<B> {
 /// the same schedule and evaluates it at the same deterministic send
 /// times.
 #[derive(Debug, Clone, Default)]
-pub struct LossSchedule {
+pub(crate) struct LossSchedule {
     base: f64,
     /// `(from, probability)` steps sorted by time; a later entry scheduled
     /// at the same instant overrides an earlier one.
@@ -362,7 +367,7 @@ pub struct LossSchedule {
 
 impl LossSchedule {
     /// A schedule with a constant base probability of zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -371,7 +376,7 @@ impl LossSchedule {
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
-    pub fn set_base(&mut self, p: f64) {
+    pub(crate) fn set_base(&mut self, p: f64) {
         assert!(
             (0.0..=1.0).contains(&p),
             "loss probability must be in [0, 1]"
@@ -384,7 +389,7 @@ impl LossSchedule {
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
-    pub fn schedule(&mut self, at: SimTime, p: f64) {
+    pub(crate) fn schedule(&mut self, at: SimTime, p: f64) {
         assert!(
             (0.0..=1.0).contains(&p),
             "loss probability must be in [0, 1]"
@@ -396,7 +401,7 @@ impl LossSchedule {
     }
 
     /// The effective loss probability at `at`.
-    pub fn at(&self, at: SimTime) -> f64 {
+    pub(crate) fn at(&self, at: SimTime) -> f64 {
         match self.changes.partition_point(|(t, _)| *t <= at) {
             0 => self.base,
             n => self.changes[n - 1].1,
@@ -423,7 +428,7 @@ impl LossSchedule {
 /// match the same link, their probabilities compose independently
 /// (`1 − Π(1 − pᵢ)`), as does the global schedule on top.
 #[derive(Debug, Clone, Default)]
-pub struct LinkGroupSchedule {
+pub(crate) struct LinkGroupSchedule {
     groups: Vec<LinkGroup>,
 }
 
@@ -436,7 +441,7 @@ struct LinkGroup {
 
 impl LinkGroupSchedule {
     /// An empty schedule: no group ever loses anything.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -448,7 +453,7 @@ impl LinkGroupSchedule {
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]` or either set is empty.
-    pub fn schedule(&mut self, at: SimTime, src_set: &[NodeId], dst_set: &[NodeId], p: f64) {
+    pub(crate) fn schedule(&mut self, at: SimTime, src_set: &[NodeId], dst_set: &[NodeId], p: f64) {
         assert!(
             !src_set.is_empty() && !dst_set.is_empty(),
             "link groups need non-empty src and dst sets"
@@ -468,14 +473,9 @@ impl LinkGroupSchedule {
         self.groups.push(LinkGroup { src, dst, schedule });
     }
 
-    /// Whether no group has ever been scheduled (the hot-path fast exit).
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
     /// The group-only loss probability of the directed link `src → dst` at
     /// send time `at`: `1 − Π(1 − pᵢ)` over every matching group.
-    pub fn at(&self, at: SimTime, src: NodeId, dst: NodeId) -> f64 {
+    pub(crate) fn at(&self, at: SimTime, src: NodeId, dst: NodeId) -> f64 {
         let mut survival = 1.0;
         for group in &self.groups {
             if group.src.contains(&src) && group.dst.contains(&dst) {
@@ -487,7 +487,7 @@ impl LinkGroupSchedule {
 
     /// The effective loss probability of one send, composing the global
     /// schedule's `base` with every matching group independently.
-    pub fn combined(&self, base: f64, at: SimTime, src: NodeId, dst: NodeId) -> f64 {
+    pub(crate) fn combined(&self, base: f64, at: SimTime, src: NodeId, dst: NodeId) -> f64 {
         if self.groups.is_empty() {
             return base;
         }
@@ -507,7 +507,7 @@ impl LinkGroupSchedule {
 /// family takes effect at a chosen *simulated* time, so membership and
 /// link quality evolve deterministically **while the run is in flight**.
 /// Membership changes are ordinary events with a total-order
-/// [`EventKey`] (class [`EventClass::Membership`], sorting first in its
+/// [`EventKey`] (class `EventClass::Membership`, sorting first in its
 /// `(time, node)` slot), which is what keeps executions bit-identical
 /// across engines and shard counts even under churn.
 pub trait Engine {
@@ -549,13 +549,13 @@ pub trait Engine {
     fn schedule_recover(&mut self, at: SimTime, node: NodeId);
 
     /// Schedules the global loss probability to become `p` at simulated
-    /// time `at` (a deterministic "loss storm" step; see [`LossSchedule`]).
+    /// time `at` (a deterministic "loss storm" step; see `LossSchedule`).
     fn schedule_loss_probability(&mut self, at: SimTime, p: f64);
 
     /// Schedules the loss probability of every directed link in
     /// `src_set × dst_set` to become `p` at simulated time `at` — the
     /// link-group window primitive behind partitions (see
-    /// [`LinkGroupSchedule`]). Composes independently with the global
+    /// `LinkGroupSchedule`). Composes independently with the global
     /// schedule and with other groups covering the same link.
     fn schedule_link_loss(&mut self, at: SimTime, src_set: &[NodeId], dst_set: &[NodeId], p: f64);
 
@@ -686,12 +686,12 @@ mod tests {
     #[test]
     fn link_group_schedule_scopes_loss_to_the_group_and_window() {
         let mut schedule = LinkGroupSchedule::new();
-        assert!(schedule.is_empty());
+        assert!(schedule.groups.is_empty());
         let a = [NodeId(1), NodeId(2)];
         let b = [NodeId(3), NodeId(4)];
         schedule.schedule(SimTime::from_secs(10), &a, &b, 1.0);
         schedule.schedule(SimTime::from_secs(20), &a, &b, 0.0);
-        assert!(!schedule.is_empty());
+        assert!(!schedule.groups.is_empty());
         // Outside the window, and for any link not in A × B, nothing is lost.
         assert_eq!(
             schedule.at(SimTime::from_secs(5), NodeId(1), NodeId(3)),

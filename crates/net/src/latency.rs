@@ -32,14 +32,6 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// A model for a LAN-class link (fractions of a millisecond).
-    pub fn lan() -> Self {
-        LatencyModel::LogNormal {
-            median_ms: 0.3,
-            sigma: 0.2,
-        }
-    }
-
     /// A model for a wide-area residential link, calibrated so that one hop
     /// costs roughly 100–200 ms at the median.
     pub fn wan() -> Self {
@@ -107,20 +99,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// The median of the model (exact for constant/log-normal, midpoint for
-    /// uniform).
-    pub fn median(&self) -> SimTime {
-        match *self {
-            LatencyModel::Constant(t) => t,
-            LatencyModel::Uniform { low, high } => {
-                SimTime::from_nanos((low.as_nanos() + high.as_nanos()) / 2)
-            }
-            LatencyModel::LogNormal { median_ms, .. } => {
-                SimTime::from_nanos((median_ms * 1e6) as u64)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +114,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(model.sample(&mut rng), SimTime::from_millis(5));
         }
-        assert_eq!(model.median(), SimTime::from_millis(5));
     }
 
     #[test]
@@ -150,7 +127,6 @@ mod tests {
             let s = model.sample(&mut rng);
             assert!(s >= SimTime::from_millis(10) && s <= SimTime::from_millis(20));
         }
-        assert_eq!(model.median(), SimTime::from_millis(15));
         // Degenerate bounds fall back to the lower bound.
         let degenerate = LatencyModel::Uniform {
             low: SimTime::from_millis(5),
@@ -172,8 +148,19 @@ mod tests {
 
     #[test]
     fn tor_hops_are_much_slower_than_wan() {
-        assert!(LatencyModel::tor_hop().median() > LatencyModel::wan().median());
-        assert!(LatencyModel::tor_hop().median().as_secs_f64() >= 5.0);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(4);
+        let mut median_s = |model: LatencyModel| {
+            let samples: Vec<f64> = (0..2_001)
+                .map(|_| model.sample(&mut rng).as_secs_f64())
+                .collect();
+            Summary::from_samples(&samples).median
+        };
+        let (tor, wan) = (
+            median_s(LatencyModel::tor_hop()),
+            median_s(LatencyModel::wan()),
+        );
+        assert!(tor > wan);
+        assert!(tor >= 5.0, "median was {tor} s");
     }
 
     #[test]
@@ -181,7 +168,10 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(5);
         for model in [
             LatencyModel::wan(),
-            LatencyModel::lan(),
+            LatencyModel::LogNormal {
+                median_ms: 0.3,
+                sigma: 0.2,
+            },
             LatencyModel::Constant(SimTime::from_millis(3)),
             LatencyModel::Uniform {
                 low: SimTime::from_millis(1),

@@ -13,7 +13,7 @@
 //!   simulator delivers messages after sampled link latencies, preserving
 //!   per-link FIFO order (which the secure channels of `cyclosa-crypto`
 //!   rely on), injects losses and models crashed or Byzantine-silent nodes.
-//! * [`engine`] — the [`Engine`] scheduling trait shared with the sharded
+//! * [`engine`] — the [`Engine`](engine::Engine) scheduling trait shared with the sharded
 //!   parallel engine of `cyclosa-runtime`, plus the deterministic event
 //!   keys and per-link RNG streams that make executions bit-identical
 //!   across engines.
@@ -54,11 +54,6 @@ pub mod latency;
 mod queue;
 pub mod sim;
 pub mod time;
-
-pub use engine::{Engine, EventClass, EventKey, EventKind, ScheduledEvent};
-pub use latency::LatencyModel;
-pub use sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
-pub use time::SimTime;
 
 /// Identifier of a node in the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

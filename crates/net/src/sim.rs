@@ -69,7 +69,7 @@ pub struct Context<'a> {
 impl Context<'_> {
     /// Builds a context collecting the actions of one handler invocation.
     /// Used by engine implementations; applications never construct one.
-    pub fn new(now: SimTime, self_id: NodeId, actions: &mut Vec<Action>) -> Context<'_> {
+    pub(crate) fn new(now: SimTime, self_id: NodeId, actions: &mut Vec<Action>) -> Context<'_> {
         Context {
             now,
             self_id,
@@ -110,7 +110,7 @@ impl Context<'_> {
 /// An effect emitted by a node handler, applied by the engine after the
 /// handler returns.
 #[derive(Debug)]
-pub enum Action {
+pub(crate) enum Action {
     /// Send a message.
     Send(Envelope),
     /// Arm a timer on the emitting node.

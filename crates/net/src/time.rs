@@ -59,7 +59,7 @@ impl SimTime {
     }
 
     /// Value in milliseconds (floating point).
-    pub fn as_millis_f64(&self) -> f64 {
+    pub(crate) fn as_millis_f64(&self) -> f64 {
         self.0 as f64 / 1e6
     }
 

@@ -62,19 +62,6 @@ impl QueryCategorizer {
         self.lda_dictionaries.push(dict);
     }
 
-    /// The sensitive topics known to this categorizer.
-    pub fn topics(&self) -> Vec<&str> {
-        let mut topics: Vec<&str> = self
-            .lexicon_dictionaries
-            .iter()
-            .chain(self.lda_dictionaries.iter())
-            .map(|d| d.topic())
-            .collect();
-        topics.sort_unstable();
-        topics.dedup();
-        topics
-    }
-
     /// Returns `true` when `query` is semantically sensitive according to
     /// the given `method`.
     pub fn is_sensitive(&self, query: &str, method: CategorizerMethod) -> bool {
@@ -108,13 +95,8 @@ impl QueryCategorizer {
         }
     }
 
-    /// The sensitive topics matched by `query` under `method`.
-    pub fn matching_topics(&self, query: &str, method: CategorizerMethod) -> Vec<&str> {
-        self.matching_topics_terms(&tokenize(query), method)
-    }
-
-    /// [`QueryCategorizer::matching_topics`] over already-tokenized content
-    /// terms.
+    /// The topics whose dictionaries match the already-tokenized content
+    /// `terms` under `method`, each listed once.
     pub fn matching_topics_terms<S: AsRef<str>>(
         &self,
         terms: &[S],
@@ -158,7 +140,7 @@ pub struct DetectionQuality {
     /// |detected ∩ sensitive| / |sensitive|; 1.0 when nothing is sensitive.
     pub recall: f64,
     /// Number of evaluated queries.
-    pub total: usize,
+    pub(crate) total: usize,
 }
 
 impl DetectionQuality {
@@ -252,13 +234,17 @@ mod tests {
     fn matching_topics_lists_topic_once() {
         let c = categorizer();
         assert_eq!(
-            c.matching_topics("erotic lingerie", CategorizerMethod::Combined),
+            c.matching_topics_terms(&tokenize("erotic lingerie"), CategorizerMethod::Combined),
             vec!["sexuality"]
         );
         assert!(c
-            .matching_topics("weather geneva", CategorizerMethod::Combined)
+            .matching_topics_terms(&tokenize("weather geneva"), CategorizerMethod::Combined)
             .is_empty());
-        assert_eq!(c.topics(), vec!["sexuality"]);
+        assert!(c
+            .lexicon_dictionaries
+            .iter()
+            .chain(&c.lda_dictionaries)
+            .all(|d| d.topic() == "sexuality"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::lda::LdaModel;
 use crate::lexicon::Lexicon;
-use crate::text::{tokenize, Vocabulary};
+use crate::text::Vocabulary;
 use std::collections::BTreeSet;
 
 /// A dictionary of terms associated with one sensitive topic.
@@ -31,18 +31,8 @@ impl TopicDictionary {
     }
 
     /// The topic this dictionary describes.
-    pub fn topic(&self) -> &str {
+    pub(crate) fn topic(&self) -> &str {
         &self.topic
-    }
-
-    /// Number of terms in the dictionary.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Returns `true` when the dictionary has no terms.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
     }
 
     /// Adds a term (marking it strong if `strong` is true).
@@ -54,37 +44,17 @@ impl TopicDictionary {
         self.terms.insert(term);
     }
 
-    /// Returns `true` when `term` belongs to the dictionary.
-    pub fn contains(&self, term: &str) -> bool {
-        self.terms.contains(&term.to_lowercase())
-    }
-
-    /// Returns `true` when `term` is unambiguous evidence of the topic.
-    pub fn contains_strong(&self, term: &str) -> bool {
-        self.strong_terms.contains(&term.to_lowercase())
-    }
-
-    /// Returns `true` if any content term of `query` is in the dictionary.
-    pub fn matches_query(&self, query: &str) -> bool {
-        self.matches_terms(&tokenize(query))
-    }
-
-    /// Returns `true` if any content term of `query` is strong evidence.
-    pub fn matches_query_strongly(&self, query: &str) -> bool {
-        self.matches_terms_strongly(&tokenize(query))
-    }
-
-    /// [`TopicDictionary::matches_query`] over already-tokenized content
-    /// terms — lets callers tokenize a query once and probe many
+    /// Returns `true` if any of the already-tokenized content `terms` is in
+    /// the dictionary — callers tokenize a query once and probe many
     /// dictionaries. Terms are expected lowercase, as produced by
-    /// [`tokenize`].
-    pub fn matches_terms<S: AsRef<str>>(&self, terms: &[S]) -> bool {
+    /// [`tokenize`](crate::text::tokenize).
+    pub(crate) fn matches_terms<S: AsRef<str>>(&self, terms: &[S]) -> bool {
         terms.iter().any(|t| self.terms.contains(t.as_ref()))
     }
 
-    /// [`TopicDictionary::matches_query_strongly`] over already-tokenized
-    /// content terms.
-    pub fn matches_terms_strongly<S: AsRef<str>>(&self, terms: &[S]) -> bool {
+    /// Returns `true` if any of the already-tokenized content `terms` is
+    /// strong evidence of the topic.
+    pub(crate) fn matches_terms_strongly<S: AsRef<str>>(&self, terms: &[S]) -> bool {
         terms.iter().any(|t| self.strong_terms.contains(t.as_ref()))
     }
 
@@ -110,22 +80,6 @@ impl TopicDictionary {
         }
         dict
     }
-
-    /// Merges another dictionary into this one (union of terms; strong terms
-    /// stay strong).
-    pub fn merge(&mut self, other: &TopicDictionary) {
-        for t in &other.terms {
-            self.terms.insert(t.clone());
-        }
-        for t in &other.strong_terms {
-            self.strong_terms.insert(t.clone());
-        }
-    }
-
-    /// Iterates over all terms.
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.terms.iter().map(|t| t.as_str())
-    }
 }
 
 #[cfg(test)]
@@ -133,6 +87,7 @@ mod tests {
     use super::*;
     use crate::lda::{Corpus, LdaTrainingConfig};
     use crate::lexicon::LexiconBuilder;
+    use crate::text::tokenize;
     use cyclosa_util::rng::Xoshiro256StarStar;
 
     #[test]
@@ -140,12 +95,12 @@ mod tests {
         let mut dict = TopicDictionary::new("health");
         dict.add_term("diabetes", true);
         dict.add_term("Clinic", false);
-        assert!(dict.matches_query("type 2 diabetes diet"));
-        assert!(dict.matches_query("nearest CLINIC opening hours"));
-        assert!(!dict.matches_query("cheap flights geneva"));
-        assert!(dict.matches_query_strongly("diabetes insulin"));
-        assert!(!dict.matches_query_strongly("clinic address"));
-        assert_eq!(dict.len(), 2);
+        assert!(dict.matches_terms(&tokenize("type 2 diabetes diet")));
+        assert!(dict.matches_terms(&tokenize("nearest CLINIC opening hours")));
+        assert!(!dict.matches_terms(&tokenize("cheap flights geneva")));
+        assert!(dict.matches_terms_strongly(&tokenize("diabetes insulin")));
+        assert!(!dict.matches_terms_strongly(&tokenize("clinic address")));
+        assert_eq!(dict.terms.len(), 2);
     }
 
     #[test]
@@ -155,8 +110,8 @@ mod tests {
             .ambiguous_terms("sexuality", "general", ["adult"])
             .build();
         let dict = TopicDictionary::from_lexicon("sexuality", &lexicon, "sexuality");
-        assert!(dict.contains("fetish") && dict.contains_strong("fetish"));
-        assert!(dict.contains("adult") && !dict.contains_strong("adult"));
+        assert!(dict.terms.contains("fetish") && dict.strong_terms.contains("fetish"));
+        assert!(dict.terms.contains("adult") && !dict.strong_terms.contains("adult"));
     }
 
     #[test]
@@ -183,30 +138,19 @@ mod tests {
             &mut rng,
         );
         let dict = TopicDictionary::from_lda("sexuality", &model, &vocab, 3);
-        assert!(!dict.is_empty());
-        assert!(dict.iter().all(|t| vocab.id_of(t).is_some()));
+        assert!(!dict.terms.is_empty());
+        assert!(dict.terms.iter().all(|t| vocab.id_of(t).is_some()));
         // Every dictionary term came from the training corpus vocabulary.
-        assert!(dict.contains("erotic") || dict.contains("fetish") || dict.contains("lingerie"));
-    }
-
-    #[test]
-    fn merge_unions_terms() {
-        let mut a = TopicDictionary::new("health");
-        a.add_term("flu", true);
-        let mut b = TopicDictionary::new("health");
-        b.add_term("cancer", false);
-        b.add_term("flu", false);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!(a.contains_strong("flu"));
-        assert!(!a.contains_strong("cancer"));
+        assert!(["erotic", "fetish", "lingerie"]
+            .iter()
+            .any(|t| dict.terms.contains(*t)));
     }
 
     #[test]
     fn empty_dictionary_matches_nothing() {
         let dict = TopicDictionary::new("religion");
-        assert!(dict.is_empty());
-        assert!(!dict.matches_query("church schedule"));
+        assert!(dict.terms.is_empty());
+        assert!(!dict.matches_terms(&tokenize("church schedule")));
         assert_eq!(dict.topic(), "religion");
     }
 }

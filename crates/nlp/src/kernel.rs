@@ -33,11 +33,6 @@ pub struct IdVector {
 }
 
 impl IdVector {
-    /// Creates an empty vector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a *binary* vector from a raw query string: each distinct
     /// content term gets weight 1. Unknown terms are interned (they still
     /// contribute to the norm, exactly as in the string-keyed reference).
@@ -87,7 +82,7 @@ impl IdVector {
     }
 
     /// Builds a binary vector from term ids (duplicates collapsed).
-    pub fn binary_from_ids(mut ids: Vec<TermId>) -> Self {
+    pub(crate) fn binary_from_ids(mut ids: Vec<TermId>) -> Self {
         ids.sort_unstable();
         ids.dedup();
         // Summing n ones is exact, so sqrt(n as f64) matches the reference
@@ -113,44 +108,14 @@ impl IdVector {
         Self::from_sorted(terms)
     }
 
-    /// Builds a vector from `(id, weight)` pairs (weights of duplicate ids
-    /// accumulate; zero weights are dropped).
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (TermId, f64)>) -> Self {
-        let mut terms: Vec<(TermId, f64)> = pairs.into_iter().collect();
-        terms.sort_unstable_by_key(|(id, _)| *id);
-        let mut merged: Vec<(TermId, f64)> = Vec::with_capacity(terms.len());
-        for (id, w) in terms {
-            match merged.last_mut() {
-                Some((last, acc)) if *last == id => *acc += w,
-                _ => merged.push((id, w)),
-            }
-        }
-        merged.retain(|(_, w)| *w != 0.0);
-        Self::from_sorted(merged)
-    }
-
     fn from_sorted(terms: Vec<(TermId, f64)>) -> Self {
         let norm = terms.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
         Self { terms, norm }
     }
 
-    /// Number of non-zero terms.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Returns `true` if the vector has no non-zero term.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.terms.is_empty()
-    }
-
-    /// The weight of a term (0 if absent). Binary search over the sorted
-    /// slice.
-    pub fn weight(&self, id: TermId) -> f64 {
-        match self.terms.binary_search_by_key(&id, |(t, _)| *t) {
-            Ok(i) => self.terms[i].1,
-            Err(_) => 0.0,
-        }
     }
 
     /// Iterates over `(id, weight)` pairs in ascending id order.
@@ -170,7 +135,7 @@ impl IdVector {
 
     /// Dot product with another vector: a merge join over the two sorted
     /// slices, `O(len_a + len_b)`.
-    pub fn dot(&self, other: &IdVector) -> f64 {
+    pub(crate) fn dot(&self, other: &IdVector) -> f64 {
         let (a, b) = (&self.terms[..], &other.terms[..]);
         let (mut i, mut j) = (0usize, 0usize);
         let mut acc = 0.0;
@@ -213,13 +178,21 @@ mod tests {
         TermInterner::new()
     }
 
+    /// The weight of `id` in `v` (0 if absent).
+    fn weight(v: &IdVector, id: TermId) -> f64 {
+        v.as_pairs()
+            .iter()
+            .find(|(t, _)| *t == id)
+            .map_or(0.0, |(_, w)| *w)
+    }
+
     #[test]
     fn binary_vector_deduplicates_terms() {
         let it = interner();
         let v = IdVector::binary_from_query(&it, "cheap cheap flights flights geneva");
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.weight(it.id_of("cheap").unwrap()), 1.0);
-        assert_eq!(v.weight(TermId(999)), 0.0);
+        assert_eq!(v.terms.len(), 3);
+        assert_eq!(weight(&v, it.id_of("cheap").unwrap()), 1.0);
+        assert_eq!(weight(&v, TermId(999)), 0.0);
     }
 
     #[test]
@@ -230,7 +203,7 @@ mod tests {
         let query = "Geneva geneva novel cheap novel unseen";
         let known = IdVector::binary_from_known_terms(&it, query);
         assert_eq!(it.len(), before);
-        assert_eq!(known.len(), 2);
+        assert_eq!(known.terms.len(), 2);
         // The reference interns "novel" and "unseen" into its own copy.
         let other = interner();
         let reference_stored = IdVector::binary_from_query(&other, "cheap flights geneva");
@@ -255,8 +228,8 @@ mod tests {
     fn tf_vector_counts_terms() {
         let it = interner();
         let v = IdVector::tf_from_text(&it, "flu flu symptoms");
-        assert_eq!(v.weight(it.id_of("flu").unwrap()), 2.0);
-        assert_eq!(v.weight(it.id_of("symptoms").unwrap()), 1.0);
+        assert_eq!(weight(&v, it.id_of("flu").unwrap()), 2.0);
+        assert_eq!(weight(&v, it.id_of("symptoms").unwrap()), 1.0);
     }
 
     #[test]
@@ -304,32 +277,16 @@ mod tests {
     }
 
     #[test]
-    fn from_pairs_accumulates_and_drops_zeros() {
-        let v = IdVector::from_pairs([
-            (TermId(3), 1.0),
-            (TermId(1), 2.0),
-            (TermId(3), 2.0),
-            (TermId(7), 4.0),
-            (TermId(7), -4.0),
-        ]);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v.weight(TermId(3)), 3.0);
-        assert_eq!(v.weight(TermId(7)), 0.0);
-        let ids: Vec<TermId> = v.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![TermId(1), TermId(3)]);
-    }
-
-    #[test]
     fn norm_is_cached_and_correct() {
         let it = interner();
         let v = IdVector::binary_from_query(&it, "one two three four");
         assert!((v.norm() - 2.0).abs() < 1e-12);
-        assert_eq!(IdVector::new().norm(), 0.0);
+        assert_eq!(IdVector::default().norm(), 0.0);
     }
 
     #[test]
     fn similarity_is_clamped() {
-        let v = IdVector::from_pairs([(TermId(0), 1.0 + 1e-15)]);
+        let v = IdVector::from_sorted(vec![(TermId(0), 1.0 + 1e-15)]);
         assert!(cosine_similarity_ids(&v, &v) <= 1.0);
     }
 }

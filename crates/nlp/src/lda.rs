@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, Default)]
 pub struct Corpus {
     /// Size of the vocabulary the term ids refer to.
-    pub vocab_size: usize,
+    pub(crate) vocab_size: usize,
     /// Documents as term-id sequences.
     pub documents: Vec<Vec<usize>>,
 }
@@ -35,11 +35,6 @@ impl Corpus {
             vocab_size: vocab.len(),
             documents,
         }
-    }
-
-    /// Total number of tokens in the corpus.
-    pub fn token_count(&self) -> usize {
-        self.documents.iter().map(|d| d.len()).sum()
     }
 }
 
@@ -72,7 +67,6 @@ impl Default for LdaTrainingConfig {
 pub struct LdaModel {
     num_topics: usize,
     vocab_size: usize,
-    alpha: f64,
     beta: f64,
     /// `topic_word[k][w]` = number of tokens of word `w` assigned to topic `k`.
     topic_word: Vec<Vec<u32>>,
@@ -143,25 +137,14 @@ impl LdaModel {
         Self {
             num_topics: k,
             vocab_size: v,
-            alpha: config.alpha,
             beta: config.beta,
             topic_word,
             topic_total,
         }
     }
 
-    /// Number of topics.
-    pub fn num_topics(&self) -> usize {
-        self.num_topics
-    }
-
-    /// Vocabulary size the model was trained over.
-    pub fn vocab_size(&self) -> usize {
-        self.vocab_size
-    }
-
     /// Probability of `word` under `topic` (smoothed).
-    pub fn topic_term_probability(&self, topic: usize, word: usize) -> f64 {
+    pub(crate) fn topic_term_probability(&self, topic: usize, word: usize) -> f64 {
         if topic >= self.num_topics || word >= self.vocab_size {
             return 0.0;
         }
@@ -170,7 +153,7 @@ impl LdaModel {
     }
 
     /// The `n` highest-probability words of `topic`, as `(word id, prob)`.
-    pub fn top_words(&self, topic: usize, n: usize) -> Vec<(usize, f64)> {
+    pub(crate) fn top_words(&self, topic: usize, n: usize) -> Vec<(usize, f64)> {
         if topic >= self.num_topics {
             return Vec::new();
         }
@@ -184,46 +167,9 @@ impl LdaModel {
 
     /// The union of the top `per_topic` word ids of every topic — the "LDA
     /// dictionary" used by the sensitivity categorizer.
-    pub fn thematic_terms(&self, per_topic: usize) -> BTreeSet<usize> {
+    pub(crate) fn thematic_terms(&self, per_topic: usize) -> BTreeSet<usize> {
         (0..self.num_topics)
             .flat_map(|t| self.top_words(t, per_topic).into_iter().map(|(w, _)| w))
-            .collect()
-    }
-
-    /// Infers the topic distribution of a new token sequence by a short
-    /// Gibbs chain holding the topic-word statistics fixed.
-    pub fn infer<R: Rng + ?Sized>(
-        &self,
-        tokens: &[usize],
-        iterations: usize,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        let k = self.num_topics;
-        if tokens.is_empty() {
-            return vec![1.0 / k as f64; k];
-        }
-        let mut doc_topic = vec![0u32; k];
-        let mut assignments: Vec<usize> = tokens.iter().map(|_| rng.gen_index(k)).collect();
-        for &z in &assignments {
-            doc_topic[z] += 1;
-        }
-        let mut weights = vec![0.0f64; k];
-        for _ in 0..iterations.max(1) {
-            for (i, &w) in tokens.iter().enumerate() {
-                let old = assignments[i];
-                doc_topic[old] -= 1;
-                for (t, weight) in weights.iter_mut().enumerate() {
-                    *weight =
-                        self.topic_term_probability(t, w) * (doc_topic[t] as f64 + self.alpha);
-                }
-                let new = rng.sample_weighted(&weights).unwrap_or(old);
-                assignments[i] = new;
-                doc_topic[new] += 1;
-            }
-        }
-        let total: f64 = tokens.len() as f64 + k as f64 * self.alpha;
-        (0..k)
-            .map(|t| (doc_topic[t] as f64 + self.alpha) / total)
             .collect()
     }
 }
@@ -335,17 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn inference_assigns_dominant_topic() {
-        let (mut vocab, model) = train_two_topics();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(11);
-        let health_query = vocab.encode_interning("flu fever insulin");
-        let dist = model.infer(&health_query, 50, &mut rng);
-        assert_eq!(dist.len(), 2);
-        assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(dist.iter().cloned().fold(f64::MIN, f64::max) > 0.6);
-    }
-
-    #[test]
     fn thematic_terms_cover_both_topics() {
         let (vocab, model) = train_two_topics();
         let terms = model.thematic_terms(5);
@@ -356,22 +291,14 @@ mod tests {
     #[test]
     fn probabilities_are_normalized_per_topic() {
         let (_, model) = train_two_topics();
-        for t in 0..model.num_topics() {
-            let total: f64 = (0..model.vocab_size())
+        for t in 0..model.num_topics {
+            let total: f64 = (0..model.vocab_size)
                 .map(|w| model.topic_term_probability(t, w))
                 .sum();
             assert!((total - 1.0).abs() < 1e-6, "topic {t} sums to {total}");
         }
         assert_eq!(model.topic_term_probability(99, 0), 0.0);
         assert_eq!(model.topic_term_probability(0, 1_000_000), 0.0);
-    }
-
-    #[test]
-    fn empty_query_inference_is_uniform() {
-        let (_, model) = train_two_topics();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(3);
-        let dist = model.infer(&[], 10, &mut rng);
-        assert!(dist.iter().all(|&p| (p - 0.5).abs() < 1e-12));
     }
 
     #[test]
@@ -390,7 +317,7 @@ mod tests {
         let mut vocab = Vocabulary::new();
         let corpus = Corpus::from_texts(&mut vocab, ["alpha beta", "beta gamma delta", ""]);
         assert_eq!(corpus.documents.len(), 2);
-        assert_eq!(corpus.token_count(), 5);
+        assert_eq!(corpus.documents.iter().map(Vec::len).sum::<usize>(), 5);
         assert_eq!(corpus.vocab_size, 4);
     }
 

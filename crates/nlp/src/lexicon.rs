@@ -28,13 +28,13 @@ fn lowered(word: &str) -> Cow<'_, str> {
 
 /// A set of synonymous words tagged with the domains they belong to.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Synset {
+pub(crate) struct Synset {
     /// Identifier of the synset within its lexicon.
-    pub id: usize,
+    pub(crate) id: usize,
     /// The words that form the synset.
-    pub words: Vec<String>,
+    pub(crate) words: Vec<String>,
     /// Domain labels (e.g. `"sexuality"`, `"medicine"`, `"sport"`).
-    pub domains: Vec<String>,
+    pub(crate) domains: Vec<String>,
 }
 
 /// A lexical database mapping words to synsets and domains.
@@ -45,13 +45,8 @@ pub struct Lexicon {
 }
 
 impl Lexicon {
-    /// Creates an empty lexicon.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds a synset and returns its id.
-    pub fn add_synset<W, D>(&mut self, words: W, domains: D) -> usize
+    pub(crate) fn add_synset<W, D>(&mut self, words: W, domains: D) -> usize
     where
         W: IntoIterator<Item = String>,
         D: IntoIterator<Item = String>,
@@ -66,18 +61,8 @@ impl Lexicon {
         id
     }
 
-    /// Number of synsets.
-    pub fn len(&self) -> usize {
-        self.synsets.len()
-    }
-
-    /// Returns `true` when the lexicon has no synset.
-    pub fn is_empty(&self) -> bool {
-        self.synsets.is_empty()
-    }
-
     /// The synsets containing `word`.
-    pub fn synsets_of(&self, word: &str) -> Vec<&Synset> {
+    pub(crate) fn synsets_of(&self, word: &str) -> Vec<&Synset> {
         self.word_index
             .get(lowered(word).as_ref())
             .map(|ids| ids.iter().map(|&i| &self.synsets[i]).collect())
@@ -85,7 +70,7 @@ impl Lexicon {
     }
 
     /// The set of domains `word` is linked to (across all its synsets).
-    pub fn domains_of(&self, word: &str) -> BTreeSet<&str> {
+    pub(crate) fn domains_of(&self, word: &str) -> BTreeSet<&str> {
         self.synsets_of(word)
             .into_iter()
             .flat_map(|s| s.domains.iter().map(|d| d.as_str()))
@@ -106,20 +91,12 @@ impl Lexicon {
     }
 
     /// All words linked to `domain` (the raw dictionary of that domain).
-    pub fn words_in_domain(&self, domain: &str) -> BTreeSet<&str> {
+    pub(crate) fn words_in_domain(&self, domain: &str) -> BTreeSet<&str> {
         let domain = lowered(domain);
         self.synsets
             .iter()
             .filter(|s| s.domains.iter().any(|d| *d == domain))
             .flat_map(|s| s.words.iter().map(|w| w.as_str()))
-            .collect()
-    }
-
-    /// All domains present in the lexicon.
-    pub fn domains(&self) -> BTreeSet<&str> {
-        self.synsets
-            .iter()
-            .flat_map(|s| s.domains.iter().map(|d| d.as_str()))
             .collect()
     }
 }
@@ -163,15 +140,6 @@ impl LexiconBuilder {
         self
     }
 
-    /// Adds a multi-word synonym set in a domain.
-    pub fn synset<'a>(mut self, domain: &str, words: impl IntoIterator<Item = &'a str>) -> Self {
-        self.lexicon.add_synset(
-            words.into_iter().map(|w| w.to_owned()).collect::<Vec<_>>(),
-            [domain.to_owned()],
-        );
-        self
-    }
-
     /// Finishes the build.
     pub fn build(self) -> Lexicon {
         self.lexicon
@@ -183,12 +151,16 @@ mod tests {
     use super::*;
 
     fn sample() -> Lexicon {
-        LexiconBuilder::new()
+        let mut lexicon = LexiconBuilder::new()
             .domain_terms("sexuality", ["erotic", "fetish"])
             .domain_terms("health", ["diabetes", "chemotherapy"])
             .ambiguous_terms("sexuality", "general", ["model", "adult"])
-            .synset("health", ["flu", "influenza"])
-            .build()
+            .build();
+        lexicon.add_synset(
+            ["flu".to_owned(), "influenza".to_owned()],
+            ["health".to_owned()],
+        );
+        lexicon
     }
 
     #[test]
@@ -225,7 +197,8 @@ mod tests {
         assert!(words.contains("erotic"));
         assert!(words.contains("adult"));
         assert!(!words.contains("diabetes"));
-        assert_eq!(lex.domains().len(), 3);
+        let domains: BTreeSet<&String> = lex.synsets.iter().flat_map(|s| &s.domains).collect();
+        assert_eq!(domains.len(), 3);
     }
 
     #[test]
@@ -236,8 +209,8 @@ mod tests {
 
     #[test]
     fn empty_lexicon_behaves() {
-        let lex = Lexicon::new();
-        assert!(lex.is_empty());
+        let lex = Lexicon::default();
+        assert!(lex.synsets.is_empty());
         assert!(lex.synsets_of("x").is_empty());
         assert!(lex.words_in_domain("health").is_empty());
     }

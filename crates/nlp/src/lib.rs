@@ -36,12 +36,3 @@ pub mod lexicon;
 pub mod profile;
 pub mod text;
 pub mod vector;
-
-pub use categorizer::{CategorizerMethod, QueryCategorizer};
-pub use dictionary::TopicDictionary;
-pub use kernel::{cosine_similarity_ids, IdVector};
-pub use lda::{LdaModel, LdaTrainingConfig};
-pub use lexicon::{Lexicon, Synset};
-pub use profile::UserProfile;
-pub use text::{normalize, tokenize, TermId, TermInterner, Vocabulary};
-pub use vector::{cosine_similarity, TermVector};

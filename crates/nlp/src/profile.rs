@@ -16,11 +16,11 @@
 //! Profiles store past queries as interned-id vectors ([`IdVector`]) over a
 //! [`TermInterner`]. Profiles that must be compared against the same query
 //! (e.g. all profiles held by one SimAttack adversary) share one interner;
-//! the query is then tokenized and vectorized **once** ([`UserProfile::prepare`])
+//! the query is then tokenized and vectorized **once** (`UserProfile::prepare`)
 //! and the prepared vector is scored against any number of profiles.
 
 use crate::kernel::{cosine_similarity_ids, IdVector};
-use crate::text::{TermId, TermInterner};
+use crate::text::TermInterner;
 use cyclosa_util::smoothing::exponential_smoothing_zero_tail;
 
 /// Default smoothing factor used by both the defence and the attack.
@@ -47,7 +47,7 @@ impl Default for UserProfile {
 impl UserProfile {
     /// Creates an empty profile with its own interner and the default
     /// smoothing factor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_interner(TermInterner::new())
     }
 
@@ -122,7 +122,7 @@ impl UserProfile {
     /// Tokenizes and vectorizes `query` once against this profile's
     /// interner. The result can be scored against every profile sharing the
     /// interner via [`UserProfile::similarity_vector`].
-    pub fn prepare(&self, query: &str) -> IdVector {
+    pub(crate) fn prepare(&self, query: &str) -> IdVector {
         IdVector::binary_from_query(&self.interner, query)
     }
 
@@ -134,7 +134,7 @@ impl UserProfile {
     }
 
     /// [`UserProfile::similarity`] for an already-prepared query vector
-    /// (see [`UserProfile::prepare`]).
+    /// (see `UserProfile::prepare`).
     ///
     /// Only the positive cosines are ranked and folded; the past queries
     /// sharing no term with the query are passed to
@@ -155,22 +155,6 @@ impl UserProfile {
         }
         let zeros = self.queries.len() - positive.len();
         exponential_smoothing_zero_tail(&mut positive, zeros, self.alpha)
-    }
-
-    /// The maximum cosine similarity between `query` and any single past
-    /// query (a cruder linkability signal, exposed for ablations).
-    pub fn max_similarity(&self, query: &str) -> f64 {
-        let vector = self.prepare(query);
-        self.queries
-            .iter()
-            .map(|past| cosine_similarity_ids(&vector, past))
-            .fold(0.0, f64::max)
-    }
-
-    /// Interns `term` into this profile's interner (exposed so callers can
-    /// pre-intern shared vocabulary).
-    pub fn intern(&self, term: &str) -> TermId {
-        self.interner.intern(term)
     }
 }
 
@@ -259,7 +243,13 @@ mod tests {
     fn max_similarity_bounds_smoothed_score() {
         let profile = health_profile();
         let q = "insulin price comparison";
-        assert!(profile.similarity(q) <= profile.max_similarity(q) + 1e-12);
+        let prepared = profile.prepare(q);
+        let max_cosine = profile
+            .past_vectors()
+            .iter()
+            .map(|past| cosine_similarity_ids(&prepared, past))
+            .fold(0.0, f64::max);
+        assert!(profile.similarity(q) <= max_cosine + 1e-12);
     }
 
     #[test]
@@ -302,7 +292,7 @@ mod tests {
         assert!(a.interner().ptr_eq(b.interner()));
         // The shared id of "insulin" appears in both profiles' vectors.
         let id = interner.id_of("insulin").unwrap();
-        assert_eq!(a.past_vectors()[0].weight(id), 1.0);
-        assert_eq!(b.past_vectors()[0].weight(id), 1.0);
+        assert!(a.past_vectors()[0].as_pairs().contains(&(id, 1.0)));
+        assert!(b.past_vectors()[0].as_pairs().contains(&(id, 1.0)));
     }
 }

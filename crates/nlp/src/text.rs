@@ -23,7 +23,7 @@ use std::sync::{Arc, RwLock};
 ///
 /// The slice is **sorted** (ASCII order) so membership is a binary search;
 /// `stop_words_are_sorted` in the tests pins the order.
-pub const STOP_WORDS: &[&str] = &[
+pub(crate) const STOP_WORDS: &[&str] = &[
     "a", "an", "and", "are", "as", "at", "be", "but", "by", "for", "from", "has", "have", "how",
     "i", "in", "is", "it", "my", "of", "on", "or", "que", "that", "the", "this", "to", "was",
     "what", "when", "where", "which", "who", "will", "with", "you", "your",
@@ -141,21 +141,8 @@ impl Vocabulary {
         Self::default()
     }
 
-    /// Builds a vocabulary from an iterator of terms (duplicates collapsed).
-    pub fn from_terms<I, S>(terms: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut vocab = Self::new();
-        for t in terms {
-            vocab.intern(t.as_ref());
-        }
-        vocab
-    }
-
     /// Returns the id of `term`, inserting it if absent.
-    pub fn intern(&mut self, term: &str) -> usize {
+    pub(crate) fn intern(&mut self, term: &str) -> usize {
         if let Some(&id) = self.index.get(term) {
             return id;
         }
@@ -166,43 +153,22 @@ impl Vocabulary {
     }
 
     /// Returns the id of `term` if it is known.
-    pub fn id_of(&self, term: &str) -> Option<usize> {
+    pub(crate) fn id_of(&self, term: &str) -> Option<usize> {
         self.index.get(term).copied()
     }
 
     /// Returns the term with the given id, if any.
-    pub fn term(&self, id: usize) -> Option<&str> {
+    pub(crate) fn term(&self, id: usize) -> Option<&str> {
         self.terms.get(id).map(|s| s.as_str())
     }
 
     /// Number of distinct terms.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.terms.len()
     }
 
-    /// Returns `true` when no term has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Iterates over `(id, term)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &str)> {
-        self.terms.iter().enumerate().map(|(i, t)| (i, t.as_str()))
-    }
-
-    /// Converts a query into known term ids (unknown terms are dropped).
-    pub fn encode(&self, query: &str) -> Vec<usize> {
-        let mut ids = Vec::new();
-        for_each_term(query, |t| {
-            if let Some(id) = self.id_of(t) {
-                ids.push(id);
-            }
-        });
-        ids
-    }
-
     /// Converts a query into term ids, interning unknown terms.
-    pub fn encode_interning(&mut self, query: &str) -> Vec<usize> {
+    pub(crate) fn encode_interning(&mut self, query: &str) -> Vec<usize> {
         let mut ids = Vec::new();
         for_each_term(query, |t| ids.push(self.intern(t)));
         ids
@@ -258,16 +224,6 @@ impl TermInterner {
             .map(|id| TermId(id as u32))
     }
 
-    /// Returns the term with the given id, if any (clones the string — the
-    /// storage lives behind a lock).
-    pub fn resolve(&self, id: TermId) -> Option<String> {
-        self.inner
-            .read()
-            .expect("interner poisoned")
-            .term(id.index())
-            .map(str::to_owned)
-    }
-
     /// Number of distinct interned terms.
     pub fn len(&self) -> usize {
         self.inner.read().expect("interner poisoned").len()
@@ -284,24 +240,6 @@ impl TermInterner {
         let mut ids = Vec::new();
         for_each_term(query, |t| ids.push(self.intern(t)));
         ids
-    }
-
-    /// Tokenizes `query` into known term ids in query order (duplicates
-    /// kept, unknown terms dropped) without interning.
-    pub fn lookup_ids(&self, query: &str) -> Vec<TermId> {
-        let mut ids = Vec::new();
-        for_each_term(query, |t| {
-            if let Some(id) = self.id_of(t) {
-                ids.push(id);
-            }
-        });
-        ids
-    }
-
-    /// A point-in-time copy of the underlying vocabulary (for build-time
-    /// consumers such as `TopicDictionary::from_lda`).
-    pub fn snapshot(&self) -> Vocabulary {
-        self.inner.read().expect("interner poisoned").clone()
     }
 }
 
@@ -410,16 +348,21 @@ mod tests {
 
     #[test]
     fn encode_known_and_unknown_terms() {
-        let mut v = Vocabulary::from_terms(["flu", "symptoms"]);
-        assert_eq!(v.encode("flu symptoms treatment"), vec![0, 1]);
+        let mut v = Vocabulary::new();
+        v.intern("flu");
+        v.intern("symptoms");
+        assert_eq!(v.id_of("treatment"), None);
         assert_eq!(v.encode_interning("flu symptoms treatment"), vec![0, 1, 2]);
         assert_eq!(v.len(), 3);
     }
 
     #[test]
     fn vocabulary_iteration_preserves_order() {
-        let v = Vocabulary::from_terms(["zebra", "apple", "zebra", "mango"]);
-        let collected: Vec<_> = v.iter().map(|(_, t)| t.to_owned()).collect();
+        let mut v = Vocabulary::new();
+        for term in ["zebra", "apple", "zebra", "mango"] {
+            v.intern(term);
+        }
+        let collected: Vec<_> = (0..v.len()).filter_map(|id| v.term(id)).collect();
         assert_eq!(collected, vec!["zebra", "apple", "mango"]);
     }
 
@@ -456,8 +399,10 @@ mod tests {
         assert_eq!(ids[0], TermId(0));
         assert_eq!(ids[1], TermId(1));
         assert_eq!(ids[3], TermId(2));
-        assert_eq!(interner.resolve(TermId(1)).as_deref(), Some("symptoms"));
-        assert_eq!(interner.resolve(TermId(99)), None);
+        let vocabulary = interner.inner.read().expect("interner poisoned");
+        assert_eq!(vocabulary.term(1), Some("symptoms"));
+        assert_eq!(vocabulary.term(99), None);
+        drop(vocabulary);
         assert_eq!(interner.len(), 3);
         assert!(!interner.is_empty());
     }
@@ -466,17 +411,11 @@ mod tests {
     fn lookup_ids_drops_unknown_terms() {
         let interner = TermInterner::new();
         interner.intern("flu");
-        assert_eq!(interner.lookup_ids("flu symptoms"), vec![TermId(0)]);
+        let ids: Vec<TermId> = tokenize("flu symptoms")
+            .iter()
+            .filter_map(|term| interner.id_of(term))
+            .collect();
+        assert_eq!(ids, vec![TermId(0)]);
         assert_eq!(interner.len(), 1, "lookup must not intern");
-    }
-
-    #[test]
-    fn snapshot_copies_vocabulary() {
-        let interner = TermInterner::new();
-        interner.intern("flu");
-        let snap = interner.snapshot();
-        interner.intern("later");
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap.term(0), Some("flu"));
     }
 }

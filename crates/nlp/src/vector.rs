@@ -24,7 +24,7 @@ pub struct TermVector {
 
 impl TermVector {
     /// Creates an empty vector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -47,17 +47,8 @@ impl TermVector {
         v
     }
 
-    /// Sets the weight of a term explicitly.
-    pub fn set(&mut self, term: &str, weight: f64) {
-        if weight == 0.0 {
-            self.weights.remove(term);
-        } else {
-            self.weights.insert(term.to_owned(), weight);
-        }
-    }
-
     /// Adds `delta` to the weight of a term.
-    pub fn add(&mut self, term: &str, delta: f64) {
+    pub(crate) fn add(&mut self, term: &str, delta: f64) {
         let entry = self.weights.entry(term.to_owned()).or_insert(0.0);
         *entry += delta;
         if *entry == 0.0 {
@@ -66,12 +57,12 @@ impl TermVector {
     }
 
     /// Returns the weight of a term (0 if absent).
-    pub fn weight(&self, term: &str) -> f64 {
+    pub(crate) fn weight(&self, term: &str) -> f64 {
         self.weights.get(term).copied().unwrap_or(0.0)
     }
 
     /// Number of non-zero terms.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.weights.len()
     }
 
@@ -80,23 +71,13 @@ impl TermVector {
         self.weights.is_empty()
     }
 
-    /// Iterates over `(term, weight)` pairs in lexicographic term order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.weights.iter().map(|(t, w)| (t.as_str(), *w))
-    }
-
-    /// Terms with non-zero weight.
-    pub fn terms(&self) -> impl Iterator<Item = &str> {
-        self.weights.keys().map(|t| t.as_str())
-    }
-
     /// The Euclidean norm of the vector.
-    pub fn norm(&self) -> f64 {
+    pub(crate) fn norm(&self) -> f64 {
         self.weights.values().map(|w| w * w).sum::<f64>().sqrt()
     }
 
     /// Dot product with another vector.
-    pub fn dot(&self, other: &TermVector) -> f64 {
+    pub(crate) fn dot(&self, other: &TermVector) -> f64 {
         // Iterate over the smaller map for efficiency.
         let (small, large) = if self.len() <= other.len() {
             (self, other)
@@ -190,11 +171,11 @@ mod tests {
     #[test]
     fn set_add_and_zero_removal() {
         let mut v = TermVector::new();
-        v.set("a", 2.0);
+        v.add("a", 2.0);
         v.add("a", -2.0);
         assert!(v.is_empty());
         v.add("b", 1.5);
-        v.set("b", 0.0);
+        v.add("b", -1.5);
         assert!(v.is_empty());
     }
 
@@ -217,7 +198,7 @@ mod tests {
     #[test]
     fn similarity_is_clamped() {
         let mut a = TermVector::new();
-        a.set("t", 1.0 + 1e-15);
+        a.add("t", 1.0 + 1e-15);
         let sim = cosine_similarity(&a, &a);
         assert!(sim <= 1.0);
     }

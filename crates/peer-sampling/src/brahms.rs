@@ -10,14 +10,15 @@
 //!    sampler outputs; a round whose push inbox exceeds the quota is
 //!    *voided* (the old view is kept), so flooding buys the attacker
 //!    nothing but voided rounds.
-//! 2. **Min-wise independent samplers** — [`MinWiseSampler`] keeps the
+//! 2. **Min-wise independent samplers** — `MinWiseSampler` keeps the
 //!    id minimizing a salted hash over *everything ever observed*.
 //!    Flooding repeats ids, and repeats cannot lower a min, so sampler
 //!    output converges to a uniform sample over distinct ids regardless
 //!    of how loudly the attacker gossips. The `γ` portion anchors the
 //!    view to that history.
-//! 3. **Validation** — a sampler whose output stops responding is
-//!    reset ([`MinWiseSampler::invalidate`]) with a fresh salt.
+//! 3. **Validation** — resetting a sampler whose output stops
+//!    responding is not modelled: a sampler keeps its minimum for the
+//!    whole run.
 //!
 //! [`EngineBrahmsOverlay`] runs the protocol over simulated network
 //! messages on any [`Engine`] — bit-identical across 1/2/4/8 shards like
@@ -42,14 +43,14 @@ use std::sync::{Arc, Mutex};
 /// salted hash over every id ever observed. Repeated observations are
 /// idempotent — the flood resistance the naive shuffle lacks.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MinWiseSampler {
+pub(crate) struct MinWiseSampler {
     salt: u64,
     best: Option<(u64, PeerId)>,
 }
 
 impl MinWiseSampler {
     /// A fresh sampler with the given hash salt.
-    pub fn new(salt: u64) -> Self {
+    pub(crate) fn new(salt: u64) -> Self {
         Self { salt, best: None }
     }
 
@@ -58,7 +59,7 @@ impl MinWiseSampler {
     }
 
     /// Feeds one observed id through the sampler.
-    pub fn observe(&mut self, peer: PeerId) {
+    pub(crate) fn observe(&mut self, peer: PeerId) {
         let h = self.hash(peer);
         if self.best.is_none_or(|(best, _)| h < best) {
             self.best = Some((h, peer));
@@ -66,15 +67,8 @@ impl MinWiseSampler {
     }
 
     /// The current sample, if anything was ever observed.
-    pub fn sample(&self) -> Option<PeerId> {
+    pub(crate) fn sample(&self) -> Option<PeerId> {
         self.best.map(|(_, peer)| peer)
-    }
-
-    /// Validation failed (the sampled peer is unresponsive): forget it
-    /// and re-salt, so the sampler re-converges over live ids.
-    pub fn invalidate(&mut self, new_salt: u64) {
-        self.salt = new_salt;
-        self.best = None;
     }
 }
 
@@ -83,17 +77,17 @@ impl MinWiseSampler {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrahmsConfig {
     /// View slots rebuilt from pushed ids (`α·l₁`).
-    pub alpha: usize,
+    pub(crate) alpha: usize,
     /// View slots rebuilt from pulled ids (`β·l₁`).
-    pub beta: usize,
+    pub(crate) beta: usize,
     /// View slots rebuilt from sampler outputs (`γ·l₁`).
-    pub gamma: usize,
+    pub(crate) gamma: usize,
     /// Number of min-wise samplers (`l₂`).
-    pub samplers: usize,
+    pub(crate) samplers: usize,
     /// Maximum pushes accepted per round; a round receiving more is
     /// voided (the old view is kept). Sized against the expected honest
     /// push rate (`≈ α` per round under uniform views).
-    pub push_quota: usize,
+    pub(crate) push_quota: usize,
 }
 
 impl Default for BrahmsConfig {
@@ -110,7 +104,7 @@ impl Default for BrahmsConfig {
 
 impl BrahmsConfig {
     /// The view size `l₁ = α + β + γ`.
-    pub fn view_size(&self) -> usize {
+    pub(crate) fn view_size(&self) -> usize {
         self.alpha + self.beta + self.gamma
     }
 }
@@ -151,7 +145,7 @@ impl BrahmsNode {
     /// Creates a node with an empty view; sampler salts come from `rng`
     /// (each node carries its own dedicated stream, so construction is
     /// deterministic per node regardless of population iteration order).
-    pub fn new(id: PeerId, config: BrahmsConfig, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(id: PeerId, config: BrahmsConfig, rng: &mut impl Rng) -> Self {
         let samplers = (0..config.samplers)
             .map(|_| MinWiseSampler::new(rng.next_u64()))
             .collect();
@@ -165,28 +159,18 @@ impl BrahmsNode {
         }
     }
 
-    /// The node's identifier.
-    pub fn id(&self) -> PeerId {
-        self.id
-    }
-
     /// The current view.
-    pub fn view(&self) -> &[PeerId] {
+    pub(crate) fn view(&self) -> &[PeerId] {
         &self.view
     }
 
     /// Rounds whose view update was voided by the push quota.
-    pub fn voided_rounds(&self) -> u64 {
+    pub(crate) fn voided_rounds(&self) -> u64 {
         self.voided_rounds
     }
 
-    /// Rounds processed.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
     /// Seeds the view (and the samplers) with bootstrap peers.
-    pub fn bootstrap(&mut self, peers: impl IntoIterator<Item = PeerId>) {
+    pub(crate) fn bootstrap(&mut self, peers: impl IntoIterator<Item = PeerId>) {
         for peer in peers {
             if peer != self.id && !self.view.contains(&peer) {
                 self.view.push(peer);
@@ -197,7 +181,7 @@ impl BrahmsNode {
     }
 
     /// Feeds one observed id through every sampler.
-    pub fn observe(&mut self, peer: PeerId) {
+    pub(crate) fn observe(&mut self, peer: PeerId) {
         if peer == self.id {
             return;
         }
@@ -208,7 +192,7 @@ impl BrahmsNode {
 
     /// Draws `count` (not necessarily distinct) gossip targets from the
     /// view.
-    pub fn targets(&self, count: usize, rng: &mut impl Rng) -> Vec<PeerId> {
+    pub(crate) fn targets(&self, count: usize, rng: &mut impl Rng) -> Vec<PeerId> {
         if self.view.is_empty() {
             return Vec::new();
         }
@@ -219,7 +203,7 @@ impl BrahmsNode {
 
     /// The current sampler outputs (duplicates possible — each sampler
     /// is an independent uniform draw over observed ids).
-    pub fn sampler_peers(&self) -> Vec<PeerId> {
+    pub(crate) fn sampler_peers(&self) -> Vec<PeerId> {
         self.samplers.iter().filter_map(|s| s.sample()).collect()
     }
 
@@ -229,7 +213,7 @@ impl BrahmsNode {
     /// looks healthy: pushes within quota and both channels non-empty;
     /// otherwise the round is voided and the old view kept. Returns
     /// whether the view was updated.
-    pub fn round_update(
+    pub(crate) fn round_update(
         &mut self,
         pushes: &[PeerId],
         pulls: &[PeerId],
@@ -484,11 +468,7 @@ mod tests {
             s.sample()
         };
         assert_eq!(forward, flooded, "flooding must not move the sample");
-        let mut s = MinWiseSampler::new(7);
-        assert_eq!(s.sample(), None);
-        s.observe(PeerId(3));
-        s.invalidate(8);
-        assert_eq!(s.sample(), None, "invalidation forgets the dead sample");
+        assert_eq!(MinWiseSampler::new(7).sample(), None);
     }
 
     #[test]

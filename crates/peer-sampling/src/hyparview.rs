@@ -35,13 +35,13 @@ use cyclosa_util::rng::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyParViewConfig {
     /// Maximum active-view size (the routing fan-out).
-    pub active_capacity: usize,
+    pub(crate) active_capacity: usize,
     /// Maximum passive-view size (the healing reservoir).
-    pub passive_capacity: usize,
+    pub(crate) passive_capacity: usize,
     /// How many active-view peers a shuffle sample carries.
-    pub shuffle_active: usize,
+    pub(crate) shuffle_active: usize,
     /// How many passive-view peers a shuffle sample carries.
-    pub shuffle_passive: usize,
+    pub(crate) shuffle_passive: usize,
 }
 
 impl Default for HyParViewConfig {
@@ -59,7 +59,7 @@ impl Default for HyParViewConfig {
 
 /// One node's active/passive/quarantine membership sets.
 #[derive(Debug, Clone)]
-pub struct PartialViews {
+pub(crate) struct PartialViews {
     self_id: PeerId,
     config: HyParViewConfig,
     active: Vec<PeerId>,
@@ -69,7 +69,7 @@ pub struct PartialViews {
 
 impl PartialViews {
     /// Empty views for `self_id` under `config`.
-    pub fn new(self_id: PeerId, config: HyParViewConfig) -> Self {
+    pub(crate) fn new(self_id: PeerId, config: HyParViewConfig) -> Self {
         Self {
             self_id,
             config,
@@ -79,38 +79,29 @@ impl PartialViews {
         }
     }
 
-    /// The owning node's id.
-    pub fn self_id(&self) -> PeerId {
-        self.self_id
-    }
-
-    /// The configured capacities.
-    pub fn config(&self) -> &HyParViewConfig {
-        &self.config
-    }
-
     /// The active view (routing peers), in insertion order.
-    pub fn active(&self) -> &[PeerId] {
+    pub(crate) fn active(&self) -> &[PeerId] {
         &self.active
     }
 
     /// The passive view (healing reservoir), in insertion order.
-    pub fn passive(&self) -> &[PeerId] {
+    #[cfg(test)]
+    pub(crate) fn passive(&self) -> &[PeerId] {
         &self.passive
     }
 
     /// Peers declared dead and awaiting probe-verified readmission.
-    pub fn quarantine(&self) -> &[PeerId] {
+    pub(crate) fn quarantine(&self) -> &[PeerId] {
         &self.quarantine
     }
 
     /// Whether the active view has room for another peer.
-    pub fn active_has_room(&self) -> bool {
+    pub(crate) fn active_has_room(&self) -> bool {
         self.active.len() < self.config.active_capacity
     }
 
     /// Whether `peer` is quarantined.
-    pub fn is_quarantined(&self, peer: PeerId) -> bool {
+    pub(crate) fn is_quarantined(&self, peer: PeerId) -> bool {
         self.quarantine.contains(&peer)
     }
 
@@ -118,7 +109,7 @@ impl PartialViews {
     /// active peer is demoted to passive to make room; the demoted peer
     /// is returned. No-op (returning `None`) when `peer` is this node,
     /// already active, or quarantined.
-    pub fn add_active(&mut self, peer: PeerId, rng: &mut impl Rng) -> Option<PeerId> {
+    pub(crate) fn add_active(&mut self, peer: PeerId, rng: &mut impl Rng) -> Option<PeerId> {
         if peer == self.self_id || self.active.contains(&peer) || self.is_quarantined(peer) {
             return None;
         }
@@ -137,7 +128,7 @@ impl PartialViews {
     /// peer when full. No-op when `peer` is this node, already known, or
     /// quarantined — quarantined descriptors must be probe-verified
     /// (readmitted) before they may re-enter any view.
-    pub fn add_passive(&mut self, peer: PeerId, rng: &mut impl Rng) {
+    pub(crate) fn add_passive(&mut self, peer: PeerId, rng: &mut impl Rng) {
         if peer == self.self_id
             || self.active.contains(&peer)
             || self.passive.contains(&peer)
@@ -154,7 +145,7 @@ impl PartialViews {
     /// Records that `peer` was declared dead: it leaves both views and
     /// enters quarantine. Returns `true` when the peer was in the
     /// *active* view (the caller should then promote a replacement).
-    pub fn note_dead(&mut self, peer: PeerId) -> bool {
+    pub(crate) fn note_dead(&mut self, peer: PeerId) -> bool {
         let was_active = self.active.contains(&peer);
         self.active.retain(|p| *p != peer);
         self.passive.retain(|p| *p != peer);
@@ -166,7 +157,7 @@ impl PartialViews {
 
     /// Readmits a probe-verified quarantined peer into the passive
     /// reservoir. Returns `true` when the peer was indeed quarantined.
-    pub fn readmit(&mut self, peer: PeerId, rng: &mut impl Rng) -> bool {
+    pub(crate) fn readmit(&mut self, peer: PeerId, rng: &mut impl Rng) -> bool {
         let before = self.quarantine.len();
         self.quarantine.retain(|p| *p != peer);
         if self.quarantine.len() == before {
@@ -178,20 +169,20 @@ impl PartialViews {
 
     /// A random passive peer to consider for promotion (the caller
     /// probes it before calling [`Self::promote`]).
-    pub fn promote_candidate(&mut self, rng: &mut impl Rng) -> Option<PeerId> {
+    pub(crate) fn promote_candidate(&mut self, rng: &mut impl Rng) -> Option<PeerId> {
         rng.choose(&self.passive).copied()
     }
 
     /// Moves a probe-verified `peer` from passive to active (demoting a
     /// random active peer if full). Returns the demoted peer, if any.
-    pub fn promote(&mut self, peer: PeerId, rng: &mut impl Rng) -> Option<PeerId> {
+    pub(crate) fn promote(&mut self, peer: PeerId, rng: &mut impl Rng) -> Option<PeerId> {
         self.passive.retain(|p| *p != peer);
         self.add_active(peer, rng)
     }
 
     /// A shuffle sample: up to `shuffle_active` active peers and
     /// `shuffle_passive` passive peers, randomly chosen, deduplicated.
-    pub fn shuffle_sample(&self, rng: &mut impl Rng) -> Vec<PeerId> {
+    pub(crate) fn shuffle_sample(&self, rng: &mut impl Rng) -> Vec<PeerId> {
         let mut sample = Vec::new();
         for index in rng.sample_indices(self.active.len(), self.config.shuffle_active) {
             sample.push(self.active[index]);
@@ -208,7 +199,7 @@ impl PartialViews {
     /// Integrates a received shuffle sample into the passive reservoir.
     /// Quarantined peers are silently skipped (hearsay does not clear
     /// quarantine). Returns how many peers were newly learned.
-    pub fn integrate_shuffle(&mut self, peers: &[PeerId], rng: &mut impl Rng) -> usize {
+    pub(crate) fn integrate_shuffle(&mut self, peers: &[PeerId], rng: &mut impl Rng) -> usize {
         let mut learned = 0;
         for peer in peers {
             let known = *peer == self.self_id

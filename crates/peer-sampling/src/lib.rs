@@ -10,16 +10,16 @@
 //! machines), one *population* layer that deploys and watches them, and
 //! the views CYCLOSA draws relays from.
 //!
-//! * [`View`] / [`PeerSamplingNode`] — the Jelasity shuffle: a bounded
+//! * [`View`](view::View) / [`PeerSamplingNode`] — the Jelasity shuffle: a bounded
 //!   partial view of aged descriptors and one participant with the
 //!   standard policies (peer selection, view propagation, healer/swapper
 //!   merging); [`PeerSamplingNode::exchange`] is the one push–pull body.
-//! * [`FailureDetector`] over [`PartialViews`] — protocol-native
+//! * [`FailureDetector`] over `PartialViews` — protocol-native
 //!   membership: SWIM failure detection (probe / indirect probe / suspect
 //!   / incarnation-numbered refutation) over HyParView active/passive
 //!   views, with quarantined descriptors re-probed so partition merges
 //!   heal with **zero** directory-assisted bridges.
-//! * [`BrahmsNode`] — the evaluated defense against Sybil poisoning:
+//! * [`BrahmsNode`](brahms::BrahmsNode) — the evaluated defense against Sybil poisoning:
 //!   Brahms byzantine-resilient sampling (push quotas voiding flooded
 //!   rounds, min-wise independent samplers anchoring views to the full
 //!   observation history).
@@ -59,15 +59,13 @@ pub mod swim;
 pub mod sybil;
 pub mod view;
 
-pub use brahms::{BrahmsConfig, BrahmsNode, EngineBrahmsOverlay, MinWiseSampler};
-pub use cyclosa_telemetry::check::MEMBERSHIP_EVENT_NAMES;
-pub use hyparview::{HyParViewConfig, PartialViews};
+pub use brahms::{BrahmsConfig, EngineBrahmsOverlay};
 pub use membership::{MembershipConfig, SwimGossipOverlay};
-pub use node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode, SelectionPolicy};
+pub use node::{PeerSamplingConfig, PeerSamplingNode};
 pub use overlay::{EngineGossipConfig, EngineGossipOverlay};
 pub use population::{
     cross_side_edges, overlay_metrics_from_views, Overlay, OverlayMetrics, SamplingProtocol,
 };
-pub use swim::{FailureDetector, MemberState, MembershipEvent, MembershipEventKind, SwimRumor};
-pub use sybil::{is_sybil, sybil_view_fraction, SybilAttackConfig, SYBIL_BASE};
-pub use view::{Descriptor, PeerId, View};
+pub use swim::{FailureDetector, MemberState, MembershipEventKind};
+pub use sybil::SybilAttackConfig;
+pub use view::PeerId;

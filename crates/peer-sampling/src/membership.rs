@@ -23,12 +23,12 @@
 //!    rounds, refilling the passive reservoir.
 //!
 //! Every message piggybacks bounded-retransmission rumors
-//! ([`FailureDetector::take_rumors`]), so membership conclusions spread
+//! (`FailureDetector::take_rumors`), so membership conclusions spread
 //! at gossip speed without dedicated traffic.
 //!
 //! # Determinism
 //!
-//! All state lives in the pure [`FailureDetector`] / [`PartialViews`]
+//! All state lives in the pure [`FailureDetector`] / `PartialViews`
 //! machines and is mutated only inside `on_message`/`on_timer`, in the
 //! engine's deterministic event order; each node draws from its own
 //! forked RNG stream. Runs are therefore bit-identical across the
@@ -916,11 +916,6 @@ impl Overlay<Swim> {
             .expect("forger must be a deployed node");
         lock(state).forged.push((victim, jump));
         engine.schedule_timer(at, NodeId(forger.0), TOKEN_FORGE);
-    }
-
-    /// The configured parameters.
-    pub fn config(&self) -> &MembershipConfig {
-        &self.protocol.config
     }
 
     /// Every node's membership timeline (alive and crashed nodes alike —

@@ -10,32 +10,20 @@
 use crate::view::{Descriptor, PeerId, View};
 use cyclosa_util::rng::Rng;
 
-/// How a node picks its gossip partner each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectionPolicy {
-    /// Pick a uniformly random peer from the view.
-    Random,
-    /// Pick the peer with the oldest descriptor ("tail" policy), which
-    /// accelerates the removal of dead peers.
-    Oldest,
-}
-
 /// Protocol parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerSamplingConfig {
     /// View size `c`.
-    pub view_size: usize,
+    pub(crate) view_size: usize,
     /// Number of descriptors exchanged per gossip (`c/2` in the paper's
     /// canonical configuration, including the sender's own fresh entry).
-    pub exchange_size: usize,
+    pub(crate) exchange_size: usize,
     /// Healer parameter `H`: how many of the oldest items are dropped
     /// during the merge.
-    pub healer: usize,
+    pub(crate) healer: usize,
     /// Swapper parameter `S`: how many of the items just sent are dropped
     /// during the merge.
-    pub swapper: usize,
-    /// Partner selection policy.
-    pub selection: SelectionPolicy,
+    pub(crate) swapper: usize,
 }
 
 impl Default for PeerSamplingConfig {
@@ -47,16 +35,15 @@ impl Default for PeerSamplingConfig {
             exchange_size: 10,
             healer: 1,
             swapper: 9,
-            selection: SelectionPolicy::Oldest,
         }
     }
 }
 
 /// The buffer exchanged between two gossip partners.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExchangeBuffer {
+pub(crate) struct ExchangeBuffer {
     /// Descriptors being shipped (the sender's own fresh descriptor first).
-    pub descriptors: Vec<Descriptor>,
+    pub(crate) descriptors: Vec<Descriptor>,
 }
 
 /// One peer-sampling protocol participant.
@@ -79,11 +66,6 @@ impl PeerSamplingNode {
         }
     }
 
-    /// The node's identifier.
-    pub fn id(&self) -> PeerId {
-        self.id
-    }
-
     /// Read access to the current view.
     pub fn view(&self) -> &View {
         &self.view
@@ -99,17 +81,16 @@ impl PeerSamplingNode {
         }
     }
 
-    /// Selects the gossip partner for this round.
-    pub fn select_partner<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<PeerId> {
-        match self.config.selection {
-            SelectionPolicy::Random => self.view.random(rng).map(|d| d.peer),
-            SelectionPolicy::Oldest => self.view.oldest().map(|d| d.peer),
-        }
+    /// Selects the gossip partner for this round: the peer with the
+    /// oldest descriptor ("tail" policy), which accelerates the removal of
+    /// dead peers.
+    pub fn select_partner(&self) -> Option<PeerId> {
+        self.view.oldest().map(|d| d.peer)
     }
 
     /// Builds the buffer to send to the partner: the node's own fresh
     /// descriptor plus a random sample of its view.
-    pub fn prepare_buffer<R: Rng + ?Sized>(&self, rng: &mut R) -> ExchangeBuffer {
+    pub(crate) fn prepare_buffer<R: Rng + ?Sized>(&self, rng: &mut R) -> ExchangeBuffer {
         let mut descriptors = vec![Descriptor::fresh(self.id)];
         let sample = self
             .view
@@ -122,7 +103,7 @@ impl PeerSamplingNode {
     /// swapper policies. `sent` is the buffer this node sent to the partner
     /// in the same exchange (empty for the passive side of a push-only
     /// exchange).
-    pub fn merge<R: Rng + ?Sized>(
+    pub(crate) fn merge<R: Rng + ?Sized>(
         &mut self,
         received: &ExchangeBuffer,
         sent: &ExchangeBuffer,
@@ -206,7 +187,6 @@ mod tests {
             exchange_size: 3,
             healer: 1,
             swapper: 2,
-            selection: SelectionPolicy::Oldest,
         }
     }
 
@@ -235,10 +215,7 @@ mod tests {
         node.bootstrap([PeerId(1), PeerId(2)]);
         node.increase_ages();
         node.bootstrap([PeerId(3)]);
-        assert_ne!(
-            node.select_partner(&mut Xoshiro256StarStar::seed_from_u64(1)),
-            Some(PeerId(3))
-        );
+        assert_ne!(node.select_partner(), Some(PeerId(3)));
     }
 
     #[test]
@@ -297,9 +274,6 @@ mod tests {
     #[test]
     fn empty_view_has_no_partner() {
         let node = PeerSamplingNode::new(PeerId(0), config());
-        assert_eq!(
-            node.select_partner(&mut Xoshiro256StarStar::seed_from_u64(1)),
-            None
-        );
+        assert_eq!(node.select_partner(), None);
     }
 }

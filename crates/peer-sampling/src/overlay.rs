@@ -250,7 +250,7 @@ impl NodeBehavior for GossipBehavior {
         }
         node.increase_ages();
         let stale = self.observe_round(&node, ctx.now());
-        if let Some(partner) = node.select_partner(&mut self.rng) {
+        if let Some(partner) = node.select_partner() {
             let buffer = node.prepare_buffer(&mut self.rng);
             ctx.send(NodeId(partner.0), TAG_PUSH, encode(&buffer));
             self.awaiting = Some((partner, buffer, ctx.now()));

@@ -63,7 +63,7 @@ impl MemberState {
     }
 
     /// Parses a wire byte back into a state.
-    pub fn from_wire(byte: u8) -> Option<Self> {
+    pub(crate) fn from_wire(byte: u8) -> Option<Self> {
         match byte {
             0 => Some(MemberState::Alive),
             1 => Some(MemberState::Suspect),
@@ -76,13 +76,13 @@ impl MemberState {
 /// One disseminated membership claim: `peer` is in `state` at
 /// `incarnation`. Rumors piggyback on every protocol message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwimRumor {
+pub(crate) struct SwimRumor {
     /// The peer the claim is about.
-    pub peer: PeerId,
+    pub(crate) peer: PeerId,
     /// The claimed state.
-    pub state: MemberState,
+    pub(crate) state: MemberState,
     /// The incarnation the claim applies to.
-    pub incarnation: u64,
+    pub(crate) incarnation: u64,
 }
 
 /// The kind of one observer-local membership transition.
@@ -182,13 +182,8 @@ impl FailureDetector {
         }
     }
 
-    /// This node's own id.
-    pub fn self_id(&self) -> PeerId {
-        self.self_id
-    }
-
     /// This node's current incarnation number.
-    pub fn incarnation(&self) -> u64 {
+    pub(crate) fn incarnation(&self) -> u64 {
         self.incarnation
     }
 
@@ -203,7 +198,7 @@ impl FailureDetector {
     /// Ensures a record exists for `peer` (a message from an unknown
     /// peer is firsthand evidence it exists and is alive). Never
     /// downgrades an existing record.
-    pub fn observe(&mut self, peer: PeerId) {
+    pub(crate) fn observe(&mut self, peer: PeerId) {
         if peer == self.self_id {
             return;
         }
@@ -215,7 +210,7 @@ impl FailureDetector {
     }
 
     /// Members currently not believed dead (probe candidates).
-    pub fn live_members(&self) -> Vec<PeerId> {
+    pub(crate) fn live_members(&self) -> Vec<PeerId> {
         self.members
             .iter()
             .filter(|(_, r)| r.state != MemberState::Dead)
@@ -224,7 +219,7 @@ impl FailureDetector {
     }
 
     /// Members currently under suspicion (not yet declared dead).
-    pub fn suspected_members(&self) -> Vec<PeerId> {
+    pub(crate) fn suspected_members(&self) -> Vec<PeerId> {
         self.members
             .iter()
             .filter(|(_, r)| r.state == MemberState::Suspect)
@@ -334,7 +329,7 @@ impl FailureDetector {
     /// claim suspected or killed *this* node: the detector bumps its own
     /// incarnation and spreads `alive@new` — the caller should also
     /// carry the refutation in its next acks.
-    pub fn apply(&mut self, rumor: SwimRumor, now: SimTime) -> Option<SwimRumor> {
+    pub(crate) fn apply(&mut self, rumor: SwimRumor, now: SimTime) -> Option<SwimRumor> {
         if rumor.peer == self.self_id {
             // Only we may increment our incarnation; a rumor doubting a
             // *past* incarnation is already refuted by the current one.
@@ -408,7 +403,7 @@ impl FailureDetector {
     /// Takes up to `limit` rumors to piggyback on an outgoing message.
     /// Each rumor rides `rumor_transmissions` messages before it is
     /// retired (SWIM's bounded dissemination).
-    pub fn take_rumors(&mut self, limit: usize) -> Vec<SwimRumor> {
+    pub(crate) fn take_rumors(&mut self, limit: usize) -> Vec<SwimRumor> {
         let mut out = Vec::new();
         for _ in 0..limit.min(self.rumors.len()) {
             let Some((rumor, remaining)) = self.rumors.pop_front() else {
@@ -423,7 +418,7 @@ impl FailureDetector {
     }
 
     /// This observer's full membership timeline, in event order.
-    pub fn timeline(&self) -> &[MembershipEvent] {
+    pub(crate) fn timeline(&self) -> &[MembershipEvent] {
         &self.timeline
     }
 

@@ -20,16 +20,16 @@ use cyclosa_util::rng::Rng;
 
 /// Identifier floor of attacker-minted identities: any peer id at or
 /// above this is a sybil. Honest populations stay far below it.
-pub const SYBIL_BASE: u64 = 1 << 32;
+pub(crate) const SYBIL_BASE: u64 = 1 << 32;
 
 /// Whether `peer` is an attacker-minted identity.
-pub fn is_sybil(peer: PeerId) -> bool {
+pub(crate) fn is_sybil(peer: PeerId) -> bool {
     peer.0 >= SYBIL_BASE
 }
 
 /// The mean fraction of attacker entries across honest views — the
 /// poisoning metric both the naive and the Brahms experiment report.
-pub fn sybil_view_fraction(views: &[(PeerId, Vec<PeerId>)]) -> f64 {
+pub(crate) fn sybil_view_fraction(views: &[(PeerId, Vec<PeerId>)]) -> f64 {
     let mut total = 0usize;
     let mut hostile = 0usize;
     for (_, view) in views {
@@ -83,7 +83,7 @@ impl SybilAttackConfig {
     }
 
     /// The minted sybil identities, id-sorted.
-    pub fn sybils(&self) -> Vec<PeerId> {
+    pub(crate) fn sybils(&self) -> Vec<PeerId> {
         assert!(
             (0.0..=1.0).contains(&self.fraction),
             "sybil fraction must be in [0, 1]"

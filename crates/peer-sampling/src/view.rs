@@ -22,7 +22,7 @@ pub struct Descriptor {
 
 impl Descriptor {
     /// Creates a fresh (age 0) descriptor for `peer`.
-    pub fn fresh(peer: PeerId) -> Self {
+    pub(crate) fn fresh(peer: PeerId) -> Self {
         Self { peer, age: 0 }
     }
 }
@@ -40,17 +40,12 @@ impl View {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "view capacity must be positive");
         Self {
             capacity,
             descriptors: Vec::with_capacity(capacity),
         }
-    }
-
-    /// Maximum number of descriptors the view can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of descriptors.
@@ -80,7 +75,7 @@ impl View {
 
     /// Inserts a descriptor, keeping only the freshest descriptor per peer
     /// and never exceeding capacity (the oldest descriptor is evicted).
-    pub fn insert(&mut self, descriptor: Descriptor) {
+    pub(crate) fn insert(&mut self, descriptor: Descriptor) {
         if let Some(existing) = self
             .descriptors
             .iter_mut()
@@ -112,7 +107,7 @@ impl View {
     /// *without* enforcing the capacity bound. Used by the gossip merge,
     /// which appends the whole received buffer before applying the healer /
     /// swapper policies and truncating back to capacity.
-    pub fn insert_unbounded(&mut self, descriptor: Descriptor) {
+    pub(crate) fn insert_unbounded(&mut self, descriptor: Descriptor) {
         if let Some(existing) = self
             .descriptors
             .iter_mut()
@@ -127,14 +122,14 @@ impl View {
     }
 
     /// Removes the descriptor of `peer`, returning `true` if it was present.
-    pub fn remove(&mut self, peer: PeerId) -> bool {
+    pub(crate) fn remove(&mut self, peer: PeerId) -> bool {
         let before = self.descriptors.len();
         self.descriptors.retain(|d| d.peer != peer);
         before != self.descriptors.len()
     }
 
     /// Removes the `count` oldest descriptors (the *healer* policy step).
-    pub fn remove_oldest(&mut self, count: usize) {
+    pub(crate) fn remove_oldest(&mut self, count: usize) {
         for _ in 0..count.min(self.descriptors.len()) {
             if let Some((idx, _)) = self
                 .descriptors
@@ -147,15 +142,8 @@ impl View {
         }
     }
 
-    /// Removes the first `count` descriptors (the *swapper* policy step —
-    /// these are the items that were just sent to the exchange partner).
-    pub fn remove_first(&mut self, count: usize) {
-        let count = count.min(self.descriptors.len());
-        self.descriptors.drain(..count);
-    }
-
     /// Removes random descriptors until the view fits its capacity.
-    pub fn truncate_random<R: cyclosa_util::rng::Rng + ?Sized>(&mut self, rng: &mut R) {
+    pub(crate) fn truncate_random<R: cyclosa_util::rng::Rng + ?Sized>(&mut self, rng: &mut R) {
         while self.descriptors.len() > self.capacity {
             let idx = rng.gen_index(self.descriptors.len());
             self.descriptors.swap_remove(idx);
@@ -163,24 +151,19 @@ impl View {
     }
 
     /// Increments the age of every descriptor.
-    pub fn increase_ages(&mut self) {
+    pub(crate) fn increase_ages(&mut self) {
         for d in &mut self.descriptors {
             d.age = d.age.saturating_add(1);
         }
     }
 
     /// The oldest descriptor, if any.
-    pub fn oldest(&self) -> Option<Descriptor> {
+    pub(crate) fn oldest(&self) -> Option<Descriptor> {
         self.descriptors.iter().copied().max_by_key(|d| d.age)
     }
 
-    /// A uniformly random descriptor, if any.
-    pub fn random<R: cyclosa_util::rng::Rng + ?Sized>(&self, rng: &mut R) -> Option<Descriptor> {
-        rng.choose(&self.descriptors).copied()
-    }
-
     /// A random sample (without replacement) of up to `count` descriptors.
-    pub fn sample<R: cyclosa_util::rng::Rng + ?Sized>(
+    pub(crate) fn sample<R: cyclosa_util::rng::Rng + ?Sized>(
         &self,
         rng: &mut R,
         count: usize,
@@ -256,9 +239,6 @@ mod tests {
         assert_eq!(view.len(), 3);
         assert!(!view.contains(PeerId(4)));
         assert!(!view.contains(PeerId(3)));
-        view.remove_first(1);
-        assert_eq!(view.len(), 2);
-        assert!(!view.contains(PeerId(0)));
     }
 
     #[test]
@@ -288,8 +268,6 @@ mod tests {
         assert_eq!(sample.len(), 4);
         let peers: std::collections::BTreeSet<_> = sample.iter().map(|d| d.peer).collect();
         assert_eq!(peers.len(), 4);
-        assert!(view.random(&mut rng).is_some());
-        assert!(View::new(2).random(&mut rng).is_none());
     }
 
     #[test]

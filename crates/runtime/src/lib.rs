@@ -38,6 +38,5 @@
 mod barrier;
 pub mod shard;
 
-pub use cyclosa_net::engine::Engine;
 pub use cyclosa_telemetry::metrics::Registry;
-pub use shard::{shard_of, EngineConfigError, ShardedEngine};
+pub use shard::{shard_of, ShardedEngine};

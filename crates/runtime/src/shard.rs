@@ -149,11 +149,11 @@ pub fn shard_of(node: NodeId, shards: usize) -> usize {
 /// A configuration the sharded engine cannot execute.
 ///
 /// Returned by the fallible construction/validation surface
-/// ([`ShardedEngine::try_new`], [`ShardedEngine::validate`],
-/// [`ShardedEngine::try_run`]); the infallible [`Engine`] methods panic
+/// (`ShardedEngine::try_new`, `ShardedEngine::validate`,
+/// `ShardedEngine::try_run`); the infallible [`Engine`] methods panic
 /// with the same message instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EngineConfigError {
+pub(crate) enum EngineConfigError {
     /// The engine was asked for zero worker shards.
     ZeroShards,
     /// Some configured latency model has no positive floor, so no
@@ -380,7 +380,7 @@ impl ShardedEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero. Use [`ShardedEngine::try_new`] for a
+    /// Panics if `shards` is zero. Use `ShardedEngine::try_new` for a
     /// typed error instead.
     pub fn new(seed: u64, shards: usize) -> Self {
         Self::try_new(seed, shards).unwrap_or_else(|e| panic!("{e}"))
@@ -393,7 +393,7 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// Fails when `shards` is zero.
-    pub fn try_new(seed: u64, shards: usize) -> Result<Self, EngineConfigError> {
+    pub(crate) fn try_new(seed: u64, shards: usize) -> Result<Self, EngineConfigError> {
         if shards == 0 {
             return Err(EngineConfigError::ZeroShards);
         }
@@ -428,7 +428,7 @@ impl ShardedEngine {
     ///
     /// Returns [`EngineConfigError::ZeroLatencyFloor`] naming the first
     /// configured model whose floor is zero.
-    pub fn validate(&self) -> Result<(), EngineConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), EngineConfigError> {
         match self.latency_models().find(|m| m.floor() == SimTime::ZERO) {
             Some(model) => Err(EngineConfigError::ZeroLatencyFloor { model }),
             None => Ok(()),
@@ -442,7 +442,7 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// Propagates [`ShardedEngine::validate`] failures.
-    pub fn try_run(&mut self) -> Result<u64, EngineConfigError> {
+    pub(crate) fn try_run(&mut self) -> Result<u64, EngineConfigError> {
         self.validate()?;
         Ok(self.run_windows(None))
     }
@@ -453,7 +453,7 @@ impl ShardedEngine {
     /// # Errors
     ///
     /// Propagates [`ShardedEngine::validate`] failures.
-    pub fn try_run_until(&mut self, deadline: SimTime) -> Result<(), EngineConfigError> {
+    pub(crate) fn try_run_until(&mut self, deadline: SimTime) -> Result<(), EngineConfigError> {
         self.validate()?;
         self.run_windows(Some(deadline));
         self.clock = self.clock.max(deadline);
@@ -461,7 +461,7 @@ impl ShardedEngine {
     }
 
     /// Total number of registered nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.shards.iter().map(|s| s.sim.node_count()).sum()
     }
 

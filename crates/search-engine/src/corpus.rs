@@ -56,11 +56,6 @@ impl CorpusGenerator {
         }
     }
 
-    /// Number of topics.
-    pub fn topic_count(&self) -> usize {
-        self.topics.len()
-    }
-
     /// Generates `documents_per_topic` documents for every topic.
     pub fn generate<R: Rng + ?Sized>(
         &self,
@@ -123,7 +118,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let docs = generator.generate(50, &mut rng);
         assert_eq!(docs.len(), 100);
-        assert_eq!(generator.topic_count(), 2);
+        assert_eq!(generator.topics.len(), 2);
         // Ids are unique and dense.
         let ids: std::collections::BTreeSet<_> = docs.iter().map(|d| d.id).collect();
         assert_eq!(ids.len(), 100);

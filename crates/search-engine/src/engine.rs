@@ -64,11 +64,11 @@ pub struct LoggedRequest {
     /// The identity that contacted the engine.
     pub client: ClientAddr,
     /// The query text received.
-    pub query: String,
+    pub(crate) query: String,
     /// Arrival time in seconds.
-    pub at_s: f64,
+    pub(crate) at_s: f64,
     /// Whether the request was admitted or rejected by the rate limiter.
-    pub admitted: bool,
+    pub(crate) admitted: bool,
 }
 
 /// The simulated search engine.
@@ -92,11 +92,6 @@ impl SearchEngine {
             config,
             log: Vec::new(),
         }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
     }
 
     /// Submits a query on behalf of `client` at time `now_s`.
@@ -155,19 +150,6 @@ impl SearchEngine {
     pub fn log(&self) -> &[LoggedRequest] {
         &self.log
     }
-
-    /// Whether `client` is currently blocked.
-    pub fn is_blocked(&self, client: ClientAddr, now_s: f64) -> bool {
-        self.limiter.is_blocked(client.0, now_s)
-    }
-
-    /// Counts of admitted and rejected requests for `client`.
-    pub fn client_counts(&self, client: ClientAddr) -> (u64, u64) {
-        (
-            self.limiter.admitted(client.0),
-            self.limiter.rejected(client.0),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +185,6 @@ mod tests {
         assert_eq!(page.results[0].doc, DocId(0));
         assert_eq!(e.log().len(), 1);
         assert!(e.log()[0].admitted);
-        assert_eq!(e.client_counts(ClientAddr(1)), (1, 0));
     }
 
     #[test]
@@ -239,11 +220,15 @@ mod tests {
             e.submit(ClientAddr(9), "hello", 3.0),
             Err(EngineError::RateLimited)
         );
-        assert!(e.is_blocked(ClientAddr(9), 4.0));
         // Another client is unaffected.
         assert!(e.submit(ClientAddr(10), "hello", 3.0).is_ok());
         // The rejected request still appears in the engine's log.
         assert_eq!(e.log().iter().filter(|r| !r.admitted).count(), 1);
+        // The abusive client stays blocked.
+        assert_eq!(
+            e.submit(ClientAddr(9), "hello", 4.0),
+            Err(EngineError::RateLimited)
+        );
     }
 
     #[test]

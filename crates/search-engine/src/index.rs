@@ -12,7 +12,7 @@
 //! document id) is a strict total order, so selection and full sort agree.
 
 use crate::corpus::{DocId, Document};
-use cyclosa_nlp::text::{for_each_term, tokenize, TermId, TermInterner};
+use cyclosa_nlp::text::{for_each_term, TermId, TermInterner};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
@@ -86,8 +86,6 @@ pub struct Index {
     /// `postings[term.index()]` → the documents containing the term, in
     /// document-insertion order, i.e. sorted by ordinal.
     postings: Vec<Vec<Posting>>,
-    /// Number of distinct terms with at least one posting.
-    distinct_terms: usize,
     /// `doc_ids[ordinal]` → the document's id; ordinals are issued densely
     /// in insertion order to documents with at least one content term.
     doc_ids: Vec<DocId>,
@@ -105,7 +103,7 @@ impl Index {
     /// Builds an index over `documents`, interning terms into `interner`
     /// (cheap clone — share it with the other subsystems that should agree
     /// on term ids).
-    pub fn build_with_interner(interner: TermInterner, documents: &[Document]) -> Self {
+    pub(crate) fn build_with_interner(interner: TermInterner, documents: &[Document]) -> Self {
         let mut index = Self {
             interner,
             ..Self::default()
@@ -114,11 +112,6 @@ impl Index {
             index.add_document(doc);
         }
         index
-    }
-
-    /// The interner the index's term ids refer to.
-    pub fn interner(&self) -> &TermInterner {
-        &self.interner
     }
 
     /// Adds a single document to the index. A document without content
@@ -148,32 +141,13 @@ impl Index {
                 count += 1;
                 run += 1;
             }
-            let list = &mut self.postings[id.index()];
-            if list.is_empty() {
-                self.distinct_terms += 1;
-            }
-            list.push(Posting {
+            self.postings[id.index()].push(Posting {
                 ordinal,
                 weight: f64::from(count) / length,
             });
         }
         self.doc_ids.push(document.id);
         self.ordinals.insert(document.id, ordinal);
-    }
-
-    /// Number of indexed documents.
-    pub fn len(&self) -> usize {
-        self.doc_ids.len()
-    }
-
-    /// Returns `true` when no document has been indexed.
-    pub fn is_empty(&self) -> bool {
-        self.doc_ids.is_empty()
-    }
-
-    /// Number of distinct indexed terms.
-    pub fn vocabulary_size(&self) -> usize {
-        self.distinct_terms
     }
 
     /// Inverse document frequency (smoothed) of a term found in
@@ -315,22 +289,6 @@ impl Index {
         })
     }
 
-    /// Returns the set of terms of `query` that occur in document `doc` —
-    /// used by the client-side filtering of OR-based mechanisms.
-    pub fn matching_terms(&self, doc: DocId, query: &str) -> Vec<String> {
-        let Some(&ordinal) = self.ordinals.get(&doc) else {
-            return Vec::new();
-        };
-        tokenize(query)
-            .into_iter()
-            .filter(|t| {
-                self.interner
-                    .id_of(t)
-                    .is_some_and(|id| self.doc_has_term(ordinal, id))
-            })
-            .collect()
-    }
-
     /// Returns `true` when at least one content term of `query` occurs in
     /// `doc` — the allocation-free predicate behind the client-side result
     /// filtering (`!matching_terms(..).is_empty()` without building the
@@ -355,6 +313,33 @@ impl Index {
 mod tests {
     use super::*;
     use crate::corpus::DocId;
+    use cyclosa_nlp::text::tokenize;
+
+    /// The content terms of `query` that occur in document `doc`: the
+    /// reference [`Index::matches_any_term`] is checked against.
+    fn matching_terms(index: &Index, doc: DocId, query: &str) -> Vec<String> {
+        let Some(&ordinal) = index.ordinals.get(&doc) else {
+            return Vec::new();
+        };
+        tokenize(query)
+            .into_iter()
+            .filter(|t| {
+                index
+                    .interner
+                    .id_of(t)
+                    .is_some_and(|id| index.doc_has_term(ordinal, id))
+            })
+            .collect()
+    }
+
+    /// Number of distinct terms with at least one posting.
+    fn vocabulary_size(index: &Index) -> usize {
+        index
+            .postings
+            .iter()
+            .filter(|list| !list.is_empty())
+            .count()
+    }
 
     fn doc(id: u64, text: &str) -> Document {
         Document {
@@ -451,9 +436,9 @@ mod tests {
     #[test]
     fn matching_terms_reports_overlap() {
         let index = sample_index();
-        let terms = index.matching_terms(DocId(0), "flu booking fever");
+        let terms = matching_terms(&index, DocId(0), "flu booking fever");
         assert_eq!(terms, vec!["flu", "fever"]);
-        assert!(index.matching_terms(DocId(3), "flu fever").is_empty());
+        assert!(matching_terms(&index, DocId(3), "flu fever").is_empty());
     }
 
     #[test]
@@ -468,7 +453,7 @@ mod tests {
         ] {
             assert_eq!(
                 index.matches_any_term(doc, query),
-                !index.matching_terms(doc, query).is_empty(),
+                !matching_terms(&index, doc, query).is_empty(),
                 "doc {doc:?}, query {query:?}"
             );
         }
@@ -479,15 +464,15 @@ mod tests {
         let mut index = sample_index();
         let before = index.search("flu fever booking", 10);
         index.add_document(&doc(4, "flu flu flu booking"));
-        assert_eq!(index.len(), 6);
+        assert_eq!(index.doc_ids.len(), 6);
         assert_eq!(index.search("flu fever booking", 10), before);
         assert!(!index.matches_any_term(DocId(4), "booking"));
         // A document that was skipped for having no content terms was never
         // indexed, so its id is still free.
         index.add_document(&doc(6, "the of"));
-        assert_eq!(index.len(), 6);
+        assert_eq!(index.doc_ids.len(), 6);
         index.add_document(&doc(6, "flu"));
-        assert_eq!(index.len(), 7);
+        assert_eq!(index.doc_ids.len(), 7);
         assert!(index.matches_any_term(DocId(6), "flu"));
     }
 
@@ -530,10 +515,9 @@ mod tests {
     #[test]
     fn index_statistics() {
         let index = sample_index();
-        assert_eq!(index.len(), 6);
-        assert!(!index.is_empty());
-        assert!(index.vocabulary_size() > 10);
-        assert!(Index::default().is_empty());
+        assert_eq!(index.doc_ids.len(), 6);
+        assert!(vocabulary_size(&index) > 10);
+        assert!(Index::default().doc_ids.is_empty());
     }
 
     #[test]
@@ -542,11 +526,11 @@ mod tests {
         interner.intern("pre-existing");
         let index =
             Index::build_with_interner(interner.clone(), &[doc(0, "flu symptoms treatment")]);
-        assert!(index.interner().ptr_eq(&interner));
+        assert!(index.interner.ptr_eq(&interner));
         // Document terms were interned into the shared interner…
         assert!(interner.id_of("flu").is_some());
         // …and ids issued before the build stay valid.
         assert_eq!(interner.id_of("pre-existing"), Some(TermId(0)));
-        assert_eq!(index.vocabulary_size(), 3);
+        assert_eq!(vocabulary_size(&index), 3);
     }
 }

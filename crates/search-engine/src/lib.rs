@@ -25,7 +25,7 @@ pub mod engine;
 pub mod index;
 pub mod ratelimit;
 
-pub use corpus::{CorpusGenerator, Document};
+pub use corpus::Document;
 pub use engine::{ClientAddr, EngineConfig, EngineError, ResultPage, SearchEngine};
 pub use index::{Index, SearchResult};
-pub use ratelimit::{RateLimitDecision, RateLimiter, RateLimiterConfig};
+pub use ratelimit::RateLimiterConfig;

@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 /// Identifier of a network client as seen by the engine (IP-level identity).
-pub type ClientKey = u64;
+pub(crate) type ClientKey = u64;
 
 /// Configuration of the rate limiter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,10 +19,10 @@ pub struct RateLimiterConfig {
     /// Maximum admitted requests per window.
     pub max_requests: u32,
     /// Window length in seconds.
-    pub window_s: f64,
+    pub(crate) window_s: f64,
     /// How long a blocked client stays blocked, in seconds. `None` blocks
     /// the client for the rest of the run (it would have to solve a CAPTCHA).
-    pub block_s: Option<f64>,
+    pub(crate) block_s: Option<f64>,
 }
 
 impl Default for RateLimiterConfig {
@@ -60,8 +60,6 @@ impl RateLimitDecision {
 struct ClientState {
     recent: VecDeque<f64>,
     blocked_until: Option<f64>,
-    admitted: u64,
-    rejected: u64,
 }
 
 /// A sliding-window rate limiter keyed by client identity.
@@ -87,11 +85,6 @@ impl RateLimiter {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> RateLimiterConfig {
-        self.config
-    }
-
     /// Records a request from `client` at time `now_s` (seconds since the
     /// start of the experiment) and decides whether it is admitted.
     pub fn submit(&mut self, client: ClientKey, now_s: f64) -> RateLimitDecision {
@@ -100,7 +93,6 @@ impl RateLimiter {
         // Blocked clients stay blocked until the block expires (if ever).
         if let Some(until) = state.blocked_until {
             if now_s < until {
-                state.rejected += 1;
                 return RateLimitDecision::Rejected;
             }
             state.blocked_until = None;
@@ -120,41 +112,10 @@ impl RateLimiter {
                 Some(d) => now_s + d,
                 None => f64::INFINITY,
             });
-            state.rejected += 1;
             return RateLimitDecision::Rejected;
         }
         state.recent.push_back(now_s);
-        state.admitted += 1;
         RateLimitDecision::Admitted
-    }
-
-    /// Returns `true` if `client` is currently blocked at time `now_s`.
-    pub fn is_blocked(&self, client: ClientKey, now_s: f64) -> bool {
-        self.clients
-            .get(&client)
-            .and_then(|s| s.blocked_until)
-            .map(|until| now_s < until)
-            .unwrap_or(false)
-    }
-
-    /// Number of admitted requests for `client` so far.
-    pub fn admitted(&self, client: ClientKey) -> u64 {
-        self.clients.get(&client).map(|s| s.admitted).unwrap_or(0)
-    }
-
-    /// Number of rejected requests for `client` so far.
-    pub fn rejected(&self, client: ClientKey) -> u64 {
-        self.clients.get(&client).map(|s| s.rejected).unwrap_or(0)
-    }
-
-    /// Total requests admitted across all clients.
-    pub fn total_admitted(&self) -> u64 {
-        self.clients.values().map(|s| s.admitted).sum()
-    }
-
-    /// Total requests rejected across all clients.
-    pub fn total_rejected(&self) -> u64 {
-        self.clients.values().map(|s| s.rejected).sum()
     }
 }
 
@@ -182,8 +143,6 @@ mod tests {
         for i in 0..10 {
             assert!(rl.submit(1, i as f64).is_admitted());
         }
-        assert_eq!(rl.admitted(1), 10);
-        assert_eq!(rl.rejected(1), 0);
     }
 
     #[test]
@@ -195,8 +154,7 @@ mod tests {
         assert_eq!(rl.submit(7, 5.0), RateLimitDecision::Rejected);
         // Even after the window has passed, the block persists.
         assert_eq!(rl.submit(7, 10_000.0), RateLimitDecision::Rejected);
-        assert!(rl.is_blocked(7, 10_000.0));
-        assert_eq!(rl.rejected(7), 2);
+        assert_eq!(rl.clients[&7].blocked_until, Some(f64::INFINITY));
     }
 
     #[test]
@@ -217,9 +175,7 @@ mod tests {
         assert!(rl.submit(1, 0.0).is_admitted());
         assert!(!rl.submit(1, 1.0).is_admitted());
         assert!(rl.submit(2, 1.0).is_admitted());
-        assert_eq!(rl.total_admitted(), 2);
-        assert_eq!(rl.total_rejected(), 1);
-        assert!(!rl.is_blocked(2, 1.0));
+        assert_eq!(rl.clients[&2].blocked_until, None);
     }
 
     #[test]
@@ -253,8 +209,8 @@ mod tests {
     #[test]
     fn default_config_matches_paper_calibration() {
         let rl = RateLimiter::default();
-        assert_eq!(rl.config().max_requests, 600);
-        assert_eq!(rl.config().window_s, 3_600.0);
+        assert_eq!(rl.config.max_requests, 600);
+        assert_eq!(rl.config.window_s, 3_600.0);
     }
 
     #[test]

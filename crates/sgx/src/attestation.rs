@@ -15,7 +15,7 @@
 //!   (CYCLOSA binds the X25519 public key here) and an HMAC under the
 //!   quoting key;
 //! * the service checks the HMAC against the set of provisioned platforms
-//!   and returns a [`QuoteVerdict`];
+//!   and returns a `QuoteVerdict`;
 //! * relying parties additionally check the measurement against the set of
 //!   known-good CYCLOSA builds before accepting a channel.
 
@@ -25,7 +25,7 @@ use cyclosa_crypto::hmac::HmacSha256;
 use std::collections::BTreeSet;
 
 /// Report data length (binds caller data, e.g. a public key, into a quote).
-pub const REPORT_DATA_LEN: usize = 64;
+pub(crate) const REPORT_DATA_LEN: usize = 64;
 
 /// Errors arising during attestation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,13 +59,13 @@ impl std::error::Error for AttestationError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quote {
     /// Measurement of the quoted enclave.
-    pub measurement: Measurement,
+    pub(crate) measurement: Measurement,
     /// Identifier of the platform that produced the quote.
-    pub platform_id: [u8; 16],
+    pub(crate) platform_id: [u8; 16],
     /// Caller-provided data bound into the quote (e.g. a handshake key).
-    pub report_data: [u8; REPORT_DATA_LEN],
+    pub(crate) report_data: [u8; REPORT_DATA_LEN],
     /// Authentication tag under the platform's quoting key.
-    pub signature: [u8; 32],
+    pub(crate) signature: [u8; 32],
 }
 
 impl Quote {
@@ -77,31 +77,6 @@ impl Quote {
         out.extend_from_slice(&self.report_data);
         out.extend_from_slice(&self.signature);
         out
-    }
-
-    /// Parses a quote from bytes produced by [`Quote::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttestationError::Malformed`] for inputs of the wrong size.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, AttestationError> {
-        if bytes.len() != 32 + 16 + REPORT_DATA_LEN + 32 {
-            return Err(AttestationError::Malformed);
-        }
-        let mut measurement = [0u8; 32];
-        measurement.copy_from_slice(&bytes[..32]);
-        let mut platform_id = [0u8; 16];
-        platform_id.copy_from_slice(&bytes[32..48]);
-        let mut report_data = [0u8; REPORT_DATA_LEN];
-        report_data.copy_from_slice(&bytes[48..48 + REPORT_DATA_LEN]);
-        let mut signature = [0u8; 32];
-        signature.copy_from_slice(&bytes[48 + REPORT_DATA_LEN..]);
-        Ok(Self {
-            measurement: Measurement::from_bytes(measurement),
-            platform_id,
-            report_data,
-            signature,
-        })
     }
 
     fn signed_payload(
@@ -119,7 +94,7 @@ impl Quote {
 }
 
 /// Produces a quote for `enclave` binding `report_data` (truncated or
-/// zero-padded to [`REPORT_DATA_LEN`]).
+/// zero-padded to `REPORT_DATA_LEN`).
 pub fn generate_quote<T>(enclave: &Enclave<T>, report_data: &[u8]) -> Quote {
     let mut data = [0u8; REPORT_DATA_LEN];
     let take = report_data.len().min(REPORT_DATA_LEN);
@@ -138,18 +113,11 @@ pub fn generate_quote<T>(enclave: &Enclave<T>, report_data: &[u8]) -> Quote {
 
 /// The verdict issued by the attestation service for one quote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuoteVerdict {
+pub(crate) enum QuoteVerdict {
     /// The quote is genuine (valid signature from a provisioned platform).
     Genuine,
     /// The quote is not genuine.
     Rejected(AttestationError),
-}
-
-impl QuoteVerdict {
-    /// Returns `true` for genuine quotes.
-    pub fn is_genuine(&self) -> bool {
-        matches!(self, QuoteVerdict::Genuine)
-    }
 }
 
 /// A simulated Intel Attestation Service.
@@ -183,13 +151,8 @@ impl AttestationService {
         self.allowed_measurements.insert(measurement);
     }
 
-    /// Number of provisioned platforms.
-    pub fn provisioned_count(&self) -> usize {
-        self.provisioned.len()
-    }
-
     /// Verifies that a quote was produced by a genuine provisioned platform.
-    pub fn verify_genuine(&self, quote: &Quote) -> QuoteVerdict {
+    pub(crate) fn verify_genuine(&self, quote: &Quote) -> QuoteVerdict {
         let Some((_, key)) = self
             .provisioned
             .iter()
@@ -242,7 +205,7 @@ mod tests {
         let (platform, service) = setup();
         let enclave = platform.create_enclave(b"cyclosa", ());
         let quote = generate_quote(&enclave, b"handshake public key bytes");
-        assert!(service.verify_genuine(&quote).is_genuine());
+        assert_eq!(service.verify_genuine(&quote), QuoteVerdict::Genuine);
         assert!(service.verify_for_cyclosa(&quote).is_ok());
     }
 
@@ -263,7 +226,7 @@ mod tests {
         let (platform, service) = setup();
         let enclave = platform.create_enclave(b"not-cyclosa", ());
         let quote = generate_quote(&enclave, b"");
-        assert!(service.verify_genuine(&quote).is_genuine());
+        assert_eq!(service.verify_genuine(&quote), QuoteVerdict::Genuine);
         assert_eq!(
             service.verify_for_cyclosa(&quote),
             Err(AttestationError::UnknownMeasurement)
@@ -288,7 +251,7 @@ mod tests {
         let enclave = platform.create_enclave(b"cyclosa", ());
         let mut quote = generate_quote(&enclave, b"alice's key");
         quote.report_data[0] ^= 1;
-        assert!(!service.verify_genuine(&quote).is_genuine());
+        assert_ne!(service.verify_genuine(&quote), QuoteVerdict::Genuine);
     }
 
     #[test]
@@ -296,12 +259,14 @@ mod tests {
         let (platform, _) = setup();
         let enclave = platform.create_enclave(b"cyclosa", ());
         let quote = generate_quote(&enclave, b"report");
-        let parsed = Quote::from_bytes(&quote.to_bytes()).unwrap();
-        assert_eq!(parsed, quote);
-        assert_eq!(
-            Quote::from_bytes(&[0u8; 3]).unwrap_err(),
-            AttestationError::Malformed
-        );
+        let bytes = quote.to_bytes();
+        let (measurement, rest) = bytes.split_at(32);
+        let (platform_id, rest) = rest.split_at(16);
+        let (report_data, signature) = rest.split_at(REPORT_DATA_LEN);
+        assert_eq!(measurement, quote.measurement.as_bytes());
+        assert_eq!(platform_id, quote.platform_id);
+        assert_eq!(report_data, quote.report_data);
+        assert_eq!(signature, quote.signature);
     }
 
     #[test]
@@ -318,7 +283,7 @@ mod tests {
         let (platform, mut service) = setup();
         service.provision_platform(&platform);
         service.provision_platform(&platform);
-        assert_eq!(service.provisioned_count(), 1);
+        assert_eq!(service.provisioned.len(), 1);
     }
 
     #[test]

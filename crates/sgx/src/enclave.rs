@@ -12,7 +12,7 @@ use crate::measurement::Measurement;
 use cyclosa_crypto::hkdf;
 
 /// Page size used for EPC accounting (SGX uses 4 KiB pages).
-pub const PAGE_SIZE: usize = 4096;
+pub(crate) const PAGE_SIZE: usize = 4096;
 
 /// Cost model for enclave transitions and EPC paging.
 ///
@@ -25,16 +25,16 @@ pub const PAGE_SIZE: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Cost of entering the enclave (ns).
-    pub ecall_ns: u64,
+    pub(crate) ecall_ns: u64,
     /// Cost of leaving the enclave for an ocall (ns).
-    pub ocall_ns: u64,
+    pub(crate) ocall_ns: u64,
     /// Cost of servicing one EPC page fault (ns).
-    pub page_fault_ns: u64,
+    pub(crate) page_fault_ns: u64,
     /// Usable EPC in bytes before paging starts.
-    pub epc_limit_bytes: usize,
+    pub(crate) epc_limit_bytes: usize,
     /// Per-byte cost of in-enclave processing (ns per byte), modelling the
     /// MEE encryption overhead on memory traffic.
-    pub per_byte_ns: f64,
+    pub(crate) per_byte_ns: f64,
 }
 
 impl Default for CostModel {
@@ -50,18 +50,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A cost model with no transition or paging costs, useful to isolate
-    /// algorithmic costs in ablation benchmarks.
-    pub fn free() -> Self {
-        Self {
-            ecall_ns: 0,
-            ocall_ns: 0,
-            page_fault_ns: 0,
-            epc_limit_bytes: usize::MAX,
-            per_byte_ns: 0.0,
-        }
-    }
-
     /// Simulated cost in nanoseconds of an ecall that touches
     /// `touched_bytes` of enclave memory while the enclave currently holds
     /// `resident_bytes` of protected data.
@@ -78,7 +66,7 @@ impl CostModel {
 
     /// Expected paging cost: when the resident set exceeds the EPC limit,
     /// each touched page misses with probability `1 - limit / resident`.
-    pub fn paging_cost(&self, touched_bytes: usize, resident_bytes: usize) -> u64 {
+    pub(crate) fn paging_cost(&self, touched_bytes: usize, resident_bytes: usize) -> u64 {
         if resident_bytes <= self.epc_limit_bytes || resident_bytes == 0 {
             return 0;
         }
@@ -88,31 +76,17 @@ impl CostModel {
     }
 }
 
-/// Lifecycle status of an enclave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnclaveStatus {
-    /// Created but not yet initialized (no ecalls allowed).
-    Created,
-    /// Initialized and accepting ecalls.
-    Initialized,
-    /// Destroyed; all protected state has been discarded.
-    Destroyed,
-}
-
 /// Errors returned by enclave operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnclaveError {
     /// An ecall was attempted before `initialize` was called.
     NotInitialized,
-    /// An operation was attempted on a destroyed enclave.
-    Destroyed,
 }
 
 impl std::fmt::Display for EnclaveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EnclaveError::NotInitialized => write!(f, "enclave is not initialized"),
-            EnclaveError::Destroyed => write!(f, "enclave has been destroyed"),
         }
     }
 }
@@ -129,7 +103,7 @@ pub struct TransitionStats {
     /// Total simulated time spent on transitions and paging, in ns.
     pub simulated_ns: u64,
     /// Current resident protected memory, in bytes.
-    pub resident_bytes: usize,
+    pub(crate) resident_bytes: usize,
     /// High-water mark of resident protected memory, in bytes.
     pub peak_resident_bytes: usize,
 }
@@ -155,7 +129,7 @@ impl Platform {
     }
 
     /// Creates a platform with an explicit transition cost model.
-    pub fn with_cost_model(seed: u64, cost: CostModel) -> Self {
+    pub(crate) fn with_cost_model(seed: u64, cost: CostModel) -> Self {
         let seed_bytes = seed.to_le_bytes();
         let root_seal_key = hkdf::derive_key(b"sgx-platform-seal", &seed_bytes, b"root seal key");
         let quoting_key = hkdf::derive_key(b"sgx-platform-quote", &seed_bytes, b"quoting key");
@@ -171,20 +145,20 @@ impl Platform {
     }
 
     /// The platform's (public) identifier.
-    pub fn platform_id(&self) -> [u8; 16] {
+    pub(crate) fn platform_id(&self) -> [u8; 16] {
         self.platform_id
     }
 
     /// The key the quoting enclave uses to authenticate quotes. Shared with
     /// the attestation service at provisioning time (the EPID analogue).
-    pub fn quoting_key(&self) -> [u8; 32] {
+    pub(crate) fn quoting_key(&self) -> [u8; 32] {
         self.quoting_key
     }
 
     /// Creates a new enclave holding `initial_state` as protected data.
     ///
-    /// The returned enclave is in the [`EnclaveStatus::Created`] state and
-    /// must be initialized before ecalls are accepted (a malicious host can
+    /// The returned enclave must be initialized before ecalls are
+    /// accepted (a malicious host can
     /// simply never initialize it, which is one of the denial-of-service
     /// behaviours the paper acknowledges it cannot prevent).
     pub fn create_enclave<T>(&self, code_identity: &[u8], initial_state: T) -> Enclave<T> {
@@ -200,9 +174,9 @@ impl Platform {
             quoting_key: self.quoting_key,
             seal_key,
             cost: self.cost,
-            status: EnclaveStatus::Created,
+            initialized: false,
             stats: TransitionStats::default(),
-            state: Some(initial_state),
+            state: initial_state,
         }
     }
 }
@@ -215,9 +189,10 @@ pub struct Enclave<T> {
     quoting_key: [u8; 32],
     seal_key: [u8; 32],
     cost: CostModel,
-    status: EnclaveStatus,
+    /// Whether `EINIT` has run: ecalls and ocalls are refused before.
+    initialized: bool,
     stats: TransitionStats,
-    state: Option<T>,
+    state: T,
 }
 
 impl<T> Enclave<T> {
@@ -227,13 +202,8 @@ impl<T> Enclave<T> {
     }
 
     /// The hosting platform's identifier.
-    pub fn platform_id(&self) -> [u8; 16] {
+    pub(crate) fn platform_id(&self) -> [u8; 16] {
         self.platform_id
-    }
-
-    /// Current lifecycle status.
-    pub fn status(&self) -> EnclaveStatus {
-        self.status
     }
 
     /// Transition statistics accumulated so far.
@@ -257,15 +227,11 @@ impl<T> Enclave<T> {
     ///
     /// # Errors
     ///
-    /// Fails if the enclave has already been destroyed.
+    /// None: an enclave can always be initialized, and initializing it
+    /// again changes nothing.
     pub fn initialize(&mut self) -> Result<(), EnclaveError> {
-        match self.status {
-            EnclaveStatus::Destroyed => Err(EnclaveError::Destroyed),
-            _ => {
-                self.status = EnclaveStatus::Initialized;
-                Ok(())
-            }
-        }
+        self.initialized = true;
+        Ok(())
     }
 
     /// Calls into the enclave: runs `body` with exclusive access to the
@@ -277,27 +243,21 @@ impl<T> Enclave<T> {
     ///
     /// # Errors
     ///
-    /// Fails if the enclave is not initialized or destroyed.
+    /// Fails if the enclave is not initialized.
     pub fn ecall<R>(
         &mut self,
         touched_bytes: usize,
         body: impl FnOnce(&mut T) -> R,
     ) -> Result<(R, u64), EnclaveError> {
-        match self.status {
-            EnclaveStatus::Created => return Err(EnclaveError::NotInitialized),
-            EnclaveStatus::Destroyed => return Err(EnclaveError::Destroyed),
-            EnclaveStatus::Initialized => {}
+        if !self.initialized {
+            return Err(EnclaveError::NotInitialized);
         }
         let cost = self
             .cost
             .ecall_cost(touched_bytes, self.stats.resident_bytes);
         self.stats.ecalls += 1;
         self.stats.simulated_ns += cost;
-        let state = self
-            .state
-            .as_mut()
-            .expect("state present while initialized");
-        let value = body(state);
+        let value = body(&mut self.state);
         Ok((value, cost))
     }
 
@@ -305,10 +265,8 @@ impl<T> Enclave<T> {
     /// (e.g. handing an encrypted message to the untrusted network stack)
     /// and returns its simulated cost in nanoseconds.
     pub fn ocall(&mut self, transferred_bytes: usize) -> Result<u64, EnclaveError> {
-        match self.status {
-            EnclaveStatus::Created => return Err(EnclaveError::NotInitialized),
-            EnclaveStatus::Destroyed => return Err(EnclaveError::Destroyed),
-            EnclaveStatus::Initialized => {}
+        if !self.initialized {
+            return Err(EnclaveError::NotInitialized);
         }
         let cost = self.cost.ocall_cost(transferred_bytes);
         self.stats.ocalls += 1;
@@ -322,13 +280,6 @@ impl<T> Enclave<T> {
     pub fn set_resident_bytes(&mut self, bytes: usize) {
         self.stats.resident_bytes = bytes;
         self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(bytes);
-    }
-
-    /// Destroys the enclave, dropping all protected state.
-    pub fn destroy(&mut self) {
-        self.status = EnclaveStatus::Destroyed;
-        self.state = None;
-        self.stats.resident_bytes = 0;
     }
 }
 
@@ -349,7 +300,7 @@ mod tests {
     #[test]
     fn ecall_requires_initialization() {
         let mut enclave = make_enclave();
-        assert_eq!(enclave.status(), EnclaveStatus::Created);
+        assert!(!enclave.initialized);
         assert_eq!(
             enclave.ecall(0, |c| c.value).unwrap_err(),
             EnclaveError::NotInitialized
@@ -363,20 +314,6 @@ mod tests {
             .unwrap();
         assert_eq!(value, 1);
         assert!(cost >= CostModel::default().ecall_ns);
-    }
-
-    #[test]
-    fn destroyed_enclave_rejects_everything() {
-        let mut enclave = make_enclave();
-        enclave.initialize().unwrap();
-        enclave.destroy();
-        assert_eq!(enclave.status(), EnclaveStatus::Destroyed);
-        assert_eq!(
-            enclave.ecall(0, |c| c.value).unwrap_err(),
-            EnclaveError::Destroyed
-        );
-        assert_eq!(enclave.ocall(0).unwrap_err(), EnclaveError::Destroyed);
-        assert_eq!(enclave.initialize().unwrap_err(), EnclaveError::Destroyed);
     }
 
     #[test]
@@ -439,7 +376,14 @@ mod tests {
 
     #[test]
     fn free_cost_model_charges_nothing() {
-        let platform = Platform::with_cost_model(7, CostModel::free());
+        let free = CostModel {
+            ecall_ns: 0,
+            ocall_ns: 0,
+            page_fault_ns: 0,
+            epc_limit_bytes: usize::MAX,
+            per_byte_ns: 0.0,
+        };
+        let platform = Platform::with_cost_model(7, free);
         let mut enclave = platform.create_enclave(b"x", Counter::default());
         enclave.initialize().unwrap();
         let (_, cost) = enclave.ecall(1 << 20, |c| c.value).unwrap();
@@ -451,6 +395,5 @@ mod tests {
         assert!(EnclaveError::NotInitialized
             .to_string()
             .contains("initialized"));
-        assert!(EnclaveError::Destroyed.to_string().contains("destroyed"));
     }
 }

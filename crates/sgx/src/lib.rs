@@ -38,8 +38,3 @@ pub mod attestation;
 pub mod enclave;
 pub mod measurement;
 pub mod sealing;
-
-pub use attestation::{AttestationError, AttestationService, Quote, QuoteVerdict};
-pub use enclave::{CostModel, Enclave, EnclaveError, EnclaveStatus, Platform};
-pub use measurement::Measurement;
-pub use sealing::{SealError, SealedBlob};

@@ -31,18 +31,13 @@ impl Measurement {
         Self::from_code_identity(format!("rogue-enclave/{tag}").as_bytes())
     }
 
-    /// Constructs a measurement from raw bytes (e.g. decoded from a quote).
-    pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        Self(bytes)
-    }
-
     /// Raw digest bytes.
     pub fn as_bytes(&self) -> &[u8; 32] {
         &self.0
     }
 
     /// Lowercase hexadecimal rendering (for logs and reports).
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         hex(&self.0)
     }
 }
@@ -50,25 +45,6 @@ impl Measurement {
 impl std::fmt::Display for Measurement {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", &self.to_hex()[..16])
-    }
-}
-
-/// Identity of the party that signed an enclave (the `MRSIGNER` analogue).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SignerId([u8; 32]);
-
-impl SignerId {
-    /// Derives a signer identity from a signer name.
-    pub fn from_name(name: &str) -> Self {
-        Self(Sha256::digest_parts(&[
-            b"cyclosa-mrsigner-v1",
-            name.as_bytes(),
-        ]))
-    }
-
-    /// Raw bytes of the signer identity.
-    pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
     }
 }
 
@@ -92,24 +68,9 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_through_bytes() {
-        let m = Measurement::cyclosa_reference();
-        assert_eq!(Measurement::from_bytes(*m.as_bytes()), m);
-    }
-
-    #[test]
     fn hex_and_display() {
         let m = Measurement::cyclosa_reference();
         assert_eq!(m.to_hex().len(), 64);
         assert_eq!(format!("{m}").len(), 16);
-    }
-
-    #[test]
-    fn signer_identity_from_name() {
-        assert_eq!(
-            SignerId::from_name("cyclosa"),
-            SignerId::from_name("cyclosa")
-        );
-        assert_ne!(SignerId::from_name("cyclosa"), SignerId::from_name("other"));
     }
 }

@@ -50,23 +50,6 @@ pub struct SealedBlob {
     label: Vec<u8>,
 }
 
-impl SealedBlob {
-    /// Total serialized size in bytes (for storage accounting).
-    pub fn len(&self) -> usize {
-        self.nonce.len() + self.ciphertext.len() + self.label.len()
-    }
-
-    /// Returns `true` when the blob holds no ciphertext.
-    pub fn is_empty(&self) -> bool {
-        self.ciphertext.is_empty()
-    }
-
-    /// The content label supplied at sealing time.
-    pub fn label(&self) -> &[u8] {
-        &self.label
-    }
-}
-
 /// Seals `plaintext` under the enclave's sealing key.
 ///
 /// The `label` is authenticated but not encrypted (it tells the untrusted
@@ -115,8 +98,8 @@ mod tests {
             b"past-queries",
             b"cheap flights geneva\nweather lyon",
         );
-        assert!(!blob.is_empty());
-        assert_eq!(blob.label(), b"past-queries");
+        assert!(!blob.ciphertext.is_empty());
+        assert_eq!(blob.label, b"past-queries");
         let opened = unseal(&enclave, &blob).unwrap();
         assert_eq!(opened, b"cheap flights geneva\nweather lyon");
     }

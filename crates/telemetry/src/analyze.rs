@@ -84,7 +84,7 @@ impl TraceRecord {
     }
 
     /// Look up an unsigned attribute by name.
-    pub fn attr_u64(&self, name: &str) -> Option<u64> {
+    pub(crate) fn attr_u64(&self, name: &str) -> Option<u64> {
         self.attrs
             .iter()
             .find(|(key, _)| key == name)
@@ -96,7 +96,7 @@ impl TraceRecord {
     }
 
     /// Look up a boolean attribute by name.
-    pub fn attr_bool(&self, name: &str) -> Option<bool> {
+    pub(crate) fn attr_bool(&self, name: &str) -> Option<bool> {
         self.attrs
             .iter()
             .find(|(key, _)| key == name)
@@ -115,7 +115,7 @@ fn obj_field<'a>(fields: &'a [(String, Json)], name: &str) -> Option<&'a Json> {
 }
 
 /// Parse a single JSONL trace line into a [`TraceRecord`].
-pub fn parse_record(line: &str) -> Result<TraceRecord, String> {
+pub(crate) fn parse_record(line: &str) -> Result<TraceRecord, String> {
     let json = parse_json(line)?;
     let Json::Obj(fields) = json else {
         return Err("trace event must be a JSON object".to_string());
@@ -182,16 +182,16 @@ pub struct CriticalPath {
     pub stall: SimTime,
     /// Chain start → receipt at the answering relay (uplink serialization
     /// slots plus the client→relay link).
-    pub to_relay: SimTime,
+    pub(crate) to_relay: SimTime,
     /// In-relay processing of the answering forward.
     pub relay_service: SimTime,
     /// Relay → engine WAN transfer of the answering request.
-    pub to_engine: SimTime,
+    pub(crate) to_engine: SimTime,
     /// Engine service time for the answering request.
     pub engine_service: SimTime,
     /// Engine completion → answer recorded at the client (response path,
     /// plus any segment not covered by relay/engine instrumentation).
-    pub response: SimTime,
+    pub(crate) response: SimTime,
 }
 
 impl CriticalPath {
@@ -226,11 +226,11 @@ pub struct QueryTimeline {
     /// Query sequence number.
     pub query: u64,
     /// Launch timestamp (from `query.launch`).
-    pub launched_at: Option<SimTime>,
+    pub(crate) launched_at: Option<SimTime>,
     /// Relay the real query was initially assigned to.
-    pub relay: Option<u64>,
+    pub(crate) relay: Option<u64>,
     /// Fake-query count drawn at launch (the privacy assessment's k).
-    pub launch_fakes: Option<u64>,
+    pub(crate) launch_fakes: Option<u64>,
     /// Assessed k at answer time (`assessed_k` attr on `query.answered`).
     pub assessed_k: Option<u64>,
     /// Achieved k at answer time (`achieved_k` attr on `query.answered`).
@@ -369,9 +369,15 @@ fn critical_path(
     let Some((forward_done, forward_dur)) = forward else {
         return fallback_path(t0, t_end, repairs);
     };
+    // A relay that received the request before the query started is a
+    // hostile or corrupt trace: no chain through it sums to the latency.
     let relay_receipt = forward_done
         .as_nanos()
-        .saturating_sub(forward_dur.as_nanos());
+        .checked_sub(forward_dur.as_nanos())
+        .filter(|&receipt| receipt >= t0);
+    let Some(relay_receipt) = relay_receipt else {
+        return fallback_path(t0, t_end, repairs);
+    };
     // The answering chain started at the last repair that fired before the
     // relay received the forwarded request, or at launch for first attempts.
     let chain_start = repairs
@@ -527,6 +533,20 @@ mod tests {
         assert_eq!(path.stall.as_nanos(), 500);
         assert_eq!(path.response.as_nanos(), 400);
         assert_eq!(path.total().as_nanos(), 900);
+    }
+
+    #[test]
+    fn a_relay_receipt_before_launch_falls_back_and_still_sums_exactly() {
+        // The relay received the request at 830, before the query started
+        // at 900.
+        let records = vec![
+            span(930, "relay.forward", 4, 100),
+            span(950, "engine.service", 4, 10),
+            span(1_000, "query.answered", 4, 100),
+        ];
+        let path = reconstruct(&records)[0].path.expect("path");
+        assert_eq!(path.total().as_nanos(), 100);
+        assert_eq!(path.response.as_nanos(), 100);
     }
 
     #[test]

@@ -14,14 +14,13 @@ use cyclosa_util::json::Json;
 /// Parses one JSON document. Numbers parse as `U64` when they are
 /// non-negative integers, `I64` when negative integers, `F64` otherwise
 /// — mirroring what the serializer emits. Arrays and objects may nest
-/// [`MAX_NESTING`] deep; a deeper document is an error, not a stack
+/// `MAX_NESTING` deep; a deeper document is an error, not a stack
 /// overflow.
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -51,10 +50,11 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
 /// files named on a command line, so the bound is what keeps a hostile
 /// file from exhausting the stack; the deepest record this repository
 /// writes nests under ten levels.
-pub const MAX_NESTING: usize = 128;
+pub(crate) const MAX_NESTING: usize = 128;
 
 /// `depth` counts the arrays and objects enclosing the value at `pos`.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     if depth == MAX_NESTING && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
         return Err(format!(
@@ -67,7 +67,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -77,7 +77,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -99,10 +99,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -128,17 +128,20 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
+        // `pos` only ever advances by whole characters, so it sits on a
+        // character boundary of `text`.
+        match text[*pos..].chars().next() {
             None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
+            Some('"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some('\\') => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -150,14 +153,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        // `from_str_radix` alone would take a sign.
+                        let hex = text
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .ok_or("\\u escape needs four hex digits")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                         // Surrogates would need pairing; the exporter
                         // never emits them, so reject rather than mangle.
                         out.push(char::from_u32(code).ok_or("surrogate \\u escape")?);
@@ -167,10 +168,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Advance one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().expect("non-empty by get() above");
+            Some(c) => {
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -224,7 +222,7 @@ fn check_unsigned(value: &Json, what: &str) -> Result<(), String> {
 /// every emitter in the instrumented crates uses a registered name and
 /// that every registered name still has an emitter.
 // cyclosa-lint: schema-registry
-pub const TRACE_EVENT_FAMILIES: [&str; 9] = [
+pub(crate) const TRACE_EVENT_FAMILIES: [&str; 9] = [
     "plan.", "query.", "relay.", "engine.", "latency.", "fault.", "mship.", "slo.", "adv.",
 ];
 
@@ -233,7 +231,7 @@ pub const TRACE_EVENT_FAMILIES: [&str; 9] = [
 /// an emitter fails the lint), so this list is the single authoritative
 /// catalogue of the trace vocabulary.
 // cyclosa-lint: schema-registry
-pub const TRACE_EVENT_NAMES: [&str; 36] = [
+pub(crate) const TRACE_EVENT_NAMES: [&str; 36] = [
     // Query-plan lifecycle (core::node).
     "plan.assess",
     "plan.fakes_drawn",
@@ -283,10 +281,9 @@ pub const TRACE_EVENT_NAMES: [&str; 36] = [
 /// The closed set of membership (`mship.*`) event names the SWIM/
 /// HyParView overlay and the chaos client's relay prober may emit; any
 /// other `mship.*` name is rejected, keeping the telemetry schema
-/// contract closed. The one list: `cyclosa-peer-sampling`, which emits
-/// them, re-exports it.
+/// contract closed.
 // cyclosa-lint: schema-registry
-pub const MEMBERSHIP_EVENT_NAMES: [&str; 8] = [
+pub(crate) const MEMBERSHIP_EVENT_NAMES: [&str; 8] = [
     "mship.probe",
     "mship.alive",
     "mship.suspect",
@@ -506,6 +503,29 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "1 2", "\"unterminated"] {
             assert!(parse_json(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse_json(r#""\u0041""#), Ok(Json::Str("A".to_owned())));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u04""#, r#""\u00g1""#] {
+            assert!(parse_json(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        let value = "é".repeat(256 * 1024);
+        let document = format!("{{\"v\":\"{value}\"}}");
+        #[allow(clippy::disallowed_methods)]
+        let start = std::time::Instant::now();
+        let parsed = parse_json(&document).expect("valid document");
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, Json::Obj(vec![("v".to_owned(), Json::Str(value))]));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "a 512 KiB string took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use cyclosa_util::json::Json;
 
 impl AttrValue {
     /// The JSON form of the attribute value.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         match self {
             AttrValue::U64(v) => Json::U64(*v),
             AttrValue::I64(v) => Json::I64(*v),
@@ -38,7 +38,7 @@ fn attrs_json(event: &TraceEvent) -> Json {
 /// Keys in order: `at_ns`, `node` (`null` for engine-attributed events),
 /// `name`, then optionally `query`, `dur_ns` and `attrs` (when
 /// non-empty).
-pub fn event_to_jsonl(event: &TraceEvent) -> String {
+pub(crate) fn event_to_jsonl(event: &TraceEvent) -> String {
     let mut fields = vec![
         ("at_ns".to_owned(), Json::U64(event.at.as_nanos())),
         (

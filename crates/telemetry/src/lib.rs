@@ -50,7 +50,6 @@ pub mod sketch;
 pub mod slo;
 pub mod trace;
 
-pub use analyze::{CriticalPath, QueryTimeline, TraceRecord};
 pub use sketch::QuantileSketch;
-pub use slo::{SloAlert, SloConfig, SloKind, SloMonitor, SloReport, SLO_EVENT_NAMES};
+pub use slo::{SloConfig, SloKind, SloMonitor, SloReport};
 pub use trace::{AttrValue, NodeTracer, TraceEvent, TraceSink, ACTOR_ENGINE};

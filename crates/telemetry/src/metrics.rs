@@ -25,11 +25,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Creates a free-standing counter (not attached to a registry).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.add(1);
@@ -52,11 +47,6 @@ impl Counter {
 pub struct Histogram(Arc<Mutex<QuantileSketch>>);
 
 impl Histogram {
-    /// Creates a free-standing histogram (not attached to a registry).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Locks the sketch, recovering a poisoned mutex the way
     /// [`Registry`] does: a record either happened or did not, so a
     /// thread that panicked while holding the lock left it intact.
@@ -187,7 +177,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_match_uniform_data() {
-        let histogram = Histogram::new();
+        let histogram = Histogram::default();
         for value in 1..=10_000u64 {
             histogram.record(value);
         }
@@ -205,7 +195,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_all_zero() {
-        let sketch = Histogram::new().sketch();
+        let sketch = Histogram::default().sketch();
         assert_eq!(sketch.count(), 0);
         assert_eq!(sketch.quantile(0.5), 0);
         assert_eq!(sketch.min(), 0);
@@ -223,8 +213,8 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let histogram = Histogram::new();
-        let counter = Counter::new();
+        let histogram = Histogram::default();
+        let counter = Counter::default();
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let histogram = histogram.clone();
@@ -286,7 +276,7 @@ mod tests {
 
     #[test]
     fn a_histogram_poisoned_by_a_panicking_thread_keeps_recording() {
-        let histogram = Histogram::new();
+        let histogram = Histogram::default();
         histogram.record(7);
         let poisoner = histogram.clone();
         let panicked = std::thread::spawn(move || {
@@ -341,7 +331,7 @@ mod tests {
             z ^ (z >> 31)
         };
         let samples: Vec<u64> = (0..4_000).map(|_| next() % 5_000_000_000).collect();
-        let histogram = Histogram::new();
+        let histogram = Histogram::default();
         std::thread::scope(|scope| {
             for part in samples.chunks(1_000) {
                 let histogram = histogram.clone();
@@ -360,7 +350,7 @@ mod tests {
 
     #[test]
     fn record_secs_rounds_to_nanoseconds() {
-        let histogram = Histogram::new();
+        let histogram = Histogram::default();
         histogram.record_time(SimTime::from_millis(500));
         assert_eq!(histogram.count(), 1);
         assert_eq!(histogram.sketch().max(), 500_000_000);

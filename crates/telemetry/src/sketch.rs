@@ -84,11 +84,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Worst-case relative error of any reported quantile (`1/32`).
-    pub fn relative_error_bound() -> f64 {
-        1.0 / SUB_BUCKETS as f64
-    }
-
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
         *self.buckets.entry(bucket_index(value) as u32).or_insert(0) += 1;
@@ -123,7 +118,7 @@ impl QuantileSketch {
     }
 
     /// Smallest recorded sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -222,10 +217,7 @@ mod tests {
         // Relative error bound: the bucket low is within 1/32 of the value.
         for value in [100u64, 12_345, 999_999_999, 7_777_777_777] {
             let low = bucket_low(bucket_index(value));
-            assert!(
-                (value - low) as f64 / value as f64
-                    <= QuantileSketch::relative_error_bound() + 1e-12
-            );
+            assert!((value - low) as f64 / value as f64 <= (1.0 / SUB_BUCKETS as f64) + 1e-12);
         }
     }
 
@@ -246,10 +238,7 @@ mod tests {
             let approx = sketch.quantile(q);
             assert!(approx <= exact);
             let err = (exact - approx) as f64 / exact.max(1) as f64;
-            assert!(
-                err <= QuantileSketch::relative_error_bound() + 1e-9,
-                "q{q}: err {err}"
-            );
+            assert!(err <= (1.0 / SUB_BUCKETS as f64) + 1e-9, "q{q}: err {err}");
         }
     }
 

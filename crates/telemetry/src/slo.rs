@@ -12,7 +12,7 @@
 //!   suspicions raised) must stay within budget.
 //!
 //! When a window overspends its budget the monitor emits a burn-rate alert
-//! from the closed `slo.*` event family ([`SLO_EVENT_NAMES`]), stamped at the
+//! from the closed `slo.*` event family (`SLO_EVENT_NAMES`), stamped at the
 //! window's end on the simulated clock. Because the monitor is a pure
 //! function of the merged timeline — which is byte-identical across
 //! sequential and 1/2/4/8-shard runs — the alert stream is byte-identical
@@ -27,7 +27,7 @@ use cyclosa_util::json::Json;
 /// The closed set of SLO alert event names. `check::validate_trace_jsonl`
 /// rejects any other name under the `slo.` prefix.
 // cyclosa-lint: schema-registry
-pub const SLO_EVENT_NAMES: [&str; 3] = [
+pub(crate) const SLO_EVENT_NAMES: [&str; 3] = [
     "slo.privacy.burn",
     "slo.latency.burn",
     "slo.membership.burn",
@@ -72,7 +72,7 @@ pub enum SloKind {
 
 impl SloKind {
     /// The closed-schema event name for this SLO's burn alerts.
-    pub fn event_name(&self) -> &'static str {
+    pub(crate) fn event_name(&self) -> &'static str {
         match self {
             SloKind::Privacy => "slo.privacy.burn",
             SloKind::Latency => "slo.latency.burn",
@@ -85,26 +85,26 @@ impl SloKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloAlert {
     /// Which SLO burned.
-    pub kind: SloKind,
+    pub(crate) kind: SloKind,
     /// Window start on the simulated clock.
-    pub window_start: SimTime,
+    pub(crate) window_start: SimTime,
     /// Window end (the alert's timestamp).
-    pub window_end: SimTime,
+    pub(crate) window_end: SimTime,
     /// Bad events in the window (violating answers, refuted suspicions), or
     /// the observed p99 in nanoseconds for latency alerts.
-    pub bad: u64,
+    pub(crate) bad: u64,
     /// Total events in the window (answered queries, suspicions raised), or
     /// the p99 budget in nanoseconds for latency alerts.
-    pub total: u64,
+    pub(crate) total: u64,
     /// Burn rate: observed error rate divided by the budget (≥ 1 when the
     /// alert fires).
-    pub burn: f64,
+    pub(crate) burn: f64,
 }
 
 impl SloAlert {
     /// Render the alert as a closed-schema trace event, stamped at the
     /// window's end with the engine pseudo-actor.
-    pub fn to_event(&self) -> TraceEvent {
+    pub(crate) fn to_event(&self) -> TraceEvent {
         let event = TraceEvent::new(self.window_end, ACTOR_ENGINE, self.kind.event_name())
             .attr("window_start_ns", self.window_start.as_nanos());
         let event = match self.kind {
@@ -191,7 +191,7 @@ struct WindowState {
 }
 
 /// Streaming SLO monitor. Feed the merged timeline in order via
-/// [`SloMonitor::observe`] (or [`SloMonitor::observe_event`]), then call
+/// `SloMonitor::observe` (or [`SloMonitor::observe_event`]), then call
 /// [`SloMonitor::finish`] to close the last window and collect the report.
 #[derive(Debug)]
 pub struct SloMonitor {
@@ -223,7 +223,7 @@ impl SloMonitor {
 
     /// Observe one timeline record. Records must arrive in non-decreasing
     /// `at` order (the merged-timeline invariant).
-    pub fn observe(&mut self, record: &TraceRecord) {
+    pub(crate) fn observe(&mut self, record: &TraceRecord) {
         self.advance_to(record.at);
         match record.name.as_str() {
             "query.answered" => {

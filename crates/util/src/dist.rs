@@ -2,8 +2,8 @@
 //!
 //! The workload generator uses [`Zipf`] for term and query popularity (Web
 //! query logs are famously heavy-tailed), the network simulator uses
-//! [`LogNormal`] and [`Exponential`] for link latencies and think times, and
-//! the annotation simulator uses [`normal`] noise.
+//! [`LogNormal`] and [`Exponential`] for link latencies and think times.
+//! [`LogNormal`] draws `ln X` from a Box–Muller standard normal.
 
 use crate::rng::Rng;
 
@@ -16,7 +16,6 @@ use crate::rng::Rng;
 pub struct Zipf {
     /// Cumulative (unnormalised) weights for binary-search sampling.
     cumulative: Vec<f64>,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -37,25 +36,7 @@ impl Zipf {
             total += 1.0 / ((rank + 1) as f64).powf(exponent);
             cumulative.push(total);
         }
-        Self {
-            cumulative,
-            exponent,
-        }
-    }
-
-    /// Number of ranks in the distribution.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Returns `true` if the distribution has a single rank.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The skew exponent used to build this distribution.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
+        Self { cumulative }
     }
 
     /// Samples a rank in `[0, n)`.
@@ -70,16 +51,6 @@ impl Zipf {
             Ok(i) => i,
             Err(i) => i.min(self.cumulative.len() - 1),
         }
-    }
-
-    /// Probability mass of a given rank.
-    pub fn pmf(&self, rank: usize) -> f64 {
-        if rank >= self.cumulative.len() {
-            return 0.0;
-        }
-        let total = *self.cumulative.last().expect("non-empty");
-        let w = 1.0 / ((rank + 1) as f64).powf(self.exponent);
-        w / total
     }
 }
 
@@ -103,11 +74,6 @@ impl Exponential {
     pub fn new(rate: f64) -> Self {
         assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
         Self { rate }
-    }
-
-    /// The distribution's mean (`1 / rate`).
-    pub fn mean(&self) -> f64 {
-        1.0 / self.rate
     }
 
     /// Samples a waiting time.
@@ -136,7 +102,7 @@ impl LogNormal {
     /// # Panics
     ///
     /// Panics if `sigma` is negative or either parameter is non-finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Self {
         assert!(mu.is_finite() && sigma.is_finite() && sigma >= 0.0);
         Self { mu, sigma }
     }
@@ -152,23 +118,13 @@ impl LogNormal {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * normal(rng)).exp()
     }
-
-    /// The distribution median (`exp(mu)`).
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
 }
 
 /// Samples a standard normal variate using the Box–Muller transform.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1 = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
     let u2 = rng.next_f64();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// Samples a normal variate with the given mean and standard deviation.
-pub fn normal_with<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
-    mean + std_dev * normal(rng)
 }
 
 #[cfg(test)]
@@ -193,19 +149,28 @@ mod tests {
         assert!(counts[10] > counts[90]);
     }
 
+    /// Probability of `rank` under the sampler's cumulative weights.
+    fn pmf(zipf: &Zipf, rank: usize) -> f64 {
+        let Some(&upto) = zipf.cumulative.get(rank) else {
+            return 0.0;
+        };
+        let below = rank.checked_sub(1).map_or(0.0, |r| zipf.cumulative[r]);
+        (upto - below) / zipf.cumulative.last().expect("non-empty")
+    }
+
     #[test]
     fn zipf_pmf_sums_to_one() {
         let zipf = Zipf::new(50, 1.2);
-        let total: f64 = (0..50).map(|r| zipf.pmf(r)).sum();
+        let total: f64 = (0..50).map(|r| pmf(&zipf, r)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert_eq!(zipf.pmf(50), 0.0);
+        assert_eq!(pmf(&zipf, 50), 0.0);
     }
 
     #[test]
     fn zipf_zero_exponent_is_uniform() {
         let zipf = Zipf::new(10, 0.0);
         for r in 0..10 {
-            assert!((zipf.pmf(r) - 0.1).abs() < 1e-12);
+            assert!((pmf(&zipf, r) - 0.1).abs() < 1e-12);
         }
     }
 
@@ -249,9 +214,7 @@ mod tests {
     #[test]
     fn normal_mean_and_spread() {
         let mut rng = rng();
-        let samples: Vec<f64> = (0..50_000)
-            .map(|_| normal_with(&mut rng, 5.0, 2.0))
-            .collect();
+        let samples: Vec<f64> = (0..50_000).map(|_| 5.0 + 2.0 * normal(&mut rng)).collect();
         let summary = Summary::from_samples(&samples);
         assert!((summary.mean - 5.0).abs() < 0.05);
         assert!((summary.std_dev - 2.0).abs() < 0.05);

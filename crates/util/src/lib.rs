@@ -39,7 +39,4 @@ pub mod rng;
 pub mod smoothing;
 pub mod stats;
 
-pub use json::{Json, ToJson};
-pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
-pub use smoothing::exponential_smoothing;
-pub use stats::Summary;
+pub use rng::Rng;

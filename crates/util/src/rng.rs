@@ -188,7 +188,7 @@ impl Xoshiro256StarStar {
     /// # Panics
     ///
     /// Panics if the state is all zeroes (the only forbidden state).
-    pub fn from_state(s: [u64; 4]) -> Self {
+    pub(crate) fn from_state(s: [u64; 4]) -> Self {
         assert!(
             s.iter().any(|&w| w != 0),
             "xoshiro state must not be all zero"

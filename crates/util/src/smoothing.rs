@@ -108,43 +108,6 @@ pub fn exponential_smoothing_zero_tail(similarities: &mut [f64], zeros: usize, a
     acc
 }
 
-/// An incremental exponentially weighted moving average.
-///
-/// Used by nodes to track their observed relay latency and by the search
-/// engine simulator to track per-client request rates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Self { alpha, value: None }
-    }
-
-    /// Records an observation and returns the updated average.
-    pub fn record(&mut self, observation: f64) -> f64 {
-        let next = match self.value {
-            None => observation,
-            Some(prev) => self.alpha * observation + (1.0 - self.alpha) * prev,
-        };
-        self.value = Some(next);
-        next
-    }
-
-    /// Current average, or `None` if nothing has been recorded.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,22 +244,5 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn zero_tail_fold_rejects_alpha_above_one() {
         let _ = exponential_smoothing_zero_tail(&mut [0.5], 2, 1.5);
-    }
-
-    #[test]
-    fn ewma_converges_to_constant_input() {
-        let mut ewma = Ewma::new(0.2);
-        assert_eq!(ewma.value(), None);
-        for _ in 0..200 {
-            ewma.record(5.0);
-        }
-        assert!((ewma.value().unwrap() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_first_observation_is_taken_verbatim() {
-        let mut ewma = Ewma::new(0.1);
-        assert_eq!(ewma.record(3.0), 3.0);
-        assert!(ewma.record(4.0) > 3.0);
     }
 }

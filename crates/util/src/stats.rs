@@ -13,17 +13,17 @@ pub struct Summary {
     /// Arithmetic mean. Zero for an empty sample.
     pub mean: f64,
     /// Population standard deviation. Zero for an empty sample.
-    pub std_dev: f64,
+    pub(crate) std_dev: f64,
     /// Smallest sample. Zero for an empty sample.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest sample. Zero for an empty sample.
-    pub max: f64,
+    pub(crate) max: f64,
     /// 50th percentile.
     pub median: f64,
     /// 95th percentile.
     pub p95: f64,
     /// 99th percentile.
-    pub p99: f64,
+    pub(crate) p99: f64,
 }
 
 impl Summary {

@@ -19,12 +19,12 @@ use cyclosa_util::rng::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnotationConfig {
     /// Number of workers that label each query.
-    pub workers_per_query: usize,
+    pub(crate) workers_per_query: usize,
     /// Probability that a single worker mislabels a query.
-    pub worker_error_rate: f64,
+    pub(crate) worker_error_rate: f64,
     /// Maximum number of queries to annotate (the paper annotates the first
     /// 10,000 testing queries).
-    pub max_queries: usize,
+    pub(crate) max_queries: usize,
 }
 
 impl Default for AnnotationConfig {
@@ -39,20 +39,20 @@ impl Default for AnnotationConfig {
 
 /// One annotated query.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnnotatedQuery {
+pub(crate) struct AnnotatedQuery {
     /// The query and its generator ground truth.
-    pub labeled: LabeledQuery,
+    pub(crate) labeled: LabeledQuery,
     /// Votes of the individual workers.
-    pub votes: Vec<bool>,
+    pub(crate) votes: Vec<bool>,
     /// Majority-vote label published by the campaign.
-    pub annotated_sensitive: bool,
+    pub(crate) annotated_sensitive: bool,
 }
 
 /// The result of running the campaign.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnnotationCampaign {
     /// Annotated queries in input order.
-    pub queries: Vec<AnnotatedQuery>,
+    pub(crate) queries: Vec<AnnotatedQuery>,
 }
 
 impl AnnotationCampaign {
@@ -121,11 +121,6 @@ impl AnnotationCampaign {
             .count() as f64
             / self.queries.len() as f64
     }
-
-    /// The annotated sensitivity labels, parallel to `queries`.
-    pub fn labels(&self) -> Vec<bool> {
-        self.queries.iter().map(|q| q.annotated_sensitive).collect()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +167,7 @@ mod tests {
         };
         let campaign = AnnotationCampaign::run(&queries, config, &mut rng);
         assert_eq!(campaign.len(), 25);
-        assert_eq!(campaign.labels().len(), 25);
+        assert_eq!(campaign.queries.len(), 25);
     }
 
     #[test]

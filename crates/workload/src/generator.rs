@@ -85,16 +85,6 @@ impl QueryLog {
         sensitive as f64 / total as f64
     }
 
-    /// Keeps only the `n` most active users (the paper evaluates on the most
-    /// active users because they are the hardest to protect).
-    pub fn most_active(&self, n: usize) -> QueryLog {
-        let mut traces = self.traces.clone();
-        traces.sort_by_key(|t| std::cmp::Reverse(t.len()));
-        traces.truncate(n);
-        traces.sort_by_key(|t| t.user);
-        QueryLog { traces }
-    }
-
     /// Splits every trace into a training prefix (`train_fraction` of the
     /// queries, the adversary's prior knowledge) and a testing suffix (the
     /// queries to protect). The paper uses 2/3 – 1/3.
@@ -183,7 +173,8 @@ impl Default for WorkloadConfig {
 
 impl WorkloadConfig {
     /// A small configuration for fast unit tests.
-    pub fn small() -> Self {
+    #[cfg(test)]
+    pub(crate) fn small() -> Self {
         Self {
             users: 20,
             mean_queries_per_user: 40,
@@ -208,11 +199,6 @@ impl WorkloadGenerator {
     /// Creates a generator.
     pub fn new(catalog: TopicCatalog, config: WorkloadConfig) -> Self {
         Self { catalog, config }
-    }
-
-    /// The topic catalogue in use.
-    pub fn catalog(&self) -> &TopicCatalog {
-        &self.catalog
     }
 
     /// Generates a full query log.
@@ -419,22 +405,6 @@ mod tests {
             // Order is preserved: the training part is a prefix.
             assert_eq!(train[i].queries[..], trace.queries[..train[i].len()]);
         }
-    }
-
-    #[test]
-    fn most_active_selects_largest_traces() {
-        let log = generate_small(7);
-        let top = log.most_active(5);
-        assert_eq!(top.user_count(), 5);
-        let min_top = top.traces.iter().map(|t| t.len()).min().unwrap();
-        let max_rest = log
-            .traces
-            .iter()
-            .filter(|t| !top.traces.iter().any(|x| x.user == t.user))
-            .map(|t| t.len())
-            .max()
-            .unwrap();
-        assert!(min_top >= max_rest);
     }
 
     #[test]

@@ -25,7 +25,3 @@
 pub mod annotation;
 pub mod generator;
 pub mod topics;
-
-pub use annotation::{AnnotationCampaign, AnnotationConfig};
-pub use generator::{LabeledQuery, QueryLog, UserTrace, WorkloadConfig, WorkloadGenerator};
-pub use topics::{seed_queries, sensitive_corpus, synthetic_lexicon, Topic, TopicCatalog};

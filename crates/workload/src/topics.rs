@@ -14,11 +14,11 @@ use cyclosa_nlp::lexicon::{Lexicon, LexiconBuilder};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topic {
     /// Topic name (doubles as the lexicon domain label).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Whether the topic belongs to the default sensitive set (health,
     /// politics, religion, sexuality — per Google's definition cited in
     /// §V-A1).
-    pub sensitive: bool,
+    pub(crate) sensitive: bool,
     /// Vocabulary of the topic.
     pub terms: &'static [&'static str],
 }
@@ -424,17 +424,17 @@ impl TopicCatalog {
     }
 
     /// The sensitive topics.
-    pub fn sensitive_topics(&self) -> Vec<&Topic> {
+    pub(crate) fn sensitive_topics(&self) -> Vec<&Topic> {
         self.topics.iter().filter(|t| t.sensitive).collect()
     }
 
     /// The non-sensitive topics.
-    pub fn non_sensitive_topics(&self) -> Vec<&Topic> {
+    pub(crate) fn non_sensitive_topics(&self) -> Vec<&Topic> {
         self.topics.iter().filter(|t| !t.sensitive).collect()
     }
 
     /// Looks a topic up by name.
-    pub fn topic(&self, name: &str) -> Option<&Topic> {
+    pub(crate) fn topic(&self, name: &str) -> Option<&Topic> {
         self.topics.iter().find(|t| t.name == name)
     }
 
@@ -483,7 +483,7 @@ pub fn synthetic_lexicon(catalog: &TopicCatalog) -> Lexicon {
 /// The ambiguous terms associated with a sensitive topic (used by the
 /// generator to inject them into *non-sensitive* queries, creating the
 /// false-positive pressure measured in Table II).
-pub fn ambiguous_terms(topic: &str) -> &'static [&'static str] {
+pub(crate) fn ambiguous_terms(topic: &str) -> &'static [&'static str] {
     match topic {
         "sexuality" => AMBIGUOUS_SEXUALITY,
         "health" => AMBIGUOUS_HEALTH,

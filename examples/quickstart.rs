@@ -29,8 +29,6 @@ fn main() {
 
     // 2. Create the node (its SGX enclave is created and initialized here).
     let mut node = CyclosaNode::builder(1)
-        .sensitive_topic("health")
-        .sensitive_topic("sexuality")
         .protection(protection)
         .categorizer(categorizer)
         .build();

@@ -32,7 +32,6 @@ fn build_nodes(count: u64, k_max: usize, rng: &mut Xoshiro256StarStar) -> Vec<Cy
             );
             let mut node = CyclosaNode::builder(i)
                 .protection(protection.clone())
-                .sensitive_topic("health")
                 .categorizer(categorizer)
                 .build();
             node.bootstrap_with_seed_queries(seeds.iter().map(|s| s.as_str()));
