@@ -63,9 +63,9 @@ use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{
-    cross_side_edges, overlay_metrics_from_views, BrahmsConfig, EngineBrahmsOverlay,
-    EngineGossipConfig, EngineGossipOverlay, MembershipConfig, Overlay, PeerId, SamplingProtocol,
-    SwimGossipOverlay, SybilAttackConfig,
+    cross_side_edges, overlay_metrics_from_views, EngineBrahmsOverlay, EngineGossipConfig,
+    EngineGossipOverlay, MembershipConfig, Overlay, PeerId, SamplingProtocol, SwimGossipOverlay,
+    SybilAttackConfig, SHUFFLE_ROUND_PERIOD, SWIM_ROUND_PERIOD,
 };
 use cyclosa_telemetry::metrics::Registry;
 use cyclosa_telemetry::trace::TraceSink;
@@ -670,13 +670,8 @@ fn sybil_run(
     let naive = EngineGossipOverlay::under_attack(&mut *engine, attack, config);
     engine.run();
     let mut engine = choice.build(attack.seed, None);
-    let brahms = EngineBrahmsOverlay::ring(
-        &mut *engine,
-        attack,
-        BrahmsConfig::default(),
-        SYBIL_ROUNDS,
-        config.round_period,
-    );
+    let brahms =
+        EngineBrahmsOverlay::ring(&mut *engine, attack, SYBIL_ROUNDS, SHUFFLE_ROUND_PERIOD);
     engine.run();
     (naive, brahms)
 }
@@ -794,7 +789,7 @@ fn observed_run(options: &Options, heaviest_rate: f64) {
     // SLO pass over the merged timeline: targets derived from the
     // experiment's own config, `slo.*` burn alerts spliced into the
     // exported trace (a closed family `trace_check` accepts).
-    let slos = evaluate_churn_slos(&config, &telemetry);
+    let slos = evaluate_churn_slos(&telemetry);
     eprintln!(
         "# slo: {} answered, {} privacy violation(s), {} suspicion(s) \
          ({} refuted), {} burn alert(s)",
@@ -984,7 +979,7 @@ fn membership_comparison(
         ..EngineGossipConfig::default()
     };
     let shuffle_horizon =
-        SimTime::from_nanos(shuffle_config.round_period.as_nanos() * shuffle_config.rounds as u64);
+        SimTime::from_nanos(SHUFFLE_ROUND_PERIOD.as_nanos() * shuffle_config.rounds as u64);
     let registry = Registry::new();
     let mut sim = Simulation::new(options.seed);
     let mut shuffle = EngineGossipOverlay::ring(
@@ -1011,7 +1006,7 @@ fn membership_comparison(
 
     let swim_config = MembershipConfig::default();
     let swim_horizon =
-        SimTime::from_nanos(swim_config.round_period.as_nanos() * swim_config.rounds as u64);
+        SimTime::from_nanos(SWIM_ROUND_PERIOD.as_nanos() * swim_config.rounds as u64);
     let mut sim = Simulation::new(options.seed);
     let mut swim = SwimGossipOverlay::ring(
         &mut sim,

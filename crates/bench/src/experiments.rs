@@ -1,7 +1,6 @@
 //! One function per table / figure of the paper's evaluation.
 
 use crate::setup::ExperimentSetup;
-use cyclosa::config::ProtectionConfig;
 use cyclosa::deployment::{
     relay_service_time_ns, run_load_experiment, throughput_latency_curve, xsearch_service_time_ns,
     LoadExperimentConfig,
@@ -16,7 +15,6 @@ use cyclosa_mechanism::{Mechanism, MechanismProperties};
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_nlp::categorizer::{CategorizerMethod, DetectionQuality, QueryCategorizer};
-use cyclosa_sgx::enclave::CostModel;
 use cyclosa_telemetry::QuantileSketch;
 use cyclosa_util::impl_to_json;
 use cyclosa_workload::annotation::{AnnotationCampaign, AnnotationConfig};
@@ -129,7 +127,6 @@ pub struct Table2Report {
 /// the sexuality topic, with the WordNet-only, LDA-only and combined
 /// detectors.
 pub fn table2(setup: &ExperimentSetup) -> Table2Report {
-    let config = ProtectionConfig::default();
     let mut rng = setup.rng(0x7AB2);
     // The paper's Table II restricts itself to the sexuality topic: build a
     // categorizer whose only dictionaries concern that topic.
@@ -137,7 +134,6 @@ pub fn table2(setup: &ExperimentSetup) -> Table2Report {
         &setup.lexicon,
         &["sexuality"],
         &setup.sensitive_corpus,
-        &config,
         &mut rng,
     );
     let queries: Vec<_> = setup.test_queries.iter().take(10_000).collect();
@@ -514,12 +510,11 @@ fn end_to_end_latencies(config: EndToEndConfig) -> Vec<f64> {
 /// TOR for `queries` user queries with k = 3.
 pub fn fig8a(setup: &ExperimentSetup, queries: usize) -> LatencyReport {
     let profile = LatencyProfile::default();
-    let cost = CostModel::default();
     let mut rng = setup.rng(0xF8A);
     let direct: Vec<f64> = (0..queries)
         .map(|_| profile.direct(&mut rng).as_secs_f64())
         .collect();
-    let xsearch_processing = SimTime::from_nanos(xsearch_service_time_ns(&cost, 512, SYSTEM_K));
+    let xsearch_processing = SimTime::from_nanos(xsearch_service_time_ns(512, SYSTEM_K));
     let xsearch: Vec<f64> = (0..queries)
         .map(|_| profile.xsearch(&mut rng, xsearch_processing).as_secs_f64())
         .collect();
@@ -531,8 +526,6 @@ pub fn fig8a(setup: &ExperimentSetup, queries: usize) -> LatencyReport {
         k: SYSTEM_K,
         queries,
         seed: setup.seed ^ 0x8A,
-        cost,
-        ..EndToEndConfig::default()
     });
     LatencyReport {
         figure: "8a".to_owned(),
@@ -547,7 +540,6 @@ pub fn fig8a(setup: &ExperimentSetup, queries: usize) -> LatencyReport {
 
 /// Regenerates Fig. 8b: CYCLOSA latency as a function of k.
 pub fn fig8b(setup: &ExperimentSetup, queries: usize) -> LatencyReport {
-    let cost = CostModel::default();
     let rows = [0usize, 1, 3, 5, 7]
         .iter()
         .map(|&k| {
@@ -556,8 +548,6 @@ pub fn fig8b(setup: &ExperimentSetup, queries: usize) -> LatencyReport {
                 k,
                 queries,
                 seed: setup.seed ^ (0x8B + k as u64),
-                cost,
-                ..EndToEndConfig::default()
             });
             latency_row(&format!("k={k}"), &samples)
         })
@@ -614,13 +604,12 @@ pub struct Fig8cReport {
 /// Regenerates Fig. 8c (throughput vs latency of a CYCLOSA relay and the
 /// X-SEARCH proxy, no engine forwarding).
 pub fn fig8c() -> Fig8cReport {
-    let cost = CostModel::default();
     let rates = [
         1_000.0, 2_500.0, 5_000.0, 10_000.0, 20_000.0, 30_000.0, 40_000.0,
     ];
-    let cyclosa_curve = throughput_latency_curve(relay_service_time_ns(&cost, 512), &rates, 5.3);
+    let cyclosa_curve = throughput_latency_curve(relay_service_time_ns(512), &rates, 5.3);
     let xsearch_curve =
-        throughput_latency_curve(xsearch_service_time_ns(&cost, 512, SYSTEM_K), &rates, 5.3);
+        throughput_latency_curve(xsearch_service_time_ns(512, SYSTEM_K), &rates, 5.3);
     Fig8cReport {
         rows: rates
             .iter()

@@ -21,13 +21,14 @@ use std::time::Instant;
 const TAG_PING: u32 = 1;
 const TAG_PONG: u32 = 2;
 
+/// Interval between a node's pings.
+const PERIOD: SimTime = SimTime::from_secs(1);
+
 /// Parameters of the ping workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleConfig {
     /// Pings each node initiates.
     pub rounds: u32,
-    /// Interval between a node's pings.
-    pub period: SimTime,
     /// Engine seed.
     pub seed: u64,
 }
@@ -36,7 +37,6 @@ impl Default for ScaleConfig {
     fn default() -> Self {
         Self {
             rounds: 4,
-            period: SimTime::from_secs(1),
             seed: 2018,
         }
     }
@@ -46,7 +46,6 @@ impl Default for ScaleConfig {
 struct PingBehavior {
     population: u64,
     rounds_left: u32,
-    period: SimTime,
 }
 
 impl NodeBehavior for PingBehavior {
@@ -65,7 +64,7 @@ impl NodeBehavior for PingBehavior {
         }
         if self.rounds_left > 1 {
             self.rounds_left -= 1;
-            ctx.set_timer(self.period, token + 1);
+            ctx.set_timer(PERIOD, token + 1);
         }
     }
 }
@@ -84,10 +83,9 @@ pub fn build_ping_population<E: Engine + ?Sized>(
             Box::new(PingBehavior {
                 population,
                 rounds_left: config.rounds,
-                period: config.period,
             }),
         );
-        let offset = SplitMix64::new(config.seed ^ i).next_u64() % config.period.as_nanos().max(1);
+        let offset = SplitMix64::new(config.seed ^ i).next_u64() % PERIOD.as_nanos();
         engine.schedule_timer(SimTime::from_nanos(offset), NodeId(i), 0);
     }
 }

@@ -32,12 +32,10 @@ impl ExperimentScale {
             ExperimentScale::Small => WorkloadConfig {
                 users: 24,
                 mean_queries_per_user: 40,
-                ..WorkloadConfig::default()
             },
             ExperimentScale::Default => WorkloadConfig {
                 users: 100,
                 mean_queries_per_user: 60,
-                ..WorkloadConfig::default()
             },
             ExperimentScale::Paper => WorkloadConfig::default(),
         }
@@ -137,14 +135,14 @@ impl ExperimentSetup {
     }
 
     /// Builds the per-user categorizer the way CYCLOSA clients do, covering
-    /// all four default sensitive topics.
-    pub fn categorizer(&self, config: &ProtectionConfig) -> QueryCategorizer {
+    /// all four default sensitive topics. It does not read `_protection`;
+    /// the parameter stays for the `benchmarks/` package, which passes it.
+    pub fn categorizer(&self, _protection: &ProtectionConfig) -> QueryCategorizer {
         let mut rng = self.rng(0xCA7);
         build_categorizer(
             &self.lexicon,
             &["health", "politics", "religion", "sexuality"],
             &self.sensitive_corpus,
-            config,
             &mut rng,
         )
     }

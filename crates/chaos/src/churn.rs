@@ -262,10 +262,7 @@ mod tests {
     /// The node a fault targets (`None` for a loss step).
     fn target(kind: FaultKind) -> Option<NodeId> {
         match kind {
-            FaultKind::Crash(n)
-            | FaultKind::Leave(n)
-            | FaultKind::Recover(n)
-            | FaultKind::Join(n) => Some(n),
+            FaultKind::Crash(n) | FaultKind::Leave(n) | FaultKind::Recover(n) => Some(n),
             FaultKind::SetLoss(_) => None,
         }
     }

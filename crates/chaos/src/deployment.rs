@@ -41,7 +41,6 @@ use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_peer_sampling::MemberState;
 use cyclosa_runtime::ShardedEngine;
-use cyclosa_sgx::enclave::CostModel;
 use cyclosa_telemetry::metrics::{Counter, Histogram, Registry};
 use cyclosa_telemetry::{TraceEvent, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
@@ -51,6 +50,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The search-engine node.
 pub(crate) const ENGINE: NodeId = NodeId(0);
+
+/// How long both clients wait for the real query's response before
+/// blacklisting the relay and resubmitting through a fresh one.
+pub(crate) const RETRY_TIMEOUT: SimTime = SimTime::from_secs(3);
 
 /// The relay with 0-based `index` (relays are numbered `1..=N`).
 pub(crate) fn relay_id(index: usize) -> NodeId {
@@ -501,7 +504,6 @@ pub(crate) struct Fleet<'a> {
     /// XOR-ed into the seed of the run's root RNG (engine and client
     /// streams fork from it), so each experiment family draws its own.
     pub(crate) salt: u64,
-    pub(crate) cost: &'a CostModel,
     pub(crate) adversary: Option<AdversaryConfig>,
     /// A scripted plan whose policy events join the adversary's.
     pub(crate) extra: &'a ChaosPlan,
@@ -569,7 +571,7 @@ pub(crate) fn deploy<E: Engine + ?Sized>(engine: &mut E, fleet: Fleet<'_>) -> De
     byzantine.dedup();
     let ledger: Option<SharedCollusionLedger> =
         (!byzantine.is_empty()).then(|| Arc::new(Mutex::new(CollusionLedger::default())));
-    let processing = SimTime::from_nanos(relay_service_time_ns(fleet.cost, 512));
+    let processing = SimTime::from_nanos(relay_service_time_ns(512));
     let relays: Vec<NodeId> = (0..fleet.relays).map(relay_id).collect();
     for &relay in &relays {
         let mut policies = adversary_plan.policy_schedule_for(relay);
@@ -781,13 +783,6 @@ pub struct EndToEndConfig {
     pub queries: usize,
     /// Experiment seed.
     pub seed: u64,
-    /// SGX transition cost model used by the relays.
-    pub cost: CostModel,
-    /// Client-side serialization delay per outgoing request: the browser
-    /// extension encrypts and uploads the `k + 1` requests one after the
-    /// other over a residential uplink, so larger `k` slightly delays the
-    /// real query (this is what makes the Fig. 8b medians grow with `k`).
-    pub client_uplink_per_request: SimTime,
 }
 
 impl Default for EndToEndConfig {
@@ -797,8 +792,6 @@ impl Default for EndToEndConfig {
             k: 3,
             queries: 200,
             seed: 2018,
-            cost: CostModel::default(),
-            client_uplink_per_request: SimTime::from_millis(45),
         }
     }
 }
@@ -823,8 +816,6 @@ pub fn run_end_to_end_latency_on<E: Engine + ?Sized>(
         k: config.k,
         queries: config.queries,
         seed: config.seed,
-        cost: config.cost,
-        client_uplink_per_request: config.client_uplink_per_request,
         failure_rate: 0.0,
         max_retries: 0,
         ..ChurnConfig::default()

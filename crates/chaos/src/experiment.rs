@@ -15,8 +15,8 @@ use crate::adversary::AdversaryConfig;
 use crate::churn::churn_stream;
 use crate::deployment::{
     decode_ack, deploy, encode_ping, lock, relay_id, Blacklist, ChurnTelemetry, DeploymentMetrics,
-    Fleet, Plan, Request, OUTBOX_BASE, PROBE_ROUND, PROBE_TIMEOUT_BASE, RETRY_BASE, SUSPECT_BASE,
-    TAG_ACK, TAG_FORWARD, TAG_PING, TAG_RESPONSE,
+    Fleet, Plan, Request, OUTBOX_BASE, PROBE_ROUND, PROBE_TIMEOUT_BASE, RETRY_BASE, RETRY_TIMEOUT,
+    SUSPECT_BASE, TAG_ACK, TAG_FORWARD, TAG_PING, TAG_RESPONSE,
 };
 use crate::plan::{ChaosPlan, FaultKind};
 use cyclosa_net::engine::Engine;
@@ -24,7 +24,6 @@ use cyclosa_net::sim::{Context, Envelope, NodeBehavior, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_peer_sampling::{FailureDetector, MemberState, PeerId};
-use cyclosa_sgx::enclave::CostModel;
 use cyclosa_telemetry::{TraceEvent, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,6 +35,16 @@ const CHURN_SALT: u64 = 0xC4A0;
 /// Model tag of the relay-failure sampling stream (see
 /// [`crate::churn::churn_stream`]).
 const TAG_RELAY_FAILURES: u64 = 0xFA11;
+
+/// Downtime before a failed relay recovers (only with
+/// [`ChurnConfig::recover`]).
+const DOWNTIME: SimTime = SimTime::from_secs(20);
+
+/// Client-side serialization delay per outgoing request: the browser
+/// extension encrypts and uploads the `k + 1` requests one after the other
+/// over a residential uplink, so larger `k` slightly delays the real query
+/// (this is what makes the Fig. 8b medians grow with `k`).
+const CLIENT_UPLINK_PER_REQUEST: SimTime = SimTime::from_millis(45);
 
 /// Configuration of the client's SWIM-style relay probing — the
 /// protocol-native alternative to fixed-TTL probation. When enabled (see
@@ -88,14 +97,9 @@ pub struct ChurnConfig {
     pub seed: u64,
     /// Fraction of the relay population that fails during the run.
     pub failure_rate: f64,
-    /// Whether failed relays recover (crash + recover) or depart for good
-    /// (leave).
+    /// Whether failed relays recover (crash + recover after `DOWNTIME`)
+    /// or depart for good (leave).
     pub recover: bool,
-    /// Downtime before a failed relay recovers (only with `recover`).
-    pub downtime: SimTime,
-    /// How long the client waits for the real query's response before
-    /// blacklisting the relay and resubmitting through a fresh one.
-    pub retry_timeout: SimTime,
     /// Maximum resubmissions per query.
     pub max_retries: u32,
     /// Adaptive-k plan repair: when a resubmission fires, the client also
@@ -126,10 +130,6 @@ pub struct ChurnConfig {
     /// policies compile into [`ChaosPlan`] policy events, so an honest
     /// run (`None`) is bit-identical to the pre-adversary experiment.
     pub adversary: Option<AdversaryConfig>,
-    /// SGX transition cost model of the relays.
-    pub cost: CostModel,
-    /// Client-side serialization delay per outgoing request.
-    pub client_uplink_per_request: SimTime,
 }
 
 impl Default for ChurnConfig {
@@ -141,15 +141,11 @@ impl Default for ChurnConfig {
             seed: 2018,
             failure_rate: 0.2,
             recover: false,
-            downtime: SimTime::from_secs(20),
-            retry_timeout: SimTime::from_secs(3),
             max_retries: 5,
             adaptive: false,
             blacklist_ttl: None,
             membership: None,
             adversary: None,
-            cost: CostModel::default(),
-            client_uplink_per_request: SimTime::from_millis(45),
         }
     }
 }
@@ -171,7 +167,7 @@ impl ChurnConfig {
     /// Samples the deterministic relay-failure plan of this configuration:
     /// `round(failure_rate · relays)` distinct relays fail at uniform times
     /// in the middle 80 % of the run, each either leaving for good or
-    /// crash-recovering after `downtime`.
+    /// crash-recovering after `DOWNTIME`.
     ///
     /// The draws come from a dedicated churn stream, so the plan never
     /// perturbs the run's link RNGs.
@@ -192,7 +188,7 @@ impl ChurnConfig {
             let at = SimTime::from_nanos(rng.gen_range(t0, t1));
             if self.recover {
                 plan.push(at, FaultKind::Crash(node));
-                plan.push(at + self.downtime, FaultKind::Recover(node));
+                plan.push(at + DOWNTIME, FaultKind::Recover(node));
             } else {
                 plan.push(at, FaultKind::Leave(node));
             }
@@ -323,8 +319,7 @@ impl ChurnClient {
             real,
         };
         self.outbox.push((relay, request.encode()));
-        let delay =
-            SimTime::from_nanos(self.config.client_uplink_per_request.as_nanos() * (slot + 1));
+        let delay = SimTime::from_nanos(CLIENT_UPLINK_PER_REQUEST.as_nanos() * (slot + 1));
         ctx.set_timer(delay, OUTBOX_BASE + (self.outbox.len() - 1) as u64);
     }
 
@@ -351,7 +346,7 @@ impl ChurnClient {
         self.plans.insert(seq, (plan, false));
         // A client that never retries (Fig. 8a/8b) arms no retry timers.
         if self.config.max_retries > 0 {
-            ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq as u64);
+            ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq as u64);
         }
     }
 
@@ -370,7 +365,7 @@ impl ChurnClient {
             // Nobody to resubmit through right now: the attempt is spent,
             // but a probation expiry or a refutation may bring relays
             // back before the next one.
-            ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq as u64);
+            ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq as u64);
             return;
         };
         lock(&self.sink).retries += 1;
@@ -391,7 +386,7 @@ impl ChurnClient {
         if self.config.adaptive {
             self.top_up_fakes(ctx, seq);
         }
-        ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq as u64);
+        ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq as u64);
     }
 
     /// The adaptive-k repair on a retry (see [`Plan::top_up`]): the
@@ -564,7 +559,7 @@ impl ChurnClient {
         let usable = self.blacklist.usable(&self.relays, now);
         let mut fresh: Vec<(usize, NodeId)> = Vec::new();
         for (seq, (plan, answered)) in &mut self.plans {
-            let live = !*answered || now.saturating_sub(plan.sent_at) <= self.config.retry_timeout;
+            let live = !*answered || now.saturating_sub(plan.sent_at) <= RETRY_TIMEOUT;
             if !live || !plan.fake_relays.contains(&dead) {
                 continue;
             }
@@ -722,7 +717,6 @@ pub(crate) fn run_deployment<E: Engine + ?Sized>(
             relays: config.relays,
             seed: config.seed,
             salt,
-            cost: &config.cost,
             adversary: config.adversary,
             extra,
             trace: &telemetry.trace,
@@ -776,9 +770,9 @@ pub(crate) fn run_deployment<E: Engine + ?Sized>(
     }
 
     // Inject the faults: a recovering plan re-registers nothing (state is
-    // retained through crash/recover); a leaving plan needs no spawner
-    // either, because departed relays stay gone. The traced apply also
-    // stamps each fault as an annotation on the merged timeline.
+    // retained through crash/recover), and departed relays stay gone. The
+    // traced apply also stamps each fault as an annotation on the merged
+    // timeline.
     let failed_relays = plan
         .events()
         .iter()

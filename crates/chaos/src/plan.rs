@@ -1,7 +1,7 @@
 //! Scripted fault scenarios: [`ChaosPlan`].
 //!
 //! A plan is an ordered list of [`FaultEvent`]s — crashes, leaves,
-//! recoveries, joins and loss-probability steps pinned to simulated times —
+//! recoveries and loss-probability steps pinned to simulated times —
 //! plus `LinkFault` windows (per-link-group loss steps, the partition
 //! primitive) that can be applied to **any** [`Engine`] before (or between)
 //! runs. The faults then fire deterministically *during* the run through
@@ -17,7 +17,6 @@
 
 use crate::adversary::{ByzantinePolicy, PolicySchedule};
 use cyclosa_net::engine::Engine;
-use cyclosa_net::sim::NodeBehavior;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_telemetry::{TraceEvent, TraceSink, ACTOR_ENGINE};
@@ -27,14 +26,10 @@ use cyclosa_telemetry::{TraceEvent, TraceSink, ACTOR_ENGINE};
 pub enum FaultKind {
     /// Fail-stop the node, keeping its state for a later [`FaultKind::Recover`].
     Crash(NodeId),
-    /// Remove the node and drop its state; a later [`FaultKind::Join`]
-    /// brings it back from scratch.
+    /// Remove the node and drop its state.
     Leave(NodeId),
     /// Clear the node's crashed mark.
     Recover(NodeId),
-    /// (Re-)join the population under this id with a behaviour supplied by
-    /// the spawner passed to `ChaosPlan::apply_with_spawner`.
-    Join(NodeId),
     /// Step the global loss probability to this value.
     SetLoss(f64),
 }
@@ -155,14 +150,6 @@ impl ChaosPlan {
         relays.sort_unstable_by_key(|n| n.0);
         relays.dedup();
         relays
-    }
-
-    /// Whether the plan contains any [`FaultKind::Join`] events (which
-    /// require a spawner to apply).
-    pub(crate) fn has_joins(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Join(_)))
     }
 
     /// Adds one fault, keeping the schedule sorted (stable at equal times).
@@ -337,40 +324,17 @@ impl ChaosPlan {
     /// and annotates the trace: every scheduled fault also becomes a
     /// `fault.*` [`TraceEvent`] stamped at its fire time, so injections
     /// line up with the per-query events on the merged timeline. A
-    /// disabled sink ([`TraceSink::disabled`]) records nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan contains [`FaultKind::Join`] events — those need
-    /// a behaviour, so use `ChaosPlan::apply_with_spawner` instead.
+    /// disabled sink ([`TraceSink::disabled`]) records nothing. On the
+    /// trace, node faults are attributed to the node they hit; the global
+    /// loss steps and link-group faults to the engine pseudo-actor. Events
+    /// are stamped at their scheduled (usually future) times; the sink
+    /// sorts them into place when the timeline is read.
     pub fn apply<E: Engine + ?Sized>(&self, engine: &mut E, trace: &TraceSink) {
-        assert!(
-            !self.has_joins(),
-            "plan contains join events; use apply_with_spawner"
-        );
-        self.apply_with_spawner(engine, trace, |node| {
-            unreachable!("no join events, so no behaviour is ever spawned for {node:?}")
-        });
-    }
-
-    /// [`ChaosPlan::apply`] for plans with joins: the behaviour of each
-    /// joining node is created with `spawn`. On the trace, node faults are
-    /// attributed to the node they hit; the global loss steps and
-    /// link-group faults to the engine pseudo-actor. Events are stamped at
-    /// their scheduled (usually future) times; the sink sorts them into
-    /// place when the timeline is read.
-    pub(crate) fn apply_with_spawner<E: Engine + ?Sized>(
-        &self,
-        engine: &mut E,
-        trace: &TraceSink,
-        mut spawn: impl FnMut(NodeId) -> Box<dyn NodeBehavior + Send>,
-    ) {
         for event in &self.events {
             match event.kind {
                 FaultKind::Crash(node) => engine.schedule_crash(event.at, node),
                 FaultKind::Leave(node) => engine.schedule_leave(event.at, node),
                 FaultKind::Recover(node) => engine.schedule_recover(event.at, node),
-                FaultKind::Join(node) => engine.schedule_join(event.at, node, spawn(node)),
                 FaultKind::SetLoss(p) => engine.schedule_loss_probability(event.at, p),
             }
         }
@@ -385,7 +349,6 @@ impl ChaosPlan {
                 FaultKind::Crash(node) => TraceEvent::new(event.at, node.0, "fault.crash"),
                 FaultKind::Leave(node) => TraceEvent::new(event.at, node.0, "fault.leave"),
                 FaultKind::Recover(node) => TraceEvent::new(event.at, node.0, "fault.recover"),
-                FaultKind::Join(node) => TraceEvent::new(event.at, node.0, "fault.join"),
                 FaultKind::SetLoss(p) => {
                     TraceEvent::new(event.at, ACTOR_ENGINE, "fault.set_loss").attr("p", p)
                 }
@@ -411,6 +374,7 @@ impl ChaosPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cyclosa_net::sim::NodeBehavior;
 
     #[test]
     fn plans_stay_sorted_and_stable() {
@@ -592,16 +556,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "join events")]
-    fn apply_refuses_plans_with_joins() {
-        use cyclosa_net::sim::Simulation;
-        let mut simulation = Simulation::new(1);
-        let mut plan = ChaosPlan::new();
-        plan.push(SimTime::from_secs(1), FaultKind::Join(NodeId(7)));
-        plan.apply(&mut simulation, &TraceSink::disabled());
-    }
-
-    #[test]
     fn apply_schedules_every_fault_kind() {
         use cyclosa_net::sim::{Context, Envelope, Simulation};
         struct Quiet;
@@ -615,14 +569,13 @@ mod tests {
             .crash_at(SimTime::from_secs(1), NodeId(1))
             .recover_at(SimTime::from_secs(2), NodeId(1))
             .leave_at(SimTime::from_secs(3), NodeId(2));
-        plan.push(SimTime::from_secs(4), FaultKind::Join(NodeId(3)))
-            .push(SimTime::from_secs(5), FaultKind::SetLoss(0.5));
-        plan.apply_with_spawner(&mut simulation, &TraceSink::disabled(), |_| Box::new(Quiet));
+        plan.push(SimTime::from_secs(5), FaultKind::SetLoss(0.5));
+        plan.apply(&mut simulation, &TraceSink::disabled());
         simulation.run();
         let stats = simulation.stats();
         assert_eq!(
             (stats.crashed, stats.recovered, stats.left, stats.joined),
-            (1, 1, 1, 1)
+            (1, 1, 1, 0)
         );
     }
 }

@@ -8,30 +8,28 @@
 //! the `slo.*` alerts spliced in at their window-end timestamps, sort
 //! invariant preserved) ready for JSONL export.
 //!
-//! The SLO targets derive from the experiment's own configuration
+//! The SLO targets derive from the churn client's own timing
 //! ([`churn_slo_config`]), so a failure-free baseline run passes by
 //! construction: every answered query reports `achieved_k == assessed_k`
 //! and first-attempt latency sits far below the retry timeout. Any
 //! privacy alert on a baseline run is therefore a regression, which is
 //! exactly the property the CI gate leans on.
 
-use crate::deployment::ChurnTelemetry;
-use crate::experiment::ChurnConfig;
+use crate::deployment::{ChurnTelemetry, RETRY_TIMEOUT};
 use cyclosa_telemetry::{SloConfig, SloMonitor, SloReport, TraceEvent};
 
-/// SLO targets for a churn-family experiment, derived from its
-/// configuration:
+/// SLO targets for a churn-family experiment:
 ///
 /// - privacy: default error budget (one violating answer in any window
 ///   fires, since windows hold far fewer than 1/budget answers);
-/// - latency: windowed p99 must stay under the experiment's retry
-///   timeout — a first-attempt answer always does, so sustained p99
-///   above it means the run is resubmitting at scale;
+/// - latency: windowed p99 must stay under the client's retry timeout —
+///   a first-attempt answer always does, so sustained p99 above it means
+///   the run is resubmitting at scale;
 /// - membership / window: defaults (10 s windows, 5 % false-suspicion
 ///   budget).
-pub fn churn_slo_config(config: &ChurnConfig) -> SloConfig {
+pub fn churn_slo_config() -> SloConfig {
     SloConfig {
-        latency_p99_budget: config.retry_timeout,
+        latency_p99_budget: RETRY_TIMEOUT,
         ..SloConfig::default()
     }
 }
@@ -51,8 +49,8 @@ pub struct SloOutcome {
 /// in `telemetry.trace`. Pure function of the merged timeline, which is
 /// byte-identical across sequential and sharded runs of the same seed —
 /// so the report and the enriched timeline are too.
-pub fn evaluate_churn_slos(config: &ChurnConfig, telemetry: &ChurnTelemetry) -> SloOutcome {
-    evaluate_timeline_slos(churn_slo_config(config), &telemetry.trace.events())
+pub fn evaluate_churn_slos(telemetry: &ChurnTelemetry) -> SloOutcome {
+    evaluate_timeline_slos(churn_slo_config(), &telemetry.trace.events())
 }
 
 /// [`evaluate_churn_slos`] for an already-extracted timeline.
@@ -69,7 +67,7 @@ pub(crate) fn evaluate_timeline_slos(config: SloConfig, events: &[TraceEvent]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_churn_experiment_on;
+    use crate::experiment::{run_churn_experiment_on, ChurnConfig};
     use crate::plan::ChaosPlan;
     use cyclosa_net::sim::Simulation;
     use cyclosa_net::time::SimTime;
@@ -93,7 +91,7 @@ mod tests {
         };
         let mut simulation = Simulation::new(config.seed);
         run_churn_experiment_on(&mut simulation, config, plan, &telemetry);
-        let outcome = evaluate_churn_slos(config, &telemetry);
+        let outcome = evaluate_churn_slos(&telemetry);
         (telemetry, outcome)
     }
 

@@ -34,15 +34,14 @@
 use crate::adversary::AdversaryConfig;
 use crate::churn::ChurnModel;
 use crate::deployment::{
-    deploy, lock, Blacklist, Fleet, Plan, Request, OUTBOX_BASE, RETRY_BASE, TAG_FORWARD,
-    TAG_RESPONSE, TOKEN_LAUNCH,
+    deploy, lock, Blacklist, Fleet, Plan, Request, OUTBOX_BASE, RETRY_BASE, RETRY_TIMEOUT,
+    TAG_FORWARD, TAG_RESPONSE, TOKEN_LAUNCH,
 };
 use crate::plan::ChaosPlan;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_sgx::enclave::CostModel;
 use cyclosa_telemetry::{TraceEvent, TraceSink};
 use cyclosa_util::rng::Xoshiro256StarStar;
 use std::collections::BTreeMap;
@@ -55,24 +54,38 @@ const SOAK_SALT: u64 = 0x50AC;
 /// only counts — a broken soak must fail loudly, not OOM the reporter.
 const MAX_RECORDED_VIOLATIONS: usize = 16;
 
+/// Diurnal modulation depth in `[0, 1)`: intervals swing between
+/// `base · (1 − a)` (peak hours) and `base · (1 + a)` (night).
+const DIURNAL_AMPLITUDE: f64 = 0.6;
+
+/// Rate multiplier inside a flash crowd (intervals divide by this).
+const FLASH_BOOST: f64 = 4.0;
+
+/// Maximum resubmissions per query.
+const MAX_RETRIES: u32 = 5;
+
+/// Blacklist probation: entries expire after this long, letting the
+/// client retry relays that were merely unreachable. A permanent
+/// blacklist would be wrong for recovering churn.
+const BLACKLIST_TTL: SimTime = SimTime::from_secs(30);
+
+/// Client-side serialization delay per outgoing request.
+const CLIENT_UPLINK_PER_REQUEST: SimTime = SimTime::from_millis(2);
+
 /// The load shape of a soak run: inter-arrival intervals as a **pure
-/// function of the query sequence number** — a diurnal sinusoid with
-/// flash crowds layered on top. Pure-in-`seq` is what makes the load
-/// replayable: no feedback from simulated time back into arrivals, so
-/// every engine walks the identical launch schedule.
+/// function of the query sequence number** — a diurnal sinusoid of depth
+/// `DIURNAL_AMPLITUDE` with flash crowds of rate `FLASH_BOOST` layered on
+/// top. Pure-in-`seq` is what makes the load replayable: no feedback from
+/// simulated time back into arrivals, so every engine walks the identical
+/// launch schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalModel {
     /// Mean inter-arrival interval at the diurnal midline.
     pub base_interval: SimTime,
-    /// Diurnal modulation depth in `[0, 1)`: intervals swing between
-    /// `base · (1 − a)` (peak hours) and `base · (1 + a)` (night).
-    pub diurnal_amplitude: f64,
     /// Queries per simulated "day" (one full sinusoid period).
     pub diurnal_period_queries: u64,
     /// Number of flash crowds, spread evenly across the horizon.
     pub flash_crowds: usize,
-    /// Rate multiplier inside a flash crowd (intervals divide by this).
-    pub flash_boost: f64,
     /// Half-width of each flash crowd, in queries.
     pub flash_width_queries: u64,
     /// Total queries of the run (fixes the flash-crowd centers).
@@ -84,11 +97,11 @@ impl ArrivalModel {
     pub fn interval(&self, seq: u64) -> SimTime {
         let period = self.diurnal_period_queries.max(1) as f64;
         let phase = (seq as f64 / period) * std::f64::consts::TAU;
-        let mut scale = 1.0 + self.diurnal_amplitude.clamp(0.0, 0.99) * phase.sin();
+        let mut scale = 1.0 + DIURNAL_AMPLITUDE * phase.sin();
         for crowd in 0..self.flash_crowds {
             let center = (crowd as u64 + 1) * self.queries / (self.flash_crowds as u64 + 1);
             if seq.abs_diff(center) <= self.flash_width_queries {
-                scale /= self.flash_boost.max(1.0);
+                scale /= FLASH_BOOST;
             }
         }
         let nanos = (self.base_interval.as_nanos() as f64 * scale).max(1.0);
@@ -121,14 +134,10 @@ pub struct SoakConfig {
     pub seed: u64,
     /// Mean inter-arrival interval at the diurnal midline.
     pub base_interval: SimTime,
-    /// Diurnal modulation depth in `[0, 1)`.
-    pub diurnal_amplitude: f64,
     /// Queries per simulated day.
     pub diurnal_period_queries: u64,
     /// Flash crowds across the horizon.
     pub flash_crowds: usize,
-    /// Rate multiplier inside a flash crowd.
-    pub flash_boost: f64,
     /// Half-width of each flash crowd, in queries.
     pub flash_width_queries: u64,
     /// Model-driven relay churn over the whole horizon (`None` = stable
@@ -138,22 +147,6 @@ pub struct SoakConfig {
     /// path carries no liveness probes, so `ForgeIncarnation` is inert
     /// here; drop/delay/collude all bite.
     pub adversary: Option<AdversaryConfig>,
-    /// How long the client waits for the real answer before blacklisting
-    /// the relay and resubmitting through a fresh one.
-    pub retry_timeout: SimTime,
-    /// Maximum resubmissions per query.
-    pub max_retries: u32,
-    /// Adaptive-k plan repair on retries (see [`crate::experiment`]).
-    pub adaptive: bool,
-    /// Blacklist probation: entries expire after this long, letting the
-    /// client retry relays that were merely unreachable. `None`
-    /// blacklists forever — wrong for recovering churn, so the default
-    /// sets a finite probation.
-    pub blacklist_ttl: Option<SimTime>,
-    /// Client-side serialization delay per outgoing request.
-    pub client_uplink_per_request: SimTime,
-    /// SGX transition cost model of the relays.
-    pub cost: CostModel,
     /// Queries per ledger window ([`SoakWindow`]).
     pub window_queries: u64,
     /// Budget for the client's modelled resident footprint (in-flight
@@ -173,19 +166,11 @@ impl Default for SoakConfig {
             queries: 50_000,
             seed: 2018,
             base_interval: SimTime::from_millis(40),
-            diurnal_amplitude: 0.6,
             diurnal_period_queries: 20_000,
             flash_crowds: 2,
-            flash_boost: 4.0,
             flash_width_queries: 1_000,
             churn: None,
             adversary: None,
-            retry_timeout: SimTime::from_secs(3),
-            max_retries: 5,
-            adaptive: true,
-            blacklist_ttl: Some(SimTime::from_secs(30)),
-            client_uplink_per_request: SimTime::from_millis(2),
-            cost: CostModel::default(),
             window_queries: 10_000,
             resident_budget_bytes: 4 * 1024 * 1024,
             min_answered_fraction: 0.95,
@@ -198,10 +183,8 @@ impl SoakConfig {
     pub(crate) fn arrival(&self) -> ArrivalModel {
         ArrivalModel {
             base_interval: self.base_interval,
-            diurnal_amplitude: self.diurnal_amplitude,
             diurnal_period_queries: self.diurnal_period_queries,
             flash_crowds: self.flash_crowds,
-            flash_boost: self.flash_boost,
             flash_width_queries: self.flash_width_queries,
             queries: self.queries,
         }
@@ -210,8 +193,7 @@ impl SoakConfig {
     /// The simulated span over which queries launch, plus the retry tail
     /// — the horizon churn is sampled against.
     pub(crate) fn horizon(&self) -> SimTime {
-        let drain =
-            SimTime::from_nanos(self.retry_timeout.as_nanos() * (self.max_retries as u64 + 1));
+        let drain = SimTime::from_nanos(RETRY_TIMEOUT.as_nanos() * (MAX_RETRIES as u64 + 1));
         self.arrival().launch_at(self.queries) + drain + SimTime::from_secs(60)
     }
 
@@ -463,8 +445,7 @@ impl SoakClient {
             real,
         };
         self.outbox.insert(token, (relay, request.encode()));
-        let delay =
-            SimTime::from_nanos(self.config.client_uplink_per_request.as_nanos() * (slot + 1));
+        let delay = SimTime::from_nanos(CLIENT_UPLINK_PER_REQUEST.as_nanos() * (slot + 1));
         ctx.set_timer(delay, token);
     }
 
@@ -516,7 +497,7 @@ impl SoakClient {
             self.defer_send(ctx, relay, seq, real, slot as u64);
         }
         self.account();
-        ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq);
+        ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq);
     }
 
     fn retry(&mut self, ctx: &mut Context<'_>, seq: u64) {
@@ -525,7 +506,7 @@ impl SoakClient {
         let Some(entry) = self.inflight.get_mut(&seq) else {
             return; // answered and pruned — the timer outlived the query
         };
-        if entry.attempts >= self.config.max_retries {
+        if entry.attempts >= MAX_RETRIES {
             // Retry budget exhausted: the query stays unanswered; prune
             // its state so the resident footprint tracks the live window.
             self.inflight.remove(&seq);
@@ -536,7 +517,7 @@ impl SoakClient {
             entry.repair(&mut self.blacklist, &self.relays, now, &mut self.rng);
         let attempts = entry.attempts;
         let Some(replacement) = replacement else {
-            ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq);
+            ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq);
             return;
         };
         {
@@ -554,15 +535,13 @@ impl SoakClient {
             self.trace.emit(event.attr("replacement", replacement.0));
         }
         self.defer_send(ctx, replacement, seq, true, 0);
-        if self.config.adaptive {
-            self.top_up_fakes(ctx, seq);
-        }
+        self.top_up_fakes(ctx, seq);
         self.account();
-        ctx.set_timer(self.config.retry_timeout, RETRY_BASE + seq);
+        ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq);
     }
 
-    /// The adaptive-k repair on a retry (see [`Plan::top_up`]): the
-    /// resubmission carries the fake shortfall too.
+    /// The adaptive-k repair every retry makes (see [`Plan::top_up`]):
+    /// the resubmission carries the fake shortfall too.
     fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: u64) {
         let (k, now) = (self.config.k, ctx.now());
         let window = self.window_index(seq);
@@ -685,7 +664,6 @@ pub fn run_soak_on<E: Engine + ?Sized>(
             relays: config.relays,
             seed: config.seed,
             salt: SOAK_SALT,
-            cost: &config.cost,
             adversary: config.adversary,
             extra: &ChaosPlan::new(),
             trace,
@@ -707,7 +685,7 @@ pub fn run_soak_on<E: Engine + ?Sized>(
             rng: deployed.rng.fork(2),
             next_seq: 0,
             inflight: BTreeMap::new(),
-            blacklist: Blacklist::new(config.blacklist_ttl),
+            blacklist: Blacklist::new(Some(BLACKLIST_TTL)),
             outbox: BTreeMap::new(),
             next_outbox: 0,
             peak_resident: 0,

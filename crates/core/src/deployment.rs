@@ -22,10 +22,12 @@ use cyclosa_util::dist::Exponential;
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use cyclosa_util::stats::jain_fairness;
 
-/// Simulated service time of one relayed request inside the enclave:
-/// one ecall (decrypt + table update), one ocall (hand the request to the
-/// network), and the record-protection work proportional to the payload.
-pub fn relay_service_time_ns(cost: &CostModel, payload_bytes: usize) -> u64 {
+/// Simulated service time of one relayed request inside the enclave under
+/// the default SGX cost model: one ecall (decrypt + table update), one
+/// ocall (hand the request to the network), and the record-protection work
+/// proportional to the payload.
+pub fn relay_service_time_ns(payload_bytes: usize) -> u64 {
+    let cost = CostModel::default();
     cost.ecall_cost(payload_bytes + 4096, 2 * 1024 * 1024) + cost.ocall_cost(payload_bytes)
 }
 
@@ -33,9 +35,10 @@ pub fn relay_service_time_ns(cost: &CostModel, payload_bytes: usize) -> u64 {
 /// aggregates `k + 1` queries into one OR request and filters the merged
 /// response page inside the enclave, so it performs two extra enclave
 /// transitions over roughly `k + 1` times more payload per request.
-pub fn xsearch_service_time_ns(cost: &CostModel, payload_bytes: usize, k: usize) -> u64 {
+pub fn xsearch_service_time_ns(payload_bytes: usize, k: usize) -> u64 {
+    let cost = CostModel::default();
     let aggregated = payload_bytes * (k + 1);
-    relay_service_time_ns(cost, aggregated)
+    relay_service_time_ns(aggregated)
         + cost.ecall_cost(aggregated, 2 * 1024 * 1024)
         + cost.ecall_cost(aggregated * 4, 2 * 1024 * 1024)
 }
@@ -88,22 +91,24 @@ pub fn throughput_latency_curve(
         .collect()
 }
 
+// The Fig. 8d population and load. Both sides run against the search
+// engine's default rate limit, `RateLimiterConfig::default()`.
+
+/// Number of active users (and of CYCLOSA nodes).
+const USERS: usize = 100;
+/// Mean queries per user per hour (the 100 most active AOL users submit
+/// 31.23 queries/hour).
+const QUERIES_PER_HOUR: f64 = 31.23;
+/// Number of fake queries per user query.
+const K: usize = 3;
+/// Width of a reporting bucket in minutes.
+const BUCKET_MINUTES: u64 = 10;
+
 /// Configuration of the Fig. 8d load experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadExperimentConfig {
-    /// Number of active users (and of CYCLOSA nodes).
-    pub users: usize,
-    /// Mean queries per user per hour (the 100 most active AOL users submit
-    /// 31.23 queries/hour).
-    pub queries_per_hour: f64,
-    /// Number of fake queries per user query.
-    pub k: usize,
     /// Experiment duration in minutes.
     pub duration_minutes: u64,
-    /// Width of a reporting bucket in minutes.
-    pub bucket_minutes: u64,
-    /// Search-engine rate limit.
-    pub rate_limit: RateLimiterConfig,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -111,12 +116,7 @@ pub struct LoadExperimentConfig {
 impl Default for LoadExperimentConfig {
     fn default() -> Self {
         Self {
-            users: 100,
-            queries_per_hour: 31.23,
-            k: 3,
             duration_minutes: 90,
-            bucket_minutes: 10,
-            rate_limit: RateLimiterConfig::default(),
             seed: 8,
         }
     }
@@ -145,25 +145,25 @@ pub struct LoadReport {
 
 /// Runs the Fig. 8d experiment.
 pub fn run_load_experiment(config: LoadExperimentConfig) -> LoadReport {
-    assert!(config.users > 0 && config.bucket_minutes > 0);
     let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed);
-    let inter_arrival = Exponential::new(config.queries_per_hour / 3600.0);
+    let inter_arrival = Exponential::new(QUERIES_PER_HOUR / 3600.0);
     let duration_s = config.duration_minutes as f64 * 60.0;
-    let buckets = config.duration_minutes.div_ceil(config.bucket_minutes) as usize;
+    let buckets = config.duration_minutes.div_ceil(BUCKET_MINUTES) as usize;
 
-    let mut cyclosa_limiter = RateLimiter::new(config.rate_limit);
-    let mut xsearch_limiter = RateLimiter::new(config.rate_limit);
+    let rate_limit = RateLimiterConfig::default();
+    let mut cyclosa_limiter = RateLimiter::new(rate_limit);
+    let mut xsearch_limiter = RateLimiter::new(rate_limit);
     let xsearch_proxy_identity: u64 = u64::MAX;
 
-    let mut cyclosa_per_node_bucket = vec![vec![0u64; config.users]; buckets];
-    let mut cyclosa_total_per_node = vec![0f64; config.users];
+    let mut cyclosa_per_node_bucket = vec![vec![0u64; USERS]; buckets];
+    let mut cyclosa_total_per_node = vec![0f64; USERS];
     let mut cyclosa_rejected = 0u64;
     let mut xsearch_admitted = vec![0u64; buckets];
     let mut xsearch_rejected = vec![0u64; buckets];
 
     // Generate each user's query arrival times and process them.
     let mut arrivals: Vec<(f64, usize)> = Vec::new();
-    for user in 0..config.users {
+    for user in 0..USERS {
         let mut t = inter_arrival.sample(&mut rng);
         while t < duration_s {
             arrivals.push((t, user));
@@ -173,11 +173,11 @@ pub fn run_load_experiment(config: LoadExperimentConfig) -> LoadReport {
     arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     for (at, _user) in arrivals {
-        let bucket = ((at / 60.0) as u64 / config.bucket_minutes) as usize;
+        let bucket = ((at / 60.0) as u64 / BUCKET_MINUTES) as usize;
         let bucket = bucket.min(buckets - 1);
         // CYCLOSA: the real query and k fakes are forwarded by k + 1
         // distinct relays chosen uniformly at random.
-        let relays = rng.sample_indices(config.users, config.k + 1);
+        let relays = rng.sample_indices(USERS, K + 1);
         for relay in relays {
             if cyclosa_limiter.submit(relay as u64, at).is_admitted() {
                 cyclosa_per_node_bucket[bucket][relay] += 1;
@@ -191,7 +191,7 @@ pub fn run_load_experiment(config: LoadExperimentConfig) -> LoadReport {
         // outgoing requests per user query as k + 1 individual requests for
         // the 10,500 req/hour figure, so we model each as a separate engine
         // request from the same identity.
-        for _ in 0..(config.k + 1) {
+        for _ in 0..(K + 1) {
             if xsearch_limiter
                 .submit(xsearch_proxy_identity, at)
                 .is_admitted()
@@ -203,12 +203,10 @@ pub fn run_load_experiment(config: LoadExperimentConfig) -> LoadReport {
         }
     }
 
-    let bucket_ends: Vec<u64> = (1..=buckets as u64)
-        .map(|b| b * config.bucket_minutes)
-        .collect();
+    let bucket_ends: Vec<u64> = (1..=buckets as u64).map(|b| b * BUCKET_MINUTES).collect();
     let cyclosa_mean_per_node: Vec<f64> = cyclosa_per_node_bucket
         .iter()
-        .map(|nodes| nodes.iter().sum::<u64>() as f64 / config.users as f64)
+        .map(|nodes| nodes.iter().sum::<u64>() as f64 / USERS as f64)
         .collect();
     let cyclosa_max_per_node: Vec<f64> = cyclosa_per_node_bucket
         .iter()
@@ -221,7 +219,7 @@ pub fn run_load_experiment(config: LoadExperimentConfig) -> LoadReport {
         cyclosa_max_per_node,
         xsearch_admitted,
         xsearch_rejected,
-        engine_hourly_limit: config.rate_limit.max_requests,
+        engine_hourly_limit: rate_limit.max_requests,
         cyclosa_fairness: jain_fairness(&cyclosa_total_per_node),
         cyclosa_rejected,
     }
@@ -276,8 +274,7 @@ mod tests {
 
     #[test]
     fn cyclosa_relay_is_faster_than_xsearch_proxy() {
-        let cost = CostModel::default();
-        assert!(relay_service_time_ns(&cost, 512) < xsearch_service_time_ns(&cost, 512, 3));
+        assert!(relay_service_time_ns(512) < xsearch_service_time_ns(512, 3));
     }
 
     #[test]

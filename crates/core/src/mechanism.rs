@@ -12,7 +12,7 @@
 //! fakes, and a single shared path (OR aggregation) instead of separate
 //! paths.
 
-use crate::config::ProtectionConfig;
+use crate::config::{ProtectionConfig, PAST_QUERY_CAPACITY};
 use crate::past_queries::PastQueryTable;
 use crate::sensitivity::SensitivityAnalyzer;
 use cyclosa_mechanism::{
@@ -56,13 +56,12 @@ impl Cyclosa {
         categorizer: QueryCategorizer,
         method: CategorizerMethod,
     ) -> Self {
-        let capacity = protection.past_query_capacity;
         Self {
             protection,
             categorizer,
             method,
             analyzers: BTreeMap::new(),
-            fake_pool: PastQueryTable::new(capacity),
+            fake_pool: PastQueryTable::new(PAST_QUERY_CAPACITY),
             fake_source: FakeSource::PastQueries,
             adaptive: true,
             separate_paths: true,

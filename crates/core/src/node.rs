@@ -12,7 +12,7 @@
 //!   choice of fake queries, the forwarding logic and all key material used
 //!   for the attestation-gated channels.
 
-use crate::config::ProtectionConfig;
+use crate::config::{ProtectionConfig, PAST_QUERY_CAPACITY};
 use crate::past_queries::PastQueryTable;
 use crate::sensitivity::{SensitivityAnalyzer, SensitivityAssessment};
 use cyclosa_crypto::channel::{channel_pair, ChannelError, SecureChannel};
@@ -204,7 +204,7 @@ impl NodeBuilder {
             b"x25519",
         );
         let state = TrustedState {
-            past_queries: PastQueryTable::new(self.protection.past_query_capacity),
+            past_queries: PastQueryTable::new(PAST_QUERY_CAPACITY),
             keys: EnclaveKeys::new(identity_seed),
         };
         let mut enclave = platform.create_enclave(b"cyclosa-enclave/0.1.0/reference-build", state);

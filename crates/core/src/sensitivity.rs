@@ -25,6 +25,13 @@ use cyclosa_nlp::profile::UserProfile;
 use cyclosa_nlp::text::Vocabulary;
 use cyclosa_util::rng::Rng;
 
+/// Smoothing factor of the linkability assessment.
+const LINKABILITY_ALPHA: f64 = 0.7;
+
+/// Number of top terms taken from each LDA topic when building the
+/// semantic dictionaries.
+const LDA_TERMS_PER_TOPIC: usize = 6;
+
 /// The outcome of assessing one query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityAssessment {
@@ -57,7 +64,7 @@ impl SensitivityAnalyzer {
         Self {
             categorizer,
             method,
-            local_history: UserProfile::with_alpha(config.linkability_alpha),
+            local_history: UserProfile::with_alpha(LINKABILITY_ALPHA),
             k_max: config.k_max,
         }
     }
@@ -129,7 +136,6 @@ pub fn build_categorizer<R: Rng + ?Sized>(
     lexicon: &Lexicon,
     selected_topics: &[&str],
     sensitive_corpus: &[String],
-    config: &ProtectionConfig,
     rng: &mut R,
 ) -> QueryCategorizer {
     let mut categorizer = QueryCategorizer::new();
@@ -158,7 +164,7 @@ pub fn build_categorizer<R: Rng + ?Sized>(
                 topic,
                 &model,
                 &vocab,
-                config.lda_terms_per_topic,
+                LDA_TERMS_PER_TOPIC,
             ));
         }
     }
@@ -182,8 +188,7 @@ mod tests {
     fn analyzer(k_max: usize) -> SensitivityAnalyzer {
         let config = ProtectionConfig::with_k_max(k_max);
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        let categorizer =
-            build_categorizer(&lexicon(), &["health", "sexuality"], &[], &config, &mut rng);
+        let categorizer = build_categorizer(&lexicon(), &["health", "sexuality"], &[], &mut rng);
         SensitivityAnalyzer::new(categorizer, CategorizerMethod::Combined, &config)
     }
 
@@ -279,7 +284,7 @@ mod tests {
             "erotic fetish video".into(),
             "lingerie webcam show".into(),
         ];
-        let categorizer = build_categorizer(&lexicon(), &["sexuality"], &corpus, &config, &mut rng);
+        let categorizer = build_categorizer(&lexicon(), &["sexuality"], &corpus, &mut rng);
         let analyzer = SensitivityAnalyzer::new(categorizer, CategorizerMethod::Lda, &config);
         // "lingerie" and "webcam" are not in the lexicon, only in the corpus:
         // the LDA dictionary must pick at least one of them up.

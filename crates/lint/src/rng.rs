@@ -22,7 +22,7 @@
 use crate::annot::Annotations;
 use crate::scan::ScannedFile;
 use crate::{Finding, Rule};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One harvested stream constant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,7 +280,10 @@ pub(crate) fn check(
     }
 }
 
-/// Renders the registry document committed as `RNG_STREAMS.md`.
+/// Renders the registry document committed as `RNG_STREAMS.md`. It
+/// records streams, not call sites: each row names a file, identical rows
+/// are merged, and no line number appears, so moving code within a file
+/// leaves the document unchanged (findings still carry their lines).
 pub(crate) fn registry_doc(harvest: &Harvest) -> String {
     let mut doc = String::new();
     doc.push_str("# RNG stream registry\n\n");
@@ -291,32 +294,35 @@ pub(crate) fn registry_doc(harvest: &Harvest) -> String {
         "Every deterministic RNG stream in the workspace is identified by an integer\ntag. This registry is harvested lexically by `cyclosa-lint`'s RNG-stream audit,\nwhich fails the build on colliding tags (see ARCHITECTURE.md, Static analysis).\n\n",
     );
     doc.push_str("## `churn_stream(seed, tag, entity)` model tags — global namespace\n\n");
-    doc.push_str("| tag | constant | site |\n|---|---|---|\n");
-    let mut churn: Vec<&StreamTag> = harvest.churn.iter().collect();
-    churn.sort_by(|a, b| (a.value, &a.path, a.line).cmp(&(b.value, &b.path, b.line)));
-    for site in churn {
-        doc.push_str(&format!(
-            "| `{:#X}` | `{}` | `{}:{}` |\n",
-            site.value, site.label, site.path, site.line
-        ));
+    doc.push_str("| tag | constant | file |\n|---|---|---|\n");
+    let churn: BTreeSet<(u64, &str, &str)> = harvest
+        .churn
+        .iter()
+        .map(|s| (s.value, s.label.as_str(), s.path.as_str()))
+        .collect();
+    for (value, label, path) in churn {
+        doc.push_str(&format!("| `{value:#X}` | `{label}` | `{path}` |\n"));
     }
     doc.push_str("\n## `fork(label)` stream labels — per-file namespaces\n\n");
-    doc.push_str("| file | label | line |\n|---|---|---|\n");
-    let mut forks: Vec<&StreamTag> = harvest.forks.iter().collect();
-    forks.sort_by(|a, b| (&a.path, a.value, a.line).cmp(&(&b.path, b.value, b.line)));
-    for site in forks {
-        doc.push_str(&format!(
-            "| `{}` | `{:#X}` | {} |\n",
-            site.path, site.value, site.line
-        ));
+    doc.push_str("| file | label |\n|---|---|\n");
+    let forks: BTreeSet<(&str, u64)> = harvest
+        .forks
+        .iter()
+        .map(|s| (s.path.as_str(), s.value))
+        .collect();
+    for (path, value) in forks {
+        doc.push_str(&format!("| `{path}` | `{value:#X}` |\n"));
     }
     if !harvest.dynamic.is_empty() {
         doc.push_str("\n## Dynamic tags (not collision-checked)\n\n");
-        doc.push_str("| site | expression |\n|---|---|\n");
-        let mut dynamic = harvest.dynamic.clone();
-        dynamic.sort();
-        for (path, line, expr) in dynamic {
-            doc.push_str(&format!("| `{path}:{line}` | `{expr}` |\n"));
+        doc.push_str("| file | expression |\n|---|---|\n");
+        let dynamic: BTreeSet<(&str, &str)> = harvest
+            .dynamic
+            .iter()
+            .map(|(path, _, expr)| (path.as_str(), expr.as_str()))
+            .collect();
+        for (path, expr) in dynamic {
+            doc.push_str(&format!("| `{path}` | `{expr}` |\n"));
         }
     }
     doc
@@ -403,5 +409,24 @@ mod tests {
         let doc = registry_doc(&harvest);
         assert!(doc.contains("0xFA4E"));
         assert_eq!(doc, registry_doc(&harvest));
+    }
+
+    #[test]
+    fn registry_doc_ignores_line_numbers() {
+        let src = "const TAG: u64 = 7;\nfn f(s: u64, r: &mut R, l: u64) {\n    churn_stream(s, TAG, 0);\n    r.fork(0xFA4E);\n    r.fork(l);\n}\n";
+        let moved = src.replace("    r.fork(0xFA4E);", "\n    r.fork(0xFA4E);");
+        let (before, _) = run(&[("crates/core/src/x.rs", src)]);
+        let (after, _) = run(&[("crates/core/src/x.rs", moved.as_str())]);
+        assert_ne!(before.forks[0].line, after.forks[0].line);
+        assert_eq!(registry_doc(&before), registry_doc(&after));
+    }
+
+    #[test]
+    fn registry_doc_lists_a_stream_once_per_file() {
+        let src = "const TAG: u64 = 7;\nfn f(s: u64) { churn_stream(s, TAG, 0); churn_stream(s, TAG, 1); }\n";
+        let (harvest, _) = run(&[("crates/chaos/src/a.rs", src)]);
+        assert_eq!(harvest.churn.len(), 2);
+        let doc = registry_doc(&harvest);
+        assert_eq!(doc.matches("`TAG`").count(), 1, "{doc}");
     }
 }

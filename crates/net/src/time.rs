@@ -15,22 +15,22 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Creates a time from nanoseconds.
-    pub fn from_nanos(ns: u64) -> Self {
+    pub const fn from_nanos(ns: u64) -> Self {
         Self(ns)
     }
 
     /// Creates a time from microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         Self(us * 1_000)
     }
 
     /// Creates a time from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Self(ms * 1_000_000)
     }
 
     /// Creates a time from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         Self(s * 1_000_000_000)
     }
 
@@ -48,7 +48,7 @@ impl SimTime {
     }
 
     /// Nanoseconds since the start of the simulation.
-    pub fn as_nanos(&self) -> u64 {
+    pub const fn as_nanos(&self) -> u64 {
         self.0
     }
 

@@ -72,42 +72,23 @@ impl MinWiseSampler {
     }
 }
 
-/// Brahms protocol parameters. `alpha + beta + gamma` is the view size
-/// `l₁`; `samplers` is `l₂`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrahmsConfig {
-    /// View slots rebuilt from pushed ids (`α·l₁`).
-    pub(crate) alpha: usize,
-    /// View slots rebuilt from pulled ids (`β·l₁`).
-    pub(crate) beta: usize,
-    /// View slots rebuilt from sampler outputs (`γ·l₁`).
-    pub(crate) gamma: usize,
-    /// Number of min-wise samplers (`l₂`).
-    pub(crate) samplers: usize,
-    /// Maximum pushes accepted per round; a round receiving more is
-    /// voided (the old view is kept). Sized against the expected honest
-    /// push rate (`≈ α` per round under uniform views).
-    pub(crate) push_quota: usize,
-}
+// Brahms protocol parameters. `ALPHA + BETA + GAMMA` is the view size
+// `l₁`; `SAMPLERS` is `l₂`.
 
-impl Default for BrahmsConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 6,
-            beta: 6,
-            gamma: 4,
-            samplers: 32,
-            push_quota: 12,
-        }
-    }
-}
-
-impl BrahmsConfig {
-    /// The view size `l₁ = α + β + γ`.
-    pub(crate) fn view_size(&self) -> usize {
-        self.alpha + self.beta + self.gamma
-    }
-}
+/// View slots rebuilt from pushed ids (`α·l₁`).
+const ALPHA: usize = 6;
+/// View slots rebuilt from pulled ids (`β·l₁`).
+const BETA: usize = 6;
+/// View slots rebuilt from sampler outputs (`γ·l₁`).
+const GAMMA: usize = 4;
+/// The view size `l₁ = α + β + γ`.
+const VIEW_SIZE: usize = ALPHA + BETA + GAMMA;
+/// Number of min-wise samplers (`l₂`).
+const SAMPLERS: usize = 32;
+/// Maximum pushes accepted per round; a round receiving more is voided
+/// (the old view is kept). Sized against the expected honest push rate
+/// (`≈ α` per round under uniform views).
+const PUSH_QUOTA: usize = 12;
 
 /// Moves up to `count` random distinct picks from `pool` into `next`,
 /// skipping `me` and entries already present.
@@ -134,7 +115,6 @@ fn take_distinct(
 #[derive(Debug, Clone)]
 pub struct BrahmsNode {
     id: PeerId,
-    config: BrahmsConfig,
     view: Vec<PeerId>,
     samplers: Vec<MinWiseSampler>,
     voided_rounds: u64,
@@ -145,13 +125,12 @@ impl BrahmsNode {
     /// Creates a node with an empty view; sampler salts come from `rng`
     /// (each node carries its own dedicated stream, so construction is
     /// deterministic per node regardless of population iteration order).
-    pub(crate) fn new(id: PeerId, config: BrahmsConfig, rng: &mut impl Rng) -> Self {
-        let samplers = (0..config.samplers)
+    pub(crate) fn new(id: PeerId, rng: &mut impl Rng) -> Self {
+        let samplers = (0..SAMPLERS)
             .map(|_| MinWiseSampler::new(rng.next_u64()))
             .collect();
         Self {
             id,
-            config,
             view: Vec::new(),
             samplers,
             voided_rounds: 0,
@@ -177,7 +156,7 @@ impl BrahmsNode {
                 self.observe(peer);
             }
         }
-        self.view.truncate(self.config.view_size());
+        self.view.truncate(VIEW_SIZE);
     }
 
     /// Feeds one observed id through every sampler.
@@ -223,18 +202,18 @@ impl BrahmsNode {
         for &peer in pushes.iter().chain(pulls) {
             self.observe(peer);
         }
-        if pushes.is_empty() || pulls.is_empty() || pushes.len() > self.config.push_quota {
-            self.voided_rounds += pushes.len() as u64 / (self.config.push_quota as u64 + 1);
+        if pushes.is_empty() || pulls.is_empty() || pushes.len() > PUSH_QUOTA {
+            self.voided_rounds += pushes.len() as u64 / (PUSH_QUOTA as u64 + 1);
             return false;
         }
-        let mut next: Vec<PeerId> = Vec::with_capacity(self.config.view_size());
-        take_distinct(pushes, self.config.alpha, self.id, &mut next, rng);
-        take_distinct(pulls, self.config.beta, self.id, &mut next, rng);
+        let mut next: Vec<PeerId> = Vec::with_capacity(VIEW_SIZE);
+        take_distinct(pushes, ALPHA, self.id, &mut next, rng);
+        take_distinct(pulls, BETA, self.id, &mut next, rng);
         let history = self.sampler_peers();
-        take_distinct(&history, self.config.gamma, self.id, &mut next, rng);
+        take_distinct(&history, GAMMA, self.id, &mut next, rng);
         // Pad from the old view so convergence never shrinks connectivity.
         for &peer in &self.view {
-            if next.len() >= self.config.view_size() {
+            if next.len() >= VIEW_SIZE {
                 break;
             }
             if !next.contains(&peer) {
@@ -256,7 +235,6 @@ const TAG_PULL_REP: u32 = 0xB8A3;
 
 struct HonestBrahmsBehavior {
     node: Arc<Mutex<BrahmsNode>>,
-    config: BrahmsConfig,
     rng: Xoshiro256StarStar,
     rounds_left: usize,
     round_period: SimTime,
@@ -289,10 +267,10 @@ impl NodeBehavior for HonestBrahmsBehavior {
         let pulls = std::mem::take(&mut self.pulls);
         let mut node = lock(&self.node);
         node.round_update(&pushes, &pulls, &mut self.rng);
-        for target in node.targets(self.config.alpha, &mut self.rng) {
+        for target in node.targets(ALPHA, &mut self.rng) {
             ctx.send(NodeId(target.0), TAG_PUSH, Vec::new());
         }
-        for target in node.targets(self.config.beta, &mut self.rng) {
+        for target in node.targets(BETA, &mut self.rng) {
             ctx.send(NodeId(target.0), TAG_PULL_REQ, Vec::new());
         }
         if self.rounds_left > 0 {
@@ -306,7 +284,6 @@ impl NodeBehavior for HonestBrahmsBehavior {
 /// view and push-floods its id to random honest nodes every round.
 struct SybilBrahmsBehavior {
     attacker: SybilAttacker,
-    view_size: usize,
     rng: Xoshiro256StarStar,
     rounds_left: usize,
     round_period: SimTime,
@@ -315,7 +292,7 @@ struct SybilBrahmsBehavior {
 impl NodeBehavior for SybilBrahmsBehavior {
     fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
         if envelope.tag == TAG_PULL_REQ {
-            let poisoned = self.attacker.poisoned_picks(self.view_size, &mut self.rng);
+            let poisoned = self.attacker.poisoned_picks(VIEW_SIZE, &mut self.rng);
             ctx.send(envelope.src, TAG_PULL_REP, encode_ids(&poisoned));
         }
         // Pushes to a sybil are silently absorbed.
@@ -337,10 +314,9 @@ impl NodeBehavior for SybilBrahmsBehavior {
 }
 
 /// The Brahms protocol as deployed by [`EngineBrahmsOverlay::ring`]: the
-/// parameters of every honest node, and the attacker whose toehold each
-/// one is bootstrapped with.
+/// round schedule of every honest node, and the attacker whose toehold
+/// each one is bootstrapped with.
 pub struct Brahms {
-    config: BrahmsConfig,
     attacker: SybilAttacker,
     /// The deployment stream the toehold draws come from.
     seeder: Xoshiro256StarStar,
@@ -357,7 +333,7 @@ impl SamplingProtocol for Brahms {
     }
 
     fn ring_fanout(&self) -> usize {
-        self.config.view_size().max(1)
+        VIEW_SIZE
     }
 
     fn spawn(
@@ -367,13 +343,12 @@ impl SamplingProtocol for Brahms {
         mut rng: Xoshiro256StarStar,
         _liveness: &Liveness,
     ) -> (Arc<Mutex<BrahmsNode>>, Box<dyn NodeBehavior + Send>) {
-        let mut node = BrahmsNode::new(id, self.config, &mut rng);
+        let mut node = BrahmsNode::new(id, &mut rng);
         node.bootstrap(bootstrap.iter().copied());
         node.bootstrap(self.attacker.toehold(&mut self.seeder));
         let node = Arc::new(Mutex::new(node));
         let behavior = HonestBrahmsBehavior {
             node: node.clone(),
-            config: self.config,
             rng,
             rounds_left: self.rounds,
             round_period: self.round_period,
@@ -404,12 +379,10 @@ impl Overlay<Brahms> {
     pub fn ring<E: Engine + ?Sized>(
         engine: &mut E,
         attack: SybilAttackConfig,
-        config: BrahmsConfig,
         rounds: usize,
         round_period: SimTime,
     ) -> Self {
         let protocol = Brahms {
-            config,
             attacker: SybilAttacker::new(&attack),
             seeder: Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0xB4A5),
             rounds,
@@ -420,7 +393,6 @@ impl Overlay<Brahms> {
         overlay.deploy_sybils(engine, attacker, |rng| {
             Box::new(SybilBrahmsBehavior {
                 attacker: attacker.clone(),
-                view_size: config.view_size(),
                 rng,
                 rounds_left: rounds,
                 round_period,
@@ -474,7 +446,7 @@ mod tests {
     #[test]
     fn sampler_bank_spreads_over_the_population() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(5);
-        let mut node = BrahmsNode::new(PeerId(1000), BrahmsConfig::default(), &mut rng);
+        let mut node = BrahmsNode::new(PeerId(1000), &mut rng);
         (0..200).for_each(|i| node.observe(PeerId(i)));
         let samples = node.sampler_peers();
         assert_eq!(samples.len(), 32);
@@ -489,8 +461,7 @@ mod tests {
     #[test]
     fn push_floods_void_the_round_but_feed_the_samplers() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(2);
-        let config = BrahmsConfig::default();
-        let mut node = BrahmsNode::new(PeerId(0), config, &mut rng);
+        let mut node = BrahmsNode::new(PeerId(0), &mut rng);
         node.bootstrap((1..=8).map(PeerId));
         let before = node.view().to_vec();
         let flood: Vec<PeerId> = (0..50).map(|_| PeerId(SYBIL_BASE_TEST)).collect();
@@ -516,13 +487,8 @@ mod tests {
         };
         let naive = EngineGossipOverlay::under_attack(&mut naive_engine, attack, config);
         naive_engine.run();
-        let brahms = EngineBrahmsOverlay::ring(
-            &mut brahms_engine,
-            attack,
-            BrahmsConfig::default(),
-            50,
-            SimTime::from_secs(1),
-        );
+        let brahms =
+            EngineBrahmsOverlay::ring(&mut brahms_engine, attack, 50, SimTime::from_secs(1));
         brahms_engine.run();
         let (naive_frac, brahms_frac) = (naive.attacker_fraction(), brahms.attacker_fraction());
         assert!(
@@ -551,10 +517,8 @@ mod tests {
             pushes_per_sybil: 2,
             seed: 42,
         };
-        let config = BrahmsConfig::default();
         let deploy = |engine: &mut dyn Engine| {
-            let overlay =
-                EngineBrahmsOverlay::ring(engine, attack, config, 30, SimTime::from_secs(1));
+            let overlay = EngineBrahmsOverlay::ring(engine, attack, 30, SimTime::from_secs(1));
             engine.run();
             overlay.views()
         };
@@ -585,7 +549,6 @@ mod tests {
             let overlay = EngineBrahmsOverlay::ring(
                 &mut engine,
                 SybilAttackConfig::calm(20, 9),
-                BrahmsConfig::default(),
                 10,
                 SimTime::from_secs(1),
             );
@@ -615,13 +578,7 @@ mod tests {
             seed: 3,
         };
         let mut engine = Simulation::new(3);
-        let overlay = EngineBrahmsOverlay::ring(
-            &mut engine,
-            attack,
-            BrahmsConfig::default(),
-            30,
-            SimTime::from_secs(1),
-        );
+        let overlay = EngineBrahmsOverlay::ring(&mut engine, attack, 30, SimTime::from_secs(1));
         engine.run();
         assert_eq!(overlay.attacker_fraction(), 0.0);
         let metrics = overlay_metrics_from_views(&overlay.views());
@@ -637,7 +594,7 @@ mod tests {
     ) -> Overlay<Brahms> {
         let attack = SybilAttackConfig::calm(honest, seed);
         let period = SimTime::from_secs(1);
-        EngineBrahmsOverlay::ring(engine, attack, BrahmsConfig::default(), rounds, period)
+        EngineBrahmsOverlay::ring(engine, attack, rounds, period)
     }
 
     #[test]
@@ -654,7 +611,7 @@ mod tests {
         // The ring bootstrap is gone: views spread beyond the successors.
         let successors_only = views.iter().all(|(id, view)| {
             view.iter()
-                .all(|p| (p.0 + 100 - id.0) % 100 <= BrahmsConfig::default().view_size() as u64)
+                .all(|p| (p.0 + 100 - id.0) % 100 <= VIEW_SIZE as u64)
         });
         assert!(!successors_only, "views still hold only ring successors");
         assert!(

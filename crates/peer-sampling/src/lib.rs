@@ -59,10 +59,10 @@ pub mod swim;
 pub mod sybil;
 pub mod view;
 
-pub use brahms::{BrahmsConfig, EngineBrahmsOverlay};
-pub use membership::{MembershipConfig, SwimGossipOverlay};
+pub use brahms::EngineBrahmsOverlay;
+pub use membership::{MembershipConfig, SwimGossipOverlay, SWIM_ROUND_PERIOD};
 pub use node::{PeerSamplingConfig, PeerSamplingNode};
-pub use overlay::{EngineGossipConfig, EngineGossipOverlay};
+pub use overlay::{EngineGossipConfig, EngineGossipOverlay, SHUFFLE_ROUND_PERIOD};
 pub use population::{
     cross_side_edges, overlay_metrics_from_views, Overlay, OverlayMetrics, SamplingProtocol,
 };

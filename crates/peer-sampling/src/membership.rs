@@ -7,7 +7,7 @@
 //! over HyParView active/passive views. Per round, a node
 //!
 //! 1. **probes** the next peer of its randomized round-robin cycle
-//!    (direct `PING`; on timeout, indirect `PING_REQ` through `proxies`
+//!    (direct `PING`; on timeout, indirect `PING_REQ` through `PROXIES`
 //!    intermediaries; still silent ⇒ *suspect* with an expiry timer);
 //! 2. **re-probes one quarantined peer** — a peer previously declared
 //!    dead. The ping carries the sender's belief (`dead@i`), so a live
@@ -79,50 +79,48 @@ const PROMOTE_TIMEOUT_BASE: u64 = 1 << 35;
 /// [`SwimGossipOverlay::schedule_incarnation_forgery`].
 const TOKEN_FORGE: u64 = 1 << 36;
 
+// Timings are sized against the calibrated WAN latency model (median
+// one-way ≈ 140 ms): a 900 ms probe window covers the direct round trip's
+// tail, and the default suspicion timeout spans three rounds so a
+// falsely-suspected peer reliably hears the rumor and its refutation
+// travels back before expiry. Every node's views use
+// `HyParViewConfig::default()`.
+
+/// Interval between a node's rounds.
+pub const SWIM_ROUND_PERIOD: SimTime = SimTime::from_secs(2);
+/// How long a direct (and then an indirect) probe may stay unanswered.
+/// The full direct+indirect escalation takes two of these, which must fit
+/// within one round period.
+const PROBE_TIMEOUT: SimTime = SimTime::from_millis(900);
+const _: () = assert!(
+    2 * PROBE_TIMEOUT.as_nanos() < SWIM_ROUND_PERIOD.as_nanos(),
+    "probe escalation (2 × PROBE_TIMEOUT) must fit within one round period"
+);
+/// Number of proxies asked for an indirect probe.
+const PROXIES: usize = 3;
+/// A shuffle is initiated every this-many rounds.
+const SHUFFLE_EVERY: u64 = 2;
+/// How many messages each rumor piggybacks on before retiring.
+const RUMOR_TRANSMISSIONS: u32 = 4;
+/// Maximum rumors piggybacked per message.
+const PIGGYBACK: usize = 8;
+
 /// Configuration of the SWIM/HyParView membership overlay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MembershipConfig {
-    /// Active/passive view capacities and shuffle sample sizes.
-    pub views: HyParViewConfig,
     /// Number of protocol rounds each node initiates.
     pub rounds: usize,
-    /// Interval between a node's rounds.
-    pub round_period: SimTime,
-    /// How long a direct (and then an indirect) probe may stay
-    /// unanswered. The full direct+indirect escalation takes two of
-    /// these, which must fit within one round period.
-    pub probe_timeout: SimTime,
     /// How long a suspected peer has to refute before it is declared
     /// dead. Several round periods, so the suspicion rumor can reach the
     /// peer and its refutation can travel back.
     pub suspicion_timeout: SimTime,
-    /// Number of proxies asked for an indirect probe.
-    pub proxies: usize,
-    /// A shuffle is initiated every this-many rounds.
-    pub shuffle_every: u64,
-    /// How many messages each rumor piggybacks on before retiring.
-    pub rumor_transmissions: u32,
-    /// Maximum rumors piggybacked per message.
-    pub piggyback: usize,
 }
 
 impl Default for MembershipConfig {
     fn default() -> Self {
-        // Timings sized against the calibrated WAN latency model
-        // (median one-way ≈ 140 ms): a 900 ms probe window covers the
-        // direct round trip's tail, and the suspicion timeout spans
-        // three rounds so a falsely-suspected peer reliably hears the
-        // rumor and its refutation travels back before expiry.
         Self {
-            views: HyParViewConfig::default(),
             rounds: 60,
-            round_period: SimTime::from_secs(2),
-            probe_timeout: SimTime::from_millis(900),
             suspicion_timeout: SimTime::from_secs(6),
-            proxies: 3,
-            shuffle_every: 2,
-            rumor_transmissions: 4,
-            piggyback: 8,
         }
     }
 }
@@ -452,7 +450,7 @@ impl MembershipBehavior {
                 state: believed_state,
                 incarnation: believed_incarnation,
             },
-            rumors: state.detector.take_rumors(self.config.piggyback),
+            rumors: state.detector.take_rumors(PIGGYBACK),
         };
         ctx.send(NodeId(target.0), TAG_PING, encode_ping(&ping));
         if self.tracer.is_enabled() {
@@ -480,7 +478,7 @@ impl MembershipBehavior {
         if let Some(target) = state.detector.next_probe_target(&mut self.rng) {
             let seq = self.send_ping(ctx, &mut state, target, false);
             self.pending_probe = Some((target, seq));
-            ctx.set_timer(self.config.probe_timeout, DIRECT_TIMEOUT_BASE + target.0);
+            ctx.set_timer(PROBE_TIMEOUT, DIRECT_TIMEOUT_BASE + target.0);
         }
 
         // 2. Knock on one grave: re-probe a quarantined peer so a
@@ -511,19 +509,16 @@ impl MembershipBehavior {
             if let Some(candidate) = state.views.promote_candidate(&mut self.rng) {
                 let seq = self.send_ping(ctx, &mut state, candidate, false);
                 self.promote_pending = Some((candidate, seq));
-                ctx.set_timer(
-                    self.config.probe_timeout,
-                    PROMOTE_TIMEOUT_BASE + candidate.0,
-                );
+                ctx.set_timer(PROBE_TIMEOUT, PROMOTE_TIMEOUT_BASE + candidate.0);
             }
         }
 
         // 4. Periodic shuffle with a random active peer.
-        if self.round.is_multiple_of(self.config.shuffle_every) {
+        if self.round.is_multiple_of(SHUFFLE_EVERY) {
             if let Some(partner) = self.rng.choose(state.views.active()).copied() {
                 let shuffle = Shuffle {
                     peers: state.views.shuffle_sample(&mut self.rng),
-                    rumors: state.detector.take_rumors(self.config.piggyback),
+                    rumors: state.detector.take_rumors(PIGGYBACK),
                 };
                 ctx.send(NodeId(partner.0), TAG_SHUFFLE, encode_shuffle(&shuffle));
             }
@@ -531,7 +526,7 @@ impl MembershipBehavior {
 
         self.absorb(ctx, &mut state, start);
         if self.rounds_left > 0 {
-            ctx.set_timer(self.config.round_period, TOKEN_ROUND);
+            ctx.set_timer(SWIM_ROUND_PERIOD, TOKEN_ROUND);
         }
     }
 }
@@ -575,7 +570,7 @@ impl NodeBehavior for MembershipBehavior {
                     seq: ping.seq,
                     target: self_peer.0,
                     incarnation: state.detector.incarnation(),
-                    rumors: state.detector.take_rumors(self.config.piggyback),
+                    rumors: state.detector.take_rumors(PIGGYBACK),
                 };
                 ctx.send(envelope.src, TAG_ACK, encode_ack(&ack));
             }
@@ -628,7 +623,7 @@ impl NodeBehavior for MembershipBehavior {
                         state: req.believed_state,
                         incarnation: req.believed_incarnation,
                     },
-                    rumors: state.detector.take_rumors(self.config.piggyback),
+                    rumors: state.detector.take_rumors(PIGGYBACK),
                 };
                 ctx.send(NodeId(req.target), TAG_PING, encode_ping(&relayed));
             }
@@ -648,7 +643,7 @@ impl NodeBehavior for MembershipBehavior {
                 if envelope.tag == TAG_SHUFFLE {
                     let reply = Shuffle {
                         peers: state.views.shuffle_sample(&mut self.rng),
-                        rumors: state.detector.take_rumors(self.config.piggyback),
+                        rumors: state.detector.take_rumors(PIGGYBACK),
                     };
                     ctx.send(envelope.src, TAG_SHUFFLE_REPLY, encode_shuffle(&reply));
                 }
@@ -757,17 +752,14 @@ impl NodeBehavior for MembershipBehavior {
                         .detector
                         .state_of(peer)
                         .map_or((MemberState::Alive, 0), |(s, i, _)| (s, i));
-                    for index in self
-                        .rng
-                        .sample_indices(candidates.len(), self.config.proxies)
-                    {
+                    for index in self.rng.sample_indices(candidates.len(), PROXIES) {
                         let req = PingReq {
                             origin: Self::self_peer(ctx).0,
                             seq,
                             target: peer.0,
                             believed_state,
                             believed_incarnation,
-                            rumors: state.detector.take_rumors(self.config.piggyback),
+                            rumors: state.detector.take_rumors(PIGGYBACK),
                         };
                         ctx.send(
                             NodeId(candidates[index].0),
@@ -775,7 +767,7 @@ impl NodeBehavior for MembershipBehavior {
                             encode_ping_req(&req),
                         );
                     }
-                    ctx.set_timer(self.config.probe_timeout, INDIRECT_TIMEOUT_BASE + peer.0);
+                    ctx.set_timer(PROBE_TIMEOUT, INDIRECT_TIMEOUT_BASE + peer.0);
                 }
             }
         }
@@ -798,11 +790,11 @@ impl SamplingProtocol for Swim {
     const STREAM_SALT: u64 = 0;
 
     fn round_period(&self) -> SimTime {
-        self.config.round_period
+        SWIM_ROUND_PERIOD
     }
 
     fn ring_fanout(&self) -> usize {
-        self.config.views.active_capacity
+        HyParViewConfig::default().active_capacity
     }
 
     fn spawn(
@@ -813,11 +805,11 @@ impl SamplingProtocol for Swim {
         _liveness: &Liveness,
     ) -> (Arc<Mutex<MembershipState>>, Box<dyn NodeBehavior + Send>) {
         let config = self.config;
-        let mut views = PartialViews::new(id, config.views);
+        let mut views = PartialViews::new(id, HyParViewConfig::default());
         for &peer in bootstrap {
             views.add_active(peer, &mut rng);
         }
-        let detector = FailureDetector::new(id, bootstrap.to_vec(), config.rumor_transmissions);
+        let detector = FailureDetector::new(id, bootstrap.to_vec(), RUMOR_TRANSMISSIONS);
         let state = Arc::new(Mutex::new(MembershipState {
             detector,
             views,
@@ -870,8 +862,7 @@ impl Overlay<Swim> {
     ///
     /// # Panics
     ///
-    /// Panics if `count < 2`, or the probe escalation
-    /// (`2 × probe_timeout`) does not fit within one round period.
+    /// Panics if `count < 2`.
     pub fn ring<E: Engine + ?Sized>(
         engine: &mut E,
         count: usize,
@@ -879,10 +870,6 @@ impl Overlay<Swim> {
         seed: u64,
         sink: &TraceSink,
     ) -> Self {
-        assert!(
-            2 * config.probe_timeout.as_nanos() < config.round_period.as_nanos(),
-            "probe escalation (2 × probe_timeout) must fit within one round period"
-        );
         let sink = sink.clone();
         Self::deploy(engine, count, Swim { config, sink }, seed)
     }

@@ -54,16 +54,16 @@ const TAG_REPLY: u32 = 0x9002;
 /// partition merges), instead of running a gossip round.
 const BRIDGE_BASE: u64 = 1 << 32;
 
+/// Interval between a node's rounds (must comfortably exceed one network
+/// round trip so replies arrive before the next round). Every node runs
+/// the peer-sampling protocol with [`PeerSamplingConfig::default`].
+pub const SHUFFLE_ROUND_PERIOD: SimTime = SimTime::from_secs(1);
+
 /// Configuration of the event-driven gossip overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineGossipConfig {
-    /// Parameters of the underlying peer-sampling protocol.
-    pub protocol: PeerSamplingConfig,
     /// Number of gossip rounds each node initiates.
     pub rounds: usize,
-    /// Interval between a node's rounds (must comfortably exceed one
-    /// network round trip so replies arrive before the next round).
-    pub round_period: SimTime,
     /// Mean view age (in rounds) beyond which a node considers its view
     /// stale and re-assesses eagerly: its next round fires after half the
     /// period, until the view freshens. `None` keeps the fixed cadence.
@@ -73,9 +73,7 @@ pub struct EngineGossipConfig {
 impl Default for EngineGossipConfig {
     fn default() -> Self {
         Self {
-            protocol: PeerSamplingConfig::default(),
             rounds: 30,
-            round_period: SimTime::from_secs(1),
             staleness_threshold: None,
         }
     }
@@ -145,7 +143,6 @@ struct GossipBehavior {
     node: Arc<Mutex<PeerSamplingNode>>,
     rng: Xoshiro256StarStar,
     rounds_left: usize,
-    round_period: SimTime,
     staleness_threshold: Option<u32>,
     /// Live-metrics handles — `None` for deployments without a registry,
     /// which then skip the per-round recording (and the shared
@@ -155,7 +152,7 @@ struct GossipBehavior {
     /// — observability only, never consulted by protocol logic.
     dead: Liveness,
     /// The exchange in flight, if any: partner, sent buffer and the round
-    /// time the push went out (blacklisting waits a full `round_period`
+    /// time the push went out (blacklisting waits a full `SHUFFLE_ROUND_PERIOD`
     /// from here, however short the eager cadence gets).
     awaiting: Option<(PeerId, ExchangeBuffer, SimTime)>,
 }
@@ -232,11 +229,11 @@ impl NodeBehavior for GossipBehavior {
         }
         if let Some((partner, sent, since)) = self.awaiting.take() {
             // The partner gets the full round period to answer — the
-            // contract `round_period` is sized against — before it is
+            // contract `SHUFFLE_ROUND_PERIOD` is sized against — before it is
             // blacklisted, exactly as CYCLOSA clients blacklist
             // unresponsive proxies.
             let elapsed = ctx.now().saturating_sub(since);
-            if elapsed >= self.round_period {
+            if elapsed >= SHUFFLE_ROUND_PERIOD {
                 node.blacklist(partner);
             } else {
                 // An eager (half-period) wake caught the exchange still
@@ -244,7 +241,7 @@ impl NodeBehavior for GossipBehavior {
                 // ageing, no rounds_left spend, no spurious blacklist —
                 // just re-arm for the remainder of the partner's budget.
                 self.awaiting = Some((partner, sent, since));
-                ctx.set_timer(self.round_period - elapsed, TOKEN_ROUND);
+                ctx.set_timer(SHUFFLE_ROUND_PERIOD - elapsed, TOKEN_ROUND);
                 return;
             }
         }
@@ -263,9 +260,9 @@ impl NodeBehavior for GossipBehavior {
                 if let Some(probes) = &self.probes {
                     probes.eager_rounds.inc();
                 }
-                SimTime::from_nanos(self.round_period.as_nanos() / 2)
+                SimTime::from_nanos(SHUFFLE_ROUND_PERIOD.as_nanos() / 2)
             } else {
-                self.round_period
+                SHUFFLE_ROUND_PERIOD
             };
             ctx.set_timer(delay, TOKEN_ROUND);
         }
@@ -278,15 +275,14 @@ impl NodeBehavior for GossipBehavior {
 /// buffers to random honest nodes every round.
 struct SybilGossipBehavior {
     attacker: SybilAttacker,
-    slots: usize,
     rng: Xoshiro256StarStar,
     rounds_left: usize,
-    round_period: SimTime,
 }
 
 impl SybilGossipBehavior {
     fn poisoned_buffer(&mut self) -> Vec<u8> {
-        let picks = self.attacker.poisoned_picks(self.slots, &mut self.rng);
+        let slots = PeerSamplingConfig::default().exchange_size;
+        let picks = self.attacker.poisoned_picks(slots, &mut self.rng);
         let descriptors = picks.into_iter().map(Descriptor::fresh).collect();
         encode(&ExchangeBuffer { descriptors })
     }
@@ -309,7 +305,7 @@ impl NodeBehavior for SybilGossipBehavior {
         }
         self.rounds_left = self.rounds_left.saturating_sub(1);
         if self.rounds_left > 0 {
-            ctx.set_timer(self.round_period, TOKEN_ROUND);
+            ctx.set_timer(SHUFFLE_ROUND_PERIOD, TOKEN_ROUND);
         }
     }
 }
@@ -348,7 +344,7 @@ impl SamplingProtocol for Shuffle {
     const STREAM_SALT: u64 = 0;
 
     fn round_period(&self) -> SimTime {
-        self.config.round_period
+        SHUFFLE_ROUND_PERIOD
     }
 
     fn ring_fanout(&self) -> usize {
@@ -362,7 +358,7 @@ impl SamplingProtocol for Shuffle {
         rng: Xoshiro256StarStar,
         liveness: &Liveness,
     ) -> (Arc<Mutex<PeerSamplingNode>>, Box<dyn NodeBehavior + Send>) {
-        let mut node = PeerSamplingNode::new(id, self.config.protocol);
+        let mut node = PeerSamplingNode::new(id, PeerSamplingConfig::default());
         node.bootstrap(bootstrap.iter().copied());
         node.bootstrap(self.attacker.toehold(&mut self.seeder));
         let node = Arc::new(Mutex::new(node));
@@ -370,7 +366,6 @@ impl SamplingProtocol for Shuffle {
             node: node.clone(),
             rng,
             rounds_left: self.config.rounds,
-            round_period: self.config.round_period,
             staleness_threshold: self.config.staleness_threshold,
             probes: self.probes.clone(),
             dead: liveness.clone(),
@@ -438,10 +433,8 @@ impl Overlay<Shuffle> {
         overlay.deploy_sybils(engine, attacker, |rng| {
             Box::new(SybilGossipBehavior {
                 attacker: attacker.clone(),
-                slots: config.protocol.exchange_size,
                 rng,
                 rounds_left: config.rounds,
-                round_period: config.round_period,
             })
         });
         overlay
@@ -460,8 +453,7 @@ impl Overlay<Shuffle> {
         // chain broke at the crash — restart it one period after recovery
         // (membership sorts before timers in the same slot, so even an
         // `at`-aligned timer would find the node alive).
-        let period = self.protocol.config.round_period;
-        engine.schedule_timer(at + period, NodeId(peer.0), TOKEN_ROUND);
+        engine.schedule_timer(at + SHUFFLE_ROUND_PERIOD, NodeId(peer.0), TOKEN_ROUND);
     }
 
     /// Schedules `peer` to leave at `at` and rejoin at `rejoin_at` with a
@@ -502,8 +494,11 @@ impl Overlay<Shuffle> {
         let (node, behavior) = self.protocol.spawn(peer, &[successor], rng, &self.liveness);
         self.handles[position].1 = node;
         engine.schedule_join(rejoin_at, NodeId(peer.0), behavior);
-        let period = self.protocol.config.round_period;
-        engine.schedule_timer(rejoin_at + period, NodeId(peer.0), TOKEN_ROUND);
+        engine.schedule_timer(
+            rejoin_at + SHUFFLE_ROUND_PERIOD,
+            NodeId(peer.0),
+            TOKEN_ROUND,
+        );
         // Dead exactly for the `[at, rejoin_at)` window: the live
         // histograms see it dead in between, the end-of-run accessors see
         // it back.
@@ -774,7 +769,6 @@ mod tests {
             let config = EngineGossipConfig {
                 rounds: 40,
                 staleness_threshold: threshold,
-                ..EngineGossipConfig::default()
             };
             let mut overlay =
                 EngineGossipOverlay::ring(&mut simulation, 50, config, 43, Some(&registry));
@@ -813,7 +807,6 @@ mod tests {
             let config = EngineGossipConfig {
                 rounds: 40,
                 staleness_threshold: Some(2),
-                ..EngineGossipConfig::default()
             };
             let mut overlay = EngineGossipOverlay::ring(engine, 40, config, 47, None);
             for i in 0..10 {

@@ -231,7 +231,7 @@ pub(crate) const TRACE_EVENT_FAMILIES: [&str; 9] = [
 /// an emitter fails the lint), so this list is the single authoritative
 /// catalogue of the trace vocabulary.
 // cyclosa-lint: schema-registry
-pub(crate) const TRACE_EVENT_NAMES: [&str; 36] = [
+pub(crate) const TRACE_EVENT_NAMES: [&str; 35] = [
     // Query-plan lifecycle (core::node).
     "plan.assess",
     "plan.fakes_drawn",
@@ -253,7 +253,6 @@ pub(crate) const TRACE_EVENT_NAMES: [&str; 36] = [
     "fault.crash",
     "fault.leave",
     "fault.recover",
-    "fault.join",
     "fault.set_loss",
     "fault.link_loss",
     // Membership protocol (peer-sampling::membership).
@@ -278,33 +277,7 @@ pub(crate) const TRACE_EVENT_NAMES: [&str; 36] = [
     "adv.collude",
 ];
 
-/// The closed set of membership (`mship.*`) event names the SWIM/
-/// HyParView overlay and the chaos client's relay prober may emit; any
-/// other `mship.*` name is rejected, keeping the telemetry schema
-/// contract closed.
-// cyclosa-lint: schema-registry
-pub(crate) const MEMBERSHIP_EVENT_NAMES: [&str; 8] = [
-    "mship.probe",
-    "mship.alive",
-    "mship.suspect",
-    "mship.refute",
-    "mship.dead",
-    "mship.promote",
-    "mship.quarantine",
-    "mship.readmit",
-];
-
 fn check_event_name(name: &str) -> Result<(), String> {
-    if name.starts_with("mship.") && !MEMBERSHIP_EVENT_NAMES.contains(&name) {
-        return Err(format!(
-            "unknown membership event kind {name:?} (the mship.* family is a closed schema)"
-        ));
-    }
-    if name.starts_with("slo.") && !crate::slo::SLO_EVENT_NAMES.contains(&name) {
-        return Err(format!(
-            "unknown SLO event kind {name:?} (the slo.* family is a closed schema)"
-        ));
-    }
     if let Some(family) = TRACE_EVENT_FAMILIES.iter().find(|f| name.starts_with(**f)) {
         if !TRACE_EVENT_NAMES.contains(&name) {
             return Err(format!(
@@ -445,9 +418,8 @@ mod tests {
 
     #[test]
     fn trace_schema_is_internally_consistent() {
-        // Every name belongs to exactly one declared family, the
-        // specialized sub-schemas are subsets of the master list, and
-        // there are no duplicates.
+        // Every name belongs to exactly one declared family, and there are
+        // no duplicates.
         for name in TRACE_EVENT_NAMES {
             assert_eq!(
                 TRACE_EVENT_FAMILIES
@@ -457,12 +429,6 @@ mod tests {
                 1,
                 "{name} must match exactly one family"
             );
-        }
-        for name in MEMBERSHIP_EVENT_NAMES {
-            assert!(TRACE_EVENT_NAMES.contains(&name), "{name} missing");
-        }
-        for name in crate::slo::SLO_EVENT_NAMES {
-            assert!(TRACE_EVENT_NAMES.contains(&name), "{name} missing");
         }
         let mut sorted = TRACE_EVENT_NAMES.to_vec();
         sorted.sort_unstable();
@@ -477,11 +443,10 @@ mod tests {
         assert!(check_event_name("hop").is_ok(), "unfamilied names pass");
         let err = check_event_name("plan.bogus").unwrap_err();
         assert!(err.contains("closed"), "{err}");
-        // Pre-existing wording for the specialized families is preserved.
         let err = check_event_name("mship.bogus").unwrap_err();
-        assert!(err.contains("membership event kind"), "{err}");
+        assert!(err.contains("the mship.* family"), "{err}");
         let err = check_event_name("slo.bogus").unwrap_err();
-        assert!(err.contains("SLO event kind"), "{err}");
+        assert!(err.contains("the slo.* family"), "{err}");
     }
 
     #[test]
@@ -592,7 +557,7 @@ mod tests {
         // An unknown mship.* kind must fail both validators...
         let unknown = vec![TraceEvent::new(SimTime::from_millis(1), 2, "mship.zombie")];
         let err = validate_trace_jsonl(&to_jsonl(&unknown)).unwrap_err();
-        assert!(err.contains("unknown membership event kind"), "{err}");
+        assert!(err.contains("the mship.* family"), "{err}");
         assert!(validate_chrome_trace(&to_chrome_trace(&unknown)).is_err());
         // ...while non-membership names stay unconstrained.
         let other = vec![TraceEvent::new(SimTime::from_millis(1), 2, "query.launch")];
@@ -617,7 +582,7 @@ mod tests {
             "slo.novel",
         )];
         let err = validate_trace_jsonl(&to_jsonl(&unknown)).unwrap_err();
-        assert!(err.contains("unknown SLO event kind"), "{err}");
+        assert!(err.contains("the slo.* family"), "{err}");
         assert!(validate_chrome_trace(&to_chrome_trace(&unknown)).is_err());
     }
 

@@ -12,26 +12,17 @@
 //!   suspicions raised) must stay within budget.
 //!
 //! When a window overspends its budget the monitor emits a burn-rate alert
-//! from the closed `slo.*` event family (`SLO_EVENT_NAMES`), stamped at the
-//! window's end on the simulated clock. Because the monitor is a pure
-//! function of the merged timeline — which is byte-identical across
-//! sequential and 1/2/4/8-shard runs — the alert stream is byte-identical
-//! too, which is what makes it usable as a CI gate.
+//! from the closed `slo.*` event family (`check::TRACE_EVENT_NAMES`),
+//! stamped at the window's end on the simulated clock. Because the monitor
+//! is a pure function of the merged timeline — which is byte-identical
+//! across sequential and 1/2/4/8-shard runs — the alert stream is
+//! byte-identical too, which is what makes it usable as a CI gate.
 
 use crate::analyze::TraceRecord;
 use crate::sketch::QuantileSketch;
 use crate::trace::{TraceEvent, ACTOR_ENGINE};
 use cyclosa_net::time::SimTime;
 use cyclosa_util::json::Json;
-
-/// The closed set of SLO alert event names. `check::validate_trace_jsonl`
-/// rejects any other name under the `slo.` prefix.
-// cyclosa-lint: schema-registry
-pub(crate) const SLO_EVENT_NAMES: [&str; 3] = [
-    "slo.privacy.burn",
-    "slo.latency.burn",
-    "slo.membership.burn",
-];
 
 /// SLO targets and the evaluation window.
 #[derive(Debug, Clone, Copy, PartialEq)]

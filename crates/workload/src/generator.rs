@@ -130,6 +130,23 @@ impl QueryLog {
     }
 }
 
+/// Probability that a query repeats one of the user's earlier queries.
+const REPEAT_PROBABILITY: f64 = 0.35;
+/// Probability that a query explores a (non-sensitive) topic outside the
+/// user's interest profile — one-off curiosity queries that are hard to
+/// link to the profile (these are the queries CYCLOSA leaves unprotected
+/// in Fig. 7).
+const EXPLORATION_PROBABILITY: f64 = 0.22;
+/// Fraction of users whose interest profile includes a sensitive topic.
+const SENSITIVE_USER_FRACTION: f64 = 0.55;
+/// Weight of the sensitive topic inside a sensitive user's profile.
+const SENSITIVE_TOPIC_WEIGHT: f64 = 0.30;
+/// Probability that a non-sensitive query includes one ambiguous term
+/// (creates the false-positive pressure of Table II).
+const AMBIGUOUS_TERM_PROBABILITY: f64 = 0.08;
+/// Zipf exponent of term popularity inside a topic.
+const TERM_ZIPF_EXPONENT: f64 = 0.8;
+
 /// Configuration of the workload generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
@@ -138,22 +155,6 @@ pub struct WorkloadConfig {
     /// Mean number of queries per user (per-user counts are heavy-tailed
     /// around this mean).
     pub mean_queries_per_user: usize,
-    /// Probability that a query repeats one of the user's earlier queries.
-    pub repeat_probability: f64,
-    /// Probability that a query explores a (non-sensitive) topic outside the
-    /// user's interest profile — one-off curiosity queries that are hard to
-    /// link to the profile (these are the queries CYCLOSA leaves unprotected
-    /// in Fig. 7).
-    pub exploration_probability: f64,
-    /// Fraction of users whose interest profile includes a sensitive topic.
-    pub sensitive_user_fraction: f64,
-    /// Weight of the sensitive topic inside a sensitive user's profile.
-    pub sensitive_topic_weight: f64,
-    /// Probability that a non-sensitive query includes one ambiguous term
-    /// (creates the false-positive pressure of Table II).
-    pub ambiguous_term_probability: f64,
-    /// Zipf exponent of term popularity inside a topic.
-    pub term_zipf_exponent: f64,
 }
 
 impl Default for WorkloadConfig {
@@ -161,12 +162,6 @@ impl Default for WorkloadConfig {
         Self {
             users: 198,
             mean_queries_per_user: 120,
-            repeat_probability: 0.35,
-            exploration_probability: 0.22,
-            sensitive_user_fraction: 0.55,
-            sensitive_topic_weight: 0.30,
-            ambiguous_term_probability: 0.08,
-            term_zipf_exponent: 0.8,
         }
     }
 }
@@ -178,7 +173,6 @@ impl WorkloadConfig {
         Self {
             users: 20,
             mean_queries_per_user: 40,
-            ..Self::default()
         }
     }
 }
@@ -218,8 +212,7 @@ impl WorkloadGenerator {
             .max(10.0) as usize;
             let mut queries: Vec<LabeledQuery> = Vec::with_capacity(activity);
             for _ in 0..activity {
-                let labeled = if !queries.is_empty() && rng.gen_bool(self.config.repeat_probability)
-                {
+                let labeled = if !queries.is_empty() && rng.gen_bool(REPEAT_PROBABILITY) {
                     // Repeat an earlier query verbatim (fresh id).
                     let earlier = &queries[rng.gen_index(queries.len())];
                     LabeledQuery {
@@ -253,12 +246,10 @@ impl WorkloadGenerator {
             interests.push((non_sensitive[idx], 0.5 + rng.next_f64()));
         }
         // Optionally one sensitive interest.
-        if rng.gen_bool(self.config.sensitive_user_fraction) {
+        if rng.gen_bool(SENSITIVE_USER_FRACTION) {
             let topic = sensitive[rng.gen_index(sensitive.len())];
             let total_weight: f64 = interests.iter().map(|(_, w)| *w).sum();
-            let weight = self.config.sensitive_topic_weight
-                / (1.0 - self.config.sensitive_topic_weight)
-                * total_weight;
+            let weight = SENSITIVE_TOPIC_WEIGHT / (1.0 - SENSITIVE_TOPIC_WEIGHT) * total_weight;
             interests.push((topic, weight));
         }
         UserProfileSpec { interests }
@@ -271,7 +262,7 @@ impl WorkloadGenerator {
         profile: &UserProfileSpec,
         rng: &mut Xoshiro256StarStar,
     ) -> LabeledQuery {
-        let topic_index = if rng.gen_bool(self.config.exploration_probability) {
+        let topic_index = if rng.gen_bool(EXPLORATION_PROBABILITY) {
             // One-off exploration outside the profile: pick any non-sensitive
             // topic uniformly (possibly one the user also has in her profile,
             // which is fine — most draws land outside it).
@@ -287,7 +278,7 @@ impl WorkloadGenerator {
             profile.interests[pick].0
         };
         let topic = &self.catalog.topics()[topic_index];
-        let zipf = Zipf::new(topic.terms.len(), self.config.term_zipf_exponent);
+        let zipf = Zipf::new(topic.terms.len(), TERM_ZIPF_EXPONENT);
         let term_count = 2 + rng.gen_index(3);
         let mut terms: Vec<&str> = Vec::with_capacity(term_count + 1);
         for _ in 0..term_count {
@@ -298,7 +289,7 @@ impl WorkloadGenerator {
         }
         // Occasionally inject an ambiguous sensitive-sounding term into a
         // non-sensitive query (e.g. "adult education", "party supplies").
-        if !topic.sensitive && rng.gen_bool(self.config.ambiguous_term_probability) {
+        if !topic.sensitive && rng.gen_bool(AMBIGUOUS_TERM_PROBABILITY) {
             let pools = ["sexuality", "health", "politics", "religion"];
             let pool = ambiguous_terms(pools[rng.gen_index(pools.len())]);
             if let Some(term) = rng.choose(pool) {

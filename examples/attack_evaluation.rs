@@ -29,7 +29,6 @@ fn main() {
         WorkloadConfig {
             users: 40,
             mean_queries_per_user: 50,
-            ..WorkloadConfig::default()
         },
     );
     let log = generator.generate(&mut rng);
@@ -60,7 +59,6 @@ fn main() {
         &lexicon,
         &["health", "politics", "religion", "sexuality"],
         &corpus,
-        &protection,
         &mut rng,
     );
     let mut cyclosa = Cyclosa::new(protection, categorizer, CategorizerMethod::Combined);

@@ -10,7 +10,6 @@ use cyclosa::node::{attested_channel_pair, CyclosaNode};
 use cyclosa_chaos::deployment::{run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig};
 use cyclosa_net::sim::Simulation;
 use cyclosa_sgx::attestation::AttestationService;
-use cyclosa_sgx::enclave::CostModel;
 use cyclosa_sgx::measurement::Measurement;
 use cyclosa_util::stats::Summary;
 
@@ -57,8 +56,6 @@ fn main() {
             k,
             queries: 100,
             seed: 2018 + k as u64,
-            cost: CostModel::default(),
-            ..EndToEndConfig::default()
         };
         let latencies = run_end_to_end_latency_on(
             &mut Simulation::new(config.seed),

@@ -19,13 +19,7 @@ fn main() {
     let lexicon = synthetic_lexicon(&catalog);
     let corpus = sensitive_corpus(&catalog, 200, &mut rng);
     let protection = ProtectionConfig::default(); // kmax = 7
-    let categorizer = build_categorizer(
-        &lexicon,
-        &["health", "sexuality"],
-        &corpus,
-        &protection,
-        &mut rng,
-    );
+    let categorizer = build_categorizer(&lexicon, &["health", "sexuality"], &corpus, &mut rng);
 
     // 2. Create the node (its SGX enclave is created and initialized here).
     let mut node = CyclosaNode::builder(1)

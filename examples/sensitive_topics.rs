@@ -4,7 +4,6 @@
 //!
 //! Run with `cargo run --example sensitive_topics`.
 
-use cyclosa::config::ProtectionConfig;
 use cyclosa::sensitivity::build_categorizer;
 use cyclosa_nlp::categorizer::{CategorizerMethod, DetectionQuality};
 use cyclosa_util::rng::Xoshiro256StarStar;
@@ -16,10 +15,9 @@ fn main() {
     let catalog = TopicCatalog::default_catalog();
     let lexicon = synthetic_lexicon(&catalog);
     let corpus = sensitive_corpus(&catalog, 400, &mut rng);
-    let protection = ProtectionConfig::default();
 
     // Table II focuses on the sexuality topic, as the paper does.
-    let categorizer = build_categorizer(&lexicon, &["sexuality"], &corpus, &protection, &mut rng);
+    let categorizer = build_categorizer(&lexicon, &["sexuality"], &corpus, &mut rng);
 
     // A few hand-picked queries first.
     println!("hand-picked queries:");
@@ -46,7 +44,6 @@ fn main() {
         WorkloadConfig {
             users: 60,
             mean_queries_per_user: 60,
-            ..WorkloadConfig::default()
         },
     );
     let log = generator.generate(&mut rng);

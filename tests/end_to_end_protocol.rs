@@ -23,13 +23,7 @@ fn build_nodes(count: u64, k_max: usize, rng: &mut Xoshiro256StarStar) -> Vec<Cy
     let seeds = seed_queries(&catalog, 40, rng);
     (0..count)
         .map(|i| {
-            let categorizer = build_categorizer(
-                &lexicon,
-                &["health", "sexuality"],
-                &corpus,
-                &protection,
-                rng,
-            );
+            let categorizer = build_categorizer(&lexicon, &["health", "sexuality"], &corpus, rng);
             let mut node = CyclosaNode::builder(i)
                 .protection(protection.clone())
                 .categorizer(categorizer)

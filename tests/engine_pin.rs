@@ -448,7 +448,6 @@ fn deep_scenario(engine: &mut dyn Engine) -> DeepRun {
     let config = ScaleConfig {
         rounds: DEEP_ROUNDS,
         seed: SEED,
-        ..ScaleConfig::default()
     };
     build_ping_population(&mut engine, DEEP_NODES, &config);
     let ms = SimTime::from_millis;

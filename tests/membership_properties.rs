@@ -22,6 +22,7 @@ use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{
     cross_side_edges, MembershipConfig, MembershipEventKind, PeerId, SwimGossipOverlay,
+    SWIM_ROUND_PERIOD,
 };
 use cyclosa_runtime::ShardedEngine;
 use cyclosa_telemetry::trace::TraceSink;
@@ -42,8 +43,8 @@ fn crashed_node_is_declared_dead_within_the_probe_budget_by_every_observer() {
     // noticed at most `count` rounds after the crash; the escalation
     // (direct + indirect probe) and the suspicion timeout follow, and
     // the dead declaration then spreads as a rumor for a few rounds.
-    let cycle = SimTime::from_nanos(config.round_period.as_nanos() * count as u64);
-    let slack = SimTime::from_nanos(config.round_period.as_nanos() * 6);
+    let cycle = SimTime::from_nanos(SWIM_ROUND_PERIOD.as_nanos() * count as u64);
+    let slack = SimTime::from_nanos(SWIM_ROUND_PERIOD.as_nanos() * 6);
     let budget = crash_at + cycle + config.suspicion_timeout + slack;
 
     for (observer, timeline) in overlay.timelines() {

@@ -125,13 +125,13 @@ fn observe_report_and_slo_alerts_are_byte_identical_across_shards() {
     let config = stormy();
     let options = ReportOptions {
         top: 5,
-        slo: churn_slo_config(&config),
+        slo: churn_slo_config(),
     };
 
     let reference = telemetry();
     observe(EngineChoice::Sequential, &config, &reference);
     let expected_report = build_report(&records_of(&reference), Json::Null, &options).pretty();
-    let expected_slos = evaluate_churn_slos(&config, &reference);
+    let expected_slos = evaluate_churn_slos(&reference);
 
     for shards in [1, 2, 4, 8] {
         let observed = telemetry();
@@ -141,7 +141,7 @@ fn observe_report_and_slo_alerts_are_byte_identical_across_shards() {
             report, expected_report,
             "observe report diverged at {shards} shards"
         );
-        let slos = evaluate_churn_slos(&config, &observed);
+        let slos = evaluate_churn_slos(&observed);
         assert_eq!(
             slos.report, expected_slos.report,
             "SLO report diverged at {shards} shards"
@@ -163,7 +163,7 @@ fn privacy_slo_is_clean_on_baseline_and_fires_under_fixed_k_failures() {
     };
     let observed = telemetry();
     observe(EngineChoice::Sequential, &baseline, &observed);
-    let outcome = evaluate_churn_slos(&baseline, &observed);
+    let outcome = evaluate_churn_slos(&observed);
     assert!(outcome.report.answered > 0);
     assert_eq!(
         outcome.report.privacy_violations, 0,
@@ -181,7 +181,7 @@ fn privacy_slo_is_clean_on_baseline_and_fires_under_fixed_k_failures() {
     };
     let first_run = telemetry();
     observe(EngineChoice::Sequential, &stressed, &first_run);
-    let first = evaluate_churn_slos(&stressed, &first_run);
+    let first = evaluate_churn_slos(&first_run);
     assert!(
         first.report.privacy_violations > 0,
         "fixed-k planning under 50% failures must violate the privacy SLO"
@@ -193,7 +193,7 @@ fn privacy_slo_is_clean_on_baseline_and_fires_under_fixed_k_failures() {
 
     let second_run = telemetry();
     observe(EngineChoice::Sequential, &stressed, &second_run);
-    let second = evaluate_churn_slos(&stressed, &second_run);
+    let second = evaluate_churn_slos(&second_run);
     assert_eq!(
         first.report, second.report,
         "alerts must fire deterministically"

@@ -117,10 +117,7 @@ fn adaptive_k_stays_in_range() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xADA7);
     for case in 0..CASES {
         let k_max = 1 + rng.gen_index(11);
-        let config = ProtectionConfig {
-            k_max,
-            ..ProtectionConfig::default()
-        };
+        let config = ProtectionConfig { k_max };
         let mut analyzer = SensitivityAnalyzer::linkability_only(&config);
         let history: Vec<String> = (0..rng.gen_index(20))
             .map(|_| random_words(&mut rng, 4))

@@ -229,14 +229,12 @@ fn sharded_end_to_end_latency_equals_sequential_simulation_output() {
             k: 7,
             queries: 40,
             seed: 777,
-            ..EndToEndConfig::default()
         },
         EndToEndConfig {
             relays: 12,
             k: 0,
             queries: 30,
             seed: 31,
-            ..EndToEndConfig::default()
         },
     ]
     .into_iter()

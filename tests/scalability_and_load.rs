@@ -13,7 +13,6 @@ use cyclosa_baselines::latency::LatencyProfile;
 use cyclosa_bench::scalability::{run_scale_point, scalability_sweep, ScaleConfig};
 use cyclosa_chaos::deployment::{run_end_to_end_latency_on, ChurnTelemetry, EndToEndConfig};
 use cyclosa_net::sim::Simulation;
-use cyclosa_sgx::enclave::CostModel;
 use cyclosa_util::rng::Xoshiro256StarStar;
 use cyclosa_util::stats::Summary;
 
@@ -40,9 +39,8 @@ fn centralized_proxy_is_blocked_while_cyclosa_spreads_the_load() {
 
 #[test]
 fn relay_sustains_higher_request_rates_than_the_xsearch_proxy() {
-    let cost = CostModel::default();
-    let cyclosa_service = relay_service_time_ns(&cost, 512);
-    let xsearch_service = xsearch_service_time_ns(&cost, 512, 3);
+    let cyclosa_service = relay_service_time_ns(512);
+    let xsearch_service = xsearch_service_time_ns(512, 3);
     assert!(cyclosa_service < xsearch_service);
 
     let rates = [10_000.0, 30_000.0, 40_000.0];

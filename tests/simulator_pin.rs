@@ -18,8 +18,8 @@ use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{
-    BrahmsConfig, EngineBrahmsOverlay, EngineGossipConfig, EngineGossipOverlay, MembershipConfig,
-    OverlayMetrics, PeerId, SwimGossipOverlay, SybilAttackConfig,
+    EngineBrahmsOverlay, EngineGossipConfig, EngineGossipOverlay, MembershipConfig, OverlayMetrics,
+    PeerId, SwimGossipOverlay, SybilAttackConfig,
 };
 use cyclosa_runtime::ShardedEngine;
 use cyclosa_telemetry::metrics::Registry;
@@ -105,13 +105,7 @@ fn digest_is_seed_deterministic_and_discriminating() {
 }
 
 fn engine_brahms_digest(engine: &mut dyn Engine) -> u64 {
-    let overlay = EngineBrahmsOverlay::ring(
-        engine,
-        pinned_attack(),
-        BrahmsConfig::default(),
-        25,
-        SimTime::from_secs(1),
-    );
+    let overlay = EngineBrahmsOverlay::ring(engine, pinned_attack(), 25, SimTime::from_secs(1));
     engine.run();
     let mut digest = FNV_OFFSET;
     fnv_views(&mut digest, &overlay.views());
@@ -141,7 +135,6 @@ fn faulted_shuffle_digest(engine: &mut dyn Engine) -> u64 {
     let config = EngineGossipConfig {
         rounds: 70,
         staleness_threshold: Some(2),
-        ..EngineGossipConfig::default()
     };
     let mut overlay = EngineGossipOverlay::ring(engine, 40, config, 59, Some(&registry));
     for i in 0..4 {

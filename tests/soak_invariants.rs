@@ -11,7 +11,7 @@
 //! `SOAK_QUERIES` to stretch the in-test horizons (e.g.
 //! `SOAK_QUERIES=1000000 cargo test --release --test soak_invariants`).
 
-use cyclosa::config::ProtectionConfig;
+use cyclosa::config::{ProtectionConfig, PAST_QUERY_CAPACITY};
 use cyclosa::node::{CyclosaNode, NodeError, QueryPlan};
 use cyclosa_chaos::adversary::{AdversaryConfig, ByzantinePolicy};
 use cyclosa_chaos::churn::ChurnModel;
@@ -202,7 +202,7 @@ fn diurnal_soak_replays_the_plan_repair_invariant_with_bounded_residency() {
     let queries = horizon(3_000);
     let peers = 30u64;
     let protection = ProtectionConfig::with_k_max(5);
-    let capacity = protection.past_query_capacity;
+    let capacity = PAST_QUERY_CAPACITY;
     let mut node = CyclosaNode::builder(1).protection(protection).build();
     node.bootstrap_with_seed_queries(SEED_QUERIES);
     node.record_own_history(["zurich train timetable", "zurich airport parking"]);
@@ -210,10 +210,8 @@ fn diurnal_soak_replays_the_plan_repair_invariant_with_bounded_residency() {
 
     let arrival = ArrivalModel {
         base_interval: SimTime::from_millis(50),
-        diurnal_amplitude: 0.6,
         diurnal_period_queries: 1_000,
         flash_crowds: 2,
-        flash_boost: 4.0,
         flash_width_queries: 100,
         queries,
     };
