@@ -670,8 +670,7 @@ fn sybil_run(
     let naive = EngineGossipOverlay::under_attack(&mut *engine, attack, config);
     engine.run();
     let mut engine = choice.build(attack.seed, None);
-    let brahms =
-        EngineBrahmsOverlay::ring(&mut *engine, attack, SYBIL_ROUNDS, SHUFFLE_ROUND_PERIOD);
+    let brahms = EngineBrahmsOverlay::ring(&mut *engine, attack, SYBIL_ROUNDS);
     engine.run();
     (naive, brahms)
 }

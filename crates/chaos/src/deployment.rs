@@ -6,52 +6,57 @@
 //! This module is the only place that knows
 //!
 //! * the **node numbering** — engine `0`, relays `1..=N`, client `N + 1`;
-//! * the **message tags** and the clients' **timer-token bases**;
+//! * the **message tags** and the client's **timer-token bases**;
 //! * the **wire format** — `"client|seq|R-or-F|query text"` behind
 //!   `Request`, plus the fixed-width ping/ack liveness probes;
 //!
 //! and it owns what every run shares: the `Relay` and `EngineNode`
 //! behaviours (in-service maps pruned on completion, byzantine policies,
 //! probe responder, forwarding-path spans, optional deployment metrics),
-//! the client-side `Blacklist` with the relay-selection rules, the
+//! the one `Client` with its `Blacklist` and `Plan` repair rules, the
 //! [`ChurnTelemetry`] hooks and the [`EngineChoice`] engine builder.
 //! Fig. 8a/8b ([`run_end_to_end_latency_on`]) is the failure-free,
-//! retry-less configuration of the churn client.
+//! retry-less configuration of the churn run.
 //!
-//! The clients stay two types on purpose: the churn client of
-//! [`crate::experiment`] keeps a per-query ledger for the whole run,
-//! schedules every launch up front and carries the SWIM prober; the soak
-//! client of [`crate::soak`] chains its launches, prunes a bounded
-//! in-flight window and checks invariants in-run. Their launch/retry
-//! timers tie-break differently and late answers count in one and are
-//! discarded in the other, so a merged client would need a flag per
-//! difference.
+//! Churn, partition, Fig. 8a/8b and soak runs all drive that one client.
+//! They differ only in values the runner hands it (`ClientSetup`: uplink
+//! delay, retry budget, blacklist TTL, top-up on retry, launches scheduled
+//! up front or chained from an [`crate::soak::ArrivalModel`], the SWIM
+//! prober or none) and in what they keep of it, which goes through a
+//! `Ledger`: per-query vectors in [`crate::experiment::ChurnOutcome`],
+//! per-window counters, violations and peaks in
+//! [`crate::soak::SoakOutcome`]. The client never asks which run it
+//! serves. A plan is dropped once answered (an adaptive prober keeps it
+//! for one retry window) or once its retries run out, so a late answer
+//! is discarded; the invariants (probation, plan distinctness,
+//! `achieved_k ≤ k`, no clamped sample) are checked in every run.
 
 use crate::adversary::{
     adversary_stream, AdversaryConfig, ByzantinePolicy, CollusionLedger, PolicySchedule,
     SharedCollusionLedger,
 };
-use crate::experiment::{run_deployment, ChurnConfig};
+use crate::experiment::{run_deployment, ChurnConfig, MembershipProbeConfig};
 use crate::plan::ChaosPlan;
+use crate::soak::ArrivalModel;
 use cyclosa::deployment::relay_service_time_ns;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::latency::LatencyModel;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_peer_sampling::MemberState;
+use cyclosa_peer_sampling::{FailureDetector, MemberState, PeerId};
 use cyclosa_runtime::ShardedEngine;
 use cyclosa_telemetry::metrics::{Counter, Histogram, Registry};
 use cyclosa_telemetry::{TraceEvent, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The search-engine node.
 pub(crate) const ENGINE: NodeId = NodeId(0);
 
-/// How long both clients wait for the real query's response before
+/// How long the client waits for the real query's response before
 /// blacklisting the relay and resubmitting through a fresh one.
 pub(crate) const RETRY_TIMEOUT: SimTime = SimTime::from_secs(3);
 
@@ -66,30 +71,28 @@ pub(crate) fn client_id(relays: usize) -> NodeId {
 }
 
 /// Client → relay: one request of a query plan.
-pub(crate) const TAG_FORWARD: u32 = 1;
+const TAG_FORWARD: u32 = 1;
 const TAG_ENGINE_QUERY: u32 = 2;
 const TAG_ENGINE_RESPONSE: u32 = 3;
 /// Relay → client: the engine's answer routed back.
-pub(crate) const TAG_RESPONSE: u32 = 4;
+const TAG_RESPONSE: u32 = 4;
 /// Client → relay liveness probe: `[seq u64][believed state u8][believed
 /// incarnation u64]`, little-endian. The believed half is the refutation
 /// channel: a relay pinged with a non-alive belief about itself at an
 /// incarnation at least its own bumps its incarnation and acks the new
 /// one, which the client's detector applies as a refutation.
-pub(crate) const TAG_PING: u32 = 5;
+const TAG_PING: u32 = 5;
 /// Relay → client probe answer: `[seq u64][relay incarnation u64]`.
-pub(crate) const TAG_ACK: u32 = 6;
+const TAG_ACK: u32 = 6;
 
-// Client timer tokens: a token below `OUTBOX_BASE` launches that query
-// (churn client); the bases above it carry an index or a relay id.
-pub(crate) const OUTBOX_BASE: u64 = 1 << 40;
-pub(crate) const RETRY_BASE: u64 = 1 << 41;
-pub(crate) const PROBE_TIMEOUT_BASE: u64 = 1 << 42;
-pub(crate) const SUSPECT_BASE: u64 = 1 << 43;
-/// The churn client's probe round and the soak client's chained launch
-/// share the top token; no client arms both.
+// Client timer tokens: a token below `OUTBOX_BASE` launches that query;
+// the bases above it carry an index or a relay id.
+const OUTBOX_BASE: u64 = 1 << 40;
+const RETRY_BASE: u64 = 1 << 41;
+const PROBE_TIMEOUT_BASE: u64 = 1 << 42;
+const SUSPECT_BASE: u64 = 1 << 43;
+/// The prober's round timer.
 pub(crate) const PROBE_ROUND: u64 = 1 << 44;
-pub(crate) const TOKEN_LAUNCH: u64 = 1 << 44;
 
 /// RNG salt of the Fig. 8a/8b runs (the churn and soak runs have their own).
 const E2E_SALT: u64 = 0xC11E;
@@ -168,7 +171,7 @@ fn decimal_field(bytes: &[u8]) -> Option<(u64, &[u8])> {
     Some((value, &bytes[end + 1..]))
 }
 
-pub(crate) fn encode_ping(seq: u64, state: u8, incarnation: u64) -> Vec<u8> {
+fn encode_ping(seq: u64, state: u8, incarnation: u64) -> Vec<u8> {
     let mut payload = Vec::with_capacity(17);
     payload.extend_from_slice(&seq.to_le_bytes());
     payload.push(state);
@@ -192,7 +195,7 @@ fn encode_ack(seq: u64, incarnation: u64) -> Vec<u8> {
     payload
 }
 
-pub(crate) fn decode_ack(payload: &[u8]) -> Option<(u64, u64)> {
+fn decode_ack(payload: &[u8]) -> Option<(u64, u64)> {
     if payload.len() != 16 {
         return None;
     }
@@ -610,34 +613,34 @@ pub(crate) fn deploy<E: Engine + ?Sized>(engine: &mut E, fleet: Fleet<'_>) -> De
 /// TTL and expire `ttl` after they were added with one — the probation
 /// that lets post-partition queries spread over the healed population.
 #[derive(Debug)]
-pub(crate) struct Blacklist {
+struct Blacklist {
     since: BTreeMap<NodeId, SimTime>,
     ttl: Option<SimTime>,
 }
 
 impl Blacklist {
-    pub(crate) fn new(ttl: Option<SimTime>) -> Self {
+    fn new(ttl: Option<SimTime>) -> Self {
         Self {
             since: BTreeMap::new(),
             ttl,
         }
     }
 
-    pub(crate) fn bar(&mut self, relay: NodeId, now: SimTime) {
+    fn bar(&mut self, relay: NodeId, now: SimTime) {
         self.since.insert(relay, now);
     }
 
     /// Forgives `relay` outright, ahead of any TTL.
-    pub(crate) fn forgive(&mut self, relay: NodeId) {
+    fn forgive(&mut self, relay: NodeId) {
         self.since.remove(&relay);
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.since.len()
     }
 
     /// Whether `relay` is barred at `now`.
-    pub(crate) fn bars(&self, relay: NodeId, now: SimTime) -> bool {
+    fn bars(&self, relay: NodeId, now: SimTime) -> bool {
         self.since.get(&relay).is_some_and(|since| match self.ttl {
             None => true,
             Some(ttl) => now.saturating_sub(*since) < ttl,
@@ -645,28 +648,27 @@ impl Blacklist {
     }
 
     /// The relays of `relays` the client is still willing to use at `now`.
-    pub(crate) fn usable(&self, relays: &[NodeId], now: SimTime) -> Vec<NodeId> {
+    fn usable(&self, relays: &[NodeId], now: SimTime) -> Vec<NodeId> {
         let open = |r: &NodeId| !self.bars(*r, now);
         relays.iter().copied().filter(open).collect()
     }
 }
 
-/// One query's plan as its client tracks it, with the plan-repair rules
-/// both clients follow. Every method is a pure function of the plan, the
-/// blacklist and the RNG stream — the clients add timers, ledgers and
-/// trace events around them.
+/// One query's plan as the client tracks it, with its plan-repair rules.
+/// Every method is a pure function of the plan, the blacklist and the RNG
+/// stream — the client adds timers, ledgers and trace events around them.
 #[derive(Debug, Clone)]
-pub(crate) struct Plan {
-    pub(crate) sent_at: SimTime,
+struct Plan {
+    sent_at: SimTime,
     /// Resubmissions of the real request so far.
-    pub(crate) attempts: u32,
+    attempts: u32,
     /// The relay currently entrusted with the *real* request — the one
     /// barred and replaced if no answer arrives in time.
-    pub(crate) real_relay: Option<NodeId>,
+    real_relay: Option<NodeId>,
     /// The relays the fakes were entrusted to — the adaptive repair
     /// re-assesses this set against the blacklist on every retry and
     /// resubmits the shortfall.
-    pub(crate) fake_relays: Vec<NodeId>,
+    fake_relays: Vec<NodeId>,
 }
 
 impl Plan {
@@ -674,7 +676,7 @@ impl Plan {
     /// from a smaller pool), a random one of them carrying the real
     /// request. Returns the plan and its `(relay, real)` requests in
     /// upload-slot order.
-    pub(crate) fn draw(
+    fn draw(
         usable: &[NodeId],
         k: usize,
         now: SimTime,
@@ -702,7 +704,7 @@ impl Plan {
     /// `draw_distinct_relay` rule): prefer a relay not already carrying
     /// one of this query's fakes, falling back to any usable relay only
     /// when the population is too depleted to avoid it.
-    pub(crate) fn repair(
+    fn repair(
         &mut self,
         blacklist: &mut Blacklist,
         relays: &[NodeId],
@@ -734,7 +736,7 @@ impl Plan {
 
     /// The relays of `usable` that may carry a replacement fake: those
     /// serving neither the real request nor a surviving fake.
-    pub(crate) fn top_up_candidates(&self, mut usable: Vec<NodeId>) -> Vec<NodeId> {
+    fn top_up_candidates(&self, mut usable: Vec<NodeId>) -> Vec<NodeId> {
         usable.retain(|r| Some(*r) != self.real_relay && !self.fake_relays.contains(r));
         usable
     }
@@ -743,7 +745,7 @@ impl Plan {
     /// are presumed lost with them, so the shortfall against `k` is
     /// redrawn through distinct relays not already serving this query.
     /// Returns the fresh fake relays (already recorded in the plan).
-    pub(crate) fn top_up(
+    fn top_up(
         &mut self,
         blacklist: &Blacklist,
         relays: &[NodeId],
@@ -766,9 +768,597 @@ impl Plan {
     /// The dilution the plan actually delivers at `now`: fakes still
     /// entrusted to relays the client has not (currently) given up on.
     /// Fakes on barred relays are presumed swallowed.
-    pub(crate) fn achieved_k(&self, blacklist: &Blacklist, now: SimTime) -> usize {
+    fn achieved_k(&self, blacklist: &Blacklist, now: SimTime) -> usize {
         let held = |r: &&NodeId| !blacklist.bars(**r, now);
         self.fake_relays.iter().filter(held).count()
+    }
+}
+
+/// Modelled resident cost of one in-flight plan (key + struct); the fake
+/// list adds [`PEER_COST`] per entry on top.
+const INFLIGHT_COST: usize = 96;
+/// Modelled resident cost per relay id held in a fake list.
+const PEER_COST: usize = 8;
+/// Modelled resident cost of one outbox entry, excluding the payload.
+const OUTBOX_COST: usize = 64;
+/// Modelled resident cost of one blacklist entry.
+const BLACKLIST_COST: usize = 48;
+
+/// What a run records of its client's work. The churn run keeps
+/// per-query vectors ([`crate::experiment::ChurnOutcome`]), the soak
+/// per-window counters, violations and peaks
+/// ([`crate::soak::SoakOutcome`]); the client calls the same hooks in
+/// every run and never asks which one it serves.
+pub(crate) trait Ledger {
+    /// Query `seq` launched; `skipped` when no relay was usable, so it
+    /// stays unanswered.
+    fn launched(&mut self, seq: u64, skipped: bool);
+    /// Query `seq`'s real request was resubmitted.
+    fn retried(&mut self, seq: u64);
+    /// `count` replacement fakes went out for query `seq`: on a retry, or
+    /// `proactive`ly when the prober declared a relay dead.
+    fn topped_up(&mut self, seq: u64, count: u64, proactive: bool);
+    /// Query `seq` was answered `latency` after launch (`None`: the round
+    /// trip came out negative and counts as zero) with `achieved_k` of
+    /// the target `k` fakes still held.
+    fn answered(&mut self, seq: u64, latency: Option<SimTime>, achieved_k: usize, k: usize);
+    /// An in-run invariant broke.
+    fn violation(&mut self, message: String);
+    /// The in-flight plans or the modelled resident bytes reached a new
+    /// high.
+    fn peak(&mut self, inflight: u64, resident_bytes: usize);
+}
+
+/// What a runner hands the client: the values in which runs differ.
+pub(crate) struct ClientSetup {
+    pub(crate) k: usize,
+    pub(crate) max_retries: u32,
+    /// Whether a retry also tops up the fakes lost with barred relays.
+    pub(crate) adaptive: bool,
+    pub(crate) blacklist_ttl: Option<SimTime>,
+    /// Serialization delay per outgoing request on the client's uplink.
+    pub(crate) uplink: SimTime,
+    /// A chained load shape: launching query `seq` arms `seq + 1`
+    /// `interval(seq)` later. `None`: the runner schedules every launch
+    /// up front, as timer token `seq` at its issue time.
+    pub(crate) arrival: Option<ArrivalModel>,
+    /// Relays the applied fault plans take down, used only to annotate
+    /// `query.repair` with `fault_injected` (no annotation when `None`).
+    pub(crate) victims: Option<BTreeSet<NodeId>>,
+    pub(crate) metrics: Option<DeploymentMetrics>,
+}
+
+/// The client's SWIM-style relay prober (see [`MembershipProbeConfig`]).
+struct Prober {
+    config: MembershipProbeConfig,
+    /// Rounds stop re-arming once the next would start past this.
+    horizon: SimTime,
+    detector: FailureDetector,
+    /// Draws the probe cycle and the proactive top-ups: a stream apart
+    /// from the plan RNG, so probing never perturbs plan selection.
+    rng: Xoshiro256StarStar,
+    next_ping: u64,
+    /// In-flight probes: relay → ping sequence number. An ack clears the
+    /// entry; a timeout that still finds it suspects the relay.
+    pending: BTreeMap<NodeId, u64>,
+    /// Round-robin cursor over dead members for the per-round knock —
+    /// the re-probe that lets a recovered (or merely partitioned-away)
+    /// relay refute its death and win early forgiveness.
+    dead_cursor: usize,
+}
+
+/// The client: uploads each query's `k` fakes and its real request
+/// through distinct relays behind its uplink, blacklists the relay of an
+/// unanswered real request and resubmits through a fresh one (topping up
+/// lost fakes when adaptive), drops fake answers, and optionally probes
+/// the relays. Every run drives this one client; what a run keeps of it
+/// goes through its [`Ledger`].
+pub(crate) struct Client<L> {
+    setup: ClientSetup,
+    relays: Vec<NodeId>,
+    rng: Xoshiro256StarStar,
+    /// Live plans by query, each with whether it was answered. An answer
+    /// drops its plan, except that an adaptive prober keeps it while its
+    /// dilution still matters (see [`Client::proactive_top_up`]). A plan
+    /// whose retries run out is dropped too, so a late answer is
+    /// discarded: bounded memory requires closing plans.
+    plans: BTreeMap<u64, (Plan, bool)>,
+    blacklist: Blacklist,
+    /// Requests waiting behind the uplink, by timer token.
+    outbox: BTreeMap<u64, (NodeId, Vec<u8>)>,
+    next_outbox: u64,
+    /// High-water marks, reported to the ledger only when they move.
+    peak_resident: usize,
+    peak_inflight: u64,
+    ledger: Arc<Mutex<L>>,
+    trace: TraceSink,
+    prober: Option<Prober>,
+}
+
+impl<L: Ledger> Client<L> {
+    /// The client of `deployed`, with its streams forked from the run's
+    /// root RNG; `membership` turns on the prober until its horizon.
+    pub(crate) fn new(
+        setup: ClientSetup,
+        membership: Option<(MembershipProbeConfig, SimTime)>,
+        deployed: &mut Deployed,
+        ledger: &Arc<Mutex<L>>,
+        trace: &TraceSink,
+    ) -> Self {
+        let rng = deployed.rng.fork(2);
+        let prober = membership.map(|(config, horizon)| Prober {
+            config,
+            horizon,
+            detector: FailureDetector::new(
+                PeerId(deployed.client.0),
+                deployed.relays.iter().map(|r| PeerId(r.0)),
+                0,
+            ),
+            rng: deployed.rng.fork(3),
+            next_ping: 0,
+            pending: BTreeMap::new(),
+            dead_cursor: 0,
+        });
+        Self {
+            blacklist: Blacklist::new(setup.blacklist_ttl),
+            setup,
+            relays: deployed.relays.clone(),
+            rng,
+            plans: BTreeMap::new(),
+            outbox: BTreeMap::new(),
+            next_outbox: 0,
+            peak_resident: 0,
+            peak_inflight: 0,
+            ledger: ledger.clone(),
+            trace: trace.clone(),
+            prober,
+        }
+    }
+
+    fn ledger(&self) -> MutexGuard<'_, L> {
+        lock(&self.ledger)
+    }
+
+    /// Recomputes the modelled resident footprint after a state change
+    /// and records the peaks. Incremental bookkeeping would be cheaper
+    /// but easy to desynchronise; the in-flight window is small (pruning
+    /// is the whole point), so a full walk per mutation batch is fine.
+    fn account(&mut self) {
+        let plans: usize = self
+            .plans
+            .values()
+            .map(|(plan, _)| INFLIGHT_COST + plan.fake_relays.len() * PEER_COST)
+            .sum();
+        let outbox: usize = self
+            .outbox
+            .values()
+            .map(|(_, payload)| OUTBOX_COST + payload.len())
+            .sum();
+        let total = plans + outbox + self.blacklist.len() * BLACKLIST_COST;
+        let count = self.plans.len() as u64;
+        if total > self.peak_resident || count > self.peak_inflight {
+            self.peak_resident = self.peak_resident.max(total);
+            self.peak_inflight = self.peak_inflight.max(count);
+            let (inflight, resident) = (self.peak_inflight, self.peak_resident);
+            self.ledger().peak(inflight, resident);
+        }
+    }
+
+    /// Queues one request of query `seq` for `relay` behind the uplink,
+    /// checking the probation invariant: a relay must never be selected
+    /// while its blacklist entry is in force.
+    fn defer_send(
+        &mut self,
+        ctx: &mut Context<'_>,
+        relay: NodeId,
+        seq: u64,
+        real: bool,
+        slot: u64,
+    ) {
+        let now = ctx.now();
+        if self.blacklist.bars(relay, now) {
+            self.ledger().violation(format!(
+                "probation breach: relay {} selected at {now} while blacklisted",
+                relay.0
+            ));
+        }
+        let token = OUTBOX_BASE + self.next_outbox;
+        self.next_outbox += 1;
+        let request = Request {
+            client: ctx.self_id().0,
+            seq,
+            real,
+        };
+        self.outbox.insert(token, (relay, request.encode()));
+        ctx.set_timer(
+            SimTime::from_nanos(self.setup.uplink.as_nanos() * (slot + 1)),
+            token,
+        );
+    }
+
+    fn launch(&mut self, ctx: &mut Context<'_>, seq: u64) {
+        // Chain the next launch before anything else, so a pathological
+        // window can never stall the arrival process.
+        if let Some(arrival) = &self.setup.arrival {
+            if seq + 1 < arrival.queries {
+                ctx.set_timer(arrival.interval(seq), seq + 1);
+            }
+        }
+        let now = ctx.now();
+        let usable = self.blacklist.usable(&self.relays, now);
+        if usable.is_empty() {
+            self.ledger().launched(seq, true);
+            return;
+        }
+        let (plan, requests) = Plan::draw(&usable, self.setup.k, now, &mut self.rng);
+        // Plan distinctness: `sample_indices` draws without replacement,
+        // so a duplicate relay means the sampler broke.
+        let mut relays: Vec<NodeId> = requests.iter().map(|(relay, _)| *relay).collect();
+        relays.sort_unstable();
+        relays.dedup();
+        if relays.len() != requests.len() {
+            self.ledger()
+                .violation(format!("plan for query {seq} doubled up a relay"));
+        }
+        if self.trace.is_enabled() {
+            if let Some(real) = plan.real_relay {
+                self.trace.emit(
+                    TraceEvent::new(now, ctx.self_id().0, "query.launch")
+                        .query(seq)
+                        .attr("relay", real.0)
+                        .attr("fakes", plan.fake_relays.len()),
+                );
+            }
+        }
+        self.plans.insert(seq, (plan, false));
+        self.ledger().launched(seq, false);
+        for (slot, (relay, real)) in requests.into_iter().enumerate() {
+            self.defer_send(ctx, relay, seq, real, slot as u64);
+        }
+        self.account();
+        // A client that never retries (Fig. 8a/8b) arms no retry timers.
+        if self.setup.max_retries > 0 {
+            ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq);
+        }
+    }
+
+    fn retry(&mut self, ctx: &mut Context<'_>, seq: u64) {
+        let Some((plan, false)) = self.plans.get_mut(&seq) else {
+            return; // answered: the timer outlived the query
+        };
+        if plan.attempts >= self.setup.max_retries {
+            // The retry budget is spent: the query stays unanswered, and
+            // its plan goes, so a late answer is discarded.
+            self.plans.remove(&seq);
+            self.account();
+            return;
+        }
+        let now = ctx.now();
+        let (failed, replacement) =
+            plan.repair(&mut self.blacklist, &self.relays, now, &mut self.rng);
+        let attempts = plan.attempts;
+        let Some(replacement) = replacement else {
+            // Nobody to resubmit through right now: the attempt is spent,
+            // but a probation expiry or a refutation may bring relays
+            // back before the next one.
+            ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq);
+            return;
+        };
+        self.ledger().retried(seq);
+        if self.trace.is_enabled() {
+            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.repair")
+                .query(seq)
+                .attr("attempt", attempts);
+            if let Some(dead) = failed {
+                event = event.attr("failed", dead.0);
+            }
+            event = event.attr("replacement", replacement.0);
+            if let Some(victims) = &self.setup.victims {
+                let injected = failed.is_some_and(|dead| victims.contains(&dead));
+                event = event.attr("fault_injected", injected);
+            }
+            self.trace.emit(event);
+        }
+        self.defer_send(ctx, replacement, seq, true, 0);
+        if self.setup.adaptive {
+            self.top_up_fakes(ctx, seq);
+        }
+        self.account();
+        ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq);
+    }
+
+    /// The adaptive-k repair on a retry (see [`Plan::top_up`]): the
+    /// resubmission carries the fake shortfall too.
+    fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: u64) {
+        let Some((plan, _)) = self.plans.get_mut(&seq) else {
+            return;
+        };
+        let (k, now) = (self.setup.k, ctx.now());
+        let fresh = plan.top_up(&self.blacklist, &self.relays, k, now, &mut self.rng);
+        if fresh.is_empty() {
+            return;
+        }
+        for (slot, relay) in fresh.iter().enumerate() {
+            self.defer_send(ctx, *relay, seq, false, slot as u64 + 1);
+        }
+        self.ledger().topped_up(seq, fresh.len() as u64, false);
+        if self.trace.is_enabled() {
+            self.trace.emit(
+                TraceEvent::new(now, ctx.self_id().0, "query.top_up")
+                    .query(seq)
+                    .attr("count", fresh.len() as u64),
+            );
+        }
+    }
+
+    fn answer(&mut self, ctx: &mut Context<'_>, seq: u64) {
+        let now = ctx.now();
+        let Some((plan, answered @ false)) = self.plans.get_mut(&seq) else {
+            return; // a duplicate, or a late answer after the budget ran out
+        };
+        *answered = true;
+        let achieved_k = plan.achieved_k(&self.blacklist, now);
+        let (sent, attempts) = (plan.sent_at, plan.attempts);
+        if !(self.setup.adaptive && self.prober.is_some()) {
+            self.plans.remove(&seq);
+        }
+        let k = self.setup.k;
+        // Dilution can degrade under churn but never exceed the target.
+        if achieved_k > k {
+            self.ledger().violation(format!(
+                "query {seq} recorded achieved_k {achieved_k} above target {k}"
+            ));
+        }
+        // A response can never precede its send; a negative round trip
+        // means the event order broke. Surface it instead of silently
+        // recording zero.
+        let round_trip = now.checked_sub(sent);
+        match round_trip {
+            Some(round_trip) => {
+                if let Some(metrics) = &self.setup.metrics {
+                    metrics.end_to_end_ns.record_time(round_trip);
+                }
+            }
+            None => {
+                self.ledger().violation(format!(
+                    "query {seq}: response at {now} precedes send at {sent}"
+                ));
+                if let Some(metrics) = &self.setup.metrics {
+                    metrics.clamped_samples.inc();
+                }
+                if self.trace.is_enabled() {
+                    self.trace
+                        .emit(TraceEvent::new(now, ctx.self_id().0, "latency.clamped").query(seq));
+                }
+            }
+        }
+        self.ledger().answered(seq, round_trip, achieved_k, k);
+        if self.trace.is_enabled() {
+            // Spans are stamped at completion, when the answer arrives;
+            // the Chrome exporter back-dates the slice by its duration so
+            // it covers [sent, answered].
+            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.answered")
+                .query(seq)
+                .attr("achieved_k", achieved_k)
+                .attr("assessed_k", k)
+                .attr("attempts", attempts);
+            if let Some(round_trip) = round_trip {
+                event = event.span(round_trip);
+            }
+            self.trace.emit(event);
+        }
+        self.account();
+    }
+
+    /// One probe round: ping the next `probes_per_round` relays of the
+    /// detector's shuffled cycle, knock on one currently-dead relay (the
+    /// refutation channel for recovered or re-merged relays), and re-arm
+    /// while queries are still issuing.
+    fn probe_round(&mut self, ctx: &mut Context<'_>) {
+        let Some(prober) = &mut self.prober else {
+            return;
+        };
+        let config = prober.config;
+        for _ in 0..config.probes_per_round {
+            let Some(peer) = prober.detector.next_probe_target(&mut prober.rng) else {
+                break;
+            };
+            let relay = NodeId(peer.0);
+            if prober.pending.contains_key(&relay) {
+                continue;
+            }
+            let seq = prober.ping(ctx, relay);
+            prober.pending.insert(relay, seq);
+            ctx.set_timer(config.probe_timeout, PROBE_TIMEOUT_BASE + relay.0);
+        }
+        let dead = prober.detector.dead_members();
+        if !dead.is_empty() {
+            let relay = NodeId(dead[prober.dead_cursor % dead.len()].0);
+            prober.dead_cursor += 1;
+            if !prober.pending.contains_key(&relay) {
+                // No timeout timer: the relay is already declared dead,
+                // so only an ack (a refutation) changes anything.
+                prober.ping(ctx, relay);
+            }
+        }
+        if ctx.now() + config.probe_period < prober.horizon {
+            ctx.set_timer(config.probe_period, PROBE_ROUND);
+        }
+    }
+
+    /// A direct probe went unanswered: suspect the relay and put it on
+    /// probation immediately (suspicion-driven blacklisting), with the
+    /// suspicion timeout armed toward a dead declaration.
+    fn probe_timed_out(&mut self, ctx: &mut Context<'_>, relay: NodeId) {
+        let Some(prober) = &mut self.prober else {
+            return;
+        };
+        if prober.pending.remove(&relay).is_none() {
+            return;
+        }
+        let now = ctx.now();
+        if prober.detector.suspect(PeerId(relay.0), now) {
+            self.blacklist.bar(relay, now);
+            ctx.set_timer(prober.config.suspicion_timeout, SUSPECT_BASE + relay.0);
+            if self.trace.is_enabled() {
+                self.trace.emit(
+                    TraceEvent::new(now, ctx.self_id().0, "mship.suspect").attr("relay", relay.0),
+                );
+            }
+        }
+    }
+
+    /// A suspicion timeout expired: if the suspicion still stands (no
+    /// refutation reset the clock), declare the relay dead and top up
+    /// the fakes its plans entrusted to it.
+    fn suspicion_expired(&mut self, ctx: &mut Context<'_>, relay: NodeId) {
+        let Some(prober) = &mut self.prober else {
+            return;
+        };
+        let now = ctx.now();
+        let suspected_since = now.saturating_sub(prober.config.suspicion_timeout);
+        if !prober
+            .detector
+            .declare_dead(PeerId(relay.0), suspected_since, now)
+        {
+            return;
+        }
+        if self.trace.is_enabled() {
+            self.trace
+                .emit(TraceEvent::new(now, ctx.self_id().0, "mship.dead").attr("relay", relay.0));
+        }
+        if self.setup.adaptive {
+            self.proactive_top_up(ctx, relay);
+        }
+    }
+
+    /// An ack arrived: clear the pending probe and apply the relay's
+    /// incarnation as firsthand aliveness. When that refutes a standing
+    /// suspicion or death, the relay is forgiven early — its blacklist
+    /// entry removed outright, ahead of any fixed probation TTL.
+    fn handle_ack(&mut self, ctx: &mut Context<'_>, relay: NodeId, payload: &[u8]) {
+        let Some(prober) = &mut self.prober else {
+            return;
+        };
+        let Some((seq, incarnation)) = decode_ack(payload) else {
+            return;
+        };
+        if prober.pending.get(&relay) == Some(&seq) {
+            prober.pending.remove(&relay);
+        }
+        let (peer, now) = (PeerId(relay.0), ctx.now());
+        let state = |detector: &FailureDetector| detector.state_of(peer).map(|s| s.0);
+        let was_barred = matches!(
+            state(&prober.detector),
+            Some(MemberState::Suspect | MemberState::Dead)
+        );
+        prober.detector.ack(peer, incarnation, now);
+        if was_barred && state(&prober.detector) == Some(MemberState::Alive) {
+            self.blacklist.forgive(relay);
+            if self.trace.is_enabled() {
+                self.trace.emit(
+                    TraceEvent::new(now, ctx.self_id().0, "mship.refute")
+                        .attr("relay", relay.0)
+                        .attr("incarnation", incarnation),
+                );
+            }
+        }
+    }
+
+    /// The proactive half of the adaptive repair: when the prober
+    /// declares a relay dead, every plan still live (unanswered, or
+    /// answered within the last retry window — its dilution still
+    /// matters to the engine's aggregate view) that entrusted a fake to
+    /// it gets that fake resubmitted through a fresh relay now, instead
+    /// of waiting for a retry to notice the loss. Answered plans past
+    /// that window are dropped here.
+    fn proactive_top_up(&mut self, ctx: &mut Context<'_>, dead: NodeId) {
+        let Some(prober) = &mut self.prober else {
+            return;
+        };
+        let now = ctx.now();
+        let live = |plan: &Plan| now.saturating_sub(plan.sent_at) <= RETRY_TIMEOUT;
+        self.plans
+            .retain(|_, (plan, answered)| !*answered || live(plan));
+        let usable = self.blacklist.usable(&self.relays, now);
+        let mut fresh: Vec<(u64, NodeId)> = Vec::new();
+        for (seq, (plan, _)) in &mut self.plans {
+            if !plan.fake_relays.contains(&dead) {
+                continue;
+            }
+            plan.fake_relays.retain(|r| *r != dead);
+            let candidates = plan.top_up_candidates(usable.clone());
+            if candidates.is_empty() {
+                continue;
+            }
+            let relay = candidates[prober.rng.gen_index(candidates.len())];
+            plan.fake_relays.push(relay);
+            fresh.push((*seq, relay));
+        }
+        for (seq, relay) in fresh {
+            self.defer_send(ctx, relay, seq, false, 0);
+            self.ledger().topped_up(seq, 1, true);
+            if self.trace.is_enabled() {
+                self.trace.emit(
+                    TraceEvent::new(now, ctx.self_id().0, "query.top_up")
+                        .query(seq)
+                        .attr("count", 1_u64)
+                        .attr("proactive", true)
+                        .attr("dead", dead.0),
+                );
+            }
+        }
+    }
+}
+
+impl Prober {
+    /// Sends one ping carrying the client's current belief about the
+    /// relay, so a wrongly-suspected (or wrongly-dead) relay can refute
+    /// by acking a bumped incarnation. Returns the ping's sequence number.
+    fn ping(&mut self, ctx: &mut Context<'_>, relay: NodeId) -> u64 {
+        let seq = self.next_ping;
+        self.next_ping += 1;
+        let (state, incarnation) = match self.detector.state_of(PeerId(relay.0)) {
+            Some((state, incarnation, _)) => (state, incarnation),
+            None => (MemberState::Alive, 0),
+        };
+        let payload = encode_ping(seq, state.to_wire(), incarnation);
+        ctx.send(relay, TAG_PING, payload);
+        seq
+    }
+}
+
+impl<L: Ledger> NodeBehavior for Client<L> {
+    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
+        match envelope.tag {
+            TAG_ACK => self.handle_ack(ctx, envelope.src, &envelope.payload),
+            // Answers to fakes are dropped (paper §IV step 8).
+            TAG_RESPONSE => {
+                if let Some(seq) = Request::parse(&envelope.payload).and_then(|r| r.real_seq()) {
+                    self.answer(ctx, seq);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        if token >= PROBE_ROUND {
+            self.probe_round(ctx);
+        } else if token >= SUSPECT_BASE {
+            self.suspicion_expired(ctx, NodeId(token - SUSPECT_BASE));
+        } else if token >= PROBE_TIMEOUT_BASE {
+            self.probe_timed_out(ctx, NodeId(token - PROBE_TIMEOUT_BASE));
+        } else if token >= RETRY_BASE {
+            self.retry(ctx, token - RETRY_BASE);
+        } else if token >= OUTBOX_BASE {
+            if let Some((relay, payload)) = self.outbox.remove(&token) {
+                ctx.send(relay, TAG_FORWARD, payload);
+                self.account();
+            }
+        } else {
+            self.launch(ctx, token);
+        }
     }
 }
 

@@ -14,19 +14,16 @@
 use crate::adversary::AdversaryConfig;
 use crate::churn::churn_stream;
 use crate::deployment::{
-    decode_ack, deploy, encode_ping, lock, relay_id, Blacklist, ChurnTelemetry, DeploymentMetrics,
-    Fleet, Plan, Request, OUTBOX_BASE, PROBE_ROUND, PROBE_TIMEOUT_BASE, RETRY_BASE, RETRY_TIMEOUT,
-    SUSPECT_BASE, TAG_ACK, TAG_FORWARD, TAG_PING, TAG_RESPONSE,
+    deploy, lock, relay_id, ChurnTelemetry, Client, ClientSetup, DeploymentMetrics, Fleet, Ledger,
+    PROBE_ROUND,
 };
 use crate::plan::{ChaosPlan, FaultKind};
 use cyclosa_net::engine::Engine;
-use cyclosa_net::sim::{Context, Envelope, NodeBehavior, SimulationStats};
+use cyclosa_net::sim::SimulationStats;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_peer_sampling::{FailureDetector, MemberState, PeerId};
-use cyclosa_telemetry::{TraceEvent, TraceSink};
-use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
-use std::collections::{BTreeMap, BTreeSet};
+use cyclosa_util::rng::Rng;
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 /// RNG salt of the churn and partition runs.
@@ -48,8 +45,9 @@ const CLIENT_UPLINK_PER_REQUEST: SimTime = SimTime::from_millis(45);
 
 /// Configuration of the client's SWIM-style relay probing — the
 /// protocol-native alternative to fixed-TTL probation. When enabled (see
-/// [`ChurnConfig::membership`]), the client runs a [`FailureDetector`]
-/// over the relay population: periodic pings, alive → suspect on an
+/// [`ChurnConfig::membership`]), the client runs a
+/// [`FailureDetector`](cyclosa_peer_sampling::FailureDetector) over the
+/// relay population: periodic pings, alive → suspect on an
 /// unanswered probe, suspect → dead when the suspicion timeout expires
 /// unrefuted. Probation becomes suspicion-driven: a suspected relay is
 /// blacklisted the moment its probe times out, and a refuting ack (the
@@ -260,424 +258,40 @@ pub struct ChurnOutcome {
     pub stats: SimulationStats,
 }
 
-/// The churn client: keeps every query's plan for the whole run (the
-/// per-query ledger), launches from up-front timers and, in membership
-/// mode, probes the relays.
-struct ChurnClient {
-    config: ChurnConfig,
-    relays: Vec<NodeId>,
-    rng: Xoshiro256StarStar,
-    /// Every launched query's plan and whether its answer has arrived,
-    /// kept for the whole run: late duplicates must be recognised, and the
-    /// prober still tops up the plans of recently answered queries.
-    plans: BTreeMap<usize, (Plan, bool)>,
-    /// Relays the client has given up on.
-    blacklist: Blacklist,
-    /// Requests waiting behind the uplink, indexed by timer token; a
-    /// payload is moved out when its token fires.
-    outbox: Vec<(NodeId, Vec<u8>)>,
-    /// The outcome under construction: the client fills in its ledger
-    /// (latencies, answers, retries, top-ups, clamps), the runner the rest.
-    sink: Arc<Mutex<ChurnOutcome>>,
-    /// Causal-trace sink (disabled by default — emissions are no-ops).
-    trace: TraceSink,
-    /// Relays the applied fault plans take down (crash or leave) — used
-    /// only to annotate `query.repair` events with whether the repaired
-    /// failure was an injected fault, never to influence behaviour.
-    victims: BTreeSet<NodeId>,
-    /// The clamped-sample counter and end-to-end latency histogram, when
-    /// metrics are on.
-    metrics: Option<DeploymentMetrics>,
-    /// The client-side failure detector over the relays. Its randomized
-    /// probe cycle draws from `probe_rng`, a stream separate from the
-    /// query-plan RNG, so probing never perturbs plan selection.
-    detector: FailureDetector,
-    probe_rng: Xoshiro256StarStar,
-    probe_seq: u64,
-    /// In-flight probes: relay → probe sequence number. An ack clears
-    /// the entry; a timeout that still finds it suspects the relay.
-    pending_probes: BTreeMap<NodeId, u64>,
-    /// Round-robin cursor over dead members for the per-round knock —
-    /// the re-probe that lets a recovered (or merely partitioned-away)
-    /// relay refute its death and win early forgiveness.
-    dead_cursor: usize,
-}
+impl Ledger for ChurnOutcome {
+    fn launched(&mut self, _seq: u64, _skipped: bool) {}
 
-impl ChurnClient {
-    /// Queues one request of query `seq` for `relay` behind the uplink.
-    fn defer_send(
-        &mut self,
-        ctx: &mut Context<'_>,
-        relay: NodeId,
-        seq: usize,
-        real: bool,
-        slot: u64,
-    ) {
-        let request = Request {
-            client: ctx.self_id().0,
-            seq: seq as u64,
-            real,
-        };
-        self.outbox.push((relay, request.encode()));
-        let delay = SimTime::from_nanos(CLIENT_UPLINK_PER_REQUEST.as_nanos() * (slot + 1));
-        ctx.set_timer(delay, OUTBOX_BASE + (self.outbox.len() - 1) as u64);
+    fn retried(&mut self, _seq: u64) {
+        self.retries += 1;
     }
 
-    fn launch(&mut self, ctx: &mut Context<'_>, seq: usize) {
-        let now = ctx.now();
-        let usable = self.blacklist.usable(&self.relays, now);
-        if usable.is_empty() {
-            return;
-        }
-        let (plan, requests) = Plan::draw(&usable, self.config.k, now, &mut self.rng);
-        for (slot, (relay, real)) in requests.into_iter().enumerate() {
-            self.defer_send(ctx, relay, seq, real, slot as u64);
-        }
-        if self.trace.is_enabled() {
-            if let Some(real) = plan.real_relay {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "query.launch")
-                        .query(seq as u64)
-                        .attr("relay", real.0)
-                        .attr("fakes", plan.fake_relays.len()),
-                );
-            }
-        }
-        self.plans.insert(seq, (plan, false));
-        // A client that never retries (Fig. 8a/8b) arms no retry timers.
-        if self.config.max_retries > 0 {
-            ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq as u64);
-        }
-    }
-
-    fn retry(&mut self, ctx: &mut Context<'_>, seq: usize) {
-        let Some((plan, false)) = self.plans.get_mut(&seq) else {
-            return;
-        };
-        if plan.attempts >= self.config.max_retries {
-            return;
-        }
-        let now = ctx.now();
-        let (failed, replacement) =
-            plan.repair(&mut self.blacklist, &self.relays, now, &mut self.rng);
-        let attempts = plan.attempts;
-        let Some(replacement) = replacement else {
-            // Nobody to resubmit through right now: the attempt is spent,
-            // but a probation expiry or a refutation may bring relays
-            // back before the next one.
-            ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq as u64);
-            return;
-        };
-        lock(&self.sink).retries += 1;
-        if self.trace.is_enabled() {
-            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.repair")
-                .query(seq as u64)
-                .attr("attempt", attempts);
-            if let Some(dead) = failed {
-                event = event.attr("failed", dead.0);
-            }
-            self.trace
-                .emit(event.attr("replacement", replacement.0).attr(
-                    "fault_injected",
-                    failed.is_some_and(|dead| self.victims.contains(&dead)),
-                ));
-        }
-        self.defer_send(ctx, replacement, seq, true, 0);
-        if self.config.adaptive {
-            self.top_up_fakes(ctx, seq);
-        }
-        ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq as u64);
-    }
-
-    /// The adaptive-k repair on a retry (see [`Plan::top_up`]): the
-    /// resubmission carries the fake shortfall too.
-    fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: usize) {
-        let Some((plan, _)) = self.plans.get_mut(&seq) else {
-            return;
-        };
-        let (k, now) = (self.config.k, ctx.now());
-        let fresh = plan.top_up(&self.blacklist, &self.relays, k, now, &mut self.rng);
-        for (slot, relay) in fresh.iter().enumerate() {
-            self.defer_send(ctx, *relay, seq, false, slot as u64 + 1);
-        }
-        lock(&self.sink).fakes_topped_up += fresh.len() as u64;
-        if !fresh.is_empty() && self.trace.is_enabled() {
-            self.trace.emit(
-                TraceEvent::new(now, ctx.self_id().0, "query.top_up")
-                    .query(seq as u64)
-                    .attr("count", fresh.len() as u64),
-            );
-        }
-    }
-
-    /// One probe round of the membership prober: ping the next
-    /// `probes_per_round` relays of the detector's shuffled cycle, knock
-    /// on one currently-dead relay (the refutation channel for recovered
-    /// or re-merged relays), and re-arm while queries are still issuing.
-    fn probe_round(&mut self, ctx: &mut Context<'_>) {
-        let Some(probe) = self.config.membership else {
-            return;
-        };
-        for _ in 0..probe.probes_per_round {
-            let Some(peer) = self.detector.next_probe_target(&mut self.probe_rng) else {
-                break;
-            };
-            let relay = NodeId(peer.0);
-            if self.pending_probes.contains_key(&relay) {
-                continue;
-            }
-            let seq = self.send_ping(ctx, relay);
-            self.pending_probes.insert(relay, seq);
-            ctx.set_timer(probe.probe_timeout, PROBE_TIMEOUT_BASE + relay.0);
-        }
-        let dead = self.detector.dead_members();
-        if !dead.is_empty() {
-            let peer = dead[self.dead_cursor % dead.len()];
-            self.dead_cursor += 1;
-            let relay = NodeId(peer.0);
-            if !self.pending_probes.contains_key(&relay) {
-                // No timeout timer: the relay is already declared dead,
-                // so only an ack (a refutation) changes anything.
-                self.send_ping(ctx, relay);
-            }
-        }
-        if ctx.now() + probe.probe_period < self.config.horizon() {
-            ctx.set_timer(probe.probe_period, PROBE_ROUND);
-        }
-    }
-
-    /// Sends one ping carrying the client's current belief about the
-    /// relay, so a wrongly-suspected (or wrongly-dead) relay can refute
-    /// by acking a bumped incarnation.
-    fn send_ping(&mut self, ctx: &mut Context<'_>, relay: NodeId) -> u64 {
-        let seq = self.probe_seq;
-        self.probe_seq += 1;
-        let (state, incarnation) = match self.detector.state_of(PeerId(relay.0)) {
-            Some((state, incarnation, _)) => (state, incarnation),
-            None => (MemberState::Alive, 0),
-        };
-        ctx.send(
-            relay,
-            TAG_PING,
-            encode_ping(seq, state.to_wire(), incarnation),
-        );
-        seq
-    }
-
-    /// A direct probe went unanswered: suspect the relay and put it on
-    /// probation immediately (suspicion-driven blacklisting), with the
-    /// suspicion timeout armed toward a dead declaration.
-    fn probe_timed_out(&mut self, ctx: &mut Context<'_>, relay: NodeId) {
-        let Some(probe) = self.config.membership else {
-            return;
-        };
-        if self.pending_probes.remove(&relay).is_none() {
-            return;
-        }
-        let now = ctx.now();
-        if self.detector.suspect(PeerId(relay.0), now) {
-            self.blacklist.bar(relay, now);
-            ctx.set_timer(probe.suspicion_timeout, SUSPECT_BASE + relay.0);
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "mship.suspect").attr("relay", relay.0),
-                );
-            }
-        }
-    }
-
-    /// A suspicion timeout expired: if the suspicion still stands (no
-    /// refutation reset the clock), declare the relay dead and top up
-    /// the fakes its plans entrusted to it.
-    fn suspicion_expired(&mut self, ctx: &mut Context<'_>, relay: NodeId) {
-        let Some(probe) = self.config.membership else {
-            return;
-        };
-        let now = ctx.now();
-        let suspected_since = now.saturating_sub(probe.suspicion_timeout);
-        if self
-            .detector
-            .declare_dead(PeerId(relay.0), suspected_since, now)
-        {
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "mship.dead").attr("relay", relay.0),
-                );
-            }
-            self.proactive_top_up(ctx, relay);
-        }
-    }
-
-    /// An ack arrived: clear the pending probe and apply the relay's
-    /// incarnation as firsthand aliveness. When that refutes a standing
-    /// suspicion or death, the relay is forgiven early — its blacklist
-    /// entry removed outright, ahead of any fixed probation TTL.
-    fn handle_ack(&mut self, ctx: &mut Context<'_>, relay: NodeId, payload: &[u8]) {
-        if self.config.membership.is_none() {
-            return;
-        }
-        let Some((seq, incarnation)) = decode_ack(payload) else {
-            return;
-        };
-        if self.pending_probes.get(&relay) == Some(&seq) {
-            self.pending_probes.remove(&relay);
-        }
-        let peer = PeerId(relay.0);
-        let now = ctx.now();
-        let was_barred = matches!(
-            self.detector.state_of(peer),
-            Some((MemberState::Suspect | MemberState::Dead, _, _))
-        );
-        self.detector.ack(peer, incarnation, now);
-        let alive_again = matches!(
-            self.detector.state_of(peer),
-            Some((MemberState::Alive, _, _))
-        );
-        if was_barred && alive_again {
-            self.blacklist.forgive(relay);
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "mship.refute")
-                        .attr("relay", relay.0)
-                        .attr("incarnation", incarnation),
-                );
-            }
-        }
-    }
-
-    /// The proactive half of the adaptive repair: when the prober
-    /// declares a relay dead, every plan still live (unanswered, or
-    /// answered within the last retry window — its dilution still
-    /// matters to the engine's aggregate view) that entrusted a fake to
-    /// it gets that fake resubmitted through a fresh relay now, instead
-    /// of waiting for a retry to notice the loss.
-    fn proactive_top_up(&mut self, ctx: &mut Context<'_>, dead: NodeId) {
-        if !self.config.adaptive {
-            return;
-        }
-        let now = ctx.now();
-        let usable = self.blacklist.usable(&self.relays, now);
-        let mut fresh: Vec<(usize, NodeId)> = Vec::new();
-        for (seq, (plan, answered)) in &mut self.plans {
-            let live = !*answered || now.saturating_sub(plan.sent_at) <= RETRY_TIMEOUT;
-            if !live || !plan.fake_relays.contains(&dead) {
-                continue;
-            }
-            plan.fake_relays.retain(|r| *r != dead);
-            let candidates = plan.top_up_candidates(usable.clone());
-            if candidates.is_empty() {
-                continue;
-            }
-            let relay = candidates[self.probe_rng.gen_index(candidates.len())];
-            plan.fake_relays.push(relay);
-            fresh.push((*seq, relay));
-        }
-        for (seq, relay) in fresh {
-            self.defer_send(ctx, relay, seq, false, 0);
-            lock(&self.sink).fakes_topped_up_proactive += 1;
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "query.top_up")
-                        .query(seq as u64)
-                        .attr("count", 1_u64)
-                        .attr("proactive", true)
-                        .attr("dead", dead.0),
-                );
-            }
-        }
-    }
-}
-
-impl NodeBehavior for ChurnClient {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag == TAG_ACK {
-            self.handle_ack(ctx, envelope.src, &envelope.payload);
-            return;
-        }
-        if envelope.tag != TAG_RESPONSE {
-            return;
-        }
-        // Responses to fake queries are silently dropped (paper §IV step 8).
-        let Some(seq) = Request::parse(&envelope.payload).and_then(|r| r.real_seq()) else {
-            return;
-        };
-        if let Some((plan, answered @ false)) = self.plans.get_mut(&(seq as usize)) {
-            *answered = true;
-            let (seq, sent, now) = (seq as usize, plan.sent_at, ctx.now());
-            let achieved_k = plan.achieved_k(&self.blacklist, now);
-            let mut sink = lock(&self.sink);
-            sink.answered += 1;
-            // A response can never precede its send; a negative round trip
-            // means the event order broke. Surface it instead of silently
-            // recording zero.
-            let round_trip = now.checked_sub(sent);
-            let latency_s = match round_trip {
-                Some(round_trip) => {
-                    if let Some(metrics) = &self.metrics {
-                        metrics.end_to_end_ns.record_time(round_trip);
-                    }
-                    round_trip.as_secs_f64()
-                }
-                None => {
-                    debug_assert!(
-                        false,
-                        "response at {now} precedes send at {sent} for query {seq}"
-                    );
-                    sink.clamped_samples += 1;
-                    if let Some(metrics) = &self.metrics {
-                        metrics.clamped_samples.inc();
-                    }
-                    if self.trace.is_enabled() {
-                        self.trace.emit(
-                            TraceEvent::new(now, ctx.self_id().0, "latency.clamped")
-                                .query(seq as u64),
-                        );
-                    }
-                    0.0
-                }
-            };
-            sink.latencies.push(latency_s);
-            sink.answered_queries.push(AnsweredQuery {
-                seq,
-                latency_s,
-                achieved_k,
-            });
-            if self.trace.is_enabled() {
-                // Spans are stamped at completion, when the answer
-                // arrives; the Chrome exporter back-dates the slice by
-                // its duration so it covers [sent, answered].
-                let mut event = TraceEvent::new(now, ctx.self_id().0, "query.answered")
-                    .query(seq as u64)
-                    .attr("achieved_k", achieved_k)
-                    .attr("assessed_k", self.config.k)
-                    .attr("attempts", plan.attempts);
-                if let Some(round_trip) = round_trip {
-                    event = event.span(round_trip);
-                }
-                self.trace.emit(event);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token >= PROBE_ROUND {
-            self.probe_round(ctx);
-        } else if token >= SUSPECT_BASE {
-            self.suspicion_expired(ctx, NodeId(token - SUSPECT_BASE));
-        } else if token >= PROBE_TIMEOUT_BASE {
-            self.probe_timed_out(ctx, NodeId(token - PROBE_TIMEOUT_BASE));
-        } else if token >= RETRY_BASE {
-            self.retry(ctx, (token - RETRY_BASE) as usize);
-        } else if token >= OUTBOX_BASE {
-            // Each token fires once: the payload leaves with it, and the
-            // emptied slot keeps the later tokens' indices.
-            if let Some((relay, payload)) = self.outbox.get_mut((token - OUTBOX_BASE) as usize) {
-                ctx.send(*relay, TAG_FORWARD, std::mem::take(payload));
-            }
+    fn topped_up(&mut self, _seq: u64, count: u64, proactive: bool) {
+        if proactive {
+            self.fakes_topped_up_proactive += count;
         } else {
-            self.launch(ctx, token as usize);
+            self.fakes_topped_up += count;
         }
     }
+
+    fn answered(&mut self, seq: u64, latency: Option<SimTime>, achieved_k: usize, _k: usize) {
+        let latency_s = latency.map_or(0.0, |latency| latency.as_secs_f64());
+        self.clamped_samples += u64::from(latency.is_none());
+        self.answered += 1;
+        self.latencies.push(latency_s);
+        self.answered_queries.push(AnsweredQuery {
+            seq: seq as usize,
+            latency_s,
+            achieved_k,
+        });
+    }
+
+    /// A churn outcome has no violation list (its `Debug` form is
+    /// pinned), so a broken invariant fails debug builds outright.
+    fn violation(&mut self, message: String) {
+        debug_assert!(false, "{message}");
+    }
+
+    fn peak(&mut self, _inflight: u64, _resident_bytes: usize) {}
 }
 
 /// Runs the churn latency experiment on `engine` — any [`Engine`], see
@@ -736,32 +350,21 @@ pub(crate) fn run_deployment<E: Engine + ?Sized>(
             _ => None,
         })
         .collect();
-    let sink = Arc::new(Mutex::new(ChurnOutcome::default()));
+    let ledger = Arc::new(Mutex::new(ChurnOutcome::default()));
+    let setup = ClientSetup {
+        k: config.k,
+        max_retries: config.max_retries,
+        adaptive: config.adaptive,
+        blacklist_ttl: config.blacklist_ttl,
+        uplink: CLIENT_UPLINK_PER_REQUEST,
+        arrival: None,
+        victims: Some(victims),
+        metrics,
+    };
+    let membership = config.membership.map(|probe| (probe, config.horizon()));
     let client = deployed.client;
-    engine.add_node(
-        client,
-        Box::new(ChurnClient {
-            config: *config,
-            relays: deployed.relays.clone(),
-            rng: deployed.rng.fork(2),
-            plans: BTreeMap::new(),
-            blacklist: Blacklist::new(config.blacklist_ttl),
-            outbox: Vec::new(),
-            sink: sink.clone(),
-            trace: telemetry.trace.clone(),
-            victims,
-            metrics,
-            detector: FailureDetector::new(
-                PeerId(client.0),
-                deployed.relays.iter().map(|r| PeerId(r.0)),
-                0,
-            ),
-            probe_rng: deployed.rng.fork(3),
-            probe_seq: 0,
-            pending_probes: BTreeMap::new(),
-            dead_cursor: 0,
-        }),
-    );
+    let behavior = Client::new(setup, membership, &mut deployed, &ledger, &telemetry.trace);
+    engine.add_node(client, Box::new(behavior));
     for i in 0..config.queries {
         engine.schedule_timer(ChurnConfig::issued_at(i), client, i as u64);
     }
@@ -785,9 +388,9 @@ pub(crate) fn run_deployment<E: Engine + ?Sized>(
     engine.run();
     let ((dropped, delayed, forged), observed_real, observed_total) =
         deployed.coalition(|l| (l.tampered(), l.observed_real(), l.observed_total()));
-    let ledger = lock(&sink).clone();
+    let outcome = lock(&ledger).clone();
     ChurnOutcome {
-        unanswered: config.queries - ledger.answered,
+        unanswered: config.queries - outcome.answered,
         failed_relays,
         byzantine_relays: deployed.byzantine_relays,
         byzantine_dropped: dropped,
@@ -796,7 +399,7 @@ pub(crate) fn run_deployment<E: Engine + ?Sized>(
         colluded_real_observed: observed_real,
         colluded_total_observed: observed_total,
         stats: engine.stats(),
-        ..ledger
+        ..outcome
     }
 }
 
@@ -807,7 +410,7 @@ mod tests {
     use crate::deployment::EngineChoice;
     use cyclosa_net::sim::Simulation;
     use cyclosa_telemetry::metrics::Registry;
-    use cyclosa_telemetry::AttrValue;
+    use cyclosa_telemetry::{AttrValue, TraceSink};
     use cyclosa_util::stats::Summary;
 
     fn run_on(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
@@ -1223,6 +826,27 @@ mod tests {
             (8, 0),
             "a query whose retry found no usable relay was never retried again"
         );
+    }
+
+    #[test]
+    fn an_answer_after_the_retry_budget_is_spent_is_discarded() {
+        // Every relay holds real queries for 20 s, far past the single
+        // resubmission (3 s) and the exhausted budget (6 s): each plan is
+        // closed before its answer arrives, so no answer counts.
+        let config = ChurnConfig {
+            queries: 20,
+            max_retries: 1,
+            ..adversarial(
+                ByzantinePolicy::DelayRealQueries {
+                    extra: SimTime::from_secs(20),
+                },
+                1.0,
+            )
+        };
+        let outcome = run_churn_experiment(&config);
+        assert!(outcome.byzantine_delayed > 0, "the coalition must delay");
+        assert_eq!((outcome.answered, outcome.unanswered), (0, 20));
+        assert!(outcome.latencies.is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the `slo.*` alerts spliced in at their window-end timestamps, sort
 //! invariant preserved) ready for JSONL export.
 //!
-//! The SLO targets derive from the churn client's own timing
+//! The SLO targets derive from the client's own timing
 //! ([`churn_slo_config`]), so a failure-free baseline run passes by
 //! construction: every answered query reports `achieved_k == assessed_k`
 //! and first-attempt latency sits far below the retry timeout. Any

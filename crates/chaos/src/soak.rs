@@ -5,18 +5,18 @@
 //! continuously asserting the run's invariants instead of just
 //! summarising it.
 //!
-//! The short churn experiment ([`crate::experiment`]) keeps per-query
-//! state for the whole run, which is the right trade for 200 queries and
-//! the wrong one for 10⁶. The soak driver is the memory-bounded variant:
+//! It drives the same client as the short churn experiment
+//! ([`crate::experiment`]); what keeps 10⁶ queries flat is what the soak
+//! hands it and keeps of it:
 //!
-//! * the client **chains** its next launch timer instead of scheduling a
-//!   million timers up front, and prunes each query's state the moment it
-//!   is answered (or exhausts its retries), so resident state tracks the
-//!   in-flight window, not the horizon;
+//! * the client **chains** its launches from the [`ArrivalModel`]
+//!   instead of taking a million timers up front, and it drops each
+//!   query's plan the moment it is answered (or exhausts its retries), so
+//!   resident state tracks the in-flight window, not the horizon;
 //! * the shared relays and engine node prune their in-service maps on
-//!   completion (in every run, but here it is what keeps 10⁶ queries flat);
+//!   completion;
 //! * results aggregate into fixed-size per-window ledgers
-//!   ([`SoakWindow`]) rather than per-query vectors.
+//!   ([`SoakWindow`]) rather than the churn run's per-query vectors.
 //!
 //! Invariants are checked **during** the run (violations collect into
 //! [`SoakOutcome::violations`], capped so a broken run cannot OOM the
@@ -33,18 +33,12 @@
 
 use crate::adversary::AdversaryConfig;
 use crate::churn::ChurnModel;
-use crate::deployment::{
-    deploy, lock, Blacklist, Fleet, Plan, Request, OUTBOX_BASE, RETRY_BASE, RETRY_TIMEOUT,
-    TAG_FORWARD, TAG_RESPONSE, TOKEN_LAUNCH,
-};
+use crate::deployment::{deploy, lock, Client, ClientSetup, Fleet, Ledger, RETRY_TIMEOUT};
 use crate::plan::ChaosPlan;
 use cyclosa_net::engine::Engine;
-use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation, SimulationStats};
+use cyclosa_net::sim::{Simulation, SimulationStats};
 use cyclosa_net::time::SimTime;
-use cyclosa_net::NodeId;
-use cyclosa_telemetry::{TraceEvent, TraceSink};
-use cyclosa_util::rng::Xoshiro256StarStar;
-use std::collections::BTreeMap;
+use cyclosa_telemetry::TraceSink;
 use std::sync::{Arc, Mutex};
 
 /// RNG salt of the soak runs.
@@ -299,11 +293,10 @@ pub struct SoakOutcome {
 }
 
 impl SoakOutcome {
-    fn violation(&mut self, message: String) {
-        self.violation_count += 1;
-        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
-            self.violations.push(message);
-        }
+    /// The window holding query `seq`.
+    fn window(&mut self, seq: u64) -> &mut SoakWindow {
+        let after = self.windows.partition_point(|w| w.first_seq <= seq);
+        &mut self.windows[after - 1]
     }
 
     /// The CI gate: zero invariant violations, zero clamped samples,
@@ -351,300 +344,45 @@ impl SoakOutcome {
     }
 }
 
-/// The outcome under construction, shared with the client: it fills in
-/// the windows, counters, peaks and violations, the runner the rest.
-type SharedSink = Arc<Mutex<SoakOutcome>>;
-
-/// Modelled resident cost of one in-flight map entry (key + struct); the
-/// fake list adds [`PEER_COST`] per entry on top.
-const INFLIGHT_COST: usize = 96;
-/// Modelled resident cost per relay id held in a fake list.
-const PEER_COST: usize = 8;
-/// Modelled resident cost of one outbox entry, excluding the payload.
-const OUTBOX_COST: usize = 64;
-/// Modelled resident cost of one blacklist entry.
-const BLACKLIST_COST: usize = 48;
-
-/// The soak client: chains its launches and keeps only the in-flight
-/// window, checking the run's invariants as it goes.
-struct SoakClient {
-    config: SoakConfig,
-    relays: Vec<NodeId>,
-    arrival: ArrivalModel,
-    rng: Xoshiro256StarStar,
-    next_seq: u64,
-    /// The in-flight plans; each is pruned the moment its answer arrives
-    /// or its retry budget is exhausted (late answers after exhaustion
-    /// are discarded — bounded memory requires closing plans).
-    inflight: BTreeMap<u64, Plan>,
-    blacklist: Blacklist,
-    outbox: BTreeMap<u64, (NodeId, Vec<u8>)>,
-    next_outbox: u64,
-    /// High-water marks reported to the sink only when they move — the
-    /// peaks are maxima, so reporting order across shards cannot matter.
-    peak_resident: usize,
-    peak_inflight: u64,
-    sink: SharedSink,
-    trace: TraceSink,
-}
-
-impl SoakClient {
-    fn window_index(&self, seq: u64) -> usize {
-        (seq / self.config.window_queries.max(1)) as usize
+impl Ledger for SoakOutcome {
+    fn launched(&mut self, seq: u64, skipped: bool) {
+        let window = self.window(seq);
+        window.launched += 1;
+        window.skipped += u64::from(skipped);
     }
 
-    /// Recomputes the modelled resident footprint after a state change
-    /// and records the peaks. Incremental bookkeeping would be cheaper
-    /// but easy to desynchronise; the in-flight window is small (pruning
-    /// is the whole point), so a full walk per mutation batch is fine.
-    fn account(&mut self) {
-        let inflight: usize = self
-            .inflight
-            .values()
-            .map(|q| INFLIGHT_COST + q.fake_relays.len() * PEER_COST)
-            .sum();
-        let outbox: usize = self
-            .outbox
-            .values()
-            .map(|(_, payload)| OUTBOX_COST + payload.len())
-            .sum();
-        let total = inflight + outbox + self.blacklist.len() * BLACKLIST_COST;
-        let count = self.inflight.len() as u64;
-        if total > self.peak_resident || count > self.peak_inflight {
-            self.peak_resident = self.peak_resident.max(total);
-            self.peak_inflight = self.peak_inflight.max(count);
-            let mut sink = lock(&self.sink);
-            sink.peak_resident_bytes = sink.peak_resident_bytes.max(self.peak_resident);
-            sink.peak_inflight = sink.peak_inflight.max(self.peak_inflight);
+    fn retried(&mut self, seq: u64) {
+        self.retries += 1;
+        self.window(seq).retries += 1;
+    }
+
+    fn topped_up(&mut self, seq: u64, count: u64, _proactive: bool) {
+        self.fakes_topped_up += count;
+        self.window(seq).topped_up += count;
+    }
+
+    fn answered(&mut self, seq: u64, latency: Option<SimTime>, achieved_k: usize, k: usize) {
+        let latency_s = latency.map_or(0.0, |latency| latency.as_secs_f64());
+        self.clamped_samples += u64::from(latency.is_none());
+        self.answered += 1;
+        let window = self.window(seq);
+        window.answered += 1;
+        window.latency_sum_s += latency_s;
+        window.latency_max_s = window.latency_max_s.max(latency_s);
+        window.min_achieved_k = window.min_achieved_k.min(achieved_k);
+        window.under_target += u64::from(achieved_k < k);
+    }
+
+    fn violation(&mut self, message: String) {
+        self.violation_count += 1;
+        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
+            self.violations.push(message);
         }
     }
 
-    /// Hands one request of query `seq` to a relay, asserting the
-    /// probation invariant: a blacklisted relay must never be selected
-    /// while its probation is in force.
-    fn defer_send(
-        &mut self,
-        ctx: &mut Context<'_>,
-        relay: NodeId,
-        seq: u64,
-        real: bool,
-        slot: u64,
-    ) {
-        if self.blacklist.bars(relay, ctx.now()) {
-            lock(&self.sink).violation(format!(
-                "probation breach: relay {} selected at {} while blacklisted",
-                relay.0,
-                ctx.now()
-            ));
-        }
-        let token = OUTBOX_BASE + self.next_outbox;
-        self.next_outbox += 1;
-        let request = Request {
-            client: ctx.self_id().0,
-            seq,
-            real,
-        };
-        self.outbox.insert(token, (relay, request.encode()));
-        let delay = SimTime::from_nanos(CLIENT_UPLINK_PER_REQUEST.as_nanos() * (slot + 1));
-        ctx.set_timer(delay, token);
-    }
-
-    fn launch(&mut self, ctx: &mut Context<'_>) {
-        let seq = self.next_seq;
-        if seq >= self.config.queries {
-            return;
-        }
-        self.next_seq += 1;
-        // Chain the next launch before doing anything else, so a
-        // pathological window can never stall the arrival process.
-        if self.next_seq < self.config.queries {
-            ctx.set_timer(self.arrival.interval(seq), TOKEN_LAUNCH);
-        }
-        let window = self.window_index(seq);
-        let usable = self.blacklist.usable(&self.relays, ctx.now());
-        if usable.len() < 2 {
-            // Not enough population for even a degenerate plan: count the
-            // launch as skipped (it stays unanswered) and move on.
-            let mut sink = lock(&self.sink);
-            sink.windows[window].launched += 1;
-            sink.windows[window].skipped += 1;
-            return;
-        }
-        let (entry, requests) = Plan::draw(&usable, self.config.k, ctx.now(), &mut self.rng);
-        // Plan-distinctness invariant: `sample_indices` draws without
-        // replacement, so a duplicate relay means the sampler broke.
-        let mut relays_used: Vec<NodeId> = entry.fake_relays.clone();
-        relays_used.extend(entry.real_relay);
-        relays_used.sort_unstable_by_key(|n| n.0);
-        let before = relays_used.len();
-        relays_used.dedup();
-        if relays_used.len() != before {
-            lock(&self.sink).violation(format!("plan for query {seq} doubled up a relay"));
-        }
-        if self.trace.is_enabled() {
-            if let Some(real) = entry.real_relay {
-                self.trace.emit(
-                    TraceEvent::new(ctx.now(), ctx.self_id().0, "query.launch")
-                        .query(seq)
-                        .attr("relay", real.0)
-                        .attr("fakes", entry.fake_relays.len()),
-                );
-            }
-        }
-        self.inflight.insert(seq, entry);
-        lock(&self.sink).windows[window].launched += 1;
-        for (slot, (relay, real)) in requests.into_iter().enumerate() {
-            self.defer_send(ctx, relay, seq, real, slot as u64);
-        }
-        self.account();
-        ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq);
-    }
-
-    fn retry(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let now = ctx.now();
-        let window = self.window_index(seq);
-        let Some(entry) = self.inflight.get_mut(&seq) else {
-            return; // answered and pruned — the timer outlived the query
-        };
-        if entry.attempts >= MAX_RETRIES {
-            // Retry budget exhausted: the query stays unanswered; prune
-            // its state so the resident footprint tracks the live window.
-            self.inflight.remove(&seq);
-            self.account();
-            return;
-        }
-        let (failed, replacement) =
-            entry.repair(&mut self.blacklist, &self.relays, now, &mut self.rng);
-        let attempts = entry.attempts;
-        let Some(replacement) = replacement else {
-            ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq);
-            return;
-        };
-        {
-            let mut sink = lock(&self.sink);
-            sink.retries += 1;
-            sink.windows[window].retries += 1;
-        }
-        if self.trace.is_enabled() {
-            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.repair")
-                .query(seq)
-                .attr("attempt", attempts);
-            if let Some(dead) = failed {
-                event = event.attr("failed", dead.0);
-            }
-            self.trace.emit(event.attr("replacement", replacement.0));
-        }
-        self.defer_send(ctx, replacement, seq, true, 0);
-        self.top_up_fakes(ctx, seq);
-        self.account();
-        ctx.set_timer(RETRY_TIMEOUT, RETRY_BASE + seq);
-    }
-
-    /// The adaptive-k repair every retry makes (see [`Plan::top_up`]):
-    /// the resubmission carries the fake shortfall too.
-    fn top_up_fakes(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let (k, now) = (self.config.k, ctx.now());
-        let window = self.window_index(seq);
-        let Some(entry) = self.inflight.get_mut(&seq) else {
-            return;
-        };
-        let fresh = entry.top_up(&self.blacklist, &self.relays, k, now, &mut self.rng);
-        let topped_up = fresh.len() as u64;
-        for (slot, relay) in fresh.into_iter().enumerate() {
-            self.defer_send(ctx, relay, seq, false, slot as u64 + 1);
-        }
-        if topped_up > 0 {
-            {
-                let mut sink = lock(&self.sink);
-                sink.fakes_topped_up += topped_up;
-                sink.windows[window].topped_up += topped_up;
-            }
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "query.top_up")
-                        .query(seq)
-                        .attr("count", topped_up),
-                );
-            }
-        }
-    }
-
-    fn answered(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let now = ctx.now();
-        let window = self.window_index(seq);
-        let Some(entry) = self.inflight.remove(&seq) else {
-            return; // duplicate response, or a late answer after pruning
-        };
-        let achieved_k = entry.achieved_k(&self.blacklist, now);
-        let round_trip = now.checked_sub(entry.sent_at);
-        let mut sink = lock(&self.sink);
-        // The achieved-k ledger invariant: dilution can degrade under
-        // churn but can never exceed the configured target.
-        if achieved_k > self.config.k {
-            sink.violation(format!(
-                "query {seq} recorded achieved_k {achieved_k} above target {}",
-                self.config.k
-            ));
-        }
-        let latency_s = match round_trip {
-            Some(rt) => rt.as_secs_f64(),
-            None => {
-                sink.clamped_samples += 1;
-                sink.violation(format!(
-                    "query {seq}: response at {now} precedes send at {}",
-                    entry.sent_at
-                ));
-                0.0
-            }
-        };
-        sink.answered += 1;
-        let w = &mut sink.windows[window];
-        w.answered += 1;
-        w.latency_sum_s += latency_s;
-        w.latency_max_s = w.latency_max_s.max(latency_s);
-        w.min_achieved_k = w.min_achieved_k.min(achieved_k);
-        if achieved_k < self.config.k {
-            w.under_target += 1;
-        }
-        drop(sink);
-        if self.trace.is_enabled() {
-            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.answered")
-                .query(seq)
-                .attr("achieved_k", achieved_k)
-                .attr("assessed_k", self.config.k)
-                .attr("attempts", entry.attempts);
-            if let Some(rt) = round_trip {
-                event = event.span(rt);
-            }
-            self.trace.emit(event);
-        }
-        self.account();
-    }
-}
-
-impl NodeBehavior for SoakClient {
-    fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        if envelope.tag != TAG_RESPONSE {
-            return;
-        }
-        // Answers to fakes are dropped; `answered` ignores sequence
-        // numbers that are not in flight.
-        if let Some(seq) = Request::parse(&envelope.payload).and_then(|r| r.real_seq()) {
-            self.answered(ctx, seq);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token >= TOKEN_LAUNCH {
-            self.launch(ctx);
-        } else if token >= RETRY_BASE {
-            self.retry(ctx, token - RETRY_BASE);
-        } else if token >= OUTBOX_BASE {
-            if let Some((relay, payload)) = self.outbox.remove(&token) {
-                ctx.send(relay, TAG_FORWARD, payload);
-                self.account();
-            }
-        }
+    fn peak(&mut self, inflight: u64, resident_bytes: usize) {
+        self.peak_inflight = self.peak_inflight.max(inflight);
+        self.peak_resident_bytes = self.peak_resident_bytes.max(resident_bytes);
     }
 }
 
@@ -670,33 +408,28 @@ pub fn run_soak_on<E: Engine + ?Sized>(
             metrics: None,
         },
     );
-    let sink: SharedSink = Arc::new(Mutex::new(SoakOutcome {
+    let ledger = Arc::new(Mutex::new(SoakOutcome {
         windows: (0..config.windows())
             .map(|w| SoakWindow::new(w as u64 * config.window_queries.max(1)))
             .collect(),
         ..SoakOutcome::default()
     }));
-    engine.add_node(
-        deployed.client,
-        Box::new(SoakClient {
-            config: config.clone(),
-            relays: deployed.relays.clone(),
-            arrival: config.arrival(),
-            rng: deployed.rng.fork(2),
-            next_seq: 0,
-            inflight: BTreeMap::new(),
-            blacklist: Blacklist::new(Some(BLACKLIST_TTL)),
-            outbox: BTreeMap::new(),
-            next_outbox: 0,
-            peak_resident: 0,
-            peak_inflight: 0,
-            sink: sink.clone(),
-            trace: trace.clone(),
-        }),
-    );
-    // One chained launch timer, not `queries` up-front timers: the first
-    // query launches after `interval(0)` and each launch arms the next.
-    engine.schedule_timer(config.arrival().interval(0), deployed.client, TOKEN_LAUNCH);
+    let setup = ClientSetup {
+        k: config.k,
+        max_retries: MAX_RETRIES,
+        adaptive: true,
+        blacklist_ttl: Some(BLACKLIST_TTL),
+        uplink: CLIENT_UPLINK_PER_REQUEST,
+        arrival: Some(config.arrival()),
+        victims: None,
+        metrics: None,
+    };
+    let client = deployed.client;
+    let behavior = Client::new(setup, None, &mut deployed, &ledger, trace);
+    engine.add_node(client, Box::new(behavior));
+    // One chained launch timer, not `queries` up-front timers: query 0
+    // launches after `interval(0)` and each launch arms the next.
+    engine.schedule_timer(config.arrival().interval(0), client, 0);
 
     // Model-driven churn over the relay population, plus the adversary's
     // activation annotations (policies were applied at build time).
@@ -712,9 +445,9 @@ pub fn run_soak_on<E: Engine + ?Sized>(
 
     let ((dropped, delayed, _), observed_real) =
         deployed.coalition(|l| (l.tampered(), l.observed_real()));
-    // The engine still owns the behaviours (and their sink handles), so
-    // read the sink through the lock rather than unwrapping the Arc.
-    let mut outcome = lock(&sink).clone();
+    // The engine still owns the behaviours (and their ledger handles), so
+    // read the ledger through the lock rather than unwrapping the Arc.
+    let mut outcome = lock(&ledger).clone();
     for window in &mut outcome.windows {
         if window.min_achieved_k == usize::MAX {
             window.min_achieved_k = 0;
@@ -743,7 +476,8 @@ pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
 mod tests {
     use super::*;
     use crate::adversary::ByzantinePolicy;
-    use crate::deployment::EngineChoice;
+    use crate::deployment::{relay_id, EngineChoice};
+    use crate::plan::FaultKind;
 
     fn tiny(queries: u64) -> SoakConfig {
         SoakConfig {
@@ -851,6 +585,25 @@ mod tests {
             let sharded = run_soak_on(&mut *engine, &config, &TraceSink::disabled());
             assert_eq!(sharded, baseline, "soak diverged with {shards} shards");
         }
+    }
+
+    #[test]
+    fn a_soak_down_to_one_usable_relay_still_launches() {
+        // All relays but the first leave at 1 s. Retries bar the dead
+        // ones one by one until, within their 30 s probation, only the
+        // survivor is usable: those launches go out as real-only plans
+        // (answered below target), not skipped.
+        let mut config = tiny(600);
+        let departures = (1..config.relays).map(relay_id);
+        let trace = departures.map(|relay| (SimTime::from_secs(1), FaultKind::Leave(relay)));
+        config.churn = Some(ChurnModel::Trace(trace.collect()));
+        let outcome = run_soak(&config);
+        assert_eq!(outcome.violation_count, 0, "{:?}", outcome.violations);
+        assert_eq!(outcome.stats.left, config.relays as u64 - 1);
+        assert_eq!(outcome.answered, 600);
+        let last = outcome.windows[1];
+        assert_eq!((last.launched, last.skipped), (100, 0));
+        assert_eq!((last.under_target, last.min_achieved_k), (100, 0));
     }
 
     #[test]

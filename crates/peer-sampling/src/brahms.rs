@@ -27,6 +27,7 @@
 //! [`crate::EngineGossipOverlay::under_attack`], for directly comparable
 //! poisoning curves.
 
+use crate::overlay::SHUFFLE_ROUND_PERIOD;
 use crate::population::{
     decode_ids, encode_ids, lock, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND,
 };
@@ -237,7 +238,6 @@ struct HonestBrahmsBehavior {
     node: Arc<Mutex<BrahmsNode>>,
     rng: Xoshiro256StarStar,
     rounds_left: usize,
-    round_period: SimTime,
     pushes: Vec<PeerId>,
     pulls: Vec<PeerId>,
 }
@@ -275,7 +275,7 @@ impl NodeBehavior for HonestBrahmsBehavior {
         }
         if self.rounds_left > 0 {
             self.rounds_left -= 1;
-            ctx.set_timer(self.round_period, TOKEN_ROUND);
+            ctx.set_timer(SHUFFLE_ROUND_PERIOD, TOKEN_ROUND);
         }
     }
 }
@@ -286,7 +286,6 @@ struct SybilBrahmsBehavior {
     attacker: SybilAttacker,
     rng: Xoshiro256StarStar,
     rounds_left: usize,
-    round_period: SimTime,
 }
 
 impl NodeBehavior for SybilBrahmsBehavior {
@@ -308,7 +307,7 @@ impl NodeBehavior for SybilBrahmsBehavior {
         }
         if self.rounds_left > 0 {
             self.rounds_left -= 1;
-            ctx.set_timer(self.round_period, TOKEN_ROUND);
+            ctx.set_timer(SHUFFLE_ROUND_PERIOD, TOKEN_ROUND);
         }
     }
 }
@@ -321,7 +320,6 @@ pub struct Brahms {
     /// The deployment stream the toehold draws come from.
     seeder: Xoshiro256StarStar,
     rounds: usize,
-    round_period: SimTime,
 }
 
 impl SamplingProtocol for Brahms {
@@ -329,7 +327,7 @@ impl SamplingProtocol for Brahms {
     const STREAM_SALT: u64 = 0xB4A1_1753;
 
     fn round_period(&self) -> SimTime {
-        self.round_period
+        SHUFFLE_ROUND_PERIOD
     }
 
     fn ring_fanout(&self) -> usize {
@@ -351,7 +349,6 @@ impl SamplingProtocol for Brahms {
             node: node.clone(),
             rng,
             rounds_left: self.rounds,
-            round_period: self.round_period,
             pushes: Vec::new(),
             pulls: Vec::new(),
         };
@@ -373,20 +370,19 @@ pub type EngineBrahmsOverlay = Overlay<Brahms>;
 
 impl Overlay<Brahms> {
     /// Registers the honest ring plus the attacker's sybil identities on
-    /// `engine`, each running `rounds` protocol rounds of `round_period`.
+    /// `engine`, each running `rounds` protocol rounds of
+    /// [`SHUFFLE_ROUND_PERIOD`].
     /// Call `engine.run()` afterwards. A zero-budget attack
     /// (`fraction = 0`) deploys a plain Brahms overlay.
     pub fn ring<E: Engine + ?Sized>(
         engine: &mut E,
         attack: SybilAttackConfig,
         rounds: usize,
-        round_period: SimTime,
     ) -> Self {
         let protocol = Brahms {
             attacker: SybilAttacker::new(&attack),
             seeder: Xoshiro256StarStar::seed_from_u64(attack.seed ^ 0xB4A5),
             rounds,
-            round_period,
         };
         let overlay = Self::deploy(engine, attack.honest, protocol, attack.seed);
         let attacker = &overlay.protocol.attacker;
@@ -395,7 +391,6 @@ impl Overlay<Brahms> {
                 attacker: attacker.clone(),
                 rng,
                 rounds_left: rounds,
-                round_period,
             })
         });
         overlay
@@ -487,8 +482,7 @@ mod tests {
         };
         let naive = EngineGossipOverlay::under_attack(&mut naive_engine, attack, config);
         naive_engine.run();
-        let brahms =
-            EngineBrahmsOverlay::ring(&mut brahms_engine, attack, 50, SimTime::from_secs(1));
+        let brahms = EngineBrahmsOverlay::ring(&mut brahms_engine, attack, 50);
         brahms_engine.run();
         let (naive_frac, brahms_frac) = (naive.attacker_fraction(), brahms.attacker_fraction());
         assert!(
@@ -518,7 +512,7 @@ mod tests {
             seed: 42,
         };
         let deploy = |engine: &mut dyn Engine| {
-            let overlay = EngineBrahmsOverlay::ring(engine, attack, 30, SimTime::from_secs(1));
+            let overlay = EngineBrahmsOverlay::ring(engine, attack, 30);
             engine.run();
             overlay.views()
         };
@@ -546,12 +540,8 @@ mod tests {
         // past its last one).
         let run = |stray: Option<usize>| {
             let mut engine = Simulation::new(9);
-            let overlay = EngineBrahmsOverlay::ring(
-                &mut engine,
-                SybilAttackConfig::calm(20, 9),
-                10,
-                SimTime::from_secs(1),
-            );
+            let overlay =
+                EngineBrahmsOverlay::ring(&mut engine, SybilAttackConfig::calm(20, 9), 10);
             if let Some(stray) = stray {
                 let mut payload = encode_ids(&[PeerId(500), PeerId(501), PeerId(502)]);
                 payload.extend(std::iter::repeat_n(0xEE, stray));
@@ -578,7 +568,7 @@ mod tests {
             seed: 3,
         };
         let mut engine = Simulation::new(3);
-        let overlay = EngineBrahmsOverlay::ring(&mut engine, attack, 30, SimTime::from_secs(1));
+        let overlay = EngineBrahmsOverlay::ring(&mut engine, attack, 30);
         engine.run();
         assert_eq!(overlay.attacker_fraction(), 0.0);
         let metrics = overlay_metrics_from_views(&overlay.views());
@@ -592,9 +582,7 @@ mod tests {
         seed: u64,
         rounds: usize,
     ) -> Overlay<Brahms> {
-        let attack = SybilAttackConfig::calm(honest, seed);
-        let period = SimTime::from_secs(1);
-        EngineBrahmsOverlay::ring(engine, attack, rounds, period)
+        EngineBrahmsOverlay::ring(engine, SybilAttackConfig::calm(honest, seed), rounds)
     }
 
     #[test]

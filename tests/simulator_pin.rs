@@ -105,7 +105,7 @@ fn digest_is_seed_deterministic_and_discriminating() {
 }
 
 fn engine_brahms_digest(engine: &mut dyn Engine) -> u64 {
-    let overlay = EngineBrahmsOverlay::ring(engine, pinned_attack(), 25, SimTime::from_secs(1));
+    let overlay = EngineBrahmsOverlay::ring(engine, pinned_attack(), 25);
     engine.run();
     let mut digest = FNV_OFFSET;
     fnv_views(&mut digest, &overlay.views());
