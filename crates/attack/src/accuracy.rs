@@ -116,7 +116,7 @@ mod tests {
         UserId,
     };
     use cyclosa_search_engine::corpus::{CorpusGenerator, Document};
-    use cyclosa_search_engine::{EngineConfig, Index};
+    use cyclosa_search_engine::Index;
     use cyclosa_workload::topics::TopicCatalog;
 
     fn engine() -> SearchEngine {
@@ -124,7 +124,7 @@ mod tests {
         let generator = CorpusGenerator::new(catalog.as_corpus_topics(), 15);
         let mut rng = Xoshiro256StarStar::seed_from_u64(5);
         let docs: Vec<Document> = generator.generate(60, &mut rng);
-        SearchEngine::new(Index::build(&docs), EngineConfig::default())
+        SearchEngine::new(Index::build(&docs))
     }
 
     struct Exact;

@@ -53,7 +53,7 @@ use cyclosa_chaos::experiment::{
     run_churn_experiment_on, ChurnConfig, ChurnOutcome, MembershipProbeConfig,
 };
 use cyclosa_chaos::partition::{
-    run_partition_experiment_on, PartitionConfig, PartitionOutcome, PhaseSummary,
+    run_partition_experiment_on, PartitionConfig, PartitionOutcome, PhaseSummary, SETTLE,
 };
 use cyclosa_chaos::slo::evaluate_churn_slos;
 use cyclosa_chaos::ChaosPlan;
@@ -834,8 +834,7 @@ fn partition_sweep(
     // never silently truncated, and a horizon too short for any window at
     // all skips the sweep loudly instead of clamping the merge into (or
     // past) the split.
-    let settle = SimTime::from_secs(6);
-    let latest_merge = SimTime::from_nanos(horizon.as_nanos() * 17 / 20).saturating_sub(settle);
+    let latest_merge = SimTime::from_nanos(horizon.as_nanos() * 17 / 20).saturating_sub(SETTLE);
     let mut points = Vec::new();
     let mut first_window = None;
     if latest_merge <= split_at {
@@ -844,7 +843,7 @@ fn partition_sweep(
              short to fit a split + merge + {}s settle window",
             options.queries,
             horizon.as_secs_f64(),
-            settle.as_secs_f64()
+            SETTLE.as_secs_f64()
         );
         return (None, points, first_window);
     }
@@ -887,11 +886,8 @@ fn partition_sweep(
             let config = PartitionConfig {
                 base: partition_base,
                 minority_fraction: fraction,
-                client_in_minority: true,
-                engine_partitioned: false,
                 split_at,
                 merge_at,
-                settle,
             };
             let outcome = same_on_shards(options.shards, |engine| partition_run(engine, &config));
             assert_eq!(outcome.churn.clamped_samples, 0);
@@ -1036,7 +1032,6 @@ fn membership_comparison(
             probe_period: SimTime::from_millis(500),
             suspicion_timeout: SimTime::from_millis(1500),
             probes_per_round: 6,
-            ..MembershipProbeConfig::default()
         }),
         ..options.churn_at(heaviest_rate)
     };

@@ -31,7 +31,7 @@ use cyclosa_bench::cli::{self, Stop};
 use cyclosa_chaos::adversary::{AdversaryConfig, ByzantinePolicy};
 use cyclosa_chaos::churn::ChurnModel;
 use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
-use cyclosa_chaos::soak::{run_soak, run_soak_on, SoakConfig, SoakWindow};
+use cyclosa_chaos::soak::{run_soak, run_soak_on, SoakConfig, SoakWindow, RESIDENT_BUDGET_BYTES};
 use cyclosa_net::time::SimTime;
 use cyclosa_util::impl_to_json;
 use cyclosa_util::json::ToJson;
@@ -312,10 +312,10 @@ fn main() {
         outcome.unanswered
     );
     println!(
-        "peaks: inflight {}, resident {} bytes (budget {}), relay pending {}, engine pending {}",
+        "peaks: inflight {}, resident {} bytes (budget {RESIDENT_BUDGET_BYTES}), relay pending {}, \
+         engine pending {}",
         outcome.peak_inflight,
         outcome.peak_resident_bytes,
-        config.resident_budget_bytes,
         outcome.peak_relay_pending,
         outcome.peak_engine_pending
     );

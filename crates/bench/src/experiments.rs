@@ -3,7 +3,6 @@
 use crate::setup::ExperimentSetup;
 use cyclosa::deployment::{
     relay_service_time_ns, run_load_experiment, throughput_latency_curve, xsearch_service_time_ns,
-    LoadExperimentConfig,
 };
 use cyclosa::sensitivity::build_categorizer;
 use cyclosa_attack::accuracy::evaluate_accuracy;
@@ -17,7 +16,7 @@ use cyclosa_net::time::SimTime;
 use cyclosa_nlp::categorizer::{CategorizerMethod, DetectionQuality, QueryCategorizer};
 use cyclosa_telemetry::QuantileSketch;
 use cyclosa_util::impl_to_json;
-use cyclosa_workload::annotation::{AnnotationCampaign, AnnotationConfig};
+use cyclosa_workload::annotation::AnnotationCampaign;
 use std::fmt;
 
 /// The number of fake queries used by the privacy experiments (Fig. 5/7).
@@ -202,8 +201,7 @@ pub struct AnnotationReport {
 /// Reproduces the crowd-sourcing campaign statistic.
 pub fn annotation(setup: &ExperimentSetup) -> AnnotationReport {
     let mut rng = setup.rng(0xA11);
-    let campaign =
-        AnnotationCampaign::run(&setup.test_queries, AnnotationConfig::default(), &mut rng);
+    let campaign = AnnotationCampaign::run(&setup.test_queries, &mut rng);
     AnnotationReport {
         annotated_queries: campaign.len(),
         sensitive_fraction: campaign.sensitive_fraction(),
@@ -680,10 +678,7 @@ pub struct Fig8dReport {
 
 /// Regenerates Fig. 8d (100 most-active users, 90 minutes, k = 3).
 pub fn fig8d(seed: u64) -> Fig8dReport {
-    let report = run_load_experiment(LoadExperimentConfig {
-        seed,
-        ..LoadExperimentConfig::default()
-    });
+    let report = run_load_experiment(seed);
     Fig8dReport {
         minutes: report.bucket_minutes,
         cyclosa_mean_per_node: report.cyclosa_mean_per_node,

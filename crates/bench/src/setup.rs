@@ -7,7 +7,7 @@ use cyclosa_baselines::{GooPir, Peas, Tor, TrackMeNot, XSearch};
 use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
 use cyclosa_nlp::lexicon::Lexicon;
 use cyclosa_search_engine::corpus::CorpusGenerator;
-use cyclosa_search_engine::{EngineConfig, Index, SearchEngine};
+use cyclosa_search_engine::{Index, SearchEngine};
 use cyclosa_util::rng::Xoshiro256StarStar;
 use cyclosa_workload::generator::{
     LabeledQuery, QueryLog, UserTrace, WorkloadConfig, WorkloadGenerator,
@@ -112,7 +112,7 @@ impl ExperimentSetup {
 
         let documents = CorpusGenerator::new(catalog.as_corpus_topics(), 14)
             .generate(scale.documents_per_topic(), &mut rng);
-        let engine = SearchEngine::new(Index::build(&documents), EngineConfig::default());
+        let engine = SearchEngine::new(Index::build(&documents));
 
         Self {
             catalog,

@@ -60,6 +60,11 @@ pub(crate) const ENGINE: NodeId = NodeId(0);
 /// blacklisting the relay and resubmitting through a fresh one.
 pub(crate) const RETRY_TIMEOUT: SimTime = SimTime::from_secs(3);
 
+/// How long a membership probe may go unanswered before the relay is
+/// suspected. Must exceed the WAN round-trip tail (median RTT ≈ 280 ms,
+/// p999 ≈ 830 ms) or calm-network probes will time out spuriously.
+const PROBE_TIMEOUT: SimTime = SimTime::from_millis(900);
+
 /// The relay with 0-based `index` (relays are numbered `1..=N`).
 pub(crate) fn relay_id(index: usize) -> NodeId {
     NodeId(index as u64 + 1)
@@ -1169,7 +1174,7 @@ impl<L: Ledger> Client<L> {
             }
             let seq = prober.ping(ctx, relay);
             prober.pending.insert(relay, seq);
-            ctx.set_timer(config.probe_timeout, PROBE_TIMEOUT_BASE + relay.0);
+            ctx.set_timer(PROBE_TIMEOUT, PROBE_TIMEOUT_BASE + relay.0);
         }
         let dead = prober.detector.dead_members();
         if !dead.is_empty() {
@@ -1625,7 +1630,6 @@ mod tests {
             relays: 20,
             queries: 200,
             window_queries: 100,
-            base_interval: SimTime::from_millis(100),
             ..SoakConfig::default()
         };
         let run = |engine: &mut Simulation| run_soak_on(engine, &config, &TraceSink::disabled());

@@ -54,14 +54,14 @@ const CLIENT_UPLINK_PER_REQUEST: SimTime = SimTime::from_millis(45);
 /// relay answers a later probe carrying the client's non-alive belief
 /// with a bumped incarnation) forgives it *early* — before any fixed
 /// [`ChurnConfig::blacklist_ttl`] would have.
+///
+/// The fields stay settings because the `churn` bin runs both this
+/// default and a tightened prober; the probe timeout is a constant of
+/// [`crate::deployment`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MembershipProbeConfig {
     /// Period of the probe round timer.
     pub probe_period: SimTime,
-    /// How long a ping may go unanswered before the relay is suspected.
-    /// Must exceed the WAN round-trip tail (median RTT ≈ 280 ms, p999
-    /// ≈ 830 ms) or calm-network probes will time out spuriously.
-    pub probe_timeout: SimTime,
     /// How long a suspicion may stand unrefuted before the relay is
     /// declared dead (triggering the proactive fake top-up for plans
     /// that entrusted fakes to it).
@@ -75,7 +75,6 @@ impl Default for MembershipProbeConfig {
     fn default() -> Self {
         Self {
             probe_period: SimTime::from_secs(1),
-            probe_timeout: SimTime::from_millis(900),
             suspicion_timeout: SimTime::from_secs(3),
             probes_per_round: 4,
         }
@@ -98,7 +97,8 @@ pub struct ChurnConfig {
     /// Whether failed relays recover (crash + recover after `DOWNTIME`)
     /// or depart for good (leave).
     pub recover: bool,
-    /// Maximum resubmissions per query.
+    /// Maximum resubmissions per query: 5 by default, 0 in the retry-less
+    /// Fig. 8a/8b runs.
     pub max_retries: u32,
     /// Adaptive-k plan repair: when a resubmission fires, the client also
     /// re-assesses the fake complement of that query (fakes on relays it
@@ -680,7 +680,6 @@ mod tests {
     fn probing() -> MembershipProbeConfig {
         MembershipProbeConfig {
             probe_period: SimTime::from_millis(500),
-            probe_timeout: SimTime::from_millis(900),
             suspicion_timeout: SimTime::from_secs(5),
             probes_per_round: 4,
         }

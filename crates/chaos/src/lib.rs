@@ -9,10 +9,9 @@
 //! loss-probability steps scheduled against simulated time, executing
 //! bit-identically on the sequential simulator and the sharded engine):
 //!
-//! * [`churn`] — the [`churn::ChurnModel`] family: exponential up/down
-//!   sessions, correlated failure bursts, loss storms and trace-driven
-//!   schedules, each sampled from dedicated per-model RNG streams so
-//!   churn never perturbs the run's link randomness.
+//! * [`churn`] — [`churn::ChurnModel`]: exponential up/down sessions,
+//!   sampled from dedicated per-node RNG streams so churn never perturbs
+//!   the run's link randomness.
 //! * [`plan`] — [`plan::ChaosPlan`], the scripted fault schedule a model
 //!   samples into (or that tests write by hand), applicable to any
 //!   [`cyclosa_net::engine::Engine`].

@@ -26,7 +26,7 @@
 //! phases by query issue time so the dip and the recovery are directly
 //! comparable to a failure-free baseline.
 
-use crate::deployment::{client_id, relay_id, ChurnTelemetry, ENGINE};
+use crate::deployment::{client_id, relay_id, ChurnTelemetry};
 use crate::experiment::{run_churn_experiment_on, AnsweredQuery, ChurnConfig, ChurnOutcome};
 use crate::plan::ChaosPlan;
 use cyclosa_net::engine::Engine;
@@ -34,8 +34,18 @@ use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
 use cyclosa_util::stats::Summary;
 
+/// Healing slack after the merge: queries issued in
+/// `[merge_at, merge_at + SETTLE)` are attributed to the transition (the
+/// `during` phase) rather than to `post_merge`, because retries of queries
+/// launched inside the partition are still blacklisting relays for a
+/// retry-timeout or two after the merge. The post-merge phase therefore
+/// measures the recovered steady state.
+pub const SETTLE: SimTime = SimTime::from_secs(6);
+
 /// Configuration of the partition experiment: the churn deployment of
-/// [`ChurnConfig`] plus one scripted split/re-merge window.
+/// [`ChurnConfig`] plus one scripted split/re-merge window. The client is
+/// caught in the minority component; the search engine stays reachable
+/// from both sides, like a public service outside the partitioned overlay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionConfig {
     /// The underlying deployment (relays, `k`, queries, seed, healing
@@ -46,24 +56,10 @@ pub struct PartitionConfig {
     /// Fraction of the relay population in the minority component
     /// (clamped to keep both sides non-empty).
     pub minority_fraction: f64,
-    /// Whether the client is caught in the minority component (the
-    /// interesting case) or stays with the majority.
-    pub client_in_minority: bool,
-    /// Whether the search engine is subject to the split too (placed with
-    /// the majority). By default it is reachable from both sides, like a
-    /// public service outside the partitioned overlay.
-    pub engine_partitioned: bool,
     /// When the population splits.
     pub split_at: SimTime,
     /// When the components re-merge (must be after `split_at`).
     pub merge_at: SimTime,
-    /// Healing slack after the merge: queries issued in
-    /// `[merge_at, merge_at + settle)` are attributed to the transition
-    /// (the `during` phase) rather than to `post_merge`, because retries
-    /// of queries launched inside the partition are still blacklisting
-    /// relays for a retry-timeout or two after the merge. The post-merge
-    /// phase therefore measures the recovered steady state.
-    pub settle: SimTime,
 }
 
 impl Default for PartitionConfig {
@@ -76,11 +72,8 @@ impl Default for PartitionConfig {
                 ..ChurnConfig::default()
             },
             minority_fraction: 0.3,
-            client_in_minority: true,
-            engine_partitioned: false,
             split_at: SimTime::from_secs(15),
             merge_at: SimTime::from_secs(35),
-            settle: SimTime::from_secs(6),
         }
     }
 }
@@ -95,20 +88,11 @@ impl PartitionConfig {
         (0..count).map(relay_id).collect()
     }
 
-    /// The two node groups of the split, client and (optionally) engine
-    /// included.
+    /// The two node groups of the split, the client in the minority.
     pub(crate) fn groups(&self) -> (Vec<NodeId>, Vec<NodeId>) {
-        let client = client_id(self.base.relays);
         let mut minority = self.minority_relays();
-        let mut majority: Vec<NodeId> = (minority.len()..self.base.relays).map(relay_id).collect();
-        if self.client_in_minority {
-            minority.push(client);
-        } else {
-            majority.push(client);
-        }
-        if self.engine_partitioned {
-            majority.push(ENGINE);
-        }
+        let majority: Vec<NodeId> = (minority.len()..self.base.relays).map(relay_id).collect();
+        minority.push(client_id(self.base.relays));
         (minority, majority)
     }
 
@@ -204,7 +188,7 @@ pub fn run_partition_experiment_on<E: Engine + ?Sized>(
     config: &PartitionConfig,
     telemetry: &ChurnTelemetry,
 ) -> PartitionOutcome {
-    let settled_at = config.merge_at + config.settle;
+    let settled_at = config.merge_at + SETTLE;
     assert!(
         settled_at < config.base.horizon(),
         "queries must still be issued after the post-merge settle window"
@@ -276,11 +260,8 @@ mod tests {
                 ..ChurnConfig::default()
             },
             minority_fraction: 0.3,
-            client_in_minority: true,
-            engine_partitioned: false,
             split_at: SimTime::from_secs(10),
             merge_at: SimTime::from_secs(25),
-            settle: SimTime::from_secs(6),
         }
     }
 
@@ -292,15 +273,6 @@ mod tests {
         assert!(minority.contains(&NodeId(31)), "client rides the minority");
         assert!(!majority.contains(&NodeId(0)), "engine outside the split");
         assert_eq!(minority.len() + majority.len(), 31);
-        let flipped = PartitionConfig {
-            client_in_minority: false,
-            engine_partitioned: true,
-            ..config
-        };
-        let (minority, majority) = flipped.groups();
-        assert!(majority.contains(&NodeId(31)));
-        assert!(majority.contains(&NodeId(0)));
-        assert!(!minority.contains(&NodeId(31)));
     }
 
     #[test]
@@ -359,23 +331,6 @@ mod tests {
             .sum::<f64>()
             / calm.answered_queries.len() as f64;
         assert!((partitioned.post_merge.mean_achieved_k - calm_mean).abs() < 1e-9);
-    }
-
-    #[test]
-    fn majority_client_barely_notices_the_split() {
-        let minority_case = run_partition_experiment(&small());
-        let majority_case = run_partition_experiment(&PartitionConfig {
-            client_in_minority: false,
-            ..small()
-        });
-        assert!(
-            majority_case.during.answered >= minority_case.during.answered,
-            "a majority client must answer at least as much during the split"
-        );
-        assert!(
-            majority_case.during.mean_achieved_k >= minority_case.during.mean_achieved_k,
-            "a majority client keeps more of its dilution"
-        );
     }
 
     #[test]

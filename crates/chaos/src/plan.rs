@@ -1,7 +1,7 @@
 //! Scripted fault scenarios: [`ChaosPlan`].
 //!
-//! A plan is an ordered list of [`FaultEvent`]s — crashes, leaves,
-//! recoveries and loss-probability steps pinned to simulated times —
+//! A plan is an ordered list of [`FaultEvent`]s — crashes, leaves and
+//! recoveries pinned to simulated times —
 //! plus `LinkFault` windows (per-link-group loss steps, the partition
 //! primitive) that can be applied to **any** [`Engine`] before (or between)
 //! runs. The faults then fire deterministically *during* the run through
@@ -30,8 +30,6 @@ pub enum FaultKind {
     Leave(NodeId),
     /// Clear the node's crashed mark.
     Recover(NodeId),
-    /// Step the global loss probability to this value.
-    SetLoss(f64),
 }
 
 /// A fault pinned to a simulated time.
@@ -285,22 +283,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Merges another plan's events (node faults, link faults, and
-    /// byzantine policy switches) into this one. Each event list stays
-    /// independently time-sorted.
-    pub fn merge(mut self, other: ChaosPlan) -> Self {
-        for event in other.events {
-            self.push(event.at, event.kind);
-        }
-        for fault in other.link_faults {
-            self.push_link_fault(fault);
-        }
-        for event in other.policy_events {
-            self.push_policy(event);
-        }
-        self
-    }
-
     /// The fraction of `population` nodes hit by at least one crash or
     /// leave (the x-axis of the robustness curves).
     pub fn failure_fraction(&self, population: usize) -> f64 {
@@ -325,8 +307,8 @@ impl ChaosPlan {
     /// `fault.*` [`TraceEvent`] stamped at its fire time, so injections
     /// line up with the per-query events on the merged timeline. A
     /// disabled sink ([`TraceSink::disabled`]) records nothing. On the
-    /// trace, node faults are attributed to the node they hit; the global
-    /// loss steps and link-group faults to the engine pseudo-actor. Events
+    /// trace, node faults are attributed to the node they hit, link-group
+    /// faults to the engine pseudo-actor. Events
     /// are stamped at their scheduled (usually future) times; the sink
     /// sorts them into place when the timeline is read.
     pub fn apply<E: Engine + ?Sized>(&self, engine: &mut E, trace: &TraceSink) {
@@ -335,7 +317,6 @@ impl ChaosPlan {
                 FaultKind::Crash(node) => engine.schedule_crash(event.at, node),
                 FaultKind::Leave(node) => engine.schedule_leave(event.at, node),
                 FaultKind::Recover(node) => engine.schedule_recover(event.at, node),
-                FaultKind::SetLoss(p) => engine.schedule_loss_probability(event.at, p),
             }
         }
         for fault in &self.link_faults {
@@ -349,9 +330,6 @@ impl ChaosPlan {
                 FaultKind::Crash(node) => TraceEvent::new(event.at, node.0, "fault.crash"),
                 FaultKind::Leave(node) => TraceEvent::new(event.at, node.0, "fault.leave"),
                 FaultKind::Recover(node) => TraceEvent::new(event.at, node.0, "fault.recover"),
-                FaultKind::SetLoss(p) => {
-                    TraceEvent::new(event.at, ACTOR_ENGINE, "fault.set_loss").attr("p", p)
-                }
             });
         }
         for fault in &self.link_faults {
@@ -427,12 +405,11 @@ mod tests {
 
     #[test]
     fn failure_fraction_counts_distinct_crashed_or_left_nodes() {
-        let mut plan = ChaosPlan::new()
+        let plan = ChaosPlan::new()
             .crash_at(SimTime::from_secs(1), NodeId(1))
             .crash_at(SimTime::from_secs(2), NodeId(1))
             .leave_at(SimTime::from_secs(3), NodeId(2))
             .recover_at(SimTime::from_secs(4), NodeId(3));
-        plan.push(SimTime::from_secs(5), FaultKind::SetLoss(0.2));
         assert!((plan.failure_fraction(10) - 0.2).abs() < 1e-12);
         assert_eq!(ChaosPlan::new().failure_fraction(0), 0.0);
     }
@@ -498,20 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_carries_link_faults_across() {
-        let partition = ChaosPlan::new().partition(
-            &[&[NodeId(1)], &[NodeId(2)]],
-            SimTime::from_secs(5),
-            SimTime::from_secs(9),
-        );
-        let merged = ChaosPlan::new()
-            .crash_at(SimTime::from_secs(1), NodeId(3))
-            .merge(partition);
-        assert_eq!(merged.events().len(), 1);
-        assert_eq!(merged.link_faults.len(), 4);
-    }
-
-    #[test]
     fn applied_partition_drops_cross_group_traffic_in_the_window() {
         use cyclosa_net::sim::{Context, Envelope, Simulation};
         struct Quiet;
@@ -565,11 +528,10 @@ mod tests {
         let mut simulation = Simulation::new(2);
         simulation.add_node(NodeId(1), Box::new(Quiet));
         simulation.add_node(NodeId(2), Box::new(Quiet));
-        let mut plan = ChaosPlan::new()
+        let plan = ChaosPlan::new()
             .crash_at(SimTime::from_secs(1), NodeId(1))
             .recover_at(SimTime::from_secs(2), NodeId(1))
             .leave_at(SimTime::from_secs(3), NodeId(2));
-        plan.push(SimTime::from_secs(5), FaultKind::SetLoss(0.5));
         plan.apply(&mut simulation, &TraceSink::disabled());
         simulation.run();
         let stats = simulation.stats();

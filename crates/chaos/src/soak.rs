@@ -24,7 +24,7 @@
 //! requests are never handed to a relay whose blacklist probation is in
 //! force, plans never double up relays, latency samples never clamp, and
 //! the client's modelled resident footprint stays under
-//! [`SoakConfig::resident_budget_bytes`]. [`SoakOutcome::gate`] turns the
+//! [`RESIDENT_BUDGET_BYTES`]. [`SoakOutcome::gate`] turns the
 //! outcome into a CI pass/fail.
 //!
 //! Like every experiment in the reproduction, a soak run is a pure
@@ -66,22 +66,32 @@ const BLACKLIST_TTL: SimTime = SimTime::from_secs(30);
 /// Client-side serialization delay per outgoing request.
 const CLIENT_UPLINK_PER_REQUEST: SimTime = SimTime::from_millis(2);
 
+/// Mean inter-arrival interval at the diurnal midline.
+pub const BASE_INTERVAL: SimTime = SimTime::from_millis(40);
+
+/// Queries per simulated "day" (one full sinusoid period).
+const DIURNAL_PERIOD_QUERIES: u64 = 20_000;
+
+/// Number of flash crowds, spread evenly across the horizon.
+const FLASH_CROWDS: u64 = 2;
+
+/// Half-width of each flash crowd, in queries.
+const FLASH_WIDTH_QUERIES: u64 = 1_000;
+
+/// Budget for the client's modelled resident footprint (in-flight plans +
+/// outbox + blacklist); exceeding it is a gate failure — the leak detector
+/// of the soak.
+pub const RESIDENT_BUDGET_BYTES: usize = 4 * 1024 * 1024;
+
 /// The load shape of a soak run: inter-arrival intervals as a **pure
 /// function of the query sequence number** — a diurnal sinusoid of depth
-/// `DIURNAL_AMPLITUDE` with flash crowds of rate `FLASH_BOOST` layered on
-/// top. Pure-in-`seq` is what makes the load replayable: no feedback from
-/// simulated time back into arrivals, so every engine walks the identical
-/// launch schedule.
+/// `DIURNAL_AMPLITUDE` around [`BASE_INTERVAL`], `DIURNAL_PERIOD_QUERIES`
+/// queries long, with `FLASH_CROWDS` flash crowds of rate `FLASH_BOOST`
+/// layered on top. Pure-in-`seq` is what makes the load replayable: no
+/// feedback from simulated time back into arrivals, so every engine walks
+/// the identical launch schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalModel {
-    /// Mean inter-arrival interval at the diurnal midline.
-    pub base_interval: SimTime,
-    /// Queries per simulated "day" (one full sinusoid period).
-    pub diurnal_period_queries: u64,
-    /// Number of flash crowds, spread evenly across the horizon.
-    pub flash_crowds: usize,
-    /// Half-width of each flash crowd, in queries.
-    pub flash_width_queries: u64,
     /// Total queries of the run (fixes the flash-crowd centers).
     pub queries: u64,
 }
@@ -89,16 +99,16 @@ pub struct ArrivalModel {
 impl ArrivalModel {
     /// The interval between the launches of queries `seq` and `seq + 1`.
     pub fn interval(&self, seq: u64) -> SimTime {
-        let period = self.diurnal_period_queries.max(1) as f64;
+        let period = DIURNAL_PERIOD_QUERIES as f64;
         let phase = (seq as f64 / period) * std::f64::consts::TAU;
         let mut scale = 1.0 + DIURNAL_AMPLITUDE * phase.sin();
-        for crowd in 0..self.flash_crowds {
-            let center = (crowd as u64 + 1) * self.queries / (self.flash_crowds as u64 + 1);
-            if seq.abs_diff(center) <= self.flash_width_queries {
+        for crowd in 0..FLASH_CROWDS {
+            let center = (crowd + 1) * self.queries / (FLASH_CROWDS + 1);
+            if seq.abs_diff(center) <= FLASH_WIDTH_QUERIES {
                 scale /= FLASH_BOOST;
             }
         }
-        let nanos = (self.base_interval.as_nanos() as f64 * scale).max(1.0);
+        let nanos = (BASE_INTERVAL.as_nanos() as f64 * scale).max(1.0);
         SimTime::from_nanos(nanos as u64)
     }
 
@@ -126,29 +136,19 @@ pub struct SoakConfig {
     pub queries: u64,
     /// Run seed.
     pub seed: u64,
-    /// Mean inter-arrival interval at the diurnal midline.
-    pub base_interval: SimTime,
-    /// Queries per simulated day.
-    pub diurnal_period_queries: u64,
-    /// Flash crowds across the horizon.
-    pub flash_crowds: usize,
-    /// Half-width of each flash crowd, in queries.
-    pub flash_width_queries: u64,
     /// Model-driven relay churn over the whole horizon (`None` = stable
-    /// population). [`ChurnModel::Trace`] replays a recorded timeline.
+    /// population).
     pub churn: Option<ChurnModel>,
     /// Optional byzantine coalition (see [`crate::adversary`]). The soak
     /// path carries no liveness probes, so `ForgeIncarnation` is inert
     /// here; drop/delay/collude all bite.
     pub adversary: Option<AdversaryConfig>,
-    /// Queries per ledger window ([`SoakWindow`]).
+    /// Queries per ledger window ([`SoakWindow`]); the `soak` bin's
+    /// `--window` sets it.
     pub window_queries: u64,
-    /// Budget for the client's modelled resident footprint (in-flight
-    /// plans + outbox + blacklist); exceeding it is a gate failure — the
-    /// leak detector of the soak.
-    pub resident_budget_bytes: usize,
     /// Minimum fraction of queries that must be answered for
-    /// [`SoakOutcome::gate`] to pass.
+    /// [`SoakOutcome::gate`] to pass; churned and adversarial soaks (the
+    /// `soak` bin, the benchmark) lower it.
     pub min_answered_fraction: f64,
 }
 
@@ -159,14 +159,9 @@ impl Default for SoakConfig {
             k: 3,
             queries: 50_000,
             seed: 2018,
-            base_interval: SimTime::from_millis(40),
-            diurnal_period_queries: 20_000,
-            flash_crowds: 2,
-            flash_width_queries: 1_000,
             churn: None,
             adversary: None,
             window_queries: 10_000,
-            resident_budget_bytes: 4 * 1024 * 1024,
             min_answered_fraction: 0.95,
         }
     }
@@ -176,10 +171,6 @@ impl SoakConfig {
     /// The run's load shape.
     pub(crate) fn arrival(&self) -> ArrivalModel {
         ArrivalModel {
-            base_interval: self.base_interval,
-            diurnal_period_queries: self.diurnal_period_queries,
-            flash_crowds: self.flash_crowds,
-            flash_width_queries: self.flash_width_queries,
             queries: self.queries,
         }
     }
@@ -323,10 +314,10 @@ impl SoakOutcome {
                 self.answered, self.unanswered, config.queries
             ));
         }
-        if self.peak_resident_bytes > config.resident_budget_bytes {
+        if self.peak_resident_bytes > RESIDENT_BUDGET_BYTES {
             failures.push(format!(
-                "client resident footprint peaked at {} bytes (budget {})",
-                self.peak_resident_bytes, config.resident_budget_bytes
+                "client resident footprint peaked at {} bytes (budget {RESIDENT_BUDGET_BYTES})",
+                self.peak_resident_bytes
             ));
         }
         let answered_fraction = self.answered as f64 / config.queries.max(1) as f64;
@@ -477,34 +468,29 @@ mod tests {
     use super::*;
     use crate::adversary::ByzantinePolicy;
     use crate::deployment::{relay_id, EngineChoice};
-    use crate::plan::FaultKind;
 
     fn tiny(queries: u64) -> SoakConfig {
         SoakConfig {
             relays: 20,
             queries,
             window_queries: 500,
-            diurnal_period_queries: 400,
-            flash_crowds: 1,
-            flash_width_queries: 50,
-            base_interval: SimTime::from_millis(100),
             ..SoakConfig::default()
         }
     }
 
     #[test]
     fn arrival_model_is_a_pure_function_of_seq_with_crowds_and_diurnal_swing() {
-        let arrival = tiny(1_000).arrival();
+        let arrival = ArrivalModel { queries: 100_000 };
         assert_eq!(arrival.interval(123), arrival.interval(123));
         // The diurnal swing: peak-hour intervals are shorter than night.
-        let peak = arrival.interval(arrival.diurnal_period_queries * 3 / 4);
-        let night = arrival.interval(arrival.diurnal_period_queries / 4);
+        let peak = arrival.interval(DIURNAL_PERIOD_QUERIES * 3 / 4);
+        let night = arrival.interval(DIURNAL_PERIOD_QUERIES / 4);
         assert!(peak < night, "peak {peak} must beat night {night}");
-        // The flash crowd compresses intervals around its center; compare
-        // against the phase-matched point one diurnal period later so the
-        // sinusoid cancels out.
-        let center = arrival.queries / 2;
-        let out_of_crowd = center + arrival.diurnal_period_queries;
+        // The first flash crowd compresses intervals around its center;
+        // compare against the phase-matched point one diurnal period later
+        // so the sinusoid cancels out.
+        let center = arrival.queries / (FLASH_CROWDS + 1);
+        let out_of_crowd = center + DIURNAL_PERIOD_QUERIES;
         assert!(arrival.interval(center) < arrival.interval(out_of_crowd));
         // The launch schedule is strictly increasing.
         assert!(arrival.launch_at(10) < arrival.launch_at(11));
@@ -519,8 +505,11 @@ mod tests {
         assert_eq!(outcome.unanswered, 0);
         assert_eq!(outcome.violation_count, 0);
         assert!(outcome.peak_resident_bytes > 0);
+        // Every launch falls inside a flash crowd here, so about 400
+        // queries are in flight at the peak; without pruning all 1 000
+        // would be.
         assert!(
-            outcome.peak_inflight < 200,
+            outcome.peak_inflight < config.queries / 2,
             "pruning must keep the in-flight window small, got {}",
             outcome.peak_inflight
         );
@@ -591,29 +580,41 @@ mod tests {
     fn a_soak_down_to_one_usable_relay_still_launches() {
         // All relays but the first leave at 1 s. Retries bar the dead
         // ones one by one until, within their 30 s probation, only the
-        // survivor is usable: those launches go out as real-only plans
-        // (answered below target), not skipped.
-        let mut config = tiny(600);
-        let departures = (1..config.relays).map(relay_id);
-        let trace = departures.map(|relay| (SimTime::from_secs(1), FaultKind::Leave(relay)));
-        config.churn = Some(ChurnModel::Trace(trace.collect()));
-        let outcome = run_soak(&config);
+        // survivor is usable: the last window's launches (21 s to 28 s)
+        // go out as real-only plans (answered below target), not skipped.
+        let config = SoakConfig {
+            window_queries: 500,
+            ..tiny(3_000)
+        };
+        let mut engine = Simulation::new(config.seed);
+        (1..config.relays)
+            .fold(ChaosPlan::new(), |plan, index| {
+                plan.leave_at(SimTime::from_secs(1), relay_id(index))
+            })
+            .apply(&mut engine, &TraceSink::disabled());
+        let outcome = run_soak_on(&mut engine, &config, &TraceSink::disabled());
         assert_eq!(outcome.violation_count, 0, "{:?}", outcome.violations);
         assert_eq!(outcome.stats.left, config.relays as u64 - 1);
-        assert_eq!(outcome.answered, 600);
-        let last = outcome.windows[1];
-        assert_eq!((last.launched, last.skipped), (100, 0));
-        assert_eq!((last.under_target, last.min_achieved_k), (100, 0));
+        assert_eq!(outcome.answered, config.queries);
+        let last = outcome.windows[5];
+        assert_eq!((last.launched, last.skipped), (500, 0));
+        assert_eq!((last.under_target, last.min_achieved_k), (500, 0));
     }
 
     #[test]
     fn resident_budget_breach_fails_the_gate() {
-        let config = SoakConfig {
-            resident_budget_bytes: 16, // absurdly tight on purpose
-            ..tiny(300)
+        let config = tiny(300);
+        let at_budget = SoakOutcome {
+            answered: config.queries,
+            peak_resident_bytes: RESIDENT_BUDGET_BYTES,
+            ..SoakOutcome::default()
         };
-        let outcome = run_soak(&config);
-        let err = outcome.gate(&config).expect_err("16 bytes cannot hold");
+        assert_eq!(at_budget.gate(&config), Ok(()));
+        let over = SoakOutcome {
+            peak_resident_bytes: RESIDENT_BUDGET_BYTES + 1,
+            ..at_budget
+        };
+        let err = over.gate(&config).expect_err("one byte over the budget");
         assert!(err.contains("resident footprint"), "got: {err}");
     }
 }

@@ -8,7 +8,7 @@ pub const PAST_QUERY_CAPACITY: usize = 2_000;
 pub struct ProtectionConfig {
     /// Maximum number of fake queries (`kmax`). The paper evaluates with
     /// `kmax = 7` for privacy (Fig. 5, Fig. 7) and `k = 3` for the system
-    /// experiments.
+    /// experiments; Fig. 7 sweeps it.
     pub k_max: usize,
 }
 

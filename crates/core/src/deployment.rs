@@ -16,19 +16,18 @@
 //!   [`CyclosaNode`]s.
 
 use crate::node::CyclosaNode;
-use cyclosa_search_engine::ratelimit::{RateLimiter, RateLimiterConfig};
-use cyclosa_sgx::enclave::CostModel;
+use cyclosa_search_engine::ratelimit::{RateLimiter, MAX_REQUESTS};
+use cyclosa_sgx::enclave::{ecall_cost, ocall_cost};
 use cyclosa_util::dist::Exponential;
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use cyclosa_util::stats::jain_fairness;
 
 /// Simulated service time of one relayed request inside the enclave under
-/// the default SGX cost model: one ecall (decrypt + table update), one
+/// the SGX cost model: one ecall (decrypt + table update), one
 /// ocall (hand the request to the network), and the record-protection work
 /// proportional to the payload.
 pub fn relay_service_time_ns(payload_bytes: usize) -> u64 {
-    let cost = CostModel::default();
-    cost.ecall_cost(payload_bytes + 4096, 2 * 1024 * 1024) + cost.ocall_cost(payload_bytes)
+    ecall_cost(payload_bytes + 4096, 2 * 1024 * 1024) + ocall_cost(payload_bytes)
 }
 
 /// Service time of the X-SEARCH proxy for one user query: it additionally
@@ -36,11 +35,10 @@ pub fn relay_service_time_ns(payload_bytes: usize) -> u64 {
 /// response page inside the enclave, so it performs two extra enclave
 /// transitions over roughly `k + 1` times more payload per request.
 pub fn xsearch_service_time_ns(payload_bytes: usize, k: usize) -> u64 {
-    let cost = CostModel::default();
     let aggregated = payload_bytes * (k + 1);
     relay_service_time_ns(aggregated)
-        + cost.ecall_cost(aggregated, 2 * 1024 * 1024)
-        + cost.ecall_cost(aggregated * 4, 2 * 1024 * 1024)
+        + ecall_cost(aggregated, 2 * 1024 * 1024)
+        + ecall_cost(aggregated * 4, 2 * 1024 * 1024)
 }
 
 /// One point of the Fig. 8c throughput/latency curve.
@@ -92,7 +90,7 @@ pub fn throughput_latency_curve(
 }
 
 // The Fig. 8d population and load. Both sides run against the search
-// engine's default rate limit, `RateLimiterConfig::default()`.
+// engine's rate limit.
 
 /// Number of active users (and of CYCLOSA nodes).
 const USERS: usize = 100;
@@ -103,24 +101,8 @@ const QUERIES_PER_HOUR: f64 = 31.23;
 const K: usize = 3;
 /// Width of a reporting bucket in minutes.
 const BUCKET_MINUTES: u64 = 10;
-
-/// Configuration of the Fig. 8d load experiment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadExperimentConfig {
-    /// Experiment duration in minutes.
-    pub duration_minutes: u64,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl Default for LoadExperimentConfig {
-    fn default() -> Self {
-        Self {
-            duration_minutes: 90,
-            seed: 8,
-        }
-    }
-}
+/// Experiment duration in minutes.
+const DURATION_MINUTES: u64 = 90;
 
 /// The outcome of the Fig. 8d experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,16 +125,15 @@ pub struct LoadReport {
     pub cyclosa_rejected: u64,
 }
 
-/// Runs the Fig. 8d experiment.
-pub fn run_load_experiment(config: LoadExperimentConfig) -> LoadReport {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed);
+/// Runs the Fig. 8d experiment at `seed`.
+pub fn run_load_experiment(seed: u64) -> LoadReport {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let inter_arrival = Exponential::new(QUERIES_PER_HOUR / 3600.0);
-    let duration_s = config.duration_minutes as f64 * 60.0;
-    let buckets = config.duration_minutes.div_ceil(BUCKET_MINUTES) as usize;
+    let duration_s = DURATION_MINUTES as f64 * 60.0;
+    let buckets = DURATION_MINUTES.div_ceil(BUCKET_MINUTES) as usize;
 
-    let rate_limit = RateLimiterConfig::default();
-    let mut cyclosa_limiter = RateLimiter::new(rate_limit);
-    let mut xsearch_limiter = RateLimiter::new(rate_limit);
+    let mut cyclosa_limiter = RateLimiter::default();
+    let mut xsearch_limiter = RateLimiter::default();
     let xsearch_proxy_identity: u64 = u64::MAX;
 
     let mut cyclosa_per_node_bucket = vec![vec![0u64; USERS]; buckets];
@@ -219,7 +200,7 @@ pub fn run_load_experiment(config: LoadExperimentConfig) -> LoadReport {
         cyclosa_max_per_node,
         xsearch_admitted,
         xsearch_rejected,
-        engine_hourly_limit: rate_limit.max_requests,
+        engine_hourly_limit: MAX_REQUESTS,
         cyclosa_fairness: jain_fairness(&cyclosa_total_per_node),
         cyclosa_rejected,
     }
@@ -279,7 +260,7 @@ mod tests {
 
     #[test]
     fn load_experiment_blocks_xsearch_but_not_cyclosa() {
-        let report = run_load_experiment(LoadExperimentConfig::default());
+        let report = run_load_experiment(8);
         assert_eq!(
             report.cyclosa_rejected, 0,
             "CYCLOSA nodes must stay under the limit"
@@ -310,7 +291,7 @@ mod tests {
 
     #[test]
     fn load_experiment_mean_per_node_matches_expected_rate() {
-        let report = run_load_experiment(LoadExperimentConfig::default());
+        let report = run_load_experiment(8);
         // 100 users x 31.23 q/h x (k+1)=4 requests spread over 100 nodes
         // ≈ 125 requests/hour/node ≈ 21 per 10-minute bucket.
         let mean: f64 = report.cyclosa_mean_per_node.iter().sum::<f64>()

@@ -19,7 +19,7 @@ use cyclosa_crypto::channel::{channel_pair, ChannelError, SecureChannel};
 use cyclosa_crypto::x25519::StaticSecret;
 use cyclosa_net::time::SimTime;
 use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
-use cyclosa_peer_sampling::{PeerId, PeerSamplingConfig, PeerSamplingNode};
+use cyclosa_peer_sampling::{PeerId, PeerSamplingNode};
 use cyclosa_sgx::attestation::{generate_quote, AttestationError, AttestationService, Quote};
 use cyclosa_sgx::enclave::{Enclave, Platform, TransitionStats};
 use cyclosa_telemetry::NodeTracer;
@@ -214,16 +214,18 @@ impl NodeBuilder {
             id: PeerId(self.node_id),
             platform,
             enclave,
-            peer_sampling: PeerSamplingNode::new(
-                PeerId(self.node_id),
-                PeerSamplingConfig::default(),
-            ),
+            peer_sampling: PeerSamplingNode::new(PeerId(self.node_id)),
             analyzer,
             stats: NodeStats::default(),
             tracer: NodeTracer::default(),
         }
     }
 }
+
+/// Why a node's enclave calls cannot fail: `NodeBuilder::build`
+/// initializes the enclave, and nothing de-initializes it.
+const ENCLAVE_LIVE: &str =
+    "NodeBuilder::build initializes the enclave and nothing de-initializes it";
 
 /// A CYCLOSA participant (client + relay).
 #[derive(Debug)]
@@ -251,6 +253,21 @@ impl CyclosaNode {
     /// Node activity counters.
     pub fn stats(&self) -> &NodeStats {
         &self.stats
+    }
+
+    /// One ecall into the node's enclave touching `touched_bytes`: runs
+    /// `body` on the trusted state and returns its result (the modelled
+    /// cost lands in the enclave's transition stats).
+    fn ecall<R>(&mut self, touched_bytes: usize, body: impl FnOnce(&mut TrustedState) -> R) -> R {
+        self.enclave
+            .ecall(touched_bytes, body)
+            .expect(ENCLAVE_LIVE)
+            .0
+    }
+
+    /// One ocall out of the node's enclave transferring `transferred_bytes`.
+    fn ocall(&mut self, transferred_bytes: usize) {
+        self.enclave.ocall(transferred_bytes).expect(ENCLAVE_LIVE);
     }
 
     /// Installs a trace emitter. Planning, repair and refresh then emit
@@ -299,10 +316,7 @@ impl CyclosaNode {
 
     /// Number of past queries currently stored inside the enclave.
     pub fn past_query_count(&mut self) -> usize {
-        self.enclave
-            .ecall(0, |state| state.past_queries.len())
-            .expect("enclave initialized")
-            .0
+        self.ecall(0, |state| state.past_queries.len())
     }
 
     /// Mutable access to the peer-sampling protocol instance (driven by the
@@ -321,15 +335,13 @@ impl CyclosaNode {
     pub fn bootstrap_with_seed_queries<'a>(&mut self, queries: impl IntoIterator<Item = &'a str>) {
         let queries: Vec<String> = queries.into_iter().map(|q| q.to_owned()).collect();
         let bytes: usize = queries.iter().map(|q| q.len()).sum();
-        self.enclave
-            .ecall(bytes, move |state| {
-                for q in &queries {
-                    state.past_queries.record(q);
-                }
-                state.past_queries.resident_bytes()
-            })
-            .map(|(resident, _)| self.enclave.set_resident_bytes(resident))
-            .expect("enclave initialized");
+        let resident = self.ecall(bytes, move |state| {
+            for q in &queries {
+                state.past_queries.record(q);
+            }
+            state.past_queries.resident_bytes()
+        });
+        self.enclave.set_resident_bytes(resident);
     }
 
     /// Seeds the peer view from a public directory (paper §V-D).
@@ -382,13 +394,10 @@ impl CyclosaNode {
         // the local node they are only used to build outgoing requests).
         let fake_count = assessment.k.min(relays.len().saturating_sub(1));
         let query_owned = query.to_owned();
-        let (fakes, _) = self
-            .enclave
-            .ecall(query.len() + 64 * fake_count, {
-                let mut draw_rng = rng.fork(0xFA4E);
-                move |state| state.past_queries.draw_fakes(fake_count, &mut draw_rng)
-            })
-            .expect("enclave initialized");
+        let fakes = self.ecall(query.len() + 64 * fake_count, {
+            let mut draw_rng = rng.fork(0xFA4E);
+            move |state| state.past_queries.draw_fakes(fake_count, &mut draw_rng)
+        });
         if self.tracer.is_enabled() {
             self.tracer.emit(
                 self.tracer
@@ -739,13 +748,10 @@ impl CyclosaNode {
         if draw == 0 {
             return Vec::new();
         }
-        let (fakes, _) = self
-            .enclave
-            .ecall(64 * draw, {
-                let mut draw_rng = rng.fork(0x70FF);
-                move |state| state.past_queries.draw_fakes(draw, &mut draw_rng)
-            })
-            .expect("enclave initialized");
+        let fakes = self.ecall(64 * draw, {
+            let mut draw_rng = rng.fork(0x70FF);
+            move |state| state.past_queries.draw_fakes(draw, &mut draw_rng)
+        });
         let mut topped_up = Vec::with_capacity(fakes.len());
         for fake in fakes {
             let relay = candidates.swap_remove(rng.gen_index(candidates.len()));
@@ -769,18 +775,13 @@ impl CyclosaNode {
     /// engine (the node never learns whether it is real or fake).
     pub fn relay_query(&mut self, query: &str) -> String {
         let query_owned = query.to_owned();
-        let (resident, _) = self
-            .enclave
-            .ecall(query.len() + 64, move |state| {
-                state.past_queries.record(&query_owned);
-                state.past_queries.resident_bytes()
-            })
-            .expect("enclave initialized");
+        let resident = self.ecall(query.len() + 64, move |state| {
+            state.past_queries.record(&query_owned);
+            state.past_queries.resident_bytes()
+        });
         self.enclave.set_resident_bytes(resident);
         // Leaving the enclave towards the network stack is an ocall.
-        self.enclave
-            .ocall(query.len())
-            .expect("enclave initialized");
+        self.ocall(query.len());
         self.stats.queries_relayed += 1;
         query.to_owned()
     }
@@ -793,10 +794,7 @@ impl CyclosaNode {
 
     /// The node's channel public key (derived inside the enclave).
     pub fn channel_public_key(&mut self) -> cyclosa_crypto::x25519::PublicKey {
-        self.enclave
-            .ecall(32, |state| state.keys.identity.public_key())
-            .expect("enclave initialized")
-            .0
+        self.ecall(32, |state| state.keys.identity.public_key())
     }
 }
 
@@ -860,24 +858,21 @@ pub fn attested_channel_pair(
 fn handshake_key(node: &mut CyclosaNode) -> StaticSecret {
     let node_id = node.id().0;
     let measurement = *node.enclave.measurement().as_bytes();
-    node.enclave
-        .ecall(64, move |state| {
-            let EnclaveKeys {
-                identity,
-                handshake,
-            } = &mut state.keys;
-            handshake
-                .get_or_insert_with(|| {
-                    StaticSecret::from_bytes(cyclosa_crypto::hkdf::derive_key(
-                        b"cyclosa-ephemeral",
-                        identity.public_key().as_bytes(),
-                        &[&node_id.to_le_bytes()[..], &measurement[..]].concat(),
-                    ))
-                })
-                .clone()
-        })
-        .expect("enclave initialized")
-        .0
+    node.ecall(64, move |state| {
+        let EnclaveKeys {
+            identity,
+            handshake,
+        } = &mut state.keys;
+        handshake
+            .get_or_insert_with(|| {
+                StaticSecret::from_bytes(cyclosa_crypto::hkdf::derive_key(
+                    b"cyclosa-ephemeral",
+                    identity.public_key().as_bytes(),
+                    &[&node_id.to_le_bytes()[..], &measurement[..]].concat(),
+                ))
+            })
+            .clone()
+    })
 }
 
 #[cfg(test)]

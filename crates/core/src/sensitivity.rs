@@ -19,7 +19,7 @@ use crate::config::ProtectionConfig;
 use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
 use cyclosa_nlp::dictionary::TopicDictionary;
 use cyclosa_nlp::kernel::IdVector;
-use cyclosa_nlp::lda::{Corpus, LdaModel, LdaTrainingConfig};
+use cyclosa_nlp::lda::{Corpus, LdaModel};
 use cyclosa_nlp::lexicon::Lexicon;
 use cyclosa_nlp::profile::UserProfile;
 use cyclosa_nlp::text::Vocabulary;
@@ -146,13 +146,7 @@ pub fn build_categorizer<R: Rng + ?Sized>(
         let mut vocab = Vocabulary::new();
         let corpus = Corpus::from_texts(&mut vocab, sensitive_corpus.iter().map(|s| s.as_str()));
         if !corpus.documents.is_empty() {
-            let lda_config = LdaTrainingConfig {
-                num_topics: 4,
-                alpha: 0.2,
-                beta: 0.01,
-                iterations: 120,
-            };
-            let model = LdaModel::train(&corpus, lda_config, rng);
+            let model = LdaModel::train(&corpus, rng);
             // The paper trains the LDA model on the sexuality corpus; the
             // resulting dictionary is attached to that topic.
             let topic = selected_topics

@@ -3,7 +3,7 @@
 //! Determinism across shard counts rests on *decorrelated, collision-free*
 //! RNG streams: every forked stream is identified by an integer tag
 //! (`rng.fork(0x70FF)`) and every churn stream by a `(model tag, entity)`
-//! pair (`churn_stream(seed, TAG_BURSTS, node)`). Two different purposes
+//! pair (`churn_stream(seed, TAG_SESSIONS, node)`). Two different purposes
 //! accidentally sharing a tag silently correlate their draws — the bug
 //! reproduces only for specific seeds and is invisible in review.
 //!

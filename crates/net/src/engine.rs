@@ -353,8 +353,7 @@ impl<B> MembershipLedger<B> {
 /// A piecewise-constant loss-probability timeline.
 ///
 /// The effective probability of a send is a pure function of its send
-/// time, so scheduled loss changes (the "loss storms" of `cyclosa-chaos`)
-/// stay bit-identical across engines and shard counts: every shard holds
+/// time, so scheduled loss changes (loss storms) stay bit-identical across engines and shard counts: every shard holds
 /// the same schedule and evaluates it at the same deterministic send
 /// times.
 #[derive(Debug, Clone, Default)]

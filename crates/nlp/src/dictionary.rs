@@ -85,7 +85,7 @@ impl TopicDictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lda::{Corpus, LdaTrainingConfig};
+    use crate::lda::Corpus;
     use crate::lexicon::LexiconBuilder;
     use crate::text::tokenize;
     use cyclosa_util::rng::Xoshiro256StarStar;
@@ -127,16 +127,7 @@ mod tests {
             ],
         );
         let mut rng = Xoshiro256StarStar::seed_from_u64(5);
-        let model = crate::lda::LdaModel::train(
-            &corpus,
-            LdaTrainingConfig {
-                num_topics: 2,
-                alpha: 0.5,
-                beta: 0.01,
-                iterations: 50,
-            },
-            &mut rng,
-        );
+        let model = crate::lda::LdaModel::train(&corpus, &mut rng);
         let dict = TopicDictionary::from_lda("sexuality", &model, &vocab, 3);
         assert!(!dict.terms.is_empty());
         assert!(dict.terms.iter().all(|t| vocab.id_of(t).is_some()));

@@ -38,36 +38,22 @@ impl Corpus {
     }
 }
 
-/// Hyper-parameters for LDA training.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LdaTrainingConfig {
-    /// Number of latent topics.
-    pub num_topics: usize,
-    /// Dirichlet prior on document-topic distributions.
-    pub alpha: f64,
-    /// Dirichlet prior on topic-word distributions.
-    pub beta: f64,
-    /// Number of Gibbs sweeps over the corpus.
-    pub iterations: usize,
-}
+// Hyper-parameters of LDA training: the small sensitive-topic corpus of
+// the categorizer needs only a few topics.
 
-impl Default for LdaTrainingConfig {
-    fn default() -> Self {
-        Self {
-            num_topics: 20,
-            alpha: 0.1,
-            beta: 0.01,
-            iterations: 100,
-        }
-    }
-}
+/// Number of latent topics.
+const NUM_TOPICS: usize = 4;
+/// Dirichlet prior on document-topic distributions.
+const ALPHA: f64 = 0.2;
+/// Dirichlet prior on topic-word distributions.
+const BETA: f64 = 0.01;
+/// Number of Gibbs sweeps over the corpus.
+const ITERATIONS: usize = 120;
 
 /// A trained LDA model (topic-word statistics).
 #[derive(Debug, Clone)]
 pub struct LdaModel {
-    num_topics: usize,
     vocab_size: usize,
-    beta: f64,
     /// `topic_word[k][w]` = number of tokens of word `w` assigned to topic `k`.
     topic_word: Vec<Vec<u32>>,
     /// `topic_total[k]` = number of tokens assigned to topic `k`.
@@ -79,16 +65,13 @@ impl LdaModel {
     ///
     /// # Panics
     ///
-    /// Panics if the corpus is empty or the configuration asks for zero
-    /// topics or zero iterations.
-    pub fn train<R: Rng + ?Sized>(corpus: &Corpus, config: LdaTrainingConfig, rng: &mut R) -> Self {
-        assert!(config.num_topics > 0, "LDA needs at least one topic");
-        assert!(config.iterations > 0, "LDA needs at least one iteration");
+    /// Panics if the corpus is empty.
+    pub fn train<R: Rng + ?Sized>(corpus: &Corpus, rng: &mut R) -> Self {
         assert!(
             corpus.vocab_size > 0 && !corpus.documents.is_empty(),
             "LDA needs a non-empty corpus"
         );
-        let k = config.num_topics;
+        let k = NUM_TOPICS;
         let v = corpus.vocab_size;
 
         let mut topic_word = vec![vec![0u32; v]; k];
@@ -110,7 +93,7 @@ impl LdaModel {
         }
 
         let mut weights = vec![0.0f64; k];
-        for _ in 0..config.iterations {
+        for _ in 0..ITERATIONS {
             for (d, doc) in corpus.documents.iter().enumerate() {
                 for (i, &w) in doc.iter().enumerate() {
                     let old = assignments[d][i];
@@ -120,9 +103,9 @@ impl LdaModel {
                     doc_topic[d][old] -= 1;
                     // Sample a new topic from the collapsed conditional.
                     for (t, weight) in weights.iter_mut().enumerate() {
-                        let word_factor = (topic_word[t][w] as f64 + config.beta)
-                            / (topic_total[t] as f64 + v as f64 * config.beta);
-                        let doc_factor = doc_topic[d][t] as f64 + config.alpha;
+                        let word_factor = (topic_word[t][w] as f64 + BETA)
+                            / (topic_total[t] as f64 + v as f64 * BETA);
+                        let doc_factor = doc_topic[d][t] as f64 + ALPHA;
                         *weight = word_factor * doc_factor;
                     }
                     let new = rng.sample_weighted(&weights).unwrap_or(old);
@@ -135,9 +118,7 @@ impl LdaModel {
         }
 
         Self {
-            num_topics: k,
             vocab_size: v,
-            beta: config.beta,
             topic_word,
             topic_total,
         }
@@ -145,16 +126,16 @@ impl LdaModel {
 
     /// Probability of `word` under `topic` (smoothed).
     pub(crate) fn topic_term_probability(&self, topic: usize, word: usize) -> f64 {
-        if topic >= self.num_topics || word >= self.vocab_size {
+        if topic >= NUM_TOPICS || word >= self.vocab_size {
             return 0.0;
         }
-        (self.topic_word[topic][word] as f64 + self.beta)
-            / (self.topic_total[topic] as f64 + self.vocab_size as f64 * self.beta)
+        (self.topic_word[topic][word] as f64 + BETA)
+            / (self.topic_total[topic] as f64 + self.vocab_size as f64 * BETA)
     }
 
     /// The `n` highest-probability words of `topic`, as `(word id, prob)`.
     pub(crate) fn top_words(&self, topic: usize, n: usize) -> Vec<(usize, f64)> {
-        if topic >= self.num_topics {
+        if topic >= NUM_TOPICS {
             return Vec::new();
         }
         let mut scored: Vec<(usize, f64)> = (0..self.vocab_size)
@@ -168,7 +149,7 @@ impl LdaModel {
     /// The union of the top `per_topic` word ids of every topic — the "LDA
     /// dictionary" used by the sensitivity categorizer.
     pub(crate) fn thematic_terms(&self, per_topic: usize) -> BTreeSet<usize> {
-        (0..self.num_topics)
+        (0..NUM_TOPICS)
             .flat_map(|t| self.top_words(t, per_topic).into_iter().map(|(w, _)| w))
             .collect()
     }
@@ -182,7 +163,7 @@ mod tests {
     /// Builds a corpus with two clearly separable topics.
     fn separable_corpus(vocab: &mut Vocabulary) -> Corpus {
         // Documents within a topic share vocabulary (doctor/treatment for
-        // health, trip/booking for travel) so that a two-topic model aligns
+        // health, trip/booking for travel) so that the model's topics align
         // with the intended split.
         let health = [
             "flu symptoms fever cough doctor treatment",
@@ -207,36 +188,34 @@ mod tests {
         Corpus::from_texts(vocab, health.iter().chain(travel.iter()).copied())
     }
 
-    fn train_two_topics() -> (Vocabulary, LdaModel) {
+    fn train_separable() -> (Vocabulary, LdaModel) {
         let mut vocab = Vocabulary::new();
         let corpus = separable_corpus(&mut vocab);
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-        let config = LdaTrainingConfig {
-            num_topics: 2,
-            alpha: 0.1,
-            beta: 0.01,
-            iterations: 300,
-        };
-        let model = LdaModel::train(&corpus, config, &mut rng);
+        let model = LdaModel::train(&corpus, &mut rng);
         (vocab, model)
+    }
+
+    /// The topic that puts the most mass on `word`.
+    fn topic_of(model: &LdaModel, word: usize) -> usize {
+        (0..NUM_TOPICS)
+            .max_by(|&a, &b| {
+                model
+                    .topic_term_probability(a, word)
+                    .total_cmp(&model.topic_term_probability(b, word))
+            })
+            .unwrap()
     }
 
     #[test]
     fn topics_separate_health_from_travel() {
-        let (vocab, model) = train_two_topics();
+        let (vocab, model) = train_separable();
         // The topic that puts the most mass on "flu" should also rank other
         // health terms highly and travel terms low.
         let flu = vocab.id_of("flu").unwrap();
         let flights = vocab.id_of("flights").unwrap();
-        let health_topic = (0..2)
-            .max_by(|&a, &b| {
-                model
-                    .topic_term_probability(a, flu)
-                    .partial_cmp(&model.topic_term_probability(b, flu))
-                    .unwrap()
-            })
-            .unwrap();
-        let travel_topic = 1 - health_topic;
+        let health_topic = topic_of(&model, flu);
+        let travel_topic = topic_of(&model, flights);
         assert!(
             model.topic_term_probability(health_topic, flu)
                 > model.topic_term_probability(travel_topic, flu)
@@ -282,7 +261,7 @@ mod tests {
 
     #[test]
     fn thematic_terms_cover_both_topics() {
-        let (vocab, model) = train_two_topics();
+        let (vocab, model) = train_separable();
         let terms = model.thematic_terms(5);
         assert!(terms.len() >= 5);
         assert!(terms.iter().all(|&w| w < vocab.len()));
@@ -290,8 +269,8 @@ mod tests {
 
     #[test]
     fn probabilities_are_normalized_per_topic() {
-        let (_, model) = train_two_topics();
-        for t in 0..model.num_topics {
+        let (_, model) = train_separable();
+        for t in 0..NUM_TOPICS {
             let total: f64 = (0..model.vocab_size)
                 .map(|w| model.topic_term_probability(t, w))
                 .sum();
@@ -309,7 +288,7 @@ mod tests {
             vocab_size: 0,
             documents: vec![],
         };
-        let _ = LdaModel::train(&corpus, LdaTrainingConfig::default(), &mut rng);
+        let _ = LdaModel::train(&corpus, &mut rng);
     }
 
     #[test]
@@ -326,32 +305,14 @@ mod tests {
         let mut vocab_a = Vocabulary::new();
         let corpus_a = separable_corpus(&mut vocab_a);
         let mut rng_a = Xoshiro256StarStar::seed_from_u64(99);
-        let model_a = LdaModel::train(
-            &corpus_a,
-            LdaTrainingConfig {
-                num_topics: 2,
-                alpha: 0.5,
-                beta: 0.01,
-                iterations: 50,
-            },
-            &mut rng_a,
-        );
+        let model_a = LdaModel::train(&corpus_a, &mut rng_a);
 
         let mut vocab_b = Vocabulary::new();
         let corpus_b = separable_corpus(&mut vocab_b);
         let mut rng_b = Xoshiro256StarStar::seed_from_u64(99);
-        let model_b = LdaModel::train(
-            &corpus_b,
-            LdaTrainingConfig {
-                num_topics: 2,
-                alpha: 0.5,
-                beta: 0.01,
-                iterations: 50,
-            },
-            &mut rng_b,
-        );
+        let model_b = LdaModel::train(&corpus_b, &mut rng_b);
 
-        for t in 0..2 {
+        for t in 0..NUM_TOPICS {
             for w in 0..corpus_a.vocab_size {
                 assert_eq!(
                     model_a.topic_term_probability(t, w),

@@ -31,48 +31,33 @@
 use crate::view::PeerId;
 use cyclosa_util::rng::Rng;
 
-/// Capacities and shuffle sample sizes of one node's partial views.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HyParViewConfig {
-    /// Maximum active-view size (the routing fan-out).
-    pub(crate) active_capacity: usize,
-    /// Maximum passive-view size (the healing reservoir).
-    pub(crate) passive_capacity: usize,
-    /// How many active-view peers a shuffle sample carries.
-    pub(crate) shuffle_active: usize,
-    /// How many passive-view peers a shuffle sample carries.
-    pub(crate) shuffle_passive: usize,
-}
+// Capacities and shuffle sample sizes of one node's partial views: the
+// classic HyParView sizing, a passive reservoir a small multiple of the
+// active fan-out.
 
-impl Default for HyParViewConfig {
-    fn default() -> Self {
-        // Classic HyParView sizing: a passive reservoir a small multiple
-        // of the active fan-out.
-        Self {
-            active_capacity: 5,
-            passive_capacity: 12,
-            shuffle_active: 3,
-            shuffle_passive: 4,
-        }
-    }
-}
+/// Maximum active-view size (the routing fan-out).
+pub(crate) const ACTIVE_CAPACITY: usize = 5;
+/// Maximum passive-view size (the healing reservoir).
+const PASSIVE_CAPACITY: usize = 12;
+/// How many active-view peers a shuffle sample carries.
+const SHUFFLE_ACTIVE: usize = 3;
+/// How many passive-view peers a shuffle sample carries.
+const SHUFFLE_PASSIVE: usize = 4;
 
 /// One node's active/passive/quarantine membership sets.
 #[derive(Debug, Clone)]
 pub(crate) struct PartialViews {
     self_id: PeerId,
-    config: HyParViewConfig,
     active: Vec<PeerId>,
     passive: Vec<PeerId>,
     quarantine: Vec<PeerId>,
 }
 
 impl PartialViews {
-    /// Empty views for `self_id` under `config`.
-    pub(crate) fn new(self_id: PeerId, config: HyParViewConfig) -> Self {
+    /// Empty views for `self_id`.
+    pub(crate) fn new(self_id: PeerId) -> Self {
         Self {
             self_id,
-            config,
             active: Vec::new(),
             passive: Vec::new(),
             quarantine: Vec::new(),
@@ -97,7 +82,7 @@ impl PartialViews {
 
     /// Whether the active view has room for another peer.
     pub(crate) fn active_has_room(&self) -> bool {
-        self.active.len() < self.config.active_capacity
+        self.active.len() < ACTIVE_CAPACITY
     }
 
     /// Whether `peer` is quarantined.
@@ -115,7 +100,7 @@ impl PartialViews {
         }
         self.passive.retain(|p| *p != peer);
         let mut demoted = None;
-        if self.active.len() >= self.config.active_capacity {
+        if self.active.len() >= ACTIVE_CAPACITY {
             let victim = self.active.swap_remove(rng.gen_index(self.active.len()));
             self.add_passive(victim, rng);
             demoted = Some(victim);
@@ -136,7 +121,7 @@ impl PartialViews {
         {
             return;
         }
-        if self.passive.len() >= self.config.passive_capacity {
+        if self.passive.len() >= PASSIVE_CAPACITY {
             self.passive.swap_remove(rng.gen_index(self.passive.len()));
         }
         self.passive.push(peer);
@@ -180,14 +165,14 @@ impl PartialViews {
         self.add_active(peer, rng)
     }
 
-    /// A shuffle sample: up to `shuffle_active` active peers and
-    /// `shuffle_passive` passive peers, randomly chosen, deduplicated.
+    /// A shuffle sample: up to `SHUFFLE_ACTIVE` active peers and
+    /// `SHUFFLE_PASSIVE` passive peers, randomly chosen, deduplicated.
     pub(crate) fn shuffle_sample(&self, rng: &mut impl Rng) -> Vec<PeerId> {
         let mut sample = Vec::new();
-        for index in rng.sample_indices(self.active.len(), self.config.shuffle_active) {
+        for index in rng.sample_indices(self.active.len(), SHUFFLE_ACTIVE) {
             sample.push(self.active[index]);
         }
-        for index in rng.sample_indices(self.passive.len(), self.config.shuffle_passive) {
+        for index in rng.sample_indices(self.passive.len(), SHUFFLE_PASSIVE) {
             let peer = self.passive[index];
             if !sample.contains(&peer) {
                 sample.push(peer);
@@ -222,15 +207,7 @@ mod tests {
 
     fn views() -> (PartialViews, Xoshiro256StarStar) {
         (
-            PartialViews::new(
-                PeerId(0),
-                HyParViewConfig {
-                    active_capacity: 3,
-                    passive_capacity: 5,
-                    shuffle_active: 2,
-                    shuffle_passive: 3,
-                },
-            ),
+            PartialViews::new(PeerId(0)),
             Xoshiro256StarStar::seed_from_u64(42),
         )
     }
@@ -238,16 +215,19 @@ mod tests {
     #[test]
     fn active_overflow_demotes_to_passive() {
         let (mut v, mut rng) = views();
-        for peer in 1..=3 {
+        let full = ACTIVE_CAPACITY as u64;
+        for peer in 1..=full {
             assert_eq!(v.add_active(PeerId(peer), &mut rng), None);
         }
-        let demoted = v.add_active(PeerId(4), &mut rng).expect("view was full");
-        assert_eq!(v.active().len(), 3);
+        let demoted = v
+            .add_active(PeerId(full + 1), &mut rng)
+            .expect("view was full");
+        assert_eq!(v.active().len(), ACTIVE_CAPACITY);
         assert!(
             v.passive().contains(&demoted),
             "demoted peer lands in passive"
         );
-        assert!(v.active().contains(&PeerId(4)));
+        assert!(v.active().contains(&PeerId(full + 1)));
     }
 
     #[test]
@@ -297,24 +277,24 @@ mod tests {
     #[test]
     fn passive_reservoir_is_bounded() {
         let (mut v, mut rng) = views();
-        for peer in 1..=20 {
+        for peer in 1..=2 * PASSIVE_CAPACITY as u64 {
             v.add_passive(PeerId(peer), &mut rng);
         }
-        assert_eq!(v.passive().len(), 5);
+        assert_eq!(v.passive().len(), PASSIVE_CAPACITY);
     }
 
     #[test]
     fn shuffle_sample_draws_from_both_views() {
         let (mut v, mut rng) = views();
-        for peer in 1..=3 {
+        for peer in 1..=ACTIVE_CAPACITY as u64 {
             v.add_active(PeerId(peer), &mut rng);
         }
-        for peer in 10..=14 {
+        for peer in 100..100 + PASSIVE_CAPACITY as u64 {
             v.add_passive(PeerId(peer), &mut rng);
         }
         let sample = v.shuffle_sample(&mut rng);
-        assert!(sample.len() >= 2 && sample.len() <= 5);
-        assert!(sample.iter().any(|p| p.0 < 10), "carries an active peer");
-        assert!(sample.iter().any(|p| p.0 >= 10), "carries a passive peer");
+        let active = sample.iter().filter(|p| p.0 < 100).count();
+        assert_eq!(active, SHUFFLE_ACTIVE, "carries active peers");
+        assert_eq!(sample.len() - active, SHUFFLE_PASSIVE, "and passive ones");
     }
 }

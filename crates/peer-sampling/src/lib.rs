@@ -60,8 +60,8 @@ pub mod sybil;
 pub mod view;
 
 pub use brahms::EngineBrahmsOverlay;
-pub use membership::{MembershipConfig, SwimGossipOverlay, SWIM_ROUND_PERIOD};
-pub use node::{PeerSamplingConfig, PeerSamplingNode};
+pub use membership::{MembershipConfig, SwimGossipOverlay, SUSPICION_TIMEOUT, SWIM_ROUND_PERIOD};
+pub use node::PeerSamplingNode;
 pub use overlay::{EngineGossipConfig, EngineGossipOverlay, SHUFFLE_ROUND_PERIOD};
 pub use population::{
     cross_side_edges, overlay_metrics_from_views, Overlay, OverlayMetrics, SamplingProtocol,

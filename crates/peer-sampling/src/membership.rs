@@ -37,7 +37,7 @@
 //! byte. Telemetry (`mship.*` spans) only *reads* protocol state, per
 //! the zero-perturbation contract of `cyclosa-telemetry`.
 
-use crate::hyparview::{HyParViewConfig, PartialViews};
+use crate::hyparview::{PartialViews, ACTIVE_CAPACITY};
 use crate::population::{
     decode_ids, encode_ids, lock, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND,
 };
@@ -81,10 +81,9 @@ const TOKEN_FORGE: u64 = 1 << 36;
 
 // Timings are sized against the calibrated WAN latency model (median
 // one-way ≈ 140 ms): a 900 ms probe window covers the direct round trip's
-// tail, and the default suspicion timeout spans three rounds so a
+// tail, and the suspicion timeout spans three rounds so a
 // falsely-suspected peer reliably hears the rumor and its refutation
-// travels back before expiry. Every node's views use
-// `HyParViewConfig::default()`.
+// travels back before expiry.
 
 /// Interval between a node's rounds.
 pub const SWIM_ROUND_PERIOD: SimTime = SimTime::from_secs(2);
@@ -104,24 +103,21 @@ const SHUFFLE_EVERY: u64 = 2;
 const RUMOR_TRANSMISSIONS: u32 = 4;
 /// Maximum rumors piggybacked per message.
 const PIGGYBACK: usize = 8;
+/// How long a suspected peer has to refute before it is declared dead.
+/// Several round periods, so the suspicion rumor can reach the peer and
+/// its refutation can travel back.
+pub const SUSPICION_TIMEOUT: SimTime = SimTime::from_secs(6);
 
 /// Configuration of the SWIM/HyParView membership overlay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MembershipConfig {
     /// Number of protocol rounds each node initiates.
     pub rounds: usize,
-    /// How long a suspected peer has to refute before it is declared
-    /// dead. Several round periods, so the suspicion rumor can reach the
-    /// peer and its refutation can travel back.
-    pub suspicion_timeout: SimTime,
 }
 
 impl Default for MembershipConfig {
     fn default() -> Self {
-        Self {
-            rounds: 60,
-            suspicion_timeout: SimTime::from_secs(6),
-        }
+        Self { rounds: 60 }
     }
 }
 
@@ -328,7 +324,6 @@ pub struct MembershipState {
 struct MembershipBehavior {
     state: Arc<Mutex<MembershipState>>,
     rng: Xoshiro256StarStar,
-    config: MembershipConfig,
     rounds_left: usize,
     round: u64,
     seq: u64,
@@ -374,7 +369,7 @@ impl MembershipBehavior {
                     // Every observer arms its own expiry, so a dead peer
                     // is declared dead even where the original suspector
                     // is unreachable.
-                    ctx.set_timer(self.config.suspicion_timeout, SUSPECT_BASE + event.peer.0);
+                    ctx.set_timer(SUSPICION_TIMEOUT, SUSPECT_BASE + event.peer.0);
                 }
                 MembershipEventKind::Dead => {
                     let was_active = state.views.note_dead(event.peer);
@@ -725,7 +720,7 @@ impl NodeBehavior for MembershipBehavior {
             // detection.
             if self.rounds_left > 0 {
                 if let Some((MemberState::Suspect, _, since)) = state.detector.state_of(peer) {
-                    if now.saturating_sub(since) >= self.config.suspicion_timeout {
+                    if now.saturating_sub(since) >= SUSPICION_TIMEOUT {
                         state.detector.declare_dead(peer, since, now);
                     }
                 }
@@ -794,7 +789,7 @@ impl SamplingProtocol for Swim {
     }
 
     fn ring_fanout(&self) -> usize {
-        HyParViewConfig::default().active_capacity
+        ACTIVE_CAPACITY
     }
 
     fn spawn(
@@ -804,8 +799,7 @@ impl SamplingProtocol for Swim {
         mut rng: Xoshiro256StarStar,
         _liveness: &Liveness,
     ) -> (Arc<Mutex<MembershipState>>, Box<dyn NodeBehavior + Send>) {
-        let config = self.config;
-        let mut views = PartialViews::new(id, HyParViewConfig::default());
+        let mut views = PartialViews::new(id);
         for &peer in bootstrap {
             views.add_active(peer, &mut rng);
         }
@@ -819,8 +813,7 @@ impl SamplingProtocol for Swim {
         let behavior = MembershipBehavior {
             state: state.clone(),
             rng,
-            config,
-            rounds_left: config.rounds,
+            rounds_left: self.config.rounds,
             round: 0,
             seq: 0,
             pending_probe: None,
@@ -1029,10 +1022,7 @@ mod tests {
 
     #[test]
     fn unbridged_partition_merge_heals_natively() {
-        let config = MembershipConfig {
-            rounds: 70,
-            ..MembershipConfig::default()
-        };
+        let config = MembershipConfig { rounds: 70 };
         let mut sim = Simulation::new(67);
         let mut overlay = SwimGossipOverlay::ring(&mut sim, 14, config, 67, &TraceSink::disabled());
         let minority: Vec<PeerId> = (0..4).map(PeerId).collect();
@@ -1067,10 +1057,7 @@ mod tests {
             let mut overlay = SwimGossipOverlay::ring(
                 engine,
                 12,
-                MembershipConfig {
-                    rounds: 40,
-                    ..MembershipConfig::default()
-                },
+                MembershipConfig { rounds: 40 },
                 91,
                 &TraceSink::disabled(),
             );

@@ -10,34 +10,20 @@
 use crate::view::{Descriptor, PeerId, View};
 use cyclosa_util::rng::Rng;
 
-/// Protocol parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeerSamplingConfig {
-    /// View size `c`.
-    pub(crate) view_size: usize,
-    /// Number of descriptors exchanged per gossip (`c/2` in the paper's
-    /// canonical configuration, including the sender's own fresh entry).
-    pub(crate) exchange_size: usize,
-    /// Healer parameter `H`: how many of the oldest items are dropped
-    /// during the merge.
-    pub(crate) healer: usize,
-    /// Swapper parameter `S`: how many of the items just sent are dropped
-    /// during the merge.
-    pub(crate) swapper: usize,
-}
+// Protocol parameters: c = 20, exchange c/2, H = 1, S = 9, tail
+// selection — the self-healing configuration recommended by Jelasity et al.
 
-impl Default for PeerSamplingConfig {
-    fn default() -> Self {
-        // c = 20, exchange c/2, H = 1, S = 9, tail selection: the
-        // self-healing configuration recommended by Jelasity et al.
-        Self {
-            view_size: 20,
-            exchange_size: 10,
-            healer: 1,
-            swapper: 9,
-        }
-    }
-}
+/// View size `c`.
+pub(crate) const VIEW_SIZE: usize = 20;
+/// Number of descriptors exchanged per gossip (`c/2` in the paper's
+/// canonical configuration, including the sender's own fresh entry).
+pub(crate) const EXCHANGE_SIZE: usize = 10;
+/// Healer parameter `H`: how many of the oldest items are dropped during
+/// the merge.
+const HEALER: usize = 1;
+/// Swapper parameter `S`: how many of the items just sent are dropped
+/// during the merge.
+const SWAPPER: usize = 9;
 
 /// The buffer exchanged between two gossip partners.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,17 +37,15 @@ pub(crate) struct ExchangeBuffer {
 pub struct PeerSamplingNode {
     id: PeerId,
     view: View,
-    config: PeerSamplingConfig,
     rounds: u64,
 }
 
 impl PeerSamplingNode {
     /// Creates a node with an empty view.
-    pub fn new(id: PeerId, config: PeerSamplingConfig) -> Self {
+    pub fn new(id: PeerId) -> Self {
         Self {
             id,
-            view: View::new(config.view_size),
-            config,
+            view: View::new(VIEW_SIZE),
             rounds: 0,
         }
     }
@@ -92,9 +76,7 @@ impl PeerSamplingNode {
     /// descriptor plus a random sample of its view.
     pub(crate) fn prepare_buffer<R: Rng + ?Sized>(&self, rng: &mut R) -> ExchangeBuffer {
         let mut descriptors = vec![Descriptor::fresh(self.id)];
-        let sample = self
-            .view
-            .sample(rng, self.config.exchange_size.saturating_sub(1));
+        let sample = self.view.sample(rng, EXCHANGE_SIZE - 1);
         descriptors.extend(sample);
         ExchangeBuffer { descriptors }
     }
@@ -118,13 +100,13 @@ impl PeerSamplingNode {
         }
         // Per the reference protocol, the healer and swapper removals only
         // ever shrink the view down towards its capacity, never below it.
-        let excess = self.view.len().saturating_sub(self.config.view_size);
+        let excess = self.view.len().saturating_sub(VIEW_SIZE);
         // Healer: drop up to H of the oldest items.
-        self.view.remove_oldest(self.config.healer.min(excess));
+        self.view.remove_oldest(HEALER.min(excess));
         // Swapper: drop up to S of the items we just shipped out.
         let mut swapped = 0;
         for d in sent.descriptors.iter().skip(1) {
-            if swapped >= self.config.swapper || self.view.len() <= self.config.view_size {
+            if swapped >= SWAPPER || self.view.len() <= VIEW_SIZE {
                 break;
             }
             if self.view.remove(d.peer) {
@@ -181,18 +163,9 @@ mod tests {
     use super::*;
     use cyclosa_util::rng::Xoshiro256StarStar;
 
-    fn config() -> PeerSamplingConfig {
-        PeerSamplingConfig {
-            view_size: 6,
-            exchange_size: 3,
-            healer: 1,
-            swapper: 2,
-        }
-    }
-
     #[test]
     fn bootstrap_excludes_self() {
-        let mut node = PeerSamplingNode::new(PeerId(0), config());
+        let mut node = PeerSamplingNode::new(PeerId(0));
         node.bootstrap([PeerId(0), PeerId(1), PeerId(2)]);
         assert_eq!(node.view().len(), 2);
         assert!(!node.view().contains(PeerId(0)));
@@ -201,17 +174,17 @@ mod tests {
     #[test]
     fn prepare_buffer_starts_with_fresh_self() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(3);
-        let mut node = PeerSamplingNode::new(PeerId(5), config());
+        let mut node = PeerSamplingNode::new(PeerId(5));
         node.bootstrap((0..4).map(PeerId));
         let buffer = node.prepare_buffer(&mut rng);
         assert_eq!(buffer.descriptors[0].peer, PeerId(5));
         assert_eq!(buffer.descriptors[0].age, 0);
-        assert!(buffer.descriptors.len() <= config().exchange_size);
+        assert!(buffer.descriptors.len() <= EXCHANGE_SIZE);
     }
 
     #[test]
     fn partner_selection_prefers_oldest() {
-        let mut node = PeerSamplingNode::new(PeerId(0), config());
+        let mut node = PeerSamplingNode::new(PeerId(0));
         node.bootstrap([PeerId(1), PeerId(2)]);
         node.increase_ages();
         node.bootstrap([PeerId(3)]);
@@ -221,8 +194,8 @@ mod tests {
     #[test]
     fn merge_learns_new_peers_and_respects_capacity() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(9);
-        let mut node = PeerSamplingNode::new(PeerId(0), config());
-        node.bootstrap((1..=6).map(PeerId));
+        let mut node = PeerSamplingNode::new(PeerId(0));
+        node.bootstrap((1..=VIEW_SIZE as u64).map(PeerId));
         let received = ExchangeBuffer {
             descriptors: vec![
                 Descriptor::fresh(PeerId(100)),
@@ -237,14 +210,14 @@ mod tests {
             descriptors: vec![Descriptor::fresh(PeerId(0)), Descriptor::fresh(PeerId(1))],
         };
         node.merge(&received, &sent, &mut rng);
-        assert!(node.view().len() <= config().view_size);
+        assert!(node.view().len() <= VIEW_SIZE);
         assert!(node.view().contains(PeerId(100)) || node.view().contains(PeerId(101)));
         assert!(!node.view().contains(PeerId(0)));
     }
 
     #[test]
     fn blacklist_removes_peer() {
-        let mut node = PeerSamplingNode::new(PeerId(0), config());
+        let mut node = PeerSamplingNode::new(PeerId(0));
         node.bootstrap([PeerId(1), PeerId(2)]);
         assert!(node.blacklist(PeerId(1)));
         assert!(!node.view().contains(PeerId(1)));
@@ -254,7 +227,7 @@ mod tests {
     #[test]
     fn random_peers_are_distinct() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(4);
-        let mut node = PeerSamplingNode::new(PeerId(0), config());
+        let mut node = PeerSamplingNode::new(PeerId(0));
         node.bootstrap((1..=6).map(PeerId));
         let peers = node.random_peers(&mut rng, 4);
         let distinct: std::collections::BTreeSet<_> = peers.iter().collect();
@@ -264,7 +237,7 @@ mod tests {
 
     #[test]
     fn rounds_count_age_advances() {
-        let mut node = PeerSamplingNode::new(PeerId(0), config());
+        let mut node = PeerSamplingNode::new(PeerId(0));
         assert_eq!(node.rounds(), 0);
         node.increase_ages();
         node.increase_ages();
@@ -273,7 +246,7 @@ mod tests {
 
     #[test]
     fn empty_view_has_no_partner() {
-        let node = PeerSamplingNode::new(PeerId(0), config());
+        let node = PeerSamplingNode::new(PeerId(0));
         assert_eq!(node.select_partner(), None);
     }
 }

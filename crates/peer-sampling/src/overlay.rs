@@ -31,7 +31,7 @@
 //! metrics), so instrumented and eager runs stay bit-identical across
 //! engines and shard counts.
 
-use crate::node::{ExchangeBuffer, PeerSamplingConfig, PeerSamplingNode};
+use crate::node::{ExchangeBuffer, PeerSamplingNode, EXCHANGE_SIZE};
 use crate::population::{lock, node_rng, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND};
 use crate::sybil::{SybilAttackConfig, SybilAttacker};
 use crate::view::{Descriptor, PeerId, View};
@@ -55,8 +55,7 @@ const TAG_REPLY: u32 = 0x9002;
 const BRIDGE_BASE: u64 = 1 << 32;
 
 /// Interval between a node's rounds (must comfortably exceed one network
-/// round trip so replies arrive before the next round). Every node runs
-/// the peer-sampling protocol with [`PeerSamplingConfig::default`].
+/// round trip so replies arrive before the next round).
 pub const SHUFFLE_ROUND_PERIOD: SimTime = SimTime::from_secs(1);
 
 /// Configuration of the event-driven gossip overlay.
@@ -67,6 +66,8 @@ pub struct EngineGossipConfig {
     /// Mean view age (in rounds) beyond which a node considers its view
     /// stale and re-assesses eagerly: its next round fires after half the
     /// period, until the view freshens. `None` keeps the fixed cadence.
+    /// A field, not a constant: `tests/simulator_pin.rs` pins a run at
+    /// `Some(2)` while every other run uses `None`.
     pub staleness_threshold: Option<u32>,
 }
 
@@ -281,8 +282,7 @@ struct SybilGossipBehavior {
 
 impl SybilGossipBehavior {
     fn poisoned_buffer(&mut self) -> Vec<u8> {
-        let slots = PeerSamplingConfig::default().exchange_size;
-        let picks = self.attacker.poisoned_picks(slots, &mut self.rng);
+        let picks = self.attacker.poisoned_picks(EXCHANGE_SIZE, &mut self.rng);
         let descriptors = picks.into_iter().map(Descriptor::fresh).collect();
         encode(&ExchangeBuffer { descriptors })
     }
@@ -358,7 +358,7 @@ impl SamplingProtocol for Shuffle {
         rng: Xoshiro256StarStar,
         liveness: &Liveness,
     ) -> (Arc<Mutex<PeerSamplingNode>>, Box<dyn NodeBehavior + Send>) {
-        let mut node = PeerSamplingNode::new(id, PeerSamplingConfig::default());
+        let mut node = PeerSamplingNode::new(id);
         node.bootstrap(bootstrap.iter().copied());
         node.bootstrap(self.attacker.toehold(&mut self.seeder));
         let node = Arc::new(Mutex::new(node));

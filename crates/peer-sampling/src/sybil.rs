@@ -53,7 +53,8 @@ pub struct SybilAttackConfig {
     /// sybils are minted).
     pub fraction: f64,
     /// Push-flood rate: honest nodes each sybil pushes its descriptor to
-    /// per round.
+    /// per round. A field, not a constant: `tests/simulator_pin.rs` pins
+    /// a run at 3.
     pub pushes_per_sybil: usize,
     /// Scenario seed.
     pub seed: u64,

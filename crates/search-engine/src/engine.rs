@@ -2,31 +2,16 @@
 //! request log the honest-but-curious adversary gets to analyse.
 
 use crate::index::{Index, Scratch, SearchResult};
-use crate::ratelimit::{RateLimitDecision, RateLimiter, RateLimiterConfig};
+use crate::ratelimit::{RateLimitDecision, RateLimiter};
 
 /// The network identity a request appears to come from (user, proxy or
 /// relay — whoever actually contacts the engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientAddr(pub u64);
 
-/// Configuration of the simulated engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineConfig {
-    /// Number of results per page (the paper's accuracy metrics compare the
-    /// first page).
-    pub results_per_page: usize,
-    /// Anti-bot rate limiting configuration.
-    pub rate_limit: RateLimiterConfig,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            results_per_page: 10,
-            rate_limit: RateLimiterConfig::default(),
-        }
-    }
-}
+/// Number of results per page (the paper's accuracy metrics compare the
+/// first page).
+const RESULTS_PER_PAGE: usize = 10;
 
 /// Errors returned by [`SearchEngine::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +38,7 @@ impl std::error::Error for EngineError {}
 pub struct ResultPage {
     /// The query string the engine executed.
     pub query: String,
-    /// Ranked results (at most `results_per_page`).
+    /// Ranked results (at most `RESULTS_PER_PAGE`).
     pub results: Vec<SearchResult>,
 }
 
@@ -78,18 +63,16 @@ pub struct SearchEngine {
     /// Scoring state reused by every `submit` (see [`Index`]'s kernel).
     scratch: Scratch,
     limiter: RateLimiter,
-    config: EngineConfig,
     log: Vec<LoggedRequest>,
 }
 
 impl SearchEngine {
     /// Creates an engine over a pre-built index.
-    pub fn new(index: Index, config: EngineConfig) -> Self {
+    pub fn new(index: Index) -> Self {
         Self {
             index,
             scratch: Scratch::default(),
-            limiter: RateLimiter::new(config.rate_limit),
-            config,
+            limiter: RateLimiter::default(),
             log: Vec::new(),
         }
     }
@@ -124,7 +107,7 @@ impl SearchEngine {
         // content terms itself.
         let results = self
             .index
-            .search_or_in(&mut self.scratch, query, self.config.results_per_page)
+            .search_or_in(&mut self.scratch, query, RESULTS_PER_PAGE)
             .ok_or(EngineError::EmptyQuery)?;
         Ok(ResultPage {
             query: query.to_owned(),
@@ -137,7 +120,7 @@ impl SearchEngine {
     pub fn reference_results(&self, query: &str) -> ResultPage {
         ResultPage {
             query: query.to_owned(),
-            results: self.index.search_or(query, self.config.results_per_page),
+            results: self.index.search_or(query, RESULTS_PER_PAGE),
         }
     }
 
@@ -175,7 +158,7 @@ mod tests {
                 text: "cheap flights geneva booking".into(),
             },
         ];
-        SearchEngine::new(Index::build(&docs), EngineConfig::default())
+        SearchEngine::new(Index::build(&docs))
     }
 
     #[test]
@@ -198,35 +181,27 @@ mod tests {
 
     #[test]
     fn rate_limiting_blocks_abusive_clients() {
-        let mut e = SearchEngine::new(
-            Index::build(&[Document {
-                id: DocId(0),
-                topic: String::new(),
-                text: "hello world".into(),
-            }]),
-            EngineConfig {
-                results_per_page: 10,
-                rate_limit: RateLimiterConfig {
-                    max_requests: 3,
-                    window_s: 60.0,
-                    block_s: None,
-                },
-            },
-        );
-        for i in 0..3 {
-            assert!(e.submit(ClientAddr(9), "hello", i as f64).is_ok());
+        let mut e = SearchEngine::new(Index::build(&[Document {
+            id: DocId(0),
+            topic: String::new(),
+            text: "hello world".into(),
+        }]));
+        let limit = crate::ratelimit::MAX_REQUESTS;
+        for i in 0..limit {
+            assert!(e.submit(ClientAddr(9), "hello", f64::from(i)).is_ok());
         }
+        let now = f64::from(limit);
         assert_eq!(
-            e.submit(ClientAddr(9), "hello", 3.0),
+            e.submit(ClientAddr(9), "hello", now),
             Err(EngineError::RateLimited)
         );
         // Another client is unaffected.
-        assert!(e.submit(ClientAddr(10), "hello", 3.0).is_ok());
+        assert!(e.submit(ClientAddr(10), "hello", now).is_ok());
         // The rejected request still appears in the engine's log.
         assert_eq!(e.log().iter().filter(|r| !r.admitted).count(), 1);
         // The abusive client stays blocked.
         assert_eq!(
-            e.submit(ClientAddr(9), "hello", 4.0),
+            e.submit(ClientAddr(9), "hello", now + 1.0),
             Err(EngineError::RateLimited)
         );
     }

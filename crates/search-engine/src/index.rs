@@ -490,6 +490,30 @@ mod tests {
     }
 
     #[test]
+    fn one_scratch_serves_every_limit_like_search_or() {
+        let index = sample_index();
+        let mut scratch = Scratch::default();
+        let queries = [
+            "flu fever treatment booking",
+            "booking OR flu OR unknownterm",
+            "the of",
+            "hotel barcelona OR  OR the",
+            "unknownterm",
+        ];
+        for limit in [0, 1, 10, 10_000] {
+            for query in queries {
+                let page = index.search_or_in(&mut scratch, query, limit);
+                assert_eq!(
+                    page.clone().unwrap_or_default(),
+                    index.search_or(query, limit),
+                    "query {query:?}, limit {limit}"
+                );
+                assert_eq!(page.is_none(), query == "the of", "query {query:?}");
+            }
+        }
+    }
+
+    #[test]
     fn shared_scratch_follows_a_growing_index_and_resets_between_searches() {
         let mut index = sample_index();
         let mut scratch = Scratch::default();

@@ -26,6 +26,5 @@ pub mod index;
 pub mod ratelimit;
 
 pub use corpus::Document;
-pub use engine::{ClientAddr, EngineConfig, EngineError, ResultPage, SearchEngine};
+pub use engine::{ClientAddr, EngineError, ResultPage, SearchEngine};
 pub use index::{Index, SearchResult};
-pub use ratelimit::RateLimiterConfig;

@@ -4,40 +4,25 @@
 //! protection triggers and asks to fill a captcha" (§II-A4), and Fig. 8d
 //! shows X-SEARCH's central proxy being rejected while CYCLOSA's per-node
 //! load stays far below the limit. This module models that behaviour: each
-//! client (network identity) may issue at most `max_requests` requests per
-//! sliding `window_s`; exceeding the limit marks the client as a suspected
-//! bot and blocks it for `block_s` (or forever if `block_s` is `None`).
+//! client (network identity) may issue at most [`MAX_REQUESTS`] requests per
+//! sliding window of `WINDOW_S`; exceeding the limit marks the client as a
+//! suspected bot and blocks it for the rest of the run (it would have to
+//! solve a CAPTCHA).
 
 use std::collections::{BTreeMap, VecDeque};
 
 /// Identifier of a network client as seen by the engine (IP-level identity).
 pub(crate) type ClientKey = u64;
 
-/// Configuration of the rate limiter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateLimiterConfig {
-    /// Maximum admitted requests per window.
-    pub max_requests: u32,
-    /// Window length in seconds.
-    pub(crate) window_s: f64,
-    /// How long a blocked client stays blocked, in seconds. `None` blocks
-    /// the client for the rest of the run (it would have to solve a CAPTCHA).
-    pub(crate) block_s: Option<f64>,
-}
+// Calibrated to the Fig. 8d setting: a single identity relaying the
+// traffic of 100 users with k = 3 (~10,500 req/hour) trips the limiter
+// almost immediately, while CYCLOSA's ~94 req/hour per node stays well
+// below it.
 
-impl Default for RateLimiterConfig {
-    fn default() -> Self {
-        // Calibrated to the Fig. 8d setting: a single identity relaying the
-        // traffic of 100 users with k = 3 (~10,500 req/hour) trips the
-        // limiter almost immediately, while CYCLOSA's ~94 req/hour per node
-        // stays well below it.
-        Self {
-            max_requests: 600,
-            window_s: 3_600.0,
-            block_s: None,
-        }
-    }
-}
+/// Maximum admitted requests per window.
+pub const MAX_REQUESTS: u32 = 600;
+/// Window length in seconds.
+const WINDOW_S: f64 = 3_600.0;
 
 /// Outcome of submitting one request to the limiter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,59 +44,35 @@ impl RateLimitDecision {
 #[derive(Debug, Default, Clone)]
 struct ClientState {
     recent: VecDeque<f64>,
-    blocked_until: Option<f64>,
+    blocked: bool,
 }
 
 /// A sliding-window rate limiter keyed by client identity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RateLimiter {
-    config: RateLimiterConfig,
     clients: BTreeMap<ClientKey, ClientState>,
 }
 
 impl RateLimiter {
-    /// Creates a limiter with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration admits no request or has a non-positive
-    /// window.
-    pub fn new(config: RateLimiterConfig) -> Self {
-        assert!(config.max_requests > 0, "max_requests must be positive");
-        assert!(config.window_s > 0.0, "window must be positive");
-        Self {
-            config,
-            clients: BTreeMap::new(),
-        }
-    }
-
     /// Records a request from `client` at time `now_s` (seconds since the
     /// start of the experiment) and decides whether it is admitted.
     pub fn submit(&mut self, client: ClientKey, now_s: f64) -> RateLimitDecision {
-        let config = self.config;
         let state = self.clients.entry(client).or_default();
-        // Blocked clients stay blocked until the block expires (if ever).
-        if let Some(until) = state.blocked_until {
-            if now_s < until {
-                return RateLimitDecision::Rejected;
-            }
-            state.blocked_until = None;
-            state.recent.clear();
+        // Blocked clients stay blocked for the rest of the run.
+        if state.blocked {
+            return RateLimitDecision::Rejected;
         }
         // Expire requests that left the window.
         while let Some(&front) = state.recent.front() {
-            if now_s - front > config.window_s {
+            if now_s - front > WINDOW_S {
                 state.recent.pop_front();
             } else {
                 break;
             }
         }
-        if state.recent.len() as u32 >= config.max_requests {
+        if state.recent.len() as u32 >= MAX_REQUESTS {
             // Bot suspicion triggered.
-            state.blocked_until = Some(match config.block_s {
-                Some(d) => now_s + d,
-                None => f64::INFINITY,
-            });
+            state.blocked = true;
             return RateLimitDecision::Rejected;
         }
         state.recent.push_back(now_s);
@@ -119,63 +80,53 @@ impl RateLimiter {
     }
 }
 
-impl Default for RateLimiter {
-    fn default() -> Self {
-        Self::new(RateLimiterConfig::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn limiter(max: u32, window: f64, block: Option<f64>) -> RateLimiter {
-        RateLimiter::new(RateLimiterConfig {
-            max_requests: max,
-            window_s: window,
-            block_s: block,
-        })
+    /// Submits `MAX_REQUESTS` requests from `client`, one a second from
+    /// `t = 0`, and asserts that every one is admitted.
+    fn fill(rl: &mut RateLimiter, client: ClientKey) {
+        for i in 0..MAX_REQUESTS {
+            assert!(rl.submit(client, f64::from(i)).is_admitted());
+        }
     }
 
     #[test]
     fn requests_below_limit_are_admitted() {
-        let mut rl = limiter(10, 60.0, None);
-        for i in 0..10 {
-            assert!(rl.submit(1, i as f64).is_admitted());
-        }
+        fill(&mut RateLimiter::default(), 1);
     }
 
     #[test]
     fn exceeding_the_limit_blocks_forever_by_default() {
-        let mut rl = limiter(5, 60.0, None);
-        for i in 0..5 {
-            assert!(rl.submit(7, i as f64).is_admitted());
-        }
-        assert_eq!(rl.submit(7, 5.0), RateLimitDecision::Rejected);
+        let mut rl = RateLimiter::default();
+        fill(&mut rl, 7);
+        assert_eq!(
+            rl.submit(7, f64::from(MAX_REQUESTS)),
+            RateLimitDecision::Rejected
+        );
         // Even after the window has passed, the block persists.
-        assert_eq!(rl.submit(7, 10_000.0), RateLimitDecision::Rejected);
-        assert_eq!(rl.clients[&7].blocked_until, Some(f64::INFINITY));
+        assert_eq!(rl.submit(7, 10.0 * WINDOW_S), RateLimitDecision::Rejected);
+        assert!(rl.clients[&7].blocked);
     }
 
     #[test]
     fn window_expiry_frees_budget() {
-        let mut rl = limiter(2, 10.0, Some(1.0));
-        assert!(rl.submit(1, 0.0).is_admitted());
-        assert!(rl.submit(1, 1.0).is_admitted());
-        // Within the window: rejected and briefly blocked.
-        assert!(!rl.submit(1, 2.0).is_admitted());
-        // After the block expires and the old requests left the window,
-        // requests are admitted again.
-        assert!(rl.submit(1, 20.0).is_admitted());
+        let mut rl = RateLimiter::default();
+        fill(&mut rl, 1);
+        // Once the oldest requests have left the window, a client that
+        // was never blocked is admitted again.
+        assert!(rl.submit(1, WINDOW_S + 100.0).is_admitted());
+        assert!(!rl.clients[&1].blocked);
     }
 
     #[test]
     fn clients_are_tracked_independently() {
-        let mut rl = limiter(1, 60.0, None);
-        assert!(rl.submit(1, 0.0).is_admitted());
-        assert!(!rl.submit(1, 1.0).is_admitted());
-        assert!(rl.submit(2, 1.0).is_admitted());
-        assert_eq!(rl.clients[&2].blocked_until, None);
+        let mut rl = RateLimiter::default();
+        fill(&mut rl, 1);
+        assert!(!rl.submit(1, f64::from(MAX_REQUESTS)).is_admitted());
+        assert!(rl.submit(2, f64::from(MAX_REQUESTS)).is_admitted());
+        assert!(!rl.clients[&2].blocked);
     }
 
     #[test]
@@ -183,9 +134,8 @@ mod tests {
         // The Fig. 8d intuition in miniature: 100 users at ~31 queries/hour
         // with k = 3 through ONE identity exceed the limit, the same load
         // spread over 100 identities does not.
-        let config = RateLimiterConfig::default();
-        let mut central = RateLimiter::new(config);
-        let mut spread = RateLimiter::new(config);
+        let mut central = RateLimiter::default();
+        let mut spread = RateLimiter::default();
         let mut central_rejected = 0;
         let mut spread_rejected = 0;
         // One hour of traffic: 100 users * 31 queries * 4 requests (k=3).
@@ -208,14 +158,14 @@ mod tests {
 
     #[test]
     fn default_config_matches_paper_calibration() {
-        let rl = RateLimiter::default();
-        assert_eq!(rl.config.max_requests, 600);
-        assert_eq!(rl.config.window_s, 3_600.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "max_requests")]
-    fn zero_budget_rejected() {
-        let _ = limiter(0, 10.0, None);
+        // 600 requests an hour: the 601st within the hour of the first is
+        // refused, one just past that hour is not.
+        let mut within = RateLimiter::default();
+        let mut after = RateLimiter::default();
+        fill(&mut within, 1);
+        fill(&mut after, 1);
+        assert!(!within.submit(1, 3_599.5).is_admitted());
+        assert!(after.submit(1, 3_600.5).is_admitted());
+        assert_eq!(MAX_REQUESTS, 600);
     }
 }

@@ -14,66 +14,48 @@ use cyclosa_crypto::hkdf;
 /// Page size used for EPC accounting (SGX uses 4 KiB pages).
 pub(crate) const PAGE_SIZE: usize = 4096;
 
-/// Cost model for enclave transitions and EPC paging.
-///
-/// Defaults are calibrated to published SGX measurements: an enclave
-/// transition (ecall or ocall) costs on the order of 8 µs, and an EPC page
-/// fault (swap through the SGX driver) costs tens of microseconds, which is
-/// why exceeding the ~93 MiB of usable EPC causes the "severe performance
-/// penalty" the paper cites. The CYCLOSA enclave is only 1.7 MB, so the
-/// default deployment never pages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Cost of entering the enclave (ns).
-    pub(crate) ecall_ns: u64,
-    /// Cost of leaving the enclave for an ocall (ns).
-    pub(crate) ocall_ns: u64,
-    /// Cost of servicing one EPC page fault (ns).
-    pub(crate) page_fault_ns: u64,
-    /// Usable EPC in bytes before paging starts.
-    pub(crate) epc_limit_bytes: usize,
-    /// Per-byte cost of in-enclave processing (ns per byte), modelling the
-    /// MEE encryption overhead on memory traffic.
-    pub(crate) per_byte_ns: f64,
+// Cost model for enclave transitions and EPC paging, calibrated to
+// published SGX measurements: an enclave transition (ecall or ocall) costs
+// on the order of 8 µs, and an EPC page fault (swap through the SGX
+// driver) costs tens of microseconds, which is why exceeding the ~93 MiB
+// of usable EPC causes the "severe performance penalty" the paper cites.
+// The CYCLOSA enclave is only 1.7 MB, so the deployment never pages.
+
+/// Cost of entering the enclave (ns).
+const ECALL_NS: u64 = 8_000;
+/// Cost of leaving the enclave for an ocall (ns).
+const OCALL_NS: u64 = 8_000;
+/// Cost of servicing one EPC page fault (ns).
+const PAGE_FAULT_NS: u64 = 25_000;
+/// Usable EPC in bytes before paging starts.
+const EPC_LIMIT_BYTES: usize = 93 * 1024 * 1024;
+/// Per-byte cost of in-enclave processing (ns per byte), modelling the
+/// MEE encryption overhead on memory traffic.
+const PER_BYTE_NS: f64 = 0.25;
+
+/// Simulated cost in nanoseconds of an ecall that touches `touched_bytes`
+/// of enclave memory while the enclave currently holds `resident_bytes`
+/// of protected data.
+pub fn ecall_cost(touched_bytes: usize, resident_bytes: usize) -> u64 {
+    let base = ECALL_NS as f64 + PER_BYTE_NS * touched_bytes as f64;
+    base as u64 + paging_cost(touched_bytes, resident_bytes)
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            ecall_ns: 8_000,
-            ocall_ns: 8_000,
-            page_fault_ns: 25_000,
-            epc_limit_bytes: 93 * 1024 * 1024,
-            per_byte_ns: 0.25,
-        }
-    }
+/// Simulated cost in nanoseconds of an ocall transferring
+/// `transferred_bytes` out of the enclave.
+pub fn ocall_cost(transferred_bytes: usize) -> u64 {
+    (OCALL_NS as f64 + PER_BYTE_NS * transferred_bytes as f64) as u64
 }
 
-impl CostModel {
-    /// Simulated cost in nanoseconds of an ecall that touches
-    /// `touched_bytes` of enclave memory while the enclave currently holds
-    /// `resident_bytes` of protected data.
-    pub fn ecall_cost(&self, touched_bytes: usize, resident_bytes: usize) -> u64 {
-        let base = self.ecall_ns as f64 + self.per_byte_ns * touched_bytes as f64;
-        base as u64 + self.paging_cost(touched_bytes, resident_bytes)
+/// Expected paging cost: when the resident set exceeds the EPC limit,
+/// each touched page misses with probability `1 - limit / resident`.
+fn paging_cost(touched_bytes: usize, resident_bytes: usize) -> u64 {
+    if resident_bytes <= EPC_LIMIT_BYTES || resident_bytes == 0 {
+        return 0;
     }
-
-    /// Simulated cost in nanoseconds of an ocall transferring
-    /// `transferred_bytes` out of the enclave.
-    pub fn ocall_cost(&self, transferred_bytes: usize) -> u64 {
-        (self.ocall_ns as f64 + self.per_byte_ns * transferred_bytes as f64) as u64
-    }
-
-    /// Expected paging cost: when the resident set exceeds the EPC limit,
-    /// each touched page misses with probability `1 - limit / resident`.
-    pub(crate) fn paging_cost(&self, touched_bytes: usize, resident_bytes: usize) -> u64 {
-        if resident_bytes <= self.epc_limit_bytes || resident_bytes == 0 {
-            return 0;
-        }
-        let miss_probability = 1.0 - self.epc_limit_bytes as f64 / resident_bytes as f64;
-        let touched_pages = touched_bytes.div_ceil(PAGE_SIZE) as f64;
-        (touched_pages * miss_probability * self.page_fault_ns as f64) as u64
-    }
+    let miss_probability = 1.0 - EPC_LIMIT_BYTES as f64 / resident_bytes as f64;
+    let touched_pages = touched_bytes.div_ceil(PAGE_SIZE) as f64;
+    (touched_pages * miss_probability * PAGE_FAULT_NS as f64) as u64
 }
 
 /// Errors returned by enclave operations.
@@ -118,18 +100,12 @@ pub struct Platform {
     platform_id: [u8; 16],
     root_seal_key: [u8; 32],
     quoting_key: [u8; 32],
-    cost: CostModel,
 }
 
 impl Platform {
     /// Creates a platform whose keys are derived deterministically from a
     /// seed (each simulated machine uses a distinct seed).
     pub fn new(seed: u64) -> Self {
-        Self::with_cost_model(seed, CostModel::default())
-    }
-
-    /// Creates a platform with an explicit transition cost model.
-    pub(crate) fn with_cost_model(seed: u64, cost: CostModel) -> Self {
         let seed_bytes = seed.to_le_bytes();
         let root_seal_key = hkdf::derive_key(b"sgx-platform-seal", &seed_bytes, b"root seal key");
         let quoting_key = hkdf::derive_key(b"sgx-platform-quote", &seed_bytes, b"quoting key");
@@ -140,7 +116,6 @@ impl Platform {
             platform_id,
             root_seal_key,
             quoting_key,
-            cost,
         }
     }
 
@@ -173,7 +148,6 @@ impl Platform {
             platform_id: self.platform_id,
             quoting_key: self.quoting_key,
             seal_key,
-            cost: self.cost,
             initialized: false,
             stats: TransitionStats::default(),
             state: initial_state,
@@ -188,7 +162,6 @@ pub struct Enclave<T> {
     platform_id: [u8; 16],
     quoting_key: [u8; 32],
     seal_key: [u8; 32],
-    cost: CostModel,
     /// Whether `EINIT` has run: ecalls and ocalls are refused before.
     initialized: bool,
     stats: TransitionStats,
@@ -252,9 +225,7 @@ impl<T> Enclave<T> {
         if !self.initialized {
             return Err(EnclaveError::NotInitialized);
         }
-        let cost = self
-            .cost
-            .ecall_cost(touched_bytes, self.stats.resident_bytes);
+        let cost = ecall_cost(touched_bytes, self.stats.resident_bytes);
         self.stats.ecalls += 1;
         self.stats.simulated_ns += cost;
         let value = body(&mut self.state);
@@ -268,7 +239,7 @@ impl<T> Enclave<T> {
         if !self.initialized {
             return Err(EnclaveError::NotInitialized);
         }
-        let cost = self.cost.ocall_cost(transferred_bytes);
+        let cost = ocall_cost(transferred_bytes);
         self.stats.ocalls += 1;
         self.stats.simulated_ns += cost;
         Ok(cost)
@@ -313,7 +284,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(value, 1);
-        assert!(cost >= CostModel::default().ecall_ns);
+        assert!(cost >= ECALL_NS);
     }
 
     #[test]
@@ -332,15 +303,14 @@ mod tests {
 
     #[test]
     fn paging_cost_kicks_in_above_epc_limit() {
-        let cost = CostModel::default();
         // CYCLOSA's 1.7 MB enclave: no paging.
-        assert_eq!(cost.paging_cost(4096, 1_700_000), 0);
+        assert_eq!(paging_cost(4096, 1_700_000), 0);
         // Twice the EPC limit: about half the touched pages fault.
-        let over = cost.paging_cost(PAGE_SIZE * 100, cost.epc_limit_bytes * 2);
-        let expected = (100.0 * 0.5 * cost.page_fault_ns as f64) as u64;
+        let over = paging_cost(PAGE_SIZE * 100, EPC_LIMIT_BYTES * 2);
+        let expected = (100.0 * 0.5 * PAGE_FAULT_NS as f64) as u64;
         let diff = over.abs_diff(expected);
         assert!(
-            diff < cost.page_fault_ns,
+            diff < PAGE_FAULT_NS,
             "paging cost {over} vs expected {expected}"
         );
     }
@@ -372,22 +342,6 @@ mod tests {
         assert_eq!(a.measurement(), b.measurement());
         // Seal keys are platform-bound, therefore different.
         assert_ne!(a.seal_key(), b.seal_key());
-    }
-
-    #[test]
-    fn free_cost_model_charges_nothing() {
-        let free = CostModel {
-            ecall_ns: 0,
-            ocall_ns: 0,
-            page_fault_ns: 0,
-            epc_limit_bytes: usize::MAX,
-            per_byte_ns: 0.0,
-        };
-        let platform = Platform::with_cost_model(7, free);
-        let mut enclave = platform.create_enclave(b"x", Counter::default());
-        enclave.initialize().unwrap();
-        let (_, cost) = enclave.ecall(1 << 20, |c| c.value).unwrap();
-        assert_eq!(cost, 0);
     }
 
     #[test]

@@ -231,7 +231,7 @@ pub(crate) const TRACE_EVENT_FAMILIES: [&str; 9] = [
 /// an emitter fails the lint), so this list is the single authoritative
 /// catalogue of the trace vocabulary.
 // cyclosa-lint: schema-registry
-pub(crate) const TRACE_EVENT_NAMES: [&str; 35] = [
+pub(crate) const TRACE_EVENT_NAMES: [&str; 34] = [
     // Query-plan lifecycle (core::node).
     "plan.assess",
     "plan.fakes_drawn",
@@ -253,7 +253,6 @@ pub(crate) const TRACE_EVENT_NAMES: [&str; 35] = [
     "fault.crash",
     "fault.leave",
     "fault.recover",
-    "fault.set_loss",
     "fault.link_loss",
     // Membership protocol (peer-sampling::membership).
     "mship.probe",

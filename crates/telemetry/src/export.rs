@@ -146,8 +146,8 @@ mod tests {
             TraceEvent::new(SimTime::from_millis(1), 3, "plan.create")
                 .query(0)
                 .attr("k", 4u64),
-            TraceEvent::new(SimTime::from_millis(2), ACTOR_ENGINE, "fault.set_loss")
-                .attr("loss", 0.25),
+            TraceEvent::new(SimTime::from_millis(2), ACTOR_ENGINE, "fault.link_loss")
+                .attr("p", 0.25),
             TraceEvent::new(SimTime::from_millis(5), 3, "query.answered")
                 .query(0)
                 .span(SimTime::from_millis(4)),
@@ -165,7 +165,7 @@ mod tests {
         );
         assert_eq!(
             lines[1],
-            "{\"at_ns\":2000000,\"node\":null,\"name\":\"fault.set_loss\",\"attrs\":{\"loss\":0.25}}"
+            "{\"at_ns\":2000000,\"node\":null,\"name\":\"fault.link_loss\",\"attrs\":{\"p\":0.25}}"
         );
         assert!(lines[2].contains("\"dur_ns\":4000000"));
         assert!(text.ends_with('\n'));

@@ -24,7 +24,8 @@ use crate::trace::{TraceEvent, ACTOR_ENGINE};
 use cyclosa_net::time::SimTime;
 use cyclosa_util::json::Json;
 
-/// SLO targets and the evaluation window.
+/// SLO targets and the evaluation window. Settings, not constants: the
+/// `observe` bin's flags set each of them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
     /// Evaluation window on the simulated clock.

@@ -14,7 +14,7 @@ use cyclosa_baselines::{Tor, XSearch};
 use cyclosa_mechanism::Mechanism;
 use cyclosa_nlp::categorizer::CategorizerMethod;
 use cyclosa_search_engine::corpus::CorpusGenerator;
-use cyclosa_search_engine::{EngineConfig, Index, SearchEngine};
+use cyclosa_search_engine::{Index, SearchEngine};
 use cyclosa_util::rng::Xoshiro256StarStar;
 use cyclosa_workload::generator::{QueryLog, WorkloadConfig, WorkloadGenerator};
 use cyclosa_workload::topics::{seed_queries, sensitive_corpus, synthetic_lexicon, TopicCatalog};
@@ -43,7 +43,7 @@ fn main() {
 
     // Search engine over a synthetic corpus built from the same topics.
     let documents = CorpusGenerator::new(catalog.as_corpus_topics(), 14).generate(60, &mut rng);
-    let engine = SearchEngine::new(Index::build(&documents), EngineConfig::default());
+    let engine = SearchEngine::new(Index::build(&documents));
 
     // Mechanisms under attack (k = 7 as in Fig. 5).
     let k = 7;

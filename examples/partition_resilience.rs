@@ -34,11 +34,8 @@ fn main() {
             ..ChurnConfig::default()
         },
         minority_fraction: 0.3,
-        client_in_minority: true,
-        engine_partitioned: false,
         split_at: SimTime::from_secs(15),
         merge_at: SimTime::from_secs(35),
-        settle: SimTime::from_secs(6),
     };
     println!(
         "70/30 split: client + {} relays cut off from {} relays, {}s..{}s\n",

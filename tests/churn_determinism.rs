@@ -307,10 +307,8 @@ fn partition_experiment_outcome_is_bit_identical_for_1_2_4_8_shards() {
             minority_fraction: 0.3,
             split_at: SimTime::from_secs(8),
             merge_at: SimTime::from_secs(20),
-            ..PartitionConfig::default()
         },
-        // The partition stacked on ordinary relay churn, client with the
-        // majority this time.
+        // The partition stacked on ordinary relay churn.
         PartitionConfig {
             base: ChurnConfig {
                 relays: 30,
@@ -323,10 +321,8 @@ fn partition_experiment_outcome_is_bit_identical_for_1_2_4_8_shards() {
                 ..ChurnConfig::default()
             },
             minority_fraction: 0.4,
-            client_in_minority: false,
             split_at: SimTime::from_secs(6),
             merge_at: SimTime::from_secs(15),
-            ..PartitionConfig::default()
         },
     ]
     .into_iter()
@@ -351,10 +347,10 @@ fn partition_experiment_outcome_is_bit_identical_for_1_2_4_8_shards() {
     }
 }
 
-/// A sampled `ChaosPlan` (correlated bursts + loss storms) applied on top
-/// of the stock end-to-end latency experiment: relays die and links decay
-/// mid-run, and the sharded engines still reproduce the sequential latency
-/// samples exactly.
+/// A sampled `ChaosPlan` (exponential relay sessions) plus scheduled
+/// loss-probability steps applied on top of the stock end-to-end latency
+/// experiment: relays die and links decay mid-run, and the sharded engines
+/// still reproduce the sequential latency samples exactly.
 #[test]
 fn chaos_plan_over_latency_experiment_is_bit_identical() {
     let config = EndToEndConfig {
@@ -365,21 +361,11 @@ fn chaos_plan_over_latency_experiment_is_bit_identical() {
     };
     let relays: Vec<NodeId> = (1..=config.relays as u64).map(NodeId).collect();
     let horizon = SimTime::from_secs(25);
-    let plan = ChurnModel::FailureBursts {
-        mean_interval: SimTime::from_secs(8),
-        burst_fraction: 0.15,
-        recover_after: Some(SimTime::from_secs(5)),
+    let plan = ChurnModel::ExponentialSessions {
+        mean_uptime: SimTime::from_secs(20),
+        mean_downtime: SimTime::from_secs(5),
     }
-    .sample(&relays, horizon, 40)
-    .merge(
-        ChurnModel::LossStorms {
-            mean_interval: SimTime::from_secs(9),
-            duration: SimTime::from_secs(2),
-            storm_loss: 0.3,
-            base_loss: 0.0,
-        }
-        .sample(&[], horizon, 41),
-    );
+    .sample(&relays, horizon, 40);
     assert!(plan.failure_fraction(config.relays) > 0.0);
     fn run<E: Engine>(
         engine: &mut E,
@@ -387,13 +373,18 @@ fn chaos_plan_over_latency_experiment_is_bit_identical() {
         config: &EndToEndConfig,
     ) -> (Vec<f64>, SimulationStats) {
         plan.apply(engine, &TraceSink::disabled());
+        // Two loss storms on top of the crashes.
+        for (at, p) in [(4, 0.3), (6, 0.0), (12, 0.3), (14, 0.0)] {
+            engine.schedule_loss_probability(SimTime::from_secs(at), p);
+        }
         let latencies = run_end_to_end_latency_on(engine, config, &ChurnTelemetry::default());
         (latencies, engine.stats())
     }
     let mut sequential = Simulation::new(config.seed);
     let expected = run(&mut sequential, &plan, &config);
     assert!(!expected.0.is_empty());
-    assert!(expected.1.crashed > 0, "bursts must crash relays");
+    assert!(expected.1.crashed > 0, "sessions must crash relays");
+    assert!(expected.1.lost > 0, "storms must drop messages");
     for shards in [1, 2, 4, 8] {
         let mut engine = ShardedEngine::new(config.seed, shards);
         assert_eq!(

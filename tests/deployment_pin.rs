@@ -94,7 +94,6 @@ fn membership() -> ChurnConfig {
             probe_period: SimTime::from_millis(500),
             suspicion_timeout: SimTime::from_millis(1500),
             probes_per_round: 6,
-            ..MembershipProbeConfig::default()
         }),
         ..small()
     }

@@ -9,7 +9,7 @@ use cyclosa::deployment::converge_peer_views;
 use cyclosa::node::{attested_channel_pair, CyclosaNode};
 use cyclosa::sensitivity::build_categorizer;
 use cyclosa_search_engine::corpus::CorpusGenerator;
-use cyclosa_search_engine::{ClientAddr, EngineConfig, Index, SearchEngine};
+use cyclosa_search_engine::{ClientAddr, Index, SearchEngine};
 use cyclosa_sgx::attestation::AttestationService;
 use cyclosa_sgx::measurement::Measurement;
 use cyclosa_util::rng::Xoshiro256StarStar;
@@ -51,7 +51,7 @@ fn sensitive_query_is_relayed_through_attested_peers_with_exact_results() {
     // A search engine whose corpus covers the workload topics.
     let catalog = TopicCatalog::default_catalog();
     let documents = CorpusGenerator::new(catalog.as_corpus_topics(), 14).generate(50, &mut rng);
-    let mut engine = SearchEngine::new(Index::build(&documents), EngineConfig::default());
+    let mut engine = SearchEngine::new(Index::build(&documents));
 
     // The user on node 0 issues a semantically sensitive query.
     let query = "hiv treatment options";

@@ -22,7 +22,7 @@ use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::{
     cross_side_edges, MembershipConfig, MembershipEventKind, PeerId, SwimGossipOverlay,
-    SWIM_ROUND_PERIOD,
+    SUSPICION_TIMEOUT, SWIM_ROUND_PERIOD,
 };
 use cyclosa_runtime::ShardedEngine;
 use cyclosa_telemetry::trace::TraceSink;
@@ -45,7 +45,7 @@ fn crashed_node_is_declared_dead_within_the_probe_budget_by_every_observer() {
     // the dead declaration then spreads as a rumor for a few rounds.
     let cycle = SimTime::from_nanos(SWIM_ROUND_PERIOD.as_nanos() * count as u64);
     let slack = SimTime::from_nanos(SWIM_ROUND_PERIOD.as_nanos() * 6);
-    let budget = crash_at + cycle + config.suspicion_timeout + slack;
+    let budget = crash_at + cycle + SUSPICION_TIMEOUT + slack;
 
     for (observer, timeline) in overlay.timelines() {
         if observer == victim {
@@ -81,13 +81,9 @@ fn crashed_node_is_declared_dead_within_the_probe_budget_by_every_observer() {
 fn uniform_loss_never_matures_into_a_false_dead_declaration() {
     // 15 % uniform loss: direct probes fail often, but the k-proxy
     // indirect escalation and suspicion refutation must keep every
-    // observer from declaring a live peer dead. The suspicion window is
-    // widened to six rounds — refutation rumors piggyback on lossy
-    // messages too, so at this loss rate they need a few round trips.
-    let config = MembershipConfig {
-        suspicion_timeout: SimTime::from_secs(12),
-        ..MembershipConfig::default()
-    };
+    // observer from declaring a live peer dead, even though refutation
+    // rumors piggyback on lossy messages too.
+    let config = MembershipConfig::default();
     let mut sim = Simulation::new(43);
     sim.schedule_loss_probability(SimTime::from_secs(2), 0.15);
     let overlay = SwimGossipOverlay::ring(&mut sim, 16, config, 43, &TraceSink::disabled());
@@ -104,10 +100,7 @@ fn uniform_loss_never_matures_into_a_false_dead_declaration() {
 
 #[test]
 fn membership_timelines_are_bit_identical_across_shard_counts() {
-    let config = MembershipConfig {
-        rounds: 50,
-        ..MembershipConfig::default()
-    };
+    let config = MembershipConfig { rounds: 50 };
     let count = 40;
     let seed = 47;
     let minority: Vec<PeerId> = (0..10).map(PeerId).collect();
@@ -229,10 +222,7 @@ fn incarnation_forgery_never_kills_a_live_node_that_answers_its_knock() {
 
 #[test]
 fn unbridged_partition_merge_reconnects_forty_nodes() {
-    let config = MembershipConfig {
-        rounds: 90,
-        ..MembershipConfig::default()
-    };
+    let config = MembershipConfig { rounds: 90 };
     let count = 40;
     let boundary = 12;
     let minority: Vec<PeerId> = (0..boundary).map(PeerId).collect();

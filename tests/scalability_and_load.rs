@@ -7,7 +7,6 @@
 
 use cyclosa::deployment::{
     relay_service_time_ns, run_load_experiment, throughput_latency_curve, xsearch_service_time_ns,
-    LoadExperimentConfig,
 };
 use cyclosa_baselines::latency::LatencyProfile;
 use cyclosa_bench::scalability::{run_scale_point, scalability_sweep, ScaleConfig};
@@ -18,10 +17,7 @@ use cyclosa_util::stats::Summary;
 
 #[test]
 fn centralized_proxy_is_blocked_while_cyclosa_spreads_the_load() {
-    let report = run_load_experiment(LoadExperimentConfig {
-        duration_minutes: 60,
-        ..LoadExperimentConfig::default()
-    });
+    let report = run_load_experiment(8);
     assert_eq!(report.cyclosa_rejected, 0);
     assert!(report.xsearch_rejected.iter().sum::<u64>() > 0);
     // After the first bucket the proxy is essentially dead.

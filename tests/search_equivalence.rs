@@ -7,10 +7,7 @@
 
 use cyclosa_nlp::text::has_content_terms;
 use cyclosa_search_engine::corpus::DocId;
-use cyclosa_search_engine::{
-    ClientAddr, Document, EngineConfig, EngineError, Index, RateLimiterConfig, SearchEngine,
-    SearchResult,
-};
+use cyclosa_search_engine::{ClientAddr, Document, EngineError, Index, SearchEngine, SearchResult};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 
 /// The scorer `Index` shipped with until the dense kernel replaced it:
@@ -151,6 +148,8 @@ fn bits(results: &[SearchResult]) -> Vec<(u64, u64)> {
 }
 
 const LIMITS: [usize; 4] = [0, 1, 10, 10_000];
+/// The page length of `SearchEngine::submit` and `reference_results`.
+const PAGE: usize = 10;
 const STOP_WORDS_ONLY: &str = "the of and";
 
 /// A term of a skewed vocabulary: cubing the uniform draw makes low ranks
@@ -234,64 +233,50 @@ fn random_or_query(rng: &mut Xoshiro256StarStar, vocabulary: usize) -> String {
     query
 }
 
-/// Asserts that every entry point returns the oracle's page for `query`.
-/// `engines` holds one long-lived `SearchEngine` per limit in [`LIMITS`],
-/// so each of them carries its scratch from query to query.
+/// Asserts that every entry point returns the oracle's page for `query`:
+/// `Index::search` and `search_or` at every limit in [`LIMITS`], and the
+/// long-lived `engine`, which carries its scratch from query to query, at
+/// its page of [`PAGE`].
 fn assert_pages_match(
     oracle: &oracle::Index,
     index: &Index,
-    engines: &mut [SearchEngine],
+    engine: &mut SearchEngine,
     query: &str,
     request: &mut u64,
 ) {
-    for (limit, engine) in LIMITS.into_iter().zip(engines) {
+    for limit in LIMITS {
         let context = format!("query {query:?}, limit {limit}");
-        let plain = bits(&oracle.search(query, limit));
-        let aggregated = bits(&oracle.search_or(query, limit));
         assert_eq!(
             bits(&index.search(query, limit)),
-            plain,
+            bits(&oracle.search(query, limit)),
             "search, {context}"
         );
         assert_eq!(
             bits(&index.search_or(query, limit)),
-            aggregated,
+            bits(&oracle.search_or(query, limit)),
             "search_or, {context}"
         );
-        assert_eq!(
-            bits(&engine.reference_results(query).results),
-            aggregated,
-            "reference_results, {context}"
-        );
-        // A fresh identity per request keeps the rate limiter out of it.
-        *request += 1;
-        match engine.submit(ClientAddr(*request), query, 0.0) {
-            Ok(page) => {
-                assert!(has_content_terms(query), "submit accepted, {context}");
-                assert_eq!(page.query, query);
-                assert_eq!(bits(&page.results), aggregated, "submit, {context}");
-            }
-            Err(error) => {
-                assert_eq!(error, EngineError::EmptyQuery);
-                assert!(!has_content_terms(query), "submit refused, {context}");
-            }
+    }
+    let aggregated = bits(&oracle.search_or(query, PAGE));
+    let context = format!("query {query:?}");
+    assert_eq!(
+        bits(&engine.reference_results(query).results),
+        aggregated,
+        "reference_results, {context}"
+    );
+    // A fresh identity per request keeps the rate limiter out of it.
+    *request += 1;
+    match engine.submit(ClientAddr(*request), query, 0.0) {
+        Ok(page) => {
+            assert!(has_content_terms(query), "submit accepted, {context}");
+            assert_eq!(page.query, query);
+            assert_eq!(bits(&page.results), aggregated, "submit, {context}");
+        }
+        Err(error) => {
+            assert_eq!(error, EngineError::EmptyQuery);
+            assert!(!has_content_terms(query), "submit refused, {context}");
         }
     }
-}
-
-fn engines_over(index: &Index) -> Vec<SearchEngine> {
-    LIMITS
-        .into_iter()
-        .map(|results_per_page| {
-            SearchEngine::new(
-                index.clone(),
-                EngineConfig {
-                    results_per_page,
-                    rate_limit: RateLimiterConfig::default(),
-                },
-            )
-        })
-        .collect()
 }
 
 #[test]
@@ -311,14 +296,14 @@ fn random_corpora_and_queries_rank_bit_identically() {
         let corpus = random_corpus(&mut rng, size, vocabulary);
         let oracle = oracle::Index::build(&corpus);
         let index = Index::build(&corpus);
-        let mut engines = engines_over(&index);
+        let mut engine = SearchEngine::new(index.clone());
         for _ in 0..queries {
             let query = if rng.gen_bool(0.5) {
                 random_plain_query(&mut rng, vocabulary)
             } else {
                 random_or_query(&mut rng, vocabulary)
             };
-            assert_pages_match(&oracle, &index, &mut engines, &query, &mut request);
+            assert_pages_match(&oracle, &index, &mut engine, &query, &mut request);
         }
     }
 }
@@ -336,10 +321,10 @@ fn documents_added_after_the_first_search_are_ranked_like_the_oracle() {
             oracle.add_document(document);
             index.add_document(document);
         }
-        let mut engines = engines_over(&index);
+        let mut engine = SearchEngine::new(index.clone());
         for _ in 0..40 {
             let query = random_or_query(&mut rng, 30);
-            assert_pages_match(&oracle, &index, &mut engines, &query, &mut request);
+            assert_pages_match(&oracle, &index, &mut engine, &query, &mut request);
         }
     }
 }
@@ -371,7 +356,7 @@ fn interleaved_searches_on_one_scratch_never_leak_a_score() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x1EAC);
     let corpus = random_corpus(&mut rng, 500, 12);
     let oracle = oracle::Index::build(&corpus);
-    let mut engine = SearchEngine::new(Index::build(&corpus), EngineConfig::default());
+    let mut engine = SearchEngine::new(Index::build(&corpus));
     // A query that touches nearly every document, then queries that touch
     // few or none: a stale accumulator would surface as an extra result or
     // a higher score in the page that follows.
@@ -395,11 +380,11 @@ fn interleaved_searches_on_one_scratch_never_leak_a_score() {
     for query in narrow {
         assert_eq!(
             submit(&mut engine, broad),
-            bits(&oracle.search_or(broad, 10))
+            bits(&oracle.search_or(broad, PAGE))
         );
         assert_eq!(
             submit(&mut engine, query),
-            bits(&oracle.search_or(query, 10)),
+            bits(&oracle.search_or(query, PAGE)),
             "after the broad query: {query:?}"
         );
     }

@@ -9,7 +9,7 @@
 
 use cyclosa_bench::experiments::{fig6, fig7, PRIVACY_K, SYSTEM_K};
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
-use cyclosa_search_engine::{ClientAddr, EngineConfig, ResultPage, SearchEngine};
+use cyclosa_search_engine::{ClientAddr, ResultPage, SearchEngine};
 use cyclosa_util::json::ToJson;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -63,7 +63,7 @@ fn result_pages_match_the_btreemap_era_digest() {
         .take(500)
         .map(|q| q.query.text.as_str())
         .collect();
-    let mut submitting = SearchEngine::new(setup.engine.index().clone(), EngineConfig::default());
+    let mut submitting = SearchEngine::new(setup.engine.index().clone());
 
     let mut plain = FNV_OFFSET;
     let mut aggregated = FNV_OFFSET;

@@ -192,10 +192,7 @@ fn faulted_shuffle_overlay_matches_the_pin_on_both_engines() {
 #[test]
 fn swim_timelines_with_a_crash_and_a_forgery_match_the_pin() {
     let mut sim = Simulation::new(83);
-    let config = MembershipConfig {
-        rounds: 40,
-        ..MembershipConfig::default()
-    };
+    let config = MembershipConfig { rounds: 40 };
     let mut overlay = SwimGossipOverlay::ring(&mut sim, 14, config, 83, &TraceSink::disabled());
     overlay.schedule_kill(&mut sim, PeerId(6), SimTime::from_secs(9));
     overlay.schedule_incarnation_forgery(

@@ -16,7 +16,9 @@ use cyclosa::node::{CyclosaNode, NodeError, QueryPlan};
 use cyclosa_chaos::adversary::{AdversaryConfig, ByzantinePolicy};
 use cyclosa_chaos::churn::ChurnModel;
 use cyclosa_chaos::deployment::{ChurnTelemetry, EngineChoice};
-use cyclosa_chaos::soak::{run_soak, run_soak_on, ArrivalModel, SoakConfig, SoakOutcome};
+use cyclosa_chaos::soak::{
+    run_soak, run_soak_on, ArrivalModel, SoakConfig, SoakOutcome, BASE_INTERVAL,
+};
 use cyclosa_net::sim::Simulation;
 use cyclosa_net::time::SimTime;
 use cyclosa_peer_sampling::PeerId;
@@ -46,10 +48,6 @@ fn stressed_config(queries: u64) -> SoakConfig {
         relays: 40,
         queries,
         window_queries: 1_000,
-        base_interval: SimTime::from_millis(60),
-        diurnal_period_queries: 2_000,
-        flash_crowds: 2,
-        flash_width_queries: 100,
         churn: Some(ChurnModel::ExponentialSessions {
             mean_uptime: SimTime::from_secs(60),
             mean_downtime: SimTime::from_secs(12),
@@ -208,13 +206,7 @@ fn diurnal_soak_replays_the_plan_repair_invariant_with_bounded_residency() {
     node.record_own_history(["zurich train timetable", "zurich airport parking"]);
     node.bootstrap_peers((100..100 + peers).map(PeerId));
 
-    let arrival = ArrivalModel {
-        base_interval: SimTime::from_millis(50),
-        diurnal_period_queries: 1_000,
-        flash_crowds: 2,
-        flash_width_queries: 100,
-        queries,
-    };
+    let arrival = ArrivalModel { queries };
     let mut rng = Xoshiro256StarStar::seed_from_u64(2018);
     let mut script_rng = Xoshiro256StarStar::seed_from_u64(7_077);
     let mut dead: BTreeSet<PeerId> = BTreeSet::new();
@@ -226,8 +218,7 @@ fn diurnal_soak_replays_the_plan_repair_invariant_with_bounded_residency() {
     for seq in 0..queries {
         // Diurnal churn: kill/revive probability follows the arrival
         // intensity (daytime load brings daytime churn).
-        let intensity =
-            arrival.base_interval.as_nanos() as f64 / arrival.interval(seq).as_nanos() as f64;
+        let intensity = BASE_INTERVAL.as_nanos() as f64 / arrival.interval(seq).as_nanos() as f64;
         if script_rng.gen_bool((0.02 * intensity).min(0.5)) {
             let victim = PeerId(100 + script_rng.gen_index(peers as usize) as u64);
             if dead.contains(&victim) {
