@@ -7,8 +7,8 @@
 //!
 //! * the **node numbering** — engine `0`, relays `1..=N`, client `N + 1`;
 //! * the **message tags** and the client's **timer-token bases**;
-//! * the **wire format** — `"client|seq|R-or-F|query text"` behind
-//!   `Request`, plus the fixed-width ping/ack liveness probes;
+//! * the **messages** — `"client|seq|R-or-F|query text"` behind
+//!   `Request`, plus the `ProbePing`/`ProbeAck` liveness probes;
 //!
 //! and it owns what every run shares: the `Relay` and `EngineNode`
 //! behaviours (in-service maps pruned on completion, byzantine policies,
@@ -43,13 +43,15 @@ use cyclosa_net::engine::Engine;
 use cyclosa_net::latency::LatencyModel;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
 use cyclosa_net::time::SimTime;
+use cyclosa_net::wire::{Message, Reader, WireError, Writer};
 use cyclosa_net::NodeId;
-use cyclosa_peer_sampling::{FailureDetector, MemberState, PeerId};
+use cyclosa_peer_sampling::{Belief, FailureDetector, MemberState, PeerId};
 use cyclosa_runtime::ShardedEngine;
 use cyclosa_telemetry::metrics::{Counter, Histogram, Registry};
 use cyclosa_telemetry::{TraceEvent, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -81,13 +83,9 @@ const TAG_ENGINE_QUERY: u32 = 2;
 const TAG_ENGINE_RESPONSE: u32 = 3;
 /// Relay → client: the engine's answer routed back.
 const TAG_RESPONSE: u32 = 4;
-/// Client → relay liveness probe: `[seq u64][believed state u8][believed
-/// incarnation u64]`, little-endian. The believed half is the refutation
-/// channel: a relay pinged with a non-alive belief about itself at an
-/// incarnation at least its own bumps its incarnation and acks the new
-/// one, which the client's detector applies as a refutation.
+/// Client → relay liveness probe, a [`ProbePing`].
 const TAG_PING: u32 = 5;
-/// Relay → client probe answer: `[seq u64][relay incarnation u64]`.
+/// Relay → client probe answer, a [`ProbeAck`].
 const TAG_ACK: u32 = 6;
 
 // Client timer tokens: a token below `OUTBOX_BASE` launches that query;
@@ -128,33 +126,6 @@ pub(crate) struct Request {
 }
 
 impl Request {
-    /// The request's wire bytes, carrying the deployment's synthetic
-    /// query text for `seq`.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let flag = if self.real { 'R' } else { 'F' };
-        let Self { client, seq, .. } = self;
-        format!("{client}|{seq}|{flag}|query number {seq} terms").into_bytes()
-    }
-
-    /// Parses the header of a wire payload without allocating. `None`
-    /// for anything that is not a well-formed request: oversized,
-    /// non-UTF-8, a missing field, a non-numeric or out-of-range id, or
-    /// a flag other than `R`/`F`.
-    pub(crate) fn parse(payload: &[u8]) -> Option<Request> {
-        if payload.len() > MAX_REQUEST_BYTES {
-            return None;
-        }
-        let (client, rest) = decimal_field(payload)?;
-        let (seq, rest) = decimal_field(rest)?;
-        let (real, text) = match rest {
-            [b'R', b'|', text @ ..] => (true, text),
-            [b'F', b'|', text @ ..] => (false, text),
-            _ => return None,
-        };
-        std::str::from_utf8(text).ok()?;
-        Some(Request { client, seq, real })
-    }
-
     /// The sequence number if this is a real query — what the adversary
     /// tampers with and the forwarding-path spans are keyed by.
     pub(crate) fn real_seq(&self) -> Option<u64> {
@@ -162,52 +133,65 @@ impl Request {
     }
 }
 
-/// Splits `"<decimal u64>|rest"` into the number and `rest`.
-fn decimal_field(bytes: &[u8]) -> Option<(u64, &[u8])> {
-    let end = bytes.iter().position(|b| *b == b'|')?;
-    if end == 0 {
-        return None;
+/// Encodes the deployment's synthetic query text for `seq`; decodes the
+/// header without allocating, rejecting anything malformed: oversized,
+/// non-UTF-8, a missing field, a bad id or a flag other than `R`/`F`.
+impl Message for Request {
+    fn encode(&self, w: &mut Writer) {
+        let flag = if self.real { 'R' } else { 'F' };
+        let Self { client, seq, .. } = self;
+        // Writing to a `Writer` cannot fail.
+        let _ = write!(w, "{client}|{seq}|{flag}|query number {seq} terms");
     }
-    let mut value: u64 = 0;
-    for digit in &bytes[..end] {
-        let digit = digit.checked_sub(b'0').filter(|d| *d <= 9)?;
-        value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let payload = r.rest();
+        if payload.len() > MAX_REQUEST_BYTES {
+            return Err(WireError::OverLength);
+        }
+        let mut fields = payload.splitn(4, |byte| *byte == b'|');
+        let mut decimal = || {
+            let digits = fields.next().ok_or(WireError::Truncated)?;
+            let push = |value: u64, digit: &u8| {
+                let digit = digit.checked_sub(b'0').filter(|d| *d <= 9)?;
+                value.checked_mul(10)?.checked_add(u64::from(digit))
+            };
+            let value = digits
+                .iter()
+                .try_fold(0, push)
+                .filter(|_| !digits.is_empty());
+            value.ok_or(WireError::BadTag)
+        };
+        let (client, seq) = (decimal()?, decimal()?);
+        let real = match fields.next().ok_or(WireError::Truncated)? {
+            b"R" => true,
+            b"F" => false,
+            _ => return Err(WireError::BadTag),
+        };
+        let text = fields.next().ok_or(WireError::Truncated)?;
+        std::str::from_utf8(text).map_err(|_| WireError::BadTag)?;
+        Ok(Request { client, seq, real })
     }
-    Some((value, &bytes[end + 1..]))
 }
 
-fn encode_ping(seq: u64, state: u8, incarnation: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(17);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.push(state);
-    payload.extend_from_slice(&incarnation.to_le_bytes());
-    payload
+/// Client → relay liveness probe: the ping's `seq` and the client's
+/// [`Belief`] about the relay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ProbePing {
+    seq: u64,
+    believed: Belief,
 }
 
-fn decode_ping(payload: &[u8]) -> Option<(u64, u8, u64)> {
-    if payload.len() != 17 {
-        return None;
-    }
-    let seq = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-    let incarnation = u64::from_le_bytes(payload[9..17].try_into().ok()?);
-    Some((seq, payload[8], incarnation))
+cyclosa_net::impl_message!(ProbePing { seq, believed });
+
+/// Relay → client probe answer: the ping's `seq`, the relay's incarnation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ProbeAck {
+    seq: u64,
+    incarnation: u64,
 }
 
-fn encode_ack(seq: u64, incarnation: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&incarnation.to_le_bytes());
-    payload
-}
-
-fn decode_ack(payload: &[u8]) -> Option<(u64, u64)> {
-    if payload.len() != 16 {
-        return None;
-    }
-    let seq = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-    let incarnation = u64::from_le_bytes(payload[8..16].try_into().ok()?);
-    Some((seq, incarnation))
-}
+cyclosa_net::impl_message!(ProbeAck { seq, incarnation });
 
 /// Metric handles threaded through a deployment whose
 /// [`ChurnTelemetry::metrics`] is set: relay forwarding, search-engine
@@ -362,7 +346,7 @@ impl NodeBehavior for Relay {
     fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
         match envelope.tag {
             TAG_FORWARD => {
-                let Some(request) = Request::parse(&envelope.payload) else {
+                let Ok(request) = Request::from_bytes(&envelope.payload) else {
                     return;
                 };
                 let policy = self.policies.at(ctx.now());
@@ -389,11 +373,12 @@ impl NodeBehavior for Relay {
                 ctx.set_timer(self.processing + extra, token);
             }
             TAG_PING => {
-                let Some((seq, state, incarnation)) = decode_ping(&envelope.payload) else {
+                let Ok(ping) = ProbePing::from_bytes(&envelope.payload) else {
                     return;
                 };
-                if state != MemberState::Alive.to_wire() && incarnation >= self.incarnation {
-                    self.incarnation = incarnation + 1;
+                let Belief { state, incarnation } = ping.believed;
+                if state != MemberState::Alive && incarnation >= self.incarnation {
+                    self.incarnation = incarnation.saturating_add(1);
                 }
                 // Gossip lying: a forging relay jumps its advertised
                 // incarnation on every ack instead of the protocol's
@@ -413,10 +398,14 @@ impl NodeBehavior for Relay {
                 // Answered inline, not through the processing queue: the
                 // probe measures reachability, and the timeout is sized
                 // against the network round trip.
-                ctx.send(envelope.src, TAG_ACK, encode_ack(seq, self.incarnation));
+                let ack = ProbeAck {
+                    seq: ping.seq,
+                    incarnation: self.incarnation,
+                };
+                ctx.send(envelope.src, TAG_ACK, ack.to_bytes());
             }
             TAG_ENGINE_RESPONSE => {
-                if let Some(request) = Request::parse(&envelope.payload) {
+                if let Ok(request) = Request::from_bytes(&envelope.payload) {
                     ctx.send(NodeId(request.client), TAG_RESPONSE, envelope.payload);
                 }
             }
@@ -469,7 +458,7 @@ impl NodeBehavior for EngineNode {
         if envelope.tag != TAG_ENGINE_QUERY {
             return;
         }
-        let Some(request) = Request::parse(&envelope.payload) else {
+        let Ok(request) = Request::from_bytes(&envelope.payload) else {
             return;
         };
         // Sampled unconditionally — tracing must never advance or skip a
@@ -974,7 +963,7 @@ impl<L: Ledger> Client<L> {
             seq,
             real,
         };
-        self.outbox.insert(token, (relay, request.encode()));
+        self.outbox.insert(token, (relay, request.to_bytes()));
         ctx.set_timer(
             SimTime::from_nanos(self.setup.uplink.as_nanos() * (slot + 1)),
             token,
@@ -1245,20 +1234,16 @@ impl<L: Ledger> Client<L> {
         let Some(prober) = &mut self.prober else {
             return;
         };
-        let Some((seq, incarnation)) = decode_ack(payload) else {
+        let Ok(ProbeAck { seq, incarnation }) = ProbeAck::from_bytes(payload) else {
             return;
         };
         if prober.pending.get(&relay) == Some(&seq) {
             prober.pending.remove(&relay);
         }
         let (peer, now) = (PeerId(relay.0), ctx.now());
-        let state = |detector: &FailureDetector| detector.state_of(peer).map(|s| s.0);
-        let was_barred = matches!(
-            state(&prober.detector),
-            Some(MemberState::Suspect | MemberState::Dead)
-        );
+        let was_barred = prober.detector.belief(peer).state != MemberState::Alive;
         prober.detector.ack(peer, incarnation, now);
-        if was_barred && state(&prober.detector) == Some(MemberState::Alive) {
+        if was_barred && prober.detector.belief(peer).state == MemberState::Alive {
             self.blacklist.forgive(relay);
             if self.trace.is_enabled() {
                 self.trace.emit(
@@ -1323,12 +1308,9 @@ impl Prober {
     fn ping(&mut self, ctx: &mut Context<'_>, relay: NodeId) -> u64 {
         let seq = self.next_ping;
         self.next_ping += 1;
-        let (state, incarnation) = match self.detector.state_of(PeerId(relay.0)) {
-            Some((state, incarnation, _)) => (state, incarnation),
-            None => (MemberState::Alive, 0),
-        };
-        let payload = encode_ping(seq, state.to_wire(), incarnation);
-        ctx.send(relay, TAG_PING, payload);
+        let believed = self.detector.belief(PeerId(relay.0));
+        let ping = ProbePing { seq, believed };
+        ctx.send(relay, TAG_PING, ping.to_bytes());
         seq
     }
 }
@@ -1339,7 +1321,10 @@ impl<L: Ledger> NodeBehavior for Client<L> {
             TAG_ACK => self.handle_ack(ctx, envelope.src, &envelope.payload),
             // Answers to fakes are dropped (paper §IV step 8).
             TAG_RESPONSE => {
-                if let Some(seq) = Request::parse(&envelope.payload).and_then(|r| r.real_seq()) {
+                if let Some(seq) = Request::from_bytes(&envelope.payload)
+                    .ok()
+                    .and_then(|r| r.real_seq())
+                {
                     self.answer(ctx, seq);
                 }
             }
@@ -1531,18 +1516,18 @@ mod tests {
             let request = Request { client, seq, real };
             let flag = if real { "R" } else { "F" };
             let expected = format!("{}|{}|{}|query number {} terms", client, seq, flag, seq);
-            assert_eq!(request.encode(), expected.into_bytes());
-            assert_eq!(Request::parse(&request.encode()), Some(request));
+            assert_eq!(request.to_bytes(), expected.into_bytes());
+            assert_eq!(Request::from_bytes(&request.to_bytes()), Ok(request));
             assert_eq!(request.real_seq(), real.then_some(seq));
         }
         // The text is opaque to the header: separators in it are fine.
-        let parsed = Request::parse(b"3|4|F|a|b||c");
+        let parsed = Request::from_bytes(b"3|4|F|a|b||c").ok();
         assert_eq!(
             parsed.map(|r| (r.client, r.seq, r.real)),
             Some((3, 4, false))
         );
         assert_eq!(
-            Request::parse(b"3|4|R|"),
+            Request::from_bytes(b"3|4|R|").ok(),
             parsed.map(|r| Request { real: true, ..r })
         );
     }
@@ -1573,17 +1558,42 @@ mod tests {
     fn hostile_payloads_do_not_parse() {
         for payload in hostile_payloads(21) {
             let shown = String::from_utf8_lossy(&payload[..payload.len().min(40)]).into_owned();
-            assert_eq!(Request::parse(&payload), None, "accepted {shown:?}");
+            assert!(Request::from_bytes(&payload).is_err(), "accepted {shown:?}");
         }
+    }
+
+    /// Malformed probe pings: a state byte outside 0–2 (which a lenient
+    /// relay would take for a non-alive belief and refute), one byte
+    /// short, one byte over.
+    fn malformed_pings() -> Vec<Vec<u8>> {
+        let state = MemberState::Suspect;
+        let believed = Belief {
+            state,
+            incarnation: 0,
+        };
+        let ping = ProbePing { seq: 0, believed }.to_bytes();
+        let mut bad_states: Vec<Vec<u8>> = [3, 9, 0xFF]
+            .into_iter()
+            .map(|state| [&ping[..8], &[state], &ping[9..]].concat())
+            .collect();
+        let mut long = ping.clone();
+        long.push(0);
+        bad_states.extend([ping[..16].to_vec(), long]);
+        bad_states
     }
 
     /// Posts every hostile payload, under every tag a role handles, at
     /// the relay, the engine node and the client while query 0 is in
-    /// flight. Returns how many messages were injected.
+    /// flight, and the malformed pings at the relay. Returns how many
+    /// messages were injected.
     fn inject_hostile(engine: &mut Simulation, relays: usize) -> u64 {
         let (outsider, at) = (NodeId(u64::MAX), SimTime::from_millis(300));
         let client = client_id(relays);
         let mut injected = 0;
+        for payload in malformed_pings() {
+            engine.post(at, outsider, relay_id(0), TAG_PING, payload);
+            injected += 1;
+        }
         for payload in hostile_payloads(client.0) {
             for (dst, tag) in [
                 (relay_id(0), TAG_FORWARD),
@@ -1598,6 +1608,53 @@ mod tests {
             }
         }
         injected
+    }
+
+    #[test]
+    fn every_wire_message_passes_the_hostile_input_harness() {
+        use cyclosa_net::wire::{check_messages, check_opaque_messages};
+        let requests: Vec<Request> = [(51, 0, true), (7, 199, false), (u64::MAX, u64::MAX, true)]
+            .into_iter()
+            .map(|(client, seq, real)| Request { client, seq, real })
+            .collect();
+        // The query text is opaque: any UTF-8 decodes.
+        check_opaque_messages(&requests, 1);
+        let pings: Vec<ProbePing> = [MemberState::Alive, MemberState::Suspect, MemberState::Dead]
+            .into_iter()
+            .zip([0, 7, u64::MAX])
+            .map(|(state, incarnation)| ProbePing {
+                seq: incarnation ^ 5,
+                believed: Belief { state, incarnation },
+            })
+            .collect();
+        check_messages(&pings, 2);
+        let acks = [(0, 0), (3, 1), (u64::MAX, u64::MAX)]
+            .map(|(seq, incarnation)| ProbeAck { seq, incarnation });
+        check_messages(&acks, 3);
+        for payload in malformed_pings() {
+            assert!(ProbePing::from_bytes(&payload).is_err(), "{payload:02x?}");
+        }
+    }
+
+    #[test]
+    fn a_relay_suspected_at_the_last_incarnation_saturates_instead_of_overflowing() {
+        let config = ChurnConfig {
+            relays: 6,
+            k: 2,
+            queries: 4,
+            ..ChurnConfig::default()
+        };
+        let believed = Belief {
+            state: MemberState::Suspect,
+            incarnation: u64::MAX,
+        };
+        let ping = ProbePing { seq: 0, believed };
+        let mut engine = Simulation::new(config.seed);
+        let at = SimTime::from_millis(100);
+        engine.post(at, NodeId(u64::MAX), relay_id(0), TAG_PING, ping.to_bytes());
+        let quiet = ChurnTelemetry::default();
+        let outcome = run_churn_experiment_on(&mut engine, &config, &ChaosPlan::new(), &quiet);
+        assert_eq!(outcome.latencies.len(), config.queries);
     }
 
     #[test]

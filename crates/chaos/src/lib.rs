@@ -16,8 +16,8 @@
 //!   samples into (or that tests write by hand), applicable to any
 //!   [`cyclosa_net::engine::Engine`].
 //! * [`deployment`] — the one message-level deployment (client, relays,
-//!   search engine) every experiment here runs: node numbering, tags, the
-//!   wire codec, the shared relay and engine-node behaviours, the
+//!   search engine) every experiment here runs: node numbering, tags, its
+//!   `cyclosa_net::wire` messages, the shared relay and engine-node behaviours, the
 //!   blacklist and plan-repair rules, [`EngineChoice`](deployment::EngineChoice), and the Fig. 8a/8b
 //!   latency run ([`run_end_to_end_latency_on`](deployment::run_end_to_end_latency_on)).
 //! * [`experiment`] — the robustness-under-failure latency experiment:

@@ -17,6 +17,9 @@
 //!   parallel engine of `cyclosa-runtime`, plus the deterministic event
 //!   keys and per-link RNG streams that make executions bit-identical
 //!   across engines.
+//! * [`wire`] — the one wire layer: the [`Message`](wire::Message) trait
+//!   every payload implements, its panic-free [`Reader`](wire::Reader),
+//!   and the hostile-input harness each crate's tests run.
 //!
 //! # Example
 //!
@@ -54,6 +57,7 @@ pub mod latency;
 mod queue;
 pub mod sim;
 pub mod time;
+pub mod wire;
 
 /// Identifier of a node in the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -28,14 +28,13 @@
 //! poisoning curves.
 
 use crate::overlay::SHUFFLE_ROUND_PERIOD;
-use crate::population::{
-    decode_ids, encode_ids, lock, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND,
-};
+use crate::population::{lock, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND};
 use crate::sybil::{SybilAttackConfig, SybilAttacker};
 use crate::view::PeerId;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
+use cyclosa_net::wire::Message;
 use cyclosa_net::NodeId;
 use cyclosa_util::rng::{Rng, SplitMix64, Xoshiro256StarStar};
 use std::sync::{Arc, Mutex};
@@ -247,14 +246,14 @@ impl NodeBehavior for HonestBrahmsBehavior {
         match envelope.tag {
             TAG_PUSH => self.pushes.push(PeerId(envelope.src.0)),
             TAG_PULL_REQ => {
-                let view = encode_ids(lock(&self.node).view());
-                ctx.send(envelope.src, TAG_PULL_REP, view);
+                let view = lock(&self.node).view().to_vec();
+                ctx.send(envelope.src, TAG_PULL_REP, view.to_bytes());
             }
             // A ragged reply is dropped whole, never truncated to its
             // well-formed prefix.
             TAG_PULL_REP => self
                 .pulls
-                .extend(decode_ids(&envelope.payload).unwrap_or_default()),
+                .extend(Vec::<PeerId>::from_bytes(&envelope.payload).unwrap_or_default()),
             _ => {}
         }
     }
@@ -292,7 +291,7 @@ impl NodeBehavior for SybilBrahmsBehavior {
     fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
         if envelope.tag == TAG_PULL_REQ {
             let poisoned = self.attacker.poisoned_picks(VIEW_SIZE, &mut self.rng);
-            ctx.send(envelope.src, TAG_PULL_REP, encode_ids(&poisoned));
+            ctx.send(envelope.src, TAG_PULL_REP, poisoned.to_bytes());
         }
         // Pushes to a sybil are silently absorbed.
     }
@@ -543,7 +542,7 @@ mod tests {
             let overlay =
                 EngineBrahmsOverlay::ring(&mut engine, SybilAttackConfig::calm(20, 9), 10);
             if let Some(stray) = stray {
-                let mut payload = encode_ids(&[PeerId(500), PeerId(501), PeerId(502)]);
+                let mut payload = vec![PeerId(500), PeerId(501), PeerId(502)].to_bytes();
                 payload.extend(std::iter::repeat_n(0xEE, stray));
                 let at = SimTime::from_millis(1500);
                 engine.post(at, NodeId(9_999), NodeId(0), TAG_PULL_REP, payload);

@@ -66,6 +66,6 @@ pub use overlay::{EngineGossipConfig, EngineGossipOverlay, SHUFFLE_ROUND_PERIOD}
 pub use population::{
     cross_side_edges, overlay_metrics_from_views, Overlay, OverlayMetrics, SamplingProtocol,
 };
-pub use swim::{FailureDetector, MemberState, MembershipEventKind};
+pub use swim::{Belief, FailureDetector, MemberState, MembershipEventKind};
 pub use sybil::SybilAttackConfig;
 pub use view::PeerId;

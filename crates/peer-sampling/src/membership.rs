@@ -38,14 +38,15 @@
 //! the zero-perturbation contract of `cyclosa-telemetry`.
 
 use crate::hyparview::{PartialViews, ACTIVE_CAPACITY};
-use crate::population::{
-    decode_ids, encode_ids, lock, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND,
+use crate::population::{lock, Liveness, Overlay, SamplingProtocol, TOKEN_ROUND};
+use crate::swim::{
+    Belief, FailureDetector, MemberState, MembershipEvent, MembershipEventKind, SwimRumor,
 };
-use crate::swim::{FailureDetector, MemberState, MembershipEvent, MembershipEventKind, SwimRumor};
 use crate::view::PeerId;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
+use cyclosa_net::wire::{Counted, Message};
 use cyclosa_net::NodeId;
 use cyclosa_telemetry::trace::{NodeTracer, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
@@ -122,187 +123,66 @@ impl Default for MembershipConfig {
 }
 
 // ---------------------------------------------------------------------
-// Wire codec. All integers little-endian; rumors are 17-byte records
-// (peer u64, state u8, incarnation u64) appended after a one-byte count.
+// Wire messages, each ending with the piggybacked rumors.
 // ---------------------------------------------------------------------
 
-fn put_rumors(bytes: &mut Vec<u8>, rumors: &[SwimRumor]) {
-    bytes.push(u8::try_from(rumors.len()).expect("piggyback limit fits a byte"));
-    for rumor in rumors {
-        bytes.extend_from_slice(&rumor.peer.0.to_le_bytes());
-        bytes.push(rumor.state.to_wire());
-        bytes.extend_from_slice(&rumor.incarnation.to_le_bytes());
-    }
-}
-
-/// Cursor-based reader over a received payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn take(&mut self, len: usize) -> Option<&'a [u8]> {
-        let chunk = self.bytes.get(self.at..self.at + len)?;
-        self.at += len;
-        Some(chunk)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let chunk = self.take(8)?;
-        Some(u64::from_le_bytes(chunk.try_into().expect("8 bytes")))
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        let byte = *self.bytes.get(self.at)?;
-        self.at += 1;
-        Some(byte)
-    }
-
-    fn rumors(&mut self) -> Option<Vec<SwimRumor>> {
-        let count = self.u8()?;
-        let mut rumors = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let peer = PeerId(self.u64()?);
-            let state = MemberState::from_wire(self.u8()?)?;
-            let incarnation = self.u64()?;
-            rumors.push(SwimRumor {
-                peer,
-                state,
-                incarnation,
-            });
-        }
-        Some(rumors)
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-}
-
+/// `TAG_PING`: its belief is about the receiver, who fills in the peer.
+#[derive(Debug, PartialEq)]
 struct Ping {
     origin: u64,
     seq: u64,
-    believed: SwimRumor,
-    rumors: Vec<SwimRumor>,
+    believed: Belief,
+    rumors: Counted<SwimRumor>,
 }
 
-fn encode_ping(ping: &Ping) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(26 + ping.rumors.len() * 17);
-    bytes.extend_from_slice(&ping.origin.to_le_bytes());
-    bytes.extend_from_slice(&ping.seq.to_le_bytes());
-    bytes.push(ping.believed.state.to_wire());
-    bytes.extend_from_slice(&ping.believed.incarnation.to_le_bytes());
-    put_rumors(&mut bytes, &ping.rumors);
-    bytes
-}
+cyclosa_net::impl_message!(Ping {
+    origin,
+    seq,
+    believed,
+    rumors
+});
 
-fn decode_ping(bytes: &[u8], target: PeerId) -> Option<Ping> {
-    let mut r = Reader::new(bytes);
-    let origin = r.u64()?;
-    let seq = r.u64()?;
-    let state = MemberState::from_wire(r.u8()?)?;
-    let incarnation = r.u64()?;
-    let rumors = r.rumors()?;
-    r.done().then_some(Ping {
-        origin,
-        seq,
-        believed: SwimRumor {
-            peer: target,
-            state,
-            incarnation,
-        },
-        rumors,
-    })
-}
-
+#[derive(Debug, PartialEq)]
 struct Ack {
     origin: u64,
     seq: u64,
     target: u64,
     incarnation: u64,
-    rumors: Vec<SwimRumor>,
+    rumors: Counted<SwimRumor>,
 }
 
-fn encode_ack(ack: &Ack) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(33 + ack.rumors.len() * 17);
-    bytes.extend_from_slice(&ack.origin.to_le_bytes());
-    bytes.extend_from_slice(&ack.seq.to_le_bytes());
-    bytes.extend_from_slice(&ack.target.to_le_bytes());
-    bytes.extend_from_slice(&ack.incarnation.to_le_bytes());
-    put_rumors(&mut bytes, &ack.rumors);
-    bytes
-}
+cyclosa_net::impl_message!(Ack {
+    origin,
+    seq,
+    target,
+    incarnation,
+    rumors
+});
 
-fn decode_ack(bytes: &[u8]) -> Option<Ack> {
-    let mut r = Reader::new(bytes);
-    let ack = Ack {
-        origin: r.u64()?,
-        seq: r.u64()?,
-        target: r.u64()?,
-        incarnation: r.u64()?,
-        rumors: r.rumors()?,
-    };
-    r.done().then_some(ack)
-}
-
+#[derive(Debug, PartialEq)]
 struct PingReq {
     origin: u64,
     seq: u64,
     target: u64,
-    believed_state: MemberState,
-    believed_incarnation: u64,
-    rumors: Vec<SwimRumor>,
+    believed: Belief,
+    rumors: Counted<SwimRumor>,
 }
 
-fn encode_ping_req(req: &PingReq) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(34 + req.rumors.len() * 17);
-    bytes.extend_from_slice(&req.origin.to_le_bytes());
-    bytes.extend_from_slice(&req.seq.to_le_bytes());
-    bytes.extend_from_slice(&req.target.to_le_bytes());
-    bytes.push(req.believed_state.to_wire());
-    bytes.extend_from_slice(&req.believed_incarnation.to_le_bytes());
-    put_rumors(&mut bytes, &req.rumors);
-    bytes
-}
+cyclosa_net::impl_message!(PingReq {
+    origin,
+    seq,
+    target,
+    believed,
+    rumors
+});
 
-fn decode_ping_req(bytes: &[u8]) -> Option<PingReq> {
-    let mut r = Reader::new(bytes);
-    let req = PingReq {
-        origin: r.u64()?,
-        seq: r.u64()?,
-        target: r.u64()?,
-        believed_state: MemberState::from_wire(r.u8()?)?,
-        believed_incarnation: r.u64()?,
-        rumors: r.rumors()?,
-    };
-    r.done().then_some(req)
-}
-
+#[derive(Debug, PartialEq)]
 struct Shuffle {
-    peers: Vec<PeerId>,
-    rumors: Vec<SwimRumor>,
+    peers: Counted<PeerId>,
+    rumors: Counted<SwimRumor>,
 }
 
-fn encode_shuffle(shuffle: &Shuffle) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(2 + shuffle.peers.len() * 8 + shuffle.rumors.len() * 17);
-    bytes.push(u8::try_from(shuffle.peers.len()).expect("shuffle sample fits a byte"));
-    bytes.extend_from_slice(&encode_ids(&shuffle.peers));
-    put_rumors(&mut bytes, &shuffle.rumors);
-    bytes
-}
-
-fn decode_shuffle(bytes: &[u8]) -> Option<Shuffle> {
-    let mut r = Reader::new(bytes);
-    let count = r.u8()?;
-    let peers = decode_ids(r.take(usize::from(count) * 8)?)?;
-    let rumors = r.rumors()?;
-    r.done().then_some(Shuffle { peers, rumors })
-}
+cyclosa_net::impl_message!(Shuffle { peers, rumors });
 
 // ---------------------------------------------------------------------
 // Per-node protocol state and behavior.
@@ -433,21 +313,13 @@ impl MembershipBehavior {
         quarantined: bool,
     ) -> u64 {
         self.seq += 1;
-        let (believed_state, believed_incarnation) = state
-            .detector
-            .state_of(target)
-            .map_or((MemberState::Alive, 0), |(s, i, _)| (s, i));
         let ping = Ping {
             origin: Self::self_peer(ctx).0,
             seq: self.seq,
-            believed: SwimRumor {
-                peer: target,
-                state: believed_state,
-                incarnation: believed_incarnation,
-            },
-            rumors: state.detector.take_rumors(PIGGYBACK),
+            believed: state.detector.belief(target),
+            rumors: Counted(state.detector.take_rumors(PIGGYBACK)),
         };
-        ctx.send(NodeId(target.0), TAG_PING, encode_ping(&ping));
+        ctx.send(NodeId(target.0), TAG_PING, ping.to_bytes());
         if self.tracer.is_enabled() {
             self.tracer.emit(
                 self.tracer
@@ -512,10 +384,10 @@ impl MembershipBehavior {
         if self.round.is_multiple_of(SHUFFLE_EVERY) {
             if let Some(partner) = self.rng.choose(state.views.active()).copied() {
                 let shuffle = Shuffle {
-                    peers: state.views.shuffle_sample(&mut self.rng),
-                    rumors: state.detector.take_rumors(PIGGYBACK),
+                    peers: Counted(state.views.shuffle_sample(&mut self.rng)),
+                    rumors: Counted(state.detector.take_rumors(PIGGYBACK)),
                 };
-                ctx.send(NodeId(partner.0), TAG_SHUFFLE, encode_shuffle(&shuffle));
+                ctx.send(NodeId(partner.0), TAG_SHUFFLE, shuffle.to_bytes());
             }
         }
 
@@ -549,14 +421,19 @@ impl NodeBehavior for MembershipBehavior {
 
         match envelope.tag {
             TAG_PING => {
-                let Some(ping) = decode_ping(&envelope.payload, self_peer) else {
+                let Ok(ping) = Ping::from_bytes(&envelope.payload) else {
                     return;
                 };
                 // The prober's belief about us: a suspicion or death
                 // record makes the detector bump our incarnation and
                 // queue the refutation, which the ack carries back.
-                let _ = state.detector.apply(ping.believed, now);
-                for rumor in ping.rumors {
+                let believed = SwimRumor {
+                    peer: self_peer,
+                    state: ping.believed.state,
+                    incarnation: ping.believed.incarnation,
+                };
+                let _ = state.detector.apply(believed, now);
+                for rumor in ping.rumors.0 {
                     let _ = state.detector.apply(rumor, now);
                 }
                 state.detector.observe(PeerId(ping.origin));
@@ -565,20 +442,20 @@ impl NodeBehavior for MembershipBehavior {
                     seq: ping.seq,
                     target: self_peer.0,
                     incarnation: state.detector.incarnation(),
-                    rumors: state.detector.take_rumors(PIGGYBACK),
+                    rumors: Counted(state.detector.take_rumors(PIGGYBACK)),
                 };
-                ctx.send(envelope.src, TAG_ACK, encode_ack(&ack));
+                ctx.send(envelope.src, TAG_ACK, ack.to_bytes());
             }
             TAG_ACK => {
-                let Some(ack) = decode_ack(&envelope.payload) else {
+                let Ok(ack) = Ack::from_bytes(&envelope.payload) else {
                     return;
                 };
-                for rumor in &ack.rumors {
+                for rumor in &ack.rumors.0 {
                     let _ = state.detector.apply(*rumor, now);
                 }
                 if ack.origin != self_peer.0 {
                     // We proxied this probe: relay the ack to the origin.
-                    ctx.send(NodeId(ack.origin), TAG_ACK, encode_ack(&ack));
+                    ctx.send(NodeId(ack.origin), TAG_ACK, ack.to_bytes());
                 } else {
                     let target = PeerId(ack.target);
                     if state.views.is_quarantined(target) {
@@ -602,10 +479,10 @@ impl NodeBehavior for MembershipBehavior {
                 }
             }
             TAG_PING_REQ => {
-                let Some(req) = decode_ping_req(&envelope.payload) else {
+                let Ok(req) = PingReq::from_bytes(&envelope.payload) else {
                     return;
                 };
-                for rumor in req.rumors {
+                for rumor in req.rumors.0 {
                     let _ = state.detector.apply(rumor, now);
                 }
                 // Relay the probe, preserving the origin's belief so the
@@ -613,34 +490,31 @@ impl NodeBehavior for MembershipBehavior {
                 let relayed = Ping {
                     origin: req.origin,
                     seq: req.seq,
-                    believed: SwimRumor {
-                        peer: PeerId(req.target),
-                        state: req.believed_state,
-                        incarnation: req.believed_incarnation,
-                    },
-                    rumors: state.detector.take_rumors(PIGGYBACK),
+                    believed: req.believed,
+                    rumors: Counted(state.detector.take_rumors(PIGGYBACK)),
                 };
-                ctx.send(NodeId(req.target), TAG_PING, encode_ping(&relayed));
+                ctx.send(NodeId(req.target), TAG_PING, relayed.to_bytes());
             }
             TAG_SHUFFLE | TAG_SHUFFLE_REPLY => {
-                let Some(shuffle) = decode_shuffle(&envelope.payload) else {
+                let Ok(shuffle) = Shuffle::from_bytes(&envelope.payload) else {
                     return;
                 };
-                for rumor in shuffle.rumors {
+                for rumor in shuffle.rumors.0 {
                     let _ = state.detector.apply(rumor, now);
                 }
-                for peer in &shuffle.peers {
+                let peers = shuffle.peers.0;
+                for peer in &peers {
                     if *peer != self_peer && !state.views.is_quarantined(*peer) {
                         state.detector.observe(*peer);
                     }
                 }
-                state.views.integrate_shuffle(&shuffle.peers, &mut self.rng);
+                state.views.integrate_shuffle(&peers, &mut self.rng);
                 if envelope.tag == TAG_SHUFFLE {
                     let reply = Shuffle {
-                        peers: state.views.shuffle_sample(&mut self.rng),
-                        rumors: state.detector.take_rumors(PIGGYBACK),
+                        peers: Counted(state.views.shuffle_sample(&mut self.rng)),
+                        rumors: Counted(state.detector.take_rumors(PIGGYBACK)),
                     };
-                    ctx.send(envelope.src, TAG_SHUFFLE_REPLY, encode_shuffle(&reply));
+                    ctx.send(envelope.src, TAG_SHUFFLE_REPLY, reply.to_bytes());
                 }
             }
             _ => {}
@@ -681,10 +555,7 @@ impl NodeBehavior for MembershipBehavior {
             // must win through the victim's own refutation bump.
             if !state.forged.is_empty() {
                 let (victim, jump) = state.forged.remove(0);
-                let believed = state
-                    .detector
-                    .state_of(victim)
-                    .map_or(0, |(_, incarnation, _)| incarnation);
+                let believed = state.detector.belief(victim).incarnation;
                 let incarnation = believed.saturating_add(jump);
                 let _ = state.detector.apply(
                     SwimRumor {
@@ -743,24 +614,16 @@ impl NodeBehavior for MembershipBehavior {
                         .into_iter()
                         .filter(|p| *p != peer)
                         .collect();
-                    let (believed_state, believed_incarnation) = state
-                        .detector
-                        .state_of(peer)
-                        .map_or((MemberState::Alive, 0), |(s, i, _)| (s, i));
+                    let believed = state.detector.belief(peer);
                     for index in self.rng.sample_indices(candidates.len(), PROXIES) {
                         let req = PingReq {
                             origin: Self::self_peer(ctx).0,
                             seq,
                             target: peer.0,
-                            believed_state,
-                            believed_incarnation,
-                            rumors: state.detector.take_rumors(PIGGYBACK),
+                            believed,
+                            rumors: Counted(state.detector.take_rumors(PIGGYBACK)),
                         };
-                        ctx.send(
-                            NodeId(candidates[index].0),
-                            TAG_PING_REQ,
-                            encode_ping_req(&req),
-                        );
+                        ctx.send(NodeId(candidates[index].0), TAG_PING_REQ, req.to_bytes());
                     }
                     ctx.set_timer(PROBE_TIMEOUT, INDIRECT_TIMEOUT_BASE + peer.0);
                 }
@@ -1111,85 +974,123 @@ mod tests {
     }
 
     #[test]
-    fn wire_formats_round_trip() {
-        let rumors = vec![
-            SwimRumor {
-                peer: PeerId(9),
-                state: MemberState::Suspect,
-                incarnation: 4,
-            },
-            SwimRumor {
-                peer: PeerId(2),
-                state: MemberState::Alive,
-                incarnation: 7,
-            },
-        ];
+    fn a_suspicion_at_the_last_incarnation_saturates_instead_of_overflowing() {
+        let mut sim = Simulation::new(3);
+        let config = MembershipConfig { rounds: 3 };
+        let overlay = SwimGossipOverlay::ring(&mut sim, 6, config, 3, &TraceSink::disabled());
         let ping = Ping {
-            origin: 3,
-            seq: 17,
-            believed: SwimRumor {
-                peer: PeerId(6),
-                state: MemberState::Dead,
-                incarnation: 2,
+            origin: 1,
+            seq: 1,
+            believed: Belief {
+                state: MemberState::Suspect,
+                incarnation: u64::MAX,
             },
-            rumors: rumors.clone(),
+            rumors: Counted(Vec::new()),
         };
-        let decoded = decode_ping(&encode_ping(&ping), PeerId(6)).expect("valid ping");
-        assert_eq!(decoded.origin, 3);
-        assert_eq!(decoded.seq, 17);
-        assert_eq!(decoded.believed, ping.believed);
-        assert_eq!(decoded.rumors, rumors);
-
-        let ack = Ack {
-            origin: 1,
-            seq: 8,
-            target: 6,
-            incarnation: 3,
-            rumors: rumors.clone(),
-        };
-        let decoded = decode_ack(&encode_ack(&ack)).expect("valid ack");
-        assert_eq!(decoded.target, 6);
-        assert_eq!(decoded.incarnation, 3);
-
-        let req = PingReq {
-            origin: 1,
-            seq: 8,
-            target: 6,
-            believed_state: MemberState::Suspect,
-            believed_incarnation: 5,
-            rumors: rumors.clone(),
-        };
-        let decoded = decode_ping_req(&encode_ping_req(&req)).expect("valid ping-req");
-        assert_eq!(decoded.believed_state, MemberState::Suspect);
-        assert_eq!(decoded.believed_incarnation, 5);
-
-        let shuffle = Shuffle {
-            peers: vec![PeerId(1), PeerId(4)],
-            rumors,
-        };
-        let decoded = decode_shuffle(&encode_shuffle(&shuffle)).expect("valid shuffle");
-        assert_eq!(decoded.peers, vec![PeerId(1), PeerId(4)]);
-        assert!(decode_ping(&[1, 2, 3], PeerId(0)).is_none(), "truncated");
+        let at = SimTime::from_millis(100);
+        sim.post(at, NodeId(1), NodeId(0), TAG_PING, ping.to_bytes());
+        sim.run();
+        let (_, state) = &overlay.handles[0];
+        assert_eq!(lock(state).detector.incarnation(), u64::MAX);
     }
 
     #[test]
-    fn ragged_shuffle_payloads_do_not_parse() {
-        // `TAG_SHUFFLE` and `TAG_SHUFFLE_REPLY` share this payload; its
-        // peer list goes through the shared `PeerId`-list codec.
-        let shuffle = Shuffle {
-            peers: vec![PeerId(1), PeerId(4), PeerId(9)],
-            rumors: Vec::new(),
+    fn every_wire_message_passes_the_hostile_input_harness() {
+        use crate::node::ExchangeBuffer;
+        use crate::view::Descriptor;
+        use cyclosa_net::wire::check_messages;
+        let rumor = |peer, state, incarnation| SwimRumor {
+            peer: PeerId(peer),
+            state,
+            incarnation,
         };
-        let bytes = encode_shuffle(&shuffle);
-        assert!(decode_shuffle(&bytes).is_some());
-        for cut in 1..8 {
-            assert!(
-                decode_shuffle(&bytes[..bytes.len() - cut]).is_none(),
-                "-{cut}"
-            );
-            let mut extended = bytes.clone();
-            extended.extend(std::iter::repeat_n(0, cut));
-            assert!(decode_shuffle(&extended).is_none(), "+{cut}");
-        }
+        let rumor_lists = [
+            Vec::new(),
+            vec![rumor(9, MemberState::Suspect, 4)],
+            vec![
+                rumor(2, MemberState::Alive, 7),
+                rumor(u64::MAX, MemberState::Dead, u64::MAX),
+            ],
+        ];
+        let states = [MemberState::Alive, MemberState::Suspect, MemberState::Dead];
+        check_messages(&states, 1);
+        let beliefs = states.map(|state| Belief {
+            state,
+            incarnation: u64::MAX,
+        });
+        check_messages(&beliefs, 11);
+        check_messages(&rumor_lists[2], 2);
+        check_messages(&[PeerId(0), PeerId(7), PeerId(u64::MAX)], 3);
+        let ids = vec![PeerId(7), PeerId(u64::MAX), PeerId(0)];
+        check_messages(&[Vec::new(), ids.clone()], 4);
+        let descriptors = vec![
+            Descriptor {
+                peer: PeerId(7),
+                age: 3,
+            },
+            Descriptor {
+                peer: PeerId(u64::MAX),
+                age: u32::MAX,
+            },
+        ];
+        check_messages(&descriptors, 5);
+        check_messages(
+            &[
+                ExchangeBuffer {
+                    descriptors: Vec::new(),
+                },
+                ExchangeBuffer { descriptors },
+            ],
+            6,
+        );
+        let pings: Vec<Ping> = rumor_lists
+            .iter()
+            .zip(states)
+            .map(|(rumors, state)| Ping {
+                origin: 3,
+                seq: 17,
+                believed: Belief {
+                    state,
+                    incarnation: 2,
+                },
+                rumors: Counted(rumors.clone()),
+            })
+            .collect();
+        check_messages(&pings, 7);
+        let acks: Vec<Ack> = rumor_lists
+            .iter()
+            .map(|rumors| Ack {
+                origin: 1,
+                seq: 8,
+                target: 6,
+                incarnation: u64::MAX,
+                rumors: Counted(rumors.clone()),
+            })
+            .collect();
+        check_messages(&acks, 8);
+        let reqs: Vec<PingReq> = rumor_lists
+            .iter()
+            .zip(states)
+            .map(|(rumors, state)| PingReq {
+                origin: 1,
+                seq: 8,
+                target: 6,
+                believed: Belief {
+                    state,
+                    incarnation: 5,
+                },
+                rumors: Counted(rumors.clone()),
+            })
+            .collect();
+        check_messages(&reqs, 9);
+        let shuffles: Vec<Shuffle> = rumor_lists
+            .iter()
+            .zip([Vec::new(), ids.clone(), ids])
+            .map(|(rumors, peers)| Shuffle {
+                peers: Counted(peers),
+                rumors: Counted(rumors.clone()),
+            })
+            .collect();
+        check_messages(&shuffles, 10);
     }
 }

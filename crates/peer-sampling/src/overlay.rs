@@ -38,6 +38,7 @@ use crate::view::{Descriptor, PeerId, View};
 use cyclosa_net::engine::Engine;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
+use cyclosa_net::wire::Message;
 use cyclosa_net::NodeId;
 use cyclosa_telemetry::metrics::{Counter, Histogram, Registry};
 use cyclosa_util::rng::Xoshiro256StarStar;
@@ -80,28 +81,7 @@ impl Default for EngineGossipConfig {
     }
 }
 
-fn encode(buffer: &ExchangeBuffer) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(buffer.descriptors.len() * 12);
-    for descriptor in &buffer.descriptors {
-        bytes.extend_from_slice(&descriptor.peer.0.to_le_bytes());
-        bytes.extend_from_slice(&descriptor.age.to_le_bytes());
-    }
-    bytes
-}
-
-fn decode(bytes: &[u8]) -> Option<ExchangeBuffer> {
-    if !bytes.len().is_multiple_of(12) {
-        return None;
-    }
-    let descriptors = bytes
-        .chunks_exact(12)
-        .map(|chunk| Descriptor {
-            peer: PeerId(u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"))),
-            age: u32::from_le_bytes(chunk[8..].try_into().expect("4 bytes")),
-        })
-        .collect();
-    Some(ExchangeBuffer { descriptors })
-}
+cyclosa_net::impl_message!(ExchangeBuffer { descriptors });
 
 /// The live-observability handles every gossip participant records into.
 /// Cheap Arc-backed clones of the same registry-owned metrics; recording
@@ -192,7 +172,7 @@ impl GossipBehavior {
 
 impl NodeBehavior for GossipBehavior {
     fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
-        let Some(received) = decode(&envelope.payload) else {
+        let Ok(received) = ExchangeBuffer::from_bytes(&envelope.payload) else {
             return;
         };
         let mut node = lock(&self.node);
@@ -200,7 +180,7 @@ impl NodeBehavior for GossipBehavior {
             TAG_PUSH => {
                 // Passive side: answer with our own buffer, then merge.
                 let reply = node.prepare_buffer(&mut self.rng);
-                ctx.send(envelope.src, TAG_REPLY, encode(&reply));
+                ctx.send(envelope.src, TAG_REPLY, reply.to_bytes());
                 node.merge(&received, &reply, &mut self.rng);
             }
             TAG_REPLY
@@ -250,7 +230,7 @@ impl NodeBehavior for GossipBehavior {
         let stale = self.observe_round(&node, ctx.now());
         if let Some(partner) = node.select_partner() {
             let buffer = node.prepare_buffer(&mut self.rng);
-            ctx.send(NodeId(partner.0), TAG_PUSH, encode(&buffer));
+            ctx.send(NodeId(partner.0), TAG_PUSH, buffer.to_bytes());
             self.awaiting = Some((partner, buffer, ctx.now()));
         }
         self.rounds_left = self.rounds_left.saturating_sub(1);
@@ -284,7 +264,7 @@ impl SybilGossipBehavior {
     fn poisoned_buffer(&mut self) -> Vec<u8> {
         let picks = self.attacker.poisoned_picks(EXCHANGE_SIZE, &mut self.rng);
         let descriptors = picks.into_iter().map(Descriptor::fresh).collect();
-        encode(&ExchangeBuffer { descriptors })
+        ExchangeBuffer { descriptors }.to_bytes()
     }
 }
 
@@ -1021,24 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_format_round_trips() {
-        let buffer = ExchangeBuffer {
-            descriptors: vec![
-                Descriptor {
-                    peer: PeerId(7),
-                    age: 3,
-                },
-                Descriptor {
-                    peer: PeerId(u64::MAX),
-                    age: u32::MAX,
-                },
-            ],
-        };
-        assert_eq!(decode(&encode(&buffer)), Some(buffer));
-        assert_eq!(decode(&[1, 2, 3]), None);
-    }
-
-    #[test]
     fn random_peer_draws_spread_load() {
         let mut simulation = Simulation::new(11);
         let config = EngineGossipConfig {
@@ -1086,7 +1048,7 @@ mod tests {
                 EngineGossipOverlay::ring(&mut engine, 20, config, 9, None)
             };
             let descriptors = (500..503).map(|id| Descriptor::fresh(PeerId(id))).collect();
-            let mut payload = encode(&ExchangeBuffer { descriptors });
+            let mut payload = ExchangeBuffer { descriptors }.to_bytes();
             payload.extend(std::iter::repeat_n(0xEE, stray));
             let sources = match tag {
                 TAG_REPLY => lock(&overlay.handles[0].1).view().peers(),

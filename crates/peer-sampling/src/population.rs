@@ -5,9 +5,9 @@
 //! Brahms ([`crate::brahms`]) — differ in what a node *does*, not in how a
 //! population of such nodes is put on an [`Engine`] and watched. Ring
 //! deployment, the per-node stream derivation, who is dead when, crashes
-//! and partitions, the end-of-run accessors, the `PeerId`-list codec and
-//! the state lock live here, once, in [`Overlay`]; a protocol plugs in
-//! through [`SamplingProtocol`] (spawn one node, read its view).
+//! and partitions, the end-of-run accessors and the state lock live here,
+//! once, in [`Overlay`]; a protocol plugs in through [`SamplingProtocol`]
+//! (spawn one node, read its view).
 //!
 //! Every node draws from its own seed-derived stream, so an execution is
 //! a pure function of `(seed, population, config)` — identical on the
@@ -126,22 +126,6 @@ pub(crate) fn node_rng(seed: u64, salt: u64, id: u64) -> Xoshiro256StarStar {
 /// panic in [`Overlay::views`].
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Encodes a `PeerId` list: eight little-endian bytes per id.
-pub(crate) fn encode_ids(ids: &[PeerId]) -> Vec<u8> {
-    ids.iter().flat_map(|id| id.0.to_le_bytes()).collect()
-}
-
-/// Decodes a `PeerId` list; `None` for a ragged payload (a length that is
-/// not a multiple of eight), which the receiving behaviour drops.
-pub(crate) fn decode_ids(bytes: &[u8]) -> Option<Vec<PeerId>> {
-    bytes.len().is_multiple_of(8).then(|| {
-        bytes
-            .chunks_exact(8)
-            .map(|c| PeerId(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-            .collect()
-    })
 }
 
 /// The scenario driver's knowledge of who is dead *when*: a
@@ -475,19 +459,5 @@ mod tests {
         let metrics = overlay.metrics();
         assert_eq!(metrics.nodes, 2);
         assert!(metrics.connected);
-    }
-
-    #[test]
-    fn ragged_id_lists_are_rejected_not_truncated() {
-        let ids = [PeerId(7), PeerId(u64::MAX), PeerId(0)];
-        let bytes = encode_ids(&ids);
-        assert_eq!(decode_ids(&bytes), Some(ids.to_vec()));
-        assert_eq!(decode_ids(&[]), Some(Vec::new()));
-        for cut in 1..8 {
-            assert_eq!(decode_ids(&bytes[..bytes.len() - cut]), None, "-{cut}");
-            let mut extended = bytes.clone();
-            extended.extend(std::iter::repeat_n(0xAB, cut));
-            assert_eq!(decode_ids(&extended), None, "+{cut}");
-        }
     }
 }

@@ -30,11 +30,13 @@
 
 use crate::view::PeerId;
 use cyclosa_net::time::SimTime;
+use cyclosa_net::wire::{Message, Reader, WireError, Writer};
 use cyclosa_util::rng::Rng;
 use std::collections::{BTreeMap, VecDeque};
 
-/// The liveness state a detector holds about one peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The liveness state a detector holds about one peer, ordered by
+/// precedence at equal incarnation: `dead > suspect > alive`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MemberState {
     /// The peer answered its last probe (or nobody has disputed it).
     Alive,
@@ -47,31 +49,32 @@ pub enum MemberState {
     Dead,
 }
 
-impl MemberState {
-    /// Precedence at equal incarnation: `dead > suspect > alive`.
-    fn rank(self) -> u8 {
-        match self {
-            MemberState::Alive => 0,
-            MemberState::Suspect => 1,
-            MemberState::Dead => 2,
-        }
+/// One byte, the state's precedence; any other byte is
+/// [`WireError::BadTag`].
+impl Message for MemberState {
+    fn encode(&self, w: &mut Writer) {
+        (*self as u8).encode(w);
     }
 
-    /// Wire byte of the state (see the membership overlay's codec).
-    pub fn to_wire(self) -> u8 {
-        self.rank()
-    }
-
-    /// Parses a wire byte back into a state.
-    pub(crate) fn from_wire(byte: u8) -> Option<Self> {
-        match byte {
-            0 => Some(MemberState::Alive),
-            1 => Some(MemberState::Suspect),
-            2 => Some(MemberState::Dead),
-            _ => None,
-        }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let states = [MemberState::Alive, MemberState::Suspect, MemberState::Dead];
+        let state = states.get(usize::from(u8::decode(r)?));
+        state.copied().ok_or(WireError::BadTag)
     }
 }
+
+/// What a prober holds about the peer it pings, carried in the ping:
+/// a peer that finds itself suspected or dead at an incarnation at least
+/// its own refutes with a bumped one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Belief {
+    /// The state the prober holds.
+    pub state: MemberState,
+    /// The incarnation that state applies to.
+    pub incarnation: u64,
+}
+
+cyclosa_net::impl_message!(Belief { state, incarnation });
 
 /// One disseminated membership claim: `peer` is in `state` at
 /// `incarnation`. Rumors piggyback on every protocol message.
@@ -84,6 +87,12 @@ pub(crate) struct SwimRumor {
     /// The incarnation the claim applies to.
     pub(crate) incarnation: u64,
 }
+
+cyclosa_net::impl_message!(SwimRumor {
+    peer,
+    state,
+    incarnation
+});
 
 /// The kind of one observer-local membership transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,10 +198,20 @@ impl FailureDetector {
 
     /// The state and incarnation held about `peer`, with the time the
     /// record entered its state.
-    pub fn state_of(&self, peer: PeerId) -> Option<(MemberState, u64, SimTime)> {
+    pub(crate) fn state_of(&self, peer: PeerId) -> Option<(MemberState, u64, SimTime)> {
         self.members
             .get(&peer)
             .map(|r| (r.state, r.incarnation, r.since))
+    }
+
+    /// What a probe of `peer` carries: its record's state and
+    /// incarnation, or alive at 0 for a peer without one.
+    pub fn belief(&self, peer: PeerId) -> Belief {
+        let record = self.members.get(&peer);
+        Belief {
+            state: record.map_or(MemberState::Alive, |r| r.state),
+            incarnation: record.map_or(0, |r| r.incarnation),
+        }
     }
 
     /// Ensures a record exists for `peer` (a message from an unknown
@@ -334,7 +353,7 @@ impl FailureDetector {
             // Only we may increment our incarnation; a rumor doubting a
             // *past* incarnation is already refuted by the current one.
             if rumor.state != MemberState::Alive && rumor.incarnation >= self.incarnation {
-                self.incarnation = rumor.incarnation + 1;
+                self.incarnation = rumor.incarnation.saturating_add(1);
                 let refutation = SwimRumor {
                     peer: self.self_id,
                     state: MemberState::Alive,
@@ -357,8 +376,7 @@ impl FailureDetector {
             since: SimTime::ZERO,
         });
         let overrides = rumor.incarnation > record.incarnation
-            || (rumor.incarnation == record.incarnation
-                && rumor.state.rank() > record.state.rank());
+            || (rumor.incarnation == record.incarnation && rumor.state > record.state);
         if !overrides {
             return None;
         }
@@ -577,8 +595,8 @@ mod tests {
     #[test]
     fn wire_state_round_trips() {
         for state in [MemberState::Alive, MemberState::Suspect, MemberState::Dead] {
-            assert_eq!(MemberState::from_wire(state.to_wire()), Some(state));
+            assert_eq!(MemberState::from_bytes(&state.to_bytes()), Ok(state));
         }
-        assert_eq!(MemberState::from_wire(9), None);
+        assert_eq!(MemberState::from_bytes(&[9]), Err(WireError::BadTag));
     }
 }

@@ -10,6 +10,8 @@ impl std::fmt::Display for PeerId {
     }
 }
 
+cyclosa_net::impl_message!(PeerId { 0 });
+
 /// A node descriptor: a peer identifier plus the age of the descriptor
 /// (number of gossip rounds since it was created by its owner).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +21,8 @@ pub struct Descriptor {
     /// Gossip age; fresher descriptors (lower age) are preferred.
     pub age: u32,
 }
+
+cyclosa_net::impl_message!(Descriptor { peer, age });
 
 impl Descriptor {
     /// Creates a fresh (age 0) descriptor for `peer`.
