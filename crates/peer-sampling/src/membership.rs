@@ -995,6 +995,80 @@ mod tests {
     }
 
     #[test]
+    fn wire_formats_round_trip() {
+        let rumors = Counted(vec![
+            SwimRumor {
+                peer: PeerId(9),
+                state: MemberState::Suspect,
+                incarnation: 4,
+            },
+            SwimRumor {
+                peer: PeerId(2),
+                state: MemberState::Alive,
+                incarnation: 7,
+            },
+        ]);
+        let ping = Ping {
+            origin: 3,
+            seq: 17,
+            believed: Belief {
+                state: MemberState::Dead,
+                incarnation: 2,
+            },
+            rumors: rumors.clone(),
+        };
+        assert_eq!(Ping::from_bytes(&ping.to_bytes()), Ok(ping));
+
+        let ack = Ack {
+            origin: 1,
+            seq: 8,
+            target: 6,
+            incarnation: 3,
+            rumors: rumors.clone(),
+        };
+        assert_eq!(Ack::from_bytes(&ack.to_bytes()), Ok(ack));
+
+        let req = PingReq {
+            origin: 1,
+            seq: 8,
+            target: 6,
+            believed: Belief {
+                state: MemberState::Suspect,
+                incarnation: 5,
+            },
+            rumors: rumors.clone(),
+        };
+        assert_eq!(PingReq::from_bytes(&req.to_bytes()), Ok(req));
+
+        let shuffle = Shuffle {
+            peers: Counted(vec![PeerId(1), PeerId(4)]),
+            rumors,
+        };
+        assert_eq!(Shuffle::from_bytes(&shuffle.to_bytes()), Ok(shuffle));
+        assert!(Ping::from_bytes(&[1, 2, 3]).is_err(), "truncated");
+    }
+
+    #[test]
+    fn ragged_shuffle_payloads_do_not_parse() {
+        // `TAG_SHUFFLE` and `TAG_SHUFFLE_REPLY` share this payload.
+        let shuffle = Shuffle {
+            peers: Counted(vec![PeerId(1), PeerId(4), PeerId(9)]),
+            rumors: Counted(Vec::new()),
+        };
+        let bytes = shuffle.to_bytes();
+        assert!(Shuffle::from_bytes(&bytes).is_ok());
+        for cut in 1..8 {
+            assert!(
+                Shuffle::from_bytes(&bytes[..bytes.len() - cut]).is_err(),
+                "-{cut}"
+            );
+            let mut extended = bytes.clone();
+            extended.extend(std::iter::repeat_n(0, cut));
+            assert!(Shuffle::from_bytes(&extended).is_err(), "+{cut}");
+        }
+    }
+
+    #[test]
     fn every_wire_message_passes_the_hostile_input_harness() {
         use crate::node::ExchangeBuffer;
         use crate::view::Descriptor;

@@ -1001,6 +1001,24 @@ mod tests {
     }
 
     #[test]
+    fn wire_format_round_trips() {
+        let buffer = ExchangeBuffer {
+            descriptors: vec![
+                Descriptor {
+                    peer: PeerId(7),
+                    age: 3,
+                },
+                Descriptor {
+                    peer: PeerId(u64::MAX),
+                    age: u32::MAX,
+                },
+            ],
+        };
+        assert_eq!(ExchangeBuffer::from_bytes(&buffer.to_bytes()), Ok(buffer));
+        assert!(ExchangeBuffer::from_bytes(&[1, 2, 3]).is_err());
+    }
+
+    #[test]
     fn random_peer_draws_spread_load() {
         let mut simulation = Simulation::new(11);
         let config = EngineGossipConfig {

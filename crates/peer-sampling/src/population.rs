@@ -460,4 +460,22 @@ mod tests {
         assert_eq!(metrics.nodes, 2);
         assert!(metrics.connected);
     }
+
+    #[test]
+    fn ragged_id_lists_are_rejected_not_truncated() {
+        use cyclosa_net::wire::Message;
+        let ids = vec![PeerId(7), PeerId(u64::MAX), PeerId(0)];
+        let bytes = ids.to_bytes();
+        assert_eq!(Vec::<PeerId>::from_bytes(&bytes), Ok(ids));
+        assert_eq!(Vec::<PeerId>::from_bytes(&[]), Ok(Vec::new()));
+        for cut in 1..8 {
+            assert!(
+                Vec::<PeerId>::from_bytes(&bytes[..bytes.len() - cut]).is_err(),
+                "-{cut}"
+            );
+            let mut extended = bytes.clone();
+            extended.extend(std::iter::repeat_n(0xAB, cut));
+            assert!(Vec::<PeerId>::from_bytes(&extended).is_err(), "+{cut}");
+        }
+    }
 }
