@@ -38,11 +38,7 @@ impl GooPir {
         let count = term_count.clamp(1, 4);
         let mut terms = Vec::with_capacity(count);
         for _ in 0..count {
-            terms.push(
-                rng.choose(&self.dictionary)
-                    .expect("non-empty dictionary")
-                    .clone(),
-            );
+            terms.extend(rng.choose(&self.dictionary).cloned());
         }
         terms.join(" ")
     }

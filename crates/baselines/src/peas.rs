@@ -60,7 +60,7 @@ impl CooccurrenceMatrix {
         let mut current = (*rng.choose(&all_terms)?).clone();
         let mut terms = vec![current.clone()];
         for _ in 1..length {
-            let next = self
+            let neighbour = self
                 .counts
                 .get(&current)
                 .filter(|neighbours| !neighbours.is_empty())
@@ -69,8 +69,11 @@ impl CooccurrenceMatrix {
                     items.sort_by(|a, b| a.0.cmp(b.0));
                     let weights: Vec<f64> = items.iter().map(|(_, &c)| c.max(1) as f64).collect();
                     rng.sample_weighted(&weights).map(|i| items[i].0.clone())
-                })
-                .unwrap_or_else(|| (*rng.choose(&all_terms).expect("non-empty")).clone());
+                });
+            let next = match neighbour {
+                Some(next) => next,
+                None => (*rng.choose(&all_terms)?).clone(),
+            };
             if !terms.contains(&next) {
                 terms.push(next.clone());
             }

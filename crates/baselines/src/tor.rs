@@ -110,10 +110,15 @@ impl Mechanism for Tor {
         // relay, and hand the plaintext to the engine from the exit node.
         let circuit = OnionCircuit::build(CIRCUIT_LENGTH, rng);
         let onion = circuit.wrap(query.text.as_bytes());
-        let plaintext = circuit
+        #[expect(
+            clippy::expect_used,
+            reason = "peeling the onion this circuit just wrapped returns the query's own UTF-8 bytes"
+        )]
+        let text = circuit
             .peel_all(&onion)
-            .expect("honest relays peel correctly");
-        let text = String::from_utf8(plaintext).expect("query text is UTF-8");
+            .ok()
+            .and_then(|plaintext| String::from_utf8(plaintext).ok())
+            .expect("honest relays peel the query's text");
         ProtectionOutcome {
             observed: vec![ObservedRequest {
                 source: SourceIdentity::Anonymous,

@@ -60,7 +60,9 @@ impl Mechanism for TrackMeNot {
             carries_real_query: true,
         });
         for _ in 0..self.fakes_per_query {
-            let fake = rng.choose(&self.feed).expect("feed is non-empty").clone();
+            let Some(fake) = rng.choose(&self.feed).cloned() else {
+                break;
+            };
             observed.push(ObservedRequest {
                 source: SourceIdentity::Exposed(query.user),
                 text: fake,

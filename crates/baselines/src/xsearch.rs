@@ -37,6 +37,10 @@ impl XSearch {
     /// simulated SGX platform.
     pub(crate) fn new(k: usize, platform: &Platform) -> Self {
         let mut enclave = platform.create_enclave(b"xsearch-proxy/1.0", ProxyState::default());
+        #[expect(
+            clippy::expect_used,
+            reason = "Enclave::initialize has no failure case: it returns Ok on every call"
+        )]
         enclave.initialize().expect("fresh enclave initializes");
         Self {
             k,
@@ -55,32 +59,38 @@ impl XSearch {
     pub fn seed_with_queries<'a>(&mut self, queries: impl IntoIterator<Item = &'a str>) {
         let queries: Vec<String> = queries.into_iter().map(|q| q.to_owned()).collect();
         let max_table = self.max_table;
-        self.enclave
-            .ecall(queries.iter().map(|q| q.len()).sum(), move |state| {
-                for q in queries {
-                    state.past_queries.push(q);
-                    if state.past_queries.len() > max_table {
-                        state.past_queries.remove(0);
-                    }
+        self.ecall(queries.iter().map(|q| q.len()).sum(), move |state| {
+            for q in queries {
+                state.past_queries.push(q);
+                if state.past_queries.len() > max_table {
+                    state.past_queries.remove(0);
                 }
-            })
-            .expect("enclave is initialized");
+            }
+        });
         self.refresh_epc_accounting();
     }
 
     fn refresh_epc_accounting(&mut self) {
-        let bytes = self
-            .enclave
-            .ecall(0, |state| {
-                state
-                    .past_queries
-                    .iter()
-                    .map(|q| q.len() + 24)
-                    .sum::<usize>()
-            })
-            .expect("enclave is initialized")
-            .0;
+        let bytes = self.ecall(0, |state| {
+            state
+                .past_queries
+                .iter()
+                .map(|q| q.len() + 24)
+                .sum::<usize>()
+        });
         self.enclave.set_resident_bytes(bytes);
+    }
+
+    /// One ecall into the proxy enclave: runs `body` on the trusted state.
+    #[expect(
+        clippy::expect_used,
+        reason = "XSearch::new initializes the enclave and nothing de-initializes it"
+    )]
+    fn ecall<R>(&mut self, touched_bytes: usize, body: impl FnOnce(&mut ProxyState) -> R) -> R {
+        self.enclave
+            .ecall(touched_bytes, body)
+            .expect("enclave is initialized")
+            .0
     }
 }
 
@@ -103,25 +113,21 @@ impl Mechanism for XSearch {
         let text = query.text.clone();
         let max_table = self.max_table;
         // All obfuscation happens inside the proxy enclave.
-        let (disjuncts, _cost) = self
-            .enclave
-            .ecall(text.len() + 256, |state| {
-                let mut disjuncts = vec![text.clone()];
-                if !state.past_queries.is_empty() {
-                    for _ in 0..k {
-                        let pick = rng.gen_index(state.past_queries.len());
-                        disjuncts.push(state.past_queries[pick].clone());
-                    }
+        let mut disjuncts = self.ecall(text.len() + 256, |state| {
+            let mut disjuncts = vec![text.clone()];
+            if !state.past_queries.is_empty() {
+                for _ in 0..k {
+                    let pick = rng.gen_index(state.past_queries.len());
+                    disjuncts.push(state.past_queries[pick].clone());
                 }
-                state.past_queries.push(text.clone());
-                if state.past_queries.len() > max_table {
-                    state.past_queries.remove(0);
-                }
-                disjuncts
-            })
-            .expect("enclave is initialized");
+            }
+            state.past_queries.push(text.clone());
+            if state.past_queries.len() > max_table {
+                state.past_queries.remove(0);
+            }
+            disjuncts
+        });
         self.refresh_epc_accounting();
-        let mut disjuncts = disjuncts;
         rng.shuffle(&mut disjuncts);
         let aggregated = disjuncts.join(" OR ");
         ProtectionOutcome {

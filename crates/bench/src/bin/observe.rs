@@ -43,7 +43,8 @@ const USAGE: &str = "usage: observe --trace PATH [--metrics PATH] [--out PATH] [
      [--window-s S] [--privacy-budget F] [--latency-budget-ms N] \
      [--suspicion-budget F] [--gate-privacy]";
 
-fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
+/// The options and the `--trace` path they must carry.
+fn read_options(argv: Vec<String>) -> Result<(String, Options), Stop> {
     let defaults = Options {
         input: ObserveFlags::default(),
         out: "OBSERVE_report.json".to_owned(),
@@ -64,17 +65,14 @@ fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
         }
         Ok(true)
     })?;
-    if options.input.trace.is_none() {
-        return Err("--trace is required".into());
-    }
-    Ok(options)
+    let trace = options.input.trace.clone().ok_or("--trace is required")?;
+    Ok((trace, options))
 }
 
 fn main() {
-    let options = cli::from_env(USAGE, read_options);
-    let trace = options.input.trace.as_deref().expect("checked on read");
+    let (trace, options) = cli::from_env(USAGE, read_options);
     // Unreadable contents exit 2: nothing was judged (see the module doc).
-    let records = parse_trace(&cli::read_file(trace))
+    let records = parse_trace(&cli::read_file(&trace))
         .unwrap_or_else(|message| cli::fail(2, format!("{trace}: {message}")));
     let metrics = match &options.input.metrics {
         Some(path) => parse_json(&cli::read_file(path))

@@ -27,9 +27,14 @@ struct Options {
     scale: ExperimentScale,
     seed: u64,
     json: bool,
-    experiments: Vec<String>,
+    /// Entries of [`ALL`], in the order named.
+    experiments: Vec<Experiment>,
     observe: ObserveFlags,
 }
+
+/// An experiment's name and what runs it: the report, printed as `--json`
+/// asks.
+type Experiment = (&'static str, fn(&ExperimentSetup, &Options));
 
 fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
     let defaults = Options {
@@ -39,6 +44,7 @@ fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
         experiments: Vec::new(),
         observe: ObserveFlags::default(),
     };
+    let mut all = false;
     let mut options = cli::read(argv, defaults, |options, flag, args| {
         match flag {
             "--scale" => options.scale = args.value()?,
@@ -46,22 +52,20 @@ fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
             "--json" => options.json = true,
             _ if args.observe(&mut options.observe)? => {}
             // Everything else names an experiment, with or without dashes.
-            name => options
-                .experiments
-                .push(name.trim_start_matches("--").to_owned()),
+            // Checked here, before the (slow) experiment setup is built.
+            name => match name.trim_start_matches("--") {
+                "all" => all = true,
+                name => options.experiments.push(
+                    *ALL.iter()
+                        .find(|(known, _)| *known == name)
+                        .ok_or_else(|| format!("unknown experiment: {name} (see --help)"))?,
+                ),
+            },
         }
         Ok(true)
     })?;
-    // Checked here, before the (slow) experiment setup is built.
-    if let Some(unknown) = options
-        .experiments
-        .iter()
-        .find(|name| *name != "all" && !ALL.contains(&name.as_str()))
-    {
-        return Err(format!("unknown experiment: {unknown} (see --help)").into());
-    }
-    if options.experiments.is_empty() || options.experiments.iter().any(|e| e == "all") {
-        options.experiments = ALL.iter().map(|s| s.to_string()).collect();
+    if all || options.experiments.is_empty() {
+        options.experiments = ALL.to_vec();
     }
     Ok(options)
 }
@@ -74,20 +78,43 @@ fn emit<T: ToJson + std::fmt::Display>(json: bool, report: &T) {
     }
 }
 
-const ALL: &[&str] = &[
-    "table1",
-    "table2",
-    "annotation",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8a",
-    "fig8b",
-    "fig8c",
-    "fig8d",
-    "ablation-adaptive",
-    "ablation-fakes",
-    "ablation-paths",
+/// Every experiment, in the order `all` runs them.
+const ALL: &[Experiment] = &[
+    ("table1", |setup, o| {
+        emit(o.json, &experiments::table1(setup))
+    }),
+    ("table2", |setup, o| {
+        emit(o.json, &experiments::table2(setup))
+    }),
+    ("annotation", |setup, o| {
+        emit(o.json, &experiments::annotation(setup))
+    }),
+    ("fig5", |setup, o| {
+        emit(o.json, &experiments::fig5(setup, PRIVACY_K))
+    }),
+    ("fig6", |setup, o| {
+        emit(o.json, &experiments::fig6(setup, SYSTEM_K))
+    }),
+    ("fig7", |setup, o| {
+        emit(o.json, &experiments::fig7(setup, PRIVACY_K))
+    }),
+    ("fig8a", |setup, o| {
+        emit(o.json, &experiments::fig8a(setup, 200))
+    }),
+    ("fig8b", |setup, o| {
+        emit(o.json, &experiments::fig8b(setup, 200))
+    }),
+    ("fig8c", |_, o| emit(o.json, &experiments::fig8c())),
+    ("fig8d", |_, o| emit(o.json, &experiments::fig8d(o.seed))),
+    ("ablation-adaptive", |setup, o| {
+        emit(o.json, &experiments::ablation_adaptive(setup, PRIVACY_K))
+    }),
+    ("ablation-fakes", |setup, o| {
+        emit(o.json, &experiments::ablation_fakes(setup, PRIVACY_K))
+    }),
+    ("ablation-paths", |setup, o| {
+        emit(o.json, &experiments::ablation_paths(setup, SYSTEM_K))
+    }),
 ];
 
 fn main() {
@@ -95,7 +122,10 @@ fn main() {
         "usage: repro [--scale small|default|paper] [--seed N] [--json] \
          [--trace PATH.jsonl] [--metrics PATH.json] <experiment>...\n\
          experiments: {} all",
-        ALL.join(" ")
+        ALL.iter()
+            .map(|(name, _)| *name)
+            .collect::<Vec<_>>()
+            .join(" ")
     );
     let options = cli::from_env(&usage, read_options);
 
@@ -112,30 +142,9 @@ fn main() {
         setup.test_queries.len()
     );
 
-    for experiment in &options.experiments {
-        eprintln!("# running {experiment}...");
-        match experiment.as_str() {
-            "table1" => emit(options.json, &experiments::table1(&setup)),
-            "table2" => emit(options.json, &experiments::table2(&setup)),
-            "annotation" => emit(options.json, &experiments::annotation(&setup)),
-            "fig5" => emit(options.json, &experiments::fig5(&setup, PRIVACY_K)),
-            "fig6" => emit(options.json, &experiments::fig6(&setup, SYSTEM_K)),
-            "fig7" => emit(options.json, &experiments::fig7(&setup, PRIVACY_K)),
-            "fig8a" => emit(options.json, &experiments::fig8a(&setup, 200)),
-            "fig8b" => emit(options.json, &experiments::fig8b(&setup, 200)),
-            "fig8c" => emit(options.json, &experiments::fig8c()),
-            "fig8d" => emit(options.json, &experiments::fig8d(options.seed)),
-            "ablation-adaptive" => emit(
-                options.json,
-                &experiments::ablation_adaptive(&setup, PRIVACY_K),
-            ),
-            "ablation-fakes" => emit(
-                options.json,
-                &experiments::ablation_fakes(&setup, PRIVACY_K),
-            ),
-            "ablation-paths" => emit(options.json, &experiments::ablation_paths(&setup, SYSTEM_K)),
-            other => unreachable!("read_options admits only names in ALL, got {other}"),
-        }
+    for (name, run) in &options.experiments {
+        eprintln!("# running {name}...");
+        run(&setup, &options);
         println!();
     }
 
@@ -173,12 +182,17 @@ mod tests {
         read_options(line.split_whitespace().map(str::to_owned).collect())
     }
 
+    fn names(options: &Options) -> Vec<&'static str> {
+        options.experiments.iter().map(|(name, _)| *name).collect()
+    }
+
     #[test]
     fn experiments_are_named_with_or_without_dashes_and_checked_on_read() {
-        assert_eq!(read("").unwrap().experiments, ALL);
-        assert_eq!(read("fig5 all").unwrap().experiments, ALL);
+        let every: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names(&read("").unwrap()), every);
+        assert_eq!(names(&read("fig5 all").unwrap()), every);
         let options = read("fig5 --scale small --fig8a --json").unwrap();
-        assert_eq!(options.experiments, ["fig5", "fig8a"]);
+        assert_eq!(names(&options), ["fig5", "fig8a"]);
         assert!(options.json && matches!(options.scale, ExperimentScale::Small));
         assert_eq!(
             read("fig5 --no-such-flag").unwrap_err(),

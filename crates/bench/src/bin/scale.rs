@@ -75,9 +75,13 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if options.observe.enabled() {
-        let nodes = *options.populations.iter().max().expect("non-empty");
-        let shards = *options.shard_counts.iter().max().expect("non-empty");
+    // `cli::list` reads at least one entry, so both lists have a largest.
+    let largest = options
+        .populations
+        .iter()
+        .max()
+        .zip(options.shard_counts.iter().max());
+    if let Some((&nodes, &shards)) = largest.filter(|_| options.observe.enabled()) {
         eprintln!("# profiling the {nodes}-node / {shards}-shard point...");
         let sink = options.observe.sink();
         let registry = options.observe.registry();

@@ -274,8 +274,10 @@ fn main() {
         options.adversary_fraction * 100.0,
     );
 
-    #[allow(clippy::disallowed_methods)]
-    // cyclosa-lint: allow(wall_clock, reason = "soak driver measures real elapsed time around the finished deterministic run; simulated state never reads it")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the soak bin measures real elapsed time around the finished deterministic run; simulated state never reads it"
+    )]
     let start = std::time::Instant::now();
     let outcome = run_soak(&config);
     let sequential_s = start.elapsed().as_secs_f64();
@@ -287,8 +289,10 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
     let mut shard_walls: Vec<ShardWall> = Vec::new();
     for &shards in &options.shards {
-        #[allow(clippy::disallowed_methods)]
-        // cyclosa-lint: allow(wall_clock, reason = "per-shard-count wall stopwatch for the report; the sharded run's event order is decided by simulated time alone")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-shard-count wall stopwatch for the report; the sharded run's event order is decided by simulated time alone"
+        )]
         let start = std::time::Instant::now();
         let quiet = ChurnTelemetry::default();
         let mut engine = EngineChoice::Sharded(shards).build(config.seed, None);

@@ -79,8 +79,8 @@ impl ObserveFlags {
             write_file(&chrome, &to_chrome_trace(events));
             eprintln!("# wrote {} events to {path} and {chrome}", events.len());
         }
-        if let Some(path) = &self.metrics {
-            let registry = registry.expect("--metrics implies a registry");
+        // `registry()` is `Some` exactly when `--metrics` was given.
+        if let Some((path, registry)) = self.metrics.as_ref().zip(registry) {
             write_file(path, &(registry.snapshot().to_json().pretty() + "\n"));
             eprintln!("# wrote metrics snapshot to {path}");
         }

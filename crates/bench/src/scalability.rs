@@ -135,8 +135,10 @@ pub fn run_scale_point(
         engine.enable_profiling(registry);
     }
     build_ping_population(&mut engine, nodes, config);
-    #[allow(clippy::disallowed_methods)]
-    // cyclosa-lint: allow(wall_clock, reason = "scalability driver measures real elapsed time around engine.run(); the simulation inside is already finished deciding its event order")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the scalability sweep measures real elapsed time around engine.run(); the simulation inside is already finished deciding its event order"
+    )]
     let start = Instant::now();
     let events = engine.run();
     let wall = start.elapsed();

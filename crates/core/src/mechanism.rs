@@ -134,7 +134,7 @@ impl Cyclosa {
                 (0..count)
                     .map(|_| {
                         (0..reference_terms)
-                            .map(|_| rng.choose(dictionary).expect("non-empty").clone())
+                            .filter_map(|_| rng.choose(dictionary).cloned())
                             .collect::<Vec<_>>()
                             .join(" ")
                     })

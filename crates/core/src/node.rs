@@ -208,6 +208,10 @@ impl NodeBuilder {
             keys: EnclaveKeys::new(identity_seed),
         };
         let mut enclave = platform.create_enclave(b"cyclosa-enclave/0.1.0/reference-build", state);
+        #[expect(
+            clippy::expect_used,
+            reason = "Enclave::initialize has no failure case: it returns Ok on every call"
+        )]
         enclave.initialize().expect("fresh enclave initializes");
         let analyzer = SensitivityAnalyzer::new(self.categorizer, self.method, &self.protection);
         CyclosaNode {
@@ -258,6 +262,10 @@ impl CyclosaNode {
     /// One ecall into the node's enclave touching `touched_bytes`: runs
     /// `body` on the trusted state and returns its result (the modelled
     /// cost lands in the enclave's transition stats).
+    #[expect(
+        clippy::expect_used,
+        reason = "NodeBuilder::build initializes the enclave and nothing de-initializes it"
+    )]
     fn ecall<R>(&mut self, touched_bytes: usize, body: impl FnOnce(&mut TrustedState) -> R) -> R {
         self.enclave
             .ecall(touched_bytes, body)
@@ -266,6 +274,10 @@ impl CyclosaNode {
     }
 
     /// One ocall out of the node's enclave transferring `transferred_bytes`.
+    #[expect(
+        clippy::expect_used,
+        reason = "NodeBuilder::build initializes the enclave and nothing de-initializes it"
+    )]
     fn ocall(&mut self, transferred_bytes: usize) {
         self.enclave.ocall(transferred_bytes).expect(ENCLAVE_LIVE);
     }

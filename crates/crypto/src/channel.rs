@@ -187,15 +187,11 @@ struct DerivedKeys {
 impl DerivedKeys {
     fn derive(shared: &[u8; 32], transcript: &[u8; 32]) -> Self {
         let prk = hkdf::extract(transcript, shared);
-        let i2r = hkdf::expand(&prk, b"cyclosa channel initiator->responder", 32);
-        let r2i = hkdf::expand(&prk, b"cyclosa channel responder->initiator", 32);
-        let confirm = hkdf::expand(&prk, b"cyclosa key confirmation", 32);
-        let id = hkdf::expand(&prk, b"cyclosa channel id", 4);
         Self {
-            initiator_to_responder: i2r.try_into().expect("32 bytes"),
-            responder_to_initiator: r2i.try_into().expect("32 bytes"),
-            confirm_key: confirm.try_into().expect("32 bytes"),
-            channel_id: u32::from_le_bytes(id.try_into().expect("4 bytes")),
+            initiator_to_responder: hkdf::expand(&prk, b"cyclosa channel initiator->responder"),
+            responder_to_initiator: hkdf::expand(&prk, b"cyclosa channel responder->initiator"),
+            confirm_key: hkdf::expand(&prk, b"cyclosa key confirmation"),
+            channel_id: u32::from_le_bytes(hkdf::expand(&prk, b"cyclosa channel id")),
         }
     }
 }
@@ -373,6 +369,70 @@ mod tests {
             channel_pair(StaticSecret::from_bytes([44u8; 32]), vec![], c, vec![]).unwrap();
         let record = alice.seal(b"secret", b"");
         assert!(carol.open(&record, b"").is_err());
+    }
+
+    #[test]
+    fn every_truncation_of_a_record_is_rejected() {
+        let (a, b) = secrets();
+        let (mut alice, mut bob) = channel_pair(a, vec![], b, vec![]).unwrap();
+        let record = alice.seal(b"forward: swiss mountain weather", b"fwd");
+        for len in (0..record.len()).rev() {
+            assert!(
+                bob.open(&record[..len], b"fwd").is_err(),
+                "a {len}-byte prefix of a {}-byte record opened",
+                record.len()
+            );
+        }
+        assert_eq!(
+            bob.open(&record, b"fwd").unwrap(),
+            b"forward: swiss mountain weather"
+        );
+    }
+
+    #[test]
+    fn a_record_spliced_from_a_second_session_is_rejected() {
+        // The same two secrets, a second handshake with other evidence: the
+        // transcript differs, so the keys do, and its records do not open
+        // in the first session even at the same sequence number.
+        let (a, b) = secrets();
+        let (mut alice, mut bob) =
+            channel_pair(a, b"quote 1".to_vec(), b, b"bob quote".to_vec()).unwrap();
+        let (a, b) = secrets();
+        let (mut alice_again, _) =
+            channel_pair(a, b"quote 2".to_vec(), b, b"bob quote".to_vec()).unwrap();
+        let spliced = alice_again.seal(b"query", b"");
+        assert!(matches!(
+            bob.open(&spliced, b""),
+            Err(ChannelError::Record(_))
+        ));
+        let genuine = alice.seal(b"query", b"");
+        assert_eq!(bob.open(&genuine, b"").unwrap(), b"query");
+    }
+
+    #[test]
+    fn a_rejected_record_does_not_advance_the_receive_sequence() {
+        let (a, b) = secrets();
+        let (mut alice, mut bob) = channel_pair(a, vec![], b, vec![]).unwrap();
+        let first = alice.seal(b"first", b"");
+        let second = alice.seal(b"second", b"");
+        let (a, b) = secrets();
+        let (mut other_session, _) = channel_pair(a, b"other".to_vec(), b, vec![]).unwrap();
+        let mut flipped = first.clone();
+        flipped[0] ^= 0x01;
+        let rejected = [
+            Vec::new(),
+            first[..first.len() - 1].to_vec(),
+            flipped,
+            second.clone(),
+            other_session.seal(b"first", b""),
+        ];
+        for record in &rejected {
+            assert!(bob.open(record, b"").is_err());
+            assert!(bob.open(&first, b"wrong aad").is_err());
+        }
+        assert_eq!(bob.open(&first, b"").unwrap(), b"first");
+        assert!(bob.open(&first, b"").is_err(), "a replay is rejected");
+        assert_eq!(bob.open(&second, b"").unwrap(), b"second");
     }
 
     #[test]

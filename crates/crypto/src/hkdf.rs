@@ -18,42 +18,38 @@ pub(crate) fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
     HmacSha256::mac(salt, ikm)
 }
 
-/// HKDF-Expand: expands a pseudo-random key into `len` bytes of output
+/// HKDF-Expand: expands a pseudo-random key into `N` bytes of output
 /// keying material, bound to `info`.
 ///
 /// # Panics
 ///
-/// Panics if `len > MAX_OUTPUT_LEN`.
-pub(crate) fn expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    assert!(len <= MAX_OUTPUT_LEN, "HKDF output too long ({len} bytes)");
-    let mut okm = Vec::with_capacity(len);
-    let mut previous: Vec<u8> = Vec::new();
-    let mut counter: u8 = 1;
-    while okm.len() < len {
+/// Panics if `N > MAX_OUTPUT_LEN`.
+pub(crate) fn expand<const N: usize>(prk: &[u8], info: &[u8]) -> [u8; N] {
+    assert!(N <= MAX_OUTPUT_LEN, "HKDF output too long ({N} bytes)");
+    let mut okm = [0u8; N];
+    let mut previous = [0u8; DIGEST_LEN];
+    // At most 255 blocks, so the one-byte counter 1..=255 never wraps.
+    for (counter, chunk) in (1..=u8::MAX).zip(okm.chunks_mut(DIGEST_LEN)) {
         let mut h = HmacSha256::new(prk);
-        h.update(&previous);
+        if counter > 1 {
+            h.update(&previous);
+        }
         h.update(info);
         h.update(&[counter]);
-        let block = h.finalize();
-        let take = (len - okm.len()).min(DIGEST_LEN);
-        okm.extend_from_slice(&block[..take]);
-        previous = block.to_vec();
-        counter = counter.wrapping_add(1);
+        previous = h.finalize();
+        chunk.copy_from_slice(&previous[..chunk.len()]);
     }
     okm
 }
 
 /// Convenience one-shot HKDF (extract then expand).
-pub fn derive(salt: &[u8], ikm: &[u8], info: &[u8], len: usize) -> Vec<u8> {
-    expand(&extract(salt, ikm), info, len)
+pub fn derive<const N: usize>(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; N] {
+    expand(&extract(salt, ikm), info)
 }
 
 /// Derives a fixed-size 32-byte key, the common case for AEAD keys.
 pub fn derive_key(salt: &[u8], ikm: &[u8], info: &[u8]) -> [u8; 32] {
-    let okm = derive(salt, ikm, info, 32);
-    let mut key = [0u8; 32];
-    key.copy_from_slice(&okm);
-    key
+    derive(salt, ikm, info)
 }
 
 #[cfg(test)]
@@ -72,7 +68,7 @@ mod tests {
             hex(&prk),
             "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
         );
-        let okm = expand(&prk, &info, 42);
+        let okm: [u8; 42] = expand(&prk, &info);
         assert_eq!(
             hex(&okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
@@ -84,7 +80,7 @@ mod tests {
         let ikm: Vec<u8> = (0x00..=0x4f).collect();
         let salt: Vec<u8> = (0x60..=0xaf).collect();
         let info: Vec<u8> = (0xb0..=0xff).collect();
-        let okm = derive(&salt, &ikm, &info, 82);
+        let okm: [u8; 82] = derive(&salt, &ikm, &info);
         assert_eq!(
             hex(&okm),
             "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
@@ -96,7 +92,7 @@ mod tests {
     #[test]
     fn rfc5869_case_3_empty_salt_info() {
         let ikm = vec![0x0b; 22];
-        let okm = derive(&[], &ikm, &[], 42);
+        let okm: [u8; 42] = derive(&[], &ikm, &[]);
         assert_eq!(
             hex(&okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
@@ -106,7 +102,7 @@ mod tests {
     #[test]
     fn derive_key_is_prefix_of_longer_output() {
         let key = derive_key(b"salt", b"ikm", b"info");
-        let longer = derive(b"salt", b"ikm", b"info", 64);
+        let longer: [u8; 64] = derive(b"salt", b"ikm", b"info");
         assert_eq!(&key[..], &longer[..32]);
     }
 
@@ -121,6 +117,6 @@ mod tests {
     #[should_panic(expected = "too long")]
     fn expand_rejects_oversized_output() {
         let prk = extract(b"salt", b"ikm");
-        let _ = expand(&prk, b"", MAX_OUTPUT_LEN + 1);
+        let _: [u8; MAX_OUTPUT_LEN + 1] = expand(&prk, b"");
     }
 }

@@ -28,17 +28,13 @@ pub(crate) struct Poly1305 {
 impl Poly1305 {
     /// Creates an authenticator from a 32-byte one-time key.
     pub(crate) fn new(key: &[u8; KEY_LEN]) -> Self {
-        let mut r0 = u64::from_le_bytes(key[0..8].try_into().expect("slice of 8"));
-        let mut r1 = u64::from_le_bytes(key[8..16].try_into().expect("slice of 8"));
-        // Clamping per RFC 8439 §2.5: clear the top four bits of bytes
-        // 3, 7, 11, 15 and the bottom two bits of bytes 4, 8, 12.
-        r0 &= 0x0FFF_FFFC_0FFF_FFFF;
-        r1 &= 0x0FFF_FFFC_0FFF_FFFC;
-        let s0 = u64::from_le_bytes(key[16..24].try_into().expect("slice of 8"));
-        let s1 = u64::from_le_bytes(key[24..32].try_into().expect("slice of 8"));
+        let [r0, r1] = limbs(&std::array::from_fn(|i| key[i]));
+        let s = limbs(&std::array::from_fn(|i| key[16 + i]));
         Self {
-            r: [r0, r1],
-            s: [s0, s1],
+            // Clamping per RFC 8439 §2.5: clear the top four bits of bytes
+            // 3, 7, 11, 15 and the bottom two bits of bytes 4, 8, 12.
+            r: [r0 & 0x0FFF_FFFC_0FFF_FFFF, r1 & 0x0FFF_FFFC_0FFF_FFFC],
+            s,
             h: [0; 3],
             buffer: [0; 16],
             buffer_len: 0,
@@ -59,14 +55,13 @@ impl Poly1305 {
                 self.buffer_len = 0;
             }
         }
-        while input.len() >= 16 {
-            let block: [u8; 16] = input[..16].try_into().expect("slice of 16");
-            self.process_block(&block, false);
-            input = &input[16..];
+        let (blocks, rest) = input.as_chunks::<16>();
+        for block in blocks {
+            self.process_block(block, false);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffer_len = rest.len();
         }
     }
 
@@ -104,14 +99,12 @@ impl Poly1305 {
     }
 
     fn process_block(&mut self, block: &[u8; 16], _partial: bool) {
-        let c0 = u64::from_le_bytes(block[0..8].try_into().expect("slice of 8"));
-        let c1 = u64::from_le_bytes(block[8..16].try_into().expect("slice of 8"));
+        let [c0, c1] = limbs(block);
         self.accumulate([c0, c1, 1]);
     }
 
     fn process_partial_block(&mut self, padded: &[u8; 16], _len: usize) {
-        let c0 = u64::from_le_bytes(padded[0..8].try_into().expect("slice of 8"));
-        let c1 = u64::from_le_bytes(padded[8..16].try_into().expect("slice of 8"));
+        let [c0, c1] = limbs(padded);
         // No 2^128 bit for the padded final block: the 0x01 terminator is
         // already inside the 16 bytes.
         self.accumulate([c0, c1, 0]);
@@ -168,6 +161,12 @@ impl Poly1305 {
         debug_assert_eq!(carry, 0);
         self.h = out;
     }
+}
+
+/// A 16-byte little-endian number as its low and high 64-bit limbs.
+fn limbs(bytes: &[u8; 16]) -> [u64; 2] {
+    let value = u128::from_le_bytes(*bytes);
+    [value as u64, (value >> 64) as u64]
 }
 
 /// Folds the bits of `h` above position 130 back into the low 130 bits

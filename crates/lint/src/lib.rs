@@ -18,13 +18,13 @@
 //! | `rng_stream` | [`rng`] | collision-free stream tags + `RNG_STREAMS.md` registry |
 //! | `trace_schema` | [`schema`] | emitters ⊆ schema ∧ schema ⊆ emitters |
 //! | `dead_pub` | [`dead_pub`] | every `pub fn` has a caller outside its crate |
-//! | `allow_hygiene` | here | every suppression is reasoned and still live |
 //!
-//! Sanctioned sites carry `// cyclosa-lint: allow(<rule>, reason = "...")`
-//! annotations; reason-less, unknown-rule and unused allows are themselves
-//! errors so the allowlist cannot rot.
+//! Only `nondet` has sanctioned sites, and it takes the attribute clippy
+//! needs there anyway: `#[expect(clippy::disallowed_methods |
+//! clippy::disallowed_types, reason = "...")]`. Clippy reports an
+//! expectation that no longer fires, and CI's clippy step one without a
+//! reason, so the sanctions cannot rot. The other rules allow nothing.
 
-pub mod annot;
 pub mod dead_pub;
 pub mod nondet;
 pub mod rng;
@@ -32,7 +32,6 @@ pub mod scan;
 pub mod schema;
 
 use scan::ScannedFile;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -51,22 +50,19 @@ pub enum Rule {
     TraceSchema,
     /// `pub fn`s that nothing outside their crate calls.
     DeadPub,
-    /// Malformed, reason-less or unused `allow` annotations.
-    AllowHygiene,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 5] = [
         Rule::WallClock,
         Rule::HashCollections,
         Rule::RngStream,
         Rule::TraceSchema,
         Rule::DeadPub,
-        Rule::AllowHygiene,
     ];
 
-    /// Stable identifier (matches the annotation grammar).
+    /// Stable identifier.
     pub(crate) fn name(self) -> &'static str {
         match self {
             Rule::WallClock => "wall_clock",
@@ -74,7 +70,6 @@ impl Rule {
             Rule::RngStream => "rng_stream",
             Rule::TraceSchema => "trace_schema",
             Rule::DeadPub => "dead_pub",
-            Rule::AllowHygiene => "allow_hygiene",
         }
     }
 
@@ -88,7 +83,6 @@ impl Rule {
             "rng_stream" => Some(vec![Rule::RngStream]),
             "trace_schema" => Some(vec![Rule::TraceSchema]),
             "dead_pub" => Some(vec![Rule::DeadPub]),
-            "allow_hygiene" => Some(vec![Rule::AllowHygiene]),
             _ => None,
         }
     }
@@ -128,15 +122,13 @@ impl fmt::Display for Finding {
 pub const RNG_REGISTRY_FILE: &str = "RNG_STREAMS.md";
 
 /// A loaded workspace: every production `.rs` source under `crates/*/src`
-/// plus the root package's `src/`, scanned and annotation-parsed, and the
-/// sources that only call into them.
+/// plus the root package's `src/`, scanned, and the sources that only
+/// call into them.
 pub struct Workspace {
     /// Workspace root.
     pub(crate) root: PathBuf,
     /// Scanned sources, sorted by path.
     pub files: Vec<ScannedFile>,
-    /// Per-path parsed annotations.
-    pub annots: BTreeMap<String, annot::Annotations>,
     /// Scanned `tests/`, `examples/` and `benches/` of every package, and
     /// `benchmarks/src`: searched for callers by [`dead_pub`] (which skips
     /// a crate's own `tests/` when judging that crate), policed by no
@@ -181,18 +173,9 @@ impl Workspace {
                 .join("/");
             Ok(scan::scan_source(&rel, &source))
         };
-        let files = sources
-            .iter()
-            .map(scan_file)
-            .collect::<io::Result<Vec<_>>>()?;
-        let annots = files
-            .iter()
-            .map(|file| (file.path.clone(), annot::parse(file)))
-            .collect();
         Ok(Workspace {
             root: root.to_owned(),
-            files,
-            annots,
+            files: sources.iter().map(scan_file).collect::<io::Result<_>>()?,
             callers: callers.iter().map(scan_file).collect::<io::Result<_>>()?,
         })
     }
@@ -203,27 +186,21 @@ impl Workspace {
         let mut findings = Vec::new();
         if rules.contains(&Rule::WallClock) || rules.contains(&Rule::HashCollections) {
             for file in &refs {
-                nondet::check_file(file, &self.annots[&file.path], &mut findings);
+                nondet::check_file(file, &mut findings);
             }
             findings.retain(|f| rules.contains(&f.rule));
         }
         if rules.contains(&Rule::RngStream) {
             let harvest = rng::harvest(&refs);
-            rng::check(&harvest, &self.annots, &mut findings);
+            rng::check(&harvest, &mut findings);
             self.check_registry(&harvest, &mut findings);
         }
         if rules.contains(&Rule::TraceSchema) {
             let schema = schema::collect_schema(&refs);
-            schema::check(&refs, &schema, &self.annots, &mut findings);
+            schema::check(&refs, &schema, &mut findings);
         }
         if rules.contains(&Rule::DeadPub) {
             dead_pub::check(&refs, &self.callers, &mut findings);
-        }
-        if rules.contains(&Rule::AllowHygiene) {
-            let schema = schema::collect_schema(&refs);
-            for file in &refs {
-                check_hygiene(file, &self.annots[&file.path], &schema, &mut findings);
-            }
         }
         findings.sort_by(|a, b| {
             (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
@@ -281,123 +258,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Trigger tokens per rule, used to decide whether an allow still
-/// suppresses anything on its target line.
-fn allow_is_live(rule: &str, file: &ScannedFile, target: usize) -> bool {
-    let code = &file.code_lines[target];
-    match rule {
-        "hash_collections" => nondet::HASH_TOKENS
-            .iter()
-            .any(|t| nondet::word_occurrences(code, t).next().is_some()),
-        "wall_clock" => nondet::WALL_TOKENS
-            .iter()
-            .any(|t| nondet::word_occurrences(code, t).next().is_some()),
-        "rng_stream" => code.contains("fork(") || code.contains("churn_stream("),
-        // A trace-schema allow is live while its line still carries a
-        // string literal (the event name).
-        "trace_schema" => file.strings.iter().any(|s| s.line == target),
-        _ => false,
-    }
-}
-
-/// Rule 4 — allow-annotation hygiene for one file.
-fn check_hygiene(
-    file: &ScannedFile,
-    annots: &annot::Annotations,
-    _schema: &schema::Schema,
-    findings: &mut Vec<Finding>,
-) {
-    for malformed in &annots.malformed {
-        findings.push(Finding {
-            rule: Rule::AllowHygiene,
-            path: file.path.clone(),
-            line: ScannedFile::display_line(malformed.line),
-            message: format!("malformed cyclosa-lint annotation: {}", malformed.message),
-        });
-    }
-    for allow in &annots.allows {
-        if !annot::KNOWN_RULES.contains(&allow.rule.as_str()) {
-            findings.push(Finding {
-                rule: Rule::AllowHygiene,
-                path: file.path.clone(),
-                line: ScannedFile::display_line(allow.line),
-                message: format!(
-                    "allow names unknown rule `{}` (known: {})",
-                    allow.rule,
-                    annot::KNOWN_RULES.join(", ")
-                ),
-            });
-            continue;
-        }
-        match allow.reason.as_deref() {
-            None => findings.push(Finding {
-                rule: Rule::AllowHygiene,
-                path: file.path.clone(),
-                line: ScannedFile::display_line(allow.line),
-                message: format!(
-                    "allow({}) has no reason — every suppression must say why: \
-                     `allow({}, reason = \"...\")`",
-                    allow.rule, allow.rule
-                ),
-            }),
-            Some(reason) if reason.trim().is_empty() => findings.push(Finding {
-                rule: Rule::AllowHygiene,
-                path: file.path.clone(),
-                line: ScannedFile::display_line(allow.line),
-                message: format!("allow({}) has an empty reason", allow.rule),
-            }),
-            Some(_) => {
-                if !allow_is_live(&allow.rule, file, allow.target) {
-                    findings.push(Finding {
-                        rule: Rule::AllowHygiene,
-                        path: file.path.clone(),
-                        line: ScannedFile::display_line(allow.line),
-                        message: format!(
-                            "unused allow({}): its target line no longer triggers the rule — \
-                             delete the annotation",
-                            allow.rule
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan_source;
-
-    fn hygiene(path: &str, src: &str) -> Vec<Finding> {
-        let file = scan_source(path, src);
-        let annots = annot::parse(&file);
-        let schema = schema::Schema::default();
-        let mut findings = Vec::new();
-        check_hygiene(&file, &annots, &schema, &mut findings);
-        findings
-    }
-
-    #[test]
-    fn reasonless_empty_and_unknown_allows_are_findings() {
-        let src = "use x::HashMap; // cyclosa-lint: allow(hash_collections)\n\
-                   use y::HashSet; // cyclosa-lint: allow(hash_collections, reason = \"\")\n\
-                   let a = 1; // cyclosa-lint: allow(frobnicate, reason = \"x\")\n\
-                   // cyclosa-lint: allow(wall_clock\nlet b = 2;\n";
-        let findings = hygiene("crates/net/src/x.rs", src);
-        assert_eq!(findings.len(), 4, "{findings:?}");
-        assert!(findings.iter().all(|f| f.rule == Rule::AllowHygiene));
-    }
-
-    #[test]
-    fn unused_allow_is_a_finding_live_allow_is_not() {
-        let live = "use std::collections::HashMap; // cyclosa-lint: allow(hash_collections, reason = \"keyed only\")\n";
-        assert!(hygiene("crates/net/src/x.rs", live).is_empty());
-        let dead = "use std::collections::BTreeMap; // cyclosa-lint: allow(hash_collections, reason = \"keyed only\")\n";
-        let findings = hygiene("crates/net/src/x.rs", dead);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("unused allow"));
-    }
 
     #[test]
     fn rule_arg_parsing_accepts_both_spellings() {

@@ -5,14 +5,27 @@
 //! hash iteration (`std::collections::HashMap`/`HashSet` seed SipHash from
 //! `RandomState`) and wall clocks (`Instant::now`, `SystemTime`) are the
 //! two lexical fingerprints of that entropy. Both are banned in the
-//! critical crates unless the site carries an
-//! `allow(hash_collections | wall_clock, reason = "...")` annotation.
+//! critical crates.
+//!
+//! A site is sanctioned by the attribute clippy's own `disallowed_*`
+//! lints need there anyway, in the attribute block directly above the
+//! flagged line (rustfmt may split it over several lines):
+//!
+//! ```text
+//! #[expect(clippy::disallowed_methods, reason = "profiling-only stopwatch")]
+//! let start = Instant::now();
+//! ```
+//!
+//! The lint must be `clippy::disallowed_methods` or
+//! `clippy::disallowed_types`, and the reason must be non-empty. An
+//! `#[allow]`, a reason-less `#[expect]` or a comment sanctions nothing.
+//! Clippy reports an expectation that no longer fires, so a sanction
+//! cannot outlive its site.
 //!
 //! The sanctioned O(1) alternative for keyed hot-path state is
 //! `cyclosa_util::det::{DetHashMap, DetHashSet}` (fixed-key FxHash);
 //! order-observable state belongs in `BTreeMap`/`BTreeSet`.
 
-use crate::annot::Annotations;
 use crate::scan::ScannedFile;
 use crate::{Finding, Rule};
 
@@ -40,9 +53,11 @@ pub(crate) const WALL_CRITICAL_CRATES: [&str; 7] = [
 ];
 
 /// Banned tokens of the `hash_collections` rule.
-pub(crate) const HASH_TOKENS: [&str; 2] = ["HashMap", "HashSet"];
+const HASH_TOKENS: [&str; 2] = ["HashMap", "HashSet"];
 /// Banned tokens of the `wall_clock` rule.
-pub(crate) const WALL_TOKENS: [&str; 2] = ["Instant::now", "SystemTime"];
+const WALL_TOKENS: [&str; 2] = ["Instant::now", "SystemTime"];
+/// The clippy lints whose expectation sanctions a site.
+const SANCTIONING_LINTS: [&str; 2] = ["clippy::disallowed_methods", "clippy::disallowed_types"];
 
 /// Whether `code[idx..]` starts a word-boundary occurrence of `token`.
 fn word_at(code: &str, idx: usize, token: &str) -> bool {
@@ -60,17 +75,76 @@ fn word_at(code: &str, idx: usize, token: &str) -> bool {
     before_ok && after_ok
 }
 
-/// All word-boundary occurrences of `token` in `code`.
-pub(crate) fn word_occurrences(code: &str, token: &str) -> impl Iterator<Item = usize> {
+/// Whether `code` holds a word-boundary occurrence of `token`.
+fn has_word(code: &str, token: &str) -> bool {
     code.match_indices(token)
-        .map(|(idx, _)| idx)
-        .filter(move |&idx| word_at(code, idx, token))
-        .collect::<Vec<_>>()
-        .into_iter()
+        .any(|(idx, _)| word_at(code, idx, token))
+}
+
+/// Whether the attribute block directly above 0-based `line` holds a
+/// sanctioning `#[expect]` (see the module docs).
+fn sanctioned(file: &ScannedFile, line: usize) -> bool {
+    let start: usize = file.code_lines[..line].iter().map(|l| l.len() + 1).sum();
+    let mut head = file.flat_code[..start].trim_end();
+    // Walk the attributes upwards. String contents are blanked, so every
+    // bracket here is code.
+    while let Some(body) = head.strip_suffix(']') {
+        let mut depth = 0usize;
+        let mut open = None;
+        for (i, c) in body.char_indices().rev() {
+            match c {
+                ']' => depth += 1,
+                '[' if depth == 0 => {
+                    open = Some(i);
+                    break;
+                }
+                '[' => depth -= 1,
+                _ => {}
+            }
+        }
+        let Some(before) = open.and_then(|open| body[..open].strip_suffix('#')) else {
+            return false;
+        };
+        let attr = &body[before.len() + 2..];
+        if sanctions(file, before.len() + 2, attr) {
+            return true;
+        }
+        head = before.trim_end();
+    }
+    false
+}
+
+/// Whether the attribute `attr` (the text between `#[` and `]`, at byte
+/// `offset` of the flat code) expects a sanctioning lint with a
+/// non-empty reason.
+fn sanctions(file: &ScannedFile, offset: usize, attr: &str) -> bool {
+    let Some(args) = attr
+        .strip_prefix("expect")
+        .map(str::trim_start)
+        .and_then(|rest| rest.strip_prefix('('))
+        .and_then(|rest| rest.trim_end().strip_suffix(')'))
+    else {
+        return false;
+    };
+    let names_lint = args
+        .split(',')
+        .any(|arg| SANCTIONING_LINTS.contains(&arg.trim()));
+    let has_reason = args.split(',').any(|arg| {
+        arg.trim()
+            .strip_prefix("reason")
+            .map(str::trim_start)
+            .and_then(|rest| rest.strip_prefix('='))
+            .is_some_and(|value| value.trim_start() == "\"\u{1}\"")
+    });
+    // The reason is the attribute's one string literal.
+    let reason_said = file.strings.iter().any(|lit| {
+        (offset..offset + attr.len()).contains(&lit.flat_pos) && !lit.value.trim().is_empty()
+    });
+    names_lint && has_reason && reason_said
 }
 
 /// Runs the nondeterminism rule over one scanned file.
-pub(crate) fn check_file(file: &ScannedFile, annots: &Annotations, findings: &mut Vec<Finding>) {
+pub(crate) fn check_file(file: &ScannedFile, findings: &mut Vec<Finding>) {
     let Some(crate_name) = file.crate_name() else {
         return;
     };
@@ -85,9 +159,7 @@ pub(crate) fn check_file(file: &ScannedFile, annots: &Annotations, findings: &mu
         }
         if hash_on {
             for token in HASH_TOKENS {
-                if word_occurrences(code, token).next().is_some()
-                    && !annots.allows_rule("hash_collections", line)
-                {
+                if has_word(code, token) && !sanctioned(file, line) {
                     findings.push(Finding {
                         rule: Rule::HashCollections,
                         path: file.path.clone(),
@@ -96,8 +168,8 @@ pub(crate) fn check_file(file: &ScannedFile, annots: &Annotations, findings: &mu
                             "`{token}` in determinism-critical crate `{crate_name}`: randomized \
                              iteration order can leak into event order. Use BTreeMap/BTreeSet \
                              (order-observable state) or cyclosa_util::det::Det{token} (keyed \
-                             hot-path state), or annotate with \
-                             `// cyclosa-lint: allow(hash_collections, reason = \"...\")`"
+                             hot-path state), or sanction the site with \
+                             `#[expect(clippy::disallowed_types, reason = \"...\")]`"
                         ),
                     });
                 }
@@ -105,9 +177,7 @@ pub(crate) fn check_file(file: &ScannedFile, annots: &Annotations, findings: &mu
         }
         if wall_on {
             for token in WALL_TOKENS {
-                if word_occurrences(code, token).next().is_some()
-                    && !annots.allows_rule("wall_clock", line)
-                {
+                if has_word(code, token) && !sanctioned(file, line) {
                     findings.push(Finding {
                         rule: Rule::WallClock,
                         path: file.path.clone(),
@@ -115,8 +185,8 @@ pub(crate) fn check_file(file: &ScannedFile, annots: &Annotations, findings: &mu
                         message: format!(
                             "`{token}` in determinism-critical crate `{crate_name}`: wall-clock \
                              reads are nondeterministic. Use simulated time (`SimTime`), or \
-                             annotate the sanctioned profiling site with \
-                             `// cyclosa-lint: allow(wall_clock, reason = \"...\")`"
+                             sanction the profiling site with \
+                             `#[expect(clippy::disallowed_methods, reason = \"...\")]`"
                         ),
                     });
                 }
@@ -128,16 +198,16 @@ pub(crate) fn check_file(file: &ScannedFile, annots: &Annotations, findings: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annot;
     use crate::scan::scan_source;
 
     fn run(path: &str, src: &str) -> Vec<Finding> {
         let file = scan_source(path, src);
-        let annots = annot::parse(&file);
         let mut findings = Vec::new();
-        check_file(&file, &annots, &mut findings);
+        check_file(&file, &mut findings);
         findings
     }
+
+    const STOPWATCH: &str = "fn f() { let t = std::time::Instant::now(); }\n";
 
     #[test]
     fn bare_hashmap_in_critical_crate_is_flagged() {
@@ -178,15 +248,69 @@ mod tests {
 
     #[test]
     fn wall_clock_flagged_and_allowed() {
-        let bare = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert_eq!(run("crates/runtime/src/x.rs", bare).len(), 1);
-        let allowed = "// cyclosa-lint: allow(wall_clock, reason = \"profiling metric only\")\n\
-                       fn f() { let t = std::time::Instant::now(); }\n";
-        assert!(run("crates/runtime/src/x.rs", allowed).is_empty());
-        // An allow with an empty reason must NOT suppress.
-        let empty = "// cyclosa-lint: allow(wall_clock, reason = \"\")\n\
-                     fn f() { let t = std::time::Instant::now(); }\n";
-        assert_eq!(run("crates/runtime/src/x.rs", empty).len(), 1);
+        assert_eq!(run("crates/runtime/src/x.rs", STOPWATCH).len(), 1);
+        let expected = format!(
+            "#[expect(clippy::disallowed_methods, reason = \"profiling metric only\")]\n{STOPWATCH}"
+        );
+        assert!(run("crates/runtime/src/x.rs", &expected).is_empty());
+        // An expectation with an empty reason must NOT sanction.
+        let empty = format!("#[expect(clippy::disallowed_methods, reason = \"\")]\n{STOPWATCH}");
+        assert_eq!(run("crates/runtime/src/x.rs", &empty).len(), 1);
+    }
+
+    #[test]
+    fn an_expect_sanctions_only_the_line_below_it() {
+        // rustfmt's split form, other attributes and comments in the block.
+        let split = format!(
+            "#[expect(\n    clippy::disallowed_methods,\n    reason = \"profiling\"\n)]\n\
+             #[inline]\n// the stopwatch\n{STOPWATCH}"
+        );
+        assert!(run("crates/runtime/src/x.rs", &split).is_empty());
+        let types = "#[expect(clippy::disallowed_types, reason = \"keyed only\")]\n\
+                     use std::collections::HashMap;\n";
+        assert!(run("crates/net/src/x.rs", types).is_empty());
+        // One line further down is outside the sanction.
+        let below = format!(
+            "#[expect(clippy::disallowed_methods, reason = \"profiling\")]\nlet a = 1;\n{STOPWATCH}"
+        );
+        assert_eq!(run("crates/runtime/src/x.rs", &below).len(), 1);
+    }
+
+    #[test]
+    fn reasonless_or_empty_reason_expects_do_not_sanction() {
+        for attr in [
+            "#[expect(clippy::disallowed_methods)]",
+            "#[expect(clippy::disallowed_methods, reason = \"  \")]",
+            "#[expect(clippy::disallowed_methods, reason)]",
+            "#[allow(clippy::disallowed_methods, reason = \"profiling\")]",
+            "#[expect(clippy::needless_range_loop, reason = \"profiling\")]",
+            "// cyclosa-lint: allow(wall_clock, reason = \"profiling\")",
+        ] {
+            let src = format!("{attr}\n{STOPWATCH}");
+            assert_eq!(run("crates/runtime/src/x.rs", &src).len(), 1, "{attr}");
+        }
+    }
+
+    #[test]
+    fn malformed_attributes_sanction_nothing() {
+        for attr in [
+            "#[expect(clippy::disallowed_methods, reason = \"profiling\"]",
+            "#expect(clippy::disallowed_methods, reason = \"profiling\")]",
+            "#[expect clippy::disallowed_methods, reason = \"profiling\"]",
+            "]",
+        ] {
+            let src = format!("{attr}\n{STOPWATCH}");
+            assert_eq!(run("crates/runtime/src/x.rs", &src).len(), 1, "{attr}");
+        }
+    }
+
+    #[test]
+    fn reasons_may_contain_commas_and_parens() {
+        let src = format!(
+            "#[expect(\n    clippy::disallowed_methods,\n    \
+             reason = \"profiling only (never traced), zero [perturbation]\"\n)]\n{STOPWATCH}"
+        );
+        assert!(run("crates/runtime/src/x.rs", &src).is_empty());
     }
 
     #[test]

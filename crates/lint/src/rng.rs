@@ -17,9 +17,9 @@
 //!
 //! The harvest is also rendered as `RNG_STREAMS.md` at the repo root; a
 //! committed registry that no longer matches the tree is itself a finding
-//! (run `lint --write-registry` to refresh it).
+//! (run `lint --write-registry` to refresh it). A collision has no
+//! allow: give one of the streams another tag.
 
-use crate::annot::Annotations;
 use crate::scan::ScannedFile;
 use crate::{Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet};
@@ -210,16 +210,7 @@ pub(crate) fn harvest(files: &[&ScannedFile]) -> Harvest {
 }
 
 /// Runs the collision checks over a harvest.
-pub(crate) fn check(
-    harvest: &Harvest,
-    annots: &BTreeMap<String, Annotations>,
-    findings: &mut Vec<Finding>,
-) {
-    let allowed = |site: &StreamTag| {
-        annots
-            .get(&site.path)
-            .is_some_and(|a| a.allows_rule("rng_stream", site.line - 1))
-    };
+pub(crate) fn check(harvest: &Harvest, findings: &mut Vec<Finding>) {
     // fork labels: collisions are per file.
     let mut by_file: BTreeMap<(&str, u64), Vec<&StreamTag>> = BTreeMap::new();
     for site in &harvest.forks {
@@ -229,7 +220,7 @@ pub(crate) fn check(
             .push(site);
     }
     for ((path, value), sites) in by_file {
-        if sites.len() > 1 && !sites.iter().any(|s| allowed(s)) {
+        if sites.len() > 1 {
             let lines: Vec<String> = sites.iter().map(|s| s.line.to_string()).collect();
             findings.push(Finding {
                 rule: Rule::RngStream,
@@ -261,7 +252,7 @@ pub(crate) fn check(
         labels.dedup();
         let literal_sites = sites.iter().filter(|s| s.label == "<literal>").count();
         let distinct = labels.len() + literal_sites;
-        if distinct > 1 && !sites.iter().any(|s| allowed(s)) {
+        if distinct > 1 {
             let detail: Vec<String> = sites
                 .iter()
                 .map(|s| format!("{} ({}:{})", s.label, s.path, s.line))
@@ -331,7 +322,6 @@ pub(crate) fn registry_doc(harvest: &Harvest) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annot;
     use crate::scan::{scan_source, ScannedFile};
 
     fn run(srcs: &[(&str, &str)]) -> (Harvest, Vec<Finding>) {
@@ -341,12 +331,8 @@ mod tests {
             .collect();
         let refs: Vec<&ScannedFile> = files.iter().collect();
         let harvest = harvest(&refs);
-        let annots = files
-            .iter()
-            .map(|f| (f.path.clone(), annot::parse(f)))
-            .collect();
         let mut findings = Vec::new();
-        check(&harvest, &annots, &mut findings);
+        check(&harvest, &mut findings);
         (harvest, findings)
     }
 

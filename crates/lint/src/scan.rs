@@ -7,8 +7,8 @@
 //! - **code**: the source with comments removed and literal *contents*
 //!   blanked (each string literal becomes a `"\u{1}"` placeholder, each
 //!   char literal `''`), one entry per line;
-//! - **comments**: the comment text per line (where `cyclosa-lint:`
-//!   annotations live);
+//! - **comments**: the comment text per line (where the
+//!   `cyclosa-lint: schema-registry` marker lives);
 //! - **strings**: every string-literal value in order of appearance, with
 //!   its starting line and its placeholder position in the flattened code
 //!   (so rules can inspect the code *context* a literal appears in).
@@ -178,31 +178,28 @@ pub fn scan_source(path: &str, source: &str) -> ScannedFile {
     }
 
     let flat_code = code.join("\n");
-    let mut lits = Vec::with_capacity(strings.len());
-    {
-        let mut next = strings.into_iter();
-        for (pos, _) in flat_code.match_indices('\u{1}') {
-            let (line, value) = next.next().expect("one literal per placeholder");
-            lits.push(StringLit {
-                line,
-                value,
-                flat_pos: pos,
-            });
-        }
-        debug_assert!(next.next().is_none(), "placeholder/literal mismatch");
-    }
+    // One placeholder per literal, in order.
+    let strings = flat_code
+        .match_indices('\u{1}')
+        .zip(strings)
+        .map(|((flat_pos, _), (line, value))| StringLit {
+            line,
+            value,
+            flat_pos,
+        })
+        .collect();
 
-    let in_test = mark_cfg_test(&code);
-    let in_registry = mark_registry(&code, &comments);
-    ScannedFile {
+    let mut file = ScannedFile {
         path: path.to_owned(),
+        in_test: mark_cfg_test(&code),
+        in_registry: Vec::new(),
         code_lines: code,
         comments,
-        strings: lits,
+        strings,
         flat_code,
-        in_test,
-        in_registry,
-    }
+    };
+    file.in_registry = mark_registry(&file.code_lines, &file.comments);
+    file
 }
 
 /// Attempts to read a string literal starting at `i`. Returns

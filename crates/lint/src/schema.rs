@@ -17,9 +17,9 @@
 //! Family-shaped literals appearing as *metric* names (`counter(...)`,
 //! `histogram(...)`) are not emitters; the classifier picks
 //! the nearest preceding keyword in the flattened code to tell the two
-//! apart.
+//! apart. Drift has no allow: register the name or remove the stale
+//! entry.
 
-use crate::annot::Annotations;
 use crate::scan::ScannedFile;
 use crate::{Finding, Rule};
 use std::collections::BTreeMap;
@@ -113,12 +113,7 @@ fn is_metric_context(flat: &str, pos: usize) -> bool {
 }
 
 /// Runs both directions of the cross-check.
-pub(crate) fn check(
-    files: &[&ScannedFile],
-    schema: &Schema,
-    annots: &BTreeMap<String, Annotations>,
-    findings: &mut Vec<Finding>,
-) {
+pub(crate) fn check(files: &[&ScannedFile], schema: &Schema, findings: &mut Vec<Finding>) {
     let mut emitted: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
     for file in files {
         let Some(crate_name) = file.crate_name() else {
@@ -138,11 +133,7 @@ pub(crate) fn check(
                 continue;
             }
             emitted.insert(lit.value.as_str());
-            if !schema.names.contains_key(&lit.value)
-                && !annots
-                    .get(&file.path)
-                    .is_some_and(|a| a.allows_rule("trace_schema", lit.line))
-            {
+            if !schema.names.contains_key(&lit.value) {
                 findings.push(Finding {
                     rule: Rule::TraceSchema,
                     path: file.path.clone(),
@@ -150,8 +141,7 @@ pub(crate) fn check(
                     message: format!(
                         "event name \"{}\" is not in the closed trace schema \
                          (crates/telemetry/src/check.rs TRACE_EVENT_NAMES): the trace checker \
-                         will reject exports carrying it. Add it to the registry or annotate \
-                         with `// cyclosa-lint: allow(trace_schema, reason = \"...\")`",
+                         will reject exports carrying it. Add it to the registry",
                         lit.value
                     ),
                 });
@@ -159,11 +149,7 @@ pub(crate) fn check(
         }
     }
     for (name, (path, line)) in &schema.names {
-        if !emitted.contains(name.as_str())
-            && !annots
-                .get(path)
-                .is_some_and(|a| a.allows_rule("trace_schema", line - 1))
-        {
+        if !emitted.contains(name.as_str()) {
             findings.push(Finding {
                 rule: Rule::TraceSchema,
                 path: path.clone(),
@@ -180,7 +166,6 @@ pub(crate) fn check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annot;
     use crate::scan::{scan_source, ScannedFile};
 
     const REGISTRY: &str = "// cyclosa-lint: schema-registry\n\
@@ -195,12 +180,8 @@ mod tests {
             .collect();
         let refs: Vec<&ScannedFile> = files.iter().collect();
         let schema = collect_schema(&refs);
-        let annots = files
-            .iter()
-            .map(|f| (f.path.clone(), annot::parse(f)))
-            .collect();
         let mut findings = Vec::new();
-        check(&refs, &schema, &annots, &mut findings);
+        check(&refs, &schema, &mut findings);
         findings
     }
 
@@ -281,16 +262,26 @@ mod tests {
     }
 
     #[test]
-    fn allow_annotations_suppress_both_directions() {
+    fn allow_comments_suppress_neither_direction() {
         let emitters = "fn f(t: &T) {\n\
-             t.event(\"plan.assess\"); t.event(\"mship.dead\");\n\
+             t.event(\"plan.assess\");\n\
              // cyclosa-lint: allow(trace_schema, reason = \"experimental event behind a flag\")\n\
              t.event(\"plan.experimental\");\n}\n";
+        let registry = REGISTRY.replace(
+            "    \"mship.dead\",",
+            "    // cyclosa-lint: allow(trace_schema, reason = \"emitted by a later change\")\n    \"mship.dead\",",
+        );
         let findings = run(&[
-            ("crates/telemetry/src/check.rs", REGISTRY),
+            ("crates/telemetry/src/check.rs", registry.as_str()),
             ("crates/core/src/node.rs", emitters),
         ]);
-        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        for name in ["mship.dead", "plan.experimental"] {
+            assert!(
+                findings.iter().any(|f| f.message.contains(name)),
+                "{findings:?}"
+            );
+        }
     }
 
     #[test]

@@ -138,6 +138,10 @@ impl EventQueue {
                 index
             }
             None => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a slot per waiting event: 2^32 waiting events would not fit in memory"
+                )]
                 let index = u32::try_from(self.slab.len()).expect("fewer than 2^32 events wait");
                 self.slab.push(Some(event));
                 index
@@ -174,6 +178,10 @@ impl EventQueue {
     }
 
     /// Takes a waiting event out of the slab.
+    #[expect(
+        clippy::expect_used,
+        reason = "an index is filed only while its slab entry holds the event"
+    )]
     fn unfile(&mut self, index: u32) -> ScheduledEvent {
         self.free.push(index);
         self.waiting -= 1;
@@ -209,6 +217,10 @@ impl EventQueue {
                 first
             };
             for index in indices {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "an index is filed only while its slab entry holds the event"
+                )]
                 let at = self.slab[index as usize]
                     .as_ref()
                     .expect("a filed index names an occupied slab entry")

@@ -140,6 +140,10 @@ impl<T: Message> Message for Vec<T> {
 pub struct Counted<T>(pub Vec<T>);
 
 impl<T: Message> Message for Counted<T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented bound: senders cap every counted list well below 255 items"
+    )]
     fn encode(&self, w: &mut Writer) {
         let count = u8::try_from(self.0.len()).expect("a counted list holds at most 255 items");
         count.encode(w);

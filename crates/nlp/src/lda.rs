@@ -141,7 +141,7 @@ impl LdaModel {
         let mut scored: Vec<(usize, f64)> = (0..self.vocab_size)
             .map(|w| (w, self.topic_term_probability(topic, w)))
             .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite probabilities"));
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
         scored.truncate(n);
         scored
     }

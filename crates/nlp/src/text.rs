@@ -17,7 +17,7 @@
 //!   search-engine index) agrees on the id of a term.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// English stop words that carry no topical signal in queries.
 ///
@@ -209,24 +209,37 @@ impl TermInterner {
 
     /// Returns the id of `term`, interning it if absent.
     pub fn intern(&self, term: &str) -> TermId {
-        if let Some(id) = self.inner.read().expect("interner poisoned").id_of(term) {
+        if let Some(id) = self
+            .inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .id_of(term)
+        {
             return TermId(id as u32);
         }
-        TermId(self.inner.write().expect("interner poisoned").intern(term) as u32)
+        TermId(
+            self.inner
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .intern(term) as u32,
+        )
     }
 
     /// Returns the id of `term` if it is known.
     pub fn id_of(&self, term: &str) -> Option<TermId> {
         self.inner
             .read()
-            .expect("interner poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .id_of(term)
             .map(|id| TermId(id as u32))
     }
 
     /// Number of distinct interned terms.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("interner poisoned").len()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Returns `true` when no term has been interned yet.

@@ -65,7 +65,8 @@ const TAG_SHUFFLE: u32 = 0xA004;
 const TAG_SHUFFLE_REPLY: u32 = 0xA005;
 
 /// Timer-token base: a direct probe of `token - DIRECT_TIMEOUT_BASE`
-/// timed out (escalate to indirect probing).
+/// timed out (escalate to indirect probing). Every peer id this module
+/// accepts is below it (see [`ids_fit_timer_tokens`]).
 const DIRECT_TIMEOUT_BASE: u64 = 1 << 32;
 /// Timer-token base: indirect probing of the peer also timed out
 /// (suspect it).
@@ -216,6 +217,17 @@ struct MembershipBehavior {
     /// one suspected member so it can refute firsthand).
     suspect_cursor: usize,
     tracer: NodeTracer,
+}
+
+/// Whether a received message names only peer ids below 2^32. Timer
+/// tokens are `BASE + peer id` with the bases 2^32 apart, so a larger id
+/// would alias another timer kind's token (`(1 << 32) + 3`'s direct
+/// timeout reads as peer 3's indirect one) or overflow it: a message
+/// naming one is malformed and is dropped whole.
+fn ids_fit_timer_tokens(ids: impl IntoIterator<Item = u64>, rumors: &[SwimRumor]) -> bool {
+    ids.into_iter()
+        .chain(rumors.iter().map(|rumor| rumor.peer.0))
+        .all(|id| id < DIRECT_TIMEOUT_BASE)
 }
 
 impl MembershipBehavior {
@@ -407,6 +419,9 @@ impl NodeBehavior for MembershipBehavior {
         let mut state = lock(&state);
         let start = state.detector.timeline().len();
         let src = PeerId(envelope.src.0);
+        if !ids_fit_timer_tokens([src.0], &[]) {
+            return;
+        }
 
         // Firsthand traffic from `src`: it exists, and we heard it now.
         state.detector.observe(src);
@@ -421,7 +436,10 @@ impl NodeBehavior for MembershipBehavior {
 
         match envelope.tag {
             TAG_PING => {
-                let Ok(ping) = Ping::from_bytes(&envelope.payload) else {
+                let Some(ping) = Ping::from_bytes(&envelope.payload)
+                    .ok()
+                    .filter(|ping| ids_fit_timer_tokens([ping.origin], &ping.rumors.0))
+                else {
                     return;
                 };
                 // The prober's belief about us: a suspicion or death
@@ -447,7 +465,10 @@ impl NodeBehavior for MembershipBehavior {
                 ctx.send(envelope.src, TAG_ACK, ack.to_bytes());
             }
             TAG_ACK => {
-                let Ok(ack) = Ack::from_bytes(&envelope.payload) else {
+                let Some(ack) = Ack::from_bytes(&envelope.payload)
+                    .ok()
+                    .filter(|ack| ids_fit_timer_tokens([ack.origin, ack.target], &ack.rumors.0))
+                else {
                     return;
                 };
                 for rumor in &ack.rumors.0 {
@@ -479,7 +500,10 @@ impl NodeBehavior for MembershipBehavior {
                 }
             }
             TAG_PING_REQ => {
-                let Ok(req) = PingReq::from_bytes(&envelope.payload) else {
+                let Some(req) = PingReq::from_bytes(&envelope.payload)
+                    .ok()
+                    .filter(|req| ids_fit_timer_tokens([req.origin, req.target], &req.rumors.0))
+                else {
                     return;
                 };
                 for rumor in req.rumors.0 {
@@ -496,7 +520,15 @@ impl NodeBehavior for MembershipBehavior {
                 ctx.send(NodeId(req.target), TAG_PING, relayed.to_bytes());
             }
             TAG_SHUFFLE | TAG_SHUFFLE_REPLY => {
-                let Ok(shuffle) = Shuffle::from_bytes(&envelope.payload) else {
+                let Some(shuffle) = Shuffle::from_bytes(&envelope.payload)
+                    .ok()
+                    .filter(|shuffle| {
+                        ids_fit_timer_tokens(
+                            shuffle.peers.0.iter().map(|peer| peer.0),
+                            &shuffle.rumors.0,
+                        )
+                    })
+                else {
                     return;
                 };
                 for rumor in shuffle.rumors.0 {
@@ -743,6 +775,10 @@ impl Overlay<Swim> {
     /// # Panics
     ///
     /// Panics if `forger == victim` or `forger` is not a deployed node.
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented # Panics: a forger must be a deployed node"
+    )]
     pub fn schedule_incarnation_forgery<E: Engine + ?Sized>(
         &mut self,
         engine: &mut E,
@@ -992,6 +1028,44 @@ mod tests {
         sim.run();
         let (_, state) = &overlay.handles[0];
         assert_eq!(lock(state).detector.incarnation(), u64::MAX);
+    }
+
+    #[test]
+    fn a_shuffle_naming_peer_ids_past_the_timer_range_is_refused() {
+        // Timer tokens are `BASE + peer id`: an id at or above 2^32 would
+        // alias another timer kind (`(1 << 32) + 3`'s direct timeout reads
+        // as peer 3's indirect one), and `u64::MAX` overflows the sum.
+        let mut sim = Simulation::new(3);
+        let config = MembershipConfig { rounds: 6 };
+        let overlay = SwimGossipOverlay::ring(&mut sim, 6, config, 3, &TraceSink::disabled());
+        let hostile = [PeerId(u64::MAX), PeerId((1 << 32) + 3)];
+        let shuffle = Shuffle {
+            peers: Counted(hostile.to_vec()),
+            rumors: Counted(
+                hostile
+                    .iter()
+                    .map(|&peer| SwimRumor {
+                        peer,
+                        state: MemberState::Suspect,
+                        incarnation: 1,
+                    })
+                    .collect(),
+            ),
+        };
+        let at = SimTime::from_millis(100);
+        sim.post(at, NodeId(1), NodeId(0), TAG_SHUFFLE, shuffle.to_bytes());
+        sim.run();
+        let (_, state) = &overlay.handles[0];
+        let state = lock(state);
+        for peer in hostile {
+            assert_eq!(state.detector.state_of(peer), None, "{peer:?} was admitted");
+            assert!(!state.views.active().contains(&peer));
+            assert!(!state.views.passive().contains(&peer));
+        }
+        assert!(
+            !state.detector.live_members().is_empty(),
+            "honest peers stay known"
+        );
     }
 
     #[test]

@@ -183,18 +183,17 @@ impl NodeBehavior for GossipBehavior {
                 ctx.send(envelope.src, TAG_REPLY, reply.to_bytes());
                 node.merge(&received, &reply, &mut self.rng);
             }
-            TAG_REPLY
+            TAG_REPLY => {
                 // Active side: merge against the buffer we sent, but only
                 // for the exchange actually in flight (a reply straggling
                 // past the next round's blacklisting is dropped).
-                if self
+                if let Some((_, sent, _)) = self
                     .awaiting
-                    .as_ref()
-                    .is_some_and(|(partner, _, _)| partner.0 == envelope.src.0)
-                => {
-                    let (_, sent, _) = self.awaiting.take().expect("checked above");
+                    .take_if(|(partner, _, _)| partner.0 == envelope.src.0)
+                {
                     node.merge(&received, &sent, &mut self.rng);
                 }
+            }
             _ => {}
         }
     }
@@ -447,6 +446,10 @@ impl Overlay<Shuffle> {
     ///
     /// Panics if `peer` is not part of the overlay or no other peer is
     /// alive at `rejoin_at` to bootstrap from.
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented # Panics: an unknown peer, or no live peer to boot from"
+    )]
     pub fn schedule_rejoin<E: Engine + ?Sized>(
         &mut self,
         engine: &mut E,

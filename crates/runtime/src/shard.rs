@@ -213,8 +213,10 @@ impl ShardProfile {
 
     /// Waits at `barrier`, recording the wall time spent stalled.
     fn wait_timed(&self, barrier: &WindowBarrier) -> Result<(), Broken> {
-        #[allow(clippy::disallowed_methods)]
-        // cyclosa-lint: allow(wall_clock, reason = "profiling-only barrier-stall stopwatch; the reading feeds a metrics histogram and never touches simulated state")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "profiling-only barrier-stall stopwatch; the reading feeds a metrics histogram and never touches simulated state"
+        )]
         let start = Instant::now();
         let outcome = barrier.wait();
         self.barrier_stall_ns
@@ -382,6 +384,10 @@ impl ShardedEngine {
     ///
     /// Panics if `shards` is zero. Use `ShardedEngine::try_new` for a
     /// typed error instead.
+    #[expect(
+        clippy::panic,
+        reason = "the documented # Panics of a zero-shard engine; try_new is the typed form"
+    )]
     pub fn new(seed: u64, shards: usize) -> Self {
         Self::try_new(seed, shards).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -690,10 +696,20 @@ impl Engine for ShardedEngine {
         self.clock
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "Engine::run has no error channel, and a zero latency floor admits no safe \
+                  window: running anyway would silently diverge from the sequential engine"
+    )]
     fn run(&mut self) -> u64 {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "Engine::run_until has no error channel, and a zero latency floor admits no \
+                  safe window: running anyway would silently diverge from the sequential engine"
+    )]
     fn run_until(&mut self, deadline: SimTime) {
         self.try_run_until(deadline)
             .unwrap_or_else(|e| panic!("{e}"));

@@ -122,14 +122,17 @@ impl Index {
             return;
         }
         let mut ids = self.interner.tokenize_ids(&document.text);
-        if ids.is_empty() {
-            return;
-        }
-        let length = ids.len() as f64;
-        let ordinal = u32::try_from(self.doc_ids.len()).expect("fewer than 2^32 documents");
         // Sorted run-length counting replaces the per-document hash map.
         ids.sort_unstable();
-        let max_id = ids.last().expect("non-empty").index();
+        let Some(max_id) = ids.last().map(|id| id.index()) else {
+            return;
+        };
+        let length = ids.len() as f64;
+        #[expect(
+            clippy::expect_used,
+            reason = "an ordinal per document: a corpus of 2^32 documents would not fit in memory"
+        )]
+        let ordinal = u32::try_from(self.doc_ids.len()).expect("fewer than 2^32 documents");
         if max_id >= self.postings.len() {
             self.postings.resize_with(max_id + 1, Vec::new);
         }

@@ -109,11 +109,8 @@ impl Platform {
         let seed_bytes = seed.to_le_bytes();
         let root_seal_key = hkdf::derive_key(b"sgx-platform-seal", &seed_bytes, b"root seal key");
         let quoting_key = hkdf::derive_key(b"sgx-platform-quote", &seed_bytes, b"quoting key");
-        let id_full = hkdf::derive(b"sgx-platform-id", &seed_bytes, b"platform id", 16);
-        let mut platform_id = [0u8; 16];
-        platform_id.copy_from_slice(&id_full);
         Self {
-            platform_id,
+            platform_id: hkdf::derive(b"sgx-platform-id", &seed_bytes, b"platform id"),
             root_seal_key,
             quoting_key,
         }

@@ -432,11 +432,9 @@ pub fn critical_path_rollup(timelines: &[QueryTimeline]) -> Vec<(&'static str, Q
         };
         rollup[0].1.record(end_to_end.as_nanos());
         for (name, value) in path.components() {
-            let slot = rollup
-                .iter_mut()
-                .find(|(slot_name, _)| *slot_name == name)
-                .expect("component name is in the rollup table");
-            slot.1.record(value.as_nanos());
+            if let Some((_, sketch)) = rollup.iter_mut().find(|(slot, _)| *slot == name) {
+                sketch.record(value.as_nanos());
+            }
         }
     }
     rollup

@@ -16,10 +16,10 @@
 //! `DetHashMap` is the sanctioned escape hatch for *keyed-access-only*
 //! state where a B-tree's pointer chasing would sit on the hot path.
 
-// The one sanctioned mention of the std hash containers: this module
-// wraps them with a fixed-key hasher. clippy's disallowed-types backs up
-// cyclosa-lint everywhere else.
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned mention of the std hash containers: this module wraps them with a fixed-key hasher"
+)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -43,11 +43,10 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for word in words {
+            self.add_to_hash(u64::from_le_bytes(*word));
         }
-        let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut word = [0u8; 8];
             word[..rest.len()].copy_from_slice(rest);
@@ -83,11 +82,17 @@ impl Hasher for FxHasher {
 
 /// Deterministic drop-in for `HashMap`: fixed-key FxHash, no process
 /// entropy. See the module docs for when a `BTreeMap` is required instead.
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a fixed-key hasher takes the process entropy out of the std map"
+)]
 pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Deterministic drop-in for `HashSet`. See [`DetHashMap`].
-#[allow(clippy::disallowed_types)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a fixed-key hasher takes the process entropy out of the std set"
+)]
 pub type DetHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]

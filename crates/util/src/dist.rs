@@ -16,6 +16,8 @@ use crate::rng::Rng;
 pub struct Zipf {
     /// Cumulative (unnormalised) weights for binary-search sampling.
     cumulative: Vec<f64>,
+    /// The last cumulative weight: the total all draws scale by.
+    total: f64,
 }
 
 impl Zipf {
@@ -36,18 +38,14 @@ impl Zipf {
             total += 1.0 / ((rank + 1) as f64).powf(exponent);
             cumulative.push(total);
         }
-        Self { cumulative }
+        Self { cumulative, total }
     }
 
     /// Samples a rank in `[0, n)`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let total = *self.cumulative.last().expect("non-empty by construction");
-        let target = rng.next_f64() * total;
+        let target = rng.next_f64() * self.total;
         // First index whose cumulative weight exceeds the target.
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&target).expect("weights are finite"))
-        {
+        match self.cumulative.binary_search_by(|c| c.total_cmp(&target)) {
             Ok(i) => i,
             Err(i) => i.min(self.cumulative.len() - 1),
         }

@@ -40,22 +40,19 @@
 /// ```
 pub fn exponential_smoothing(similarities: &[f64], alpha: f64) -> f64 {
     assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-    if similarities.is_empty() {
-        return 0.0;
-    }
     let mut sorted: Vec<f64> = similarities
         .iter()
         .copied()
         .filter(|s| s.is_finite())
         .collect();
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite values"));
+    sorted.sort_by(|a, b| b.total_cmp(a));
     // Fold from the *smallest* up so that the largest similarity receives the
     // final (heaviest) alpha weight.
-    let mut acc = *sorted.last().expect("non-empty");
-    for &s in sorted.iter().rev().skip(1) {
+    let Some((&smallest, larger)) = sorted.split_last() else {
+        return 0.0;
+    };
+    let mut acc = smallest;
+    for &s in larger.iter().rev() {
         acc = alpha * s + (1.0 - alpha) * acc;
     }
     acc

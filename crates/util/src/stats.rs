@@ -45,7 +45,7 @@ impl Summary {
                 p99: 0.0,
             };
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+        values.sort_by(f64::total_cmp);
         let count = values.len();
         let mean = values.iter().sum::<f64>() / count as f64;
         let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
@@ -67,7 +67,7 @@ impl Summary {
         if values.is_empty() {
             return 0.0;
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+        values.sort_by(f64::total_cmp);
         percentile_sorted(&values, pct)
     }
 }
@@ -129,6 +129,17 @@ mod tests {
         let s = Summary::from_samples(&[1.0, f64::NAN, 3.0, f64::INFINITY]);
         assert_eq!(s.count, 2);
         assert!((s.mean - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn summary_does_not_depend_on_the_order_of_signed_zeros() {
+        // `total_cmp` puts -0.0 below 0.0, so the extremes are the same
+        // bits whichever order the zeros arrive in.
+        for samples in [[0.0, -0.0], [-0.0, 0.0]] {
+            let s = Summary::from_samples(&samples);
+            assert_eq!(s.min.to_bits(), (-0.0f64).to_bits());
+            assert_eq!(s.max.to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

@@ -262,20 +262,24 @@ impl WorkloadGenerator {
         profile: &UserProfileSpec,
         rng: &mut Xoshiro256StarStar,
     ) -> LabeledQuery {
-        let topic_index = if rng.gen_bool(EXPLORATION_PROBABILITY) {
-            // One-off exploration outside the profile: pick any non-sensitive
-            // topic uniformly (possibly one the user also has in her profile,
-            // which is fine — most draws land outside it).
-            let non_sensitive: Vec<usize> = (0..self.catalog.topics().len())
-                .filter(|&i| !self.catalog.topics()[i].sensitive)
-                .collect();
-            non_sensitive[rng.gen_index(non_sensitive.len())]
+        let interest = if rng.gen_bool(EXPLORATION_PROBABILITY) {
+            None
         } else {
             let weights: Vec<f64> = profile.interests.iter().map(|(_, w)| *w).collect();
-            let pick = rng
-                .sample_weighted(&weights)
-                .expect("profile has interests");
-            profile.interests[pick].0
+            rng.sample_weighted(&weights)
+        };
+        let topic_index = match interest {
+            Some(pick) => profile.interests[pick].0,
+            // One-off exploration outside the profile (also the only draw
+            // of a profile without interests): pick any non-sensitive
+            // topic uniformly (possibly one the user also has in her
+            // profile, which is fine — most draws land outside it).
+            None => {
+                let non_sensitive: Vec<usize> = (0..self.catalog.topics().len())
+                    .filter(|&i| !self.catalog.topics()[i].sensitive)
+                    .collect();
+                non_sensitive[rng.gen_index(non_sensitive.len())]
+            }
         };
         let topic = &self.catalog.topics()[topic_index];
         let zipf = Zipf::new(topic.terms.len(), TERM_ZIPF_EXPONENT);

@@ -495,14 +495,16 @@ pub(crate) fn ambiguous_terms(topic: &str) -> &'static [&'static str] {
 
 /// A small corpus of documents about the sensitive subject (the stand-in
 /// for the 2 M adult-video titles the paper trains its LDA model on).
-/// Returns raw texts; the categorizer trains LDA on them.
+/// Returns raw texts; the categorizer trains LDA on them. A catalogue
+/// without a `sexuality` topic has no such corpus.
 pub fn sensitive_corpus(
     catalog: &TopicCatalog,
     documents: usize,
     rng: &mut impl cyclosa_util::rng::Rng,
 ) -> Vec<String> {
-    let sexuality = catalog.topic("sexuality").expect("catalogue has sexuality");
-    let ambiguous = AMBIGUOUS_SEXUALITY;
+    let Some(sexuality) = catalog.topic("sexuality") else {
+        return Vec::new();
+    };
     let mut corpus = Vec::with_capacity(documents);
     for _ in 0..documents {
         let len = 4 + rng.gen_index(4);
@@ -510,11 +512,12 @@ pub fn sensitive_corpus(
         for _ in 0..len {
             // Mostly core sensitive vocabulary with some ambiguous terms
             // mixed in, as real adult-content titles do.
-            if rng.gen_bool(0.9) {
-                terms.push(*rng.choose(sexuality.terms).expect("non-empty"));
+            let pool = if rng.gen_bool(0.9) {
+                sexuality.terms
             } else {
-                terms.push(*rng.choose(ambiguous).expect("non-empty"));
-            }
+                AMBIGUOUS_SEXUALITY
+            };
+            terms.extend(rng.choose(pool).copied());
         }
         corpus.push(terms.join(" "));
     }
@@ -535,7 +538,7 @@ pub fn seed_queries(
         let len = 2 + rng.gen_index(2);
         let mut terms = Vec::with_capacity(len);
         for _ in 0..len {
-            terms.push(*rng.choose(topic.terms).expect("non-empty"));
+            terms.extend(rng.choose(topic.terms).copied());
         }
         seeds.push(terms.join(" "));
     }

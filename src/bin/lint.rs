@@ -5,8 +5,7 @@
 //! ```
 //!
 //! - `--only <rule>` restricts the run (`wall-clock`, `hash-collections`,
-//!   `nondet`, `rng-stream`, `trace-schema`, `dead-pub`, `allow-hygiene`);
-//!   repeatable.
+//!   `nondet`, `rng-stream`, `trace-schema`, `dead-pub`); repeatable.
 //! - `--write-registry` regenerates `RNG_STREAMS.md` instead of linting.
 //! - `--deny-all` is the CI spelling: every finding is an error. Findings
 //!   are always errors; the flag documents intent at the call site.
@@ -82,8 +81,7 @@ fn usage(problem: &str) -> ExitCode {
     }
     eprintln!(
         "usage: lint [--root <path>] [--only <rule>]... [--deny-all] [--write-registry]\n\
-         rules: wall-clock, hash-collections, nondet, rng-stream, trace-schema, dead-pub, \
-         allow-hygiene"
+         rules: wall-clock, hash-collections, nondet, rng-stream, trace-schema, dead-pub"
     );
     if problem.is_empty() {
         ExitCode::SUCCESS

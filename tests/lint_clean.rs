@@ -2,7 +2,7 @@
 //! has teeth — seeded mutations of production sources (scanned in memory,
 //! never written to disk) must each produce a finding of the right rule.
 
-use cyclosa_lint::{annot, scan, Rule, Workspace};
+use cyclosa_lint::{scan, Rule, Workspace};
 use std::path::Path;
 
 fn repo_root() -> &'static Path {
@@ -14,7 +14,7 @@ fn load() -> Workspace {
 }
 
 /// Replaces one file of the loaded workspace with a mutated source,
-/// re-scanning and re-parsing annotations, as if the mutation were on disk.
+/// re-scanning it, as if the mutation were on disk.
 fn mutate(workspace: &mut Workspace, path: &str, append: &str) {
     let index = workspace
         .files
@@ -23,11 +23,7 @@ fn mutate(workspace: &mut Workspace, path: &str, append: &str) {
         .unwrap_or_else(|| panic!("{path} not in workspace"));
     let original = std::fs::read_to_string(repo_root().join(path)).expect("source readable");
     let mutated = format!("{original}\n{append}\n");
-    let file = scan::scan_source(path, &mutated);
-    workspace
-        .annots
-        .insert(path.to_owned(), annot::parse(&file));
-    workspace.files[index] = file;
+    workspace.files[index] = scan::scan_source(path, &mutated);
 }
 
 #[test]
@@ -128,20 +124,39 @@ fn seeded_rng_stream_collision_is_caught() {
 
 #[test]
 fn reasonless_allow_mutation_is_caught() {
-    let mut workspace = load();
-    mutate(
-        &mut workspace,
-        "crates/net/src/sim.rs",
-        "// cyclosa-lint: allow(hash_collections)\nfn sneaky() -> std::collections::HashMap<u64, u64> { std::collections::HashMap::new() }",
-    );
-    let findings = workspace.run(&Rule::ALL);
-    // The reason-less allow is itself a finding AND fails to suppress.
-    assert!(findings
-        .iter()
-        .any(|f| f.rule == Rule::AllowHygiene && f.path == "crates/net/src/sim.rs"));
-    assert!(findings
-        .iter()
-        .any(|f| f.rule == Rule::HashCollections && f.path == "crates/net/src/sim.rs"));
+    const SNEAKY: &str =
+        "fn sneaky() -> std::collections::HashMap<u64, u64> { std::collections::HashMap::new() }";
+    let flagged = |sanction: &str| {
+        let mut workspace = load();
+        mutate(
+            &mut workspace,
+            "crates/net/src/sim.rs",
+            &format!("{sanction}\n{SNEAKY}"),
+        );
+        workspace
+            .run(&Rule::ALL)
+            .iter()
+            .any(|f| f.rule == Rule::HashCollections && f.path == "crates/net/src/sim.rs")
+    };
+    // Each of these fails to sanction the HashMap.
+    for sanction in [
+        "#[expect(clippy::disallowed_types)]",
+        "#[allow(clippy::disallowed_types)]",
+        "#[allow(clippy::disallowed_types, reason = \"keyed lookups only\")]",
+        "// cyclosa-lint: allow(hash_collections, reason = \"x\")",
+    ] {
+        assert!(
+            flagged(sanction),
+            "`{sanction}` must not sanction a HashMap"
+        );
+    }
+    // A reasoned expectation does, also as rustfmt splits it.
+    for sanction in [
+        "#[expect(clippy::disallowed_types, reason = \"keyed lookups only\")]",
+        "#[expect(\n    clippy::disallowed_types,\n    reason = \"keyed lookups only\"\n)]",
+    ] {
+        assert!(!flagged(sanction), "`{sanction}` must sanction a HashMap");
+    }
 }
 
 #[test]
