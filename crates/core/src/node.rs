@@ -531,7 +531,7 @@ impl CyclosaNode {
             .any(|a| a.is_real && a.relay == failed);
         let mut primary = None;
         if real_failed {
-            let replacement = self.draw_distinct_relay(plan, failed, rng)?;
+            let replacement = self.draw_distinct_relay(plan, rng)?;
             for assignment in plan.assignments.iter_mut() {
                 if assignment.is_real {
                     assignment.relay = replacement;
@@ -672,24 +672,17 @@ impl CyclosaNode {
         if view_age < max_view_age {
             return 0;
         }
-        let view_peers = self.peer_sampling.view().peers();
-        let mut in_use: Vec<PeerId> = plan.assignments.iter().map(|a| a.relay).collect();
         let mut moved = 0;
-        for assignment in plan.assignments.iter_mut() {
-            if view_peers.contains(&assignment.relay) {
+        for i in 0..plan.assignments.len() {
+            let relay = plan.assignments[i].relay;
+            if self.peer_sampling.view().contains(relay) {
                 continue;
             }
-            let candidates: Vec<PeerId> = view_peers
-                .iter()
-                .copied()
-                .filter(|p| !in_use.contains(p))
-                .collect();
+            let candidates = self.view_peers_outside(plan);
             if candidates.is_empty() {
                 break;
             }
-            let replacement = candidates[rng.gen_index(candidates.len())];
-            assignment.relay = replacement;
-            in_use.push(replacement);
+            plan.assignments[i].relay = candidates[rng.gen_index(candidates.len())];
             moved += 1;
         }
         plan.planned_at_round = rounds;
@@ -708,28 +701,23 @@ impl CyclosaNode {
         moved
     }
 
+    /// The view's peers, in view order, that carry no assignment of `plan`.
+    fn view_peers_outside(&self, plan: &QueryPlan) -> Vec<PeerId> {
+        let mut peers = self.peer_sampling.view().peers();
+        peers.retain(|p| plan.assignments.iter().all(|a| a.relay != *p));
+        peers
+    }
+
     /// Draws one relay for the real query, preferring peers not already
     /// carrying part of `plan`; falls back to any live peer only when the
-    /// view is too small to keep the plan's relays distinct.
+    /// view is too small to keep the plan's relays distinct. The failed
+    /// relay is no candidate: it has been blacklisted out of the view.
     fn draw_distinct_relay(
-        &mut self,
+        &self,
         plan: &QueryPlan,
-        failed: PeerId,
         rng: &mut Xoshiro256StarStar,
     ) -> Result<PeerId, NodeError> {
-        let in_use: Vec<PeerId> = plan
-            .assignments
-            .iter()
-            .map(|a| a.relay)
-            .filter(|r| *r != failed)
-            .collect();
-        let candidates: Vec<PeerId> = self
-            .peer_sampling
-            .view()
-            .peers()
-            .into_iter()
-            .filter(|p| !in_use.contains(p))
-            .collect();
+        let candidates = self.view_peers_outside(plan);
         if candidates.is_empty() {
             let fallback = self.peer_sampling.random_peers(rng, 1);
             fallback.first().copied().ok_or(NodeError::NoPeersAvailable)
@@ -748,14 +736,7 @@ impl CyclosaNode {
         if shortfall == 0 {
             return Vec::new();
         }
-        let in_use: Vec<PeerId> = plan.assignments.iter().map(|a| a.relay).collect();
-        let mut candidates: Vec<PeerId> = self
-            .peer_sampling
-            .view()
-            .peers()
-            .into_iter()
-            .filter(|p| !in_use.contains(p))
-            .collect();
+        let mut candidates = self.view_peers_outside(plan);
         let draw = shortfall.min(candidates.len());
         if draw == 0 {
             return Vec::new();

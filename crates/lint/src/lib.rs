@@ -1,32 +1,28 @@
-//! `cyclosa-lint` — a dependency-free determinism & schema static-analysis
+//! `cyclosa-lint` — a dependency-free schema and stream static-analysis
 //! pass over the Cyclosa workspace.
 //!
 //! The simulator's headline invariant is that sharded runs are
-//! bit-identical to sequential runs for any seed. Most regressions against
+//! bit-identical to sequential runs for any seed. Some regressions against
 //! that invariant have a *lexical* fingerprint long before they have a
-//! failing test: a `HashMap` whose randomized iteration order leaks into
-//! event order, an `Instant::now()` feeding simulated state, two RNG
-//! streams forked under the same tag, a trace event name drifting out of
-//! the closed schema. This crate bans those fingerprints at the source
-//! level and runs in CI on every push.
+//! failing test: two RNG streams forked under the same tag, a trace event
+//! name drifting out of the closed schema. This crate bans those
+//! fingerprints at the source level and runs in CI on every push. Wall
+//! clocks and randomized hash collections are clippy's to ban
+//! (`disallowed-methods`/`disallowed-types` in `clippy.toml`): it resolves
+//! types, so it sees through aliases and re-exports, and polices every
+//! crate, tests included.
 //!
 //! The rules (see each module's docs):
 //!
 //! | rule | module | defends |
 //! |---|---|---|
-//! | `wall_clock`, `hash_collections` | [`nondet`] | no process entropy in critical crates |
 //! | `rng_stream` | [`rng`] | collision-free stream tags + `RNG_STREAMS.md` registry |
 //! | `trace_schema` | [`schema`] | emitters ⊆ schema ∧ schema ⊆ emitters |
 //! | `dead_pub` | [`dead_pub`] | every `pub fn` has a caller outside its crate |
 //!
-//! Only `nondet` has sanctioned sites, and it takes the attribute clippy
-//! needs there anyway: `#[expect(clippy::disallowed_methods |
-//! clippy::disallowed_types, reason = "...")]`. Clippy reports an
-//! expectation that no longer fires, and CI's clippy step one without a
-//! reason, so the sanctions cannot rot. The other rules allow nothing.
+//! None of them has a sanctioned site: a finding is fixed, never allowed.
 
 pub mod dead_pub;
-pub mod nondet;
 pub mod rng;
 pub mod scan;
 pub mod schema;
@@ -40,10 +36,6 @@ use std::path::{Path, PathBuf};
 /// The rule a finding belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Wall-clock reads in determinism-critical crates.
-    WallClock,
-    /// Randomized hash collections in determinism-critical crates.
-    HashCollections,
     /// Colliding / unregistered RNG stream tags.
     RngStream,
     /// Trace event names drifting from the closed telemetry schema.
@@ -54,19 +46,11 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 5] = [
-        Rule::WallClock,
-        Rule::HashCollections,
-        Rule::RngStream,
-        Rule::TraceSchema,
-        Rule::DeadPub,
-    ];
+    pub const ALL: [Rule; 3] = [Rule::RngStream, Rule::TraceSchema, Rule::DeadPub];
 
     /// Stable identifier.
     pub(crate) fn name(self) -> &'static str {
         match self {
-            Rule::WallClock => "wall_clock",
-            Rule::HashCollections => "hash_collections",
             Rule::RngStream => "rng_stream",
             Rule::TraceSchema => "trace_schema",
             Rule::DeadPub => "dead_pub",
@@ -74,15 +58,12 @@ impl Rule {
     }
 
     /// Parses a `--only` argument (`trace-schema` and `trace_schema` both
-    /// accepted; `nondet` selects both nondeterminism rules).
-    pub fn from_arg(arg: &str) -> Option<Vec<Rule>> {
+    /// accepted).
+    pub fn from_arg(arg: &str) -> Option<Rule> {
         match arg.replace('-', "_").as_str() {
-            "wall_clock" => Some(vec![Rule::WallClock]),
-            "hash_collections" => Some(vec![Rule::HashCollections]),
-            "nondet" => Some(vec![Rule::WallClock, Rule::HashCollections]),
-            "rng_stream" => Some(vec![Rule::RngStream]),
-            "trace_schema" => Some(vec![Rule::TraceSchema]),
-            "dead_pub" => Some(vec![Rule::DeadPub]),
+            "rng_stream" => Some(Rule::RngStream),
+            "trace_schema" => Some(Rule::TraceSchema),
+            "dead_pub" => Some(Rule::DeadPub),
             _ => None,
         }
     }
@@ -184,12 +165,6 @@ impl Workspace {
     pub fn run(&self, rules: &[Rule]) -> Vec<Finding> {
         let refs: Vec<&ScannedFile> = self.files.iter().collect();
         let mut findings = Vec::new();
-        if rules.contains(&Rule::WallClock) || rules.contains(&Rule::HashCollections) {
-            for file in &refs {
-                nondet::check_file(file, &mut findings);
-            }
-            findings.retain(|f| rules.contains(&f.rule));
-        }
         if rules.contains(&Rule::RngStream) {
             let harvest = rng::harvest(&refs);
             rng::check(&harvest, &mut findings);
@@ -264,18 +239,13 @@ mod tests {
 
     #[test]
     fn rule_arg_parsing_accepts_both_spellings() {
-        assert_eq!(
-            Rule::from_arg("trace-schema"),
-            Some(vec![Rule::TraceSchema])
-        );
-        assert_eq!(
-            Rule::from_arg("trace_schema"),
-            Some(vec![Rule::TraceSchema])
-        );
-        assert_eq!(
-            Rule::from_arg("nondet"),
-            Some(vec![Rule::WallClock, Rule::HashCollections])
-        );
+        assert_eq!(Rule::from_arg("trace-schema"), Some(Rule::TraceSchema));
+        assert_eq!(Rule::from_arg("trace_schema"), Some(Rule::TraceSchema));
         assert_eq!(Rule::from_arg("bogus"), None);
+        // Wall clocks and hash collections are clippy's: the names of the
+        // lexical rules that banned them are usage errors, not no-ops.
+        for retired in ["nondet", "wall-clock", "hash_collections"] {
+            assert_eq!(Rule::from_arg(retired), None, "{retired}");
+        }
     }
 }

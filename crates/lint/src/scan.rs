@@ -1,7 +1,7 @@
 //! A small comment/string/char-literal-aware scanner for Rust sources.
 //!
 //! Rules must never fire on text inside documentation, comments or string
-//! literals (`/// uses a HashMap internally` is not a violation), so the
+//! literals (`/// rng.fork(7)` in a doc is not a fork site), so the
 //! scanner splits every file into three synchronized views:
 //!
 //! - **code**: the source with comments removed and literal *contents*
@@ -14,7 +14,7 @@
 //!   (so rules can inspect the code *context* a literal appears in).
 //!
 //! Two region post-passes mark lines inside `#[cfg(test)]` items (rules
-//! skip them — tests may legitimately use hash state or wall clocks) and
+//! skip them — a test may fork a stream twice or emit a made-up event) and
 //! lines inside `cyclosa-lint: schema-registry` const blocks (string
 //! literals there declare a schema rather than emit events).
 

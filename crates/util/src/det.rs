@@ -2,8 +2,8 @@
 //!
 //! `std::collections::HashMap` seeds SipHash from process entropy
 //! (`RandomState`), so *iteration order varies between runs* — the exact
-//! hazard cyclosa-lint's nondeterminism rule bans from determinism-critical
-//! crates. [`DetHashMap`]/[`DetHashSet`] keep the O(1) access the engines'
+//! hazard clippy's `disallowed_types` (`clippy.toml`) bans across the
+//! workspace. [`DetHashMap`]/[`DetHashSet`] keep the O(1) access the engines'
 //! per-event hot paths need while replacing the hasher with a fixed-key
 //! FxHash: for one and the same sequence of insertions and removals the
 //! table layout — and therefore iteration order — is a pure function of

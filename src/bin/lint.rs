@@ -4,12 +4,17 @@
 //! lint [--root <path>] [--only <rule>]... [--deny-all] [--write-registry]
 //! ```
 //!
-//! - `--only <rule>` restricts the run (`wall-clock`, `hash-collections`,
-//!   `nondet`, `rng-stream`, `trace-schema`, `dead-pub`); repeatable.
+//! - `--only <rule>` restricts the run (`rng-stream`, `trace-schema`,
+//!   `dead-pub`); repeatable. Wall clocks and hash collections are not
+//!   rules here: clippy's `disallowed-methods`/`disallowed-types`
+//!   (`clippy.toml`) ban them.
 //! - `--write-registry` regenerates `RNG_STREAMS.md` instead of linting.
 //! - `--deny-all` is the CI spelling: every finding is an error. Findings
 //!   are always errors; the flag documents intent at the call site.
 //! - `--root <path>` lints a tree other than the current directory.
+//!
+//! Exits 0 when clean, 1 on a finding or an unreadable tree, 2 on a usage
+//! error (an unknown flag or rule name).
 
 use cyclosa_lint::{Rule, Workspace, RNG_REGISTRY_FILE};
 use std::path::PathBuf;
@@ -27,7 +32,7 @@ fn main() -> ExitCode {
                 None => return usage("--root needs a path"),
             },
             "--only" => match args.next().as_deref().and_then(Rule::from_arg) {
-                Some(selected) => rules.extend(selected),
+                Some(rule) => rules.push(rule),
                 None => return usage("--only needs a known rule name"),
             },
             "--deny-all" => {} // findings are always errors; accepted for CI clarity
@@ -81,11 +86,12 @@ fn usage(problem: &str) -> ExitCode {
     }
     eprintln!(
         "usage: lint [--root <path>] [--only <rule>]... [--deny-all] [--write-registry]\n\
-         rules: wall-clock, hash-collections, nondet, rng-stream, trace-schema, dead-pub"
+         rules: rng-stream, trace-schema, dead-pub\n\
+         (wall clocks and hash collections are clippy's: see clippy.toml)"
     );
     if problem.is_empty() {
         ExitCode::SUCCESS
     } else {
-        ExitCode::FAILURE
+        ExitCode::from(2)
     }
 }

@@ -1,6 +1,8 @@
 //! Meta-test: the shipped tree passes `cyclosa-lint`, and the lint still
 //! has teeth — seeded mutations of production sources (scanned in memory,
 //! never written to disk) must each produce a finding of the right rule.
+//! Wall clocks and hash collections are clippy's (`clippy.toml`); CI seeds
+//! both into `crates/net/src/sim.rs` and requires its clippy run to fail.
 
 use cyclosa_lint::{scan, Rule, Workspace};
 use std::path::Path;
@@ -52,40 +54,6 @@ fn rng_registry_is_in_sync() {
 }
 
 #[test]
-fn seeded_wall_clock_mutation_is_caught() {
-    let mut workspace = load();
-    mutate(
-        &mut workspace,
-        "crates/net/src/sim.rs",
-        "fn sneaky_stopwatch() -> std::time::Instant { std::time::Instant::now() }",
-    );
-    let findings = workspace.run(&[Rule::WallClock]);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == Rule::WallClock && f.path == "crates/net/src/sim.rs"),
-        "bare Instant::now() in net/sim.rs must be flagged: {findings:?}"
-    );
-}
-
-#[test]
-fn seeded_hash_collection_mutation_is_caught() {
-    let mut workspace = load();
-    mutate(
-        &mut workspace,
-        "crates/net/src/sim.rs",
-        "fn sneaky_state() -> std::collections::HashMap<u64, u64> { std::collections::HashMap::new() }",
-    );
-    let findings = workspace.run(&[Rule::HashCollections]);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == Rule::HashCollections && f.path == "crates/net/src/sim.rs"),
-        "bare HashMap in net/sim.rs must be flagged: {findings:?}"
-    );
-}
-
-#[test]
 fn seeded_schema_drift_is_caught() {
     let mut workspace = load();
     mutate(
@@ -120,43 +88,6 @@ fn seeded_rng_stream_collision_is_caught() {
             .any(|f| f.rule == Rule::RngStream && f.message.contains("fork label")),
         "duplicate fork label must be flagged: {findings:?}"
     );
-}
-
-#[test]
-fn reasonless_allow_mutation_is_caught() {
-    const SNEAKY: &str =
-        "fn sneaky() -> std::collections::HashMap<u64, u64> { std::collections::HashMap::new() }";
-    let flagged = |sanction: &str| {
-        let mut workspace = load();
-        mutate(
-            &mut workspace,
-            "crates/net/src/sim.rs",
-            &format!("{sanction}\n{SNEAKY}"),
-        );
-        workspace
-            .run(&Rule::ALL)
-            .iter()
-            .any(|f| f.rule == Rule::HashCollections && f.path == "crates/net/src/sim.rs")
-    };
-    // Each of these fails to sanction the HashMap.
-    for sanction in [
-        "#[expect(clippy::disallowed_types)]",
-        "#[allow(clippy::disallowed_types)]",
-        "#[allow(clippy::disallowed_types, reason = \"keyed lookups only\")]",
-        "// cyclosa-lint: allow(hash_collections, reason = \"x\")",
-    ] {
-        assert!(
-            flagged(sanction),
-            "`{sanction}` must not sanction a HashMap"
-        );
-    }
-    // A reasoned expectation does, also as rustfmt splits it.
-    for sanction in [
-        "#[expect(clippy::disallowed_types, reason = \"keyed lookups only\")]",
-        "#[expect(\n    clippy::disallowed_types,\n    reason = \"keyed lookups only\"\n)]",
-    ] {
-        assert!(!flagged(sanction), "`{sanction}` must sanction a HashMap");
-    }
 }
 
 #[test]
