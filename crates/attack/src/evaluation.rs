@@ -18,9 +18,24 @@
 //!   the denominator counts every request reaching the engine, which is why
 //!   CYCLOSA's per-query fake traffic dilutes the attack on top of making
 //!   individual attributions harder.
+//!
+//! # Threads
+//!
+//! The harness works through the testing queries in blocks of 256. It
+//! protects a block on the calling thread, in query order, because
+//! [`Mechanism::protect`] draws from the caller's RNG and may update the
+//! mechanism's state; the RNG sees exactly the draws of a one-query-at-a-time
+//! loop. It then attacks the block's observations with
+//! [`cyclosa_util::par::map_chunks`] on every core the process may use.
+//! Attacking one observation only reads the trained [`SimAttack`], chunks
+//! are cut by index, and the per-chunk counts are integers summed in
+//! order, so the report is the same at any thread count. The adversary's
+//! training ([`SimAttack::from_training`]) stays sequential: term ids are
+//! issued in first-intern order.
 
 use crate::simattack::SimAttack;
 use cyclosa_mechanism::{Mechanism, ProtectionOutcome, SourceIdentity};
+use cyclosa_util::par;
 use cyclosa_util::rng::Xoshiro256StarStar;
 use cyclosa_workload::generator::{LabeledQuery, UserTrace};
 
@@ -148,28 +163,59 @@ pub fn evaluate_reidentification(
 /// [`evaluate_reidentification`] against a prebuilt adversary, so one
 /// trained [`SimAttack`] (and its inverted profile index) is reused across
 /// every mechanism of a figure.
+///
+/// The attacks run on every core the process may use
+/// ([`std::thread::available_parallelism`]); the report is the same at any
+/// thread count (module documentation).
 pub fn evaluate_reidentification_with(
     attack: &SimAttack,
     mechanism: &mut dyn Mechanism,
     testing: &[LabeledQuery],
     rng: &mut Xoshiro256StarStar,
 ) -> ReidentificationReport {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    evaluate_on_threads(attack, mechanism, testing, rng, threads)
+}
+
+/// The number of test queries protected before their attacks fan out:
+/// enough to give every thread a long chunk, few enough that a block's
+/// observations cost no memory worth measuring.
+const BLOCK: usize = 256;
+
+/// [`evaluate_reidentification_with`] with the attacks of each block of
+/// test queries cut into `threads` chunks.
+fn evaluate_on_threads(
+    attack: &SimAttack,
+    mechanism: &mut dyn Mechanism,
+    testing: &[LabeledQuery],
+    rng: &mut Xoshiro256StarStar,
+    threads: usize,
+) -> ReidentificationReport {
     let mut engine_requests = 0usize;
     let mut successful = 0usize;
     let mut any_exposed_real = false;
-    for query in testing {
-        let outcome = mechanism.protect(&query.query, rng);
-        engine_requests += outcome.engine_requests();
-        if outcome
-            .observed
-            .iter()
-            .any(|r| r.carries_real_query && r.source.is_exposed())
-        {
-            any_exposed_real = true;
+    let mut observed = Vec::with_capacity(BLOCK.min(testing.len()));
+    for block in testing.chunks(BLOCK) {
+        // Protection draws from `rng`, so it stays on this thread, in
+        // query order.
+        observed.clear();
+        for query in block {
+            let outcome = mechanism.protect(&query.query, rng);
+            engine_requests += outcome.engine_requests();
+            any_exposed_real |= outcome
+                .observed
+                .iter()
+                .any(|r| r.carries_real_query && r.source.is_exposed());
+            observed.push((query, outcome));
         }
-        if attack_outcome(attack, query, &outcome) {
-            successful += 1;
-        }
+        successful += par::map_chunks(&observed, threads, |chunk| {
+            chunk
+                .iter()
+                .filter(|(query, outcome)| attack_outcome(attack, query, outcome))
+                .count()
+        })
+        .into_iter()
+        .sum::<usize>();
     }
     ReidentificationReport {
         mechanism: mechanism.name().to_owned(),
@@ -324,6 +370,34 @@ mod tests {
         // query 1 has no profile support, the adversary abstains.
         assert_eq!(report.successful, 1);
         assert!((report.rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fig5_reports_are_the_same_at_any_thread_count() {
+        use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
+        let setup = ExperimentSetup::new(ExperimentScale::Small, 2018);
+        // The last block is a partial one.
+        assert_ne!(setup.test_queries.len() % BLOCK, 0);
+        let attack = SimAttack::from_training(&setup.train);
+        let reports = |threads| -> Vec<ReidentificationReport> {
+            setup
+                .fig5_mechanisms(7)
+                .map(|(_, label, mut mechanism)| {
+                    let mut rng = setup.rng(0xF15 ^ label);
+                    let testing = &setup.test_queries;
+                    evaluate_on_threads(&attack, mechanism.as_mut(), testing, &mut rng, threads)
+                })
+                .collect()
+        };
+        let one = reports(1);
+        // Both attack cases are reached: identity-exposed candidates and
+        // anonymous requests (plain and OR groups).
+        assert!(one.iter().any(|r| r.identity_exposed));
+        assert!(one.iter().any(|r| !r.identity_exposed));
+        assert!(one.iter().all(|r| r.successful > 0));
+        for threads in [2, 7] {
+            assert_eq!(reports(threads), one, "{threads} threads");
+        }
     }
 
     #[test]

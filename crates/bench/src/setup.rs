@@ -4,6 +4,7 @@ use cyclosa::config::ProtectionConfig;
 use cyclosa::mechanism::Cyclosa;
 use cyclosa::sensitivity::build_categorizer;
 use cyclosa_baselines::{GooPir, Peas, Tor, TrackMeNot, XSearch};
+use cyclosa_mechanism::Mechanism;
 use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
 use cyclosa_nlp::lexicon::Lexicon;
 use cyclosa_search_engine::corpus::CorpusGenerator;
@@ -204,5 +205,27 @@ impl ExperimentSetup {
     /// The TOR baseline.
     pub(crate) fn tor(&self) -> Tor {
         Tor::new()
+    }
+
+    /// The seven mechanisms of Fig. 5 at `k`, in the figure's order, each
+    /// with its row name and the label of its RNG stream
+    /// (`rng(0xF15 ^ label)`). Each is built when the iterator reaches it.
+    pub fn fig5_mechanisms(
+        &self,
+        k: usize,
+    ) -> impl Iterator<Item = (&'static str, u64, Box<dyn Mechanism>)> + '_ {
+        type Build = fn(&ExperimentSetup, usize) -> Box<dyn Mechanism>;
+        let rows: [(&'static str, Build); 7] = [
+            ("TOR", |s, _| Box::new(s.tor())),
+            ("TrackMeNot", |s, k| Box::new(s.trackmenot(k))),
+            ("GooPIR", |s, k| Box::new(s.goopir(k))),
+            ("PEAS", |s, k| Box::new(s.peas(k))),
+            ("X-SEARCH", |s, k| Box::new(s.xsearch(k))),
+            ("CYCLOSA", |s, k| Box::new(s.cyclosa(k).with_fixed_k())),
+            ("CYCLOSA (adaptive)", |s, k| Box::new(s.cyclosa(k))),
+        ];
+        (1..)
+            .zip(rows)
+            .map(move |(label, (name, build))| (name, label, build(self, k)))
     }
 }

@@ -45,7 +45,8 @@ impl ChaCha20Poly1305 {
     /// Encrypts `plaintext` and authenticates it together with `aad`.
     /// Returns `ciphertext || tag`.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
-        let mut ciphertext = plaintext.to_vec();
+        let mut ciphertext = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        ciphertext.extend_from_slice(plaintext);
         self.cipher.apply_keystream(nonce, 1, &mut ciphertext);
         let tag = self.compute_tag(nonce, aad, &ciphertext);
         ciphertext.extend_from_slice(&tag);
@@ -87,9 +88,9 @@ impl ChaCha20Poly1305 {
         poly_key.copy_from_slice(&block0[..32]);
         let mut mac = Poly1305::new(&poly_key);
         mac.update(aad);
-        mac.update(&zero_pad(aad.len()));
+        mac.update(zero_pad(aad.len()));
         mac.update(ciphertext);
-        mac.update(&zero_pad(ciphertext.len()));
+        mac.update(zero_pad(ciphertext.len()));
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(&(ciphertext.len() as u64).to_le_bytes());
         mac.finalize()
@@ -97,8 +98,9 @@ impl ChaCha20Poly1305 {
 }
 
 /// Returns the padding needed to round `len` up to a multiple of 16.
-fn zero_pad(len: usize) -> Vec<u8> {
-    vec![0u8; (16 - (len % 16)) % 16]
+fn zero_pad(len: usize) -> &'static [u8] {
+    static ZEROS: [u8; 16] = [0; 16];
+    &ZEROS[..(16 - (len % 16)) % 16]
 }
 
 /// Builds a 12-byte nonce from a 32-bit channel id and a 64-bit sequence

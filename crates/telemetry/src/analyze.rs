@@ -480,6 +480,28 @@ mod tests {
     }
 
     #[test]
+    fn parse_trace_never_panics_on_mutated_traces() {
+        use crate::check::mutations;
+        use crate::export::to_jsonl;
+        use crate::trace::TraceEvent;
+        let trace = to_jsonl(&[
+            TraceEvent::new(SimTime::from_millis(1), 3, "plan.create")
+                .query(0)
+                .attr("k", 4u64)
+                .attr("topic", "santé → ✓"),
+            TraceEvent::new(SimTime::from_millis(5), 3, "query.answered")
+                .query(0)
+                .span(SimTime::from_millis(4))
+                .attr("exposed", false),
+        ]);
+        assert_eq!(parse_trace(&trace).map(|records| records.len()), Ok(2));
+        for input in mutations(&trace, 0x7ACE) {
+            let parsed = std::panic::catch_unwind(|| parse_trace(&input));
+            assert!(parsed.is_ok(), "parsing {input:?} panicked");
+        }
+    }
+
+    #[test]
     fn first_attempt_path_is_exact() {
         // launch at 10, forward done at 40 (dur 15), engine done at 100
         // (dur 30), answered at 130 with e2e 120.

@@ -408,6 +408,34 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
     Ok(events.len())
 }
 
+/// Hostile variants of the valid document `valid`: every truncation, 256
+/// seeded single-bit flips, 64 seeded four-bit flips and 64 random byte
+/// strings up to twice its length. Bytes that are not UTF-8 are read
+/// lossily, as a caller holding raw file bytes would.
+#[cfg(test)]
+pub(crate) fn mutations(valid: &str, seed: u64) -> Vec<String> {
+    use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
+    let bytes = valid.as_bytes();
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let mut inputs: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+    for flips in [1; 256].into_iter().chain([4; 64]) {
+        let mut flipped = bytes.to_vec();
+        for _ in 0..flips {
+            flipped[rng.gen_index(bytes.len())] ^= 1 << rng.gen_index(8);
+        }
+        inputs.push(flipped);
+    }
+    for _ in 0..64 {
+        let mut random = vec![0; rng.gen_index(2 * bytes.len() + 1)];
+        rng.fill_bytes(&mut random);
+        inputs.push(random);
+    }
+    inputs
+        .iter()
+        .map(|input| String::from_utf8_lossy(input).into_owned())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,6 +543,16 @@ mod tests {
         }
         // The bound is on depth, not on size: wide and shallow is fine.
         assert!(parse_json(&format!("[{}[]]", "[],".repeat(10_000))).is_ok());
+    }
+
+    #[test]
+    fn parse_json_never_panics_on_mutated_documents() {
+        let document = r#"{"name":"plan.create","at_ns":1000000,"neg":-12,"f":-1.5e-3,"ok":true,"no":false,"nil":null,"s":"tab\t \"q\" \u00e9 é → ✓","arr":[[],{},[1,{"a":[2]}]]}"#;
+        assert!(parse_json(document).is_ok());
+        for input in mutations(document, 0x15C) {
+            let parsed = std::panic::catch_unwind(|| parse_json(&input));
+            assert!(parsed.is_ok(), "parsing {input:?} panicked");
+        }
     }
 
     #[test]

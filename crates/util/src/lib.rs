@@ -16,6 +16,8 @@
 //!   linkability assessment (paper §V-A2) and SimAttack (paper §VII-E).
 //! * [`json`] — a dependency-free JSON value model used by the benchmark
 //!   harness for its `--json` report output.
+//! * [`par`] — deterministic fixed-chunk data parallelism for independent
+//!   work outside the simulation (the Fig. 5 attack).
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 pub mod det;
 pub mod dist;
 pub mod json;
+pub mod par;
 pub mod rng;
 pub mod smoothing;
 pub mod stats;
