@@ -10,18 +10,21 @@
 //! `cyclosa-telemetry`. With `--require-event NAME` the JSONL files must
 //! together contain at least one event of that name — the CI smoke job
 //! uses this to assert that a traced churn run actually recorded a
-//! fault-annotated repair. Exits non-zero on the first violation, so CI
-//! can gate on it directly.
+//! fault-annotated repair. `NAME` must be a name of the closed trace
+//! schema (`EventName`): a misspelt one is a usage error (exit 2) before
+//! any file is read. Exits non-zero on the first violation, so CI can
+//! gate on it directly.
 
 use cyclosa_bench::cli::{self, Stop};
 use cyclosa_telemetry::check::{parse_json, validate_chrome_trace, validate_trace_jsonl};
+use cyclosa_telemetry::EventName;
 use cyclosa_util::json::Json;
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Options {
     jsonl: Vec<String>,
     chrome: Vec<String>,
-    require_events: Vec<String>,
+    require_events: Vec<EventName>,
 }
 
 const USAGE: &str =
@@ -32,7 +35,13 @@ fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
         match flag {
             "--jsonl" => options.jsonl.push(args.value()?),
             "--chrome" => options.chrome.push(args.value()?),
-            "--require-event" => options.require_events.push(args.value()?),
+            "--require-event" => {
+                let name: String = args.value()?;
+                let event = EventName::parse(&name).ok_or_else(|| {
+                    format!("bad --require-event value {name:?}: not a trace event name")
+                })?;
+                options.require_events.push(event);
+            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -74,7 +83,7 @@ fn main() {
             Err(message) => cli::fail(1, format!("{path}: {message}")),
         }
     }
-    for name in &options.require_events {
+    for name in options.require_events.iter().map(|event| event.as_str()) {
         let hits = jsonl_lines
             .iter()
             .filter(|line| line_has_name(line, name))
@@ -83,5 +92,55 @@ fn main() {
             cli::fail(1, format!("no {name:?} event in any --jsonl file"));
         }
         println!("required event {name:?}: {hits} occurrence(s)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read(args: &[&str]) -> Result<Options, Stop> {
+        read_options(args.iter().map(|arg| arg.to_string()).collect())
+    }
+
+    #[test]
+    fn required_events_parse_into_the_schema() {
+        let options = read(&[
+            "--jsonl",
+            "trace.jsonl",
+            "--require-event",
+            "query.repair",
+            "--require-event",
+            "slo.privacy.burn",
+        ])
+        .unwrap();
+        assert_eq!(
+            options.require_events,
+            [EventName::QueryRepair, EventName::SloPrivacyBurn]
+        );
+    }
+
+    #[test]
+    fn a_misspelt_required_event_is_a_usage_error() {
+        for name in ["query.repiar", "query.", "hop", ""] {
+            let args = ["--jsonl", "trace.jsonl", "--require-event", name];
+            let Err(Stop::Bad(message)) = read(&args) else {
+                panic!("{name:?} must be refused");
+            };
+            assert_eq!(
+                message,
+                format!("bad --require-event value {name:?}: not a trace event name")
+            );
+        }
+    }
+
+    #[test]
+    fn a_required_event_needs_a_jsonl_file() {
+        let Err(Stop::Bad(message)) =
+            read(&["--chrome", "t.json", "--require-event", "fault.leave"])
+        else {
+            panic!("--require-event without --jsonl must be refused");
+        };
+        assert!(message.contains("needs at least one --jsonl"), "{message}");
     }
 }

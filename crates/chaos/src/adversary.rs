@@ -23,25 +23,21 @@
 //! receipt. Same plan, same seed ⇒ same byzantine behaviour, bit for bit,
 //! on every engine and shard count.
 
-use crate::churn::churn_stream;
+use crate::churn::{churn_stream, ChurnTag};
 use crate::deployment::{lock, relay_id, Request};
 use crate::plan::{ChaosPlan, PolicyEvent};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_telemetry::{TraceEvent, TraceSink};
+use cyclosa_telemetry::{EventName, TraceEvent, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-
-/// Model tag of the adversary's RNG streams (malicious-subset pick and
-/// per-relay behaviour draws) — see [`crate::churn::churn_stream`].
-const TAG_ADVERSARY: u64 = 0xBAD0;
 
 /// The dedicated behaviour stream of one byzantine relay: drop/delay
 /// draws come from here, never from the engine's link streams, so an
 /// adversarial run perturbs nothing else and an honest run draws nothing.
 pub(crate) fn adversary_stream(seed: u64, relay: NodeId) -> Xoshiro256StarStar {
-    churn_stream(seed, TAG_ADVERSARY, relay.0)
+    churn_stream(seed, ChurnTag::Adversary, relay.0)
 }
 
 /// What a byzantine relay does with the traffic it carries. `Honest` is
@@ -122,7 +118,7 @@ impl ByzantinePolicy {
             if let Some(ledger) = ledger {
                 lock(ledger).record_observation(request.client, real_seq);
                 if let (Some(seq), true) = (real_seq, trace.is_enabled()) {
-                    trace.emit(TraceEvent::new(now, actor, "adv.collude").query(seq));
+                    trace.emit(TraceEvent::named(now, actor, EventName::AdvCollude).query(seq));
                 }
             }
         }
@@ -135,7 +131,7 @@ impl ByzantinePolicy {
                     lock(ledger).record_drop();
                 }
                 if trace.is_enabled() {
-                    trace.emit(TraceEvent::new(now, actor, "adv.drop").query(seq));
+                    trace.emit(TraceEvent::named(now, actor, EventName::AdvDrop).query(seq));
                 }
                 None
             }
@@ -144,7 +140,7 @@ impl ByzantinePolicy {
                     lock(ledger).record_delay();
                 }
                 if trace.is_enabled() {
-                    trace.emit(TraceEvent::new(now, actor, "adv.delay").query(seq));
+                    trace.emit(TraceEvent::named(now, actor, EventName::AdvDelay).query(seq));
                 }
                 Some(extra)
             }
@@ -295,7 +291,7 @@ impl AdversaryConfig {
             "malicious fraction must be in [0, 1]"
         );
         let count = (relays as f64 * self.fraction).round() as usize;
-        let mut picker = churn_stream(seed, TAG_ADVERSARY, u64::MAX);
+        let mut picker = churn_stream(seed, ChurnTag::Adversary, u64::MAX);
         let mut indices: Vec<usize> = (0..relays).collect();
         picker.shuffle(&mut indices);
         let mut picked: Vec<NodeId> = indices.into_iter().take(count).map(relay_id).collect();

@@ -37,11 +37,28 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
     sm.next_u64()
 }
 
+/// The model tag of a churn stream: which process draws from it. The
+/// discriminant is the value mixed into the stream's seed, and rustc
+/// rejects two variants with one value (E0081), so two processes never
+/// share a stream.
+#[derive(Debug, Clone, Copy)]
+#[repr(u64)]
+pub(crate) enum ChurnTag {
+    /// The per-node up/down sessions of a [`ChurnModel`].
+    Sessions = 0x1,
+    /// The adversary's malicious-subset pick and per-relay behaviour
+    /// draws (`crate::adversary`).
+    Adversary = 0xBAD0,
+    /// The churn experiment's relay-failure sampling
+    /// (`crate::experiment`).
+    RelayFailures = 0xFA11,
+}
+
 /// The dedicated RNG stream of `(model tag, entity)` for a plan seeded
 /// with `seed` — the churn counterpart of
 /// `cyclosa_net::engine::link_stream`.
-pub(crate) fn churn_stream(seed: u64, model_tag: u64, entity: u64) -> Xoshiro256StarStar {
-    Xoshiro256StarStar::seed_from_u64(mix(seed, model_tag, entity))
+pub(crate) fn churn_stream(seed: u64, tag: ChurnTag, entity: u64) -> Xoshiro256StarStar {
+    Xoshiro256StarStar::seed_from_u64(mix(seed, tag as u64, entity))
 }
 
 /// The exponential distribution of a model's `what` field. A zero mean is
@@ -52,8 +69,6 @@ fn exponential_with_mean(mean: SimTime, what: &str) -> Exponential {
     assert!(mean > SimTime::ZERO, "{what} must be positive");
     Exponential::new(1.0 / mean.as_secs_f64())
 }
-
-const TAG_SESSIONS: u64 = 1;
 
 impl ChurnModel {
     /// Samples the model into a concrete [`ChaosPlan`] over `targets`,
@@ -80,7 +95,7 @@ impl ChurnModel {
         for &node in targets {
             // One independent stream per node: re-ordering targets or
             // adding nodes never shifts another node's sessions.
-            let mut rng = churn_stream(seed, TAG_SESSIONS, node.0);
+            let mut rng = churn_stream(seed, ChurnTag::Sessions, node.0);
             let mut t = up.sample(&mut rng);
             while SimTime::from_secs_f64(t) < horizon {
                 events.push(FaultEvent {
@@ -112,6 +127,24 @@ mod tests {
 
     fn nodes(n: u64) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
+    }
+
+    #[test]
+    fn each_tag_draws_its_own_stream() {
+        let tags = [
+            ChurnTag::Sessions,
+            ChurnTag::Adversary,
+            ChurnTag::RelayFailures,
+        ];
+        let first: Vec<u64> = tags
+            .iter()
+            .map(|&tag| churn_stream(2018, tag, 3).next_u64())
+            .collect();
+        for (i, a) in first.iter().enumerate() {
+            for (j, b) in first.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{:?} and {:?} share a stream", tags[i], tags[j]);
+            }
+        }
     }
 
     #[test]

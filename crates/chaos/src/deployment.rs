@@ -48,7 +48,7 @@ use cyclosa_net::NodeId;
 use cyclosa_peer_sampling::{Belief, FailureDetector, MemberState, PeerId};
 use cyclosa_runtime::ShardedEngine;
 use cyclosa_telemetry::metrics::{Counter, Histogram, Registry};
-use cyclosa_telemetry::{TraceEvent, TraceSink};
+use cyclosa_telemetry::{EventName, TraceEvent, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
@@ -390,7 +390,7 @@ impl NodeBehavior for Relay {
                     }
                     if self.trace.is_enabled() {
                         self.trace.emit(
-                            TraceEvent::new(ctx.now(), ctx.self_id().0, "adv.lie")
+                            TraceEvent::named(ctx.now(), ctx.self_id().0, EventName::AdvLie)
                                 .attr("incarnation", self.incarnation),
                         );
                     }
@@ -428,7 +428,7 @@ impl NodeBehavior for Relay {
             // tracing them would double the trace volume.
             if let Some(seq) = request.real_seq() {
                 self.trace.emit(
-                    TraceEvent::new(ctx.now(), ctx.self_id().0, "relay.forward")
+                    TraceEvent::named(ctx.now(), ctx.self_id().0, EventName::RelayForward)
                         .query(seq)
                         .span(self.processing),
                 );
@@ -483,7 +483,7 @@ impl NodeBehavior for EngineNode {
         if self.trace.is_enabled() {
             if let Some(seq) = real_seq {
                 self.trace.emit(
-                    TraceEvent::new(ctx.now(), ctx.self_id().0, "engine.service")
+                    TraceEvent::named(ctx.now(), ctx.self_id().0, EventName::EngineService)
                         .query(seq)
                         .span(delay),
                 );
@@ -997,7 +997,7 @@ impl<L: Ledger> Client<L> {
         if self.trace.is_enabled() {
             if let Some(real) = plan.real_relay {
                 self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "query.launch")
+                    TraceEvent::named(now, ctx.self_id().0, EventName::QueryLaunch)
                         .query(seq)
                         .attr("relay", real.0)
                         .attr("fakes", plan.fake_relays.len()),
@@ -1040,7 +1040,7 @@ impl<L: Ledger> Client<L> {
         };
         self.ledger().retried(seq);
         if self.trace.is_enabled() {
-            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.repair")
+            let mut event = TraceEvent::named(now, ctx.self_id().0, EventName::QueryRepair)
                 .query(seq)
                 .attr("attempt", attempts);
             if let Some(dead) = failed {
@@ -1078,7 +1078,7 @@ impl<L: Ledger> Client<L> {
         self.ledger().topped_up(seq, fresh.len() as u64, false);
         if self.trace.is_enabled() {
             self.trace.emit(
-                TraceEvent::new(now, ctx.self_id().0, "query.top_up")
+                TraceEvent::named(now, ctx.self_id().0, EventName::QueryTopUp)
                     .query(seq)
                     .attr("count", fresh.len() as u64),
             );
@@ -1121,8 +1121,10 @@ impl<L: Ledger> Client<L> {
                     metrics.clamped_samples.inc();
                 }
                 if self.trace.is_enabled() {
-                    self.trace
-                        .emit(TraceEvent::new(now, ctx.self_id().0, "latency.clamped").query(seq));
+                    self.trace.emit(
+                        TraceEvent::named(now, ctx.self_id().0, EventName::LatencyClamped)
+                            .query(seq),
+                    );
                 }
             }
         }
@@ -1131,7 +1133,7 @@ impl<L: Ledger> Client<L> {
             // Spans are stamped at completion, when the answer arrives;
             // the Chrome exporter back-dates the slice by its duration so
             // it covers [sent, answered].
-            let mut event = TraceEvent::new(now, ctx.self_id().0, "query.answered")
+            let mut event = TraceEvent::named(now, ctx.self_id().0, EventName::QueryAnswered)
                 .query(seq)
                 .attr("achieved_k", achieved_k)
                 .attr("assessed_k", k)
@@ -1196,7 +1198,8 @@ impl<L: Ledger> Client<L> {
             ctx.set_timer(prober.config.suspicion_timeout, SUSPECT_BASE + relay.0);
             if self.trace.is_enabled() {
                 self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "mship.suspect").attr("relay", relay.0),
+                    TraceEvent::named(now, ctx.self_id().0, EventName::MshipSuspect)
+                        .attr("relay", relay.0),
                 );
             }
         }
@@ -1218,8 +1221,10 @@ impl<L: Ledger> Client<L> {
             return;
         }
         if self.trace.is_enabled() {
-            self.trace
-                .emit(TraceEvent::new(now, ctx.self_id().0, "mship.dead").attr("relay", relay.0));
+            self.trace.emit(
+                TraceEvent::named(now, ctx.self_id().0, EventName::MshipDead)
+                    .attr("relay", relay.0),
+            );
         }
         if self.setup.adaptive {
             self.proactive_top_up(ctx, relay);
@@ -1247,7 +1252,7 @@ impl<L: Ledger> Client<L> {
             self.blacklist.forgive(relay);
             if self.trace.is_enabled() {
                 self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "mship.refute")
+                    TraceEvent::named(now, ctx.self_id().0, EventName::MshipRefute)
                         .attr("relay", relay.0)
                         .attr("incarnation", incarnation),
                 );
@@ -1290,7 +1295,7 @@ impl<L: Ledger> Client<L> {
             self.ledger().topped_up(seq, 1, true);
             if self.trace.is_enabled() {
                 self.trace.emit(
-                    TraceEvent::new(now, ctx.self_id().0, "query.top_up")
+                    TraceEvent::named(now, ctx.self_id().0, EventName::QueryTopUp)
                         .query(seq)
                         .attr("count", 1_u64)
                         .attr("proactive", true)

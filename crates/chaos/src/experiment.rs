@@ -12,7 +12,7 @@
 //! randomness comes from seed-derived streams.
 
 use crate::adversary::AdversaryConfig;
-use crate::churn::churn_stream;
+use crate::churn::{churn_stream, ChurnTag};
 use crate::deployment::{
     deploy, lock, relay_id, ChurnTelemetry, Client, ClientSetup, DeploymentMetrics, Fleet, Ledger,
     PROBE_ROUND,
@@ -28,10 +28,6 @@ use std::sync::{Arc, Mutex};
 
 /// RNG salt of the churn and partition runs.
 const CHURN_SALT: u64 = 0xC4A0;
-
-/// Model tag of the relay-failure sampling stream (see
-/// [`crate::churn::churn_stream`]).
-const TAG_RELAY_FAILURES: u64 = 0xFA11;
 
 /// Downtime before a failed relay recovers (only with
 /// [`ChurnConfig::recover`]).
@@ -175,14 +171,14 @@ impl ChurnConfig {
         if victims == 0 {
             return plan;
         }
-        let mut picker = churn_stream(self.seed, TAG_RELAY_FAILURES, u64::MAX);
+        let mut picker = churn_stream(self.seed, ChurnTag::RelayFailures, u64::MAX);
         let mut indices: Vec<usize> = (0..self.relays).collect();
         picker.shuffle(&mut indices);
         let horizon = self.horizon().as_nanos();
         let (t0, t1) = (horizon / 10, horizon * 9 / 10);
         for &index in indices.iter().take(victims) {
             let node = relay_id(index);
-            let mut rng = churn_stream(self.seed, TAG_RELAY_FAILURES, node.0);
+            let mut rng = churn_stream(self.seed, ChurnTag::RelayFailures, node.0);
             let at = SimTime::from_nanos(rng.gen_range(t0, t1));
             if self.recover {
                 plan.push(at, FaultKind::Crash(node));
@@ -408,9 +404,10 @@ mod tests {
     use super::*;
     use crate::adversary::ByzantinePolicy;
     use crate::deployment::EngineChoice;
+    use crate::plan::PolicyEvent;
     use cyclosa_net::sim::Simulation;
     use cyclosa_telemetry::metrics::Registry;
-    use cyclosa_telemetry::{AttrValue, TraceSink};
+    use cyclosa_telemetry::{AttrValue, EventName, TraceEvent, TraceSink};
     use cyclosa_util::stats::Summary;
 
     fn run_on(choice: EngineChoice, config: &ChurnConfig) -> ChurnOutcome {
@@ -857,5 +854,101 @@ mod tests {
         assert_eq!(outcome.fakes_topped_up, 0);
         assert_eq!(outcome.retries, 0);
         assert_eq!(outcome.answered, 40);
+    }
+
+    /// One traced run that reaches every trace emitter of this crate:
+    /// relays that crash and recover, one that leaves, a partition's
+    /// lossy links, adaptive repair under SWIM probing, and one hostile
+    /// relay per byzantine policy.
+    fn traced_stress_run() -> Vec<TraceEvent> {
+        traced_stress_run_on(&mut Simulation::new(2018))
+    }
+
+    fn traced_stress_run_on(engine: &mut dyn Engine) -> Vec<TraceEvent> {
+        let config = ChurnConfig {
+            adaptive: true,
+            membership: Some(probing()),
+            ..small(0.3, true)
+        };
+        let relays: Vec<NodeId> = (0..config.relays).map(relay_id).collect();
+        let mut extra = ChaosPlan::new()
+            .leave_at(SimTime::from_secs(4), relays[0])
+            .partition(
+                &[&relays[1..4], &relays[4..8]],
+                SimTime::from_secs(6),
+                SimTime::from_secs(9),
+            );
+        let policies = [
+            ByzantinePolicy::DropRealQueries { probability: 1.0 },
+            ByzantinePolicy::DelayRealQueries {
+                extra: SimTime::from_millis(500),
+            },
+            ByzantinePolicy::ForgeIncarnation { bump: 50 },
+            ByzantinePolicy::Collude,
+        ];
+        for (&relay, policy) in relays[8..].iter().zip(policies) {
+            extra.push_policy(PolicyEvent {
+                at: SimTime::ZERO,
+                relay,
+                policy,
+            });
+        }
+        let telemetry = ChurnTelemetry {
+            trace: TraceSink::enabled(),
+            metrics: None,
+        };
+        run_churn_experiment_on(engine, &config, &extra, &telemetry);
+        telemetry.trace.events()
+    }
+
+    /// Panics unless every schema name of each of `families` is in
+    /// `events`.
+    fn assert_emitted(events: &[TraceEvent], families: &[&str]) {
+        for name in EventName::ALL
+            .iter()
+            .filter(|name| families.contains(&name.family()))
+        {
+            assert!(
+                events.iter().any(|e| e.name == name.as_str()),
+                "no {name:?} emitted"
+            );
+        }
+    }
+
+    #[test]
+    fn every_query_event_has_an_emitter() {
+        assert_emitted(&traced_stress_run(), &["query."]);
+    }
+
+    #[test]
+    fn every_relay_and_engine_event_has_an_emitter() {
+        assert_emitted(&traced_stress_run(), &["relay.", "engine."]);
+    }
+
+    #[test]
+    fn every_fault_event_has_an_emitter() {
+        assert_emitted(&traced_stress_run(), &["fault."]);
+    }
+
+    #[test]
+    fn every_adversary_event_has_an_emitter() {
+        assert_emitted(&traced_stress_run(), &["adv."]);
+    }
+
+    #[test]
+    fn the_stress_timeline_is_engine_independent() {
+        let sequential = traced_stress_run();
+        let sharded = traced_stress_run_on(&mut *EngineChoice::Sharded(2).build(2018, None));
+        assert!(sharded == sequential, "the 2-shard timeline diverged");
+    }
+
+    /// `latency.clamped` marks a ledger violation (a reply stamped before
+    /// its request), so a healthy run, however stressed, never emits it.
+    #[test]
+    fn the_stress_run_clamps_no_latency() {
+        let events = traced_stress_run();
+        assert!(!events.is_empty());
+        let clamped = EventName::LatencyClamped.as_str();
+        assert!(events.iter().all(|e| e.name != clamped));
     }
 }

@@ -19,7 +19,7 @@ use crate::adversary::{ByzantinePolicy, PolicySchedule};
 use cyclosa_net::engine::Engine;
 use cyclosa_net::time::SimTime;
 use cyclosa_net::NodeId;
-use cyclosa_telemetry::{TraceEvent, TraceSink, ACTOR_ENGINE};
+use cyclosa_telemetry::{EventName, TraceEvent, TraceSink, ACTOR_ENGINE};
 
 /// One scripted fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -327,14 +327,20 @@ impl ChaosPlan {
         }
         for event in &self.events {
             trace.emit(match event.kind {
-                FaultKind::Crash(node) => TraceEvent::new(event.at, node.0, "fault.crash"),
-                FaultKind::Leave(node) => TraceEvent::new(event.at, node.0, "fault.leave"),
-                FaultKind::Recover(node) => TraceEvent::new(event.at, node.0, "fault.recover"),
+                FaultKind::Crash(node) => {
+                    TraceEvent::named(event.at, node.0, EventName::FaultCrash)
+                }
+                FaultKind::Leave(node) => {
+                    TraceEvent::named(event.at, node.0, EventName::FaultLeave)
+                }
+                FaultKind::Recover(node) => {
+                    TraceEvent::named(event.at, node.0, EventName::FaultRecover)
+                }
             });
         }
         for fault in &self.link_faults {
             trace.emit(
-                TraceEvent::new(fault.at, ACTOR_ENGINE, "fault.link_loss")
+                TraceEvent::named(fault.at, ACTOR_ENGINE, EventName::FaultLinkLoss)
                     .attr("src", fault.src_set.len())
                     .attr("dst", fault.dst_set.len())
                     .attr("p", fault.p),
@@ -342,7 +348,7 @@ impl ChaosPlan {
         }
         for event in &self.policy_events {
             trace.emit(
-                TraceEvent::new(event.at, event.relay.0, "adv.policy")
+                TraceEvent::named(event.at, event.relay.0, EventName::AdvPolicy)
                     .attr("policy", event.policy.label()),
             );
         }

@@ -22,7 +22,7 @@ use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
 use cyclosa_peer_sampling::{PeerId, PeerSamplingNode};
 use cyclosa_sgx::attestation::{generate_quote, AttestationError, AttestationService, Quote};
 use cyclosa_sgx::enclave::{Enclave, Platform, TransitionStats};
-use cyclosa_telemetry::NodeTracer;
+use cyclosa_telemetry::{EventName, NodeTracer};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 
 /// Errors surfaced by the node API.
@@ -390,7 +390,7 @@ impl CyclosaNode {
         if self.tracer.is_enabled() {
             self.tracer.emit(
                 self.tracer
-                    .event("plan.assess")
+                    .event(EventName::PlanAssess)
                     .query(sequence)
                     .attr("k", assessment.k)
                     .attr("semantic", assessment.semantic)
@@ -413,7 +413,7 @@ impl CyclosaNode {
         if self.tracer.is_enabled() {
             self.tracer.emit(
                 self.tracer
-                    .event("plan.fakes_drawn")
+                    .event(EventName::PlanFakesDrawn)
                     .query(sequence)
                     .attr("count", fakes.len()),
             );
@@ -458,7 +458,7 @@ impl CyclosaNode {
             for assignment in &assignments {
                 self.tracer.emit(
                     self.tracer
-                        .event("plan.assign")
+                        .event(EventName::PlanAssign)
                         .query(sequence)
                         .attr("relay", assignment.relay.0)
                         .attr("real", assignment.is_real),
@@ -466,7 +466,7 @@ impl CyclosaNode {
             }
             self.tracer.emit(
                 self.tracer
-                    .event("plan.create")
+                    .event(EventName::PlanCreate)
                     .query(sequence)
                     .attr("achieved_k", fake_count)
                     .attr("relays", assignments.len()),
@@ -561,14 +561,14 @@ impl CyclosaNode {
             if !topped_up.is_empty() {
                 self.tracer.emit(
                     self.tracer
-                        .event("plan.top_up")
+                        .event(EventName::PlanTopUp)
                         .query(plan.sequence)
                         .attr("count", topped_up.len()),
                 );
             }
             self.tracer.emit(
                 self.tracer
-                    .event("plan.repair")
+                    .event(EventName::PlanRepair)
                     .query(plan.sequence)
                     .attr("failed", failed.0)
                     .attr("real_moved", real_failed)
@@ -629,7 +629,7 @@ impl CyclosaNode {
         if self.tracer.is_enabled() {
             self.tracer.emit(
                 self.tracer
-                    .event("plan.top_up")
+                    .event(EventName::PlanTopUp)
                     .query(plan.sequence)
                     .attr("count", topped_up.len())
                     .attr("proactive", true)
@@ -691,7 +691,7 @@ impl CyclosaNode {
             if self.tracer.is_enabled() {
                 self.tracer.emit(
                     self.tracer
-                        .event("plan.refresh")
+                        .event(EventName::PlanRefresh)
                         .query(plan.sequence)
                         .attr("view_age", view_age)
                         .attr("moved", moved),
@@ -1303,6 +1303,42 @@ mod tests {
 
         // Immediately after the refresh the plan is fresh again.
         assert_eq!(node.refresh_stale_plan(&mut plan, 3, &mut rng), 0);
+    }
+
+    /// Every `plan.*` name has an emitter: planning, a fake relay's
+    /// failure (top-up and repair), a membership death (proactive top-up)
+    /// and a stale-plan refresh emit the whole family.
+    #[test]
+    fn every_plan_event_has_an_emitter() {
+        let sink = cyclosa_telemetry::TraceSink::enabled();
+        let mut node = node(60, 5);
+        node.install_tracer(NodeTracer::new(sink.clone(), 60));
+        node.record_own_history(["zurich train timetable", "zurich airport parking"]);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(60);
+        let mut plan = node.plan_query("zurich train strike", &mut rng).unwrap();
+        let fake_relay = |plan: &QueryPlan| {
+            plan.assignments()
+                .iter()
+                .find(|a| !a.is_real)
+                .expect("plan has fakes")
+                .relay
+        };
+        let failed = fake_relay(&plan);
+        node.reselect_relay(&mut plan, failed, &mut rng).unwrap();
+        let dead = fake_relay(&plan);
+        node.top_up_dead_relay_fakes(&mut plan, dead, &mut rng);
+        let rotated_out = plan.assignments()[0].relay;
+        node.peer_sampling_mut().blacklist(rotated_out);
+        node.peer_sampling_mut().increase_ages();
+        node.refresh_stale_plan(&mut plan, 1, &mut rng);
+
+        let events = sink.events();
+        for name in EventName::ALL.iter().filter(|n| n.family() == "plan.") {
+            assert!(
+                events.iter().any(|e| e.name == name.as_str()),
+                "no {name:?} emitted"
+            );
+        }
     }
 
     #[test]

@@ -1,31 +1,28 @@
-//! `cyclosa-lint` — a dependency-free schema and stream static-analysis
-//! pass over the Cyclosa workspace.
+//! `cyclosa-lint` — a dependency-free static-analysis pass over the
+//! Cyclosa workspace, for what neither rustc nor clippy can see.
 //!
 //! The simulator's headline invariant is that sharded runs are
-//! bit-identical to sequential runs for any seed. Some regressions against
-//! that invariant have a *lexical* fingerprint long before they have a
-//! failing test: two RNG streams forked under the same tag, a trace event
-//! name drifting out of the closed schema. This crate bans those
-//! fingerprints at the source level and runs in CI on every push. Wall
-//! clocks and randomized hash collections are clippy's to ban
-//! (`disallowed-methods`/`disallowed-types` in `clippy.toml`): it resolves
-//! types, so it sees through aliases and re-exports, and polices every
-//! crate, tests included.
+//! bit-identical to sequential runs for any seed; the compiler and clippy
+//! guard what it rests on. Wall clocks and randomized hash collections
+//! are banned by clippy (`disallowed-methods`/`disallowed-types` in
+//! `clippy.toml`): it resolves types, so it sees through aliases and
+//! re-exports, and polices every crate, tests included. Churn streams are
+//! told apart by `ChurnTag` (`cyclosa-chaos`), a `#[repr(u64)]` enum whose
+//! values rustc keeps distinct, and trace events are named by
+//! `EventName` (`cyclosa-telemetry`), so an emitter outside the schema
+//! does not compile; clippy bans `TraceEvent::new`, the one constructor
+//! that takes a bare string.
 //!
-//! The rules (see each module's docs):
+//! The one rule left here:
 //!
 //! | rule | module | defends |
 //! |---|---|---|
-//! | `rng_stream` | [`rng`] | collision-free stream tags + `RNG_STREAMS.md` registry |
-//! | `trace_schema` | [`schema`] | emitters ⊆ schema ∧ schema ⊆ emitters |
 //! | `dead_pub` | [`dead_pub`] | every `pub fn` has a caller outside its crate |
 //!
-//! None of them has a sanctioned site: a finding is fixed, never allowed.
+//! It has no sanctioned site: a finding is fixed, never allowed.
 
 pub mod dead_pub;
-pub mod rng;
 pub mod scan;
-pub mod schema;
 
 use scan::ScannedFile;
 use std::fmt;
@@ -36,33 +33,25 @@ use std::path::{Path, PathBuf};
 /// The rule a finding belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Colliding / unregistered RNG stream tags.
-    RngStream,
-    /// Trace event names drifting from the closed telemetry schema.
-    TraceSchema,
     /// `pub fn`s that nothing outside their crate calls.
     DeadPub,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 3] = [Rule::RngStream, Rule::TraceSchema, Rule::DeadPub];
+    pub const ALL: [Rule; 1] = [Rule::DeadPub];
 
     /// Stable identifier.
     pub(crate) fn name(self) -> &'static str {
         match self {
-            Rule::RngStream => "rng_stream",
-            Rule::TraceSchema => "trace_schema",
             Rule::DeadPub => "dead_pub",
         }
     }
 
-    /// Parses a `--only` argument (`trace-schema` and `trace_schema` both
+    /// Parses a `--only` argument (`dead-pub` and `dead_pub` both
     /// accepted).
     pub fn from_arg(arg: &str) -> Option<Rule> {
         match arg.replace('-', "_").as_str() {
-            "rng_stream" => Some(Rule::RngStream),
-            "trace_schema" => Some(Rule::TraceSchema),
             "dead_pub" => Some(Rule::DeadPub),
             _ => None,
         }
@@ -99,15 +88,10 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The file name of the committed RNG-stream registry.
-pub const RNG_REGISTRY_FILE: &str = "RNG_STREAMS.md";
-
 /// A loaded workspace: every production `.rs` source under `crates/*/src`
 /// plus the root package's `src/`, scanned, and the sources that only
 /// call into them.
 pub struct Workspace {
-    /// Workspace root.
-    pub(crate) root: PathBuf,
     /// Scanned sources, sorted by path.
     pub files: Vec<ScannedFile>,
     /// Scanned `tests/`, `examples/` and `benches/` of every package, and
@@ -155,7 +139,6 @@ impl Workspace {
             Ok(scan::scan_source(&rel, &source))
         };
         Ok(Workspace {
-            root: root.to_owned(),
             files: sources.iter().map(scan_file).collect::<io::Result<_>>()?,
             callers: callers.iter().map(scan_file).collect::<io::Result<_>>()?,
         })
@@ -165,15 +148,6 @@ impl Workspace {
     pub fn run(&self, rules: &[Rule]) -> Vec<Finding> {
         let refs: Vec<&ScannedFile> = self.files.iter().collect();
         let mut findings = Vec::new();
-        if rules.contains(&Rule::RngStream) {
-            let harvest = rng::harvest(&refs);
-            rng::check(&harvest, &mut findings);
-            self.check_registry(&harvest, &mut findings);
-        }
-        if rules.contains(&Rule::TraceSchema) {
-            let schema = schema::collect_schema(&refs);
-            schema::check(&refs, &schema, &mut findings);
-        }
         if rules.contains(&Rule::DeadPub) {
             dead_pub::check(&refs, &self.callers, &mut findings);
         }
@@ -182,34 +156,6 @@ impl Workspace {
         });
         findings.dedup();
         findings
-    }
-
-    /// The RNG registry document the current tree should carry.
-    pub fn registry_doc(&self) -> String {
-        let refs: Vec<&ScannedFile> = self.files.iter().collect();
-        rng::registry_doc(&rng::harvest(&refs))
-    }
-
-    /// Compares the committed `RNG_STREAMS.md` against the tree's harvest.
-    fn check_registry(&self, harvest: &rng::Harvest, findings: &mut Vec<Finding>) {
-        let expected = rng::registry_doc(harvest);
-        let on_disk = fs::read_to_string(self.root.join(RNG_REGISTRY_FILE)).unwrap_or_default();
-        if on_disk != expected {
-            findings.push(Finding {
-                rule: Rule::RngStream,
-                path: RNG_REGISTRY_FILE.to_owned(),
-                line: 1,
-                message: format!(
-                    "{RNG_REGISTRY_FILE} is {} — run `cargo run --bin lint -- --write-registry` \
-                     and commit the result",
-                    if on_disk.is_empty() {
-                        "missing"
-                    } else {
-                        "stale"
-                    }
-                ),
-            });
-        }
     }
 }
 
@@ -239,12 +185,21 @@ mod tests {
 
     #[test]
     fn rule_arg_parsing_accepts_both_spellings() {
-        assert_eq!(Rule::from_arg("trace-schema"), Some(Rule::TraceSchema));
-        assert_eq!(Rule::from_arg("trace_schema"), Some(Rule::TraceSchema));
+        assert_eq!(Rule::from_arg("dead-pub"), Some(Rule::DeadPub));
+        assert_eq!(Rule::from_arg("dead_pub"), Some(Rule::DeadPub));
         assert_eq!(Rule::from_arg("bogus"), None);
-        // Wall clocks and hash collections are clippy's: the names of the
-        // lexical rules that banned them are usage errors, not no-ops.
-        for retired in ["nondet", "wall-clock", "hash_collections"] {
+        // Wall clocks and hash collections are clippy's, churn tags and
+        // trace names the compiler's: the names of the lexical rules that
+        // checked them are usage errors, not no-ops.
+        for retired in [
+            "nondet",
+            "wall-clock",
+            "hash_collections",
+            "rng-stream",
+            "rng_stream",
+            "trace-schema",
+            "trace_schema",
+        ] {
             assert_eq!(Rule::from_arg(retired), None, "{retired}");
         }
     }

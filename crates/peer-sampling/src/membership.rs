@@ -48,7 +48,7 @@ use cyclosa_net::sim::{Context, Envelope, NodeBehavior};
 use cyclosa_net::time::SimTime;
 use cyclosa_net::wire::{Counted, Message};
 use cyclosa_net::NodeId;
-use cyclosa_telemetry::trace::{NodeTracer, TraceSink};
+use cyclosa_telemetry::trace::{EventName, NodeTracer, TraceSink};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -253,7 +253,7 @@ impl MembershipBehavior {
                     if self.tracer.is_enabled() {
                         self.tracer.emit(
                             self.tracer
-                                .event("mship.suspect")
+                                .event(EventName::MshipSuspect)
                                 .attr("peer", event.peer.0)
                                 .attr("incarnation", event.incarnation),
                         );
@@ -268,14 +268,14 @@ impl MembershipBehavior {
                     if self.tracer.is_enabled() {
                         self.tracer.emit(
                             self.tracer
-                                .event("mship.dead")
+                                .event(EventName::MshipDead)
                                 .attr("peer", event.peer.0)
                                 .attr("incarnation", event.incarnation)
                                 .attr("was_active", was_active),
                         );
                         self.tracer.emit(
                             self.tracer
-                                .event("mship.quarantine")
+                                .event(EventName::MshipQuarantine)
                                 .attr("peer", event.peer.0),
                         );
                     }
@@ -290,7 +290,7 @@ impl MembershipBehavior {
                     if self.tracer.is_enabled() {
                         self.tracer.emit(
                             self.tracer
-                                .event("mship.refute")
+                                .event(EventName::MshipRefute)
                                 .attr("peer", event.peer.0)
                                 .attr("incarnation", event.incarnation),
                         );
@@ -298,7 +298,7 @@ impl MembershipBehavior {
                     if state.views.readmit(event.peer, &mut self.rng) && self.tracer.is_enabled() {
                         self.tracer.emit(
                             self.tracer
-                                .event("mship.readmit")
+                                .event(EventName::MshipReadmit)
                                 .attr("peer", event.peer.0),
                         );
                     }
@@ -307,7 +307,7 @@ impl MembershipBehavior {
                     if self.tracer.is_enabled() {
                         self.tracer.emit(
                             self.tracer
-                                .event("mship.alive")
+                                .event(EventName::MshipAlive)
                                 .attr("peer", event.peer.0)
                                 .attr("incarnation", event.incarnation),
                         );
@@ -335,7 +335,7 @@ impl MembershipBehavior {
         if self.tracer.is_enabled() {
             self.tracer.emit(
                 self.tracer
-                    .event("mship.probe")
+                    .event(EventName::MshipProbe)
                     .attr("peer", target.0)
                     .attr("quarantined", quarantined),
             );
@@ -493,8 +493,11 @@ impl NodeBehavior for MembershipBehavior {
                         self.promote_pending = None;
                         state.views.promote(target, &mut self.rng);
                         if state.views.active().contains(&target) && self.tracer.is_enabled() {
-                            self.tracer
-                                .emit(self.tracer.event("mship.promote").attr("peer", target.0));
+                            self.tracer.emit(
+                                self.tracer
+                                    .event(EventName::MshipPromote)
+                                    .attr("peer", target.0),
+                            );
                         }
                     }
                 }
@@ -562,8 +565,11 @@ impl NodeBehavior for MembershipBehavior {
             if !state.views.is_quarantined(peer) {
                 state.views.promote(peer, &mut self.rng);
                 if state.views.active().contains(&peer) && self.tracer.is_enabled() {
-                    self.tracer
-                        .emit(self.tracer.event("mship.promote").attr("peer", peer.0));
+                    self.tracer.emit(
+                        self.tracer
+                            .event(EventName::MshipPromote)
+                            .attr("peer", peer.0),
+                    );
                 }
             }
         }
@@ -600,7 +606,7 @@ impl NodeBehavior for MembershipBehavior {
                 if self.tracer.is_enabled() {
                     self.tracer.emit(
                         self.tracer
-                            .event("adv.lie")
+                            .event(EventName::AdvLie)
                             .attr("peer", victim.0)
                             .attr("incarnation", incarnation),
                     );
@@ -948,6 +954,33 @@ mod tests {
             cross_side_edges(&overlay.views(), 4) > 4,
             "healing must spread beyond a single readmitted link"
         );
+    }
+
+    /// Every `mship.*` name has an emitter: a crash (suspect, dead,
+    /// quarantine) and an unbridged partition merge (refute, readmit,
+    /// promote) on a traced ring.
+    #[test]
+    fn every_membership_event_has_an_emitter() {
+        let sink = TraceSink::enabled();
+        let mut sim = Simulation::new(67);
+        let mut overlay =
+            SwimGossipOverlay::ring(&mut sim, 14, MembershipConfig { rounds: 70 }, 67, &sink);
+        overlay.schedule_kill(&mut sim, PeerId(9), SimTime::from_secs(5));
+        let minority: Vec<PeerId> = (0..4).map(PeerId).collect();
+        overlay.schedule_partition(
+            &mut sim,
+            &minority,
+            SimTime::from_secs(10),
+            SimTime::from_secs(40),
+        );
+        sim.run();
+        let events = sink.events();
+        for name in EventName::ALL.iter().filter(|n| n.family() == "mship.") {
+            assert!(
+                events.iter().any(|e| e.name == name.as_str()),
+                "no {name:?} emitted"
+            );
+        }
     }
 
     #[test]

@@ -729,7 +729,7 @@ mod tests {
     use super::*;
     use crate::barrier::SPIN_BUDGET;
     use cyclosa_net::sim::Context;
-    use cyclosa_telemetry::{TraceEvent, TraceSink};
+    use cyclosa_telemetry::{EventName, TraceEvent, TraceSink};
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
@@ -1089,7 +1089,7 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Context<'_>, envelope: Envelope) {
             self.recorder.on_message(ctx, envelope.clone());
             self.sink.emit(
-                TraceEvent::new(ctx.now(), ctx.self_id().0, "hop")
+                TraceEvent::named(ctx.now(), ctx.self_id().0, EventName::RelayForward)
                     .span(SimTime::from_micros(envelope.tag as u64 % 7 + 1)),
             );
             self.threads

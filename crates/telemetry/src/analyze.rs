@@ -29,7 +29,7 @@
 
 use crate::check::parse_json;
 use crate::sketch::QuantileSketch;
-use crate::trace::{AttrValue, TraceEvent, ACTOR_ENGINE};
+use crate::trace::{AttrValue, EventName, TraceEvent, ACTOR_ENGINE};
 use cyclosa_net::time::SimTime;
 use cyclosa_util::json::Json;
 use std::collections::BTreeMap;
@@ -290,13 +290,13 @@ fn build_timeline(query: u64, events: Vec<usize>, records: &[TraceRecord]) -> Qu
     let mut services: Vec<(SimTime, SimTime)> = Vec::new();
     for &index in &events {
         let record = &records[index];
-        match record.name.as_str() {
-            "query.launch" if timeline.launched_at.is_none() => {
+        match EventName::parse(&record.name) {
+            Some(EventName::QueryLaunch) if timeline.launched_at.is_none() => {
                 timeline.launched_at = Some(record.at);
                 timeline.relay = record.attr_u64("relay");
                 timeline.launch_fakes = record.attr_u64("fakes");
             }
-            "query.repair" => {
+            Some(EventName::QueryRepair) => {
                 timeline.attempts += 1;
                 repairs.push(record.at);
                 if record.attr_bool("fault_injected") == Some(true) {
@@ -305,17 +305,17 @@ fn build_timeline(query: u64, events: Vec<usize>, records: &[TraceRecord]) -> Qu
                     }
                 }
             }
-            "relay.forward" => {
+            Some(EventName::RelayForward) => {
                 if let Some(dur) = record.dur {
                     forwards.push((record.at, dur));
                 }
             }
-            "engine.service" => {
+            Some(EventName::EngineService) => {
                 if let Some(dur) = record.dur {
                     services.push((record.at, dur));
                 }
             }
-            "query.answered" if timeline.answered_at.is_none() => {
+            Some(EventName::QueryAnswered) if timeline.answered_at.is_none() => {
                 timeline.answered_at = Some(record.at);
                 timeline.end_to_end = record.dur;
                 timeline.assessed_k = record.attr_u64("assessed_k");
@@ -485,11 +485,11 @@ mod tests {
         use crate::export::to_jsonl;
         use crate::trace::TraceEvent;
         let trace = to_jsonl(&[
-            TraceEvent::new(SimTime::from_millis(1), 3, "plan.create")
+            TraceEvent::named(SimTime::from_millis(1), 3, EventName::PlanCreate)
                 .query(0)
                 .attr("k", 4u64)
                 .attr("topic", "santé → ✓"),
-            TraceEvent::new(SimTime::from_millis(5), 3, "query.answered")
+            TraceEvent::named(SimTime::from_millis(5), 3, EventName::QueryAnswered)
                 .query(0)
                 .span(SimTime::from_millis(4))
                 .attr("exposed", false),
@@ -567,6 +567,22 @@ mod tests {
         let path = reconstruct(&records)[0].path.expect("path");
         assert_eq!(path.total().as_nanos(), 100);
         assert_eq!(path.response.as_nanos(), 100);
+    }
+
+    #[test]
+    fn names_outside_the_schema_shape_no_timeline() {
+        // Only exact schema names count: a near miss is an unrelated event
+        // of the same query, not a second launch or a repair.
+        let records = vec![
+            record(0, "query.launch", 5),
+            record(100, "query.launch.retry", 5),
+            record(200, "query.repairs", 5),
+            span(900, "query.answered", 5, 900),
+        ];
+        let timeline = &reconstruct(&records)[0];
+        assert_eq!(timeline.launched_at, Some(SimTime::ZERO));
+        assert_eq!(timeline.attempts, 0);
+        assert_eq!(timeline.events.len(), 4);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! The CI telemetry-smoke job re-reads the files a traced run wrote and
 //! validates them structurally — every JSONL line is an object with the
 //! required typed keys, the Chrome file is a well-formed `traceEvents`
-//! array — so a malformed exporter fails the build rather than silently
-//! producing files Perfetto rejects. The build environment has no crate
+//! array, and no name carries a schema family's prefix without being an
+//! [`EventName`] — so a malformed exporter fails the build rather than
+//! silently producing files Perfetto rejects. The build environment has no crate
 //! registry, so the parser lives here: a recursive-descent reader into
 //! the workspace's own [`Json`] value model.
 
+use crate::trace::EventName;
 use cyclosa_util::json::Json;
 
 /// Parses one JSON document. Numbers parse as `U64` when they are
@@ -215,77 +217,24 @@ fn check_unsigned(value: &Json, what: &str) -> Result<(), String> {
     }
 }
 
-/// The dot-namespaced families the workspace may emit trace events in.
-/// Together with [`TRACE_EVENT_NAMES`] this is the *closed* trace schema:
-/// the validators below reject any family-prefixed name outside the list,
-/// and `cyclosa-lint`'s trace-schema cross-check statically verifies that
-/// every emitter in the instrumented crates uses a registered name and
-/// that every registered name still has an emitter.
-// cyclosa-lint: schema-registry
-pub(crate) const TRACE_EVENT_FAMILIES: [&str; 9] = [
-    "plan.", "query.", "relay.", "engine.", "latency.", "fault.", "mship.", "slo.", "adv.",
-];
-
-/// Every trace event name the workspace emits, by family. Adding an
-/// emitter requires adding its name here (and vice versa: a name without
-/// an emitter fails the lint), so this list is the single authoritative
-/// catalogue of the trace vocabulary.
-// cyclosa-lint: schema-registry
-pub(crate) const TRACE_EVENT_NAMES: [&str; 34] = [
-    // Query-plan lifecycle (core::node).
-    "plan.assess",
-    "plan.fakes_drawn",
-    "plan.assign",
-    "plan.create",
-    "plan.top_up",
-    "plan.repair",
-    "plan.refresh",
-    // Query lifecycle (core::deployment, chaos::experiment).
-    "query.launch",
-    "query.answered",
-    "query.repair",
-    "query.top_up",
-    // Relay/engine service path (chaos::experiment).
-    "relay.forward",
-    "engine.service",
-    "latency.clamped",
-    // Fault-plan application (chaos::plan).
-    "fault.crash",
-    "fault.leave",
-    "fault.recover",
-    "fault.link_loss",
-    // Membership protocol (peer-sampling::membership).
-    "mship.probe",
-    "mship.alive",
-    "mship.suspect",
-    "mship.refute",
-    "mship.dead",
-    "mship.promote",
-    "mship.quarantine",
-    "mship.readmit",
-    // SLO burn-rate monitors (telemetry::slo).
-    "slo.privacy.burn",
-    "slo.latency.burn",
-    "slo.membership.burn",
-    // Active-adversary annotations (chaos::plan, chaos::experiment):
-    // policy activations and the byzantine tampering they cause.
-    "adv.policy",
-    "adv.drop",
-    "adv.delay",
-    "adv.lie",
-    "adv.collude",
-];
-
+/// Accepts a name of the closed schema ([`EventName`]) and any name
+/// outside the schema's families; rejects a name that carries a schema
+/// family's prefix but is not in the schema (`plan.bogus`).
 fn check_event_name(name: &str) -> Result<(), String> {
-    if let Some(family) = TRACE_EVENT_FAMILIES.iter().find(|f| name.starts_with(**f)) {
-        if !TRACE_EVENT_NAMES.contains(&name) {
-            return Err(format!(
-                "unknown event name {name:?} (the {family}* family is part of the closed \
-                 trace schema; see TRACE_EVENT_NAMES)"
-            ));
-        }
+    if EventName::parse(name).is_some() {
+        return Ok(());
     }
-    Ok(())
+    match EventName::ALL
+        .iter()
+        .find(|known| name.starts_with(known.family()))
+    {
+        Some(known) => Err(format!(
+            "unknown event name {name:?} (the {}* family is part of the closed trace \
+             schema; see EventName)",
+            known.family()
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Renders the offending line for an error message, truncated to keep a
@@ -442,25 +391,53 @@ mod tests {
     use crate::export::{to_chrome_trace, to_jsonl};
     use crate::trace::{TraceEvent, ACTOR_ENGINE};
     use cyclosa_net::time::SimTime;
+    use std::collections::BTreeSet;
+
+    /// An event whose name is outside the schema: only a hand-built
+    /// `TraceEvent` can carry one.
+    fn unknown(at: SimTime, name: &'static str) -> TraceEvent {
+        TraceEvent {
+            name,
+            ..TraceEvent::named(at, 2, EventName::QueryLaunch)
+        }
+    }
 
     #[test]
     fn trace_schema_is_internally_consistent() {
-        // Every name belongs to exactly one declared family, and there are
-        // no duplicates.
-        for name in TRACE_EVENT_NAMES {
-            assert_eq!(
-                TRACE_EVENT_FAMILIES
-                    .iter()
-                    .filter(|f| name.starts_with(**f))
-                    .count(),
-                1,
-                "{name} must match exactly one family"
-            );
+        // Distinct variants could still spell one name twice: rustc
+        // checks discriminants, not strings.
+        let names: BTreeSet<&str> = EventName::ALL.iter().map(|n| n.as_str()).collect();
+        assert_eq!(names.len(), EventName::ALL.len(), "duplicate names");
+        assert_eq!(EventName::ALL.len(), 34);
+        // Every name sits in one of the nine families.
+        let families: BTreeSet<&str> = EventName::ALL.iter().map(|n| n.family()).collect();
+        assert_eq!(
+            families,
+            BTreeSet::from([
+                "adv.", "engine.", "fault.", "latency.", "mship.", "plan.", "query.", "relay.",
+                "slo."
+            ])
+        );
+        for name in EventName::ALL {
+            assert!(name.as_str().len() > name.family().len(), "{name:?}");
         }
-        let mut sorted = TRACE_EVENT_NAMES.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), TRACE_EVENT_NAMES.len(), "duplicate names");
+    }
+
+    #[test]
+    fn every_event_name_parses_back_to_itself() {
+        for &name in EventName::ALL {
+            assert_eq!(EventName::parse(name.as_str()), Some(name));
+        }
+        for unknown in [
+            "",
+            "plan.",
+            "plan.zzz",
+            "Plan.create",
+            "plan.create ",
+            "hop",
+        ] {
+            assert_eq!(EventName::parse(unknown), None, "{unknown:?}");
+        }
     }
 
     #[test]
@@ -474,6 +451,15 @@ mod tests {
         assert!(err.contains("the mship.* family"), "{err}");
         let err = check_event_name("slo.bogus").unwrap_err();
         assert!(err.contains("the slo.* family"), "{err}");
+        // A family-shaped name outside the schema fails the JSONL
+        // validator in every family, with the line quoted.
+        for name in EventName::ALL {
+            let family = name.family();
+            let line = format!("{{\"at_ns\":1,\"node\":1,\"name\":\"{family}zzz\"}}");
+            let err = validate_trace_jsonl(&line).unwrap_err();
+            assert!(err.starts_with("line 1: unknown event name"), "{err}");
+            assert!(err.contains(&format!("the {family}* family")), "{err}");
+        }
     }
 
     #[test]
@@ -558,11 +544,11 @@ mod tests {
     #[test]
     fn exported_traces_validate() {
         let events = vec![
-            TraceEvent::new(SimTime::from_millis(1), 3, "plan.create")
+            TraceEvent::named(SimTime::from_millis(1), 3, EventName::PlanCreate)
                 .query(0)
                 .attr("k", 4u64),
-            TraceEvent::new(SimTime::from_millis(2), ACTOR_ENGINE, "fault.crash"),
-            TraceEvent::new(SimTime::from_millis(5), 3, "query.answered")
+            TraceEvent::named(SimTime::from_millis(2), ACTOR_ENGINE, EventName::FaultCrash),
+            TraceEvent::named(SimTime::from_millis(5), 3, EventName::QueryAnswered)
                 .query(0)
                 .span(SimTime::from_millis(4)),
         ];
@@ -587,43 +573,55 @@ mod tests {
     #[test]
     fn membership_event_family_is_a_closed_schema() {
         let known = vec![
-            TraceEvent::new(SimTime::from_millis(1), 2, "mship.probe").attr("peer", 5u64),
-            TraceEvent::new(SimTime::from_millis(2), 2, "mship.suspect").attr("peer", 5u64),
-            TraceEvent::new(SimTime::from_millis(3), 5, "mship.refute").attr("incarnation", 1u64),
-            TraceEvent::new(SimTime::from_millis(4), 2, "mship.promote").attr("peer", 7u64),
+            TraceEvent::named(SimTime::from_millis(1), 2, EventName::MshipProbe).attr("peer", 5u64),
+            TraceEvent::named(SimTime::from_millis(2), 2, EventName::MshipSuspect)
+                .attr("peer", 5u64),
+            TraceEvent::named(SimTime::from_millis(3), 5, EventName::MshipRefute)
+                .attr("incarnation", 1u64),
+            TraceEvent::named(SimTime::from_millis(4), 2, EventName::MshipPromote)
+                .attr("peer", 7u64),
         ];
         assert_eq!(validate_trace_jsonl(&to_jsonl(&known)).unwrap(), 4);
         assert_eq!(validate_chrome_trace(&to_chrome_trace(&known)).unwrap(), 4);
         // An unknown mship.* kind must fail both validators...
-        let unknown = vec![TraceEvent::new(SimTime::from_millis(1), 2, "mship.zombie")];
-        let err = validate_trace_jsonl(&to_jsonl(&unknown)).unwrap_err();
+        let zombie = vec![unknown(SimTime::from_millis(1), "mship.zombie")];
+        let err = validate_trace_jsonl(&to_jsonl(&zombie)).unwrap_err();
         assert!(err.contains("the mship.* family"), "{err}");
-        assert!(validate_chrome_trace(&to_chrome_trace(&unknown)).is_err());
-        // ...while non-membership names stay unconstrained.
-        let other = vec![TraceEvent::new(SimTime::from_millis(1), 2, "query.launch")];
+        assert!(validate_chrome_trace(&to_chrome_trace(&zombie)).is_err());
+        // ...while names outside every family stay unconstrained.
+        let other = vec![unknown(SimTime::from_millis(1), "hop")];
         assert_eq!(validate_trace_jsonl(&to_jsonl(&other)).unwrap(), 1);
+        assert_eq!(validate_chrome_trace(&to_chrome_trace(&other)).unwrap(), 1);
     }
 
     #[test]
     fn slo_event_family_is_a_closed_schema() {
         let known = vec![
-            TraceEvent::new(SimTime::from_secs(10), ACTOR_ENGINE, "slo.privacy.burn")
-                .attr("burn", 50.0),
-            TraceEvent::new(SimTime::from_secs(10), ACTOR_ENGINE, "slo.latency.burn")
-                .attr("burn", 1.2),
-            TraceEvent::new(SimTime::from_secs(20), ACTOR_ENGINE, "slo.membership.burn")
-                .attr("burn", 20.0),
+            TraceEvent::named(
+                SimTime::from_secs(10),
+                ACTOR_ENGINE,
+                EventName::SloPrivacyBurn,
+            )
+            .attr("burn", 50.0),
+            TraceEvent::named(
+                SimTime::from_secs(10),
+                ACTOR_ENGINE,
+                EventName::SloLatencyBurn,
+            )
+            .attr("burn", 1.2),
+            TraceEvent::named(
+                SimTime::from_secs(20),
+                ACTOR_ENGINE,
+                EventName::SloMembershipBurn,
+            )
+            .attr("burn", 20.0),
         ];
         assert_eq!(validate_trace_jsonl(&to_jsonl(&known)).unwrap(), 3);
         assert_eq!(validate_chrome_trace(&to_chrome_trace(&known)).unwrap(), 3);
-        let unknown = vec![TraceEvent::new(
-            SimTime::from_secs(10),
-            ACTOR_ENGINE,
-            "slo.novel",
-        )];
-        let err = validate_trace_jsonl(&to_jsonl(&unknown)).unwrap_err();
+        let novel = vec![unknown(SimTime::from_secs(10), "slo.novel")];
+        let err = validate_trace_jsonl(&to_jsonl(&novel)).unwrap_err();
         assert!(err.contains("the slo.* family"), "{err}");
-        assert!(validate_chrome_trace(&to_chrome_trace(&unknown)).is_err());
+        assert!(validate_chrome_trace(&to_chrome_trace(&novel)).is_err());
     }
 
     /// Schema violations name the line and quote the offending JSON.

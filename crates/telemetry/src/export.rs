@@ -139,16 +139,21 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::EventName;
     use cyclosa_net::time::SimTime;
 
     fn sample() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::new(SimTime::from_millis(1), 3, "plan.create")
+            TraceEvent::named(SimTime::from_millis(1), 3, EventName::PlanCreate)
                 .query(0)
                 .attr("k", 4u64),
-            TraceEvent::new(SimTime::from_millis(2), ACTOR_ENGINE, "fault.link_loss")
-                .attr("p", 0.25),
-            TraceEvent::new(SimTime::from_millis(5), 3, "query.answered")
+            TraceEvent::named(
+                SimTime::from_millis(2),
+                ACTOR_ENGINE,
+                EventName::FaultLinkLoss,
+            )
+            .attr("p", 0.25),
+            TraceEvent::named(SimTime::from_millis(5), 3, EventName::QueryAnswered)
                 .query(0)
                 .span(SimTime::from_millis(4)),
         ]

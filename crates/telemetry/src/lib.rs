@@ -25,6 +25,9 @@
 //!   disabled and [`trace::TraceSink::emit`] returns immediately, so
 //!   uninstrumented runs pay one branch per call site.
 //!
+//! Event names form a closed schema, [`trace::EventName`]: emitters
+//! build events from a variant, so a name outside it does not compile.
+//!
 //! Exporters live in [`export`] (JSONL lines and the Chrome trace-event
 //! format that Perfetto and `chrome://tracing` open directly); [`check`]
 //! holds a dependency-free JSON parser and the schema validation used by
@@ -52,4 +55,4 @@ pub mod trace;
 
 pub use sketch::QuantileSketch;
 pub use slo::{SloConfig, SloKind, SloMonitor, SloReport};
-pub use trace::{AttrValue, NodeTracer, TraceEvent, TraceSink, ACTOR_ENGINE};
+pub use trace::{AttrValue, EventName, NodeTracer, TraceEvent, TraceSink, ACTOR_ENGINE};

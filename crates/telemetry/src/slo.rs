@@ -12,7 +12,7 @@
 //!   suspicions raised) must stay within budget.
 //!
 //! When a window overspends its budget the monitor emits a burn-rate alert
-//! from the closed `slo.*` event family (`check::TRACE_EVENT_NAMES`),
+//! from the closed `slo.*` event family ([`EventName`]),
 //! stamped at the window's end on the simulated clock. Because the monitor
 //! is a pure function of the merged timeline — which is byte-identical
 //! across sequential and 1/2/4/8-shard runs — the alert stream is
@@ -20,7 +20,7 @@
 
 use crate::analyze::TraceRecord;
 use crate::sketch::QuantileSketch;
-use crate::trace::{TraceEvent, ACTOR_ENGINE};
+use crate::trace::{EventName, TraceEvent, ACTOR_ENGINE};
 use cyclosa_net::time::SimTime;
 use cyclosa_util::json::Json;
 
@@ -64,11 +64,11 @@ pub enum SloKind {
 
 impl SloKind {
     /// The closed-schema event name for this SLO's burn alerts.
-    pub(crate) fn event_name(&self) -> &'static str {
+    pub(crate) fn event_name(&self) -> EventName {
         match self {
-            SloKind::Privacy => "slo.privacy.burn",
-            SloKind::Latency => "slo.latency.burn",
-            SloKind::Membership => "slo.membership.burn",
+            SloKind::Privacy => EventName::SloPrivacyBurn,
+            SloKind::Latency => EventName::SloLatencyBurn,
+            SloKind::Membership => EventName::SloMembershipBurn,
         }
     }
 }
@@ -97,7 +97,7 @@ impl SloAlert {
     /// Render the alert as a closed-schema trace event, stamped at the
     /// window's end with the engine pseudo-actor.
     pub(crate) fn to_event(&self) -> TraceEvent {
-        let event = TraceEvent::new(self.window_end, ACTOR_ENGINE, self.kind.event_name())
+        let event = TraceEvent::named(self.window_end, ACTOR_ENGINE, self.kind.event_name())
             .attr("window_start_ns", self.window_start.as_nanos());
         let event = match self.kind {
             SloKind::Latency => event.attr("p99_ns", self.bad).attr("budget_ns", self.total),
@@ -140,7 +140,7 @@ impl SloReport {
                 Json::Obj(vec![
                     (
                         "name".to_string(),
-                        Json::Str(alert.kind.event_name().to_string()),
+                        Json::Str(alert.kind.event_name().as_str().to_string()),
                     ),
                     (
                         "window_start_ns".to_string(),
@@ -217,8 +217,8 @@ impl SloMonitor {
     /// `at` order (the merged-timeline invariant).
     pub(crate) fn observe(&mut self, record: &TraceRecord) {
         self.advance_to(record.at);
-        match record.name.as_str() {
-            "query.answered" => {
+        match EventName::parse(&record.name) {
+            Some(EventName::QueryAnswered) => {
                 self.state.answered += 1;
                 self.report.answered += 1;
                 if let Some(dur) = record.dur {
@@ -233,11 +233,11 @@ impl SloMonitor {
                     }
                 }
             }
-            "mship.suspect" => {
+            Some(EventName::MshipSuspect) => {
                 self.state.suspicions += 1;
                 self.report.suspicions += 1;
             }
-            "mship.refute" => {
+            Some(EventName::MshipRefute) => {
                 self.state.refutes += 1;
                 self.report.false_suspicions += 1;
             }
@@ -417,6 +417,21 @@ mod tests {
     }
 
     #[test]
+    fn only_schema_names_feed_the_monitors() {
+        let mut near_miss = answered(100_000_000, 2_000_000_000, 1, 4);
+        near_miss.name = "query.answered_late".to_string();
+        let records = vec![
+            near_miss,
+            mship(200, "mship.suspected"),
+            mship(300, "mship.refute.late"),
+        ];
+        let report = evaluate(&records, config());
+        assert_eq!((report.answered, report.suspicions), (0, 0));
+        assert_eq!(report.false_suspicions, 0);
+        assert!(report.alerts.is_empty());
+    }
+
+    #[test]
     fn alerts_land_in_their_own_window() {
         // Violation in window 0, clean answer in window 2: exactly one
         // privacy alert, stamped at the end of window 0.
@@ -429,11 +444,30 @@ mod tests {
         assert_eq!(report.alerts[0].window_end, SimTime::from_secs(1));
     }
 
+    /// Every `slo.*` name has an emitter: a run that burns all three
+    /// budgets raises one alert of each.
+    #[test]
+    fn every_slo_event_has_an_emitter() {
+        let records = vec![
+            mship(100, "mship.suspect"),
+            mship(200, "mship.refute"),
+            answered(300_000_000, 2_000_000_000, 2, 4),
+        ];
+        let alerts = evaluate(&records, config()).alerts;
+        let emitted: Vec<&str> = alerts.iter().map(|a| a.to_event().name).collect();
+        for name in EventName::ALL.iter().filter(|n| n.family() == "slo.") {
+            assert!(
+                emitted.contains(&name.as_str()),
+                "no {name:?} in {emitted:?}"
+            );
+        }
+    }
+
     #[test]
     fn merge_alerts_preserves_sort_invariant() {
         let events = vec![
-            TraceEvent::new(SimTime::from_millis(1), 2, "query.launch").query(0),
-            TraceEvent::new(SimTime::from_secs(5), 2, "query.answered").query(0),
+            TraceEvent::named(SimTime::from_millis(1), 2, EventName::QueryLaunch).query(0),
+            TraceEvent::named(SimTime::from_secs(5), 2, EventName::QueryAnswered).query(0),
         ];
         let alerts = vec![SloAlert {
             kind: SloKind::Privacy,

@@ -18,6 +18,105 @@ use cyclosa_util::rng::SplitMix64;
 use cyclosa_util::Rng as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+/// Declares [`EventName`] from one `Variant = "family.name"` row per
+/// event, so each name is written once: the enum, [`EventName::ALL`],
+/// [`EventName::as_str`] and [`EventName::parse`] all expand from the same
+/// rows. A name repeated on two rows makes an unreachable `parse` arm, a
+/// warning that CI's clippy step (`-D warnings`) turns into an error.
+macro_rules! event_names {
+    ($($variant:ident = $name:literal,)*) => {
+        /// The closed trace schema: every event name the workspace emits.
+        ///
+        /// Emitters build their events from a variant
+        /// ([`TraceEvent::named`], [`NodeTracer::event`]), so a name outside
+        /// the schema does not compile; the exporters write
+        /// [`EventName::as_str`], so traces keep their bytes. Readers of an
+        /// exported trace map a name back with [`EventName::parse`], and
+        /// `check` rejects a name of a schema family that is not listed here.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum EventName {
+            $(#[doc = concat!("`", $name, "`")] $variant,)*
+        }
+
+        impl EventName {
+            /// Every name, in declaration order (grouped by family).
+            pub const ALL: &'static [EventName] = &[$(EventName::$variant),*];
+
+            /// The dot-namespaced name the exporters write.
+            pub const fn as_str(self) -> &'static str {
+                match self {
+                    $(EventName::$variant => $name,)*
+                }
+            }
+
+            /// The schema name spelled `name`, or `None` for any other
+            /// string.
+            pub fn parse(name: &str) -> Option<EventName> {
+                match name {
+                    $($name => Some(EventName::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+event_names! {
+    // Query-plan lifecycle (core::node).
+    PlanAssess = "plan.assess",
+    PlanFakesDrawn = "plan.fakes_drawn",
+    PlanAssign = "plan.assign",
+    PlanCreate = "plan.create",
+    PlanTopUp = "plan.top_up",
+    PlanRepair = "plan.repair",
+    PlanRefresh = "plan.refresh",
+    // Query lifecycle (chaos::deployment's client).
+    QueryLaunch = "query.launch",
+    QueryAnswered = "query.answered",
+    QueryRepair = "query.repair",
+    QueryTopUp = "query.top_up",
+    // Relay/engine service path (chaos::deployment).
+    RelayForward = "relay.forward",
+    EngineService = "engine.service",
+    LatencyClamped = "latency.clamped",
+    // Fault-plan application (chaos::plan).
+    FaultCrash = "fault.crash",
+    FaultLeave = "fault.leave",
+    FaultRecover = "fault.recover",
+    FaultLinkLoss = "fault.link_loss",
+    // Membership protocol (peer-sampling::membership, and the chaos
+    // client's prober).
+    MshipProbe = "mship.probe",
+    MshipAlive = "mship.alive",
+    MshipSuspect = "mship.suspect",
+    MshipRefute = "mship.refute",
+    MshipDead = "mship.dead",
+    MshipPromote = "mship.promote",
+    MshipQuarantine = "mship.quarantine",
+    MshipReadmit = "mship.readmit",
+    // SLO burn-rate monitors (telemetry::slo).
+    SloPrivacyBurn = "slo.privacy.burn",
+    SloLatencyBurn = "slo.latency.burn",
+    SloMembershipBurn = "slo.membership.burn",
+    // Active-adversary annotations (chaos::plan, chaos::adversary,
+    // chaos::deployment, peer-sampling::membership): policy activations
+    // and the byzantine tampering they cause.
+    AdvPolicy = "adv.policy",
+    AdvDrop = "adv.drop",
+    AdvDelay = "adv.delay",
+    AdvLie = "adv.lie",
+    AdvCollude = "adv.collude",
+}
+
+impl EventName {
+    /// The name's family: its prefix up to and including the first `.`
+    /// (`plan.`, `slo.`, …).
+    pub fn family(self) -> &'static str {
+        let name = self.as_str();
+        name.split_inclusive('.').next().unwrap_or(name)
+    }
+}
+
 /// Actor id used for events not attributed to any node (fault-plan
 /// application, engine-level annotations).
 pub const ACTOR_ENGINE: u64 = u64::MAX;
@@ -92,7 +191,24 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Creates an instant event.
+    /// Creates an instant event named from the closed schema.
+    pub fn named(at: SimTime, actor: u64, name: EventName) -> Self {
+        Self {
+            at,
+            actor,
+            name: name.as_str(),
+            query: None,
+            dur: None,
+            attrs: Vec::new(),
+        }
+    }
+
+    /// Creates an instant event under any name, outside the schema.
+    ///
+    /// It remains for one caller, the benchmark's `probe.event`
+    /// micro-probe, which times event construction and export on its
+    /// own name in a workspace of its own. Within this workspace
+    /// `clippy.toml` bans it: build events with [`TraceEvent::named`].
     pub fn new(at: SimTime, actor: u64, name: &'static str) -> Self {
         Self {
             at,
@@ -231,8 +347,21 @@ impl NodeTracer {
     }
 
     /// Starts an event at the tracer's current time and actor.
-    pub fn event(&self, name: &'static str) -> TraceEvent {
-        TraceEvent::new(self.now, self.actor, name)
+    ///
+    /// ```
+    /// use cyclosa_telemetry::{EventName, NodeTracer};
+    /// let event = NodeTracer::default().event(EventName::PlanCreate);
+    /// assert_eq!(event.name, "plan.create");
+    /// ```
+    ///
+    /// A name outside the schema does not compile:
+    ///
+    /// ```compile_fail
+    /// use cyclosa_telemetry::NodeTracer;
+    /// let event = NodeTracer::default().event("plan.zzz");
+    /// ```
+    pub fn event(&self, name: EventName) -> TraceEvent {
+        TraceEvent::named(self.now, self.actor, name)
     }
 
     /// Emits a finished event (no-op when disabled).
@@ -249,13 +378,22 @@ mod tests {
     fn disabled_sink_drops_everything() {
         let sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
-        sink.emit(TraceEvent::new(SimTime::ZERO, 1, "x"));
+        sink.emit(TraceEvent::named(SimTime::ZERO, 1, EventName::PlanCreate));
         assert!(sink.events().is_empty());
     }
 
     #[test]
+    fn family_is_the_prefix_through_the_first_dot() {
+        assert_eq!(EventName::PlanFakesDrawn.family(), "plan.");
+        assert_eq!(EventName::SloMembershipBurn.family(), "slo.");
+        assert_eq!(EventName::LatencyClamped.family(), "latency.");
+        let event = TraceEvent::named(SimTime::ZERO, 1, EventName::SloMembershipBurn);
+        assert_eq!(event.name, "slo.membership.burn");
+    }
+
+    #[test]
     fn builder_sets_all_fields() {
-        let event = TraceEvent::new(SimTime::from_millis(5), 3, "plan.create")
+        let event = TraceEvent::named(SimTime::from_millis(5), 3, EventName::PlanCreate)
             .query(7)
             .span(SimTime::from_millis(2))
             .attr("k", 4u64)
@@ -274,11 +412,16 @@ mod tests {
         let emit_all = |sink: &TraceSink, read_between: bool| {
             // Interleaved emission from several actors, including a
             // pre-run event stamped in the future (fault annotation).
-            sink.emit(TraceEvent::new(SimTime::from_millis(30), 2, "fault.crash"));
+            sink.emit(TraceEvent::named(
+                SimTime::from_millis(30),
+                2,
+                EventName::FaultCrash,
+            ));
             for ms in [0u64, 10, 20, 30, 40] {
                 for actor in [5u64, 2, 9] {
                     sink.emit(
-                        TraceEvent::new(SimTime::from_millis(ms), actor, "step").attr("ms", ms),
+                        TraceEvent::named(SimTime::from_millis(ms), actor, EventName::MshipProbe)
+                            .attr("ms", ms),
                     );
                 }
                 if read_between {
@@ -301,20 +444,28 @@ mod tests {
             .collect();
         assert_eq!(at_30[0].actor, 2);
         assert_eq!(at_30[0].name, "fault.crash");
-        assert_eq!(at_30[1].name, "step");
+        assert_eq!(at_30[1].name, "mship.probe");
         assert!(at_30.windows(2).all(|w| w[0].actor <= w[1].actor));
     }
 
     #[test]
     fn an_event_stamped_ahead_keeps_its_place_across_reads() {
         let sink = TraceSink::enabled();
-        sink.emit(TraceEvent::new(SimTime::from_secs(5), 1, "late"));
+        sink.emit(TraceEvent::named(
+            SimTime::from_secs(5),
+            1,
+            EventName::QueryAnswered,
+        ));
         assert_eq!(sink.events().len(), 1);
-        sink.emit(TraceEvent::new(SimTime::from_secs(1), 1, "early"));
+        sink.emit(TraceEvent::named(
+            SimTime::from_secs(1),
+            1,
+            EventName::QueryLaunch,
+        ));
         let events = sink.events();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name, "early");
-        assert_eq!(events[1].name, "late");
+        assert_eq!(events[0].name, "query.launch");
+        assert_eq!(events[1].name, "query.answered");
     }
 
     #[test]
@@ -326,7 +477,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..100u64 {
                         sink.emit(
-                            TraceEvent::new(SimTime::from_nanos(i), actor, "tick").attr("i", i),
+                            TraceEvent::named(SimTime::from_nanos(i), actor, EventName::MshipProbe)
+                                .attr("i", i),
                         );
                     }
                 });
@@ -342,7 +494,11 @@ mod tests {
     #[test]
     fn a_sink_poisoned_by_a_panicking_thread_keeps_working() {
         let sink = TraceSink::enabled();
-        sink.emit(TraceEvent::new(SimTime::from_millis(2), 1, "before"));
+        sink.emit(TraceEvent::named(
+            SimTime::from_millis(2),
+            1,
+            EventName::QueryAnswered,
+        ));
         let poisoner = sink.clone();
         let panicked = std::thread::spawn(move || {
             let inner = poisoner.0.as_ref().expect("enabled");
@@ -353,9 +509,13 @@ mod tests {
         assert!(panicked.is_err());
         let inner = sink.0.as_ref().expect("enabled");
         assert!(inner.stripes[stripe_of(1)].is_poisoned());
-        sink.emit(TraceEvent::new(SimTime::from_millis(1), 1, "after"));
+        sink.emit(TraceEvent::named(
+            SimTime::from_millis(1),
+            1,
+            EventName::QueryLaunch,
+        ));
         let names: Vec<&str> = sink.events().iter().map(|e| e.name).collect();
-        assert_eq!(names, ["after", "before"]);
+        assert_eq!(names, ["query.launch", "query.answered"]);
     }
 
     #[test]
@@ -364,7 +524,7 @@ mod tests {
         let mut tracer = NodeTracer::new(sink.clone(), 42);
         assert!(tracer.is_enabled());
         tracer.set_now(SimTime::from_millis(7));
-        tracer.emit(tracer.event("plan.create").query(0));
+        tracer.emit(tracer.event(EventName::PlanCreate).query(0));
         let events = sink.events();
         assert_eq!(events[0].at, SimTime::from_millis(7));
         assert_eq!(events[0].actor, 42);

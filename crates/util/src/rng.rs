@@ -208,6 +208,11 @@ impl Xoshiro256StarStar {
     /// This is how the reproduction hands out per-node and per-subsystem
     /// streams from a single experiment seed without correlations between
     /// them.
+    ///
+    /// Each fork draws two words from `self`, so two forks of one parent
+    /// yield different streams even under the same label: a label tells
+    /// sub-components apart in the code, and nothing needs it unique. Only
+    /// forks from *equal* parent states under equal labels coincide.
     pub fn fork(&mut self, label: u64) -> Self {
         let a = self.next_u64() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let b = self.next_u64() ^ label.rotate_left(31);
@@ -371,6 +376,22 @@ mod tests {
         let seq_a: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
         let seq_b: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
         assert_ne!(seq_a, seq_b);
+    }
+
+    #[test]
+    fn repeated_fork_label_still_yields_a_fresh_stream() {
+        let mut root = Xoshiro256StarStar::seed_from_u64(99);
+        let mut a = root.fork(0xFA4E);
+        let mut b = root.fork(0xFA4E);
+        let seq_a: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
+        let seq_b: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
+        assert_ne!(seq_a, seq_b);
+        // Equal parent states under one label do coincide.
+        let (mut p, mut q) = (
+            Xoshiro256StarStar::seed_from_u64(7),
+            Xoshiro256StarStar::seed_from_u64(7),
+        );
+        assert_eq!(p.fork(3).next_u64(), q.fork(3).next_u64());
     }
 
     #[test]

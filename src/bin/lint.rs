@@ -1,14 +1,14 @@
 //! `cargo run --bin lint` — run the cyclosa-lint static-analysis pass.
 //!
 //! ```text
-//! lint [--root <path>] [--only <rule>]... [--deny-all] [--write-registry]
+//! lint [--root <path>] [--only <rule>]... [--deny-all]
 //! ```
 //!
-//! - `--only <rule>` restricts the run (`rng-stream`, `trace-schema`,
-//!   `dead-pub`); repeatable. Wall clocks and hash collections are not
-//!   rules here: clippy's `disallowed-methods`/`disallowed-types`
-//!   (`clippy.toml`) ban them.
-//! - `--write-registry` regenerates `RNG_STREAMS.md` instead of linting.
+//! - `--only <rule>` restricts the run (`dead-pub`, the one rule);
+//!   repeatable. Wall clocks and hash collections are not rules here:
+//!   clippy's `disallowed-methods`/`disallowed-types` (`clippy.toml`) ban
+//!   them. Nor are churn stream tags and trace event names: they are types
+//!   (`ChurnTag`, `EventName`) the compiler checks.
 //! - `--deny-all` is the CI spelling: every finding is an error. Findings
 //!   are always errors; the flag documents intent at the call site.
 //! - `--root <path>` lints a tree other than the current directory.
@@ -16,14 +16,13 @@
 //! Exits 0 when clean, 1 on a finding or an unreadable tree, 2 on a usage
 //! error (an unknown flag or rule name).
 
-use cyclosa_lint::{Rule, Workspace, RNG_REGISTRY_FILE};
+use cyclosa_lint::{Rule, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut rules: Vec<Rule> = Vec::new();
-    let mut write_registry = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -36,7 +35,6 @@ fn main() -> ExitCode {
                 None => return usage("--only needs a known rule name"),
             },
             "--deny-all" => {} // findings are always errors; accepted for CI clarity
-            "--write-registry" => write_registry = true,
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument {other:?}")),
         }
@@ -52,16 +50,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if write_registry {
-        let path = root.join(RNG_REGISTRY_FILE);
-        if let Err(err) = std::fs::write(&path, workspace.registry_doc()) {
-            eprintln!("lint: cannot write {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("lint: wrote {}", path.display());
-        return ExitCode::SUCCESS;
-    }
 
     let findings = workspace.run(&rules);
     for finding in &findings {
@@ -85,9 +73,10 @@ fn usage(problem: &str) -> ExitCode {
         eprintln!("lint: {problem}");
     }
     eprintln!(
-        "usage: lint [--root <path>] [--only <rule>]... [--deny-all] [--write-registry]\n\
-         rules: rng-stream, trace-schema, dead-pub\n\
-         (wall clocks and hash collections are clippy's: see clippy.toml)"
+        "usage: lint [--root <path>] [--only <rule>]... [--deny-all]\n\
+         rules: dead-pub\n\
+         (wall clocks and hash collections are clippy's: see clippy.toml;\n\
+         churn tags and trace names are types: ChurnTag, EventName)"
     );
     if problem.is_empty() {
         ExitCode::SUCCESS

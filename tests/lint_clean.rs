@@ -1,8 +1,10 @@
 //! Meta-test: the shipped tree passes `cyclosa-lint`, and the lint still
-//! has teeth — seeded mutations of production sources (scanned in memory,
-//! never written to disk) must each produce a finding of the right rule.
-//! Wall clocks and hash collections are clippy's (`clippy.toml`); CI seeds
-//! both into `crates/net/src/sim.rs` and requires its clippy run to fail.
+//! has teeth — a seeded mutation of a production source (scanned in
+//! memory, never written to disk) must produce a finding. Wall clocks and
+//! hash collections are clippy's (`clippy.toml`), and so is the
+//! string-named `TraceEvent::new`; CI seeds each into a source file and
+//! requires its clippy run to fail. A trace name outside the schema does
+//! not compile (the `compile_fail` doctest on `NodeTracer::event`).
 
 use cyclosa_lint::{scan, Rule, Workspace};
 use std::path::Path;
@@ -43,54 +45,6 @@ fn shipped_tree_lints_clean() {
 }
 
 #[test]
-fn rng_registry_is_in_sync() {
-    let expected = load().registry_doc();
-    let on_disk = std::fs::read_to_string(repo_root().join(cyclosa_lint::RNG_REGISTRY_FILE))
-        .expect("RNG_STREAMS.md committed");
-    assert_eq!(
-        on_disk, expected,
-        "RNG_STREAMS.md is stale — run `cargo run --bin lint -- --write-registry`"
-    );
-}
-
-#[test]
-fn seeded_schema_drift_is_caught() {
-    let mut workspace = load();
-    mutate(
-        &mut workspace,
-        "crates/core/src/node.rs",
-        "fn sneaky_emit(t: &cyclosa_telemetry::TraceSink, e: cyclosa_telemetry::TraceEvent) { let _ = t; let _ = e.name; let _ = (\"x\", \"plan.zzz_unregistered\"); fn event(_: u8) {} event(1); let _ = \"plan.zzz_unregistered\"; }",
-    );
-    // The mutated file contains a family-shaped literal outside the schema.
-    let findings = workspace.run(&[Rule::TraceSchema]);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == Rule::TraceSchema && f.message.contains("plan.zzz_unregistered")),
-        "unregistered event name must be flagged: {findings:?}"
-    );
-}
-
-#[test]
-fn seeded_rng_stream_collision_is_caught() {
-    let mut workspace = load();
-    // core/node.rs already forks label 0xFA4E once; a second fork with the
-    // same label in the same file correlates the streams.
-    mutate(
-        &mut workspace,
-        "crates/core/src/node.rs",
-        "fn sneaky_fork(r: &mut cyclosa_util::rng::Xoshiro256StarStar) -> cyclosa_util::rng::Xoshiro256StarStar { r.fork(0xFA4E) }",
-    );
-    let findings = workspace.run(&[Rule::RngStream]);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == Rule::RngStream && f.message.contains("fork label")),
-        "duplicate fork label must be flagged: {findings:?}"
-    );
-}
-
-#[test]
 fn seeded_orphan_pub_fn_is_caught() {
     let mut workspace = load();
     mutate(
@@ -105,4 +59,19 @@ fn seeded_orphan_pub_fn_is_caught() {
             && f.message.contains("sneaky_orphan_probe")),
         "an uncalled pub fn must be flagged: {findings:?}"
     );
+}
+
+#[test]
+fn retired_rule_names_are_usage_errors() {
+    // Churn tags and trace names are types now, wall clocks and hash
+    // collections clippy's: naming a retired rule must fail loudly (exit
+    // 2), not lint nothing and pass.
+    for retired in ["rng-stream", "trace-schema", "nondet"] {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_lint"))
+            .args(["--only", retired])
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("lint runs");
+        assert_eq!(status.code(), Some(2), "--only {retired}");
+    }
 }
