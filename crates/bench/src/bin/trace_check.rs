@@ -55,14 +55,22 @@ fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
     Ok(options)
 }
 
-/// Whether a validated JSONL line is an event named `name`.
-fn line_has_name(line: &str, name: &str) -> bool {
-    let Ok(Json::Obj(fields)) = parse_json(line) else {
-        return false;
-    };
-    fields
-        .iter()
-        .any(|(key, value)| key == "name" && *value == Json::Str(name.to_owned()))
+/// How many of `lines` are events of each of `names`, in `names`' order.
+/// Each line is parsed once, however many names are asked for.
+fn count_events<'a>(lines: &[String], names: &[&'a str]) -> Vec<(&'a str, usize)> {
+    let mut counts = vec![0usize; names.len()];
+    for line in lines {
+        let Ok(Json::Obj(fields)) = parse_json(line) else {
+            continue;
+        };
+        for (count, name) in counts.iter_mut().zip(names) {
+            let named = |(key, value): &(String, Json)| {
+                key == "name" && matches!(value, Json::Str(event) if event == name)
+            };
+            *count += usize::from(fields.iter().any(named));
+        }
+    }
+    names.iter().copied().zip(counts).collect()
 }
 
 fn main() {
@@ -83,11 +91,8 @@ fn main() {
             Err(message) => cli::fail(1, format!("{path}: {message}")),
         }
     }
-    for name in options.require_events.iter().map(|event| event.as_str()) {
-        let hits = jsonl_lines
-            .iter()
-            .filter(|line| line_has_name(line, name))
-            .count();
+    let names: Vec<&str> = options.require_events.iter().map(|e| e.as_str()).collect();
+    for (name, hits) in count_events(&jsonl_lines, &names) {
         if hits == 0 {
             cli::fail(1, format!("no {name:?} event in any --jsonl file"));
         }
@@ -132,6 +137,45 @@ mod tests {
                 format!("bad --require-event value {name:?}: not a trace event name")
             );
         }
+    }
+
+    #[test]
+    fn one_pass_counts_every_required_event_as_a_scan_per_name_does() {
+        // The former per-name scan, one parse of every line per name.
+        fn line_has_name(line: &str, name: &str) -> bool {
+            let Ok(Json::Obj(fields)) = parse_json(line) else {
+                return false;
+            };
+            fields
+                .iter()
+                .any(|(key, value)| key == "name" && *value == Json::Str(name.to_owned()))
+        }
+        let lines: Vec<String> = [
+            r#"{"at_ns":1,"actor":3,"name":"query.repair","fields":{}}"#,
+            r#"{"at_ns":2,"actor":4,"name":"fault.leave","fields":{"name":"query.repair"}}"#,
+            r#"{"at_ns":3,"actor":3,"name":"query.repair","fields":{}}"#,
+            r#"{"at_ns":4,"actor":5,"name":"slo.privacy.burn","fields":{}}"#,
+            "not json",
+            r#"["name","query.repair"]"#,
+        ]
+        .map(str::to_owned)
+        .into();
+        let names = ["query.repair", "fault.leave", "fault.join"];
+        let old: Vec<(&str, usize)> = names
+            .iter()
+            .map(|&name| {
+                (
+                    name,
+                    lines.iter().filter(|l| line_has_name(l, name)).count(),
+                )
+            })
+            .collect();
+        assert_eq!(count_events(&lines, &names[..2]), old[..2]);
+        assert_eq!(count_events(&lines, &names), old);
+        assert_eq!(
+            old,
+            [("query.repair", 2), ("fault.leave", 1), ("fault.join", 0)]
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@ use cyclosa_workload::generator::{
     LabeledQuery, QueryLog, UserTrace, WorkloadConfig, WorkloadGenerator,
 };
 use cyclosa_workload::topics::{seed_queries, sensitive_corpus, synthetic_lexicon, TopicCatalog};
+use std::sync::OnceLock;
 
 /// How large an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +96,8 @@ pub struct ExperimentSetup {
     pub engine: SearchEngine,
     /// The base seed.
     pub(crate) seed: u64,
+    /// The categorizer, trained on first use and cloned from then on.
+    categorizer: OnceLock<QueryCategorizer>,
 }
 
 impl ExperimentSetup {
@@ -125,6 +128,7 @@ impl ExperimentSetup {
             test_queries,
             engine,
             seed,
+            categorizer: OnceLock::new(),
         }
     }
 
@@ -135,17 +139,23 @@ impl ExperimentSetup {
         root.fork(label)
     }
 
-    /// Builds the per-user categorizer the way CYCLOSA clients do, covering
-    /// all four default sensitive topics. It does not read `_protection`;
-    /// the parameter stays for the `benchmarks/` package, which passes it.
+    /// The per-user categorizer built the way CYCLOSA clients do, covering
+    /// all four default sensitive topics. LDA is trained on the first call
+    /// only (its RNG label never changes, so neither does the result); every
+    /// call returns a clone that shares the compiled table. It does not read
+    /// `_protection`; the parameter stays for the `benchmarks/` package,
+    /// which passes it.
     pub fn categorizer(&self, _protection: &ProtectionConfig) -> QueryCategorizer {
-        let mut rng = self.rng(0xCA7);
-        build_categorizer(
-            &self.lexicon,
-            &["health", "politics", "religion", "sexuality"],
-            &self.sensitive_corpus,
-            &mut rng,
-        )
+        self.categorizer
+            .get_or_init(|| {
+                build_categorizer(
+                    &self.lexicon,
+                    &["health", "politics", "religion", "sexuality"],
+                    &self.sensitive_corpus,
+                    &mut self.rng(0xCA7),
+                )
+            })
+            .clone()
     }
 
     /// Builds a fully seeded CYCLOSA mechanism with `k_max`.

@@ -49,8 +49,9 @@ pub struct Cyclosa {
 
 impl Cyclosa {
     /// Creates the mechanism with the given protection configuration and
-    /// semantic categorizer (shared structure; each user still has her own
-    /// history for the linkability assessment).
+    /// semantic categorizer (every user's analyzer shares its compiled
+    /// table; each user still has their own history for the linkability
+    /// assessment).
     pub fn new(
         protection: ProtectionConfig,
         categorizer: QueryCategorizer,
@@ -111,8 +112,8 @@ impl Cyclosa {
     }
 
     fn analyzer_for(&mut self, user: UserId) -> &mut SensitivityAnalyzer {
-        // Every user gets her own copy of the dictionaries, made once: the
-        // first time she is seen.
+        // Every user gets their own analyzer the first time they are seen;
+        // its categorizer is a clone that shares the compiled topic table.
         self.analyzers.entry(user).or_insert_with(|| {
             SensitivityAnalyzer::new(self.categorizer.clone(), self.method, &self.protection)
         })

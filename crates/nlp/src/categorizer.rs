@@ -13,6 +13,8 @@
 
 use crate::dictionary::TopicDictionary;
 use crate::text::tokenize;
+use cyclosa_util::det::DetHashMap;
+use std::sync::Arc;
 
 /// Which evidence source(s) the categorizer uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,6 +27,17 @@ pub enum CategorizerMethod {
     Combined,
 }
 
+impl CategorizerMethod {
+    /// The [`Hit`] flags that count as evidence under this method.
+    fn evidence(self) -> u8 {
+        match self {
+            CategorizerMethod::WordNet => Hit::LEXICON,
+            CategorizerMethod::Lda => Hit::LDA,
+            CategorizerMethod::Combined => Hit::LDA | Hit::LEXICON_STRONG,
+        }
+    }
+}
+
 impl std::fmt::Display for CategorizerMethod {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -35,15 +48,87 @@ impl std::fmt::Display for CategorizerMethod {
     }
 }
 
+/// One topic a term is evidence of, and how: which kinds of dictionary of
+/// that topic hold the term.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Hit {
+    /// Index into [`TopicTable::topics`].
+    topic: u32,
+    /// A union of [`Hit::LEXICON`], [`Hit::LEXICON_STRONG`] and [`Hit::LDA`].
+    flags: u8,
+}
+
+impl Hit {
+    /// The term is in a lexicon dictionary of the topic.
+    const LEXICON: u8 = 1;
+    /// The term is a strong term of a lexicon dictionary of the topic.
+    const LEXICON_STRONG: u8 = 2;
+    /// The term is in an LDA dictionary of the topic.
+    const LDA: u8 = 4;
+}
+
+/// Every registered dictionary compiled into one term-keyed table: a query
+/// term costs one hash probe, however many dictionaries there are.
+///
+/// Keyed access only (ARCHITECTURE "Term kernel & interning"): the answer
+/// never depends on the map's iteration order.
+#[derive(Debug, Clone, Default)]
+struct TopicTable {
+    /// Distinct topic names, in order of first registration.
+    topics: Vec<Box<str>>,
+    /// Term → the topics it is evidence of, one [`Hit`] per topic.
+    terms: DetHashMap<Box<str>, Vec<Hit>>,
+}
+
+impl TopicTable {
+    /// Merges one dictionary in: each of its terms gains `flags` (plus
+    /// `strong_flags` for a strong term) on the dictionary's topic.
+    fn add(&mut self, dict: &TopicDictionary, flags: u8, strong_flags: u8) {
+        let topic = match self.topics.iter().position(|t| **t == *dict.topic()) {
+            Some(index) => index,
+            None => {
+                self.topics.push(dict.topic().into());
+                self.topics.len() - 1
+            }
+        } as u32;
+        for (term, strong) in dict.terms() {
+            let flags = if strong { flags | strong_flags } else { flags };
+            let hits = self.terms.entry(term.into()).or_default();
+            match hits.iter_mut().find(|hit| hit.topic == topic) {
+                Some(hit) => hit.flags |= flags,
+                None => hits.push(Hit { topic, flags }),
+            }
+        }
+    }
+
+    /// The hits of `terms` that count as evidence under `method`.
+    fn evidence<'a, S: AsRef<str>>(
+        &'a self,
+        terms: &'a [S],
+        method: CategorizerMethod,
+    ) -> impl Iterator<Item = &'a Hit> + 'a {
+        let mask = method.evidence();
+        terms
+            .iter()
+            .filter_map(|term| self.terms.get(term.as_ref()))
+            .flatten()
+            .filter(move |hit| hit.flags & mask != 0)
+    }
+}
+
 /// A per-user semantic sensitivity detector.
 ///
-/// Each user selects the topics she considers sensitive (paper: health,
-/// politics, sex, religion by default); the categorizer holds one lexicon
-/// dictionary and one LDA dictionary per selected topic.
+/// The user selects the topics they consider sensitive (paper: health,
+/// politics, sex, religion by default); the categorizer is built from one
+/// lexicon dictionary and one LDA dictionary per selected topic. Each
+/// `add_*` compiles its dictionary into one term → topics table behind an
+/// `Arc`, so every clone — one per node and per analyzed user —
+/// shares that table instead of copying the dictionaries, and a query term
+/// costs one hash probe. An `add_*` on a categorizer whose table is shared
+/// copies the table first: the clones never change.
 #[derive(Debug, Clone, Default)]
 pub struct QueryCategorizer {
-    lexicon_dictionaries: Vec<TopicDictionary>,
-    lda_dictionaries: Vec<TopicDictionary>,
+    table: Arc<TopicTable>,
 }
 
 impl QueryCategorizer {
@@ -54,12 +139,12 @@ impl QueryCategorizer {
 
     /// Registers a lexicon-derived dictionary for a sensitive topic.
     pub fn add_lexicon_dictionary(&mut self, dict: TopicDictionary) {
-        self.lexicon_dictionaries.push(dict);
+        Arc::make_mut(&mut self.table).add(&dict, Hit::LEXICON, Hit::LEXICON_STRONG);
     }
 
     /// Registers an LDA-derived dictionary for a sensitive topic.
     pub fn add_lda_dictionary(&mut self, dict: TopicDictionary) {
-        self.lda_dictionaries.push(dict);
+        Arc::make_mut(&mut self.table).add(&dict, Hit::LDA, 0);
     }
 
     /// Returns `true` when `query` is semantically sensitive according to
@@ -69,59 +154,27 @@ impl QueryCategorizer {
     }
 
     /// [`QueryCategorizer::is_sensitive`] over already-tokenized content
-    /// terms — the query is tokenized once and probed against every
-    /// dictionary.
+    /// terms — the query is tokenized once and each term probed once.
     pub fn is_sensitive_terms<S: AsRef<str>>(
         &self,
         terms: &[S],
         method: CategorizerMethod,
     ) -> bool {
-        if terms.is_empty() {
-            return false;
-        }
-        match method {
-            CategorizerMethod::WordNet => self
-                .lexicon_dictionaries
-                .iter()
-                .any(|d| d.matches_terms(terms)),
-            CategorizerMethod::Lda => self.lda_dictionaries.iter().any(|d| d.matches_terms(terms)),
-            CategorizerMethod::Combined => {
-                self.lda_dictionaries.iter().any(|d| d.matches_terms(terms))
-                    || self
-                        .lexicon_dictionaries
-                        .iter()
-                        .any(|d| d.matches_terms_strongly(terms))
-            }
-        }
+        self.table.evidence(terms, method).next().is_some()
     }
 
     /// The topics whose dictionaries match the already-tokenized content
-    /// `terms` under `method`, each listed once.
+    /// `terms` under `method`, each listed once, in ascending order.
     pub fn matching_topics_terms<S: AsRef<str>>(
         &self,
         terms: &[S],
         method: CategorizerMethod,
     ) -> Vec<&str> {
-        let mut topics = Vec::new();
-        let lexicon_matches = |d: &TopicDictionary| match method {
-            CategorizerMethod::WordNet => d.matches_terms(terms),
-            CategorizerMethod::Combined => d.matches_terms_strongly(terms),
-            CategorizerMethod::Lda => false,
-        };
-        if method != CategorizerMethod::Lda {
-            for d in &self.lexicon_dictionaries {
-                if lexicon_matches(d) {
-                    topics.push(d.topic());
-                }
-            }
-        }
-        if method != CategorizerMethod::WordNet {
-            for d in &self.lda_dictionaries {
-                if d.matches_terms(terms) {
-                    topics.push(d.topic());
-                }
-            }
-        }
+        let mut topics: Vec<&str> = self
+            .table
+            .evidence(terms, method)
+            .map(|hit| &*self.table.topics[hit.topic as usize])
+            .collect();
         topics.sort_unstable();
         topics.dedup();
         topics
@@ -240,11 +293,35 @@ mod tests {
         assert!(c
             .matching_topics_terms(&tokenize("weather geneva"), CategorizerMethod::Combined)
             .is_empty());
-        assert!(c
-            .lexicon_dictionaries
-            .iter()
-            .chain(&c.lda_dictionaries)
-            .all(|d| d.topic() == "sexuality"));
+        assert_eq!(c.table.topics, [Box::from("sexuality")]);
+    }
+
+    #[test]
+    fn clones_share_the_compiled_table() {
+        let c = categorizer();
+        let clone = c.clone();
+        assert!(Arc::ptr_eq(&c.table, &clone.table));
+        assert!(!Arc::ptr_eq(&c.table, &categorizer().table));
+    }
+
+    #[test]
+    fn adding_after_a_clone_leaves_the_clone_unchanged() {
+        let mut c = categorizer();
+        let clone = c.clone();
+        let mut health = TopicDictionary::new("health");
+        health.add_term("diabetes", true);
+        c.add_lexicon_dictionary(health);
+        assert!(!Arc::ptr_eq(&c.table, &clone.table));
+        assert!(c.is_sensitive("diabetes diet", CategorizerMethod::Combined));
+        assert!(!clone.is_sensitive("diabetes diet", CategorizerMethod::Combined));
+        assert_eq!(clone.table.topics, [Box::from("sexuality")]);
+        assert_eq!(clone.table.terms.len(), 3);
+        // An unshared table is extended in place.
+        let before = Arc::as_ptr(&c.table);
+        let mut religion = TopicDictionary::new("religion");
+        religion.add_term("church", false);
+        c.add_lda_dictionary(religion);
+        assert_eq!(Arc::as_ptr(&c.table), before);
     }
 
     #[test]

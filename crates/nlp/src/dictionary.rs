@@ -31,8 +31,15 @@ impl TopicDictionary {
     }
 
     /// The topic this dictionary describes.
-    pub(crate) fn topic(&self) -> &str {
+    pub fn topic(&self) -> &str {
         &self.topic
+    }
+
+    /// Every term, in ascending order, with whether it is strong.
+    pub fn terms(&self) -> impl Iterator<Item = (&str, bool)> {
+        self.terms
+            .iter()
+            .map(|term| (term.as_str(), self.strong_terms.contains(term)))
     }
 
     /// Adds a term (marking it strong if `strong` is true).
@@ -45,16 +52,17 @@ impl TopicDictionary {
     }
 
     /// Returns `true` if any of the already-tokenized content `terms` is in
-    /// the dictionary — callers tokenize a query once and probe many
-    /// dictionaries. Terms are expected lowercase, as produced by
-    /// [`tokenize`](crate::text::tokenize).
-    pub(crate) fn matches_terms<S: AsRef<str>>(&self, terms: &[S]) -> bool {
+    /// the dictionary. Terms are expected lowercase, as produced by
+    /// [`tokenize`](crate::text::tokenize). The categorizer does not probe
+    /// dictionaries one by one (it compiles them into one table); this is
+    /// the per-dictionary specification that table is tested against.
+    pub fn matches_terms<S: AsRef<str>>(&self, terms: &[S]) -> bool {
         terms.iter().any(|t| self.terms.contains(t.as_ref()))
     }
 
     /// Returns `true` if any of the already-tokenized content `terms` is
     /// strong evidence of the topic.
-    pub(crate) fn matches_terms_strongly<S: AsRef<str>>(&self, terms: &[S]) -> bool {
+    pub fn matches_terms_strongly<S: AsRef<str>>(&self, terms: &[S]) -> bool {
         terms.iter().any(|t| self.strong_terms.contains(t.as_ref()))
     }
 

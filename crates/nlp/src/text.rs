@@ -16,7 +16,7 @@
 //!   shared interner so every subsystem (profiles, SimAttack, the
 //!   search-engine index) agrees on the id of a term.
 
-use std::collections::BTreeMap;
+use cyclosa_util::det::DetHashMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// English stop words that carry no topical signal in queries.
@@ -129,10 +129,14 @@ impl TermId {
 /// generator so that term ids are consistent across crates. For the
 /// cross-thread, cheaply-clonable variant used by the hot paths, see
 /// [`TermInterner`].
+///
+/// Ids are issued densely in first-intern order: `terms[id]` is the term.
+/// The reverse `index` is a hash map used for keyed access only, so a
+/// lookup is one hash probe and nothing depends on its iteration order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Vocabulary {
-    terms: Vec<String>,
-    index: BTreeMap<String, usize>,
+    terms: Vec<Box<str>>,
+    index: DetHashMap<Box<str>, usize>,
 }
 
 impl Vocabulary {
@@ -147,8 +151,8 @@ impl Vocabulary {
             return id;
         }
         let id = self.terms.len();
-        self.terms.push(term.to_owned());
-        self.index.insert(term.to_owned(), id);
+        self.terms.push(term.into());
+        self.index.insert(term.into(), id);
         id
     }
 
@@ -159,7 +163,7 @@ impl Vocabulary {
 
     /// Returns the term with the given id, if any.
     pub(crate) fn term(&self, id: usize) -> Option<&str> {
-        self.terms.get(id).map(|s| s.as_str())
+        self.terms.get(id).map(|s| &**s)
     }
 
     /// Number of distinct terms.
@@ -377,6 +381,26 @@ mod tests {
         }
         let collected: Vec<_> = (0..v.len()).filter_map(|id| v.term(id)).collect();
         assert_eq!(collected, vec!["zebra", "apple", "mango"]);
+    }
+
+    #[test]
+    fn vocabulary_ids_are_dense_in_first_intern_order() {
+        let terms = ["zebra", "apple", "zebra", "mango", "apple", "kiwi"];
+        let mut a = Vocabulary::new();
+        let ids: Vec<usize> = terms.iter().map(|t| a.intern(t)).collect();
+        assert_eq!(ids, [0, 1, 0, 2, 1, 3]);
+        for (id, term) in ["zebra", "apple", "mango", "kiwi"].iter().enumerate() {
+            assert_eq!(a.id_of(term), Some(id));
+            assert_eq!(a.term(id), Some(*term));
+        }
+        assert_eq!(a.term(4), None);
+        let mut b = Vocabulary::new();
+        for term in terms {
+            b.intern(term);
+        }
+        assert_eq!(a, b);
+        b.intern("fig");
+        assert_ne!(a, b);
     }
 
     #[test]

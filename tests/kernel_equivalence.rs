@@ -7,14 +7,18 @@ use cyclosa::config::ProtectionConfig;
 use cyclosa_attack::simattack::SimAttack;
 use cyclosa_bench::setup::{ExperimentScale, ExperimentSetup};
 use cyclosa_mechanism::UserId;
-use cyclosa_nlp::categorizer::CategorizerMethod;
+use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
+use cyclosa_nlp::dictionary::TopicDictionary;
 use cyclosa_nlp::kernel::{cosine_similarity_ids, IdVector};
+use cyclosa_nlp::lda::{Corpus, LdaModel};
 use cyclosa_nlp::profile::DEFAULT_SMOOTHING_ALPHA;
-use cyclosa_nlp::text::{is_stop_word, normalize, tokenize, TermInterner};
+use cyclosa_nlp::text::{is_stop_word, normalize, tokenize, TermInterner, Vocabulary};
 use cyclosa_nlp::vector::{cosine_similarity, TermVector};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 use cyclosa_util::smoothing::exponential_smoothing;
 use cyclosa_workload::generator::UserTrace;
+use cyclosa_workload::topics::{sensitive_corpus, synthetic_lexicon, TopicCatalog};
+use std::collections::BTreeSet;
 
 /// A deterministic random query over a small shared vocabulary (overlap
 /// between queries is what exercises the merge-join).
@@ -462,11 +466,7 @@ fn group_reidentification_matches_reference_rule_over(disjunct_count: usize) {
 fn sensitive_means_some_topic_matched_under_every_method() {
     let setup = ExperimentSetup::new(ExperimentScale::Small, 2018);
     let categorizer = setup.categorizer(&ProtectionConfig::default());
-    for method in [
-        CategorizerMethod::WordNet,
-        CategorizerMethod::Lda,
-        CategorizerMethod::Combined,
-    ] {
+    for method in METHODS {
         let queries = || setup.log.traces.iter().flat_map(|t| &t.queries);
         let mut sensitive = 0usize;
         for q in queries() {
@@ -485,5 +485,201 @@ fn sensitive_means_some_topic_matched_under_every_method() {
             "{method}: {sensitive} of {} flagged",
             queries().count()
         );
+    }
+}
+
+/// The categorizer as it was before its dictionaries were compiled into one
+/// table: every `TopicDictionary` probed one by one.
+struct DictionaryProbes {
+    lexicon: Vec<TopicDictionary>,
+    lda: Vec<TopicDictionary>,
+}
+
+const METHODS: [CategorizerMethod; 3] = [
+    CategorizerMethod::WordNet,
+    CategorizerMethod::Lda,
+    CategorizerMethod::Combined,
+];
+
+impl DictionaryProbes {
+    fn compiled(&self) -> QueryCategorizer {
+        let mut categorizer = QueryCategorizer::new();
+        for dict in &self.lexicon {
+            categorizer.add_lexicon_dictionary(dict.clone());
+        }
+        for dict in &self.lda {
+            categorizer.add_lda_dictionary(dict.clone());
+        }
+        categorizer
+    }
+
+    fn is_sensitive_terms(&self, terms: &[String], method: CategorizerMethod) -> bool {
+        if terms.is_empty() {
+            return false;
+        }
+        match method {
+            CategorizerMethod::WordNet => self.lexicon.iter().any(|d| d.matches_terms(terms)),
+            CategorizerMethod::Lda => self.lda.iter().any(|d| d.matches_terms(terms)),
+            CategorizerMethod::Combined => {
+                self.lda.iter().any(|d| d.matches_terms(terms))
+                    || self.lexicon.iter().any(|d| d.matches_terms_strongly(terms))
+            }
+        }
+    }
+
+    fn matching_topics_terms(&self, terms: &[String], method: CategorizerMethod) -> Vec<&str> {
+        let mut topics = Vec::new();
+        for d in &self.lexicon {
+            let hit = match method {
+                CategorizerMethod::WordNet => d.matches_terms(terms),
+                CategorizerMethod::Combined => d.matches_terms_strongly(terms),
+                CategorizerMethod::Lda => false,
+            };
+            if hit {
+                topics.push(d.topic());
+            }
+        }
+        if method != CategorizerMethod::WordNet {
+            for d in &self.lda {
+                if d.matches_terms(terms) {
+                    topics.push(d.topic());
+                }
+            }
+        }
+        topics.sort_unstable();
+        topics.dedup();
+        topics
+    }
+
+    /// Every term of every dictionary.
+    fn words(&self) -> Vec<String> {
+        let words: BTreeSet<&str> = self
+            .lexicon
+            .iter()
+            .chain(&self.lda)
+            .flat_map(|d| d.terms().map(|(term, _)| term))
+            .collect();
+        words.into_iter().map(str::to_owned).collect()
+    }
+
+    /// Asserts that `compiled` answers `terms` as the probes do under every
+    /// method; returns the topics matched under any of them.
+    fn assert_agree<'a>(
+        &'a self,
+        compiled: &QueryCategorizer,
+        terms: &[String],
+    ) -> BTreeSet<&'a str> {
+        let mut matched = BTreeSet::new();
+        for method in METHODS {
+            let topics = self.matching_topics_terms(terms, method);
+            assert_eq!(
+                compiled.matching_topics_terms(terms, method),
+                topics,
+                "{method}: {terms:?}"
+            );
+            assert_eq!(
+                compiled.is_sensitive_terms(terms, method),
+                self.is_sensitive_terms(terms, method),
+                "{method}: {terms:?}"
+            );
+            matched.extend(topics);
+        }
+        matched
+    }
+}
+
+/// The dictionaries `build_categorizer` makes for the Small set-up at
+/// `seed`: one lexicon dictionary per default sensitive topic and one LDA
+/// dictionary, trained on the sensitive corpus (the first draw of
+/// `ExperimentSetup::new`'s RNG) with `ExperimentSetup::categorizer`'s RNG.
+fn small_setup_dictionaries(setup: &ExperimentSetup, seed: u64) -> DictionaryProbes {
+    let catalog = TopicCatalog::default_catalog();
+    let lexicon = synthetic_lexicon(&catalog);
+    let topics = ["health", "politics", "religion", "sexuality"];
+    let texts = sensitive_corpus(&catalog, 80, &mut Xoshiro256StarStar::seed_from_u64(seed));
+    let mut vocab = Vocabulary::new();
+    let corpus = Corpus::from_texts(&mut vocab, texts.iter().map(|s| s.as_str()));
+    let model = LdaModel::train(&corpus, &mut setup.rng(0xCA7));
+    DictionaryProbes {
+        lexicon: topics
+            .iter()
+            .map(|t| TopicDictionary::from_lexicon(t, &lexicon, t))
+            .collect(),
+        lda: vec![TopicDictionary::from_lda("sexuality", &model, &vocab, 6)],
+    }
+}
+
+#[test]
+fn compiled_topic_table_answers_as_the_dictionary_probes() {
+    let setup = ExperimentSetup::new(ExperimentScale::Small, 2018);
+    let probes = small_setup_dictionaries(&setup, 2018);
+    let compiled = setup.categorizer(&ProtectionConfig::default());
+    let words = probes.words();
+    // The lexicon's (and the LDA dictionary's) words, one at a time and all
+    // at once.
+    let mut matched = BTreeSet::new();
+    for word in &words {
+        matched.extend(probes.assert_agree(&compiled, std::slice::from_ref(word)));
+    }
+    probes.assert_agree(&compiled, &words);
+    assert_eq!(matched.len(), 4, "{matched:?}");
+    // The Small test log.
+    let mut flagged = 0usize;
+    for q in setup.log.traces.iter().flat_map(|t| &t.queries) {
+        let terms = tokenize(&q.query.text);
+        flagged += usize::from(!probes.assert_agree(&compiled, &terms).is_empty());
+    }
+    assert!(flagged > 0, "no query of the log matched a topic");
+    // Seeded random term sets over dictionary words, log words and misses.
+    let mut pool = words.clone();
+    pool.extend(
+        tokenize(&test_texts(&setup).join(" "))
+            .into_iter()
+            .take(200),
+    );
+    pool.extend(["zzz", "weather", "geneva"].map(str::to_owned));
+    let mut rng = Xoshiro256StarStar::seed_from_u64(0xCA7E);
+    for _ in 0..3000 {
+        let len = rng.gen_index(6);
+        let terms: Vec<String> = (0..len)
+            .filter_map(|_| rng.choose(&pool).cloned())
+            .collect();
+        probes.assert_agree(&compiled, &terms);
+    }
+}
+
+#[test]
+fn compiled_topic_table_has_no_cap_on_dictionaries() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(0x7AB1E);
+    let pool: Vec<String> = (0..150).map(|i| format!("w{i}")).collect();
+    // 40 + 40 dictionaries over 45 topic names: topics repeat within and
+    // across the two kinds, and more than 32 distinct topics exist.
+    let dictionary = |rng: &mut Xoshiro256StarStar| {
+        let mut dict = TopicDictionary::new(&format!("topic{}", rng.gen_index(45)));
+        for _ in 0..1 + rng.gen_index(8) {
+            if let Some(term) = rng.choose(&pool) {
+                dict.add_term(term, rng.gen_bool(0.5));
+            }
+        }
+        dict
+    };
+    let probes = DictionaryProbes {
+        lexicon: (0..40).map(|_| dictionary(&mut rng)).collect(),
+        lda: (0..40).map(|_| dictionary(&mut rng)).collect(),
+    };
+    let compiled = probes.compiled();
+    let mut matched = BTreeSet::new();
+    for word in probes.words() {
+        matched.extend(probes.assert_agree(&compiled, &[word]));
+    }
+    assert!(matched.len() > 32, "only {} topics matched", matched.len());
+    let mut misses: Vec<String> = (150..170).map(|i| format!("w{i}")).collect();
+    misses.extend(pool);
+    for _ in 0..3000 {
+        let len = rng.gen_index(6);
+        let terms: Vec<String> = (0..len)
+            .filter_map(|_| rng.choose(&misses).cloned())
+            .collect();
+        probes.assert_agree(&compiled, &terms);
     }
 }
