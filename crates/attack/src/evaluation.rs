@@ -27,9 +27,10 @@
 //! mechanism's state; the RNG sees exactly the draws of a one-query-at-a-time
 //! loop. It then attacks the block's observations with
 //! [`cyclosa_util::par::map_chunks`] on every core the process may use.
-//! Attacking one observation only reads the trained [`SimAttack`], chunks
-//! are cut by index, and the per-chunk counts are integers summed in
-//! order, so the report is the same at any thread count. The adversary's
+//! Attacking one observation only reads the trained [`SimAttack`] (its
+//! working arrays come from a pool, one scratch per call, left at zero),
+//! chunks are cut by index, and the per-chunk counts are integers summed
+//! in order, so the report is the same at any thread count. The adversary's
 //! training ([`SimAttack::from_training`]) stays sequential: term ids are
 //! issued in first-intern order.
 

@@ -25,15 +25,17 @@
 //! * postings `TermId → [ordinal]` list, for every term, the training
 //!   queries containing it.
 //!
-//! `reidentify` tokenizes the query **once** and gathers the postings of
-//! its terms — `u32` ordinals, one ascending run per term — into one list,
-//! which a stable sort merges. Both sides are binary vectors, so the number
-//! of times an ordinal occurs in the merged list *is* its dot product with
-//! the query, and only the ordinals that occur have a positive cosine. Those
-//! are grouped per owner (a second stable sort, over what is one ascending
-//! run unless users were learned interleaved) into *candidates* — profiles
-//! sharing at least one term with the query — each with its positive
-//! cosines and the largest of them.
+//! `reidentify` tokenizes the query **once** and walks the postings of its
+//! terms, counting each ordinal's hits in a dense **accumulator** (one `u32`
+//! per ordinal) and filing each ordinal on its first hit in a `touched`
+//! list. Both sides are binary vectors, so an ordinal's count *is* its dot
+//! product with the query, and only the touched ordinals have a positive
+//! cosine. A counting sort groups them per owner: each owner's matched past
+//! queries are counted in a dense per-user array and the owner is marked in
+//! a user bitmap, and walking the bitmap in index order lays out one slice
+//! per owner. One cosine per touched ordinal is filed in its owner's slice.
+//! Each owner is a *candidate* — a profile sharing at least one term with
+//! the query — with its positive cosines and the largest of them.
 //!
 //! A candidate is scored from its positive cosines and the **count** of its
 //! remaining past queries by [`exponential_smoothing_zero_tail`]. The
@@ -78,12 +80,15 @@
 //! [`SimAttack::reidentify_scan`] and pinned by
 //! `tests/kernel_equivalence.rs` and `tests/attack_pin.rs`).
 //!
-//! What a query still costs: gathering and sorting its hits,
-//! `O(matching postings × log terms)`, one cosine per matched past query,
-//! and a smoothing sort and fold for a handful of candidates — whatever the
-//! number of learned queries and users. Nothing sized by the index is
-//! allocated or cleared per call, which is why the overlaps are counted by
-//! sorting the hits and not in a dense array with one counter per ordinal.
+//! What a query still costs: one step per matching posting, one cosine per
+//! matched past query, a walk over the bitmap words between the lowest and
+//! the highest matched user, and a smoothing sort and fold for a handful of
+//! candidates — whatever the number of learned queries and users. Nothing
+//! sized by the index is allocated or cleared per call: the arrays live in
+//! a scratch the adversary keeps for reuse (one per call running at the
+//! same time), grown only when learning added ordinals or users, and every
+//! counter is reset through `touched` and the candidate list. A query
+//! without a learned term returns before taking a scratch.
 //!
 //! Attacking never teaches: an attacked query is vectorized by
 //! [`IdVector::binary_from_known_terms`], which interns nothing. A term the
@@ -100,6 +105,7 @@ use cyclosa_util::smoothing::exponential_smoothing_zero_tail;
 use cyclosa_workload::generator::UserTrace;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The confidence threshold used by the paper.
 pub(crate) const DEFAULT_THRESHOLD: f64 = 0.5;
@@ -121,6 +127,9 @@ pub struct SimAttack {
     /// training terms appear.
     postings: Vec<Vec<u32>>,
     threshold: f64,
+    /// Scratches of the calls that have returned, one per call that ran
+    /// at the same time (see [`Scratch`]).
+    pool: Mutex<Vec<Scratch>>,
 }
 
 impl SimAttack {
@@ -210,59 +219,108 @@ impl SimAttack {
         Some(profile.similarity_vector(&self.prepare(query)))
     }
 
-    /// Appends to `list` the candidates of `vector` as disjunct `disjunct`:
-    /// every profile sharing at least one term with it, in user-index
-    /// order. Their positive cosines are appended to `cosines`. Profiles not
-    /// listed score exactly 0.
-    fn gather(
-        &self,
-        vector: &IdVector,
-        disjunct: usize,
-        list: &mut Vec<Candidate>,
-        cosines: &mut Vec<f64>,
-    ) {
+    /// A scratch for one call, sized for what the adversary has learned:
+    /// one from the pool when there is one, a new one otherwise.
+    fn take_scratch(&self) -> Scratch {
+        let mut scratch = lock(&self.pool).pop().unwrap_or_default();
+        scratch.fit(self.owner.len(), self.profiles.len());
+        scratch
+    }
+
+    /// Returns a scratch to the pool with its candidates dropped.
+    fn put_scratch(&self, mut scratch: Scratch) {
+        scratch.list.clear();
+        scratch.cosines.clear();
+        lock(&self.pool).push(scratch);
+    }
+
+    /// Appends to the scratch's `list` the candidates of `vector` as
+    /// disjunct `disjunct`: every profile sharing at least one term with
+    /// it, in user-index order. Their positive cosines are appended to its
+    /// `cosines`. Profiles not listed score exactly 0. Leaves the counters
+    /// at zero and `touched` empty.
+    fn gather(&self, scratch: &mut Scratch, vector: &IdVector, disjunct: usize) {
+        let Scratch {
+            overlap,
+            touched,
+            per_user,
+            users,
+            list,
+            cosines,
+        } = scratch;
         // Every posting of a query term is one shared term with one past
         // query. Both sides are binary vectors, so the number of times an
-        // ordinal is hit is the (exact, small-integer) dot product.
-        let mut hits: Vec<u32> = Vec::new();
+        // ordinal is hit is the (exact, small-integer) dot product. Each
+        // hit's ordinal is written at the end of `touched` and the end only
+        // moves on a first touch, as in the search engine's `Index::rank`:
+        // a branch on "already matched" would be mispredicted as often as
+        // it is taken.
+        let mut matched = 0usize;
         for (id, _) in vector.iter() {
-            if let Some(postings) = self.postings.get(id.index()) {
-                hits.extend_from_slice(postings);
+            let Some(postings) = self.postings.get(id.index()) else {
+                continue;
+            };
+            if touched.len() < matched + postings.len() {
+                touched.resize(matched + postings.len(), 0);
+            }
+            for &ordinal in postings {
+                let count = &mut overlap[ordinal as usize];
+                touched[matched] = ordinal;
+                matched += usize::from(*count == 0);
+                *count += 1;
             }
         }
-        if hits.is_empty() {
+        touched.truncate(matched);
+        if touched.is_empty() {
             return;
         }
-        // One ascending run per query term: the stable sort finds the runs
-        // and merges them, `O(hits × log terms)`.
-        hits.sort();
-        let mut matched: Vec<(u32, u32)> = Vec::new();
-        for &ordinal in &hits {
-            match matched.last_mut() {
-                Some((last, overlap)) if *last == ordinal => *overlap += 1,
-                _ => matched.push((ordinal, 1)),
+        // Group per owner by a counting sort: count each user's matched
+        // past queries and mark the user, then walk the marked users in
+        // index order, from the lowest to the highest marked word. Each
+        // becomes a candidate, and its count becomes the offset of its
+        // first cosine.
+        let (mut low, mut high) = (usize::MAX, 0);
+        for &ordinal in touched.iter() {
+            let user = self.owner[ordinal as usize] as usize;
+            per_user[user] += 1;
+            users[user / 64] |= 1 << (user % 64);
+            (low, high) = (low.min(user), high.max(user));
+        }
+        let (base, first) = (cosines.len(), list.len());
+        let mut next = 0u32;
+        let words = low / 64..=high / 64;
+        for (word, bits) in words.clone().zip(&mut users[words]) {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let user = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let start = next;
+                next += std::mem::replace(&mut per_user[user], start);
+                list.push(Candidate {
+                    user: user as u32,
+                    disjunct,
+                    cosines: base + start as usize..base + next as usize,
+                    max_cosine: 0.0,
+                });
             }
         }
-        // Group per owner, deterministically. Ordinals ascend, and owners
-        // ascend with them except where `learn_user` returned to a known
-        // user, so this stable sort too merges a few long runs — one when
-        // every user was learned in a single call.
-        let owner = |&(ordinal, _): &(u32, u32)| self.owner[ordinal as usize];
-        matched.sort_by_key(owner);
-        for group in matched.chunk_by(|a, b| owner(a) == owner(b)) {
-            let start = cosines.len();
-            cosines.extend(group.iter().map(|&(ordinal, overlap)| {
-                // The cosine of `cosine_similarity_ids`; norms are positive
-                // on both sides of a shared term.
-                let denom = vector.norm() * self.norm[ordinal as usize];
-                (overlap as f64 / denom).clamp(-1.0, 1.0)
-            }));
-            list.push(Candidate {
-                user: owner(&group[0]),
-                disjunct,
-                cosines: start..cosines.len(),
-                max_cosine: cosines[start..].iter().fold(0.0, |m, &c| c.max(m)),
-            });
+        // One cosine per matched past query, filed in its owner's slice in
+        // first-touch order (smoothing sorts them, so the order is free);
+        // the overlaps are reset on the way.
+        cosines.resize(base + touched.len(), 0.0);
+        for ordinal in touched.drain(..) {
+            let slot = &mut per_user[self.owner[ordinal as usize] as usize];
+            let overlap = std::mem::take(&mut overlap[ordinal as usize]);
+            // The cosine of `cosine_similarity_ids`; norms are positive on
+            // both sides of a shared term.
+            let denom = vector.norm() * self.norm[ordinal as usize];
+            cosines[base + *slot as usize] = (overlap as f64 / denom).clamp(-1.0, 1.0);
+            *slot += 1;
+        }
+        for candidate in &mut list[first..] {
+            per_user[candidate.user as usize] = 0;
+            let own = &cosines[candidate.cosines.clone()];
+            candidate.max_cosine = own.iter().fold(0.0, |m, &c| c.max(m));
         }
     }
 
@@ -285,10 +343,21 @@ impl SimAttack {
     /// whose largest cosine can reach the winning score (see the module
     /// documentation).
     fn decide(&self, disjuncts: &[IdVector]) -> Option<(u32, usize)> {
-        let (mut list, mut cosines) = (Vec::new(), Vec::new());
-        for (disjunct, vector) in disjuncts.iter().enumerate() {
-            self.gather(vector, disjunct, &mut list, &mut cosines);
+        // Without a learned term a request has no candidate.
+        if disjuncts.iter().all(|vector| vector.as_pairs().is_empty()) {
+            return None;
         }
+        let mut scratch = self.take_scratch();
+        for (disjunct, vector) in disjuncts.iter().enumerate() {
+            self.gather(&mut scratch, vector, disjunct);
+        }
+        let decision = self.decide_among(&mut scratch.list, &mut scratch.cosines);
+        self.put_scratch(scratch);
+        decision
+    }
+
+    /// [`SimAttack::decide`] over the gathered candidates.
+    fn decide_among(&self, list: &mut Vec<Candidate>, cosines: &mut [f64]) -> Option<(u32, usize)> {
         // The first candidate with the largest cosine sets the floor.
         let top = (0..list.len()).reduce(|top, i| {
             if list[i].max_cosine > list[top].max_cosine {
@@ -297,7 +366,7 @@ impl SimAttack {
                 top
             }
         })?;
-        let top_score = self.score(&list[top], &mut cosines);
+        let top_score = self.score(&list[top], cosines);
         let top_key = list[top].key();
         let floor = top_score - PRUNING_SLACK;
         list.retain(|candidate| candidate.max_cosine >= floor);
@@ -308,7 +377,7 @@ impl SimAttack {
             let score = if key == top_key {
                 top_score
             } else {
-                self.score(candidate, &mut cosines)
+                self.score(candidate, cosines)
             };
             (key, score)
         });
@@ -392,6 +461,52 @@ impl SimAttack {
 /// the module documentation).
 const PRUNING_SLACK: f64 = 1e-9;
 
+/// What one call of [`SimAttack::decide`] works in, reused across calls.
+///
+/// The attack is read from several threads at once (the evaluation
+/// attacks on every core), so each call takes a scratch from the
+/// adversary's pool and puts it back when it returns; a pool outlives the
+/// threads that come and go around it. Between calls every counter is
+/// zero, every bit clear and every list empty: the counters are reset
+/// through the matched ordinals and users, never by clearing the arrays.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// `overlap[ordinal]`: the query terms the past query shares with the
+    /// disjunct being gathered; zero means "not matched".
+    overlap: Vec<u32>,
+    /// The matched ordinals, in first-touch order.
+    touched: Vec<u32>,
+    /// `per_user[user]`: the user's matched past queries, then where the
+    /// next of their cosines goes.
+    per_user: Vec<u32>,
+    /// Bit `user % 64` of word `user / 64`: the user has a matched past
+    /// query.
+    users: Vec<u64>,
+    /// The request's candidates and their positive cosines.
+    list: Vec<Candidate>,
+    cosines: Vec<f64>,
+}
+
+impl Scratch {
+    /// Grows the arrays to `ordinals` past queries and `users` users:
+    /// learning may have added some since the scratch was last used.
+    fn fit(&mut self, ordinals: usize, users: usize) {
+        if self.overlap.len() < ordinals {
+            self.overlap.resize(ordinals, 0);
+        }
+        if self.per_user.len() < users {
+            self.per_user.resize(users, 0);
+            self.users.resize(users.div_ceil(64), 0);
+        }
+    }
+}
+
+/// The pool's lock. A call that panicked holding a scratch never returned
+/// it, so what a poisoned pool holds is still clean.
+fn lock(pool: &Mutex<Vec<Scratch>>) -> MutexGuard<'_, Vec<Scratch>> {
+    pool.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A profile sharing at least one term with one disjunct of an attacked
 /// request.
 #[derive(Debug)]
@@ -442,6 +557,7 @@ fn attribute<K: Copy>(scores: impl IntoIterator<Item = (K, f64)>, threshold: f64
 mod tests {
     use super::*;
     use cyclosa_mechanism::{Query, QueryId};
+    use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
     use cyclosa_workload::generator::LabeledQuery;
 
     fn trace(user: u32, queries: &[&str]) -> UserTrace {
@@ -462,16 +578,20 @@ mod tests {
     /// Every candidate of `query` with its unpruned score, in user-index
     /// order.
     fn candidate_scores(attack: &SimAttack, query: &str) -> Vec<(u32, f64)> {
-        let (mut list, mut cosines) = (Vec::new(), Vec::new());
-        attack.gather(&attack.prepare(query), 0, &mut list, &mut cosines);
-        list.iter()
+        let mut scratch = attack.take_scratch();
+        attack.gather(&mut scratch, &attack.prepare(query), 0);
+        let scores = scratch
+            .list
+            .iter()
             .map(|candidate| {
-                let score = attack.score(candidate, &mut cosines);
+                let score = attack.score(candidate, &mut scratch.cosines);
                 // The premise of the pruning.
                 assert!(score - candidate.max_cosine < PRUNING_SLACK, "{query:?}");
                 (candidate.user, score)
             })
-            .collect()
+            .collect();
+        attack.put_scratch(scratch);
+        scores
     }
 
     fn adversary() -> SimAttack {
@@ -791,6 +911,203 @@ mod tests {
             attack.reidentify("glucose monitor reviews"),
             Some(UserId(0))
         );
+    }
+
+    /// The reference for an OR group: every `(profile, disjunct)` pair
+    /// scored by the profile itself, profiles outer.
+    fn group_scan(attack: &SimAttack, disjuncts: &[&str]) -> Option<(UserId, usize)> {
+        let vectors: Vec<IdVector> = disjuncts.iter().map(|d| attack.prepare(d)).collect();
+        let scores = attack.profiles.iter().flat_map(|(user, profile)| {
+            let scored = vectors.iter().enumerate();
+            scored.map(move |(i, vector)| ((*user, i), profile.similarity_vector(vector)))
+        });
+        attribute(scores, attack.threshold)
+    }
+
+    /// Every scratch in the pool is as a call must leave it: counters at
+    /// zero, no bit set, no list holding anything. Returns how many there
+    /// are.
+    fn assert_scratch_is_clean(attack: &SimAttack) -> usize {
+        let pool = lock(&attack.pool);
+        for scratch in pool.iter() {
+            assert!(scratch.overlap.iter().all(|&count| count == 0));
+            assert!(scratch.per_user.iter().all(|&count| count == 0));
+            assert!(scratch.users.iter().all(|&bits| bits == 0));
+            assert!(scratch.touched.is_empty());
+            assert!(scratch.list.is_empty() && scratch.cosines.is_empty());
+        }
+        pool.len()
+    }
+
+    /// The single-query and the group decisions of `query` equal the
+    /// scans', and the scratch is clean afterwards.
+    fn assert_attack_matches_scan(attack: &SimAttack, query: &str) {
+        assert_eq!(
+            attack.reidentify(query),
+            attack.reidentify_scan(query),
+            "{query:?}"
+        );
+        assert_scratch_is_clean(attack);
+    }
+
+    const WORDS: [&str; 24] = [
+        "insulin",
+        "glucose",
+        "diabetes",
+        "pump",
+        "flights",
+        "geneva",
+        "hotel",
+        "barcelona",
+        "football",
+        "league",
+        "marathon",
+        "training",
+        "recipe",
+        "paella",
+        "concert",
+        "tickets",
+        "mortgage",
+        "rates",
+        "python",
+        "tutorial",
+        "garden",
+        "roses",
+        "camera",
+        "lens",
+    ];
+
+    /// `users` users of `queries` past queries each, every query two to
+    /// four words of [`WORDS`] drawn by `rng`.
+    fn synthetic_traces(
+        users: u32,
+        queries: usize,
+        rng: &mut Xoshiro256StarStar,
+    ) -> Vec<UserTrace> {
+        let mut draw = || -> String {
+            let words: Vec<&str> = (0..2 + rng.gen_index(3))
+                .map(|_| WORDS[rng.gen_index(WORDS.len())])
+                .collect();
+            words.join(" ")
+        };
+        (0..users)
+            .map(|user| {
+                let texts: Vec<String> = (0..queries).map(|_| draw()).collect();
+                let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+                trace(user, &texts)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_adversaries_of_different_sizes_attacked_alternately_share_nothing() {
+        // 150 users fill three words of the user bitmap, against one word
+        // for the small adversary; a low threshold makes most decisions
+        // attributions rather than abstentions.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(49);
+        let mut large = SimAttack::with_threshold(0.1);
+        for trace in synthetic_traces(150, 4, &mut rng) {
+            large.learn_user(&trace);
+        }
+        let small = adversary();
+        let queries = [
+            "insulin pump",
+            "hotel booking barcelona",
+            "football league training",
+            "paella recipe concert",
+            "glucose monitor reviews",
+            "camera lens garden roses",
+            "zyxwv",
+        ];
+        let mut attributed = 0;
+        for round in 0..3 {
+            for query in queries {
+                let (first, second) = if round % 2 == 0 {
+                    (&large, &small)
+                } else {
+                    (&small, &large)
+                };
+                for attack in [first, second] {
+                    assert_attack_matches_scan(attack, query);
+                    attributed += usize::from(attack.reidentify(query).is_some());
+                }
+            }
+        }
+        assert!(attributed > 0);
+        assert_eq!(assert_scratch_is_clean(&large), 1);
+        assert_eq!(assert_scratch_is_clean(&small), 1);
+    }
+
+    #[test]
+    fn learning_between_attacks_grows_the_scratch() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+        let traces = synthetic_traces(130, 3, &mut rng);
+        let mut attack = SimAttack::with_threshold(0.1);
+        let queries = [
+            "insulin glucose",
+            "hotel geneva flights",
+            "python tutorial rates",
+        ];
+        for (learned, user) in traces.iter().enumerate() {
+            attack.learn_user(user);
+            // Extend an earlier user too, so ordinals stop being
+            // contiguous per user.
+            if learned % 20 == 19 {
+                attack.learn_user(&trace(learned as u32 / 2, &["diabetes insulin pump"]));
+            }
+            for query in queries {
+                assert_attack_matches_scan(&attack, query);
+            }
+        }
+        // The scratch made for the first user has grown to the last.
+        let pool = lock(&attack.pool);
+        assert_eq!(pool.len(), 1);
+        assert!(pool[0].overlap.len() >= attack.owner.len());
+        assert!(pool[0].per_user.len() >= attack.profiles.len());
+        assert_eq!(pool[0].users.len(), attack.profiles.len().div_ceil(64));
+    }
+
+    #[test]
+    fn a_query_matching_nothing_takes_no_scratch() {
+        let attack = adversary();
+        for query in ["", "the of and", "quantum entanglement", "zyxwv zyxwv"] {
+            assert_attack_matches_scan(&attack, query);
+            assert_eq!(attack.reidentify_group(&[query, "muon lattice"]), None);
+        }
+        assert_eq!(assert_scratch_is_clean(&attack), 0);
+        // One matching query later the pool holds one clean scratch.
+        assert_attack_matches_scan(&attack, "insulin");
+        assert_eq!(assert_scratch_is_clean(&attack), 1);
+    }
+
+    #[test]
+    fn or_groups_decide_as_the_scan_and_leave_the_scratch_clean() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(11);
+        let traces = synthetic_traces(90, 4, &mut rng);
+        let mut attack = SimAttack::with_threshold(0.1);
+        for trace in &traces {
+            attack.learn_user(trace);
+        }
+        let text = |user: usize, query: usize| traces[user % 90].queries[query].query.text.clone();
+        let mut groups: Vec<Vec<String>> = vec![
+            vec!["insulin pump".into(), "hotel geneva".into()],
+            vec!["zyxwv".into(), "camera lens".into(), "zyxwv muon".into()],
+            vec!["marathon".into(); 3],
+        ];
+        // Past queries of different users side by side, as an OR-aggregated
+        // request mixes a real query with fakes.
+        for user in (0..90).step_by(7) {
+            groups.push(vec![text(user, 0), text(user + 1, 1), text(user + 2, 2)]);
+        }
+        let mut decided = 0;
+        for group in &groups {
+            let disjuncts: Vec<&str> = group.iter().map(String::as_str).collect();
+            let decision = attack.reidentify_group(&disjuncts);
+            assert_eq!(decision, group_scan(&attack, &disjuncts), "{disjuncts:?}");
+            decided += usize::from(decision.is_some());
+            assert_scratch_is_clean(&attack);
+        }
+        assert!(decided > 0);
     }
 
     #[test]

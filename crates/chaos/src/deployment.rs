@@ -635,15 +635,32 @@ impl Blacklist {
 
     /// Whether `relay` is barred at `now`.
     fn bars(&self, relay: NodeId, now: SimTime) -> bool {
-        self.since.get(&relay).is_some_and(|since| match self.ttl {
-            None => true,
-            Some(ttl) => now.saturating_sub(*since) < ttl,
-        })
+        self.since
+            .get(&relay)
+            .is_some_and(|since| self.in_force(*since, now))
     }
 
-    /// The relays of `relays` the client is still willing to use at `now`.
+    /// Whether an entry added at `since` still bars its relay at `now`.
+    fn in_force(&self, since: SimTime, now: SimTime) -> bool {
+        match self.ttl {
+            None => true,
+            Some(ttl) => now.saturating_sub(since) < ttl,
+        }
+    }
+
+    /// The relays of ascending `relays` the client is still willing to
+    /// use at `now`: one merge walk against the entries, which the map
+    /// keeps in relay order too.
     fn usable(&self, relays: &[NodeId], now: SimTime) -> Vec<NodeId> {
-        let open = |r: &NodeId| !self.bars(*r, now);
+        debug_assert!(relays.is_sorted(), "the client's relays ascend");
+        let mut entries = self.since.iter().peekable();
+        let open = |relay: &NodeId| {
+            while entries.next_if(|(barred, _)| *barred < relay).is_some() {}
+            match entries.peek() {
+                Some((barred, since)) if *barred == relay => !self.in_force(**since, now),
+                _ => true,
+            }
+        };
         relays.iter().copied().filter(open).collect()
     }
 }
@@ -861,6 +878,10 @@ pub(crate) struct Client<L> {
     /// Requests waiting behind the uplink, by timer token.
     outbox: BTreeMap<u64, (NodeId, Vec<u8>)>,
     next_outbox: u64,
+    /// Running totals of what the modelled footprint walks: the fake
+    /// relays over the live plans and the payload bytes in the outbox.
+    fakes_held: usize,
+    outbox_bytes: usize,
     /// High-water marks, reported to the ledger only when they move.
     peak_resident: usize,
     peak_inflight: u64,
@@ -901,6 +922,8 @@ impl<L: Ledger> Client<L> {
             plans: BTreeMap::new(),
             outbox: BTreeMap::new(),
             next_outbox: 0,
+            fakes_held: 0,
+            outbox_bytes: 0,
             peak_resident: 0,
             peak_inflight: 0,
             ledger: ledger.clone(),
@@ -913,21 +936,14 @@ impl<L: Ledger> Client<L> {
         lock(&self.ledger)
     }
 
-    /// Recomputes the modelled resident footprint after a state change
-    /// and records the peaks. Incremental bookkeeping would be cheaper
-    /// but easy to desynchronise; the in-flight window is small (pruning
-    /// is the whole point), so a full walk per mutation batch is fine.
+    /// Records the peaks of the modelled resident footprint after a state
+    /// change, computed from the running totals. Debug builds check the
+    /// totals against a full walk, so the soak and churn tests catch a
+    /// change to the plans or the outbox that forgot them.
     fn account(&mut self) {
-        let plans: usize = self
-            .plans
-            .values()
-            .map(|(plan, _)| INFLIGHT_COST + plan.fake_relays.len() * PEER_COST)
-            .sum();
-        let outbox: usize = self
-            .outbox
-            .values()
-            .map(|(_, payload)| OUTBOX_COST + payload.len())
-            .sum();
+        let plans = self.plans.len() * INFLIGHT_COST + self.fakes_held * PEER_COST;
+        let outbox = self.outbox.len() * OUTBOX_COST + self.outbox_bytes;
+        debug_assert_eq!((plans, outbox), self.walked_footprint());
         let total = plans + outbox + self.blacklist.len() * BLACKLIST_COST;
         let count = self.plans.len() as u64;
         if total > self.peak_resident || count > self.peak_inflight {
@@ -935,6 +951,31 @@ impl<L: Ledger> Client<L> {
             self.peak_inflight = self.peak_inflight.max(count);
             let (inflight, resident) = (self.peak_inflight, self.peak_resident);
             self.ledger().peak(inflight, resident);
+        }
+    }
+
+    /// The footprint of the plans and of the outbox by a full walk: what
+    /// the running totals must add up to.
+    fn walked_footprint(&self) -> (usize, usize) {
+        let plans = self.plans.values();
+        let plans = plans.map(|(plan, _)| INFLIGHT_COST + plan.fake_relays.len() * PEER_COST);
+        let outbox = self.outbox.values();
+        let outbox = outbox.map(|(_, payload)| OUTBOX_COST + payload.len());
+        (plans.sum(), outbox.sum())
+    }
+
+    /// Files the new live plan of query `seq`.
+    fn insert_plan(&mut self, seq: u64, plan: Plan) {
+        self.fakes_held += plan.fake_relays.len();
+        if let Some((replaced, _)) = self.plans.insert(seq, (plan, false)) {
+            self.fakes_held -= replaced.fake_relays.len();
+        }
+    }
+
+    /// Drops the plan of query `seq`, if it is live.
+    fn remove_plan(&mut self, seq: u64) {
+        if let Some((plan, _)) = self.plans.remove(&seq) {
+            self.fakes_held -= plan.fake_relays.len();
         }
     }
 
@@ -963,7 +1004,9 @@ impl<L: Ledger> Client<L> {
             seq,
             real,
         };
-        self.outbox.insert(token, (relay, request.to_bytes()));
+        let payload = request.to_bytes();
+        self.outbox_bytes += payload.len();
+        self.outbox.insert(token, (relay, payload));
         ctx.set_timer(
             SimTime::from_nanos(self.setup.uplink.as_nanos() * (slot + 1)),
             token,
@@ -1004,7 +1047,7 @@ impl<L: Ledger> Client<L> {
                 );
             }
         }
-        self.plans.insert(seq, (plan, false));
+        self.insert_plan(seq, plan);
         self.ledger().launched(seq, false);
         for (slot, (relay, real)) in requests.into_iter().enumerate() {
             self.defer_send(ctx, relay, seq, real, slot as u64);
@@ -1023,7 +1066,7 @@ impl<L: Ledger> Client<L> {
         if plan.attempts >= self.setup.max_retries {
             // The retry budget is spent: the query stays unanswered, and
             // its plan goes, so a late answer is discarded.
-            self.plans.remove(&seq);
+            self.remove_plan(seq);
             self.account();
             return;
         }
@@ -1068,7 +1111,9 @@ impl<L: Ledger> Client<L> {
             return;
         };
         let (k, now) = (self.setup.k, ctx.now());
+        let held = plan.fake_relays.len();
         let fresh = plan.top_up(&self.blacklist, &self.relays, k, now, &mut self.rng);
+        self.fakes_held = self.fakes_held - held + plan.fake_relays.len();
         if fresh.is_empty() {
             return;
         }
@@ -1094,7 +1139,7 @@ impl<L: Ledger> Client<L> {
         let achieved_k = plan.achieved_k(&self.blacklist, now);
         let (sent, attempts) = (plan.sent_at, plan.attempts);
         if !(self.setup.adaptive && self.prober.is_some()) {
-            self.plans.remove(&seq);
+            self.remove_plan(seq);
         }
         let k = self.setup.k;
         // Dilution can degrade under churn but never exceed the target.
@@ -1273,21 +1318,30 @@ impl<L: Ledger> Client<L> {
         };
         let now = ctx.now();
         let live = |plan: &Plan| now.saturating_sub(plan.sent_at) <= RETRY_TIMEOUT;
-        self.plans
-            .retain(|_, (plan, answered)| !*answered || live(plan));
+        let fakes_held = &mut self.fakes_held;
+        self.plans.retain(|_, (plan, answered)| {
+            let keep = !*answered || live(plan);
+            if !keep {
+                *fakes_held -= plan.fake_relays.len();
+            }
+            keep
+        });
         let usable = self.blacklist.usable(&self.relays, now);
         let mut fresh: Vec<(u64, NodeId)> = Vec::new();
         for (seq, (plan, _)) in &mut self.plans {
             if !plan.fake_relays.contains(&dead) {
                 continue;
             }
+            let held = plan.fake_relays.len();
             plan.fake_relays.retain(|r| *r != dead);
+            self.fakes_held -= held - plan.fake_relays.len();
             let candidates = plan.top_up_candidates(usable.clone());
             if candidates.is_empty() {
                 continue;
             }
             let relay = candidates[prober.rng.gen_index(candidates.len())];
             plan.fake_relays.push(relay);
+            self.fakes_held += 1;
             fresh.push((*seq, relay));
         }
         for (seq, relay) in fresh {
@@ -1348,6 +1402,7 @@ impl<L: Ledger> NodeBehavior for Client<L> {
             self.retry(ctx, token - RETRY_BASE);
         } else if token >= OUTBOX_BASE {
             if let Some((relay, payload)) = self.outbox.remove(&token) {
+                self.outbox_bytes -= payload.len();
                 ctx.send(relay, TAG_FORWARD, payload);
                 self.account();
             }
