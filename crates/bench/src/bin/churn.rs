@@ -158,7 +158,7 @@ fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
             "--rates" => options.rates = args.list("in [0, 1]", unit)?,
             "--seed" => options.seed = args.value()?,
             "--recover" => options.recover = true,
-            "--shards" => options.shards = args.value_where("positive", |&n| n > 0)?,
+            "--shards" => options.shards = args.shards()?,
             "--scale" => options.scale = args.value()?,
             "--partition-fractions" => {
                 options.partition_fractions =
@@ -1269,6 +1269,7 @@ mod tests {
             "--gate NaN",
             "--gate inf",
             "--shards 0",
+            "--shards 65",
             "--scale huge",
         ] {
             assert!(read(line).is_err(), "{line}");

@@ -46,7 +46,7 @@ fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
     cli::read(argv, defaults, |options, flag, args| {
         match flag {
             "--nodes" => options.populations = args.list("any count", |_| true)?,
-            "--shards" => options.shard_counts = args.list("at least 1", |&n| n > 0)?,
+            "--shards" => options.shard_counts = args.shard_list()?,
             "--rounds" => options.config.rounds = args.value()?,
             "--seed" => options.config.seed = args.value()?,
             "--json" => options.json = true,

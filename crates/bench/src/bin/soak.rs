@@ -113,7 +113,7 @@ fn read_options(argv: Vec<String>) -> Result<Options, Stop> {
                     other => return Err(format!("unknown --policy {other:?}")),
                 };
             }
-            "--shards" => options.shards = args.list("positive", |&n| n > 0)?,
+            "--shards" => options.shards = args.shard_list()?,
             "--gate" => options.gate = true,
             "--json" => options.json = true,
             "--out" => options.out = args.value()?,
@@ -454,6 +454,7 @@ mod tests {
             "--adversary NaN",
             "--policy bribe",
             "--shards 1,0",
+            "--shards 1,65",
         ] {
             assert!(read(line).is_err(), "{line}");
         }

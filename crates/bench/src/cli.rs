@@ -19,6 +19,12 @@ use crate::observe::ObserveFlags;
 use std::fmt::Display;
 use std::str::FromStr;
 
+/// The most engine shards a bin accepts. `ShardedEngine` runs one OS
+/// thread per shard and allocates `2 × shards²` window mailboxes, so a
+/// mistyped count must be refused before any engine is built; the largest
+/// count any test or committed record uses is 16.
+const MAX_SHARDS: usize = 64;
+
 /// Why reading the command line ended without options to run with.
 #[derive(Debug, PartialEq)]
 pub enum Stop {
@@ -116,6 +122,17 @@ impl Args {
             .collect()
     }
 
+    /// The current flag's value as a shard count in `1..=MAX_SHARDS`.
+    pub fn shards(&mut self) -> Result<usize, String> {
+        self.value_where(&shards_wanted(), shard_count_ok)
+    }
+
+    /// The current flag's value as a comma-separated list of shard counts,
+    /// each in `1..=MAX_SHARDS`.
+    pub fn shard_list(&mut self) -> Result<Vec<usize>, String> {
+        self.list(&shards_wanted(), shard_count_ok)
+    }
+
     /// Takes `--trace PATH` / `--metrics PATH` into `flags`. `Ok(false)`
     /// when the current flag is neither — the tail of a handler's match.
     pub fn observe(&mut self, flags: &mut ObserveFlags) -> Result<bool, String> {
@@ -126,6 +143,14 @@ impl Args {
         }
         Ok(true)
     }
+}
+
+fn shards_wanted() -> String {
+    format!("in [1, {MAX_SHARDS}]")
+}
+
+fn shard_count_ok(shards: &usize) -> bool {
+    (1..=MAX_SHARDS).contains(shards)
 }
 
 /// Reads `argv` (without the program name) into `options`: `on_flag` is
@@ -198,6 +223,7 @@ mod tests {
     struct Options {
         seed: u64,
         shards: usize,
+        shard_list: Vec<usize>,
         rates: Vec<f64>,
         fractions: Vec<f64>,
         counts: Vec<usize>,
@@ -210,7 +236,8 @@ mod tests {
         read(argv, Options::default(), |options, flag, args| {
             match flag {
                 "--seed" => options.seed = args.value()?,
-                "--shards" => options.shards = args.value_where("positive", |&n| n > 0)?,
+                "--shards" => options.shards = args.shards()?,
+                "--shard-list" => options.shard_list = args.shard_list()?,
                 "--rates" => options.rates = args.list("in [0, 1]", |r| (0.0..=1.0).contains(r))?,
                 "--fractions" => {
                     options.fractions = args.list("in (0, 1)", |&f| f > 0.0 && f < 1.0)?;
@@ -273,7 +300,27 @@ mod tests {
         assert!(bad(&["--seed", " 7"]).starts_with("bad --seed value"));
         // The next flag is not a value.
         assert!(bad(&["--seed", "--json"]).starts_with("bad --seed value \"--json\""));
-        assert_eq!(bad(&["--shards", "0"]), "--shards must be positive, got 0");
+    }
+
+    #[test]
+    fn shard_counts_stay_within_the_ceiling() {
+        let options = read_options(&["--shards", "64", "--shard-list", "1,16,64"]).unwrap();
+        assert_eq!((options.shards, options.shard_list), (64, vec![1, 16, 64]));
+        for outside in ["0", "65", "100000"] {
+            assert_eq!(
+                bad(&["--shards", outside]),
+                format!("--shards must be in [1, 64], got {outside}")
+            );
+        }
+        assert_eq!(
+            bad(&["--shard-list", "2,65"]),
+            "--shard-list entries must be in [1, 64], got 65"
+        );
+        assert_eq!(
+            bad(&["--shard-list", "0,2"]),
+            "--shard-list entries must be in [1, 64], got 0"
+        );
+        assert!(bad(&["--shards", "-4"]).starts_with("bad --shards value"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!     exactly the sequential `Simulation`'s output, for any shard count;
 //! (c) generated scenarios aimed at the window protocol (deliveries and
 //!     timers on window ends, receive-only nodes, membership scripts,
-//!     `run_until` cuts) handle the same events on 2/3/4/8 shards as on
+//!     `run_until` cuts) handle the same events on 2/3/4/8/16 shards as on
 //!     `Simulation`, cut by cut.
 
 use cyclosa_chaos::deployment::{
@@ -552,7 +552,7 @@ fn generated_run(engine: &mut dyn Engine, case: u64) -> Vec<Checkpoint> {
 }
 
 /// Differential test of the window protocol: 160 generated scenarios, each
-/// on `Simulation` and on 2, 3, 4 and 8 shards, compared after every cut.
+/// on `Simulation` and on 2, 3, 4, 8 and 16 shards, compared after every cut.
 /// A failure names its case; `generated_run(&mut engine, case)` replays it.
 #[test]
 fn generated_scenarios_match_sequential_at_every_cut() {
@@ -563,7 +563,7 @@ fn generated_scenarios_match_sequential_at_every_cut() {
         let expected = generated_run(&mut Simulation::new(engine_seed), case);
         cut_runs += expected.len() - 1;
         totals.merge(&expected.last().unwrap().stats);
-        for shards in [2, 3, 4, 8] {
+        for shards in [2, 3, 4, 8, 16] {
             let observed = generated_run(&mut ShardedEngine::new(engine_seed, shards), case);
             assert_eq!(observed.len(), expected.len());
             for (cut, (observed, expected)) in observed.iter().zip(&expected).enumerate() {
