@@ -128,13 +128,14 @@ SEEDED
 
     # Trace events are built from an EventName; TraceEvent::new, which
     # takes a bare string, is banned the same way. A name outside the
-    # schema seeded through it into the core must fail clippy.
+    # schema seeded through it into the chaos client, which emits the
+    # query.* events, must fail clippy.
     check "the TraceEvent::new ban still bites (seeded mutation)"
-    seed crates/core/src/node.rs <<'SEEDED'
+    seed crates/chaos/src/deployment.rs <<'SEEDED'
 /// Seeded: an event named outside the schema.
-pub fn seeded_event() -> cyclosa_telemetry::TraceEvent { cyclosa_telemetry::TraceEvent::new(SimTime::ZERO, 0, "plan.zzz") }
+pub fn seeded_event() -> cyclosa_telemetry::TraceEvent { cyclosa_telemetry::TraceEvent::new(SimTime::ZERO, 0, "query.zzz") }
 SEEDED
-    seeded_clippy_fails cyclosa 'disallowed method `cyclosa_telemetry::trace::TraceEvent::new`'
+    seeded_clippy_fails cyclosa-chaos 'disallowed method `cyclosa_telemetry::trace::TraceEvent::new`'
 
     check "build (release)"
     cargo build --release --workspace

@@ -16,7 +16,7 @@
 //! * [`accuracy`] — the correctness / completeness metrics of Fig. 6
 //!   (paper §VII-F), computed against the simulated search engine.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod accuracy;

@@ -21,7 +21,7 @@
 //! * [`latency`] — closed-form end-to-end latency models for the baselines,
 //!   calibrated to the medians of Fig. 8a.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod goopir;

@@ -8,7 +8,7 @@
 //! wrapper around them. The [`cli`] module is the one command-line reader
 //! of every bin in `src/bin`.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 
 pub mod cli;
 pub mod experiments;

@@ -60,7 +60,7 @@ fn count_fakes(outcome: &ProtectionOutcome) -> usize {
 /// curve shows the dip and the recovery directly.
 ///
 /// With `repair` set, the adaptive-k plan-repair model runs on top — the
-/// attack-model twin of `CyclosaNode::reselect_relay`: every swallowed
+/// attack-model twin of the top-up rule of [`cyclosa::plan`]: every swallowed
 /// fake is redrawn from the inner mechanism's fake pool
 /// ([`FakeReplenisher`]) and resubmitted through a fresh relay (which is
 /// lost with the same probability), for up to `TOPUP_ROUNDS` rounds, so

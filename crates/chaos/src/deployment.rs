@@ -13,7 +13,8 @@
 //! and it owns what every run shares: the `Relay` and `EngineNode`
 //! behaviours (in-service maps pruned on completion, byzantine policies,
 //! probe responder, forwarding-path spans, optional deployment metrics),
-//! the one `Client` with its `Blacklist` and `Plan` repair rules, the
+//! the one `Client` with its `Blacklist` and its `Plan`s, repaired by the
+//! rules of [`cyclosa::plan`], the
 //! [`ChurnTelemetry`] hooks and the [`EngineChoice`] engine builder.
 //! Fig. 8a/8b ([`run_end_to_end_latency_on`]) is the failure-free,
 //! retry-less configuration of the churn run.
@@ -39,6 +40,7 @@ use crate::experiment::{run_deployment, ChurnConfig, MembershipProbeConfig};
 use crate::plan::ChaosPlan;
 use crate::soak::ArrivalModel;
 use cyclosa::deployment::relay_service_time_ns;
+use cyclosa::plan::RelayPlan;
 use cyclosa_net::engine::Engine;
 use cyclosa_net::latency::LatencyModel;
 use cyclosa_net::sim::{Context, Envelope, NodeBehavior, Simulation};
@@ -49,7 +51,7 @@ use cyclosa_peer_sampling::{Belief, FailureDetector, MemberState, PeerId};
 use cyclosa_runtime::ShardedEngine;
 use cyclosa_telemetry::metrics::{Counter, Histogram, Registry};
 use cyclosa_telemetry::{EventName, TraceEvent, TraceSink};
-use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
+use cyclosa_util::rng::Xoshiro256StarStar;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -665,56 +667,27 @@ impl Blacklist {
     }
 }
 
-/// One query's plan as the client tracks it, with its plan-repair rules.
-/// Every method is a pure function of the plan, the blacklist and the RNG
-/// stream — the client adds timers, ledgers and trace events around them.
+/// One query's plan as the client tracks it: its relays, repaired by the
+/// rules of [`cyclosa::plan`], plus the clock and retry count the client
+/// adds around them.
 #[derive(Debug, Clone)]
 struct Plan {
     sent_at: SimTime,
     /// Resubmissions of the real request so far.
     attempts: u32,
-    /// The relay currently entrusted with the *real* request — the one
-    /// barred and replaced if no answer arrives in time.
-    real_relay: Option<NodeId>,
-    /// The relays the fakes were entrusted to — the adaptive repair
-    /// re-assesses this set against the blacklist on every retry and
-    /// resubmits the shortfall.
-    fake_relays: Vec<NodeId>,
+    /// The relay entrusted with the *real* request — the one barred and
+    /// replaced if no answer arrives in time — and the relays the fakes
+    /// were entrusted to, which the adaptive repair re-assesses against
+    /// the blacklist on every retry.
+    relays: RelayPlan<NodeId>,
 }
 
 impl Plan {
-    /// Draws a fresh plan over `usable`: `k + 1` distinct relays (fewer
-    /// from a smaller pool), a random one of them carrying the real
-    /// request. Returns the plan and its `(relay, real)` requests in
-    /// upload-slot order.
-    fn draw(
-        usable: &[NodeId],
-        k: usize,
-        now: SimTime,
-        rng: &mut Xoshiro256StarStar,
-    ) -> (Plan, Vec<(NodeId, bool)>) {
-        let picks = rng.sample_indices(usable.len(), k + 1);
-        let real_slot = rng.gen_index(picks.len());
-        let relay_of = |(slot, index): (usize, &usize)| (usable[*index], slot == real_slot);
-        let requests: Vec<(NodeId, bool)> = picks.iter().enumerate().map(relay_of).collect();
-        let plan = Plan {
-            sent_at: now,
-            attempts: 0,
-            real_relay: Some(usable[picks[real_slot]]),
-            fake_relays: requests.iter().filter(|r| !r.1).map(|r| r.0).collect(),
-        };
-        (plan, requests)
-    }
-
     /// The retry step: the entrusted relay never answered, so it is
     /// barred, the attempt is spent and the real request moves to a
-    /// replacement. Returns `(failed, replacement)`; the replacement is
-    /// `None` when no relay is usable right now.
-    ///
-    /// The draw keeps the plan's relays distinct (the core repair's
-    /// `draw_distinct_relay` rule): prefer a relay not already carrying
-    /// one of this query's fakes, falling back to any usable relay only
-    /// when the population is too depleted to avoid it.
+    /// replacement ([`RelayPlan::draw_distinct_relay`]). Returns
+    /// `(failed, replacement)`; the replacement is `None` when no relay is
+    /// usable right now.
     fn repair(
         &mut self,
         blacklist: &mut Blacklist,
@@ -722,40 +695,19 @@ impl Plan {
         now: SimTime,
         rng: &mut Xoshiro256StarStar,
     ) -> (Option<NodeId>, Option<NodeId>) {
-        let failed = self.real_relay.take();
+        let failed = self.relays.real.take();
         if let Some(dead) = failed {
             blacklist.bar(dead, now);
         }
         self.attempts += 1;
         let usable = blacklist.usable(relays, now);
-        if usable.is_empty() {
-            return (failed, None);
-        }
-        let distinct: Vec<NodeId> = usable
-            .iter()
-            .copied()
-            .filter(|r| !self.fake_relays.contains(r))
-            .collect();
-        let pool = if distinct.is_empty() {
-            &usable
-        } else {
-            &distinct
-        };
-        self.real_relay = Some(pool[rng.gen_index(pool.len())]);
-        (failed, self.real_relay)
-    }
-
-    /// The relays of `usable` that may carry a replacement fake: those
-    /// serving neither the real request nor a surviving fake.
-    fn top_up_candidates(&self, mut usable: Vec<NodeId>) -> Vec<NodeId> {
-        usable.retain(|r| Some(*r) != self.real_relay && !self.fake_relays.contains(r));
-        usable
+        (failed, self.relays.draw_distinct_relay(&usable, rng))
     }
 
     /// The adaptive-k repair: fakes entrusted to meanwhile-barred relays
     /// are presumed lost with them, so the shortfall against `k` is
-    /// redrawn through distinct relays not already serving this query.
-    /// Returns the fresh fake relays (already recorded in the plan).
+    /// redrawn ([`RelayPlan::top_up`]). Returns the fresh fake relays
+    /// (already recorded in the plan).
     fn top_up(
         &mut self,
         blacklist: &Blacklist,
@@ -764,16 +716,13 @@ impl Plan {
         now: SimTime,
         rng: &mut Xoshiro256StarStar,
     ) -> Vec<NodeId> {
-        self.fake_relays.retain(|r| !blacklist.bars(*r, now));
-        let shortfall = k.saturating_sub(self.fake_relays.len());
+        self.relays.fakes.retain(|r| !blacklist.bars(*r, now));
+        let shortfall = k.saturating_sub(self.relays.achieved_k());
         if shortfall == 0 {
             return Vec::new();
         }
-        let candidates = self.top_up_candidates(blacklist.usable(relays, now));
-        let picks = rng.sample_indices(candidates.len(), shortfall.min(candidates.len()));
-        let fresh: Vec<NodeId> = picks.into_iter().map(|index| candidates[index]).collect();
-        self.fake_relays.extend(&fresh);
-        fresh
+        let usable = blacklist.usable(relays, now);
+        self.relays.top_up(&usable, shortfall, rng)
     }
 
     /// The dilution the plan actually delivers at `now`: fakes still
@@ -781,7 +730,7 @@ impl Plan {
     /// Fakes on barred relays are presumed swallowed.
     fn achieved_k(&self, blacklist: &Blacklist, now: SimTime) -> usize {
         let held = |r: &&NodeId| !blacklist.bars(**r, now);
-        self.fake_relays.iter().filter(held).count()
+        self.relays.fakes.iter().filter(held).count()
     }
 }
 
@@ -958,7 +907,7 @@ impl<L: Ledger> Client<L> {
     /// the running totals must add up to.
     fn walked_footprint(&self) -> (usize, usize) {
         let plans = self.plans.values();
-        let plans = plans.map(|(plan, _)| INFLIGHT_COST + plan.fake_relays.len() * PEER_COST);
+        let plans = plans.map(|(plan, _)| INFLIGHT_COST + plan.relays.fakes.len() * PEER_COST);
         let outbox = self.outbox.values();
         let outbox = outbox.map(|(_, payload)| OUTBOX_COST + payload.len());
         (plans.sum(), outbox.sum())
@@ -966,16 +915,16 @@ impl<L: Ledger> Client<L> {
 
     /// Files the new live plan of query `seq`.
     fn insert_plan(&mut self, seq: u64, plan: Plan) {
-        self.fakes_held += plan.fake_relays.len();
+        self.fakes_held += plan.relays.fakes.len();
         if let Some((replaced, _)) = self.plans.insert(seq, (plan, false)) {
-            self.fakes_held -= replaced.fake_relays.len();
+            self.fakes_held -= replaced.relays.fakes.len();
         }
     }
 
     /// Drops the plan of query `seq`, if it is live.
     fn remove_plan(&mut self, seq: u64) {
         if let Some((plan, _)) = self.plans.remove(&seq) {
-            self.fakes_held -= plan.fake_relays.len();
+            self.fakes_held -= plan.relays.fakes.len();
         }
     }
 
@@ -1027,7 +976,12 @@ impl<L: Ledger> Client<L> {
             self.ledger().launched(seq, true);
             return;
         }
-        let (plan, requests) = Plan::draw(&usable, self.setup.k, now, &mut self.rng);
+        let (relays, requests) = RelayPlan::draw(&usable, self.setup.k, &mut self.rng);
+        let plan = Plan {
+            sent_at: now,
+            attempts: 0,
+            relays,
+        };
         // Plan distinctness: `sample_indices` draws without replacement,
         // so a duplicate relay means the sampler broke.
         let mut relays: Vec<NodeId> = requests.iter().map(|(relay, _)| *relay).collect();
@@ -1038,12 +992,12 @@ impl<L: Ledger> Client<L> {
                 .violation(format!("plan for query {seq} doubled up a relay"));
         }
         if self.trace.is_enabled() {
-            if let Some(real) = plan.real_relay {
+            if let Some(real) = plan.relays.real {
                 self.trace.emit(
                     TraceEvent::named(now, ctx.self_id().0, EventName::QueryLaunch)
                         .query(seq)
                         .attr("relay", real.0)
-                        .attr("fakes", plan.fake_relays.len()),
+                        .attr("fakes", plan.relays.fakes.len()),
                 );
             }
         }
@@ -1111,9 +1065,9 @@ impl<L: Ledger> Client<L> {
             return;
         };
         let (k, now) = (self.setup.k, ctx.now());
-        let held = plan.fake_relays.len();
+        let held = plan.relays.fakes.len();
         let fresh = plan.top_up(&self.blacklist, &self.relays, k, now, &mut self.rng);
-        self.fakes_held = self.fakes_held - held + plan.fake_relays.len();
+        self.fakes_held = self.fakes_held - held + plan.relays.fakes.len();
         if fresh.is_empty() {
             return;
         }
@@ -1322,27 +1276,25 @@ impl<L: Ledger> Client<L> {
         self.plans.retain(|_, (plan, answered)| {
             let keep = !*answered || live(plan);
             if !keep {
-                *fakes_held -= plan.fake_relays.len();
+                *fakes_held -= plan.relays.fakes.len();
             }
             keep
         });
         let usable = self.blacklist.usable(&self.relays, now);
         let mut fresh: Vec<(u64, NodeId)> = Vec::new();
         for (seq, (plan, _)) in &mut self.plans {
-            if !plan.fake_relays.contains(&dead) {
+            let fakes = &mut plan.relays.fakes;
+            let Some(lost) = fakes.iter().position(|r| *r == dead) else {
                 continue;
+            };
+            fakes.remove(lost);
+            // The one lost fake is the shortfall: `sample_indices(n, 1)`
+            // is the single `gen_index(n)` draw of a replacement.
+            if let Some(relay) = plan.relays.top_up(&usable, 1, &mut prober.rng).pop() {
+                fresh.push((*seq, relay));
+            } else {
+                self.fakes_held -= 1;
             }
-            let held = plan.fake_relays.len();
-            plan.fake_relays.retain(|r| *r != dead);
-            self.fakes_held -= held - plan.fake_relays.len();
-            let candidates = plan.top_up_candidates(usable.clone());
-            if candidates.is_empty() {
-                continue;
-            }
-            let relay = candidates[prober.rng.gen_index(candidates.len())];
-            plan.fake_relays.push(relay);
-            self.fakes_held += 1;
-            fresh.push((*seq, relay));
         }
         for (seq, relay) in fresh {
             self.defer_send(ctx, relay, seq, false, 0);

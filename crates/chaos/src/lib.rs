@@ -18,7 +18,7 @@
 //! * [`deployment`] — the one message-level deployment (client, relays,
 //!   search engine) every experiment here runs: node numbering, tags, its
 //!   `cyclosa_net::wire` messages, the shared relay and engine-node behaviours, the
-//!   blacklist and plan-repair rules, [`EngineChoice`](deployment::EngineChoice), and the Fig. 8a/8b
+//!   blacklist, the calls into the plan-repair rules of [`cyclosa::plan`], [`EngineChoice`](deployment::EngineChoice), and the Fig. 8a/8b
 //!   latency run ([`run_end_to_end_latency_on`](deployment::run_end_to_end_latency_on)).
 //! * [`experiment`] — the robustness-under-failure latency experiment:
 //!   that deployment under relay failures, with the client-side healing
@@ -102,7 +102,7 @@
 //! assert_eq!((engine.stats().crashed, engine.stats().recovered), (1, 1));
 //! ```
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;

@@ -16,6 +16,10 @@
 //! * [`node`] — a CYCLOSA node: browser-extension front end, SGX enclave
 //!   holding the trusted forwarding state, attestation-gated secure
 //!   channels, peer discovery, and the relay role.
+//! * [`plan`] — the plan-repair rules of §IV: the initial draw of a
+//!   query's relays, the real request's replacement when its relay goes
+//!   silent and the top-up of lost fakes, shared by the node and the
+//!   message-level client of `cyclosa_chaos::deployment`.
 //! * [`mechanism`] — the [`cyclosa_mechanism::Mechanism`] implementation
 //!   used by the Fig. 5 / Fig. 6 evaluation harness.
 //! * [`deployment`] — the analytical system models: relay and X-SEARCH
@@ -42,7 +46,7 @@
 //! assert_eq!(plan.assignments().len(), plan.achieved_k() + 1);
 //! ```
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod config;
@@ -50,4 +54,5 @@ pub mod deployment;
 pub mod mechanism;
 pub mod node;
 pub mod past_queries;
+pub mod plan;
 pub mod sensitivity;

@@ -14,15 +14,14 @@
 
 use crate::config::{ProtectionConfig, PAST_QUERY_CAPACITY};
 use crate::past_queries::PastQueryTable;
+use crate::plan::RelayPlan;
 use crate::sensitivity::{SensitivityAnalyzer, SensitivityAssessment};
 use cyclosa_crypto::channel::{channel_pair, ChannelError, SecureChannel};
 use cyclosa_crypto::x25519::StaticSecret;
-use cyclosa_net::time::SimTime;
 use cyclosa_nlp::categorizer::{CategorizerMethod, QueryCategorizer};
 use cyclosa_peer_sampling::{PeerId, PeerSamplingNode};
 use cyclosa_sgx::attestation::{generate_quote, AttestationError, AttestationService, Quote};
 use cyclosa_sgx::enclave::{Enclave, Platform, TransitionStats};
-use cyclosa_telemetry::{EventName, NodeTracer};
 use cyclosa_util::rng::{Rng, Xoshiro256StarStar};
 
 /// Errors surfaced by the node API.
@@ -92,9 +91,6 @@ pub struct QueryPlan {
     /// Index of this plan in the node's planning order (the slot of
     /// [`NodeStats::achieved_k`] the repair path keeps up to date).
     sequence: u64,
-    /// The peer-sampling round count when the plan's relays were last
-    /// chosen — the reference point for the eager staleness refresh.
-    planned_at_round: u64,
     assignments: Vec<Assignment>,
 }
 
@@ -115,6 +111,23 @@ impl QueryPlan {
     pub fn achieved_k(&self) -> usize {
         self.assignments.iter().filter(|a| !a.is_real).count()
     }
+
+    /// The relays carrying the real query and the fakes, for the repair
+    /// rules of [`crate::plan`].
+    fn relay_plan(&self) -> RelayPlan<PeerId> {
+        let mut relays = RelayPlan {
+            real: None,
+            fakes: Vec::with_capacity(self.assignments.len()),
+        };
+        for assignment in &self.assignments {
+            if assignment.is_real {
+                relays.real = Some(assignment.relay);
+            } else {
+                relays.fakes.push(assignment.relay);
+            }
+        }
+        relays
+    }
 }
 
 /// Statistics of a node's activity.
@@ -131,18 +144,9 @@ pub struct NodeStats {
     /// Fresh fakes drawn by plan repair to top a plan back up to its
     /// sensitivity target after a relay died carrying fakes.
     pub(crate) fakes_topped_up: u64,
-    /// The subset of top-ups triggered *proactively* by membership
-    /// liveness signals (a relay declared dead before any retry timeout
-    /// noticed — see [`CyclosaNode::top_up_dead_relay_fakes`]), rather
-    /// than by a failed real-query delivery.
-    pub(crate) fakes_topped_up_proactive: u64,
     /// Repairs that could not restore the full target (view exhausted):
     /// the query went out with weaker dilution than assessed.
     pub(crate) plans_degraded: u64,
-    /// Plans eagerly refreshed because the peer view aged past the
-    /// staleness threshold before any relay visibly failed
-    /// (see [`CyclosaNode::refresh_stale_plan`]).
-    pub(crate) plans_refreshed: u64,
     /// Per planned query (in planning order): the number of fake
     /// assignments alive after the latest repair — the privacy level each
     /// query actually travelled with.
@@ -221,7 +225,6 @@ impl NodeBuilder {
             peer_sampling: PeerSamplingNode::new(PeerId(self.node_id)),
             analyzer,
             stats: NodeStats::default(),
-            tracer: NodeTracer::default(),
         }
     }
 }
@@ -240,7 +243,6 @@ pub struct CyclosaNode {
     peer_sampling: PeerSamplingNode,
     analyzer: SensitivityAnalyzer,
     stats: NodeStats,
-    tracer: NodeTracer,
 }
 
 impl CyclosaNode {
@@ -280,37 +282,6 @@ impl CyclosaNode {
     )]
     fn ocall(&mut self, transferred_bytes: usize) {
         self.enclave.ocall(transferred_bytes).expect(ENCLAVE_LIVE);
-    }
-
-    /// Installs a trace emitter. Planning, repair and refresh then emit
-    /// causal `plan.*` events (assessment, fake draws, assignments, every
-    /// repair and top-up) keyed by the plan's sequence number. Tracing is
-    /// purely observational — it draws no randomness and never changes
-    /// what the node does; the default tracer is disabled and emission is
-    /// a no-op.
-    #[cfg_attr(
-        not(test),
-        expect(
-            dead_code,
-            reason = "ROADMAP item 3(a) (the traced full-stack population) calls it"
-        )
-    )]
-    pub(crate) fn install_tracer(&mut self, tracer: NodeTracer) {
-        self.tracer = tracer;
-    }
-
-    /// Updates the tracer's notion of the current simulated time. Called
-    /// by the behaviour driving this node before planning or repairing,
-    /// so events land at the right point on the timeline.
-    #[cfg_attr(
-        not(test),
-        expect(
-            dead_code,
-            reason = "ROADMAP item 3(a) (the traced full-stack population) calls it"
-        )
-    )]
-    pub(crate) fn set_trace_now(&mut self, now: SimTime) {
-        self.tracer.set_now(now);
     }
 
     /// The SGX platform hosting this node (provision it at the attestation
@@ -383,20 +354,7 @@ impl CyclosaNode {
         if !cyclosa_nlp::text::has_content_terms(query) {
             return Err(NodeError::EmptyQuery);
         }
-        // The sequence number of the plan this call will produce; fixed
-        // here so the trace events below can carry it.
-        let sequence = self.stats.achieved_k.len() as u64;
         let assessment = self.analyzer.assess(query);
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
-                self.tracer
-                    .event(EventName::PlanAssess)
-                    .query(sequence)
-                    .attr("k", assessment.k)
-                    .attr("semantic", assessment.semantic)
-                    .attr("linkability", assessment.linkability),
-            );
-        }
         let relays = self.peer_sampling.random_peers(rng, assessment.k + 1);
         if relays.is_empty() {
             return Err(NodeError::NoPeersAvailable);
@@ -410,14 +368,6 @@ impl CyclosaNode {
             let mut draw_rng = rng.fork(0xFA4E);
             move |state| state.past_queries.draw_fakes(fake_count, &mut draw_rng)
         });
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
-                self.tracer
-                    .event(EventName::PlanFakesDrawn)
-                    .query(sequence)
-                    .attr("count", fakes.len()),
-            );
-        }
 
         // Assign the real query and the fakes to distinct relays; the relay
         // carrying the real query is chosen uniformly among them. `relays`
@@ -451,50 +401,30 @@ impl CyclosaNode {
         // The user's own query enters the local linkability history.
         self.analyzer.record_own_query(query);
         let fake_count = assignments.iter().filter(|a| !a.is_real).count();
+        let sequence = self.stats.achieved_k.len() as u64;
         self.stats.queries_planned += 1;
         self.stats.fakes_generated += fake_count as u64;
         self.stats.achieved_k.push(fake_count);
-        if self.tracer.is_enabled() {
-            for assignment in &assignments {
-                self.tracer.emit(
-                    self.tracer
-                        .event(EventName::PlanAssign)
-                        .query(sequence)
-                        .attr("relay", assignment.relay.0)
-                        .attr("real", assignment.is_real),
-                );
-            }
-            self.tracer.emit(
-                self.tracer
-                    .event(EventName::PlanCreate)
-                    .query(sequence)
-                    .attr("achieved_k", fake_count)
-                    .attr("relays", assignments.len()),
-            );
-        }
         Ok(QueryPlan {
             assessment,
             sequence,
-            planned_at_round: self.peer_sampling.rounds(),
             assignments,
         })
     }
 
     /// Heals a [`QueryPlan`] after `failed` stopped answering: the dead
     /// relay is blacklisted in the peer view (paper §IV: clients blacklist
-    /// unresponsive proxies) and the plan is repaired so the privacy
-    /// target keeps holding *through* churn, not just at plan time:
+    /// unresponsive proxies) and the plan is repaired by the rules of
+    /// [`crate::plan`], with the view's peers as the usable relays, so the
+    /// privacy target keeps holding *through* churn, not just at plan time:
     ///
     /// * the **real query**, if `failed` carried it, moves to a fresh relay
-    ///   drawn distinct from the plan's surviving relays when enough peers
-    ///   are known (it will be resubmitted there);
+    ///   ([`RelayPlan::draw_distinct_relay`]; it will be resubmitted there);
     /// * **fakes** the dead relay carried died with it — they never reached
-    ///   the engine, so they no longer dilute the real query. The repair
-    ///   re-assesses the surviving plan against `assessment.k` and tops the
-    ///   shortfall up with fresh fakes drawn from the enclave past-query
-    ///   table (on a forked RNG stream, so repairs stay deterministic),
-    ///   each assigned to its own relay not already carrying part of the
-    ///   plan.
+    ///   the engine, so they no longer dilute the real query. The shortfall
+    ///   against `assessment.k` is topped up ([`RelayPlan::top_up`]) with
+    ///   fresh fakes drawn from the enclave past-query table on a forked RNG
+    ///   stream, so repairs stay deterministic.
     ///
     /// [`NodeStats::achieved_k`] records, per planned query, the fake count
     /// the plan holds after the latest repair; `NodeStats::plans_degraded`
@@ -522,30 +452,41 @@ impl CyclosaNode {
         if !plan.assignments.iter().any(|a| a.relay == failed) {
             return Ok(None);
         }
-
-        // Move the real query first: it must survive, on a relay distinct
-        // from every other assignment of the plan when the view allows.
-        let real_failed = plan
-            .assignments
-            .iter()
-            .any(|a| a.is_real && a.relay == failed);
+        let usable = self.peer_sampling.view().peers();
+        let mut relays = plan.relay_plan();
         let mut primary = None;
-        if real_failed {
-            let replacement = self.draw_distinct_relay(plan, rng)?;
-            for assignment in plan.assignments.iter_mut() {
-                if assignment.is_real {
-                    assignment.relay = replacement;
-                }
+        if relays.real == Some(failed) {
+            let replacement = relays
+                .draw_distinct_relay(&usable, rng)
+                .ok_or(NodeError::NoPeersAvailable)?;
+            for assignment in plan.assignments.iter_mut().filter(|a| a.is_real) {
+                assignment.relay = replacement;
             }
             primary = Some(replacement);
         }
         // Fakes on the dead relay are lost in flight; drop them before the
         // shortfall count so the top-up redraws them afresh.
         plan.assignments.retain(|a| a.is_real || a.relay != failed);
+        relays.fakes.retain(|r| *r != failed);
 
-        let topped_up = self.top_up_fakes(plan, rng);
-        if primary.is_none() {
-            primary = topped_up.first().copied();
+        let shortfall = plan.assessment.k.saturating_sub(relays.achieved_k());
+        let fresh = relays.top_up(&usable, shortfall, rng);
+        if !fresh.is_empty() {
+            let count = fresh.len();
+            let fakes = self.ecall(64 * count, {
+                let mut draw_rng = rng.fork(0x70FF);
+                move |state| state.past_queries.draw_fakes(count, &mut draw_rng)
+            });
+            for (relay, query) in fresh.into_iter().zip(fakes) {
+                plan.assignments.push(Assignment {
+                    relay,
+                    query,
+                    is_real: false,
+                });
+                self.stats.fakes_generated += 1;
+                self.stats.fakes_topped_up += 1;
+                primary = primary.or(Some(relay));
+            }
         }
         let achieved = plan.achieved_k();
         if achieved < plan.assessment.k {
@@ -557,210 +498,7 @@ impl CyclosaNode {
         // Counted only once the repair went through — a NoPeersAvailable
         // bail-out above replaced nothing.
         self.stats.relays_reselected += 1;
-        if self.tracer.is_enabled() {
-            if !topped_up.is_empty() {
-                self.tracer.emit(
-                    self.tracer
-                        .event(EventName::PlanTopUp)
-                        .query(plan.sequence)
-                        .attr("count", topped_up.len()),
-                );
-            }
-            self.tracer.emit(
-                self.tracer
-                    .event(EventName::PlanRepair)
-                    .query(plan.sequence)
-                    .attr("failed", failed.0)
-                    .attr("real_moved", real_failed)
-                    .attr("achieved_k", achieved)
-                    .attr("degraded", achieved < plan.assessment.k),
-            );
-        }
         Ok(primary)
-    }
-
-    /// Proactively repairs a plan whose relay `dead` was declared dead by
-    /// the membership layer (SWIM suspicion expiry) **without** ever
-    /// failing a real-query delivery for this node. The relay-side
-    /// fake-liveness gap: a relay that only carried *fakes* produces no
-    /// retry timeout when it dies — the real query is answered elsewhere
-    /// and the plan silently travels with weaker dilution than assessed.
-    /// This method closes that gap: the dead relay is blacklisted, its
-    /// fake assignments are dropped, and the shortfall is topped up with
-    /// fresh fakes on distinct live relays, exactly like the
-    /// failure-driven [`CyclosaNode::reselect_relay`] repair path.
-    ///
-    /// A real query on `dead` is deliberately *not* moved here — that is
-    /// the retry path's job (`reselect_relay`), which also re-sends it.
-    ///
-    /// Returns the relays that received proactive top-ups (empty when
-    /// the plan held no fakes on `dead`, or the view was exhausted).
-    /// Top-ups count into both [`NodeStats::fakes_topped_up`] and
-    /// [`NodeStats::fakes_topped_up_proactive`], and emit a
-    /// `plan.top_up` trace event with `proactive: true`.
-    #[cfg_attr(
-        not(test),
-        expect(dead_code, reason = "ROADMAP item 2 (the sans-I/O node) calls it")
-    )]
-    pub(crate) fn top_up_dead_relay_fakes(
-        &mut self,
-        plan: &mut QueryPlan,
-        dead: PeerId,
-        rng: &mut Xoshiro256StarStar,
-    ) -> Vec<PeerId> {
-        self.peer_sampling.blacklist(dead);
-        if !plan
-            .assignments
-            .iter()
-            .any(|a| !a.is_real && a.relay == dead)
-        {
-            return Vec::new();
-        }
-        plan.assignments.retain(|a| a.is_real || a.relay != dead);
-        let topped_up = self.top_up_fakes(plan, rng);
-        self.stats.fakes_topped_up_proactive += topped_up.len() as u64;
-        let achieved = plan.achieved_k();
-        if achieved < plan.assessment.k {
-            self.stats.plans_degraded += 1;
-        }
-        if let Some(slot) = self.stats.achieved_k.get_mut(plan.sequence as usize) {
-            *slot = achieved;
-        }
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
-                self.tracer
-                    .event(EventName::PlanTopUp)
-                    .query(plan.sequence)
-                    .attr("count", topped_up.len())
-                    .attr("proactive", true)
-                    .attr("dead", dead.0)
-                    .attr("achieved_k", achieved),
-            );
-        }
-        topped_up
-    }
-
-    /// Eagerly refreshes a long-lived plan whose relay choices have gone
-    /// stale: when the peer view has aged `max_view_age` or more gossip
-    /// rounds since the plan's relays were chosen, every assignment whose
-    /// relay has meanwhile dropped out of the view is moved to a fresh
-    /// view peer not already carrying part of the plan — *before* a retry
-    /// timeout forces a repair. The complement of the failure-driven
-    /// [`CyclosaNode::reselect_relay`] path: nothing is blacklisted (the
-    /// relay may be healthy, the view simply rotated past it) and no
-    /// fakes are redrawn (the assignments keep their queries, only the
-    /// carriers change).
-    ///
-    /// Returns the number of assignments moved (0 when the plan is still
-    /// fresh or every relay is still in view). Once the age check has
-    /// run, the plan's staleness clock resets — the relays were verified
-    /// against the current view either way. A refresh that moves at
-    /// least one assignment counts into [`NodeStats::plans_refreshed`]
-    /// and emits a `plan.refresh` trace event.
-    #[cfg_attr(
-        not(test),
-        expect(dead_code, reason = "ROADMAP item 2 (the sans-I/O node) calls it")
-    )]
-    pub(crate) fn refresh_stale_plan(
-        &mut self,
-        plan: &mut QueryPlan,
-        max_view_age: u64,
-        rng: &mut Xoshiro256StarStar,
-    ) -> usize {
-        let rounds = self.peer_sampling.rounds();
-        let view_age = rounds.saturating_sub(plan.planned_at_round);
-        if view_age < max_view_age {
-            return 0;
-        }
-        let mut moved = 0;
-        for i in 0..plan.assignments.len() {
-            let relay = plan.assignments[i].relay;
-            if self.peer_sampling.view().contains(relay) {
-                continue;
-            }
-            let candidates = self.view_peers_outside(plan);
-            if candidates.is_empty() {
-                break;
-            }
-            plan.assignments[i].relay = candidates[rng.gen_index(candidates.len())];
-            moved += 1;
-        }
-        plan.planned_at_round = rounds;
-        if moved > 0 {
-            self.stats.plans_refreshed += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    self.tracer
-                        .event(EventName::PlanRefresh)
-                        .query(plan.sequence)
-                        .attr("view_age", view_age)
-                        .attr("moved", moved),
-                );
-            }
-        }
-        moved
-    }
-
-    /// The view's peers, in view order, that carry no assignment of `plan`.
-    fn view_peers_outside(&self, plan: &QueryPlan) -> Vec<PeerId> {
-        let mut peers = self.peer_sampling.view().peers();
-        peers.retain(|p| plan.assignments.iter().all(|a| a.relay != *p));
-        peers
-    }
-
-    /// Draws one relay for the real query, preferring peers not already
-    /// carrying part of `plan`; falls back to any live peer only when the
-    /// view is too small to keep the plan's relays distinct. The failed
-    /// relay is no candidate: it has been blacklisted out of the view.
-    fn draw_distinct_relay(
-        &self,
-        plan: &QueryPlan,
-        rng: &mut Xoshiro256StarStar,
-    ) -> Result<PeerId, NodeError> {
-        let candidates = self.view_peers_outside(plan);
-        if candidates.is_empty() {
-            let fallback = self.peer_sampling.random_peers(rng, 1);
-            fallback.first().copied().ok_or(NodeError::NoPeersAvailable)
-        } else {
-            Ok(candidates[rng.gen_index(candidates.len())])
-        }
-    }
-
-    /// Re-assesses `plan` against its sensitivity target and tops the fake
-    /// shortfall up: fresh fakes drawn from the enclave past-query table on
-    /// a forked RNG stream, each assigned to a distinct relay not already
-    /// carrying part of the plan. Returns the relays that received top-ups
-    /// (empty when the plan is already at target or the view is exhausted).
-    fn top_up_fakes(&mut self, plan: &mut QueryPlan, rng: &mut Xoshiro256StarStar) -> Vec<PeerId> {
-        let shortfall = plan.assessment.k.saturating_sub(plan.achieved_k());
-        if shortfall == 0 {
-            return Vec::new();
-        }
-        let mut candidates = self.view_peers_outside(plan);
-        let draw = shortfall.min(candidates.len());
-        if draw == 0 {
-            return Vec::new();
-        }
-        let fakes = self.ecall(64 * draw, {
-            let mut draw_rng = rng.fork(0x70FF);
-            move |state| state.past_queries.draw_fakes(draw, &mut draw_rng)
-        });
-        let mut topped_up = Vec::with_capacity(fakes.len());
-        for fake in fakes {
-            let relay = candidates.swap_remove(rng.gen_index(candidates.len()));
-            plan.assignments.push(Assignment {
-                relay,
-                query: fake,
-                is_real: false,
-            });
-            self.stats.fakes_generated += 1;
-            self.stats.fakes_topped_up += 1;
-            topped_up.push(relay);
-            if candidates.is_empty() {
-                break;
-            }
-        }
-        topped_up
     }
 
     /// Handles a query received as a relay: stores it in the in-enclave
@@ -1015,47 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn membership_death_tops_up_fakes_proactively() {
-        let mut node = node(30, 5);
-        node.record_own_history(["zurich train timetable", "zurich airport parking"]);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(31);
-        let mut plan = node.plan_query("zurich train strike", &mut rng).unwrap();
-        let target = plan.achieved_k();
-        assert!(target >= 1, "need at least one fake to kill");
-        let dead = plan
-            .assignments()
-            .iter()
-            .find(|a| !a.is_real)
-            .expect("plan has fakes")
-            .relay;
-        let topped = node.top_up_dead_relay_fakes(&mut plan, dead, &mut rng);
-        assert!(!topped.is_empty(), "the dead relay carried a fake");
-        assert_eq!(plan.achieved_k(), target, "fake count must be restored");
-        assert!(plan.assignments().iter().all(|a| a.relay != dead));
-        assert!(
-            !node.peer_sampling().view().contains(dead),
-            "dead relay must leave the view"
-        );
-        let stats = node.stats();
-        assert_eq!(stats.fakes_topped_up_proactive, topped.len() as u64);
-        assert_eq!(stats.fakes_topped_up, topped.len() as u64);
-        assert_eq!(
-            stats.relays_reselected, 0,
-            "no real query moved: this is not a reselection"
-        );
-        // A relay carrying only the real query triggers nothing here.
-        let real_relay = real_assignment(&plan).relay;
-        let before = node.stats().clone();
-        assert!(node
-            .top_up_dead_relay_fakes(&mut plan, real_relay, &mut rng)
-            .is_empty());
-        assert_eq!(
-            node.stats().fakes_topped_up_proactive,
-            before.fakes_topped_up_proactive
-        );
-    }
-
-    #[test]
     fn losing_a_fake_relay_tops_the_plan_back_up() {
         let mut node = node(30, 5);
         node.record_own_history(["zurich train timetable", "zurich airport parking"]);
@@ -1266,120 +963,5 @@ mod tests {
     fn error_display() {
         assert!(NodeError::NoPeersAvailable.to_string().contains("peers"));
         assert!(NodeError::EmptyQuery.to_string().contains("content"));
-    }
-
-    #[test]
-    fn stale_plan_refresh_moves_dropped_relays_to_view_peers() {
-        let mut node = node(40, 5);
-        node.record_own_history(["zurich train timetable", "zurich airport parking"]);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(40);
-        let mut plan = node.plan_query("zurich train strike", &mut rng).unwrap();
-        assert_eq!(plan.planned_at_round, 0);
-        let before = plan.clone();
-
-        // Fresh plan, aged view: threshold not reached → untouched.
-        assert_eq!(node.refresh_stale_plan(&mut plan, 3, &mut rng), 0);
-        assert_eq!(plan, before);
-
-        // Rotate one of the plan's relays out of the view and age past
-        // the threshold; the refresh must re-home exactly that
-        // assignment, without blacklisting and without redrawing fakes.
-        let rotated_out = plan.assignments()[0].relay;
-        let old_query = plan.assignments()[0].query.clone();
-        node.peer_sampling_mut().blacklist(rotated_out);
-        for _ in 0..3 {
-            node.peer_sampling_mut().increase_ages();
-        }
-        let moved = node.refresh_stale_plan(&mut plan, 3, &mut rng);
-        assert_eq!(moved, 1);
-        assert_ne!(plan.assignments()[0].relay, rotated_out);
-        assert_eq!(plan.assignments()[0].query, old_query, "query unchanged");
-        assert_eq!(plan.achieved_k(), before.achieved_k(), "no fakes redrawn");
-        let relays: std::collections::BTreeSet<_> =
-            plan.assignments().iter().map(|a| a.relay).collect();
-        assert_eq!(relays.len(), plan.assignments().len(), "still distinct");
-        assert_eq!(plan.planned_at_round, 3, "staleness clock reset");
-        assert_eq!(node.stats().plans_refreshed, 1);
-
-        // Immediately after the refresh the plan is fresh again.
-        assert_eq!(node.refresh_stale_plan(&mut plan, 3, &mut rng), 0);
-    }
-
-    /// Every `plan.*` name has an emitter: planning, a fake relay's
-    /// failure (top-up and repair), a membership death (proactive top-up)
-    /// and a stale-plan refresh emit the whole family.
-    #[test]
-    fn every_plan_event_has_an_emitter() {
-        let sink = cyclosa_telemetry::TraceSink::enabled();
-        let mut node = node(60, 5);
-        node.install_tracer(NodeTracer::new(sink.clone(), 60));
-        node.record_own_history(["zurich train timetable", "zurich airport parking"]);
-        let mut rng = Xoshiro256StarStar::seed_from_u64(60);
-        let mut plan = node.plan_query("zurich train strike", &mut rng).unwrap();
-        let fake_relay = |plan: &QueryPlan| {
-            plan.assignments()
-                .iter()
-                .find(|a| !a.is_real)
-                .expect("plan has fakes")
-                .relay
-        };
-        let failed = fake_relay(&plan);
-        node.reselect_relay(&mut plan, failed, &mut rng).unwrap();
-        let dead = fake_relay(&plan);
-        node.top_up_dead_relay_fakes(&mut plan, dead, &mut rng);
-        let rotated_out = plan.assignments()[0].relay;
-        node.peer_sampling_mut().blacklist(rotated_out);
-        node.peer_sampling_mut().increase_ages();
-        node.refresh_stale_plan(&mut plan, 1, &mut rng);
-
-        let events = sink.events();
-        for name in EventName::ALL.iter().filter(|n| n.family() == "plan.") {
-            assert!(
-                events.iter().any(|e| e.name == name.as_str()),
-                "no {name:?} emitted"
-            );
-        }
-    }
-
-    #[test]
-    fn traced_planning_emits_causal_events_and_does_not_perturb() {
-        use cyclosa_telemetry::{NodeTracer, TraceSink};
-
-        let plan_and_repair = |node: &mut CyclosaNode, seed: u64| {
-            node.record_own_history(["zurich train timetable", "zurich airport parking"]);
-            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-            let mut plan = node.plan_query("zurich train strike", &mut rng).unwrap();
-            let failed = real_assignment(&plan).relay;
-            node.reselect_relay(&mut plan, failed, &mut rng).unwrap();
-            plan
-        };
-
-        let mut plain = node(50, 5);
-        let expected = plan_and_repair(&mut plain, 50);
-
-        let sink = TraceSink::enabled();
-        let mut traced = node(50, 5);
-        traced.install_tracer(NodeTracer::new(sink.clone(), 50));
-        traced.set_trace_now(SimTime::from_millis(7));
-        let observed = plan_and_repair(&mut traced, 50);
-
-        assert_eq!(observed, expected, "tracing changed the plan");
-        assert_eq!(traced.stats(), plain.stats());
-
-        let events = sink.events();
-        let names: Vec<&str> = events.iter().map(|e| e.name).collect();
-        assert!(names.contains(&"plan.assess"));
-        assert!(names.contains(&"plan.fakes_drawn"));
-        assert!(names.contains(&"plan.assign"));
-        assert!(names.contains(&"plan.create"));
-        assert!(names.contains(&"plan.repair"));
-        assert!(events.iter().all(|e| e.actor == 50));
-        assert!(events.iter().all(|e| e.at == SimTime::from_millis(7)));
-        assert!(events.iter().all(|e| e.query == Some(0)));
-        let repair = events.iter().find(|e| e.name == "plan.repair").unwrap();
-        assert!(repair
-            .attrs
-            .iter()
-            .any(|(k, v)| *k == "real_moved" && *v == cyclosa_telemetry::AttrValue::Bool(true)));
     }
 }

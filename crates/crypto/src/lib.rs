@@ -38,7 +38,7 @@
 //! assert_eq!(opened, b"query: neuchatel weather");
 //! ```
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

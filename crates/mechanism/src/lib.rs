@@ -18,7 +18,7 @@
 //! `cyclosa` core crate and `cyclosa-attack` agree on the adversary model
 //! without depending on each other.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod properties;

@@ -49,7 +49,7 @@
 //! assert!(sim.stats().delivered >= 2);
 //! ```
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -25,7 +25,7 @@
 //!   exponential-smoothing similarity score shared by the linkability
 //!   assessment (defence) and SimAttack (attack).
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod categorizer;

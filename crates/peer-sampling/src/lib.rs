@@ -46,7 +46,7 @@
 //! `k + 1` relays of each query (load balancing falls out of view
 //! randomness) and bootstrapping attestation-gated channels to fresh peers.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod brahms;

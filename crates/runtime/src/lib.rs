@@ -32,7 +32,7 @@
 //! written against `cyclosa_net::sim::NodeBehavior` run unchanged on
 //! either.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 mod barrier;

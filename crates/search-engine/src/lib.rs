@@ -17,7 +17,7 @@
 //! [`engine::SearchEngine`] ties the two together and keeps an observation
 //! log that the adversary of `cyclosa-attack` can replay.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod corpus;

@@ -31,7 +31,7 @@
 //! *shape* of the paper's security argument (what code can see which data)
 //! and of its performance results, which is what the reproduction needs.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod attestation;

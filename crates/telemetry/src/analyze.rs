@@ -464,11 +464,11 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        let line = r#"{"at_ns":1000000,"node":3,"name":"plan.create","query":0,"attrs":{"k":4}}"#;
+        let line = r#"{"at_ns":1000000,"node":3,"name":"query.launch","query":0,"attrs":{"k":4}}"#;
         let parsed = parse_record(line).expect("valid line");
         assert_eq!(parsed.at, SimTime::from_nanos(1_000_000));
         assert_eq!(parsed.actor, Some(3));
-        assert_eq!(parsed.name, "plan.create");
+        assert_eq!(parsed.name, "query.launch");
         assert_eq!(parsed.query, Some(0));
         assert_eq!(parsed.attr_u64("k"), Some(4));
     }
@@ -485,7 +485,7 @@ mod tests {
         use crate::export::to_jsonl;
         use crate::trace::TraceEvent;
         let trace = to_jsonl(&[
-            TraceEvent::named(SimTime::from_millis(1), 3, EventName::PlanCreate)
+            TraceEvent::named(SimTime::from_millis(1), 3, EventName::QueryLaunch)
                 .query(0)
                 .attr("k", 4u64)
                 .attr("topic", "santé → ✓"),

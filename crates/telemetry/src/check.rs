@@ -219,7 +219,7 @@ fn check_unsigned(value: &Json, what: &str) -> Result<(), String> {
 
 /// Accepts a name of the closed schema ([`EventName`]) and any name
 /// outside the schema's families; rejects a name that carries a schema
-/// family's prefix but is not in the schema (`plan.bogus`).
+/// family's prefix but is not in the schema (`query.bogus`).
 fn check_event_name(name: &str) -> Result<(), String> {
     if EventName::parse(name).is_some() {
         return Ok(());
@@ -408,14 +408,13 @@ mod tests {
         // checks discriminants, not strings.
         let names: BTreeSet<&str> = EventName::ALL.iter().map(|n| n.as_str()).collect();
         assert_eq!(names.len(), EventName::ALL.len(), "duplicate names");
-        assert_eq!(EventName::ALL.len(), 34);
-        // Every name sits in one of the nine families.
+        assert_eq!(EventName::ALL.len(), 27);
+        // Every name sits in one of the eight families.
         let families: BTreeSet<&str> = EventName::ALL.iter().map(|n| n.family()).collect();
         assert_eq!(
             families,
             BTreeSet::from([
-                "adv.", "engine.", "fault.", "latency.", "mship.", "plan.", "query.", "relay.",
-                "slo."
+                "adv.", "engine.", "fault.", "latency.", "mship.", "query.", "relay.", "slo."
             ])
         );
         for name in EventName::ALL {
@@ -430,10 +429,10 @@ mod tests {
         }
         for unknown in [
             "",
-            "plan.",
-            "plan.zzz",
-            "Plan.create",
-            "plan.create ",
+            "query.",
+            "query.zzz",
+            "Query.launch",
+            "query.launch ",
             "hop",
         ] {
             assert_eq!(EventName::parse(unknown), None, "{unknown:?}");
@@ -442,10 +441,10 @@ mod tests {
 
     #[test]
     fn family_names_outside_the_schema_are_rejected() {
-        assert!(check_event_name("plan.assess").is_ok());
+        assert!(check_event_name("query.launch").is_ok());
         assert!(check_event_name("adv.collude").is_ok());
         assert!(check_event_name("hop").is_ok(), "unfamilied names pass");
-        let err = check_event_name("plan.bogus").unwrap_err();
+        let err = check_event_name("query.bogus").unwrap_err();
         assert!(err.contains("closed"), "{err}");
         let err = check_event_name("mship.bogus").unwrap_err();
         assert!(err.contains("the mship.* family"), "{err}");
@@ -533,7 +532,7 @@ mod tests {
 
     #[test]
     fn parse_json_never_panics_on_mutated_documents() {
-        let document = r#"{"name":"plan.create","at_ns":1000000,"neg":-12,"f":-1.5e-3,"ok":true,"no":false,"nil":null,"s":"tab\t \"q\" \u00e9 é → ✓","arr":[[],{},[1,{"a":[2]}]]}"#;
+        let document = r#"{"name":"query.launch","at_ns":1000000,"neg":-12,"f":-1.5e-3,"ok":true,"no":false,"nil":null,"s":"tab\t \"q\" \u00e9 é → ✓","arr":[[],{},[1,{"a":[2]}]]}"#;
         assert!(parse_json(document).is_ok());
         for input in mutations(document, 0x15C) {
             let parsed = std::panic::catch_unwind(|| parse_json(&input));
@@ -544,7 +543,7 @@ mod tests {
     #[test]
     fn exported_traces_validate() {
         let events = vec![
-            TraceEvent::named(SimTime::from_millis(1), 3, EventName::PlanCreate)
+            TraceEvent::named(SimTime::from_millis(1), 3, EventName::QueryLaunch)
                 .query(0)
                 .attr("k", 4u64),
             TraceEvent::named(SimTime::from_millis(2), ACTOR_ENGINE, EventName::FaultCrash),

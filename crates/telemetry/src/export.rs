@@ -144,7 +144,7 @@ mod tests {
 
     fn sample() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::named(SimTime::from_millis(1), 3, EventName::PlanCreate)
+            TraceEvent::named(SimTime::from_millis(1), 3, EventName::QueryLaunch)
                 .query(0)
                 .attr("k", 4u64),
             TraceEvent::named(
@@ -166,7 +166,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(
             lines[0],
-            "{\"at_ns\":1000000,\"node\":3,\"name\":\"plan.create\",\"query\":0,\"attrs\":{\"k\":4}}"
+            "{\"at_ns\":1000000,\"node\":3,\"name\":\"query.launch\",\"query\":0,\"attrs\":{\"k\":4}}"
         );
         assert_eq!(
             lines[1],

@@ -42,7 +42,7 @@
 //! the timeline into closed-schema `slo.*` alert events for the privacy,
 //! latency and membership-health SLOs.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

@@ -62,14 +62,6 @@ macro_rules! event_names {
 }
 
 event_names! {
-    // Query-plan lifecycle (core::node).
-    PlanAssess = "plan.assess",
-    PlanFakesDrawn = "plan.fakes_drawn",
-    PlanAssign = "plan.assign",
-    PlanCreate = "plan.create",
-    PlanTopUp = "plan.top_up",
-    PlanRepair = "plan.repair",
-    PlanRefresh = "plan.refresh",
     // Query lifecycle (chaos::deployment's client).
     QueryLaunch = "query.launch",
     QueryAnswered = "query.answered",
@@ -110,7 +102,7 @@ event_names! {
 
 impl EventName {
     /// The name's family: its prefix up to and including the first `.`
-    /// (`plan.`, `slo.`, …).
+    /// (`query.`, `slo.`, …).
     pub fn family(self) -> &'static str {
         let name = self.as_str();
         name.split_inclusive('.').next().unwrap_or(name)
@@ -178,7 +170,7 @@ pub struct TraceEvent {
     pub at: SimTime,
     /// The node the event belongs to, or [`ACTOR_ENGINE`].
     pub actor: u64,
-    /// Event name, dot-namespaced (`plan.create`, `fault.crash`, …).
+    /// Event name, dot-namespaced (`query.launch`, `fault.crash`, …).
     pub name: &'static str,
     /// The query sequence number the event belongs to, if any — the key
     /// that threads one query's causal timeline together.
@@ -313,9 +305,9 @@ impl TraceSink {
 /// A per-node emission helper: a [`TraceSink`] plus the owning actor id
 /// and the actor's current simulated time.
 ///
-/// Node state machines (e.g. `CyclosaNode`) do not know the simulation
-/// clock; the behaviour driving them calls [`NodeTracer::set_now`] on
-/// entry so that events emitted from inside planning and repair carry
+/// Node state machines (e.g. the membership protocol) do not know the
+/// simulation clock; the behaviour driving them calls
+/// [`NodeTracer::set_now`] on entry so that the events they emit carry
 /// the right timestamp. The default tracer is disabled and emits
 /// nothing.
 #[derive(Debug, Clone, Default)]
@@ -350,15 +342,15 @@ impl NodeTracer {
     ///
     /// ```
     /// use cyclosa_telemetry::{EventName, NodeTracer};
-    /// let event = NodeTracer::default().event(EventName::PlanCreate);
-    /// assert_eq!(event.name, "plan.create");
+    /// let event = NodeTracer::default().event(EventName::QueryLaunch);
+    /// assert_eq!(event.name, "query.launch");
     /// ```
     ///
     /// A name outside the schema does not compile:
     ///
     /// ```compile_fail
     /// use cyclosa_telemetry::NodeTracer;
-    /// let event = NodeTracer::default().event("plan.zzz");
+    /// let event = NodeTracer::default().event("query.zzz");
     /// ```
     pub fn event(&self, name: EventName) -> TraceEvent {
         TraceEvent::named(self.now, self.actor, name)
@@ -378,13 +370,13 @@ mod tests {
     fn disabled_sink_drops_everything() {
         let sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
-        sink.emit(TraceEvent::named(SimTime::ZERO, 1, EventName::PlanCreate));
+        sink.emit(TraceEvent::named(SimTime::ZERO, 1, EventName::QueryLaunch));
         assert!(sink.events().is_empty());
     }
 
     #[test]
     fn family_is_the_prefix_through_the_first_dot() {
-        assert_eq!(EventName::PlanFakesDrawn.family(), "plan.");
+        assert_eq!(EventName::QueryTopUp.family(), "query.");
         assert_eq!(EventName::SloMembershipBurn.family(), "slo.");
         assert_eq!(EventName::LatencyClamped.family(), "latency.");
         let event = TraceEvent::named(SimTime::ZERO, 1, EventName::SloMembershipBurn);
@@ -393,7 +385,7 @@ mod tests {
 
     #[test]
     fn builder_sets_all_fields() {
-        let event = TraceEvent::named(SimTime::from_millis(5), 3, EventName::PlanCreate)
+        let event = TraceEvent::named(SimTime::from_millis(5), 3, EventName::QueryLaunch)
             .query(7)
             .span(SimTime::from_millis(2))
             .attr("k", 4u64)
@@ -524,7 +516,7 @@ mod tests {
         let mut tracer = NodeTracer::new(sink.clone(), 42);
         assert!(tracer.is_enabled());
         tracer.set_now(SimTime::from_millis(7));
-        tracer.emit(tracer.event(EventName::PlanCreate).query(0));
+        tracer.emit(tracer.event(EventName::QueryLaunch).query(0));
         let events = sink.events();
         assert_eq!(events[0].at, SimTime::from_millis(7));
         assert_eq!(events[0].actor, 42);

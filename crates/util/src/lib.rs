@@ -31,7 +31,7 @@
 //! assert!(summary.mean > 0.4 && summary.mean < 0.6);
 //! ```
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod det;

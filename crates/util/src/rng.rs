@@ -341,6 +341,18 @@ mod tests {
     }
 
     #[test]
+    fn sampling_one_index_is_one_gen_index() {
+        // The fact that lets a single replacement draw and a top-up of one
+        // share `sample_indices` byte for byte.
+        for n in 1..64 {
+            let mut sampled = Xoshiro256StarStar::seed_from_u64(n as u64);
+            let mut indexed = sampled.clone();
+            assert_eq!(sampled.sample_indices(n, 1), vec![indexed.gen_index(n)]);
+            assert_eq!(sampled.next_u64(), indexed.next_u64(), "n = {n}");
+        }
+    }
+
+    #[test]
     fn sample_weighted_prefers_heavy_weights() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(21);
         let weights = [1.0, 0.0, 9.0];

@@ -19,7 +19,7 @@
 //! * [`annotation`] — a simulation of the 5-worker crowd-sourcing campaign
 //!   that produces the ground-truth sensitivity labels of Table II.
 
-#![forbid(unsafe_code)]
+#![forbid(unsafe_code, dead_code)]
 #![warn(missing_docs)]
 
 pub mod annotation;
